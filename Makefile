@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race chaos federation-chaos overload-soak flight-smoke bench experiments analyses ablations clean
+.PHONY: all build vet test race bench-selftest chaos federation-chaos overload-soak flight-smoke bench experiments analyses ablations clean
 
 all: build vet test
 
@@ -17,6 +17,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench/ is a module of its own that compiles against internal/...; its
+# self-test catches an internal API change that would break the benchmark.
+bench-selftest:
+	$(GO) -C bench test ./...
 
 # Churn + fault-injection soak of the live controller (smoke check).
 CHAOS_DUR ?= 5s

@@ -44,8 +44,8 @@ func less(a, b wlan.APView) bool {
 	if a.LoadBps != b.LoadBps {
 		return a.LoadBps < b.LoadBps
 	}
-	if len(a.Users) != len(b.Users) {
-		return len(a.Users) < len(b.Users)
+	if a.NumUsers != b.NumUsers {
+		return a.NumUsers < b.NumUsers
 	}
 	return a.ID < b.ID
 }
@@ -67,8 +67,8 @@ func (LeastUsers) Select(_ wlan.Request, aps []wlan.APView) (trace.APID, error) 
 	}
 	best := aps[0]
 	for _, ap := range aps[1:] {
-		if len(ap.Users) < len(best.Users) ||
-			(len(ap.Users) == len(best.Users) && less(ap, best)) {
+		if ap.NumUsers < best.NumUsers ||
+			(ap.NumUsers == best.NumUsers && less(ap, best)) {
 			best = ap
 		}
 	}

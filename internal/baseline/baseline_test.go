@@ -9,9 +9,9 @@ import (
 
 func views() []wlan.APView {
 	return []wlan.APView{
-		{ID: "ap1", LoadBps: 100, Users: []trace.UserID{"a", "b"}, RSSI: -60},
-		{ID: "ap2", LoadBps: 50, Users: []trace.UserID{"c"}, RSSI: -40},
-		{ID: "ap3", LoadBps: 200, Users: []trace.UserID{}, RSSI: -80},
+		wlan.APView{ID: "ap1", LoadBps: 100, RSSI: -60}.WithMembers([]trace.UserID{"a", "b"}, nil),
+		wlan.APView{ID: "ap2", LoadBps: 50, RSSI: -40}.WithMembers([]trace.UserID{"c"}, nil),
+		{ID: "ap3", LoadBps: 200, RSSI: -80},
 	}
 }
 
@@ -30,8 +30,8 @@ func TestLLF(t *testing.T) {
 
 func TestLLFTieBreak(t *testing.T) {
 	aps := []wlan.APView{
-		{ID: "b", LoadBps: 10, Users: []trace.UserID{"x"}},
-		{ID: "a", LoadBps: 10, Users: []trace.UserID{"y"}},
+		wlan.APView{ID: "b", LoadBps: 10}.WithMembers([]trace.UserID{"x"}, nil),
+		wlan.APView{ID: "a", LoadBps: 10}.WithMembers([]trace.UserID{"y"}, nil),
 	}
 	got, err := LLF{}.Select(wlan.Request{}, aps)
 	if err != nil || got != "a" {
@@ -39,8 +39,8 @@ func TestLLFTieBreak(t *testing.T) {
 	}
 	// User count breaks the load tie first.
 	aps = []wlan.APView{
-		{ID: "a", LoadBps: 10, Users: []trace.UserID{"x", "y"}},
-		{ID: "b", LoadBps: 10, Users: []trace.UserID{"z"}},
+		wlan.APView{ID: "a", LoadBps: 10}.WithMembers([]trace.UserID{"x", "y"}, nil),
+		wlan.APView{ID: "b", LoadBps: 10}.WithMembers([]trace.UserID{"z"}, nil),
 	}
 	got, _ = LLF{}.Select(wlan.Request{}, aps)
 	if got != "b" {

@@ -36,7 +36,7 @@ func newFriendMapIndex(idx mapIndex, threshold float64) *friendMapIndex {
 func (f *friendMapIndex) CloseFriends(u trace.UserID) []trace.UserID { return f.friends[u] }
 func (f *friendMapIndex) FriendThreshold() float64                   { return f.threshold }
 
-// TestFriendFastPathEnablement: the merge fast path engages only when
+// TestFriendFastPathEnablement: the friend-lookup fast path engages only when
 // the index is a FriendIndex whose threshold matches the selector's.
 func TestFriendFastPathEnablement(t *testing.T) {
 	idx := newFriendMapIndex(mapIndex{pair("u", "w"): 0.9}, 0.3)
@@ -65,33 +65,11 @@ func TestFriendFastPathEnablement(t *testing.T) {
 
 // TestFriendFastPathParity: with and without the precomputed friend
 // lists, Select must return the identical AP for randomized view sets —
-// the merge is an optimization, never a ranking change.
+// the lookup is an optimization, never a ranking change.
 func TestFriendFastPathParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	users := make([]trace.UserID, 24)
-	for i := range users {
-		users[i] = trace.UserID(fmt.Sprintf("u%02d", i))
-	}
-	idx := mapIndex{}
-	for i := range users {
-		for j := i + 1; j < len(users); j++ {
-			if rng.Float64() < 0.3 {
-				idx[pair(users[i], users[j])] = rng.Float64() // some above, some below 0.3
-			}
-		}
-	}
-	fidx := newFriendMapIndex(idx, 0.3)
-	fast, err := NewSelector(fidx, SelectorConfig{EdgeThreshold: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.friends == nil {
-		t.Fatal("fast path not enabled")
-	}
-	slow, err := NewSelector(idx, SelectorConfig{EdgeThreshold: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	users := testUsers(24)
+	fast, slow := selectorPair(t, randomFriendIndex(rng, users))
 
 	for trial := 0; trial < 200; trial++ {
 		nAPs := 2 + rng.Intn(5)
@@ -110,8 +88,7 @@ func TestFriendFastPathParity(t *testing.T) {
 				ID:          trace.APID(fmt.Sprintf("ap%d", i)),
 				CapacityBps: 1e6,
 				LoadBps:     float64(rng.Intn(500)),
-				Users:       members,
-			}
+			}.WithMembers(members, nil)
 		}
 		req := wlan.Request{User: users[rng.Intn(len(users))], DemandBps: float64(1 + rng.Intn(100))}
 		a, errA := fast.Select(req, aps)

@@ -1,0 +1,340 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+
+	"github.com/s3wlan/s3wlan/internal/baseline"
+	"github.com/s3wlan/s3wlan/internal/domain"
+	"github.com/s3wlan/s3wlan/internal/obs"
+	"github.com/s3wlan/s3wlan/internal/trace"
+	"github.com/s3wlan/s3wlan/internal/wlan"
+)
+
+func testUsers(n int) []trace.UserID {
+	users := make([]trace.UserID, n)
+	for i := range users {
+		users[i] = trace.UserID(fmt.Sprintf("u%03d", i))
+	}
+	return users
+}
+
+// randomFriendIndex draws θ for about a third of the pairs, some above
+// and some below the 0.3 cut.
+func randomFriendIndex(rng *rand.Rand, users []trace.UserID) *friendMapIndex {
+	idx := mapIndex{}
+	for i := range users {
+		for j := i + 1; j < len(users); j++ {
+			if rng.Float64() < 0.3 {
+				idx[pair(users[i], users[j])] = rng.Float64()
+			}
+		}
+	}
+	return newFriendMapIndex(idx, 0.3)
+}
+
+// selectorPair builds the S³ selector twice over one index: with the
+// close-friend lists (lookup path) and without (Index scan path).
+func selectorPair(t testing.TB, fidx *friendMapIndex) (fast, slow *Selector) {
+	t.Helper()
+	fast, err := NewSelector(fidx, SelectorConfig{EdgeThreshold: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err = NewSelector(fidx.mapIndex, SelectorConfig{EdgeThreshold: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast.friends == nil || slow.friends != nil {
+		t.Fatal("selector pair is not one fast, one slow")
+	}
+	return fast, slow
+}
+
+// referenceSelect is Select's documented ranking done the slow way, as
+// the oracle: every feasible AP within the balance guard gets its friend
+// buckets from Index over its full membership, the minimum by (buckets,
+// load, users, ID) wins; failing that the least-loaded feasible AP, then
+// the least-loaded AP.
+func referenceSelect(idx mapIndex, cfg SelectorConfig, req wlan.Request, aps []wlan.APView) trace.APID {
+	minLoad, total := aps[0].LoadBps, 0.0
+	for _, ap := range aps {
+		total += ap.LoadBps
+		minLoad = math.Min(minLoad, ap.LoadBps)
+	}
+	guard := minLoad + cfg.BalanceGuard*(total/float64(len(aps))+req.DemandBps)
+	type ranked struct {
+		buckets  int
+		load     float64
+		users    int
+		id       trace.APID
+		feasible bool
+		guarded  bool
+	}
+	var all []ranked
+	for _, ap := range aps {
+		users, demands := ap.Members()
+		var friendLoad float64
+		for i, w := range users {
+			if idx.Index(req.User, w) > cfg.EdgeThreshold {
+				if i < len(demands) {
+					friendLoad += demands[i]
+				} else {
+					friendLoad += req.DemandBps
+				}
+			}
+		}
+		all = append(all, ranked{int(math.Floor(friendLoad / req.DemandBps)), ap.LoadBps, ap.NumUsers, ap.ID,
+			ap.HasCapacityFor(req.DemandBps), ap.LoadBps <= guard})
+	}
+	best := func(keep func(ranked) bool, useBuckets bool) (trace.APID, bool) {
+		var picked []ranked
+		for _, r := range all {
+			if keep(r) {
+				if !useBuckets {
+					r.buckets = 0
+				}
+				picked = append(picked, r)
+			}
+		}
+		sort.Slice(picked, func(i, j int) bool {
+			a, b := picked[i], picked[j]
+			switch {
+			case a.buckets != b.buckets:
+				return a.buckets < b.buckets
+			case a.load != b.load:
+				return a.load < b.load
+			case a.users != b.users:
+				return a.users < b.users
+			}
+			return a.id < b.id
+		})
+		if len(picked) == 0 {
+			return "", false
+		}
+		return picked[0].id, true
+	}
+	if id, ok := best(func(r ranked) bool { return r.feasible && r.guarded }, true); ok {
+		return id
+	}
+	if id, ok := best(func(r ranked) bool { return r.feasible }, false); ok {
+		return id
+	}
+	id, _ := best(func(ranked) bool { return true }, false)
+	return id
+}
+
+// TestLazyViewsRankLikeMaterialised: over generated domains and friend
+// graphs, Select on a domain's views (membership looked up on demand)
+// and on hand-built views carrying the full membership the test tracked
+// itself both pick the reference ranking's AP — on the friend-lookup
+// path and the Index scan, on 1 and 4 shards, with users holding stacked
+// sessions on one AP, and with per-user demands left out of the
+// hand-built views.
+func TestLazyViewsRankLikeMaterialised(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	users := testUsers(30)
+	for trial := 0; trial < 200; trial++ {
+		fidx := randomFriendIndex(rng, users)
+		fast, slow := selectorPair(t, fidx)
+		// With one demand for everybody, requester included, a view that
+		// tracks no per-user demand must rank like one that does.
+		uniform := trial%3 == 0
+		demand := func() float64 {
+			if uniform {
+				return 40
+			}
+			return float64(1 + rng.Intn(100))
+		}
+
+		dom := domain.New(domain.Config{Shards: 1 + 3*(trial%2)})
+		aps := make([]trace.APID, 2+rng.Intn(6))
+		on := map[trace.APID]map[trace.UserID]float64{}
+		for i := range aps {
+			aps[i] = trace.APID(fmt.Sprintf("ap%d", i))
+			on[aps[i]] = map[trace.UserID]float64{}
+			// Some APs are tight enough to be infeasible or guarded out.
+			if err := dom.AddAP(aps[i], float64(200+rng.Intn(2000))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		req := wlan.Request{User: users[rng.Intn(len(users))], DemandBps: demand()}
+		for _, u := range users {
+			if u == req.User || rng.Float64() < 0.3 {
+				continue
+			}
+			ap := aps[rng.Intn(len(aps))]
+			sessions := 1
+			if !uniform && rng.Float64() < 0.25 {
+				sessions = 2 // stacked on the same AP: demands add up
+			}
+			for s := 0; s < sessions; s++ {
+				d := demand()
+				if _, err := dom.Commit([]domain.Placement{{User: u, AP: ap, DemandBps: d}}, nil); err != nil {
+					t.Fatal(err)
+				}
+				on[ap][u] += d
+			}
+		}
+
+		lazy, _ := dom.Views(req.User)
+		static := make([]wlan.APView, len(lazy))
+		for i, v := range lazy {
+			members := make([]trace.UserID, 0, len(on[v.ID]))
+			for u := range on[v.ID] {
+				members = append(members, u)
+			}
+			sort.Slice(members, func(a, b int) bool { return members[a] < members[b] })
+			var demands []float64
+			if !uniform {
+				for _, u := range members {
+					demands = append(demands, on[v.ID][u])
+				}
+			}
+			static[i] = v.WithMembers(members, demands)
+			if static[i].NumUsers != v.NumUsers {
+				t.Fatalf("trial %d: %s counts %d users, test tracked %d", trial, v.ID, v.NumUsers, len(members))
+			}
+		}
+
+		want := referenceSelect(fidx.mapIndex, slow.cfg, req, static)
+		for name, pick := range map[string]func() (trace.APID, error){
+			"lookup/lazy":   func() (trace.APID, error) { return fast.Select(req, lazy) },
+			"lookup/static": func() (trace.APID, error) { return fast.Select(req, static) },
+			"scan/lazy":     func() (trace.APID, error) { return slow.Select(req, lazy) },
+			"scan/static":   func() (trace.APID, error) { return slow.Select(req, static) },
+		} {
+			if got, err := pick(); err != nil || got != want {
+				t.Fatalf("trial %d (uniform=%v): %s picked %q (%v), the reference ranking picks %q\nreq %+v\nmembership %v",
+					trial, uniform, name, got, err, want, req, on)
+			}
+		}
+	}
+}
+
+// TestFastPathsNeverMaterialise: the policies that rank on aggregates,
+// and S³ with a FriendIndex, decide without one membership copy; the
+// Index scan is what domain.views.materialized counts.
+func TestFastPathsNeverMaterialise(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	users := testUsers(30)
+	fidx := randomFriendIndex(rng, users)
+	fast, slow := selectorPair(t, fidx)
+	dom := domain.New(domain.Config{Shards: 4})
+	for i := 0; i < 6; i++ {
+		if err := dom.AddAP(trace.APID(fmt.Sprintf("ap%d", i)), 1e6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, u := range users[1:] {
+		p := domain.Placement{User: u, AP: trace.APID(fmt.Sprintf("ap%d", i%6)), DemandBps: float64(10 + i)}
+		if _, err := dom.Commit([]domain.Placement{p}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	materialized := obs.GetCounter("domain.views.materialized")
+	before := materialized.Value()
+	req := wlan.Request{User: users[0], DemandBps: 25}
+	var buf domain.ViewBuf
+	for _, sel := range []wlan.Selector{baseline.LLF{}, baseline.LeastUsers{}, baseline.StrongestRSSI{}, &baseline.RoundRobin{}, fast} {
+		dom.ViewsInto(req.User, &buf)
+		if _, err := sel.Select(req, buf.Views()); err != nil {
+			t.Fatalf("%s: %v", sel.Name(), err)
+		}
+		if got := materialized.Value() - before; got != 0 {
+			t.Fatalf("%s materialised membership %d times, want 0", sel.Name(), got)
+		}
+	}
+	if _, err := slow.Select(req, buf.Views()); err != nil {
+		t.Fatal(err)
+	}
+	if materialized.Value() == before {
+		t.Error("the Index scan materialised nothing: the counter is not counting")
+	}
+}
+
+// TestSelectConcurrentWithMutation runs S³ selections — friend lookups
+// and Index-scan materialisations on the domain's views — while other
+// goroutines commit, leave and remove APs. Run under -race; a decision
+// must always name an AP of its own snapshot.
+func TestSelectConcurrentWithMutation(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(shards)))
+			users := testUsers(40)
+			fast, slow := selectorPair(t, randomFriendIndex(rng, users))
+			dom := domain.New(domain.Config{Shards: shards})
+			aps := make([]trace.APID, 8)
+			for i := range aps {
+				aps[i] = trace.APID(fmt.Sprintf("ap%d", i))
+				if err := dom.AddAP(aps[i], 1e6); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			const rounds = 400
+			var wg sync.WaitGroup
+			// Mutators: each churns its own users across the APs; the last
+			// also removes and re-adds one AP, evicting whoever is on it.
+			for m := 0; m < 2; m++ {
+				wg.Add(1)
+				go func(m int) {
+					defer wg.Done()
+					mine := users[m*20 : m*20+20]
+					at := map[trace.UserID]trace.APID{}
+					for i := 0; i < rounds; i++ {
+						u, ap := mine[i%len(mine)], aps[(i*7+m)%len(aps)]
+						if i%5 == 4 {
+							if prev, ok := at[u]; ok {
+								dom.LeaveAll(u, prev)
+								delete(at, u)
+							}
+							continue
+						}
+						// Prev may name an AP the other mutator removed
+						// meanwhile; Commit ignores an unknown Prev.
+						if _, err := dom.Commit([]domain.Placement{{User: u, AP: ap, Prev: at[u], DemandBps: float64(10 + i%50)}}, nil); err == nil {
+							at[u] = ap
+						}
+						if m == 1 && i%40 == 39 {
+							dom.RemoveAP(aps[7])
+							if err := dom.AddAP(aps[7], 1e6); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}
+				}(m)
+			}
+			for _, sel := range []*Selector{fast, slow} {
+				wg.Add(1)
+				go func(sel *Selector) {
+					defer wg.Done()
+					var buf domain.ViewBuf
+					for i := 0; i < rounds; i++ {
+						req := wlan.Request{User: users[i%len(users)], DemandBps: 20}
+						dom.ViewsInto(req.User, &buf)
+						got, err := sel.Select(req, buf.Views())
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						known := false
+						for _, v := range buf.Views() {
+							known = known || v.ID == got
+						}
+						if !known {
+							t.Errorf("picked %q, not in the snapshot", got)
+							return
+						}
+					}
+				}(sel)
+			}
+			wg.Wait()
+		})
+	}
+}

@@ -9,8 +9,8 @@ import (
 )
 
 // allFriends marks every pair socially close, forcing friendLoadBuckets
-// to walk each view's full user list — the only code path that indexes
-// UserDemands.
+// to walk each view's full user list — the only selector code that
+// indexes the per-user demands.
 type allFriends struct{}
 
 func (allFriends) Index(u, v trace.UserID) float64 {
@@ -20,30 +20,17 @@ func (allFriends) Index(u, v trace.UserID) float64 {
 	return 1
 }
 
-// TestNilUserDemandsViews is the APView.UserDemands nil-handling
-// regression test: a view may legitimately carry Users without
-// UserDemands (callers that do not track per-user demand), or a
-// UserDemands slice shorter than Users (the batch path's projectView
-// appends projected users to Users only). Every selector must treat the
+// TestNilUserDemandsViews is the nil-handling regression test for
+// hand-built views: a view may legitimately carry members without
+// demands (callers that do not track per-user demand), or a demand
+// slice shorter than the member list. Every selector must treat the
 // missing entries as one requester-demand unit instead of panicking.
 func TestNilUserDemandsViews(t *testing.T) {
 	views := []wlan.APView{
-		{
-			ID:          "ap-nil",
-			CapacityBps: 1000,
-			LoadBps:     10,
-			Users:       []trace.UserID{"a", "b", "c"},
-			UserDemands: nil, // no per-user demand tracked
-			RSSI:        -40,
-		},
-		{
-			ID:          "ap-short",
-			CapacityBps: 1000,
-			LoadBps:     5,
-			Users:       []trace.UserID{"d", "e"},
-			UserDemands: []float64{7}, // shorter than Users
-			RSSI:        -60,
-		},
+		wlan.APView{ID: "ap-nil", CapacityBps: 1000, LoadBps: 10, RSSI: -40}.
+			WithMembers([]trace.UserID{"a", "b", "c"}, nil), // no per-user demand tracked
+		wlan.APView{ID: "ap-short", CapacityBps: 1000, LoadBps: 5, RSSI: -60}.
+			WithMembers([]trace.UserID{"d", "e"}, []float64{7}), // shorter than the members
 	}
 	req := wlan.Request{User: "u", At: 100, DemandBps: 3}
 

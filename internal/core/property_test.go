@@ -54,9 +54,7 @@ func TestSelectNeverViolatesCapacityWhenFeasible(t *testing.T) {
 				ID:          trace.APID(fmt.Sprintf("ap%d", i)),
 				CapacityBps: capacity,
 				LoadBps:     load,
-				Users:       users,
-				UserDemands: demands,
-			}
+			}.WithMembers(users, demands)
 			if ap.HasCapacityFor(demand) {
 				anyFeasible = true
 			}
@@ -141,8 +139,8 @@ func TestSelectDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	aps := []wlan.APView{
-		{ID: "x", LoadBps: 5, Users: []trace.UserID{"b"}},
-		{ID: "y", LoadBps: 7, Users: []trace.UserID{"c"}},
+		wlan.APView{ID: "x", LoadBps: 5}.WithMembers([]trace.UserID{"b"}, nil),
+		wlan.APView{ID: "y", LoadBps: 7}.WithMembers([]trace.UserID{"c"}, nil),
 		{ID: "z", LoadBps: 9},
 	}
 	req := wlan.Request{User: "a", DemandBps: 3}

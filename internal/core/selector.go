@@ -39,8 +39,9 @@ type SocialIndex interface {
 // with θ(u,v) > FriendThreshold(). The incremental engine
 // (society/incremental) satisfies it from the θ-graph it already
 // maintains. A selector whose EdgeThreshold matches FriendThreshold
-// computes friend-load buckets by merging two sorted lists instead of
-// evaluating Index against every user on every candidate AP.
+// computes friend-load buckets by looking the requester's friends up on
+// each candidate AP instead of evaluating Index against every user the
+// AP holds — O(friends) per AP however many users are resident.
 type FriendIndex interface {
 	SocialIndex
 	CloseFriends(u trace.UserID) []trace.UserID
@@ -101,8 +102,8 @@ func (c SelectorConfig) withDefaults() SelectorConfig {
 type Selector struct {
 	social SocialIndex
 	// friends is non-nil when social also satisfies FriendIndex at the
-	// selector's own edge threshold — the precondition for the merge
-	// fast path to rank identically to the Index scan.
+	// selector's own edge threshold — the precondition for the
+	// friend-lookup fast path to rank identically to the Index scan.
 	friends FriendIndex
 	cfg     SelectorConfig
 }
@@ -140,12 +141,12 @@ var ErrNoAPs = errors.New("core: no candidate APs")
 // mostly the dense α·T type prior every profiled pair carries — is noise
 // for placement: counting it would turn C into a user-count proxy and
 // override the load-aware LLF tie-break the pseudocode prescribes.
-func (s *Selector) cost(u trace.UserID, demand float64, ap wlan.APView) float64 {
+func (s *Selector) cost(u trace.UserID, demand float64, ap wlan.APView, members []trace.UserID) float64 {
 	if !ap.HasCapacityFor(demand) {
 		return math.Inf(1)
 	}
 	var c float64
-	for _, w := range ap.Users {
+	for _, w := range members {
 		if theta := s.social.Index(u, w); theta > s.cfg.EdgeThreshold {
 			c += theta
 		}
@@ -186,25 +187,34 @@ func (s *Selector) Select(req wlan.Request, aps []wlan.APView) (trace.APID, erro
 	guard := minLoad + s.cfg.BalanceGuard*(totalLoad/float64(len(aps))+req.DemandBps)
 
 	// Single pass, no candidate slices: track the best guarded candidate
-	// (friend buckets are computed only for those), the least-loaded
-	// feasible AP and — implicitly, via leastLoaded — the least-loaded AP
-	// overall for the two fallbacks. Replacement is strict (cand.less /
-	// apLess), so ties resolve to the earliest AP exactly as the former
-	// slice-then-scan ranking did.
+	// (friend buckets are computed only for those that could still
+	// outrank it), the least-loaded feasible AP and — implicitly, via
+	// leastLoaded — the least-loaded AP overall for the two fallbacks.
+	// Replacement is strict (cand.less / apLess), so ties resolve to the
+	// earliest AP exactly as the former slice-then-scan ranking did.
 	bestIdx, feasIdx := -1, -1
 	var bestRank rankedAP
+	var closeFriends []trace.UserID // one list for the whole decision
+	if s.friends != nil {
+		closeFriends = s.friends.CloseFriends(req.User)
+	}
 	for i := range aps {
 		ap := &aps[i]
 		if !ap.HasCapacityFor(req.DemandBps) {
 			continue
 		}
-		if feasIdx < 0 || apLess(*ap, aps[feasIdx]) {
+		if feasIdx < 0 || apLess(ap, &aps[feasIdx]) {
 			feasIdx = i
 		}
 		if ap.LoadBps > guard {
 			continue
 		}
-		cand := rankedAP{ap: *ap, friends: s.friendLoadBuckets(req, *ap)}
+		if bestIdx >= 0 && bestRank.friends == 0 && !apLess(ap, bestRank.ap) {
+			// Friend buckets are never negative, so nothing outranks a
+			// friend-free candidate that LLF prefers too: skip the lookup.
+			continue
+		}
+		cand := rankedAP{ap: ap, friends: s.friendLoadBuckets(req, closeFriends, ap)}
 		if bestIdx < 0 || cand.less(bestRank) {
 			bestIdx, bestRank = i, cand
 		}
@@ -229,45 +239,28 @@ func (s *Selector) Select(req wlan.Request, aps []wlan.APView) (trace.APID, erro
 // comparison meaningful — differences smaller than one user's demand are
 // noise and must not override the LLF tie-break. When the caller supplies
 // no per-user demands each friend counts as one requester-demand unit,
-// reducing to a friend count.
-func (s *Selector) friendLoadBuckets(req wlan.Request, ap wlan.APView) int {
+// reducing to a friend count. closeFriends is the requester's
+// CloseFriends list when the selector has a FriendIndex.
+func (s *Selector) friendLoadBuckets(req wlan.Request, closeFriends []trace.UserID, ap *wlan.APView) int {
 	unit := req.DemandBps
 	if unit <= 0 {
 		unit = 1
 	}
-	var friendLoad float64
 	if s.friends != nil {
-		// Fast path: ap.Users and the close-friend list are both sorted,
-		// so their intersection is one merge — no Index call per user.
-		// CloseFriends lists exactly the θ > threshold partners, and never
-		// the requester (the θ-graph has no self-edges), matching the
-		// Index-scan semantics below.
-		fs := s.friends.CloseFriends(req.User)
-		i, j := 0, 0
-		for i < len(ap.Users) && j < len(fs) {
-			switch {
-			case ap.Users[i] < fs[j]:
-				i++
-			case ap.Users[i] > fs[j]:
-				j++
-			default:
-				if i < len(ap.UserDemands) {
-					friendLoad += ap.UserDemands[i]
-				} else {
-					friendLoad += unit
-				}
-				i++
-				j++
-			}
-		}
-		return int(math.Floor(friendLoad / unit))
+		// Fast path: CloseFriends lists exactly the θ > threshold partners,
+		// sorted, and never the requester (the θ-graph has no self-edges),
+		// so summing their demands on the AP in list order matches the
+		// Index scan below term for term.
+		return int(math.Floor(ap.SumDemands(closeFriends, unit) / unit))
 	}
-	for i, w := range ap.Users {
+	var friendLoad float64
+	users, demands := ap.Members()
+	for i, w := range users {
 		if s.social.Index(req.User, w) <= s.cfg.EdgeThreshold {
 			continue
 		}
-		if i < len(ap.UserDemands) {
-			friendLoad += ap.UserDemands[i]
+		if i < len(demands) {
+			friendLoad += demands[i]
 		} else {
 			friendLoad += unit
 		}
@@ -277,7 +270,7 @@ func (s *Selector) friendLoadBuckets(req wlan.Request, ap wlan.APView) int {
 
 // rankedAP is an online-selection candidate.
 type rankedAP struct {
-	ap      wlan.APView
+	ap      *wlan.APView
 	friends int
 }
 
@@ -290,20 +283,20 @@ func (a rankedAP) less(b rankedAP) bool {
 	return apLess(a.ap, b.ap)
 }
 
-func apLess(a, b wlan.APView) bool {
+func apLess(a, b *wlan.APView) bool {
 	if a.LoadBps != b.LoadBps {
 		return a.LoadBps < b.LoadBps
 	}
-	if len(a.Users) != len(b.Users) {
-		return len(a.Users) < len(b.Users)
+	if a.NumUsers != b.NumUsers {
+		return a.NumUsers < b.NumUsers
 	}
 	return a.ID < b.ID
 }
 
 func leastLoaded(aps []wlan.APView) trace.APID {
-	best := aps[0]
-	for _, ap := range aps[1:] {
-		if apLess(ap, best) {
+	best := &aps[0]
+	for i := range aps[1:] {
+		if ap := &aps[i+1]; apLess(ap, best) {
 			best = ap
 		}
 	}
@@ -347,24 +340,26 @@ func (s *Selector) SelectBatch(reqs []wlan.Request, aps []wlan.APView) (map[trac
 	g := socialgraph.FromThreshold(users, s.cfg.EdgeThreshold, s.social.Index)
 	cover := socialgraph.ExtractCliqueCover(g)
 
-	// Projected AP state, updated as cliques are placed.
+	// Projected AP state, updated as cliques are placed: the views carry
+	// the projected load, members the projected user lists.
 	state := make([]wlan.APView, len(aps))
 	copy(state, aps)
-	for i := range state {
-		state[i].Users = append([]trace.UserID(nil), aps[i].Users...)
+	members := make([][]trace.UserID, len(aps))
+	for i := range aps {
+		members[i], _ = aps[i].Members()
 	}
 
 	obsCliques.Add(int64(len(cover)))
 	out := make(map[trace.UserID]trace.APID, len(users))
 	for _, clique := range cover {
-		assignment, err := s.placeClique(clique, demands, state)
+		assignment, err := s.placeClique(clique, demands, state, members)
 		if err != nil {
 			return nil, err
 		}
 		for u, apIdx := range assignment {
 			out[u] = state[apIdx].ID
 			state[apIdx].LoadBps += demands[u]
-			state[apIdx].Users = append(state[apIdx].Users, u)
+			members[apIdx] = append(members[apIdx], u)
 		}
 	}
 	return out, nil
@@ -387,8 +382,8 @@ const exhaustiveLimit = 4096
 // has enough APs; otherwise AP reuse is minimized. Small cliques are
 // solved exhaustively; large ones by beam search over the lowest-ΣC
 // prefixes.
-func (s *Selector) placeClique(clique []trace.UserID,
-	demands map[trace.UserID]float64, state []wlan.APView) (map[trace.UserID]int, error) {
+func (s *Selector) placeClique(clique []trace.UserID, demands map[trace.UserID]float64,
+	state []wlan.APView, users [][]trace.UserID) (map[trace.UserID]int, error) {
 
 	// Order members by demand (desc) so the beam places heavy users
 	// first; deterministic tie-break by ID.
@@ -427,8 +422,8 @@ func (s *Selector) placeClique(clique []trace.UserID,
 				}
 				// Project the AP's state after this candidate's earlier
 				// placements.
-				projected := s.projectView(ap, cand, members[:mi], demands, apIdx)
-				c := s.cost(u, demands[u], projected)
+				projected, on := s.projectView(ap, users[apIdx], cand, members[:mi], demands, apIdx)
+				c := s.cost(u, demands[u], projected, on)
 				if math.IsInf(c, 1) {
 					// Infeasible: heavily penalized but not discarded —
 					// every user must land somewhere.
@@ -480,22 +475,21 @@ func (s *Selector) placeClique(clique []trace.UserID,
 	return out, nil
 }
 
-// projectView returns ap with the candidate's earlier same-AP placements
-// folded in, so cost sees intra-clique θ too.
-func (s *Selector) projectView(ap wlan.APView, cand beamCandidate,
-	placed []trace.UserID, demands map[trace.UserID]float64, apIdx int) wlan.APView {
+// projectView returns ap and its user list with the candidate's earlier
+// same-AP placements folded in, so cost sees intra-clique θ too.
+func (s *Selector) projectView(ap wlan.APView, users []trace.UserID, cand beamCandidate,
+	placed []trace.UserID, demands map[trace.UserID]float64, apIdx int) (wlan.APView, []trace.UserID) {
 	if cand.used[apIdx] == 0 {
-		return ap
+		return ap, users
 	}
-	view := ap
-	view.Users = append([]trace.UserID(nil), ap.Users...)
+	users = append([]trace.UserID(nil), users...)
 	for i, u := range placed {
 		if cand.assign[i] == apIdx {
-			view.Users = append(view.Users, u)
-			view.LoadBps += demands[u]
+			users = append(users, u)
+			ap.LoadBps += demands[u]
 		}
 	}
-	return view
+	return ap, users
 }
 
 // projectedBalance computes the normalized balance index of the AP load

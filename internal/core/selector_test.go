@@ -50,8 +50,8 @@ func TestSelectAvoidsSocialFriends(t *testing.T) {
 		t.Fatal(err)
 	}
 	aps := []wlan.APView{
-		{ID: "ap1", LoadBps: 10, Users: []trace.UserID{"w"}},
-		{ID: "ap2", LoadBps: 20, Users: []trace.UserID{"x"}},
+		wlan.APView{ID: "ap1", LoadBps: 10}.WithMembers([]trace.UserID{"w"}, nil),
+		wlan.APView{ID: "ap2", LoadBps: 20}.WithMembers([]trace.UserID{"x"}, nil),
 	}
 	got, err := s.Select(wlan.Request{User: "u", DemandBps: 5}, aps)
 	if err != nil || got != "ap2" {
@@ -68,8 +68,8 @@ func TestSelectBalanceGuardOverridesSociality(t *testing.T) {
 		t.Fatal(err)
 	}
 	aps := []wlan.APView{
-		{ID: "ap1", LoadBps: 10, Users: []trace.UserID{"w"}},
-		{ID: "ap2", LoadBps: 500, Users: []trace.UserID{"x"}},
+		wlan.APView{ID: "ap1", LoadBps: 10}.WithMembers([]trace.UserID{"w"}, nil),
+		wlan.APView{ID: "ap2", LoadBps: 500}.WithMembers([]trace.UserID{"x"}, nil),
 	}
 	got, err := s.Select(wlan.Request{User: "u", DemandBps: 5}, aps)
 	if err != nil || got != "ap1" {
@@ -83,8 +83,8 @@ func TestSelectFallsBackToLLFOnTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	aps := []wlan.APView{
-		{ID: "ap1", LoadBps: 100, Users: []trace.UserID{"a"}},
-		{ID: "ap2", LoadBps: 10, Users: []trace.UserID{"b"}},
+		wlan.APView{ID: "ap1", LoadBps: 100}.WithMembers([]trace.UserID{"a"}, nil),
+		wlan.APView{ID: "ap2", LoadBps: 10}.WithMembers([]trace.UserID{"b"}, nil),
 	}
 	// No social ties anywhere: both costs 0, LLF picks ap2.
 	got, err := s.Select(wlan.Request{User: "u"}, aps)
@@ -101,9 +101,9 @@ func TestSelectRespectsCapacity(t *testing.T) {
 	}
 	aps := []wlan.APView{
 		// Socially free but full.
-		{ID: "full", CapacityBps: 100, LoadBps: 99, Users: []trace.UserID{"x"}},
+		wlan.APView{ID: "full", CapacityBps: 100, LoadBps: 99}.WithMembers([]trace.UserID{"x"}, nil),
 		// Has the friend but has room.
-		{ID: "roomy", CapacityBps: 100, LoadBps: 10, Users: []trace.UserID{"w"}},
+		wlan.APView{ID: "roomy", CapacityBps: 100, LoadBps: 10}.WithMembers([]trace.UserID{"w"}, nil),
 	}
 	got, err := s.Select(wlan.Request{User: "u", DemandBps: 50}, aps)
 	if err != nil || got != "roomy" {

@@ -16,10 +16,21 @@
 // stable AP→shard hash (FNV-1a of the AP ID). Each shard owns its APs
 // behind its own RWMutex and carries its own version counter, bumped on
 // every structural change (AP set, membership, failure state). Policy
-// selection runs lock-free against a snapshot: Views collects per-shard
-// read-locked copies plus the per-shard version vector, the selector
-// deliberates without any lock held, and Commit re-validates only the
-// versions of the shards the decision touches.
+// selection runs against a snapshot: Views collects, per shard under its
+// read lock, each AP's aggregates (capacity, load, RSSI, user count)
+// plus the per-shard version vector, the selector deliberates holding
+// no lock, and Commit re-validates only the versions of the shards the
+// decision touches.
+//
+// # Views
+//
+// A snapshot never copies membership, so it costs O(APs) however many
+// users are resident. A policy that needs membership asks the view:
+// APView.SumDemands looks a sorted user list up on the AP (the S³
+// selector passes the requester's close friends — O(friends) map hits
+// under one shard read-lock), and APView.Members materialises a sorted
+// copy for callers that must iterate everyone. Views built by hand with
+// APView.WithMembers answer both from fixed lists.
 //
 // A decision that lands entirely inside one shard commits on the fast
 // path — one shard lock, one version check — so concurrent
@@ -43,4 +54,11 @@
 // serialized per shard, so staleness can cost decision optimality but
 // never state consistency — the same contract the live controller has
 // always documented for its retry loop.
+//
+// The same rule covers membership on demand: a view's aggregates are as
+// of the snapshot, its SumDemands/Members reads see the domain's current
+// state. Every membership change bumps its shard's version, so when the
+// shard a decision lands on moved between the snapshot and the read,
+// Commit fails with ErrStale and the decision is re-made; a change in a
+// shard it does not touch is tolerated, as it always was.
 package domain

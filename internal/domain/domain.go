@@ -24,6 +24,7 @@ var (
 	obsOverloads    = obs.GetCounter("domain.overloads", "Placements admitted beyond AP capacity (admission override)")
 	obsEvictions    = obs.GetCounter("domain.evictions", "APs removed (failures, lease expiries)")
 	obsViews        = obs.GetCounter("domain.views", "APView snapshots taken")
+	obsMaterialized = obs.GetCounter("domain.views.materialized", "On-demand copies of one AP's membership taken through APView.Members")
 )
 
 // Sentinel errors returned by Commit.
@@ -59,6 +60,12 @@ const (
 // APView is a policy's read-only view of one AP's live state. Both the
 // batch simulator and the live controller hand policies exactly this
 // (internal/wlan aliases the type), assembled by Domain.Views.
+//
+// The exported fields are aggregates, copied when the snapshot is taken.
+// Membership is not copied: SumDemands and Members read it on demand,
+// from the domain's current state for a view assembled by a Domain and
+// from the fixed list for a view built with WithMembers. A policy that
+// ranks on aggregates alone (LLF, RSSI, round-robin) never touches it.
 type APView struct {
 	// ID identifies the AP.
 	ID trace.APID
@@ -67,16 +74,91 @@ type APView struct {
 	// LoadBps is the AP's traffic load as selected by the domain's
 	// LoadMode (believed demand sum, last report, or their max).
 	LoadBps float64
-	// Users are the currently associated users (sorted).
-	Users []trace.UserID
-	// UserDemands[i] is the believed demand (bytes/second) of Users[i].
-	// May be nil when the caller does not track per-user demand;
-	// consumers must guard their indexing.
-	UserDemands []float64
 	// RSSI is the received signal strength the requesting user sees for
 	// this AP, in dBm (higher is stronger). Synthesized via the domain's
 	// RSSI function; used by the strongest-signal baseline.
 	RSSI float64
+	// NumUsers is the number of associated users.
+	NumUsers int
+
+	// Membership source: the domain's AP state, or else the fixed
+	// users/demands of a hand-built view (demands may be nil or shorter
+	// than users: a user without one has no tracked demand).
+	st      *apState
+	users   []trace.UserID
+	demands []float64
+}
+
+// WithMembers returns v over a fixed membership instead of a domain's:
+// users sorted ascending, demands aligned with users or nil when
+// per-user demand is not tracked. It is how tests and callers without
+// a Domain build views by hand; the slices are retained, not copied.
+func (v APView) WithMembers(users []trace.UserID, demands []float64) APView {
+	v.st, v.users, v.demands, v.NumUsers = nil, users, demands, len(users)
+	return v
+}
+
+// SumDemands adds up, in list order, the believed demands of those of
+// users (sorted ascending) that are associated with this AP; a member
+// whose demand is not tracked counts as untracked. On a domain's view it
+// takes one shard read-lock and len(users) map hits, however many users
+// the AP holds.
+func (v APView) SumDemands(users []trace.UserID, untracked float64) float64 {
+	st := v.st
+	if st == nil {
+		return sumSorted(v.users, v.demands, users, untracked)
+	}
+	if len(users) == 0 {
+		return 0
+	}
+	var sum float64
+	st.sh.mu.RLock()
+	for _, u := range users {
+		if d, ok := st.users[u]; ok {
+			sum += d
+		}
+	}
+	st.sh.mu.RUnlock()
+	return sum
+}
+
+// sumSorted sums the demands of the members that also appear in users;
+// both lists are sorted, so their intersection is one merge. demands
+// may be shorter than members: the rest count as untracked.
+func sumSorted(members []trace.UserID, demands []float64, users []trace.UserID, untracked float64) float64 {
+	var sum float64
+	i, j := 0, 0
+	for i < len(members) && j < len(users) {
+		switch {
+		case members[i] < users[j]:
+			i++
+		case members[i] > users[j]:
+			j++
+		default:
+			if i < len(demands) {
+				sum += demands[i]
+			} else {
+				sum += untracked
+			}
+			i++
+			j++
+		}
+	}
+	return sum
+}
+
+// Members materialises the AP's membership: a caller-owned copy of the
+// associated users, sorted, with their believed demands (nil or short
+// when a hand-built view tracks none). It is O(members); only policies
+// that must iterate everyone on the AP call it.
+func (v APView) Members() (users []trace.UserID, demands []float64) {
+	if st := v.st; st != nil {
+		obsMaterialized.Inc()
+		st.sh.mu.RLock()
+		defer st.sh.mu.RUnlock()
+		return sortedUsers(st)
+	}
+	return append([]trace.UserID(nil), v.users...), append([]float64(nil), v.demands...)
 }
 
 // HasCapacityFor reports whether adding demand keeps the AP within its
@@ -202,11 +284,12 @@ type Config struct {
 	ObsName string
 }
 
-// apState is one AP's accounting. users is the authoritative map;
-// sortedU/sortedD mirror it in sorted order and are maintained
-// incrementally at every mutation point, so view snapshots copy flat
-// arrays instead of re-sorting the membership on every policy decision.
+// apState is one AP's accounting. users is the authoritative map and
+// what view lookups hit; sortedU/sortedD mirror it in sorted order and
+// are maintained incrementally at every mutation point, so materialising
+// the membership is a deterministic copy, not a sort.
 type apState struct {
+	sh          *shard // owning shard; its lock guards every field below
 	id          trace.APID
 	capacityBps float64
 	reportedBps float64
@@ -338,6 +421,7 @@ func (d *Domain) AddAP(id trace.APID, capacityBps float64) error {
 		return fmt.Errorf("domain: AP %q already registered", id)
 	}
 	sh.aps[id] = &apState{
+		sh:          sh,
 		id:          id,
 		capacityBps: capacityBps,
 		users:       make(map[trace.UserID]float64),
@@ -506,18 +590,15 @@ func sortedUsers(st *apState) ([]trace.UserID, []float64) {
 	return users, demands
 }
 
-// ViewBuf is a reusable snapshot buffer for ViewsInto. The views' Users
-// and UserDemands slices alias the buffer's flat backing arrays, so a
-// caller that pools ViewBufs takes policy-decision snapshots without
-// allocating once the arrays have grown to the working-set size. The
-// contents are valid until the next ViewsInto call on the same buffer.
+// ViewBuf is a reusable snapshot buffer for ViewsInto: the view slice
+// and the version vector, nothing per resident. A caller that keeps one
+// takes policy-decision snapshots without allocating once the slice has
+// grown to the AP count. The contents are valid until the next ViewsInto
+// call on the same buffer.
 type ViewBuf struct {
-	views   []APView
-	ver     Version
-	users   []trace.UserID
-	demands []float64
-	offs    []int
-	sorter  viewSorter
+	views  []APView
+	ver    Version
+	sorter viewSorter
 }
 
 // Views returns the snapshot taken by the last ViewsInto call.
@@ -538,22 +619,26 @@ func (s *viewSorter) Swap(i, j int)      { s.v[i], s.v[j] = s.v[j], s.v[i] }
 // with the per-shard version vector the commit validates against. APs
 // are returned in sorted ID order regardless of sharding, so a policy
 // sees the same candidate list for any shard count.
+//
+// The snapshot holds each AP's aggregates as of the call; membership
+// reads through the views (SumDemands, Members) see the domain's state
+// at the time of the read. A membership change in between bumps its
+// shard's version, so Commit's per-shard check (ErrStale, re-select)
+// covers the gap exactly as it covers the snapshot not being one cut
+// across shards.
 func (d *Domain) Views(u trace.UserID) ([]APView, Version) {
 	var buf ViewBuf
 	d.ViewsInto(u, &buf)
 	return buf.views, buf.ver
 }
 
-// ViewsInto is Views writing into a caller-owned reusable buffer — the
-// zero-allocation fast path for the live controller's Associate. The
-// returned slices are buf's; see ViewBuf.
+// ViewsInto is Views writing into a caller-owned reusable buffer. It
+// touches O(APs) aggregates and never the membership, so its cost does
+// not depend on how many users are resident.
 func (d *Domain) ViewsInto(u trace.UserID, buf *ViewBuf) {
 	obsViews.Inc()
 	buf.views = buf.views[:0]
 	buf.ver = buf.ver[:0]
-	buf.users = buf.users[:0]
-	buf.demands = buf.demands[:0]
-	buf.offs = buf.offs[:0]
 	for _, sh := range d.shards {
 		sh.mu.RLock()
 		buf.ver = append(buf.ver, sh.version)
@@ -574,25 +659,16 @@ func (d *Domain) ViewsInto(u trace.UserID, buf *ViewBuf) {
 			default:
 				load = st.believedBps
 			}
-			// Copy membership into the flat arrays; the per-view slices
-			// are cut after the loop, once the arrays stop moving.
-			buf.offs = append(buf.offs, len(buf.users))
-			buf.users = append(buf.users, st.sortedU...)
-			buf.demands = append(buf.demands, st.sortedD...)
 			buf.views = append(buf.views, APView{
 				ID:          id,
 				CapacityBps: st.capacityBps,
 				LoadBps:     load,
 				RSSI:        d.rssi(u, id),
+				NumUsers:    len(st.users),
+				st:          st,
 			})
 		}
 		sh.mu.RUnlock()
-	}
-	buf.offs = append(buf.offs, len(buf.users))
-	for i := range buf.views {
-		lo, hi := buf.offs[i], buf.offs[i+1]
-		buf.views[i].Users = buf.users[lo:hi:hi]
-		buf.views[i].UserDemands = buf.demands[lo:hi:hi]
 	}
 	if len(d.shards) > 1 {
 		buf.sorter.v = buf.views

@@ -1,6 +1,7 @@
 package domain
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -8,10 +9,33 @@ import (
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
-// TestViewsIntoMatchesViews: the pooled flat-array snapshot must be
+// sameViews reports the first difference between two snapshots, read
+// through the accessors a policy uses: aggregates, then membership.
+func sameViews(got, want []APView) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d views, want %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.ID != w.ID || g.CapacityBps != w.CapacityBps || g.LoadBps != w.LoadBps ||
+			g.RSSI != w.RSSI || g.NumUsers != w.NumUsers {
+			return fmt.Errorf("view %d aggregates: got %+v, want %+v", i, g, w)
+		}
+		gu, gd := g.Members()
+		wu, wd := w.Members()
+		if !reflect.DeepEqual(gu, wu) || !reflect.DeepEqual(gd, wd) {
+			return fmt.Errorf("view %d (%s) members: got %v %v, want %v %v", i, g.ID, gu, gd, wu, wd)
+		}
+		if len(gu) != g.NumUsers {
+			return fmt.Errorf("view %d (%s): NumUsers %d but %d members", i, g.ID, g.NumUsers, len(gu))
+		}
+	}
+	return nil
+}
+
+// TestViewsIntoMatchesViews: the reusable-buffer snapshot must be
 // indistinguishable from the allocating Views path across mutations,
-// and reusing the buffer must never let a later call alias an earlier
-// view's user slice.
+// and each view's user count must agree with its materialised members.
 func TestViewsIntoMatchesViews(t *testing.T) {
 	d := New(Config{Shards: 4})
 	for i := 0; i < 9; i++ {
@@ -36,8 +60,8 @@ func TestViewsIntoMatchesViews(t *testing.T) {
 		t.Helper()
 		want, wantVer := d.Views("probe")
 		d.ViewsInto("probe", &buf)
-		if !reflect.DeepEqual(buf.Views(), want) {
-			t.Fatalf("%s: ViewsInto diverged from Views:\nwant %+v\ngot  %+v", stage, want, buf.Views())
+		if err := sameViews(buf.Views(), want); err != nil {
+			t.Fatalf("%s: ViewsInto diverged from Views: %v", stage, err)
 		}
 		if !reflect.DeepEqual(buf.Version(), wantVer) {
 			t.Fatalf("%s: version vector diverged: %v vs %v", stage, buf.Version(), wantVer)
@@ -60,21 +84,101 @@ func TestViewsIntoMatchesViews(t *testing.T) {
 		t.Fatal("RemoveAP failed")
 	}
 	check("AP removed")
+}
 
-	// Aliasing guard: snapshot, then reuse the same buffer for a bigger
-	// domain state; the first snapshot's user slices must be unaffected.
-	d.ViewsInto("probe", &buf)
-	frozen := make([][]trace.UserID, len(buf.Views()))
-	for i, v := range buf.Views() {
-		frozen[i] = append([]trace.UserID(nil), v.Users...)
-	}
-	first := buf.Views()
-	var buf2 ViewBuf
-	d.ViewsInto("probe", &buf2) // independent buffer, same content
-	for i := range first {
-		if !reflect.DeepEqual(first[i].Users, frozen[i]) {
-			t.Fatalf("view %d users mutated by later snapshot: %v vs %v", i, first[i].Users, frozen[i])
+// TestViewMembershipOnDemand pins the view contract: aggregates are as
+// of the snapshot, membership reads see the domain's current state, a
+// change in between makes the snapshot's version stale, and a hand-built
+// view answers the same accessors from its fixed lists.
+func TestViewMembershipOnDemand(t *testing.T) {
+	d := New(Config{})
+	for _, ap := range []trace.APID{"a", "b"} {
+		if err := d.AddAP(ap, 1e6); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if _, err := d.Commit([]Placement{
+		{User: "u1", AP: "a", DemandBps: 10},
+		{User: "u3", AP: "a", DemandBps: 30},
+		{User: "u3", AP: "a", DemandBps: 5}, // a second session stacks
+		{User: "u2", AP: "b", DemandBps: 20},
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	views, ver := d.Views("probe")
+	a := views[0]
+	if a.ID != "a" || a.NumUsers != 2 || a.LoadBps != 45 {
+		t.Fatalf("view a = %+v, want 2 users at 45 B/s", a)
+	}
+	query := []trace.UserID{"u0", "u1", "u2", "u3"}
+	if got := a.SumDemands(query, 1); got != 45 {
+		t.Errorf("SumDemands on a = %v, want 45 (u1 + stacked u3)", got)
+	}
+	if got := views[1].SumDemands(query, 1); got != 20 {
+		t.Errorf("SumDemands on b = %v, want 20", got)
+	}
+	if got := a.SumDemands(nil, 1); got != 0 {
+		t.Errorf("SumDemands(nil) = %v, want 0", got)
+	}
+
+	if _, ok := d.LeaveAll("u1", "a"); !ok {
+		t.Fatal("LeaveAll failed")
+	}
+	if a.NumUsers != 2 || a.LoadBps != 45 {
+		t.Errorf("aggregates moved with the domain: %+v", a)
+	}
+	if got := a.SumDemands(query, 1); got != 35 {
+		t.Errorf("SumDemands after leave = %v, want 35 (current state)", got)
+	}
+	if users, demands := a.Members(); !reflect.DeepEqual(users, []trace.UserID{"u3"}) ||
+		!reflect.DeepEqual(demands, []float64{35}) {
+		t.Errorf("Members after leave = %v %v, want [u3] [35]", users, demands)
+	}
+	if _, err := d.Commit([]Placement{{User: "probe", AP: "a", DemandBps: 1}}, ver); !errors.Is(err, ErrStale) {
+		t.Errorf("commit on the pre-leave version = %v, want ErrStale", err)
+	}
+
+	// A view of a removed AP still answers, from the drained state.
+	if _, ok := d.RemoveAP("a"); !ok {
+		t.Fatal("RemoveAP failed")
+	}
+	if got := a.SumDemands(query, 1); got != 0 {
+		t.Errorf("SumDemands on a removed AP = %v, want 0", got)
+	}
+
+	static := APView{ID: "s"}.WithMembers([]trace.UserID{"u1", "u3", "u5"}, []float64{10})
+	if static.NumUsers != 3 {
+		t.Errorf("static NumUsers = %d, want 3", static.NumUsers)
+	}
+	if got := static.SumDemands(query, 7); got != 17 {
+		t.Errorf("static SumDemands = %v, want 17 (10 tracked + 7 untracked)", got)
+	}
+	users, demands := static.Members()
+	users[0] = "scribbled"
+	if again, _ := static.Members(); again[0] != "u1" || len(demands) != 1 {
+		t.Errorf("static Members is not a copy: %v %v", again, demands)
+	}
+}
+
+// TestViewsIntoCostIsPerAP: a warmed-up ViewBuf snapshot allocates
+// nothing and copies no membership, however many users are resident.
+func TestViewsIntoCostIsPerAP(t *testing.T) {
+	d, _ := newBenchDomain(t, 1, 64, 20_000)
+	var buf ViewBuf
+	d.ViewsInto("probe", &buf)
+	before := obsMaterialized.Value()
+	if allocs := testing.AllocsPerRun(20, func() { d.ViewsInto("probe", &buf) }); allocs != 0 {
+		t.Errorf("warm ViewsInto allocates %v times per call, want 0", allocs)
+	}
+	if got := obsMaterialized.Value() - before; got != 0 {
+		t.Errorf("ViewsInto materialised membership %d times, want 0", got)
+	}
+	residents := 0
+	for _, v := range buf.Views() {
+		residents += v.NumUsers
+	}
+	if residents != 20_000 {
+		t.Errorf("user counts sum to %d, want 20000", residents)
 	}
 }
 

@@ -802,7 +802,7 @@ func (c *Controller) handleStation(conn *Conn, hello Message) {
 // assocScratch holds the per-call buffers of the Associate fast path:
 // the reusable view snapshot and the single-placement commit argument.
 // Pooled so a steady-state association performs no heap allocation once
-// the view arrays have grown to the domain's working-set size.
+// the view slice has grown to the AP count.
 type assocScratch struct {
 	views domain.ViewBuf
 	ps    [1]domain.Placement

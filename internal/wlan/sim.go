@@ -149,6 +149,10 @@ type ctrlDomain struct {
 	selector Selector
 	result   *DomainResult
 	observer AssociationObserver
+	// views is the reusable snapshot buffer of handleBatch. One is enough:
+	// the batch snapshot is last read by SelectBatch, before the first
+	// per-session snapshot overwrites it.
+	views domain.ViewBuf
 }
 
 // Simulate replays the trace's sessions through the association policies.
@@ -342,7 +346,8 @@ func truncateSessions(d *ctrlDomain, ap trace.APID, evicted []domain.Eviction, n
 }
 
 func handleBatch(e *eventsim.Engine, d *ctrlDomain, batch []trace.Session, cfg Config) error {
-	views, _ := d.dom.Views(batch[0].User)
+	d.dom.ViewsInto(batch[0].User, &d.views)
+	views := d.views.Views()
 	if len(views) == 0 {
 		return fmt.Errorf("wlan: controller %q has no available APs at t=%d",
 			d.id, e.Now())
@@ -377,11 +382,11 @@ func handleBatch(e *eventsim.Engine, d *ctrlDomain, batch []trace.Session, cfg C
 		apID, ok := placed[s.User]
 		demand := cfg.DemandFor(s)
 		if !ok {
-			vs, _ := d.dom.Views(s.User)
+			d.dom.ViewsInto(s.User, &d.views)
 			var err error
 			apID, err = d.selector.Select(Request{
 				User: s.User, At: s.ConnectAt, DemandBps: demand,
-			}, vs)
+			}, d.views.Views())
 			if err != nil {
 				return fmt.Errorf("wlan: select on %q: %w", d.id, err)
 			}
