@@ -2,12 +2,16 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench-selftest chaos federation-chaos overload-soak flight-smoke bench experiments analyses ablations clean
+.PHONY: all build fmt-check vet test race bench-selftest chaos federation-chaos overload-soak flight-smoke bench experiments analyses ablations clean
 
-all: build vet test
+all: build fmt-check vet test
 
 build:
 	$(GO) build ./...
+
+# gofmt -l prints the files it would rewrite; any output fails.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

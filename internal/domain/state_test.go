@@ -85,10 +85,10 @@ func TestImportStateRejectsNonEmptyDomain(t *testing.T) {
 
 func TestImportStateRejectsDamage(t *testing.T) {
 	cases := map[string]*State{
-		"nil":          nil,
-		"version":      {Version: 99},
-		"misaligned":   {Version: stateVersion, APs: []APState{{ID: "a", Users: []trace.UserID{"u"}, Demands: nil}}},
-		"empty-user":   {Version: stateVersion, APs: []APState{{ID: "a", Users: []trace.UserID{""}, Demands: []float64{1}}}},
+		"nil":        nil,
+		"version":    {Version: 99},
+		"misaligned": {Version: stateVersion, APs: []APState{{ID: "a", Users: []trace.UserID{"u"}, Demands: nil}}},
+		"empty-user": {Version: stateVersion, APs: []APState{{ID: "a", Users: []trace.UserID{""}, Demands: []float64{1}}}},
 	}
 	for name, st := range cases {
 		if err := New(Config{}).ImportState(st); err == nil {

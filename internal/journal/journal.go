@@ -34,6 +34,7 @@ var (
 	obsCheckpoints = obs.GetCounter("journal.checkpoints", "Checkpoints written (every CheckpointEvery records, plus forced ones)")
 	obsCkptErrs    = obs.GetCounter("journal.checkpoint_errors", "Failed checkpoints (compaction degrades, correctness unaffected)")
 	obsCkptHist    = obs.GetHistogram("journal.checkpoint", "Latency of one checkpoint write + segment rotation")
+	obsCkptBytes   = obs.GetCounter("journal.checkpoint_bytes", "Checkpoint payload bytes written (owner state, before framing)")
 	obsRotations   = obs.GetCounter("journal.rotations", "Segment rotations (one per successful checkpoint)")
 	obsReplayed    = obs.GetCounter("journal.recovery.records_replayed", "Records replayed from the WAL tail at recovery")
 	obsCorrupt     = obs.GetCounter("journal.recovery.corrupt_skipped", "CRC-corrupt or undecodable frames skipped at recovery")
@@ -485,8 +486,8 @@ func (j *Journal) openSegmentLocked(firstSeq uint64) error {
 func (j *Journal) checkpointLocked() error {
 	start := time.Now()
 	seq := j.seq
+	var buf bytes.Buffer
 	err := atomicfile.WriteFile(checkpointPath(j.dir, seq), func(w io.Writer) error {
-		var buf bytes.Buffer
 		if err := j.opts.State(&buf); err != nil {
 			return fmt.Errorf("journal: checkpoint state: %w", err)
 		}
@@ -496,6 +497,7 @@ func (j *Journal) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
+	obsCkptBytes.Add(int64(buf.Len()))
 	// Rotate: seal the current segment, start the next one.
 	if err := j.bw.Flush(); err != nil {
 		return err

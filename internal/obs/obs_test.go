@@ -101,11 +101,11 @@ func TestGetReturnsSameMetric(t *testing.T) {
 func TestHistogramBuckets(t *testing.T) {
 	r := &Registry{}
 	h := r.GetHistogram("b")
-	h.Observe(time.Microsecond)        // <10µs
-	h.Observe(50 * time.Microsecond)   // <100µs
-	h.Observe(5 * time.Millisecond)    // <10ms
-	h.Observe(2 * time.Second)         // <10s
-	h.Observe(20 * time.Second)        // ≥10s
+	h.Observe(time.Microsecond)      // <10µs
+	h.Observe(50 * time.Microsecond) // <100µs
+	h.Observe(5 * time.Millisecond)  // <10ms
+	h.Observe(2 * time.Second)       // <10s
+	h.Observe(20 * time.Second)      // ≥10s
 	snap := r.TakeSnapshot().Histograms["b"]
 	want := map[string]int64{"<10µs": 1, "<100µs": 1, "<10ms": 1, "<10s": 1, "≥10s": 1}
 	for label, n := range want {

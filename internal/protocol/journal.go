@@ -87,15 +87,21 @@ type checkpointMeta struct {
 	Gen      uint64 `json:"gen,omitempty"`
 }
 
-// checkpointDoc is the controller's full checkpoint payload.
+// checkpointDoc is the controller's own part of a checkpoint payload:
+// one JSON line. Whatever follows that line is the observer's state, in
+// the observer's format and opaque to the controller — written straight
+// through by ObserverState.WriteState, never re-encoded. Checkpoints
+// written by the previous release carried a JSON observer state inside
+// the document instead (Society); those are still read for one release
+// and never written.
 type checkpointDoc struct {
-	Domain      *domain.State                  `json:"domain"`
-	Assignments map[trace.UserID]trace.APID    `json:"assignments,omitempty"`
-	AssignedAt  map[trace.UserID]int64         `json:"assigned_at,omitempty"`
-	ServedByUsr map[trace.UserID]int64         `json:"served_by_user,omitempty"`
-	Served      map[trace.APID]int64           `json:"served,omitempty"`
-	Meta        map[trace.APID]checkpointMeta  `json:"meta,omitempty"`
-	Society     json.RawMessage                `json:"society,omitempty"`
+	Domain      *domain.State                 `json:"domain"`
+	Assignments map[trace.UserID]trace.APID   `json:"assignments,omitempty"`
+	AssignedAt  map[trace.UserID]int64        `json:"assigned_at,omitempty"`
+	ServedByUsr map[trace.UserID]int64        `json:"served_by_user,omitempty"`
+	Served      map[trace.APID]int64          `json:"served,omitempty"`
+	Meta        map[trace.APID]checkpointMeta `json:"meta,omitempty"`
+	Society     json.RawMessage               `json:"society,omitempty"`
 }
 
 // writeCheckpointLocked serializes the controller's complete state to w.
@@ -115,15 +121,14 @@ func (c *Controller) writeCheckpointLocked(w io.Writer) error {
 	for id, m := range c.meta {
 		doc.Meta[id] = checkpointMeta{Static: m.static, LastSeen: m.lastSeen, Gen: m.gen}
 	}
-	if st, ok := c.observer.(ObserverState); ok {
-		var buf bytes.Buffer
-		if err := st.WriteState(&buf); err != nil {
-			return fmt.Errorf("protocol: checkpoint observer state: %w", err)
-		}
-		doc.Society = buf.Bytes()
-	}
+	// Encode ends the document with the newline restoreCheckpoint splits on.
 	if err := json.NewEncoder(w).Encode(&doc); err != nil {
 		return fmt.Errorf("protocol: encode checkpoint: %w", err)
+	}
+	if st, ok := c.observer.(ObserverState); ok {
+		if err := st.WriteState(w); err != nil {
+			return fmt.Errorf("protocol: checkpoint observer state: %w", err)
+		}
 	}
 	return nil
 }
@@ -169,9 +174,18 @@ func (c *Controller) openJournal() error {
 // assignment bookkeeping, AP lease metadata, and the observer's learned
 // state when both sides support it.
 func (c *Controller) restoreCheckpoint(payload []byte) error {
+	// The document is one line (JSON escapes newlines inside strings);
+	// the observer's state is everything after it.
+	observerState := []byte(nil)
+	if i := bytes.IndexByte(payload, '\n'); i >= 0 {
+		payload, observerState = payload[:i], payload[i+1:]
+	}
 	var doc checkpointDoc
 	if err := json.Unmarshal(payload, &doc); err != nil {
 		return fmt.Errorf("protocol: decode checkpoint: %w", err)
+	}
+	if len(doc.Society) > 0 {
+		observerState = doc.Society
 	}
 	if doc.Domain != nil {
 		if err := c.dom.ImportState(doc.Domain); err != nil {
@@ -193,9 +207,9 @@ func (c *Controller) restoreCheckpoint(payload []byte) error {
 	for id, m := range doc.Meta {
 		c.meta[id] = &apMeta{static: m.Static, lastSeen: m.LastSeen, gen: m.Gen}
 	}
-	if len(doc.Society) > 0 {
+	if len(observerState) > 0 {
 		if st, ok := c.observer.(ObserverState); ok {
-			if err := st.ReadState(bytes.NewReader(doc.Society)); err != nil {
+			if err := st.ReadState(bytes.NewReader(observerState)); err != nil {
 				return fmt.Errorf("protocol: restore observer state: %w", err)
 			}
 		}

@@ -10,13 +10,18 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/baseline"
+	"github.com/s3wlan/s3wlan/internal/core"
 	"github.com/s3wlan/s3wlan/internal/journal"
+	"github.com/s3wlan/s3wlan/internal/obs"
+	"github.com/s3wlan/s3wlan/internal/socialgraph"
 	"github.com/s3wlan/s3wlan/internal/society/incremental"
 	"github.com/s3wlan/s3wlan/internal/trace"
+	"github.com/s3wlan/s3wlan/internal/wlan"
 )
 
 // TestJournalCrashRecoveryRoundtrip drives a journaled controller
@@ -200,18 +205,188 @@ func TestJournalCheckpointRestoresObserverState(t *testing.T) {
 	engineSnapshotsMatch(t, "post-crash future", engA.Snapshot(), engB.Snapshot())
 }
 
+// s3Live is the shipped s3-live wiring: one incremental engine is both
+// the S³ selector's social index and (WithObserver) the controller's
+// observer.
+func s3Live(t *testing.T, cfg incremental.Config) (wlan.Selector, *incremental.Engine) {
+	t.Helper()
+	eng := incremental.New(cfg)
+	sel, err := core.NewSelector(eng, core.DefaultSelectorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel, eng
+}
+
+// TestJournalRecoversVersion1Checkpoint: testdata/journal_v1 is the
+// journal directory the previous release left behind after the scenario
+// of TestJournalCheckpointRestoresObserverState — two checkpoints whose
+// observer state is a JSON document inside the checkpoint document, and
+// a record tail. This release must recover it.
+func TestJournalRecoversVersion1Checkpoint(t *testing.T) {
+	dir := t.TempDir()
+	files, err := filepath.Glob("testdata/journal_v1/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("testdata/journal_v1: %v, %v", files, err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := incremental.New(observerEngineConfig())
+	c, err := NewController(baseline.LLF{}, WithObserver(eng),
+		WithJournal(dir, journal.Options{Fsync: journal.FsyncAlways, CheckpointEvery: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := c.Recovery()
+	if rec.Stats.CheckpointSeq != 8 || rec.Stats.RecordsReplayed != 2 || rec.ReplayErrors != 0 ||
+		rec.APs != 1 || rec.Assignments != 1 {
+		t.Fatalf("recovery = %+v, want checkpoint 8 + 2 records, 1 AP, 1 assignment", rec)
+	}
+	eng.Refresh()
+	if s := eng.Snapshot(); s.Users != 2 || s.Edges != 1 || s.Index("amy", "ben") != 1 {
+		t.Fatalf("recovered social state: %d users, %d edges, θ(amy,ben) = %v; want 2, 1, 1",
+			s.Users, s.Edges, s.Index("amy", "ben"))
+	}
+	// Amy's presence, open since the replayed tail record, survived too.
+	if err := eng.Disconnect("amy", "ap-1", 1000); err != nil {
+		t.Fatalf("mid-presence learner state lost: %v", err)
+	}
+	// And the next checkpoint is written in the new format, which a
+	// third controller reads back.
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	eng2 := incremental.New(observerEngineConfig())
+	c2, err := NewController(baseline.LLF{}, WithObserver(eng2),
+		WithJournal(dir, journal.Options{Fsync: journal.FsyncAlways, CheckpointEvery: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if rec := c2.Recovery(); rec.Stats.RecordsReplayed != 0 || rec.Assignments != 1 {
+		t.Fatalf("restart from the rewritten checkpoint = %+v", rec)
+	}
+	eng.Refresh()
+	engineSnapshotsMatch(t, "rewritten checkpoint", eng.Snapshot(), eng2.Snapshot())
+}
+
+// TestServingPathNeverSolvesCliques drives the shipped s3-live wiring —
+// journal on, the engine as observer and selector index — through
+// several event-count refreshes and checkpoints, and asserts that no
+// clique was extracted on the way: a decision reads θ and friend lists,
+// a refresh publishes them, a checkpoint serializes tallies. The cover
+// is still there for whoever asks, and is the batch cover.
+func TestServingPathNeverSolvesCliques(t *testing.T) {
+	cfg := observerEngineConfig()
+	cfg.RefreshEvents = 16
+	sel, eng := s3Live(t, cfg)
+	var clk atomic.Int64
+	c, err := NewController(sel, WithObserver(eng),
+		WithClock(func() int64 { return clk.Add(20) }),
+		WithJournal(t.TempDir(), journal.Options{Fsync: journal.FsyncOff, CheckpointEvery: 32}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		if err := c.RegisterAP(trace.APID(fmt.Sprintf("ap-%d", i)), 1e6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cliques := obs.GetCounter("society.inc.cliques_resolved")
+	checkpoints := obs.GetCounter("journal.checkpoints")
+	cliques0, checkpoints0, seq0 := cliques.Value(), checkpoints.Value(), eng.Snapshot().Seq
+
+	// Groups of users arrive together and leave together, over and over.
+	users := make([]trace.UserID, 12)
+	for i := range users {
+		users[i] = trace.UserID(fmt.Sprintf("u-%02d", i))
+	}
+	for round := 0; round < 6; round++ {
+		for g := 0; g < len(users); g += 4 {
+			group := users[g : g+4]
+			for _, u := range group {
+				if _, err := c.Associate(u, 100); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, u := range group[:3+round%2] {
+				c.disassociate(u)
+			}
+		}
+		for _, u := range users {
+			c.disassociate(u) // no-op for those already gone
+		}
+	}
+	if n := eng.Snapshot().Seq - seq0; n < 4 {
+		t.Fatalf("only %d auto-refreshes; the test needs at least 4", n)
+	}
+	if n := checkpoints.Value() - checkpoints0; n < 1 {
+		t.Fatalf("%d checkpoints; the test needs at least 1", n)
+	}
+	if n := cliques.Value() - cliques0; n != 0 {
+		t.Fatalf("the serving path extracted %d cliques, want 0", n)
+	}
+
+	eng.Refresh()
+	snap := eng.Snapshot()
+	if snap.Edges == 0 {
+		t.Fatal("test vacuous: no θ edge was learned")
+	}
+	g := socialgraph.FromThreshold(users, eng.FriendThreshold(), eng.Learner().Model().Index)
+	want := socialgraph.ExtractCliqueCover(g)
+	socialgraph.SortCover(want)
+	if got := snap.Cover(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("on-demand cover = %v, batch cover = %v", got, want)
+	}
+	if n := cliques.Value() - cliques0; n != int64(len(want)) {
+		t.Fatalf("cliques_resolved rose by %d for a cover of %d cliques", n, len(want))
+	}
+}
+
 // TestControllerCrashPointSweep is the end-to-end durability property:
 // truncate the journal of a crashed controller at EVERY byte offset and
 // verify the restarted controller reconstructs exactly the mutations
 // whose records survived whole — no error, no spurious state, for any
-// cut.
+// cut. Under s3-live the journal also holds a checkpoint with the
+// engine's binary state, the cuts fall in the segment after it, and the
+// recovered engine must equal one taught exactly the surviving events.
 func TestControllerCrashPointSweep(t *testing.T) {
-	dir := t.TempDir()
-	a, err := NewController(baseline.LLF{},
-		WithJournal(dir, journal.Options{Fsync: journal.FsyncAlways}))
-	if err != nil {
-		t.Fatal(err)
+	t.Run("llf", func(t *testing.T) { crashPointSweep(t, false) })
+	t.Run("s3-live", func(t *testing.T) { crashPointSweep(t, true) })
+}
+
+func crashPointSweep(t *testing.T, live bool) {
+	opts := journal.Options{Fsync: journal.FsyncAlways}
+	if live {
+		opts.CheckpointEvery = 6
 	}
+	var clk atomic.Int64
+	open := func(dir string) (*Controller, *incremental.Engine) {
+		var sel wlan.Selector = baseline.LLF{}
+		var eng *incremental.Engine
+		ctlOpts := []ControllerOption{WithJournal(dir, opts),
+			WithClock(func() int64 { return clk.Add(50) })}
+		if live {
+			sel, eng = s3Live(t, observerEngineConfig())
+			ctlOpts = append(ctlOpts, WithObserver(eng))
+		}
+		c, err := NewController(sel, ctlOpts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, eng
+	}
+
+	dir := t.TempDir()
+	a, _ := open(dir)
 	for i := 0; i < 2; i++ {
 		if err := a.RegisterAP(trace.APID(fmt.Sprintf("ap-%d", i)), 1e6); err != nil {
 			t.Fatal(err)
@@ -226,58 +401,99 @@ func TestControllerCrashPointSweep(t *testing.T) {
 	if _, err := a.Associate("u-2", 250); err != nil {
 		t.Fatal(err)
 	}
-	// Crash. Read back the single segment the run produced.
+	a.disassociate("u-0")
+	a.disassociate("u-2")
+	// Crash. Read back what the run produced: every segment's records,
+	// and the byte layout of the last one — the segment the cuts fall in.
 	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("segments = %v, %v; want exactly one", segs, err)
+	wantSegs := 1
+	if live {
+		wantSegs = 2
 	}
-	full, err := os.ReadFile(segs[0])
+	if err != nil || len(segs) != wantSegs {
+		t.Fatalf("segments = %v, %v; want exactly %d", segs, err, wantSegs)
+	}
+	sort.Strings(segs)
+	var records []journal.Record
+	var full []byte
+	var frameEnd []int // frameEnd[i]: offset in full where its record i ends
+	sealed := 0        // records in earlier segments: durable under every cut
+	for si, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads, corrupt, torn := journal.DecodeFrames(data)
+		if corrupt != 0 || torn {
+			t.Fatalf("clean journal decodes dirty: corrupt=%d torn=%v", corrupt, torn)
+		}
+		end := 0
+		for _, p := range payloads {
+			var r journal.Record
+			if err := json.Unmarshal(p, &r); err != nil {
+				t.Fatal(err)
+			}
+			records = append(records, r)
+			end += 12 + len(p)
+			if si == len(segs)-1 {
+				frameEnd = append(frameEnd, end)
+			}
+		}
+		if si == len(segs)-1 {
+			full = data
+		} else {
+			sealed += len(payloads)
+		}
+	}
+	others, err := filepath.Glob(filepath.Join(dir, "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloads, corrupt, torn := journal.DecodeFrames(full)
-	if corrupt != 0 || torn {
-		t.Fatalf("clean journal decodes dirty: corrupt=%d torn=%v", corrupt, torn)
-	}
-	records := make([]journal.Record, len(payloads))
-	frameEnd := make([]int, len(payloads)+1)
-	for i, p := range payloads {
-		if err := json.Unmarshal(p, &records[i]); err != nil {
-			t.Fatal(err)
-		}
-		frameEnd[i+1] = frameEnd[i] + 12 + len(p)
-	}
 
 	for cut := 0; cut <= len(full); cut++ {
-		committed := 0
-		for committed < len(records) && frameEnd[committed+1] <= cut {
-			committed++
+		committed := sealed
+		for _, end := range frameEnd {
+			if end <= cut {
+				committed++
+			}
 		}
 		// Reference state machine over the committed prefix.
 		wantAPs := make(map[trace.APID]bool)
 		wantAssign := make(map[trace.UserID]trace.APID)
+		ref := incremental.New(observerEngineConfig())
 		for _, r := range records[:committed] {
 			switch r.Op {
 			case journal.OpRegister:
 				wantAPs[r.AP] = true
 			case journal.OpAssoc:
 				for _, p := range r.Placements {
+					if prev, ok := wantAssign[p.User]; !ok || prev != p.AP {
+						if ok {
+							ref.Disconnect(p.User, prev, r.TS)
+						}
+						ref.Connect(p.User, p.AP, r.TS)
+					}
 					wantAssign[p.User] = p.AP
 				}
 			case journal.OpDisassoc:
+				ref.Disconnect(r.User, wantAssign[r.User], r.TS)
 				delete(wantAssign, r.User)
 			}
 		}
 
 		cutDir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(cutDir, filepath.Base(segs[0])), full[:cut], 0o644); err != nil {
-			t.Fatal(err)
+		for _, f := range others {
+			data := full[:cut]
+			if f != segs[len(segs)-1] {
+				if data, err = os.ReadFile(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(cutDir, filepath.Base(f)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		b, err := NewController(baseline.LLF{},
-			WithJournal(cutDir, journal.Options{Fsync: journal.FsyncAlways}))
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
+		b, eng := open(cutDir)
 		rec := b.Recovery()
 		if rec.ReplayErrors != 0 || rec.Stats.CorruptSkipped != 0 {
 			t.Fatalf("cut %d: replay errors %d, corrupt %d on a pure truncation",
@@ -302,6 +518,17 @@ func TestControllerCrashPointSweep(t *testing.T) {
 			}
 			if !found {
 				t.Fatalf("cut %d: user %s not on AP %s: %+v", cut, u, ap, snap)
+			}
+		}
+		if live {
+			if rec.Stats.CheckpointSeq == 0 {
+				t.Fatalf("cut %d: recovery did not start from the checkpoint: %+v", cut, rec.Stats)
+			}
+			eng.Refresh()
+			ref.Refresh()
+			engineSnapshotsMatch(t, fmt.Sprintf("cut %d", cut), ref.Snapshot(), eng.Snapshot())
+			if cut == len(full) && eng.Snapshot().Edges == 0 {
+				t.Fatal("test vacuous: the full journal teaches no θ edge")
 			}
 		}
 		if err := b.Close(); err != nil {

@@ -13,7 +13,9 @@ import (
 	"github.com/s3wlan/s3wlan/internal/baseline"
 	"github.com/s3wlan/s3wlan/internal/journal"
 	"github.com/s3wlan/s3wlan/internal/obs"
+	"github.com/s3wlan/s3wlan/internal/society/incremental"
 	"github.com/s3wlan/s3wlan/internal/trace"
+	"github.com/s3wlan/s3wlan/internal/wlan"
 )
 
 // TestSameAPReassociationKeepsSession: re-associating onto the current
@@ -322,15 +324,33 @@ func TestCrossCodecAssignmentParity(t *testing.T) {
 
 // TestBinaryPortCrashRecovery: a journaled controller driven entirely
 // over the binary wire protocol, abandoned without Close (the kill -9
-// equivalent), warm-restarts with byte-identical recovered state.
+// equivalent), warm-restarts with byte-identical recovered state — with
+// LLF, and with the shipped s3-live wiring, where recovery crosses two
+// checkpoints carrying the social engine's state and the restarted
+// engine must publish what the crashed one would have.
 func TestBinaryPortCrashRecovery(t *testing.T) {
+	t.Run("llf", func(t *testing.T) { binaryPortCrashRecovery(t, false) })
+	t.Run("s3-live", func(t *testing.T) { binaryPortCrashRecovery(t, true) })
+}
+
+func binaryPortCrashRecovery(t *testing.T, live bool) {
 	dir := t.TempDir()
-	a, err := NewController(baseline.LLF{},
-		WithTimeout(testTimeout),
-		WithJournal(dir, journal.Options{Fsync: journal.FsyncAlways}))
-	if err != nil {
-		t.Fatal(err)
+	open := func(extra ...ControllerOption) (*Controller, *incremental.Engine) {
+		var sel wlan.Selector = baseline.LLF{}
+		var eng *incremental.Engine
+		jopts := journal.Options{Fsync: journal.FsyncAlways}
+		if live {
+			sel, eng = s3Live(t, observerEngineConfig())
+			extra = append(extra, WithObserver(eng))
+			jopts.CheckpointEvery = 4
+		}
+		c, err := NewController(sel, append(extra, WithJournal(dir, jopts))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, eng
 	}
+	a, engA := open(WithTimeout(testTimeout))
 	addr, err := a.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -380,15 +400,22 @@ func TestBinaryPortCrashRecovery(t *testing.T) {
 	// Crash: no Close — journal file handle abandoned, listeners leak
 	// until the test process exits.
 
-	b, err := NewController(baseline.LLF{},
-		WithJournal(dir, journal.Options{Fsync: journal.FsyncAlways}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	b, engB := open()
 	defer b.Close()
 	rec := b.Recovery()
 	if rec == nil || rec.ReplayErrors != 0 || rec.APs != 3 || rec.Assignments != 6 {
 		t.Fatalf("recovery = %+v, want 3 APs, 6 assignments, no errors", rec)
+	}
+	if live {
+		if rec.Stats.CheckpointSeq == 0 {
+			t.Fatalf("s3-live recovery did not cross a checkpoint: %+v", rec.Stats)
+		}
+		engA.Refresh()
+		engB.Refresh()
+		engineSnapshotsMatch(t, "post-crash", engA.Snapshot(), engB.Snapshot())
+		if engB.Snapshot().Users != 6 {
+			t.Fatalf("recovered engine knows %d users, want 6", engB.Snapshot().Users)
+		}
 	}
 	gotState, err := json.Marshal(b.dom.ExportState())
 	if err != nil {

@@ -1,61 +1,67 @@
 // Package incremental is the incremental social-state engine: it keeps
-// the S³ θ-graph and its clique cover current as Connect/Disconnect
-// events arrive, without ever re-solving the whole population.
+// what an S³ association decision reads — θ for any pair and every
+// user's close-friend list — current as Connect/Disconnect events
+// arrive, at a cost that follows the change, never the population.
 //
 // The batch path (society.Train or OnlineLearner.Model followed by
 // socialgraph.FromThreshold and ExtractCliqueCover) rebuilds everything
 // per refresh: O(n²) θ evaluations plus iterated maximum-clique — NP-hard
-// — over the entire population. But enterprise-WLAN social graphs are
-// sparse and strongly clustered (Hsu & Helmy), so one session end
-// perturbs only the handful of pairs the leaving user co-resided with,
-// and therefore only one small connected component of the θ-graph. The
+// — over the entire population. But behavioural groups in an enterprise
+// WLAN are small next to the population (Hsu, Dutta & Helmy), so one
+// session end perturbs only the handful of pairs the leaving user
+// co-resided with, even when the θ-graph is one giant component. The
 // engine exploits that:
 //
 //   - every Disconnect reports exactly which pairs' statistics moved
 //     (OnlineLearner.DisconnectTouched); the engine recomputes those θ
-//     values and stages edge insertions/removals/weight changes;
-//   - a refresh re-runs ExtractCliqueCover only on the connected
-//     components containing a staged change (dirty components — merges
-//     and splits are handled by re-walking the affected region), and
-//     splices the refreshed cliques into the cached cover;
-//   - the result is published as an immutable Snapshot behind an
-//     atomic.Pointer: selectors and the protocol controller's lock-free
-//     Associate path read θ with zero locking, while the engine keeps
-//     learning behind its own mutex.
+//     values in its working pair index and, for a pair that crossed the
+//     edge threshold, patches the sorted friend lists of its two
+//     endpoints — nothing else;
+//   - both stores are sharded and copy-on-write, so a refresh is an
+//     array copy: it publishes the working state as an immutable
+//     Snapshot behind an atomic.Pointer, and the events that follow
+//     clone only the shards they write. Selectors and the protocol
+//     controller's lock-free Associate path read θ and friend lists with
+//     zero locking, while the engine keeps learning behind its own mutex;
+//   - everything else a snapshot can answer — connected components, the
+//     θ-graph, the clique cover — is derived from those two stores on
+//     first request and memoized per snapshot. The serving path never
+//     asks, so it never solves a clique or walks a component.
 //
 // Equivalence is the correctness bar: after any refresh the snapshot's
-// graph and cover match batch FromThreshold + ExtractCliqueCover over
-// the same learner state (see the property tests). SetTypes is the one
-// global operation — a new type assignment moves every θ — and triggers
-// a full rebuild on the next refresh.
+// friend lists, graph and cover match batch FromThreshold +
+// ExtractCliqueCover over the same learner state (see the property
+// tests). SetTypes is the one global operation — a new type assignment
+// moves every θ — and rebuilds every friend list.
 package incremental
 
 import (
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/obs"
-	"github.com/s3wlan/s3wlan/internal/socialgraph"
 	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/trace"
-
-	"sync"
-	"sync/atomic"
 )
 
-// Refresh observability: edge/component/clique churn per refresh, the
-// refresh latency, and the age of the state a new snapshot replaces.
+// Refresh observability: edge churn per refresh, the refresh latency,
+// and the age of the state a new snapshot replaces.
 var (
-	obsEvents     = obs.GetCounter("society.inc.events", "Connect/Disconnect events staged into the incremental engine")
-	obsEdgesChg   = obs.GetCounter("society.inc.edges_changed", "θ-graph edges added, removed or re-weighted across refreshes")
-	obsCompsDirty = obs.GetCounter("society.inc.components_dirty", "Dirty components re-solved across refreshes")
-	obsCliques    = obs.GetCounter("society.inc.cliques_resolved", "Cliques re-extracted from dirty components across refreshes")
-	obsRefreshes  = obs.GetCounter("society.inc.refreshes", "Snapshot refreshes published (periodic, event-count and manual)")
-	obsFull       = obs.GetCounter("society.inc.full_rebuilds", "Full θ-graph rebuilds (SetTypes changes the type prior)")
-	obsRefresh    = obs.GetHistogram("society.inc.refresh", "Latency of one incremental refresh")
-	obsSnapAge    = obs.GetHistogram("society.inc.snapshot_age", "Age of the snapshot a refresh replaces")
-	obsSeq        = obs.GetGauge("society.inc.snapshot_seq", "Sequence number of the published social snapshot")
-	obsUsers      = obs.GetGauge("society.inc.users", "Users tracked in the published social snapshot")
-	obsEdges      = obs.GetGauge("society.inc.edges", "θ > threshold edges in the published social snapshot")
+	obsEvents   = obs.GetCounter("society.inc.events", "Connect/Disconnect events learned by the incremental engine")
+	obsEdgesChg = obs.GetCounter("society.inc.edges_changed", "θ-graph edges added or removed across refreshes")
+	// Retired with the dirty-component machinery; registered for one more
+	// release because the benchmark reads the name.
+	_            = obs.GetCounter("society.inc.components_dirty", "Retired: always 0 (a refresh no longer re-solves components)")
+	obsCliques   = obs.GetCounter("society.inc.cliques_resolved", "Cliques extracted by on-demand Snapshot.Cover calls (0 on the serving path)")
+	obsRefreshes = obs.GetCounter("society.inc.refreshes", "Snapshot refreshes published (periodic, event-count and manual)")
+	obsFull      = obs.GetCounter("society.inc.full_rebuilds", "Full friend-list rebuilds (SetTypes changes the type prior; state restore)")
+	obsRefresh   = obs.GetHistogram("society.inc.refresh", "Latency of one snapshot publication")
+	obsSnapAge   = obs.GetHistogram("society.inc.snapshot_age", "Age of the snapshot a refresh replaces")
+	obsSeq       = obs.GetGauge("society.inc.snapshot_seq", "Sequence number of the published social snapshot")
+	obsUsers     = obs.GetGauge("society.inc.users", "Users tracked in the published social snapshot")
+	obsEdges     = obs.GetGauge("society.inc.edges", "θ > threshold edges in the published social snapshot")
 )
 
 // Config parameterizes the engine.
@@ -81,16 +87,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// pendingEdge is a staged θ-graph edge mutation.
-type pendingEdge struct {
-	weight  float64
-	present bool
-}
-
 // Engine is the incremental social-state engine. Event methods
 // (Connect, Disconnect, SetTypes) and Refresh serialize on an internal
-// mutex; Index and Snapshot are lock-free reads of the last published
-// snapshot and may run concurrently with everything else.
+// mutex; Index, CloseFriends and Snapshot are lock-free reads of the
+// last published snapshot and may run concurrently with everything else.
 //
 // Engine implements protocol.AssociationObserver (learn from a live
 // controller), wlan.AssociationObserver (learn from a simulation) and
@@ -102,13 +102,14 @@ type Engine struct {
 	mu      sync.Mutex
 	learner *society.OnlineLearner
 	users   map[trace.UserID]struct{}
-	// comps and compOf hold the current components; comps is cloned at
-	// the start of every refresh (copy-on-write) because the previous
-	// clone was published in a snapshot and must never change again.
-	comps  map[trace.UserID]*component
-	compOf map[trace.UserID]*component
-	index  *pairIndex
-	edges  int
+	// order lists users as first seen. Append-only, so a snapshot keeps a
+	// prefix of it without copying.
+	order []trace.UserID
+	// The working state events write and a refresh publishes: P(L|E) per
+	// supported pair, each user's sorted θ-graph neighbors, the edge count.
+	probs   cowMap[society.Pair, float64]
+	friends cowMap[trace.UserID, []trace.UserID]
+	edges   int
 
 	// Current type assignment (replaced wholesale by SetTypes; the maps
 	// are shared with published indexes and never mutated in place).
@@ -120,12 +121,10 @@ type Engine struct {
 	priorCross [][]bool
 	anyCross   bool
 
-	// Staged changes since the last refresh.
-	pendEdges map[society.Pair]pendingEdge
-	pendProbs map[society.Pair]pendingProb
-	newUsers  []trace.UserID
-	allDirty  bool
-	events    int
+	// Since the last refresh.
+	edgesChanged int
+	rebuilt      bool
+	events       int
 
 	seq  uint64
 	snap atomic.Pointer[Snapshot]
@@ -138,17 +137,11 @@ func New(cfg Config) *Engine {
 		cfg.EdgeThreshold = 0.3
 	}
 	e := &Engine{
-		cfg:       cfg,
-		learner:   society.NewOnlineLearner(cfg.Society),
-		users:     make(map[trace.UserID]struct{}),
-		comps:     make(map[trace.UserID]*component),
-		compOf:    make(map[trace.UserID]*component),
-		index:     &pairIndex{alpha: cfg.Society.Alpha},
-		pendEdges: make(map[society.Pair]pendingEdge),
-		pendProbs: make(map[society.Pair]pendingProb),
+		cfg:     cfg,
+		learner: society.NewOnlineLearner(cfg.Society),
+		users:   make(map[trace.UserID]struct{}),
 	}
-	e.snap.Store(&Snapshot{BuiltAt: time.Now(), index: e.index,
-		comps: e.comps})
+	e.snap.Store(&Snapshot{BuiltAt: time.Now(), index: &pairIndex{alpha: cfg.Society.Alpha}})
 	return e
 }
 
@@ -174,7 +167,7 @@ func (e *Engine) CloseFriends(u trace.UserID) []trace.UserID {
 func (e *Engine) FriendThreshold() float64 { return e.cfg.EdgeThreshold }
 
 // Connect records a user associating with an AP. First sight of a user
-// adds a vertex (a singleton component until its first edge).
+// adds a vertex (isolated until its first edge).
 func (e *Engine) Connect(u trace.UserID, ap trace.APID, ts int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -183,7 +176,7 @@ func (e *Engine) Connect(u trace.UserID, ap trace.APID, ts int64) {
 	e.bumpLocked()
 }
 
-// Disconnect records a user leaving an AP, restaging θ for every pair
+// Disconnect records a user leaving an AP, recomputing θ for every pair
 // the event's encounter/co-leave updates touched.
 func (e *Engine) Disconnect(u trace.UserID, ap trace.APID, ts int64) error {
 	e.mu.Lock()
@@ -193,29 +186,28 @@ func (e *Engine) Disconnect(u trace.UserID, ap trace.APID, ts int64) error {
 		return err
 	}
 	for _, p := range touched {
-		e.stagePairLocked(p)
+		e.updatePairLocked(p)
 	}
 	e.bumpLocked()
 	return nil
 }
 
 // SetTypes attaches a fresh type assignment (from periodic batch
-// clustering). Every θ may move, so the next refresh rebuilds the whole
-// graph — the one batch-cost operation, matching what the batch path
-// pays on every refresh.
+// clustering). Every θ may move, so every friend list is rebuilt from
+// the pair index — the one operation whose cost follows the population.
 func (e *Engine) SetTypes(types map[trace.UserID]int, matrix [][]float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.learner.SetTypes(types, matrix)
 	e.setTypesLocked(types, matrix)
-	e.allDirty = true
+	e.rebuildFriendsLocked()
 	e.bumpLocked()
 }
 
 // setTypesLocked installs a type assignment on the engine side: private
 // copies of the maps plus the prior-crossing index consulted when a
 // type pair's α·T alone crosses the edge threshold. It does not touch
-// the learner, the dirty flag or the event counter — SetTypes and the
+// the learner, the friend lists or the event counter — SetTypes and the
 // checkpoint-restore path layer those differently.
 func (e *Engine) setTypesLocked(types map[trace.UserID]int, matrix [][]float64) {
 	e.types = make(map[trace.UserID]int, len(types))
@@ -241,7 +233,7 @@ func (e *Engine) setTypesLocked(types map[trace.UserID]int, matrix [][]float64) 
 		}
 	}
 	e.byType = make(map[int][]trace.UserID)
-	for u := range e.users {
+	for _, u := range e.order {
 		if t, ok := e.types[u]; ok {
 			e.byType[t] = append(e.byType[t], u)
 		}
@@ -253,8 +245,8 @@ func (e *Engine) setTypesLocked(types map[trace.UserID]int, matrix [][]float64) 
 // learner, or the graph will drift from the statistics.
 func (e *Engine) Learner() *society.OnlineLearner { return e.learner }
 
-// Refresh re-solves dirty components and publishes a new snapshot.
-// It is cheap when nothing is staged.
+// Refresh publishes the working state as a new snapshot: two array
+// copies, whatever happened since the last one.
 func (e *Engine) Refresh() RefreshStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -265,17 +257,11 @@ func (e *Engine) Refresh() RefreshStats {
 type RefreshStats struct {
 	// Seq is the published snapshot's sequence number.
 	Seq uint64
-	// EdgesChanged counts staged edge mutations applied.
+	// EdgesChanged counts θ-graph edge insertions and removals since the
+	// previous refresh.
 	EdgesChanged int
-	// ComponentsDirty counts old components invalidated (plus newly
-	// created singleton regions).
-	ComponentsDirty int
-	// CliquesResolved counts cliques produced by re-solving dirty
-	// components.
-	CliquesResolved int
-	// RegionUsers is the vertex count of the re-solved region.
-	RegionUsers int
-	// Full reports a whole-graph rebuild (after SetTypes).
+	// Full reports that every friend list was rebuilt since the previous
+	// refresh (SetTypes, state restore).
 	Full bool
 	// Took is the wall-clock refresh duration.
 	Took time.Duration
@@ -291,20 +277,20 @@ func (e *Engine) bumpLocked() {
 	}
 }
 
-// addUserLocked registers a first-seen user as a pending vertex. If the
-// user's type prior alone connects it to some existing users (rare —
-// requires α·T above the threshold), those edges are staged immediately.
+// addUserLocked registers a first-seen user as a vertex. If the user's
+// type prior alone connects it to some existing users (rare — requires
+// α·T above the threshold), those edges are added immediately.
 func (e *Engine) addUserLocked(u trace.UserID) {
 	if _, ok := e.users[u]; ok {
 		return
 	}
 	e.users[u] = struct{}{}
-	e.newUsers = append(e.newUsers, u)
+	e.order = append(e.order, u)
 	tu, typed := e.types[u]
 	if typed {
 		e.byType[tu] = append(e.byType[tu], u)
 	}
-	if !typed || !e.anyCross || e.allDirty || tu >= len(e.priorCross) {
+	if !typed || !e.anyCross || tu >= len(e.priorCross) {
 		return
 	}
 	for tv, cross := range e.priorCross[tu] {
@@ -313,39 +299,64 @@ func (e *Engine) addUserLocked(u trace.UserID) {
 		}
 		for _, v := range e.byType[tv] {
 			if v != u {
-				e.stagePairLocked(society.MakePair(u, v))
+				e.updatePairLocked(society.MakePair(u, v))
 			}
 		}
 	}
 }
 
-// stagePairLocked recomputes θ for one pair from the learner's current
-// tallies and stages the probability and edge changes it implies. No-op
-// when a full rebuild is already pending (the rebuild recomputes
-// everything anyway) — except the probability update, which is always
-// staged so the published pair index stays exact.
-func (e *Engine) stagePairLocked(p society.Pair) {
+// updatePairLocked recomputes θ for one pair from the learner's current
+// tallies and brings the working state in line: the pair's probability
+// and — only when θ crossed the edge threshold — the friend lists of its
+// two endpoints.
+func (e *Engine) updatePairLocked(p society.Pair) {
 	enc, col := e.learner.PairCounts(p)
-	var prob float64
-	present := enc >= e.cfg.Society.MinEncounters && enc > 0
-	if present {
-		prob = float64(col) / float64(enc)
-		if prob > 1 {
-			prob = 1
-		}
-	}
-	cur, had := e.effectiveProbLocked(p)
-	if present != had || (present && prob != cur) {
-		e.pendProbs[p] = pendingProb{val: prob, present: present}
-	}
-	if e.allDirty {
+	theta := e.setProbLocked(p, enc, col) + e.priorLocked(p.A, p.B)
+	present := theta > e.cfg.EdgeThreshold
+	if _, had := slices.BinarySearch(e.friends.shards[shardOfUser(p.A)][p.A], p.B); had == present {
 		return
 	}
-	theta := prob + e.priorLocked(p.A, p.B)
-	edgePresent := theta > e.cfg.EdgeThreshold
-	curW, curPresent := e.effectiveEdgeLocked(p)
-	if edgePresent != curPresent || (edgePresent && theta != curW) {
-		e.pendEdges[p] = pendingEdge{weight: theta, present: edgePresent}
+	e.patchFriendsLocked(p.A, p.B, present)
+	e.patchFriendsLocked(p.B, p.A, present)
+	if present {
+		e.edges++
+	} else {
+		e.edges--
+	}
+	e.edgesChanged++
+}
+
+// setProbLocked records a pair's support-passing co-leave probability
+// in the working pair index and returns it (0 below the support
+// threshold, where — encounters only ever grow — no entry exists yet).
+func (e *Engine) setProbLocked(p society.Pair, encounters, coLeaves int) float64 {
+	if encounters < e.cfg.Society.MinEncounters || encounters <= 0 {
+		return 0
+	}
+	prob := min(float64(coLeaves)/float64(encounters), 1)
+	si := shardOf(p)
+	if cur, had := e.probs.shards[si][p]; !had || cur != prob {
+		e.probs.writable(si)[p] = prob
+	}
+	return prob
+}
+
+// patchFriendsLocked adds v to (or removes it from) u's sorted friend
+// list. The list a snapshot may hold is never written: the patch builds
+// a new one.
+func (e *Engine) patchFriendsLocked(u, v trace.UserID, add bool) {
+	si := shardOfUser(u)
+	old := e.friends.shards[si][u]
+	i, _ := slices.BinarySearch(old, v)
+	shard := e.friends.writable(si)
+	switch {
+	case add:
+		// Full capacity makes Insert allocate instead of shifting in place.
+		shard[u] = slices.Insert(old[:len(old):len(old)], i, v)
+	case len(old) == 1:
+		delete(shard, u)
+	default:
+		shard[u] = slices.Delete(slices.Clone(old), i, i+1)
 	}
 }
 
@@ -360,71 +371,26 @@ func (e *Engine) priorLocked(u, v trace.UserID) float64 {
 	return 0
 }
 
-// effectiveProbLocked reads a pair's probability with staged updates
-// applied.
-func (e *Engine) effectiveProbLocked(p society.Pair) (float64, bool) {
-	if pp, ok := e.pendProbs[p]; ok {
-		return pp.val, pp.present
-	}
-	return e.index.prob(p)
-}
-
-// effectiveEdgeLocked reads an edge with staged updates applied.
-func (e *Engine) effectiveEdgeLocked(p society.Pair) (float64, bool) {
-	if pe, ok := e.pendEdges[p]; ok {
-		return pe.weight, pe.present
-	}
-	ca := e.compOf[p.A]
-	if ca == nil || ca != e.compOf[p.B] {
-		return 0, false
-	}
-	return ca.sub.Weight(p.A, p.B)
-}
-
-// refreshLocked applies staged changes, re-solves dirty components and
-// publishes a new immutable snapshot. Cost is proportional to the dirty
-// region (plus one pointer-copy of the component map), not to the
-// population.
+// refreshLocked publishes the working state as a new immutable
+// snapshot. The shard maps it hands over are frozen from here on; the
+// next event to write one clones it first.
 func (e *Engine) refreshLocked() RefreshStats {
 	start := time.Now()
-	stats := RefreshStats{EdgesChanged: len(e.pendEdges), Full: e.allDirty}
-
-	// Publish the pair index first: the graph work below reads final
-	// probabilities through it on the full-rebuild path.
-	e.index, _ = e.index.withUpdates(e.pendProbs, e.types, e.matrix, e.cfg.Society.Alpha)
-
-	// Copy-on-write: the previous comps map is referenced by the last
-	// snapshot and must stay frozen.
-	next := make(map[trace.UserID]*component, len(e.comps))
-	for rep, c := range e.comps {
-		next[rep] = c
-	}
-	e.comps = next
-
-	if e.allDirty {
-		e.rebuildAllLocked(&stats)
-	} else if len(e.pendEdges) > 0 || len(e.newUsers) > 0 {
-		e.applyDirtyLocked(&stats)
-	}
-
 	e.seq++
-	stats.Seq = e.seq
+	stats := RefreshStats{Seq: e.seq, EdgesChanged: e.edgesChanged, Full: e.rebuilt}
 	prev := e.snap.Load()
 	snap := &Snapshot{
 		Seq:     e.seq,
-		BuiltAt: time.Now(),
-		Users:   len(e.users),
+		BuiltAt: start,
+		Users:   len(e.order),
 		Edges:   e.edges,
-		index:   e.index,
-		comps:   e.comps,
+		index: &pairIndex{shards: e.probs.publish(),
+			types: e.types, matrix: e.matrix, alpha: e.cfg.Society.Alpha},
+		friends: e.friends.publish(),
+		users:   e.order[:len(e.order):len(e.order)],
 	}
 	e.snap.Store(snap)
-
-	e.pendEdges = make(map[society.Pair]pendingEdge)
-	e.pendProbs = make(map[society.Pair]pendingProb)
-	e.newUsers = nil
-	e.allDirty = false
-	e.events = 0
+	e.edgesChanged, e.rebuilt, e.events = 0, false, 0
 
 	stats.Took = time.Since(start)
 	obsRefreshes.Inc()
@@ -432,97 +398,37 @@ func (e *Engine) refreshLocked() RefreshStats {
 		obsFull.Inc()
 	}
 	obsEdgesChg.Add(int64(stats.EdgesChanged))
-	obsCompsDirty.Add(int64(stats.ComponentsDirty))
-	obsCliques.Add(int64(stats.CliquesResolved))
 	obsRefresh.Observe(stats.Took)
-	if prev != nil && prev.Seq > 0 {
+	if prev.Seq > 0 {
 		obsSnapAge.Observe(snap.BuiltAt.Sub(prev.BuiltAt))
 	}
 	obsSeq.Set(int64(e.seq))
-	obsUsers.Set(int64(len(e.users)))
+	obsUsers.Set(int64(snap.Users))
 	obsEdges.Set(int64(e.edges))
 	return stats
 }
 
-// applyDirtyLocked is the incremental path: collect the components
-// touched by staged edges and new users, rebuild that region's graph
-// with the changes applied, recompute its connected components (merges
-// and splits fall out of the walk), and re-solve cliques only there.
-func (e *Engine) applyDirtyLocked(stats *RefreshStats) {
-	// Seed vertices: endpoints of every staged edge, plus new users.
-	seeds := make(map[trace.UserID]struct{}, 2*len(e.pendEdges)+len(e.newUsers))
-	for p := range e.pendEdges {
-		seeds[p.A] = struct{}{}
-		seeds[p.B] = struct{}{}
-	}
-	for _, u := range e.newUsers {
-		seeds[u] = struct{}{}
-	}
-
-	// Dirty components: everything a seed belongs to. The region is
-	// their union — components are the cache unit, so a component with
-	// one touched edge is re-solved whole.
-	dirty := make(map[*component]struct{})
-	region := socialgraph.New()
-	for u := range seeds {
-		if c := e.compOf[u]; c != nil {
-			dirty[c] = struct{}{}
-		} else {
-			region.AddVertex(u) // new, still-isolated user
-		}
-	}
-	for c := range dirty {
-		for _, u := range c.verts {
-			region.AddVertex(u)
-		}
-		c.sub.ForEachEdge(func(u, v trace.UserID, w float64) {
-			region.AddEdge(u, v, w)
-		})
-	}
-	for p, pe := range e.pendEdges {
-		if pe.present {
-			region.AddEdge(p.A, p.B, pe.weight)
-		} else {
-			region.RemoveEdge(p.A, p.B)
-		}
-	}
-	stats.ComponentsDirty = len(dirty)
-	stats.RegionUsers = region.NumVertices()
-
-	oldEdges := 0
-	for c := range dirty {
-		oldEdges += c.sub.NumEdges()
-		delete(e.comps, c.rep)
-	}
-	e.edges += region.NumEdges() - oldEdges
-
-	for _, verts := range region.ConnectedComponents() {
-		e.installComponentLocked(region, verts, stats)
-	}
-}
-
-// rebuildAllLocked is the batch-equivalent path taken after SetTypes:
-// recompute every θ that can possibly cross the threshold and re-solve
-// everything. Candidate edges are the pairs with recorded co-leave
+// rebuildFriendsLocked recomputes every friend list from the working
+// pair index — the batch-equivalent path taken after SetTypes and state
+// restore. Candidate edges are the pairs with recorded co-leave
 // probability plus — only when some α·T prior alone crosses the
 // threshold — the member pairs of those type pairs; all other pairs
 // have θ = α·T ≤ threshold and cannot be edges, which keeps the rebuild
 // at O(support pairs), not O(n²).
-func (e *Engine) rebuildAllLocked(stats *RefreshStats) {
-	g := socialgraph.New()
-	for u := range e.users {
-		g.AddVertex(u)
+func (e *Engine) rebuildFriendsLocked() {
+	adj := make(map[trace.UserID][]trace.UserID, len(e.users))
+	e.edges = 0
+	link := func(u, v trace.UserID) {
+		adj[u] = append(adj[u], v)
+		adj[v] = append(adj[v], u)
+		e.edges++
 	}
-	for _, shard := range e.index.shards {
+	for _, shard := range e.probs.shards {
 		for p, prob := range shard {
-			if _, ok := e.users[p.A]; !ok {
-				continue
-			}
-			if _, ok := e.users[p.B]; !ok {
-				continue
-			}
-			if theta := prob + e.priorLocked(p.A, p.B); theta > e.cfg.EdgeThreshold {
-				g.AddEdge(p.A, p.B, theta)
+			_, okA := e.users[p.A]
+			_, okB := e.users[p.B]
+			if okA && okB && prob+e.priorLocked(p.A, p.B) > e.cfg.EdgeThreshold {
+				link(p.A, p.B)
 			}
 		}
 	}
@@ -534,42 +440,22 @@ func (e *Engine) rebuildAllLocked(stats *RefreshStats) {
 				}
 				for _, u := range e.byType[ti] {
 					for _, v := range e.byType[tj] {
-						if u == v || g.HasEdge(u, v) {
-							continue
+						if ti == tj && u >= v {
+							continue // each unordered pair once
 						}
 						p := society.MakePair(u, v)
-						prob, _ := e.index.prob(p)
-						g.AddEdge(u, v, prob+e.priorLocked(u, v))
+						if _, ok := e.probs.shards[shardOf(p)][p]; !ok {
+							link(u, v) // pairs with a probability were linked above
+						}
 					}
 				}
 			}
 		}
 	}
-
-	stats.ComponentsDirty = len(e.comps)
-	stats.RegionUsers = g.NumVertices()
-	e.edges = g.NumEdges()
-	e.comps = make(map[trace.UserID]*component, len(e.users))
-	e.compOf = make(map[trace.UserID]*component, len(e.users))
-	for _, verts := range g.ConnectedComponents() {
-		e.installComponentLocked(g, verts, stats)
+	e.friends = cowMap[trace.UserID, []trace.UserID]{}
+	for u, list := range adj {
+		slices.Sort(list)
+		e.friends.writable(shardOfUser(u))[u] = list
 	}
-}
-
-// installComponentLocked solves and caches one freshly dirtied
-// component.
-func (e *Engine) installComponentLocked(g *socialgraph.Graph,
-	verts []trace.UserID, stats *RefreshStats) {
-	sub := g.InducedSubgraph(verts)
-	c := &component{
-		rep:     verts[0],
-		verts:   verts,
-		sub:     sub,
-		cliques: socialgraph.ExtractCliqueCover(sub),
-	}
-	e.comps[c.rep] = c
-	for _, u := range verts {
-		e.compOf[u] = c
-	}
-	stats.CliquesResolved += len(c.cliques)
+	e.rebuilt = true
 }

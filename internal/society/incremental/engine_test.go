@@ -1,6 +1,7 @@
 package incremental
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -133,9 +134,9 @@ func TestEngineComponentMergeAndSplit(t *testing.T) {
 	if comp := s.ComponentOf("a"); len(comp) != 4 {
 		t.Errorf("merged component = %v, want 4 members", comp)
 	}
-	// Only the two bridged components were dirtied.
-	if stats.ComponentsDirty != 2 || stats.RegionUsers != 4 {
-		t.Errorf("merge stats = %+v, want 2 dirty comps over 4 users", stats)
+	// The merge is one new edge, nothing more.
+	if stats.EdgesChanged != 1 || stats.Full {
+		t.Errorf("merge stats = %+v, want exactly one edge changed", stats)
 	}
 
 	// Dilute the bridge below the threshold: the component splits again.
@@ -155,30 +156,42 @@ func TestEngineComponentMergeAndSplit(t *testing.T) {
 	}
 }
 
-func TestEngineUntouchedComponentsShared(t *testing.T) {
+// TestEngineUntouchedFriendListsShared: a refresh replaces the friend
+// lists of the users whose edges changed and shares everyone else's
+// with the previous snapshot — which itself never changes.
+func TestEngineUntouchedFriendListsShared(t *testing.T) {
 	e := New(testConfig())
 	ts := meet(t, e, "a", "b", "ap1", 0)
 	ts = meet(t, e, "c", "d", "ap2", ts)
 	e.Refresh()
 	before := e.Snapshot()
 
-	meet(t, e, "a", "b", "ap1", ts) // churn only the {a,b} component
-	stats := e.Refresh()
+	// Same pair again: θ stays 1.0, no edge crosses the threshold.
+	ts = meet(t, e, "a", "b", "ap1", ts)
+	if stats := e.Refresh(); stats.EdgesChanged != 0 {
+		t.Errorf("re-weighting alone changed %d edges, want 0", stats.EdgesChanged)
+	}
+	meet(t, e, "b", "c", "ap3", ts) // the bridge touches b and c only
+	if stats := e.Refresh(); stats.EdgesChanged != 1 {
+		t.Errorf("bridge changed %d edges, want 1", stats.EdgesChanged)
+	}
 	after := e.Snapshot()
 
-	if stats.ComponentsDirty != 1 {
-		t.Errorf("dirty components = %d, want 1", stats.ComponentsDirty)
+	for _, u := range []trace.UserID{"a", "d"} {
+		if &before.CloseFriends(u)[0] != &after.CloseFriends(u)[0] {
+			t.Errorf("untouched friend list of %s was copied across refreshes", u)
+		}
 	}
-	// The untouched {c,d} component object is shared, not rebuilt.
-	if before.comps["c"] != after.comps["c"] {
-		t.Error("clean component was copied across refreshes")
+	if got := after.CloseFriends("b"); !reflect.DeepEqual(got, []trace.UserID{"a", "c"}) {
+		t.Errorf("b's friends after the bridge = %v, want [a c]", got)
 	}
-	if before.comps["a"] == after.comps["a"] {
-		t.Error("dirty component was not replaced")
+	// The old snapshot is immutable: still two pair components, same θ.
+	if got := before.CloseFriends("b"); !reflect.DeepEqual(got, []trace.UserID{"a"}) {
+		t.Errorf("held snapshot's friend list changed: b = %v, want [a]", got)
 	}
-	// The old snapshot is immutable: still 2 users per component, same θ.
-	if before.Index("a", "b") != 1.0 || after.Index("a", "b") != 1.0 {
-		t.Error("θ drifted across refreshes without a statistics change")
+	if before.NumComponents() != 2 || before.Edges != 2 || before.Index("b", "c") != 0 {
+		t.Errorf("held snapshot drifted: %d comps, %d edges, θ(b,c) = %v",
+			before.NumComponents(), before.Edges, before.Index("b", "c"))
 	}
 }
 

@@ -3,6 +3,7 @@ package incremental
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,7 +17,9 @@ import (
 // (OnlineLearner.Model → FromThreshold → ExtractCliqueCover) must give
 // identical pair probabilities, identical θ-graphs and identical clique
 // covers at every refresh point — no matter where the refreshes fall,
-// how sessions stack, or when a type assignment lands mid-stream.
+// how sessions stack, or when a type assignment lands mid-stream. The
+// friend lists and edge count are what a refresh maintains; the graph
+// and cover are derived from them on demand.
 
 // eqStream drives one randomized equivalence run.
 type eqStream struct {
@@ -124,6 +127,17 @@ func (s *eqStream) check(tag string) {
 			s.t.Fatalf("%s: edge %s—%s = %v (present %v), batch %v", tag, u, v, gw, ok, w)
 		}
 	})
+	// What a decision reads: every user's close-friend list is the batch
+	// graph's sorted neighbor list, and the maintained edge count is right.
+	if snap.Users != len(users) || snap.Edges != bg.NumEdges() {
+		s.t.Fatalf("%s: snapshot counts %d users, %d edges; batch %d, %d",
+			tag, snap.Users, snap.Edges, len(users), bg.NumEdges())
+	}
+	for _, u := range users {
+		if got, want := snap.CloseFriends(u), bg.Neighbors(u); !slices.Equal(got, want) {
+			s.t.Fatalf("%s: CloseFriends(%s) = %v, batch neighbors %v", tag, u, got, want)
+		}
+	}
 	// And every snapshot θ must match the batch index pointwise.
 	for i := 0; i < len(users); i++ {
 		for j := i + 1; j < len(users); j++ {
@@ -246,5 +260,42 @@ func TestIncrementalMatchesBatchRandomRefreshPoints(t *testing.T) {
 			s.step()
 		}
 		s.check(fmt.Sprintf("random round %d", round))
+	}
+}
+
+// TestIncrementalMatchesBatchEverything mixes all of it over several
+// seeds: auto-refresh at a seed-dependent interval, manual refreshes at
+// random points, and two mid-stream type assignments — one that only
+// shifts θ, one whose prior alone crosses the threshold — so edges
+// appear and vanish through threshold crossings, merges, splits, full
+// rebuilds and first-seen users of a crossing type.
+func TestIncrementalMatchesBatchEverything(t *testing.T) {
+	for _, seed := range []int64{5, 6, 8, 13, 21, 34} {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.RefreshEvents = 3 + int(seed)
+			cfg.Society.Alpha = 0.6
+			cfg.Society.MinEncounterSeconds = 200
+			cfg.Society.CoLeaveWindowSeconds = 150
+			cfg.Society.MinEncounters = 1 + int(seed%2)
+			s := newEqStream(t, seed, cfg, 28, 3)
+			types := make(map[trace.UserID]int)
+			for i, u := range s.users {
+				types[u] = i % 3
+			}
+			for round := 0; round < 10; round++ {
+				switch round {
+				case 3: // α·T ≤ 0.24: moves every θ, adds no prior-only edge
+					s.setTypes(types, [][]float64{{0.4, 0.1, 0}, {0.1, 0.3, 0.2}, {0, 0.2, 0.4}})
+				case 6: // α·T[0][0] = 0.48: type-0 users become a prior clique
+					s.setTypes(types, [][]float64{{0.8, 0.1, 0}, {0.1, 0.3, 0.2}, {0, 0.2, 0.4}})
+				}
+				for i := 0; i < 10+s.rng.Intn(60); i++ {
+					s.step()
+				}
+				s.check(fmt.Sprintf("round %d", round))
+			}
+		})
 	}
 }

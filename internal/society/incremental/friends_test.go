@@ -2,15 +2,18 @@ package incremental
 
 import (
 	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
+	"github.com/s3wlan/s3wlan/internal/socialgraph"
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
 // TestSnapshotCloseFriends: CloseFriends must return exactly the
 // snapshot graph's neighbors above the edge threshold, sorted, and be
-// stable across repeated calls (it is built lazily, once).
+// stable across repeated calls.
 func TestSnapshotCloseFriends(t *testing.T) {
 	e := New(testConfig())
 	ts := int64(0)
@@ -60,5 +63,90 @@ func TestSnapshotCloseFriends(t *testing.T) {
 	}
 	if e.FriendThreshold() != e.cfg.EdgeThreshold {
 		t.Errorf("FriendThreshold = %v, want %v", e.FriendThreshold(), e.cfg.EdgeThreshold)
+	}
+}
+
+// TestSnapshotImmutableAcrossRefreshes holds one snapshot while a dozen
+// later refreshes rewire its users, with concurrent readers on it the
+// whole time (run under -race). Its friend lists must not move, and the
+// graph and cover it derives on demand — first asked for only after
+// those refreshes — must be the batch answer for the moment it was
+// published, not for now.
+func TestSnapshotImmutableAcrossRefreshes(t *testing.T) {
+	s := newEqStream(t, 17, testStateConfig(), 20, 3)
+	for i := 0; i < 300; i++ {
+		s.step()
+	}
+	s.eng.Refresh()
+	held := s.eng.Snapshot()
+
+	batch := s.ref.Model()
+	users := append([]trace.UserID(nil), s.users...)
+	var seen []trace.UserID
+	for _, u := range users {
+		if s.seen[u] {
+			seen = append(seen, u)
+		}
+	}
+	wantGraph := socialgraph.FromThreshold(seen, s.eng.cfg.EdgeThreshold, batch.Index)
+	wantCover := socialgraph.ExtractCliqueCover(wantGraph)
+	socialgraph.SortCover(wantCover)
+	wantFriends := make(map[trace.UserID][]trace.UserID)
+	for _, u := range users {
+		wantFriends[u] = wantGraph.Neighbors(u)
+	}
+	checkFriends := func() {
+		for _, u := range users {
+			if got, want := held.CloseFriends(u), wantFriends[u]; !slices.Equal(got, want) {
+				t.Errorf("held CloseFriends(%s) = %v, want %v", u, got, want)
+				return
+			}
+		}
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				checkFriends()
+				cur := s.eng.Snapshot()
+				_ = cur.CloseFriends(users[0])
+				_ = cur.NumComponents()
+			}
+		}()
+	}
+	for round := 0; round < 12; round++ {
+		for i := 0; i < 60; i++ {
+			s.step()
+		}
+		s.eng.Refresh()
+	}
+	close(done)
+	wg.Wait()
+
+	moved := 0
+	now := s.eng.Snapshot()
+	for _, u := range users {
+		if !slices.Equal(now.CloseFriends(u), held.CloseFriends(u)) {
+			moved++
+		}
+	}
+	if now.Seq < held.Seq+12 || moved == 0 {
+		t.Fatalf("test vacuous: %d refreshes later, %d friend lists moved", now.Seq-held.Seq, moved)
+	}
+	checkFriends()
+	if !graphsEqual(held.Graph(), wantGraph) {
+		t.Error("held snapshot's graph is not the graph it was published with")
+	}
+	if !reflect.DeepEqual(held.Cover(), wantCover) {
+		t.Errorf("held snapshot's cover drifted\ngot  %v\nwant %v", held.Cover(), wantCover)
 	}
 }

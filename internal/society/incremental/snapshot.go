@@ -1,6 +1,7 @@
 package incremental
 
 import (
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -10,40 +11,72 @@ import (
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
-// numShards buckets the pair-probability store so a refresh clones only
-// the shards the churn actually touched (copy-on-write). Power of two.
+// numShards buckets the pair-probability and close-friend stores so the
+// events between two refreshes clone only the shards they touch
+// (copy-on-write). Power of two.
 const numShards = 256
+
+// FNV-1a, folded to a shard number.
+const (
+	fnvOffset = uint32(2166136261)
+	fnvPrime  = uint32(16777619)
+)
+
+func fnvUser(h uint32, u trace.UserID) uint32 {
+	for i := 0; i < len(u); i++ {
+		h = (h ^ uint32(u[i])) * fnvPrime
+	}
+	return h
+}
 
 // shardOf hashes a canonical pair to its shard (FNV-1a over "A|B").
 func shardOf(p society.Pair) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(p.A); i++ {
-		h = (h ^ uint32(p.A[i])) * 16777619
+	h := fnvUser(fnvOffset, p.A)
+	h = (h ^ '|') * fnvPrime
+	return int(fnvUser(h, p.B) & (numShards - 1))
+}
+
+// shardOfUser hashes a user to its close-friend shard.
+func shardOfUser(u trace.UserID) int {
+	return int(fnvUser(fnvOffset, u) & (numShards - 1))
+}
+
+// cowMap is the engine's working copy of a sharded store. publish hands
+// the current shard maps to a snapshot and from then on treats them as
+// frozen: the first write to land on a shard afterwards clones it. A
+// refresh therefore costs one array copy, and a snapshot shares every
+// shard the following events leave alone with its successors.
+type cowMap[K comparable, V any] struct {
+	shards [numShards]map[K]V
+	owned  [numShards]bool // cloned since the last publish: safe to write
+}
+
+// writable returns shard si, cloned first if a snapshot may hold it.
+func (c *cowMap[K, V]) writable(si int) map[K]V {
+	if !c.owned[si] {
+		fresh := maps.Clone(c.shards[si])
+		if fresh == nil {
+			fresh = make(map[K]V)
+		}
+		c.shards[si], c.owned[si] = fresh, true
 	}
-	h = (h ^ '|') * 16777619
-	for i := 0; i < len(p.B); i++ {
-		h = (h ^ uint32(p.B[i])) * 16777619
-	}
-	return int(h & (numShards - 1))
+	return c.shards[si]
+}
+
+func (c *cowMap[K, V]) publish() [numShards]map[K]V {
+	c.owned = [numShards]bool{}
+	return c.shards
 }
 
 // pairIndex is an immutable, sharded view of the learned social state:
 // per-pair P(L|E) plus the type prior. It mirrors society.Model.Index
 // exactly, so a selector reading a snapshot and one reading a freshly
-// built batch Model agree on every θ. Shards are never mutated after
-// publication; a refresh clones only dirty shards and shares the rest
-// with the previous snapshot.
+// built batch Model agree on every θ.
 type pairIndex struct {
 	shards [numShards]map[society.Pair]float64
 	types  map[trace.UserID]int
 	matrix [][]float64
 	alpha  float64
-}
-
-// prob returns the support-passing co-leave probability for p.
-func (px *pairIndex) prob(p society.Pair) (float64, bool) {
-	v, ok := px.shards[shardOf(p)][p]
-	return v, ok
 }
 
 // Index computes θ(u,v) = P(L|E) + α·T, exactly as society.Model.Index.
@@ -61,81 +94,12 @@ func (px *pairIndex) Index(u, v trace.UserID) float64 {
 	return theta
 }
 
-// pendingProb is a staged pair-probability update (present=false deletes,
-// which cannot happen today — encounters are monotone — but keeps the
-// representation total).
-type pendingProb struct {
-	val     float64
-	present bool
-}
-
-// withUpdates returns a new pairIndex with the staged probability
-// changes applied and the given type assignment attached. Only shards
-// containing a staged pair are cloned; the rest are shared. Returns the
-// number of shards cloned.
-func (px *pairIndex) withUpdates(probs map[society.Pair]pendingProb,
-	types map[trace.UserID]int, matrix [][]float64, alpha float64) (*pairIndex, int) {
-	nx := &pairIndex{types: types, matrix: matrix, alpha: alpha}
-	nx.shards = px.shards
-	cloned := make(map[int]bool)
-	for p, pp := range probs {
-		si := shardOf(p)
-		if !cloned[si] {
-			cloned[si] = true
-			fresh := make(map[society.Pair]float64, len(px.shards[si])+1)
-			for k, v := range px.shards[si] {
-				fresh[k] = v
-			}
-			nx.shards[si] = fresh
-		}
-		if pp.present {
-			nx.shards[si][p] = pp.val
-		} else {
-			delete(nx.shards[si], p)
-		}
-	}
-	return nx, len(cloned)
-}
-
-// component is one connected component of the θ-graph together with its
-// solved clique cover. Components are immutable once published: a
-// refresh that dirties one replaces it wholesale, so clean components'
-// subgraphs and cliques are shared across snapshots without copying.
-type component struct {
-	rep     trace.UserID   // smallest member — the cache key
-	verts   []trace.UserID // sorted
-	sub     *socialgraph.Graph
-	cliques [][]trace.UserID // ExtractCliqueCover(sub), extraction order
-
-	// friends is the per-vertex sorted adjacency of sub, materialized
-	// lazily on first CloseFriends call. Components are immutable after
-	// publication and shared across snapshots, so the cache is built at
-	// most once per component lifetime and amortizes across refreshes
-	// that leave the component clean.
-	friendsOnce sync.Once
-	friends     map[trace.UserID][]trace.UserID
-}
-
-// friendsOf returns u's sorted θ-graph neighbors within the component.
-func (c *component) friendsOf(u trace.UserID) []trace.UserID {
-	c.friendsOnce.Do(func() {
-		c.friends = make(map[trace.UserID][]trace.UserID, len(c.verts))
-		c.sub.ForEachEdge(func(a, b trace.UserID, _ float64) {
-			c.friends[a] = append(c.friends[a], b)
-			c.friends[b] = append(c.friends[b], a)
-		})
-		for _, ns := range c.friends {
-			sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-		}
-	})
-	return c.friends[u]
-}
-
-// Snapshot is an immutable view of the social state at one refresh:
-// the pair index (θ), the θ-graph partitioned into connected components,
-// and the cached clique cover. Selectors and the protocol controller's
-// lock-free Associate path read snapshots without taking the engine's
-// mutex; Index is safe for unlimited concurrent use.
+// Snapshot is an immutable view of the social state at one refresh. It
+// holds what an association decision reads — the pair index (θ) and
+// every user's sorted close-friend list — and nothing else. Connected
+// components, the θ-graph and the clique cover are derived from those
+// on first request and memoized; a snapshot nobody asks never pays for
+// them. All methods are safe for unlimited concurrent use.
 type Snapshot struct {
 	// Seq increases by one per published refresh.
 	Seq uint64
@@ -146,57 +110,109 @@ type Snapshot struct {
 	// Edges is the θ-graph edge count.
 	Edges int
 
-	index *pairIndex
-	comps map[trace.UserID]*component // rep -> component
+	index   *pairIndex
+	friends [numShards]map[trace.UserID][]trace.UserID
+	// users is every user ever seen, in first-seen order: a frozen prefix
+	// of the engine's append-only list.
+	users []trace.UserID
+
+	compsOnce sync.Once
+	comps     [][]trace.UserID
 
 	coverOnce sync.Once
 	cover     [][]trace.UserID
-
-	compOnce sync.Once
-	compIdx  map[trace.UserID]*component
 }
 
 // Index returns θ(u,v); Snapshot satisfies core.SocialIndex.
 func (s *Snapshot) Index(u, v trace.UserID) float64 { return s.index.Index(u, v) }
 
+// CloseFriends returns u's close friends — the users v with θ(u,v)
+// above the engine's edge threshold — as a sorted, read-only slice (nil
+// for an unknown or isolated user): one hash and one map hit. This is
+// the selector's friend index.
+func (s *Snapshot) CloseFriends(u trace.UserID) []trace.UserID {
+	return s.friends[shardOfUser(u)][u]
+}
+
+// components returns the connected components of the θ-graph, each
+// sorted (isolated users are singletons). O(users + edges) on first
+// call, memoized.
+func (s *Snapshot) components() [][]trace.UserID {
+	s.compsOnce.Do(func() {
+		seen := make(map[trace.UserID]bool, len(s.users))
+		for _, start := range s.users {
+			if seen[start] {
+				continue
+			}
+			seen[start] = true
+			comp := []trace.UserID{start}
+			for i := 0; i < len(comp); i++ {
+				for _, v := range s.CloseFriends(comp[i]) {
+					if !seen[v] {
+						seen[v] = true
+						comp = append(comp, v)
+					}
+				}
+			}
+			sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
+			s.comps = append(s.comps, comp)
+		}
+	})
+	return s.comps
+}
+
 // NumComponents returns the number of connected components (isolated
-// users count as singletons).
-func (s *Snapshot) NumComponents() int { return len(s.comps) }
+// users count as singletons). Derived on demand; diagnostic use.
+func (s *Snapshot) NumComponents() int { return len(s.components()) }
+
+// ComponentOf returns the sorted member list of the component containing
+// u, or nil if u is unknown. Derived on demand; diagnostic use.
+func (s *Snapshot) ComponentOf(u trace.UserID) []trace.UserID {
+	for _, c := range s.components() {
+		i := sort.Search(len(c), func(i int) bool { return c[i] >= u })
+		if i < len(c) && c[i] == u {
+			return c
+		}
+	}
+	return nil
+}
+
+// Graph materializes the full θ-graph, edge weights read from Index
+// (O(V+E) — a debugging and equivalence-testing path, not a hot one).
+// The result is a fresh copy.
+func (s *Snapshot) Graph() *socialgraph.Graph {
+	g := socialgraph.New()
+	for _, u := range s.users {
+		g.AddVertex(u)
+		for _, v := range s.CloseFriends(u) {
+			if u < v {
+				g.AddEdge(u, v, s.Index(u, v))
+			}
+		}
+	}
+	return g
+}
 
 // Cover returns the clique cover of the whole θ-graph in canonical
 // order (largest cliques first, ties lexicographic) — the same
 // partition batch ExtractCliqueCover produces on the equivalent graph.
-// The result is materialized lazily on first call and cached; callers
-// must treat it (and its cliques) as read-only.
+// Nothing on the serving path reads it, so nothing maintains it: the
+// first call extracts it component by component (iterated maximum
+// clique — about what a from-scratch cover of the graph costs) and the
+// snapshot keeps the result. Callers must treat it (and its cliques) as
+// read-only.
 func (s *Snapshot) Cover() [][]trace.UserID {
 	s.coverOnce.Do(func() {
-		n := 0
-		for _, c := range s.comps {
-			n += len(c.cliques)
-		}
-		cover := make([][]trace.UserID, 0, n)
-		for _, c := range s.comps {
-			cover = append(cover, c.cliques...)
+		g := s.Graph()
+		cover := make([][]trace.UserID, 0, len(s.users))
+		for _, comp := range s.components() {
+			cover = append(cover, socialgraph.ExtractCliqueCover(g.InducedSubgraph(comp))...)
 		}
 		socialgraph.SortCover(cover)
+		obsCliques.Add(int64(len(cover)))
 		s.cover = cover
 	})
 	return s.cover
-}
-
-// Graph materializes the full θ-graph (O(V+E) — a debugging and
-// equivalence-testing path, not a hot one). The result is a fresh copy.
-func (s *Snapshot) Graph() *socialgraph.Graph {
-	g := socialgraph.New()
-	for _, c := range s.comps {
-		for _, u := range c.verts {
-			g.AddVertex(u)
-		}
-		c.sub.ForEachEdge(func(u, v trace.UserID, w float64) {
-			g.AddEdge(u, v, w)
-		})
-	}
-	return g
 }
 
 // Model materializes a society.Model equivalent to this snapshot's pair
@@ -231,47 +247,3 @@ func (s *Snapshot) Model() *society.Model {
 		Alpha:      s.index.alpha,
 	}
 }
-
-// CloseFriends returns u's close friends — the users v with
-// θ(u,v) above the engine's edge threshold — as a sorted, read-only
-// slice (nil for an unknown or isolated user). This is the selector's
-// precomputed friend index: one O(1) map hit plus a cached adjacency
-// list, instead of an O(|component|) Index rescan per candidate AP. The
-// user→component index is built lazily on first use and cached for the
-// snapshot's lifetime; per-component adjacency is shared across
-// snapshots that leave the component clean.
-func (s *Snapshot) CloseFriends(u trace.UserID) []trace.UserID {
-	s.compOnce.Do(func() {
-		n := 0
-		for _, c := range s.comps {
-			n += len(c.verts)
-		}
-		idx := make(map[trace.UserID]*component, n)
-		for _, c := range s.comps {
-			for _, v := range c.verts {
-				idx[v] = c
-			}
-		}
-		s.compIdx = idx
-	})
-	c := s.compIdx[u]
-	if c == nil {
-		return nil
-	}
-	return c.friendsOf(u)
-}
-
-// ComponentOf returns the sorted member list of the component containing
-// u, or nil if u is unknown. O(components) — diagnostic use.
-func (s *Snapshot) ComponentOf(u trace.UserID) []trace.UserID {
-	for _, c := range s.comps {
-		i := sort.Search(len(c.verts), func(i int) bool { return c.verts[i] >= u })
-		if i < len(c.verts) && c.verts[i] == u {
-			return c.verts
-		}
-	}
-	return nil
-}
-
-// Age returns how long ago the snapshot was published.
-func (s *Snapshot) Age() time.Duration { return time.Since(s.BuiltAt) }

@@ -3,8 +3,11 @@ package incremental
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/socialgraph"
@@ -57,6 +60,9 @@ func snapshotsEquivalent(t *testing.T, tag string, a, b *Snapshot) {
 	if !reflect.DeepEqual(a.Model().PairProb, b.Model().PairProb) {
 		t.Fatalf("%s: pair probabilities diverged", tag)
 	}
+	if a.Users != b.Users || a.Edges != b.Edges {
+		t.Fatalf("%s: %d users, %d edges vs %d, %d", tag, a.Users, a.Edges, b.Users, b.Edges)
+	}
 	if !graphsEqual(a.Graph(), b.Graph()) {
 		t.Fatalf("%s: θ-graphs diverged", tag)
 	}
@@ -105,19 +111,26 @@ func TestEngineStateRoundtrip(t *testing.T) {
 	snapshotsEquivalent(t, "post-restore future", orig.Snapshot(), restored.Snapshot())
 }
 
-// TestEngineStateRoundtripWithTypes: the α·T prior layer must survive
-// too — restore without a separate SetTypes call.
-func TestEngineStateRoundtripWithTypes(t *testing.T) {
-	cfg := testStateConfig()
-	orig := New(cfg)
-	driveEngine(orig, 300, 31)
+// typedEngine drives an engine through events, a mid-stream type
+// assignment and more events — the history behind
+// testdata/engine_state_v1.json.
+func typedEngine(cfg Config) *Engine {
+	e := New(cfg)
+	driveEngine(e, 300, 31)
 	types := make(map[trace.UserID]int)
 	for i := 0; i < 16; i++ {
 		types[trace.UserID(fmt.Sprintf("u-%02d", i))] = i % 3
 	}
-	matrix := [][]float64{{0.9, 0.2, 0.1}, {0.2, 0.8, 0.3}, {0.1, 0.3, 0.7}}
-	orig.SetTypes(types, matrix)
-	driveEngine(orig, 300, 32)
+	e.SetTypes(types, [][]float64{{0.9, 0.2, 0.1}, {0.2, 0.8, 0.3}, {0.1, 0.3, 0.7}})
+	driveEngine(e, 300, 32)
+	return e
+}
+
+// TestEngineStateRoundtripWithTypes: the α·T prior layer must survive
+// too — restore without a separate SetTypes call.
+func TestEngineStateRoundtripWithTypes(t *testing.T) {
+	cfg := testStateConfig()
+	orig := typedEngine(cfg)
 	orig.Refresh()
 
 	var buf bytes.Buffer
@@ -141,6 +154,49 @@ func TestEngineStateRoundtripWithTypes(t *testing.T) {
 	snapshotsEquivalent(t, "typed restore future", orig.Snapshot(), restored.Snapshot())
 }
 
+// TestEngineReadStateVersion1 pins the read-both window:
+// testdata/engine_state_v1.json is typedEngine's state as the previous
+// release's JSON WriteState wrote it. It must restore to the same
+// learner tallies, graph and cover as the binary round trip of the same
+// engine, and keep agreeing afterwards.
+func TestEngineReadStateVersion1(t *testing.T) {
+	cfg := testStateConfig()
+	orig := typedEngine(cfg)
+	orig.Refresh()
+	v1, err := os.ReadFile("testdata/engine_state_v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v2 bytes.Buffer
+	if err := orig.WriteState(&v2); err != nil {
+		t.Fatal(err)
+	}
+	if v2.Bytes()[0] == '{' || v2.Len() >= len(v1) {
+		t.Fatalf("WriteState wrote %d bytes starting %q; want the binary format, smaller than version 1's %d",
+			v2.Len(), v2.Bytes()[0], len(v1))
+	}
+	fromV1, fromV2 := New(cfg), New(cfg)
+	if err := fromV1.ReadState(bytes.NewReader(v1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fromV2.ReadState(&v2); err != nil {
+		t.Fatal(err)
+	}
+	snapshotsEquivalent(t, "version 1 vs live", orig.Snapshot(), fromV1.Snapshot())
+	snapshotsEquivalent(t, "version 1 vs version 2", fromV1.Snapshot(), fromV2.Snapshot())
+	if m1, m2 := fromV1.Learner().Model(), fromV2.Learner().Model(); !reflect.DeepEqual(m1, m2) ||
+		!reflect.DeepEqual(m1, orig.Learner().Model()) {
+		t.Fatal("learner tallies or type assignment diverged between formats")
+	}
+
+	for _, e := range []*Engine{orig, fromV1, fromV2} {
+		driveEngine(e, 200, 33)
+		e.Refresh()
+	}
+	snapshotsEquivalent(t, "version 1 future", orig.Snapshot(), fromV1.Snapshot())
+	snapshotsEquivalent(t, "version 2 future", orig.Snapshot(), fromV2.Snapshot())
+}
+
 func TestEngineReadStateRejectsDamage(t *testing.T) {
 	e := New(DefaultConfig())
 	if err := e.ReadState(bytes.NewReader([]byte("not json"))); err == nil {
@@ -152,4 +208,75 @@ func TestEngineReadStateRejectsDamage(t *testing.T) {
 	if err := e.ReadState(bytes.NewReader([]byte(`{"version":1,"learner":{"version":9}}`))); err == nil {
 		t.Fatal("expected nested learner version error")
 	}
+	if err := e.ReadState(bytes.NewReader(nil)); err == nil {
+		t.Fatal("expected an error for empty input")
+	}
+	if e.Snapshot().Seq != 0 {
+		t.Fatal("a rejected state must leave the engine untouched")
+	}
+}
+
+// forgedStates are well-formed up to a count or index that lies.
+var forgedStates = map[string]string{
+	"2⁵⁶ users":          "\x02\xff\xff\xff\xff\xff\xff\xff\x7f",
+	"2³² rows":           "\x02\x00\x02\x0d{\"version\":2}\x00\xff\xff\xff\xff\x0f",
+	"64 MiB header":      "\x02\x00\x02\x80\x80\x80\x20{",
+	"equal indices":      "\x02\x01\x01a\x02\x0d{\"version\":2}\x02\x01a\x01b\x01\x00\x00\x01\x01",
+	"index out of range": "\x02\x01\x01a\x02\x0d{\"version\":2}\x02\x01a\x01b\x01\x00\x07\x01\x01",
+	"one user twice":     "\x02\x01\x01a\x02\x0d{\"version\":2}\x02\x01a\x01a\x01\x00\x01\x01\x01",
+}
+
+// TestEngineReadStateForgedCounts: a count the input does not back up
+// is an error, and costs no more memory than the bounded pre-sizing.
+func TestEngineReadStateForgedCounts(t *testing.T) {
+	for name, in := range forgedStates {
+		e := New(testStateConfig())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := e.ReadState(bytes.NewReader([]byte(in)))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+			t.Errorf("%s: rejecting %d bytes allocated %d MiB", name, len(in), grew>>20)
+		}
+	}
+}
+
+// FuzzEngineReadState: ReadState takes bytes from disk. Whatever they
+// are — either format, truncated, with forged counts or user indices —
+// it must return an error or a consistent, working engine, never panic.
+func FuzzEngineReadState(f *testing.F) {
+	cfg := testStateConfig()
+	var v2 bytes.Buffer
+	if err := typedEngine(cfg).WriteState(&v2); err != nil {
+		f.Fatal(err)
+	}
+	v1, err := os.ReadFile("testdata/engine_state_v1.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	f.Add(v2.Bytes())
+	f.Add(v2.Bytes()[:v2.Len()/2])
+	for _, in := range forgedStates {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e := New(cfg)
+		if err := e.ReadState(bytes.NewReader(data)); err != nil {
+			return
+		}
+		s := e.Snapshot()
+		if g := s.Graph(); s.Users != g.NumVertices() || s.Edges != g.NumEdges() {
+			t.Fatalf("accepted state is inconsistent: %d users / %d edges, graph has %d / %d",
+				s.Users, s.Edges, g.NumVertices(), g.NumEdges())
+		}
+		driveEngine(e, 50, 1)
+		e.Refresh()
+		if err := e.WriteState(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

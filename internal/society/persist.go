@@ -37,7 +37,7 @@ func parsePairKey(k string) (Pair, error) {
 	for i := 0; i < len(k); i++ {
 		if k[i] == '|' {
 			a, b := trace.UserID(k[:i]), trace.UserID(k[i+1:])
-			if a == "" || b == "" {
+			if a == "" || b == "" || a == b {
 				return Pair{}, fmt.Errorf("society: malformed pair key %q", k)
 			}
 			return MakePair(a, b), nil

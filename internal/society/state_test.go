@@ -60,8 +60,9 @@ func TestLearnerStateRoundtrip(t *testing.T) {
 	if oo != ro || op != rp || oc != rc {
 		t.Fatalf("stats diverged: orig (%d,%d,%d) restored (%d,%d,%d)", oo, op, oc, ro, rp, rc)
 	}
-	if !reflect.DeepEqual(orig.Pairs(), restored.Pairs()) {
-		t.Fatal("pair sets diverged")
+	om, rm := orig.Model(), restored.Model()
+	if !reflect.DeepEqual(om.Encounters, rm.Encounters) || !reflect.DeepEqual(om.CoLeaves, rm.CoLeaves) {
+		t.Fatal("raw tallies diverged")
 	}
 
 	// Same future → same model: the mid-presence state round-tripped.
@@ -94,14 +95,80 @@ func TestLearnerStateRoundtripWithTypes(t *testing.T) {
 	}
 }
 
+// TestReadLearnerStateVersion1 pins the read-both window: the previous
+// release's JSON state restores the same learner the binary round trip
+// does.
+func TestReadLearnerStateVersion1(t *testing.T) {
+	v1 := `{"version":1,"open":{"ap-0":{"u-1":{"starts":[100],"since":100}}},` +
+		`"recent_ends":{"ap-0":[{"user":"u-2","at":90}]},` +
+		`"encounters":{"u-1|u-2":3,"u-2|u-3":1},"co_leaves":{"u-1|u-2":2,"u-1|u-3":1},` +
+		`"types":{"u-1":0,"u-2":1},"type_matrix":[[0.9,0.1],[0.1,0.8]]}` + "\n"
+	cfg := DefaultConfig()
+	fromV1, err := ReadLearnerState(bytes.NewReader([]byte(v1)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fromV1.WriteState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Bytes()[0] != StateBinary {
+		t.Fatalf("WriteState starts with %#x, want the binary marker", buf.Bytes()[0])
+	}
+	fromV2, err := ReadLearnerState(&buf, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Model{
+		PairProb:   map[Pair]float64{MakePair("u-1", "u-2"): 2.0 / 3}, // u-2—u-3 lacks support
+		Encounters: map[Pair]int{MakePair("u-1", "u-2"): 3, MakePair("u-2", "u-3"): 1},
+		CoLeaves:   map[Pair]int{MakePair("u-1", "u-2"): 2, MakePair("u-1", "u-3"): 1},
+		Types:      map[trace.UserID]int{"u-1": 0, "u-2": 1},
+		TypeMatrix: [][]float64{{0.9, 0.1}, {0.1, 0.8}},
+		Alpha:      cfg.Alpha,
+	}
+	for tag, l := range map[string]*OnlineLearner{"version 1": fromV1, "version 2": fromV2} {
+		if got := l.Model(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: model = %+v, want %+v", tag, got, want)
+		}
+		if open, _, _ := l.Stats(); open != 1 {
+			t.Errorf("%s: %d open sessions, want 1", tag, open)
+		}
+		// The restored leave window still counts: u-1 leaving at 100 is
+		// within the co-leave window of u-2's leaving at 90.
+		if err := l.Disconnect("u-1", "ap-0", 100); err != nil {
+			t.Fatal(err)
+		}
+		if _, col := l.PairCounts(MakePair("u-1", "u-2")); col != 3 {
+			t.Errorf("%s: co-leaves after restore = %d, want 3", tag, col)
+		}
+	}
+}
+
 func TestReadLearnerStateRejectsDamage(t *testing.T) {
-	if _, err := ReadLearnerState(bytes.NewReader([]byte("not json")), DefaultConfig()); err == nil {
-		t.Fatal("expected decode error")
+	var good bytes.Buffer
+	l := NewOnlineLearner(DefaultConfig())
+	driveLearner(l, 100, 4)
+	if err := l.WriteState(&good); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadLearnerState(bytes.NewReader([]byte(`{"version":42}`)), DefaultConfig()); err == nil {
-		t.Fatal("expected version error")
-	}
-	if _, err := ReadLearnerState(bytes.NewReader([]byte(`{"version":1,"encounters":{"bogus":3}}`)), DefaultConfig()); err == nil {
-		t.Fatal("expected pair-key error")
+	table := string(AppendUserTable(nil, []trace.UserID{"a", "b"}))
+	header := "\x02\x0d" + `{"version":2}`
+	for name, in := range map[string]string{
+		"empty":              "",
+		"not a state":        "not json",
+		"v1 bad version":     `{"version":42}`,
+		"v1 bad pair key":    `{"version":1,"encounters":{"bogus":3}}`,
+		"v2 bad version":     "\x02\x0d" + `{"version":1}`,
+		"v2 truncated":       good.String()[:good.Len()/2],
+		"v2 header too long": "\x02\xff\xff\xff\xff\x7f",
+		"v2 forged count":    header + "\xff\xff\xff\xff\xff\xff\xff\x7f",
+		"v2 index range":     header + table + "\x01\x00\x02\x01\x01",
+		"v2 equal indices":   header + table + "\x01\x01\x01\x01\x01",
+		"v2 missing rows":    header + table + "\x02\x00\x01\x01\x01",
+	} {
+		if _, err := ReadLearnerState(bytes.NewReader([]byte(in)), DefaultConfig()); err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
 	}
 }
