@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race bench-selftest chaos federation-chaos overload-soak flight-smoke bench experiments analyses ablations clean
+.PHONY: all build fmt-check vet test race bench-selftest loc chaos federation-chaos overload-soak flight-smoke bench experiments analyses ablations clean
 
 all: build fmt-check vet test
 
@@ -33,21 +33,16 @@ chaos:
 	$(GO) run ./cmd/s3proto -chaos -chaos-dur $(CHAOS_DUR) -policy llf
 
 # Cluster partition/kill/rejoin chaos: the 3-node kill -9 + oracle-replay
-# suite under the race detector, then the failover/replication-lag bench.
-FED_BENCH ?= BENCH_fed.json
+# suite under the race detector.
 federation-chaos:
 	$(GO) test -race -count=1 -v -run 'TestFederationChaos|TestFederationTornTail|TestRelayPartitioned|TestClusterSettles' ./internal/federation
-	FED_BENCH_JSON=$(abspath $(FED_BENCH)) $(GO) test -count=1 -run TestFedBenchJSON -v ./internal/federation
 
 # Flash-crowd overload soak under -race: admission shedding, panic
 # containment, breaker trip/probe, shed-conservation oracle, and the
-# scripted-fault soak with its SLOs; then emit the soak's measured
-# numbers to $(OVERLOAD_BENCH).
-OVERLOAD_BENCH ?= BENCH_overload.json
+# scripted-fault soak with its SLOs.
 overload-soak:
 	$(GO) test -race -count=1 -v -run 'TestAdmission|TestShed|TestHelloTimeout|TestPanicContainment|TestOverloadSoak|TestBreaker|TestReportQueue' ./internal/protocol ./internal/federation
 	$(GO) test -race -count=1 -v ./internal/faults ./internal/protocol/faultconn ./internal/journal/faultfile
-	OVERLOAD_BENCH_JSON=$(abspath $(OVERLOAD_BENCH)) $(GO) test -count=1 -run TestOverloadBenchJSON -v ./internal/protocol
 
 # Record a chaos soak into a flight ring, then decode and health-check it.
 FLIGHT_DIR ?= /tmp/s3flight
@@ -56,6 +51,14 @@ flight-smoke:
 	$(GO) run ./cmd/s3proto -chaos -chaos-dur $(CHAOS_DUR) -flight-dir $(FLIGHT_DIR) -flight-every 100ms
 	$(GO) run ./cmd/s3diag -dir $(FLIGHT_DIR) -check
 	$(GO) run ./cmd/s3diag -dir $(FLIGHT_DIR) -format summary -match protocol.
+
+# Non-test Go lines per top-level package and in total, bench/ excluded:
+# the size ROADMAP tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | \
+		awk -F/ '{ pkg = ($$2 == "internal" || $$2 == "cmd" || $$2 == "examples") ? $$2 "/" $$3 : "." ; \
+			while ((getline line < $$0) > 0) n[pkg]++; close($$0) } \
+		END { for (p in n) { printf "%6d  %s\n", n[p], p; total += n[p] } printf "%6d  total\n", total }' | sort -k2
 
 # One benchmark per paper table/figure plus module micro-benchmarks.
 bench:

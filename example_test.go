@@ -62,12 +62,12 @@ func ExampleNormalizedBalanceIndex() {
 	// 0.00
 }
 
-// ExampleNewOnlineLearner shows the incremental learner observing an
-// association lifecycle and scoring the pair afterwards.
-func ExampleNewOnlineLearner() {
+// ExampleNewLiveLearner shows the live learner observing an association
+// lifecycle and scoring the pair afterwards.
+func ExampleNewLiveLearner() {
 	cfg := s3wlan.DefaultSocietyConfig()
 	cfg.MinEncounters = 1
-	learner := s3wlan.NewOnlineLearner(cfg)
+	learner := s3wlan.NewLiveLearner(cfg)
 
 	// Two users share an AP for an hour and leave together.
 	learner.Connect("alice", "ap-1", 0)

@@ -1,8 +1,8 @@
 // Onlinelearning: the paper's future-work deployment mode — a controller
 // that learns sociality continuously instead of batch re-training. The
 // example replays a campus trace as a live event stream through the
-// incremental learner and shows its model converging to the batch-trained
-// one.
+// live learner (the incremental engine) and shows its model converging
+// to the batch-trained one.
 package main
 
 import (
@@ -32,11 +32,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Online learner: feed the same trace as a stream of connect and
+	// Live learner: feed the same trace as a stream of connect and
 	// disconnect events, in time order.
 	learnerCfg := s3wlan.DefaultSocietyConfig()
 	learnerCfg.HistoryDays = 0
-	learner := society.NewOnlineLearner(learnerCfg)
+	learner := s3wlan.NewLiveLearner(learnerCfg)
 	learner.SetTypes(batch.Types, batch.TypeMatrix) // types from periodic batch clustering
 
 	type event struct {
@@ -84,7 +84,7 @@ func main() {
 
 // report prints how well the online model agrees with the batch one on
 // the batch model's strongest pairs.
-func report(learner *society.OnlineLearner, batch *society.Model, day int) {
+func report(learner *s3wlan.LiveLearner, batch *society.Model, day int) {
 	online := learner.Model()
 	top := batch.TopPairs(50)
 	if len(top) == 0 {
@@ -97,7 +97,6 @@ func report(learner *society.OnlineLearner, batch *society.Model, day int) {
 			agree++
 		}
 	}
-	_, pairs, coPairs := learner.Stats()
 	fmt.Printf("day %2d: online knows %5d pairs (%4d co-leaving); agrees on %2d/%d of batch's top pairs\n",
-		day, pairs, coPairs, agree, len(top))
+		day, len(online.Encounters), len(online.CoLeaves), agree, len(top))
 }

@@ -1,19 +1,15 @@
 package domain
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
-// benchShards and benchUsers define the published sharding grid: ns/op
-// for 1, 4 and 16 shards at 10k and 100k resident users. The CI step
-// emits the grid as BENCH_domain.json via TestDomainBenchJSON.
+// benchShards and benchUsers define the sharding grid: ns/op for 1, 4
+// and 16 shards at 10k and 100k resident users.
 var (
 	benchShards = []int{1, 4, 16}
 	benchUsers  = []int{10_000, 100_000}
@@ -110,57 +106,5 @@ func BenchmarkDomainViews(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// TestDomainBenchJSON emits the sharding grid as machine-readable JSON
-// (ns/op for every shards×users cell) to the path named by the
-// DOMAIN_BENCH_JSON environment variable. Skipped when unset, so plain
-// `go test` stays fast; CI points it at BENCH_domain.json.
-func TestDomainBenchJSON(t *testing.T) {
-	path := os.Getenv("DOMAIN_BENCH_JSON")
-	if path == "" {
-		t.Skip("DOMAIN_BENCH_JSON not set")
-	}
-	type row struct {
-		Name    string  `json:"name"`
-		Shards  int     `json:"shards"`
-		Users   int     `json:"users"`
-		NsPerOp float64 `json:"ns_per_op"`
-		Ops     int     `json:"ops"`
-	}
-	out := struct {
-		Benchmark string `json:"benchmark"`
-		MaxProcs  int    `json:"gomaxprocs"`
-		Rows      []row  `json:"rows"`
-	}{Benchmark: "DomainCommit", MaxProcs: runtime.GOMAXPROCS(0)}
-	for _, shards := range benchShards {
-		for _, users := range benchUsers {
-			shards, users := shards, users
-			r := testing.Benchmark(func(b *testing.B) {
-				benchDomainCommit(b, shards, users)
-			})
-			out.Rows = append(out.Rows, row{
-				Name:    fmt.Sprintf("DomainCommit/shards=%d/users=%d", shards, users),
-				Shards:  shards,
-				Users:   users,
-				NsPerOp: float64(r.T.Nanoseconds()) / float64(r.N),
-				Ops:     r.N,
-			})
-			t.Logf("shards=%d users=%d: %.0f ns/op (%d ops)",
-				shards, users, float64(r.T.Nanoseconds())/float64(r.N), r.N)
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,12 +1,10 @@
 package federation
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -516,136 +514,5 @@ func TestRelayPartitionedOwner(t *testing.T) {
 	}
 	if since := time.Since(start); since > 3*time.Second {
 		t.Fatalf("refusal took %v", since)
-	}
-}
-
-// percentile returns the p-th percentile of sorted ms samples.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-// TestFedBenchJSON measures failover time and replication lag and
-// writes them to the path in FED_BENCH_JSON. Skipped when unset; CI
-// points it at BENCH_fed.json.
-func TestFedBenchJSON(t *testing.T) {
-	path := os.Getenv("FED_BENCH_JSON")
-	if path == "" {
-		t.Skip("FED_BENCH_JSON not set")
-	}
-	root := t.TempDir()
-	const ttl = 240 * time.Millisecond
-	nodes, addrs := newTestCluster(t, root, 2, ttl)
-	defer func() {
-		for _, n := range nodes {
-			if n != nil {
-				n.Close()
-			}
-		}
-	}()
-	for g := 0; g < 2; g++ {
-		if _, err := nodes[0].WaitOwner(g, 5*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// One group-0 AP on its home owner node-0, one long-lived station
-	// re-associating; after each ack, measure how long until node-1's
-	// follower has tailed the record.
-	var apID trace.APID
-	for i := 0; ; i++ {
-		apID = trace.APID(fmt.Sprintf("bench-ap-%d", i))
-		if nodes[0].cfg.Ownership.GroupOfAP(apID) == 0 {
-			break
-		}
-	}
-	a := dialAPRetry(t, addrs[:1], apID, 5*time.Second)
-	defer a.Close()
-	var user trace.UserID
-	for i := 0; ; i++ {
-		user = trace.UserID(fmt.Sprintf("bench-u-%d", i))
-		if nodes[0].cfg.Ownership.GroupOfUser(user) == 0 {
-			break
-		}
-	}
-	st, _ := associateRetry(t, addrs[:1], user, 5*time.Second)
-	defer st.Close()
-	ctrl, ok := nodes[0].Controller(0)
-	if !ok {
-		t.Fatal("node-0 does not own group 0")
-	}
-
-	const samples = 100
-	lags := make([]float64, 0, samples)
-	for i := 0; i < samples; i++ {
-		if _, err := st.Associate(64e3); err != nil {
-			t.Fatal(err)
-		}
-		target := ctrl.JournalSeq()
-		start := time.Now()
-		for nodes[1].Health().Groups[0].FollowSeq < target {
-			time.Sleep(time.Millisecond)
-		}
-		lags = append(lags, float64(time.Since(start).Microseconds())/1e3)
-	}
-	sort.Float64s(lags)
-
-	// Failover: kill the group-0 owner, time until node-1 holds a fresh
-	// lease for it.
-	victim := nodes[0]
-	nodes[0] = nil
-	killedAt := time.Now()
-	victim.kill()
-	for {
-		l, err := nodes[1].leases.Read(0)
-		if err == nil && l != nil && l.Owner == "node-1" && !l.Expired(nodes[1].cfg.nowMs()) {
-			break
-		}
-		if time.Since(killedAt) > 10*time.Second {
-			t.Fatal("no failover within 10s")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	failoverMs := float64(time.Since(killedAt).Microseconds()) / 1e3
-
-	out := struct {
-		Benchmark  string  `json:"benchmark"`
-		Nodes      int     `json:"nodes"`
-		Groups     int     `json:"groups"`
-		LeaseTTLMs int64   `json:"lease_ttl_ms"`
-		Samples    int     `json:"samples"`
-		LagP50Ms   float64 `json:"replication_lag_p50_ms"`
-		LagP90Ms   float64 `json:"replication_lag_p90_ms"`
-		LagP99Ms   float64 `json:"replication_lag_p99_ms"`
-		LagMaxMs   float64 `json:"replication_lag_max_ms"`
-		FailoverMs float64 `json:"failover_ms"`
-	}{
-		Benchmark:  "Federation",
-		Nodes:      2,
-		Groups:     2,
-		LeaseTTLMs: int64(ttl / time.Millisecond),
-		Samples:    samples,
-		LagP50Ms:   percentile(lags, 0.50),
-		LagP90Ms:   percentile(lags, 0.90),
-		LagP99Ms:   percentile(lags, 0.99),
-		LagMaxMs:   lags[len(lags)-1],
-		FailoverMs: failoverMs,
-	}
-	t.Logf("replication lag p50=%.2fms p99=%.2fms max=%.2fms; failover %.0fms (TTL %v)",
-		out.LagP50Ms, out.LagP99Ms, out.LagMaxMs, out.FailoverMs, ttl)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

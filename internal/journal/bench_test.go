@@ -1,11 +1,8 @@
 package journal
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -121,53 +118,4 @@ func TestRecover100kUnder5s(t *testing.T) {
 		t.Fatalf("recovery of %d records took %v, budget 5s", tail, took)
 	}
 	t.Logf("recovered %d records in %v", tail, took)
-}
-
-// TestJournalBenchJSON emits append throughput per fsync policy and the
-// 100k recovery time as machine-readable JSON to the path named by the
-// JOURNAL_BENCH_JSON environment variable. Skipped when unset; CI
-// points it at BENCH_journal.json.
-func TestJournalBenchJSON(t *testing.T) {
-	path := os.Getenv("JOURNAL_BENCH_JSON")
-	if path == "" {
-		t.Skip("JOURNAL_BENCH_JSON not set")
-	}
-	type row struct {
-		Name    string  `json:"name"`
-		NsPerOp float64 `json:"ns_per_op"`
-		Ops     int     `json:"ops"`
-	}
-	out := struct {
-		Benchmark string `json:"benchmark"`
-		MaxProcs  int    `json:"gomaxprocs"`
-		Rows      []row  `json:"rows"`
-	}{Benchmark: "Journal", MaxProcs: runtime.GOMAXPROCS(0)}
-	for _, pol := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncOff} {
-		pol := pol
-		r := testing.Benchmark(func(b *testing.B) { benchAppend(b, pol) })
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
-		out.Rows = append(out.Rows, row{
-			Name:    "JournalAppend/fsync=" + pol.String(),
-			NsPerOp: ns,
-			Ops:     r.N,
-		})
-		t.Logf("append fsync=%s: %.0f ns/op (%d ops)", pol, ns, r.N)
-	}
-	r := testing.Benchmark(func(b *testing.B) { BenchmarkRecover(b) })
-	ns := float64(r.T.Nanoseconds()) / float64(r.N)
-	out.Rows = append(out.Rows, row{Name: "Recover/tail=100k", NsPerOp: ns, Ops: r.N})
-	t.Logf("recover 100k tail: %.2f ms/op (%d ops)", ns/1e6, r.N)
-
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -55,8 +55,8 @@ type apMeta struct {
 	agentConn *Conn
 }
 
-// AssociationObserver receives association lifecycle events — e.g. a
-// society.OnlineLearner learning sociality continuously from the live
+// AssociationObserver receives association lifecycle events — e.g. the
+// incremental.Engine learning sociality continuously from the live
 // controller, the paper's future-work deployment mode.
 type AssociationObserver interface {
 	// Connect fires after a user is associated with an AP.

@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -91,9 +92,10 @@ type checkpointMeta struct {
 // one JSON line. Whatever follows that line is the observer's state, in
 // the observer's format and opaque to the controller — written straight
 // through by ObserverState.WriteState, never re-encoded. Checkpoints
-// written by the previous release carried a JSON observer state inside
-// the document instead (Society); those are still read for one release
-// and never written.
+// written two releases ago carried a JSON observer state inside the
+// document instead (Society). Nothing reads that format any more; the
+// field remains so that such a checkpoint is refused by name rather than
+// recovered with its learned state silently dropped.
 type checkpointDoc struct {
 	Domain      *domain.State                 `json:"domain"`
 	Assignments map[trace.UserID]trace.APID   `json:"assignments,omitempty"`
@@ -185,7 +187,8 @@ func (c *Controller) restoreCheckpoint(payload []byte) error {
 		return fmt.Errorf("protocol: decode checkpoint: %w", err)
 	}
 	if len(doc.Society) > 0 {
-		observerState = doc.Society
+		return errors.New("protocol: checkpoint carries a version-1 JSON observer state (\"society\"), " +
+			"which is no longer read; run the previous release on this journal once, it checkpoints in the current format")
 	}
 	if doc.Domain != nil {
 		if err := c.dom.ImportState(doc.Domain); err != nil {

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -134,16 +135,13 @@ func observerEngineConfig() incremental.Config {
 	return cfg
 }
 
-// TestJournalCheckpointRestoresObserverState crashes a controller whose
-// observer is the incremental social engine, mid-way between
-// checkpoints, and verifies the restarted controller's engine publishes
-// the identical social state: the checkpoint restored the learner and
-// the replayed journal tail re-taught it the rest.
-func TestJournalCheckpointRestoresObserverState(t *testing.T) {
-	dir := t.TempDir()
-	var clk atomic.Int64
-	now := func() int64 { return clk.Add(50) }
-
+// crashedObserverScenario runs a journaled controller whose observer is
+// the incremental social engine through two overlapping presences that
+// co-leave, twice over — enough for a real θ edge — plus a tail event
+// past the last checkpoint boundary, and abandons it without Close. It
+// returns the engine, refreshed.
+func crashedObserverScenario(t *testing.T, dir string, now func() int64) *incremental.Engine {
+	t.Helper()
 	engA := incremental.New(observerEngineConfig())
 	a, err := NewController(baseline.LLF{},
 		WithObserver(engA),
@@ -155,8 +153,6 @@ func TestJournalCheckpointRestoresObserverState(t *testing.T) {
 	if err := a.RegisterAP("ap-1", 1e6); err != nil {
 		t.Fatal(err)
 	}
-	// Two overlapping presences that co-leave, twice over — enough for a
-	// real θ edge — plus tail events past the last checkpoint boundary.
 	for round := 0; round < 2; round++ {
 		for _, u := range []trace.UserID{"amy", "ben"} {
 			if _, err := a.Associate(u, 100); err != nil {
@@ -170,10 +166,23 @@ func TestJournalCheckpointRestoresObserverState(t *testing.T) {
 		t.Fatal(err)
 	}
 	engA.Refresh()
-	snapA := engA.Snapshot()
-	if len(snapA.Model().PairProb) == 0 {
+	if len(engA.Snapshot().Model().PairProb) == 0 {
 		t.Fatal("test vacuous: engine learned no pair statistics")
 	}
+	return engA
+}
+
+// TestJournalCheckpointRestoresObserverState crashes a controller whose
+// observer is the incremental social engine, mid-way between
+// checkpoints, and verifies the restarted controller's engine publishes
+// the identical social state: the checkpoint restored the learner and
+// the replayed journal tail re-taught it the rest.
+func TestJournalCheckpointRestoresObserverState(t *testing.T) {
+	dir := t.TempDir()
+	var clk atomic.Int64
+	now := func() int64 { return clk.Add(50) }
+	engA := crashedObserverScenario(t, dir, now)
+	snapA := engA.Snapshot()
 	// Crash without Close: recovery must cross a checkpoint + tail.
 
 	engB := incremental.New(observerEngineConfig())
@@ -218,16 +227,13 @@ func s3Live(t *testing.T, cfg incremental.Config) (wlan.Selector, *incremental.E
 	return sel, eng
 }
 
-// TestJournalRecoversVersion1Checkpoint: testdata/journal_v1 is the
-// journal directory the previous release left behind after the scenario
-// of TestJournalCheckpointRestoresObserverState — two checkpoints whose
-// observer state is a JSON document inside the checkpoint document, and
-// a record tail. This release must recover it.
-func TestJournalRecoversVersion1Checkpoint(t *testing.T) {
+// copyJournal copies a testdata journal directory into a fresh temp dir.
+func copyJournal(t *testing.T, name string) string {
+	t.Helper()
 	dir := t.TempDir()
-	files, err := filepath.Glob("testdata/journal_v1/*")
+	files, err := filepath.Glob(filepath.Join("testdata", name, "*"))
 	if err != nil || len(files) == 0 {
-		t.Fatalf("testdata/journal_v1: %v, %v", files, err)
+		t.Fatalf("testdata/%s: %v, %v", name, files, err)
 	}
 	for _, f := range files {
 		data, err := os.ReadFile(f)
@@ -238,6 +244,31 @@ func TestJournalRecoversVersion1Checkpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return dir
+}
+
+// TestJournalRejectsVersion1Checkpoint: testdata/journal_v1 is a journal
+// directory of two releases ago — the scenario of
+// TestJournalCheckpointRestoresObserverState, with the observer's state
+// as a JSON document inside the checkpoint document. That format is no
+// longer read, and the one thing worse than refusing it would be to
+// recover the domain and quietly start learning from nothing.
+func TestJournalRejectsVersion1Checkpoint(t *testing.T) {
+	_, err := NewController(baseline.LLF{}, WithObserver(incremental.New(observerEngineConfig())),
+		WithJournal(copyJournal(t, "journal_v1"), journal.Options{Fsync: journal.FsyncAlways, CheckpointEvery: 4}))
+	if err == nil || !strings.Contains(err.Error(), "version-1 JSON observer state") {
+		t.Fatalf("recovery of a version-1 checkpoint = %v, want an error naming the format", err)
+	}
+}
+
+// TestJournalRecoversParentCheckpoint: testdata/journal_v2 is the
+// journal directory the release before the learner was folded into the
+// engine left behind after the scenario of
+// TestJournalCheckpointRestoresObserverState — two checkpoints with the
+// binary observer state after the document line, and a record tail.
+// This release must recover it.
+func TestJournalRecoversParentCheckpoint(t *testing.T) {
+	dir := copyJournal(t, "journal_v2")
 	eng := incremental.New(observerEngineConfig())
 	c, err := NewController(baseline.LLF{}, WithObserver(eng),
 		WithJournal(dir, journal.Options{Fsync: journal.FsyncAlways, CheckpointEvery: 4}))
@@ -254,12 +285,19 @@ func TestJournalRecoversVersion1Checkpoint(t *testing.T) {
 		t.Fatalf("recovered social state: %d users, %d edges, θ(amy,ben) = %v; want 2, 1, 1",
 			s.Users, s.Edges, s.Index("amy", "ben"))
 	}
+	// Tallies included: they equal those of an engine that lived through
+	// the same scenario.
+	var clk atomic.Int64
+	lived := crashedObserverScenario(t, t.TempDir(), func() int64 { return clk.Add(50) })
+	if !reflect.DeepEqual(eng.Model(), lived.Model()) {
+		t.Fatalf("recovered tallies %+v, want %+v", eng.Model(), lived.Model())
+	}
 	// Amy's presence, open since the replayed tail record, survived too.
 	if err := eng.Disconnect("amy", "ap-1", 1000); err != nil {
 		t.Fatalf("mid-presence learner state lost: %v", err)
 	}
-	// And the next checkpoint is written in the new format, which a
-	// third controller reads back.
+	// And the checkpoint this release writes on Close is one a third
+	// controller reads back.
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +378,7 @@ func TestServingPathNeverSolvesCliques(t *testing.T) {
 	if snap.Edges == 0 {
 		t.Fatal("test vacuous: no θ edge was learned")
 	}
-	g := socialgraph.FromThreshold(users, eng.FriendThreshold(), eng.Learner().Model().Index)
+	g := socialgraph.FromThreshold(users, eng.FriendThreshold(), eng.Model().Index)
 	want := socialgraph.ExtractCliqueCover(g)
 	socialgraph.SortCover(want)
 	if got := snap.Cover(); !reflect.DeepEqual(got, want) {

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -501,22 +500,20 @@ func TestShedConservationOracle(t *testing.T) {
 	assertConservation(t, c)
 }
 
-// soakResult is the overload soak's measured outcome (also emitted as
-// BENCH_overload.json by TestOverloadBenchJSON).
+// soakResult is the overload soak's measured outcome.
 type soakResult struct {
-	AssocOK    int64 `json:"assoc_ok"`
-	AssocShed  int64 `json:"assoc_shed"`
-	DialShed   int64 `json:"dial_shed"`
-	ShedConns  int64 `json:"shed_conns"`
-	ShedAssoc  int64 `json:"shed_assoc"`
-	Panics     int64 `json:"panics"`
-	P99FaultNs int64 `json:"p99_fault_ns"`
-	RecoveryMs int64 `json:"recovery_ms"`
+	AssocOK    int64
+	AssocShed  int64
+	DialShed   int64
+	ShedConns  int64
+	ShedAssoc  int64
+	Panics     int64
+	P99FaultNs int64
+	RecoveryMs int64
 }
 
 // runOverloadSoak drives a flash crowd against a capped controller
-// through a scripted fault plan and asserts the ISSUE 10 SLOs. Shared
-// by TestOverloadSoak and the BENCH_overload.json emitter.
+// through a scripted fault plan and asserts the ISSUE 10 SLOs.
 func runOverloadSoak(t *testing.T) soakResult {
 	t.Helper()
 	plan := faults.MustParse(
@@ -718,28 +715,4 @@ func TestOverloadSoak(t *testing.T) {
 	res := runOverloadSoak(t)
 	t.Logf("overload soak: %d ok, %d assoc shed, %d dial shed, fault p99 %v, recovery %dms",
 		res.AssocOK, res.AssocShed, res.DialShed, time.Duration(res.P99FaultNs), res.RecoveryMs)
-}
-
-// TestOverloadBenchJSON emits the overload soak's measured SLOs to the
-// path named by OVERLOAD_BENCH_JSON. Skipped when unset so plain
-// `go test` runs the soak once (via TestOverloadSoak); CI points it at
-// BENCH_overload.json.
-func TestOverloadBenchJSON(t *testing.T) {
-	path := os.Getenv("OVERLOAD_BENCH_JSON")
-	if path == "" {
-		t.Skip("OVERLOAD_BENCH_JSON not set")
-	}
-	res := runOverloadSoak(t)
-	out := struct {
-		Benchmark string     `json:"benchmark"`
-		Result    soakResult `json:"result"`
-	}{Benchmark: "OverloadSoak", Result: res}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

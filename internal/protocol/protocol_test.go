@@ -11,6 +11,7 @@ import (
 	"github.com/s3wlan/s3wlan/internal/baseline"
 	"github.com/s3wlan/s3wlan/internal/core"
 	"github.com/s3wlan/s3wlan/internal/society"
+	"github.com/s3wlan/s3wlan/internal/society/incremental"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
 )
@@ -360,13 +361,14 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOnlineLearnerIntegration wires a society.OnlineLearner into the
-// controller and verifies the live association lifecycle feeds it.
+// TestOnlineLearnerIntegration wires the live learner (the incremental
+// engine) into the controller and verifies the live association
+// lifecycle feeds it.
 func TestOnlineLearnerIntegration(t *testing.T) {
-	learnerCfg := society.DefaultConfig()
-	learnerCfg.MinEncounters = 1
-	learnerCfg.MinEncounterSeconds = 10
-	learner := society.NewOnlineLearner(learnerCfg)
+	learnerCfg := incremental.DefaultConfig()
+	learnerCfg.Society.MinEncounters = 1
+	learnerCfg.Society.MinEncounterSeconds = 10
+	learner := incremental.New(learnerCfg)
 
 	var fake int64
 	c, err := NewController(baseline.LLF{},
@@ -404,20 +406,17 @@ func TestOnlineLearnerIntegration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Disassociations are handled asynchronously; wait for both.
+	// Disassociations are handled asynchronously; wait for the second,
+	// which is the one that tallies the co-leaving.
+	p := society.MakePair("a", "b")
 	deadline := time.Now().Add(testTimeout)
-	for {
-		open, pairs, _ := learner.Stats()
-		if open == 0 && pairs > 0 {
-			break
-		}
+	for learner.Model().CoLeaves[p] == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("learner did not settle: open=%d pairs=%d", open, pairs)
+			t.Fatal("learner did not settle: no co-leaving recorded")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	m := learner.Model()
-	p := society.MakePair("a", "b")
 	if m.Encounters[p] == 0 {
 		t.Error("learner should have recorded the encounter")
 	}

@@ -40,20 +40,3 @@ func BenchmarkExtractEncounters(b *testing.B) {
 		ExtractEncounters(sessions, 600)
 	}
 }
-
-func BenchmarkOnlineLearnerDisconnect(b *testing.B) {
-	cfg := DefaultConfig()
-	l := NewOnlineLearner(cfg)
-	// 30 users resident on one AP.
-	for i := 0; i < 30; i++ {
-		l.Connect(trace.UserID(fmt.Sprintf("u%02d", i)), "ap", 0)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := trace.UserID(fmt.Sprintf("x%d", i))
-		l.Connect(u, "ap", int64(i))
-		if err := l.Disconnect(u, "ap", int64(i)+3600); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

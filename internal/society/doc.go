@@ -1,30 +1,24 @@
-// Package society implements the sociality-learning pipeline of S³:
-// extracting encounter and co-leaving events from session logs, estimating
-// per-pair co-leaving probabilities P(L|E), building the type matrix
-// T(type_i, type_j) from application-usage clusters, and composing the
-// social relation index θ(u,v) = P(L|E) + α·T that drives AP selection.
+// Package society is the batch side of S³'s sociality learning:
+// extracting encounter and co-leaving events from session logs,
+// estimating per-pair co-leaving probabilities P(L|E), building the type
+// matrix T(type_i, type_j) from application-usage clusters, and
+// composing the social relation index θ(u,v) = P(L|E) + α·T that drives
+// AP selection.
 //
-// Two training modes coexist:
+// Train consumes a recorded trace (the paper's back-end login logs) and
+// produces an immutable Model in one pass; Model is also the serialized
+// form (SaveModel, LoadModel). Use it for offline evaluation and for the
+// periodic re-clustering that assigns user types. It counts an
+// encounter per overlapping session pair (ExtractEncounters) and a
+// co-leaving per pair of session ends inside the window
+// (ExtractCoLeavings), and every figure the repository reproduces is
+// pinned to those counts.
 //
-//   - Batch: Train consumes a recorded trace (the paper's back-end login
-//     logs) and produces an immutable Model in one pass. Use it for
-//     offline evaluation and for the periodic re-clustering that assigns
-//     user types.
-//
-//   - Online: OnlineLearner ingests Connect/Disconnect events as they
-//     happen and keeps the pair statistics current, for a controller that
-//     learns continuously (the paper's future-work deployment mode).
-//     Encounters are counted per presence — a user's stacked overlapping
-//     sessions on one AP form a single continuous presence, so the same
-//     co-presence period is never tallied twice — and co-leavings per
-//     session end, matching the paper's event definitions. Model()
-//     snapshots the statistics into a batch-equivalent Model.
-//
-// Turning online statistics into selector-ready state (θ-graph and
-// clique cover) on every refresh is a full rebuild; the subpackage
-// society/incremental avoids that by maintaining the θ-graph edge by
-// edge and re-solving cliques only on dirty connected components. Prefer
-// batch Train for reproducing the paper's figures; prefer OnlineLearner +
-// incremental.Engine for live controllers where refresh cost must track
-// churn, not population.
+// Learning from a live controller's Connect/Disconnect events is the
+// subpackage society/incremental's job, and nothing here has an event
+// method or a lock. Its engine counts co-leavings the same way but an
+// encounter per presence — a user's stacked overlapping sessions on one
+// AP are one continuous presence — so the two agree exactly on a trace
+// without stacked sessions and the engine counts no more than Train on
+// one with them. That difference is why both exist; see Train.
 package society

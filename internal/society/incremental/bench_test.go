@@ -246,7 +246,7 @@ func BenchmarkBatchRebuild(b *testing.B) {
 	for _, n := range []int{1000} {
 		b.Run(fmt.Sprintf("users=%d", n), func(b *testing.B) {
 			cfg := benchConfig()
-			l := society.NewOnlineLearner(cfg.Society)
+			l := New(cfg) // never refreshed: only its tallies are read
 			ts, err := replayClusteredPopulation(n, l.Connect, l.Disconnect)
 			if err != nil {
 				b.Fatal(err)
@@ -268,6 +268,24 @@ func BenchmarkBatchRebuild(b *testing.B) {
 				socialgraph.ExtractCliqueCover(g)
 			}
 		})
+	}
+}
+
+// BenchmarkEngineDisconnect measures one event on a busy AP: a session
+// end that tallies an encounter against each of 30 residents.
+func BenchmarkEngineDisconnect(b *testing.B) {
+	e := New(benchConfig())
+	for i := 0; i < 30; i++ {
+		e.Connect(benchUser(i), "ap", 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := trace.UserID(fmt.Sprintf("x%d", i))
+		e.Connect(u, "ap", int64(i))
+		if err := e.Disconnect(u, "ap", int64(i)+3600); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

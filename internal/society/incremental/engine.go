@@ -1,28 +1,37 @@
-// Package incremental is the incremental social-state engine: it keeps
-// what an S³ association decision reads — θ for any pair and every
-// user's close-friend list — current as Connect/Disconnect events
-// arrive, at a cost that follows the change, never the population.
+// Package incremental is the live sociality learner: it counts
+// encounters and co-leavings as Connect/Disconnect events arrive and
+// keeps what an S³ association decision reads — θ for any pair and
+// every user's close-friend list — current at a cost that follows the
+// change, never the population.
 //
-// The batch path (society.Train or OnlineLearner.Model followed by
-// socialgraph.FromThreshold and ExtractCliqueCover) rebuilds everything
-// per refresh: O(n²) θ evaluations plus iterated maximum-clique — NP-hard
-// — over the entire population. But behavioural groups in an enterprise
-// WLAN are small next to the population (Hsu, Dutta & Helmy), so one
-// session end perturbs only the handful of pairs the leaving user
-// co-resided with, even when the θ-graph is one giant component. The
-// engine exploits that:
+// It is the second of the repository's two θ learners, on purpose.
+// Batch society.Train counts an encounter per overlapping session pair,
+// and the paper-facing numbers are pinned to that. This package counts
+// one per presence: a user's stacked overlapping sessions on one AP are
+// one continuous presence, so no co-presence period is tallied twice.
+// Co-leavings are counted alike, and on a trace without stacked
+// sessions the two tally sets are equal (TestLiveTalliesAgainstBatch).
 //
-//   - every Disconnect reports exactly which pairs' statistics moved
-//     (OnlineLearner.DisconnectTouched); the engine recomputes those θ
+// Deriving selector-ready state from tallies the batch way
+// (socialgraph.FromThreshold and ExtractCliqueCover over a Model) is a
+// rebuild per refresh: O(n²) θ evaluations plus iterated maximum-clique
+// — NP-hard — over the entire population. But behavioural groups in an
+// enterprise WLAN are small next to the population (Hsu, Dutta &
+// Helmy), so one session end perturbs only the handful of pairs the
+// leaving user co-resided with, even when the θ-graph is one giant
+// component. The engine exploits that:
+//
+//   - every Disconnect yields exactly the pairs whose counts moved,
+//     with their new counts (tally.go); the engine recomputes those θ
 //     values in its working pair index and, for a pair that crossed the
 //     edge threshold, patches the sorted friend lists of its two
-//     endpoints — nothing else;
+//     endpoints — nothing else. One mutex, one tally map;
 //   - both stores are sharded and copy-on-write, so a refresh is an
 //     array copy: it publishes the working state as an immutable
 //     Snapshot behind an atomic.Pointer, and the events that follow
 //     clone only the shards they write. Selectors and the protocol
 //     controller's lock-free Associate path read θ and friend lists with
-//     zero locking, while the engine keeps learning behind its own mutex;
+//     zero locking, while the engine keeps learning behind its mutex;
 //   - everything else a snapshot can answer — connected components, the
 //     θ-graph, the clique cover — is derived from those two stores on
 //     first request and memoized per snapshot. The serving path never
@@ -30,9 +39,9 @@
 //
 // Equivalence is the correctness bar: after any refresh the snapshot's
 // friend lists, graph and cover match batch FromThreshold +
-// ExtractCliqueCover over the same learner state (see the property
-// tests). SetTypes is the one global operation — a new type assignment
-// moves every θ — and rebuilds every friend list.
+// ExtractCliqueCover over a Model derived from the raw tallies alone
+// (see the property tests). SetTypes is the one global operation — a
+// new type assignment moves every θ — and rebuilds every friend list.
 package incremental
 
 import (
@@ -49,11 +58,8 @@ import (
 // Refresh observability: edge churn per refresh, the refresh latency,
 // and the age of the state a new snapshot replaces.
 var (
-	obsEvents   = obs.GetCounter("society.inc.events", "Connect/Disconnect events learned by the incremental engine")
-	obsEdgesChg = obs.GetCounter("society.inc.edges_changed", "θ-graph edges added or removed across refreshes")
-	// Retired with the dirty-component machinery; registered for one more
-	// release because the benchmark reads the name.
-	_            = obs.GetCounter("society.inc.components_dirty", "Retired: always 0 (a refresh no longer re-solves components)")
+	obsEvents    = obs.GetCounter("society.inc.events", "Connect/Disconnect events learned by the incremental engine")
+	obsEdgesChg  = obs.GetCounter("society.inc.edges_changed", "θ-graph edges added or removed across refreshes")
 	obsCliques   = obs.GetCounter("society.inc.cliques_resolved", "Cliques extracted by on-demand Snapshot.Cover calls (0 on the serving path)")
 	obsRefreshes = obs.GetCounter("society.inc.refreshes", "Snapshot refreshes published (periodic, event-count and manual)")
 	obsFull      = obs.GetCounter("society.inc.full_rebuilds", "Full friend-list rebuilds (SetTypes changes the type prior; state restore)")
@@ -99,9 +105,10 @@ func DefaultConfig() Config {
 type Engine struct {
 	cfg Config
 
-	mu      sync.Mutex
-	learner *society.OnlineLearner
-	users   map[trace.UserID]struct{}
+	mu sync.Mutex
+	// live holds the raw counts everything below is derived from.
+	live  *tallies
+	users map[trace.UserID]struct{}
 	// order lists users as first seen. Append-only, so a snapshot keeps a
 	// prefix of it without copying.
 	order []trace.UserID
@@ -137,9 +144,9 @@ func New(cfg Config) *Engine {
 		cfg.EdgeThreshold = 0.3
 	}
 	e := &Engine{
-		cfg:     cfg,
-		learner: society.NewOnlineLearner(cfg.Society),
-		users:   make(map[trace.UserID]struct{}),
+		cfg:   cfg,
+		live:  newTallies(cfg.Society),
+		users: make(map[trace.UserID]struct{}),
 	}
 	e.snap.Store(&Snapshot{BuiltAt: time.Now(), index: &pairIndex{alpha: cfg.Society.Alpha}})
 	return e
@@ -171,7 +178,7 @@ func (e *Engine) FriendThreshold() float64 { return e.cfg.EdgeThreshold }
 func (e *Engine) Connect(u trace.UserID, ap trace.APID, ts int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.learner.Connect(u, ap, ts)
+	e.live.connect(u, ap, ts)
 	e.addUserLocked(u)
 	e.bumpLocked()
 }
@@ -181,12 +188,12 @@ func (e *Engine) Connect(u trace.UserID, ap trace.APID, ts int64) {
 func (e *Engine) Disconnect(u trace.UserID, ap trace.APID, ts int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	touched, err := e.learner.DisconnectTouched(u, ap, ts)
+	touched, err := e.live.disconnect(u, ap, ts)
 	if err != nil {
 		return err
 	}
-	for _, p := range touched {
-		e.updatePairLocked(p)
+	for _, tp := range touched {
+		e.updatePairLocked(tp.pair, tp.tally)
 	}
 	e.bumpLocked()
 	return nil
@@ -198,26 +205,18 @@ func (e *Engine) Disconnect(u trace.UserID, ap trace.APID, ts int64) error {
 func (e *Engine) SetTypes(types map[trace.UserID]int, matrix [][]float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.learner.SetTypes(types, matrix)
 	e.setTypesLocked(types, matrix)
 	e.rebuildFriendsLocked()
 	e.bumpLocked()
 }
 
-// setTypesLocked installs a type assignment on the engine side: private
-// copies of the maps plus the prior-crossing index consulted when a
-// type pair's α·T alone crosses the edge threshold. It does not touch
-// the learner, the friend lists or the event counter — SetTypes and the
-// checkpoint-restore path layer those differently.
+// setTypesLocked installs a type assignment: private copies of the maps
+// plus the prior-crossing index consulted when a type pair's α·T alone
+// crosses the edge threshold. It does not touch the friend lists or the
+// event counter — SetTypes and the checkpoint-restore path layer those
+// differently.
 func (e *Engine) setTypesLocked(types map[trace.UserID]int, matrix [][]float64) {
-	e.types = make(map[trace.UserID]int, len(types))
-	for u, t := range types {
-		e.types[u] = t
-	}
-	e.matrix = make([][]float64, len(matrix))
-	for i, row := range matrix {
-		e.matrix[i] = append([]float64(nil), row...)
-	}
+	e.types, e.matrix = cloneTypes(types, matrix)
 	// Which type pairs cross the threshold on the prior alone? Those
 	// connect every member pair regardless of encounter history.
 	e.priorCross = make([][]bool, len(e.matrix))
@@ -240,10 +239,16 @@ func (e *Engine) setTypesLocked(types map[trace.UserID]int, matrix [][]float64) 
 	}
 }
 
-// Learner exposes the underlying online learner (raw tallies,
-// persistence). Callers must route events through the engine, not the
-// learner, or the graph will drift from the statistics.
-func (e *Engine) Learner() *society.OnlineLearner { return e.learner }
+// Model derives a society.Model from the raw tallies alone — PairProb,
+// the Encounters and CoLeaves counts behind it, and the current type
+// assignment — without consulting the incrementally patched stores.
+// O(pairs) under the engine's mutex: for batch consumers, inspection
+// and the equivalence tests, not for per-decision use.
+func (e *Engine) Model() *society.Model {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.live.model(e.types, e.matrix)
+}
 
 // Refresh publishes the working state as a new snapshot: two array
 // copies, whatever happened since the last one.
@@ -299,19 +304,19 @@ func (e *Engine) addUserLocked(u trace.UserID) {
 		}
 		for _, v := range e.byType[tv] {
 			if v != u {
-				e.updatePairLocked(society.MakePair(u, v))
+				p := society.MakePair(u, v)
+				e.updatePairLocked(p, e.live.pairs[p])
 			}
 		}
 	}
 }
 
-// updatePairLocked recomputes θ for one pair from the learner's current
-// tallies and brings the working state in line: the pair's probability
-// and — only when θ crossed the edge threshold — the friend lists of its
-// two endpoints.
-func (e *Engine) updatePairLocked(p society.Pair) {
-	enc, col := e.learner.PairCounts(p)
-	theta := e.setProbLocked(p, enc, col) + e.priorLocked(p.A, p.B)
+// updatePairLocked recomputes θ for one pair from its current counts
+// and brings the working state in line: the pair's probability and —
+// only when θ crossed the edge threshold — the friend lists of its two
+// endpoints.
+func (e *Engine) updatePairLocked(p society.Pair, t tally) {
+	theta := e.setProbLocked(p, t) + e.priorLocked(p.A, p.B)
 	present := theta > e.cfg.EdgeThreshold
 	if _, had := slices.BinarySearch(e.friends.shards[shardOfUser(p.A)][p.A], p.B); had == present {
 		return
@@ -329,11 +334,11 @@ func (e *Engine) updatePairLocked(p society.Pair) {
 // setProbLocked records a pair's support-passing co-leave probability
 // in the working pair index and returns it (0 below the support
 // threshold, where — encounters only ever grow — no entry exists yet).
-func (e *Engine) setProbLocked(p society.Pair, encounters, coLeaves int) float64 {
-	if encounters < e.cfg.Society.MinEncounters || encounters <= 0 {
+func (e *Engine) setProbLocked(p society.Pair, t tally) float64 {
+	prob, ok := t.prob(e.cfg.Society.MinEncounters)
+	if !ok {
 		return 0
 	}
-	prob := min(float64(coLeaves)/float64(encounters), 1)
 	si := shardOf(p)
 	if cur, had := e.probs.shards[si][p]; !had || cur != prob {
 		e.probs.writable(si)[p] = prob

@@ -6,13 +6,11 @@ import (
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/socialgraph"
-	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
-// testConfig lowers the support threshold to one encounter (as the
-// online-learner tests do) and disables auto-refresh so tests control
-// publication points explicitly.
+// testConfig lowers the support threshold to one encounter and disables
+// auto-refresh so tests control publication points explicitly.
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Society.MinEncounters = 1
@@ -257,7 +255,7 @@ func TestEngineMatchesBatchAfterSetTypes(t *testing.T) {
 	e.Refresh()
 
 	s := e.Snapshot()
-	m := e.Learner().Model()
+	m := e.Model()
 	users := []trace.UserID{"a", "b", "c"}
 	for i, u := range users {
 		for _, v := range users[i+1:] {
@@ -288,11 +286,11 @@ func TestEngineAutoRefresh(t *testing.T) {
 
 func TestEngineObserverErrors(t *testing.T) {
 	e := New(testConfig())
-	if err := e.Disconnect("ghost", "ap1", 10); err != society.ErrNotConnected {
+	if err := e.Disconnect("ghost", "ap1", 10); err != ErrNotConnected {
 		t.Errorf("err = %v, want ErrNotConnected", err)
 	}
 	e.Connect("u1", "ap1", 100)
-	if err := e.Disconnect("u1", "ap1", 50); err != society.ErrTimeWentBack {
+	if err := e.Disconnect("u1", "ap1", 50); err != ErrTimeWentBack {
 		t.Errorf("err = %v, want ErrTimeWentBack", err)
 	}
 	// The failed events still registered the vertex but no edges.

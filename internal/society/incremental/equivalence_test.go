@@ -13,9 +13,10 @@ import (
 )
 
 // The property behind the whole engine: replaying one event stream
-// through the incremental engine and through the batch path
-// (OnlineLearner.Model → FromThreshold → ExtractCliqueCover) must give
-// identical pair probabilities, identical θ-graphs and identical clique
+// through the incremental engine and through the batch path (a Model
+// derived from the raw tallies of an independently fed tally core →
+// FromThreshold → ExtractCliqueCover) must give identical pair
+// probabilities, identical θ-graphs and identical clique
 // covers at every refresh point — no matter where the refreshes fall,
 // how sessions stack, or when a type assignment lands mid-stream. The
 // friend lists and edge count are what a refresh maintains; the graph
@@ -26,7 +27,11 @@ type eqStream struct {
 	t   *testing.T
 	rng *rand.Rand
 	eng *Engine
-	ref *society.OnlineLearner // independently fed reference learner
+	// ref is an independently fed tally core; the reference side derives
+	// everything from its raw counts and the last assignment, from scratch.
+	ref       *tallies
+	refTypes  map[trace.UserID]int
+	refMatrix [][]float64
 
 	users []trace.UserID
 	aps   []trace.APID
@@ -47,7 +52,7 @@ func newEqStream(t *testing.T, seed int64, cfg Config, nUsers, nAPs int) *eqStre
 		t:    t,
 		rng:  rand.New(rand.NewSource(seed)),
 		eng:  New(cfg),
-		ref:  society.NewOnlineLearner(cfg.Society),
+		ref:  newTallies(cfg.Society),
 		seen: make(map[trace.UserID]bool),
 	}
 	for i := 0; i < nUsers; i++ {
@@ -68,7 +73,7 @@ func (s *eqStream) step() {
 		u := s.users[s.rng.Intn(len(s.users))]
 		ap := s.aps[s.rng.Intn(len(s.aps))]
 		s.eng.Connect(u, ap, s.ts)
-		s.ref.Connect(u, ap, s.ts)
+		s.ref.connect(u, ap, s.ts)
 		s.seen[u] = true
 		s.open = append(s.open, openSess{u, ap})
 		return
@@ -80,7 +85,7 @@ func (s *eqStream) step() {
 	if err := s.eng.Disconnect(sess.u, sess.ap, s.ts); err != nil {
 		s.t.Fatalf("engine disconnect: %v", err)
 	}
-	if err := s.ref.Disconnect(sess.u, sess.ap, s.ts); err != nil {
+	if _, err := s.ref.disconnect(sess.u, sess.ap, s.ts); err != nil {
 		s.t.Fatalf("reference disconnect: %v", err)
 	}
 }
@@ -88,16 +93,19 @@ func (s *eqStream) step() {
 // setTypes lands the same assignment on both sides.
 func (s *eqStream) setTypes(types map[trace.UserID]int, matrix [][]float64) {
 	s.eng.SetTypes(types, matrix)
-	s.ref.SetTypes(types, matrix)
+	s.refTypes, s.refMatrix = types, matrix
 }
 
+// batch is the reference model: raw reference tallies, nothing patched.
+func (s *eqStream) batch() *society.Model { return s.ref.model(s.refTypes, s.refMatrix) }
+
 // check refreshes the engine and compares every layer against the
-// batch path over the reference learner.
+// batch path over the reference tallies.
 func (s *eqStream) check(tag string) {
 	s.t.Helper()
 	s.eng.Refresh()
 	snap := s.eng.Snapshot()
-	batch := s.ref.Model()
+	batch := s.batch()
 
 	// Layer 1: pair probabilities (support-filtered P(L|E)).
 	got := snap.Model().PairProb

@@ -80,7 +80,7 @@ func TestSnapshotImmutableAcrossRefreshes(t *testing.T) {
 	s.eng.Refresh()
 	held := s.eng.Snapshot()
 
-	batch := s.ref.Model()
+	batch := s.batch()
 	users := append([]trace.UserID(nil), s.users...)
 	var seen []trace.UserID
 	for _, u := range users {

@@ -216,34 +216,18 @@ func (s *Snapshot) Cover() [][]trace.UserID {
 }
 
 // Model materializes a society.Model equivalent to this snapshot's pair
-// index: PairProb, Types, TypeMatrix and Alpha are populated (raw
-// Encounters/CoLeaves tallies live in the learner, not the snapshot,
-// and are left nil). O(pairs) — an interop path for batch consumers
-// and persistence, not for per-decision use; Index on the snapshot
-// itself is the hot path.
+// index: PairProb, Types, TypeMatrix and Alpha are populated (the raw
+// Encounters/CoLeaves tallies are the engine's, see Engine.Model, and
+// are left nil). O(pairs) — an interop path for batch consumers and
+// persistence, not for per-decision use; Index on the snapshot itself
+// is the hot path.
 func (s *Snapshot) Model() *society.Model {
-	n := 0
-	for _, sh := range s.index.shards {
-		n += len(sh)
-	}
-	pairProb := make(map[society.Pair]float64, n)
+	m := &society.Model{PairProb: make(map[society.Pair]float64), Alpha: s.index.alpha}
 	for _, sh := range s.index.shards {
 		for p, v := range sh {
-			pairProb[p] = v
+			m.PairProb[p] = v
 		}
 	}
-	types := make(map[trace.UserID]int, len(s.index.types))
-	for u, t := range s.index.types {
-		types[u] = t
-	}
-	matrix := make([][]float64, len(s.index.matrix))
-	for i, row := range s.index.matrix {
-		matrix[i] = append([]float64(nil), row...)
-	}
-	return &society.Model{
-		PairProb:   pairProb,
-		Types:      types,
-		TypeMatrix: matrix,
-		Alpha:      s.index.alpha,
-	}
+	m.Types, m.TypeMatrix = cloneTypes(s.index.types, s.index.matrix)
+	return m
 }

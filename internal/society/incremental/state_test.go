@@ -8,6 +8,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/socialgraph"
@@ -112,8 +113,7 @@ func TestEngineStateRoundtrip(t *testing.T) {
 }
 
 // typedEngine drives an engine through events, a mid-stream type
-// assignment and more events — the history behind
-// testdata/engine_state_v1.json.
+// assignment and more events — the history behind the testdata states.
 func typedEngine(cfg Config) *Engine {
 	e := New(cfg)
 	driveEngine(e, 300, 31)
@@ -154,47 +154,61 @@ func TestEngineStateRoundtripWithTypes(t *testing.T) {
 	snapshotsEquivalent(t, "typed restore future", orig.Snapshot(), restored.Snapshot())
 }
 
-// TestEngineReadStateVersion1 pins the read-both window:
-// testdata/engine_state_v1.json is typedEngine's state as the previous
-// release's JSON WriteState wrote it. It must restore to the same
-// learner tallies, graph and cover as the binary round trip of the same
-// engine, and keep agreeing afterwards.
+// TestEngineReadStateVersion1: testdata/engine_state_v1.json is
+// typedEngine's state as the JSON WriteState of two releases ago wrote
+// it. The decoder for it is gone; what must remain is that restoring it
+// fails by name instead of quietly starting from nothing.
 func TestEngineReadStateVersion1(t *testing.T) {
-	cfg := testStateConfig()
-	orig := typedEngine(cfg)
-	orig.Refresh()
 	v1, err := os.ReadFile("testdata/engine_state_v1.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v2 bytes.Buffer
-	if err := orig.WriteState(&v2); err != nil {
-		t.Fatal(err)
+	e := New(testStateConfig())
+	err = e.ReadState(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "version-1 JSON format") {
+		t.Fatalf("ReadState(version 1) = %v, want an error naming the version-1 JSON format", err)
 	}
-	if v2.Bytes()[0] == '{' || v2.Len() >= len(v1) {
-		t.Fatalf("WriteState wrote %d bytes starting %q; want the binary format, smaller than version 1's %d",
-			v2.Len(), v2.Bytes()[0], len(v1))
+	if e.Snapshot().Seq != 0 {
+		t.Fatal("a rejected state must leave the engine untouched")
 	}
-	fromV1, fromV2 := New(cfg), New(cfg)
-	if err := fromV1.ReadState(bytes.NewReader(v1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fromV2.ReadState(&v2); err != nil {
-		t.Fatal(err)
-	}
-	snapshotsEquivalent(t, "version 1 vs live", orig.Snapshot(), fromV1.Snapshot())
-	snapshotsEquivalent(t, "version 1 vs version 2", fromV1.Snapshot(), fromV2.Snapshot())
-	if m1, m2 := fromV1.Learner().Model(), fromV2.Learner().Model(); !reflect.DeepEqual(m1, m2) ||
-		!reflect.DeepEqual(m1, orig.Learner().Model()) {
-		t.Fatal("learner tallies or type assignment diverged between formats")
-	}
+}
 
-	for _, e := range []*Engine{orig, fromV1, fromV2} {
-		driveEngine(e, 200, 33)
-		e.Refresh()
+// TestEngineReadStateParentFixture: testdata/engine_state_v2.bin is
+// typedEngine's state as written by the release before the learner was
+// folded into the engine (two nested streams then, one now). It must
+// restore to exactly what a fresh engine fed the same events holds —
+// published snapshot, raw tallies, type assignment, open presences and
+// recent-leaving windows — and keep agreeing afterwards.
+func TestEngineReadStateParentFixture(t *testing.T) {
+	cfg := testStateConfig()
+	fixture, err := os.ReadFile("testdata/engine_state_v2.bin")
+	if err != nil {
+		t.Fatal(err)
 	}
-	snapshotsEquivalent(t, "version 1 future", orig.Snapshot(), fromV1.Snapshot())
-	snapshotsEquivalent(t, "version 2 future", orig.Snapshot(), fromV2.Snapshot())
+	restored, fresh := New(cfg), typedEngine(cfg)
+	if err := restored.ReadState(bytes.NewReader(fixture)); err != nil {
+		t.Fatal(err)
+	}
+	fresh.Refresh()
+	for _, tag := range []string{"restored", "future"} {
+		snapshotsEquivalent(t, tag, fresh.Snapshot(), restored.Snapshot())
+		if !reflect.DeepEqual(fresh.Model(), restored.Model()) {
+			t.Fatalf("%s: tallies or type assignment diverged", tag)
+		}
+		if !reflect.DeepEqual(fresh.live.open, restored.live.open) {
+			t.Fatalf("%s: open presences diverged:\nfresh    %v\nrestored %v", tag, fresh.live.open, restored.live.open)
+		}
+		if !reflect.DeepEqual(fresh.live.recent, restored.live.recent) {
+			t.Fatalf("%s: recent-leaving windows diverged", tag)
+		}
+		if len(fresh.live.open) == 0 || len(fresh.live.recent) == 0 || len(fresh.live.pairs) == 0 {
+			t.Fatal("test vacuous: the stream left no open presence, leave window or tally")
+		}
+		for _, e := range []*Engine{fresh, restored} {
+			driveEngine(e, 200, 33)
+			e.Refresh()
+		}
+	}
 }
 
 func TestEngineReadStateRejectsDamage(t *testing.T) {
@@ -205,14 +219,15 @@ func TestEngineReadStateRejectsDamage(t *testing.T) {
 	if err := e.ReadState(bytes.NewReader([]byte(`{"version":7}`))); err == nil {
 		t.Fatal("expected version error")
 	}
-	if err := e.ReadState(bytes.NewReader([]byte(`{"version":1,"learner":{"version":9}}`))); err == nil {
-		t.Fatal("expected nested learner version error")
-	}
 	if err := e.ReadState(bytes.NewReader(nil)); err == nil {
 		t.Fatal("expected an error for empty input")
 	}
 	if e.Snapshot().Seq != 0 {
 		t.Fatal("a rejected state must leave the engine untouched")
+	}
+	// The control for forgedStates' header cases: a sound header restores.
+	if err := e.ReadState(strings.NewReader(headerOnlyState(`{"version":2,"types":{"a":0},"type_matrix":[[0.1]]}`))); err != nil {
+		t.Fatalf("a well-formed header-only state: %v", err)
 	}
 }
 
@@ -224,6 +239,15 @@ var forgedStates = map[string]string{
 	"equal indices":      "\x02\x01\x01a\x02\x0d{\"version\":2}\x02\x01a\x01b\x01\x00\x00\x01\x01",
 	"index out of range": "\x02\x01\x01a\x02\x0d{\"version\":2}\x02\x01a\x01b\x01\x00\x07\x01\x01",
 	"one user twice":     "\x02\x01\x01a\x02\x0d{\"version\":2}\x02\x01a\x01a\x01\x00\x01\x01\x01",
+	"2³² encounters":     "\x02\x01\x01a\x02\x0d{\"version\":2}\x02\x01a\x01b\x01\x00\x01\x80\x80\x80\x80\x10\x01",
+	"ragged type matrix": headerOnlyState(`{"version":2,"types":{"a":0},"type_matrix":[[0.1,0.2]]}`),
+	"negative type":      headerOnlyState(`{"version":2,"types":{"a":-1},"type_matrix":[[0.1]]}`),
+}
+
+// headerOnlyState is a state stream with no users and no tallies around
+// the given JSON header.
+func headerOnlyState(header string) string {
+	return "\x02\x00\x02" + string(rune(len(header))) + header + "\x00\x00"
 }
 
 // TestEngineReadStateForgedCounts: a count the input does not back up
@@ -245,8 +269,9 @@ func TestEngineReadStateForgedCounts(t *testing.T) {
 }
 
 // FuzzEngineReadState: ReadState takes bytes from disk. Whatever they
-// are — either format, truncated, with forged counts or user indices —
-// it must return an error or a consistent, working engine, never panic.
+// are — the retired JSON format, truncated, with forged counts or user
+// indices — it must return an error or a consistent, working engine,
+// never panic.
 func FuzzEngineReadState(f *testing.F) {
 	cfg := testStateConfig()
 	var v2 bytes.Buffer
@@ -257,7 +282,12 @@ func FuzzEngineReadState(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	fixture, err := os.ReadFile("testdata/engine_state_v2.bin")
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(v1)
+	f.Add(fixture)
 	f.Add(v2.Bytes())
 	f.Add(v2.Bytes()[:v2.Len()/2])
 	for _, in := range forgedStates {

@@ -1,0 +1,221 @@
+package incremental
+
+import (
+	"errors"
+	"slices"
+
+	"github.com/s3wlan/s3wlan/internal/society"
+	"github.com/s3wlan/s3wlan/internal/trace"
+)
+
+// Errors returned by Engine.Disconnect.
+var (
+	ErrNotConnected = errors.New("incremental: user not connected on that AP")
+	ErrTimeWentBack = errors.New("incremental: event time before connect time")
+)
+
+// compactEvery is the amortized sweep interval: every this many
+// disconnects the tally core prunes stale co-leave windows across all
+// APs, bounding memory on long-lived controllers that see many
+// transient APs.
+const compactEvery = 1024
+
+// presence tracks one user's open sessions on one AP. Overlapping
+// sessions of the same user form a single continuous presence: Starts
+// holds the open connect times (oldest first), Since the connect time
+// that opened the presence. Encounters are counted once per presence,
+// when the last open session closes, so stacked sessions never tally
+// the same co-presence period twice. (society.ExtractEncounters counts
+// per overlapping session pair instead; TestLiveTalliesAgainstBatch
+// pins the relation.) The JSON tags are the state header's.
+type presence struct {
+	Starts []int64 `json:"starts"`
+	Since  int64   `json:"since"`
+}
+
+// leave is one session end still inside its AP's co-leave window.
+type leave struct {
+	User trace.UserID `json:"user"`
+	At   int64        `json:"at"`
+}
+
+// tally is one pair's raw counts.
+type tally struct{ encounters, coLeaves int }
+
+// prob is the pair's co-leave probability P(L|E), and whether the pair
+// has the support to have one.
+func (t tally) prob(minEncounters int) (float64, bool) {
+	if t.encounters < minEncounters || t.encounters <= 0 {
+		return 0, false
+	}
+	return min(float64(t.coLeaves)/float64(t.encounters), 1), true
+}
+
+// touchedPair is a pair a disconnect moved, with its counts afterwards.
+type touchedPair struct {
+	pair society.Pair
+	tally
+}
+
+// tallies is the live tally core: per AP the open presences and the
+// recent leavings, per pair the encounter and co-leave counts. Each
+// presence end is matched against the overlapping open presences to
+// count encounters, and each session end against the recent leavings
+// inside the co-leave window to count co-leavings — the paper's event
+// definitions, evaluated as the events arrive. It has no lock of its
+// own: the engine's mutex guards it.
+type tallies struct {
+	cfg         society.Config
+	open        map[trace.APID]map[trace.UserID]*presence
+	recent      map[trace.APID][]leave
+	pairs       map[society.Pair]tally
+	disconnects int           // since the last amortized compaction
+	touched     []touchedPair // disconnect's result, reused across calls
+}
+
+func newTallies(cfg society.Config) *tallies {
+	return &tallies{
+		cfg:    cfg,
+		open:   make(map[trace.APID]map[trace.UserID]*presence),
+		recent: make(map[trace.APID][]leave),
+		pairs:  make(map[society.Pair]tally),
+	}
+}
+
+// connect records a user associating with an AP at time ts. Overlapping
+// sessions of the same user on the same AP are tracked as one presence.
+func (t *tallies) connect(u trace.UserID, ap trace.APID, ts int64) {
+	users := t.open[ap]
+	if users == nil {
+		users = make(map[trace.UserID]*presence)
+		t.open[ap] = users
+	}
+	p := users[u]
+	if p == nil {
+		p = &presence{}
+		users[u] = p
+	}
+	if len(p.Starts) == 0 {
+		p.Since = ts
+	}
+	p.Starts = append(p.Starts, ts)
+}
+
+// disconnect records a user leaving an AP at time ts and returns the
+// pairs whose counts moved, each with its counts after the event. A
+// pair that gained an encounter and a co-leave appears twice, both
+// times with the final counts. The slice is valid until the next call.
+func (t *tallies) disconnect(u trace.UserID, ap trace.APID, ts int64) ([]touchedPair, error) {
+	users := t.open[ap]
+	p := users[u]
+	if p == nil || len(p.Starts) == 0 {
+		return nil, ErrNotConnected
+	}
+	if ts < p.Starts[0] {
+		return nil, ErrTimeWentBack
+	}
+	p.Starts = p.Starts[1:] // close the oldest open session
+	touched := t.touched[:0]
+
+	if len(p.Starts) == 0 {
+		// The presence ends: count encounters against every still-open
+		// presence on this AP, once per (presence, presence) pair.
+		// Closing-vs-closed was handled when the other side closed.
+		delete(users, u)
+		if len(users) == 0 {
+			delete(t.open, ap)
+		}
+		for w, wp := range users {
+			if ts-max(p.Since, wp.Since) >= t.cfg.MinEncounterSeconds {
+				pr := society.MakePair(u, w)
+				c := t.pairs[pr]
+				c.encounters++
+				t.pairs[pr] = c
+				touched = append(touched, touchedPair{pair: pr})
+			}
+		}
+	}
+
+	// Co-leavings: recent leavings on the same AP within the window,
+	// counted per session end (the paper's leaving event granularity).
+	recent := t.recent[ap]
+	kept := recent[:0]
+	for _, ev := range recent {
+		if ts-ev.At > t.cfg.CoLeaveWindowSeconds {
+			continue // expired
+		}
+		kept = append(kept, ev)
+		if ev.User != u {
+			pr := society.MakePair(u, ev.User)
+			c := t.pairs[pr]
+			c.coLeaves++
+			t.pairs[pr] = c
+			touched = append(touched, touchedPair{pair: pr})
+		}
+	}
+	t.recent[ap] = append(kept, leave{User: u, At: ts})
+
+	t.disconnects++
+	if t.disconnects >= compactEvery {
+		t.disconnects = 0
+		t.compact(ts)
+	}
+
+	for i := range touched {
+		touched[i].tally = t.pairs[touched[i].pair]
+	}
+	t.touched = touched
+	return touched, nil
+}
+
+// compact sweeps every AP's recent-leaving window, dropping events
+// older than the co-leave window and deleting AP entries that end up
+// empty (open entries are deleted eagerly when their last presence
+// closes, so only the leave windows accumulate).
+func (t *tallies) compact(now int64) {
+	expired := func(ev leave) bool { return now-ev.At > t.cfg.CoLeaveWindowSeconds }
+	for ap, evs := range t.recent {
+		if evs = slices.DeleteFunc(evs, expired); len(evs) == 0 {
+			delete(t.recent, ap)
+		} else {
+			t.recent[ap] = evs
+		}
+	}
+}
+
+// model derives a society.Model from the raw counts alone — nothing the
+// engine patches incrementally — under the given type assignment.
+func (t *tallies) model(types map[trace.UserID]int, matrix [][]float64) *society.Model {
+	m := &society.Model{
+		PairProb:   make(map[society.Pair]float64, len(t.pairs)),
+		Encounters: make(map[society.Pair]int, len(t.pairs)),
+		CoLeaves:   make(map[society.Pair]int, len(t.pairs)),
+		Alpha:      t.cfg.Alpha,
+	}
+	m.Types, m.TypeMatrix = cloneTypes(types, matrix)
+	for p, c := range t.pairs {
+		if c.encounters > 0 {
+			m.Encounters[p] = c.encounters
+		}
+		if c.coLeaves > 0 {
+			m.CoLeaves[p] = c.coLeaves
+		}
+		if prob, ok := c.prob(t.cfg.MinEncounters); ok {
+			m.PairProb[p] = prob
+		}
+	}
+	return m
+}
+
+// cloneTypes copies a type assignment and its matrix (never nil).
+func cloneTypes(types map[trace.UserID]int, matrix [][]float64) (map[trace.UserID]int, [][]float64) {
+	ts := make(map[trace.UserID]int, len(types))
+	for u, t := range types {
+		ts[u] = t
+	}
+	m := make([][]float64, len(matrix))
+	for i, row := range matrix {
+		m[i] = append([]float64(nil), row...)
+	}
+	return ts, m
+}

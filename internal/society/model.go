@@ -113,6 +113,14 @@ var (
 // Train learns a sociality model from a training trace. profiles provides
 // the per-user application profiles (built from the same training period's
 // flows). The training window is truncated to cfg.HistoryDays when set.
+//
+// Train keeps its own counting rather than replaying the trace through
+// society/incremental's engine: the extractors count an encounter per
+// overlapping session pair, the engine per presence, and the generated
+// campuses stack enough same-user/same-AP sessions that an eighth of the
+// pairs would tally differently (incremental's
+// TestLiveTalliesAgainstBatch) — moving every figure in EXPERIMENTS.md.
+// A replay is also three times slower than the two extractors.
 func Train(tr *trace.Trace, profiles *apps.ProfileStore, cfg Config) (*Model, error) {
 	if len(tr.Sessions) == 0 {
 		return nil, ErrNoSessions

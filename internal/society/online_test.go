@@ -1,20 +1,34 @@
-package society
+package society_test
+
+// Black-box tests of the live learner against the event definitions this
+// package states (encounter, co-leaving, support, θ). They were written
+// against society.OnlineLearner; that type is now the tally core inside
+// society/incremental's Engine, which they drive through its public
+// surface. They stay in this directory under their old names because
+// those names are the suite's recorded test ids.
 
 import (
 	"sync"
 	"testing"
 
+	"github.com/s3wlan/s3wlan/internal/society"
+	"github.com/s3wlan/s3wlan/internal/society/incremental"
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
-func onlineConfig() Config {
-	cfg := DefaultConfig()
+func onlineConfig() society.Config {
+	cfg := society.DefaultConfig()
 	cfg.MinEncounters = 1
 	return cfg
 }
 
+// newLearner builds the live learner under a society configuration.
+func newLearner(cfg society.Config) *incremental.Engine {
+	return incremental.New(incremental.Config{Society: cfg})
+}
+
 func TestOnlineLearnerBasicFlow(t *testing.T) {
-	l := NewOnlineLearner(onlineConfig())
+	l := newLearner(onlineConfig())
 	// u1 and u2 share ap1 for an hour and leave within a minute.
 	l.Connect("u1", "ap1", 0)
 	l.Connect("u2", "ap1", 100)
@@ -25,7 +39,7 @@ func TestOnlineLearnerBasicFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := l.Model()
-	p := MakePair("u1", "u2")
+	p := society.MakePair("u1", "u2")
 	if m.Encounters[p] != 1 {
 		t.Errorf("encounters = %d, want 1", m.Encounters[p])
 	}
@@ -38,7 +52,7 @@ func TestOnlineLearnerBasicFlow(t *testing.T) {
 }
 
 func TestOnlineLearnerNoCoLeaveOutsideWindow(t *testing.T) {
-	l := NewOnlineLearner(onlineConfig())
+	l := newLearner(onlineConfig())
 	l.Connect("u1", "ap1", 0)
 	l.Connect("u2", "ap1", 0)
 	if err := l.Disconnect("u1", "ap1", 3600); err != nil {
@@ -49,7 +63,7 @@ func TestOnlineLearnerNoCoLeaveOutsideWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := l.Model()
-	p := MakePair("u1", "u2")
+	p := society.MakePair("u1", "u2")
 	if m.CoLeaves[p] != 0 {
 		t.Errorf("co-leaves = %d, want 0", m.CoLeaves[p])
 	}
@@ -62,20 +76,20 @@ func TestOnlineLearnerNoCoLeaveOutsideWindow(t *testing.T) {
 }
 
 func TestOnlineLearnerShortOverlapNoEncounter(t *testing.T) {
-	l := NewOnlineLearner(onlineConfig())
+	l := newLearner(onlineConfig())
 	l.Connect("u1", "ap1", 0)
 	l.Connect("u2", "ap1", 3500) // only 100s together
 	if err := l.Disconnect("u1", "ap1", 3600); err != nil {
 		t.Fatal(err)
 	}
 	m := l.Model()
-	if m.Encounters[MakePair("u1", "u2")] != 0 {
+	if m.Encounters[society.MakePair("u1", "u2")] != 0 {
 		t.Error("100s overlap should not count as encounter")
 	}
 }
 
 func TestOnlineLearnerDifferentAPsIndependent(t *testing.T) {
-	l := NewOnlineLearner(onlineConfig())
+	l := newLearner(onlineConfig())
 	l.Connect("u1", "ap1", 0)
 	l.Connect("u2", "ap2", 0)
 	if err := l.Disconnect("u1", "ap1", 3600); err != nil {
@@ -91,7 +105,7 @@ func TestOnlineLearnerDifferentAPsIndependent(t *testing.T) {
 }
 
 func TestOnlineLearnerErrors(t *testing.T) {
-	l := NewOnlineLearner(onlineConfig())
+	l := newLearner(onlineConfig())
 	if err := l.Disconnect("ghost", "ap1", 10); err == nil {
 		t.Error("disconnect without connect should error")
 	}
@@ -102,7 +116,7 @@ func TestOnlineLearnerErrors(t *testing.T) {
 }
 
 func TestOnlineLearnerTypes(t *testing.T) {
-	l := NewOnlineLearner(onlineConfig())
+	l := newLearner(onlineConfig())
 	types := map[trace.UserID]int{"u1": 0, "u2": 0}
 	matrix := [][]float64{{0.6}}
 	l.SetTypes(types, matrix)
@@ -127,7 +141,7 @@ func TestOnlineLearnerTypes(t *testing.T) {
 func TestOnlineLearnerSupportThreshold(t *testing.T) {
 	cfg := onlineConfig()
 	cfg.MinEncounters = 2
-	l := NewOnlineLearner(cfg)
+	l := newLearner(cfg)
 	l.Connect("u1", "ap1", 0)
 	l.Connect("u2", "ap1", 0)
 	if err := l.Disconnect("u1", "ap1", 3600); err != nil {
@@ -137,13 +151,13 @@ func TestOnlineLearnerSupportThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := l.Model()
-	if _, ok := m.PairProb[MakePair("u1", "u2")]; ok {
+	if _, ok := m.PairProb[society.MakePair("u1", "u2")]; ok {
 		t.Error("single encounter should be below the support threshold")
 	}
 }
 
 func TestOnlineLearnerConcurrency(t *testing.T) {
-	l := NewOnlineLearner(onlineConfig())
+	l := newLearner(onlineConfig())
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -161,40 +175,55 @@ func TestOnlineLearnerConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	open, _, _ := l.Stats()
-	if open != 0 {
-		t.Errorf("open sessions = %d, want 0", open)
+	for g := 0; g < 8; g++ {
+		u := trace.UserID(rune('a' + g))
+		if err := l.Disconnect(u, "ap1", 1_000_000); err != incremental.ErrNotConnected {
+			t.Errorf("%s: %v, want every session closed", u, err)
+		}
 	}
 	l.Model() // must not race
 }
 
 func TestOnlineLearnerStats(t *testing.T) {
-	l := NewOnlineLearner(onlineConfig())
+	l := newLearner(onlineConfig())
 	l.Connect("u1", "ap1", 0)
 	l.Connect("u2", "ap1", 0)
-	open, pairs, co := l.Stats()
-	if open != 2 || pairs != 0 || co != 0 {
-		t.Errorf("Stats = %d, %d, %d", open, pairs, co)
+	// Two open sessions and, until one of them ends, nothing tallied.
+	if m := l.Model(); len(m.Encounters) != 0 || len(m.CoLeaves) != 0 {
+		t.Errorf("tallies before any session end: %v, %v", m.Encounters, m.CoLeaves)
+	}
+	for _, u := range []trace.UserID{"u1", "u2"} {
+		if err := l.Disconnect(u, "ap1", 10); err != nil {
+			t.Errorf("%s: %v, want an open session", u, err)
+		}
+		if err := l.Disconnect(u, "ap1", 20); err != incremental.ErrNotConnected {
+			t.Errorf("%s closed twice: %v", u, err)
+		}
 	}
 }
 
 func TestOnlineLearnerStatsCountsStackedSessions(t *testing.T) {
-	// Regression: openSessions once counted distinct users per AP, so a
-	// user with stacked overlapping sessions was undercounted.
-	l := NewOnlineLearner(onlineConfig())
+	// Regression: open sessions were once tracked per distinct user and
+	// AP, so a user with stacked overlapping sessions was undercounted.
+	// Each open session closes individually.
+	l := newLearner(onlineConfig())
 	l.Connect("u1", "ap1", 0)
 	l.Connect("u1", "ap1", 100)
 	l.Connect("u1", "ap2", 200)
 	l.Connect("u2", "ap1", 300)
-	open, _, _ := l.Stats()
-	if open != 4 {
-		t.Errorf("open sessions = %d, want 4 (stacked sessions count individually)", open)
-	}
-	if err := l.Disconnect("u1", "ap1", 4000); err != nil {
-		t.Fatal(err)
-	}
-	if open, _, _ = l.Stats(); open != 3 {
-		t.Errorf("open sessions after one close = %d, want 3", open)
+	for _, c := range []struct {
+		u    trace.UserID
+		ap   trace.APID
+		open int
+	}{{"u1", "ap1", 2}, {"u1", "ap2", 1}, {"u2", "ap1", 1}} {
+		for i := 0; i < c.open; i++ {
+			if err := l.Disconnect(c.u, c.ap, 4000); err != nil {
+				t.Errorf("%s on %s, close %d of %d: %v", c.u, c.ap, i+1, c.open, err)
+			}
+		}
+		if err := l.Disconnect(c.u, c.ap, 4000); err != incremental.ErrNotConnected {
+			t.Errorf("%s on %s had more than %d open sessions: %v", c.u, c.ap, c.open, err)
+		}
 	}
 }
 
@@ -203,21 +232,21 @@ func TestOnlineLearnerStackedSessionsNoEncounterDoubleCount(t *testing.T) {
 	// present throughout, each close of u's sessions re-counted the same
 	// co-presence with w, inflating the encounter tally. Stacked sessions
 	// form one presence and must yield exactly one encounter.
-	l := NewOnlineLearner(onlineConfig())
+	l := newLearner(onlineConfig())
 	l.Connect("w", "ap1", 0)
 	l.Connect("u", "ap1", 0)
 	l.Connect("u", "ap1", 100) // stacked second session
 	if err := l.Disconnect("u", "ap1", 3600); err != nil {
 		t.Fatal(err)
 	}
-	p := MakePair("u", "w")
-	if enc, _ := l.PairCounts(p); enc != 0 {
+	p := society.MakePair("u", "w")
+	if enc := l.Model().Encounters[p]; enc != 0 {
 		t.Errorf("encounters after first stacked close = %d, want 0 (presence continues)", enc)
 	}
 	if err := l.Disconnect("u", "ap1", 4000); err != nil {
 		t.Fatal(err)
 	}
-	if enc, _ := l.PairCounts(p); enc != 1 {
+	if enc := l.Model().Encounters[p]; enc != 1 {
 		t.Errorf("encounters after presence end = %d, want 1", enc)
 	}
 	// w's own close counts the (w-presence, nothing-open) side: u is gone,
@@ -225,54 +254,7 @@ func TestOnlineLearnerStackedSessionsNoEncounterDoubleCount(t *testing.T) {
 	if err := l.Disconnect("w", "ap1", 4100); err != nil {
 		t.Fatal(err)
 	}
-	if enc, _ := l.PairCounts(p); enc != 1 {
+	if enc := l.Model().Encounters[p]; enc != 1 {
 		t.Errorf("final encounters = %d, want 1", enc)
-	}
-}
-
-func TestOnlineLearnerPrunesEmptyAPEntries(t *testing.T) {
-	// Regression: empty open[ap] and recentEnds[ap] entries were never
-	// deleted, leaking memory on controllers seeing many transient APs.
-	l := NewOnlineLearner(onlineConfig())
-	for i := 0; i < 50; i++ {
-		ap := trace.APID(rune('A' + i%26))
-		ts := int64(i * 10000)
-		l.Connect("u1", ap, ts)
-		if err := l.Disconnect("u1", ap, ts+700); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(l.open); got != 0 {
-		t.Errorf("open AP entries = %d, want 0 (all presences closed)", got)
-	}
-	l.Compact(1_000_000_000)
-	if got := len(l.recentEnds); got != 0 {
-		t.Errorf("recentEnds AP entries after Compact = %d, want 0", got)
-	}
-}
-
-func TestOnlineLearnerDisconnectTouched(t *testing.T) {
-	l := NewOnlineLearner(onlineConfig())
-	l.Connect("u1", "ap1", 0)
-	l.Connect("u2", "ap1", 0)
-	l.Connect("u3", "ap1", 0)
-	touched, err := l.DisconnectTouched("u1", "ap1", 3600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two encounters (u1-u2, u1-u3), no co-leaves yet.
-	want := []Pair{MakePair("u1", "u2"), MakePair("u1", "u3")}
-	if len(touched) != 2 || touched[0] != want[0] || touched[1] != want[1] {
-		t.Errorf("touched = %v, want %v", touched, want)
-	}
-	// u2 leaves inside the co-leave window: encounter + co-leave with u1
-	// and u3's encounter — the u1 pair dedupes to one entry.
-	touched, err = l.DisconnectTouched("u2", "ap1", 3700)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = []Pair{MakePair("u1", "u2"), MakePair("u2", "u3")}
-	if len(touched) != 2 || touched[0] != want[0] || touched[1] != want[1] {
-		t.Errorf("touched = %v, want %v", touched, want)
 	}
 }

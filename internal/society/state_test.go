@@ -1,4 +1,7 @@
-package society
+package society_test
+
+// The live learner's persisted state, black box (see online_test.go for
+// why these tests live here): what WriteState stores, ReadState restores.
 
 import (
 	"bytes"
@@ -7,13 +10,15 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/s3wlan/s3wlan/internal/society"
+	"github.com/s3wlan/s3wlan/internal/society/incremental"
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
 // driveLearner pushes a deterministic event mix through a learner:
 // overlapping presences, co-leavings, repeat visits — enough to populate
-// open sessions, recent-leave windows and both tally maps.
-func driveLearner(l *OnlineLearner, events int, seed int64) {
+// open sessions, recent-leave windows and both tallies.
+func driveLearner(l *incremental.Engine, events int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	aps := []trace.APID{"ap-0", "ap-1", "ap-2"}
 	on := make(map[trace.UserID]trace.APID)
@@ -39,26 +44,20 @@ func driveLearner(l *OnlineLearner, events int, seed int64) {
 // identical — same model now, and same model after both copies see the
 // same future events (open presences and leave windows must survive).
 func TestLearnerStateRoundtrip(t *testing.T) {
-	cfg := DefaultConfig()
-	orig := NewOnlineLearner(cfg)
+	cfg := society.DefaultConfig()
+	orig, restored := newLearner(cfg), newLearner(cfg)
 	driveLearner(orig, 300, 1)
 
 	var buf bytes.Buffer
 	if err := orig.WriteState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadLearnerState(bytes.NewReader(buf.Bytes()), cfg)
-	if err != nil {
+	if err := restored.ReadState(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 
 	if !reflect.DeepEqual(orig.Model().PairProb, restored.Model().PairProb) {
 		t.Fatal("restored model diverged from original")
-	}
-	oo, op, oc := orig.Stats()
-	ro, rp, rc := restored.Stats()
-	if oo != ro || op != rp || oc != rc {
-		t.Fatalf("stats diverged: orig (%d,%d,%d) restored (%d,%d,%d)", oo, op, oc, ro, rp, rc)
 	}
 	om, rm := orig.Model(), restored.Model()
 	if !reflect.DeepEqual(om.Encounters, rm.Encounters) || !reflect.DeepEqual(om.CoLeaves, rm.CoLeaves) {
@@ -74,8 +73,8 @@ func TestLearnerStateRoundtrip(t *testing.T) {
 }
 
 func TestLearnerStateRoundtripWithTypes(t *testing.T) {
-	cfg := DefaultConfig()
-	orig := NewOnlineLearner(cfg)
+	cfg := society.DefaultConfig()
+	orig, restored := newLearner(cfg), newLearner(cfg)
 	types := map[trace.UserID]int{"u-00": 0, "u-01": 1}
 	matrix := [][]float64{{0.9, 0.1}, {0.1, 0.8}}
 	orig.SetTypes(types, matrix)
@@ -85,8 +84,7 @@ func TestLearnerStateRoundtripWithTypes(t *testing.T) {
 	if err := orig.WriteState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadLearnerState(bytes.NewReader(buf.Bytes()), cfg)
-	if err != nil {
+	if err := restored.ReadState(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	om, rm := orig.Model(), restored.Model()
@@ -95,80 +93,38 @@ func TestLearnerStateRoundtripWithTypes(t *testing.T) {
 	}
 }
 
-// TestReadLearnerStateVersion1 pins the read-both window: the previous
-// release's JSON state restores the same learner the binary round trip
-// does.
-func TestReadLearnerStateVersion1(t *testing.T) {
-	v1 := `{"version":1,"open":{"ap-0":{"u-1":{"starts":[100],"since":100}}},` +
-		`"recent_ends":{"ap-0":[{"user":"u-2","at":90}]},` +
-		`"encounters":{"u-1|u-2":3,"u-2|u-3":1},"co_leaves":{"u-1|u-2":2,"u-1|u-3":1},` +
-		`"types":{"u-1":0,"u-2":1},"type_matrix":[[0.9,0.1],[0.1,0.8]]}` + "\n"
-	cfg := DefaultConfig()
-	fromV1, err := ReadLearnerState(bytes.NewReader([]byte(v1)), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := fromV1.WriteState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Bytes()[0] != StateBinary {
-		t.Fatalf("WriteState starts with %#x, want the binary marker", buf.Bytes()[0])
-	}
-	fromV2, err := ReadLearnerState(&buf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := &Model{
-		PairProb:   map[Pair]float64{MakePair("u-1", "u-2"): 2.0 / 3}, // u-2—u-3 lacks support
-		Encounters: map[Pair]int{MakePair("u-1", "u-2"): 3, MakePair("u-2", "u-3"): 1},
-		CoLeaves:   map[Pair]int{MakePair("u-1", "u-2"): 2, MakePair("u-1", "u-3"): 1},
-		Types:      map[trace.UserID]int{"u-1": 0, "u-2": 1},
-		TypeMatrix: [][]float64{{0.9, 0.1}, {0.1, 0.8}},
-		Alpha:      cfg.Alpha,
-	}
-	for tag, l := range map[string]*OnlineLearner{"version 1": fromV1, "version 2": fromV2} {
-		if got := l.Model(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: model = %+v, want %+v", tag, got, want)
-		}
-		if open, _, _ := l.Stats(); open != 1 {
-			t.Errorf("%s: %d open sessions, want 1", tag, open)
-		}
-		// The restored leave window still counts: u-1 leaving at 100 is
-		// within the co-leave window of u-2's leaving at 90.
-		if err := l.Disconnect("u-1", "ap-0", 100); err != nil {
-			t.Fatal(err)
-		}
-		if _, col := l.PairCounts(MakePair("u-1", "u-2")); col != 3 {
-			t.Errorf("%s: co-leaves after restore = %d, want 3", tag, col)
-		}
-	}
-}
-
 func TestReadLearnerStateRejectsDamage(t *testing.T) {
 	var good bytes.Buffer
-	l := NewOnlineLearner(DefaultConfig())
+	l := newLearner(society.DefaultConfig())
 	driveLearner(l, 100, 4)
 	if err := l.WriteState(&good); err != nil {
 		t.Fatal(err)
 	}
-	table := string(AppendUserTable(nil, []trace.UserID{"a", "b"}))
-	header := "\x02\x0d" + `{"version":2}`
+	// No seen users, then the tally half: header, user table, rows.
+	header := "\x02\x00" + "\x02\x0d" + `{"version":2}`
+	table := "\x02\x01a\x01b"
 	for name, in := range map[string]string{
-		"empty":              "",
-		"not a state":        "not json",
-		"v1 bad version":     `{"version":42}`,
-		"v1 bad pair key":    `{"version":1,"encounters":{"bogus":3}}`,
-		"v2 bad version":     "\x02\x0d" + `{"version":1}`,
-		"v2 truncated":       good.String()[:good.Len()/2],
-		"v2 header too long": "\x02\xff\xff\xff\xff\x7f",
-		"v2 forged count":    header + "\xff\xff\xff\xff\xff\xff\xff\x7f",
-		"v2 index range":     header + table + "\x01\x00\x02\x01\x01",
-		"v2 equal indices":   header + table + "\x01\x01\x01\x01\x01",
-		"v2 missing rows":    header + table + "\x02\x00\x01\x01\x01",
+		"empty":           "",
+		"not a state":     "not json",
+		"retired JSON":    `{"version":1,"encounters":{"a|b":3}}`,
+		"bad version":     "\x02\x00" + "\x02\x0d" + `{"version":1}`,
+		"truncated":       good.String()[:good.Len()/2],
+		"header too long": "\x02\x00" + "\x02\xff\xff\xff\xff\x7f",
+		"forged count":    header + "\xff\xff\xff\xff\xff\xff\xff\x7f",
+		"index range":     header + table + "\x01\x00\x02\x01\x01",
+		"equal indices":   header + table + "\x01\x01\x01\x01\x01",
+		"missing rows":    header + table + "\x02\x00\x01\x01\x01",
 	} {
-		if _, err := ReadLearnerState(bytes.NewReader([]byte(in)), DefaultConfig()); err == nil {
+		if err := newLearner(society.DefaultConfig()).ReadState(bytes.NewReader([]byte(in))); err == nil {
 			t.Errorf("%s: expected an error", name)
 		}
+	}
+	// The control: the same pieces with one honest row restore.
+	l = newLearner(society.DefaultConfig())
+	if err := l.ReadState(bytes.NewReader([]byte(header + table + "\x01\x00\x01\x03\x02"))); err != nil {
+		t.Fatal(err)
+	}
+	if m := l.Model(); m.Encounters[society.MakePair("a", "b")] != 3 || m.CoLeaves[society.MakePair("a", "b")] != 2 {
+		t.Errorf("restored tallies = %v, %v; want 3 encounters, 2 co-leaves", m.Encounters, m.CoLeaves)
 	}
 }

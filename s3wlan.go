@@ -32,6 +32,7 @@ import (
 	"github.com/s3wlan/s3wlan/internal/metrics"
 	"github.com/s3wlan/s3wlan/internal/protocol"
 	"github.com/s3wlan/s3wlan/internal/society"
+	"github.com/s3wlan/s3wlan/internal/society/incremental"
 	"github.com/s3wlan/s3wlan/internal/synth"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
@@ -195,13 +196,18 @@ func ProportionalFairness(loads []float64) (float64, error) {
 	return metrics.ProportionalFairness(loads)
 }
 
-// OnlineLearner is the incremental sociality learner for live
-// controllers (the paper's future-work deployment mode).
-type OnlineLearner = society.OnlineLearner
+// LiveLearner is the live sociality learner (the paper's future-work
+// deployment mode): the incremental engine, which learns θ from
+// Connect/Disconnect events as a controller reports them and publishes
+// it for a selector to read without locking.
+type LiveLearner = incremental.Engine
 
-// NewOnlineLearner builds an empty incremental learner.
-func NewOnlineLearner(cfg SocietyConfig) *OnlineLearner {
-	return society.NewOnlineLearner(cfg)
+// NewLiveLearner builds an empty live learner at the engine's default
+// edge threshold and refresh cadence.
+func NewLiveLearner(cfg SocietyConfig) *LiveLearner {
+	c := incremental.DefaultConfig()
+	c.Society = cfg
+	return incremental.New(c)
 }
 
 // SaveModel persists a trained sociality model to disk (JSON).
