@@ -11,6 +11,7 @@
 //	s3diag -dir flight -format rates -window 10s        # windowed counter rates
 //	s3diag -dir flight -match journal.                  # only journal.* columns
 //	s3diag -dir flight -check                           # CI: decode + monotone counters
+//	s3diag -journal /var/lib/s3/journal                 # dump a write-ahead journal
 //
 // Columns are the registry's flattened series: counters and gauges by
 // name; a timer or histogram x contributes x#count, x#ns, x#max and
@@ -18,6 +19,12 @@
 // docs/OBSERVABILITY.md). -check exits non-zero if the ring fails to
 // decode, holds fewer than two samples, or any cumulative column
 // decreases outside a full-snapshot boundary (a process restart).
+//
+// -journal reads a controller's journal directory (internal/journal)
+// instead: the newest valid checkpoint's sequence number, then every
+// segment in order, one JSON object per record whatever layout it was
+// stored in, with '#' lines where frames were corrupt, undecodable or
+// torn. The stored records are binary; this is how to read them.
 package main
 
 import (
@@ -26,10 +33,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
+	"github.com/s3wlan/s3wlan/internal/journal"
 	"github.com/s3wlan/s3wlan/internal/obs/flight"
 )
 
@@ -48,9 +57,13 @@ func run(args []string, out io.Writer) error {
 		match  = fs.String("match", "", "only columns containing this substring")
 		window = fs.Duration("window", 10*time.Second, "rates: bucketing window")
 		check  = fs.Bool("check", false, "verify the ring: decodable, ≥2 samples, cumulative columns monotone (CI)")
+		jdir   = fs.String("journal", "", "dump this write-ahead journal directory instead of a flight ring")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *jdir != "" {
+		return dumpJournal(*jdir, out)
 	}
 	if *dir == "" {
 		if fs.NArg() == 1 {
@@ -92,6 +105,57 @@ func run(args []string, out io.Writer) error {
 		return writeRates(ring, cols, *window, out)
 	}
 	return fmt.Errorf("unknown format %q (want summary, csv, json or rates)", *format)
+}
+
+// dumpJournal prints what recovery would start from and everything the
+// segments hold: a '#' line per checkpoint, segment and damaged region,
+// one JSON line per decodable record.
+func dumpJournal(dir string, out io.Writer) error {
+	rec, err := journal.Recover(dir)
+	if err != nil {
+		return err
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.wal")) // the pattern is well-formed
+	if len(segs) == 0 && rec.Checkpoint == nil {
+		return fmt.Errorf("%s: no journal segments or checkpoints", dir)
+	}
+	sort.Strings(segs) // zero-padded first-seq: lexical order is replay order
+	fmt.Fprintf(out, "# checkpoint seq %d (%d bytes; seq 0: none valid); recovery replays %d records after it\n",
+		rec.Stats.CheckpointSeq, len(rec.Checkpoint), rec.Stats.RecordsReplayed)
+	enc := json.NewEncoder(out)
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "# %s (%d bytes)\n", filepath.Base(seg), len(data))
+		end := 0
+		skipped := func(to int) {
+			if to > end {
+				fmt.Fprintf(out, "# corrupt: bytes %d-%d skipped\n", end, to)
+			}
+		}
+		st, err := journal.WalkFrames(data, func(off int, payload []byte) error {
+			skipped(off)
+			end = off + journal.FrameHeaderLen + len(payload)
+			var r journal.Record
+			if err := journal.DecodeRecord(payload, &r); err != nil {
+				fmt.Fprintf(out, "# undecodable: frame at byte %d: %v\n", off, err)
+				return nil
+			}
+			return enc.Encode(&r)
+		})
+		if err != nil {
+			return err
+		}
+		skipped(st.Consumed)
+		if tail := len(data) - st.Consumed; st.Torn {
+			fmt.Fprintf(out, "# torn tail: %d bytes of an incomplete frame at byte %d\n", tail, st.Consumed)
+		} else if tail > 0 {
+			fmt.Fprintf(out, "# corrupt: %d bytes at byte %d hold no frame\n", tail, st.Consumed)
+		}
+	}
+	return nil
 }
 
 // cumulative reports whether a column only moves up (counter-like), per

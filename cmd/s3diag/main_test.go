@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,7 +29,7 @@ func writeRing(t *testing.T) string {
 	}
 	var raw []byte
 	for _, f := range frames {
-		raw = append(raw, journal.EncodeFrame(f)...)
+		raw = append(raw, journal.AppendFrame(nil, f)...)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "flight-0000000001.fr"), raw, 0o644); err != nil {
 		t.Fatal(err)
@@ -162,7 +163,7 @@ func TestCheckCatchesRegression(t *testing.T) {
 	}
 	var raw []byte
 	for _, f := range frames {
-		raw = append(raw, journal.EncodeFrame(f)...)
+		raw = append(raw, journal.AppendFrame(nil, f)...)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "flight-0000000001.fr"), raw, 0o644); err != nil {
 		t.Fatal(err)
@@ -188,5 +189,99 @@ func TestPositionalDir(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "diag.count") {
 		t.Errorf("positional dir output:\n%s", buf.String())
+	}
+}
+
+// TestJournalDump: -journal prints the checkpoint recovery would use and
+// one JSON line per record, whichever layout stored it, and marks what
+// it could not read where it found it.
+func TestJournalDump(t *testing.T) {
+	// A journal this release wrote: 5 records, a checkpoint after the
+	// third, two segments.
+	written := func(t *testing.T) string {
+		dir := t.TempDir()
+		j, _, err := journal.Open(dir, journal.Options{Fsync: journal.FsyncOff, CheckpointEvery: 3,
+			State: func(w io.Writer) error { _, err := w.Write([]byte("state")); return err }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			rec := journal.Record{Op: journal.OpAssoc, TS: int64(100 + i),
+				Placements: []journal.Placement{{User: "u-1", AP: "ap-0", DemandBps: 5}}}
+			if err := j.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	// damaged rewrites the newest segment of a written journal.
+	damaged := func(edit func(seg []byte) []byte) func(*testing.T) string {
+		return func(t *testing.T) string {
+			dir := written(t)
+			path := filepath.Join(dir, "seg-00000000000000000004.wal")
+			seg, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, edit(seg), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		dir     func(*testing.T) string
+		records int
+		want    []string // substrings of the output, in order
+	}{
+		{"written", written, 5, []string{"# checkpoint seq 3 ", "# seg-00000000000000000001.wal",
+			`{"seq":1,"op":"assoc","ts":100,"placements":[{"user":"u-1","ap":"ap-0","demand_bps":5}]}`,
+			"# seg-00000000000000000004.wal", `{"seq":5,`}},
+		{"previous release", func(*testing.T) string { return "../../internal/protocol/testdata/journal_v2" }, 6,
+			[]string{"# checkpoint seq 8 ", `{"seq":5,"op":"disassoc"`, `{"seq":10,"op":"assoc"`}},
+		{"flipped payload byte", damaged(func(seg []byte) []byte { seg[journal.FrameHeaderLen+4] ^= 1; return seg }), 4,
+			[]string{`{"seq":3,`, "# seg-00000000000000000004.wal", "# corrupt: bytes 0-", `{"seq":5,`}},
+		{"torn tail", damaged(func(seg []byte) []byte { return seg[:len(seg)-3] }), 4,
+			[]string{`{"seq":4,`, "# torn tail: "}},
+		{"trailing garbage", damaged(func(seg []byte) []byte { return append(seg, "no frame here"...) }), 5,
+			[]string{`{"seq":5,`, "# corrupt: 13 bytes at byte "}},
+		{"newer layout", damaged(func(seg []byte) []byte { return journal.AppendFrame(seg, []byte{0x7f, 1, 0, 6}) }), 5,
+			[]string{`{"seq":5,`, "# undecodable: frame at byte "}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run([]string{"-journal", tc.dir(t)}, &buf); err != nil {
+				t.Fatal(err)
+			}
+			out, records := buf.String(), 0
+			for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+				if strings.HasPrefix(line, "#") {
+					continue
+				}
+				var r journal.Record
+				if err := json.Unmarshal([]byte(line), &r); err != nil {
+					t.Fatalf("line %q is neither a '#' remark nor a record: %v", line, err)
+				}
+				records++
+			}
+			if records != tc.records {
+				t.Errorf("%d record lines, want %d", records, tc.records)
+			}
+			rest := out
+			for _, want := range tc.want {
+				i := strings.Index(rest, want)
+				if i < 0 {
+					t.Fatalf("output lacks %q (after the earlier matches):\n%s", want, out)
+				}
+				rest = rest[i+len(want):]
+			}
+		})
+	}
+	if err := run([]string{"-journal", t.TempDir()}, &bytes.Buffer{}); err == nil {
+		t.Error("an empty directory must be an error")
 	}
 }

@@ -119,3 +119,41 @@ func TestRecover100kUnder5s(t *testing.T) {
 	}
 	t.Logf("recovered %d records in %v", tail, took)
 }
+
+// BenchmarkFollowPoll measures what a follower pays to pick up 16 new
+// records from a segment that already holds 1 000 it has delivered (and
+// 16 more each iteration): the cost of a poll must follow what is new,
+// not what the segment holds.
+func BenchmarkFollowPoll(b *testing.B) {
+	dir := b.TempDir()
+	j, _, err := Open(dir, Options{Fsync: FsyncOff, FlushEachAppend: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	next := 0
+	appendN := func(n int) {
+		for ; n > 0; n-- {
+			if err := j.Append(benchRecord(next)); err != nil {
+				b.Fatal(err)
+			}
+			next++
+		}
+	}
+	f := NewFollower(dir, 0)
+	apply := func(Record) error { return nil }
+	appendN(1000)
+	if n, err := f.Poll(nil, apply); err != nil || n != 1000 {
+		b.Fatalf("first poll = %d, %v", n, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		appendN(16)
+		b.StartTimer()
+		if n, err := f.Poll(nil, apply); err != nil || n != 16 {
+			b.Fatalf("poll = %d, %v", n, err)
+		}
+	}
+}

@@ -1,7 +1,8 @@
 // Package journal is the controller's durability layer: an append-only,
 // length-prefixed, CRC32C-framed write-ahead log of association-domain
-// mutations, plus periodic checkpoints and a recovery path that survives
-// torn tails and corrupt frames.
+// mutations, plus periodic checkpoints, a recovery path that survives
+// torn tails and corrupt frames, and a follow-mode reader that tails a
+// live journal as a replication stream.
 //
 // # Frame format
 //
@@ -10,37 +11,78 @@
 //	magic   uint32 LE  (0xAA57_33F5)
 //	length  uint32 LE  (payload bytes, ≤ MaxRecordBytes)
 //	crc     uint32 LE  (CRC-32C / Castagnoli, of the payload)
-//	payload []byte     (one JSON-encoded Record)
+//	payload []byte     (one Record, see below)
 //
 // A crash can truncate the final frame at any byte offset; recovery
 // treats an incomplete trailing frame as a torn tail and stops there. A
 // bit flip inside an earlier frame fails its CRC; recovery skips the
 // frame (re-synchronizing on the magic marker when the length field
 // itself was hit) and keeps going, counting the damage instead of
-// failing the restart.
+// failing the restart. The CRC is verified before a payload is decoded.
 //
-// The framing itself is exported as EncodeFrame and DecodeFrames so
-// other bounded on-disk logs can reuse it; the flight recorder
-// (internal/obs/flight) frames its metric snapshots this way.
+// The framing (AppendFrame, WalkFrames) and the field primitives the
+// payload layouts are made of (AppendString, AppendFloat, varints, and
+// the Reader that decodes them with one error check at the end) are
+// exported so that there is one set: the flight recorder
+// (internal/obs/flight) frames its snapshots this way, the protocol's
+// binary wire codec and the controller's checkpoint document are built
+// from the same primitives.
+//
+// # Record layout
+//
+//	byte    version (1; never '{')
+//	byte    op      (1 register, 2 assoc, 3 disassoc, 4 leave, 5 expire)
+//	byte    flags   (bit0 CapacityBps, bit1 DemandBps, bit2 Static)
+//	uvarint Seq, uvarint Epoch, varint TS, string AP, string User
+//	float64 CapacityBps, float64 DemandBps       (each only if flagged)
+//	uvarint placement count, then per placement:
+//	  string User, string AP, string Prev, float64 DemandBps
+//
+// Strings are a uvarint length and the bytes, floats 8 bytes
+// little-endian, varints zigzag; Static is its flag. An absent float
+// costs a flag bit, an absent string or integer one byte — the wire
+// codec's rule. Journal.Append encodes into a buffer it reuses, behind
+// header bytes it fills in afterwards: no marshalling, no copy, no
+// allocation per record.
+//
+// Records written by the previous release are JSON objects. DecodeRecord
+// recognizes them by their first byte, '{', and reads them through
+// encoding/json (readold.go); nothing writes them any more. That path
+// exists for one release, so that a journal directory can be upgraded
+// in place, and is then deleted.
 //
 // # Checkpoints and rotation
 //
 // Every CheckpointEvery appended records the journal asks its owner for
-// a full state snapshot (Options.State), writes it atomically
-// (temp + fsync + rename) as ckpt-<seq>.snap, rotates to a fresh
-// segment seg-<seq+1>.wal, and deletes segments and checkpoints made
-// redundant by the two most recent checkpoints. Recovery loads the
-// newest checkpoint that validates (falling back to its predecessor if
-// the newest is damaged) and replays every surviving record with a
-// sequence number beyond it.
+// a full state snapshot (Options.State, written in place into the same
+// reused frame buffer), writes it atomically (temp + fsync + rename) as
+// ckpt-<seq>.snap, rotates to a fresh segment seg-<seq+1>.wal, and
+// deletes segments and checkpoints made redundant by the two most recent
+// checkpoints. Recovery loads the newest checkpoint that validates
+// (falling back to its predecessor if the newest is damaged) and replays
+// every surviving record with a sequence number beyond it.
 //
 // Appends are serialized by the caller's commit path; the journal adds
 // only its own file-level locking, so Append is safe for concurrent use
 // regardless.
 //
+// # Following
+//
+// A Follower delivers each record of a journal another process is
+// appending to exactly once, in order. Seq ≤ lastSeq is what makes that
+// so. What makes it cheap is a byte cursor per live segment: the offset
+// past the last complete frame walked (valid, or CRC-bad and skipped
+// whole; never a torn tail, garbage with no frame after it, or a record
+// the consumer refused), so a poll costs what is new. The cursor is
+// never trusted over the sequence check: a later segment, a checkpoint
+// resync, and a segment recreated and refilled under the reader —
+// detected by re-reading the frame before the cursor — all start again
+// at offset 0. Recovery and Follower.Poll share one replay loop.
+//
 // # Observability
 //
 // The package registers journal.* metrics with internal/obs (appends,
-// append latency, fsyncs, checkpoints, rotations, recovery tallies);
-// docs/OBSERVABILITY.md catalogs each one.
+// append latency, fsyncs, checkpoints, rotations, recovery and follower
+// tallies); docs/OBSERVABILITY.md catalogs each one. `s3diag -journal
+// DIR` prints a journal directory as JSON lines.
 package journal

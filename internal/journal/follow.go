@@ -1,9 +1,10 @@
 package journal
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -13,13 +14,15 @@ import (
 // Follow-mode health, exported through the obs registry. Followers are
 // the replication consumers of a federated cluster: every record a
 // shard owner appends should eventually show up in follow.records on
-// each of its followers, and fenced/seq_gaps should stay zero outside
-// chaos runs.
+// each of its followers, and fenced/seq_gaps/corrupt_skipped/undecodable
+// should stay zero outside chaos runs.
 var (
 	obsFollowRecords = obs.GetCounter("journal.follow.records", "Records delivered by follow-mode readers tailing live journals")
 	obsFollowResyncs = obs.GetCounter("journal.follow.resyncs", "Follow-mode checkpoint resyncs after pruning outran the reader's position")
 	obsFollowFenced  = obs.GetCounter("journal.follow.fenced", "Follow-mode records dropped for carrying a stale ownership epoch")
 	obsFollowGaps    = obs.GetCounter("journal.follow.seq_gaps", "Sequence discontinuities observed while tailing (lost records skipped past)")
+	obsFollowCorrupt = obs.GetCounter("journal.follow.corrupt_skipped", "CRC-corrupt frames and damaged headers follow-mode readers skipped past")
+	obsFollowUndec   = obs.GetCounter("journal.follow.undecodable", "CRC-valid records follow-mode readers could not decode (a newer writer's layout, or damage the CRC missed)")
 )
 
 // FollowStats summarizes one Follower's lifetime accounting.
@@ -38,6 +41,12 @@ type FollowStats struct {
 	// lost to corruption or an unflushed crash; the owner's own
 	// recovery tolerates exactly the same losses).
 	SeqGaps uint64
+	// Corrupt counts CRC-corrupt frames and damaged headers skipped past;
+	// each usually shows up as a SeqGap once the next record arrives.
+	Corrupt uint64
+	// Undecodable counts CRC-valid payloads DecodeRecord refused. A
+	// follower older than the owner it tails sees every record this way.
+	Undecodable uint64
 	// Epoch is the highest record epoch observed in the stream.
 	Epoch uint64
 	// LastSeq is the sequence number of the last delivered record (or
@@ -65,13 +74,33 @@ type Follower struct {
 	lastSeq  uint64
 	minEpoch uint64
 	stats    FollowStats
+
+	cur map[uint64]cursor // by segment first-seq: the segments still being read
+	buf bytes.Buffer      // segment bytes from the cursor on, reused across polls
+	rec Record            // the record being delivered, reused across polls
+}
+
+// cursor is where the next Poll resumes reading a segment: byte off,
+// always the end of a complete frame. It spares re-reading and
+// re-decoding what earlier polls walked, and nothing else: lastSeq alone
+// decides what is delivered, and whenever the bytes before the cursor
+// cannot be shown to be the ones it was set on — a resync, a segment
+// recreated and refilled under the reader — reading falls back to
+// offset 0. Usually one segment has a cursor; a sealed segment whose
+// tail was lost keeps its own until a record of its successor arrives.
+type cursor struct {
+	off int64
+	// The frame ending at off started at prev and its bytes summed to
+	// prevSum: re-reading it tells a recreated segment from a grown one.
+	prev    int64
+	prevSum uint32
 }
 
 // NewFollower tails dir, delivering records with Seq > afterSeq. A
 // fresh follower that will first load the owner's checkpoint through a
 // resync passes 0 and a resync callback to Poll.
 func NewFollower(dir string, afterSeq uint64) *Follower {
-	return &Follower{dir: dir, lastSeq: afterSeq, stats: FollowStats{LastSeq: afterSeq}}
+	return &Follower{dir: dir, lastSeq: afterSeq, stats: FollowStats{LastSeq: afterSeq}, cur: make(map[uint64]cursor)}
 }
 
 // LastSeq returns the sequence number of the last delivered record.
@@ -124,32 +153,38 @@ func (f *Follower) Poll(resync func(checkpoint []byte, seq uint64) error, apply 
 		}
 	}
 
+	for seq := range f.cur {
+		if len(segs) == 0 || seq < segs[0].seq {
+			delete(f.cur, seq) // pruned since the last poll
+		}
+	}
 	applied := 0
 	for i, seg := range segs {
 		// Skip segments every record of which is already delivered: the
 		// next segment's first sequence number bounds this one's last.
 		if i+1 < len(segs) && segs[i+1].seq <= f.lastSeq+1 {
+			delete(f.cur, seg.seq)
 			continue
 		}
-		data, rerr := os.ReadFile(filepath.Join(f.dir, seg.name))
+		data, base, rerr := f.readSegment(seg)
 		if rerr != nil {
 			// Pruned between listing and reading; records it held are
 			// checkpoint-covered, the next Poll resyncs if needed.
 			continue
 		}
-		recs, _, _ := segmentRecords(data, f.lastSeq, f.fenceEpoch())
-		for _, r := range recs {
+		res, undecodable, err := replaySegment(data, &f.lastSeq, &f.rec, func(r *Record) error {
 			if r.Epoch < f.fenceEpoch() {
 				f.stats.Fenced++
 				obsFollowFenced.Inc()
-				continue
+				return nil
 			}
-			if r.Seq > f.lastSeq+1 {
+			gap := r.Seq > f.lastSeq+1
+			if err := apply(*r); err != nil {
+				return fmt.Errorf("journal: follow apply record %d: %w", r.Seq, err)
+			}
+			if gap {
 				f.stats.SeqGaps++
 				obsFollowGaps.Inc()
-			}
-			if err := apply(r); err != nil {
-				return applied, fmt.Errorf("journal: follow apply record %d: %w", r.Seq, err)
 			}
 			f.lastSeq = r.Seq
 			if r.Epoch > f.stats.Epoch {
@@ -158,9 +193,57 @@ func (f *Follower) Poll(resync func(checkpoint []byte, seq uint64) error, apply 
 			f.stats.Records++
 			obsFollowRecords.Inc()
 			applied++
+			return nil
+		})
+		// Account for, and move the cursor over, exactly the complete
+		// frames the walk got through; damage beyond them is walked (and
+		// counted) again once a complete frame follows it.
+		corrupt := uint64(res.Corrupt - res.Unsettled)
+		f.stats.Corrupt += corrupt
+		obsFollowCorrupt.Add(int64(corrupt))
+		f.stats.Undecodable += uint64(undecodable)
+		obsFollowUndec.Add(int64(undecodable))
+		if res.Consumed > 0 {
+			f.cur[seg.seq] = cursor{off: base + int64(res.Consumed), prev: base + int64(res.LastFrame),
+				prevSum: Checksum(data[res.LastFrame:res.Consumed])}
+		}
+		if err != nil {
+			return applied, err
 		}
 	}
 	return applied, nil
+}
+
+// readSegment returns seg's bytes from its cursor on (in f.buf) and the
+// file offset they start at. The cursor is honoured only if the frame
+// before it is still what it was; otherwise the whole segment is read.
+func (f *Follower) readSegment(seg dirEntry) (data []byte, base int64, err error) {
+	fh, err := os.Open(filepath.Join(f.dir, seg.name))
+	if err != nil {
+		return nil, 0, err
+	}
+	defer fh.Close()
+	if cur, ok := f.cur[seg.seq]; ok {
+		if err := f.readFrom(fh, cur.prev); err != nil {
+			return nil, 0, err
+		}
+		if b, n := f.buf.Bytes(), int(cur.off-cur.prev); len(b) >= n && Checksum(b[:n]) == cur.prevSum {
+			return b[n:], cur.off, nil
+		}
+		delete(f.cur, seg.seq)
+	}
+	err = f.readFrom(fh, 0)
+	return f.buf.Bytes(), 0, err
+}
+
+// readFrom reads fh from off to its current end into f.buf.
+func (f *Follower) readFrom(fh *os.File, off int64) error {
+	f.buf.Reset()
+	if _, err := fh.Seek(off, io.SeekStart); err != nil {
+		return err
+	}
+	_, err := f.buf.ReadFrom(fh)
+	return err
 }
 
 // fenceEpoch is the lowest record epoch still accepted: the larger of
@@ -183,48 +266,18 @@ func (f *Follower) resyncFromCheckpoint(ckpts []dirEntry, resync func([]byte, ui
 		if ckpts[i].seq <= f.lastSeq {
 			break // older than our position: useless and a regression
 		}
-		data, err := os.ReadFile(filepath.Join(f.dir, ckpts[i].name))
+		payload, _, err := readCheckpoint(filepath.Join(f.dir, ckpts[i].name))
 		if err != nil {
 			continue
 		}
-		payloads, st := DecodeFramesStats(data)
-		if len(payloads) != 1 || st.Corrupt > 0 || st.Torn {
-			continue
-		}
-		if err := resync(payloads[0], ckpts[i].seq); err != nil {
+		if err := resync(payload, ckpts[i].seq); err != nil {
 			return fmt.Errorf("journal: follow resync at %d: %w", ckpts[i].seq, err)
 		}
 		f.lastSeq = ckpts[i].seq
+		clear(f.cur)
 		f.stats.Resyncs++
 		obsFollowResyncs.Inc()
 		return nil
 	}
 	return ErrResyncNeeded
-}
-
-// segmentRecords decodes the records of one segment image that are not
-// yet delivered (Seq > after) and not fenced (Epoch >= minEpoch),
-// preserving order. It is the pure core of Poll, shared with the
-// replication-stream fuzz harness; it never panics on hostile input.
-func segmentRecords(data []byte, after, minEpoch uint64) (recs []Record, st FrameStats, undecodable int) {
-	payloads, st := DecodeFramesStats(data)
-	last := after
-	for _, payload := range payloads {
-		var r Record
-		if err := json.Unmarshal(payload, &r); err != nil {
-			undecodable++
-			continue
-		}
-		if r.Seq <= last {
-			continue
-		}
-		if r.Epoch < minEpoch {
-			// Reported to the caller for fencing accounting.
-			recs = append(recs, r)
-			continue
-		}
-		recs = append(recs, r)
-		last = r.Seq
-	}
-	return recs, st, undecodable
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -24,6 +25,10 @@ func (c *followCollector) resync(payload []byte, seq uint64) error {
 }
 
 func (c *followCollector) apply(r Record) error {
+	// The record's placements are the follower's to reuse after the call.
+	if r.Placements = slices.Clone(r.Placements); len(r.Placements) == 0 {
+		r.Placements = nil
+	}
 	c.recs = append(c.recs, r)
 	return nil
 }
@@ -201,21 +206,10 @@ func TestFollowCrashPointSweep(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, segs, err := listDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(filepath.Join(src, segs[0].name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads, corrupt, torn := DecodeFrames(full)
-	if corrupt != 0 || torn || len(payloads) != n {
-		t.Fatalf("clean segment decode: %d payloads, corrupt=%d torn=%v", len(payloads), corrupt, torn)
-	}
+	full := firstSegment(t, src)
 	frameEnd := make([]int, n+1)
-	for k, p := range payloads {
-		frameEnd[k+1] = frameEnd[k] + frameHeader + len(p)
+	for k, fr := range cleanFrames(t, full, n) {
+		frameEnd[k+1] = fr.end()
 	}
 
 	dir := t.TempDir()

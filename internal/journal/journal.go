@@ -3,11 +3,8 @@ package journal
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log"
 	"os"
@@ -20,7 +17,6 @@ import (
 
 	"github.com/s3wlan/s3wlan/internal/atomicfile"
 	"github.com/s3wlan/s3wlan/internal/obs"
-	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
 // Journal health, exported through the obs registry (surfaced by the
@@ -43,97 +39,6 @@ var (
 	obsRecResyncs  = obs.GetCounter("journal.recover.resyncs", "Magic-scan re-synchronizations after lost framing during recovery")
 	obsSeq         = obs.GetGauge("journal.seq", "Last assigned WAL sequence number")
 )
-
-const (
-	// FrameMagic marks the start of every frame. The two high bytes are
-	// non-ASCII, so a JSON payload can never contain the marker and
-	// post-corruption re-synchronization is reliable. Encoded little-
-	// endian, the first byte on the wire is 0xF5 — also non-ASCII, which
-	// lets a shared listener distinguish a framed binary stream from a
-	// JSON-lines stream by its first byte (internal/protocol reuses this
-	// framing as its binary wire format).
-	FrameMagic uint32 = 0xAA5733F5
-	// frameMagic is the historical internal spelling.
-	frameMagic = FrameMagic
-	// FrameHeaderLen is the fixed frame header size: magic, length, CRC.
-	FrameHeaderLen = 12
-	// frameHeader is the historical internal spelling.
-	frameHeader = FrameHeaderLen
-	// MaxRecordBytes bounds a single record's payload; a decoded length
-	// beyond it is treated as corruption, not an allocation request.
-	MaxRecordBytes = 16 << 20
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// Checksum returns the CRC-32C (Castagnoli) checksum frames carry —
-// exported so other framings built on EncodeFrame/AppendFrame (the
-// protocol's binary codec) can validate payloads without re-deriving
-// the table.
-func Checksum(payload []byte) uint32 {
-	return crc32.Checksum(payload, crcTable)
-}
-
-// AppendFrame appends payload wrapped in a magic + length + CRC32C frame
-// to dst and returns the extended slice — the allocation-free sibling of
-// EncodeFrame for callers that reuse a scratch buffer.
-func AppendFrame(dst, payload []byte) []byte {
-	var hdr [FrameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], FrameMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(payload, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
-// Op enumerates the journaled domain mutations.
-type Op string
-
-const (
-	// OpRegister records an AP registration (or a re-hello renewing one:
-	// replay updates capacity and last-seen time for a known AP).
-	OpRegister Op = "register"
-	// OpAssoc records one atomic placement commit — a single association
-	// or an AssociateBatch — including any Prev moves.
-	OpAssoc Op = "assoc"
-	// OpDisassoc records a full disassociation (domain LeaveAll).
-	OpDisassoc Op = "disassoc"
-	// OpLeave records a partial leave releasing DemandBps of one of the
-	// user's sessions (domain Leave multiplicity semantics).
-	OpLeave Op = "leave"
-	// OpExpire records a lease expiry removing an AP and re-homing its
-	// believed users.
-	OpExpire Op = "expire"
-)
-
-// Placement is one user placement inside an OpAssoc record.
-type Placement struct {
-	User      trace.UserID `json:"user"`
-	AP        trace.APID   `json:"ap"`
-	Prev      trace.APID   `json:"prev,omitempty"`
-	DemandBps float64      `json:"demand_bps,omitempty"`
-}
-
-// Record is one journaled mutation. Seq is assigned by Append and is
-// strictly increasing across segments and checkpoints. Epoch is the
-// writer's ownership generation (Options.Epoch / SetEpoch): in a
-// federated deployment every cross-process failover bumps it, so a
-// follower tailing the stream can fence out records a superseded owner
-// wrote after losing its lease. Single-owner journals leave it zero,
-// which keeps their encoded records byte-identical to pre-federation
-// journals.
-type Record struct {
-	Seq         uint64       `json:"seq"`
-	Epoch       uint64       `json:"epoch,omitempty"`
-	Op          Op           `json:"op"`
-	TS          int64        `json:"ts,omitempty"`
-	AP          trace.APID   `json:"ap,omitempty"`
-	User        trace.UserID `json:"user,omitempty"`
-	CapacityBps float64      `json:"capacity_bps,omitempty"`
-	Static      bool         `json:"static,omitempty"`
-	DemandBps   float64      `json:"demand_bps,omitempty"`
-	Placements  []Placement  `json:"placements,omitempty"`
-}
 
 // FsyncPolicy selects when appended frames are forced to stable storage.
 type FsyncPolicy int
@@ -199,6 +104,9 @@ type Options struct {
 	// State, when non-nil, writes the owner's full state snapshot for a
 	// checkpoint. It is invoked synchronously from Append, so it observes
 	// exactly the state as of the record that triggered the checkpoint.
+	// w is the *bytes.Buffer the checkpoint frame is built in: an owner
+	// that encodes into its AvailableBuffer() and passes the result to
+	// Write has written in place.
 	State func(w io.Writer) error
 	// OpenFile creates segment files (default os.Create). Tests inject
 	// fault-wrapped files here.
@@ -225,8 +133,9 @@ type Journal struct {
 	mu        sync.Mutex
 	f         File
 	bw        *bufio.Writer
-	seq       uint64 // last assigned sequence number
-	epoch     uint64 // stamped into every appended record
+	frame     bytes.Buffer // the record or checkpoint frame being built, reused
+	seq       uint64       // last assigned sequence number
+	epoch     uint64       // stamped into every appended record
 	sinceCkpt int
 	closed    bool
 
@@ -342,15 +251,17 @@ func (j *Journal) Append(rec Record) error {
 	if j.closed {
 		return fmt.Errorf("journal: append after close")
 	}
-	j.seq++
-	rec.Seq = j.seq
+	rec.Seq = j.seq + 1
 	rec.Epoch = j.epoch
-	payload, err := json.Marshal(rec)
+	j.frame.Reset()
+	frame, err := AppendRecord(beginFrame(j.frame.AvailableBuffer()), &rec)
 	if err != nil {
 		obsAppendErrs.Inc()
-		return fmt.Errorf("journal: encode record %d: %w", rec.Seq, err)
+		return err
 	}
-	frame := EncodeFrame(payload)
+	j.frame.Write(frame) // in place; keeps the grown buffer for the next record
+	j.seq = rec.Seq
+	sealFrame(frame)
 	if _, err := j.bw.Write(frame); err != nil {
 		obsAppendErrs.Inc()
 		return fmt.Errorf("journal: append record %d: %w", rec.Seq, err)
@@ -486,18 +397,20 @@ func (j *Journal) openSegmentLocked(firstSeq uint64) error {
 func (j *Journal) checkpointLocked() error {
 	start := time.Now()
 	seq := j.seq
-	var buf bytes.Buffer
 	err := atomicfile.WriteFile(checkpointPath(j.dir, seq), func(w io.Writer) error {
-		if err := j.opts.State(&buf); err != nil {
+		j.frame.Reset()
+		j.frame.Write(beginFrame(j.frame.AvailableBuffer()))
+		if err := j.opts.State(&j.frame); err != nil {
 			return fmt.Errorf("journal: checkpoint state: %w", err)
 		}
-		_, err := w.Write(EncodeFrame(buf.Bytes()))
+		sealFrame(j.frame.Bytes())
+		_, err := w.Write(j.frame.Bytes())
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	obsCkptBytes.Add(int64(buf.Len()))
+	obsCkptBytes.Add(int64(j.frame.Len() - FrameHeaderLen))
 	// Rotate: seal the current segment, start the next one.
 	if err := j.bw.Flush(); err != nil {
 		return err
@@ -553,91 +466,6 @@ func (j *Journal) pruneLocked() {
 	}
 }
 
-// EncodeFrame wraps payload in a magic + length + CRC32C frame.
-func EncodeFrame(payload []byte) []byte {
-	frame := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], frameMagic)
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[8:12], crc32.Checksum(payload, crcTable))
-	copy(frame[frameHeader:], payload)
-	return frame
-}
-
-// FrameStats summarizes what a frame walk tolerated.
-type FrameStats struct {
-	// Corrupt counts CRC failures and damaged headers skipped.
-	Corrupt int
-	// Resyncs counts the subset of corruptions that lost framing
-	// entirely (damaged magic or implausible length) and had to
-	// re-synchronize on the next magic marker.
-	Resyncs int
-	// Torn reports an incomplete trailing frame.
-	Torn bool
-}
-
-// DecodeFrames walks data frame by frame. Complete, CRC-valid payloads
-// are returned in order. A CRC failure skips the frame; a damaged
-// length or magic re-synchronizes on the next magic marker; an
-// incomplete trailing frame stops the walk as a torn tail. DecodeFrames
-// never fails: any input yields the longest decodable prefix-structure,
-// which is exactly the crash-recovery contract.
-func DecodeFrames(data []byte) (payloads [][]byte, corrupt int, torn bool) {
-	payloads, st := DecodeFramesStats(data)
-	return payloads, st.Corrupt, st.Torn
-}
-
-// DecodeFramesStats is DecodeFrames with the full damage accounting,
-// distinguishing plain CRC skips from framing losses that needed a
-// magic-scan resync (surfaced as journal.recover.resyncs).
-func DecodeFramesStats(data []byte) (payloads [][]byte, st FrameStats) {
-	var magicBytes [4]byte
-	binary.LittleEndian.PutUint32(magicBytes[:], frameMagic)
-	off := 0
-	for off < len(data) {
-		if len(data)-off < frameHeader {
-			st.Torn = true
-			return
-		}
-		if binary.LittleEndian.Uint32(data[off:off+4]) != frameMagic {
-			// Lost framing (a flipped length on the previous skip, or
-			// garbage): re-synchronize on the next magic marker.
-			st.Corrupt++
-			st.Resyncs++
-			next := bytes.Index(data[off+1:], magicBytes[:])
-			if next < 0 {
-				return
-			}
-			off += 1 + next
-			continue
-		}
-		length := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if length > MaxRecordBytes {
-			st.Corrupt++
-			st.Resyncs++
-			next := bytes.Index(data[off+4:], magicBytes[:])
-			if next < 0 {
-				return
-			}
-			off += 4 + next
-			continue
-		}
-		end := off + frameHeader + int(length)
-		if end > len(data) {
-			st.Torn = true
-			return
-		}
-		payload := data[off+frameHeader : end]
-		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[off+8:off+12]) {
-			st.Corrupt++
-			off = end // length was plausible: skip the damaged frame whole
-			continue
-		}
-		payloads = append(payloads, payload)
-		off = end
-	}
-	return
-}
-
 func segmentPath(dir string, firstSeq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("seg-%020d.wal", firstSeq))
 }
@@ -684,6 +512,46 @@ func Recover(dir string) (*Recovery, error) {
 	return recoverDir(dir, log.New(io.Discard, "", 0))
 }
 
+// readCheckpoint loads the one frame a checkpoint file holds. Anything
+// but exactly one clean frame is damage: the caller tries an older one.
+func readCheckpoint(path string) (payload []byte, st FrameStats, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, st, err
+	}
+	frames := 0
+	st, _ = WalkFrames(data, func(_ int, p []byte) error {
+		payload = p
+		frames++
+		return nil
+	})
+	if frames != 1 || st.Corrupt > 0 || st.Torn {
+		return nil, st, fmt.Errorf("damaged (frames=%d corrupt=%d torn=%v)", frames, st.Corrupt, st.Torn)
+	}
+	return payload, st, nil
+}
+
+// replaySegment is the one replay loop recovery and followers share. It
+// walks a segment image (or what lies past a follower's cursor), decodes
+// each CRC-valid payload into rec, drops records at or below *last —
+// covered by a checkpoint, or delivered already — and hands the rest to
+// fn, which moves *last past the records it accepts. rec is valid only
+// during the call. undecodable counts the CRC-valid payloads
+// DecodeRecord refused.
+func replaySegment(data []byte, last *uint64, rec *Record, fn func(*Record) error) (st FrameStats, undecodable int, err error) {
+	st, err = WalkFrames(data, func(_ int, payload []byte) error {
+		if DecodeRecord(payload, rec) != nil {
+			undecodable++
+			return nil
+		}
+		if rec.Seq <= *last {
+			return nil
+		}
+		return fn(rec)
+	})
+	return st, undecodable, err
+}
+
 func recoverDir(dir string, logger *log.Logger) (*Recovery, error) {
 	rec := &Recovery{}
 	ckpts, segs, err := listDir(dir)
@@ -697,23 +565,15 @@ func recoverDir(dir string, logger *log.Logger) (*Recovery, error) {
 	// Newest checkpoint that validates wins; a damaged one is counted
 	// and the predecessor tried.
 	for i := len(ckpts) - 1; i >= 0; i-- {
-		data, rerr := os.ReadFile(filepath.Join(dir, ckpts[i].name))
-		if rerr != nil {
-			logger.Printf("journal: checkpoint %s unreadable: %v", ckpts[i].name, rerr)
-			rec.Stats.CorruptSkipped++
-			rec.Stats.Warnings++
-			continue
-		}
-		payloads, st := DecodeFramesStats(data)
+		payload, st, rerr := readCheckpoint(filepath.Join(dir, ckpts[i].name))
 		rec.Stats.Resyncs += st.Resyncs
-		if len(payloads) != 1 || st.Corrupt > 0 || st.Torn {
-			logger.Printf("journal: checkpoint %s damaged (frames=%d corrupt=%d torn=%v), trying older",
-				ckpts[i].name, len(payloads), st.Corrupt, st.Torn)
+		if rerr != nil {
+			logger.Printf("journal: checkpoint %s: %v, trying older", ckpts[i].name, rerr)
 			rec.Stats.CorruptSkipped++
 			rec.Stats.Warnings++
 			continue
 		}
-		rec.Checkpoint = payloads[0]
+		rec.Checkpoint = payload
 		rec.Stats.CheckpointSeq = ckpts[i].seq
 		break
 	}
@@ -722,6 +582,7 @@ func recoverDir(dir string, logger *log.Logger) (*Recovery, error) {
 	// checkpoint. Records at or below it (a crash between checkpoint
 	// rename and rotation leaves some) are already part of the snapshot.
 	last := rec.Stats.CheckpointSeq
+	var scratch Record
 	for _, seg := range segs {
 		data, rerr := os.ReadFile(filepath.Join(dir, seg.name))
 		if rerr != nil {
@@ -731,28 +592,28 @@ func recoverDir(dir string, logger *log.Logger) (*Recovery, error) {
 			continue
 		}
 		rec.Stats.Segments++
-		payloads, st := DecodeFramesStats(data)
-		rec.Stats.CorruptSkipped += st.Corrupt
-		rec.Stats.Resyncs += st.Resyncs
-		if st.Corrupt > 0 || st.Torn {
+		res, undecodable, _ := replaySegment(data, &last, &scratch, func(r *Record) error {
+			kept := *r
+			if len(kept.Placements) == 0 {
+				kept.Placements = nil
+			} else {
+				r.Placements = nil // the kept record owns the backing array now
+			}
+			rec.Records = append(rec.Records, kept)
+			last = r.Seq
+			return nil
+		})
+		rec.Stats.CorruptSkipped += res.Corrupt + undecodable
+		rec.Stats.Resyncs += res.Resyncs
+		rec.Stats.Warnings += undecodable
+		if res.Corrupt > 0 || res.Torn {
 			rec.Stats.Warnings++
 		}
-		if st.Torn {
+		if res.Torn {
 			rec.Stats.TornTails++
 		}
-		for _, payload := range payloads {
-			var r Record
-			if err := json.Unmarshal(payload, &r); err != nil {
-				rec.Stats.CorruptSkipped++
-				rec.Stats.Warnings++
-				logger.Printf("journal: segment %s: undecodable record: %v", seg.name, err)
-				continue
-			}
-			if r.Seq <= last {
-				continue
-			}
-			rec.Records = append(rec.Records, r)
-			last = r.Seq
+		if undecodable > 0 {
+			logger.Printf("journal: segment %s: %d undecodable records (s3diag -journal names each)", seg.name, undecodable)
 		}
 	}
 	rec.Stats.RecordsReplayed = len(rec.Records)

@@ -32,6 +32,50 @@ func testRecord(i int) Record {
 	}
 }
 
+// walkedFrame is one CRC-valid frame of a segment image: where it starts
+// and what it carries. Tests find frames by walking, never by assuming a
+// record's encoded size.
+type walkedFrame struct {
+	off     int
+	payload []byte
+}
+
+func (f walkedFrame) end() int { return f.off + FrameHeaderLen + len(f.payload) }
+
+func walkAll(data []byte) ([]walkedFrame, FrameStats) {
+	var frames []walkedFrame
+	st, _ := WalkFrames(data, func(off int, payload []byte) error {
+		frames = append(frames, walkedFrame{off, payload})
+		return nil
+	})
+	return frames, st
+}
+
+// cleanFrames walks a segment image that must hold exactly n undamaged
+// frames.
+func cleanFrames(t *testing.T, data []byte, n int) []walkedFrame {
+	t.Helper()
+	frames, st := walkAll(data)
+	if st.Corrupt != 0 || st.Torn || len(frames) != n {
+		t.Fatalf("clean segment walk: %d frames (want %d), corrupt=%d torn=%v", len(frames), n, st.Corrupt, st.Torn)
+	}
+	return frames
+}
+
+// firstSegment reads the oldest segment of dir.
+func firstSegment(t *testing.T, dir string) []byte {
+	t.Helper()
+	_, segs, err := listDir(dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments of %s: %v, %v", dir, segs, err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, segs[0].name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func TestAppendRecoverRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	j, rec, err := Open(dir, Options{Fsync: FsyncOff})
@@ -152,12 +196,7 @@ func TestRecoverSkipsCorruptPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frameLens := make([]int, 5)
 	for i := 0; i < 5; i++ {
-		r := testRecord(i)
-		r.Seq = uint64(i + 1)
-		payload, _ := json.Marshal(r)
-		frameLens[i] = frameHeader + len(payload)
 		if err := j.Append(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +207,7 @@ func TestRecoverSkipsCorruptPayload(t *testing.T) {
 
 	// Flip a payload byte inside frame 2 (0-based): its CRC fails, the
 	// frame is skipped whole, and frames 3 and 4 still recover.
-	corruptSegment(t, dir, frameLens[0]+frameLens[1]+frameHeader+3)
+	corruptSegment(t, dir, cleanFrames(t, firstSegment(t, dir), 5)[2].off+FrameHeaderLen+3)
 	rec, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -192,9 +231,6 @@ func TestRecoverResyncsAfterDamagedHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0 := testRecord(0)
-	r0.Seq = 1
-	p0, _ := json.Marshal(r0)
 	for i := 0; i < 4; i++ {
 		if err := j.Append(testRecord(i)); err != nil {
 			t.Fatal(err)
@@ -206,7 +242,7 @@ func TestRecoverResyncsAfterDamagedHeader(t *testing.T) {
 
 	// Smash frame 1's magic marker: recovery loses framing there and must
 	// re-synchronize on frame 2's magic.
-	corruptSegment(t, dir, frameHeader+len(p0)+1)
+	corruptSegment(t, dir, cleanFrames(t, firstSegment(t, dir), 4)[1].off+1)
 	rec, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +349,7 @@ func TestRecoverFallsBackToOlderCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[frameHeader+2] ^= 0xFF
+	data[FrameHeaderLen+2] ^= 0xFF
 	if err := os.WriteFile(checkpointPath(dir, 10), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -427,21 +463,8 @@ func TestFaultfileTornTail(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, segs, err := listDir(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(clean, segs[0].name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads, _, _ := DecodeFrames(data)
 	// Tear mid-way through the 4th frame.
-	tearAt := int64(0)
-	for i := 0; i < 3; i++ {
-		tearAt += int64(frameHeader + len(payloads[i]))
-	}
-	tearAt += 5
+	tearAt := int64(cleanFrames(t, firstSegment(t, clean), 6)[3].off + 5)
 
 	dir := t.TempDir()
 	j2, _, err := Open(dir, Options{
@@ -569,20 +592,35 @@ func TestFaultfileShortWrite(t *testing.T) {
 
 func TestEncodeDecodeFrameRoundtrip(t *testing.T) {
 	payloads := [][]byte{[]byte("{}"), []byte(`{"op":"assoc"}`), {}, bytes.Repeat([]byte{0xAA}, 100)}
-	var buf bytes.Buffer
+	var buf []byte
 	for _, p := range payloads {
-		buf.Write(EncodeFrame(p))
+		buf = AppendFrame(buf, p)
 	}
-	got, corrupt, torn := DecodeFrames(buf.Bytes())
-	if corrupt != 0 || torn {
-		t.Fatalf("corrupt=%d torn=%v", corrupt, torn)
-	}
-	if len(got) != len(payloads) {
-		t.Fatalf("decoded %d payloads, want %d", len(got), len(payloads))
-	}
+	got := cleanFrames(t, buf, len(payloads))
 	for i := range got {
-		if !bytes.Equal(got[i], payloads[i]) {
+		if !bytes.Equal(got[i].payload, payloads[i]) {
 			t.Fatalf("payload %d mismatch", i)
 		}
+	}
+	if last := got[len(got)-1]; last.end() != len(buf) {
+		t.Fatalf("last frame ends at %d of %d bytes", last.end(), len(buf))
+	}
+}
+
+// TestAppendDoesNotAllocate: a record is encoded, framed and handed to
+// the segment writer inside the journal's reused buffer.
+func TestAppendDoesNotAllocate(t *testing.T) {
+	j, _, err := Open(t.TempDir(), Options{Fsync: FsyncOff, FlushEachAppend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	rec := testRecord(1)
+	if avg := testing.AllocsPerRun(200, func() {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("Append allocates %.1f objects per record, want 0", avg)
 	}
 }

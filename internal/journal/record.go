@@ -1,0 +1,162 @@
+package journal
+
+import (
+	"encoding/binary"
+	"fmt"
+
+	"github.com/s3wlan/s3wlan/internal/trace"
+)
+
+// Op enumerates the journaled domain mutations.
+type Op string
+
+const (
+	// OpRegister records an AP registration (or a re-hello renewing one:
+	// replay updates capacity and last-seen time for a known AP).
+	OpRegister Op = "register"
+	// OpAssoc records one atomic placement commit — a single association
+	// or an AssociateBatch — including any Prev moves.
+	OpAssoc Op = "assoc"
+	// OpDisassoc records a full disassociation (domain LeaveAll).
+	OpDisassoc Op = "disassoc"
+	// OpLeave records a partial leave releasing DemandBps of one of the
+	// user's sessions (domain Leave multiplicity semantics).
+	OpLeave Op = "leave"
+	// OpExpire records a lease expiry removing an AP and re-homing its
+	// believed users.
+	OpExpire Op = "expire"
+)
+
+// Placement is one user placement inside an OpAssoc record.
+type Placement struct {
+	User      trace.UserID `json:"user"`
+	AP        trace.APID   `json:"ap"`
+	Prev      trace.APID   `json:"prev,omitempty"`
+	DemandBps float64      `json:"demand_bps,omitempty"`
+}
+
+// Record is one journaled mutation. Seq is assigned by Append and is
+// strictly increasing across segments and checkpoints. Epoch is the
+// writer's ownership generation (Options.Epoch / SetEpoch): in a
+// federated deployment every cross-process failover bumps it, so a
+// follower tailing the stream can fence out records a superseded owner
+// wrote after losing its lease. Single-owner journals leave it zero.
+//
+// The json tags serve the read-old decoder and inspection tooling
+// (s3diag -journal); what the journal stores is the layout AppendRecord
+// writes.
+type Record struct {
+	Seq         uint64       `json:"seq"`
+	Epoch       uint64       `json:"epoch,omitempty"`
+	Op          Op           `json:"op"`
+	TS          int64        `json:"ts,omitempty"`
+	AP          trace.APID   `json:"ap,omitempty"`
+	User        trace.UserID `json:"user,omitempty"`
+	CapacityBps float64      `json:"capacity_bps,omitempty"`
+	Static      bool         `json:"static,omitempty"`
+	DemandBps   float64      `json:"demand_bps,omitempty"`
+	Placements  []Placement  `json:"placements,omitempty"`
+}
+
+// recordVersion is the first payload byte of every record this release
+// writes; never '{', which marks a JSON record of the previous one.
+const recordVersion = 1
+
+// wireOps is the stored spelling of Op; a zeroed payload is no record.
+var wireOps = [...]Op{1: OpRegister, 2: OpAssoc, 3: OpDisassoc, 4: OpLeave, 5: OpExpire}
+
+// Flags: an absent float costs one bit, Static is its own flag. Absent
+// strings and integers cost one byte each, as in the wire codec.
+const (
+	recCapacity = 1 << iota
+	recDemand
+	recStatic
+	// minPlacementBytes — three empty strings and a float — bounds a
+	// placement count before anything is allocated for it.
+	minPlacementBytes = 3 + 8
+)
+
+// AppendRecord appends r's stored form to dst — version, op, flags, the
+// integers and strings, the flagged floats, the placements; the package
+// comment has the layout. It fails only for an Op outside the Op*
+// constants.
+func AppendRecord(dst []byte, r *Record) ([]byte, error) {
+	op := 0
+	for i := 1; i < len(wireOps); i++ {
+		if wireOps[i] == r.Op {
+			op = i
+		}
+	}
+	if op == 0 {
+		return dst, fmt.Errorf("journal: encode: unknown op %q", r.Op)
+	}
+	flags := FlagIf(r.CapacityBps != 0, recCapacity) | FlagIf(r.DemandBps != 0, recDemand) | FlagIf(r.Static, recStatic)
+	dst = append(dst, recordVersion, byte(op), flags)
+	dst = binary.AppendUvarint(dst, r.Seq)
+	dst = binary.AppendUvarint(dst, r.Epoch)
+	dst = binary.AppendVarint(dst, r.TS)
+	dst = AppendString(dst, string(r.AP))
+	dst = AppendString(dst, string(r.User))
+	if flags&recCapacity != 0 {
+		dst = AppendFloat(dst, r.CapacityBps)
+	}
+	if flags&recDemand != 0 {
+		dst = AppendFloat(dst, r.DemandBps)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(r.Placements)))
+	for i := range r.Placements {
+		p := &r.Placements[i]
+		dst = AppendString(dst, string(p.User))
+		dst = AppendString(dst, string(p.AP))
+		dst = AppendString(dst, string(p.Prev))
+		dst = AppendFloat(dst, p.DemandBps)
+	}
+	return dst, nil
+}
+
+// DecodeRecord decodes one record payload into r, replacing every field;
+// r.Placements' backing array is reused, so a caller that keeps a
+// decoded record across calls must take the slice away from r first. It
+// is the one decoder recovery, followers and tooling share, and it
+// treats the payload as hostile: an unknown version, op or flag bit, a
+// placement count the remaining bytes could not hold, a truncated field
+// or trailing bytes is an error, never a panic or an allocation sized by
+// the input's claims. A payload beginning with '{' is a record the
+// previous release wrote as JSON (readold.go).
+func DecodeRecord(payload []byte, r *Record) error {
+	if len(payload) > 0 && payload[0] == '{' {
+		return decodeRecordJSON(payload, r)
+	}
+	in := NewReader(payload)
+	version, op, flags := in.Byte(), in.Byte(), in.Byte()
+	switch {
+	case in.Err() != nil:
+		return fmt.Errorf("journal: decode record: %w", in.Err())
+	case version != recordVersion:
+		return fmt.Errorf("journal: decode record: unknown version %d", version)
+	case op == 0 || int(op) >= len(wireOps):
+		return fmt.Errorf("journal: decode record: unknown op %d", op)
+	case flags&^(recCapacity|recDemand|recStatic) != 0:
+		return fmt.Errorf("journal: decode record: unknown flags %#x", flags)
+	}
+	*r = Record{Op: wireOps[op], Seq: in.Uvarint(), Epoch: in.Uvarint(), TS: in.Varint(),
+		AP: trace.APID(in.Str()), User: trace.UserID(in.Str()),
+		Static: flags&recStatic != 0, Placements: r.Placements[:0]}
+	if flags&recCapacity != 0 {
+		r.CapacityBps = in.Float()
+	}
+	if flags&recDemand != 0 {
+		r.DemandBps = in.Float()
+	}
+	for n := in.Count(minPlacementBytes); n > 0 && in.Err() == nil; n-- {
+		r.Placements = append(r.Placements, Placement{User: trace.UserID(in.Str()),
+			AP: trace.APID(in.Str()), Prev: trace.APID(in.Str()), DemandBps: in.Float()})
+	}
+	if in.Err() != nil {
+		return fmt.Errorf("journal: decode record %d: %w", r.Seq, in.Err())
+	}
+	if rest := len(in.Rest()); rest != 0 {
+		return fmt.Errorf("journal: decode record %d: %d trailing bytes", r.Seq, rest)
+	}
+	return nil
+}

@@ -28,24 +28,13 @@ func TestCrashPointSweep(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, segs, err := listDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(filepath.Join(src, segs[0].name))
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := firstSegment(t, src)
 
 	// Frame boundaries: frameEnd[k] is the byte offset after the k-th
 	// complete frame.
-	payloads, corrupt, torn := DecodeFrames(full)
-	if corrupt != 0 || torn || len(payloads) != n {
-		t.Fatalf("clean segment decode: %d payloads, corrupt=%d torn=%v", len(payloads), corrupt, torn)
-	}
 	frameEnd := make([]int, n+1)
-	for k, p := range payloads {
-		frameEnd[k+1] = frameEnd[k] + frameHeader + len(p)
+	for k, fr := range cleanFrames(t, full, n) {
+		frameEnd[k+1] = fr.end()
 	}
 	if frameEnd[n] != len(full) {
 		t.Fatalf("frame ends %d != file size %d", frameEnd[n], len(full))
@@ -129,10 +118,10 @@ func TestCrashPointSweepWithCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloads, _, _ := DecodeFrames(full)
+	payloads := cleanFrames(t, full, n-5)
 	frameEnd := make([]int, len(payloads)+1)
-	for k, p := range payloads {
-		frameEnd[k+1] = frameEnd[k] + frameHeader + len(p)
+	for k, fr := range payloads {
+		frameEnd[k+1] = fr.end()
 	}
 
 	ckptData, err := os.ReadFile(filepath.Join(src, ckpts[0].name))

@@ -288,7 +288,7 @@ func (r *Recorder) writeLocked(rec record) {
 		r.opts.Logger.Printf("flight: encode: %v", err)
 		return
 	}
-	frame := journal.EncodeFrame(payload)
+	frame := journal.AppendFrame(nil, payload)
 	n, err := r.f.Write(frame)
 	r.written += int64(n)
 	if err != nil {
@@ -409,16 +409,11 @@ func Decode(dir string) (*Ring, error) {
 			continue
 		}
 		ring.Stats.Segments++
-		payloads, corrupt, torn := journal.DecodeFrames(data)
-		ring.Stats.CorruptFrames += corrupt
-		if torn {
-			ring.Stats.TornTails++
-		}
-		for _, payload := range payloads {
+		st, _ := journal.WalkFrames(data, func(_ int, payload []byte) error {
 			var rec record
 			if err := json.Unmarshal(payload, &rec); err != nil {
 				ring.Stats.CorruptFrames++
-				continue
+				return nil
 			}
 			if rec.Full {
 				running = make(map[string]int64, len(rec.V))
@@ -447,6 +442,11 @@ func Decode(dir string) (*Ring, error) {
 			}
 			ring.Samples = append(ring.Samples, s)
 			ring.Stats.Records++
+			return nil
+		})
+		ring.Stats.CorruptFrames += st.Corrupt
+		if st.Torn {
+			ring.Stats.TornTails++
 		}
 	}
 	return ring, nil

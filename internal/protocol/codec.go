@@ -1,7 +1,8 @@
 package protocol
 
 // Binary wire codec. The controller's data plane reuses the journal's
-// magic|length|CRC-32C framing (internal/journal): one frame carries a
+// magic|length|CRC-32C framing and its field primitives (strings,
+// floats, varints: internal/journal/wire.go): one frame carries a
 // batch of compactly encoded Messages, so a client can coalesce several
 // messages (e.g. an AP group's load reports) into a single write and a
 // single checksum. The frame magic's first byte on the wire (0xF5) is
@@ -109,12 +110,6 @@ const (
 	flagRetry
 )
 
-// appendString appends a uvarint-length-prefixed string.
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 // appendMessage appends one encoded message to dst.
 func appendMessage(dst []byte, m *Message) ([]byte, error) {
 	wt, ok := wireTypeOf(m.Type)
@@ -138,19 +133,19 @@ func appendMessage(dst []byte, m *Message) ([]byte, error) {
 		flags |= flagRetry
 	}
 	dst = append(dst, wt, flags)
-	dst = appendString(dst, string(m.Role))
-	dst = appendString(dst, m.ID)
-	dst = appendString(dst, m.User)
-	dst = appendString(dst, m.AP)
-	dst = appendString(dst, m.Error)
+	dst = journal.AppendString(dst, string(m.Role))
+	dst = journal.AppendString(dst, m.ID)
+	dst = journal.AppendString(dst, m.User)
+	dst = journal.AppendString(dst, m.AP)
+	dst = journal.AppendString(dst, m.Error)
 	if flags&flagCapacity != 0 {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.CapacityBps))
+		dst = journal.AppendFloat(dst, m.CapacityBps)
 	}
 	if flags&flagLoad != 0 {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.LoadBps))
+		dst = journal.AppendFloat(dst, m.LoadBps)
 	}
 	if flags&flagDemand != 0 {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.DemandBps))
+		dst = journal.AppendFloat(dst, m.DemandBps)
 	}
 	if flags&flagBytes != 0 {
 		dst = binary.AppendVarint(dst, m.Bytes)
@@ -173,111 +168,63 @@ func encodePayload(dst []byte, ms []Message) ([]byte, error) {
 	return dst, nil
 }
 
-func decodeString(b []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > uint64(len(b)-sz) {
-		return "", nil, fmt.Errorf("protocol: decode: truncated string")
-	}
-	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
-}
-
-func decodeFloat(b []byte) (float64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("protocol: decode: truncated float")
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], nil
-}
-
-// decodeMessage decodes one message from b, returning the remainder.
-func decodeMessage(b []byte) (Message, []byte, error) {
+// decodeMessage decodes one message from in (the shared field reader,
+// internal/journal); truncation surfaces through in.Err.
+func decodeMessage(in *journal.Reader) (Message, error) {
 	var m Message
-	if len(b) < 2 {
-		return m, nil, fmt.Errorf("protocol: decode: truncated message header")
+	wt, flags := in.Byte(), in.Byte()
+	if in.Err() != nil {
+		return m, fmt.Errorf("protocol: decode: truncated message header")
 	}
-	wt, flags := b[0], b[1]
 	if int(wt) >= len(wireTypes) || wt == 0 {
-		return m, nil, fmt.Errorf("protocol: decode: unknown message type %d", wt)
+		return m, fmt.Errorf("protocol: decode: unknown message type %d", wt)
 	}
 	m.Type = wireTypes[wt]
-	b = b[2:]
-	var role string
-	var err error
-	if role, b, err = decodeString(b); err != nil {
-		return m, nil, err
-	}
-	m.Role = Role(role)
-	if m.ID, b, err = decodeString(b); err != nil {
-		return m, nil, err
-	}
-	if m.User, b, err = decodeString(b); err != nil {
-		return m, nil, err
-	}
-	if m.AP, b, err = decodeString(b); err != nil {
-		return m, nil, err
-	}
-	if m.Error, b, err = decodeString(b); err != nil {
-		return m, nil, err
-	}
+	m.Role = Role(in.Str())
+	m.ID = in.Str()
+	m.User = in.Str()
+	m.AP = in.Str()
+	m.Error = in.Str()
 	if flags&flagCapacity != 0 {
-		if m.CapacityBps, b, err = decodeFloat(b); err != nil {
-			return m, nil, err
-		}
+		m.CapacityBps = in.Float()
 	}
 	if flags&flagLoad != 0 {
-		if m.LoadBps, b, err = decodeFloat(b); err != nil {
-			return m, nil, err
-		}
+		m.LoadBps = in.Float()
 	}
 	if flags&flagDemand != 0 {
-		if m.DemandBps, b, err = decodeFloat(b); err != nil {
-			return m, nil, err
-		}
+		m.DemandBps = in.Float()
 	}
 	if flags&flagBytes != 0 {
-		v, sz := binary.Varint(b)
-		if sz <= 0 {
-			return m, nil, fmt.Errorf("protocol: decode: truncated varint")
-		}
-		m.Bytes = v
-		b = b[sz:]
+		m.Bytes = in.Varint()
 	}
 	if flags&flagRetry != 0 {
-		v, sz := binary.Varint(b)
-		if sz <= 0 {
-			return m, nil, fmt.Errorf("protocol: decode: truncated varint")
-		}
-		m.RetryAfterMs = v
-		b = b[sz:]
+		m.RetryAfterMs = in.Varint()
 	}
-	return m, b, nil
+	if err := in.Err(); err != nil {
+		return m, fmt.Errorf("protocol: decode %s message: %w", m.Type, err)
+	}
+	return m, nil
 }
 
 // decodePayload decodes a frame payload into queue (appended) and
 // returns the extended queue. Trailing garbage after the declared
 // message count is an error — a CRC-valid frame is all or nothing.
 func decodePayload(payload []byte, queue []Message) ([]Message, error) {
-	count, sz := binary.Uvarint(payload)
-	if sz <= 0 {
-		return queue, fmt.Errorf("protocol: decode: truncated message count")
-	}
-	b := payload[sz:]
+	in := journal.NewReader(payload)
 	// Each message costs ≥ 7 bytes; a count beyond that is hostile.
-	if count > uint64(len(b)/7)+1 {
-		return queue, fmt.Errorf("protocol: decode: implausible message count %d", count)
+	count := in.Count(7)
+	if in.Err() != nil {
+		return queue, fmt.Errorf("protocol: decode: truncated or implausible message count")
 	}
-	for i := uint64(0); i < count; i++ {
-		m, rest, err := decodeMessage(b)
+	for i := 0; i < count; i++ {
+		m, err := decodeMessage(&in)
 		if err != nil {
 			return queue, err
 		}
-		if m.Type == "" {
-			return queue, fmt.Errorf("protocol: message without type")
-		}
 		queue = append(queue, m)
-		b = rest
 	}
-	if len(b) != 0 {
-		return queue, fmt.Errorf("protocol: decode: %d trailing bytes after %d messages", len(b), count)
+	if rest := len(in.Rest()); rest != 0 {
+		return queue, fmt.Errorf("protocol: decode: %d trailing bytes after %d messages", rest, count)
 	}
 	return queue, nil
 }

@@ -131,6 +131,10 @@ type Controller struct {
 	assignedAt  map[trace.UserID]int64
 	servedByUsr map[trace.UserID]int64
 	served      map[trace.APID]int64 // bytes reported by stations
+	// Key-sorting scratch of appendCheckpointLocked, reused across
+	// checkpoints.
+	ckptUsers []trace.UserID
+	ckptAPs   []trace.APID
 
 	listeners []net.Listener
 	stop      chan struct{}

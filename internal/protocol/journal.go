@@ -2,10 +2,12 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"github.com/s3wlan/s3wlan/internal/domain"
@@ -88,14 +90,28 @@ type checkpointMeta struct {
 	Gen      uint64 `json:"gen,omitempty"`
 }
 
-// checkpointDoc is the controller's own part of a checkpoint payload:
-// one JSON line. Whatever follows that line is the observer's state, in
-// the observer's format and opaque to the controller — written straight
-// through by ObserverState.WriteState, never re-encoded. Checkpoints
-// written two releases ago carried a JSON observer state inside the
-// document instead (Society). Nothing reads that format any more; the
-// field remains so that such a checkpoint is refused by name rather than
-// recovered with its learned state silently dropped.
+// checkpointDoc is the controller's own part of a checkpoint payload, as
+// decoded. Whatever follows it in the payload is the observer's state,
+// in the observer's format and opaque to the controller — written
+// straight through by ObserverState.WriteState, never re-encoded.
+//
+// The stored form is built from the journal's field primitives, every
+// table in sorted key order so the bytes are a pure function of the
+// state (docs/ARCHITECTURE.md, "State format", has it as a table):
+//
+//	byte version (1), uvarint domain state version
+//	uvarint APs, each: string ID, float64 capacity, float64 reported,
+//	  byte failed, uvarint sessions, each: string user, float64 demand
+//	uvarint user rows, each: string user, byte flags, then as flagged
+//	  string AP, varint assigned-at, varint served bytes
+//	uvarint AP rows, each: string AP, byte flags, then as flagged
+//	  varint served bytes; varint last-seen, uvarint generation
+//
+// The json tags are the one JSON line the previous release wrote, which
+// decodeCheckpointJSON still reads. Two releases ago that line carried a
+// JSON observer state too (Society); the field remains so that such a
+// checkpoint is refused by name rather than recovered with its learned
+// state silently dropped.
 type checkpointDoc struct {
 	Domain      *domain.State                 `json:"domain"`
 	Assignments map[trace.UserID]trace.APID   `json:"assignments,omitempty"`
@@ -106,26 +122,217 @@ type checkpointDoc struct {
 	Society     json.RawMessage               `json:"society,omitempty"`
 }
 
+// checkpointVersion is the first byte of every checkpoint document this
+// release writes; never '{', which marks the previous release's JSON.
+const checkpointVersion = 1
+
+const ( // user-row flags
+	ckptAssigned = 1 << iota
+	ckptAssignedAt
+	ckptServedByUsr
+)
+
+const ( // AP-row flags
+	ckptServed = 1 << iota
+	ckptMeta
+	ckptStatic
+)
+
+// Smallest encodings of one AP, one session and one table row: what a
+// decoded count is checked against before anything is allocated for it.
+// maxPresize caps map pre-sizing, whose cost per entry exceeds a row's.
+const (
+	minAPBytes      = 1 + 8 + 8 + 1 + 1
+	minSessionBytes = 1 + 8
+	minRowBytes     = 2
+	maxPresize      = 1 << 16
+)
+
+// appendCheckpointLocked appends the controller's checkpoint document to
+// dst. Runs with c.mu held.
+func (c *Controller) appendCheckpointLocked(dst []byte) []byte {
+	st := c.dom.ExportState() // APs sorted by ID, sessions by user
+	dst = append(dst, checkpointVersion)
+	dst = binary.AppendUvarint(dst, uint64(st.Version))
+	dst = binary.AppendUvarint(dst, uint64(len(st.APs)))
+	for i := range st.APs {
+		ap := &st.APs[i]
+		dst = journal.AppendString(dst, string(ap.ID))
+		dst = journal.AppendFloat(dst, ap.CapacityBps)
+		dst = journal.AppendFloat(dst, ap.ReportedBps)
+		dst = append(dst, journal.FlagIf(ap.Failed, 1))
+		dst = binary.AppendUvarint(dst, uint64(len(ap.Users)))
+		for k, u := range ap.Users {
+			dst = journal.AppendString(dst, string(u))
+			dst = journal.AppendFloat(dst, ap.Demands[k])
+		}
+	}
+
+	// One row per user any of the three per-user maps knows.
+	users := c.ckptUsers[:0]
+	for u := range c.assignments {
+		users = append(users, u)
+	}
+	for u := range c.assignedAt {
+		if _, ok := c.assignments[u]; !ok {
+			users = append(users, u)
+		}
+	}
+	for u := range c.servedByUsr {
+		_, a := c.assignments[u]
+		if _, b := c.assignedAt[u]; !a && !b {
+			users = append(users, u)
+		}
+	}
+	slices.Sort(users)
+	c.ckptUsers = users
+	dst = binary.AppendUvarint(dst, uint64(len(users)))
+	for _, u := range users {
+		ap, assigned := c.assignments[u]
+		at, hasAt := c.assignedAt[u]
+		served, hasServed := c.servedByUsr[u]
+		flags := journal.FlagIf(assigned, ckptAssigned) | journal.FlagIf(hasAt, ckptAssignedAt) | journal.FlagIf(hasServed, ckptServedByUsr)
+		dst = append(journal.AppendString(dst, string(u)), flags)
+		if assigned {
+			dst = journal.AppendString(dst, string(ap))
+		}
+		if hasAt {
+			dst = binary.AppendVarint(dst, at)
+		}
+		if hasServed {
+			dst = binary.AppendVarint(dst, served)
+		}
+	}
+
+	// And one per AP with served bytes or lease metadata.
+	aps := c.ckptAPs[:0]
+	for id := range c.meta {
+		aps = append(aps, id)
+	}
+	for id := range c.served {
+		if _, ok := c.meta[id]; !ok {
+			aps = append(aps, id)
+		}
+	}
+	slices.Sort(aps)
+	c.ckptAPs = aps
+	dst = binary.AppendUvarint(dst, uint64(len(aps)))
+	for _, id := range aps {
+		served, hasServed := c.served[id]
+		m := c.meta[id]
+		flags := journal.FlagIf(hasServed, ckptServed) | journal.FlagIf(m != nil, ckptMeta) | journal.FlagIf(m != nil && m.static, ckptStatic)
+		dst = append(journal.AppendString(dst, string(id)), flags)
+		if hasServed {
+			dst = binary.AppendVarint(dst, served)
+		}
+		if m != nil {
+			dst = binary.AppendUvarint(binary.AppendVarint(dst, m.lastSeen), m.gen)
+		}
+	}
+	return dst
+}
+
+// decodeCheckpoint splits a checkpoint payload into the controller's
+// document and the observer's state that follows it. The payload is
+// CRC-valid but otherwise untrusted: every count is bounded by the bytes
+// left before anything is allocated for it. A payload beginning with '{'
+// is the previous release's and goes to the read-old decoder.
+func decodeCheckpoint(payload []byte) (doc checkpointDoc, observerState []byte, err error) {
+	if len(payload) > 0 && payload[0] == '{' {
+		return decodeCheckpointJSON(payload)
+	}
+	in := journal.NewReader(payload)
+	if v := in.Byte(); in.Err() != nil || v != checkpointVersion {
+		return doc, nil, fmt.Errorf("protocol: decode checkpoint: unknown document version %d", v)
+	}
+	doc.Domain = &domain.State{Version: int(in.Uvarint())}
+	doc.Domain.APs = make([]domain.APState, in.Count(minAPBytes))
+	for i := range doc.Domain.APs {
+		ap := &doc.Domain.APs[i]
+		ap.ID, ap.CapacityBps, ap.ReportedBps = trace.APID(in.Str()), in.Float(), in.Float()
+		ap.Failed = in.Byte() != 0
+		if n := in.Count(minSessionBytes); n > 0 {
+			ap.Users, ap.Demands = make([]trace.UserID, n), make([]float64, n)
+		}
+		for k := range ap.Users {
+			ap.Users[k], ap.Demands[k] = trace.UserID(in.Str()), in.Float()
+		}
+	}
+
+	n := in.Count(minRowBytes)
+	doc.Assignments = make(map[trace.UserID]trace.APID, min(n, maxPresize))
+	doc.AssignedAt = make(map[trace.UserID]int64, min(n, maxPresize))
+	doc.ServedByUsr = make(map[trace.UserID]int64, min(n, maxPresize))
+	for ; n > 0 && in.Err() == nil; n-- {
+		u, flags := trace.UserID(in.Str()), in.Byte()
+		if flags&^(ckptAssigned|ckptAssignedAt|ckptServedByUsr) != 0 {
+			return doc, nil, fmt.Errorf("protocol: decode checkpoint: user %q: unknown flags %#x", u, flags)
+		}
+		if flags&ckptAssigned != 0 {
+			doc.Assignments[u] = trace.APID(in.Str())
+		}
+		if flags&ckptAssignedAt != 0 {
+			doc.AssignedAt[u] = in.Varint()
+		}
+		if flags&ckptServedByUsr != 0 {
+			doc.ServedByUsr[u] = in.Varint()
+		}
+	}
+
+	n = in.Count(minRowBytes)
+	doc.Served = make(map[trace.APID]int64, min(n, maxPresize))
+	doc.Meta = make(map[trace.APID]checkpointMeta, min(n, maxPresize))
+	for ; n > 0 && in.Err() == nil; n-- {
+		id, flags := trace.APID(in.Str()), in.Byte()
+		if flags&^(ckptServed|ckptMeta|ckptStatic) != 0 {
+			return doc, nil, fmt.Errorf("protocol: decode checkpoint: AP %q: unknown flags %#x", id, flags)
+		}
+		if flags&ckptServed != 0 {
+			doc.Served[id] = in.Varint()
+		}
+		if flags&ckptMeta != 0 {
+			doc.Meta[id] = checkpointMeta{Static: flags&ckptStatic != 0, LastSeen: in.Varint(), Gen: in.Uvarint()}
+		}
+	}
+	if err := in.Err(); err != nil {
+		return doc, nil, fmt.Errorf("protocol: decode checkpoint: %w", err)
+	}
+	return doc, in.Rest(), nil
+}
+
+// decodeCheckpointJSON reads the previous release's checkpoint payload:
+// the document as one JSON line (JSON escapes newlines inside strings),
+// the observer's state after it. Read-only, and gone with the next
+// release; this is the file's only use of encoding/json.
+func decodeCheckpointJSON(payload []byte) (doc checkpointDoc, observerState []byte, err error) {
+	if i := bytes.IndexByte(payload, '\n'); i >= 0 {
+		payload, observerState = payload[:i], payload[i+1:]
+	}
+	if err := json.Unmarshal(payload, &doc); err != nil {
+		return doc, nil, fmt.Errorf("protocol: decode checkpoint: %w", err)
+	}
+	if len(doc.Society) > 0 {
+		return doc, nil, errors.New("protocol: checkpoint carries a version-1 JSON observer state (\"society\"), " +
+			"which is no longer read; run the previous release on this journal once, it checkpoints in the current format")
+	}
+	return doc, observerState, nil
+}
+
 // writeCheckpointLocked serializes the controller's complete state to w.
 // It runs with c.mu held: the journal invokes its State callback
 // synchronously from Append (called under c.mu on every mutation path)
 // and from the forced checkpoint in Close (which takes c.mu first), so
 // the snapshot is always consistent with the record that triggered it.
+// The journal's writer lends its spare capacity (AvailableBuffer, as
+// bytes.Buffer does), so the document is encoded in place inside the
+// checkpoint frame.
 func (c *Controller) writeCheckpointLocked(w io.Writer) error {
-	doc := checkpointDoc{
-		Domain:      c.dom.ExportState(),
-		Assignments: c.assignments,
-		AssignedAt:  c.assignedAt,
-		ServedByUsr: c.servedByUsr,
-		Served:      c.served,
-		Meta:        make(map[trace.APID]checkpointMeta, len(c.meta)),
+	var dst []byte
+	if b, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		dst = b.AvailableBuffer()
 	}
-	for id, m := range c.meta {
-		doc.Meta[id] = checkpointMeta{Static: m.static, LastSeen: m.lastSeen, Gen: m.gen}
-	}
-	// Encode ends the document with the newline restoreCheckpoint splits on.
-	if err := json.NewEncoder(w).Encode(&doc); err != nil {
-		return fmt.Errorf("protocol: encode checkpoint: %w", err)
+	if _, err := w.Write(c.appendCheckpointLocked(dst)); err != nil {
+		return fmt.Errorf("protocol: write checkpoint: %w", err)
 	}
 	if st, ok := c.observer.(ObserverState); ok {
 		if err := st.WriteState(w); err != nil {
@@ -176,19 +383,9 @@ func (c *Controller) openJournal() error {
 // assignment bookkeeping, AP lease metadata, and the observer's learned
 // state when both sides support it.
 func (c *Controller) restoreCheckpoint(payload []byte) error {
-	// The document is one line (JSON escapes newlines inside strings);
-	// the observer's state is everything after it.
-	observerState := []byte(nil)
-	if i := bytes.IndexByte(payload, '\n'); i >= 0 {
-		payload, observerState = payload[:i], payload[i+1:]
-	}
-	var doc checkpointDoc
-	if err := json.Unmarshal(payload, &doc); err != nil {
-		return fmt.Errorf("protocol: decode checkpoint: %w", err)
-	}
-	if len(doc.Society) > 0 {
-		return errors.New("protocol: checkpoint carries a version-1 JSON observer state (\"society\"), " +
-			"which is no longer read; run the previous release on this journal once, it checkpoints in the current format")
+	doc, observerState, err := decodeCheckpoint(payload)
+	if err != nil {
+		return err
 	}
 	if doc.Domain != nil {
 		if err := c.dom.ImportState(doc.Domain); err != nil {

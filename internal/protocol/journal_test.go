@@ -5,7 +5,6 @@ package protocol
 // crash-point sweep at the controller layer, and replay-error tolerance.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -262,13 +261,21 @@ func TestJournalRejectsVersion1Checkpoint(t *testing.T) {
 }
 
 // TestJournalRecoversParentCheckpoint: testdata/journal_v2 is the
-// journal directory the release before the learner was folded into the
-// engine left behind after the scenario of
-// TestJournalCheckpointRestoresObserverState — two checkpoints with the
-// binary observer state after the document line, and a record tail.
-// This release must recover it.
+// journal directory the previous release left behind after the scenario
+// of TestJournalCheckpointRestoresObserverState — JSON records, two
+// checkpoints with a JSON document line and the binary observer state
+// after it — and this release must recover it through its read-old
+// decoders. testdata/journal_v3 is the same scenario written by this
+// release (binary records and document): the fixture the next format
+// change is held to.
 func TestJournalRecoversParentCheckpoint(t *testing.T) {
-	dir := copyJournal(t, "journal_v2")
+	for _, fixture := range []string{"journal_v2", "journal_v3"} {
+		t.Run(fixture, func(t *testing.T) { recoversFixture(t, fixture) })
+	}
+}
+
+func recoversFixture(t *testing.T, fixture string) {
+	dir := copyJournal(t, fixture)
 	eng := incremental.New(observerEngineConfig())
 	c, err := NewController(baseline.LLF{}, WithObserver(eng),
 		WithJournal(dir, journal.Options{Fsync: journal.FsyncAlways, CheckpointEvery: 4}))
@@ -461,26 +468,26 @@ func crashPointSweep(t *testing.T, live bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payloads, corrupt, torn := journal.DecodeFrames(data)
-		if corrupt != 0 || torn {
-			t.Fatalf("clean journal decodes dirty: corrupt=%d torn=%v", corrupt, torn)
-		}
-		end := 0
-		for _, p := range payloads {
+		frames := 0
+		st, err := journal.WalkFrames(data, func(off int, p []byte) error {
 			var r journal.Record
-			if err := json.Unmarshal(p, &r); err != nil {
-				t.Fatal(err)
+			if err := journal.DecodeRecord(p, &r); err != nil {
+				return err
 			}
 			records = append(records, r)
-			end += 12 + len(p)
+			frames++
 			if si == len(segs)-1 {
-				frameEnd = append(frameEnd, end)
+				frameEnd = append(frameEnd, off+journal.FrameHeaderLen+len(p))
 			}
+			return nil
+		})
+		if err != nil || st.Corrupt != 0 || st.Torn {
+			t.Fatalf("clean journal walks dirty: %v, %+v", err, st)
 		}
 		if si == len(segs)-1 {
 			full = data
 		} else {
-			sealed += len(payloads)
+			sealed += frames
 		}
 	}
 	others, err := filepath.Glob(filepath.Join(dir, "*"))

@@ -351,6 +351,12 @@ func binaryPortCrashRecovery(t *testing.T, live bool) {
 		return c, eng
 	}
 	a, engA := open(WithTimeout(testTimeout))
+	// The "crashed" controller lives on until the test ends. Stop it
+	// before the temp dir is removed (cleanups run last-registered
+	// first: stations close, then this, then RemoveAll), or the
+	// disassociations those closes trigger are still being journaled —
+	// files created — while the directory is being deleted.
+	t.Cleanup(func() { a.Close() })
 	addr, err := a.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
