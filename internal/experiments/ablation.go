@@ -123,6 +123,10 @@ func AblationStaleness(d *Data, intervals []int64) (*AblationStalenessResult, er
 		S3Means:          make([]float64, len(intervals)),
 		LLFMeans:         make([]float64, len(intervals)),
 	}
+	model, err := d.trainModel(society.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
 	jobs := make([]sweepJob, 0, 2*len(intervals))
 	for i, iv := range intervals {
 		i, iv := i, iv
@@ -131,7 +135,7 @@ func AblationStaleness(d *Data, intervals []int64) (*AblationStalenessResult, er
 		jobs = append(jobs, sweepJob{
 			name: fmt.Sprintf("S3 interval=%ds", iv),
 			run: func() (float64, error) {
-				sim, err := cell.RunS3(society.DefaultConfig(), core.DefaultSelectorConfig())
+				sim, err := cell.RunS3Model(model, core.DefaultSelectorConfig())
 				if err != nil {
 					return 0, fmt.Errorf("ablation staleness %ds: %w", iv, err)
 				}
@@ -188,6 +192,10 @@ func AblationGuard(d *Data, guards []float64) (*AblationGuardResult, error) {
 		guards = []float64{0.1, 0.25, 0.5, 1, 2, 100}
 	}
 	res := &AblationGuardResult{Guards: guards, Means: make([]float64, len(guards))}
+	model, err := d.trainModel(society.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
 	jobs := make([]sweepJob, len(guards))
 	for i, g := range guards {
 		i, g := i, g
@@ -196,7 +204,7 @@ func AblationGuard(d *Data, guards []float64) (*AblationGuardResult, error) {
 			run: func() (float64, error) {
 				cfg := core.DefaultSelectorConfig()
 				cfg.BalanceGuard = g
-				sim, err := d.RunS3(society.DefaultConfig(), cfg)
+				sim, err := d.RunS3Model(model, cfg)
 				if err != nil {
 					return 0, fmt.Errorf("ablation guard %v: %w", g, err)
 				}
@@ -240,6 +248,10 @@ func AblationBatchWindow(d *Data, windows []int64) (*AblationBatchWindowResult, 
 		WindowsSeconds: windows,
 		Means:          make([]float64, len(windows)),
 	}
+	model, err := d.trainModel(society.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
 	jobs := make([]sweepJob, len(windows))
 	for i, w := range windows {
 		i, w := i, w
@@ -248,7 +260,7 @@ func AblationBatchWindow(d *Data, windows []int64) (*AblationBatchWindowResult, 
 		jobs[i] = sweepJob{
 			name: fmt.Sprintf("window=%ds", w),
 			run: func() (float64, error) {
-				sim, err := cell.RunS3(society.DefaultConfig(), core.DefaultSelectorConfig())
+				sim, err := cell.RunS3Model(model, core.DefaultSelectorConfig())
 				if err != nil {
 					return 0, fmt.Errorf("ablation batch window %ds: %w", w, err)
 				}

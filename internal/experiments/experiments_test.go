@@ -6,6 +6,7 @@ import (
 
 	"github.com/s3wlan/s3wlan/internal/baseline"
 	"github.com/s3wlan/s3wlan/internal/core"
+	"github.com/s3wlan/s3wlan/internal/obs"
 	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/synth"
 	"github.com/s3wlan/s3wlan/internal/trace"
@@ -212,4 +213,60 @@ func TestFig12(t *testing.T) {
 	}
 	t.Logf("gain %.1f%%, leave-peak gain %.1f%%, error-bar reduction %.1f%%",
 		res.GainPercent, res.LeavePeakGainPercent, res.ErrorBarReductionPercent)
+}
+
+// TestSweepTrainsOncePerTallies: α weighs the type prior when θ is read
+// and changes nothing Train counts, so a sweep trains once per interval
+// (Fig 10) or history length (Fig 11) however many α it crosses them
+// with — and every cell still equals a training of its own.
+func TestSweepTrainsOncePerTallies(t *testing.T) {
+	d := prepareSmall(t)
+	trainings := obs.GetHistogram("society.train")
+	intervals, history, alphas := []int64{60, 300}, []int{3, 9}, []float64{0.1, 0.5}
+
+	before := trainings.Count()
+	f10, err := Fig10(d, intervals, alphas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := trainings.Count() - before; got != int64(len(intervals)) {
+		t.Errorf("Fig 10 trained %d models for %d intervals × %d α", got, len(intervals), len(alphas))
+	}
+	before = trainings.Count()
+	f11, err := Fig11(d, history, alphas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := trainings.Count() - before; got != int64(len(history)) {
+		t.Errorf("Fig 11 trained %d models for %d history lengths × %d α", got, len(history), len(alphas))
+	}
+
+	alone := func(cfg society.Config) float64 {
+		t.Helper()
+		sim, err := d.RunS3(cfg, core.DefaultSelectorConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mean, err := MeanBalance(sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mean
+	}
+	for a, alpha := range alphas {
+		for i, iv := range intervals {
+			cfg := society.DefaultConfig()
+			cfg.CoLeaveWindowSeconds, cfg.Alpha, cfg.HistoryDays = iv, alpha, 0
+			if want := alone(cfg); f10.Mean[a][i] != want {
+				t.Errorf("Fig 10 α=%v interval=%d: %v, stand-alone RunS3 %v", alpha, iv, f10.Mean[a][i], want)
+			}
+		}
+		for i, hd := range history {
+			cfg := society.DefaultConfig()
+			cfg.Alpha, cfg.HistoryDays = alpha, hd
+			if want := alone(cfg); f11.Mean[a][i] != want {
+				t.Errorf("Fig 11 α=%v history=%d: %v, stand-alone RunS3 %v", alpha, hd, f11.Mean[a][i], want)
+			}
+		}
+	}
 }

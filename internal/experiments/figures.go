@@ -6,6 +6,7 @@ import (
 
 	"github.com/s3wlan/s3wlan/internal/core"
 	"github.com/s3wlan/s3wlan/internal/metrics"
+	"github.com/s3wlan/s3wlan/internal/runner"
 	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/stats"
 	"github.com/s3wlan/s3wlan/internal/trace"
@@ -41,20 +42,26 @@ func Fig10(d *Data, intervals []int64, alphas []float64) (*Fig10Result, error) {
 	}
 	res := &Fig10Result{Intervals: intervals, Alphas: alphas}
 	res.Mean = make([][]float64, len(alphas))
+	// One training per interval serves every α (see trainModel).
+	models, _, err := runner.Map(d.runnerConfig("fig10-train"), intervals,
+		func(_ *runner.Ctx, iv int64) (*society.Model, error) {
+			cfg := society.DefaultConfig()
+			cfg.CoLeaveWindowSeconds = iv
+			cfg.HistoryDays = 0 // full history for this sweep
+			return d.trainModel(cfg)
+		})
+	if err != nil {
+		return nil, err
+	}
 	jobs := make([]sweepJob, 0, len(alphas)*len(intervals))
 	for a, alpha := range alphas {
 		res.Mean[a] = make([]float64, len(intervals))
 		for i, iv := range intervals {
-			alpha, iv := alpha, iv
-			a, i := a, i
+			model := models[i].WithAlpha(alpha)
 			jobs = append(jobs, sweepJob{
 				name: fmt.Sprintf("interval=%ds α=%v", iv, alpha),
 				run: func() (float64, error) {
-					cfg := society.DefaultConfig()
-					cfg.CoLeaveWindowSeconds = iv
-					cfg.Alpha = alpha
-					cfg.HistoryDays = 0 // full history for this sweep
-					sim, err := d.RunS3(cfg, core.DefaultSelectorConfig())
+					sim, err := d.RunS3Model(model, core.DefaultSelectorConfig())
 					if err != nil {
 						return 0, fmt.Errorf("fig10 interval=%d alpha=%v: %w", iv, alpha, err)
 					}
@@ -126,19 +133,25 @@ func Fig11(d *Data, historyDays []int, alphas []float64) (*Fig11Result, error) {
 	}
 	res := &Fig11Result{HistoryDays: historyDays, Alphas: alphas}
 	res.Mean = make([][]float64, len(alphas))
+	// One training per history length serves every α (see trainModel).
+	models, _, err := runner.Map(d.runnerConfig("fig11-train"), historyDays,
+		func(_ *runner.Ctx, hd int) (*society.Model, error) {
+			cfg := society.DefaultConfig()
+			cfg.HistoryDays = hd
+			return d.trainModel(cfg)
+		})
+	if err != nil {
+		return nil, err
+	}
 	jobs := make([]sweepJob, 0, len(alphas)*len(historyDays))
 	for a, alpha := range alphas {
 		res.Mean[a] = make([]float64, len(historyDays))
 		for i, hd := range historyDays {
-			alpha, hd := alpha, hd
-			a, i := a, i
+			model := models[i].WithAlpha(alpha)
 			jobs = append(jobs, sweepJob{
 				name: fmt.Sprintf("history=%dd α=%v", hd, alpha),
 				run: func() (float64, error) {
-					cfg := society.DefaultConfig()
-					cfg.Alpha = alpha
-					cfg.HistoryDays = hd
-					sim, err := d.RunS3(cfg, core.DefaultSelectorConfig())
+					sim, err := d.RunS3Model(model, core.DefaultSelectorConfig())
 					if err != nil {
 						return 0, fmt.Errorf("fig11 history=%d alpha=%v: %w", hd, alpha, err)
 					}

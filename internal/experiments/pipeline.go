@@ -128,10 +128,30 @@ func (d *Data) simConfig(selectorFor func(trace.ControllerID, []trace.AP) wlan.S
 // RunS3 trains a sociality model with the given parameters and simulates
 // the test trace under the S³ policy.
 func (d *Data) RunS3(societyCfg society.Config, selCfg core.SelectorConfig) (*wlan.Result, error) {
-	model, err := society.Train(d.Train, d.Profiles, societyCfg)
+	model, err := d.trainModel(societyCfg)
+	if err != nil {
+		return nil, err
+	}
+	return d.RunS3Model(model, selCfg)
+}
+
+// trainModel is RunS3's training half. α weighs the type prior when θ is
+// read (θ = P(L|E) + α·T) and plays no part in what Train counts, so a
+// sweep trains once per distinct set of the other parameters and hands
+// every α cell a Model.WithAlpha copy. The models are locals of the
+// figure that trained them: nothing is kept on d.
+func (d *Data) trainModel(cfg society.Config) (*society.Model, error) {
+	model, err := society.Train(d.Train, d.Profiles, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: train sociality: %w", err)
 	}
+	return model, nil
+}
+
+// RunS3Model simulates the test trace under the S³ policy reading an
+// already trained model. The simulation only reads the model, so cells
+// of one sweep may share it (and its WithAlpha copies) concurrently.
+func (d *Data) RunS3Model(model *society.Model, selCfg core.SelectorConfig) (*wlan.Result, error) {
 	sel, err := core.NewSelector(model, selCfg)
 	if err != nil {
 		return nil, err
@@ -247,9 +267,8 @@ type sweepJob struct {
 }
 
 // runSweep executes the cells on the experiment pool (internal/runner).
-// Each cell re-trains a sociality model and replays the test trace;
-// slot-stored results keep the output identical to a serial sweep for
-// any worker count.
+// Each cell replays the test trace; slot-stored results keep the output
+// identical to a serial sweep for any worker count.
 func (d *Data) runSweep(label string, jobs []sweepJob) error {
 	tasks := make([]runner.Task, len(jobs))
 	vals := make([]float64, len(jobs))

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/s3wlan/s3wlan/internal/apps"
+	"github.com/s3wlan/s3wlan/internal/synth"
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
@@ -38,5 +40,30 @@ func BenchmarkExtractEncounters(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ExtractEncounters(sessions, 600)
+	}
+}
+
+// BenchmarkTrain is one training on the default campus's 28 training
+// days, with the paper's 15-day history and with the full window (what
+// Fig 10 sweeps).
+func BenchmarkTrain(b *testing.B) {
+	campus := synth.DefaultConfig()
+	full, _, err := synth.Generate(campus)
+	if err != nil {
+		b.Fatal(err)
+	}
+	train, _ := full.SplitAt(campus.Epoch + 28*86400)
+	profiles := apps.BuildProfiles(train.Flows, campus.Epoch, apps.NewClassifier())
+	for _, days := range []int{15, 0} {
+		cfg := DefaultConfig()
+		cfg.HistoryDays = days
+		b.Run(fmt.Sprintf("history=%d", days), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Train(train, profiles, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,0 +1,152 @@
+package society
+
+import (
+	"cmp"
+	"slices"
+
+	"github.com/s3wlan/s3wlan/internal/trace"
+)
+
+// visit is one session as the event extractors read it: who (by rank),
+// and when they connected and left.
+type visit struct {
+	rank                uint32
+	connect, disconnect int64
+}
+
+// dense is a session list regrouped for counting pair events. Users are
+// ranked in sorted UserID order, so a pair of ranks compares exactly as
+// the pair of ids does, and the extractors count and sort on integers
+// instead of hashing and comparing two strings per event.
+type dense struct {
+	users []trace.UserID // rank → id, ascending
+	aps   []trace.APID   // ascending
+	byAP  [][]visit      // parallel to aps
+}
+
+// newDense regroups the sessions that connect at or after from.
+func newDense(sessions []trace.Session, from int64) *dense {
+	userRank := make(map[trace.UserID]uint32)
+	apRank := make(map[trace.APID]int)
+	for _, s := range sessions {
+		if s.ConnectAt >= from {
+			userRank[s.User] = 0
+			apRank[s.AP] = 0
+		}
+	}
+	d := &dense{users: sortedKeys(userRank), aps: sortedKeys(apRank)}
+	for r, u := range d.users {
+		userRank[u] = uint32(r)
+	}
+	for r, ap := range d.aps {
+		apRank[ap] = r
+	}
+	d.byAP = make([][]visit, len(d.aps))
+	for _, s := range sessions {
+		if s.ConnectAt >= from {
+			a := apRank[s.AP]
+			d.byAP[a] = append(d.byAP[a], visit{userRank[s.User], s.ConnectAt, s.DisconnectAt})
+		}
+	}
+	return d
+}
+
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// A pair event is one uint64: the smaller rank in the high 31 bits, the
+// larger in the next 32, and the kind in the lowest — so sorting a list
+// of events groups each pair's, in (A, B) id order, encounters first.
+// (The smaller rank of a pair stays below 2³¹: that many distinct ids do
+// not fit in memory.)
+const (
+	eventEncounter = 0
+	eventCoLeave   = 1
+)
+
+func pairEvent(a, b uint32, kind uint64) uint64 {
+	if b < a {
+		a, b = b, a
+	}
+	return uint64(a)<<33 | uint64(b)<<1 | kind
+}
+
+// encounters lists one event per two sessions of different users on one
+// AP that overlap by at least minOverlap seconds, unsorted.
+func (d *dense) encounters(minOverlap int64) []uint64 {
+	var events []uint64
+	for _, g := range d.byAP {
+		slices.SortFunc(g, func(x, y visit) int { return cmp.Compare(x.connect, y.connect) })
+		for i := range g {
+			for j := i + 1; j < len(g); j++ {
+				// Sorted by connect time: once j starts after i ends,
+				// no later session can overlap i either.
+				if g[j].connect >= g[i].disconnect {
+					break
+				}
+				if g[i].rank == g[j].rank {
+					continue
+				}
+				overlap := min(g[i].disconnect, g[j].disconnect) - g[j].connect
+				if max(overlap, 0) >= minOverlap {
+					events = append(events, pairEvent(g[i].rank, g[j].rank, eventEncounter))
+				}
+			}
+		}
+	}
+	return events
+}
+
+// eachCoLeave sorts every AP's visits by (leaving time, user) and then,
+// AP by AP, calls emit for every two leavings of different users no more
+// than window seconds apart: first < second are positions in d.byAP[ap],
+// and calls come in ascending (first, second) order.
+func (d *dense) eachCoLeave(window int64, emit func(ap, first, second int)) {
+	for ap, g := range d.byAP {
+		slices.SortFunc(g, func(x, y visit) int {
+			return cmp.Or(cmp.Compare(x.disconnect, y.disconnect), cmp.Compare(x.rank, y.rank))
+		})
+		for i := range g {
+			for j := i + 1; j < len(g); j++ {
+				if g[j].disconnect-g[i].disconnect > window {
+					break
+				}
+				if g[i].rank != g[j].rank {
+					emit(ap, i, j)
+				}
+			}
+		}
+	}
+}
+
+// events lists every encounter and co-leave, sorted.
+func (d *dense) events(minOverlap, window int64) []uint64 {
+	events := d.encounters(minOverlap)
+	d.eachCoLeave(window, func(ap, first, second int) {
+		g := d.byAP[ap]
+		events = append(events, pairEvent(g[first].rank, g[second].rank, eventCoLeave))
+	})
+	slices.Sort(events)
+	return events
+}
+
+// eachPair folds sorted events into one call per pair, in (A, B) id
+// order, with the pair's ranks (a < b) and event counts.
+func eachPair(events []uint64, f func(a, b uint32, encounters, coLeaves int)) {
+	for i := 0; i < len(events); {
+		pair := events[i] >> 1
+		var n [2]int
+		for ; i < len(events) && events[i]>>1 == pair; i++ {
+			n[events[i]&1]++
+		}
+		f(uint32(pair>>32), uint32(pair), n[eventEncounter], n[eventCoLeave])
+	}
+}
+
+func (d *dense) pair(a, b uint32) Pair { return Pair{A: d.users[a], B: d.users[b]} }

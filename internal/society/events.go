@@ -1,7 +1,8 @@
 package society
 
 import (
-	"sort"
+	"math"
+	"slices"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
@@ -32,13 +33,6 @@ func (p Pair) Other(u trace.UserID) trace.UserID {
 	}
 }
 
-// LeaveEvent is one user disconnecting from an AP.
-type LeaveEvent struct {
-	User trace.UserID
-	AP   trace.APID
-	At   int64
-}
-
 // CoLeaveEvent is a pair of users leaving the same AP within the
 // extraction window.
 type CoLeaveEvent struct {
@@ -47,57 +41,22 @@ type CoLeaveEvent struct {
 	At   int64 // time of the earlier leaving
 }
 
-// ExtractLeavings lists every session end as a leaving event, sorted by
-// (time, user).
-func ExtractLeavings(sessions []trace.Session) []LeaveEvent {
-	out := make([]LeaveEvent, 0, len(sessions))
-	for _, s := range sessions {
-		out = append(out, LeaveEvent{User: s.User, AP: s.AP, At: s.DisconnectAt})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].User < out[j].User
-	})
-	return out
-}
-
 // ExtractCoLeavings finds all pairs of users who left the same AP within
-// windowSeconds of each other. Each pair of leave events yields at most
-// one co-leave event; a user leaving the same AP twice inside the window
-// (reconnect churn) pairs independently per leaving. Self-pairs are
-// excluded.
+// windowSeconds of each other, ordered by (AP, time of the earlier
+// leaving). Each pair of leave events yields at most one co-leave event;
+// a user leaving the same AP twice inside the window (reconnect churn)
+// pairs independently per leaving. Self-pairs are excluded.
 func ExtractCoLeavings(sessions []trace.Session, windowSeconds int64) []CoLeaveEvent {
-	byAP := make(map[trace.APID][]LeaveEvent)
-	for _, ev := range ExtractLeavings(sessions) {
-		byAP[ev.AP] = append(byAP[ev.AP], ev)
-	}
-	aps := make([]trace.APID, 0, len(byAP))
-	for ap := range byAP {
-		aps = append(aps, ap)
-	}
-	sort.Slice(aps, func(i, j int) bool { return aps[i] < aps[j] })
-
+	d := newDense(sessions, math.MinInt64)
 	var out []CoLeaveEvent
-	for _, ap := range aps {
-		evs := byAP[ap] // already time-sorted
-		for i := 0; i < len(evs); i++ {
-			for j := i + 1; j < len(evs); j++ {
-				if evs[j].At-evs[i].At > windowSeconds {
-					break
-				}
-				if evs[i].User == evs[j].User {
-					continue
-				}
-				out = append(out, CoLeaveEvent{
-					Pair: MakePair(evs[i].User, evs[j].User),
-					AP:   ap,
-					At:   evs[i].At,
-				})
-			}
-		}
-	}
+	d.eachCoLeave(windowSeconds, func(ap, first, second int) {
+		g := d.byAP[ap]
+		out = append(out, CoLeaveEvent{
+			Pair: MakePair(d.users[g[first].rank], d.users[g[second].rank]),
+			AP:   d.aps[ap],
+			At:   g[first].disconnect,
+		})
+	})
 	return out
 }
 
@@ -106,31 +65,13 @@ func ExtractCoLeavings(sessions []trace.Session, windowSeconds int64) []CoLeaveE
 // encountering event ("keep the connections with the same AP for a
 // certain period of time").
 func ExtractEncounters(sessions []trace.Session, minOverlapSeconds int64) map[Pair]int {
-	byAP := make(map[trace.APID][]trace.Session)
-	for _, s := range sessions {
-		byAP[s.AP] = append(byAP[s.AP], s)
-	}
+	d := newDense(sessions, math.MinInt64)
+	events := d.encounters(minOverlapSeconds)
+	slices.Sort(events)
 	out := make(map[Pair]int)
-	for _, group := range byAP {
-		sort.Slice(group, func(i, j int) bool {
-			return group[i].ConnectAt < group[j].ConnectAt
-		})
-		for i := 0; i < len(group); i++ {
-			for j := i + 1; j < len(group); j++ {
-				// Sorted by connect time: once j starts after i ends,
-				// no later session can overlap i either.
-				if group[j].ConnectAt >= group[i].DisconnectAt {
-					break
-				}
-				if group[i].User == group[j].User {
-					continue
-				}
-				if group[i].Overlap(group[j]) >= minOverlapSeconds {
-					out[MakePair(group[i].User, group[j].User)]++
-				}
-			}
-		}
-	}
+	eachPair(events, func(a, b uint32, encounters, _ int) {
+		out[d.pair(a, b)] = encounters
+	})
 	return out
 }
 
@@ -138,51 +79,26 @@ func ExtractEncounters(sessions []trace.Session, minOverlapSeconds int64) map[Pa
 // leaving events that participate in at least one co-leaving — the
 // statistic behind the paper's Fig. 5. Users with no leavings are absent.
 func CoLeaveFractionPerUser(sessions []trace.Session, windowSeconds int64) map[trace.UserID]float64 {
-	leavings := ExtractLeavings(sessions)
-	totals := make(map[trace.UserID]int)
-	for _, ev := range leavings {
-		totals[ev.User]++
+	d := newDense(sessions, math.MinInt64)
+	co := make([][]bool, len(d.byAP)) // per AP, per leaving: part of a co-leaving
+	for ap, g := range d.byAP {
+		co[ap] = make([]bool, len(g))
 	}
-
-	// Mark each leave event that co-occurs with another user's leaving on
-	// the same AP within the window.
-	byAP := make(map[trace.APID][]LeaveEvent)
-	for _, ev := range leavings {
-		byAP[ev.AP] = append(byAP[ev.AP], ev)
-	}
-	coCount := make(map[trace.UserID]int)
-	for _, evs := range byAP {
-		for i := range evs {
-			isCo := false
-			for j := i - 1; j >= 0; j-- {
-				if evs[i].At-evs[j].At > windowSeconds {
-					break
-				}
-				if evs[j].User != evs[i].User {
-					isCo = true
-					break
-				}
-			}
-			if !isCo {
-				for j := i + 1; j < len(evs); j++ {
-					if evs[j].At-evs[i].At > windowSeconds {
-						break
-					}
-					if evs[j].User != evs[i].User {
-						isCo = true
-						break
-					}
-				}
-			}
-			if isCo {
-				coCount[evs[i].User]++
+	d.eachCoLeave(windowSeconds, func(ap, first, second int) {
+		co[ap][first], co[ap][second] = true, true
+	})
+	totals, coCount := make([]int, len(d.users)), make([]int, len(d.users))
+	for ap, g := range d.byAP {
+		for i, v := range g {
+			totals[v.rank]++
+			if co[ap][i] {
+				coCount[v.rank]++
 			}
 		}
 	}
-
-	out := make(map[trace.UserID]float64, len(totals))
-	for u, total := range totals {
-		out[u] = float64(coCount[u]) / float64(total)
+	out := make(map[trace.UserID]float64, len(d.users))
+	for r, u := range d.users {
+		out[u] = float64(coCount[r]) / float64(totals[r])
 	}
 	return out
 }

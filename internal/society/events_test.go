@@ -2,6 +2,7 @@ package society
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
@@ -27,21 +28,6 @@ func TestPairOther(t *testing.T) {
 	}
 }
 
-func TestExtractLeavingsSorted(t *testing.T) {
-	sessions := []trace.Session{
-		{User: "u2", AP: "a", ConnectAt: 0, DisconnectAt: 500},
-		{User: "u1", AP: "a", ConnectAt: 0, DisconnectAt: 300},
-		{User: "u3", AP: "b", ConnectAt: 0, DisconnectAt: 300},
-	}
-	evs := ExtractLeavings(sessions)
-	if len(evs) != 3 {
-		t.Fatalf("leavings = %d, want 3", len(evs))
-	}
-	if evs[0].User != "u1" || evs[1].User != "u3" || evs[2].User != "u2" {
-		t.Errorf("order wrong: %+v", evs)
-	}
-}
-
 func TestExtractCoLeavings(t *testing.T) {
 	sessions := []trace.Session{
 		{User: "u1", AP: "a", ConnectAt: 0, DisconnectAt: 1000},
@@ -61,6 +47,27 @@ func TestExtractCoLeavings(t *testing.T) {
 	evs = ExtractCoLeavings(sessions, 4000)
 	if len(evs) != 3 {
 		t.Errorf("wide-window co-leavings = %d, want 3", len(evs))
+	}
+}
+
+// Events come AP by AP (ids ascending), and within an AP in (time, user)
+// order of the earlier leaving, whatever order the sessions arrive in.
+func TestExtractCoLeavingsOrder(t *testing.T) {
+	sessions := []trace.Session{
+		{User: "u3", AP: "b", ConnectAt: 0, DisconnectAt: 300},
+		{User: "u2", AP: "b", ConnectAt: 0, DisconnectAt: 300},
+		{User: "u9", AP: "a", ConnectAt: 0, DisconnectAt: 500},
+		{User: "u1", AP: "b", ConnectAt: 0, DisconnectAt: 350},
+		{User: "u8", AP: "a", ConnectAt: 0, DisconnectAt: 400},
+	}
+	want := []CoLeaveEvent{
+		{Pair: MakePair("u8", "u9"), AP: "a", At: 400},
+		{Pair: MakePair("u2", "u3"), AP: "b", At: 300},
+		{Pair: MakePair("u1", "u2"), AP: "b", At: 300},
+		{Pair: MakePair("u1", "u3"), AP: "b", At: 300},
+	}
+	if got := ExtractCoLeavings(sessions, 300); !reflect.DeepEqual(got, want) {
+		t.Errorf("events\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package society
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -127,64 +128,85 @@ func Train(tr *trace.Trace, profiles *apps.ProfileStore, cfg Config) (*Model, er
 	}
 	start := time.Now()
 	defer func() { obsTrain.Observe(time.Since(start)) }()
-	sessions := tr.Sessions
+	from := int64(math.MinInt64)
 	if cfg.HistoryDays > 0 {
 		_, end := tr.TimeRange()
-		cut := end - int64(cfg.HistoryDays)*86400
-		trimmed := make([]trace.Session, 0, len(sessions))
-		for _, s := range sessions {
-			if s.ConnectAt >= cut {
-				trimmed = append(trimmed, s)
-			}
-		}
-		sessions = trimmed
-		if len(sessions) == 0 {
-			return nil, fmt.Errorf("%w after truncating to %d history days",
-				ErrNoSessions, cfg.HistoryDays)
-		}
+		from = end - int64(cfg.HistoryDays)*86400
 	}
-
-	encounters := ExtractEncounters(sessions, cfg.MinEncounterSeconds)
-	coLeaves := countCoLeaves(sessions, cfg.CoLeaveWindowSeconds)
-
-	pairProb := make(map[Pair]float64, len(encounters))
-	for p, e := range encounters {
-		if e < cfg.MinEncounters {
-			continue // insufficient support; treat as noise
-		}
-		c := coLeaves[p]
-		prob := float64(c) / float64(e)
-		if prob > 1 {
-			// More co-leavings than qualifying encounters can happen when
-			// short overlaps don't clear MinEncounterSeconds; clamp.
-			prob = 1
-		}
-		pairProb[p] = prob
+	d := newDense(tr.Sessions, from)
+	if len(d.users) == 0 {
+		return nil, fmt.Errorf("%w after truncating to %d history days",
+			ErrNoSessions, cfg.HistoryDays)
 	}
+	events := d.events(cfg.MinEncounterSeconds, cfg.CoLeaveWindowSeconds)
 
 	types, centroids, err := clusterUsers(profiles, cfg)
 	if err != nil {
 		return nil, err
 	}
-	matrix := BuildTypeMatrix(encounters, coLeaves, types, len(centroids))
+	typeOf := make([]int, len(d.users))
+	for r, u := range d.users {
+		typeOf[r] = userType(types, u)
+	}
 
-	return &Model{
-		PairProb:   pairProb,
-		Encounters: encounters,
-		CoLeaves:   coLeaves,
+	// Below MinEncounters a pair's estimate is noise ("fake social
+	// relationships"): it gets no PairProb entry.
+	var nEnc, nCol, nProb int
+	eachPair(events, func(_, _ uint32, encounters, coLeaves int) {
+		if encounters > 0 {
+			nEnc++
+			if encounters >= cfg.MinEncounters {
+				nProb++
+			}
+		}
+		if coLeaves > 0 {
+			nCol++
+		}
+	})
+	m := &Model{
+		PairProb:   make(map[Pair]float64, nProb),
+		Encounters: make(map[Pair]int, nEnc),
+		CoLeaves:   make(map[Pair]int, nCol),
 		Types:      types,
-		TypeMatrix: matrix,
 		Centroids:  centroids,
 		Alpha:      cfg.Alpha,
-	}, nil
+	}
+	// eachPair visits pairs in (A, B) order: the type sums accumulate in
+	// the order BuildTypeMatrix sorts its pairs into.
+	sums := newTypeSums(len(centroids))
+	eachPair(events, func(a, b uint32, encounters, coLeaves int) {
+		p := d.pair(a, b)
+		if coLeaves > 0 {
+			m.CoLeaves[p] = coLeaves
+		}
+		if encounters == 0 {
+			return
+		}
+		m.Encounters[p] = encounters
+		if encounters >= cfg.MinEncounters {
+			m.PairProb[p] = coLeaveProb(encounters, coLeaves)
+		}
+		sums.add(typeOf[a], typeOf[b], encounters, coLeaves)
+	})
+	m.TypeMatrix = sums.matrix()
+	return m, nil
 }
 
-func countCoLeaves(sessions []trace.Session, window int64) map[Pair]int {
-	out := make(map[Pair]int)
-	for _, ev := range ExtractCoLeavings(sessions, window) {
-		out[ev.Pair]++
-	}
-	return out
+// WithAlpha returns a copy of the model that mixes the type prior into θ
+// with a different α. The copy shares the receiver's maps, matrix and
+// centroids; a trained Model is read-only, and must stay so while copies
+// are in use.
+func (m *Model) WithAlpha(alpha float64) *Model {
+	c := *m
+	c.Alpha = alpha
+	return &c
+}
+
+// coLeaveProb is P(L|E) from a pair's counts. More co-leavings than
+// qualifying encounters can happen when short overlaps don't clear
+// MinEncounterSeconds; clamp.
+func coLeaveProb(encounters, coLeaves int) float64 {
+	return min(1, float64(coLeaves)/float64(encounters))
 }
 
 // clusterUsers k-means-clusters the users' mean normalized application
@@ -236,12 +258,6 @@ func clusterUsers(profiles *apps.ProfileStore, cfg Config) (map[trace.UserID]int
 // types. Cells with no supporting pairs are 0.
 func BuildTypeMatrix(encounters, coLeaves map[Pair]int,
 	types map[trace.UserID]int, k int) [][]float64 {
-	sums := make([][]float64, k)
-	counts := make([][]int, k)
-	for i := range sums {
-		sums[i] = make([]float64, k)
-		counts[i] = make([]int, k)
-	}
 	// Deterministic iteration for reproducible float accumulation.
 	pairs := make([]Pair, 0, len(encounters))
 	for p := range encounters {
@@ -253,33 +269,54 @@ func BuildTypeMatrix(encounters, coLeaves map[Pair]int,
 		}
 		return pairs[i].B < pairs[j].B
 	})
+	sums := newTypeSums(k)
 	for _, p := range pairs {
-		e := encounters[p]
-		if e == 0 {
-			continue
-		}
-		ta, okA := types[p.A]
-		tb, okB := types[p.B]
-		if !okA || !okB || ta >= k || tb >= k {
-			continue
-		}
-		prob := float64(coLeaves[p]) / float64(e)
-		if prob > 1 {
-			prob = 1
-		}
-		sums[ta][tb] += prob
-		counts[ta][tb]++
-		if ta != tb {
-			sums[tb][ta] += prob
-			counts[tb][ta]++
-		}
+		sums.add(userType(types, p.A), userType(types, p.B), encounters[p], coLeaves[p])
 	}
-	out := make([][]float64, k)
+	return sums.matrix()
+}
+
+// userType is u's type, or -1 for a user without one.
+func userType(types map[trace.UserID]int, u trace.UserID) int {
+	if t, ok := types[u]; ok {
+		return t
+	}
+	return -1
+}
+
+// typeSums accumulates the type matrix's k×k cells. Callers add pairs in
+// (A, B) order, so the float sums come out the same every time.
+type typeSums struct {
+	k      int
+	sums   []float64
+	counts []int
+}
+
+func newTypeSums(k int) *typeSums {
+	return &typeSums{k: k, sums: make([]float64, k*k), counts: make([]int, k*k)}
+}
+
+// add records one encountered pair of types ta, tb.
+func (t *typeSums) add(ta, tb, encounters, coLeaves int) {
+	if encounters == 0 || ta < 0 || tb < 0 || ta >= t.k || tb >= t.k {
+		return
+	}
+	prob := coLeaveProb(encounters, coLeaves)
+	t.sums[ta*t.k+tb] += prob
+	t.counts[ta*t.k+tb]++
+	if ta != tb {
+		t.sums[tb*t.k+ta] += prob
+		t.counts[tb*t.k+ta]++
+	}
+}
+
+func (t *typeSums) matrix() [][]float64 {
+	out := make([][]float64, t.k)
 	for i := range out {
-		out[i] = make([]float64, k)
+		out[i] = make([]float64, t.k)
 		for j := range out[i] {
-			if counts[i][j] > 0 {
-				out[i][j] = sums[i][j] / float64(counts[i][j])
+			if n := t.counts[i*t.k+j]; n > 0 {
+				out[i][j] = t.sums[i*t.k+j] / float64(n)
 			}
 		}
 	}

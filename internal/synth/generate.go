@@ -299,6 +299,14 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 		homeBuilding[gi] = rng.Intn(cfg.Buildings)
 	}
 
+	// dayMood is a pure function of (seed, user, day) that seeds a fresh
+	// generator each call; a user's sessions of one day share the result.
+	type userDay struct {
+		u   trace.UserID
+		day int
+	}
+	moods := make(map[userDay][apps.NumRealms]float64)
+
 	emit := func(u trace.UserID, ctl trace.ControllerID, start, end int64) {
 		if end <= start {
 			return
@@ -326,7 +334,11 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 			Bytes:        bytes,
 		})
 		day := trace.DayIndex(cfg.Epoch, start)
-		mood := dayMood(cfg.Seed, u, day)
+		mood, ok := moods[userDay{u, day}]
+		if !ok {
+			mood = dayMood(cfg.Seed, u, day)
+			moods[userDay{u, day}] = mood
+		}
 		mix := userMix[u]
 		for i := range mix {
 			mix[i] *= mood[i]
