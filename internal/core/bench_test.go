@@ -5,7 +5,10 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/s3wlan/s3wlan/internal/apps"
 	"github.com/s3wlan/s3wlan/internal/domain"
+	"github.com/s3wlan/s3wlan/internal/society"
+	"github.com/s3wlan/s3wlan/internal/synth"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
 )
@@ -55,9 +58,6 @@ func BenchmarkSelect(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if sel.friends == nil {
-				b.Fatal("friend-lookup path not enabled")
-			}
 			dom := domain.New(domain.Config{Mode: domain.LoadMax})
 			aps := make([]trace.APID, size.aps)
 			for i := range aps {
@@ -91,5 +91,57 @@ func BenchmarkSelect(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+var benchPlaced map[trace.UserID]trace.APID
+
+// BenchmarkSelectBatch times Algorithm 1 over a trained society.Model —
+// the rows NewSelector tabulates from it — on a 150-user campus: eight
+// co-arrivals, cut from consecutive ids so that some are close, placed
+// on twelve APs that hold everyone else.
+func BenchmarkSelectBatch(b *testing.B) {
+	campus := synth.DefaultConfig()
+	campus.Users, campus.Buildings, campus.Days = 150, 3, 20
+	tr, _, err := synth.Generate(campus)
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, err := society.Train(tr, apps.BuildProfiles(tr.Flows, campus.Epoch, apps.NewClassifier()), society.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sel, err := NewSelector(model, DefaultSelectorConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	users := make([]trace.UserID, 0, len(model.Types))
+	for u := range model.Types {
+		users = append(users, u)
+	}
+	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
+	dom := domain.New(domain.Config{})
+	for a := 0; a < 12; a++ {
+		if err := dom.AddAP(trace.APID(fmt.Sprintf("ap%02d", a)), 1e9); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i, u := range users {
+		p := domain.Placement{User: u, AP: trace.APID(fmt.Sprintf("ap%02d", i%12)), DemandBps: float64(500 + (i*7919)%1000)}
+		if _, err := dom.Commit([]domain.Placement{p}, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	views, _ := dom.Views(users[0])
+	reqs := make([]wlan.Request, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range reqs {
+			reqs[k] = wlan.Request{User: users[(i*8+k)%len(users)], DemandBps: float64(800 + 50*k)}
+		}
+		if benchPlaced, err = sel.SelectBatch(reqs, views); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -25,34 +25,8 @@ func testUsers(n int) []trace.UserID {
 
 // randomFriendIndex draws θ for about a third of the pairs, some above
 // and some below the 0.3 cut.
-func randomFriendIndex(rng *rand.Rand, users []trace.UserID) *friendMapIndex {
-	idx := mapIndex{}
-	for i := range users {
-		for j := i + 1; j < len(users); j++ {
-			if rng.Float64() < 0.3 {
-				idx[pair(users[i], users[j])] = rng.Float64()
-			}
-		}
-	}
-	return newFriendMapIndex(idx, 0.3)
-}
-
-// selectorPair builds the S³ selector twice over one index: with the
-// close-friend lists (lookup path) and without (Index scan path).
-func selectorPair(t testing.TB, fidx *friendMapIndex) (fast, slow *Selector) {
-	t.Helper()
-	fast, err := NewSelector(fidx, SelectorConfig{EdgeThreshold: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err = NewSelector(fidx.mapIndex, SelectorConfig{EdgeThreshold: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.friends == nil || slow.friends != nil {
-		t.Fatal("selector pair is not one fast, one slow")
-	}
-	return fast, slow
+func randomFriendIndex(rng *rand.Rand, users []trace.UserID) mapIndex {
+	return randomIndex(rng, users, 0.3)
 }
 
 // referenceSelect is Select's documented ranking done the slow way, as
@@ -131,16 +105,16 @@ func referenceSelect(idx mapIndex, cfg SelectorConfig, req wlan.Request, aps []w
 // TestLazyViewsRankLikeMaterialised: over generated domains and friend
 // graphs, Select on a domain's views (membership looked up on demand)
 // and on hand-built views carrying the full membership the test tracked
-// itself both pick the reference ranking's AP — on the friend-lookup
-// path and the Index scan, on 1 and 4 shards, with users holding stacked
+// itself both pick the reference ranking's AP — over listed friends and
+// over tabulated rows, on 1 and 4 shards, with users holding stacked
 // sessions on one AP, and with per-user demands left out of the
 // hand-built views.
 func TestLazyViewsRankLikeMaterialised(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	users := testUsers(30)
 	for trial := 0; trial < 200; trial++ {
-		fidx := randomFriendIndex(rng, users)
-		fast, slow := selectorPair(t, fidx)
+		idx := randomFriendIndex(rng, users)
+		listed, tabulated := selectorPair(t, idx)
 		// With one demand for everybody, requester included, a view that
 		// tracks no per-user demand must rank like one that does.
 		uniform := trial%3 == 0
@@ -201,12 +175,12 @@ func TestLazyViewsRankLikeMaterialised(t *testing.T) {
 			}
 		}
 
-		want := referenceSelect(fidx.mapIndex, slow.cfg, req, static)
+		want := referenceSelect(idx, listed.cfg, req, static)
 		for name, pick := range map[string]func() (trace.APID, error){
-			"lookup/lazy":   func() (trace.APID, error) { return fast.Select(req, lazy) },
-			"lookup/static": func() (trace.APID, error) { return fast.Select(req, static) },
-			"scan/lazy":     func() (trace.APID, error) { return slow.Select(req, lazy) },
-			"scan/static":   func() (trace.APID, error) { return slow.Select(req, static) },
+			"listed/lazy":      func() (trace.APID, error) { return listed.Select(req, lazy) },
+			"listed/static":    func() (trace.APID, error) { return listed.Select(req, static) },
+			"tabulated/lazy":   func() (trace.APID, error) { return tabulated.Select(req, lazy) },
+			"tabulated/static": func() (trace.APID, error) { return tabulated.Select(req, static) },
 		} {
 			if got, err := pick(); err != nil || got != want {
 				t.Fatalf("trial %d (uniform=%v): %s picked %q (%v), the reference ranking picks %q\nreq %+v\nmembership %v",
@@ -217,13 +191,13 @@ func TestLazyViewsRankLikeMaterialised(t *testing.T) {
 }
 
 // TestFastPathsNeverMaterialise: the policies that rank on aggregates,
-// and S³ with a FriendIndex, decide without one membership copy; the
-// Index scan is what domain.views.materialized counts.
+// and S³ — single arrivals and batches, over listed friends and over
+// tabulated rows — decide without one membership copy; a copy through
+// Members is what domain.views.materialized counts.
 func TestFastPathsNeverMaterialise(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	users := testUsers(30)
-	fidx := randomFriendIndex(rng, users)
-	fast, slow := selectorPair(t, fidx)
+	listed, tabulated := selectorPair(t, randomFriendIndex(rng, users))
 	dom := domain.New(domain.Config{Shards: 4})
 	for i := 0; i < 6; i++ {
 		if err := dom.AddAP(trace.APID(fmt.Sprintf("ap%d", i)), 1e6); err != nil {
@@ -240,33 +214,37 @@ func TestFastPathsNeverMaterialise(t *testing.T) {
 	before := materialized.Value()
 	req := wlan.Request{User: users[0], DemandBps: 25}
 	var buf domain.ViewBuf
-	for _, sel := range []wlan.Selector{baseline.LLF{}, baseline.LeastUsers{}, baseline.StrongestRSSI{}, &baseline.RoundRobin{}, fast} {
+	for _, sel := range []wlan.Selector{baseline.LLF{}, baseline.LeastUsers{}, baseline.StrongestRSSI{}, &baseline.RoundRobin{}, listed, tabulated} {
 		dom.ViewsInto(req.User, &buf)
 		if _, err := sel.Select(req, buf.Views()); err != nil {
 			t.Fatalf("%s: %v", sel.Name(), err)
+		}
+		if bs, ok := sel.(wlan.BatchSelector); ok {
+			batch := []wlan.Request{req, {User: users[3], DemandBps: 30}, {User: users[7], DemandBps: 35}}
+			if _, err := bs.SelectBatch(batch, buf.Views()); err != nil {
+				t.Fatalf("%s: %v", sel.Name(), err)
+			}
 		}
 		if got := materialized.Value() - before; got != 0 {
 			t.Fatalf("%s materialised membership %d times, want 0", sel.Name(), got)
 		}
 	}
-	if _, err := slow.Select(req, buf.Views()); err != nil {
-		t.Fatal(err)
-	}
+	buf.Views()[0].Members()
 	if materialized.Value() == before {
-		t.Error("the Index scan materialised nothing: the counter is not counting")
+		t.Error("Members materialised nothing: the counter is not counting")
 	}
 }
 
 // TestSelectConcurrentWithMutation runs S³ selections — friend lookups
-// and Index-scan materialisations on the domain's views — while other
-// goroutines commit, leave and remove APs. Run under -race; a decision
+// on the domain's views, single and batched — while other goroutines
+// commit, leave and remove APs. Run under -race; a decision
 // must always name an AP of its own snapshot.
 func TestSelectConcurrentWithMutation(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(shards)))
 			users := testUsers(40)
-			fast, slow := selectorPair(t, randomFriendIndex(rng, users))
+			listed, tabulated := selectorPair(t, randomFriendIndex(rng, users))
 			dom := domain.New(domain.Config{Shards: shards})
 			aps := make([]trace.APID, 8)
 			for i := range aps {
@@ -310,7 +288,7 @@ func TestSelectConcurrentWithMutation(t *testing.T) {
 					}
 				}(m)
 			}
-			for _, sel := range []*Selector{fast, slow} {
+			for _, sel := range []*Selector{listed, tabulated} {
 				wg.Add(1)
 				go func(sel *Selector) {
 					defer wg.Done()
@@ -323,13 +301,20 @@ func TestSelectConcurrentWithMutation(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						known := false
-						for _, v := range buf.Views() {
-							known = known || v.ID == got
-						}
-						if !known {
-							t.Errorf("picked %q, not in the snapshot", got)
+						both, err := sel.SelectBatch([]wlan.Request{req, {User: users[(i+1)%len(users)], DemandBps: 25}}, buf.Views())
+						if err != nil {
+							t.Error(err)
 							return
+						}
+						for _, ap := range []trace.APID{got, both[req.User]} {
+							known := false
+							for _, v := range buf.Views() {
+								known = known || v.ID == ap
+							}
+							if !known {
+								t.Errorf("picked %q, not in the snapshot", ap)
+								return
+							}
 						}
 					}
 				}(sel)

@@ -8,9 +8,9 @@ import (
 	"github.com/s3wlan/s3wlan/internal/wlan"
 )
 
-// allFriends marks every pair socially close, forcing friendLoadBuckets
-// to walk each view's full user list — the only selector code that
-// indexes the per-user demands.
+// allFriends marks every pair socially close, so friendLoadBuckets finds
+// every member of each view — the only selector code that reads the
+// per-user demands.
 type allFriends struct{}
 
 func (allFriends) Index(u, v trace.UserID) float64 {
@@ -34,7 +34,8 @@ func TestNilUserDemandsViews(t *testing.T) {
 	}
 	req := wlan.Request{User: "u", At: 100, DemandBps: 3}
 
-	sel, err := NewSelector(allFriends{}, DefaultSelectorConfig())
+	everyone := []trace.UserID{"a", "b", "c", "d", "e", "u", "v", "w"}
+	sel, err := NewSelector(scanFriends{allFriends{}, everyone, 0.3}, DefaultSelectorConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
+	"github.com/s3wlan/s3wlan/internal/domain"
 	"github.com/s3wlan/s3wlan/internal/metrics"
 	"github.com/s3wlan/s3wlan/internal/obs"
 	"github.com/s3wlan/s3wlan/internal/socialgraph"
@@ -29,7 +31,6 @@ var (
 )
 
 // SocialIndex supplies the social relation index θ(u,v) between two users.
-// *society.Model satisfies this interface.
 type SocialIndex interface {
 	Index(u, v trace.UserID) float64
 }
@@ -38,14 +39,53 @@ type SocialIndex interface {
 // CloseFriends(u) returns, sorted and read-only, exactly the users v
 // with θ(u,v) > FriendThreshold(). The incremental engine
 // (society/incremental) satisfies it from the θ-graph it already
-// maintains. A selector whose EdgeThreshold matches FriendThreshold
-// computes friend-load buckets by looking the requester's friends up on
-// each candidate AP instead of evaluating Index against every user the
-// AP holds — O(friends) per AP however many users are resident.
+// maintains. The selector reads a requester's close relations off this
+// list and looks them up on each candidate AP — O(friends) per AP
+// however many users are resident; it never evaluates Index against an
+// AP's membership.
 type FriendIndex interface {
 	SocialIndex
 	CloseFriends(u trace.UserID) []trace.UserID
 	FriendThreshold() float64
+}
+
+// FriendTabulator is a SocialIndex that can lay out, for any threshold,
+// what a FriendIndex serves: users ascending, and for users[i] the row
+// friends[start[i]:start[i+1]] — ascending, exactly the v with
+// Index(users[i], v) > threshold — with that Index in theta alongside.
+// *society.Model satisfies it.
+type FriendTabulator interface {
+	SocialIndex
+	CloseFriendRows(threshold float64) (users []trace.UserID, start []int, friends []trace.UserID, theta []float64)
+}
+
+// friendRows is a FriendTabulator's layout served as a FriendIndex.
+type friendRows struct {
+	SocialIndex
+	threshold float64
+	rank      map[trace.UserID]int
+	start     []int
+	friends   []trace.UserID
+	theta     []float64
+}
+
+func newFriendRows(social FriendTabulator, threshold float64) *friendRows {
+	users, start, friends, theta := social.CloseFriendRows(threshold)
+	r := &friendRows{SocialIndex: social, threshold: threshold,
+		rank: make(map[trace.UserID]int, len(users)), start: start, friends: friends, theta: theta}
+	for i, u := range users {
+		r.rank[u] = i
+	}
+	return r
+}
+
+func (r *friendRows) FriendThreshold() float64 { return r.threshold }
+
+func (r *friendRows) CloseFriends(u trace.UserID) []trace.UserID {
+	if i, ok := r.rank[u]; ok {
+		return r.friends[r.start[i]:r.start[i+1]]
+	}
+	return nil
 }
 
 // SelectorConfig tunes the S³ policy.
@@ -98,13 +138,11 @@ func (c SelectorConfig) withDefaults() SelectorConfig {
 
 // Selector is the S³ association policy. It implements both
 // wlan.Selector (single arrivals) and wlan.BatchSelector (co-arriving
-// groups, Algorithm 1).
+// groups, Algorithm 1). Both decide from the requesters' close-friend
+// rows: the paper's cost sums θ over close relations only, so a decision
+// costs what those are, not what the APs hold.
 type Selector struct {
-	social SocialIndex
-	// friends is non-nil when social also satisfies FriendIndex at the
-	// selector's own edge threshold — the precondition for the
-	// friend-lookup fast path to rank identically to the Index scan.
-	friends FriendIndex
+	friends FriendIndex // at cfg.EdgeThreshold
 	cfg     SelectorConfig
 }
 
@@ -113,17 +151,21 @@ var (
 	_ wlan.BatchSelector = (*Selector)(nil)
 )
 
-// NewSelector builds an S³ selector over a trained sociality model.
-// When the index also satisfies FriendIndex and its threshold matches
-// the selector's EdgeThreshold, Select uses the precomputed close-friend
-// lists instead of rescanning every AP's users with Index.
+// NewSelector builds an S³ selector over a sociality index that lists
+// close friends at the selector's EdgeThreshold: a FriendIndex with that
+// threshold (the live engine) is used as it is, a FriendTabulator (a
+// trained model) is asked for its rows once, here.
 func NewSelector(social SocialIndex, cfg SelectorConfig) (*Selector, error) {
 	if social == nil {
 		return nil, errors.New("core: nil social index")
 	}
-	s := &Selector{social: social, cfg: cfg.withDefaults()}
+	s := &Selector{cfg: cfg.withDefaults()}
 	if fi, ok := social.(FriendIndex); ok && fi.FriendThreshold() == s.cfg.EdgeThreshold {
 		s.friends = fi
+	} else if ft, ok := social.(FriendTabulator); ok {
+		s.friends = newFriendRows(ft, s.cfg.EdgeThreshold)
+	} else {
+		return nil, fmt.Errorf("core: %T lists no close friends at edge threshold %v", social, s.cfg.EdgeThreshold)
 	}
 	return s, nil
 }
@@ -133,26 +175,6 @@ func (s *Selector) Name() string { return "S3" }
 
 // ErrNoAPs is returned when Select is called with no candidates.
 var ErrNoAPs = errors.New("core: no candidate APs")
-
-// cost returns C(AP) = Σ_{w∈S(AP)} θ(u,w) over the AP's users with a
-// *close* social relationship to u (θ above the edge threshold, the
-// paper's 0.3 cut for recognizing real relationships), or +Inf when the
-// bandwidth constraint Σw(u) ≤ W(i) would be violated. Sub-threshold θ —
-// mostly the dense α·T type prior every profiled pair carries — is noise
-// for placement: counting it would turn C into a user-count proxy and
-// override the load-aware LLF tie-break the pseudocode prescribes.
-func (s *Selector) cost(u trace.UserID, demand float64, ap wlan.APView, members []trace.UserID) float64 {
-	if !ap.HasCapacityFor(demand) {
-		return math.Inf(1)
-	}
-	var c float64
-	for _, w := range members {
-		if theta := s.social.Index(u, w); theta > s.cfg.EdgeThreshold {
-			c += theta
-		}
-	}
-	return c
-}
 
 // Select implements wlan.Selector: pick the feasible AP that minimizes
 // the social-cost increment, then fall back to least-loaded-first, per
@@ -194,10 +216,7 @@ func (s *Selector) Select(req wlan.Request, aps []wlan.APView) (trace.APID, erro
 	// earliest AP exactly as the former slice-then-scan ranking did.
 	bestIdx, feasIdx := -1, -1
 	var bestRank rankedAP
-	var closeFriends []trace.UserID // one list for the whole decision
-	if s.friends != nil {
-		closeFriends = s.friends.CloseFriends(req.User)
-	}
+	closeFriends := s.friends.CloseFriends(req.User) // one list for the whole decision
 	for i := range aps {
 		ap := &aps[i]
 		if !ap.HasCapacityFor(req.DemandBps) {
@@ -214,7 +233,7 @@ func (s *Selector) Select(req wlan.Request, aps []wlan.APView) (trace.APID, erro
 			// friend-free candidate that LLF prefers too: skip the lookup.
 			continue
 		}
-		cand := rankedAP{ap: ap, friends: s.friendLoadBuckets(req, closeFriends, ap)}
+		cand := rankedAP{ap: ap, friends: friendLoadBuckets(req, closeFriends, ap)}
 		if bestIdx < 0 || cand.less(bestRank) {
 			bestIdx, bestRank = i, cand
 		}
@@ -234,38 +253,18 @@ func (s *Selector) Select(req wlan.Request, aps []wlan.APView) (trace.APID, erro
 
 // friendLoadBuckets measures how much co-leaving load already sits on the
 // AP from the requester's perspective: the summed believed demand of the
-// AP's users with a close (θ > threshold) relationship to the requester,
-// quantized in units of the requester's own demand. Quantizing keeps the
-// comparison meaningful — differences smaller than one user's demand are
-// noise and must not override the LLF tie-break. When the caller supplies
-// no per-user demands each friend counts as one requester-demand unit,
-// reducing to a friend count. closeFriends is the requester's
-// CloseFriends list when the selector has a FriendIndex.
-func (s *Selector) friendLoadBuckets(req wlan.Request, closeFriends []trace.UserID, ap *wlan.APView) int {
+// requester's close friends (θ > threshold; sorted, never the requester
+// itself) that the AP holds, quantized in units of the requester's own
+// demand. Quantizing keeps the comparison meaningful — differences
+// smaller than one user's demand are noise and must not override the LLF
+// tie-break. A friend whose demand the view does not track counts as one
+// requester-demand unit, reducing to a friend count.
+func friendLoadBuckets(req wlan.Request, closeFriends []trace.UserID, ap *wlan.APView) int {
 	unit := req.DemandBps
 	if unit <= 0 {
 		unit = 1
 	}
-	if s.friends != nil {
-		// Fast path: CloseFriends lists exactly the θ > threshold partners,
-		// sorted, and never the requester (the θ-graph has no self-edges),
-		// so summing their demands on the AP in list order matches the
-		// Index scan below term for term.
-		return int(math.Floor(ap.SumDemands(closeFriends, unit) / unit))
-	}
-	var friendLoad float64
-	users, demands := ap.Members()
-	for i, w := range users {
-		if s.social.Index(req.User, w) <= s.cfg.EdgeThreshold {
-			continue
-		}
-		if i < len(demands) {
-			friendLoad += demands[i]
-		} else {
-			friendLoad += unit
-		}
-	}
-	return int(math.Floor(friendLoad / unit))
+	return int(math.Floor(ap.SumDemands(closeFriends, unit) / unit))
 }
 
 // rankedAP is an online-selection candidate.
@@ -303,6 +302,37 @@ func leastLoaded(aps []wlan.APView) trace.APID {
 	return best.ID
 }
 
+// batchMember is one request of a batch with what placing it reads: its
+// close-friend row, θ alongside, and its relations inside the batch.
+type batchMember struct {
+	wlan.Request
+	friends []trace.UserID
+	theta   []float64 // theta[k] = θ(User, friends[k])
+	related []relation
+}
+
+// relation is a close friend that arrived in the same batch.
+type relation struct {
+	member int // index into the batch
+	theta  float64
+}
+
+// thetas returns θ(u, v) for each of u's close friends: read off a
+// tabulated row, asked of the index when it lists friends without θ.
+func (s *Selector) thetas(u trace.UserID, friends []trace.UserID) []float64 {
+	if r, ok := s.friends.(*friendRows); ok {
+		if i, ok := r.rank[u]; ok {
+			return r.theta[r.start[i]:r.start[i+1]]
+		}
+		return nil
+	}
+	out := make([]float64, len(friends))
+	for k, v := range friends {
+		out[k] = s.friends.Index(u, v)
+	}
+	return out
+}
+
 // SelectBatch implements Algorithm 1 for a group of simultaneous
 // arrivals:
 //
@@ -326,50 +356,115 @@ func (s *Selector) SelectBatch(reqs []wlan.Request, aps []wlan.APView) (map[trac
 	batchStart := time.Now()
 	defer func() { obsBatchTime.Observe(time.Since(batchStart)) }()
 
-	demands := make(map[trace.UserID]float64, len(reqs))
-	users := make([]trace.UserID, 0, len(reqs))
-	for _, r := range reqs {
-		if _, dup := demands[r.User]; dup {
-			return nil, fmt.Errorf("core: duplicate user %q in batch", r.User)
-		}
-		demands[r.User] = r.DemandBps
-		users = append(users, r.User)
+	p, err := s.placeBatch(reqs, aps)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-
-	g := socialgraph.FromThreshold(users, s.cfg.EdgeThreshold, s.social.Index)
-	cover := socialgraph.ExtractCliqueCover(g)
-
-	// Projected AP state, updated as cliques are placed: the views carry
-	// the projected load, members the projected user lists.
-	state := make([]wlan.APView, len(aps))
-	copy(state, aps)
-	members := make([][]trace.UserID, len(aps))
-	for i := range aps {
-		members[i], _ = aps[i].Members()
-	}
-
-	obsCliques.Add(int64(len(cover)))
-	out := make(map[trace.UserID]trace.APID, len(users))
-	for _, clique := range cover {
-		assignment, err := s.placeClique(clique, demands, state, members)
-		if err != nil {
-			return nil, err
-		}
-		for u, apIdx := range assignment {
-			out[u] = state[apIdx].ID
-			state[apIdx].LoadBps += demands[u]
-			members[apIdx] = append(members[apIdx], u)
+	out := make(map[trace.UserID]trace.APID, len(reqs))
+	for a, members := range p.placed {
+		for _, i := range members {
+			out[p.batch[i].User] = p.state[a].ID
 		}
 	}
 	return out, nil
 }
 
+// placeBatch runs Algorithm 1 and returns the placer holding its
+// outcome: who was put on each AP, in order, and the projected loads.
+func (s *Selector) placeBatch(reqs []wlan.Request, aps []wlan.APView) (*placer, error) {
+	// The batch in user order. Rows are sorted too, so a member's
+	// relations inside the batch are one merge of the two lists, and the
+	// graph gets exactly the edges an Index over every pair would give.
+	batch := make([]batchMember, len(reqs))
+	for i, r := range reqs {
+		batch[i].Request = r
+	}
+	slices.SortFunc(batch, func(a, b batchMember) int { return cmp.Compare(a.User, b.User) })
+	g := socialgraph.New()
+	for i := range batch {
+		m := &batch[i]
+		if i > 0 && m.User == batch[i-1].User {
+			return nil, fmt.Errorf("core: duplicate user %q in batch", m.User)
+		}
+		g.AddVertex(m.User)
+		m.friends = s.friends.CloseFriends(m.User)
+		m.theta = s.thetas(m.User, m.friends)
+	}
+	for i := range batch {
+		m := &batch[i]
+		for j, k := 0, 0; j < len(batch) && k < len(m.friends); {
+			switch c := cmp.Compare(batch[j].User, m.friends[k]); {
+			case c < 0:
+				j++
+			case c > 0:
+				k++
+			default:
+				m.related = append(m.related, relation{j, m.theta[k]})
+				if i < j {
+					g.AddEdge(m.User, batch[j].User, m.theta[k])
+				}
+				j++
+				k++
+			}
+		}
+	}
+	cover := socialgraph.ExtractCliqueCover(g)
+	obsCliques.Add(int64(len(cover)))
+
+	p := &placer{
+		s:      s,
+		batch:  batch,
+		state:  slices.Clone(aps),
+		placed: make([][]int, len(aps)),
+		theta:  make([]float64, len(batch)),
+		perAP:  make([]float64, 4*len(aps)),
+		used:   make([]int, len(aps)),
+	}
+	var members []int
+	for _, clique := range cover {
+		members = members[:0]
+		for _, u := range clique {
+			i, _ := slices.BinarySearchFunc(batch, u, func(m batchMember, u trace.UserID) int { return cmp.Compare(m.User, u) })
+			members = append(members, i)
+		}
+		// Heavy users first, so the beam places them while every AP is
+		// still open; ties by id (batch order).
+		slices.SortFunc(members, func(a, b int) int {
+			return cmp.Or(cmp.Compare(batch[b].DemandBps, batch[a].DemandBps), cmp.Compare(a, b))
+		})
+		// Applied in member order — the order the projection summed in —
+		// so two members sharing an AP (a clique larger than the domain)
+		// leave the same load and placement order on every run.
+		chosen := p.placeClique(members)
+		p.cost += chosen.cost
+		for k, a := range chosen.assign {
+			p.state[a].LoadBps += batch[members[k]].DemandBps
+			p.placed[a] = append(p.placed[a], members[k])
+		}
+	}
+	return p, nil
+}
+
+// placer carries one SelectBatch call's projected state and the scratch
+// placeClique works in, so a clique allocates nothing per candidate.
+type placer struct {
+	s      *Selector
+	batch  []batchMember // in user order
+	state  []wlan.APView // LoadBps projected over the cliques placed so far
+	placed [][]int       // per AP: batch members placed there so far, in order
+	cost   float64       // ΣC of the distributions chosen so far
+	theta  []float64     // per batch member: θ to the member being placed, else 0
+	perAP  []float64     // base, cost, load, loads: four rows of len(state)
+	used   []int         // per AP: members of the clique a candidate put there
+	within []float64     // per earlier clique member: θ to the one being placed
+	beam   [2][]beamCandidate
+	assign [2][]int // backing of the candidates' assign slices, per level parity
+}
+
 // beamCandidate is a partial distribution of a clique's members to APs.
 type beamCandidate struct {
-	assign []int   // assign[i] = AP index of clique member i
+	assign []int   // assign[k] = AP index of clique member k
 	cost   float64 // accumulated ΣC increment
-	used   map[int]int
 }
 
 // exhaustiveLimit caps the candidate-distribution count for which
@@ -377,32 +472,32 @@ type beamCandidate struct {
 // solution space of distribution users"); larger cliques use the beam.
 const exhaustiveLimit = 4096
 
-// placeClique searches distributions of the clique's members to APs.
-// Members of a clique are spread over distinct APs whenever the domain
-// has enough APs; otherwise AP reuse is minimized. Small cliques are
-// solved exhaustively; large ones by beam search over the lowest-ΣC
-// prefixes.
-func (s *Selector) placeClique(clique []trace.UserID, demands map[trace.UserID]float64,
-	state []wlan.APView, users [][]trace.UserID) (map[trace.UserID]int, error) {
+// placeClique searches distributions of the clique's members (batch
+// indices, heaviest first) to APs and returns the chosen one, its assign
+// valid until the next call. Members of a clique are spread over
+// distinct APs whenever the domain has enough APs; otherwise AP reuse is
+// minimized. Small cliques are solved exhaustively; large ones by beam
+// search over the lowest-ΣC prefixes.
+//
+// A member's cost on an AP is C(AP) = Σ θ over its close relations there
+// (θ above the edge threshold, the paper's 0.3 cut for recognizing real
+// relationships — sub-threshold θ, mostly the dense α·T prior, would
+// turn C into a user-count proxy): the residents, then the batch members
+// earlier cliques put there, then the candidate's own earlier
+// placements — summed in that order, which is the order a scan of the
+// AP's sorted membership followed by the batch's placements adds in, so
+// every cost is bit-identical to that scan's. Only the last part varies
+// between candidates; the rest is computed once per member and AP.
+func (p *placer) placeClique(members []int) beamCandidate {
+	nAPs := len(p.state)
+	base, cost, load := p.perAP[:nAPs], p.perAP[nAPs:2*nAPs], p.perAP[2*nAPs:3*nAPs]
+	maxPerAP := (len(members) + nAPs - 1) / nAPs
 
-	// Order members by demand (desc) so the beam places heavy users
-	// first; deterministic tie-break by ID.
-	members := append([]trace.UserID(nil), clique...)
-	sort.Slice(members, func(i, j int) bool {
-		di, dj := demands[members[i]], demands[members[j]]
-		if di != dj {
-			return di > dj
-		}
-		return members[i] < members[j]
-	})
-
-	maxPerAP := (len(members) + len(state) - 1) / len(state)
-
-	// Exhaustive when the space is small: len(state)^len(members)
-	// candidates bounded by exhaustiveLimit. The beam search prunes to
-	// BeamWidth per level otherwise.
-	beamWidth := s.cfg.BeamWidth
-	if pow := intPow(len(state), len(members)); pow > 0 && pow <= exhaustiveLimit {
+	// Exhaustive when the space is small: nAPs^len(members) candidates
+	// bounded by exhaustiveLimit. The beam search prunes to BeamWidth per
+	// level otherwise.
+	beamWidth := p.s.cfg.BeamWidth
+	if pow := intPow(nAPs, len(members)); pow > 0 && pow <= exhaustiveLimit {
 		beamWidth = pow
 		obsExhaustive.Inc()
 	}
@@ -410,99 +505,90 @@ func (s *Selector) placeClique(clique []trace.UserID, demands map[trace.UserID]f
 	// One batched counter update per clique: candidates generated across
 	// all beam levels, accumulated locally to keep the loop atomic-free.
 	var candsGenerated int64
-	defer func() { obsBeamCands.Add(candsGenerated) }()
+	beam := make([]beamCandidate, 1) // the empty distribution
+	for mi, i := range members {
+		m := &p.batch[i]
+		for _, r := range m.related {
+			p.theta[r.member] = r.theta
+		}
+		for a := range p.state {
+			var c float64
+			p.state[a].Intersect(m.friends, 0, func(k int, _ float64) { c += m.theta[k] })
+			for _, j := range p.placed[a] {
+				c += p.theta[j] // +0 for a stranger leaves c as it is
+			}
+			base[a] = c
+		}
+		p.within = p.within[:0]
+		for _, j := range members[:mi] {
+			p.within = append(p.within, p.theta[j])
+		}
+		for _, r := range m.related {
+			p.theta[r.member] = 0
+		}
 
-	beam := []beamCandidate{{assign: nil, cost: 0, used: map[int]int{}}}
-	for mi, u := range members {
-		var next []beamCandidate
+		next, buf := p.beam[mi%2][:0], p.assign[mi%2][:0]
+		if need := len(beam) * nAPs * (mi + 1); cap(buf) < need {
+			buf = make([]int, 0, need) // children keep slices of it: never regrown
+		}
 		for _, cand := range beam {
-			for apIdx, ap := range state {
-				if cand.used[apIdx] >= maxPerAP {
+			// The AP states after this candidate's earlier placements.
+			copy(cost, base)
+			for a := range p.state {
+				load[a], p.used[a] = p.state[a].LoadBps, 0
+			}
+			for k, a := range cand.assign {
+				cost[a] += p.within[k]
+				load[a] += p.batch[members[k]].DemandBps
+				p.used[a]++
+			}
+			for a := range p.state {
+				if p.used[a] >= maxPerAP {
 					continue // keep clique members dispersed
 				}
-				// Project the AP's state after this candidate's earlier
-				// placements.
-				projected, on := s.projectView(ap, users[apIdx], cand, members[:mi], demands, apIdx)
-				c := s.cost(u, demands[u], projected, on)
-				if math.IsInf(c, 1) {
+				c := cost[a]
+				if !domain.Admits(p.state[a].CapacityBps, load[a], m.DemandBps) {
 					// Infeasible: heavily penalized but not discarded —
 					// every user must land somewhere.
 					c = 1e18
 				}
-				nc := beamCandidate{
-					assign: append(append([]int(nil), cand.assign...), apIdx),
-					cost:   cand.cost + c,
-					used:   copyCounts(cand.used),
-				}
-				nc.used[apIdx]++
-				next = append(next, nc)
+				at := len(buf)
+				buf = append(append(buf, cand.assign...), a)
+				next = append(next, beamCandidate{assign: buf[at:len(buf):len(buf)], cost: cand.cost + c})
 			}
 		}
 		candsGenerated += int64(len(next))
 		sortCandidates(next)
-		if len(next) > beamWidth {
-			next = next[:beamWidth]
-		}
-		beam = next
+		p.beam[mi%2], p.assign[mi%2] = next, buf
+		beam = next[:min(len(next), beamWidth)]
 	}
-	if len(beam) == 0 {
-		return nil, fmt.Errorf("core: no distribution found for clique of %d", len(clique))
-	}
+	obsBeamCands.Add(candsGenerated)
 
 	// Keep the top TopFraction by cost — tie-inclusive, so equal-cost
 	// distributions (the common no-social-ties case) all reach the
 	// balance tie-break — then pick the best projected balance index.
-	keep := int(math.Ceil(float64(len(beam)) * s.cfg.TopFraction))
-	if keep < 1 {
-		keep = 1
-	}
+	keep := max(1, int(math.Ceil(float64(len(beam))*p.s.cfg.TopFraction)))
 	for keep < len(beam) && beam[keep].cost == beam[keep-1].cost {
 		keep++
 	}
-	finalists := beam[:keep]
-	bestIdx, bestBeta := 0, -1.0
-	for i, cand := range finalists {
-		beta := s.projectedBalance(cand, members, demands, state)
-		if beta > bestBeta {
-			bestIdx, bestBeta = i, beta
+	best, bestBeta := 0, -1.0
+	for f, cand := range beam[:keep] {
+		if beta := p.projectedBalance(cand, members); beta > bestBeta {
+			best, bestBeta = f, beta
 		}
 	}
-	chosen := finalists[bestIdx]
-	out := make(map[trace.UserID]int, len(members))
-	for i, u := range members {
-		out[u] = chosen.assign[i]
-	}
-	return out, nil
-}
-
-// projectView returns ap and its user list with the candidate's earlier
-// same-AP placements folded in, so cost sees intra-clique θ too.
-func (s *Selector) projectView(ap wlan.APView, users []trace.UserID, cand beamCandidate,
-	placed []trace.UserID, demands map[trace.UserID]float64, apIdx int) (wlan.APView, []trace.UserID) {
-	if cand.used[apIdx] == 0 {
-		return ap, users
-	}
-	users = append([]trace.UserID(nil), users...)
-	for i, u := range placed {
-		if cand.assign[i] == apIdx {
-			users = append(users, u)
-			ap.LoadBps += demands[u]
-		}
-	}
-	return ap, users
+	return beam[best]
 }
 
 // projectedBalance computes the normalized balance index of the AP load
 // vector after applying the candidate distribution.
-func (s *Selector) projectedBalance(cand beamCandidate,
-	members []trace.UserID, demands map[trace.UserID]float64,
-	state []wlan.APView) float64 {
-	loads := make([]float64, len(state))
-	for i, ap := range state {
-		loads[i] = ap.LoadBps
+func (p *placer) projectedBalance(cand beamCandidate, members []int) float64 {
+	loads := p.perAP[3*len(p.state):]
+	for a := range p.state {
+		loads[a] = p.state[a].LoadBps
 	}
-	for i, u := range members {
-		loads[cand.assign[i]] += demands[u]
+	for k, a := range cand.assign {
+		loads[a] += p.batch[members[k]].DemandBps
 	}
 	beta, err := metrics.NormalizedBalanceIndex(loads)
 	if err != nil {
@@ -524,26 +610,10 @@ func intPow(base, exp int) int {
 	return result
 }
 
-func copyCounts(m map[int]int) map[int]int {
-	out := make(map[int]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
+// sortCandidates orders by cost, then by assignment: no two candidates
+// of a level share an assignment, so the order is total.
 func sortCandidates(cands []beamCandidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
-		}
-		// Deterministic order among equal costs.
-		a, b := cands[i].assign, cands[j].assign
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
+	slices.SortFunc(cands, func(a, b beamCandidate) int {
+		return cmp.Or(cmp.Compare(a.cost, b.cost), slices.Compare(a.assign, b.assign))
 	})
 }

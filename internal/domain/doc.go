@@ -26,11 +26,12 @@
 //
 // A snapshot never copies membership, so it costs O(APs) however many
 // users are resident. A policy that needs membership asks the view:
-// APView.SumDemands looks a sorted user list up on the AP (the S³
-// selector passes the requester's close friends — O(friends) map hits
-// under one shard read-lock), and APView.Members materialises a sorted
-// copy for callers that must iterate everyone. Views built by hand with
-// APView.WithMembers answer both from fixed lists.
+// APView.Intersect (and SumDemands, a sum over it) looks a sorted user
+// list up on the AP (the S³ selector passes the requester's close
+// friends — O(friends) map hits under one shard read-lock), and
+// APView.Members materialises a sorted copy for callers that must
+// iterate everyone. Views built by hand with APView.WithMembers answer
+// all three from fixed lists.
 //
 // A decision that lands entirely inside one shard commits on the fast
 // path — one shard lock, one version check — so concurrent
@@ -56,7 +57,7 @@
 // always documented for its retry loop.
 //
 // The same rule covers membership on demand: a view's aggregates are as
-// of the snapshot, its SumDemands/Members reads see the domain's current
+// of the snapshot, its Intersect/Members reads see the domain's current
 // state. Every membership change bumps its shard's version, so when the
 // shard a decision lands on moved between the snapshot and the read,
 // Commit fails with ErrStale and the decision is re-made; a change in a

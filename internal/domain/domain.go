@@ -1,10 +1,12 @@
 package domain
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -62,9 +64,9 @@ const (
 // (internal/wlan aliases the type), assembled by Domain.Views.
 //
 // The exported fields are aggregates, copied when the snapshot is taken.
-// Membership is not copied: SumDemands and Members read it on demand,
-// from the domain's current state for a view assembled by a Domain and
-// from the fixed list for a view built with WithMembers. A policy that
+// Membership is not copied: Intersect, SumDemands and Members read it on
+// demand, from the domain's current state for a view assembled by a
+// Domain and from the fixed list for a view built with WithMembers. A policy that
 // ranks on aggregates alone (LLF, RSSI, round-robin) never touches it.
 type APView struct {
 	// ID identifies the AP.
@@ -98,52 +100,54 @@ func (v APView) WithMembers(users []trace.UserID, demands []float64) APView {
 	return v
 }
 
-// SumDemands adds up, in list order, the believed demands of those of
-// users (sorted ascending) that are associated with this AP; a member
-// whose demand is not tracked counts as untracked. On a domain's view it
-// takes one shard read-lock and len(users) map hits, however many users
-// the AP holds.
-func (v APView) SumDemands(users []trace.UserID, untracked float64) float64 {
+// Intersect calls visit(i, demand), in list order, for every users[i]
+// (sorted ascending) that is associated with this AP, with the believed
+// demand the member holds there; a member whose demand is not tracked
+// (a hand-built view without demands) is reported with untracked. It is
+// the one way a policy looks named users up on an AP: on a domain's view
+// one shard read-lock and len(users) map hits, however many users the AP
+// holds. visit runs under that lock and must not call into the domain.
+func (v APView) Intersect(users []trace.UserID, untracked float64, visit func(i int, demand float64)) {
 	st := v.st
 	if st == nil {
-		return sumSorted(v.users, v.demands, users, untracked)
+		// Both lists are sorted: their intersection is one merge.
+		i, j := 0, 0
+		for i < len(v.users) && j < len(users) {
+			switch {
+			case v.users[i] < users[j]:
+				i++
+			case v.users[i] > users[j]:
+				j++
+			default:
+				if i < len(v.demands) {
+					visit(j, v.demands[i])
+				} else {
+					visit(j, untracked)
+				}
+				i++
+				j++
+			}
+		}
+		return
 	}
 	if len(users) == 0 {
-		return 0
+		return
 	}
-	var sum float64
 	st.sh.mu.RLock()
-	for _, u := range users {
+	for i, u := range users {
 		if d, ok := st.users[u]; ok {
-			sum += d
+			visit(i, d)
 		}
 	}
 	st.sh.mu.RUnlock()
-	return sum
 }
 
-// sumSorted sums the demands of the members that also appear in users;
-// both lists are sorted, so their intersection is one merge. demands
-// may be shorter than members: the rest count as untracked.
-func sumSorted(members []trace.UserID, demands []float64, users []trace.UserID, untracked float64) float64 {
+// SumDemands adds up, in list order, the believed demands of those of
+// users (sorted ascending) that are associated with this AP; a member
+// whose demand is not tracked counts as untracked.
+func (v APView) SumDemands(users []trace.UserID, untracked float64) float64 {
 	var sum float64
-	i, j := 0, 0
-	for i < len(members) && j < len(users) {
-		switch {
-		case members[i] < users[j]:
-			i++
-		case members[i] > users[j]:
-			j++
-		default:
-			if i < len(demands) {
-				sum += demands[i]
-			} else {
-				sum += untracked
-			}
-			i++
-			j++
-		}
-	}
+	v.Intersect(users, untracked, func(_ int, demand float64) { sum += demand })
 	return sum
 }
 
@@ -596,9 +600,8 @@ func sortedUsers(st *apState) ([]trace.UserID, []float64) {
 // grown to the AP count. The contents are valid until the next ViewsInto
 // call on the same buffer.
 type ViewBuf struct {
-	views  []APView
-	ver    Version
-	sorter viewSorter
+	views []APView
+	ver   Version
 }
 
 // Views returns the snapshot taken by the last ViewsInto call.
@@ -607,21 +610,13 @@ func (b *ViewBuf) Views() []APView { return b.views }
 // Version returns the version vector of the last ViewsInto call.
 func (b *ViewBuf) Version() Version { return b.ver }
 
-// viewSorter sorts APViews by ID without the closure+interface
-// allocations sort.Slice incurs.
-type viewSorter struct{ v []APView }
-
-func (s *viewSorter) Len() int           { return len(s.v) }
-func (s *viewSorter) Less(i, j int) bool { return s.v[i].ID < s.v[j].ID }
-func (s *viewSorter) Swap(i, j int)      { s.v[i], s.v[j] = s.v[j], s.v[i] }
-
 // Views snapshots the non-failed APs for a policy decision by user u,
 // with the per-shard version vector the commit validates against. APs
 // are returned in sorted ID order regardless of sharding, so a policy
 // sees the same candidate list for any shard count.
 //
 // The snapshot holds each AP's aggregates as of the call; membership
-// reads through the views (SumDemands, Members) see the domain's state
+// reads through the views (Intersect, Members) see the domain's state
 // at the time of the read. A membership change in between bumps its
 // shard's version, so Commit's per-shard check (ErrStale, re-select)
 // covers the gap exactly as it covers the snapshot not being one cut
@@ -671,8 +666,7 @@ func (d *Domain) ViewsInto(u trace.UserID, buf *ViewBuf) {
 		sh.mu.RUnlock()
 	}
 	if len(d.shards) > 1 {
-		buf.sorter.v = buf.views
-		sort.Sort(&buf.sorter)
+		slices.SortFunc(buf.views, func(a, b APView) int { return cmp.Compare(a.ID, b.ID) })
 	}
 }
 

@@ -5,7 +5,6 @@
 package eventsim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"time"
@@ -32,28 +31,51 @@ type event struct {
 	handler Handler
 }
 
-// eventHeap orders events by (time, sequence) so simultaneous events fire
+// before orders events by (time, sequence) so simultaneous events fire
 // in scheduling order — the property that makes runs reproducible.
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (ev *event) before(other *event) bool {
+	if ev.at != other.at {
+		return ev.at < other.at
 	}
-	return h[i].seq < h[j].seq
+	return ev.seq < other.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
+// eventHeap is a binary min-heap of event values: a replay queues one
+// event per arrival and per departure, and a slice of values costs no
+// allocation and no interface conversion per event.
+type eventHeap []event
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	*h = q
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest event; the heap must not be empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0], q[n] = q[n], event{} // the vacated slot lets the handler's closure go
+	*h = q[:n]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child+1 < n && q[child+1].before(&q[child]) {
+			child++
+		}
+		if child >= n || !q[child].before(&q[i]) {
+			return top
+		}
+		q[i], q[child] = q[child], q[i]
+		i = child
+	}
 }
 
 // Engine is a discrete-event simulator. Create with New; the zero value is
@@ -94,7 +116,7 @@ func (e *Engine) ScheduleAt(at int64, handler Handler) error {
 		return errors.New("eventsim: nil handler")
 	}
 	e.seq++
-	heap.Push(&e.queue, &event{at: at, seq: e.seq, handler: handler})
+	e.queue.push(event{at: at, seq: e.seq, handler: handler})
 	return nil
 }
 
@@ -149,11 +171,10 @@ func (e *Engine) RunUntil(horizon int64) int64 {
 	start := time.Now()
 	var fired int64
 	for len(e.queue) > 0 && !e.stopped {
-		next := e.queue[0]
-		if next.at > horizon {
+		if e.queue[0].at > horizon {
 			break
 		}
-		heap.Pop(&e.queue)
+		next := e.queue.pop()
 		e.now = next.at
 		e.processed++
 		fired++

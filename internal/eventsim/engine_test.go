@@ -1,6 +1,8 @@
 package eventsim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -174,5 +176,84 @@ func TestScheduleEvery(t *testing.T) {
 	}
 	if err := e.ScheduleEvery(5, nil); err == nil {
 		t.Error("nil handler should error")
+	}
+}
+
+// TestHeapOrderMatchesSeq: over 10⁴ random schedules whose handlers
+// schedule follow-ups re-entrantly (many at the current instant), the
+// fired order is what a stable sort by time of the scheduling-order
+// list yields — earliest time first, ties in the order scheduled.
+func TestHeapOrderMatchesSeq(t *testing.T) {
+	type spec struct {
+		delay    int64 // after the parent fires (after the start, for a root)
+		children []int
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 10000; trial++ {
+		// A forest of events: roots are scheduled up front, children
+		// when their parent fires. Few distinct times, so ties abound.
+		specs := make([]spec, 1+rng.Intn(40))
+		var roots []int
+		for id := range specs {
+			specs[id].delay = int64(rng.Intn(4))
+			if id == 0 || rng.Intn(3) == 0 {
+				roots = append(roots, id)
+			} else {
+				parent := rng.Intn(id)
+				specs[parent].children = append(specs[parent].children, id)
+			}
+		}
+
+		e := New(0)
+		var fired []int
+		var handler func(id int) Handler
+		handler = func(id int) Handler {
+			return func(en *Engine) {
+				fired = append(fired, id)
+				for _, c := range specs[id].children {
+					if err := en.ScheduleAfter(specs[c].delay, handler(c)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		for _, id := range roots {
+			if err := e.ScheduleAt(specs[id].delay, handler(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Run()
+
+		// Reference: the pending list stays in scheduling order; the
+		// next to fire is the first entry holding the smallest time.
+		type pending struct {
+			at int64
+			id int
+		}
+		var queue []pending
+		for _, id := range roots {
+			queue = append(queue, pending{specs[id].delay, id})
+		}
+		var want []int
+		for len(queue) > 0 {
+			first := 0
+			for i, p := range queue {
+				if p.at < queue[first].at {
+					first = i
+				}
+			}
+			p := queue[first]
+			queue = append(queue[:first], queue[first+1:]...)
+			want = append(want, p.id)
+			for _, c := range specs[p.id].children {
+				queue = append(queue, pending{p.at + specs[c].delay, c})
+			}
+		}
+		if !slices.Equal(fired, want) {
+			t.Fatalf("trial %d: fired %v, want %v", trial, fired, want)
+		}
+		if e.Pending() != 0 || e.Processed() != uint64(len(specs)) {
+			t.Fatalf("trial %d: %d pending, %d processed of %d", trial, e.Pending(), e.Processed(), len(specs))
+		}
 	}
 }

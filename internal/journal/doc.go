@@ -45,12 +45,6 @@
 // header bytes it fills in afterwards: no marshalling, no copy, no
 // allocation per record.
 //
-// Records written by the previous release are JSON objects. DecodeRecord
-// recognizes them by their first byte, '{', and reads them through
-// encoding/json (readold.go); nothing writes them any more. That path
-// exists for one release, so that a journal directory can be upgraded
-// in place, and is then deleted.
-//
 // # Checkpoints and rotation
 //
 // Every CheckpointEvery appended records the journal asks its owner for

@@ -9,8 +9,9 @@ import (
 	"testing"
 )
 
-// jsonFrame frames r the way the previous release stored it: the
-// read-old path is fuzzed alongside the current layout.
+// jsonFrame frames r as the JSON object an earlier release stored:
+// CRC-valid frames DecodeRecord refuses, fuzzed alongside the current
+// layout.
 func jsonFrame(tb testing.TB, r Record) []byte {
 	tb.Helper()
 	b, err := json.Marshal(r)

@@ -42,9 +42,8 @@ type Placement struct {
 // follower tailing the stream can fence out records a superseded owner
 // wrote after losing its lease. Single-owner journals leave it zero.
 //
-// The json tags serve the read-old decoder and inspection tooling
-// (s3diag -journal); what the journal stores is the layout AppendRecord
-// writes.
+// The json tags serve inspection tooling (s3diag -journal); what the
+// journal stores is the layout AppendRecord writes.
 type Record struct {
 	Seq         uint64       `json:"seq"`
 	Epoch       uint64       `json:"epoch,omitempty"`
@@ -121,12 +120,8 @@ func AppendRecord(dst []byte, r *Record) ([]byte, error) {
 // treats the payload as hostile: an unknown version, op or flag bit, a
 // placement count the remaining bytes could not hold, a truncated field
 // or trailing bytes is an error, never a panic or an allocation sized by
-// the input's claims. A payload beginning with '{' is a record the
-// previous release wrote as JSON (readold.go).
+// the input's claims.
 func DecodeRecord(payload []byte, r *Record) error {
-	if len(payload) > 0 && payload[0] == '{' {
-		return decodeRecordJSON(payload, r)
-	}
 	in := NewReader(payload)
 	version, op, flags := in.Byte(), in.Byte(), in.Byte()
 	switch {

@@ -3,8 +3,6 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -85,9 +83,9 @@ func (c *Controller) Recovery() *RecoverySummary { return c.recovered }
 // restarts with its lease clock where the checkpoint left it and either
 // re-hellos or expires through the normal observer path.
 type checkpointMeta struct {
-	Static   bool   `json:"static,omitempty"`
-	LastSeen int64  `json:"last_seen,omitempty"`
-	Gen      uint64 `json:"gen,omitempty"`
+	Static   bool
+	LastSeen int64
+	Gen      uint64
 }
 
 // checkpointDoc is the controller's own part of a checkpoint payload, as
@@ -106,24 +104,18 @@ type checkpointMeta struct {
 //	  string AP, varint assigned-at, varint served bytes
 //	uvarint AP rows, each: string AP, byte flags, then as flagged
 //	  varint served bytes; varint last-seen, uvarint generation
-//
-// The json tags are the one JSON line the previous release wrote, which
-// decodeCheckpointJSON still reads. Two releases ago that line carried a
-// JSON observer state too (Society); the field remains so that such a
-// checkpoint is refused by name rather than recovered with its learned
-// state silently dropped.
 type checkpointDoc struct {
-	Domain      *domain.State                 `json:"domain"`
-	Assignments map[trace.UserID]trace.APID   `json:"assignments,omitempty"`
-	AssignedAt  map[trace.UserID]int64        `json:"assigned_at,omitempty"`
-	ServedByUsr map[trace.UserID]int64        `json:"served_by_user,omitempty"`
-	Served      map[trace.APID]int64          `json:"served,omitempty"`
-	Meta        map[trace.APID]checkpointMeta `json:"meta,omitempty"`
-	Society     json.RawMessage               `json:"society,omitempty"`
+	Domain      *domain.State
+	Assignments map[trace.UserID]trace.APID
+	AssignedAt  map[trace.UserID]int64
+	ServedByUsr map[trace.UserID]int64
+	Served      map[trace.APID]int64
+	Meta        map[trace.APID]checkpointMeta
 }
 
-// checkpointVersion is the first byte of every checkpoint document this
-// release writes; never '{', which marks the previous release's JSON.
+// checkpointVersion is the first byte of every checkpoint document; a
+// document of the JSON releases begins with '{' and is refused as an
+// unknown version.
 const checkpointVersion = 1
 
 const ( // user-row flags
@@ -235,15 +227,12 @@ func (c *Controller) appendCheckpointLocked(dst []byte) []byte {
 // decodeCheckpoint splits a checkpoint payload into the controller's
 // document and the observer's state that follows it. The payload is
 // CRC-valid but otherwise untrusted: every count is bounded by the bytes
-// left before anything is allocated for it. A payload beginning with '{'
-// is the previous release's and goes to the read-old decoder.
+// left before anything is allocated for it.
 func decodeCheckpoint(payload []byte) (doc checkpointDoc, observerState []byte, err error) {
-	if len(payload) > 0 && payload[0] == '{' {
-		return decodeCheckpointJSON(payload)
-	}
 	in := journal.NewReader(payload)
 	if v := in.Byte(); in.Err() != nil || v != checkpointVersion {
-		return doc, nil, fmt.Errorf("protocol: decode checkpoint: unknown document version %d", v)
+		return doc, nil, fmt.Errorf("protocol: decode checkpoint: document version %d, this release reads %d "+
+			"(a JSON document begins with '{', 123, and is no longer read)", v, checkpointVersion)
 	}
 	doc.Domain = &domain.State{Version: int(in.Uvarint())}
 	doc.Domain.APs = make([]domain.APState, in.Count(minAPBytes))
@@ -298,24 +287,6 @@ func decodeCheckpoint(payload []byte) (doc checkpointDoc, observerState []byte, 
 		return doc, nil, fmt.Errorf("protocol: decode checkpoint: %w", err)
 	}
 	return doc, in.Rest(), nil
-}
-
-// decodeCheckpointJSON reads the previous release's checkpoint payload:
-// the document as one JSON line (JSON escapes newlines inside strings),
-// the observer's state after it. Read-only, and gone with the next
-// release; this is the file's only use of encoding/json.
-func decodeCheckpointJSON(payload []byte) (doc checkpointDoc, observerState []byte, err error) {
-	if i := bytes.IndexByte(payload, '\n'); i >= 0 {
-		payload, observerState = payload[:i], payload[i+1:]
-	}
-	if err := json.Unmarshal(payload, &doc); err != nil {
-		return doc, nil, fmt.Errorf("protocol: decode checkpoint: %w", err)
-	}
-	if len(doc.Society) > 0 {
-		return doc, nil, errors.New("protocol: checkpoint carries a version-1 JSON observer state (\"society\"), " +
-			"which is no longer read; run the previous release on this journal once, it checkpoints in the current format")
-	}
-	return doc, observerState, nil
 }
 
 // writeCheckpointLocked serializes the controller's complete state to w.

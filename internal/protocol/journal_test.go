@@ -255,23 +255,28 @@ func copyJournal(t *testing.T, name string) string {
 func TestJournalRejectsVersion1Checkpoint(t *testing.T) {
 	_, err := NewController(baseline.LLF{}, WithObserver(incremental.New(observerEngineConfig())),
 		WithJournal(copyJournal(t, "journal_v1"), journal.Options{Fsync: journal.FsyncAlways, CheckpointEvery: 4}))
-	if err == nil || !strings.Contains(err.Error(), "version-1 JSON observer state") {
+	if err == nil || !strings.Contains(err.Error(), "JSON document") {
 		t.Fatalf("recovery of a version-1 checkpoint = %v, want an error naming the format", err)
 	}
 }
 
-// TestJournalRecoversParentCheckpoint: testdata/journal_v2 is the
-// journal directory the previous release left behind after the scenario
-// of TestJournalCheckpointRestoresObserverState — JSON records, two
-// checkpoints with a JSON document line and the binary observer state
-// after it — and this release must recover it through its read-old
-// decoders. testdata/journal_v3 is the same scenario written by this
-// release (binary records and document): the fixture the next format
-// change is held to.
+// TestJournalRecoversParentCheckpoint: testdata/journal_v3 is the
+// journal directory the scenario of
+// TestJournalCheckpointRestoresObserverState leaves behind in the
+// current layout (binary records and document): the fixture the next
+// format change is held to. testdata/journal_v2 is the same scenario as
+// the release before wrote it — JSON records, a JSON document line — whose
+// decoders were kept for one release and are gone: it must be refused by
+// name, not recovered as an empty controller.
 func TestJournalRecoversParentCheckpoint(t *testing.T) {
-	for _, fixture := range []string{"journal_v2", "journal_v3"} {
-		t.Run(fixture, func(t *testing.T) { recoversFixture(t, fixture) })
-	}
+	t.Run("journal_v2", func(t *testing.T) {
+		_, err := NewController(baseline.LLF{}, WithObserver(incremental.New(observerEngineConfig())),
+			WithJournal(copyJournal(t, "journal_v2"), journal.Options{Fsync: journal.FsyncAlways, CheckpointEvery: 4}))
+		if err == nil || !strings.Contains(err.Error(), "JSON document") {
+			t.Fatalf("recovery of a JSON-layout journal = %v, want an error naming the format", err)
+		}
+	})
+	t.Run("journal_v3", func(t *testing.T) { recoversFixture(t, "journal_v3") })
 }
 
 func recoversFixture(t *testing.T, fixture string) {

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -97,15 +98,19 @@ const (
 // speaks one of two codecs: line-delimited JSON (debugging, backward
 // compatibility) or the framed binary codec (the data-plane default;
 // see codec.go). Server-side conns sniff the codec from the peer's
-// first byte; client conns choose at dial time. Read and write buffers
-// and the binary encode scratch live on the Conn and are reused across
-// messages, so a steady-state send or receive performs no allocation
-// beyond the decoded strings themselves.
+// first byte; client conns choose at dial time. The read buffer and the
+// encode scratch live on the Conn and are reused across messages, so a
+// steady-state send or receive performs no allocation beyond the decoded
+// strings themselves. A message is assembled whole in that scratch and
+// handed to the socket in one Write, so there is no write buffer, and the
+// read buffer is sized to a station's frames (under 100 bytes): larger
+// payloads bypass it (io.ReadFull) and longer lines span it (readLine).
+// A controller holds one Conn per connected station.
 type Conn struct {
 	raw     net.Conn
 	br      *bufio.Reader
-	bw      *bufio.Writer
-	enc     *json.Encoder
+	enc     *json.Encoder // into jsonOut
+	jsonOut bytes.Buffer
 	timeout time.Duration
 
 	codec Codec
@@ -144,13 +149,12 @@ func newServerConn(raw net.Conn, timeout time.Duration, allowBinary bool) *Conn 
 func newConn(raw net.Conn, timeout time.Duration, codec Codec, mode connMode) *Conn {
 	c := &Conn{
 		raw:     raw,
-		br:      bufio.NewReaderSize(raw, 4096),
-		bw:      bufio.NewWriterSize(raw, 4096),
+		br:      bufio.NewReaderSize(raw, 512),
 		timeout: timeout,
 		codec:   codec,
 		mode:    mode,
 	}
-	c.enc = json.NewEncoder(c.bw)
+	c.enc = json.NewEncoder(&c.jsonOut)
 	return c
 }
 
@@ -180,15 +184,16 @@ func (c *Conn) Send(m Message) error {
 		}
 		return c.writeFrame()
 	}
+	c.jsonOut.Reset()
 	if err := c.enc.Encode(m); err != nil {
 		return fmt.Errorf("protocol: send %s: %w", m.Type, err)
 	}
-	return c.flush(m.Type)
+	return c.write(c.jsonOut.Bytes())
 }
 
 // SendBatch writes a batch of messages as one unit: a single frame
-// (one length, one CRC, one flush) on the binary codec, a single
-// buffered flush on JSON. This is the write-coalescing primitive AP
+// (one length, one CRC, one write) on the binary codec, a single
+// write of every line on JSON. This is the write-coalescing primitive AP
 // group agents use for batched load reports.
 func (c *Conn) SendBatch(ms []Message) error {
 	if len(ms) == 0 {
@@ -207,29 +212,25 @@ func (c *Conn) SendBatch(ms []Message) error {
 		}
 		return c.writeFrame()
 	}
+	c.jsonOut.Reset()
 	for i := range ms {
 		if err := c.enc.Encode(ms[i]); err != nil {
 			return fmt.Errorf("protocol: send %s: %w", ms[i].Type, err)
 		}
 	}
-	return c.flush(ms[0].Type)
+	return c.write(c.jsonOut.Bytes())
 }
 
-// writeFrame frames c.scratch and flushes it.
+// writeFrame frames c.scratch and sends it.
 func (c *Conn) writeFrame() error {
 	c.out = journal.AppendFrame(c.out[:0], c.scratch)
-	if _, err := c.bw.Write(c.out); err != nil {
-		return fmt.Errorf("protocol: send: %w", err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return fmt.Errorf("protocol: send: %w", err)
-	}
-	return nil
+	return c.write(c.out)
 }
 
-func (c *Conn) flush(t MsgType) error {
-	if err := c.bw.Flush(); err != nil {
-		return fmt.Errorf("protocol: send %s: %w", t, err)
+// write hands one assembled message (or batch) to the socket.
+func (c *Conn) write(b []byte) error {
+	if _, err := c.raw.Write(b); err != nil {
+		return fmt.Errorf("protocol: send: %w", err)
 	}
 	return nil
 }

@@ -18,16 +18,6 @@ import (
 
 const testTimeout = 5 * time.Second
 
-// mapIndex is a symmetric test SocialIndex.
-type mapIndex map[[2]trace.UserID]float64
-
-func (m mapIndex) Index(u, v trace.UserID) float64 {
-	if v < u {
-		u, v = v, u
-	}
-	return m[[2]trace.UserID{u, v}]
-}
-
 func startController(t *testing.T, sel wlan.Selector) (*Controller, string) {
 	t.Helper()
 	c, err := NewController(sel, WithTimeout(testTimeout))
@@ -198,8 +188,8 @@ func TestLLFBalancesStations(t *testing.T) {
 func TestS3DispersesFriendsOverTCP(t *testing.T) {
 	// Two tight friends and an unrelated user: the S³ controller must put
 	// the friends on different APs.
-	idx := mapIndex{{"alice", "bob"}: 0.9}
-	sel, err := core.NewSelector(idx, core.DefaultSelectorConfig())
+	model := &society.Model{PairProb: map[society.Pair]float64{society.MakePair("alice", "bob"): 0.9}}
+	sel, err := core.NewSelector(model, core.DefaultSelectorConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

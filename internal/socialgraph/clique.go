@@ -188,15 +188,27 @@ func (s *cliqueSolver) weightOf(clique []int) float64 {
 // This is the partitioning loop of Algorithm 1: because removing a clique
 // never destroys clique-ness of the remainder, the result is a partition
 // of the vertex set into cliques, extracted largest-first.
+//
+// Once no edge is left every maximum clique is a single vertex, and
+// MaxClique's tie-break hands those over largest id first; the remainder
+// — usually the whole of a batch graph — is emitted in that order
+// without a solver per vertex.
 func ExtractCliqueCover(g *Graph) [][]trace.UserID {
-	work := g.Clone()
 	var cover [][]trace.UserID
-	for work.NumVertices() > 0 {
+	work := g
+	for work.NumEdges() > 0 {
+		if work == g {
+			work = g.Clone()
+		}
 		clique := MaxClique(work)
 		cover = append(cover, clique)
 		for _, u := range clique {
 			work.RemoveVertex(u)
 		}
+	}
+	rest := work.Vertices()
+	for i := len(rest) - 1; i >= 0; i-- {
+		cover = append(cover, rest[i:i+1:i+1])
 	}
 	return cover
 }

@@ -3,6 +3,7 @@ package socialgraph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
@@ -196,6 +197,48 @@ func TestExtractCliqueCoverRandomPartition(t *testing.T) {
 	}
 	if total != n {
 		t.Errorf("covered %d vertices, want %d", total, n)
+	}
+}
+
+// TestCliqueCoverEdgelessTail: on 1 000 random sparse graphs — edgeless
+// from the start, edgeless after a few cliques, never edgeless — the
+// cover equals what one MaxClique per extraction yields, singletons
+// included and in the same order, and the input graph is left alone.
+func TestCliqueCoverEdgelessTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 1000; trial++ {
+		g := New()
+		n := rng.Intn(14)
+		for i := 0; i < n; i++ {
+			g.AddVertex(trace.UserID(fmt.Sprintf("u%02d", i)))
+		}
+		vs := g.Vertices()
+		density := []float64{0, 0.05, 0.2}[trial%3]
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < density {
+					g.AddEdge(vs[i], vs[j], rng.Float64())
+				}
+			}
+		}
+		edges := g.NumEdges()
+
+		var want [][]trace.UserID
+		for work := g.Clone(); work.NumVertices() > 0; {
+			clique := MaxClique(work)
+			want = append(want, clique)
+			for _, u := range clique {
+				work.RemoveVertex(u)
+			}
+		}
+		got := ExtractCliqueCover(g)
+		if !slices.EqualFunc(got, want, func(a, b []trace.UserID) bool { return slices.Equal(a, b) }) {
+			t.Fatalf("trial %d (%d vertices, %d edges): cover %v, one MaxClique at a time gives %v",
+				trial, n, edges, got, want)
+		}
+		if g.NumVertices() != n || g.NumEdges() != edges {
+			t.Fatalf("trial %d: ExtractCliqueCover mutated its input", trial)
+		}
 	}
 }
 

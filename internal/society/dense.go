@@ -132,8 +132,36 @@ func (d *dense) events(minOverlap, window int64) []uint64 {
 		g := d.byAP[ap]
 		events = append(events, pairEvent(g[first].rank, g[second].rank, eventCoLeave))
 	})
-	slices.Sort(events)
+	d.sortEvents(events)
 	return events
+}
+
+// sortEvents sorts pair events in place. Their keys are two small
+// integers — (larger rank, kind) below 2·users and the smaller rank below
+// users — so two stable counting passes, least significant first, order
+// a campus's million events in linear time where a comparison sort spent
+// a quarter of Train.
+func (d *dense) sortEvents(events []uint64) {
+	tmp := make([]uint64, len(events))
+	countingPass(tmp, events, 2*len(d.users), 0, 1<<33-1)
+	countingPass(events, tmp, len(d.users), 33, 1<<31-1)
+}
+
+// countingPass copies src into dst in stable order of the key
+// (event>>shift)&mask, which is below buckets.
+func countingPass(dst, src []uint64, buckets int, shift uint, mask uint64) {
+	at := make([]int, buckets+1) // at[k]: where the next event with key k goes
+	for _, ev := range src {
+		at[(ev>>shift)&mask+1]++
+	}
+	for k := 1; k <= buckets; k++ {
+		at[k] += at[k-1]
+	}
+	for _, ev := range src {
+		k := (ev >> shift) & mask
+		dst[at[k]] = ev
+		at[k]++
+	}
 }
 
 // eachPair folds sorted events into one call per pair, in (A, B) id

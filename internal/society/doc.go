@@ -14,6 +14,13 @@
 // (ExtractCoLeavings), and every figure the repository reproduces is
 // pinned to those counts.
 //
+// A selector does not scan an AP's residents with Index: Train keeps the
+// supported pairs in the (A, B) rank order it visits them in, and
+// Model.CloseFriendRows lays the θ > threshold graph out from them as
+// sorted rows, θ alongside, for one α and threshold (core.NewSelector
+// asks once per selector; a model read from disk sorts its PairProb keys
+// instead).
+//
 // Learning from a live controller's Connect/Disconnect events is the
 // subpackage society/incremental's job, and nothing here has an event
 // method or a lock. Its engine counts co-leavings the same way but an

@@ -2,7 +2,6 @@ package society
 
 import (
 	"math"
-	"slices"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
@@ -67,7 +66,7 @@ func ExtractCoLeavings(sessions []trace.Session, windowSeconds int64) []CoLeaveE
 func ExtractEncounters(sessions []trace.Session, minOverlapSeconds int64) map[Pair]int {
 	d := newDense(sessions, math.MinInt64)
 	events := d.encounters(minOverlapSeconds)
-	slices.Sort(events)
+	d.sortEvents(events)
 	out := make(map[Pair]int)
 	eachPair(events, func(a, b uint32, encounters, _ int) {
 		out[d.pair(a, b)] = encounters

@@ -82,6 +82,11 @@ type Model struct {
 	Centroids [][]float64
 	// Alpha is the θ mixing coefficient.
 	Alpha float64
+
+	// pairs is PairProb as sorted rows, kept by Train (which visits the
+	// supported pairs in that order anyway) for CloseFriendRows; nil on a
+	// model assembled from its exported fields, which sorts them on demand.
+	pairs *pairTable
 }
 
 // K returns the number of types.
@@ -100,7 +105,10 @@ func (m *Model) Index(u, v trace.UserID) float64 {
 	tu, okU := m.Types[u]
 	tv, okV := m.Types[v]
 	if okU && okV && tu < len(m.TypeMatrix) && tv < len(m.TypeMatrix) {
-		theta += m.Alpha * m.TypeMatrix[tu][tv]
+		// The conversion rounds the product before the sum on every
+		// platform (no fused multiply-add): CloseFriendRows adds a
+		// tabulated α·T and must agree to the last bit.
+		theta += float64(m.Alpha * m.TypeMatrix[tu][tv])
 	}
 	return theta
 }
@@ -172,7 +180,16 @@ func Train(tr *trace.Trace, profiles *apps.ProfileStore, cfg Config) (*Model, er
 		Alpha:      cfg.Alpha,
 	}
 	// eachPair visits pairs in (A, B) order: the type sums accumulate in
-	// the order BuildTypeMatrix sorts its pairs into.
+	// the order BuildTypeMatrix sorts its pairs into, and the supported
+	// pairs reach the pair table sorted. The table also ranks typed users
+	// outside the history window; ranking is monotone, so the order
+	// carries over.
+	table, tableRank := newPairTable(d.users, types)
+	remap := make([]uint32, len(d.users))
+	for r, u := range d.users {
+		remap[r] = tableRank[u]
+	}
+	m.pairs = table
 	sums := newTypeSums(len(centroids))
 	eachPair(events, func(a, b uint32, encounters, coLeaves int) {
 		p := d.pair(a, b)
@@ -184,7 +201,9 @@ func Train(tr *trace.Trace, profiles *apps.ProfileStore, cfg Config) (*Model, er
 		}
 		m.Encounters[p] = encounters
 		if encounters >= cfg.MinEncounters {
-			m.PairProb[p] = coLeaveProb(encounters, coLeaves)
+			prob := coLeaveProb(encounters, coLeaves)
+			m.PairProb[p] = prob
+			table.add(remap[a], remap[b], prob)
 		}
 		sums.add(typeOf[a], typeOf[b], encounters, coLeaves)
 	})
@@ -193,9 +212,9 @@ func Train(tr *trace.Trace, profiles *apps.ProfileStore, cfg Config) (*Model, er
 }
 
 // WithAlpha returns a copy of the model that mixes the type prior into θ
-// with a different α. The copy shares the receiver's maps, matrix and
-// centroids; a trained Model is read-only, and must stay so while copies
-// are in use.
+// with a different α. The copy shares the receiver's maps, matrix,
+// centroids and pair table; a trained Model is read-only, and must stay
+// so while copies are in use.
 func (m *Model) WithAlpha(alpha float64) *Model {
 	c := *m
 	c.Alpha = alpha
