@@ -108,6 +108,12 @@ type Options struct {
 	// that encodes into its AvailableBuffer() and passes the result to
 	// Write has written in place.
 	State func(w io.Writer) error
+	// Restore and Replay, when set, are handed what Open recovers as it
+	// is read, as Follower.Poll's callbacks are: the newest valid
+	// checkpoint, then every record beyond it, each valid only during the
+	// call (Recovery.Records stays empty). An error from either fails Open.
+	Restore func(checkpoint []byte, seq uint64) error
+	Replay  func(Record) error
 	// OpenFile creates segment files (default os.Create). Tests inject
 	// fault-wrapped files here.
 	OpenFile func(path string) (File, error)
@@ -148,8 +154,10 @@ type RecoveryStats struct {
 	// CheckpointSeq is the sequence number of the loaded checkpoint
 	// (0 = no checkpoint).
 	CheckpointSeq uint64
-	// RecordsReplayed counts journal-tail records returned for replay.
+	// RecordsReplayed counts journal-tail records returned for replay, and
+	// LastSeq is the last one's sequence number (the checkpoint's if none).
 	RecordsReplayed int
+	LastSeq         uint64
 	// CorruptSkipped counts CRC-corrupt or unparsable frames skipped.
 	CorruptSkipped int
 	// TornTails counts incomplete trailing frames (≤1 per segment).
@@ -167,7 +175,8 @@ type RecoveryStats struct {
 
 // Recovery is the reconstructed state handed back by Open: the newest
 // valid checkpoint payload (nil when none), and every decodable record
-// with a sequence number beyond it, in order.
+// with a sequence number beyond it, in order — unless Options.Replay
+// took them as they were read.
 type Recovery struct {
 	Checkpoint []byte
 	Records    []Record
@@ -190,15 +199,11 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: mkdir %s: %w", dir, err)
 	}
-	rec, err := recoverDir(dir, opts.Logger)
+	rec, err := recoverDir(dir, opts.Logger, opts.Restore, opts.Replay)
 	if err != nil {
 		return nil, nil, err
 	}
-	j := &Journal{dir: dir, opts: opts, epoch: opts.Epoch}
-	j.seq = rec.Stats.CheckpointSeq
-	if n := len(rec.Records); n > 0 {
-		j.seq = rec.Records[n-1].Seq
-	}
+	j := &Journal{dir: dir, opts: opts, epoch: opts.Epoch, seq: rec.Stats.LastSeq}
 	if err := j.openSegmentLocked(j.seq + 1); err != nil {
 		return nil, nil, err
 	}
@@ -228,15 +233,6 @@ func (j *Journal) Epoch() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.epoch
-}
-
-// SetEpoch changes the ownership generation stamped into subsequent
-// records — a federated owner bumps it when it re-acquires a lease at a
-// higher epoch without reopening the journal.
-func (j *Journal) SetEpoch(e uint64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.epoch = e
 }
 
 // Dir returns the journal directory.
@@ -509,7 +505,7 @@ func listDir(dir string) (ckpts, segs []dirEntry, err error) {
 // the newest valid checkpoint plus the decodable record tail beyond it.
 // Open wraps this; Recover alone serves inspection tooling and tests.
 func Recover(dir string) (*Recovery, error) {
-	return recoverDir(dir, log.New(io.Discard, "", 0))
+	return recoverDir(dir, log.New(io.Discard, "", 0), nil, nil)
 }
 
 // readCheckpoint loads the one frame a checkpoint file holds. Anything
@@ -552,8 +548,17 @@ func replaySegment(data []byte, last *uint64, rec *Record, fn func(*Record) erro
 	return st, undecodable, err
 }
 
-func recoverDir(dir string, logger *log.Logger) (*Recovery, error) {
+// recoverDir hands the newest valid checkpoint to restore and every
+// record beyond it to apply, which by default collects Recovery.Records.
+func recoverDir(dir string, logger *log.Logger, restore func([]byte, uint64) error, apply func(Record) error) (*Recovery, error) {
 	rec := &Recovery{}
+	if apply == nil {
+		apply = func(r Record) error {
+			r.Placements = append([]Placement(nil), r.Placements...) // the decoder reuses r's
+			rec.Records = append(rec.Records, r)
+			return nil
+		}
+	}
 	ckpts, segs, err := listDir(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -575,6 +580,11 @@ func recoverDir(dir string, logger *log.Logger) (*Recovery, error) {
 		}
 		rec.Checkpoint = payload
 		rec.Stats.CheckpointSeq = ckpts[i].seq
+		if restore != nil {
+			if err := restore(payload, ckpts[i].seq); err != nil {
+				return nil, err
+			}
+		}
 		break
 	}
 
@@ -592,17 +602,14 @@ func recoverDir(dir string, logger *log.Logger) (*Recovery, error) {
 			continue
 		}
 		rec.Stats.Segments++
-		res, undecodable, _ := replaySegment(data, &last, &scratch, func(r *Record) error {
-			kept := *r
-			if len(kept.Placements) == 0 {
-				kept.Placements = nil
-			} else {
-				r.Placements = nil // the kept record owns the backing array now
-			}
-			rec.Records = append(rec.Records, kept)
+		res, undecodable, err := replaySegment(data, &last, &scratch, func(r *Record) error {
 			last = r.Seq
-			return nil
+			rec.Stats.RecordsReplayed++
+			return apply(*r)
 		})
+		if err != nil {
+			return nil, err
+		}
 		rec.Stats.CorruptSkipped += res.Corrupt + undecodable
 		rec.Stats.Resyncs += res.Resyncs
 		rec.Stats.Warnings += undecodable
@@ -616,7 +623,7 @@ func recoverDir(dir string, logger *log.Logger) (*Recovery, error) {
 			logger.Printf("journal: segment %s: %d undecodable records (s3diag -journal names each)", seg.name, undecodable)
 		}
 	}
-	rec.Stats.RecordsReplayed = len(rec.Records)
+	rec.Stats.LastSeq = last
 	if rec.Stats.CorruptSkipped > 0 || rec.Stats.TornTails > 0 {
 		logger.Printf("journal: recovery skipped %d corrupt frames, %d torn tails",
 			rec.Stats.CorruptSkipped, rec.Stats.TornTails)

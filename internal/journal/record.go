@@ -37,7 +37,7 @@ type Placement struct {
 
 // Record is one journaled mutation. Seq is assigned by Append and is
 // strictly increasing across segments and checkpoints. Epoch is the
-// writer's ownership generation (Options.Epoch / SetEpoch): in a
+// writer's ownership generation (Options.Epoch): in a
 // federated deployment every cross-process failover bumps it, so a
 // follower tailing the stream can fence out records a superseded owner
 // wrote after losing its lease. Single-owner journals leave it zero.

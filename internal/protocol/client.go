@@ -284,9 +284,6 @@ func DialAPGroup(addr string, aps []APSpec, timeout time.Duration) (*APGroup, er
 	return g, nil
 }
 
-// IDs returns the group's registered AP IDs in registration order.
-func (g *APGroup) IDs() []trace.APID { return g.ids }
-
 // ReportAll sends one load report per AP in a single coalesced frame;
 // loads is indexed like IDs.
 func (g *APGroup) ReportAll(loads []float64) error {

@@ -250,7 +250,9 @@ func NewController(selector wlan.Selector, opts ...ControllerOption) (*Controlle
 		ObsName:    "live",
 	})
 	if c.journalDir != "" {
-		if err := c.openJournal(); err != nil {
+		// Nothing is accepted yet: the locked helpers run without the lock.
+		if _, err := c.attachJournalLocked(c.journalDir, c.journalOpts, 0, "replay",
+			func(payload []byte, _ uint64) error { return c.restoreCheckpoint(payload) }); err != nil {
 			return nil, err
 		}
 	}

@@ -100,35 +100,12 @@ func (c *Controller) AttachJournal(dir string, opts journal.Options, afterSeq ui
 	if c.jn != nil {
 		return nil, errors.New("protocol: journal already attached")
 	}
-	opts.State = c.writeCheckpointLocked
-	if opts.Logger == nil {
-		opts.Logger = c.logger
-	}
-	j, rec, err := journal.Open(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	if rec.Checkpoint != nil && rec.Stats.CheckpointSeq > afterSeq {
-		j.Close()
-		return nil, fmt.Errorf("protocol: follower at seq %d behind journal checkpoint %d; resync before takeover",
-			afterSeq, rec.Stats.CheckpointSeq)
-	}
-	sum := &RecoverySummary{Stats: rec.Stats}
-	for _, r := range rec.Records {
-		if r.Seq <= afterSeq {
-			continue
+	return c.attachJournalLocked(dir, opts, afterSeq, "takeover replay", func(_ []byte, seq uint64) error {
+		if seq > afterSeq {
+			return fmt.Errorf("protocol: follower at seq %d behind journal checkpoint %d; resync before takeover", afterSeq, seq)
 		}
-		if err := c.applyRecord(r); err != nil {
-			sum.ReplayErrors++
-			obsReplayErrs.Inc()
-			c.logger.Printf("journal: takeover replay record %d (%s): %v", r.Seq, r.Op, err)
-		}
-	}
-	sum.APs = c.dom.Size()
-	sum.Assignments = len(c.assignments)
-	c.recovered = sum
-	c.jn = j
-	return sum, nil
+		return nil
+	})
 }
 
 // DetachJournal closes the controller's journal WITHOUT the shutdown

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"sort"
 
@@ -95,15 +96,7 @@ type checkpointMeta struct {
 //
 // The stored form is built from the journal's field primitives, every
 // table in sorted key order so the bytes are a pure function of the
-// state (docs/ARCHITECTURE.md, "State format", has it as a table):
-//
-//	byte version (1), uvarint domain state version
-//	uvarint APs, each: string ID, float64 capacity, float64 reported,
-//	  byte failed, uvarint sessions, each: string user, float64 demand
-//	uvarint user rows, each: string user, byte flags, then as flagged
-//	  string AP, varint assigned-at, varint served bytes
-//	uvarint AP rows, each: string AP, byte flags, then as flagged
-//	  varint served bytes; varint last-seen, uvarint generation
+// state (docs/ARCHITECTURE.md, "State format", has the layout as a table).
 type checkpointDoc struct {
 	Domain      *domain.State
 	Assignments map[trace.UserID]trace.APID
@@ -313,41 +306,40 @@ func (c *Controller) writeCheckpointLocked(w io.Writer) error {
 	return nil
 }
 
-// openJournal recovers from the configured journal directory and opens
-// it for appending. Called once from NewController, after the domain is
-// built and before any connection is accepted, so no locking is needed —
-// but replay runs through the same locked helpers the live paths use.
-func (c *Controller) openJournal() error {
-	opts := c.journalOpts
-	opts.State = c.writeCheckpointLocked
-	if opts.Logger == nil {
-		opts.Logger = c.logger
-	}
-	j, rec, err := journal.Open(c.journalDir, opts)
-	if err != nil {
-		return err
-	}
-	sum := &RecoverySummary{Stats: rec.Stats}
-
-	if rec.Checkpoint != nil {
-		if err := c.restoreCheckpoint(rec.Checkpoint); err != nil {
-			j.Close()
-			return err
+// attachJournalLocked recovers the journal in dir and opens it for
+// appending: its newest checkpoint goes to restore, the records beyond
+// afterSeq are re-applied as recovery reads them — one reused record, as
+// a follower replays — and journaling is armed. NewController calls it
+// once the domain is built, AttachJournal at a takeover.
+func (c *Controller) attachJournalLocked(dir string, opts journal.Options, afterSeq uint64, what string,
+	restore func(checkpoint []byte, seq uint64) error) (*RecoverySummary, error) {
+	sum := &RecoverySummary{}
+	opts.State, opts.Restore = c.writeCheckpointLocked, restore
+	opts.Replay = func(r journal.Record) error {
+		if r.Seq <= afterSeq {
+			return nil
 		}
-	}
-	for _, r := range rec.Records {
 		if err := c.applyRecord(r); err != nil {
 			sum.ReplayErrors++
 			obsReplayErrs.Inc()
-			c.logger.Printf("journal: replay record %d (%s): %v", r.Seq, r.Op, err)
+			c.logger.Printf("journal: %s record %d (%s): %v", what, r.Seq, r.Op, err)
 		}
+		return nil
 	}
+	if opts.Logger == nil {
+		opts.Logger = c.logger
+	}
+	j, rec, err := journal.Open(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	sum.Stats = rec.Stats
 	sum.APs = c.dom.Size()
 	sum.Assignments = len(c.assignments)
 	c.recovered = sum
 	// Arm appends only now: replaying must never re-journal.
 	c.jn = j
-	return nil
+	return sum, nil
 }
 
 // restoreCheckpoint loads a checkpoint payload: domain associations,
@@ -363,18 +355,10 @@ func (c *Controller) restoreCheckpoint(payload []byte) error {
 			return err
 		}
 	}
-	for u, ap := range doc.Assignments {
-		c.assignments[u] = ap
-	}
-	for u, ts := range doc.AssignedAt {
-		c.assignedAt[u] = ts
-	}
-	for u, b := range doc.ServedByUsr {
-		c.servedByUsr[u] = b
-	}
-	for ap, b := range doc.Served {
-		c.served[ap] = b
-	}
+	maps.Copy(c.assignments, doc.Assignments)
+	maps.Copy(c.assignedAt, doc.AssignedAt)
+	maps.Copy(c.servedByUsr, doc.ServedByUsr)
+	maps.Copy(c.served, doc.Served)
 	for id, m := range doc.Meta {
 		c.meta[id] = &apMeta{static: m.Static, lastSeen: m.LastSeen, gen: m.Gen}
 	}

@@ -45,13 +45,6 @@ func (g *Graph) AddEdge(u, v trace.UserID, weight float64) {
 	g.adj[v][u] = weight
 }
 
-// RemoveEdge deletes the undirected edge u—v if present. The vertices
-// remain.
-func (g *Graph) RemoveEdge(u, v trace.UserID) {
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
-}
-
 // RemoveVertex deletes u and all its incident edges.
 func (g *Graph) RemoveVertex(u trace.UserID) {
 	for v := range g.adj[u] {

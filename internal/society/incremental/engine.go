@@ -12,30 +12,29 @@
 // Co-leavings are counted alike, and on a trace without stacked
 // sessions the two tally sets are equal (TestLiveTalliesAgainstBatch).
 //
-// Deriving selector-ready state from tallies the batch way
-// (socialgraph.FromThreshold and ExtractCliqueCover over a Model) is a
-// rebuild per refresh: O(n²) θ evaluations plus iterated maximum-clique
-// — NP-hard — over the entire population. But behavioural groups in an
-// enterprise WLAN are small next to the population (Hsu, Dutta &
-// Helmy), so one session end perturbs only the handful of pairs the
-// leaving user co-resided with, even when the θ-graph is one giant
-// component. The engine exploits that:
+// Deriving selector-ready state the batch way (FromThreshold and
+// ExtractCliqueCover over a Model) is a rebuild per refresh: O(n²) θ
+// evaluations plus iterated maximum-clique over the whole population.
+// But behavioural groups in an enterprise WLAN are small next to the
+// population (Hsu, Dutta & Helmy), so one session end perturbs only the
+// handful of pairs the leaving user co-resided with. The engine exploits
+// that:
 //
-//   - every Disconnect yields exactly the pairs whose counts moved,
-//     with their new counts (tally.go); the engine recomputes those θ
-//     values in its working pair index and, for a pair that crossed the
-//     edge threshold, patches the sorted friend lists of its two
-//     endpoints — nothing else. One mutex, one tally map;
-//   - both stores are sharded and copy-on-write, so a refresh is an
-//     array copy: it publishes the working state as an immutable
-//     Snapshot behind an atomic.Pointer, and the events that follow
-//     clone only the shards they write. Selectors and the protocol
-//     controller's lock-free Associate path read θ and friend lists with
-//     zero locking, while the engine keeps learning behind its mutex;
-//   - everything else a snapshot can answer — connected components, the
-//     θ-graph, the clique cover — is derived from those two stores on
-//     first request and memoized per snapshot. The serving path never
-//     asks, so it never solves a clique or walks a component.
+//   - users get dense ids in first-seen order (tally.go); every table is
+//     keyed by id or by a packed id pair, so an event hashes its one name;
+//   - every Disconnect yields exactly the pairs whose counts moved, with
+//     their new counts; the engine recomputes those θ values and, for a
+//     pair that crossed the edge threshold, patches the sorted friend
+//     lists of its two endpoints — nothing else. One mutex, one tally map;
+//   - the probability and friend stores are sharded and copy-on-write
+//     (snapshot.go): a refresh is two array copies publishing the working
+//     state as an immutable Snapshot behind an atomic.Pointer, and the
+//     events that follow clone only the shards they write — a few dozen
+//     16-byte entries each. Selectors and the controller's Associate path
+//     read θ and friend lists lock-free while the engine keeps learning;
+//   - connected components, the θ-graph and the clique cover are derived
+//     from those two stores on first request and memoized per snapshot.
+//     The serving path never asks, so it never solves a clique.
 //
 // Equivalence is the correctness bar: after any refresh the snapshot's
 // friend lists, graph and cover match batch FromThreshold +
@@ -45,6 +44,7 @@
 package incremental
 
 import (
+	"encoding/json"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -86,11 +86,7 @@ type Config struct {
 // DefaultConfig returns the paper's operating point with auto-refresh
 // every 256 events.
 func DefaultConfig() Config {
-	return Config{
-		Society:       society.DefaultConfig(),
-		EdgeThreshold: 0.3,
-		RefreshEvents: 256,
-	}
+	return Config{Society: society.DefaultConfig(), EdgeThreshold: 0.3, RefreshEvents: 256}
 }
 
 // Engine is the incremental social-state engine. Event methods
@@ -106,25 +102,27 @@ type Engine struct {
 	cfg Config
 
 	mu sync.Mutex
-	// live holds the raw counts everything below is derived from.
-	live  *tallies
-	users map[trace.UserID]struct{}
-	// order lists users as first seen. Append-only, so a snapshot keeps a
-	// prefix of it without copying.
-	order []trace.UserID
+	// live holds the raw counts everything below is derived from, and the
+	// user ids that key all of it.
+	live *tallies
 	// The working state events write and a refresh publishes: P(L|E) per
 	// supported pair, each user's sorted θ-graph neighbors, the edge count.
-	probs   cowMap[society.Pair, float64]
-	friends cowMap[trace.UserID, []trace.UserID]
+	probs   cowShards[probEntry]
+	friends cowShards[[]trace.UserID]
 	edges   int
 
 	// Current type assignment (replaced wholesale by SetTypes; the maps
-	// are shared with published indexes and never mutated in place).
-	types  map[trace.UserID]int
-	matrix [][]float64
+	// are shared with published snapshots and never mutated in place).
+	// typeOf is the same assignment by user id (-1: none); typesJSON the
+	// state header holding it (nil: not encodable), marshalled once rather
+	// than per checkpoint.
+	types     map[trace.UserID]int
+	matrix    [][]float64
+	typeOf    []int
+	typesJSON []byte
 	// byType lists seen users per type; consulted only when some type
 	// pair's α·T prior alone crosses the edge threshold.
-	byType     map[int][]trace.UserID
+	byType     map[int][]uint32
 	priorCross [][]bool
 	anyCross   bool
 
@@ -135,6 +133,9 @@ type Engine struct {
 
 	seq  uint64
 	snap atomic.Pointer[Snapshot]
+
+	// WriteState's JSON header and whole stream, kept across checkpoints.
+	header, state []byte
 }
 
 // New builds an engine and publishes an initial empty snapshot, so
@@ -143,12 +144,9 @@ func New(cfg Config) *Engine {
 	if cfg.EdgeThreshold <= 0 {
 		cfg.EdgeThreshold = 0.3
 	}
-	e := &Engine{
-		cfg:   cfg,
-		live:  newTallies(cfg.Society),
-		users: make(map[trace.UserID]struct{}),
-	}
-	e.snap.Store(&Snapshot{BuiltAt: time.Now(), index: &pairIndex{alpha: cfg.Society.Alpha}})
+	e := &Engine{cfg: cfg, live: newTallies(cfg.Society)}
+	e.setTypesLocked(nil, nil)
+	e.snap.Store(&Snapshot{BuiltAt: time.Now(), alpha: cfg.Society.Alpha})
 	return e
 }
 
@@ -156,15 +154,13 @@ func New(cfg Config) *Engine {
 func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
 
 // Index returns θ(u,v) from the last published snapshot, lock-free.
-// Engine satisfies core.SocialIndex, so it can be handed directly to
-// core.NewSelector and hot-swaps its state under the running selector
-// on every refresh.
+// Engine satisfies core.SocialIndex: handed to core.NewSelector, it
+// hot-swaps its state under the running selector on every refresh.
 func (e *Engine) Index(u, v trace.UserID) float64 { return e.snap.Load().Index(u, v) }
 
 // CloseFriends returns u's θ-graph neighbors in the last published
-// snapshot (sorted, read-only, lock-free). Together with
-// FriendThreshold, Engine satisfies core.FriendIndex, unlocking the
-// selector's precomputed-friend fast path.
+// snapshot (sorted, read-only, lock-free). With FriendThreshold, Engine
+// satisfies core.FriendIndex: the selector's precomputed-friend path.
 func (e *Engine) CloseFriends(u trace.UserID) []trace.UserID {
 	return e.snap.Load().CloseFriends(u)
 }
@@ -178,8 +174,9 @@ func (e *Engine) FriendThreshold() float64 { return e.cfg.EdgeThreshold }
 func (e *Engine) Connect(u trace.UserID, ap trace.APID, ts int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.live.connect(u, ap, ts)
-	e.addUserLocked(u)
+	if id, fresh := e.live.connect(u, ap, ts); fresh {
+		e.addUserLocked(id)
+	}
 	e.bumpLocked()
 }
 
@@ -193,7 +190,7 @@ func (e *Engine) Disconnect(u trace.UserID, ap trace.APID, ts int64) error {
 		return err
 	}
 	for _, tp := range touched {
-		e.updatePairLocked(tp.pair, tp.tally)
+		e.updatePairLocked(tp.key, tp.tally)
 	}
 	e.bumpLocked()
 	return nil
@@ -210,40 +207,47 @@ func (e *Engine) SetTypes(types map[trace.UserID]int, matrix [][]float64) {
 	e.bumpLocked()
 }
 
-// setTypesLocked installs a type assignment: private copies of the maps
-// plus the prior-crossing index consulted when a type pair's α·T alone
-// crosses the edge threshold. It does not touch the friend lists or the
-// event counter — SetTypes and the checkpoint-restore path layer those
-// differently.
+// setTypesLocked installs a type assignment: private copies of the maps,
+// their state-header form, the by-id view, and the prior-crossing index
+// consulted when a type pair's α·T alone crosses the edge threshold. It
+// leaves the friend lists and the event counter to its callers.
 func (e *Engine) setTypesLocked(types map[trace.UserID]int, matrix [][]float64) {
 	e.types, e.matrix = cloneTypes(types, matrix)
+	e.typesJSON, _ = json.Marshal(stateHeader{Version: stateVersion, Types: e.types, TypeMatrix: e.matrix}) // nil on error: WriteState reports it
 	// Which type pairs cross the threshold on the prior alone? Those
 	// connect every member pair regardless of encounter history.
-	e.priorCross = make([][]bool, len(e.matrix))
-	e.anyCross = false
-	alpha := e.cfg.Society.Alpha
+	e.priorCross, e.anyCross = make([][]bool, len(e.matrix)), false
 	for i, row := range e.matrix {
 		e.priorCross[i] = make([]bool, len(row))
 		for j, t := range row {
-			if alpha*t > e.cfg.EdgeThreshold {
-				e.priorCross[i][j] = true
-				e.anyCross = true
-			}
+			e.priorCross[i][j] = e.cfg.Society.Alpha*t > e.cfg.EdgeThreshold
+			e.anyCross = e.anyCross || e.priorCross[i][j]
 		}
 	}
-	e.byType = make(map[int][]trace.UserID)
-	for _, u := range e.order {
-		if t, ok := e.types[u]; ok {
-			e.byType[t] = append(e.byType[t], u)
-		}
+	e.byType = make(map[int][]uint32)
+	e.typeOf = e.typeOf[:0]
+	for id := range e.live.names {
+		e.typeUserLocked(uint32(id))
 	}
 }
 
+// typeUserLocked extends the by-id type assignment to the next user id
+// and returns the user's type (-1: none).
+func (e *Engine) typeUserLocked(id uint32) int {
+	t, typed := e.types[e.live.names[id]]
+	if !typed || t < 0 {
+		t = -1
+	} else {
+		e.byType[t] = append(e.byType[t], id)
+	}
+	e.typeOf = append(e.typeOf, t)
+	return t
+}
+
 // Model derives a society.Model from the raw tallies alone — PairProb,
-// the Encounters and CoLeaves counts behind it, and the current type
+// the Encounters and CoLeaves counts behind it, the current type
 // assignment — without consulting the incrementally patched stores.
-// O(pairs) under the engine's mutex: for batch consumers, inspection
-// and the equivalence tests, not for per-decision use.
+// O(pairs) under the engine's mutex: not for per-decision use.
 func (e *Engine) Model() *society.Model {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -285,17 +289,9 @@ func (e *Engine) bumpLocked() {
 // addUserLocked registers a first-seen user as a vertex. If the user's
 // type prior alone connects it to some existing users (rare — requires
 // α·T above the threshold), those edges are added immediately.
-func (e *Engine) addUserLocked(u trace.UserID) {
-	if _, ok := e.users[u]; ok {
-		return
-	}
-	e.users[u] = struct{}{}
-	e.order = append(e.order, u)
-	tu, typed := e.types[u]
-	if typed {
-		e.byType[tu] = append(e.byType[tu], u)
-	}
-	if !typed || !e.anyCross || tu >= len(e.priorCross) {
+func (e *Engine) addUserLocked(u uint32) {
+	tu := e.typeUserLocked(u)
+	if tu < 0 || !e.anyCross || tu >= len(e.priorCross) {
 		return
 	}
 	for tv, cross := range e.priorCross[tu] {
@@ -304,25 +300,25 @@ func (e *Engine) addUserLocked(u trace.UserID) {
 		}
 		for _, v := range e.byType[tv] {
 			if v != u {
-				p := society.MakePair(u, v)
-				e.updatePairLocked(p, e.live.pairs[p])
+				k := makePairKey(u, v)
+				e.updatePairLocked(k, e.live.pairs[k])
 			}
 		}
 	}
 }
 
 // updatePairLocked recomputes θ for one pair from its current counts
-// and brings the working state in line: the pair's probability and —
-// only when θ crossed the edge threshold — the friend lists of its two
-// endpoints.
-func (e *Engine) updatePairLocked(p society.Pair, t tally) {
-	theta := e.setProbLocked(p, t) + e.priorLocked(p.A, p.B)
+// and brings the working state in line: the pair's probability and, only
+// when θ crossed the edge threshold, its two endpoints' friend lists.
+func (e *Engine) updatePairLocked(k pairKey, t tally) {
+	a, b := k.ids()
+	theta := e.setProbLocked(k, t) + e.priorLocked(a, b)
 	present := theta > e.cfg.EdgeThreshold
-	if _, had := slices.BinarySearch(e.friends.shards[shardOfUser(p.A)][p.A], p.B); had == present {
+	if _, had := slices.BinarySearch(friendsOf(&e.friends.shards, a), e.live.names[b]); had == present {
 		return
 	}
-	e.patchFriendsLocked(p.A, p.B, present)
-	e.patchFriendsLocked(p.B, p.A, present)
+	e.patchFriendsLocked(a, b, present)
+	e.patchFriendsLocked(b, a, present)
 	if present {
 		e.edges++
 	} else {
@@ -334,14 +330,17 @@ func (e *Engine) updatePairLocked(p society.Pair, t tally) {
 // setProbLocked records a pair's support-passing co-leave probability
 // in the working pair index and returns it (0 below the support
 // threshold, where — encounters only ever grow — no entry exists yet).
-func (e *Engine) setProbLocked(p society.Pair, t tally) float64 {
+func (e *Engine) setProbLocked(k pairKey, t tally) float64 {
 	prob, ok := t.prob(e.cfg.Society.MinEncounters)
 	if !ok {
 		return 0
 	}
-	si := shardOf(p)
-	if cur, had := e.probs.shards[si][p]; !had || cur != prob {
-		e.probs.writable(si)[p] = prob
+	si, i, had := k.find(&e.probs.shards)
+	if !had {
+		shard := e.probs.own(si)
+		*shard = slices.Insert(*shard, i, probEntry{k, prob})
+	} else if e.probs.shards[si][i].prob != prob {
+		(*e.probs.own(si))[i].prob = prob
 	}
 	return prob
 }
@@ -349,28 +348,28 @@ func (e *Engine) setProbLocked(p society.Pair, t tally) float64 {
 // patchFriendsLocked adds v to (or removes it from) u's sorted friend
 // list. The list a snapshot may hold is never written: the patch builds
 // a new one.
-func (e *Engine) patchFriendsLocked(u, v trace.UserID, add bool) {
-	si := shardOfUser(u)
-	old := e.friends.shards[si][u]
+func (e *Engine) patchFriendsLocked(u, friend uint32, add bool) {
+	v, old := e.live.names[friend], friendsOf(&e.friends.shards, u)
 	i, _ := slices.BinarySearch(old, v)
-	shard := e.friends.writable(si)
-	switch {
-	case add:
+	var list []trace.UserID // nil again when the last friend goes
+	if add {
 		// Full capacity makes Insert allocate instead of shifting in place.
-		shard[u] = slices.Insert(old[:len(old):len(old)], i, v)
-	case len(old) == 1:
-		delete(shard, u)
-	default:
-		shard[u] = slices.Delete(slices.Clone(old), i, i+1)
+		list = slices.Insert(old[:len(old):len(old)], i, v)
+	} else if len(old) > 1 {
+		list = slices.Delete(slices.Clone(old), i, i+1)
 	}
+	shard := e.friends.own(int(u % numShards))
+	for len(*shard) <= int(u/numShards) {
+		*shard = append(*shard, nil)
+	}
+	(*shard)[u/numShards] = list
 }
 
 // priorLocked returns the α·T term for (u,v) under the current types,
 // mirroring society.Model.Index.
-func (e *Engine) priorLocked(u, v trace.UserID) float64 {
-	tu, okU := e.types[u]
-	tv, okV := e.types[v]
-	if okU && okV && tu < len(e.matrix) && tv < len(e.matrix) {
+func (e *Engine) priorLocked(u, v uint32) float64 {
+	tu, tv := e.typeOf[u], e.typeOf[v]
+	if tu >= 0 && tv >= 0 && tu < len(e.matrix) && tv < len(e.matrix) {
 		return e.cfg.Society.Alpha * e.matrix[tu][tv]
 	}
 	return 0
@@ -384,16 +383,15 @@ func (e *Engine) refreshLocked() RefreshStats {
 	e.seq++
 	stats := RefreshStats{Seq: e.seq, EdgesChanged: e.edgesChanged, Full: e.rebuilt}
 	prev := e.snap.Load()
+	names := e.live.names
+	e.live.idsLent = true // to the snapshot: the next new user copies ids first
 	snap := &Snapshot{
-		Seq:     e.seq,
-		BuiltAt: start,
-		Users:   len(e.order),
-		Edges:   e.edges,
-		index: &pairIndex{shards: e.probs.publish(),
-			types: e.types, matrix: e.matrix, alpha: e.cfg.Society.Alpha},
-		friends: e.friends.publish(),
-		users:   e.order[:len(e.order):len(e.order)],
+		Seq: e.seq, BuiltAt: start, Users: len(names), Edges: e.edges,
+		users: names[:len(names):len(names)], ids: e.live.ids,
+		types: e.types, matrix: e.matrix, alpha: e.cfg.Society.Alpha,
 	}
+	e.probs.publish(&snap.probs)
+	e.friends.publish(&snap.friends)
 	e.snap.Store(snap)
 	e.edgesChanged, e.rebuilt, e.events = 0, false, 0
 
@@ -414,26 +412,24 @@ func (e *Engine) refreshLocked() RefreshStats {
 }
 
 // rebuildFriendsLocked recomputes every friend list from the working
-// pair index — the batch-equivalent path taken after SetTypes and state
-// restore. Candidate edges are the pairs with recorded co-leave
-// probability plus — only when some α·T prior alone crosses the
-// threshold — the member pairs of those type pairs; all other pairs
-// have θ = α·T ≤ threshold and cannot be edges, which keeps the rebuild
-// at O(support pairs), not O(n²).
+// probabilities — the batch-equivalent path taken after SetTypes and
+// state restore. Candidate edges are the pairs with a probability plus,
+// only when some α·T prior alone crosses the threshold, the member pairs
+// of those type pairs; every other pair has θ = α·T ≤ threshold, which
+// keeps the rebuild at O(support pairs), not O(n²).
 func (e *Engine) rebuildFriendsLocked() {
-	adj := make(map[trace.UserID][]trace.UserID, len(e.users))
+	names := e.live.names
+	adj := make([][]trace.UserID, len(names))
 	e.edges = 0
-	link := func(u, v trace.UserID) {
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
+	link := func(u, v uint32) {
+		adj[u] = append(adj[u], names[v])
+		adj[v] = append(adj[v], names[u])
 		e.edges++
 	}
 	for _, shard := range e.probs.shards {
-		for p, prob := range shard {
-			_, okA := e.users[p.A]
-			_, okB := e.users[p.B]
-			if okA && okB && prob+e.priorLocked(p.A, p.B) > e.cfg.EdgeThreshold {
-				link(p.A, p.B)
+		for _, en := range shard {
+			if a, b := en.key.ids(); en.prob+e.priorLocked(a, b) > e.cfg.EdgeThreshold {
+				link(a, b)
 			}
 		}
 	}
@@ -448,8 +444,7 @@ func (e *Engine) rebuildFriendsLocked() {
 						if ti == tj && u >= v {
 							continue // each unordered pair once
 						}
-						p := society.MakePair(u, v)
-						if _, ok := e.probs.shards[shardOf(p)][p]; !ok {
+						if _, _, ok := makePairKey(u, v).find(&e.probs.shards); !ok {
 							link(u, v) // pairs with a probability were linked above
 						}
 					}
@@ -457,10 +452,10 @@ func (e *Engine) rebuildFriendsLocked() {
 			}
 		}
 	}
-	e.friends = cowMap[trace.UserID, []trace.UserID]{}
-	for u, list := range adj {
+	e.friends = cowShards[[]trace.UserID]{}
+	for u, list := range adj { // ids ascend, so each shard fills in id order
 		slices.Sort(list)
-		e.friends.writable(shardOfUser(u))[u] = list
+		e.friends.shards[u%numShards] = append(e.friends.shards[u%numShards], list)
 	}
 	e.rebuilt = true
 }

@@ -1,8 +1,12 @@
 package incremental
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/socialgraph"
@@ -343,5 +347,101 @@ func TestEngineConcurrentReaders(t *testing.T) {
 	e.Refresh()
 	if s := e.Snapshot(); s.Users != len(users) {
 		t.Errorf("users = %d, want %d", s.Users, len(users))
+	}
+}
+
+// TestEngineReadersDuringArrivals: the name → id table is the structure
+// readers and the writer share. Readers resolve names through published
+// snapshots while every event the writer learns brings a user nobody has
+// seen, so the table grows (and is copied) inside every refresh window.
+// Run under -race.
+func TestEngineReadersDuringArrivals(t *testing.T) {
+	cfg := testConfig()
+	cfg.RefreshEvents = 64
+	e := New(cfg)
+	name := func(i int) trace.UserID { return trace.UserID(fmt.Sprintf("arrival-%04d", i)) }
+	var arrived atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				n := int(arrived.Load()) + 2 // sometimes a user not yet arrived
+				u, v := name(i%n), name((i+1)%n)
+				s := e.Snapshot()
+				if got, want := slices.Contains(s.CloseFriends(u), v), s.Index(u, v) > cfg.EdgeThreshold; got != want {
+					t.Errorf("snapshot %d: %s lists %s as a friend: %v, θ above the threshold: %v", s.Seq, u, v, got, want)
+					return
+				}
+				_ = e.Index(v, u)
+				_ = e.CloseFriends(v)
+				if i%64 == 0 {
+					if m := s.Model(); len(m.PairProb) < s.Edges {
+						t.Errorf("snapshot %d: %d probabilities for %d edges", s.Seq, len(m.PairProb), s.Edges)
+						return
+					}
+				}
+			}
+		}()
+	}
+	ts := int64(0)
+	for i := 0; i < 600; i += 2 { // pairs of never-seen users meet and co-leave
+		ts = meet(t, e, name(i), name(i+1), trace.APID(fmt.Sprintf("ap%d", i%7)), ts)
+		arrived.Store(int64(i + 2))
+	}
+	close(done)
+	wg.Wait()
+	e.Refresh()
+	if s := e.Snapshot(); s.Users != 600 || s.Edges != 300 || s.Seq < 600*2/64 {
+		t.Errorf("after the stream: %d users, %d edges, snapshot %d; want 600, 300 and ≥ %d refreshes", s.Users, s.Edges, s.Seq, 600*2/64)
+	}
+}
+
+// TestCloneFollowsTouched: copy-on-write granularity. On an engine
+// holding ten thousand supported pairs, the first event after a refresh
+// to move one pair's probability — no edge crosses, nobody is new —
+// clones that pair's shard and nothing else: tens of 16-byte entries,
+// not a 256th of a string-keyed table.
+func TestCloneFollowsTouched(t *testing.T) {
+	e := New(benchConfig())
+	ts, err := replayClusteredPopulation(5000, e.Connect, e.Disconnect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts, err = churnOne(0, ts, e.Connect, e.Disconnect); err != nil { // warms the scratch slices
+		t.Fatal(err)
+	}
+	e.Refresh()
+	before := e.Snapshot()
+	if pairs := len(before.Model().PairProb); pairs != 10000 {
+		t.Fatalf("test set-up: %d supported pairs, want 10000", pairs)
+	}
+	u, v := benchUser(0), benchUser(1)
+	e.Connect(u, "churn", ts)
+	e.Connect(v, "churn", ts)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	err = e.Disconnect(u, "churn", ts+3600) // an encounter with v: P(L|E) 1 → 2/3
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("one moved probability allocated %d bytes", got)
+	if got > 2<<10 {
+		t.Errorf("one moved probability allocated %d bytes, want ≤ 2048", got)
+	}
+	if stats := e.Refresh(); stats.EdgesChanged != 0 {
+		t.Fatalf("test set-up: %d edges changed, want a probability move alone", stats.EdgesChanged)
+	}
+	if was, is := before.Index(u, v), e.Index(u, v); was != 1 || is >= was || is <= 0.3 {
+		t.Errorf("θ(%s,%s) went %v → %v; want 1 → a lower value still above the threshold", u, v, was, is)
 	}
 }

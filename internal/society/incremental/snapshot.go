@@ -1,8 +1,8 @@
 package incremental
 
 import (
-	"maps"
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,93 +13,69 @@ import (
 
 // numShards buckets the pair-probability and close-friend stores so the
 // events between two refreshes clone only the shards they touch
-// (copy-on-write). Power of two.
-const numShards = 256
-
-// FNV-1a, folded to a shard number.
+// (copy-on-write). Power of two, chosen on campus_live (600 users, 21 000
+// supported pairs: 42 to a shard) where a clone should be tens of entries
+// and a refresh, 48 bytes a shard, still small: 256 shards allocate
+// 7.47 KiB per association and 13 KB per refresh, 512 7.05 and 27 KB
+// (9 µs at 10 000 users), 1 024 6.99 and 54 KB (21 µs). A fixed count
+// means shards grow with the pair population.
 const (
-	fnvOffset = uint32(2166136261)
-	fnvPrime  = uint32(16777619)
+	shardBits = 9
+	numShards = 1 << shardBits
 )
 
-func fnvUser(h uint32, u trace.UserID) uint32 {
-	for i := 0; i < len(u); i++ {
-		h = (h ^ uint32(u[i])) * fnvPrime
-	}
-	return h
-}
-
-// shardOf hashes a canonical pair to its shard (FNV-1a over "A|B").
-func shardOf(p society.Pair) int {
-	h := fnvUser(fnvOffset, p.A)
-	h = (h ^ '|') * fnvPrime
-	return int(fnvUser(h, p.B) & (numShards - 1))
-}
-
-// shardOfUser hashes a user to its close-friend shard.
-func shardOfUser(u trace.UserID) int {
-	return int(fnvUser(fnvOffset, u) & (numShards - 1))
-}
-
-// cowMap is the engine's working copy of a sharded store. publish hands
-// the current shard maps to a snapshot and from then on treats them as
+// cowShards is the engine's working copy of a sharded store. publish
+// copies the current shards to a snapshot and from then on treats them as
 // frozen: the first write to land on a shard afterwards clones it. A
 // refresh therefore costs one array copy, and a snapshot shares every
 // shard the following events leave alone with its successors.
-type cowMap[K comparable, V any] struct {
-	shards [numShards]map[K]V
+type cowShards[T any] struct {
+	shards [numShards][]T
 	owned  [numShards]bool // cloned since the last publish: safe to write
 }
 
-// writable returns shard si, cloned first if a snapshot may hold it.
-func (c *cowMap[K, V]) writable(si int) map[K]V {
+// own returns shard si for writing, cloned first if a snapshot may hold it.
+func (c *cowShards[T]) own(si int) *[]T {
 	if !c.owned[si] {
-		fresh := maps.Clone(c.shards[si])
-		if fresh == nil {
-			fresh = make(map[K]V)
-		}
-		c.shards[si], c.owned[si] = fresh, true
+		c.shards[si], c.owned[si] = slices.Clone(c.shards[si]), true
 	}
-	return c.shards[si]
+	return &c.shards[si]
 }
 
-func (c *cowMap[K, V]) publish() [numShards]map[K]V {
-	c.owned = [numShards]bool{}
-	return c.shards
+func (c *cowShards[T]) publish(dst *[numShards][]T) {
+	*dst, c.owned = c.shards, [numShards]bool{}
 }
 
-// pairIndex is an immutable, sharded view of the learned social state:
-// per-pair P(L|E) plus the type prior. It mirrors society.Model.Index
-// exactly, so a selector reading a snapshot and one reading a freshly
-// built batch Model agree on every θ.
-type pairIndex struct {
-	shards [numShards]map[society.Pair]float64
-	types  map[trace.UserID]int
-	matrix [][]float64
-	alpha  float64
+// probEntry is one supported pair's P(L|E). A probability shard is its
+// entries sorted by key: pointer-free, and cloned by one memmove.
+type probEntry struct {
+	key  pairKey
+	prob float64
 }
 
-// Index computes θ(u,v) = P(L|E) + α·T, exactly as society.Model.Index.
-func (px *pairIndex) Index(u, v trace.UserID) float64 {
-	if u == v {
-		return 0
+// find returns k's place in its shard of probs, and whether it is there
+// (Fibonacci hashing: a key of dense ids has anything but uniform bits).
+func (k pairKey) find(probs *[numShards][]probEntry) (si, i int, ok bool) {
+	si = int(uint64(k) * 0x9E3779B97F4A7C15 >> (64 - shardBits))
+	i, ok = slices.BinarySearchFunc(probs[si], k, func(e probEntry, k pairKey) int { return cmp.Compare(e.key, k) })
+	return si, i, ok
+}
+
+// friendsOf returns user id's close friends, sorted by name. Dense ids
+// spread themselves: shard id%numShards lists its users by id/numShards.
+func friendsOf(friends *[numShards][][]trace.UserID, id uint32) []trace.UserID {
+	if shard, i := friends[id%numShards], int(id/numShards); i < len(shard) {
+		return shard[i]
 	}
-	p := society.MakePair(u, v)
-	theta := px.shards[shardOf(p)][p]
-	tu, okU := px.types[u]
-	tv, okV := px.types[v]
-	if okU && okV && tu < len(px.matrix) && tv < len(px.matrix) {
-		theta += px.alpha * px.matrix[tu][tv]
-	}
-	return theta
+	return nil
 }
 
 // Snapshot is an immutable view of the social state at one refresh. It
-// holds what an association decision reads — the pair index (θ) and
-// every user's sorted close-friend list — and nothing else. Connected
-// components, the θ-graph and the clique cover are derived from those
-// on first request and memoized; a snapshot nobody asks never pays for
-// them. All methods are safe for unlimited concurrent use.
+// holds what an association decision reads — per-pair P(L|E) with the
+// type prior (θ) and every user's sorted close-friend list — and nothing
+// else. Connected components, the θ-graph and the clique cover are
+// derived from those on first request and memoized; a snapshot nobody
+// asks never pays for them. All methods are safe for concurrent use.
 type Snapshot struct {
 	// Seq increases by one per published refresh.
 	Seq uint64
@@ -110,11 +86,15 @@ type Snapshot struct {
 	// Edges is the θ-graph edge count.
 	Edges int
 
-	index   *pairIndex
-	friends [numShards]map[trace.UserID][]trace.UserID
-	// users is every user ever seen, in first-seen order: a frozen prefix
-	// of the engine's append-only list.
-	users []trace.UserID
+	probs   [numShards][]probEntry
+	friends [numShards][][]trace.UserID
+	// users is every user ever seen, in first-seen order — so by id: a
+	// frozen prefix of the engine's append-only table. ids is its inverse.
+	users  []trace.UserID
+	ids    map[trace.UserID]uint32
+	types  map[trace.UserID]int
+	matrix [][]float64
+	alpha  float64
 
 	compsOnce sync.Once
 	comps     [][]trace.UserID
@@ -123,15 +103,38 @@ type Snapshot struct {
 	cover     [][]trace.UserID
 }
 
-// Index returns θ(u,v); Snapshot satisfies core.SocialIndex.
-func (s *Snapshot) Index(u, v trace.UserID) float64 { return s.index.Index(u, v) }
+// Index returns θ(u,v) = P(L|E) + α·T, exactly as society.Model.Index —
+// a selector reading a snapshot and one reading a freshly built batch
+// Model agree on every θ. Snapshot satisfies core.SocialIndex.
+func (s *Snapshot) Index(u, v trace.UserID) float64 {
+	if u == v {
+		return 0
+	}
+	var theta float64
+	if a, ok := s.ids[u]; ok {
+		if b, ok := s.ids[v]; ok {
+			if si, i, ok := makePairKey(a, b).find(&s.probs); ok {
+				theta = s.probs[si][i].prob
+			}
+		}
+	}
+	tu, okU := s.types[u]
+	tv, okV := s.types[v]
+	if okU && okV && tu < len(s.matrix) && tv < len(s.matrix) {
+		theta += s.alpha * s.matrix[tu][tv]
+	}
+	return theta
+}
 
 // CloseFriends returns u's close friends — the users v with θ(u,v)
 // above the engine's edge threshold — as a sorted, read-only slice (nil
-// for an unknown or isolated user): one hash and one map hit. This is
-// the selector's friend index.
+// for an unknown or isolated user): one name hash and one integer map
+// hit. This is the selector's friend index.
 func (s *Snapshot) CloseFriends(u trace.UserID) []trace.UserID {
-	return s.friends[shardOfUser(u)][u]
+	if id, ok := s.ids[u]; ok {
+		return friendsOf(&s.friends, id)
+	}
+	return nil
 }
 
 // components returns the connected components of the θ-graph, each
@@ -154,7 +157,7 @@ func (s *Snapshot) components() [][]trace.UserID {
 					}
 				}
 			}
-			sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
+			slices.Sort(comp)
 			s.comps = append(s.comps, comp)
 		}
 	})
@@ -169,8 +172,7 @@ func (s *Snapshot) NumComponents() int { return len(s.components()) }
 // u, or nil if u is unknown. Derived on demand; diagnostic use.
 func (s *Snapshot) ComponentOf(u trace.UserID) []trace.UserID {
 	for _, c := range s.components() {
-		i := sort.Search(len(c), func(i int) bool { return c[i] >= u })
-		if i < len(c) && c[i] == u {
+		if _, ok := slices.BinarySearch(c, u); ok {
 			return c
 		}
 	}
@@ -197,10 +199,8 @@ func (s *Snapshot) Graph() *socialgraph.Graph {
 // order (largest cliques first, ties lexicographic) — the same
 // partition batch ExtractCliqueCover produces on the equivalent graph.
 // Nothing on the serving path reads it, so nothing maintains it: the
-// first call extracts it component by component (iterated maximum
-// clique — about what a from-scratch cover of the graph costs) and the
-// snapshot keeps the result. Callers must treat it (and its cliques) as
-// read-only.
+// first call extracts it component by component (about what a
+// from-scratch cover costs) and the snapshot keeps the read-only result.
 func (s *Snapshot) Cover() [][]trace.UserID {
 	s.coverOnce.Do(func() {
 		g := s.Graph()
@@ -215,19 +215,17 @@ func (s *Snapshot) Cover() [][]trace.UserID {
 	return s.cover
 }
 
-// Model materializes a society.Model equivalent to this snapshot's pair
-// index: PairProb, Types, TypeMatrix and Alpha are populated (the raw
-// Encounters/CoLeaves tallies are the engine's, see Engine.Model, and
-// are left nil). O(pairs) — an interop path for batch consumers and
-// persistence, not for per-decision use; Index on the snapshot itself
-// is the hot path.
+// Model materializes a society.Model equivalent to this snapshot:
+// PairProb, Types, TypeMatrix and Alpha are populated (the raw tallies
+// are the engine's, see Engine.Model, and are left nil). O(pairs) — an
+// interop path for batch consumers, not for per-decision use.
 func (s *Snapshot) Model() *society.Model {
-	m := &society.Model{PairProb: make(map[society.Pair]float64), Alpha: s.index.alpha}
-	for _, sh := range s.index.shards {
-		for p, v := range sh {
-			m.PairProb[p] = v
+	m := &society.Model{PairProb: make(map[society.Pair]float64), Alpha: s.alpha}
+	for _, shard := range s.probs {
+		for _, en := range shard {
+			m.PairProb[en.key.pair(s.users)] = en.prob
 		}
 	}
-	m.Types, m.TypeMatrix = cloneTypes(s.index.types, s.index.matrix)
+	m.Types, m.TypeMatrix = cloneTypes(s.types, s.matrix)
 	return m
 }

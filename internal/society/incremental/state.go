@@ -9,47 +9,36 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strconv"
 
 	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
 // Engine persistence: the journal checkpoint captures the engine's
-// learned state — the seen-user list, the raw pair tallies, the open
+// learned state — the user table, the raw pair tallies, the open
 // presences and recent-leaving windows, the type assignment — so a
-// restarted controller resumes learning mid-presence instead of
-// forgetting every session that was open at the crash. Derived state is
-// never serialized: restore rebuilds the pair index and friend lists
-// from the tallies, which is batch-equivalent by construction (the
-// property tests pin incremental ≡ batch), so the restored snapshot
-// matches what the pre-crash engine would publish. Nor is the
-// configuration: windows and thresholds belong to the deployment, not
-// to the learned statistics.
+// restarted controller resumes learning mid-presence. Derived state is
+// never serialized: restore rebuilds the probabilities and friend lists
+// from the tallies, which is batch-equivalent by construction, so the
+// restored snapshot matches what the pre-crash engine would publish. Nor
+// is the configuration: windows and thresholds belong to the deployment.
 //
 // A checkpoint runs inside the association that trips it, so the format
-// is sized by what dominates it: the pair tallies, tens of thousands of
-// rows on a campus. They are uvarints against an interned user table —
-// no "a|b" key strings, no key sort:
-//
-//	byte    stateVersion
-//	table   every user ever seen, first-seen order
-//	byte    stateVersion
-//	bytes   JSON stateHeader: open presences, recent leavings, types (small)
-//	table   every user appearing in a tallied pair
-//	uvarint row count, then per pair: a b encounters coLeaves
-//	        (a, b index the second table and name two different users)
-//
-// where bytes is a uvarint length then that many bytes, and table is a
-// uvarint count then that many bytes-encoded names. (The version byte
-// appears twice because the stream used to be two nested ones, the
-// engine's around the OnlineLearner's; checkpoints written then still
-// restore.) Version 1, a JSON document, starts with '{' and is refused
-// by name.
+// (docs/ARCHITECTURE.md, "State format", has the layout) is sized by what
+// dominates it, the tally rows: uvarints against a user table, and since
+// the engine counts by user id a row is its table entry as it stands —
+// one walk, no interning. It is version 2 as the releases before the id
+// table wrote and read it; version 1, a JSON document, starts with '{'
+// and is refused by name.
 
 const (
 	// stateVersion is the format's number: the byte that opens the stream
-	// and its tally half, and the header's version field.
+	// and its tally half, and the header's version field — headerOpen is
+	// how every marshalled stateHeader begins.
 	stateVersion = 2
+	headerOpen   = `{"version":2`
 	// maxNameBytes bounds one user name and maxHeaderBytes the JSON
 	// header; a longer length prefix is damage, not an allocation request.
 	maxNameBytes   = 1 << 10
@@ -80,47 +69,72 @@ func appendUserTable(dst []byte, users []trace.UserID) []byte {
 	return dst
 }
 
-// WriteState serializes the engine's learned state to w. Derived state
-// is recomputed on restore, not stored.
+// appendJSONString appends s as a JSON string: between quotes as it is
+// when it is plain ASCII, as ids are, and through json.Marshal if not.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(dst, quoted...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
+}
+
+// appendHeader appends the JSON stateHeader: the open presences and
+// recent leavings as json.Marshal writes them, minus its reflection and
+// allocations per map, spliced into types — the header setTypesLocked
+// marshalled with the type assignment alone.
+func (t *tallies) appendHeader(dst, types []byte) []byte {
+	comma := []byte{','}
+	dst = append(dst, headerOpen+`,"open":{`...)
+	for ap, users := range t.open {
+		dst = append(appendJSONString(dst, string(ap)), ":{"...)
+		for u, p := range users {
+			dst = append(appendJSONString(dst, string(u)), `:{"since":`...)
+			dst = append(strconv.AppendInt(dst, p.Since, 10), `,"starts":[`...)
+			for _, start := range p.Starts {
+				dst = append(strconv.AppendInt(dst, start, 10), ',')
+			}
+			dst = append(bytes.TrimSuffix(dst, comma), "]},"...)
+		}
+		dst = append(bytes.TrimSuffix(dst, comma), "},"...)
+	}
+	dst = append(bytes.TrimSuffix(dst, comma), `},"recent_ends":{`...)
+	for ap, evs := range t.recent {
+		dst = append(appendJSONString(dst, string(ap)), ":["...)
+		for _, ev := range evs {
+			dst = append(appendJSONString(append(dst, `{"user":`...), string(ev.User)), `,"at":`...)
+			dst = append(strconv.AppendInt(dst, ev.At, 10), "},"...)
+		}
+		dst = append(bytes.TrimSuffix(dst, comma), "],"...)
+	}
+	return append(append(bytes.TrimSuffix(dst, comma), '}'), types[len(headerOpen):]...)
+}
+
+// WriteState serializes the engine's learned state to w, in one Write
+// of a buffer the engine keeps across checkpoints. Derived state is
+// recomputed on restore, not stored.
 func (e *Engine) WriteState(w io.Writer) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	header, err := json.Marshal(stateHeader{Version: stateVersion,
-		Open: e.live.open, RecentEnds: e.live.recent, Types: e.types, TypeMatrix: e.matrix})
-	if err != nil {
-		return fmt.Errorf("incremental: encode engine state: %w", err)
+	if e.typesJSON == nil {
+		return errors.New("incremental: encode engine state: type matrix is not a JSON value")
 	}
-
-	// The rows reference the table and the table must precede them, so
-	// rows are staged while the table is discovered.
-	ids := make(map[trace.UserID]uint64)
-	var names []trace.UserID
-	id := func(u trace.UserID) uint64 {
-		i, ok := ids[u]
-		if !ok {
-			i = uint64(len(names))
-			ids[u] = i
-			names = append(names, u)
-		}
-		return i
+	t, users := e.live, e.live.names
+	e.header = t.appendHeader(e.header[:0], e.typesJSON)
+	dst := appendUserTable(append(slices.Grow(e.state[:0], 8*len(t.pairs)), stateVersion), users)
+	dst = binary.AppendUvarint(append(dst, stateVersion), uint64(len(e.header)))
+	dst = appendUserTable(append(dst, e.header...), users)
+	dst = binary.AppendUvarint(dst, uint64(len(t.pairs)))
+	for k, c := range t.pairs {
+		a, b := k.ids()
+		dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(a)), uint64(b))
+		dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(c.encounters)), uint64(c.coLeaves))
 	}
-	rows := make([]byte, 0, 6*len(e.live.pairs))
-	for p, t := range e.live.pairs {
-		rows = binary.AppendUvarint(rows, id(p.A))
-		rows = binary.AppendUvarint(rows, id(p.B))
-		rows = binary.AppendUvarint(rows, uint64(t.encounters))
-		rows = binary.AppendUvarint(rows, uint64(t.coLeaves))
-	}
-
-	head := make([]byte, 0, len(header)+16*(len(e.order)+len(names))+32)
-	head = appendUserTable(append(head, stateVersion), e.order)
-	head = binary.AppendUvarint(append(head, stateVersion), uint64(len(header)))
-	head = appendUserTable(append(head, header...), names)
-	head = binary.AppendUvarint(head, uint64(len(e.live.pairs)))
-	for _, part := range [][]byte{head, rows} {
-		if _, err := w.Write(part); err != nil {
-			return fmt.Errorf("incremental: write engine state: %w", err)
-		}
+	e.state = dst
+	if _, err := w.Write(dst); err != nil {
+		return fmt.Errorf("incremental: write engine state: %w", err)
 	}
 	return nil
 }
@@ -131,49 +145,35 @@ func (e *Engine) WriteState(w io.Writer) error {
 // rebuilt and published as a fresh snapshot. A state that does not
 // decode leaves the engine untouched.
 func (e *Engine) ReadState(r io.Reader) error {
-	st, err := decodeState(bufio.NewReader(r), e.cfg.Society)
+	var h stateHeader
+	live, err := decodeState(bufio.NewReader(r), e.cfg.Society, &h)
 	if err != nil {
 		return fmt.Errorf("incremental: engine state: %w", err)
 	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.live = st.live
-	e.users = make(map[trace.UserID]struct{}, len(st.users))
-	e.order = make([]trace.UserID, 0, len(st.users))
-	for _, u := range st.users {
-		if _, dup := e.users[u]; !dup {
-			e.users[u] = struct{}{}
-			e.order = append(e.order, u)
-		}
-	}
-	e.setTypesLocked(st.header.Types, st.header.TypeMatrix)
-	e.probs = cowMap[society.Pair, float64]{}
-	for p, t := range st.live.pairs {
-		e.setProbLocked(p, t)
+	e.live = live
+	e.setTypesLocked(h.Types, h.TypeMatrix)
+	e.probs = cowShards[probEntry]{}
+	for k, t := range live.pairs {
+		e.setProbLocked(k, t)
 	}
 	e.rebuildFriendsLocked()
 	e.refreshLocked()
 	return nil
 }
 
-// decodedState is one state stream, read and checked: the seen-user
-// list, a tally core holding the counts, presences and leave windows,
-// and the header for its type assignment.
-type decodedState struct {
-	users  []trace.UserID
-	live   *tallies
-	header stateHeader
-}
-
-// decodeState reads one state stream. Every count and index is checked
-// against what the input really holds before it is trusted.
-func decodeState(br *bufio.Reader, cfg society.Config) (*decodedState, error) {
+// decodeState reads one state stream into a tally core — user table,
+// counts, presences, leave windows — and h, for its type assignment.
+// Every count and index is checked against what the input really holds
+// before it is trusted.
+func decodeState(br *bufio.Reader, cfg society.Config, h *stateHeader) (*tallies, error) {
 	if err := readMarker(br); err != nil {
 		return nil, err
 	}
-	users, err := readUserTable(br)
-	if err != nil {
+	live := newTallies(cfg)
+	if _, err := readUserTable(br, live); err != nil {
 		return nil, fmt.Errorf("seen users: %w", err)
 	}
 	if err := readMarker(br); err != nil {
@@ -183,8 +183,6 @@ func decodeState(br *bufio.Reader, cfg society.Config) (*decodedState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("header: %w", err)
 	}
-	st := &decodedState{users: users, live: newTallies(cfg)}
-	h, live := &st.header, st.live
 	if err := json.Unmarshal(header, h); err != nil {
 		return nil, fmt.Errorf("header: %w", err)
 	}
@@ -206,21 +204,30 @@ func decodeState(br *bufio.Reader, cfg society.Config) (*decodedState, error) {
 		}
 	}
 
+	// Every name the stream carries is interned here, once — a user the
+	// header names and the seen-user table lacks included.
 	for ap, open := range h.Open {
 		for u, p := range open {
 			if p == nil || len(p.Starts) == 0 {
 				delete(open, u)
+			} else {
+				p.id, _ = live.intern(u)
 			}
 		}
 		if len(open) > 0 {
 			live.open[ap] = open
 		}
 	}
+	for _, evs := range h.RecentEnds {
+		for i := range evs {
+			evs[i].id, _ = live.intern(evs[i].User)
+		}
+	}
 	if h.RecentEnds != nil {
 		live.recent = h.RecentEnds
 	}
 
-	names, err := readUserTable(br)
+	ids, err := readUserTable(br, live)
 	if err != nil {
 		return nil, fmt.Errorf("tallied users: %w", err)
 	}
@@ -228,7 +235,7 @@ func decodeState(br *bufio.Reader, cfg society.Config) (*decodedState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rows: %w", noEOF(err))
 	}
-	live.pairs = make(map[society.Pair]tally, min(n, maxPresize))
+	live.pairs = make(map[pairKey]tally, min(n, maxPresize))
 	for i := uint64(0); i < n; i++ {
 		var f [4]uint64 // a, b, encounters, coLeaves
 		for k := range f {
@@ -236,17 +243,17 @@ func decodeState(br *bufio.Reader, cfg society.Config) (*decodedState, error) {
 				return nil, fmt.Errorf("row %d: %w", i, noEOF(err))
 			}
 		}
-		if f[0] >= uint64(len(names)) || f[1] >= uint64(len(names)) || names[f[0]] == names[f[1]] {
-			return nil, fmt.Errorf("row %d: bad user indices %d, %d (table has %d)", i, f[0], f[1], len(names))
+		if f[0] >= uint64(len(ids)) || f[1] >= uint64(len(ids)) || ids[f[0]] == ids[f[1]] {
+			return nil, fmt.Errorf("row %d: bad user indices %d, %d (table has %d)", i, f[0], f[1], len(ids))
 		}
 		if f[2] > math.MaxInt32 || f[3] > math.MaxInt32 {
 			return nil, fmt.Errorf("row %d: implausible tallies %d, %d", i, f[2], f[3])
 		}
 		if f[2] > 0 || f[3] > 0 {
-			live.pairs[society.MakePair(names[f[0]], names[f[1]])] = tally{int(f[2]), int(f[3])}
+			live.pairs[makePairKey(ids[f[0]], ids[f[1]])] = tally{int32(f[2]), int32(f[3])}
 		}
 	}
-	return st, nil
+	return live, nil
 }
 
 // readMarker consumes the stateVersion byte that opens each half of the
@@ -264,22 +271,24 @@ func readMarker(br *bufio.Reader) error {
 	return nil
 }
 
-// readUserTable reads a table written by appendUserTable. A forged count
-// costs nothing: the table grows only as names are actually read.
-func readUserTable(br *bufio.Reader) ([]trace.UserID, error) {
+// readUserTable reads a table written by appendUserTable, interning its
+// names in live, and returns each entry's id. A forged count costs
+// nothing: the table grows only as names are actually read.
+func readUserTable(br *bufio.Reader, live *tallies) ([]uint32, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, noEOF(err)
 	}
-	users := make([]trace.UserID, 0, min(n, maxPresize))
+	ids := make([]uint32, 0, min(n, maxPresize))
 	for i := uint64(0); i < n; i++ {
 		name, err := readBytes(br, maxNameBytes)
 		if err != nil {
 			return nil, fmt.Errorf("entry %d: %w", i, err)
 		}
-		users = append(users, trace.UserID(name))
+		id, _ := live.intern(trace.UserID(name))
+		ids = append(ids, id)
 	}
-	return users, nil
+	return ids, nil
 }
 
 // readBytes reads a uvarint length (at most limit) and that many bytes,

@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/socialgraph"
+	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
@@ -309,4 +311,128 @@ func FuzzEngineReadState(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// campusSizedEngine is an engine the size the shipped campus makes it —
+// 600 users, tens of thousands of tallied pairs — with a type
+// assignment, a stacked open presence, names JSON has to escape, and
+// leave windows still open.
+func campusSizedEngine(t *testing.T) *Engine {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.RefreshEvents = 0
+	e := New(cfg)
+	rng := rand.New(rand.NewSource(7))
+	user := func(i int) trace.UserID { return trace.UserID(fmt.Sprintf("user-%03d", i)) }
+	types := make(map[trace.UserID]int)
+	for i := 0; i < 600; i++ {
+		types[user(i)] = i % 4
+	}
+	e.SetTypes(types, [][]float64{{0.4, 0.1, 0.1, 0.1}, {0.1, 0.4, 0.1, 0.1}, {0.1, 0.1, 0.4, 0.1}, {0.1, 0.1, 0.1, 0.4}})
+	ts := int64(0)
+	for round := 0; round < 1500; round++ {
+		ap := trace.APID(fmt.Sprintf("ap-%02d", round%40))
+		group := rng.Perm(600)[:12]
+		for _, i := range group {
+			e.Connect(user(i), ap, ts)
+		}
+		for k, i := range group {
+			if err := e.Disconnect(user(i), ap, ts+3600+int64(10*k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts += 4000
+	}
+	for i, u := range []trace.UserID{user(1), user(1), user(2), "we\"ird\n", "é☃"} {
+		e.Connect(u, "ap \\ 00", ts+int64(i)) // user-001 stacks two sessions
+	}
+	if err := e.Disconnect(user(2), "ap \\ 00", ts+700); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(e.Model().Encounters); n < 50000 {
+		t.Fatalf("test set-up: %d tallied pairs, want a campus's tens of thousands", n)
+	}
+	return e
+}
+
+// plainWriter is an io.Writer with no buffer to lend.
+type plainWriter struct{ buf []byte }
+
+func (w *plainWriter) Write(p []byte) (int, error) {
+	w.buf = append(w.buf, p...)
+	return len(p), nil
+}
+
+// TestWriteStateStreams: a checkpoint walks the tally table once into a
+// buffer the engine keeps — it does not discover a name table, stage
+// rows or marshal maps, so what it allocates does not grow with the
+// state — and what it writes restores, on a fresh engine, to the
+// writer's tallies, presences and types.
+func TestWriteStateStreams(t *testing.T) {
+	fromFixture := New(testStateConfig())
+	fixture, err := os.ReadFile("testdata/engine_state_v2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fromFixture.ReadState(bytes.NewReader(fixture)); err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range map[string]*Engine{"campus-sized": campusSizedEngine(t), "restored from engine_state_v2.bin": fromFixture} {
+		var lending bytes.Buffer // has an AvailableBuffer, as the journal's checkpoint frame
+		var plain plainWriter
+		for w, reset := range map[io.Writer]func(){&lending: lending.Reset, &plain: func() { plain.buf = plain.buf[:0] }} {
+			if allocs := testing.AllocsPerRun(5, func() {
+				reset()
+				if err := e.WriteState(w); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs > 100 {
+				t.Errorf("%s: a checkpoint into a %T made %v allocations, want ≤ 100", name, w, allocs)
+			}
+		}
+		if len(plain.buf) == 0 || len(plain.buf) != lending.Len() { // rows are in map order: only the sizes agree
+			t.Errorf("%s: the two writers got %d and %d bytes", name, lending.Len(), len(plain.buf))
+		}
+		restored := New(e.cfg)
+		if err := restored.ReadState(bytes.NewReader(plain.buf)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(e.Model(), restored.Model()) {
+			t.Errorf("%s: restored tallies or types differ from the writer's", name)
+		}
+		if !reflect.DeepEqual(e.live.open, restored.live.open) || !reflect.DeepEqual(e.live.recent, restored.live.recent) {
+			t.Errorf("%s: restored presences or leave windows differ from the writer's:\n%v\n%v", name, e.live.open, restored.live.open)
+		}
+		if len(e.live.open) == 0 || len(e.live.recent) == 0 {
+			t.Errorf("%s: test vacuous: no open presence or leave window", name)
+		}
+	}
+}
+
+// TestReadStateUnseenHeaderUser: every name a stream carries gets an id,
+// whichever part carries it. Here the header has an open presence and a
+// recent leaving of users the seen-user table lacks; their next
+// departures must tally like anyone's.
+func TestReadStateUnseenHeaderUser(t *testing.T) {
+	header := `{"version":2,"open":{"ap":{"a":{"starts":[100],"since":100},"ghost":{"starts":[100],"since":100}}},` +
+		`"recent_ends":{"ap":[{"user":"gone","at":990}]}}`
+	table := string(appendUserTable(nil, []trace.UserID{"a"}))
+	stream := "\x02" + table + "\x02" + string(binary.AppendUvarint(nil, uint64(len(header)))) + header + table + "\x00"
+	e := New(testStateConfig())
+	if err := e.ReadState(strings.NewReader(stream)); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Snapshot(); s.Users != 3 {
+		t.Errorf("restored %d users, want a, ghost and gone", s.Users)
+	}
+	if err := e.Disconnect("ghost", "ap", 1000); err != nil {
+		t.Fatal(err)
+	}
+	m := e.Model()
+	if got := m.Encounters[society.MakePair("a", "ghost")]; got != 1 {
+		t.Errorf("encounters(a, ghost) = %d, want 1", got)
+	}
+	if got := m.CoLeaves[society.MakePair("ghost", "gone")]; got != 1 {
+		t.Errorf("co-leaves(ghost, gone) = %d, want 1", got)
+	}
 }

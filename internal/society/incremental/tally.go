@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"errors"
+	"maps"
 	"slices"
 
 	"github.com/s3wlan/s3wlan/internal/society"
@@ -20,32 +21,48 @@ var (
 // transient APs.
 const compactEvery = 1024
 
+// pairKey packs a pair's two user ids, the smaller in the high half: the
+// pointer-free key of the tally table and the pair-probability store.
+type pairKey uint64
+
+func makePairKey(a, b uint32) pairKey { return pairKey(min(a, b))<<32 | pairKey(max(a, b)) }
+
+func (k pairKey) ids() (a, b uint32) { return uint32(k >> 32), uint32(k) }
+
+// pair names the key's two users, in society.Pair's canonical order.
+func (k pairKey) pair(names []trace.UserID) society.Pair {
+	a, b := k.ids()
+	return society.MakePair(names[a], names[b])
+}
+
 // presence tracks one user's open sessions on one AP. Overlapping
 // sessions of the same user form a single continuous presence: Starts
 // holds the open connect times (oldest first), Since the connect time
 // that opened the presence. Encounters are counted once per presence,
 // when the last open session closes, so stacked sessions never tally
-// the same co-presence period twice. (society.ExtractEncounters counts
-// per overlapping session pair instead; TestLiveTalliesAgainstBatch
-// pins the relation.) The JSON tags are the state header's.
+// the same co-presence period twice (society.ExtractEncounters does;
+// TestLiveTalliesAgainstBatch pins the relation). The JSON tags are the
+// state header's; id is the user's: pairing co-residents hashes no name.
 type presence struct {
 	Starts []int64 `json:"starts"`
 	Since  int64   `json:"since"`
+	id     uint32
 }
 
 // leave is one session end still inside its AP's co-leave window.
 type leave struct {
 	User trace.UserID `json:"user"`
 	At   int64        `json:"at"`
+	id   uint32
 }
 
 // tally is one pair's raw counts.
-type tally struct{ encounters, coLeaves int }
+type tally struct{ encounters, coLeaves int32 }
 
 // prob is the pair's co-leave probability P(L|E), and whether the pair
 // has the support to have one.
 func (t tally) prob(minEncounters int) (float64, bool) {
-	if t.encounters < minEncounters || t.encounters <= 0 {
+	if int(t.encounters) < minEncounters || t.encounters <= 0 {
 		return 0, false
 	}
 	return min(float64(t.coLeaves)/float64(t.encounters), 1), true
@@ -53,7 +70,7 @@ func (t tally) prob(minEncounters int) (float64, bool) {
 
 // touchedPair is a pair a disconnect moved, with its counts afterwards.
 type touchedPair struct {
-	pair society.Pair
+	key pairKey
 	tally
 }
 
@@ -64,11 +81,23 @@ type touchedPair struct {
 // inside the co-leave window to count co-leavings — the paper's event
 // definitions, evaluated as the events arrive. It has no lock of its
 // own: the engine's mutex guards it.
+//
+// It also holds the engine's one id space: a dense uint32 per user, in
+// first-seen order. Everything the engine counts or publishes is keyed
+// by these ids, so a name is hashed once, at the event that carries it.
+// names is append-only: a snapshot keeps a prefix without copying. ids is
+// what a snapshot's lock-free readers resolve names through: a refresh
+// lends it out, and the first new user after that copies it (rare once a
+// deployment has warmed up).
 type tallies struct {
 	cfg         society.Config
+	names       []trace.UserID
+	ids         map[trace.UserID]uint32
+	idsLent     bool
 	open        map[trace.APID]map[trace.UserID]*presence
 	recent      map[trace.APID][]leave
-	pairs       map[society.Pair]tally
+	pairs       map[pairKey]tally
+	spare       []*presence   // closed presences, for the next arrivals
 	disconnects int           // since the last amortized compaction
 	touched     []touchedPair // disconnect's result, reused across calls
 }
@@ -78,13 +107,28 @@ func newTallies(cfg society.Config) *tallies {
 		cfg:    cfg,
 		open:   make(map[trace.APID]map[trace.UserID]*presence),
 		recent: make(map[trace.APID][]leave),
-		pairs:  make(map[society.Pair]tally),
+		pairs:  make(map[pairKey]tally),
+		ids:    make(map[trace.UserID]uint32),
 	}
 }
 
-// connect records a user associating with an AP at time ts. Overlapping
-// sessions of the same user on the same AP are tracked as one presence.
-func (t *tallies) connect(u trace.UserID, ap trace.APID, ts int64) {
+// intern returns u's id, assigning the next one on first sight.
+func (t *tallies) intern(u trace.UserID) (id uint32, fresh bool) {
+	id, known := t.ids[u]
+	if !known {
+		if t.idsLent {
+			t.ids, t.idsLent = maps.Clone(t.ids), false
+		}
+		id = uint32(len(t.names))
+		t.ids[u], t.names = id, append(t.names, u)
+	}
+	return id, !known
+}
+
+// connect records a user associating with an AP at time ts and returns
+// the user's id, fresh on first sight. Overlapping sessions of the same
+// user on the same AP are tracked as one presence.
+func (t *tallies) connect(u trace.UserID, ap trace.APID, ts int64) (id uint32, fresh bool) {
 	users := t.open[ap]
 	if users == nil {
 		users = make(map[trace.UserID]*presence)
@@ -92,13 +136,17 @@ func (t *tallies) connect(u trace.UserID, ap trace.APID, ts int64) {
 	}
 	p := users[u]
 	if p == nil {
-		p = &presence{}
+		if n := len(t.spare); n > 0 {
+			p, t.spare = t.spare[n-1], t.spare[:n-1]
+		} else {
+			p = &presence{}
+		}
+		p.id, fresh = t.intern(u)
+		p.Since = ts
 		users[u] = p
 	}
-	if len(p.Starts) == 0 {
-		p.Since = ts
-	}
 	p.Starts = append(p.Starts, ts)
+	return p.id, fresh
 }
 
 // disconnect records a user leaving an AP at time ts and returns the
@@ -114,7 +162,8 @@ func (t *tallies) disconnect(u trace.UserID, ap trace.APID, ts int64) ([]touched
 	if ts < p.Starts[0] {
 		return nil, ErrTimeWentBack
 	}
-	p.Starts = p.Starts[1:] // close the oldest open session
+	// Close the oldest open session. (Re-slicing gives capacity away.)
+	p.Starts = p.Starts[:copy(p.Starts, p.Starts[1:])]
 	touched := t.touched[:0]
 
 	if len(p.Starts) == 0 {
@@ -125,15 +174,12 @@ func (t *tallies) disconnect(u trace.UserID, ap trace.APID, ts int64) ([]touched
 		if len(users) == 0 {
 			delete(t.open, ap)
 		}
-		for w, wp := range users {
+		for _, wp := range users {
 			if ts-max(p.Since, wp.Since) >= t.cfg.MinEncounterSeconds {
-				pr := society.MakePair(u, w)
-				c := t.pairs[pr]
-				c.encounters++
-				t.pairs[pr] = c
-				touched = append(touched, touchedPair{pair: pr})
+				touched = t.count(touched, makePairKey(p.id, wp.id), 1, 0)
 			}
 		}
+		t.spare = append(t.spare, p)
 	}
 
 	// Co-leavings: recent leavings on the same AP within the window,
@@ -145,15 +191,11 @@ func (t *tallies) disconnect(u trace.UserID, ap trace.APID, ts int64) ([]touched
 			continue // expired
 		}
 		kept = append(kept, ev)
-		if ev.User != u {
-			pr := society.MakePair(u, ev.User)
-			c := t.pairs[pr]
-			c.coLeaves++
-			t.pairs[pr] = c
-			touched = append(touched, touchedPair{pair: pr})
+		if ev.id != p.id {
+			touched = t.count(touched, makePairKey(p.id, ev.id), 0, 1)
 		}
 	}
-	t.recent[ap] = append(kept, leave{User: u, At: ts})
+	t.recent[ap] = append(kept, leave{User: u, At: ts, id: p.id})
 
 	t.disconnects++
 	if t.disconnects >= compactEvery {
@@ -162,10 +204,17 @@ func (t *tallies) disconnect(u trace.UserID, ap trace.APID, ts int64) ([]touched
 	}
 
 	for i := range touched {
-		touched[i].tally = t.pairs[touched[i].pair]
+		touched[i].tally = t.pairs[touched[i].key]
 	}
 	t.touched = touched
 	return touched, nil
+}
+
+// count adds to pair k's tallies and appends the pair to touched.
+func (t *tallies) count(touched []touchedPair, k pairKey, encounters, coLeaves int32) []touchedPair {
+	c := t.pairs[k]
+	t.pairs[k] = tally{c.encounters + encounters, c.coLeaves + coLeaves}
+	return append(touched, touchedPair{key: k})
 }
 
 // compact sweeps every AP's recent-leaving window, dropping events
@@ -193,12 +242,13 @@ func (t *tallies) model(types map[trace.UserID]int, matrix [][]float64) *society
 		Alpha:      t.cfg.Alpha,
 	}
 	m.Types, m.TypeMatrix = cloneTypes(types, matrix)
-	for p, c := range t.pairs {
+	for k, c := range t.pairs {
+		p := k.pair(t.names)
 		if c.encounters > 0 {
-			m.Encounters[p] = c.encounters
+			m.Encounters[p] = int(c.encounters)
 		}
 		if c.coLeaves > 0 {
-			m.CoLeaves[p] = c.coLeaves
+			m.CoLeaves[p] = int(c.coLeaves)
 		}
 		if prob, ok := c.prob(t.cfg.MinEncounters); ok {
 			m.PairProb[p] = prob
@@ -210,9 +260,7 @@ func (t *tallies) model(types map[trace.UserID]int, matrix [][]float64) *society
 // cloneTypes copies a type assignment and its matrix (never nil).
 func cloneTypes(types map[trace.UserID]int, matrix [][]float64) (map[trace.UserID]int, [][]float64) {
 	ts := make(map[trace.UserID]int, len(types))
-	for u, t := range types {
-		ts[u] = t
-	}
+	maps.Copy(ts, types)
 	m := make([][]float64, len(matrix))
 	for i, row := range matrix {
 		m[i] = append([]float64(nil), row...)

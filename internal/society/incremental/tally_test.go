@@ -43,10 +43,11 @@ func TestTalliesDisconnectTouched(t *testing.T) {
 		}
 		out := make(map[society.Pair]tally)
 		for _, tp := range touched {
-			if prev, dup := out[tp.pair]; dup && prev != tp.tally {
-				t.Errorf("%v reported with two different counts: %v, %v", tp.pair, prev, tp.tally)
+			pair := tp.key.pair(l.names)
+			if prev, dup := out[pair]; dup && prev != tp.tally {
+				t.Errorf("%v reported with two different counts: %v, %v", pair, prev, tp.tally)
 			}
-			out[tp.pair] = tp.tally
+			out[pair] = tp.tally
 		}
 		return out
 	}
