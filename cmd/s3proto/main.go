@@ -1,5 +1,5 @@
 // Command s3proto runs the S³ prototype: a WLAN controller speaking the
-// JSON-lines protocol over TCP, either as a standalone server, a
+// framed binary protocol over TCP, either as a standalone server, a
 // self-contained demo that also spins up AP agents and stations, or a
 // chaos soak that subjects the controller to connection faults and
 // churn.
@@ -96,8 +96,7 @@ func main() {
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("s3proto", flag.ContinueOnError)
 	var (
-		listen   = fs.String("listen", "127.0.0.1:0", "controller listen address (binary codec, auto-detects JSON peers)")
-		jsonPort = fs.String("json-port", "", "extra JSON-only debug/compat listen address (binary frames rejected)")
+		listen   = fs.String("listen", "127.0.0.1:0", "controller listen address")
 		policy   = fs.String("policy", "s3", "association policy: s3, s3-live or llf")
 		refEvery = fs.Duration("refresh-every", 5*time.Second, "s3-live: periodic snapshot refresh interval")
 		refEvts  = fs.Int("refresh-events", 256, "s3-live: also refresh after this many association events (0 = periodic only)")
@@ -276,13 +275,6 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	defer ctl.Close()
 	fmt.Fprintf(out, "controller (%s policy) listening on %s\n", selector.Name(), addr)
-	if *jsonPort != "" {
-		jaddr, jerr := ctl.ListenJSON(*jsonPort)
-		if jerr != nil {
-			return jerr
-		}
-		fmt.Fprintf(out, "JSON compatibility port on %s\n", jaddr)
-	}
 	if rec := ctl.Recovery(); rec != nil {
 		writeRecovery(out, rec)
 	}

@@ -132,7 +132,9 @@ func BenchmarkSelectBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	views, _ := dom.Views(users[0])
+	var buf domain.ViewBuf
+	dom.ViewsInto(users[0], &buf)
+	views := buf.Views()
 	reqs := make([]wlan.Request, 8)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -155,7 +155,9 @@ func TestLazyViewsRankLikeMaterialised(t *testing.T) {
 			}
 		}
 
-		lazy, _ := dom.Views(req.User)
+		var lazyBuf domain.ViewBuf
+		dom.ViewsInto(req.User, &lazyBuf)
+		lazy := lazyBuf.Views()
 		static := make([]wlan.APView, len(lazy))
 		for i, v := range lazy {
 			members := make([]trace.UserID, 0, len(on[v.ID]))

@@ -169,8 +169,9 @@ func randomBatchDomain(t *testing.T, rng *rand.Rand, residents []trace.UserID, n
 			}
 		}
 	}
-	views, _ := dom.Views("")
-	return views
+	var buf domain.ViewBuf
+	dom.ViewsInto("", &buf)
+	return buf.Views()
 }
 
 // TestSelectBatchRowsMatchScan: on random domains — stacked same-user

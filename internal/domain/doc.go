@@ -16,7 +16,7 @@
 // stable AP→shard hash (FNV-1a of the AP ID). Each shard owns its APs
 // behind its own RWMutex and carries its own version counter, bumped on
 // every structural change (AP set, membership, failure state). Policy
-// selection runs against a snapshot: Views collects, per shard under its
+// selection runs against a snapshot: ViewsInto collects, per shard under its
 // read lock, each AP's aggregates (capacity, load, RSSI, user count)
 // plus the per-shard version vector, the selector deliberates holding
 // no lock, and Commit re-validates only the versions of the shards the
@@ -30,8 +30,10 @@
 // list up on the AP (the S³ selector passes the requester's close
 // friends — O(friends) map hits under one shard read-lock), and
 // APView.Members materialises a sorted copy for callers that must
-// iterate everyone. Views built by hand with APView.WithMembers answer
-// all three from fixed lists.
+// iterate everyone. An AP's membership is held once, as a map; the
+// readers that need order (Members, Info, ExportState, an eviction)
+// sort its keys when they read. Views built by hand with
+// APView.WithMembers answer all three from fixed lists.
 //
 // A decision that lands entirely inside one shard commits on the fast
 // path — one shard lock, one version check — so concurrent

@@ -42,7 +42,7 @@ var (
 	ErrStale = errors.New("stale view version")
 )
 
-// LoadMode selects which load figure Views exposes to policies.
+// LoadMode selects which load figure ViewsInto exposes to policies.
 type LoadMode int
 
 const (
@@ -61,7 +61,7 @@ const (
 
 // APView is a policy's read-only view of one AP's live state. Both the
 // batch simulator and the live controller hand policies exactly this
-// (internal/wlan aliases the type), assembled by Domain.Views.
+// (internal/wlan aliases the type), assembled by Domain.ViewsInto.
 //
 // The exported fields are aggregates, copied when the snapshot is taken.
 // Membership is not copied: Intersect, SumDemands and Members read it on
@@ -223,7 +223,7 @@ func SyntheticRSSI(u trace.UserID, ap trace.APID) float64 {
 	return -90 + float64(h%61)
 }
 
-// Version is the per-shard version vector captured by Views. Commit
+// Version is the per-shard version vector captured by ViewsInto. Commit
 // validates only the entries of shards the placement set touches; nil
 // skips validation entirely (forced commit).
 type Version []uint64
@@ -288,10 +288,11 @@ type Config struct {
 	ObsName string
 }
 
-// apState is one AP's accounting. users is the authoritative map and
-// what view lookups hit; sortedU/sortedD mirror it in sorted order and
-// are maintained incrementally at every mutation point, so materialising
-// the membership is a deterministic copy, not a sort.
+// apState is one AP's accounting. users is the only membership
+// representation: view lookups hit it directly and the rare readers that
+// need order (Info, ExportState, Members, drain) sort its keys at the
+// read, so a mutation costs one map operation however many users the AP
+// holds.
 type apState struct {
 	sh          *shard // owning shard; its lock guards every field below
 	id          trace.APID
@@ -299,43 +300,15 @@ type apState struct {
 	reportedBps float64
 	believedBps float64
 	users       map[trace.UserID]float64 // user -> believed demand
-	sortedU     []trace.UserID           // users, sorted ascending
-	sortedD     []float64                // sortedD[i] = users[sortedU[i]]
 	failed      bool
 }
 
-// userIndex returns the sorted-slice position of u (or its insertion
-// point when absent).
-func (st *apState) userIndex(u trace.UserID) int {
-	return sort.Search(len(st.sortedU), func(i int) bool { return st.sortedU[i] >= u })
-}
-
-// bumpUser adds delta to u's believed demand, inserting u when new, and
-// keeps the sorted mirror current. Reports whether u was newly inserted.
+// bumpUser adds delta to u's believed demand, inserting u when new.
+// Reports whether u was newly inserted.
 func (st *apState) bumpUser(u trace.UserID, delta float64) bool {
-	at := st.userIndex(u)
-	if at < len(st.sortedU) && st.sortedU[at] == u {
-		st.users[u] += delta
-		st.sortedD[at] = st.users[u]
-		return false
-	}
-	st.users[u] = delta
-	st.sortedU = append(st.sortedU, "")
-	copy(st.sortedU[at+1:], st.sortedU[at:])
-	st.sortedU[at] = u
-	st.sortedD = append(st.sortedD, 0)
-	copy(st.sortedD[at+1:], st.sortedD[at:])
-	st.sortedD[at] = delta
-	return true
-}
-
-// dropUser removes u from the map and the sorted mirror.
-func (st *apState) dropUser(u trace.UserID) {
-	delete(st.users, u)
-	if at := st.userIndex(u); at < len(st.sortedU) && st.sortedU[at] == u {
-		st.sortedU = append(st.sortedU[:at], st.sortedU[at+1:]...)
-		st.sortedD = append(st.sortedD[:at], st.sortedD[at+1:]...)
-	}
+	cur, ok := st.users[u]
+	st.users[u] = cur + delta
+	return !ok
 }
 
 // shard owns a partition of the AP set behind its own lock.
@@ -483,14 +456,13 @@ func drain(sh *shard, st *apState) []Eviction {
 	if len(st.users) == 0 {
 		return nil
 	}
-	evicted := make([]Eviction, len(st.sortedU))
-	for i, u := range st.sortedU {
-		evicted[i] = Eviction{User: u, DemandBps: st.sortedD[i]}
+	users, demands := sortedUsers(st)
+	evicted := make([]Eviction, len(users))
+	for i, u := range users {
+		evicted[i] = Eviction{User: u, DemandBps: demands[i]}
 	}
 	sh.entries -= len(st.users)
 	st.users = make(map[trace.UserID]float64)
-	st.sortedU = st.sortedU[:0]
-	st.sortedD = st.sortedD[:0]
 	st.believedBps = 0
 	obsEvictions.Add(int64(len(evicted)))
 	return evicted
@@ -586,11 +558,18 @@ func (d *Domain) Info(id trace.APID) (APInfo, bool) {
 	}, true
 }
 
+// sortedUsers copies st's membership out in ascending user order with
+// the aligned demands; must run with the shard lock held.
 func sortedUsers(st *apState) ([]trace.UserID, []float64) {
-	users := make([]trace.UserID, len(st.sortedU))
-	copy(users, st.sortedU)
-	demands := make([]float64, len(st.sortedD))
-	copy(demands, st.sortedD)
+	users := make([]trace.UserID, 0, len(st.users))
+	for u := range st.users {
+		users = append(users, u)
+	}
+	slices.Sort(users)
+	demands := make([]float64, len(users))
+	for i, u := range users {
+		demands[i] = st.users[u]
+	}
 	return users, demands
 }
 
@@ -610,10 +589,12 @@ func (b *ViewBuf) Views() []APView { return b.views }
 // Version returns the version vector of the last ViewsInto call.
 func (b *ViewBuf) Version() Version { return b.ver }
 
-// Views snapshots the non-failed APs for a policy decision by user u,
-// with the per-shard version vector the commit validates against. APs
-// are returned in sorted ID order regardless of sharding, so a policy
-// sees the same candidate list for any shard count.
+// ViewsInto snapshots the non-failed APs for a policy decision by user u
+// into a caller-owned reusable buffer, with the per-shard version vector
+// the commit validates against. APs come in sorted ID order regardless of
+// sharding, so a policy sees the same candidate list for any shard count.
+// It touches O(APs) aggregates and never the membership, so its cost does
+// not depend on how many users are resident.
 //
 // The snapshot holds each AP's aggregates as of the call; membership
 // reads through the views (Intersect, Members) see the domain's state
@@ -621,15 +602,6 @@ func (b *ViewBuf) Version() Version { return b.ver }
 // shard's version, so Commit's per-shard check (ErrStale, re-select)
 // covers the gap exactly as it covers the snapshot not being one cut
 // across shards.
-func (d *Domain) Views(u trace.UserID) ([]APView, Version) {
-	var buf ViewBuf
-	d.ViewsInto(u, &buf)
-	return buf.views, buf.ver
-}
-
-// ViewsInto is Views writing into a caller-owned reusable buffer. It
-// touches O(APs) aggregates and never the membership, so its cost does
-// not depend on how many users are resident.
 func (d *Domain) ViewsInto(u trace.UserID, buf *ViewBuf) {
 	obsViews.Inc()
 	buf.views = buf.views[:0]
@@ -782,7 +754,7 @@ func removeUser(sh *shard, st *apState, u trace.UserID) (removed float64, ok boo
 	if !ok {
 		return 0, false
 	}
-	st.dropUser(u)
+	delete(st.users, u)
 	sh.entries--
 	st.believedBps -= cur
 	if st.believedBps < 0 {
@@ -815,11 +787,10 @@ func (d *Domain) Leave(u trace.UserID, ap trace.APID, demandBps float64) bool {
 		release = cur
 	}
 	if rem := cur - release; rem <= 1e-9 {
-		st.dropUser(u)
+		delete(st.users, u)
 		sh.entries--
 	} else {
 		st.users[u] = rem
-		st.sortedD[st.userIndex(u)] = rem
 	}
 	st.believedBps -= release
 	if st.believedBps < 0 {

@@ -91,7 +91,7 @@ func TestSetFailedEvictsAndHides(t *testing.T) {
 	if !reflect.DeepEqual(evicted, []Eviction{{User: "u", DemandBps: 7}}) {
 		t.Fatalf("evicted = %v", evicted)
 	}
-	views, _ := d.Views("u")
+	views, _ := viewsOf(d, "u")
 	if len(views) != 1 || views[0].ID != "b" {
 		t.Fatalf("failed AP must be hidden from views: %v", views)
 	}
@@ -101,7 +101,7 @@ func TestSetFailedEvictsAndHides(t *testing.T) {
 	if ev := d.SetFailed("a", false); ev != nil {
 		t.Fatalf("recovery must not evict, got %v", ev)
 	}
-	views, _ = d.Views("u")
+	views, _ = viewsOf(d, "u")
 	if len(views) != 2 {
 		t.Fatalf("recovered AP must reappear: %v", views)
 	}
@@ -118,7 +118,7 @@ func TestCommitStaleAndForced(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, ver := d.Views("u")
+	_, ver := viewsOf(d, "u")
 	// Mutate the shard owning ap0.
 	if _, err := d.Commit([]Placement{{User: "x", AP: "ap0", DemandBps: 1}}, nil); err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestCommitStaleAndForced(t *testing.T) {
 		t.Fatalf("stale commit: err = %v, want ErrStale", err)
 	}
 	// A change in an untouched shard must NOT invalidate the commit.
-	_, ver = d.Views("u")
+	_, ver = viewsOf(d, "u")
 	other := ""
 	for i := 0; i < 8; i++ {
 		id := trace.APID(fmt.Sprintf("ap%d", i))
@@ -285,13 +285,13 @@ func TestViewsLoadModes(t *testing.T) {
 		d.SetReported("ap", 25)
 		return d
 	}
-	if v, _ := mk(LoadBelieved).Views("u"); v[0].LoadBps != 10 {
+	if v, _ := viewsOf(mk(LoadBelieved), "u"); v[0].LoadBps != 10 {
 		t.Errorf("LoadBelieved = %v, want 10", v[0].LoadBps)
 	}
-	if v, _ := mk(LoadReported).Views("u"); v[0].LoadBps != 25 {
+	if v, _ := viewsOf(mk(LoadReported), "u"); v[0].LoadBps != 25 {
 		t.Errorf("LoadReported = %v, want 25", v[0].LoadBps)
 	}
-	if v, _ := mk(LoadMax).Views("u"); v[0].LoadBps != 25 {
+	if v, _ := viewsOf(mk(LoadMax), "u"); v[0].LoadBps != 25 {
 		t.Errorf("LoadMax = %v, want 25", v[0].LoadBps)
 	}
 
@@ -303,11 +303,11 @@ func TestViewsLoadModes(t *testing.T) {
 	if _, err := d.Commit([]Placement{{User: "u", AP: "ap", DemandBps: 10}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := d.Views("u"); v[0].LoadBps != 0 {
+	if v, _ := viewsOf(d, "u"); v[0].LoadBps != 0 {
 		t.Fatalf("before publish: %v, want 0", v[0].LoadBps)
 	}
 	d.PublishReports()
-	if v, _ := d.Views("u"); v[0].LoadBps != 10 {
+	if v, _ := viewsOf(d, "u"); v[0].LoadBps != 10 {
 		t.Fatalf("after publish: %v, want 10", v[0].LoadBps)
 	}
 }
@@ -344,8 +344,8 @@ func TestShardCountInvariant(t *testing.T) {
 		return d
 	}
 	a, b := build(1), build(16)
-	va, _ := a.Views("observer")
-	vb, _ := b.Views("observer")
+	va, _ := viewsOf(a, "observer")
+	vb, _ := viewsOf(b, "observer")
 	if err := sameViews(vb, va); err != nil {
 		t.Fatalf("views differ between 1 and 16 shards: %v", err)
 	}
@@ -368,7 +368,7 @@ func TestViewsSortedAcrossShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	views, ver := d.Views("u")
+	views, ver := viewsOf(d, "u")
 	if len(ver) != 16 {
 		t.Fatalf("version width = %d, want 16", len(ver))
 	}
@@ -428,7 +428,7 @@ func TestConcurrentCommitsConserveLoad(t *testing.T) {
 				// Target only the stable APs: Views() transiently
 				// includes churn APs while they are live, and committing
 				// to one races with its removal/failure flip.
-				_, ver := d.Views(u)
+				_, ver := viewsOf(d, u)
 				ap := aps[(w*31+i)%len(aps)]
 				if _, err := d.Commit([]Placement{{User: u, AP: ap, DemandBps: 1}}, ver); err != nil {
 					if !errors.Is(err, ErrStale) {

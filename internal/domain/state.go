@@ -1,9 +1,7 @@
 package domain
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
@@ -35,7 +33,7 @@ const stateVersion = 1
 
 // ExportState snapshots the domain's full association state: every AP
 // with its capacity, report, failure flag and believed users/demands.
-// Each shard is read under its lock; like Views, the snapshot is
+// Each shard is read under its lock; like ViewsInto, the snapshot is
 // per-shard consistent and APs are returned in sorted ID order.
 func (d *Domain) ExportState() *State {
 	st := &State{Version: stateVersion}
@@ -100,21 +98,4 @@ func (d *Domain) ImportState(st *State) error {
 		sh.mu.Unlock()
 	}
 	return nil
-}
-
-// WriteState serializes the domain's exported state to w as JSON.
-func (d *Domain) WriteState(w io.Writer) error {
-	if err := json.NewEncoder(w).Encode(d.ExportState()); err != nil {
-		return fmt.Errorf("domain: encode state: %w", err)
-	}
-	return nil
-}
-
-// ReadState parses a serialized state from r.
-func ReadState(r io.Reader) (*State, error) {
-	var st State
-	if err := json.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("domain: decode state: %w", err)
-	}
-	return &st, nil
 }

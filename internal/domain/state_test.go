@@ -1,7 +1,6 @@
 package domain
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -41,16 +40,8 @@ func TestStateRoundtripAcrossShardCounts(t *testing.T) {
 	for _, expShards := range []int{1, 4} {
 		for _, impShards := range []int{1, 8} {
 			src := populateState(t, expShards)
-			var buf bytes.Buffer
-			if err := src.WriteState(&buf); err != nil {
-				t.Fatal(err)
-			}
-			st, err := ReadState(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
 			dst := New(Config{Shards: impShards})
-			if err := dst.ImportState(st); err != nil {
+			if err := dst.ImportState(src.ExportState()); err != nil {
 				t.Fatal(err)
 			}
 			// Identical exported state (shard-layout independent).
@@ -59,8 +50,8 @@ func TestStateRoundtripAcrossShardCounts(t *testing.T) {
 					expShards, impShards, src.ExportState(), dst.ExportState())
 			}
 			// Identical policy-visible views.
-			sv, _ := src.Views("u-1")
-			dv, _ := dst.Views("u-1")
+			sv, _ := viewsOf(src, "u-1")
+			dv, _ := viewsOf(dst, "u-1")
 			if err := sameViews(dv, sv); err != nil {
 				t.Fatalf("views diverged: %v", err)
 			}
@@ -102,16 +93,8 @@ func TestImportStateRejectsDamage(t *testing.T) {
 // whole believed demand in both the original and the restored domain.
 func TestImportStatePreservesLeaveSemantics(t *testing.T) {
 	src := populateState(t, 2)
-	var buf bytes.Buffer
-	if err := src.WriteState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	st, err := ReadState(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dst := New(Config{Shards: 2})
-	if err := dst.ImportState(st); err != nil {
+	if err := dst.ImportState(src.ExportState()); err != nil {
 		t.Fatal(err)
 	}
 	sd, sok := src.LeaveAll("u-1", "ap-0")

@@ -3,6 +3,7 @@ package domain
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -33,9 +34,16 @@ func sameViews(got, want []APView) error {
 	return nil
 }
 
-// TestViewsIntoMatchesViews: the reusable-buffer snapshot must be
-// indistinguishable from the allocating Views path across mutations,
-// and each view's user count must agree with its materialised members.
+// viewsOf takes one snapshot into a fresh buffer.
+func viewsOf(d *Domain, u trace.UserID) ([]APView, Version) {
+	var buf ViewBuf
+	d.ViewsInto(u, &buf)
+	return buf.Views(), buf.Version()
+}
+
+// TestViewsIntoMatchesViews: a snapshot into a reused buffer must be
+// indistinguishable from one into a fresh buffer across mutations, and
+// each view's user count must agree with its materialised members.
 func TestViewsIntoMatchesViews(t *testing.T) {
 	d := New(Config{Shards: 4})
 	for i := 0; i < 9; i++ {
@@ -58,10 +66,10 @@ func TestViewsIntoMatchesViews(t *testing.T) {
 	var buf ViewBuf
 	check := func(stage string) {
 		t.Helper()
-		want, wantVer := d.Views("probe")
+		want, wantVer := viewsOf(d, "probe")
 		d.ViewsInto("probe", &buf)
 		if err := sameViews(buf.Views(), want); err != nil {
-			t.Fatalf("%s: ViewsInto diverged from Views: %v", stage, err)
+			t.Fatalf("%s: reused buffer diverged from a fresh one: %v", stage, err)
 		}
 		if !reflect.DeepEqual(buf.Version(), wantVer) {
 			t.Fatalf("%s: version vector diverged: %v vs %v", stage, buf.Version(), wantVer)
@@ -105,7 +113,7 @@ func TestViewMembershipOnDemand(t *testing.T) {
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	views, ver := d.Views("probe")
+	views, ver := viewsOf(d, "probe")
 	a := views[0]
 	if a.ID != "a" || a.NumUsers != 2 || a.LoadBps != 45 {
 		t.Fatalf("view a = %+v, want 2 users at 45 B/s", a)
@@ -182,65 +190,96 @@ func TestViewsIntoCostIsPerAP(t *testing.T) {
 	}
 }
 
-// TestSortedMirrorConsistency: the incrementally maintained sorted
-// user/demand mirrors must agree with the authoritative map after every
-// kind of mutation.
+// TestSortedMirrorConsistency: every reader that promises order — Info,
+// ExportState, Members and RemoveAP's evictions — must return the AP's
+// membership strictly ascending by user and demand-aligned with a model
+// map, after every kind of mutation.
 func TestSortedMirrorConsistency(t *testing.T) {
 	d := New(Config{Shards: 1})
 	if err := d.AddAP("ap", 1e6); err != nil {
 		t.Fatal(err)
 	}
-	mutate := []struct {
-		name string
-		run  func()
-	}{
-		{"joins", func() {
-			var ps []Placement
-			for i := 0; i < 16; i++ {
-				ps = append(ps, Placement{User: trace.UserID(fmt.Sprintf("z%02d", 15-i)), AP: "ap", DemandBps: float64(i + 1)})
+	model := map[trace.UserID]float64{}
+	aligned := func(stage, reader string, users []trace.UserID, demands []float64) {
+		t.Helper()
+		if len(users) != len(model) || len(demands) != len(users) {
+			t.Fatalf("%s: %s has %d users, %d demands; model %d", stage, reader, len(users), len(demands), len(model))
+		}
+		for i, u := range users {
+			if i > 0 && users[i-1] >= u {
+				t.Fatalf("%s: %s out of order at %d: %v", stage, reader, i, users)
 			}
-			if _, err := d.Commit(ps, nil); err != nil {
-				t.Fatal(err)
+			if want, ok := model[u]; !ok || demands[i] != want {
+				t.Fatalf("%s: %s demand for %s = %v, model %v (present %v)", stage, reader, u, demands[i], want, ok)
 			}
-		}},
-		{"demand bump", func() {
-			if _, err := d.Commit([]Placement{{User: "z05", AP: "ap", DemandBps: 100}}, nil); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"partial leave", func() { d.Leave("z05", "ap", 40) }},
-		{"full leave via drain", func() { d.Leave("z06", "ap", 1e9) }},
-		{"leave all", func() { d.LeaveAll("z07", "ap") }},
+		}
 	}
-	for _, m := range mutate {
-		m.run()
+	check := func(stage string) {
+		t.Helper()
 		info, ok := d.Info("ap")
 		if !ok {
-			t.Fatalf("%s: AP vanished", m.name)
+			t.Fatalf("%s: AP vanished", stage)
 		}
-		sh := d.shardOf("ap")
-		sh.mu.RLock()
-		st := sh.aps["ap"]
-		if len(st.sortedU) != len(st.users) || len(st.sortedD) != len(st.users) {
-			sh.mu.RUnlock()
-			t.Fatalf("%s: mirror length %d/%d vs map %d", m.name, len(st.sortedU), len(st.sortedD), len(st.users))
+		aligned(stage, "Info", info.Users, info.UserDemands)
+		exp := d.ExportState().APs[0]
+		aligned(stage, "ExportState", exp.Users, exp.Demands)
+		views, _ := viewsOf(d, "probe")
+		users, demands := views[0].Members()
+		aligned(stage, "Members", users, demands)
+	}
+	commit := func(u trace.UserID, demand float64) {
+		t.Helper()
+		if _, err := d.Commit([]Placement{{User: u, AP: "ap", DemandBps: demand}}, nil); err != nil {
+			t.Fatal(err)
 		}
-		for i, u := range st.sortedU {
-			if i > 0 && st.sortedU[i-1] >= u {
-				sh.mu.RUnlock()
-				t.Fatalf("%s: mirror out of order at %d: %v", m.name, i, st.sortedU)
-			}
-			if st.users[u] != st.sortedD[i] {
-				sh.mu.RUnlock()
-				t.Fatalf("%s: demand mirror for %s = %v, map %v", m.name, u, st.sortedD[i], st.users[u])
-			}
+		model[u] += demand
+	}
+	leave := func(u trace.UserID, demand float64) {
+		d.Leave(u, "ap", demand)
+		cur, ok := model[u]
+		if !ok {
+			return
 		}
-		sh.mu.RUnlock()
-		for i, u := range info.Users {
-			if i > 0 && info.Users[i-1] >= u {
-				t.Fatalf("%s: Info users out of order: %v", m.name, info.Users)
-			}
-			_ = info.UserDemands[i]
+		if rem := cur - min(demand, cur); rem <= 1e-9 {
+			delete(model, u)
+		} else {
+			model[u] = rem
 		}
 	}
+
+	for i := 0; i < 16; i++ { // joins in descending user order
+		commit(trace.UserID(fmt.Sprintf("z%02d", 15-i)), float64(i+1))
+	}
+	check("joins")
+	commit("z05", 100)
+	check("demand bump")
+	leave("z05", 40)
+	check("partial leave")
+	leave("z06", 1e9)
+	check("drain to zero")
+	d.LeaveAll("z07", "ap")
+	delete(model, "z07")
+	check("leave all")
+
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		u := trace.UserID(fmt.Sprintf("r%02d", rng.Intn(40)))
+		if rng.Intn(3) > 0 {
+			commit(u, float64(1+rng.Intn(50)))
+		} else {
+			leave(u, float64(1+rng.Intn(80)))
+		}
+		check(fmt.Sprintf("random step %d", i))
+	}
+
+	evicted, ok := d.RemoveAP("ap")
+	if !ok {
+		t.Fatal("RemoveAP failed")
+	}
+	users := make([]trace.UserID, len(evicted))
+	demands := make([]float64, len(evicted))
+	for i, ev := range evicted {
+		users[i], demands[i] = ev.User, ev.DemandBps
+	}
+	aligned("remove", "RemoveAP evictions", users, demands)
 }

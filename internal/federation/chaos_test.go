@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -371,8 +372,14 @@ func TestFederationTornTailTakeover(t *testing.T) {
 		}
 		return n
 	}
-	// node-0's journal tears at byte 600: registrations land, later
-	// associations are acked but never durable.
+	// node-0's journals tear at byte 600: registrations land, later
+	// associations are acked but never durable. torn keeps group 0's
+	// segment so the test can see how far past the tear it has written.
+	const tornAt = 600
+	var (
+		tornMu sync.Mutex
+		torn   *faultfile.File
+	)
 	victim := build("node-0", journal.Options{
 		Fsync: journal.FsyncOff,
 		OpenFile: func(path string) (journal.File, error) {
@@ -380,7 +387,13 @@ func TestFederationTornTailTakeover(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return faultfile.Wrap(f, faultfile.Config{TornAtByte: 600}), nil
+			ff := faultfile.Wrap(f, faultfile.Config{TornAtByte: tornAt})
+			if filepath.Base(filepath.Dir(path)) == "group-0" {
+				tornMu.Lock()
+				torn = ff
+				tornMu.Unlock()
+			}
+			return ff, nil
 		},
 	})
 	healthy := build("node-1", journal.Options{Fsync: journal.FsyncAlways})
@@ -416,7 +429,16 @@ func TestFederationTornTailTakeover(t *testing.T) {
 	if !ok {
 		t.Fatal("victim does not own group 0")
 	}
-	for i := 0; vctrl.JournalSeq() < 12; i++ {
+	// The loop runs on bytes, not on a record count: a record is ≈ 48
+	// bytes, and the owner must be at least two of them (128 bytes with
+	// margin) past the tear, whatever a record weighs in this release.
+	tornMu.Lock()
+	seg := torn
+	tornMu.Unlock()
+	if seg == nil {
+		t.Fatal("group 0's journal never opened a segment")
+	}
+	for i := 0; seg.Written() < tornAt+128; i++ {
 		user := trace.UserID(fmt.Sprintf("torn-u-%d", i))
 		if own.GroupOfUser(user) != 0 {
 			continue

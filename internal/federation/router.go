@@ -65,7 +65,7 @@ func (n *Node) acceptLoop(ln net.Listener) {
 		go func() {
 			defer n.wg.Done()
 			defer n.untrackConn(raw)
-			conn := protocol.NewServerConn(raw, n.cfg.Timeout)
+			conn := protocol.NewConn(raw, n.cfg.Timeout)
 			defer protocol.ContainPanic(n.cfg.Logger, conn)
 			n.route(conn)
 		}()
@@ -189,7 +189,7 @@ func (n *Node) relay(client *protocol.Conn, hello protocol.Message, addr string,
 		unreached("group owner unreachable", err)
 		return
 	}
-	owner := protocol.NewConnCodec(raw, n.cfg.Timeout, protocol.CodecBinary)
+	owner := protocol.NewConn(raw, n.cfg.Timeout)
 	defer owner.Close()
 	if err := owner.Send(hello); err != nil {
 		unreached("relay hello", err)

@@ -45,8 +45,8 @@ const DefaultHelloTimeout = 3 * time.Second
 // RetryAfterMs zero.
 const defaultRetryAfter = 1000 * time.Millisecond
 
-// shedTimeout bounds the whole shed exchange (codec sniff + MsgBusy
-// write) so a stalled client cannot hold a shedding goroutine.
+// shedTimeout bounds the shed's MsgBusy write so a stalled client cannot
+// hold a shedding goroutine.
 const shedTimeout = time.Second
 
 // Admission configures the controller's overload shedding. The zero

@@ -9,11 +9,8 @@ import (
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
-// The association E2E grid: both codecs at 10k and 100k resident users.
-var (
-	assocBenchCodecs = []Codec{CodecBinary, CodecJSON}
-	assocBenchUsers  = []int{10_000, 100_000}
-)
+// The association E2E grid: 10k and 100k resident users.
+var assocBenchUsers = []int{10_000, 100_000}
 
 const assocBenchAPs = 64
 
@@ -72,11 +69,10 @@ func newBenchController(tb testing.TB, users int) (*Controller, string) {
 
 // benchAssociateE2E measures one full association round trip — station
 // sends MsgAssoc, the controller snapshots views, runs the policy,
-// commits and replies MsgAssign — over a real TCP connection speaking
-// the given codec.
-func benchAssociateE2E(b *testing.B, codec Codec, users int) {
+// commits and replies MsgAssign — over a real TCP connection.
+func benchAssociateE2E(b *testing.B, users int) {
 	_, addr := newBenchController(b, users)
-	st, err := DialStationCodec(defaultDial, addr, "bench-station", testTimeout, codec)
+	st, err := DialStation(addr, "bench-station", testTimeout)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -94,11 +90,9 @@ func benchAssociateE2E(b *testing.B, codec Codec, users int) {
 }
 
 func BenchmarkAssociateE2E(b *testing.B) {
-	for _, codec := range assocBenchCodecs {
-		for _, users := range assocBenchUsers {
-			b.Run(fmt.Sprintf("%s/users=%d", codec, users), func(b *testing.B) {
-				benchAssociateE2E(b, codec, users)
-			})
-		}
+	for _, users := range assocBenchUsers {
+		b.Run(fmt.Sprintf("binary/users=%d", users), func(b *testing.B) {
+			benchAssociateE2E(b, users)
+		})
 	}
 }

@@ -44,8 +44,6 @@ type ReconnectConfig struct {
 	Seed int64
 	// Dial overrides the transport dialer (default TCP).
 	Dial Dialer
-	// Codec selects the wire encoding (zero value: binary).
-	Codec Codec
 }
 
 // DefaultReconnectConfig is a sensible starting point: 8 attempts,
@@ -77,12 +75,12 @@ type APAgent struct {
 }
 
 // dialAP opens one agent connection and performs the hello handshake.
-func dialAP(dial Dialer, addr string, id trace.APID, capacityBps float64, timeout time.Duration, codec Codec) (*Conn, error) {
+func dialAP(dial Dialer, addr string, id trace.APID, capacityBps float64, timeout time.Duration) (*Conn, error) {
 	raw, err := dial(addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: dial: %w", err)
 	}
-	conn := NewConnCodec(raw, timeout, codec)
+	conn := NewConn(raw, timeout)
 	if err := helloAP(conn, id, capacityBps); err != nil {
 		conn.Close()
 		return nil, err
@@ -116,16 +114,10 @@ func helloAP(conn *Conn, id trace.APID, capacityBps float64) error {
 	return nil
 }
 
-// DialAP connects an AP agent over the binary codec and registers the AP
-// (no reconnection; see DialAPReconnecting for the resilient variant).
+// DialAP connects an AP agent and registers the AP (no reconnection;
+// see DialAPReconnecting for the resilient variant).
 func DialAP(addr string, id trace.APID, capacityBps float64, timeout time.Duration) (*APAgent, error) {
-	return DialAPCodec(addr, id, capacityBps, timeout, CodecBinary)
-}
-
-// DialAPCodec is DialAP with an explicit wire codec — CodecJSON speaks
-// to the compatibility port or exercises the JSON path end to end.
-func DialAPCodec(addr string, id trace.APID, capacityBps float64, timeout time.Duration, codec Codec) (*APAgent, error) {
-	conn, err := dialAP(defaultDial, addr, id, capacityBps, timeout, codec)
+	conn, err := dialAP(defaultDial, addr, id, capacityBps, timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +127,6 @@ func DialAPCodec(addr string, id trace.APID, capacityBps float64, timeout time.D
 		addr:        addr,
 		capacityBps: capacityBps,
 		timeout:     timeout,
-		rc:          ReconnectConfig{Codec: codec},
 	}, nil
 }
 
@@ -153,7 +144,7 @@ func DialAPReconnecting(addr string, id trace.APID, capacityBps float64, timeout
 		rc:          rc,
 		rng:         rand.New(rand.NewSource(rc.Seed)),
 	}
-	conn, err := dialAP(a.dialer(), addr, id, capacityBps, timeout, rc.Codec)
+	conn, err := dialAP(a.dialer(), addr, id, capacityBps, timeout)
 	if err != nil {
 		if rerr := a.redial(); rerr != nil {
 			return nil, err
@@ -187,7 +178,7 @@ func (a *APAgent) redial() error {
 	}
 	var lastErr error
 	for attempt := 0; attempt < a.rc.MaxAttempts; attempt++ {
-		conn, err := dialAP(a.dialer(), a.addr, a.id, a.capacityBps, a.timeout, a.rc.Codec)
+		conn, err := dialAP(a.dialer(), a.addr, a.id, a.capacityBps, a.timeout)
 		if err == nil {
 			a.conn = conn
 			a.reconnects++
@@ -263,7 +254,7 @@ type APSpec struct {
 }
 
 // DialAPGroup connects one agent connection and registers every AP in
-// aps over it (binary codec). Reports are sent with ReportAll.
+// aps over it. Reports are sent with ReportAll.
 func DialAPGroup(addr string, aps []APSpec, timeout time.Duration) (*APGroup, error) {
 	if len(aps) == 0 {
 		return nil, errors.New("protocol: empty AP group")
@@ -272,7 +263,7 @@ func DialAPGroup(addr string, aps []APSpec, timeout time.Duration) (*APGroup, er
 	if err != nil {
 		return nil, fmt.Errorf("protocol: dial: %w", err)
 	}
-	conn := NewConnCodec(raw, timeout, CodecBinary)
+	conn := NewConn(raw, timeout)
 	g := &APGroup{conn: conn}
 	for _, ap := range aps {
 		if err := helloAP(conn, ap.ID, ap.CapacityBps); err != nil {
@@ -307,7 +298,7 @@ type Station struct {
 	ap   trace.APID
 }
 
-// DialStation connects and registers a station over the binary codec.
+// DialStation connects and registers a station.
 func DialStation(addr string, user trace.UserID, timeout time.Duration) (*Station, error) {
 	return DialStationWith(defaultDial, addr, user, timeout)
 }
@@ -315,16 +306,11 @@ func DialStation(addr string, user trace.UserID, timeout time.Duration) (*Statio
 // DialStationWith is DialStation with an explicit transport dialer
 // (tests and chaos harnesses inject faulty transports here).
 func DialStationWith(dial Dialer, addr string, user trace.UserID, timeout time.Duration) (*Station, error) {
-	return DialStationCodec(dial, addr, user, timeout, CodecBinary)
-}
-
-// DialStationCodec is DialStationWith with an explicit wire codec.
-func DialStationCodec(dial Dialer, addr string, user trace.UserID, timeout time.Duration, codec Codec) (*Station, error) {
 	raw, err := dial(addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: dial: %w", err)
 	}
-	conn := NewConnCodec(raw, timeout, codec)
+	conn := NewConn(raw, timeout)
 	if err := conn.Send(Message{Type: MsgHello, Role: RoleStation, ID: string(user)}); err != nil {
 		conn.Close()
 		return nil, err

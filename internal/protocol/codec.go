@@ -5,10 +5,8 @@ package protocol
 // floats, varints: internal/journal/wire.go): one frame carries a
 // batch of compactly encoded Messages, so a client can coalesce several
 // messages (e.g. an AP group's load reports) into a single write and a
-// single checksum. The frame magic's first byte on the wire (0xF5) is
-// non-ASCII, so a listener serving both codecs tells a binary peer from
-// a JSON-lines peer by peeking one byte: no JSON document can begin
-// with 0xF5.
+// single checksum. It is the only encoding either end speaks: a peer
+// that opens with anything but a frame fails the magic check.
 //
 // Message layout inside a frame payload:
 //
@@ -41,42 +39,13 @@ import (
 	"github.com/s3wlan/s3wlan/internal/obs"
 )
 
-// Codec-boundary health counters: how peers negotiated their codec, and
-// what the ingress validation rejected.
+// Codec-boundary health counters: what the ingress validation rejected.
 var (
-	obsConnsJSON   = obs.GetCounter("protocol.conns.json", "Server connections speaking the JSON-lines codec (sniffed or JSON-only port)")
-	obsConnsBinary = obs.GetCounter("protocol.conns.binary", "Server connections speaking the binary framed codec (sniffed by first byte)")
 	obsCRCErrors   = obs.GetCounter("protocol.codec.crc_errors", "Binary frames dropped for a CRC-32C mismatch")
 	obsMsgRejected = obs.GetCounter("protocol.msg.rejected", "Messages rejected at the codec boundary (hostile numerics or malformed fields)")
 )
 
-// Codec selects a Conn's wire encoding.
-type Codec int
-
-const (
-	// CodecBinary is the framed binary encoding — the data-plane default
-	// and the zero value, so client dials and ReconnectConfig default to
-	// it.
-	CodecBinary Codec = iota
-	// CodecJSON is the line-delimited JSON encoding — the debugging and
-	// backward-compatibility codec (-json-port).
-	CodecJSON
-)
-
-// String returns the CLI/log spelling.
-func (c Codec) String() string {
-	if c == CodecJSON {
-		return "json"
-	}
-	return "binary"
-}
-
-// binaryFirstByte is the first wire byte of every binary frame: the
-// little-endian low byte of journal.FrameMagic.
-const binaryFirstByte = byte(journal.FrameMagic & 0xFF)
-
-// maxWireBytes bounds one frame payload (and one JSON line) — matches
-// the 1 MiB line cap the JSON scanner always had.
+// maxWireBytes bounds one frame payload.
 const maxWireBytes = 1 << 20
 
 // wireType is the binary spelling of MsgType.
@@ -234,12 +203,11 @@ func validNumber(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
 }
 
-// validateMessage is the server's ingress gate, applied identically on
-// the JSON and binary ports: every numeric field a peer can send must be
-// finite and non-negative before it reaches load or served-byte
-// accounting. A negative Bytes would decrement served counters; a
-// NaN/Inf/negative rate would poison domain load state and every policy
-// comparison downstream.
+// validateMessage is the server's ingress gate: every numeric field a
+// peer can send must be finite and non-negative before it reaches load
+// or served-byte accounting. A negative Bytes would decrement served
+// counters; a NaN/Inf/negative rate would poison domain load state and
+// every policy comparison downstream.
 func validateMessage(m *Message) error {
 	if !validNumber(m.CapacityBps) {
 		return fmt.Errorf("invalid capacity_bps %v", m.CapacityBps)

@@ -2,8 +2,11 @@ package protocol
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"net"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -69,7 +72,7 @@ func TestBinaryConnRoundTrip(t *testing.T) {
 	defer client.Close()
 	defer server.Close()
 	go func() {
-		c := NewConnCodec(server, 0, CodecBinary)
+		c := NewConn(server, 0)
 		for {
 			m, err := c.Receive()
 			if err != nil {
@@ -78,7 +81,7 @@ func TestBinaryConnRoundTrip(t *testing.T) {
 			_ = c.Send(m)
 		}
 	}()
-	c := NewConnCodec(client, 0, CodecBinary)
+	c := NewConn(client, 0)
 	for _, want := range codecMessages {
 		if err := c.Send(want); err != nil {
 			t.Fatal(err)
@@ -102,7 +105,7 @@ func TestSendBatchCoalesces(t *testing.T) {
 	writes := &countingConn{Conn: client}
 	recvd := make(chan []Message, 1)
 	go func() {
-		c := NewConnCodec(server, 0, CodecBinary)
+		c := NewConn(server, 0)
 		var got []Message
 		for len(got) < len(codecMessages) {
 			m, err := c.Receive()
@@ -113,7 +116,7 @@ func TestSendBatchCoalesces(t *testing.T) {
 		}
 		recvd <- got
 	}()
-	c := NewConnCodec(writes, 0, CodecBinary)
+	c := NewConn(writes, 0)
 	if err := c.SendBatch(codecMessages); err != nil {
 		t.Fatal(err)
 	}
@@ -128,49 +131,62 @@ func TestSendBatchCoalesces(t *testing.T) {
 	}
 }
 
-// TestCodecSniffing: the main port serves binary and JSON peers side by
-// side; the JSON-only port rejects binary frames.
+// sendJSONLines plays a peer of the retired JSON-lines encoding: it
+// writes lines on a fresh connection and returns what the controller
+// answered before it closed the connection.
+func sendJSONLines(t *testing.T, addr, lines string) []byte {
+	t.Helper()
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.Write([]byte(lines)); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(testTimeout))
+	// The close may arrive as a reset (the controller leaves most of the
+	// lines unread), so only a timeout is a failure here.
+	reply, err := io.ReadAll(raw)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("controller kept a JSON-lines peer open (read %q)", reply)
+	}
+	return reply
+}
+
+// TestCodecSniffing: there is one wire encoding and nothing is sniffed.
+// A binary station is served; a peer that opens with a JSON line fails
+// the frame-magic check and is closed with no MsgHelloOK, before its
+// hello reaches a session handler.
 func TestCodecSniffing(t *testing.T) {
 	c, addr := startController(t, baseline.LLF{})
 	if err := c.RegisterAP("ap1", 0); err != nil {
 		t.Fatal(err)
 	}
-	jaddr, err := c.ListenJSON("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Binary station on the sniffing port.
 	bs, err := DialStation(addr, "u-bin", testTimeout)
 	if err != nil {
-		t.Fatalf("binary station on main port: %v", err)
+		t.Fatalf("binary station: %v", err)
 	}
 	defer bs.Close()
 	if _, err := bs.Associate(10); err != nil {
 		t.Fatal(err)
 	}
-	// JSON station on the sniffing port.
-	js, err := DialStationCodec(defaultDial, addr, "u-json", testTimeout, CodecJSON)
-	if err != nil {
-		t.Fatalf("JSON station on main port: %v", err)
+
+	for _, lines := range []string{
+		`{"type":"hello","role":"ap","id":"ap-json","capacity_bps":1000000}` + "\n",
+		`{"type":"hello","role":"station","id":"u-json"}` + "\n" + `{"type":"assoc","user":"u-json","demand_bps":10}` + "\n",
+	} {
+		if reply := sendJSONLines(t, addr, lines); len(reply) != 0 {
+			t.Errorf("JSON-lines peer got a reply %q, want a bare close", reply)
+		}
 	}
-	defer js.Close()
-	if _, err := js.Associate(10); err != nil {
-		t.Fatal(err)
+	snap := c.Snapshot()
+	if _, ok := snap["ap-json"]; ok || len(snap) != 1 {
+		t.Errorf("a JSON hello registered an AP: %+v", snap)
 	}
-	// JSON station on the JSON-only port.
-	cs, err := DialStationCodec(defaultDial, jaddr, "u-compat", testTimeout, CodecJSON)
-	if err != nil {
-		t.Fatalf("JSON station on JSON port: %v", err)
-	}
-	defer cs.Close()
-	if _, err := cs.Associate(10); err != nil {
-		t.Fatal(err)
-	}
-	// Binary frames on the JSON-only port are refused.
-	if st, err := DialStationCodec(defaultDial, jaddr, "u-nope", testTimeout, CodecBinary); err == nil {
-		st.Close()
-		t.Error("binary station accepted on JSON-only port")
+	if users := snap["ap1"].Users; !reflect.DeepEqual(users, []trace.UserID{"u-bin"}) {
+		t.Errorf("ap1 users = %v, want only the binary station", users)
 	}
 }
 
@@ -213,11 +229,12 @@ func TestAPGroupBatchedReports(t *testing.T) {
 }
 
 // TestHostileNumericsRejected drives NaN/Inf/negative rates and negative
-// byte counts at the controller over both codecs and requires an
-// explicit rejection (MsgError + protocol.msg.rejected) instead of the
-// value reaching load or served-byte accounting. JSON cannot spell
-// NaN/Inf, so its rows cover the negative cases; the binary codec can
-// carry any bit pattern and covers all of them.
+// byte counts at the controller and requires an explicit rejection
+// (MsgError + protocol.msg.rejected) instead of the value reaching load
+// or served-byte accounting. The /json rows spell the same hostile value
+// as JSON lines (which cannot say NaN or Inf): that encoding is no
+// longer spoken, so the lines must die at the frame check, unanswered,
+// and equally never reach accounting.
 func TestHostileNumericsRejected(t *testing.T) {
 	c, addr := startController(t, baseline.LLF{})
 	if err := c.RegisterAP("ap1", 0); err != nil {
@@ -227,76 +244,91 @@ func TestHostileNumericsRejected(t *testing.T) {
 	type step struct {
 		hello Message // valid session hello, zero Type = the hostile one IS the hello
 		msg   Message
+		json  string // the same exchange as JSON lines, "" when JSON cannot spell it
 	}
 	cases := []struct {
-		name   string
-		codecs []Codec
-		step   step
+		name string
+		step step
 	}{
-		{"hello-negative-capacity", []Codec{CodecBinary, CodecJSON},
-			step{msg: Message{Type: MsgHello, Role: RoleAP, ID: "evil", CapacityBps: -1}}},
-		{"hello-nan-capacity", []Codec{CodecBinary},
+		{"hello-negative-capacity",
+			step{msg: Message{Type: MsgHello, Role: RoleAP, ID: "evil", CapacityBps: -1},
+				json: `{"type":"hello","role":"ap","id":"evil","capacity_bps":-1}` + "\n"}},
+		{"hello-nan-capacity",
 			step{msg: Message{Type: MsgHello, Role: RoleAP, ID: "evil", CapacityBps: math.NaN()}}},
-		{"report-negative-load", []Codec{CodecBinary, CodecJSON},
+		{"report-negative-load",
 			step{hello: Message{Type: MsgHello, Role: RoleAP, ID: "ap-agent", CapacityBps: 1e6},
-				msg: Message{Type: MsgReport, LoadBps: -5}}},
-		{"report-inf-load", []Codec{CodecBinary},
+				msg: Message{Type: MsgReport, LoadBps: -5},
+				json: `{"type":"hello","role":"ap","id":"ap-agent-json","capacity_bps":1000000}` + "\n" +
+					`{"type":"report","load_bps":-5}` + "\n"}},
+		{"report-inf-load",
 			step{hello: Message{Type: MsgHello, Role: RoleAP, ID: "ap-agent", CapacityBps: 1e6},
 				msg: Message{Type: MsgReport, LoadBps: math.Inf(1)}}},
-		{"assoc-nan-demand", []Codec{CodecBinary},
+		{"assoc-nan-demand",
 			step{hello: Message{Type: MsgHello, Role: RoleStation, ID: "u-hostile"},
 				msg: Message{Type: MsgAssoc, DemandBps: math.NaN()}}},
-		{"assoc-negative-demand", []Codec{CodecBinary, CodecJSON},
+		{"assoc-negative-demand",
 			step{hello: Message{Type: MsgHello, Role: RoleStation, ID: "u-hostile"},
-				msg: Message{Type: MsgAssoc, DemandBps: -100}}},
-		{"traffic-negative-bytes", []Codec{CodecBinary, CodecJSON},
+				msg: Message{Type: MsgAssoc, DemandBps: -100},
+				json: `{"type":"hello","role":"station","id":"u-hostile"}` + "\n" +
+					`{"type":"assoc","demand_bps":-100}` + "\n"}},
+		{"traffic-negative-bytes",
 			step{hello: Message{Type: MsgHello, Role: RoleStation, ID: "u-hostile"},
-				msg: Message{Type: MsgTraffic, Bytes: -1 << 20}}},
+				msg: Message{Type: MsgTraffic, Bytes: -1 << 20},
+				json: `{"type":"hello","role":"station","id":"u-hostile"}` + "\n" +
+					`{"type":"traffic","bytes":-1048576}` + "\n"}},
 	}
 
 	for _, tc := range cases {
-		for _, codec := range tc.codecs {
-			t.Run(tc.name+"/"+codec.String(), func(t *testing.T) {
-				before := obs.Default.GetCounter("protocol.msg.rejected").Value()
-				raw, err := net.Dial("tcp", addr)
-				if err != nil {
+		t.Run(tc.name+"/binary", func(t *testing.T) {
+			before := obs.Default.GetCounter("protocol.msg.rejected").Value()
+			raw, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			conn := NewConn(raw, testTimeout)
+			if tc.step.hello.Type != "" {
+				if err := conn.Send(tc.step.hello); err != nil {
 					t.Fatal(err)
 				}
-				defer raw.Close()
-				conn := NewConnCodec(raw, testTimeout, codec)
-				if tc.step.hello.Type != "" {
-					if err := conn.Send(tc.step.hello); err != nil {
-						t.Fatal(err)
-					}
-					ok, err := conn.Receive()
-					if err != nil || ok.Type != MsgHelloOK {
-						t.Fatalf("hello reply = %+v, %v", ok, err)
-					}
+				ok, err := conn.Receive()
+				if err != nil || ok.Type != MsgHelloOK {
+					t.Fatalf("hello reply = %+v, %v", ok, err)
 				}
-				if err := conn.Send(tc.step.msg); err != nil {
-					t.Fatal(err)
-				}
-				reply, err := conn.Receive()
-				if err != nil {
-					t.Fatalf("want MsgError reply, got %v", err)
-				}
-				if reply.Type != MsgError || !strings.Contains(reply.Error, "invalid") {
-					t.Errorf("reply = %+v, want invalid-field MsgError", reply)
-				}
-				if after := obs.Default.GetCounter("protocol.msg.rejected").Value(); after <= before {
-					t.Errorf("protocol.msg.rejected did not increase (%d -> %d)", before, after)
-				}
-			})
+			}
+			if err := conn.Send(tc.step.msg); err != nil {
+				t.Fatal(err)
+			}
+			reply, err := conn.Receive()
+			if err != nil {
+				t.Fatalf("want MsgError reply, got %v", err)
+			}
+			if reply.Type != MsgError || !strings.Contains(reply.Error, "invalid") {
+				t.Errorf("reply = %+v, want invalid-field MsgError", reply)
+			}
+			if after := obs.Default.GetCounter("protocol.msg.rejected").Value(); after <= before {
+				t.Errorf("protocol.msg.rejected did not increase (%d -> %d)", before, after)
+			}
+		})
+		if tc.step.json == "" {
+			continue
 		}
+		t.Run(tc.name+"/json", func(t *testing.T) {
+			if reply := sendJSONLines(t, addr, tc.step.json); len(reply) != 0 {
+				t.Errorf("JSON-lines peer got a reply %q, want a bare close", reply)
+			}
+		})
 	}
 
-	// None of the hostile values reached accounting.
+	// None of the hostile values reached accounting, in either spelling.
 	snap := c.Snapshot()
 	if st := snap["ap1"]; st.ReportedBps != 0 || len(st.Users) != 0 || st.ServedBytes != 0 {
 		t.Errorf("hostile values leaked into state: %+v", st)
 	}
-	if _, ok := snap["evil"]; ok {
-		t.Error("AP with hostile capacity was registered")
+	for _, id := range []trace.APID{"evil", "ap-agent-json"} {
+		if _, ok := snap[id]; ok {
+			t.Errorf("AP %s was registered", id)
+		}
 	}
 }
 
@@ -315,7 +347,7 @@ func TestBinaryCRCMismatchDrops(t *testing.T) {
 	defer server.Close()
 	errs := make(chan error, 1)
 	go func() {
-		c := NewConnCodec(server, 0, CodecBinary)
+		c := NewConn(server, 0)
 		_, err := c.Receive()
 		errs <- err
 	}()

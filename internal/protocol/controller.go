@@ -323,9 +323,7 @@ func (c *Controller) registerAgent(conn *Conn, id trace.APID, capacityBps float6
 }
 
 // Listen starts serving on addr (e.g. "127.0.0.1:0") and returns the bound
-// address. Serve loops run in background goroutines until Close. The
-// listener negotiates the codec per connection (binary by first byte,
-// JSON otherwise).
+// address. Serve loops run in background goroutines until Close.
 func (c *Controller) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -334,30 +332,11 @@ func (c *Controller) Listen(addr string) (string, error) {
 	return c.Serve(ln), nil
 }
 
-// ListenJSON starts a JSON-only listener on addr — the debugging and
-// backward-compatibility port (-json-port). Binary frames are rejected
-// with a clear error instead of being sniffed.
-func (c *Controller) ListenJSON(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("protocol: listen: %w", err)
-	}
-	return c.ServeJSON(ln), nil
-}
-
 // Serve starts accepting peers on an externally created listener and
 // returns its address. It allows wrapping the listener (e.g. with
-// faultconn fault injection) before handing it to the controller. Each
-// connection's codec is sniffed from its first byte: the journal frame
-// magic selects the binary codec, anything else is JSON lines.
-func (c *Controller) Serve(ln net.Listener) string { return c.serve(ln, true) }
-
-// ServeJSON is Serve for a JSON-only listener (see ListenJSON). A
-// controller may serve a negotiated port and a JSON-only port at once;
-// Close stops both.
-func (c *Controller) ServeJSON(ln net.Listener) string { return c.serve(ln, false) }
-
-func (c *Controller) serve(ln net.Listener, allowBinary bool) string {
+// faultconn fault injection) before handing it to the controller. A
+// controller may serve several listeners at once; Close stops them all.
+func (c *Controller) Serve(ln net.Listener) string {
 	c.mu.Lock()
 	if c.stop == nil || c.closed {
 		// First listener of a serving epoch: fresh stop channel, fresh
@@ -374,7 +353,7 @@ func (c *Controller) serve(ln net.Listener, allowBinary bool) string {
 	c.listeners = append(c.listeners, ln)
 	c.mu.Unlock()
 	c.wg.Add(1)
-	go c.acceptLoop(ln, stop, allowBinary)
+	go c.acceptLoop(ln, stop)
 	return ln.Addr().String()
 }
 
@@ -398,7 +377,7 @@ func (c *Controller) refreshLoop(stop chan struct{}) {
 // with capped exponential backoff instead of killing the listener: the
 // loop exits only when the controller is closed or the listener reports
 // it is no longer usable.
-func (c *Controller) acceptLoop(ln net.Listener, stop chan struct{}, allowBinary bool) {
+func (c *Controller) acceptLoop(ln net.Listener, stop chan struct{}) {
 	defer c.wg.Done()
 	const (
 		baseBackoff = 5 * time.Millisecond
@@ -437,7 +416,7 @@ func (c *Controller) acceptLoop(ln net.Listener, stop chan struct{}, allowBinary
 			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()
-				sc := newServerConn(conn, shedTimeout, allowBinary)
+				sc := NewConn(conn, shedTimeout)
 				defer ContainPanic(c.logger, sc)
 				c.shed(sc, "connection limit reached")
 			}()
@@ -456,23 +435,18 @@ func (c *Controller) acceptLoop(ln net.Listener, stop chan struct{}, allowBinary
 				c.active.Add(-1)
 				obsConnsActive.Add(-1)
 			}()
-			sc := newServerConn(conn, c.timeout, allowBinary)
+			sc := NewConn(conn, c.timeout)
 			defer ContainPanic(c.logger, sc)
 			c.handle(sc)
 		}()
 	}
 }
 
-// shed refuses one connection with MsgBusy and closes it. The peer's
-// codec is sniffed first (under the shed deadline) so the refusal is
-// legible on both ports; a peer that sends nothing just gets the close.
-// The MsgBusy write runs under the same deadline, so a stalled client
-// cannot block the shedding goroutine.
+// shed refuses one connection with MsgBusy and closes it. The write
+// runs under the conn's (shed) deadline, so a stalled client cannot
+// block the shedding goroutine; a silent peer gets the refusal too.
 func (c *Controller) shed(conn *Conn, reason string) {
 	defer conn.Close()
-	if err := conn.Sniff(); err != nil {
-		return
-	}
 	if err := conn.Send(Message{
 		Type:         MsgBusy,
 		Error:        reason,
@@ -805,13 +779,15 @@ func (c *Controller) handleStation(conn *Conn, hello Message) {
 	}
 }
 
-// assocScratch holds the per-call buffers of the Associate fast path:
-// the reusable view snapshot and the single-placement commit argument.
-// Pooled so a steady-state association performs no heap allocation once
-// the view slice has grown to the AP count.
+// assocScratch holds the per-call buffers of the association path: the
+// reusable view snapshot, Associate's one-element request, the commit's
+// placements and their journaled form. Pooled so a steady-state
+// association performs no heap allocation once the slices have grown.
 type assocScratch struct {
 	views domain.ViewBuf
-	ps    [1]domain.Placement
+	req   [1]wlan.Request
+	ps    []domain.Placement
+	jps   []journal.Placement
 }
 
 var assocPool = sync.Pool{New: func() interface{} { return new(assocScratch) }}
@@ -837,95 +813,12 @@ var assocPool = sync.Pool{New: func() interface{} { return new(assocScratch) }}
 func (c *Controller) Associate(user trace.UserID, demandBps float64) (trace.APID, error) {
 	scr := assocPool.Get().(*assocScratch)
 	defer assocPool.Put(scr)
-	for attempt := 0; ; attempt++ {
-		c.mu.Lock()
-		ts := c.now()
-		evs, conns := c.expireLocked(ts)
-		c.mu.Unlock()
-		c.emitLifecycle(evs, conns)
-
-		c.dom.ViewsInto(user, &scr.views)
-		views, ver := scr.views.Views(), scr.views.Version()
-		if len(views) == 0 {
-			return "", errors.New("protocol: no APs registered")
-		}
-
-		ap, err := c.selector.Select(wlan.Request{
-			User:      user,
-			At:        ts,
-			DemandBps: demandBps,
-		}, views)
-		if err != nil {
-			return "", fmt.Errorf("protocol: policy: %w", err)
-		}
-
-		c.mu.Lock()
-		scr.ps[0] = domain.Placement{User: user, AP: ap, DemandBps: demandBps}
-		prevAP, hadPrev := c.assignments[user]
-		refresh := hadPrev && prevAP == ap
-		if hadPrev {
-			// Re-associating routes the previous assignment through Prev:
-			// for a move, the removal and the new placement land in one
-			// atomic domain commit; for a same-AP refresh, the commit
-			// atomically replaces (rather than adds to) the believed
-			// demand.
-			scr.ps[0].Prev = prevAP
-		}
-		verArg := ver
-		if attempt >= maxSelectRetries {
-			verArg = nil // force: retries exhausted
-		}
-		if _, err := c.dom.Commit(scr.ps[:1], verArg); err != nil {
-			c.mu.Unlock()
-			if attempt < maxSelectRetries &&
-				(errors.Is(err, domain.ErrStale) || errors.Is(err, domain.ErrUnknownAP)) {
-				obsSelectRetries.Inc()
-				continue
-			}
-			if errors.Is(err, domain.ErrUnknownAP) {
-				return "", fmt.Errorf("protocol: policy chose unknown AP %q", ap)
-			}
-			return "", fmt.Errorf("protocol: commit: %w", err)
-		}
-		if hadPrev && !refresh {
-			c.sessionRecordLocked(user, prevAP, ts)
-			obsAssocMoves.Inc()
-		}
-		c.assignments[user] = ap
-		if !refresh {
-			c.assignedAt[user] = ts
-			c.servedByUsr[user] = 0
-		}
-		obsv := c.observer
-		if refresh {
-			// Demand update only: the user never left, so no disconnect
-			// and no re-connect reaches the observer.
-			obsv = nil
-		}
-		if obsv != nil && c.jn != nil {
-			// Journaled: deliver in mutation order before the append, so a
-			// checkpoint triggered by this record captures the observer at
-			// exactly this sequence number.
-			c.notifyAssoc(obsv, user, ap, prevAP, hadPrev, ts)
-			obsv = nil
-		}
-		if c.jn != nil {
-			c.journalAppendLocked(journal.Record{
-				Op: journal.OpAssoc, TS: ts,
-				Placements: []journal.Placement{{User: user, AP: ap, Prev: scr.ps[0].Prev, DemandBps: demandBps}},
-			})
-		}
-		if c.logEnabled {
-			c.logger.Printf("assoc %s -> %s (demand %.0f B/s)", user, ap, demandBps)
-		}
-		c.mu.Unlock()
-
-		// Unjournaled: notify outside the lock — observers may be slow.
-		if obsv != nil {
-			c.notifyAssoc(obsv, user, ap, prevAP, hadPrev, ts)
-		}
-		return ap, nil
+	scr.req[0] = wlan.Request{User: user, DemandBps: demandBps}
+	ps, err := c.place(scr, scr.req[:], nil)
+	if err != nil {
+		return "", err
 	}
+	return ps[0].AP, nil
 }
 
 // AssociateBatch runs the policy once for a group of co-arriving users
@@ -944,17 +837,55 @@ func (c *Controller) Associate(user trace.UserID, demandBps float64) (trace.APID
 // even when an error aborts the remainder.
 func (c *Controller) AssociateBatch(reqs []wlan.Request) (map[trace.UserID]trace.APID, error) {
 	out := make(map[trace.UserID]trace.APID, len(reqs))
-	bs, ok := c.selector.(wlan.BatchSelector)
-	if !ok || len(reqs) < 2 {
+	// joint serves twice: first the users already taken into the joint
+	// decision, then those it placed whose request is not met yet. Every
+	// other request is placed singly, in request order.
+	joint := make(map[trace.UserID]bool, len(reqs))
+	if bs, ok := c.selector.(wlan.BatchSelector); ok && len(reqs) >= 2 {
+		// One request per user joins the joint decision (mirroring the
+		// simulator's batch path).
+		distinct := make([]wlan.Request, 0, len(reqs))
 		for _, r := range reqs {
-			ap, err := c.Associate(r.User, r.DemandBps)
-			if err != nil {
-				return out, err
+			if !joint[r.User] {
+				joint[r.User] = true
+				distinct = append(distinct, r)
 			}
-			out[r.User] = ap
 		}
-		return out, nil
+		clear(joint)
+		scr := assocPool.Get().(*assocScratch)
+		ps, err := c.place(scr, distinct, bs)
+		for _, p := range ps {
+			out[p.User] = p.AP
+			joint[p.User] = true
+		}
+		assocPool.Put(scr)
+		if err != nil {
+			return out, err
+		}
 	}
+	for _, r := range reqs {
+		if joint[r.User] {
+			delete(joint, r.User)
+			continue
+		}
+		ap, err := c.Associate(r.User, r.DemandBps)
+		if err != nil {
+			return out, err
+		}
+		out[r.User] = ap
+	}
+	return out, nil
+}
+
+// place is the one association path: it decides reqs (distinct users)
+// against one view snapshot — selector.Select for Associate's single
+// request, bs.SelectBatch when AssociateBatch passes the policy's batch
+// face — and records the outcome: one atomic domain commit, session
+// records for the users it moved, the bookkeeping maps, observer events
+// and one OpAssoc journal record. It returns the committed placements in
+// request order (scr's, valid until scr is reused); a user a joint
+// decision leaves out has none.
+func (c *Controller) place(scr *assocScratch, reqs []wlan.Request, bs wlan.BatchSelector) ([]domain.Placement, error) {
 	for attempt := 0; ; attempt++ {
 		c.mu.Lock()
 		ts := c.now()
@@ -962,52 +893,45 @@ func (c *Controller) AssociateBatch(reqs []wlan.Request) (map[trace.UserID]trace
 		c.mu.Unlock()
 		c.emitLifecycle(evs, conns)
 
-		views, ver := c.dom.Views(reqs[0].User)
+		c.dom.ViewsInto(reqs[0].User, &scr.views)
+		views, ver := scr.views.Views(), scr.views.Version()
 		if len(views) == 0 {
-			return out, errors.New("protocol: no APs registered")
+			return nil, errors.New("protocol: no APs registered")
 		}
 
-		// One request per user joins the joint decision (mirroring the
-		// simulator's batch path); duplicates fall through below.
-		seen := make(map[trace.UserID]bool, len(reqs))
-		batchReqs := make([]wlan.Request, 0, len(reqs))
-		for _, r := range reqs {
-			if seen[r.User] {
-				continue
-			}
-			seen[r.User] = true
-			batchReqs = append(batchReqs, r)
+		var (
+			one   trace.APID
+			joint map[trace.UserID]trace.APID
+			err   error
+		)
+		if bs == nil {
+			reqs[0].At = ts
+			one, err = c.selector.Select(reqs[0], views)
+		} else {
+			joint, err = bs.SelectBatch(reqs, views)
 		}
-		m, err := bs.SelectBatch(batchReqs, views)
 		if err != nil {
-			return out, fmt.Errorf("protocol: policy: %w", err)
+			return nil, fmt.Errorf("protocol: policy: %w", err)
 		}
 
 		c.mu.Lock()
-		var (
-			ps      []domain.Placement
-			moves   []assocMove
-			rest    []wlan.Request // duplicates and unplaced users
-			claimed = make(map[trace.UserID]bool, len(batchReqs))
-		)
+		ps := scr.ps[:0]
 		for _, r := range reqs {
-			ap, placed := m[r.User]
-			if !placed || claimed[r.User] {
-				rest = append(rest, r)
-				continue
-			}
-			claimed[r.User] = true
-			p := domain.Placement{User: r.User, AP: ap, DemandBps: r.DemandBps}
-			if prev, had := c.assignments[r.User]; had {
-				p.Prev = prev
-				if prev != ap {
-					// Same-AP placements are demand refreshes, not moves:
-					// no session split, no lifecycle events (see Associate).
-					moves = append(moves, assocMove{user: r.User, prev: prev})
+			ap := one
+			if bs != nil {
+				var placed bool
+				if ap, placed = joint[r.User]; !placed {
+					continue
 				}
 			}
-			ps = append(ps, p)
+			// Re-associating routes the previous assignment through Prev:
+			// for a move, the removal and the new placement land in one
+			// atomic domain commit; for a same-AP refresh, the commit
+			// atomically replaces (rather than adds to) the believed
+			// demand.
+			ps = append(ps, domain.Placement{User: r.User, AP: ap, DemandBps: r.DemandBps, Prev: c.assignments[r.User]})
 		}
+		scr.ps = ps
 		verArg := ver
 		if attempt >= maxSelectRetries {
 			verArg = nil // force: retries exhausted
@@ -1020,16 +944,15 @@ func (c *Controller) AssociateBatch(reqs []wlan.Request) (map[trace.UserID]trace
 				continue
 			}
 			if errors.Is(err, domain.ErrUnknownAP) {
-				return out, fmt.Errorf("protocol: policy chose unknown AP (%v)", err)
+				return nil, fmt.Errorf("protocol: policy chose unknown AP (%v)", err)
 			}
-			return out, fmt.Errorf("protocol: commit: %w", err)
+			return nil, fmt.Errorf("protocol: commit: %w", err)
 		}
-		for _, mv := range moves {
-			c.sessionRecordLocked(mv.user, mv.prev, ts)
-			obsAssocMoves.Inc()
-		}
-		jps := make([]journal.Placement, len(ps))
-		for i, p := range ps {
+		for _, p := range ps {
+			if p.Prev != "" && p.Prev != p.AP {
+				c.sessionRecordLocked(p.User, p.Prev, ts)
+				obsAssocMoves.Inc()
+			}
 			c.assignments[p.User] = p.AP
 			if p.Prev != p.AP {
 				// A same-AP refresh (Prev == AP) keeps the session's
@@ -1037,37 +960,31 @@ func (c *Controller) AssociateBatch(reqs []wlan.Request) (map[trace.UserID]trace
 				c.assignedAt[p.User] = ts
 				c.servedByUsr[p.User] = 0
 			}
-			out[p.User] = p.AP
-			jps[i] = journal.Placement{User: p.User, AP: p.AP, Prev: p.Prev, DemandBps: p.DemandBps}
 			if c.logEnabled {
-				c.logger.Printf("assoc %s -> %s (demand %.0f B/s, batch)", p.User, p.AP, p.DemandBps)
+				c.logger.Printf("assoc %s -> %s (demand %.0f B/s)", p.User, p.AP, p.DemandBps)
 			}
 		}
-		obsv := c.observer
-		if obsv != nil && c.jn != nil {
-			// Journaled: deliver before the append so a checkpoint
-			// triggered by this record includes these events (see
-			// Associate).
-			c.notifyBatch(obsv, moves, ps, ts)
-			obsv = nil
-		}
-		if len(jps) > 0 {
-			c.journalAppendLocked(journal.Record{Op: journal.OpAssoc, TS: ts, Placements: jps})
+		// Journaled: deliver in mutation order before the append, so a
+		// checkpoint triggered by this record captures the observer at
+		// exactly this sequence number.
+		inline := c.jn != nil
+		if inline {
+			c.notifyPlaced(ps, ts)
+			if len(ps) > 0 {
+				scr.jps = scr.jps[:0]
+				for _, p := range ps {
+					scr.jps = append(scr.jps, journal.Placement{User: p.User, AP: p.AP, Prev: p.Prev, DemandBps: p.DemandBps})
+				}
+				c.journalAppendLocked(journal.Record{Op: journal.OpAssoc, TS: ts, Placements: scr.jps})
+			}
 		}
 		c.mu.Unlock()
 
-		if obsv != nil {
-			c.notifyBatch(obsv, moves, ps, ts)
+		// Unjournaled: notify outside the lock — observers may be slow.
+		if !inline {
+			c.notifyPlaced(ps, ts)
 		}
-
-		for _, r := range rest {
-			ap, err := c.Associate(r.User, r.DemandBps)
-			if err != nil {
-				return out, err
-			}
-			out[r.User] = ap
-		}
-		return out, nil
+		return ps, nil
 	}
 }
 
@@ -1167,36 +1084,22 @@ func (c *Controller) expireLocked(ts int64) ([]lifecycleEvent, []*Conn) {
 	return evs, conns
 }
 
-// assocMove records a re-association's previous AP for observer and
-// session bookkeeping.
-type assocMove struct {
-	user trace.UserID
-	prev trace.APID
-}
-
-// notifyAssoc delivers one association's observer events: the
-// disconnect from the previous AP on a move, then the connect.
-func (c *Controller) notifyAssoc(obsv AssociationObserver,
-	user trace.UserID, ap, prev trace.APID, moved bool, ts int64) {
-	if moved {
-		c.notifyDisconnect(obsv, user, prev, ts)
-	}
-	obsv.Connect(user, ap, ts)
-}
-
-// notifyBatch delivers a batch commit's observer events: every move's
-// disconnect, then every placement's connect. Same-AP refreshes
-// (Prev == AP) emit nothing — the user never left.
-func (c *Controller) notifyBatch(obsv AssociationObserver,
-	moves []assocMove, ps []domain.Placement, ts int64) {
-	for _, mv := range moves {
-		c.notifyDisconnect(obsv, mv.user, mv.prev, ts)
+// notifyPlaced delivers a commit's observer events: every move's
+// disconnect, then every placement's connect. A same-AP refresh
+// (Prev == AP) emits nothing — the user never left.
+func (c *Controller) notifyPlaced(ps []domain.Placement, ts int64) {
+	if c.observer == nil {
+		return
 	}
 	for _, p := range ps {
-		if p.Prev == p.AP && p.Prev != "" {
-			continue
+		if p.Prev != "" && p.Prev != p.AP {
+			c.notifyDisconnect(c.observer, p.User, p.Prev, ts)
 		}
-		obsv.Connect(p.User, p.AP, ts)
+	}
+	for _, p := range ps {
+		if p.Prev != p.AP {
+			c.observer.Connect(p.User, p.AP, ts)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package protocol implements the S³ prototype the paper validates its
 // design with (Section IV): a WLAN controller as a TCP server speaking a
-// JSON-lines wire protocol, AP agents that register and periodically
+// framed binary wire protocol, AP agents that register and periodically
 // report load, and stations that request association.
 //
 // The controller embeds any wlan.Selector — the S³ policy from
@@ -11,11 +11,12 @@
 // internal/wlan) and by this networked prototype, so simulated results
 // carry over to the deployable artifact.
 //
-// Wire format: one JSON object per line, each carrying a Type tag
-// (register, report, associate, decision, error) and the corresponding
-// payload fields. The format is versioned by field presence only; unknown
-// fields are ignored, which keeps old agents compatible with newer
-// controllers.
+// Wire format: magic|length|CRC-32C frames (the journal's framing), each
+// carrying one or more compactly encoded Messages — a type tag (hello,
+// report, assoc, assign, …), presence flags and the flagged fields;
+// codec.go has the layout. It is the only encoding and it is
+// versionless: a peer that opens with anything but a frame is refused
+// by the magic check.
 //
 // Lifecycle and failure model: AP registrations made by agents are
 // leases — every hello and load report renews them, a re-hello from a

@@ -3,8 +3,6 @@ package protocol
 import (
 	"errors"
 	"fmt"
-	"net"
-	"time"
 
 	"github.com/s3wlan/s3wlan/internal/journal"
 )
@@ -125,14 +123,6 @@ func (c *Controller) DetachJournal() error {
 	return j.Close()
 }
 
-// NewServerConn wraps an accepted connection with codec sniffing (the
-// controller's own accept loops do the same) — the constructor the
-// federation router uses for connections it accepts itself before
-// deciding whether to serve or relay them.
-func NewServerConn(raw net.Conn, timeout time.Duration) *Conn {
-	return newServerConn(raw, timeout, true)
-}
-
 // JournalSeq reports the last sequence number this controller's
 // journal assigned, or 0 without a journal — the head position a
 // follower must reach before takeover completes.
@@ -145,10 +135,9 @@ func (c *Controller) JournalSeq() uint64 {
 	return c.jn.Seq()
 }
 
-// ReceiveBatch reads one wire unit and returns every message it
-// carried: the whole frame on the binary codec (the unit SendBatch
-// writes), a single message on JSON lines. Messages are appended to
-// buf (reused across calls; pass nil to allocate). The relay
+// ReceiveBatch reads one frame — the unit SendBatch writes — and
+// returns every message it carried. Messages are appended to buf
+// (reused across calls; pass nil to allocate). The relay
 // front-end uses Receive/ReceiveBatch + SendBatch to forward a peer's
 // traffic to a remote shard owner without re-framing message by
 // message.

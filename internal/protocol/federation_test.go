@@ -143,8 +143,8 @@ func TestReceiveBatchRoundtrip(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	src := NewConnCodec(a, time.Second, CodecBinary)
-	dst := newServerConn(b, time.Second, true)
+	src := NewConn(a, time.Second)
+	dst := NewConn(b, time.Second)
 
 	batch := []Message{
 		{Type: MsgHello, Role: RoleAP, ID: "ap-1", CapacityBps: 1e6},

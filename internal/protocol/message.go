@@ -2,9 +2,7 @@ package protocol
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -55,112 +53,66 @@ const (
 )
 
 // Message is the single wire message. Fields are used depending on Type;
-// unused fields are omitted from both encodings.
+// unused fields cost a flag bit or a length byte on the wire (codec.go).
 type Message struct {
-	Type MsgType `json:"type"`
+	Type MsgType
 	// Role and ID identify the peer in a hello.
-	Role Role   `json:"role,omitempty"`
-	ID   string `json:"id,omitempty"`
+	Role Role
+	ID   string
 	// CapacityBps is the AP's bandwidth in a hello (role=ap).
-	CapacityBps float64 `json:"capacity_bps,omitempty"`
+	CapacityBps float64
 	// LoadBps is the measured load in a report.
-	LoadBps float64 `json:"load_bps,omitempty"`
+	LoadBps float64
 	// User and DemandBps describe an association request.
-	User      string  `json:"user,omitempty"`
-	DemandBps float64 `json:"demand_bps,omitempty"`
+	User      string
+	DemandBps float64
 	// AP is the assigned AP in an assign, or the reporting AP.
-	AP string `json:"ap,omitempty"`
+	AP string
 	// Bytes is the served volume in a traffic message.
-	Bytes int64 `json:"bytes,omitempty"`
+	Bytes int64
 	// Error carries the failure description in an error message.
-	Error string `json:"error,omitempty"`
+	Error string
 	// RetryAfterMs advises a shed peer (MsgBusy) when to retry.
-	RetryAfterMs int64 `json:"retry_after_ms,omitempty"`
+	RetryAfterMs int64
 }
 
-// connMode selects how a Conn resolves its codec.
-type connMode int
-
-const (
-	// modeClient speaks the codec it was constructed with.
-	modeClient connMode = iota
-	// modeServerSniff detects the peer's codec from the first byte: a
-	// binary frame always starts with 0xF5 (non-ASCII, impossible as the
-	// first byte of a JSON document).
-	modeServerSniff
-	// modeServerJSON is a JSON-only server port (-json-port): a binary
-	// first byte is rejected with a clear error instead of a JSON parse
-	// failure.
-	modeServerJSON
-)
-
-// Conn wraps a net.Conn with message framing and I/O deadlines. It
-// speaks one of two codecs: line-delimited JSON (debugging, backward
-// compatibility) or the framed binary codec (the data-plane default;
-// see codec.go). Server-side conns sniff the codec from the peer's
-// first byte; client conns choose at dial time. The read buffer and the
-// encode scratch live on the Conn and are reused across messages, so a
-// steady-state send or receive performs no allocation beyond the decoded
-// strings themselves. A message is assembled whole in that scratch and
-// handed to the socket in one Write, so there is no write buffer, and the
-// read buffer is sized to a station's frames (under 100 bytes): larger
-// payloads bypass it (io.ReadFull) and longer lines span it (readLine).
-// A controller holds one Conn per connected station.
+// Conn wraps a net.Conn with message framing and I/O deadlines. Both
+// ends speak the framed binary codec (codec.go); a peer that opens with
+// anything else fails the frame-magic check on the first Receive. The
+// read buffer and the encode scratch live on the Conn and are reused
+// across messages, so a steady-state send or receive performs no
+// allocation beyond the decoded strings themselves. A message is
+// assembled whole in that scratch and handed to the socket in one Write,
+// so there is no write buffer, and the read buffer is sized to a
+// station's frames (under 100 bytes): larger payloads bypass it
+// (io.ReadFull). A controller holds one Conn per connected station.
 type Conn struct {
 	raw     net.Conn
 	br      *bufio.Reader
-	enc     *json.Encoder // into jsonOut
-	jsonOut bytes.Buffer
 	timeout time.Duration
 
-	codec Codec
-	mode  connMode
-
-	queue   []Message // decoded messages of the current binary frame
+	queue   []Message // decoded messages of the current frame
 	qpos    int       // next undelivered index into queue
-	scratch []byte    // binary payload scratch
+	scratch []byte    // payload scratch
 	out     []byte    // framed output scratch
-	lineBuf []byte    // JSON line scratch
 	hdr     [journal.FrameHeaderLen]byte
 }
 
-// NewConn wraps raw as a JSON-lines client connection. timeout bounds
-// each read/write (0 = no deadline). Kept for backward compatibility;
-// NewConnCodec selects the codec explicitly.
+// NewConn wraps raw — dialed or accepted, the two ends are alike.
+// timeout bounds each read/write (0 = no deadline).
 func NewConn(raw net.Conn, timeout time.Duration) *Conn {
-	return NewConnCodec(raw, timeout, CodecJSON)
+	return &Conn{raw: raw, br: bufio.NewReaderSize(raw, 512), timeout: timeout}
 }
 
-// NewConnCodec wraps raw as a client connection speaking codec.
-func NewConnCodec(raw net.Conn, timeout time.Duration, codec Codec) *Conn {
-	return newConn(raw, timeout, codec, modeClient)
-}
+// Codec, CodecBinary and NewConnCodec are what is left of the wire
+// codec choice: the benchmark's codec probe (bench/probes.go, frozen
+// for this release) still builds its Conn through them. The argument is
+// ignored; they go the next time bench/ is open.
+type Codec int
 
-// newServerConn wraps an accepted connection. With allowBinary the codec
-// is sniffed from the first byte; otherwise the port is JSON-only.
-func newServerConn(raw net.Conn, timeout time.Duration, allowBinary bool) *Conn {
-	if allowBinary {
-		return newConn(raw, timeout, CodecJSON, modeServerSniff)
-	}
-	obsConnsJSON.Inc()
-	return newConn(raw, timeout, CodecJSON, modeServerJSON)
-}
+const CodecBinary Codec = 0
 
-func newConn(raw net.Conn, timeout time.Duration, codec Codec, mode connMode) *Conn {
-	c := &Conn{
-		raw:     raw,
-		br:      bufio.NewReaderSize(raw, 512),
-		timeout: timeout,
-		codec:   codec,
-		mode:    mode,
-	}
-	c.enc = json.NewEncoder(&c.jsonOut)
-	return c
-}
-
-// Codec returns the connection's negotiated codec. Before a sniffing
-// server connection has received its first byte this reports JSON.
-func (c *Conn) Codec() Codec { return c.codec }
+func NewConnCodec(raw net.Conn, timeout time.Duration, _ Codec) *Conn { return NewConn(raw, timeout) }
 
 // SetTimeout changes the per-operation I/O deadline. The hello phase of
 // a server connection runs under a shorter deadline than steady-state
@@ -176,25 +128,17 @@ func (c *Conn) Send(m Message) error {
 	if err := c.writeDeadline(); err != nil {
 		return err
 	}
-	if c.codec == CodecBinary {
-		c.scratch = binary.AppendUvarint(c.scratch[:0], 1)
-		var err error
-		if c.scratch, err = appendMessage(c.scratch, &m); err != nil {
-			return err
-		}
-		return c.writeFrame()
+	c.scratch = binary.AppendUvarint(c.scratch[:0], 1)
+	var err error
+	if c.scratch, err = appendMessage(c.scratch, &m); err != nil {
+		return err
 	}
-	c.jsonOut.Reset()
-	if err := c.enc.Encode(m); err != nil {
-		return fmt.Errorf("protocol: send %s: %w", m.Type, err)
-	}
-	return c.write(c.jsonOut.Bytes())
+	return c.writeFrame()
 }
 
-// SendBatch writes a batch of messages as one unit: a single frame
-// (one length, one CRC, one write) on the binary codec, a single
-// write of every line on JSON. This is the write-coalescing primitive AP
-// group agents use for batched load reports.
+// SendBatch writes a batch of messages as one frame: one length, one
+// CRC, one write. This is the write-coalescing primitive AP group agents
+// use for batched load reports.
 func (c *Conn) SendBatch(ms []Message) error {
 	if len(ms) == 0 {
 		return nil
@@ -202,34 +146,20 @@ func (c *Conn) SendBatch(ms []Message) error {
 	if err := c.writeDeadline(); err != nil {
 		return err
 	}
-	if c.codec == CodecBinary {
-		var err error
-		if c.scratch, err = encodePayload(c.scratch[:0], ms); err != nil {
-			return err
-		}
-		if len(c.scratch) > maxWireBytes {
-			return fmt.Errorf("protocol: send batch: frame of %d bytes exceeds %d", len(c.scratch), maxWireBytes)
-		}
-		return c.writeFrame()
+	var err error
+	if c.scratch, err = encodePayload(c.scratch[:0], ms); err != nil {
+		return err
 	}
-	c.jsonOut.Reset()
-	for i := range ms {
-		if err := c.enc.Encode(ms[i]); err != nil {
-			return fmt.Errorf("protocol: send %s: %w", ms[i].Type, err)
-		}
+	if len(c.scratch) > maxWireBytes {
+		return fmt.Errorf("protocol: send batch: frame of %d bytes exceeds %d", len(c.scratch), maxWireBytes)
 	}
-	return c.write(c.jsonOut.Bytes())
+	return c.writeFrame()
 }
 
-// writeFrame frames c.scratch and sends it.
+// writeFrame frames c.scratch and hands it to the socket in one Write.
 func (c *Conn) writeFrame() error {
 	c.out = journal.AppendFrame(c.out[:0], c.scratch)
-	return c.write(c.out)
-}
-
-// write hands one assembled message (or batch) to the socket.
-func (c *Conn) write(b []byte) error {
-	if _, err := c.raw.Write(b); err != nil {
+	if _, err := c.raw.Write(c.out); err != nil {
 		return fmt.Errorf("protocol: send: %w", err)
 	}
 	return nil
@@ -244,9 +174,10 @@ func (c *Conn) writeDeadline() error {
 	return nil
 }
 
-// Receive reads one message. io.EOF is returned verbatim on clean close.
-// A multi-message binary frame is delivered one message per call; the
-// rest queue on the Conn.
+// Receive reads one message: a frame is read, its magic, length and CRC
+// validated, its messages decoded into the queue and the first popped;
+// the rest of a multi-message frame is delivered one per call. io.EOF is
+// returned verbatim on clean close.
 func (c *Conn) Receive() (Message, error) {
 	if c.qpos < len(c.queue) {
 		m := c.queue[c.qpos]
@@ -258,64 +189,6 @@ func (c *Conn) Receive() (Message, error) {
 			return Message{}, fmt.Errorf("protocol: set read deadline: %w", err)
 		}
 	}
-	if c.mode != modeClient {
-		if err := c.resolveCodec(); err != nil {
-			return Message{}, err
-		}
-	}
-	if c.codec == CodecBinary {
-		return c.receiveBinary()
-	}
-	return c.receiveJSON()
-}
-
-// Sniff resolves a server connection's codec from the peer's first byte
-// without consuming a message, under the conn's read deadline. The shed
-// path uses it so a MsgBusy refusal is written in the codec the peer
-// actually speaks. No-op on client conns and after the codec resolved.
-func (c *Conn) Sniff() error {
-	if c.mode == modeClient {
-		return nil
-	}
-	if c.timeout > 0 {
-		if err := c.raw.SetReadDeadline(time.Now().Add(c.timeout)); err != nil {
-			return fmt.Errorf("protocol: set read deadline: %w", err)
-		}
-	}
-	return c.resolveCodec()
-}
-
-// resolveCodec sniffs (or, on a JSON-only port, polices) the peer's
-// codec from its first byte. Runs once per connection.
-func (c *Conn) resolveCodec() error {
-	first, err := c.br.Peek(1)
-	if err != nil {
-		if err == io.EOF {
-			return io.EOF
-		}
-		return fmt.Errorf("protocol: receive: %w", err)
-	}
-	isBinary := first[0] == binaryFirstByte
-	switch c.mode {
-	case modeServerSniff:
-		if isBinary {
-			c.codec = CodecBinary
-			obsConnsBinary.Inc()
-		} else {
-			obsConnsJSON.Inc()
-		}
-	case modeServerJSON:
-		if isBinary {
-			return fmt.Errorf("protocol: binary frame on JSON-only port")
-		}
-	}
-	c.mode = modeClient
-	return nil
-}
-
-// receiveBinary reads one frame, validates magic/length/CRC, decodes its
-// messages into the queue and pops the first.
-func (c *Conn) receiveBinary() (Message, error) {
 	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
 		if err == io.EOF {
 			return Message{}, io.EOF
@@ -350,49 +223,6 @@ func (c *Conn) receiveBinary() (Message, error) {
 	}
 	c.qpos = 1
 	return c.queue[0], nil
-}
-
-// receiveJSON reads one newline-terminated JSON document.
-func (c *Conn) receiveJSON() (Message, error) {
-	line, err := c.readLine()
-	if err != nil {
-		return Message{}, err
-	}
-	var m Message
-	if err := json.Unmarshal(line, &m); err != nil {
-		return Message{}, fmt.Errorf("protocol: decode: %w", err)
-	}
-	if m.Type == "" {
-		return Message{}, fmt.Errorf("protocol: message without type")
-	}
-	return m, nil
-}
-
-// readLine reads one line into the reused line buffer, capped at
-// maxWireBytes (the cap the JSON scanner always imposed). io.EOF is
-// returned verbatim when the stream ends cleanly between lines.
-func (c *Conn) readLine() ([]byte, error) {
-	c.lineBuf = c.lineBuf[:0]
-	for {
-		frag, err := c.br.ReadSlice('\n')
-		c.lineBuf = append(c.lineBuf, frag...)
-		if len(c.lineBuf) > maxWireBytes {
-			return nil, fmt.Errorf("protocol: receive: line exceeds %d bytes", maxWireBytes)
-		}
-		switch err {
-		case nil:
-			return c.lineBuf[:len(c.lineBuf)-1], nil
-		case bufio.ErrBufferFull:
-			continue
-		case io.EOF:
-			if len(c.lineBuf) > 0 {
-				return c.lineBuf, nil
-			}
-			return nil, io.EOF
-		default:
-			return nil, fmt.Errorf("protocol: receive: %w", err)
-		}
-	}
 }
 
 // Close closes the underlying connection.

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"sort"
@@ -100,26 +101,23 @@ func TestAdmissionConnCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st1.Close()
-	st2, err := DialStationCodec(defaultDial, addr, "u-2", testTimeout, CodecJSON)
+	st2, err := DialStation(addr, "u-2", testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
 	// Both slots taken: the third dial must get an explicit MsgBusy with
-	// the configured retry advice — on the JSON codec too, since the
-	// shed path sniffs before replying.
-	for _, codec := range []Codec{CodecBinary, CodecJSON} {
-		_, err = DialStationCodec(defaultDial, addr, "u-3", testTimeout, codec)
-		var be *BusyError
-		if !errors.As(err, &be) {
-			t.Fatalf("over-cap %s dial = %v, want *BusyError", codec, err)
-		}
-		if be.RetryAfter != 250*time.Millisecond {
-			t.Errorf("retry advice = %v, want 250ms", be.RetryAfter)
-		}
+	// the configured retry advice.
+	_, err = DialStation(addr, "u-3", testTimeout)
+	var be *BusyError
+	if !errors.As(err, &be) {
+		t.Fatalf("over-cap dial = %v, want *BusyError", err)
 	}
-	if got := obsShedConns.Value(); got < shedBefore+2 {
-		t.Errorf("protocol.shed.conns = %d, want >= %d", got, shedBefore+2)
+	if be.RetryAfter != 250*time.Millisecond {
+		t.Errorf("retry advice = %v, want 250ms", be.RetryAfter)
+	}
+	if got := obsShedConns.Value(); got < shedBefore+1 {
+		t.Errorf("protocol.shed.conns = %d, want >= %d", got, shedBefore+1)
 	}
 	// Freeing a slot re-admits: the handler exits asynchronously after
 	// the close, so poll.
@@ -138,12 +136,13 @@ func TestAdmissionConnCap(t *testing.T) {
 	}
 }
 
-// TestShedSilentPeer: a shed connection whose peer never sends a byte
-// must not pin the shedding goroutine — the sniff runs under the shed
-// deadline and the admitted population is unaffected throughout.
+// TestShedSilentPeer: an over-cap peer that never sends a byte is still
+// refused the way MsgBusy's contract says — the frame with the
+// configured retry advice, then the close, inside the shed deadline —
+// and the admitted population is unaffected throughout.
 func TestShedSilentPeer(t *testing.T) {
 	c, err := NewController(baseline.LLF{}, WithTimeout(testTimeout),
-		WithAdmission(Admission{MaxConns: 1}))
+		WithAdmission(Admission{MaxConns: 1, RetryAfterMs: 250}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,20 +159,24 @@ func TestShedSilentPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	// Over-cap peer that connects and sits silent: the server must close
-	// it within the shed deadline (not the 5s conn timeout).
+	// Over-cap peer that connects and sits silent: it must not have to
+	// speak first to learn why it was refused.
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	raw.SetReadDeadline(time.Now().Add(shedTimeout + 2*time.Second))
 	start := time.Now()
-	if _, err := raw.Read(make([]byte, 1)); err == nil {
-		t.Fatal("silent shed peer should be closed, got bytes")
+	silent := NewConn(raw, shedTimeout)
+	busy, err := silent.Receive()
+	if err != nil || busy.Type != MsgBusy || busy.RetryAfterMs != 250 {
+		t.Fatalf("silent shed peer received %+v, %v; want MsgBusy with retry_after 250ms", busy, err)
 	}
-	if d := time.Since(start); d > shedTimeout+time.Second {
-		t.Errorf("silent shed peer held %v, want <= ~%v", d, shedTimeout)
+	if _, err := silent.Receive(); !errors.Is(err, io.EOF) {
+		t.Errorf("after MsgBusy: %v, want EOF", err)
+	}
+	if d := time.Since(start); d > shedTimeout {
+		t.Errorf("silent shed peer held %v, want within the shed deadline %v", d, shedTimeout)
 	}
 	// The admitted station is untouched by the shed churn.
 	if _, err := st.Associate(100); err != nil {

@@ -190,7 +190,7 @@ func TestAgentDetachedOnProtocolError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	conn := NewConnCodec(raw, testTimeout, CodecBinary)
+	conn := NewConn(raw, testTimeout)
 	if err := conn.Send(Message{Type: MsgHello, Role: RoleAP, ID: "ap-x", CapacityBps: 1e6}); err != nil {
 		t.Fatal(err)
 	}
@@ -235,90 +235,6 @@ func TestAgentDetachedOnProtocolError(t *testing.T) {
 			t.Fatalf("takeover report not applied: %+v", c.Snapshot())
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestCrossCodecAssignmentParity drives the identical workload over the
-// JSON port of one controller and the binary port of another and
-// requires identical assignments and domain state: the codec is a
-// transport detail, never a decision input.
-func TestCrossCodecAssignmentParity(t *testing.T) {
-	type driven struct {
-		ctl  *Controller
-		addr string
-	}
-	controllers := map[Codec]*driven{}
-	for _, codec := range []Codec{CodecBinary, CodecJSON} {
-		ctl, addr := startController(t, baseline.LLF{})
-		controllers[codec] = &driven{ctl, addr}
-	}
-	for codec, d := range controllers {
-		var agents []*APAgent
-		for i := 0; i < 3; i++ {
-			a, err := DialAPCodec(d.addr, trace.APID(fmt.Sprintf("ap-%d", i)), float64(i+1)*1e6, testTimeout, codec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer a.Close()
-			if err := a.Report(float64(i) * 1e5); err != nil {
-				t.Fatal(err)
-			}
-			agents = append(agents, a)
-		}
-		_ = agents
-		// Wait for all reports so both controllers decide on equal state.
-		deadline := time.Now().Add(testTimeout)
-		for {
-			snap := d.ctl.Snapshot()
-			ok := len(snap) == 3
-			for i := 0; i < 3; i++ {
-				st, present := snap[trace.APID(fmt.Sprintf("ap-%d", i))]
-				ok = ok && present && st.ReportedBps == float64(i)*1e5
-			}
-			if ok {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: reports not applied: %+v", codec, snap)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		// Stations stay connected until the comparison: closing one
-		// disassociates its user.
-		for i := 0; i < 8; i++ {
-			st, err := DialStationCodec(defaultDial, d.addr, trace.UserID(fmt.Sprintf("u-%d", i)), testTimeout, codec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			if _, err := st.Associate(float64(100 * (i + 1))); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.SendTraffic(int64(10 * (i + 1))); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	bin, js := controllers[CodecBinary].ctl, controllers[CodecJSON].ctl
-	bin.mu.Lock()
-	binAssign := map[trace.UserID]trace.APID{}
-	for u, ap := range bin.assignments {
-		binAssign[u] = ap
-	}
-	bin.mu.Unlock()
-	js.mu.Lock()
-	jsAssign := map[trace.UserID]trace.APID{}
-	for u, ap := range js.assignments {
-		jsAssign[u] = ap
-	}
-	js.mu.Unlock()
-	if !reflect.DeepEqual(binAssign, jsAssign) {
-		t.Errorf("assignments diverged:\nbinary %+v\njson   %+v", binAssign, jsAssign)
-	}
-	a, _ := json.Marshal(bin.dom.ExportState())
-	b, _ := json.Marshal(js.dom.ExportState())
-	if string(a) != string(b) {
-		t.Errorf("domain state diverged:\nbinary %s\njson   %s", a, b)
 	}
 }
 
@@ -476,41 +392,64 @@ func TestDisassocCheckpointConsistency(t *testing.T) {
 }
 
 // TestAssociateSteadyStateAllocs gates the association fast path: a
-// steady-state re-association (same user, same AP, new demand) through
-// an unjournaled, log-quiet controller must not allocate — the AP view
-// aggregates, the placement and the commit all run from pooled scratch.
+// steady-state re-association (same user, new demand) through a
+// log-quiet controller must not allocate — the AP view aggregates, the
+// request, the placement and the commit all run from pooled scratch.
+// Journaled (FsyncOff), a same-AP refresh appends its OpAssoc record
+// from the same scratch; at the parent commit Associate allocated once
+// there (measured 1.0 objects/op: the record's one-placement slice).
 func TestAssociateSteadyStateAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops a share of its items under the race detector, so the pooled scratch is reallocated")
 	}
-	c, err := NewController(baseline.LLF{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if err := c.RegisterAP(trace.APID(fmt.Sprintf("ap-%d", i)), 1e6); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 32; i++ {
-		if _, err := c.Associate(trace.UserID(fmt.Sprintf("u-%d", i)), 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Warm the pools.
-	for i := 0; i < 100; i++ {
-		if _, err := c.Associate("u-0", float64(100+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var demand float64 = 100
-	allocs := testing.AllocsPerRun(200, func() {
-		demand += 1
-		if _, err := c.Associate("u-0", demand); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state Associate allocates %.1f objects/op, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		opts func(t *testing.T) []ControllerOption
+		step float64 // demand change per call; 0 keeps LLF's tie on the user's own AP
+	}{
+		{"unjournaled", func(*testing.T) []ControllerOption { return nil }, 1},
+		{"journaled", func(t *testing.T) []ControllerOption {
+			return []ControllerOption{WithJournal(t.TempDir(), journal.Options{Fsync: journal.FsyncOff})}
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewController(baseline.LLF{}, tc.opts(t)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for i := 0; i < 8; i++ {
+				if err := c.RegisterAP(trace.APID(fmt.Sprintf("ap-%d", i)), 1e6); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 32; i++ {
+				if _, err := c.Associate(trace.UserID(fmt.Sprintf("u-%d", i)), 100); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var demand float64 = 100
+			assoc := func() trace.APID {
+				demand += tc.step
+				ap, err := c.Associate("u-0", demand)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ap
+			}
+			// Warm the pools (and the journal's write buffer).
+			home := assoc()
+			for i := 0; i < 100; i++ {
+				assoc()
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if ap := assoc(); tc.step == 0 && ap != home {
+					t.Fatalf("refresh moved u-0 from %s to %s", home, ap)
+				}
+			})
+			if allocs > 0 {
+				t.Errorf("steady-state Associate allocates %.1f objects/op, want 0", allocs)
+			}
+		})
 	}
 }
