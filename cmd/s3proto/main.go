@@ -106,7 +106,6 @@ func run(args []string, out io.Writer) (err error) {
 		chaosAPs = fs.Int("chaos-aps", 4, "chaos soak AP agent count")
 		chaosStn = fs.Int("chaos-stations", 16, "chaos soak station count")
 		seed     = fs.Int64("seed", 1, "chaos fault-schedule seed")
-		shards   = fs.Int("shards", 0, "association-domain shards (<=1 = one lock domain; decisions are shard-count independent)")
 		verbose  = fs.Bool("v", false, "log controller decisions")
 
 		maxConns   = fs.Int("max-conns", 0, "admission: cap on concurrent peer connections; excess get MsgBusy (0 = unlimited)")
@@ -181,7 +180,7 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	opts := []protocol.ControllerOption{protocol.WithShards(*shards)}
+	var opts []protocol.ControllerOption
 	if *maxConns > 0 || *assocRate > 0 {
 		opts = append(opts, protocol.WithAdmission(protocol.Admission{
 			MaxConns:   *maxConns,

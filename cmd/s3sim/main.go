@@ -72,7 +72,6 @@ func run(args []string, out io.Writer) (err error) {
 		replicate = fs.Int("replicate", 0, "replicate Fig 12 over N seeds (robustness)")
 
 		workers    = fs.Int("workers", 0, "parallel sweep/ablation workers (0 = GOMAXPROCS; 1 = serial)")
-		shards     = fs.Int("shards", 0, "association-domain shards per simulated controller (<=1 = one shard; assignments are shard-count independent)")
 		progress   = fs.Bool("progress", false, "report per-cell progress to stderr")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -151,7 +150,6 @@ func run(args []string, out io.Writer) (err error) {
 		return err
 	}
 	data.Workers = *workers
-	data.Shards = *shards
 	data.Progress = progressW
 	fmt.Fprintf(out, "prepared: %d training sessions, %d test sessions\n\n",
 		len(data.Train.Sessions), len(data.Test.Sessions))

@@ -106,9 +106,8 @@ func referenceSelect(idx mapIndex, cfg SelectorConfig, req wlan.Request, aps []w
 // graphs, Select on a domain's views (membership looked up on demand)
 // and on hand-built views carrying the full membership the test tracked
 // itself both pick the reference ranking's AP — over listed friends and
-// over tabulated rows, on 1 and 4 shards, with users holding stacked
-// sessions on one AP, and with per-user demands left out of the
-// hand-built views.
+// over tabulated rows, with users holding stacked sessions on one AP,
+// and with per-user demands left out of the hand-built views.
 func TestLazyViewsRankLikeMaterialised(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	users := testUsers(30)
@@ -125,7 +124,7 @@ func TestLazyViewsRankLikeMaterialised(t *testing.T) {
 			return float64(1 + rng.Intn(100))
 		}
 
-		dom := domain.New(domain.Config{Shards: 1 + 3*(trial%2)})
+		dom := domain.New(domain.Config{})
 		aps := make([]trace.APID, 2+rng.Intn(6))
 		on := map[trace.APID]map[trace.UserID]float64{}
 		for i := range aps {
@@ -200,7 +199,7 @@ func TestFastPathsNeverMaterialise(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	users := testUsers(30)
 	listed, tabulated := selectorPair(t, randomFriendIndex(rng, users))
-	dom := domain.New(domain.Config{Shards: 4})
+	dom := domain.New(domain.Config{})
 	for i := 0; i < 6; i++ {
 		if err := dom.AddAP(trace.APID(fmt.Sprintf("ap%d", i)), 1e6); err != nil {
 			t.Fatal(err)
@@ -242,12 +241,12 @@ func TestFastPathsNeverMaterialise(t *testing.T) {
 // commit, leave and remove APs. Run under -race; a decision
 // must always name an AP of its own snapshot.
 func TestSelectConcurrentWithMutation(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(shards)))
+	for _, seed := range []int64{1, 4} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
 			users := testUsers(40)
 			listed, tabulated := selectorPair(t, randomFriendIndex(rng, users))
-			dom := domain.New(domain.Config{Shards: shards})
+			dom := domain.New(domain.Config{})
 			aps := make([]trace.APID, 8)
 			for i := range aps {
 				aps[i] = trace.APID(fmt.Sprintf("ap%d", i))

@@ -153,9 +153,9 @@ func (b *scanBatch) place(members []trace.UserID) scanCandidate {
 // randomBatchDomain commits a random population — a quarter of it with
 // two sessions stacked on one AP — to a fresh domain of nAPs APs, some
 // tight enough to turn a placement infeasible, and returns its views.
-func randomBatchDomain(t *testing.T, rng *rand.Rand, residents []trace.UserID, nAPs, shards int) []wlan.APView {
+func randomBatchDomain(t *testing.T, rng *rand.Rand, residents []trace.UserID, nAPs int) []wlan.APView {
 	t.Helper()
-	dom := domain.New(domain.Config{Shards: shards})
+	dom := domain.New(domain.Config{})
 	for a := 0; a < nAPs; a++ {
 		if err := dom.AddAP(trace.APID(fmt.Sprintf("ap%d", a)), 100+rng.Float64()*900); err != nil {
 			t.Fatal(err)
@@ -189,7 +189,7 @@ func TestSelectBatchRowsMatchScan(t *testing.T) {
 		listed, tabulated := selectorPair(t, idx)
 		perm := rng.Perm(len(users))
 		nAPs := 2 + rng.Intn(5)
-		views := randomBatchDomain(t, rng, pick(users, perm[:25]), nAPs, 1+3*(trial%2))
+		views := randomBatchDomain(t, rng, pick(users, perm[:25]), nAPs)
 		// The batch overlaps the residents: perm[20:25] are both.
 		var reqs []wlan.Request
 		for _, u := range pick(users, perm[20:20+2+rng.Intn(12)]) {

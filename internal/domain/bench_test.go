@@ -8,20 +8,16 @@ import (
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
-// benchShards and benchUsers define the sharding grid: ns/op for 1, 4
-// and 16 shards at 10k and 100k resident users.
-var (
-	benchShards = []int{1, 4, 16}
-	benchUsers  = []int{10_000, 100_000}
-)
+// benchUsers is the resident population grid.
+var benchUsers = []int{10_000, 100_000}
 
 const benchAPCount = 256
 
 // newBenchDomain builds a domain with nAPs APs and `users` resident
 // associations spread across them.
-func newBenchDomain(tb testing.TB, shards, nAPs, users int) (*Domain, []trace.APID) {
+func newBenchDomain(tb testing.TB, nAPs, users int) (*Domain, []trace.APID) {
 	tb.Helper()
-	d := New(Config{Shards: shards})
+	d := New(Config{})
 	aps := make([]trace.APID, nAPs)
 	for i := range aps {
 		aps[i] = trace.APID(fmt.Sprintf("ap%03d", i))
@@ -51,13 +47,13 @@ func newBenchDomain(tb testing.TB, shards, nAPs, users int) (*Domain, []trace.AP
 	return d, aps
 }
 
-// benchDomainCommit measures concurrent single-shard associations: each
-// worker churns its own user across the AP ring, one forced single-
-// placement commit plus the matching leave per op. With one shard every
-// worker serializes on one lock; with 16 shards disjoint decisions
-// proceed in parallel — the throughput ratio is the sharding win.
-func benchDomainCommit(b *testing.B, shards, users int) {
-	d, aps := newBenchDomain(b, shards, benchAPCount, users)
+// benchDomainCommit measures the domain lock under contention: eight
+// workers on two cores each churn their own user across the AP ring, one
+// forced single-placement commit plus the matching leave per op, every
+// one serialized on the one lock. Neither should allocate, and the cost
+// must not grow with the resident population.
+func benchDomainCommit(b *testing.B, users int) {
+	d, aps := newBenchDomain(b, benchAPCount, users)
 	var ctr atomic.Int64
 	b.ReportAllocs()
 	b.SetParallelism(4)
@@ -79,12 +75,10 @@ func benchDomainCommit(b *testing.B, shards, users int) {
 }
 
 func BenchmarkDomainCommit(b *testing.B) {
-	for _, shards := range benchShards {
-		for _, users := range benchUsers {
-			b.Run(fmt.Sprintf("shards=%d/users=%d", shards, users), func(b *testing.B) {
-				benchDomainCommit(b, shards, users)
-			})
-		}
+	for _, users := range benchUsers {
+		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
+			benchDomainCommit(b, users)
+		})
 	}
 }
 
@@ -95,7 +89,7 @@ func BenchmarkDomainViews(b *testing.B) {
 	const nAPs = 64
 	for _, users := range []int{1_000, 100_000} {
 		b.Run(fmt.Sprintf("residents=%d", users), func(b *testing.B) {
-			d, _ := newBenchDomain(b, 1, nAPs, users)
+			d, _ := newBenchDomain(b, nAPs, users)
 			var buf ViewBuf
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -1,7 +1,6 @@
 package domain
 
 import (
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,12 +15,11 @@ import (
 
 // Commit-path health, exported through the obs registry. Counters are
 // process-wide (they accumulate across every Domain instance, live or
-// simulated); per-shard gauges are registered only for named domains
+// simulated); the two size gauges are registered only for named domains
 // (Config.ObsName) so parallel experiment cells do not fight over them.
 var (
-	obsCommitSingle = obs.GetCounter("domain.commit.single_shard", "Placement commits on the single-shard fast path")
-	obsCommitMulti  = obs.GetCounter("domain.commit.multi_shard", "Placement commits through the two-phase multi-shard path")
-	obsCommitStale  = obs.GetCounter("domain.commit.stale", "Commits rejected because the shard version moved (caller retries)")
+	obsCommits      = obs.GetCounter("domain.commits", "Placement commits applied")
+	obsCommitStale  = obs.GetCounter("domain.commit.stale", "Commits rejected because the domain version moved (caller retries)")
 	obsCommitForced = obs.GetCounter("domain.commit.forced", "Commits applied after exhausting stale retries")
 	obsOverloads    = obs.GetCounter("domain.overloads", "Placements admitted beyond AP capacity (admission override)")
 	obsEvictions    = obs.GetCounter("domain.evictions", "APs removed (failures, lease expiries)")
@@ -36,9 +34,9 @@ var (
 	ErrUnknownAP = errors.New("unknown AP")
 	// ErrFailedAP reports a placement onto an AP that is marked failed.
 	ErrFailedAP = errors.New("AP is failed")
-	// ErrStale reports that a shard touched by the commit changed after
-	// the view snapshot was taken; the caller should re-snapshot and
-	// re-select, or force the commit with a nil Version.
+	// ErrStale reports that the domain changed after the view snapshot
+	// was taken; the caller should re-snapshot and re-select, or force
+	// the commit with a nil Version.
 	ErrStale = errors.New("stale view version")
 )
 
@@ -77,8 +75,8 @@ type APView struct {
 	// LoadMode (believed demand sum, last report, or their max).
 	LoadBps float64
 	// RSSI is the received signal strength the requesting user sees for
-	// this AP, in dBm (higher is stronger). Synthesized via the domain's
-	// RSSI function; used by the strongest-signal baseline.
+	// this AP, in dBm (higher is stronger). Synthesized by SyntheticRSSI;
+	// used by the strongest-signal baseline.
 	RSSI float64
 	// NumUsers is the number of associated users.
 	NumUsers int
@@ -105,7 +103,7 @@ func (v APView) WithMembers(users []trace.UserID, demands []float64) APView {
 // demand the member holds there; a member whose demand is not tracked
 // (a hand-built view without demands) is reported with untracked. It is
 // the one way a policy looks named users up on an AP: on a domain's view
-// one shard read-lock and len(users) map hits, however many users the AP
+// one read-lock and len(users) map hits, however many users the AP
 // holds. visit runs under that lock and must not call into the domain.
 func (v APView) Intersect(users []trace.UserID, untracked float64, visit func(i int, demand float64)) {
 	st := v.st
@@ -133,13 +131,13 @@ func (v APView) Intersect(users []trace.UserID, untracked float64, visit func(i 
 	if len(users) == 0 {
 		return
 	}
-	st.sh.mu.RLock()
+	st.dom.mu.RLock()
 	for i, u := range users {
 		if d, ok := st.users[u]; ok {
 			visit(i, d)
 		}
 	}
-	st.sh.mu.RUnlock()
+	st.dom.mu.RUnlock()
 }
 
 // SumDemands adds up, in list order, the believed demands of those of
@@ -158,8 +156,8 @@ func (v APView) SumDemands(users []trace.UserID, untracked float64) float64 {
 func (v APView) Members() (users []trace.UserID, demands []float64) {
 	if st := v.st; st != nil {
 		obsMaterialized.Inc()
-		st.sh.mu.RLock()
-		defer st.sh.mu.RUnlock()
+		st.dom.mu.RLock()
+		defer st.dom.mu.RUnlock()
 		return sortedUsers(st)
 	}
 	return append([]trace.UserID(nil), v.users...), append([]float64(nil), v.demands...)
@@ -184,9 +182,9 @@ func Admits(capacityBps, loadBps, demandBps float64) bool {
 	return loadBps+demandBps <= capacityBps
 }
 
-// FNV-1a parameters, inlined so the hot paths (per-view RSSI synthesis,
-// per-placement shard routing) hash without instantiating a hash.Hash32
-// — hash/fnv's New32a escapes to the heap on every call.
+// FNV-1a parameters, inlined so per-view RSSI synthesis hashes without
+// instantiating a hash.Hash32 — hash/fnv's New32a escapes to the heap on
+// every call.
 const (
 	fnvOffset32 = 2166136261
 	fnvPrime32  = 16777619
@@ -199,11 +197,10 @@ func fnv32aString(h uint32, s string) uint32 {
 	return h
 }
 
-// Hash is the domain's stable FNV-1a string hash — the function behind
-// ShardOf. Exported so higher layers that partition the same ID spaces
-// (the federation ownership map splitting APs and users across
-// controller replicas) stay aligned with the in-process shard routing:
-// group = Hash(id) % groups, shard = Hash(ap) % shards, one hash.
+// Hash is the stable 32-bit FNV-1a string hash. The federation ownership
+// map splits APs and users across controller replicas with it (group =
+// Hash(id) % groups), and a cluster's per-group journals and leases on
+// disk outlive a release, so its values must never change.
 func Hash(s string) uint32 {
 	return fnv32aString(uint32(fnvOffset32), s)
 }
@@ -223,10 +220,12 @@ func SyntheticRSSI(u trace.UserID, ap trace.APID) float64 {
 	return -90 + float64(h%61)
 }
 
-// Version is the per-shard version vector captured by ViewsInto. Commit
-// validates only the entries of shards the placement set touches; nil
-// skips validation entirely (forced commit).
-type Version []uint64
+// Version is the domain version a ViewsInto snapshot was taken at, as a
+// handle Commit validates against; nil skips validation entirely (forced
+// commit). It is a pointer only because frozen bench/probes.go passes a
+// literal nil: when bench/ is next open it can become a plain uint64 and
+// Commit can take a force bool.
+type Version *uint64
 
 // Placement asks the domain to associate one user with one AP.
 type Placement struct {
@@ -236,8 +235,8 @@ type Placement struct {
 	DemandBps float64
 	// Prev, when non-empty, names an AP the user must be fully removed
 	// from in the same atomic commit — a re-association move. The
-	// removal and the placement land under the same two-phase lock, so
-	// a user is never observably on two APs or on none.
+	// removal and the placement land under one hold of the domain lock,
+	// so a user is never observably on two APs or on none.
 	Prev trace.APID
 }
 
@@ -268,23 +267,16 @@ type APInfo struct {
 
 // Config configures a Domain.
 type Config struct {
-	// Shards is the number of AP-partitioned lock domains; <= 1 keeps a
-	// single shard. The AP→shard mapping is a stable hash, so a given
-	// topology shards identically across runs.
-	Shards int
 	// Mode selects the load figure views expose (default LoadBelieved).
 	Mode LoadMode
-	// RSSI supplies the per-(user, AP) signal strength views carry;
-	// defaults to SyntheticRSSI.
-	RSSI func(u trace.UserID, ap trace.APID) float64
 	// SessionLog, when non-nil, receives one JSON record per completed
 	// association through LogSession — the "back-end data center" login
 	// log the paper's measurement study is built from.
 	SessionLog io.Writer
-	// ObsName, when non-empty, registers per-shard gauges
-	// (domain.<name>.shard<i>.aps / .users) kept current on every
-	// structural change. Leave empty for throwaway domains (experiment
-	// cells) that would otherwise fight over the process-wide registry.
+	// ObsName, when non-empty, registers two gauges (domain.<name>.aps
+	// and .users) kept current on every structural change. Leave empty
+	// for throwaway domains (experiment cells) that would otherwise
+	// fight over the process-wide registry.
 	ObsName string
 }
 
@@ -294,7 +286,7 @@ type Config struct {
 // read, so a mutation costs one map operation however many users the AP
 // holds.
 type apState struct {
-	sh          *shard // owning shard; its lock guards every field below
+	dom         *Domain // owning domain; its lock guards every field below
 	id          trace.APID
 	capacityBps float64
 	reportedBps float64
@@ -311,31 +303,19 @@ func (st *apState) bumpUser(u trace.UserID, delta float64) bool {
 	return !ok
 }
 
-// shard owns a partition of the AP set behind its own lock.
-type shard struct {
+// Domain is the association-domain state machine: one lock domain, the
+// unit a policy decision is consistent against.
+type Domain struct {
+	mode LoadMode
+
 	mu      sync.RWMutex
-	version uint64
+	version uint64 // bumped on every structural or membership change
 	aps     map[trace.APID]*apState
 	ids     []trace.APID // sorted
-	entries int          // total user entries across the shard's APs
+	entries int          // total user entries across the APs
 
 	gaugeAPs   *obs.Gauge // nil unless ObsName set
 	gaugeUsers *obs.Gauge
-}
-
-// syncGauges publishes the shard's sizes; must run with sh.mu held.
-func (sh *shard) syncGauges() {
-	if sh.gaugeAPs != nil {
-		sh.gaugeAPs.Set(int64(len(sh.ids)))
-		sh.gaugeUsers.Set(int64(sh.entries))
-	}
-}
-
-// Domain is the sharded association-domain state machine.
-type Domain struct {
-	shards []*shard
-	mode   LoadMode
-	rssi   func(trace.UserID, trace.APID) float64
 
 	logMu      sync.Mutex
 	sessionLog *json.Encoder
@@ -343,116 +323,89 @@ type Domain struct {
 
 // New builds a Domain.
 func New(cfg Config) *Domain {
-	n := cfg.Shards
-	if n < 1 {
-		n = 1
-	}
-	rssi := cfg.RSSI
-	if rssi == nil {
-		rssi = SyntheticRSSI
-	}
-	d := &Domain{
-		shards: make([]*shard, n),
-		mode:   cfg.Mode,
-		rssi:   rssi,
-	}
+	d := &Domain{mode: cfg.Mode, aps: make(map[trace.APID]*apState)}
 	if cfg.SessionLog != nil {
 		d.sessionLog = json.NewEncoder(cfg.SessionLog)
 	}
-	for i := range d.shards {
-		sh := &shard{aps: make(map[trace.APID]*apState)}
-		if cfg.ObsName != "" {
-			sh.gaugeAPs = obs.GetGauge(fmt.Sprintf("domain.%s.shard%02d.aps", cfg.ObsName, i),
-				"Registered APs on one domain shard")
-			sh.gaugeUsers = obs.GetGauge(fmt.Sprintf("domain.%s.shard%02d.users", cfg.ObsName, i),
-				"Associated users on one domain shard")
-		}
-		d.shards[i] = sh
+	if cfg.ObsName != "" {
+		d.gaugeAPs = obs.GetGauge("domain."+cfg.ObsName+".aps", "Registered APs of one named domain")
+		d.gaugeUsers = obs.GetGauge("domain."+cfg.ObsName+".users", "Associated users of one named domain")
 	}
 	return d
 }
 
-// Shards returns the shard count.
-func (d *Domain) Shards() int { return len(d.shards) }
-
-// ShardOf returns the shard index owning ap — a stable hash, so the
-// mapping survives restarts and is identical across drivers.
-func (d *Domain) ShardOf(ap trace.APID) int {
-	if len(d.shards) == 1 {
-		return 0
+// syncGauges publishes the domain's sizes; must run with d.mu held.
+func (d *Domain) syncGauges() {
+	if d.gaugeAPs != nil {
+		d.gaugeAPs.Set(int64(len(d.ids)))
+		d.gaugeUsers.Set(int64(d.entries))
 	}
-	return int(fnv32aString(uint32(fnvOffset32), string(ap)) % uint32(len(d.shards)))
 }
-
-func (d *Domain) shardOf(ap trace.APID) *shard { return d.shards[d.ShardOf(ap)] }
 
 // AddAP registers an AP. Duplicate IDs error.
 func (d *Domain) AddAP(id trace.APID, capacityBps float64) error {
 	if id == "" {
 		return errors.New("domain: empty AP id")
 	}
-	sh := d.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, dup := sh.aps[id]; dup {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, dup := d.aps[id]; dup {
 		return fmt.Errorf("domain: AP %q already registered", id)
 	}
-	sh.aps[id] = &apState{
-		sh:          sh,
+	d.aps[id] = &apState{
+		dom:         d,
 		id:          id,
 		capacityBps: capacityBps,
 		users:       make(map[trace.UserID]float64),
 	}
-	at := sort.Search(len(sh.ids), func(i int) bool { return sh.ids[i] >= id })
-	sh.ids = append(sh.ids, "")
-	copy(sh.ids[at+1:], sh.ids[at:])
-	sh.ids[at] = id
-	sh.version++
-	sh.syncGauges()
+	at := sort.Search(len(d.ids), func(i int) bool { return d.ids[i] >= id })
+	d.ids = append(d.ids, "")
+	copy(d.ids[at+1:], d.ids[at:])
+	d.ids[at] = id
+	d.version++
+	d.syncGauges()
 	return nil
 }
 
 // RemoveAP deletes an AP and returns its evicted users (sorted) for the
 // caller to re-home. ok is false when the AP is unknown.
 func (d *Domain) RemoveAP(id trace.APID) (evicted []Eviction, ok bool) {
-	sh := d.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.aps[id]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st, ok := d.aps[id]
 	if !ok {
 		return nil, false
 	}
-	evicted = drain(sh, st)
-	delete(sh.aps, id)
-	at := sort.Search(len(sh.ids), func(i int) bool { return sh.ids[i] >= id })
-	sh.ids = append(sh.ids[:at], sh.ids[at+1:]...)
-	sh.version++
-	sh.syncGauges()
+	evicted = d.drain(st)
+	delete(d.aps, id)
+	at := sort.Search(len(d.ids), func(i int) bool { return d.ids[i] >= id })
+	d.ids = append(d.ids[:at], d.ids[at+1:]...)
+	d.version++
+	d.syncGauges()
 	return evicted, true
 }
 
 // SetFailed flips an AP's failure state. Failing an AP evicts and
 // returns its users (sorted); recovery returns nil. Unknown APs no-op.
 func (d *Domain) SetFailed(id trace.APID, failed bool) []Eviction {
-	sh := d.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.aps[id]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st, ok := d.aps[id]
 	if !ok {
 		return nil
 	}
 	st.failed = failed
 	var evicted []Eviction
 	if failed {
-		evicted = drain(sh, st)
+		evicted = d.drain(st)
 	}
-	sh.version++
-	sh.syncGauges()
+	d.version++
+	d.syncGauges()
 	return evicted
 }
 
-// drain evicts every user from st; must run with the shard lock held.
-func drain(sh *shard, st *apState) []Eviction {
+// drain evicts every user from st; must run with d.mu held.
+func (d *Domain) drain(st *apState) []Eviction {
 	if len(st.users) == 0 {
 		return nil
 	}
@@ -461,7 +414,7 @@ func drain(sh *shard, st *apState) []Eviction {
 	for i, u := range users {
 		evicted[i] = Eviction{User: u, DemandBps: demands[i]}
 	}
-	sh.entries -= len(st.users)
+	d.entries -= len(st.users)
 	st.users = make(map[trace.UserID]float64)
 	st.believedBps = 0
 	obsEvictions.Add(int64(len(evicted)))
@@ -471,31 +424,29 @@ func drain(sh *shard, st *apState) []Eviction {
 // SetCapacity updates an AP's capacity (an agent re-hello may revise
 // it). Reports false for unknown APs.
 func (d *Domain) SetCapacity(id trace.APID, capacityBps float64) bool {
-	sh := d.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.aps[id]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st, ok := d.aps[id]
 	if !ok {
 		return false
 	}
 	st.capacityBps = capacityBps
-	sh.version++
+	d.version++
 	return true
 }
 
 // SetReported records an external load report for one AP (the live
 // controller's agent reports). Reports false for unknown APs.
 //
-// Unlike SetCapacity this deliberately does not bump the shard version:
+// Unlike SetCapacity this deliberately does not bump the version:
 // load reports are advisory inputs to LoadReported/LoadMax scoring, not
 // structural changes, so an in-flight decision computed from an older
 // report commits without ErrStale revalidation (matching the
 // pre-extraction controller, where reports never invalidated views).
 func (d *Domain) SetReported(id trace.APID, loadBps float64) bool {
-	sh := d.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.aps[id]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st, ok := d.aps[id]
 	if !ok {
 		return false
 	}
@@ -506,44 +457,32 @@ func (d *Domain) SetReported(id trace.APID, loadBps float64) bool {
 // PublishReports snapshots every AP's believed load into its reported
 // load — the simulator's periodic report tick (LoadReported mode).
 func (d *Domain) PublishReports() {
-	for _, sh := range d.shards {
-		sh.mu.Lock()
-		for _, st := range sh.aps {
-			st.reportedBps = st.believedBps
-		}
-		sh.mu.Unlock()
+	d.mu.Lock()
+	for _, st := range d.aps {
+		st.reportedBps = st.believedBps
 	}
+	d.mu.Unlock()
 }
 
 // Size returns the registered AP count (failed APs included).
 func (d *Domain) Size() int {
-	n := 0
-	for _, sh := range d.shards {
-		sh.mu.RLock()
-		n += len(sh.ids)
-		sh.mu.RUnlock()
-	}
-	return n
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return len(d.ids)
 }
 
 // APs lists the registered AP IDs in sorted order.
 func (d *Domain) APs() []trace.APID {
-	var out []trace.APID
-	for _, sh := range d.shards {
-		sh.mu.RLock()
-		out = append(out, sh.ids...)
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return slices.Clone(d.ids)
 }
 
 // Info returns one AP's state for inspection.
 func (d *Domain) Info(id trace.APID) (APInfo, bool) {
-	sh := d.shardOf(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	st, ok := sh.aps[id]
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	st, ok := d.aps[id]
 	if !ok {
 		return APInfo{}, false
 	}
@@ -559,7 +498,7 @@ func (d *Domain) Info(id trace.APID) (APInfo, bool) {
 }
 
 // sortedUsers copies st's membership out in ascending user order with
-// the aligned demands; must run with the shard lock held.
+// the aligned demands; must run with the domain lock held.
 func sortedUsers(st *apState) ([]trace.UserID, []float64) {
 	users := make([]trace.UserID, 0, len(st.users))
 	for u := range st.users {
@@ -574,141 +513,90 @@ func sortedUsers(st *apState) ([]trace.UserID, []float64) {
 }
 
 // ViewBuf is a reusable snapshot buffer for ViewsInto: the view slice
-// and the version vector, nothing per resident. A caller that keeps one
-// takes policy-decision snapshots without allocating once the slice has
-// grown to the AP count. The contents are valid until the next ViewsInto
-// call on the same buffer.
+// and the version, nothing per resident. A caller that keeps one takes
+// policy-decision snapshots without allocating once the slice has grown
+// to the AP count. The contents are valid until the next ViewsInto call
+// on the same buffer.
 type ViewBuf struct {
 	views []APView
-	ver   Version
+	ver   uint64
 }
 
 // Views returns the snapshot taken by the last ViewsInto call.
 func (b *ViewBuf) Views() []APView { return b.views }
 
-// Version returns the version vector of the last ViewsInto call.
-func (b *ViewBuf) Version() Version { return b.ver }
+// Version returns the domain version of the last ViewsInto call.
+func (b *ViewBuf) Version() Version { return &b.ver }
 
 // ViewsInto snapshots the non-failed APs for a policy decision by user u
-// into a caller-owned reusable buffer, with the per-shard version vector
-// the commit validates against. APs come in sorted ID order regardless of
-// sharding, so a policy sees the same candidate list for any shard count.
-// It touches O(APs) aggregates and never the membership, so its cost does
-// not depend on how many users are resident.
+// into a caller-owned reusable buffer, with the domain version the commit
+// validates against. It is one consistent cut, taken under one read
+// lock, in sorted AP-ID order. It touches O(APs) aggregates and never the
+// membership, so its cost does not depend on how many users are resident.
 //
 // The snapshot holds each AP's aggregates as of the call; membership
 // reads through the views (Intersect, Members) see the domain's state
-// at the time of the read. A membership change in between bumps its
-// shard's version, so Commit's per-shard check (ErrStale, re-select)
-// covers the gap exactly as it covers the snapshot not being one cut
-// across shards.
+// at the time of the read. A membership change in between bumps the
+// version, so Commit's check (ErrStale, re-select) covers the gap.
 func (d *Domain) ViewsInto(u trace.UserID, buf *ViewBuf) {
 	obsViews.Inc()
 	buf.views = buf.views[:0]
-	buf.ver = buf.ver[:0]
-	for _, sh := range d.shards {
-		sh.mu.RLock()
-		buf.ver = append(buf.ver, sh.version)
-		for _, id := range sh.ids {
-			st := sh.aps[id]
-			if st.failed {
-				continue
-			}
-			var load float64
-			switch d.mode {
-			case LoadReported:
-				load = st.reportedBps
-			case LoadMax:
-				load = st.believedBps
-				if st.reportedBps > load {
-					load = st.reportedBps
-				}
-			default:
-				load = st.believedBps
-			}
-			buf.views = append(buf.views, APView{
-				ID:          id,
-				CapacityBps: st.capacityBps,
-				LoadBps:     load,
-				RSSI:        d.rssi(u, id),
-				NumUsers:    len(st.users),
-				st:          st,
-			})
+	d.mu.RLock()
+	buf.ver = d.version
+	for _, id := range d.ids {
+		st := d.aps[id]
+		if st.failed {
+			continue
 		}
-		sh.mu.RUnlock()
+		var load float64
+		switch d.mode {
+		case LoadReported:
+			load = st.reportedBps
+		case LoadMax:
+			load = st.believedBps
+			if st.reportedBps > load {
+				load = st.reportedBps
+			}
+		default:
+			load = st.believedBps
+		}
+		buf.views = append(buf.views, APView{
+			ID:          id,
+			CapacityBps: st.capacityBps,
+			LoadBps:     load,
+			RSSI:        SyntheticRSSI(u, id),
+			NumUsers:    len(st.users),
+			st:          st,
+		})
 	}
-	if len(d.shards) > 1 {
-		slices.SortFunc(buf.views, func(a, b APView) int { return cmp.Compare(a.ID, b.ID) })
-	}
+	d.mu.RUnlock()
 }
 
-// Commit applies a placement set atomically. Placements landing in one
-// shard take the fast path (single lock, single version check); a set
-// spanning shards locks the involved shards in ascending index order —
-// the deterministic two-phase path — validates every involved version,
-// and applies all-or-nothing. ver == nil forces the commit without
-// validation. On ErrStale, ErrUnknownAP or ErrFailedAP nothing was
-// applied.
+// Commit applies a placement set atomically under the domain lock: the
+// version is validated (ver == nil forces the commit without validation),
+// then every target, then all placements are applied. On ErrStale,
+// ErrUnknownAP or ErrFailedAP nothing was applied.
 func (d *Domain) Commit(ps []Placement, ver Version) (CommitResult, error) {
 	var res CommitResult
 	if len(ps) == 0 {
 		return res, nil
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 
-	// Involved shard set, in ascending index order.
-	var idxs []int
-	if len(d.shards) == 1 {
-		idxs = []int{0}
-	} else {
-		seen := make([]bool, len(d.shards))
-		for _, p := range ps {
-			if i := d.ShardOf(p.AP); !seen[i] {
-				seen[i] = true
-				idxs = append(idxs, i)
-			}
-			if p.Prev != "" {
-				if i := d.ShardOf(p.Prev); !seen[i] {
-					seen[i] = true
-					idxs = append(idxs, i)
-				}
-			}
-		}
-		sort.Ints(idxs)
-	}
-	for _, i := range idxs {
-		d.shards[i].mu.Lock()
-	}
-	unlock := func() {
-		for _, i := range idxs {
-			d.shards[i].mu.Unlock()
-		}
-	}
-
-	// Validate versions, then targets — all before any mutation.
-	switch {
-	case ver == nil:
+	// Validate the version, then targets — all before any mutation.
+	if ver == nil {
 		obsCommitForced.Inc()
-	case len(ver) != len(d.shards):
-		unlock()
+	} else if *ver != d.version {
 		obsCommitStale.Inc()
 		return res, ErrStale
-	default:
-		for _, i := range idxs {
-			if d.shards[i].version != ver[i] {
-				unlock()
-				obsCommitStale.Inc()
-				return res, ErrStale
-			}
-		}
 	}
 	for _, p := range ps {
-		st, ok := d.shards[d.ShardOf(p.AP)].aps[p.AP]
+		st, ok := d.aps[p.AP]
 		if !ok {
-			unlock()
 			return res, fmt.Errorf("domain: %w: %q", ErrUnknownAP, p.AP)
 		}
 		if st.failed {
-			unlock()
 			return res, fmt.Errorf("domain: %w: %q", ErrFailedAP, p.AP)
 		}
 	}
@@ -717,45 +605,36 @@ func (d *Domain) Commit(ps []Placement, ver Version) (CommitResult, error) {
 	// batch commit charges overloads exactly like sequential commits.
 	for _, p := range ps {
 		if p.Prev != "" {
-			psh := d.shards[d.ShardOf(p.Prev)]
-			if prev, ok := psh.aps[p.Prev]; ok {
-				removeUser(psh, prev, p.User)
+			if prev, ok := d.aps[p.Prev]; ok {
+				d.removeUser(prev, p.User)
 			}
 		}
-		sh := d.shards[d.ShardOf(p.AP)]
-		st := sh.aps[p.AP]
+		st := d.aps[p.AP]
 		if !Admits(st.capacityBps, st.believedBps, p.DemandBps) {
 			res.Overloads++
 		}
 		if st.bumpUser(p.User, p.DemandBps) {
-			sh.entries++
+			d.entries++
 		}
 		st.believedBps += p.DemandBps
 	}
-	for _, i := range idxs {
-		d.shards[i].version++
-		d.shards[i].syncGauges()
-	}
-	if len(idxs) == 1 {
-		obsCommitSingle.Inc()
-	} else {
-		obsCommitMulti.Inc()
-	}
+	d.version++
+	d.syncGauges()
+	obsCommits.Inc()
 	if res.Overloads > 0 {
 		obsOverloads.Add(int64(res.Overloads))
 	}
-	unlock()
 	return res, nil
 }
 
-// removeUser fully detaches u from st; must run with the shard lock held.
-func removeUser(sh *shard, st *apState, u trace.UserID) (removed float64, ok bool) {
+// removeUser fully detaches u from st; must run with d.mu held.
+func (d *Domain) removeUser(st *apState, u trace.UserID) (removed float64, ok bool) {
 	cur, ok := st.users[u]
 	if !ok {
 		return 0, false
 	}
 	delete(st.users, u)
-	sh.entries--
+	d.entries--
 	st.believedBps -= cur
 	if st.believedBps < 0 {
 		st.believedBps = 0
@@ -769,10 +648,9 @@ func removeUser(sh *shard, st *apState, u trace.UserID) (removed float64, ok boo
 // user entry survives until its demand drains. Reports false when the
 // AP or the user is unknown.
 func (d *Domain) Leave(u trace.UserID, ap trace.APID, demandBps float64) bool {
-	sh := d.shardOf(ap)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.aps[ap]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st, ok := d.aps[ap]
 	if !ok {
 		return false
 	}
@@ -788,7 +666,7 @@ func (d *Domain) Leave(u trace.UserID, ap trace.APID, demandBps float64) bool {
 	}
 	if rem := cur - release; rem <= 1e-9 {
 		delete(st.users, u)
-		sh.entries--
+		d.entries--
 	} else {
 		st.users[u] = rem
 	}
@@ -796,8 +674,8 @@ func (d *Domain) Leave(u trace.UserID, ap trace.APID, demandBps float64) bool {
 	if st.believedBps < 0 {
 		st.believedBps = 0
 	}
-	sh.version++
-	sh.syncGauges()
+	d.version++
+	d.syncGauges()
 	return true
 }
 
@@ -805,19 +683,18 @@ func (d *Domain) Leave(u trace.UserID, ap trace.APID, demandBps float64) bool {
 // disassociation — one assignment per user) and returns the believed
 // demand released.
 func (d *Domain) LeaveAll(u trace.UserID, ap trace.APID) (demandBps float64, ok bool) {
-	sh := d.shardOf(ap)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.aps[ap]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st, ok := d.aps[ap]
 	if !ok {
 		return 0, false
 	}
-	removed, ok := removeUser(sh, st, u)
+	removed, ok := d.removeUser(st, u)
 	if !ok {
 		return 0, false
 	}
-	sh.version++
-	sh.syncGauges()
+	d.version++
+	d.syncGauges()
 	return removed, true
 }
 

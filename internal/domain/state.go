@@ -2,16 +2,12 @@ package domain
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
 // State is a Domain's complete association state in portable form — the
-// checkpoint payload of the journal's durability layer. It is
-// shard-layout independent: exporting a 16-shard domain and importing
-// into a single-shard one (or vice versa) yields identical views,
-// because the AP→shard mapping is a pure function of the AP ID.
+// checkpoint payload of the journal's durability layer.
 type State struct {
 	Version int       `json:"version"`
 	APs     []APState `json:"aps"`
@@ -31,35 +27,30 @@ type APState struct {
 // stateVersion guards the serialized format.
 const stateVersion = 1
 
-// ExportState snapshots the domain's full association state: every AP
-// with its capacity, report, failure flag and believed users/demands.
-// Each shard is read under its lock; like ViewsInto, the snapshot is
-// per-shard consistent and APs are returned in sorted ID order.
+// ExportState snapshots the domain's full association state under one
+// read lock: every AP, in sorted ID order, with its capacity, report,
+// failure flag and believed users/demands.
 func (d *Domain) ExportState() *State {
 	st := &State{Version: stateVersion}
-	for _, sh := range d.shards {
-		sh.mu.RLock()
-		for _, id := range sh.ids {
-			ap := sh.aps[id]
-			users, demands := sortedUsers(ap)
-			st.APs = append(st.APs, APState{
-				ID:          id,
-				CapacityBps: ap.capacityBps,
-				ReportedBps: ap.reportedBps,
-				Failed:      ap.failed,
-				Users:       users,
-				Demands:     demands,
-			})
-		}
-		sh.mu.RUnlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for _, id := range d.ids {
+		ap := d.aps[id]
+		users, demands := sortedUsers(ap)
+		st.APs = append(st.APs, APState{
+			ID:          id,
+			CapacityBps: ap.capacityBps,
+			ReportedBps: ap.reportedBps,
+			Failed:      ap.failed,
+			Users:       users,
+			Demands:     demands,
+		})
 	}
-	sort.Slice(st.APs, func(i, k int) bool { return st.APs[i].ID < st.APs[k].ID })
 	return st
 }
 
 // ImportState loads an exported state into this domain, which must be
-// empty (freshly constructed). The shard count need not match the
-// exporting domain's.
+// empty (freshly constructed).
 func (d *Domain) ImportState(st *State) error {
 	if st == nil {
 		return fmt.Errorf("domain: import nil state")
@@ -78,24 +69,23 @@ func (d *Domain) ImportState(st *State) error {
 		if err := d.AddAP(ap.ID, ap.CapacityBps); err != nil {
 			return err
 		}
-		sh := d.shardOf(ap.ID)
-		sh.mu.Lock()
-		apst := sh.aps[ap.ID]
+		d.mu.Lock()
+		apst := d.aps[ap.ID]
 		apst.reportedBps = ap.ReportedBps
 		apst.failed = ap.Failed
 		for i, u := range ap.Users {
 			if u == "" {
-				sh.mu.Unlock()
+				d.mu.Unlock()
 				return fmt.Errorf("domain: AP %q state has empty user id", ap.ID)
 			}
 			if apst.bumpUser(u, ap.Demands[i]) {
-				sh.entries++
+				d.entries++
 			}
 			apst.believedBps += ap.Demands[i]
 		}
-		sh.version++
-		sh.syncGauges()
-		sh.mu.Unlock()
+		d.version++
+		d.syncGauges()
+		d.mu.Unlock()
 	}
 	return nil
 }

@@ -10,9 +10,9 @@ import (
 
 // populateState builds a domain with a mixed population: capacities,
 // reports, a failed AP, multi-session users and a user on two APs.
-func populateState(t *testing.T, shards int) *Domain {
+func populateState(t *testing.T) *Domain {
 	t.Helper()
-	d := New(Config{Shards: shards})
+	d := New(Config{})
 	for i := 0; i < 6; i++ {
 		if err := d.AddAP(trace.APID(fmt.Sprintf("ap-%d", i)), float64(10+i)*1e6); err != nil {
 			t.Fatal(err)
@@ -36,34 +36,29 @@ func populateState(t *testing.T, shards int) *Domain {
 	return d
 }
 
+// TestStateRoundtripAcrossShardCounts: export → import yields an equal
+// export and equal policy-visible views.
 func TestStateRoundtripAcrossShardCounts(t *testing.T) {
-	for _, expShards := range []int{1, 4} {
-		for _, impShards := range []int{1, 8} {
-			src := populateState(t, expShards)
-			dst := New(Config{Shards: impShards})
-			if err := dst.ImportState(src.ExportState()); err != nil {
-				t.Fatal(err)
-			}
-			// Identical exported state (shard-layout independent).
-			if !reflect.DeepEqual(src.ExportState(), dst.ExportState()) {
-				t.Fatalf("export %d shards -> import %d shards: state diverged\nsrc %+v\ndst %+v",
-					expShards, impShards, src.ExportState(), dst.ExportState())
-			}
-			// Identical policy-visible views.
-			sv, _ := viewsOf(src, "u-1")
-			dv, _ := viewsOf(dst, "u-1")
-			if err := sameViews(dv, sv); err != nil {
-				t.Fatalf("views diverged: %v", err)
-			}
-			if src.Size() != dst.Size() {
-				t.Fatalf("size %d vs %d", src.Size(), dst.Size())
-			}
-		}
+	src := populateState(t)
+	dst := New(Config{})
+	if err := dst.ImportState(src.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(src.ExportState(), dst.ExportState()) {
+		t.Fatalf("state diverged\nsrc %+v\ndst %+v", src.ExportState(), dst.ExportState())
+	}
+	sv, _ := viewsOf(src, "u-1")
+	dv, _ := viewsOf(dst, "u-1")
+	if err := sameViews(dv, sv); err != nil {
+		t.Fatalf("views diverged: %v", err)
+	}
+	if src.Size() != dst.Size() {
+		t.Fatalf("size %d vs %d", src.Size(), dst.Size())
 	}
 }
 
 func TestImportStateRejectsNonEmptyDomain(t *testing.T) {
-	src := populateState(t, 1)
+	src := populateState(t)
 	st := src.ExportState()
 	dst := New(Config{})
 	if err := dst.AddAP("existing", 1e6); err != nil {
@@ -92,8 +87,8 @@ func TestImportStateRejectsDamage(t *testing.T) {
 // round trip — u-1 had two sessions on ap-0, so one LeaveAll removes the
 // whole believed demand in both the original and the restored domain.
 func TestImportStatePreservesLeaveSemantics(t *testing.T) {
-	src := populateState(t, 2)
-	dst := New(Config{Shards: 2})
+	src := populateState(t)
+	dst := New(Config{})
 	if err := dst.ImportState(src.ExportState()); err != nil {
 		t.Fatal(err)
 	}

@@ -44,11 +44,6 @@ type Data struct {
 	// cell owns its state, so parallel results are byte-identical to a
 	// serial run.
 	Workers int
-	// Shards is the association-domain shard count per simulated
-	// controller (<= 1 keeps one shard). Assignments are independent of
-	// the shard count; the knob exists to exercise and benchmark the
-	// sharded domain core under the experiment workloads.
-	Shards int
 	// Progress, when non-nil, receives one line per completed cell
 	// (typically os.Stderr behind the CLIs' -progress flag).
 	Progress io.Writer
@@ -121,7 +116,6 @@ func (d *Data) simConfig(selectorFor func(trace.ControllerID, []trace.AP) wlan.S
 		// same stale snapshot (the classic herd effect). Association
 		// state stays live.
 		LoadReportIntervalSeconds: d.ReportIntervalSeconds,
-		Shards:                    d.Shards,
 	}
 }
 

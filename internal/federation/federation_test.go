@@ -39,9 +39,9 @@ func TestParseOwnership(t *testing.T) {
 }
 
 func TestOwnershipHashMatchesDomainShards(t *testing.T) {
-	// The group of an AP must be domain.Hash % groups — the same hash
-	// (not merely the same family) the in-process shards use, so docs
-	// and diagnostics can reason about both layers with one function.
+	// The group of an AP must be domain.Hash % groups, and must stay so:
+	// a cluster's per-group journals and leases on disk outlive a
+	// release, so the literal groups below may never move.
 	o, err := DefaultOwnership([]string{"a", "b", "c"}, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +50,11 @@ func TestOwnershipHashMatchesDomainShards(t *testing.T) {
 		id := fmt.Sprintf("ap-%d", i)
 		if got, want := o.GroupOfAP(trace.APID(id)), int(domain.Hash(id)%3); got != want {
 			t.Fatalf("GroupOfAP(%s) = %d, want %d", id, got, want)
+		}
+	}
+	for id, want := range map[trace.APID]int{"ap-0": 0, "ap-1": 1, "ap-2": 2} {
+		if got := o.GroupOfAP(id); got != want {
+			t.Errorf("GroupOfAP(%s) = %d, want %d", id, got, want)
 		}
 	}
 }

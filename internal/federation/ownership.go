@@ -2,9 +2,9 @@
 // N-replica cluster that jointly owns the AP space.
 //
 // The AP and user ID spaces are partitioned into a fixed number of
-// *groups* by the same FNV-1a hash the domain uses for in-process
-// shards (domain.Hash). Each group has one *owner* replica at a time:
-// the owner runs a journal-armed protocol.Controller for the group and
+// *groups* by a stable FNV-1a hash (domain.Hash % groups; the per-group
+// directories on disk depend on it). Each group has one *owner* replica
+// at a time: the owner runs a journal-armed protocol.Controller for the group and
 // appends every mutation to the group's journal under the cluster
 // root; every other replica runs a standby controller fed by a
 // journal.Follower tailing that journal. Ownership is arbitrated

@@ -11,12 +11,12 @@ import (
 
 func TestSanitizeMetricName(t *testing.T) {
 	cases := map[string]string{
-		"core.select.calls":        "core_select_calls",
-		"domain.sim.shard02.users": "domain_sim_shard02_users",
-		"journal.seq":              "journal_seq",
-		"already_fine:ok":          "already_fine:ok",
-		"9starts.with.digit":       "_9starts_with_digit",
-		"weird µ char":             "weird____char", // µ is 2 bytes, each sanitized
+		"core.select.calls":  "core_select_calls",
+		"domain.live.users":  "domain_live_users",
+		"journal.seq":        "journal_seq",
+		"already_fine:ok":    "already_fine:ok",
+		"9starts.with.digit": "_9starts_with_digit",
+		"weird µ char":       "weird____char", // µ is 2 bytes, each sanitized
 	}
 	for in, want := range cases {
 		if got := SanitizeMetricName(in); got != want {

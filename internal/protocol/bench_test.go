@@ -2,10 +2,12 @@ package protocol
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/baseline"
 	"github.com/s3wlan/s3wlan/internal/domain"
+	"github.com/s3wlan/s3wlan/internal/journal"
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
@@ -93,6 +95,54 @@ func BenchmarkAssociateE2E(b *testing.B) {
 	for _, users := range assocBenchUsers {
 		b.Run(fmt.Sprintf("binary/users=%d", users), func(b *testing.B) {
 			benchAssociateE2E(b, users)
+		})
+	}
+}
+
+// BenchmarkAssociateParallel is the concurrent decision path's number,
+// which bench/ (one client per workload) does not have: eight goroutines
+// on two cores each Associate and disassociate their own user against
+// assocBenchAPs static APs under LLF, so selections overlap off-lock and
+// every commit meets c.mu and the domain lock. retries/op is the share
+// of decisions re-made after domain.ErrStale.
+func BenchmarkAssociateParallel(b *testing.B) {
+	for _, journaled := range []bool{false, true} {
+		name := "unjournaled"
+		if journaled {
+			name = "journaled"
+		}
+		b.Run(name, func(b *testing.B) {
+			var opts []ControllerOption
+			if journaled {
+				opts = append(opts, WithJournal(b.TempDir(), journal.Options{Fsync: journal.FsyncOff}))
+			}
+			c, err := NewController(baseline.LLF{}, opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			for i := 0; i < assocBenchAPs; i++ {
+				if err := c.RegisterAP(trace.APID(fmt.Sprintf("ap%03d", i)), 1e9); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var workers atomic.Int64
+			retries := obsSelectRetries.Value()
+			b.ReportAllocs()
+			b.SetParallelism(4)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				u := trace.UserID(fmt.Sprintf("worker%03d", workers.Add(1)))
+				for pb.Next() {
+					if _, err := c.Associate(u, 500); err != nil {
+						b.Error(err)
+						return
+					}
+					c.disassociate(u)
+				}
+			})
+			b.StopTimer()
+			b.ReportMetric(float64(obsSelectRetries.Value()-retries)/float64(b.N), "retries/op")
 		})
 	}
 }

@@ -34,8 +34,8 @@ var (
 
 // maxSelectRetries bounds the lock-free selection retry loop: after this
 // many stale snapshots the decision is committed against the current
-// state anyway (membership mutations are always serialized per domain
-// shard, so a stale commit is at worst suboptimal, never corrupting).
+// state anyway (membership mutations are always serialized by the domain
+// lock, so a stale commit is at worst suboptimal, never corrupting).
 const maxSelectRetries = 3
 
 // apMeta is the controller's protocol-level metadata for one registered
@@ -85,7 +85,7 @@ type lifecycleEvent struct {
 // (internal/domain), the same state machine the batch simulator replays
 // traces through; the controller layers the protocol lifecycle (leases,
 // agent connections, station sessions, served-byte accounting) on top.
-// Lock order is always c.mu before domain shard locks, never the
+// Lock order is always c.mu before the domain's lock, never the
 // reverse.
 type Controller struct {
 	selector wlan.Selector
@@ -94,9 +94,8 @@ type Controller struct {
 	observer AssociationObserver
 	now      func() int64
 
-	// dom owns all AP association state, sharded by AP (WithShards).
+	// dom owns all AP association state.
 	dom       *domain.Domain
-	shards    int
 	sessionLW io.Writer
 
 	// refreshFn, when set, runs every refreshEvery while serving (see
@@ -174,15 +173,6 @@ func WithClock(now func() int64) ControllerOption {
 	return func(c *Controller) { c.now = now }
 }
 
-// WithShards partitions the association domain into n AP-sharded lock
-// domains (stable AP→shard hashing), so concurrent associations that
-// land in different shards commit without contending on one lock.
-// n <= 1 keeps a single shard. Policy output is unchanged by the shard
-// count: views are ID-sorted for any n.
-func WithShards(n int) ControllerOption {
-	return func(c *Controller) { c.shards = n }
-}
-
 // WithLease enables lease-based AP registration: an agent-registered AP
 // whose agent has been silent (no hello, no report) for more than
 // seconds is expired — removed from the policy's view, its believed
@@ -242,7 +232,6 @@ func NewController(selector wlan.Selector, opts ...ControllerOption) (*Controlle
 		c.assocBucket = newTokenBucket(c.admission.AssocRate, c.admission.AssocBurst)
 	}
 	c.dom = domain.New(domain.Config{
-		Shards: c.shards,
 		// max(reported, believed): a silent agent still yields sane
 		// decisions.
 		Mode:       domain.LoadMax,
@@ -258,9 +247,6 @@ func NewController(selector wlan.Selector, opts ...ControllerOption) (*Controlle
 	}
 	return c, nil
 }
-
-// Shards reports the association domain's shard count.
-func (c *Controller) Shards() int { return c.dom.Shards() }
 
 // RegisterAP adds a static AP directly (without an agent connection).
 // Static APs never expire. Useful for fixed topologies and tests.
@@ -795,16 +781,14 @@ var assocPool = sync.Pool{New: func() interface{} { return new(assocScratch) }}
 // Associate runs the policy for one user and records the assignment.
 //
 // The policy runs off every lock: the domain snapshots the AP views
-// with their per-shard version vector, selector.Select runs lock-free
-// (concurrent requests overlap), and the commit re-validates only the
-// shards the decision touches. A stale snapshot — an AP
-// registered/expired or membership changed mid-selection — re-runs the
-// selection, up to maxSelectRetries times; after that the decision is
-// committed against current state anyway (state mutation stays fully
-// serialized per shard, so staleness can cost optimality but never
-// consistency). A decision inside one shard commits on the domain's
-// single-lock fast path, so disjoint associations scale with the shard
-// count.
+// with its version — one consistent cut — selector.Select runs
+// lock-free (concurrent requests overlap), and the commit, under c.mu
+// like every other mutation, re-validates the version. A stale
+// snapshot — an AP registered/expired or any membership changed
+// mid-selection — re-runs the selection, up to maxSelectRetries times;
+// after that the decision is committed against current state anyway
+// (state mutation stays fully serialized, so staleness can cost
+// optimality but never consistency).
 //
 // A re-association that lands on the user's current AP is a demand
 // refresh, not a move: the believed demand is replaced atomically, but
@@ -824,10 +808,8 @@ func (c *Controller) Associate(user trace.UserID, demandBps float64) (trace.APID
 // AssociateBatch runs the policy once for a group of co-arriving users
 // and commits every placement in one atomic domain commit — S³'s
 // Algorithm 1 distributing a socially-tight clique across APs in a
-// single decision. When the clique's APs span domain shards, the commit
-// takes the deterministic two-phase path (involved shards locked in
-// ascending order, all-or-nothing), so a concurrent association never
-// observes half a clique placed.
+// single decision. The commit is all-or-nothing under the domain lock,
+// so a concurrent association never observes half a clique placed.
 //
 // Requests should carry one entry per user; duplicates beyond the first
 // fall back to individual Associate calls, as do users the batch

@@ -71,11 +71,6 @@ type Config struct {
 	// simulator performs (e.g. an incremental sociality engine learning
 	// from the replay).
 	Observer AssociationObserver
-	// Shards is the association-domain shard count per controller
-	// (<= 1 keeps one shard). The replay is single-threaded, so shards
-	// only change lock granularity, never assignments: domain views are
-	// ID-sorted for any shard count.
-	Shards int
 }
 
 // Assignment records where the simulator placed one session.
@@ -197,7 +192,7 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		d := &ctrlDomain{
 			id:       c,
 			observer: cfg.Observer,
-			dom:      domain.New(domain.Config{Shards: cfg.Shards, Mode: mode}),
+			dom:      domain.New(domain.Config{Mode: mode}),
 		}
 		for _, ap := range aps {
 			if err := d.dom.AddAP(ap.ID, ap.CapacityBps); err != nil {

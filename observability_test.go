@@ -30,9 +30,9 @@ import (
 // docRow matches one metric table row: | `name` | kind | ... |
 var docRow = regexp.MustCompile("(?m)^\\| `([a-z0-9._]+)` \\| (counter|gauge|timer|histogram) \\|")
 
-// dynamicMetric matches the per-shard gauges registered at domain
+// dynamicMetric matches the two size gauges a named domain registers at
 // construction; they are documented as a pattern, not as table rows.
-var dynamicMetric = regexp.MustCompile(`^domain\.[^.]+\.shard\d{2}\.(aps|users)$`)
+var dynamicMetric = regexp.MustCompile(`^domain\.[^.]+\.(aps|users)$`)
 
 // promName is the legal Prometheus metric-name charset.
 var promName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
