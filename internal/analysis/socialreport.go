@@ -1,9 +1,10 @@
 package analysis
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/s3wlan/s3wlan/internal/socialgraph"
@@ -54,7 +55,7 @@ func BuildSocialReport(m *society.Model, threshold float64) (*SocialReport, erro
 	for u := range seen {
 		users = append(users, u)
 	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
+	slices.Sort(users)
 
 	// Build edges from pair statistics only: iterating all O(n²) pairs is
 	// wasteful since θ > threshold requires pair history for any
@@ -71,14 +72,8 @@ func BuildSocialReport(m *society.Model, threshold float64) (*SocialReport, erro
 			top = append(top, PairStrength{A: p.A, B: p.B, Theta: theta})
 		}
 	}
-	sort.Slice(top, func(i, j int) bool {
-		if top[i].Theta != top[j].Theta {
-			return top[i].Theta > top[j].Theta
-		}
-		if top[i].A != top[j].A {
-			return top[i].A < top[j].A
-		}
-		return top[i].B < top[j].B
+	slices.SortFunc(top, func(a, b PairStrength) int {
+		return cmp.Or(cmp.Compare(b.Theta, a.Theta), cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
 	})
 	if len(top) > 10 {
 		top = top[:10]

@@ -1,7 +1,8 @@
 package apps
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
@@ -177,11 +178,8 @@ func (c *Classifier) RealmReport(flows []trace.Flow) (shares []RealmShare, unkno
 		}
 		shares = append(shares, RealmShare{Realm: realm, Bytes: v, Share: share})
 	}
-	sort.Slice(shares, func(i, j int) bool {
-		if shares[i].Bytes != shares[j].Bytes {
-			return shares[i].Bytes > shares[j].Bytes
-		}
-		return shares[i].Realm < shares[j].Realm
+	slices.SortFunc(shares, func(a, b RealmShare) int {
+		return cmp.Or(cmp.Compare(b.Bytes, a.Bytes), cmp.Compare(a.Realm, b.Realm))
 	})
 	if total := classified + unknown; total > 0 {
 		unknownShare = unknown / total

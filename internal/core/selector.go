@@ -531,6 +531,9 @@ func (p *placer) placeClique(members []int) beamCandidate {
 		if need := len(beam) * nAPs * (mi + 1); cap(buf) < need {
 			buf = make([]int, 0, need) // children keep slices of it: never regrown
 		}
+		if need := len(beam) * nAPs; cap(next) < need {
+			next = make([]beamCandidate, 0, need)
+		}
 		for _, cand := range beam {
 			// The AP states after this candidate's earlier placements.
 			copy(cost, base)

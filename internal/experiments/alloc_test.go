@@ -1,0 +1,51 @@
+//go:build !race
+
+// Not under the race detector: its shadow allocations are counted too.
+
+package experiments
+
+import (
+	"runtime"
+	"testing"
+
+	"github.com/s3wlan/s3wlan/internal/core"
+	"github.com/s3wlan/s3wlan/internal/society"
+	"github.com/s3wlan/s3wlan/internal/synth"
+)
+
+// TestSimulateAllocBudget pins what one S³ replay of the small campus's
+// test days (800 sessions) allocates under RunS3Model — the selector's
+// close-friend rows included, training not: the unit a sweep pays once
+// per cell. It measures (go1.24) 1 123 216 B in 9 879 objects (± 3 KB, ± 4),
+// most of the objects Algorithm 1's per-batch graph, clique cover
+// and beam; the ceilings are ≈ 15 % over that. Before the rows were
+// counted, Assigned sized and the sorts' swappers gone the same replay
+// allocated 1 579 984 B in 13 583.
+func TestSimulateAllocBudget(t *testing.T) {
+	campus := synth.DefaultConfig()
+	campus.Users, campus.Buildings, campus.Days = 150, 3, 12
+	d, err := Prepare(campus, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := society.Train(d.Train, d.Profiles, society.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func() {
+		if _, err := d.RunS3Model(model, core.DefaultSelectorConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replay()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	replay()
+	runtime.ReadMemStats(&after)
+	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("%d sessions: %d B, %d objects per replay", len(d.Test.Sessions), bytes, objects)
+	const maxBytes, maxObjects = 1_300_000, 11_400
+	if bytes > maxBytes || objects > maxObjects {
+		t.Errorf("one replay allocates %d B in %d objects, budget %d B in %d", bytes, objects, maxBytes, maxObjects)
+	}
+}

@@ -267,7 +267,6 @@ func (d *Data) runSweep(label string, jobs []sweepJob) error {
 	tasks := make([]runner.Task, len(jobs))
 	vals := make([]float64, len(jobs))
 	for i := range jobs {
-		i := i
 		tasks[i] = runner.Task{
 			Name: jobs[i].name,
 			Run: func(*runner.Ctx) error {

@@ -244,7 +244,6 @@ func Map[I, O any](cfg Config, items []I, f func(*Ctx, I) (O, error)) ([]O, *Rep
 	out := make([]O, len(items))
 	tasks := make([]Task, len(items))
 	for i := range items {
-		i := i
 		tasks[i] = Task{
 			Name: fmt.Sprintf("%s[%d]", cfg.Label, i),
 			Run: func(c *Ctx) error {

@@ -2,9 +2,10 @@ package socialgraph
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
@@ -145,12 +146,8 @@ func (g *Graph) Analyze() Report {
 // TopDegrees returns the n highest-degree vertices, ties broken by ID.
 func (g *Graph) TopDegrees(n int) []trace.UserID {
 	vs := g.Vertices()
-	sort.Slice(vs, func(i, j int) bool {
-		di, dj := g.Degree(vs[i]), g.Degree(vs[j])
-		if di != dj {
-			return di > dj
-		}
-		return vs[i] < vs[j]
+	slices.SortFunc(vs, func(u, v trace.UserID) int {
+		return cmp.Or(cmp.Compare(g.Degree(v), g.Degree(u)), cmp.Compare(u, v))
 	})
 	if n > len(vs) {
 		n = len(vs)

@@ -1,7 +1,8 @@
 package socialgraph
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
@@ -30,7 +31,7 @@ func MaxClique(g *Graph) []trace.UserID {
 	for i, idx := range best {
 		out[i] = s.names[idx]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -73,12 +74,8 @@ func newCliqueSolver(g *Graph, vertices []trace.UserID) *cliqueSolver {
 // vertices come first.
 func greedyColoringOrder(g *Graph, vertices []trace.UserID) []trace.UserID {
 	byDegree := append([]trace.UserID(nil), vertices...)
-	sort.Slice(byDegree, func(i, j int) bool {
-		di, dj := g.Degree(byDegree[i]), g.Degree(byDegree[j])
-		if di != dj {
-			return di > dj
-		}
-		return byDegree[i] < byDegree[j]
+	slices.SortFunc(byDegree, func(u, v trace.UserID) int {
+		return cmp.Or(cmp.Compare(g.Degree(v), g.Degree(u)), cmp.Compare(u, v))
 	})
 	color := make(map[trace.UserID]int, len(vertices))
 	for _, u := range byDegree {
@@ -95,9 +92,7 @@ func greedyColoringOrder(g *Graph, vertices []trace.UserID) []trace.UserID {
 		color[u] = c
 	}
 	out := append([]trace.UserID(nil), byDegree...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return color[out[i]] < color[out[j]]
-	})
+	slices.SortStableFunc(out, func(u, v trace.UserID) int { return cmp.Compare(color[u], color[v]) })
 	return out
 }
 
@@ -219,16 +214,7 @@ func ExtractCliqueCover(g *Graph) [][]trace.UserID {
 // partition, so splicing per-component covers (the incremental engine)
 // and whole-graph extraction agree exactly after canonicalization.
 func SortCover(cover [][]trace.UserID) {
-	sort.Slice(cover, func(i, j int) bool {
-		a, b := cover[i], cover[j]
-		if len(a) != len(b) {
-			return len(a) > len(b)
-		}
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
+	slices.SortFunc(cover, func(a, b []trace.UserID) int {
+		return cmp.Or(cmp.Compare(len(b), len(a)), slices.Compare(a, b))
 	})
 }

@@ -7,7 +7,7 @@ package socialgraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
@@ -83,7 +83,7 @@ func (g *Graph) Vertices() []trace.UserID {
 	for u := range g.adj {
 		out = append(out, u)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -93,7 +93,7 @@ func (g *Graph) Neighbors(u trace.UserID) []trace.UserID {
 	for v := range g.adj[u] {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -160,7 +160,7 @@ func (g *Graph) ConnectedComponents() [][]trace.UserID {
 				}
 			}
 		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps

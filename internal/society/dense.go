@@ -3,6 +3,7 @@ package society
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
@@ -18,30 +19,54 @@ type visit struct {
 // ranked in sorted UserID order, so a pair of ranks compares exactly as
 // the pair of ids does, and the extractors count and sort on integers
 // instead of hashing and comparing two strings per event.
+//
+// An extraction fills, reads and throws away a visit per session, an
+// event per encounter and co-leave, and the counting sort's second
+// buffer; a sweep trains sixteen times over one campus, so a finished
+// dense hands those buffers to the next through densePool.
 type dense struct {
 	users []trace.UserID // rank → id, ascending
 	aps   []trace.APID   // ascending
-	byAP  [][]visit      // parallel to aps
+	byAP  [][]visit      // parallel to aps: slices of visits
+
+	visits            []visit
+	eventBuf, sortBuf []uint64
 }
 
-// newDense regroups the sessions that connect at or after from.
+// densePool lends out released denses for their buffers. A sync.Pool
+// drops its entries at a collection, so an idle dense cannot pin the
+// heap, and concurrent extractions each get their own.
+var densePool = sync.Pool{New: func() any { return new(dense) }}
+
+// release returns d to the pool: d and its event slices are dead from here.
+func (d *dense) release() { densePool.Put(d) }
+
+// newDense regroups the sessions that connect at or after from. The
+// caller releases it.
 func newDense(sessions []trace.Session, from int64) *dense {
 	userRank := make(map[trace.UserID]uint32)
-	apRank := make(map[trace.APID]int)
+	apRank := make(map[trace.APID]int) // an AP's visits first, its rank after
+	n := 0
 	for _, s := range sessions {
 		if s.ConnectAt >= from {
 			userRank[s.User] = 0
-			apRank[s.AP] = 0
+			apRank[s.AP]++
+			n++
 		}
 	}
-	d := &dense{users: sortedKeys(userRank), aps: sortedKeys(apRank)}
+	d := densePool.Get().(*dense)
+	d.users, d.aps = sortedKeys(userRank), sortedKeys(apRank)
 	for r, u := range d.users {
 		userRank[u] = uint32(r)
 	}
+	// One array holds every group, each at the capacity just counted.
+	d.visits = slices.Grow(d.visits[:0], n)
+	visits := d.visits[:n]
+	d.byAP = slices.Grow(d.byAP[:0], len(d.aps))[:len(d.aps)]
 	for r, ap := range d.aps {
+		d.byAP[r], visits = visits[:0:apRank[ap]], visits[apRank[ap]:]
 		apRank[ap] = r
 	}
-	d.byAP = make([][]visit, len(d.aps))
 	for _, s := range sessions {
 		if s.ConnectAt >= from {
 			a := apRank[s.AP]
@@ -80,7 +105,7 @@ func pairEvent(a, b uint32, kind uint64) uint64 {
 // encounters lists one event per two sessions of different users on one
 // AP that overlap by at least minOverlap seconds, unsorted.
 func (d *dense) encounters(minOverlap int64) []uint64 {
-	var events []uint64
+	events := d.eventBuf[:0]
 	for _, g := range d.byAP {
 		slices.SortFunc(g, func(x, y visit) int { return cmp.Compare(x.connect, y.connect) })
 		for i := range g {
@@ -100,6 +125,7 @@ func (d *dense) encounters(minOverlap int64) []uint64 {
 			}
 		}
 	}
+	d.eventBuf = events
 	return events
 }
 
@@ -132,6 +158,7 @@ func (d *dense) events(minOverlap, window int64) []uint64 {
 		g := d.byAP[ap]
 		events = append(events, pairEvent(g[first].rank, g[second].rank, eventCoLeave))
 	})
+	d.eventBuf = events
 	d.sortEvents(events)
 	return events
 }
@@ -142,7 +169,8 @@ func (d *dense) events(minOverlap, window int64) []uint64 {
 // a campus's million events in linear time where a comparison sort spent
 // a quarter of Train.
 func (d *dense) sortEvents(events []uint64) {
-	tmp := make([]uint64, len(events))
+	d.sortBuf = slices.Grow(d.sortBuf[:0], len(events))
+	tmp := d.sortBuf[:len(events)]
 	countingPass(tmp, events, 2*len(d.users), 0, 1<<33-1)
 	countingPass(events, tmp, len(d.users), 33, 1<<31-1)
 }

@@ -1,6 +1,7 @@
 package society
 
 import (
+	"cmp"
 	"math"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
@@ -18,6 +19,9 @@ func MakePair(u, v trace.UserID) Pair {
 	}
 	return Pair{A: u, B: v}
 }
+
+// compare orders pairs by (A, B).
+func (p Pair) compare(q Pair) int { return cmp.Or(cmp.Compare(p.A, q.A), cmp.Compare(p.B, q.B)) }
 
 // Other returns the pair member that is not u (or "" if u is not in the
 // pair).
@@ -47,6 +51,7 @@ type CoLeaveEvent struct {
 // pairs independently per leaving. Self-pairs are excluded.
 func ExtractCoLeavings(sessions []trace.Session, windowSeconds int64) []CoLeaveEvent {
 	d := newDense(sessions, math.MinInt64)
+	defer d.release()
 	var out []CoLeaveEvent
 	d.eachCoLeave(windowSeconds, func(ap, first, second int) {
 		g := d.byAP[ap]
@@ -65,6 +70,7 @@ func ExtractCoLeavings(sessions []trace.Session, windowSeconds int64) []CoLeaveE
 // certain period of time").
 func ExtractEncounters(sessions []trace.Session, minOverlapSeconds int64) map[Pair]int {
 	d := newDense(sessions, math.MinInt64)
+	defer d.release()
 	events := d.encounters(minOverlapSeconds)
 	d.sortEvents(events)
 	out := make(map[Pair]int)
@@ -79,6 +85,7 @@ func ExtractEncounters(sessions []trace.Session, minOverlapSeconds int64) map[Pa
 // statistic behind the paper's Fig. 5. Users with no leavings are absent.
 func CoLeaveFractionPerUser(sessions []trace.Session, windowSeconds int64) map[trace.UserID]float64 {
 	d := newDense(sessions, math.MinInt64)
+	defer d.release()
 	co := make([][]bool, len(d.byAP)) // per AP, per leaving: part of a co-leaving
 	for ap, g := range d.byAP {
 		co[ap] = make([]bool, len(g))

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/apps"
@@ -141,11 +141,12 @@ func Train(tr *trace.Trace, profiles *apps.ProfileStore, cfg Config) (*Model, er
 		_, end := tr.TimeRange()
 		from = end - int64(cfg.HistoryDays)*86400
 	}
-	d := newDense(tr.Sessions, from)
-	if len(d.users) == 0 {
+	if !slices.ContainsFunc(tr.Sessions, func(s trace.Session) bool { return s.ConnectAt >= from }) {
 		return nil, fmt.Errorf("%w after truncating to %d history days",
 			ErrNoSessions, cfg.HistoryDays)
 	}
+	d := newDense(tr.Sessions, from)
+	defer d.release()
 	events := d.events(cfg.MinEncounterSeconds, cfg.CoLeaveWindowSeconds)
 
 	types, centroids, err := clusterUsers(profiles, cfg)
@@ -158,13 +159,17 @@ func Train(tr *trace.Trace, profiles *apps.ProfileStore, cfg Config) (*Model, er
 	}
 
 	// Below MinEncounters a pair's estimate is noise ("fake social
-	// relationships"): it gets no PairProb entry.
+	// relationships"): it gets no PairProb entry. The maps and the pair
+	// table's rows are sized from this first pass.
 	var nEnc, nCol, nProb int
-	eachPair(events, func(_, _ uint32, encounters, coLeaves int) {
+	degree := make([]int, len(d.users)) // by rank: supported pairs the user is in
+	eachPair(events, func(a, b uint32, encounters, coLeaves int) {
 		if encounters > 0 {
 			nEnc++
 			if encounters >= cfg.MinEncounters {
 				nProb++
+				degree[a]++
+				degree[b]++
 			}
 		}
 		if coLeaves > 0 {
@@ -186,8 +191,10 @@ func Train(tr *trace.Trace, profiles *apps.ProfileStore, cfg Config) (*Model, er
 	// carries over.
 	table, tableRank := newPairTable(d.users, types)
 	remap := make([]uint32, len(d.users))
+	partners := make([]partner, 2*nProb) // every row, each at its final capacity
 	for r, u := range d.users {
 		remap[r] = tableRank[u]
+		table.rows[remap[r]], partners = partners[:0:degree[r]], partners[degree[r]:]
 	}
 	m.pairs = table
 	sums := newTypeSums(len(centroids))
@@ -235,8 +242,8 @@ func clusterUsers(profiles *apps.ProfileStore, cfg Config) (map[trace.UserID]int
 		return nil, nil, ErrNoProfiles
 	}
 	users := profiles.Users()
-	var ids []trace.UserID
-	var points [][]float64
+	ids := make([]trace.UserID, 0, len(users))
+	points := make([][]float64, 0, len(users))
 	for _, u := range users {
 		vec, ok := profiles.ExtendedFeature(u, cfg.TemporalWeight)
 		if !ok {
@@ -282,12 +289,7 @@ func BuildTypeMatrix(encounters, coLeaves map[Pair]int,
 	for p := range encounters {
 		pairs = append(pairs, p)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
+	slices.SortFunc(pairs, Pair.compare)
 	sums := newTypeSums(k)
 	for _, p := range pairs {
 		sums.add(userType(types, p.A), userType(types, p.B), encounters[p], coLeaves[p])

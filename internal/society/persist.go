@@ -2,11 +2,12 @@ package society
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 
 	"github.com/s3wlan/s3wlan/internal/atomicfile"
 	"github.com/s3wlan/s3wlan/internal/trace"
@@ -152,15 +153,8 @@ func (m *Model) TopPairs(n int) []Pair {
 	for p := range m.PairProb {
 		pairs = append(pairs, p)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		pi, pj := m.PairProb[pairs[i]], m.PairProb[pairs[j]]
-		if pi != pj {
-			return pi > pj
-		}
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
+	slices.SortFunc(pairs, func(p, q Pair) int {
+		return cmp.Or(cmp.Compare(m.PairProb[q], m.PairProb[p]), p.compare(q))
 	})
 	if n > len(pairs) {
 		n = len(pairs)

@@ -1,7 +1,6 @@
 package society
 
 import (
-	"cmp"
 	"slices"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
@@ -61,7 +60,7 @@ func (m *Model) tableFromMaps() *pairTable {
 			pairs, paired = append(pairs, p), append(paired, p.A, p.B)
 		}
 	}
-	slices.SortFunc(pairs, func(x, y Pair) int { return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B)) })
+	slices.SortFunc(pairs, Pair.compare)
 	t, rank := newPairTable(paired, m.Types)
 	for _, p := range pairs {
 		t.add(rank[p.A], rank[p.B], m.PairProb[p])
@@ -97,23 +96,27 @@ func (m *Model) CloseFriendRows(threshold float64) (users []trace.UserID, start 
 		}
 	}
 
-	start = make([]int, len(t.users)+1)
-	for u, row := range t.rows {
-		tu := t.typeOf[u]
-		typed := tu >= 0 && tu < k
-		consider := func(v uint32, th float64) {
-			if tv := t.typeOf[v]; typed && tv >= 0 && tv < k {
-				th += prior[tu*k+tv]
+	// each calls f(u, v, θ(u, v)) for every relation above threshold, in
+	// row order. It runs twice — once to size the rows, once to fill them
+	// — so the caller's slices are allocated once, at their final length.
+	each := func(f func(u int, v uint32, th float64)) {
+		for u, row := range t.rows {
+			tu := t.typeOf[u]
+			typed := tu >= 0 && tu < k
+			consider := func(v uint32, th float64) {
+				if tv := t.typeOf[v]; typed && tv >= 0 && tv < k {
+					th += prior[tu*k+tv]
+				}
+				if th > threshold {
+					f(u, v, th)
+				}
 			}
-			if th > threshold {
-				friends, theta = append(friends, t.users[v]), append(theta, th)
+			if !typed || !crosses[tu] {
+				for _, p := range row {
+					consider(p.rank, p.prob)
+				}
+				continue
 			}
-		}
-		if !typed || !crosses[tu] {
-			for _, p := range row {
-				consider(p.rank, p.prob)
-			}
-		} else {
 			for v := range uint32(len(t.users)) {
 				switch {
 				case int(v) == u:
@@ -125,7 +128,16 @@ func (m *Model) CloseFriendRows(threshold float64) (users []trace.UserID, start 
 				}
 			}
 		}
-		start[u+1] = len(friends)
 	}
+	start = make([]int, len(t.users)+1)
+	each(func(u int, _ uint32, _ float64) { start[u+1]++ })
+	for u := range t.users {
+		start[u+1] += start[u]
+	}
+	n := start[len(t.users)]
+	friends, theta = make([]trace.UserID, 0, n), make([]float64, 0, n)
+	each(func(_ int, v uint32, th float64) {
+		friends, theta = append(friends, t.users[v]), append(theta, th)
+	})
 	return t.users, start, friends, theta
 }

@@ -1,8 +1,11 @@
 package society
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/apps"
@@ -167,4 +170,91 @@ func TestTrainReproducible(t *testing.T) {
 			t.Fatalf("run %d: models differ", run)
 		}
 	}
+}
+
+// TestTrainScratchReuseBitIdentical: Train's pooled buffers carry nothing
+// from one training into the next. A sweep's sequence of windows — long
+// after short after long, two co-leave intervals, a window that holds no
+// session in the middle — is trained in one process and then from four
+// goroutines at once, and every model must equal the first one its config
+// produced, maps, matrix, pair table and close-friend rows.
+func TestTrainScratchReuseBitIdentical(t *testing.T) {
+	tr, profiles := smallCampus(t)
+	// One three-day session and a one-day history: the window opens after
+	// the only connect, so Train returns before it borrows a scratch.
+	empty := &trace.Trace{Sessions: []trace.Session{{User: "u", AP: "ap", DisconnectAt: 3 * 86400}}}
+
+	type training struct {
+		tr      *trace.Trace
+		history int
+		window  int64
+	}
+	var seq []training
+	for _, window := range []int64{60, 1200} {
+		seq = append(seq, training{tr, 0, window}, training{tr, 1, window},
+			training{empty, 1, window}, training{tr, 15, window}, training{tr, 0, window})
+	}
+	type rows struct {
+		Users   []trace.UserID
+		Start   []int
+		Friends []trace.UserID
+		Theta   []float64
+	}
+	train := func(tc training) (*Model, rows, error) {
+		cfg := DefaultConfig()
+		cfg.HistoryDays, cfg.CoLeaveWindowSeconds = tc.history, tc.window
+		m, err := Train(tc.tr, profiles, cfg)
+		if err != nil {
+			return nil, rows{}, err
+		}
+		var r rows
+		r.Users, r.Start, r.Friends, r.Theta = m.CloseFriendRows(0.3)
+		return m, r, nil
+	}
+
+	wantModel, wantRows := make(map[training]*Model), make(map[training]rows)
+	check := func(who string) {
+		for i, tc := range seq {
+			m, r, err := train(tc)
+			if tc.tr == empty {
+				if !errors.Is(err, ErrNoSessions) {
+					t.Errorf("%s step %d: empty window: err = %v, want ErrNoSessions", who, i, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s step %d: %v", who, i, err)
+				continue
+			}
+			if who == "first pass" {
+				if _, seen := wantModel[tc]; !seen {
+					wantModel[tc], wantRows[tc] = m, r
+					continue
+				}
+			}
+			if !reflect.DeepEqual(m, wantModel[tc]) {
+				t.Errorf("%s step %d (history %d, window %d): model differs from the config's first", who, i, tc.history, tc.window)
+			}
+			if !reflect.DeepEqual(r, wantRows[tc]) {
+				t.Errorf("%s step %d (history %d, window %d): close-friend rows differ from the config's first", who, i, tc.history, tc.window)
+			}
+		}
+	}
+	check("first pass")
+	if len(wantModel) != 6 || len(wantRows[seq[0]].Friends) == 0 {
+		t.Fatalf("%d reference models, %d close friends in the first: nothing to compare", len(wantModel), len(wantRows[seq[0]].Friends))
+	}
+	if a, b := wantModel[seq[0]], wantModel[seq[5]]; reflect.DeepEqual(a.CoLeaves, b.CoLeaves) {
+		t.Fatal("the two co-leave windows count the same co-leaves: the sequence cannot see a stale event list")
+	}
+	check("second pass")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check(fmt.Sprintf("goroutine %d", g))
+		}()
+	}
+	wg.Wait()
 }

@@ -1,12 +1,13 @@
 package synth
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/apps"
@@ -136,12 +137,11 @@ func Generate(cfg Config) (*trace.Trace, *GroundTruth, error) {
 	obsFlows.Add(int64(len(flows)))
 	tr := &trace.Trace{Topology: topo, Sessions: assigned, Flows: flows}
 	tr.SortSessions()
-	sort.Slice(tr.Flows, func(i, j int) bool {
-		a, b := tr.Flows[i], tr.Flows[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
+	slices.SortFunc(tr.Flows, func(a, b trace.Flow) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return a.User < b.User
+		return cmp.Compare(a.User, b.User)
 	})
 	return tr, truth, nil
 }
@@ -253,7 +253,7 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 	for u := range truth.UserArchetype {
 		allUsers = append(allUsers, u)
 	}
-	sort.Slice(allUsers, func(i, j int) bool { return allUsers[i] < allUsers[j] })
+	slices.Sort(allUsers)
 
 	// Per-user stable personality: a demand multiplier and a personal
 	// application mixture (the archetype mix perturbed per realm). The

@@ -41,8 +41,8 @@ func BinLoads(sessions []Session, apOrder []APID, start, end, binSeconds int64) 
 
 func addSessionToBins(loads [][]float64, apCol int, s Session, start, end, binSeconds int64) {
 	// Clip the session to the observation window.
-	from := max64(s.ConnectAt, start)
-	to := min64(s.DisconnectAt, end)
+	from := max(s.ConnectAt, start)
+	to := min(s.DisconnectAt, end)
 	dur := s.Duration()
 	if dur <= 0 {
 		// Point session: all volume lands in its connect bin if visible.
@@ -59,7 +59,7 @@ func addSessionToBins(loads [][]float64, apCol int, s Session, start, end, binSe
 	for t := from; t < to; {
 		bin := int((t - start) / binSeconds)
 		binEnd := start + int64(bin+1)*binSeconds
-		seg := min64(binEnd, to) - t
+		seg := min(binEnd, to) - t
 		loads[bin][apCol] += rate * float64(seg)
 		t += seg
 	}
@@ -89,8 +89,8 @@ func ConcurrentUsers(sessions []Session, apOrder []APID, start, end, binSeconds 
 		if !ok {
 			continue
 		}
-		from := max64(s.ConnectAt, start)
-		to := min64(s.DisconnectAt, end)
+		from := max(s.ConnectAt, start)
+		to := min(s.DisconnectAt, end)
 		if to < from {
 			continue
 		}

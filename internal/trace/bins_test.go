@@ -101,8 +101,8 @@ func TestBinLoadsConservation(t *testing.T) {
 				DisconnectAt: start + dur, Bytes: bytes}
 			sessions = append(sessions, s)
 			// Expected contribution: clipped fraction of the volume.
-			from := max64(start, winStart)
-			to := min64(start+dur, winEnd)
+			from := max(start, winStart)
+			to := min(start+dur, winEnd)
 			if to > from {
 				wantTotal += float64(bytes) * float64(to-from) / float64(dur)
 			}

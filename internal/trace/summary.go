@@ -2,7 +2,7 @@ package trace
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -62,7 +62,7 @@ func (s Summary) String() string {
 	for c := range s.SessionsPerController {
 		ctls = append(ctls, c)
 	}
-	sort.Slice(ctls, func(i, j int) bool { return ctls[i] < ctls[j] })
+	slices.Sort(ctls)
 	for _, c := range ctls {
 		fmt.Fprintf(&sb, "  %s: %d sessions\n", c, s.SessionsPerController[c])
 	}

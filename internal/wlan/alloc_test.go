@@ -1,0 +1,42 @@
+//go:build !race
+
+// Not under the race detector: its shadow allocations are counted too.
+
+package wlan
+
+import (
+	"runtime"
+	"testing"
+
+	"github.com/s3wlan/s3wlan/internal/trace"
+)
+
+// TestSimulateAllocBudget pins what one replay of the 10 000-session
+// bench trace under LLF allocates: the sorted copy of the sessions, each
+// domain's Assigned at its final size, the event queue (still grown by
+// append: eventsim has no way to be told a count) and one three-word
+// closure per departure. It measures (go1.24) 2 985 592 B in 10 288
+// objects (± a few); the ceilings are ≈ 15 % over that. With Assigned
+// growing by append, a closure per arrival batch and a map or two per
+// batch, the same replay allocated 6 526 984 B in 20 220.
+func TestSimulateAllocBudget(t *testing.T) {
+	tr := benchTrace(10000)
+	simulate := func() {
+		if _, err := Simulate(tr, Config{
+			SelectorFor: func(trace.ControllerID, []trace.AP) Selector { return llf{} },
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	simulate()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	simulate()
+	runtime.ReadMemStats(&after)
+	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("%d B, %d objects per replay", bytes, objects)
+	const maxBytes, maxObjects = 3_430_000, 11_800
+	if bytes > maxBytes || objects > maxObjects {
+		t.Errorf("one replay allocates %d B in %d objects, budget %d B in %d", bytes, objects, maxBytes, maxObjects)
+	}
+}

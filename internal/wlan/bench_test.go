@@ -36,6 +36,7 @@ func benchTrace(nSessions int) *trace.Trace {
 
 func BenchmarkSimulate10k(b *testing.B) {
 	tr := benchTrace(10000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Simulate(tr, Config{

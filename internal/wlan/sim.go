@@ -1,9 +1,10 @@
 package wlan
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/domain"
@@ -130,7 +131,7 @@ func (r *Result) Controllers() []trace.ControllerID {
 	for c := range r.Domains {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -148,6 +149,11 @@ type ctrlDomain struct {
 	// the batch snapshot is last read by SelectBatch, before the first
 	// per-session snapshot overwrites it.
 	views domain.ViewBuf
+	// reqs is handleBatch's request list, reused likewise: SelectBatch
+	// does not keep it.
+	reqs []Request
+	// arrivals counts the sessions scheduled for this controller.
+	arrivals int
 }
 
 // Simulate replays the trace's sessions through the association policies.
@@ -193,11 +199,13 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 			id:       c,
 			observer: cfg.Observer,
 			dom:      domain.New(domain.Config{Mode: mode}),
+			result:   &DomainResult{Controller: c, APs: make([]trace.APID, 0, len(aps))},
 		}
 		for _, ap := range aps {
 			if err := d.dom.AddAP(ap.ID, ap.CapacityBps); err != nil {
 				return nil, fmt.Errorf("wlan: controller %q: %v", c, err)
 			}
+			d.result.APs = append(d.result.APs, ap.ID)
 		}
 		d.selector = cfg.SelectorFor(c, aps)
 		if d.selector == nil {
@@ -205,10 +213,6 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		}
 		if res.Policy == "" {
 			res.Policy = d.selector.Name()
-		}
-		d.result = &DomainResult{Controller: c}
-		for _, ap := range aps {
-			d.result.APs = append(d.result.APs, ap.ID)
 		}
 		res.Domains[c] = d.result
 		domains[c] = d
@@ -219,19 +223,13 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 
 	// Order sessions deterministically and group co-arrivals per
 	// controller within the batch window.
-	sessions := append([]trace.Session(nil), tr.Sessions...)
-	sort.Slice(sessions, func(i, j int) bool {
-		a, b := sessions[i], sessions[j]
-		if a.ConnectAt != b.ConnectAt {
-			return a.ConnectAt < b.ConnectAt
+	sessions := slices.Clone(tr.Sessions)
+	slices.SortFunc(sessions, func(a, b trace.Session) int {
+		if c := cmp.Compare(a.ConnectAt, b.ConnectAt); c != 0 {
+			return c // nearly always: the strings are compared on ties only
 		}
-		if a.Controller != b.Controller {
-			return a.Controller < b.Controller
-		}
-		if a.User != b.User {
-			return a.User < b.User
-		}
-		return a.DisconnectAt < b.DisconnectAt
+		return cmp.Or(cmp.Compare(a.Controller, b.Controller),
+			cmp.Compare(a.User, b.User), cmp.Compare(a.DisconnectAt, b.DisconnectAt))
 	})
 
 	engine := eventsim.New(start)
@@ -264,9 +262,6 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	for _, d := range domains {
 		for _, apID := range d.dom.APs() {
 			for _, f := range failures[apID] {
-				apID := apID
-				f := f
-				d := d
 				if err := engine.ScheduleAt(f.From, func(e *eventsim.Engine) {
 					evicted := d.dom.SetFailed(apID, true)
 					truncateSessions(d, apID, evicted, e.Now())
@@ -282,29 +277,40 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Schedule arrivals batch by batch.
-	for i := 0; i < len(sessions); {
+	// Schedule arrivals batch by batch. Neither their times nor their
+	// sequence numbers ever decrease, so they fire in the order they are
+	// scheduled: one handler walks the batches with a cursor, where a
+	// closure per batch would carry its own bounds.
+	batchEnd := func(i int) int {
 		j := i + 1
-		first := sessions[i]
-		for j < len(sessions) &&
-			sessions[j].Controller == first.Controller &&
-			sessions[j].ConnectAt-first.ConnectAt <= cfg.BatchWindowSeconds {
+		for j < len(sessions) && sessions[j].Controller == sessions[i].Controller &&
+			sessions[j].ConnectAt-sessions[i].ConnectAt <= cfg.BatchWindowSeconds {
 			j++
 		}
-		batch := sessions[i:j]
-		d, ok := domains[first.Controller]
+		return j
+	}
+	next := 0
+	arrive := func(e *eventsim.Engine) {
+		batch := sessions[next:batchEnd(next)]
+		next += len(batch)
+		if err := handleBatch(e, domains[batch[0].Controller], batch, cfg); err != nil {
+			fail(err)
+		}
+	}
+	for i, j := 0, 0; i < len(sessions); i = j {
+		j = batchEnd(i)
+		d, ok := domains[sessions[i].Controller]
 		if !ok {
 			return nil, fmt.Errorf("wlan: session for unknown controller %q",
-				first.Controller)
+				sessions[i].Controller)
 		}
-		if err := engine.ScheduleAt(first.ConnectAt, func(e *eventsim.Engine) {
-			if err := handleBatch(e, d, batch, cfg); err != nil {
-				fail(err)
-			}
-		}); err != nil {
+		d.arrivals += j - i
+		if err := engine.ScheduleAt(sessions[i].ConnectAt, arrive); err != nil {
 			return nil, err
 		}
-		i = j
+	}
+	for _, d := range domains {
+		d.result.Assigned = make([]Assignment, 0, d.arrivals) // each is placed once
 	}
 
 	engine.Run()
@@ -348,29 +354,26 @@ func handleBatch(e *eventsim.Engine, d *ctrlDomain, batch []trace.Session, cfg C
 			d.id, e.Now())
 	}
 
-	placed := make(map[trace.UserID]trace.APID)
+	var placed map[trace.UserID]trace.APID // nil: every session decided on arrival
 	if bs, ok := d.selector.(BatchSelector); ok && len(batch) > 1 {
 		// One request per user: a user opening several sessions inside the
 		// batch window joins the joint decision once; their extra sessions
 		// fall through to the per-arrival path below.
-		reqs := make([]Request, 0, len(batch))
-		seen := make(map[trace.UserID]bool, len(batch))
+		d.reqs = d.reqs[:0]
 		for _, s := range batch {
-			if seen[s.User] {
+			if slices.ContainsFunc(d.reqs, func(r Request) bool { return r.User == s.User }) {
 				continue
 			}
-			seen[s.User] = true
-			reqs = append(reqs, Request{
+			d.reqs = append(d.reqs, Request{
 				User:      s.User,
 				At:        s.ConnectAt,
 				DemandBps: cfg.DemandFor(s),
 			})
 		}
-		m, err := bs.SelectBatch(reqs, views)
-		if err != nil {
+		var err error
+		if placed, err = bs.SelectBatch(d.reqs, views); err != nil {
 			return fmt.Errorf("wlan: batch select on %q: %w", d.id, err)
 		}
-		placed = m
 	}
 
 	for _, s := range batch {
@@ -417,20 +420,18 @@ func (d *ctrlDomain) place(e *eventsim.Engine, s trace.Session, apID trace.APID,
 		d.observer.Connect(s.User, apID, s.ConnectAt)
 	}
 	idx := len(d.result.Assigned) - 1
-	departAt := s.DisconnectAt
-	if departAt < e.Now() {
-		departAt = e.Now()
-	}
-	return e.ScheduleAt(departAt, func(en *eventsim.Engine) {
+	// The departure reads the session back from its assignment: a closure
+	// over (d, idx, demand) is a third the size of one over s and apID.
+	return e.ScheduleAt(max(s.DisconnectAt, e.Now()), func(en *eventsim.Engine) {
 		// The assignment may have been truncated by a failure; only
 		// release if the user is still on this AP.
-		a := d.result.Assigned[idx]
+		a := &d.result.Assigned[idx]
 		if a.Session.DisconnectAt < en.Now() {
 			return // already released (and observed) by failure truncation
 		}
 		if d.observer != nil {
-			_ = d.observer.Disconnect(s.User, apID, en.Now())
+			_ = d.observer.Disconnect(a.Session.User, a.AP, en.Now())
 		}
-		d.dom.Leave(s.User, apID, demand)
+		d.dom.Leave(a.Session.User, a.AP, demand)
 	})
 }

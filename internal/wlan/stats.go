@@ -1,8 +1,9 @@
 package wlan
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
@@ -59,18 +60,13 @@ func (r *Result) Stats() RunStats {
 			st.BusiestAP, st.BusiestAPCount = ap, n
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].at != edges[j].at {
-			return edges[i].at < edges[j].at
-		}
-		return edges[i].delta < edges[j].delta // departures first on ties
+	slices.SortFunc(edges, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.delta, b.delta)) // departures first on ties
 	})
 	cur := 0
 	for _, e := range edges {
 		cur += e.delta
-		if cur > st.PeakConcurrency {
-			st.PeakConcurrency = cur
-		}
+		st.PeakConcurrency = max(st.PeakConcurrency, cur)
 	}
 	return st
 }
