@@ -35,11 +35,11 @@ func main() {
 // writeDOT renders the model's θ-graph to a Graphviz file.
 func writeDOT(path string, model *society.Model, threshold float64) (err error) {
 	g := socialgraph.New()
-	for p := range model.PairProb {
-		if theta := model.Index(p.A, p.B); theta > threshold {
-			g.AddEdge(p.A, p.B, theta)
+	model.EachPair(func(p society.PairStat) {
+		if p.Supported && model.Index(p.A, p.B) > threshold {
+			g.AddEdge(p.A, p.B, model.Index(p.A, p.B))
 		}
-	}
+	})
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -142,7 +142,7 @@ func run(args []string, out io.Writer) (err error) {
 			return err
 		}
 		fmt.Fprintf(out, "trained on %d sessions: %d pair relationships, %d usage types\n",
-			len(tr.Sessions), len(model.PairProb), model.K())
+			len(tr.Sessions), model.NumPairs(), model.K())
 		fmt.Fprintf(out, "wrote %s\n", *outPath)
 		return nil
 
@@ -152,7 +152,7 @@ func run(args []string, out io.Writer) (err error) {
 			return err
 		}
 		fmt.Fprintf(out, "model: %d pair relationships, %d usage types, α=%.2f\n",
-			len(model.PairProb), model.K(), model.Alpha)
+			model.NumPairs(), model.K(), model.Alpha)
 		report, err := analysis.BuildSocialReport(model, *threshold)
 		if err != nil {
 			return err

@@ -34,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("learned %d close pair relationships across %d usage types\n",
-		len(model.PairProb), model.K())
+		model.NumPairs(), model.K())
 
 	selector, err := s3wlan.NewSelector(model, s3wlan.DefaultSelectorConfig())
 	if err != nil {

@@ -42,42 +42,29 @@ func BuildSocialReport(m *society.Model, threshold float64) (*SocialReport, erro
 	if threshold <= 0 {
 		threshold = 0.3
 	}
-	// Users: anyone appearing in pair statistics or typed.
-	seen := make(map[trace.UserID]bool)
-	for p := range m.PairProb {
-		seen[p.A] = true
-		seen[p.B] = true
-	}
-	for u := range m.Types {
-		seen[u] = true
-	}
-	users := make([]trace.UserID, 0, len(seen))
-	for u := range seen {
-		users = append(users, u)
-	}
-	slices.Sort(users)
-
-	// Build edges from pair statistics only: iterating all O(n²) pairs is
-	// wasteful since θ > threshold requires pair history for any
-	// realistic α·T.
+	// Users: anyone in a supported pair or typed. Edges come from pair
+	// statistics only: iterating all O(n²) pairs is wasteful since
+	// θ > threshold requires pair history for any realistic α·T.
 	g := socialgraph.New()
-	for _, u := range users {
+	for u := range m.Types {
 		g.AddVertex(u)
 	}
 	var top []PairStrength
-	for p := range m.PairProb {
-		theta := m.Index(p.A, p.B)
-		if theta > threshold {
+	m.EachPair(func(p society.PairStat) {
+		if !p.Supported {
+			return
+		}
+		g.AddVertex(p.A)
+		g.AddVertex(p.B)
+		if theta := m.Index(p.A, p.B); theta > threshold {
 			g.AddEdge(p.A, p.B, theta)
 			top = append(top, PairStrength{A: p.A, B: p.B, Theta: theta})
 		}
-	}
+	})
 	slices.SortFunc(top, func(a, b PairStrength) int {
 		return cmp.Or(cmp.Compare(b.Theta, a.Theta), cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
 	})
-	if len(top) > 10 {
-		top = top[:10]
-	}
+	top = top[:min(10, len(top))]
 	return &SocialReport{
 		Threshold:       threshold,
 		Graph:           g.Analyze(),

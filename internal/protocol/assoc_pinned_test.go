@@ -58,12 +58,13 @@ func (s dropFromBatch) SelectBatch(reqs []wlan.Request, aps []wlan.APView) (map[
 // the journal's records (Prev included) and recovery from them; and the
 // users the batch places singly fare exactly as under Associate.
 func TestAssociateBatchLifecyclePinned(t *testing.T) {
-	model := &society.Model{
-		PairProb: map[society.Pair]float64{
-			society.MakePair("u-fresh", "u-move"): 0.9,
-			society.MakePair("u-fresh", "u-stay"): 0.8,
-			society.MakePair("u-move", "u-stay"):  0.85,
-		},
+	model, err := society.NewModel([]society.PairStat{
+		{Pair: society.MakePair("u-fresh", "u-move"), Prob: 0.9, Supported: true},
+		{Pair: society.MakePair("u-fresh", "u-stay"), Prob: 0.8, Supported: true},
+		{Pair: society.MakePair("u-move", "u-stay"), Prob: 0.85, Supported: true},
+	}, nil, nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	s3, err := core.NewSelector(model, core.DefaultSelectorConfig())
 	if err != nil {

@@ -19,6 +19,7 @@ import (
 	"github.com/s3wlan/s3wlan/internal/journal"
 	"github.com/s3wlan/s3wlan/internal/obs"
 	"github.com/s3wlan/s3wlan/internal/socialgraph"
+	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/society/incremental"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
@@ -106,9 +107,12 @@ func TestJournalCrashRecoveryRoundtrip(t *testing.T) {
 // incremental engines layer by layer.
 func engineSnapshotsMatch(t *testing.T, tag string, a, b *incremental.Snapshot) {
 	t.Helper()
-	if !reflect.DeepEqual(a.Model().PairProb, b.Model().PairProb) {
-		t.Fatalf("%s: pair probabilities diverged:\na: %v\nb: %v",
-			tag, a.Model().PairProb, b.Model().PairProb)
+	pairs := func(s *incremental.Snapshot) (ps []society.PairStat) {
+		s.Model().EachPair(func(p society.PairStat) { ps = append(ps, p) })
+		return ps
+	}
+	if !reflect.DeepEqual(pairs(a), pairs(b)) {
+		t.Fatalf("%s: pair probabilities diverged:\na: %v\nb: %v", tag, pairs(a), pairs(b))
 	}
 	ag, bg := a.Graph(), b.Graph()
 	if ag.NumVertices() != bg.NumVertices() || ag.NumEdges() != bg.NumEdges() {
@@ -165,7 +169,7 @@ func crashedObserverScenario(t *testing.T, dir string, now func() int64) *increm
 		t.Fatal(err)
 	}
 	engA.Refresh()
-	if len(engA.Snapshot().Model().PairProb) == 0 {
+	if engA.Snapshot().Model().NumPairs() == 0 {
 		t.Fatal("test vacuous: engine learned no pair statistics")
 	}
 	return engA

@@ -188,7 +188,11 @@ func TestLLFBalancesStations(t *testing.T) {
 func TestS3DispersesFriendsOverTCP(t *testing.T) {
 	// Two tight friends and an unrelated user: the S³ controller must put
 	// the friends on different APs.
-	model := &society.Model{PairProb: map[society.Pair]float64{society.MakePair("alice", "bob"): 0.9}}
+	model, err := society.NewModel([]society.PairStat{
+		{Pair: society.MakePair("alice", "bob"), Prob: 0.9, Supported: true}}, nil, nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sel, err := core.NewSelector(model, core.DefaultSelectorConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -398,19 +402,22 @@ func TestOnlineLearnerIntegration(t *testing.T) {
 	}
 	// Disassociations are handled asynchronously; wait for the second,
 	// which is the one that tallies the co-leaving.
-	p := society.MakePair("a", "b")
+	coLeaves := func() int {
+		_, n := learner.Model().Counts("a", "b")
+		return n
+	}
 	deadline := time.Now().Add(testTimeout)
-	for learner.Model().CoLeaves[p] == 0 {
+	for coLeaves() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("learner did not settle: no co-leaving recorded")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	m := learner.Model()
-	if m.Encounters[p] == 0 {
+	enc, col := learner.Model().Counts("a", "b")
+	if enc == 0 {
 		t.Error("learner should have recorded the encounter")
 	}
-	if m.CoLeaves[p] == 0 {
+	if col == 0 {
 		t.Error("learner should have recorded the co-leaving")
 	}
 }

@@ -27,21 +27,22 @@ func allocsOf(f func()) (bytes, objects uint64) {
 }
 
 // TestTrainAllocBudget pins what one warmed training of the small campus
-// allocates: what it keeps (the three exported maps, the pair table, the
-// types) plus the rank maps and k-means; the visits, the event list and
-// the sort buffer come from the pool. It measures (go1.24) 916 816 B in
-// 493 objects with 15 days of history and 1 146 352 B in 501 with the full
-// window, the same every run; the ceilings are ≈ 15 % over that. Before
-// the buffers were sized from counts and pooled the same trainings
-// allocated 2 273 184 B in 4 195 objects and 2 909 248 B in 4 267.
+// allocates: what it keeps (the pair table, the user ranks, the types)
+// plus k-means; the visits, the event list and the sort buffer come from
+// the pool. It measures (go1.24) 231 752 B in 443 objects with 15 days of
+// history and 256 328 B in 443 with the full window, the same every run;
+// the ceilings are ≈ 15 % over that. While Model exported three maps over
+// pairs beside the table the same trainings allocated 916 816 B in 493
+// objects and 1 146 352 B in 501; before the buffers were sized from
+// counts and pooled, 2 273 184 B in 4 195 objects and 2 909 248 B in 4 267.
 func TestTrainAllocBudget(t *testing.T) {
 	tr, profiles := smallCampus(t)
 	for _, tc := range []struct {
 		history              int
 		maxBytes, maxObjects uint64
 	}{
-		{15, 1_055_000, 570},
-		{0, 1_320_000, 580},
+		{15, 266_000, 510},
+		{0, 295_000, 510},
 	} {
 		cfg := DefaultConfig()
 		cfg.HistoryDays = tc.history

@@ -67,3 +67,53 @@ func BenchmarkTrain(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkModelIndex is one θ look-up on the default campus's full-window
+// model — two rank look-ups and a binary search in one row — for a
+// supported pair, a pair of known users with no entry, and a user the
+// model has never seen. None may allocate.
+func BenchmarkModelIndex(b *testing.B) {
+	campus := synth.DefaultConfig()
+	full, _, err := synth.Generate(campus)
+	if err != nil {
+		b.Fatal(err)
+	}
+	train, _ := full.SplitAt(campus.Epoch + 28*86400)
+	cfg := DefaultConfig()
+	cfg.HistoryDays = 0
+	m, err := Train(train, apps.BuildProfiles(train.Flows, campus.Epoch, apps.NewClassifier()), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var supported, unsupported Pair
+	m.EachPair(func(p PairStat) {
+		if p.Supported {
+			supported = p.Pair
+		}
+	})
+	users := m.pairs.users
+	for i := 1; i < len(users) && unsupported == (Pair{}); i++ {
+		if e, c := m.Counts(users[0], users[i]); e+c == 0 {
+			unsupported = Pair{users[0], users[i]}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		pair Pair
+	}{{"supported", supported}, {"unsupported", unsupported}, {"unknown", Pair{supported.A, "nobody"}}} {
+		b.Run(tc.name, func(b *testing.B) {
+			if _, ok := m.Prob(tc.pair.A, tc.pair.B); ok != (tc.name == "supported") || tc.pair.A == "" {
+				b.Fatalf("%v: supported %v", tc.pair, ok)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkTheta += m.Index(tc.pair.A, tc.pair.B)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { sinkTheta += m.Index(tc.pair.A, tc.pair.B) }); allocs != 0 {
+				b.Errorf("Index allocates %v times per call", allocs)
+			}
+		})
+	}
+}
+
+var sinkTheta float64

@@ -41,10 +41,11 @@ var densePool = sync.Pool{New: func() any { return new(dense) }}
 // release returns d to the pool: d and its event slices are dead from here.
 func (d *dense) release() { densePool.Put(d) }
 
-// newDense regroups the sessions that connect at or after from. The
-// caller releases it.
-func newDense(sessions []trace.Session, from int64) *dense {
-	userRank := make(map[trace.UserID]uint32)
+// newDense regroups the sessions that connect at or after from, ranking
+// their users together with the typed ones, and returns the ranking too.
+// The caller releases the dense; its users and the ranking are new.
+func newDense(sessions []trace.Session, from int64, types map[trace.UserID]int) (*dense, map[trace.UserID]uint32) {
+	userRank := make(map[trace.UserID]uint32, len(types))
 	apRank := make(map[trace.APID]int) // an AP's visits first, its rank after
 	n := 0
 	for _, s := range sessions {
@@ -55,10 +56,7 @@ func newDense(sessions []trace.Session, from int64) *dense {
 		}
 	}
 	d := densePool.Get().(*dense)
-	d.users, d.aps = sortedKeys(userRank), sortedKeys(apRank)
-	for r, u := range d.users {
-		userRank[u] = uint32(r)
-	}
+	d.users, d.aps = rankUsers(userRank, types), sortedKeys(apRank, cmp.Compare[trace.APID])
 	// One array holds every group, each at the capacity just counted.
 	d.visits = slices.Grow(d.visits[:0], n)
 	visits := d.visits[:n]
@@ -73,15 +71,28 @@ func newDense(sessions []trace.Session, from int64) *dense {
 			d.byAP[a] = append(d.byAP[a], visit{userRank[s.User], s.ConnectAt, s.DisconnectAt})
 		}
 	}
-	return d
+	return d, userRank
 }
 
-func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+// rankUsers adds the typed users to rank's keys (one with no pair still
+// has prior-only relations), ranks the keys in sorted order and returns them.
+func rankUsers(rank map[trace.UserID]uint32, types map[trace.UserID]int) []trace.UserID {
+	for u := range types {
+		rank[u] = 0
+	}
+	users := sortedKeys(rank, cmp.Compare[trace.UserID])
+	for r, u := range users {
+		rank[u] = uint32(r)
+	}
+	return users
+}
+
+func sortedKeys[K comparable, V any](m map[K]V, compare func(a, b K) int) []K {
 	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	slices.Sort(keys)
+	slices.SortFunc(keys, compare)
 	return keys
 }
 
@@ -204,5 +215,3 @@ func eachPair(events []uint64, f func(a, b uint32, encounters, coLeaves int)) {
 		f(uint32(pair>>32), uint32(pair), n[eventEncounter], n[eventCoLeave])
 	}
 }
-
-func (d *dense) pair(a, b uint32) Pair { return Pair{A: d.users[a], B: d.users[b]} }

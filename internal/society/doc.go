@@ -7,19 +7,19 @@
 //
 // Train consumes a recorded trace (the paper's back-end login logs) and
 // produces an immutable Model in one pass; Model is also the serialized
-// form (SaveModel, LoadModel). Use it for offline evaluation and for the
-// periodic re-clustering that assigns user types. It counts an
-// encounter per overlapping session pair (ExtractEncounters) and a
-// co-leaving per pair of session ends inside the window
-// (ExtractCoLeavings), and every figure the repository reproduces is
-// pinned to those counts.
+// form (SaveModel, LoadModel), and NewModel builds one from statistics
+// learned elsewhere. Use it for offline evaluation and for the periodic
+// re-clustering that assigns user types. It counts an encounter per
+// overlapping session pair (ExtractEncounters) and a co-leaving per pair
+// of session ends inside the window (ExtractCoLeavings), and every
+// figure the repository reproduces is pinned to those counts.
 //
-// A selector does not scan an AP's residents with Index: Train keeps the
-// supported pairs in the (A, B) rank order it visits them in, and
-// Model.CloseFriendRows lays the θ > threshold graph out from them as
-// sorted rows, θ alongside, for one α and threshold (core.NewSelector
-// asks once per selector; a model read from disk sorts its PairProb keys
-// instead).
+// A Model keeps its pairs in one table sorted by (A, B) over its users'
+// ranks: Index (θ), Prob and Counts read a pair with two rank look-ups
+// and a binary search, EachPair walks all of them in order. A selector
+// does not scan an AP's residents with Index: Model.CloseFriendRows lays
+// the θ > threshold graph out from the table as sorted rows, θ alongside,
+// for one α and threshold (core.NewSelector asks once per selector).
 //
 // Learning from a live controller's Connect/Disconnect events is the
 // subpackage society/incremental's job, and nothing here has an event

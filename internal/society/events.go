@@ -50,7 +50,7 @@ type CoLeaveEvent struct {
 // a user leaving the same AP twice inside the window (reconnect churn)
 // pairs independently per leaving. Self-pairs are excluded.
 func ExtractCoLeavings(sessions []trace.Session, windowSeconds int64) []CoLeaveEvent {
-	d := newDense(sessions, math.MinInt64)
+	d, _ := newDense(sessions, math.MinInt64, nil)
 	defer d.release()
 	var out []CoLeaveEvent
 	d.eachCoLeave(windowSeconds, func(ap, first, second int) {
@@ -69,13 +69,13 @@ func ExtractCoLeavings(sessions []trace.Session, windowSeconds int64) []CoLeaveE
 // encountering event ("keep the connections with the same AP for a
 // certain period of time").
 func ExtractEncounters(sessions []trace.Session, minOverlapSeconds int64) map[Pair]int {
-	d := newDense(sessions, math.MinInt64)
+	d, _ := newDense(sessions, math.MinInt64, nil)
 	defer d.release()
 	events := d.encounters(minOverlapSeconds)
 	d.sortEvents(events)
 	out := make(map[Pair]int)
 	eachPair(events, func(a, b uint32, encounters, _ int) {
-		out[d.pair(a, b)] = encounters
+		out[Pair{d.users[a], d.users[b]}] = encounters
 	})
 	return out
 }
@@ -84,7 +84,7 @@ func ExtractEncounters(sessions []trace.Session, minOverlapSeconds int64) map[Pa
 // leaving events that participate in at least one co-leaving — the
 // statistic behind the paper's Fig. 5. Users with no leavings are absent.
 func CoLeaveFractionPerUser(sessions []trace.Session, windowSeconds int64) map[trace.UserID]float64 {
-	d := newDense(sessions, math.MinInt64)
+	d, _ := newDense(sessions, math.MinInt64, nil)
 	defer d.release()
 	co := make([][]bool, len(d.byAP)) // per AP, per leaving: part of a co-leaving
 	for ap, g := range d.byAP {

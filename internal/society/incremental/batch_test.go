@@ -103,17 +103,17 @@ func TestLiveTalliesAgainstBatch(t *testing.T) {
 		}
 	}
 
-	live := liveTallies(t, cfg, full)
-	equal("co-leaves, full window", live.CoLeaves, coLeaves(full))
+	_, liveEnc, liveCol := asMaps(liveTallies(t, cfg, full))
+	equal("co-leaves, full window", liveCol, coLeaves(full))
 	batchEnc := society.ExtractEncounters(full, cfg.MinEncounterSeconds)
 	lower := 0
-	for p, n := range live.Encounters {
+	for p, n := range liveEnc {
 		if n > batchEnc[p] {
 			t.Fatalf("encounters, full window: %v live %d > batch %d", p, n, batchEnc[p])
 		}
 	}
 	for p, n := range batchEnc {
-		if live.Encounters[p] < n {
+		if liveEnc[p] < n {
 			lower++
 		}
 	}
@@ -121,9 +121,9 @@ func TestLiveTalliesAgainstBatch(t *testing.T) {
 		t.Error("stacked sessions moved no encounter tally: the two definitions were not told apart")
 	}
 
-	live = liveTallies(t, cfg, flat)
-	equal("co-leaves, unstacked", live.CoLeaves, coLeaves(flat))
-	equal("encounters, unstacked", live.Encounters, society.ExtractEncounters(flat, cfg.MinEncounterSeconds))
+	_, liveEnc, liveCol = asMaps(liveTallies(t, cfg, flat))
+	equal("co-leaves, unstacked", liveCol, coLeaves(flat))
+	equal("encounters, unstacked", liveEnc, society.ExtractEncounters(flat, cfg.MinEncounterSeconds))
 	t.Logf("%d sessions, %d stacked; %d of %d pairs have fewer live encounters",
 		len(full), len(full)-len(flat), lower, len(batchEnc))
 }

@@ -244,8 +244,8 @@ func (e *Engine) typeUserLocked(id uint32) int {
 	return t
 }
 
-// Model derives a society.Model from the raw tallies alone — PairProb,
-// the Encounters and CoLeaves counts behind it, the current type
+// Model derives a society.Model from the raw tallies alone — every
+// pair's counts and the probability they support, the current type
 // assignment — without consulting the incrementally patched stores.
 // O(pairs) under the engine's mutex: not for per-decision use.
 func (e *Engine) Model() *society.Model {

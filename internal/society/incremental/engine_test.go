@@ -383,8 +383,8 @@ func TestEngineReadersDuringArrivals(t *testing.T) {
 				_ = e.Index(v, u)
 				_ = e.CloseFriends(v)
 				if i%64 == 0 {
-					if m := s.Model(); len(m.PairProb) < s.Edges {
-						t.Errorf("snapshot %d: %d probabilities for %d edges", s.Seq, len(m.PairProb), s.Edges)
+					if m := s.Model(); m.NumPairs() < s.Edges {
+						t.Errorf("snapshot %d: %d probabilities for %d edges", s.Seq, m.NumPairs(), s.Edges)
 						return
 					}
 				}
@@ -420,7 +420,7 @@ func TestCloneFollowsTouched(t *testing.T) {
 	}
 	e.Refresh()
 	before := e.Snapshot()
-	if pairs := len(before.Model().PairProb); pairs != 10000 {
+	if pairs := before.Model().NumPairs(); pairs != 10000 {
 		t.Fatalf("test set-up: %d supported pairs, want 10000", pairs)
 	}
 	u, v := benchUser(0), benchUser(1)

@@ -3,6 +3,7 @@ package incremental
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -96,6 +97,25 @@ func (s *eqStream) setTypes(types map[trace.UserID]int, matrix [][]float64) {
 	s.refTypes, s.refMatrix = types, matrix
 }
 
+// asMaps spreads a model's pairs into maps (society's test helper of the
+// same name): supported probabilities, positive encounter and co-leave
+// counts.
+func asMaps(m *society.Model) (prob map[society.Pair]float64, encounters, coLeaves map[society.Pair]int) {
+	prob, encounters, coLeaves = map[society.Pair]float64{}, map[society.Pair]int{}, map[society.Pair]int{}
+	m.EachPair(func(p society.PairStat) {
+		if p.Supported {
+			prob[p.Pair] = p.Prob
+		}
+		if p.Encounters > 0 {
+			encounters[p.Pair] = p.Encounters
+		}
+		if p.CoLeaves > 0 {
+			coLeaves[p.Pair] = p.CoLeaves
+		}
+	})
+	return prob, encounters, coLeaves
+}
+
 // batch is the reference model: raw reference tallies, nothing patched.
 func (s *eqStream) batch() *society.Model { return s.ref.model(s.refTypes, s.refMatrix) }
 
@@ -107,12 +127,19 @@ func (s *eqStream) check(tag string) {
 	snap := s.eng.Snapshot()
 	batch := s.batch()
 
-	// Layer 1: pair probabilities (support-filtered P(L|E)).
-	got := snap.Model().PairProb
-	if len(got) != len(batch.PairProb) {
-		s.t.Fatalf("%s: %d pair probs, batch has %d", tag, len(got), len(batch.PairProb))
+	// Layer 1: pair probabilities (support-filtered P(L|E)); a snapshot
+	// carries no counts.
+	got, gotEnc, gotCol := asMaps(snap.Model())
+	want, wantEnc, wantCol := asMaps(batch)
+	if p, e, c := asMaps(s.eng.Model()); !reflect.DeepEqual(p, want) || !reflect.DeepEqual(e, wantEnc) || !reflect.DeepEqual(c, wantCol) {
+		s.t.Fatalf("%s: Engine.Model() has %d/%d/%d probabilities/encounters/co-leaves, the reference tallies %d/%d/%d (or other values)",
+			tag, len(p), len(e), len(c), len(want), len(wantEnc), len(wantCol))
 	}
-	for p, v := range batch.PairProb {
+	if len(got) != len(want) || len(want) != batch.NumPairs() || len(gotEnc)+len(gotCol) != 0 {
+		s.t.Fatalf("%s: %d pair probs (%d, %d counts), batch has %d (NumPairs %d)",
+			tag, len(got), len(gotEnc), len(gotCol), len(want), batch.NumPairs())
+	}
+	for p, v := range want {
 		if gv, ok := got[p]; !ok || gv != v {
 			s.t.Fatalf("%s: prob[%v] = %v (present %v), batch %v", tag, p, gv, ok, v)
 		}

@@ -215,17 +215,16 @@ func (s *Snapshot) Cover() [][]trace.UserID {
 	return s.cover
 }
 
-// Model materializes a society.Model equivalent to this snapshot:
-// PairProb, Types, TypeMatrix and Alpha are populated (the raw tallies
-// are the engine's, see Engine.Model, and are left nil). O(pairs) — an
-// interop path for batch consumers, not for per-decision use.
+// Model materializes a society.Model equivalent to this snapshot: the
+// pairs' probabilities, Types, TypeMatrix and Alpha (the raw tallies are
+// the engine's, see Engine.Model, and every count reads 0). O(pairs) —
+// an interop path for batch consumers, not for per-decision use.
 func (s *Snapshot) Model() *society.Model {
-	m := &society.Model{PairProb: make(map[society.Pair]float64), Alpha: s.alpha}
+	var pairs []society.PairStat
 	for _, shard := range s.probs {
 		for _, en := range shard {
-			m.PairProb[en.key.pair(s.users)] = en.prob
+			pairs = append(pairs, society.PairStat{Pair: en.key.pair(s.users), Prob: en.prob, Supported: true})
 		}
 	}
-	m.Types, m.TypeMatrix = cloneTypes(s.types, s.matrix)
-	return m
+	return newModel(pairs, s.types, s.matrix, s.alpha)
 }

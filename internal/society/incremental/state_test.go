@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/socialgraph"
-	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
@@ -60,7 +59,8 @@ func graphsEqual(a, b *socialgraph.Graph) bool {
 // probabilities, the θ-graph, and the canonical clique cover.
 func snapshotsEquivalent(t *testing.T, tag string, a, b *Snapshot) {
 	t.Helper()
-	if !reflect.DeepEqual(a.Model().PairProb, b.Model().PairProb) {
+	probA, _, _ := asMaps(a.Model())
+	if probB, _, _ := asMaps(b.Model()); !reflect.DeepEqual(probA, probB) {
 		t.Fatalf("%s: pair probabilities diverged", tag)
 	}
 	if a.Users != b.Users || a.Edges != b.Edges {
@@ -349,7 +349,8 @@ func campusSizedEngine(t *testing.T) *Engine {
 	if err := e.Disconnect(user(2), "ap \\ 00", ts+700); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(e.Model().Encounters); n < 50000 {
+	if _, enc, _ := asMaps(e.Model()); len(enc) < 50000 {
+		n := len(enc)
 		t.Fatalf("test set-up: %d tallied pairs, want a campus's tens of thousands", n)
 	}
 	return e
@@ -429,10 +430,10 @@ func TestReadStateUnseenHeaderUser(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := e.Model()
-	if got := m.Encounters[society.MakePair("a", "ghost")]; got != 1 {
+	if got, _ := m.Counts("a", "ghost"); got != 1 {
 		t.Errorf("encounters(a, ghost) = %d, want 1", got)
 	}
-	if got := m.CoLeaves[society.MakePair("ghost", "gone")]; got != 1 {
+	if _, got := m.Counts("ghost", "gone"); got != 1 {
 		t.Errorf("co-leaves(ghost, gone) = %d, want 1", got)
 	}
 }

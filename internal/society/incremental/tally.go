@@ -235,24 +235,22 @@ func (t *tallies) compact(now int64) {
 // model derives a society.Model from the raw counts alone — nothing the
 // engine patches incrementally — under the given type assignment.
 func (t *tallies) model(types map[trace.UserID]int, matrix [][]float64) *society.Model {
-	m := &society.Model{
-		PairProb:   make(map[society.Pair]float64, len(t.pairs)),
-		Encounters: make(map[society.Pair]int, len(t.pairs)),
-		CoLeaves:   make(map[society.Pair]int, len(t.pairs)),
-		Alpha:      t.cfg.Alpha,
-	}
-	m.Types, m.TypeMatrix = cloneTypes(types, matrix)
+	pairs := make([]society.PairStat, 0, len(t.pairs))
 	for k, c := range t.pairs {
-		p := k.pair(t.names)
-		if c.encounters > 0 {
-			m.Encounters[p] = int(c.encounters)
-		}
-		if c.coLeaves > 0 {
-			m.CoLeaves[p] = int(c.coLeaves)
-		}
-		if prob, ok := c.prob(t.cfg.MinEncounters); ok {
-			m.PairProb[p] = prob
-		}
+		prob, ok := c.prob(t.cfg.MinEncounters)
+		pairs = append(pairs, society.PairStat{Pair: k.pair(t.names),
+			Encounters: int(c.encounters), CoLeaves: int(c.coLeaves), Prob: prob, Supported: ok})
+	}
+	return newModel(pairs, types, matrix, t.cfg.Alpha)
+}
+
+// newModel hands society.NewModel a copy of the type assignment. The
+// pairs come off integer keys: none repeats or names one user twice.
+func newModel(pairs []society.PairStat, types map[trace.UserID]int, matrix [][]float64, alpha float64) *society.Model {
+	types, matrix = cloneTypes(types, matrix)
+	m, err := society.NewModel(pairs, types, matrix, nil, alpha)
+	if err != nil {
+		panic(err)
 	}
 	return m
 }

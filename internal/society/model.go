@@ -64,15 +64,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// Model is a trained sociality model: per-pair conditional co-leaving
-// probabilities, per-user types, and the type-pair co-leave matrix.
+// Model is a trained sociality model: per-pair counts and co-leaving
+// probabilities, per-user types, and the type-pair co-leave matrix. Read
+// a pair with Index (θ), Prob or Counts, all of them with NumPairs and
+// EachPair. Train and NewModel build one, immutable from then on; the
+// zero Model knows no pair and no user.
 type Model struct {
-	// PairProb maps a pair to P(L(u,v) | E(u,v)).
-	PairProb map[Pair]float64
-	// Encounters holds the raw per-pair encounter counts (support).
-	Encounters map[Pair]int
-	// CoLeaves holds the raw per-pair co-leave counts.
-	CoLeaves map[Pair]int
 	// Types maps each known user to a cluster label in [0, K).
 	Types map[trace.UserID]int
 	// TypeMatrix[i][j] is T(type_i, type_j), the mean co-leave
@@ -83,10 +80,7 @@ type Model struct {
 	// Alpha is the θ mixing coefficient.
 	Alpha float64
 
-	// pairs is PairProb as sorted rows, kept by Train (which visits the
-	// supported pairs in that order anyway) for CloseFriendRows; nil on a
-	// model assembled from its exported fields, which sorts them on demand.
-	pairs *pairTable
+	pairs pairTable
 }
 
 // K returns the number of types.
@@ -98,19 +92,49 @@ func (m *Model) K() int { return len(m.TypeMatrix) }
 // who "have not encountered each other before". Unknown users (no
 // profile) contribute no type prior.
 func (m *Model) Index(u, v trace.UserID) float64 {
-	if u == v {
+	t := &m.pairs
+	a, okA := t.rank[u]
+	b, okB := t.rank[v]
+	if !okA || !okB || a == b {
 		return 0
 	}
-	theta := m.PairProb[MakePair(u, v)]
-	tu, okU := m.Types[u]
-	tv, okV := m.Types[v]
-	if okU && okV && tu < len(m.TypeMatrix) && tv < len(m.TypeMatrix) {
-		// The conversion rounds the product before the sum on every
-		// platform (no fused multiply-add): CloseFriendRows adds a
-		// tabulated α·T and must agree to the last bit.
-		theta += float64(m.Alpha * m.TypeMatrix[tu][tv])
+	return t.entry(a, b).prob + m.prior(t.typeOf[a], t.typeOf[b])
+}
+
+// prior is θ's type-matrix term α·T(tu, tv), 0 when the matrix lacks
+// either type. The conversion rounds the product before any sum (no fused
+// multiply-add), on every platform to the same bits.
+func (m *Model) prior(tu, tv int) float64 {
+	if k := len(m.TypeMatrix); tu < 0 || tu >= k || tv < 0 || tv >= min(k, len(m.TypeMatrix[tu])) {
+		return 0
 	}
-	return theta
+	return float64(m.Alpha * m.TypeMatrix[tu][tv])
+}
+
+// Prob returns the pair's P(L(u,v) | E(u,v)) and whether it has one.
+func (m *Model) Prob(u, v trace.UserID) (float64, bool) {
+	e := m.pairs.find(u, v)
+	return e.prob, e.supported
+}
+
+// Counts returns the pair's raw encounter and co-leave counts.
+func (m *Model) Counts(u, v trace.UserID) (encounters, coLeaves int) {
+	e := m.pairs.find(u, v)
+	return int(e.encounters), int(e.coLeaves)
+}
+
+// NumPairs returns the number of supported pairs.
+func (m *Model) NumPairs() int { return m.pairs.supported }
+
+// EachPair calls f for every pair with a count or a probability, in
+// (A, B) id order.
+func (m *Model) EachPair(f func(PairStat)) {
+	t := &m.pairs
+	for a, u := range t.users {
+		for _, e := range t.entries[t.start[a]:t.start[a+1]] {
+			f(PairStat{Pair{u, t.users[e.b]}, int(e.encounters), int(e.coLeaves), e.prob, e.supported})
+		}
+	}
 }
 
 // Errors returned by Train.
@@ -145,83 +169,40 @@ func Train(tr *trace.Trace, profiles *apps.ProfileStore, cfg Config) (*Model, er
 		return nil, fmt.Errorf("%w after truncating to %d history days",
 			ErrNoSessions, cfg.HistoryDays)
 	}
-	d := newDense(tr.Sessions, from)
-	defer d.release()
-	events := d.events(cfg.MinEncounterSeconds, cfg.CoLeaveWindowSeconds)
-
 	types, centroids, err := clusterUsers(profiles, cfg)
 	if err != nil {
 		return nil, err
 	}
-	typeOf := make([]int, len(d.users))
-	for r, u := range d.users {
-		typeOf[r] = userType(types, u)
-	}
+	d, rank := newDense(tr.Sessions, from, types)
+	defer d.release()
+	events := d.events(cfg.MinEncounterSeconds, cfg.CoLeaveWindowSeconds)
 
-	// Below MinEncounters a pair's estimate is noise ("fake social
-	// relationships"): it gets no PairProb entry. The maps and the pair
-	// table's rows are sized from this first pass.
-	var nEnc, nCol, nProb int
-	degree := make([]int, len(d.users)) // by rank: supported pairs the user is in
-	eachPair(events, func(a, b uint32, encounters, coLeaves int) {
-		if encounters > 0 {
-			nEnc++
-			if encounters >= cfg.MinEncounters {
-				nProb++
-				degree[a]++
-				degree[b]++
-			}
-		}
-		if coLeaves > 0 {
-			nCol++
-		}
-	})
-	m := &Model{
-		PairProb:   make(map[Pair]float64, nProb),
-		Encounters: make(map[Pair]int, nEnc),
-		CoLeaves:   make(map[Pair]int, nCol),
-		Types:      types,
-		Centroids:  centroids,
-		Alpha:      cfg.Alpha,
-	}
-	// eachPair visits pairs in (A, B) order: the type sums accumulate in
-	// the order BuildTypeMatrix sorts its pairs into, and the supported
-	// pairs reach the pair table sorted. The table also ranks typed users
-	// outside the history window; ranking is monotone, so the order
-	// carries over.
-	table, tableRank := newPairTable(d.users, types)
-	remap := make([]uint32, len(d.users))
-	partners := make([]partner, 2*nProb) // every row, each at its final capacity
-	for r, u := range d.users {
-		remap[r] = tableRank[u]
-		table.rows[remap[r]], partners = partners[:0:degree[r]], partners[degree[r]:]
-	}
-	m.pairs = table
+	pairs := 0
+	eachPair(events, func(_, _ uint32, _, _ int) { pairs++ })
+	m := &Model{Types: types, Centroids: centroids, Alpha: cfg.Alpha,
+		pairs: newPairTable(d.users, rank, types, pairs)}
+	// eachPair visits pairs in (A, B) order: the entries reach the table
+	// sorted, the type sums in the order BuildTypeMatrix adds them.
 	sums := newTypeSums(len(centroids))
 	eachPair(events, func(a, b uint32, encounters, coLeaves int) {
-		p := d.pair(a, b)
-		if coLeaves > 0 {
-			m.CoLeaves[p] = coLeaves
+		e := pairEntry{b: b, encounters: uint32(encounters), coLeaves: uint32(coLeaves)}
+		// Below MinEncounters a pair's estimate is noise ("fake social
+		// relationships"): it gets no probability.
+		if e.supported = encounters > 0 && encounters >= cfg.MinEncounters; e.supported {
+			e.prob = coLeaveProb(encounters, coLeaves)
 		}
-		if encounters == 0 {
-			return
-		}
-		m.Encounters[p] = encounters
-		if encounters >= cfg.MinEncounters {
-			prob := coLeaveProb(encounters, coLeaves)
-			m.PairProb[p] = prob
-			table.add(remap[a], remap[b], prob)
-		}
-		sums.add(typeOf[a], typeOf[b], encounters, coLeaves)
+		m.pairs.add(a, e)
+		sums.add(m.pairs.typeOf[a], m.pairs.typeOf[b], encounters, coLeaves)
 	})
+	m.pairs.seal()
 	m.TypeMatrix = sums.matrix()
 	return m, nil
 }
 
 // WithAlpha returns a copy of the model that mixes the type prior into θ
-// with a different α. The copy shares the receiver's maps, matrix,
-// centroids and pair table; a trained Model is read-only, and must stay
-// so while copies are in use.
+// with a different α. The copy shares the receiver's types, matrix,
+// centroids and pair table; a Model is read-only, and must stay so while
+// copies are in use.
 func (m *Model) WithAlpha(alpha float64) *Model {
 	c := *m
 	c.Alpha = alpha
@@ -284,14 +265,8 @@ func clusterUsers(profiles *apps.ProfileStore, cfg Config) (map[trace.UserID]int
 // types. Cells with no supporting pairs are 0.
 func BuildTypeMatrix(encounters, coLeaves map[Pair]int,
 	types map[trace.UserID]int, k int) [][]float64 {
-	// Deterministic iteration for reproducible float accumulation.
-	pairs := make([]Pair, 0, len(encounters))
-	for p := range encounters {
-		pairs = append(pairs, p)
-	}
-	slices.SortFunc(pairs, Pair.compare)
 	sums := newTypeSums(k)
-	for _, p := range pairs {
+	for _, p := range sortedKeys(encounters, Pair.compare) { // sorted: reproducible float sums
 		sums.add(userType(types, p.A), userType(types, p.B), encounters[p], coLeaves[p])
 	}
 	return sums.matrix()

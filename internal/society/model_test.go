@@ -56,12 +56,12 @@ func TestTrainBasics(t *testing.T) {
 		t.Errorf("K = %d, want 2", m.K())
 	}
 	// u1-u2 co-leave every day: P(L|E) should be 1.
-	p12 := m.PairProb[MakePair("u1", "u2")]
+	p12, _ := m.Prob("u1", "u2")
 	if math.Abs(p12-1) > 1e-9 {
 		t.Errorf("P(L|E)(u1,u2) = %v, want 1", p12)
 	}
 	// u1-u3 encounter daily but never co-leave.
-	if p := m.PairProb[MakePair("u1", "u3")]; p != 0 {
+	if p, ok := m.Prob("u3", "u1"); p != 0 || !ok {
 		t.Errorf("P(L|E)(u1,u3) = %v, want 0", p)
 	}
 	// Social index ordering: θ(u1,u2) must dominate θ(u1,u3).
@@ -108,7 +108,7 @@ func TestTrainHistoryTruncation(t *testing.T) {
 	}
 	// Only one day's encounter survives; with MinEncounters = 2 the pair
 	// probability must have been dropped as noise.
-	if _, ok := m.PairProb[MakePair("u1", "u2")]; ok {
+	if _, ok := m.Prob("u1", "u2"); ok {
 		t.Error("single-encounter pair should be dropped by support threshold")
 	}
 	// Truncating everything errors.
@@ -181,11 +181,9 @@ func TestBuildTypeMatrixEdgeCases(t *testing.T) {
 }
 
 func TestModelIndexUnknownUsers(t *testing.T) {
-	m := &Model{
-		PairProb:   map[Pair]float64{},
-		Types:      map[trace.UserID]int{},
-		TypeMatrix: [][]float64{{0.5}},
-		Alpha:      0.3,
+	m, err := NewModel(nil, nil, [][]float64{{0.5}}, nil, 0.3)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got := m.Index("ghost1", "ghost2"); got != 0 {
 		t.Errorf("unknown-user index = %v, want 0", got)

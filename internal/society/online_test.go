@@ -39,15 +39,11 @@ func TestOnlineLearnerBasicFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := l.Model()
-	p := society.MakePair("u1", "u2")
-	if m.Encounters[p] != 1 {
-		t.Errorf("encounters = %d, want 1", m.Encounters[p])
+	if enc, col := m.Counts("u1", "u2"); enc != 1 || col != 1 {
+		t.Errorf("encounters, co-leaves = %d, %d, want 1, 1", enc, col)
 	}
-	if m.CoLeaves[p] != 1 {
-		t.Errorf("co-leaves = %d, want 1", m.CoLeaves[p])
-	}
-	if m.PairProb[p] != 1 {
-		t.Errorf("P(L|E) = %v, want 1", m.PairProb[p])
+	if prob, ok := m.Prob("u1", "u2"); prob != 1 || !ok {
+		t.Errorf("P(L|E) = %v, %v, want 1", prob, ok)
 	}
 }
 
@@ -63,15 +59,11 @@ func TestOnlineLearnerNoCoLeaveOutsideWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := l.Model()
-	p := society.MakePair("u1", "u2")
-	if m.CoLeaves[p] != 0 {
-		t.Errorf("co-leaves = %d, want 0", m.CoLeaves[p])
+	if enc, col := m.Counts("u1", "u2"); enc != 1 || col != 0 {
+		t.Errorf("encounters, co-leaves = %d, %d, want 1, 0", enc, col)
 	}
-	if m.Encounters[p] != 1 {
-		t.Errorf("encounters = %d, want 1", m.Encounters[p])
-	}
-	if m.PairProb[p] != 0 {
-		t.Errorf("P(L|E) = %v, want 0", m.PairProb[p])
+	if prob, ok := m.Prob("u1", "u2"); prob != 0 || !ok {
+		t.Errorf("P(L|E) = %v, %v, want 0", prob, ok)
 	}
 }
 
@@ -82,8 +74,7 @@ func TestOnlineLearnerShortOverlapNoEncounter(t *testing.T) {
 	if err := l.Disconnect("u1", "ap1", 3600); err != nil {
 		t.Fatal(err)
 	}
-	m := l.Model()
-	if m.Encounters[society.MakePair("u1", "u2")] != 0 {
+	if enc, _ := l.Model().Counts("u1", "u2"); enc != 0 {
 		t.Error("100s overlap should not count as encounter")
 	}
 }
@@ -98,8 +89,7 @@ func TestOnlineLearnerDifferentAPsIndependent(t *testing.T) {
 	if err := l.Disconnect("u2", "ap2", 3610); err != nil {
 		t.Fatal(err)
 	}
-	m := l.Model()
-	if len(m.CoLeaves) != 0 || len(m.Encounters) != 0 {
+	if _, enc, col := society.AsMaps(l.Model()); len(col) != 0 || len(enc) != 0 {
 		t.Error("cross-AP events should not correlate")
 	}
 }
@@ -150,8 +140,7 @@ func TestOnlineLearnerSupportThreshold(t *testing.T) {
 	if err := l.Disconnect("u2", "ap1", 3605); err != nil {
 		t.Fatal(err)
 	}
-	m := l.Model()
-	if _, ok := m.PairProb[society.MakePair("u1", "u2")]; ok {
+	if _, ok := l.Model().Prob("u1", "u2"); ok {
 		t.Error("single encounter should be below the support threshold")
 	}
 }
@@ -189,8 +178,8 @@ func TestOnlineLearnerStats(t *testing.T) {
 	l.Connect("u1", "ap1", 0)
 	l.Connect("u2", "ap1", 0)
 	// Two open sessions and, until one of them ends, nothing tallied.
-	if m := l.Model(); len(m.Encounters) != 0 || len(m.CoLeaves) != 0 {
-		t.Errorf("tallies before any session end: %v, %v", m.Encounters, m.CoLeaves)
+	if _, enc, col := society.AsMaps(l.Model()); len(enc) != 0 || len(col) != 0 {
+		t.Errorf("tallies before any session end: %v, %v", enc, col)
 	}
 	for _, u := range []trace.UserID{"u1", "u2"} {
 		if err := l.Disconnect(u, "ap1", 10); err != nil {
@@ -239,14 +228,13 @@ func TestOnlineLearnerStackedSessionsNoEncounterDoubleCount(t *testing.T) {
 	if err := l.Disconnect("u", "ap1", 3600); err != nil {
 		t.Fatal(err)
 	}
-	p := society.MakePair("u", "w")
-	if enc := l.Model().Encounters[p]; enc != 0 {
+	if enc, _ := l.Model().Counts("u", "w"); enc != 0 {
 		t.Errorf("encounters after first stacked close = %d, want 0 (presence continues)", enc)
 	}
 	if err := l.Disconnect("u", "ap1", 4000); err != nil {
 		t.Fatal(err)
 	}
-	if enc := l.Model().Encounters[p]; enc != 1 {
+	if enc, _ := l.Model().Counts("u", "w"); enc != 1 {
 		t.Errorf("encounters after presence end = %d, want 1", enc)
 	}
 	// w's own close counts the (w-presence, nothing-open) side: u is gone,
@@ -254,7 +242,7 @@ func TestOnlineLearnerStackedSessionsNoEncounterDoubleCount(t *testing.T) {
 	if err := l.Disconnect("w", "ap1", 4100); err != nil {
 		t.Fatal(err)
 	}
-	if enc := l.Model().Encounters[p]; enc != 1 {
+	if enc, _ := l.Model().Counts("u", "w"); enc != 1 {
 		t.Errorf("final encounters = %d, want 1", enc)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"strings"
 
 	"github.com/s3wlan/s3wlan/internal/atomicfile"
 	"github.com/s3wlan/s3wlan/internal/trace"
@@ -35,19 +36,15 @@ const modelVersion = 1
 func pairKey(p Pair) string { return string(p.A) + "|" + string(p.B) }
 
 func parsePairKey(k string) (Pair, error) {
-	for i := 0; i < len(k); i++ {
-		if k[i] == '|' {
-			a, b := trace.UserID(k[:i]), trace.UserID(k[i+1:])
-			if a == "" || b == "" || a == b {
-				return Pair{}, fmt.Errorf("society: malformed pair key %q", k)
-			}
-			return MakePair(a, b), nil
-		}
+	a, b, ok := strings.Cut(k, "|")
+	if !ok || a == "" || b == "" || a == b {
+		return Pair{}, fmt.Errorf("society: malformed pair key %q", k)
 	}
-	return Pair{}, fmt.Errorf("society: malformed pair key %q", k)
+	return MakePair(trace.UserID(a), trace.UserID(b)), nil
 }
 
-// WriteModel serializes m to w as JSON.
+// WriteModel serializes m to w as JSON. A user id containing '|' has no
+// unambiguous pair key and is refused.
 func WriteModel(w io.Writer, m *Model) error {
 	if m == nil {
 		return fmt.Errorf("society: nil model")
@@ -55,22 +52,30 @@ func WriteModel(w io.Writer, m *Model) error {
 	doc := modelDoc{
 		Version:    modelVersion,
 		Alpha:      m.Alpha,
-		PairProb:   make(map[string]float64, len(m.PairProb)),
-		Encounters: make(map[string]int, len(m.Encounters)),
-		CoLeaves:   make(map[string]int, len(m.CoLeaves)),
+		PairProb:   make(map[string]float64, m.NumPairs()),
+		Encounters: make(map[string]int, len(m.pairs.entries)),
+		CoLeaves:   make(map[string]int),
 		Types:      m.Types,
 		TypeMatrix: m.TypeMatrix,
 		Centroids:  m.Centroids,
 	}
-	for p, v := range m.PairProb {
-		doc.PairProb[pairKey(p)] = v
+	for _, u := range m.pairs.users {
+		if strings.Contains(string(u), "|") {
+			return fmt.Errorf("society: user id %q contains '|'", u)
+		}
 	}
-	for p, v := range m.Encounters {
-		doc.Encounters[pairKey(p)] = v
-	}
-	for p, v := range m.CoLeaves {
-		doc.CoLeaves[pairKey(p)] = v
-	}
+	m.EachPair(func(p PairStat) {
+		k := pairKey(p.Pair)
+		if p.Supported {
+			doc.PairProb[k] = p.Prob
+		}
+		if p.Encounters > 0 {
+			doc.Encounters[k] = p.Encounters
+		}
+		if p.CoLeaves > 0 {
+			doc.CoLeaves[k] = p.CoLeaves
+		}
+	})
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	if err := enc.Encode(doc); err != nil {
@@ -79,7 +84,8 @@ func WriteModel(w io.Writer, m *Model) error {
 	return bw.Flush()
 }
 
-// ReadModel parses a serialized model from r.
+// ReadModel parses a serialized model from r. A document that lists a
+// pair under two keys ("a|b" and "b|a") is rejected, not resolved.
 func ReadModel(r io.Reader) (*Model, error) {
 	var doc modelDoc
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
@@ -88,40 +94,26 @@ func ReadModel(r io.Reader) (*Model, error) {
 	if doc.Version != modelVersion {
 		return nil, fmt.Errorf("society: unsupported model version %d", doc.Version)
 	}
-	m := &Model{
-		Alpha:      doc.Alpha,
-		PairProb:   make(map[Pair]float64, len(doc.PairProb)),
-		Encounters: make(map[Pair]int, len(doc.Encounters)),
-		CoLeaves:   make(map[Pair]int, len(doc.CoLeaves)),
-		Types:      doc.Types,
-		TypeMatrix: doc.TypeMatrix,
-		Centroids:  doc.Centroids,
+	keys := make(map[string]bool, len(doc.PairProb)+len(doc.Encounters))
+	for k := range doc.PairProb {
+		keys[k] = true
 	}
-	if m.Types == nil {
-		m.Types = make(map[trace.UserID]int)
+	for k := range doc.Encounters {
+		keys[k] = true
 	}
-	for k, v := range doc.PairProb {
+	for k := range doc.CoLeaves {
+		keys[k] = true
+	}
+	pairs := make([]PairStat, 0, len(keys))
+	for k := range keys {
 		p, err := parsePairKey(k)
 		if err != nil {
 			return nil, err
 		}
-		m.PairProb[p] = v
+		prob, supported := doc.PairProb[k]
+		pairs = append(pairs, PairStat{p, doc.Encounters[k], doc.CoLeaves[k], prob, supported})
 	}
-	for k, v := range doc.Encounters {
-		p, err := parsePairKey(k)
-		if err != nil {
-			return nil, err
-		}
-		m.Encounters[p] = v
-	}
-	for k, v := range doc.CoLeaves {
-		p, err := parsePairKey(k)
-		if err != nil {
-			return nil, err
-		}
-		m.CoLeaves[p] = v
-	}
-	return m, nil
+	return NewModel(pairs, doc.Types, doc.TypeMatrix, doc.Centroids, doc.Alpha)
 }
 
 // SaveModel writes the model to path. The write is atomic (temp file +
@@ -149,15 +141,13 @@ func LoadModel(path string) (*Model, error) {
 // TopPairs returns the n strongest pairs by P(L|E), strongest first
 // (ties: lexicographic) — a monitoring/debugging helper.
 func (m *Model) TopPairs(n int) []Pair {
-	pairs := make([]Pair, 0, len(m.PairProb))
-	for p := range m.PairProb {
-		pairs = append(pairs, p)
-	}
-	slices.SortFunc(pairs, func(p, q Pair) int {
-		return cmp.Or(cmp.Compare(m.PairProb[q], m.PairProb[p]), p.compare(q))
+	pairs := make([]Pair, 0, m.NumPairs())
+	m.EachPair(func(p PairStat) {
+		if p.Supported {
+			pairs = append(pairs, p.Pair)
+		}
 	})
-	if n > len(pairs) {
-		n = len(pairs)
-	}
-	return pairs[:n]
+	prob := func(p Pair) float64 { return m.pairs.find(p.A, p.B).prob }
+	slices.SortStableFunc(pairs, func(p, q Pair) int { return cmp.Compare(prob(q), prob(p)) })
+	return pairs[:min(n, len(pairs))]
 }

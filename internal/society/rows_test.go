@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -72,9 +73,9 @@ func TestModelRowsMatchIndex(t *testing.T) {
 		}
 	}
 	slices.Sort(everyone)
-	if typedOnly != len(gone) || len(trained.PairProb) < 1000 {
+	if typedOnly != len(gone) || trained.NumPairs() < 1000 {
 		t.Fatalf("%d typed users outside the window (want %d), %d supported pairs: the cases are not covered",
-			typedOnly, len(gone), len(trained.PairProb))
+			typedOnly, len(gone), trained.NumPairs())
 	}
 
 	for _, alpha := range []float64{0.1, 0.3, 0.5} {
@@ -86,6 +87,23 @@ func TestModelRowsMatchIndex(t *testing.T) {
 		reread, err := ReadModel(&buf)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The re-read model answers for every pair as the trained one:
+		// the same probabilities and counts, hence (below) the same rows.
+		wantProb, wantEnc, wantCol := asMaps(copyOf)
+		if prob, enc, col := asMaps(reread); !reflect.DeepEqual(prob, wantProb) || !reflect.DeepEqual(enc, wantEnc) || !reflect.DeepEqual(col, wantCol) {
+			t.Fatalf("α=%v: the re-read model's pairs differ from the trained model's", alpha)
+		}
+		for _, u := range everyone {
+			for _, v := range everyone {
+				prob, ok := reread.Prob(u, v)
+				enc, col := reread.Counts(u, v)
+				p := MakePair(u, v)
+				if _, want := wantProb[p]; prob != wantProb[p] || ok != want || enc != wantEnc[p] || col != wantCol[p] {
+					t.Fatalf("α=%v: re-read (%s,%s) = P %v (%v), %d encounters, %d co-leaves; trained P %v (%v), %d, %d",
+						alpha, u, v, prob, ok, enc, col, wantProb[p], want, wantEnc[p], wantCol[p])
+				}
+			}
 		}
 		for name, m := range map[string]*Model{"trained": copyOf, "reread": reread} {
 			for _, threshold := range []float64{0.2, 0.3} {
@@ -110,7 +128,7 @@ func TestModelRowsMatchIndex(t *testing.T) {
 							t.Fatalf("%s α=%v thr=%v: θ(%s,%s) = %v in the row, Index gives %v",
 								name, alpha, threshold, u, wantF[i], gotT[i], wantT[i])
 						}
-						if _, supported := m.PairProb[MakePair(u, wantF[i])]; !supported {
+						if _, supported := m.Prob(u, wantF[i]); !supported {
 							priorOnly++
 						}
 					}
@@ -149,7 +167,7 @@ func TestCountingSortMatchesSlicesSort(t *testing.T) {
 	}
 
 	tr, _ := smallCampus(t)
-	d := newDense(tr.Sessions, math.MinInt64)
+	d, _ := newDense(tr.Sessions, math.MinInt64, nil)
 	events := d.encounters(600)
 	d.eachCoLeave(300, func(ap, first, second int) {
 		g := d.byAP[ap]

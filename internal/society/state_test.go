@@ -56,18 +56,20 @@ func TestLearnerStateRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !reflect.DeepEqual(orig.Model().PairProb, restored.Model().PairProb) {
+	oprob, oenc, ocol := society.AsMaps(orig.Model())
+	rprob, renc, rcol := society.AsMaps(restored.Model())
+	if !reflect.DeepEqual(oprob, rprob) {
 		t.Fatal("restored model diverged from original")
 	}
-	om, rm := orig.Model(), restored.Model()
-	if !reflect.DeepEqual(om.Encounters, rm.Encounters) || !reflect.DeepEqual(om.CoLeaves, rm.CoLeaves) {
+	if !reflect.DeepEqual(oenc, renc) || !reflect.DeepEqual(ocol, rcol) {
 		t.Fatal("raw tallies diverged")
 	}
 
 	// Same future → same model: the mid-presence state round-tripped.
 	driveLearner(orig, 200, 2)
 	driveLearner(restored, 200, 2)
-	if !reflect.DeepEqual(orig.Model().PairProb, restored.Model().PairProb) {
+	oprob, _, _ = society.AsMaps(orig.Model())
+	if rprob, _, _ = society.AsMaps(restored.Model()); !reflect.DeepEqual(oprob, rprob) {
 		t.Fatal("models diverged after identical post-restore events")
 	}
 }
@@ -124,7 +126,7 @@ func TestReadLearnerStateRejectsDamage(t *testing.T) {
 	if err := l.ReadState(bytes.NewReader([]byte(header + table + "\x01\x00\x01\x03\x02"))); err != nil {
 		t.Fatal(err)
 	}
-	if m := l.Model(); m.Encounters[society.MakePair("a", "b")] != 3 || m.CoLeaves[society.MakePair("a", "b")] != 2 {
-		t.Errorf("restored tallies = %v, %v; want 3 encounters, 2 co-leaves", m.Encounters, m.CoLeaves)
+	if enc, col := l.Model().Counts("a", "b"); enc != 3 || col != 2 {
+		t.Errorf("restored tallies = %d, %d; want 3 encounters, 2 co-leaves", enc, col)
 	}
 }

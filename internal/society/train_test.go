@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -86,20 +87,113 @@ func TestTrainMatchesBruteForce(t *testing.T) {
 			}
 			// reflect.DeepEqual compares floats with ==: bit for bit,
 			// there being no NaN or negative zero here.
-			if !reflect.DeepEqual(m.Encounters, enc) {
-				t.Errorf("window %d history %d: Encounters differ (%d pairs, brute force %d)", window, history, len(m.Encounters), len(enc))
+			gotProb, gotEnc, gotCol := asMaps(m)
+			if !reflect.DeepEqual(gotEnc, enc) {
+				t.Errorf("window %d history %d: encounters differ (%d pairs, brute force %d)", window, history, len(gotEnc), len(enc))
 			}
-			if !reflect.DeepEqual(m.CoLeaves, col) {
-				t.Errorf("window %d history %d: CoLeaves differ (%d pairs, brute force %d)", window, history, len(m.CoLeaves), len(col))
+			if !reflect.DeepEqual(gotCol, col) {
+				t.Errorf("window %d history %d: co-leaves differ (%d pairs, brute force %d)", window, history, len(gotCol), len(col))
 			}
-			if !reflect.DeepEqual(m.PairProb, prob) {
-				t.Errorf("window %d history %d: PairProb differs (%d pairs, brute force %d)", window, history, len(m.PairProb), len(prob))
+			if !reflect.DeepEqual(gotProb, prob) || m.NumPairs() != len(prob) {
+				t.Errorf("window %d history %d: probabilities differ (%d pairs, NumPairs %d, brute force %d)", window, history, len(gotProb), m.NumPairs(), len(prob))
 			}
 			// BuildTypeMatrix orders the pairs by comparing ids; Train
 			// never sees them as strings.
 			if want := BuildTypeMatrix(enc, col, m.Types, m.K()); !reflect.DeepEqual(m.TypeMatrix, want) {
 				t.Errorf("window %d history %d: TypeMatrix\n got %v\nwant %v", window, history, m.TypeMatrix, want)
 			}
+		}
+	}
+}
+
+// TestModelAccessorsAgainstBruteForce: what Prob, Counts, EachPair and
+// NumPairs answer is what the extractors count, pair by pair, for the
+// paper's 15-day window and the full one; and the corners — a user the
+// model has never seen, a user against themself, a typed user with no
+// pair — read 0, unsupported, and the prior alone.
+func TestModelAccessorsAgainstBruteForce(t *testing.T) {
+	tr, _ := smallCampus(t)
+	_, end := tr.TimeRange()
+	// A user with a profile, so a type, and no session: prior-only.
+	flows := append(slices.Clone(tr.Flows), trace.Flow{User: "loner", Start: end - 3600, End: end - 3500, Proto: "tcp", DstPort: 443, Bytes: 1000})
+	profiles := apps.BuildProfiles(flows, synth.DefaultConfig().Epoch, apps.NewClassifier())
+	for _, history := range []int{15, 0} {
+		cfg := DefaultConfig()
+		cfg.HistoryDays = history
+		sessions := tr.Sessions
+		if history > 0 {
+			sessions = slices.DeleteFunc(slices.Clone(sessions), func(s trace.Session) bool {
+				return s.ConnectAt < end-int64(history)*86400
+			})
+		}
+		m, err := Train(tr, profiles, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		wantEnc := ExtractEncounters(sessions, cfg.MinEncounterSeconds)
+		wantCol, wantProb := map[Pair]int{}, map[Pair]float64{}
+		for _, ev := range ExtractCoLeavings(sessions, cfg.CoLeaveWindowSeconds) {
+			wantCol[ev.Pair]++
+		}
+		for p, e := range wantEnc {
+			if e >= cfg.MinEncounters {
+				wantProb[p] = coLeaveProb(e, wantCol[p])
+			}
+		}
+		prob, enc, col := asMaps(m)
+		if !reflect.DeepEqual(prob, wantProb) || !reflect.DeepEqual(enc, wantEnc) || !reflect.DeepEqual(col, wantCol) {
+			t.Errorf("history %d: %d/%d/%d probabilities/encounters/co-leaves, the extractors give %d/%d/%d (or other values)",
+				history, len(prob), len(enc), len(col), len(wantProb), len(wantEnc), len(wantCol))
+		}
+
+		var last Pair
+		supported := 0
+		m.EachPair(func(p PairStat) {
+			if p.A >= p.B || last.compare(p.Pair) >= 0 {
+				t.Fatalf("history %d: EachPair yields %v after %v", history, p.Pair, last)
+			}
+			last = p.Pair
+			if p.Supported {
+				supported++
+			}
+			// Either order of the two users reads the same entry.
+			gotProb, ok := m.Prob(p.B, p.A)
+			gotEnc, gotCol := m.Counts(p.B, p.A)
+			if gotProb != p.Prob || ok != p.Supported || gotEnc != p.Encounters || gotCol != p.CoLeaves {
+				t.Fatalf("history %d: %v: Prob %v (%v), Counts %d, %d; EachPair gave %+v", history, p.Pair, gotProb, ok, gotEnc, gotCol, p)
+			}
+		})
+		if supported != m.NumPairs() || supported != len(wantProb) || supported < 1000 {
+			t.Errorf("history %d: %d supported pairs walked, NumPairs %d, the extractors support %d", history, supported, m.NumPairs(), len(wantProb))
+		}
+
+		known := last.A
+		tl, typed := m.Types["loner"]
+		if _, paired := m.pairs.rank["loner"]; !typed || !paired {
+			t.Fatalf("history %d: the pairless user has type %d (%v), rank %v: the prior-only case is not covered", history, tl, typed, paired)
+		}
+		prior := float64(m.Alpha * m.TypeMatrix[tl][m.Types[known]])
+		for _, tc := range []struct {
+			name  string
+			u, v  trace.UserID
+			theta float64
+		}{
+			{"unknown user", "nobody", known, 0},
+			{"two unknown users", "nobody", "no one", 0},
+			{"a user and themself", known, known, 0},
+			{"typed user with no pair", "loner", known, prior},
+			{"typed user with no pair, reversed", known, "loner", float64(m.Alpha * m.TypeMatrix[m.Types[known]][tl])},
+		} {
+			p, ok := m.Prob(tc.u, tc.v)
+			e, c := m.Counts(tc.u, tc.v)
+			if p != 0 || ok || e != 0 || c != 0 || m.Index(tc.u, tc.v) != tc.theta {
+				t.Errorf("history %d, %s: Prob %v (%v), Counts %d, %d, Index %v; want 0 (false), 0, 0, %v",
+					history, tc.name, p, ok, e, c, m.Index(tc.u, tc.v), tc.theta)
+			}
+		}
+		if prior == 0 {
+			t.Errorf("history %d: the prior between loner's type and %s's is 0: Index cannot show it", history, known)
 		}
 	}
 }
@@ -119,10 +213,9 @@ func TestWithAlphaSharesTalliesNotAlpha(t *testing.T) {
 		t.Fatalf("Alpha: receiver %v (want 0.1), copy %v (want 0.5)", m.Alpha, w.Alpha)
 	}
 	for name, shared := range map[string]bool{
-		"PairProb":   reflect.ValueOf(m.PairProb).Pointer() == reflect.ValueOf(w.PairProb).Pointer(),
-		"Encounters": reflect.ValueOf(m.Encounters).Pointer() == reflect.ValueOf(w.Encounters).Pointer(),
-		"CoLeaves":   reflect.ValueOf(m.CoLeaves).Pointer() == reflect.ValueOf(w.CoLeaves).Pointer(),
-		"Types":      reflect.ValueOf(m.Types).Pointer() == reflect.ValueOf(w.Types).Pointer(),
+		"pair entries": &m.pairs.entries[0] == &w.pairs.entries[0],
+		"user ranks":   reflect.ValueOf(m.pairs.rank).Pointer() == reflect.ValueOf(w.pairs.rank).Pointer(),
+		"Types":        reflect.ValueOf(m.Types).Pointer() == reflect.ValueOf(w.Types).Pointer(),
 	} {
 		if !shared {
 			t.Errorf("%s was copied, not shared", name)
@@ -131,7 +224,8 @@ func TestWithAlphaSharesTalliesNotAlpha(t *testing.T) {
 	priors := 0.0
 	for _, pair := range [][2]trace.UserID{{"u1", "u2"}, {"u1", "u3"}, {"u2", "u3"}} {
 		u, v := pair[0], pair[1]
-		prob, prior := m.PairProb[MakePair(u, v)], m.TypeMatrix[m.Types[u]][m.Types[v]]
+		prob, _ := m.Prob(u, v)
+		prior := m.TypeMatrix[m.Types[u]][m.Types[v]]
 		priors += prior
 		if got, want := m.Index(u, v), prob+0.1*prior; got != want {
 			t.Errorf("receiver: θ(%s,%s) = %v, want P + 0.1·T = %v", u, v, got, want)
@@ -177,7 +271,7 @@ func TestTrainReproducible(t *testing.T) {
 // after short after long, two co-leave intervals, a window that holds no
 // session in the middle — is trained in one process and then from four
 // goroutines at once, and every model must equal the first one its config
-// produced, maps, matrix, pair table and close-friend rows.
+// produced, matrix, pair table and close-friend rows.
 func TestTrainScratchReuseBitIdentical(t *testing.T) {
 	tr, profiles := smallCampus(t)
 	// One three-day session and a one-day history: the window opens after
@@ -244,7 +338,8 @@ func TestTrainScratchReuseBitIdentical(t *testing.T) {
 	if len(wantModel) != 6 || len(wantRows[seq[0]].Friends) == 0 {
 		t.Fatalf("%d reference models, %d close friends in the first: nothing to compare", len(wantModel), len(wantRows[seq[0]].Friends))
 	}
-	if a, b := wantModel[seq[0]], wantModel[seq[5]]; reflect.DeepEqual(a.CoLeaves, b.CoLeaves) {
+	_, _, colA := asMaps(wantModel[seq[0]])
+	if _, _, colB := asMaps(wantModel[seq[5]]); reflect.DeepEqual(colA, colB) {
 		t.Fatal("the two co-leave windows count the same co-leaves: the sequence cannot see a stale event list")
 	}
 	check("second pass")

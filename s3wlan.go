@@ -71,7 +71,7 @@ type (
 	// SocietyConfig holds the sociality-learning parameters (co-leave
 	// window, α, history days, …).
 	SocietyConfig = society.Config
-	// Model is a trained sociality model exposing θ(u,v).
+	// Model is a trained sociality model: its Index(u, v) is θ(u,v).
 	Model = society.Model
 )
 
