@@ -28,3 +28,17 @@ func BenchmarkSimulateS3(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPrepare is what a sweep pays per seed before its first figure:
+// generate the default campus, split it at day 28, build the training
+// profiles and the demand estimator.
+func BenchmarkPrepare(b *testing.B) {
+	campus := synth.DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		campus.Seed = int64(1 + i%3)
+		if _, err := Prepare(campus, 28); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -157,6 +157,20 @@ func (c Config) Validate() error {
 		return fmt.Errorf("synth: CoLeaveProb %v out of [0, 1]", c.CoLeaveProb)
 	case c.ActivitiesPerDay <= 0:
 		return errors.New("synth: ActivitiesPerDay must be positive")
+	case c.APCapacityBps < 0:
+		return fmt.Errorf("synth: APCapacityBps %v is negative", c.APCapacityBps)
+	case c.SecondaryGroupProb < 0 || c.SecondaryGroupProb > 1:
+		return fmt.Errorf("synth: SecondaryGroupProb %v out of [0, 1]", c.SecondaryGroupProb)
+	case c.HomeBuildingProb < 0 || c.HomeBuildingProb > 1:
+		return fmt.Errorf("synth: HomeBuildingProb %v out of [0, 1]", c.HomeBuildingProb)
+	case c.WeekendActivity < 0 || c.WeekendActivity > 1:
+		return fmt.Errorf("synth: WeekendActivity %v out of [0, 1]", c.WeekendActivity)
+	case c.ArrivalJitterSeconds < 0: // Generate draws rng.Int63n(2·jitter + 1)
+		return fmt.Errorf("synth: ArrivalJitterSeconds %d is negative", c.ArrivalJitterSeconds)
+	case c.CoLeaveJitterSeconds < 0:
+		return fmt.Errorf("synth: CoLeaveJitterSeconds %d is negative", c.CoLeaveJitterSeconds)
+	case c.SoloSessionsPerDay < 0:
+		return fmt.Errorf("synth: SoloSessionsPerDay %v is negative", c.SoloSessionsPerDay)
 	}
 	return nil
 }

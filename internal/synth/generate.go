@@ -233,22 +233,15 @@ func buildPopulation(cfg Config, rng *rand.Rand) *GroundTruth {
 }
 
 // scheduleSessions produces session intents (controller decided, AP left
-// to the LLF replay) and the matching flow records.
+// to the LLF replay) and the matching flow records, both in draw order.
 func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 	truth *GroundTruth) ([]trace.Session, []trace.Flow) {
 
-	var sessions []trace.Session
-	var flows []trace.Flow
-	placeholderAP := make(map[trace.ControllerID]trace.APID)
-	for _, ap := range topo.APs {
-		if _, ok := placeholderAP[ap.Controller]; !ok {
-			placeholderAP[ap.Controller] = ap.ID
-		}
-	}
 	controllers := topo.Controllers()
 
 	// Deterministic user ordering: map iteration order would otherwise
-	// randomize both rng consumption and output order across runs.
+	// randomize both rng consumption and output order across runs. From
+	// here on a user is a rank in this order, and per-user state a slice.
 	allUsers := make([]trace.UserID, 0, len(truth.UserArchetype))
 	for u := range truth.UserArchetype {
 		allUsers = append(allUsers, u)
@@ -259,15 +252,18 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 	// application mixture (the archetype mix perturbed per realm). The
 	// personal mixture gives each usage cluster genuine width, which the
 	// gap statistic (Fig. 7) needs to stop at the true k.
-	demandMult := make(map[trace.UserID]float64, len(allUsers))
-	userMix := make(map[trace.UserID][apps.NumRealms]float64, len(allUsers))
-	var soloUsers, residentUsers []trace.UserID
-	for _, u := range allUsers {
-		demandMult[u] = 0.6 + rng.Float64()*0.8 // 0.6..1.4
-		base := archetypeMixes[truth.UserArchetype[u]]
-		var personal [apps.NumRealms]float64
+	rate := make([]float64, len(allUsers)) // mean demand, bytes/second
+	userMix := make([][apps.NumRealms]float64, len(allUsers))
+	moods := make([][apps.NumRealms]float64, len(allUsers)) // dayMood of moodDay
+	moodDay := make([]int, len(allUsers))
+	var soloUsers, residentUsers []int
+	for i, u := range allUsers {
+		moodDay[i] = math.MinInt // no day yet
+		arch := truth.UserArchetype[u]
+		rate[i] = archetypeRates[arch] * (0.6 + rng.Float64()*0.8) // × 0.6..1.4
+		personal := &userMix[i]
 		var total float64
-		for i, w := range base {
+		for r, w := range archetypeMixes[arch] {
 			// Additive isotropic perturbation: keeps the within-cluster
 			// scatter round, which the gap statistic's stopping rule
 			// assumes. Clamped away from zero to stay a valid share.
@@ -275,43 +271,52 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 			if v < 0.005 {
 				v = 0.005
 			}
-			personal[i] = v
+			personal[r] = v
 			total += v
 		}
-		for i := range personal {
-			personal[i] /= total
+		for r := range personal {
+			personal[r] /= total
 		}
-		userMix[u] = personal
 		switch truth.PrimaryGroup[u] {
 		case -1:
-			soloUsers = append(soloUsers, u)
+			soloUsers = append(soloUsers, i)
 		case -2:
-			residentUsers = append(residentUsers, u)
+			residentUsers = append(residentUsers, i)
 		}
 	}
-	residentHome := make(map[trace.UserID]int, len(residentUsers))
-	for _, u := range residentUsers {
-		residentHome[u] = rng.Intn(cfg.Buildings)
+	residentHome := make([]int, len(allUsers))
+	for _, i := range residentUsers {
+		residentHome[i] = rng.Intn(cfg.Buildings)
 	}
 
 	homeBuilding := make([]int, len(truth.Groups))
-	for gi := range truth.Groups {
+	members := make([][]int, len(truth.Groups))
+	memberships := 0
+	for gi, g := range truth.Groups {
 		homeBuilding[gi] = rng.Intn(cfg.Buildings)
+		members[gi] = make([]int, len(g))
+		for k, u := range g {
+			members[gi][k], _ = slices.BinarySearch(allUsers, u)
+		}
+		memberships += len(g)
 	}
 
-	// dayMood is a pure function of (seed, user, day) that seeds a fresh
-	// generator each call; a user's sessions of one day share the result.
-	type userDay struct {
-		u   trace.UserID
-		day int
-	}
-	moods := make(map[userDay][apps.NumRealms]float64)
+	// Sessions are sized by what the days can schedule (short only if solo
+	// Poisson draws outrun the absences); flows — up to 24 a session, 14 on
+	// average — are collected per day and joined once, not sized 1.7× over.
+	sessions := make([]trace.Session, 0, cfg.Days*(memberships*cfg.ActivitiesPerDay+
+		len(residentUsers)+int(math.Ceil(float64(len(soloUsers))*cfg.SoloSessionsPerDay))))
+	var dayFlows []trace.Flow
+	flowsOfDay := make([][]trace.Flow, 0, cfg.Days)
 
-	emit := func(u trace.UserID, ctl trace.ControllerID, start, end int64) {
+	// dayMood reseeds moodRng; a user's sessions of one day share the result.
+	moodRng := rand.New(rand.NewSource(0))
+
+	emit := func(i int, ctl trace.ControllerID, start, end int64) {
 		if end <= start {
 			return
 		}
-		arch := truth.UserArchetype[u]
+		u := allUsers[i]
 		// Session-level demand is heavy-tailed (lognormal, σ = 0.8): what a
 		// user actually pulls in one sitting varies several-fold around
 		// their personal mean. Controllers only know the mean, so any
@@ -320,30 +325,25 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 		// keeps the personal mean calibrated.
 		const sessionSigma = 0.8
 		noise := math.Exp(rng.NormFloat64()*sessionSigma - sessionSigma*sessionSigma/2)
-		rate := archetypeRates[arch] * demandMult[u] * noise
-		bytes := int64(rate * float64(end-start))
+		bytes := int64(rate[i] * noise * float64(end-start))
 		if bytes <= 0 {
 			bytes = 1
 		}
 		sessions = append(sessions, trace.Session{
 			User:         u,
-			AP:           placeholderAP[ctl],
 			Controller:   ctl,
 			ConnectAt:    start,
 			DisconnectAt: end,
 			Bytes:        bytes,
 		})
-		day := trace.DayIndex(cfg.Epoch, start)
-		mood, ok := moods[userDay{u, day}]
-		if !ok {
-			mood = dayMood(cfg.Seed, u, day)
-			moods[userDay{u, day}] = mood
+		if day := trace.DayIndex(cfg.Epoch, start); day != moodDay[i] {
+			moods[i], moodDay[i] = dayMood(moodRng, cfg.Seed, u, day), day
 		}
-		mix := userMix[u]
-		for i := range mix {
-			mix[i] *= mood[i]
+		mix := userMix[i]
+		for r := range mix {
+			mix[r] *= moods[i][r]
 		}
-		flows = append(flows, emitFlows(rng, u, mix, start, end, bytes)...)
+		dayFlows = emitFlows(dayFlows, rng, u, mix, start, end, bytes)
 	}
 
 	for day := 0; day < cfg.Days; day++ {
@@ -355,9 +355,8 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 		}
 
 		// Group activities.
-		for gi, members := range truth.Groups {
-			nAct := cfg.ActivitiesPerDay
-			for act := 0; act < nAct; act++ {
+		for gi, group := range members {
+			for act := 0; act < cfg.ActivitiesPerDay; act++ {
 				if weekend && rng.Float64() > activityScale {
 					continue
 				}
@@ -375,7 +374,7 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 				}
 				ctl := controllers[b]
 
-				for _, u := range members {
+				for _, i := range group {
 					if rng.Float64() > cfg.AttendanceProb {
 						continue
 					}
@@ -388,7 +387,7 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 						// around the end.
 						uEnd = end + rng.Int63n(4200) - 2100
 					}
-					emit(u, ctl, uStart, uEnd)
+					emit(i, ctl, uStart, uEnd)
 				}
 			}
 		}
@@ -397,29 +396,31 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 		// resident works one long shift in their home building on
 		// workdays (reduced presence on weekends); departures are
 		// independent, spread over the evening.
-		for _, u := range residentUsers {
+		for _, i := range residentUsers {
 			if weekend && rng.Float64() > activityScale {
 				continue
 			}
 			start := dayStart + 8*3600 + rng.Int63n(5400) // 08:00–09:30
 			stay := int64(6+rng.Intn(5)) * 3600           // 6–10 hours
 			stay += rng.Int63n(1800)
-			emit(u, controllers[residentHome[u]], start, start+stay)
+			emit(i, controllers[residentHome[i]], start, start+stay)
 		}
 
 		// Solo background sessions.
-		for _, u := range soloUsers {
+		for _, i := range soloUsers {
 			n := poissonish(rng, cfg.SoloSessionsPerDay*activityScale)
 			for s := 0; s < n; s++ {
 				slot := pickSlot(rng)
 				start := dayStart + int64(slot*3600) + rng.Int63n(3600)
 				duration := int64(20+rng.Intn(101)) * 60 // 20–120 minutes
 				ctl := controllers[rng.Intn(len(controllers))]
-				emit(u, ctl, start, start+duration)
+				emit(i, ctl, start, start+duration)
 			}
 		}
+		flowsOfDay = append(flowsOfDay, slices.Clone(dayFlows))
+		dayFlows = dayFlows[:0]
 	}
-	return sessions, flows
+	return sessions, slices.Concat(flowsOfDay...)
 }
 
 // dayMood returns the per-(user, day) multiplicative activity emphasis: a
@@ -427,15 +428,16 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 // the user's long-term profile. This drives the paper's Fig. 6 behaviour —
 // the NMI between today's profile and aggregated history keeps improving
 // for a week or two before it plateaus. Derived from a hash so it is
-// deterministic regardless of generation order.
-func dayMood(seed int64, u trace.UserID, day int) [apps.NumRealms]float64 {
+// deterministic regardless of generation order, and reseeds rng rather than
+// allocate a 5 KB generator for each of a campus's 14 600 moods.
+func dayMood(rng *rand.Rand, seed int64, u trace.UserID, day int) [apps.NumRealms]float64 {
 	h := fnv.New64a()
 	var buf [16]byte
 	binary.LittleEndian.PutUint64(buf[:8], uint64(seed))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(day))
 	h.Write(buf[:])
 	h.Write([]byte(u))
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	rng.Seed(int64(h.Sum64()))
 	var m [apps.NumRealms]float64
 	for i := range m {
 		m[i] = math.Exp(rng.NormFloat64() * 0.7)
@@ -444,8 +446,8 @@ func dayMood(seed int64, u trace.UserID, day int) [apps.NumRealms]float64 {
 }
 
 // emitFlows splits a session's volume into per-realm flows per the user's
-// day-modulated mixture (with mild session-level noise).
-func emitFlows(rng *rand.Rand, u trace.UserID, mix [apps.NumRealms]float64,
+// day-modulated mixture (with mild session-level noise), appended to out.
+func emitFlows(out []trace.Flow, rng *rand.Rand, u trace.UserID, mix [apps.NumRealms]float64,
 	start, end, bytes int64) []trace.Flow {
 	// Perturb and renormalize the mixture.
 	var noisy [apps.NumRealms]float64
@@ -465,7 +467,6 @@ func emitFlows(rng *rand.Rand, u trace.UserID, mix [apps.NumRealms]float64,
 	if chunks > 4 {
 		chunks = 4
 	}
-	out := make([]trace.Flow, 0, apps.NumRealms*chunks)
 	for i := range noisy {
 		share := noisy[i] / total
 		vol := int64(share * float64(bytes))
@@ -565,7 +566,7 @@ func assignWithLLF(topo trace.Topology, intents []trace.Session) ([]trace.Sessio
 	if err != nil {
 		return nil, err
 	}
-	var out []trace.Session
+	out := make([]trace.Session, 0, len(intents))
 	for _, c := range res.Controllers() {
 		for _, a := range res.Domains[c].Assigned {
 			s := a.Session

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/apps"
@@ -92,29 +93,55 @@ func TestConfigValidateCases(t *testing.T) {
 	tests := []struct {
 		name   string
 		mutate func(*Config)
+		// field, when set, must be named by the error.
+		field string
 	}{
-		{"days", func(c *Config) { c.Days = 0 }},
-		{"buildings", func(c *Config) { c.Buildings = 0 }},
-		{"aps", func(c *Config) { c.APsPerBuilding = 0 }},
-		{"users", func(c *Config) { c.Users = -1 }},
-		{"group size", func(c *Config) { c.GroupSizeMin = 1 }},
-		{"group range", func(c *Config) { c.GroupSizeMax = c.GroupSizeMin - 1 }},
-		{"solo", func(c *Config) { c.SoloFraction = 1.0 }},
-		{"attendance", func(c *Config) { c.AttendanceProb = 0 }},
-		{"coleave", func(c *Config) { c.CoLeaveProb = 1.5 }},
-		{"activities", func(c *Config) { c.ActivitiesPerDay = 0 }},
+		{"days", func(c *Config) { c.Days = 0 }, "Days"},
+		{"buildings", func(c *Config) { c.Buildings = 0 }, "Buildings"},
+		{"aps", func(c *Config) { c.APsPerBuilding = 0 }, "APsPerBuilding"},
+		{"users", func(c *Config) { c.Users = -1 }, "Users"},
+		{"group size", func(c *Config) { c.GroupSizeMin = 1 }, ""},
+		{"group range", func(c *Config) { c.GroupSizeMax = c.GroupSizeMin - 1 }, ""},
+		{"solo", func(c *Config) { c.SoloFraction = 1.0 }, "SoloFraction"},
+		{"attendance", func(c *Config) { c.AttendanceProb = 0 }, "AttendanceProb"},
+		{"coleave", func(c *Config) { c.CoLeaveProb = 1.5 }, "CoLeaveProb"},
+		{"activities", func(c *Config) { c.ActivitiesPerDay = 0 }, "ActivitiesPerDay"},
+		// The two jitters reach rng.Int63n(2·jitter + 1), which panics at ≤ 0.
+		{"arrival jitter", func(c *Config) { c.ArrivalJitterSeconds = -1 }, "ArrivalJitterSeconds"},
+		{"co-leave jitter", func(c *Config) { c.CoLeaveJitterSeconds = -90 }, "CoLeaveJitterSeconds"},
+		{"secondary low", func(c *Config) { c.SecondaryGroupProb = -0.1 }, "SecondaryGroupProb"},
+		{"secondary high", func(c *Config) { c.SecondaryGroupProb = 1.1 }, "SecondaryGroupProb"},
+		{"home low", func(c *Config) { c.HomeBuildingProb = -0.1 }, "HomeBuildingProb"},
+		{"home high", func(c *Config) { c.HomeBuildingProb = 2 }, "HomeBuildingProb"},
+		{"weekend low", func(c *Config) { c.WeekendActivity = -0.3 }, "WeekendActivity"},
+		{"weekend high", func(c *Config) { c.WeekendActivity = 1.3 }, "WeekendActivity"},
+		{"solo sessions", func(c *Config) { c.SoloSessionsPerDay = -2 }, "SoloSessionsPerDay"},
+		{"capacity", func(c *Config) { c.APCapacityBps = -12e6 }, "APCapacityBps"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			tt.mutate(&cfg)
-			if err := cfg.Validate(); err == nil {
-				t.Error("expected validation error")
+			err := cfg.Validate()
+			if err == nil {
+				t.Fatal("expected validation error")
+			}
+			if !strings.Contains(err.Error(), tt.field) {
+				t.Errorf("error %q does not name %s", err, tt.field)
 			}
 		})
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
+	}
+	// The edges of every closed range stay valid.
+	edges := DefaultConfig()
+	edges.ArrivalJitterSeconds, edges.CoLeaveJitterSeconds = 0, 0
+	edges.SecondaryGroupProb, edges.HomeBuildingProb, edges.WeekendActivity = 0, 1, 1
+	edges.SoloSessionsPerDay, edges.APCapacityBps = 0, 0
+	edges.Users, edges.Days = 60, 3
+	if _, _, err := Generate(edges); err != nil {
+		t.Errorf("config on the edges of its ranges: %v", err)
 	}
 }
 

@@ -11,8 +11,6 @@ package trace
 
 import (
 	"cmp"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"slices"
 	"time"
@@ -26,13 +24,6 @@ type APID string
 
 // ControllerID identifies a WLAN controller domain (a set of APs).
 type ControllerID string
-
-// HashUserID derives a stable anonymized UserID from a raw identifier
-// (e.g. a MAC address), mirroring the paper's SHA-based anonymization.
-func HashUserID(raw string) UserID {
-	sum := sha256.Sum256([]byte(raw))
-	return UserID(hex.EncodeToString(sum[:8]))
-}
 
 // Session is one login record: a user's association with an AP from
 // ConnectAt to DisconnectAt, during which Bytes of traffic were served.
@@ -154,16 +145,6 @@ func (t *Topology) APsOf(c ControllerID) []AP {
 	return out
 }
 
-// APByID returns the AP with the given ID, if present.
-func (t *Topology) APByID(id APID) (AP, bool) {
-	for _, ap := range t.APs {
-		if ap.ID == id {
-			return ap, true
-		}
-	}
-	return AP{}, false
-}
-
 // Trace is a complete dataset: topology plus session and flow records.
 type Trace struct {
 	Topology Topology  `json:"topology"`
@@ -208,16 +189,6 @@ func (tr *Trace) Users() []UserID {
 	return out
 }
 
-// SessionsByUser groups sessions per user. Slices share the trace's
-// backing array ordering but are freshly allocated.
-func (tr *Trace) SessionsByUser() map[UserID][]Session {
-	out := make(map[UserID][]Session)
-	for _, s := range tr.Sessions {
-		out[s.User] = append(out[s.User], s)
-	}
-	return out
-}
-
 // SessionsOfController returns sessions served within one controller
 // domain.
 func (tr *Trace) SessionsOfController(c ControllerID) []Session {
@@ -234,24 +205,43 @@ func (tr *Trace) SessionsOfController(c ControllerID) []Session {
 // connect strictly before cut go to the first trace (the training split),
 // the rest to the second (the test split). Flows split on their start
 // time. Topology is shared by value.
+//
+// The halves may share the receiver's storage: a slice in time order
+// (sessions by ConnectAt, flows by Start — what Generate returns) is cut
+// in place, each half clamped to its length so an append to one cannot
+// reach the other; one out of order is copied once into exactly sized
+// halves. That is safe because nothing outside tests writes a session or
+// flow in place (SortSessions' only caller is Generate, on its own trace).
 func (tr *Trace) SplitAt(cut int64) (train, test *Trace) {
 	train = &Trace{Topology: tr.Topology}
 	test = &Trace{Topology: tr.Topology}
-	for _, s := range tr.Sessions {
-		if s.ConnectAt < cut {
-			train.Sessions = append(train.Sessions, s)
-		} else {
-			test.Sessions = append(test.Sessions, s)
-		}
-	}
-	for _, f := range tr.Flows {
-		if f.Start < cut {
-			train.Flows = append(train.Flows, f)
-		} else {
-			test.Flows = append(test.Flows, f)
-		}
-	}
+	train.Sessions, test.Sessions = splitAt(tr.Sessions, cut, func(s *Session) int64 { return s.ConnectAt })
+	train.Flows, test.Flows = splitAt(tr.Flows, cut, func(f *Flow) int64 { return f.Start })
 	return train, test
+}
+
+// splitAt returns the records timed before cut and the rest, in order:
+// as views of s when s is in time order, as copies when it is not.
+func splitAt[E any](s []E, cut int64, at func(*E) int64) (before, rest []E) {
+	k, ordered := 0, true
+	for i := range s {
+		if at(&s[i]) < cut {
+			k++
+		}
+		ordered = ordered && (i == 0 || at(&s[i-1]) <= at(&s[i]))
+	}
+	if ordered {
+		return s[:k:k], s[k:len(s):len(s)]
+	}
+	before, rest = make([]E, 0, k), make([]E, 0, len(s)-k)
+	for i := range s {
+		if at(&s[i]) < cut {
+			before = append(before, s[i])
+		} else {
+			rest = append(rest, s[i])
+		}
+	}
+	return before, rest
 }
 
 // Validate checks every record and the referential integrity of sessions

@@ -1,6 +1,11 @@
 package trace
 
 import (
+	"cmp"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -10,21 +15,6 @@ func sampleTopology() Topology {
 		{ID: "ap-2", Controller: "ctl-A", Building: "B1", CapacityBps: 1e6},
 		{ID: "ap-3", Controller: "ctl-B", Building: "B2", CapacityBps: 2e6},
 	}}
-}
-
-func TestHashUserID(t *testing.T) {
-	a := HashUserID("aa:bb:cc:dd:ee:ff")
-	b := HashUserID("aa:bb:cc:dd:ee:ff")
-	c := HashUserID("11:22:33:44:55:66")
-	if a != b {
-		t.Error("hash should be deterministic")
-	}
-	if a == c {
-		t.Error("different MACs should hash differently")
-	}
-	if len(a) != 16 {
-		t.Errorf("hash length = %d, want 16 hex chars", len(a))
-	}
 }
 
 func TestSessionBasics(t *testing.T) {
@@ -118,12 +108,8 @@ func TestTopologyQueries(t *testing.T) {
 	if got := topo.APsOf("nope"); len(got) != 0 {
 		t.Errorf("APsOf(nope) = %v", got)
 	}
-	ap, ok := topo.APByID("ap-3")
-	if !ok || ap.Controller != "ctl-B" {
-		t.Errorf("APByID = %v, %v", ap, ok)
-	}
-	if _, ok := topo.APByID("missing"); ok {
-		t.Error("APByID should miss")
+	if aps := topo.APsOf("ctl-B"); len(aps) != 1 || aps[0].ID != "ap-3" {
+		t.Errorf("APsOf(ctl-B) = %v", aps)
 	}
 }
 
@@ -160,10 +146,6 @@ func TestTraceUsersAndGrouping(t *testing.T) {
 	if len(users) != 2 || users[0] != "u1" || users[1] != "u2" {
 		t.Errorf("Users = %v", users)
 	}
-	byUser := tr.SessionsByUser()
-	if len(byUser["u1"]) != 2 || len(byUser["u2"]) != 1 {
-		t.Errorf("SessionsByUser = %v", byUser)
-	}
 	c1 := tr.SessionsOfController("c1")
 	if len(c1) != 2 {
 		t.Errorf("SessionsOfController(c1) = %v", c1)
@@ -192,6 +174,130 @@ func TestSplitAt(t *testing.T) {
 	}
 	if len(train.Topology.APs) != 3 || len(test.Topology.APs) != 3 {
 		t.Error("topology should be carried to both splits")
+	}
+}
+
+// splitTrace is eight sessions and eight flows in time order, three of each
+// sharing the timestamp 100.
+func splitTrace() *Trace {
+	tr := &Trace{Topology: sampleTopology()}
+	for i, at := range []int64{10, 40, 100, 100, 100, 130, 130, 170} {
+		u := UserID(fmt.Sprintf("u%d", i))
+		tr.Sessions = append(tr.Sessions, Session{User: u, AP: "ap-1", ConnectAt: at, DisconnectAt: at + 50})
+		tr.Flows = append(tr.Flows, Flow{User: u, Start: at, End: at + 5, Proto: "tcp"})
+	}
+	return tr
+}
+
+// splitByFilter is SplitAt as it was first written: two filters, in order.
+func splitByFilter(tr *Trace, cut int64) (train, test *Trace) {
+	train, test = &Trace{Topology: tr.Topology}, &Trace{Topology: tr.Topology}
+	for _, s := range tr.Sessions {
+		if s.ConnectAt < cut {
+			train.Sessions = append(train.Sessions, s)
+		} else {
+			test.Sessions = append(test.Sessions, s)
+		}
+	}
+	for _, f := range tr.Flows {
+		if f.Start < cut {
+			train.Flows = append(train.Flows, f)
+		} else {
+			test.Flows = append(test.Flows, f)
+		}
+	}
+	return train, test
+}
+
+func TestSplitAtOrderedAndShuffled(t *testing.T) {
+	ordered := splitTrace()
+	shuffled := splitTrace()
+	rng := rand.New(rand.NewSource(7))
+	rng.Shuffle(len(shuffled.Sessions), func(i, j int) {
+		shuffled.Sessions[i], shuffled.Sessions[j] = shuffled.Sessions[j], shuffled.Sessions[i]
+	})
+	rng.Shuffle(len(shuffled.Flows), func(i, j int) {
+		shuffled.Flows[i], shuffled.Flows[j] = shuffled.Flows[j], shuffled.Flows[i]
+	})
+	byConnect := func(a, b Session) int { return cmp.Compare(a.ConnectAt, b.ConnectAt) }
+	byStart := func(a, b Flow) int { return cmp.Compare(a.Start, b.Start) }
+	if slices.IsSortedFunc(shuffled.Sessions, byConnect) || slices.IsSortedFunc(shuffled.Flows, byStart) {
+		t.Fatal("the shuffle left a slice in time order; pick another seed")
+	}
+	cuts := []struct {
+		name  string
+		cut   int64
+		train int
+	}{
+		{"before the first record", 5, 0},
+		{"after the last record", 171, 8},
+		{"on a shared timestamp", 100, 2}, // the three records at 100 go to the test half
+		{"between records", 101, 5},
+	}
+	for _, tr := range []*Trace{ordered, shuffled} {
+		whole, _ := splitByFilter(tr, math.MaxInt64) // a copy of everything
+		for _, c := range cuts {
+			train, test := tr.SplitAt(c.cut)
+			wantTrain, wantTest := splitByFilter(tr, c.cut)
+			if len(train.Sessions) != c.train || len(train.Flows) != c.train {
+				t.Errorf("%s: %d sessions and %d flows before the cut, want %d of each",
+					c.name, len(train.Sessions), len(train.Flows), c.train)
+			}
+			if !slices.Equal(train.Sessions, wantTrain.Sessions) || !slices.Equal(test.Sessions, wantTest.Sessions) {
+				t.Errorf("%s: sessions %v | %v, want %v | %v", c.name,
+					train.Sessions, test.Sessions, wantTrain.Sessions, wantTest.Sessions)
+			}
+			if !slices.Equal(train.Flows, wantTrain.Flows) || !slices.Equal(test.Flows, wantTest.Flows) {
+				t.Errorf("%s: flows %v | %v, want %v | %v", c.name,
+					train.Flows, test.Flows, wantTrain.Flows, wantTest.Flows)
+			}
+			if len(train.Topology.APs) != 3 || len(test.Topology.APs) != 3 {
+				t.Errorf("%s: topology not carried to both halves", c.name)
+			}
+			// Whether view or copy, a half is clamped to its length: an
+			// append reallocates, so it reaches neither the other half
+			// nor the receiver.
+			if cap(train.Sessions) != len(train.Sessions) || cap(train.Flows) != len(train.Flows) ||
+				cap(test.Sessions) != len(test.Sessions) || cap(test.Flows) != len(test.Flows) {
+				t.Errorf("%s: a half has spare capacity", c.name)
+			}
+			_ = append(train.Sessions, Session{User: "intruder", ConnectAt: -1})
+			_ = append(train.Flows, Flow{User: "intruder", Start: -1})
+			if !slices.Equal(test.Sessions, wantTest.Sessions) || !slices.Equal(test.Flows, wantTest.Flows) {
+				t.Errorf("%s: appending to the training half changed the test half", c.name)
+			}
+			if !slices.Equal(tr.Sessions, whole.Sessions) || !slices.Equal(tr.Flows, whole.Flows) {
+				t.Fatalf("%s: appending to the training half changed the receiver", c.name)
+			}
+		}
+	}
+}
+
+// TestSplitAtSharesOrderedSlices pins what SplitAt does per slice: the one in
+// time order is cut in place (its halves are the receiver's storage), the
+// one out of order is copied — whichever of sessions and flows that is.
+func TestSplitAtSharesOrderedSlices(t *testing.T) {
+	for _, mixed := range []struct {
+		name               string
+		sessionsOutOfOrder bool
+	}{{"sessions ordered, flows not", false}, {"flows ordered, sessions not", true}} {
+		tr := splitTrace()
+		if mixed.sessionsOutOfOrder {
+			tr.Sessions[0], tr.Sessions[7] = tr.Sessions[7], tr.Sessions[0]
+		} else {
+			tr.Flows[0], tr.Flows[7] = tr.Flows[7], tr.Flows[0]
+		}
+		train, test := tr.SplitAt(100)
+		wantTrain, wantTest := splitByFilter(tr, 100)
+		if !slices.Equal(train.Sessions, wantTrain.Sessions) || !slices.Equal(test.Sessions, wantTest.Sessions) ||
+			!slices.Equal(train.Flows, wantTrain.Flows) || !slices.Equal(test.Flows, wantTest.Flows) {
+			t.Errorf("%s: halves differ from the two filters", mixed.name)
+		}
+		sessionsShared := &train.Sessions[0] == &tr.Sessions[0] && &test.Sessions[0] == &tr.Sessions[len(train.Sessions)]
+		flowsShared := &train.Flows[0] == &tr.Flows[0] && &test.Flows[0] == &tr.Flows[len(train.Flows)]
+		if sessionsShared == mixed.sessionsOutOfOrder || flowsShared != mixed.sessionsOutOfOrder {
+			t.Errorf("%s: sessions shared = %v, flows shared = %v", mixed.name, sessionsShared, flowsShared)
+		}
 	}
 }
 

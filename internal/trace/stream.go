@@ -72,20 +72,15 @@ func Stream(r io.Reader, handler StreamHandler) error {
 	return nil
 }
 
-// StreamFile opens path and scans it with Stream.
-func StreamFile(path string, handler StreamHandler) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("trace: open %s: %w", path, err)
-	}
-	defer f.Close()
-	return Stream(f, handler)
-}
-
 // CountRecords streams a trace file and tallies its records — a cheap
 // integrity probe for large files.
 func CountRecords(path string) (sessions, flows int, err error) {
-	err = StreamFile(path, func(_ *Topology, s *Session, f *Flow) error {
+	file, err := os.Open(path)
+	if err != nil {
+		return 0, 0, fmt.Errorf("trace: open %s: %w", path, err)
+	}
+	defer file.Close()
+	err = Stream(file, func(_ *Topology, s *Session, f *Flow) error {
 		switch {
 		case s != nil:
 			sessions++
