@@ -304,13 +304,13 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 	// Sessions are sized by what the days can schedule (short only if solo
 	// Poisson draws outrun the absences); flows — up to 24 a session, 14 on
 	// average — are collected per day and joined once, not sized 1.7× over.
-	sessions := make([]trace.Session, 0, cfg.Days*(memberships*cfg.ActivitiesPerDay+
-		len(residentUsers)+int(math.Ceil(float64(len(soloUsers))*cfg.SoloSessionsPerDay))))
+	perDay := memberships*cfg.ActivitiesPerDay + len(residentUsers) +
+		int(math.Ceil(float64(len(soloUsers))*min(cfg.SoloSessionsPerDay, 101))) // poissonish stops at 101
+	sessions := make([]trace.Session, 0, cfg.Days*perDay)
 	var dayFlows []trace.Flow
 	flowsOfDay := make([][]trace.Flow, 0, cfg.Days)
 
-	// dayMood reseeds moodRng; a user's sessions of one day share the result.
-	moodRng := rand.New(rand.NewSource(0))
+	moodRng := rand.New(rand.NewSource(0)) // reseeded by every dayMood
 
 	emit := func(i int, ctl trace.ControllerID, start, end int64) {
 		if end <= start {
@@ -336,7 +336,7 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 			DisconnectAt: end,
 			Bytes:        bytes,
 		})
-		if day := trace.DayIndex(cfg.Epoch, start); day != moodDay[i] {
+		if day := trace.DayIndex(cfg.Epoch, start); day != moodDay[i] { // else: same day, same mood
 			moods[i], moodDay[i] = dayMood(moodRng, cfg.Seed, u, day), day
 		}
 		mix := userMix[i]

@@ -7,7 +7,7 @@
 //
 //	cfg := s3wlan.DefaultCampusConfig()
 //	tr, _, _ := s3wlan.GenerateCampus(cfg)           // or load a trace
-//	train, test := tr.SplitAt(cut)
+//	train, test := tr.SplitAt(cut)                   // may share tr's storage
 //	model, _ := s3wlan.TrainModel(train, cfg.Epoch, s3wlan.DefaultSocietyConfig())
 //	selector, _ := s3wlan.NewSelector(model, s3wlan.DefaultSelectorConfig())
 //	result, _ := s3wlan.Simulate(test, s3wlan.SimConfig{ SelectorFor: ... })
