@@ -96,24 +96,24 @@ func BenchmarkSelect(b *testing.B) {
 
 var benchPlaced map[trace.UserID]trace.APID
 
-// BenchmarkSelectBatch times Algorithm 1 over a trained society.Model —
-// the rows NewSelector tabulates from it — on a 150-user campus: eight
-// co-arrivals, cut from consecutive ids so that some are close, placed
-// on twelve APs that hold everyone else.
-func BenchmarkSelectBatch(b *testing.B) {
+// trainedBatchFixture is Algorithm 1's input over a trained
+// society.Model — the rows NewSelector tabulates from it — on a 150-user
+// campus: the selector, the users in id order, and the views of twelve
+// APs that hold all of them.
+func trainedBatchFixture(tb testing.TB) (*Selector, []trace.UserID, []wlan.APView) {
 	campus := synth.DefaultConfig()
 	campus.Users, campus.Buildings, campus.Days = 150, 3, 20
 	tr, _, err := synth.Generate(campus)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	model, err := society.Train(tr, apps.BuildProfiles(tr.Flows, campus.Epoch, apps.NewClassifier()), society.DefaultConfig())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	sel, err := NewSelector(model, DefaultSelectorConfig())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	users := make([]trace.UserID, 0, len(model.Types))
 	for u := range model.Types {
@@ -123,25 +123,38 @@ func BenchmarkSelectBatch(b *testing.B) {
 	dom := domain.New(domain.Config{})
 	for a := 0; a < 12; a++ {
 		if err := dom.AddAP(trace.APID(fmt.Sprintf("ap%02d", a)), 1e9); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	for i, u := range users {
 		p := domain.Placement{User: u, AP: trace.APID(fmt.Sprintf("ap%02d", i%12)), DemandBps: float64(500 + (i*7919)%1000)}
 		if _, err := dom.Commit([]domain.Placement{p}, nil); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	var buf domain.ViewBuf
 	dom.ViewsInto(users[0], &buf)
-	views := buf.Views()
+	return sel, users, buf.Views()
+}
+
+// eightCoArrivals fills reqs with the i-th batch of the fixture: eight
+// users cut from consecutive ids, so that some are close.
+func eightCoArrivals(reqs []wlan.Request, users []trace.UserID, i int) {
+	for k := range reqs {
+		reqs[k] = wlan.Request{User: users[(i*8+k)%len(users)], DemandBps: float64(800 + 50*k)}
+	}
+}
+
+// BenchmarkSelectBatch times Algorithm 1 over a trained society.Model:
+// eight co-arrivals placed on twelve APs that hold everyone else.
+func BenchmarkSelectBatch(b *testing.B) {
+	sel, users, views := trainedBatchFixture(b)
 	reqs := make([]wlan.Request, 8)
+	var err error
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for k := range reqs {
-			reqs[k] = wlan.Request{User: users[(i*8+k)%len(users)], DemandBps: float64(800 + 50*k)}
-		}
+		eightCoArrivals(reqs, users, i)
 		if benchPlaced, err = sel.SelectBatch(reqs, views); err != nil {
 			b.Fatal(err)
 		}

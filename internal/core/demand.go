@@ -62,12 +62,3 @@ func (d *DemandEstimator) Demand(u trace.UserID) float64 {
 	}
 	return d.global
 }
-
-// Known reports whether u has personal history.
-func (d *DemandEstimator) Known(u trace.UserID) bool {
-	_, ok := d.perUser[u]
-	return ok
-}
-
-// GlobalMean returns the population mean throughput.
-func (d *DemandEstimator) GlobalMean() float64 { return d.global }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/domain"
@@ -203,8 +204,8 @@ func TestSelectBatchRowsMatchScan(t *testing.T) {
 			}
 		}
 		for name, sel := range map[string]*Selector{"listed": listed, "tabulated": tabulated} {
-			got, err := sel.placeBatch(reqs, views)
-			if err != nil {
+			got := new(placer)
+			if err := got.placeBatch(sel, reqs, views); err != nil {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}
 			for a := range views {
@@ -265,8 +266,8 @@ func TestSelectBatchOversizedCliqueDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := sel.placeBatch(reqs, aps)
-	if err != nil {
+	first := new(placer)
+	if err := first.placeBatch(sel, reqs, aps); err != nil {
 		t.Fatal(err)
 	}
 	shared := 0
@@ -279,8 +280,8 @@ func TestSelectBatchOversizedCliqueDeterministic(t *testing.T) {
 		t.Fatal("no AP received two members: the clique was not oversized")
 	}
 	for run := 1; run < 50; run++ {
-		again, err := sel.placeBatch(reqs, aps)
-		if err != nil {
+		again := new(placer)
+		if err := again.placeBatch(sel, reqs, aps); err != nil {
 			t.Fatal(err)
 		}
 		for a := range aps {
@@ -292,4 +293,39 @@ func TestSelectBatchOversizedCliqueDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSelectBatchConcurrent: eight goroutines place the fixture's batches
+// through one Selector at once — as Controller.AssociateBatch may — and
+// each gets, batch for batch, what a lone caller gets: a placer borrowed
+// from the pool is nobody else's. Under -race it also proves that.
+func TestSelectBatchConcurrent(t *testing.T) {
+	sel, users, views := trainedBatchFixture(t)
+	const batches = 40
+	want := make([]map[trace.UserID]trace.APID, batches)
+	for i := range want {
+		reqs := make([]wlan.Request, 8)
+		eightCoArrivals(reqs, users, i)
+		var err error
+		if want[i], err = sel.SelectBatch(reqs, views); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			reqs := make([]wlan.Request, 8)
+			for k := 0; k < batches; k++ {
+				i := (k + 5*g) % batches
+				eightCoArrivals(reqs, users, i)
+				if got, err := sel.SelectBatch(reqs, views); err != nil || !maps.Equal(got, want[i]) {
+					t.Errorf("goroutine %d, batch %d: SelectBatch = %v (%v), alone it gives %v", g, i, got, err, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

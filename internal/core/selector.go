@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/domain"
@@ -339,7 +340,7 @@ func (s *Selector) thetas(u trace.UserID, friends []trace.UserID) []float64 {
 //  1. Build the graph G over the batch users with edges where
 //     θ(u,v) > EdgeThreshold.
 //  2. Repeatedly extract a maximum clique (ties: largest edge-weight
-//     sum).
+//     sum): a socialgraph.Cover over the batch's indices.
 //  3. For each clique, search candidate distributions of its members to
 //     APs, rank by ΣᵢC(APᵢ), keep the top TopFraction, and choose the one
 //     whose projected load vector has the best balance index.
@@ -356,8 +357,9 @@ func (s *Selector) SelectBatch(reqs []wlan.Request, aps []wlan.APView) (map[trac
 	batchStart := time.Now()
 	defer func() { obsBatchTime.Observe(time.Since(batchStart)) }()
 
-	p, err := s.placeBatch(reqs, aps)
-	if err != nil {
+	p := placerPool.Get().(*placer)
+	defer p.release()
+	if err := p.placeBatch(s, reqs, aps); err != nil {
 		return nil, err
 	}
 	out := make(map[trace.UserID]trace.APID, len(reqs))
@@ -369,29 +371,64 @@ func (s *Selector) SelectBatch(reqs []wlan.Request, aps []wlan.APView) (map[trac
 	return out, nil
 }
 
-// placeBatch runs Algorithm 1 and returns the placer holding its
-// outcome: who was put on each AP, in order, and the projected loads.
-func (s *Selector) placeBatch(reqs []wlan.Request, aps []wlan.APView) (*placer, error) {
+// placer carries one SelectBatch call's batch, clique cover and projected
+// state, and the scratch placeClique works in: borrowed from placerPool
+// for the call, so that a batch allocates nothing of its own once the
+// buffers have grown, whichever goroutine decides it.
+type placer struct {
+	cfg     SelectorConfig
+	batch   []batchMember // in user order
+	related []relation    // the members' related rows, end to end
+	cover   socialgraph.Cover
+	state   []wlan.APView // LoadBps projected over the cliques placed so far
+	placed  [][]int       // per AP: batch members placed there so far, in order
+	cost    float64       // ΣC of the distributions chosen so far
+	theta   []float64     // per batch member: θ to the member being placed, else 0
+	perAP   []float64     // base, cost, load, loads: four rows of len(state)
+	used    []int         // per AP: members of the clique a candidate put there
+	within  []float64     // per earlier clique member: θ to the one being placed
+	beam    [2][]beamCandidate
+	assign  [2][]int // backing of the candidates' assign slices, per level parity
+}
+
+// placerPool lends out released placers for their buffers: an idle one
+// goes at the next collection, concurrent batches each get their own.
+var placerPool = sync.Pool{New: func() any { return new(placer) }}
+
+// release returns p to the pool without what it read: the views reach
+// into a domain and the batch into the selector's rows.
+func (p *placer) release() {
+	clear(p.state)
+	clear(p.batch)
+	placerPool.Put(p)
+}
+
+// placeBatch runs Algorithm 1 and leaves its outcome in p: who was put
+// on each AP, in order, the projected loads and the summed cost.
+func (p *placer) placeBatch(s *Selector, reqs []wlan.Request, aps []wlan.APView) error {
 	// The batch in user order. Rows are sorted too, so a member's
 	// relations inside the batch are one merge of the two lists, and the
-	// graph gets exactly the edges an Index over every pair would give.
-	batch := make([]batchMember, len(reqs))
+	// cover gets exactly the edges an Index over every pair would give:
+	// its vertices are the batch's indices.
+	p.cfg, p.cost = s.cfg, 0
+	p.batch = slices.Grow(p.batch[:0], len(reqs))[:len(reqs)]
+	batch := p.batch
 	for i, r := range reqs {
-		batch[i].Request = r
+		batch[i] = batchMember{Request: r}
 	}
 	slices.SortFunc(batch, func(a, b batchMember) int { return cmp.Compare(a.User, b.User) })
-	g := socialgraph.New()
 	for i := range batch {
 		m := &batch[i]
 		if i > 0 && m.User == batch[i-1].User {
-			return nil, fmt.Errorf("core: duplicate user %q in batch", m.User)
+			return fmt.Errorf("core: duplicate user %q in batch", m.User)
 		}
-		g.AddVertex(m.User)
 		m.friends = s.friends.CloseFriends(m.User)
 		m.theta = s.thetas(m.User, m.friends)
 	}
+	p.cover.Reset(len(batch))
+	p.related = p.related[:0]
 	for i := range batch {
-		m := &batch[i]
+		m, at := &batch[i], len(p.related)
 		for j, k := 0, 0; j < len(batch) && k < len(m.friends); {
 			switch c := cmp.Compare(batch[j].User, m.friends[k]); {
 			case c < 0:
@@ -399,36 +436,32 @@ func (s *Selector) placeBatch(reqs []wlan.Request, aps []wlan.APView) (*placer, 
 			case c > 0:
 				k++
 			default:
-				m.related = append(m.related, relation{j, m.theta[k]})
+				p.related = append(p.related, relation{j, m.theta[k]})
 				if i < j {
-					g.AddEdge(m.User, batch[j].User, m.theta[k])
+					p.cover.AddEdge(i, j, m.theta[k])
 				}
 				j++
 				k++
 			}
 		}
+		m.related = p.related[at:] // an append that moves p.related leaves this row behind, intact
 	}
-	cover := socialgraph.ExtractCliqueCover(g)
-	obsCliques.Add(int64(len(cover)))
+	cliques := p.cover.Extract()
+	obsCliques.Add(int64(cliques))
 
-	p := &placer{
-		s:      s,
-		batch:  batch,
-		state:  slices.Clone(aps),
-		placed: make([][]int, len(aps)),
-		theta:  make([]float64, len(batch)),
-		perAP:  make([]float64, 4*len(aps)),
-		used:   make([]int, len(aps)),
+	p.state = append(p.state[:0], aps...)
+	p.placed = slices.Grow(p.placed[:0], len(aps))[:len(aps)]
+	for a := range p.placed {
+		p.placed[a] = p.placed[a][:0]
 	}
-	var members []int
-	for _, clique := range cover {
-		members = members[:0]
-		for _, u := range clique {
-			i, _ := slices.BinarySearchFunc(batch, u, func(m batchMember, u trace.UserID) int { return cmp.Compare(m.User, u) })
-			members = append(members, i)
-		}
+	p.theta = slices.Grow(p.theta[:0], len(batch))[:len(batch)]
+	clear(p.theta)
+	p.perAP = slices.Grow(p.perAP[:0], 4*len(aps))[:4*len(aps)]
+	p.used = slices.Grow(p.used[:0], len(aps))[:len(aps)]
+	for q := 0; q < cliques; q++ {
 		// Heavy users first, so the beam places them while every AP is
 		// still open; ties by id (batch order).
+		members := p.cover.Clique(q)
 		slices.SortFunc(members, func(a, b int) int {
 			return cmp.Or(cmp.Compare(batch[b].DemandBps, batch[a].DemandBps), cmp.Compare(a, b))
 		})
@@ -442,23 +475,7 @@ func (s *Selector) placeBatch(reqs []wlan.Request, aps []wlan.APView) (*placer, 
 			p.placed[a] = append(p.placed[a], members[k])
 		}
 	}
-	return p, nil
-}
-
-// placer carries one SelectBatch call's projected state and the scratch
-// placeClique works in, so a clique allocates nothing per candidate.
-type placer struct {
-	s      *Selector
-	batch  []batchMember // in user order
-	state  []wlan.APView // LoadBps projected over the cliques placed so far
-	placed [][]int       // per AP: batch members placed there so far, in order
-	cost   float64       // ΣC of the distributions chosen so far
-	theta  []float64     // per batch member: θ to the member being placed, else 0
-	perAP  []float64     // base, cost, load, loads: four rows of len(state)
-	used   []int         // per AP: members of the clique a candidate put there
-	within []float64     // per earlier clique member: θ to the one being placed
-	beam   [2][]beamCandidate
-	assign [2][]int // backing of the candidates' assign slices, per level parity
+	return nil
 }
 
 // beamCandidate is a partial distribution of a clique's members to APs.
@@ -496,7 +513,7 @@ func (p *placer) placeClique(members []int) beamCandidate {
 	// Exhaustive when the space is small: nAPs^len(members) candidates
 	// bounded by exhaustiveLimit. The beam search prunes to BeamWidth per
 	// level otherwise.
-	beamWidth := p.s.cfg.BeamWidth
+	beamWidth := p.cfg.BeamWidth
 	if pow := intPow(nAPs, len(members)); pow > 0 && pow <= exhaustiveLimit {
 		beamWidth = pow
 		obsExhaustive.Inc()
@@ -505,7 +522,8 @@ func (p *placer) placeClique(members []int) beamCandidate {
 	// One batched counter update per clique: candidates generated across
 	// all beam levels, accumulated locally to keep the loop atomic-free.
 	var candsGenerated int64
-	beam := make([]beamCandidate, 1) // the empty distribution
+	var empty [1]beamCandidate // the empty distribution
+	beam := empty[:]
 	for mi, i := range members {
 		m := &p.batch[i]
 		for _, r := range m.related {
@@ -570,7 +588,7 @@ func (p *placer) placeClique(members []int) beamCandidate {
 	// Keep the top TopFraction by cost — tie-inclusive, so equal-cost
 	// distributions (the common no-social-ties case) all reach the
 	// balance tie-break — then pick the best projected balance index.
-	keep := max(1, int(math.Ceil(float64(len(beam))*p.s.cfg.TopFraction)))
+	keep := max(1, int(math.Ceil(float64(len(beam))*p.cfg.TopFraction)))
 	for keep < len(beam) && beam[keep].cost == beam[keep-1].cost {
 		keep++
 	}
@@ -617,6 +635,9 @@ func intPow(base, exp int) int {
 // of a level share an assignment, so the order is total.
 func sortCandidates(cands []beamCandidate) {
 	slices.SortFunc(cands, func(a, b beamCandidate) int {
-		return cmp.Or(cmp.Compare(a.cost, b.cost), slices.Compare(a.assign, b.assign))
+		if c := cmp.Compare(a.cost, b.cost); c != 0 {
+			return c // assignments are compared on a tie only
+		}
+		return slices.Compare(a.assign, b.assign)
 	})
 }

@@ -308,11 +308,12 @@ func (st *apState) bumpUser(u trace.UserID, delta float64) bool {
 type Domain struct {
 	mode LoadMode
 
-	mu      sync.RWMutex
-	version uint64 // bumped on every structural or membership change
-	aps     map[trace.APID]*apState
-	ids     []trace.APID // sorted
-	entries int          // total user entries across the APs
+	mu        sync.RWMutex
+	version   uint64 // bumped on every structural or membership change
+	published uint64 // version+1 at the last PublishReports; 0 once a SetReported overwrote it
+	aps       map[trace.APID]*apState
+	ids       []trace.APID // sorted
+	entries   int          // total user entries across the APs
 
 	gaugeAPs   *obs.Gauge // nil unless ObsName set
 	gaugeUsers *obs.Gauge
@@ -451,17 +452,24 @@ func (d *Domain) SetReported(id trace.APID, loadBps float64) bool {
 		return false
 	}
 	st.reportedBps = loadBps
+	d.published = 0
 	return true
 }
 
 // PublishReports snapshots every AP's believed load into its reported
-// load — the simulator's periodic report tick (LoadReported mode).
+// load — the simulator's periodic report tick (LoadReported mode). No
+// believed load moves without the version: a tick that finds the last
+// publish's (an idle night's, mostly) has nothing to copy.
 func (d *Domain) PublishReports() {
 	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.published == d.version+1 {
+		return
+	}
 	for _, st := range d.aps {
 		st.reportedBps = st.believedBps
 	}
-	d.mu.Unlock()
+	d.published = d.version + 1
 }
 
 // Size returns the registered AP count (failed APs included).

@@ -564,3 +564,68 @@ func TestShardOfStable(t *testing.T) {
 		}
 	}
 }
+
+// TestPublishReportsTracksEveryMove: PublishReports skips the copy when
+// the version is the last publish's, so every way a believed or reported
+// load can move must still be followed — a SetReported in between (which
+// leaves the version alone) is overwritten, a Commit, a Leave, a LeaveAll
+// and an AP failure are tracked — and two publishes with nothing between
+// them leave what a publish on a fresh domain in the same state would.
+func TestPublishReportsTracksEveryMove(t *testing.T) {
+	d := New(Config{Mode: LoadReported})
+	for _, ap := range []trace.APID{"ap0", "ap1"} {
+		if err := d.AddAP(ap, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reported := func() [2]float64 {
+		views, _ := viewsOf(d, "u")
+		var out [2]float64
+		for _, v := range views {
+			out[v.ID[2]-'0'] = v.LoadBps
+		}
+		return out
+	}
+	commit := func(u trace.UserID, ap trace.APID, demand float64) {
+		t.Helper()
+		if _, err := d.Commit([]Placement{{User: u, AP: ap, DemandBps: demand}}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps := []struct {
+		name string
+		move func()
+		want [2]float64
+	}{
+		{"Commit", func() { commit("a", "ap0", 10); commit("b", "ap1", 4); commit("c", "ap1", 3) }, [2]float64{10, 7}},
+		{"nothing", func() {}, [2]float64{10, 7}},
+		{"SetReported", func() { d.SetReported("ap0", 99) }, [2]float64{10, 7}},
+		{"SetReported to the believed load", func() { d.SetReported("ap1", 7); d.SetReported("ap1", 8) }, [2]float64{10, 7}},
+		{"Leave", func() { d.Leave("b", "ap1", 4) }, [2]float64{10, 3}},
+		{"LeaveAll", func() { d.LeaveAll("c", "ap1") }, [2]float64{10, 0}},
+		{"SetFailed", func() { d.SetFailed("ap0", true); d.SetFailed("ap0", false) }, [2]float64{0, 0}},
+		{"a move to the other AP", func() {
+			commit("a", "ap0", 5)
+			d.PublishReports()
+			if _, err := d.Commit([]Placement{{User: "a", AP: "ap1", DemandBps: 5, Prev: "ap0"}}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}, [2]float64{0, 5}},
+	}
+	for _, step := range steps {
+		step.move()
+		d.PublishReports()
+		if got := reported(); got != step.want {
+			t.Errorf("publish after %s reports %v, want %v", step.name, got, step.want)
+		}
+		d.PublishReports()
+		fresh := New(Config{Mode: LoadReported})
+		if err := fresh.ImportState(d.ExportState()); err != nil {
+			t.Fatal(err)
+		}
+		fresh.PublishReports()
+		if !reflect.DeepEqual(d.ExportState(), fresh.ExportState()) {
+			t.Errorf("after %s and two publishes: state %+v, a fresh domain's publish leaves %+v", step.name, d.ExportState(), fresh.ExportState())
+		}
+	}
+}

@@ -85,9 +85,6 @@ type Engine struct {
 	seq     uint64
 	queue   eventHeap
 	stopped bool
-	// processed counts fired events, exposed for tests and runaway
-	// detection.
-	processed uint64
 }
 
 // New returns an engine whose clock starts at startTime.
@@ -97,9 +94,6 @@ func New(startTime int64) *Engine {
 
 // Now returns the current simulated time.
 func (e *Engine) Now() int64 { return e.now }
-
-// Processed returns the number of events fired so far.
-func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.queue) }
@@ -176,7 +170,6 @@ func (e *Engine) RunUntil(horizon int64) int64 {
 		}
 		next := e.queue.pop()
 		e.now = next.at
-		e.processed++
 		fired++
 		next.handler(e)
 	}

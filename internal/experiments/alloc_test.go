@@ -16,11 +16,10 @@ import (
 // TestSimulateAllocBudget pins what one S³ replay of the small campus's
 // test days (800 sessions) allocates under RunS3Model — the selector's
 // close-friend rows included, training not: the unit a sweep pays once
-// per cell. It measures (go1.24) 1 123 216 B in 9 879 objects (± 3 KB, ± 4),
-// most of the objects Algorithm 1's per-batch graph, clique cover
-// and beam; the ceilings are ≈ 15 % over that. Before the rows were
-// counted, Assigned sized and the sorts' swappers gone the same replay
-// allocated 1 579 984 B in 13 583.
+// per cell. It measures (go1.24) 320 000 B in 1 315 objects (± 1 KB, ± 2):
+// the rows, the sorted sessions, Assigned, the event queue, a closure per
+// departure and the result map of each of the 157 batches — Algorithm 1
+// itself works in a pooled placer. The ceilings are ≈ 15 % over that.
 func TestSimulateAllocBudget(t *testing.T) {
 	campus := synth.DefaultConfig()
 	campus.Users, campus.Buildings, campus.Days = 150, 3, 12
@@ -44,7 +43,7 @@ func TestSimulateAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	t.Logf("%d sessions: %d B, %d objects per replay", len(d.Test.Sessions), bytes, objects)
-	const maxBytes, maxObjects = 1_300_000, 11_400
+	const maxBytes, maxObjects = 368_000, 1_510
 	if bytes > maxBytes || objects > maxObjects {
 		t.Errorf("one replay allocates %d B in %d objects, budget %d B in %d", bytes, objects, maxBytes, maxObjects)
 	}

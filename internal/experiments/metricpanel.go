@@ -61,13 +61,9 @@ func meanMetric(res *wlan.Result, eval func([]float64) (float64, error)) (float6
 	var w stats.Welford
 	for _, c := range res.Controllers() {
 		dom := res.Domains[c]
-		sessions := make([]trace.Session, 0, len(dom.Assigned))
-		for _, a := range dom.Assigned {
-			s := a.Session
-			s.AP = a.AP
-			sessions = append(sessions, s)
-		}
-		loads, err := trace.BinLoads(sessions, dom.APs, res.Start, res.End, res.BinSeconds)
+		loads, err := trace.BinLoadsOf(len(dom.Assigned), func(i int) (*trace.Session, trace.APID) {
+			return &dom.Assigned[i].Session, dom.Assigned[i].AP
+		}, dom.APs, res.Start, res.End, res.BinSeconds)
 		if err != nil {
 			return 0, err
 		}

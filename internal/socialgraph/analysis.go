@@ -2,10 +2,8 @@ package socialgraph
 
 import (
 	"bufio"
-	"cmp"
 	"fmt"
 	"io"
-	"slices"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
@@ -141,18 +139,6 @@ func (g *Graph) Analyze() Report {
 		Components:            len(comps),
 		LargestComponent:      largest,
 	}
-}
-
-// TopDegrees returns the n highest-degree vertices, ties broken by ID.
-func (g *Graph) TopDegrees(n int) []trace.UserID {
-	vs := g.Vertices()
-	slices.SortFunc(vs, func(u, v trace.UserID) int {
-		return cmp.Or(cmp.Compare(g.Degree(v), g.Degree(u)), cmp.Compare(u, v))
-	})
-	if n > len(vs) {
-		n = len(vs)
-	}
-	return vs[:n]
 }
 
 // WriteDOT renders the graph in Graphviz DOT format with edge weights as

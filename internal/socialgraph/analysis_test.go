@@ -99,18 +99,6 @@ func TestAnalyzeReport(t *testing.T) {
 	}
 }
 
-func TestTopDegrees(t *testing.T) {
-	g := triangleWithTail()
-	top := g.TopDegrees(2)
-	if len(top) != 2 || top[0] != "c" {
-		t.Errorf("TopDegrees = %v, want c first (degree 3)", top)
-	}
-	all := g.TopDegrees(100)
-	if len(all) != 4 {
-		t.Errorf("TopDegrees(100) = %v", all)
-	}
-}
-
 func TestSmallWorldSignatureOnGroupGraph(t *testing.T) {
 	// Groups-as-cliques plus a few random bridges: high clustering,
 	// short paths — the structure the learned θ-graph exhibits.

@@ -1,8 +1,9 @@
 // Package socialgraph provides the graph substrate of the S³ scheme: a
 // weighted undirected graph over users whose edges carry social-relation
-// indexes, an exact maximum-clique solver (Östergård-style branch and
-// bound with a greedy-colouring bound), and the iterated clique-cover
-// extraction Algorithm 1 uses to peel socially-tight groups off the graph.
+// indexes, and Cover, the iterated clique-cover extraction Algorithm 1
+// uses to peel socially-tight groups off a graph: an exact maximum-clique
+// search over vertices 0..n-1, which a batch placement fills from its
+// own indices and MaxClique and ExtractCliqueCover from a Graph.
 package socialgraph
 
 import (
@@ -43,14 +44,6 @@ func (g *Graph) AddEdge(u, v trace.UserID, weight float64) {
 	g.AddVertex(v)
 	g.adj[u][v] = weight
 	g.adj[v][u] = weight
-}
-
-// RemoveVertex deletes u and all its incident edges.
-func (g *Graph) RemoveVertex(u trace.UserID) {
-	for v := range g.adj[u] {
-		delete(g.adj[v], u)
-	}
-	delete(g.adj, u)
 }
 
 // HasEdge reports whether u—v exists.
@@ -100,43 +93,6 @@ func (g *Graph) Neighbors(u trace.UserID) []trace.UserID {
 // Degree returns u's degree.
 func (g *Graph) Degree(u trace.UserID) int { return len(g.adj[u]) }
 
-// EdgeWeightSum returns the total weight of edges inside the vertex set s.
-func (g *Graph) EdgeWeightSum(s []trace.UserID) float64 {
-	var total float64
-	for i := 0; i < len(s); i++ {
-		for j := i + 1; j < len(s); j++ {
-			if w, ok := g.adj[s[i]][s[j]]; ok {
-				total += w
-			}
-		}
-	}
-	return total
-}
-
-// IsClique reports whether every pair in s is connected.
-func (g *Graph) IsClique(s []trace.UserID) bool {
-	for i := 0; i < len(s); i++ {
-		for j := i + 1; j < len(s); j++ {
-			if !g.HasEdge(s[i], s[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New()
-	for u, nbrs := range g.adj {
-		c.AddVertex(u)
-		for v, w := range nbrs {
-			c.adj[u][v] = w
-		}
-	}
-	return c
-}
-
 // ConnectedComponents returns the vertex sets of the graph's connected
 // components, each sorted, ordered by their smallest vertex.
 func (g *Graph) ConnectedComponents() [][]trace.UserID {
@@ -164,19 +120,6 @@ func (g *Graph) ConnectedComponents() [][]trace.UserID {
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-// ForEachEdge visits every undirected edge once, as (u, v, weight) with
-// u < v. Visit order is unspecified; callers needing determinism must
-// not depend on it.
-func (g *Graph) ForEachEdge(fn func(u, v trace.UserID, w float64)) {
-	for u, nbrs := range g.adj {
-		for v, w := range nbrs {
-			if u < v {
-				fn(u, v, w)
-			}
-		}
-	}
 }
 
 // InducedSubgraph returns a fresh graph over the given vertices with

@@ -106,8 +106,12 @@ func TestEdgeWeightSumAndIsClique(t *testing.T) {
 	if g.IsClique([]trace.UserID{"a", "b", "d"}) {
 		t.Error("a,b,d should not be a clique")
 	}
-	if got := g.EdgeWeightSum(set); got != 1.5 {
-		t.Errorf("EdgeWeightSum = %v, want 1.5", got)
+	// The triangle is the maximum clique; the search credits it with the
+	// sum of its edge weights.
+	c, _ := load(g)
+	c.next()
+	if c.bestW != 1.5 {
+		t.Errorf("edge weight sum of the maximum clique = %v, want 1.5", c.bestW)
 	}
 }
 

@@ -157,7 +157,7 @@ func (s *eqStream) check(tag string) {
 		s.t.Fatalf("%s: graph %d/%d vertices, %d/%d edges",
 			tag, ig.NumVertices(), bg.NumVertices(), ig.NumEdges(), bg.NumEdges())
 	}
-	bg.ForEachEdge(func(u, v trace.UserID, w float64) {
+	forEachEdge(bg, func(u, v trace.UserID, w float64) {
 		if gw, ok := ig.Weight(u, v); !ok || gw != w {
 			s.t.Fatalf("%s: edge %s—%s = %v (present %v), batch %v", tag, u, v, gw, ok, w)
 		}

@@ -29,7 +29,7 @@ func TestSnapshotCloseFriends(t *testing.T) {
 
 	for _, u := range []trace.UserID{"a", "b", "c", "d"} {
 		var want []trace.UserID
-		snap.Graph().ForEachEdge(func(x, y trace.UserID, w float64) {
+		forEachEdge(snap.Graph(), func(x, y trace.UserID, w float64) {
 			if w <= e.FriendThreshold() {
 				return
 			}

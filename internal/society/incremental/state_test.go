@@ -40,6 +40,18 @@ func driveEngine(e *Engine, events int, seed int64) {
 	}
 }
 
+// forEachEdge visits every undirected edge of g once, as (u, v, weight)
+// with u < v.
+func forEachEdge(g *socialgraph.Graph, fn func(u, v trace.UserID, w float64)) {
+	for _, u := range g.Vertices() {
+		for _, v := range g.Neighbors(u) {
+			if w, _ := g.Weight(u, v); u < v {
+				fn(u, v, w)
+			}
+		}
+	}
+}
+
 // graphsEqual compares two θ-graphs vertex-for-vertex and
 // edge-for-edge, including weights.
 func graphsEqual(a, b *socialgraph.Graph) bool {
@@ -47,7 +59,7 @@ func graphsEqual(a, b *socialgraph.Graph) bool {
 		return false
 	}
 	equal := true
-	a.ForEachEdge(func(u, v trace.UserID, w float64) {
+	forEachEdge(a, func(u, v trace.UserID, w float64) {
 		if bw, ok := b.Weight(u, v); !ok || bw != w {
 			equal = false
 		}

@@ -13,24 +13,21 @@ import (
 // login records. Zero-duration sessions contribute their full volume to
 // the bin containing their connect time.
 func BinLoads(sessions []Session, apOrder []APID, start, end, binSeconds int64) ([][]float64, error) {
-	if binSeconds <= 0 {
-		return nil, errors.New("trace: non-positive bin width")
+	return BinLoadsOf(len(sessions), func(i int) (*Session, APID) { return &sessions[i], sessions[i].AP },
+		apOrder, start, end, binSeconds)
+}
+
+// BinLoadsOf is BinLoads over n records that are not a session list:
+// record(i) yields the i-th session and the AP that served it, which
+// counts in place of the session's own (a replay's assignments).
+func BinLoadsOf(n int, record func(i int) (*Session, APID), apOrder []APID, start, end, binSeconds int64) ([][]float64, error) {
+	loads, apIdx, err := newBins(apOrder, start, end, binSeconds)
+	if err != nil {
+		return nil, err
 	}
-	if end < start {
-		return nil, fmt.Errorf("trace: end %d before start %d", end, start)
-	}
-	nBins := int((end - start + binSeconds - 1) / binSeconds)
-	loads := make([][]float64, nBins)
-	flat := make([]float64, nBins*len(apOrder))
-	for i := range loads {
-		loads[i], flat = flat[:len(apOrder)], flat[len(apOrder):]
-	}
-	apIdx := make(map[APID]int, len(apOrder))
-	for j, ap := range apOrder {
-		apIdx[ap] = j
-	}
-	for _, s := range sessions {
-		j, ok := apIdx[s.AP]
+	for i := 0; i < n; i++ {
+		s, ap := record(i)
+		j, ok := apIdx[ap]
 		if !ok {
 			continue // session on an AP outside the requested set
 		}
@@ -39,7 +36,29 @@ func BinLoads(sessions []Session, apOrder []APID, start, end, binSeconds int64) 
 	return loads, nil
 }
 
-func addSessionToBins(loads [][]float64, apCol int, s Session, start, end, binSeconds int64) {
+// newBins returns the zeroed matrix of BinLoads — a row per bin of
+// [start, end), a column per AP — and each AP's column.
+func newBins(apOrder []APID, start, end, binSeconds int64) ([][]float64, map[APID]int, error) {
+	if binSeconds <= 0 {
+		return nil, nil, errors.New("trace: non-positive bin width")
+	}
+	if end < start {
+		return nil, nil, fmt.Errorf("trace: end %d before start %d", end, start)
+	}
+	nBins := int((end - start + binSeconds - 1) / binSeconds)
+	rows := make([][]float64, nBins)
+	flat := make([]float64, nBins*len(apOrder))
+	for i := range rows {
+		rows[i], flat = flat[:len(apOrder)], flat[len(apOrder):]
+	}
+	apIdx := make(map[APID]int, len(apOrder))
+	for j, ap := range apOrder {
+		apIdx[ap] = j
+	}
+	return rows, apIdx, nil
+}
+
+func addSessionToBins(loads [][]float64, apCol int, s *Session, start, end, binSeconds int64) {
 	// Clip the session to the observation window.
 	from := max(s.ConnectAt, start)
 	to := min(s.DisconnectAt, end)
@@ -68,21 +87,9 @@ func addSessionToBins(loads [][]float64, apCol int, s Session, start, end, binSe
 // ConcurrentUsers counts, per bin and per AP, the number of users whose
 // sessions overlap the bin at all. The matrix layout matches BinLoads.
 func ConcurrentUsers(sessions []Session, apOrder []APID, start, end, binSeconds int64) ([][]float64, error) {
-	if binSeconds <= 0 {
-		return nil, errors.New("trace: non-positive bin width")
-	}
-	if end < start {
-		return nil, fmt.Errorf("trace: end %d before start %d", end, start)
-	}
-	nBins := int((end - start + binSeconds - 1) / binSeconds)
-	counts := make([][]float64, nBins)
-	flat := make([]float64, nBins*len(apOrder))
-	for i := range counts {
-		counts[i], flat = flat[:len(apOrder)], flat[len(apOrder):]
-	}
-	apIdx := make(map[APID]int, len(apOrder))
-	for j, ap := range apOrder {
-		apIdx[ap] = j
+	counts, apIdx, err := newBins(apOrder, start, end, binSeconds)
+	if err != nil {
+		return nil, err
 	}
 	for _, s := range sessions {
 		j, ok := apIdx[s.AP]
@@ -101,8 +108,8 @@ func ConcurrentUsers(sessions []Session, apOrder []APID, start, end, binSeconds 
 		} else if (to-start)%binSeconds == 0 {
 			lastBin-- // exclusive end exactly on a bin boundary
 		}
-		if lastBin >= nBins {
-			lastBin = nBins - 1
+		if lastBin >= len(counts) {
+			lastBin = len(counts) - 1
 		}
 		for b := firstBin; b <= lastBin; b++ {
 			counts[b][j]++

@@ -15,10 +15,10 @@ import (
 // bench trace under LLF allocates: the sorted copy of the sessions, each
 // domain's Assigned at its final size, the event queue (still grown by
 // append: eventsim has no way to be told a count) and one three-word
-// closure per departure. It measures (go1.24) 2 985 592 B in 10 288
-// objects (± a few); the ceilings are ≈ 15 % over that. With Assigned
-// growing by append, a closure per arrival batch and a map or two per
-// batch, the same replay allocated 6 526 984 B in 20 220.
+// closure per departure; a decision itself — one snapshot into the
+// domain's reused buffer, one Select — allocates nothing. It measures
+// (go1.24) 2 985 530 B in 10 287 objects (± a few); the ceilings are
+// ≈ 15 % over that.
 func TestSimulateAllocBudget(t *testing.T) {
 	tr := benchTrace(10000)
 	simulate := func() {

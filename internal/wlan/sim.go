@@ -112,13 +112,9 @@ func (r *Result) LoadSeries(c trace.ControllerID) (*metrics.Series, error) {
 	if !ok {
 		return nil, fmt.Errorf("wlan: unknown controller %q", c)
 	}
-	sessions := make([]trace.Session, 0, len(d.Assigned))
-	for _, a := range d.Assigned {
-		s := a.Session
-		s.AP = a.AP
-		sessions = append(sessions, s)
-	}
-	loads, err := trace.BinLoads(sessions, d.APs, r.Start, r.End, r.BinSeconds)
+	loads, err := trace.BinLoadsOf(len(d.Assigned), func(i int) (*trace.Session, trace.APID) {
+		return &d.Assigned[i].Session, d.Assigned[i].AP
+	}, d.APs, r.Start, r.End, r.BinSeconds)
 	if err != nil {
 		return nil, err
 	}
@@ -146,8 +142,8 @@ type ctrlDomain struct {
 	result   *DomainResult
 	observer AssociationObserver
 	// views is the reusable snapshot buffer of handleBatch. One is enough:
-	// the batch snapshot is last read by SelectBatch, before the first
-	// per-session snapshot overwrites it.
+	// the batch snapshot is last read by SelectBatch or by the first
+	// session's Select, before the next per-session snapshot overwrites it.
 	views domain.ViewBuf
 	// reqs is handleBatch's request list, reused likewise: SelectBatch
 	// does not keep it.
@@ -346,6 +342,10 @@ func truncateSessions(d *ctrlDomain, ap trace.APID, evicted []domain.Eviction, n
 	}
 }
 
+// handleBatch decides and places one controller's co-arrivals: jointly
+// when a BatchSelector has several, else each on arrival from a snapshot
+// of its own. The first is decided from the one taken on entry (nothing
+// has been committed since), so a lone arrival snapshots once.
 func handleBatch(e *eventsim.Engine, d *ctrlDomain, batch []trace.Session, cfg Config) error {
 	d.dom.ViewsInto(batch[0].User, &d.views)
 	views := d.views.Views()
@@ -357,8 +357,9 @@ func handleBatch(e *eventsim.Engine, d *ctrlDomain, batch []trace.Session, cfg C
 	var placed map[trace.UserID]trace.APID // nil: every session decided on arrival
 	if bs, ok := d.selector.(BatchSelector); ok && len(batch) > 1 {
 		// One request per user: a user opening several sessions inside the
-		// batch window joins the joint decision once; their extra sessions
-		// fall through to the per-arrival path below.
+		// batch window joins the joint decision once, with the first
+		// session's demand. The extra sessions follow the user to the
+		// batch's AP: no Select decides them, no projection saw their demand.
 		d.reqs = d.reqs[:0]
 		for _, s := range batch {
 			if slices.ContainsFunc(d.reqs, func(r Request) bool { return r.User == s.User }) {
@@ -376,11 +377,13 @@ func handleBatch(e *eventsim.Engine, d *ctrlDomain, batch []trace.Session, cfg C
 		}
 	}
 
-	for _, s := range batch {
+	for i, s := range batch {
 		apID, ok := placed[s.User]
 		demand := cfg.DemandFor(s)
 		if !ok {
-			d.dom.ViewsInto(s.User, &d.views)
+			if i > 0 {
+				d.dom.ViewsInto(s.User, &d.views)
+			}
 			var err error
 			apID, err = d.selector.Select(Request{
 				User: s.User, At: s.ConnectAt, DemandBps: demand,

@@ -1,11 +1,15 @@
 package wlan
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/domain"
+	"github.com/s3wlan/s3wlan/internal/metrics"
+	"github.com/s3wlan/s3wlan/internal/obs"
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
@@ -341,5 +345,162 @@ func TestRunStats(t *testing.T) {
 	}
 	if st.String() == "" {
 		t.Error("String empty")
+	}
+}
+
+// recorder is a BatchSelector that keeps what it was asked: every
+// SelectBatch request list and every single Select. Batches go to the
+// last AP, single arrivals to the first.
+type recorder struct {
+	batches [][]Request
+	selects []Request
+}
+
+func (*recorder) Name() string { return "recorder" }
+func (r *recorder) Select(req Request, aps []APView) (trace.APID, error) {
+	r.selects = append(r.selects, req)
+	return aps[0].ID, nil
+}
+func (r *recorder) SelectBatch(reqs []Request, aps []APView) (map[trace.UserID]trace.APID, error) {
+	r.batches = append(r.batches, slices.Clone(reqs))
+	out := make(map[trace.UserID]trace.APID, len(reqs))
+	for _, req := range reqs {
+		out[req.User] = aps[len(aps)-1].ID
+	}
+	return out, nil
+}
+
+// TestSimulateBatchExtraSessionsFollowUser pins what a user's second
+// session inside one batch window does: the user joins the joint decision
+// once, with the first session's demand, and the second session is placed
+// on the AP the batch gave the user — Select is not asked, and the batch
+// never saw the second session's demand.
+func TestSimulateBatchExtraSessionsFollowUser(t *testing.T) {
+	tr := &trace.Trace{Topology: twoAPTopology()}
+	tr.Sessions = []trace.Session{
+		{User: "u1", AP: "ap1", Controller: "c1", ConnectAt: 100, DisconnectAt: 200, Bytes: 1000},
+		{User: "stranger", AP: "ap1", Controller: "c1", ConnectAt: 105, DisconnectAt: 205, Bytes: 2000},
+		{User: "u1", AP: "ap1", Controller: "c1", ConnectAt: 110, DisconnectAt: 210, Bytes: 7000},
+	}
+	rec := &recorder{}
+	res, err := Simulate(tr, Config{
+		BatchWindowSeconds: 60,
+		SelectorFor:        func(trace.ControllerID, []trace.AP) Selector { return rec },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Request{{User: "u1", At: 100, DemandBps: 10}, {User: "stranger", At: 105, DemandBps: 20}}
+	if len(rec.batches) != 1 || !slices.Equal(rec.batches[0], want) {
+		t.Errorf("SelectBatch was asked %v, want once with %v", rec.batches, want)
+	}
+	if len(rec.selects) != 0 {
+		t.Errorf("Select was asked %v: a batch's sessions are not decided on arrival", rec.selects)
+	}
+	assigned := res.Domains["c1"].Assigned
+	if len(assigned) != 3 {
+		t.Fatalf("%d sessions placed, want 3", len(assigned))
+	}
+	for _, a := range assigned {
+		if a.AP != "ap2" {
+			t.Errorf("%s's session at t=%d is on %s, want the batch's ap2", a.Session.User, a.Session.ConnectAt, a.AP)
+		}
+	}
+}
+
+// TestSimulateSnapshotsOncePerDecision: a lone arrival is decided from
+// the snapshot its batch opened with; only a later session of a batch
+// decided on arrival, with a commit before it, takes its own.
+func TestSimulateSnapshotsOncePerDecision(t *testing.T) {
+	tr := &trace.Trace{Topology: twoAPTopology()}
+	for i, at := range []int64{0, 50, 50, 50, 90} { // one, three at once, one
+		tr.Sessions = append(tr.Sessions, trace.Session{
+			User: trace.UserID(fmt.Sprintf("u%d", i)), AP: "ap1", Controller: "c1",
+			ConnectAt: at, DisconnectAt: 500, Bytes: 100 * int64(i+1),
+		})
+	}
+	rec := &recorder{}
+	views := obs.GetCounter("domain.views")
+	for _, sel := range []Selector{llf{}, rec} {
+		before := views.Value()
+		res, err := Simulate(tr, Config{SelectorFor: func(trace.ControllerID, []trace.AP) Selector { return sel }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// LLF decides all five on arrival, a snapshot each; the batch
+		// selector decides the three co-arrivals from one.
+		want := map[string]int64{"test-llf": 5, "recorder": 3}[sel.Name()]
+		if got := views.Value() - before; got != want {
+			t.Errorf("%s: %d snapshots for 5 sessions, want %d", sel.Name(), got, want)
+		}
+		if sel.Name() == "test-llf" {
+			// Each decision saw the load the one before it committed.
+			var got []trace.APID
+			for _, a := range res.Domains["c1"].Assigned {
+				got = append(got, a.AP)
+			}
+			if want := []trace.APID{"ap1", "ap2", "ap1", "ap2", "ap1"}; !slices.Equal(got, want) {
+				t.Errorf("LLF placed %v, want %v", got, want)
+			}
+		}
+	}
+	if len(rec.selects) != 2 || rec.selects[0].User != "u0" || rec.selects[1].User != "u4" {
+		t.Errorf("lone arrivals decided by Select: %v, want u0 and u4", rec.selects)
+	}
+}
+
+// TestLoadSeriesBinsAssignments: the series LoadSeries bins straight from
+// a replay's assignments — sessions truncated by an AP failure and
+// sessions of zero length among them — equals, bit for bit, the one
+// trace.BinLoads gives over those sessions copied out with the assigned
+// AP written into them.
+func TestLoadSeriesBinsAssignments(t *testing.T) {
+	tr := benchTrace(3000)
+	for i := range tr.Sessions {
+		if i%17 == 0 {
+			tr.Sessions[i].DisconnectAt = tr.Sessions[i].ConnectAt
+		}
+	}
+	res, err := Simulate(tr, Config{
+		SelectorFor: func(trace.ControllerID, []trace.AP) Selector { return llf{} },
+		Failures:    []Failure{{AP: "ap-0-1", From: 20000, To: 30000}, {AP: "ap-2-0", From: 50000, To: 50500}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated, points := 0, 0
+	for _, c := range res.Controllers() {
+		d := res.Domains[c]
+		var sessions []trace.Session
+		for _, a := range d.Assigned {
+			s := a.Session
+			s.AP = a.AP
+			sessions = append(sessions, s)
+			if s.Duration() == 0 {
+				points++
+			} else if s.DisconnectAt == 20000 || s.DisconnectAt == 50000 {
+				truncated++
+			}
+		}
+		loads, err := trace.BinLoads(sessions, d.APs, res.Start, res.End, res.BinSeconds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := metrics.NewSeries(res.Start, res.BinSeconds, loads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := res.LoadSeries(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Idle, want.Idle) || !slices.EqualFunc(got.Values, want.Values, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			t.Errorf("%s: LoadSeries differs from BinLoads over the copied sessions", c)
+		}
+	}
+	if truncated == 0 || points == 0 {
+		t.Errorf("%d truncated and %d zero-length sessions: the replay does not cover them", truncated, points)
 	}
 }
