@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race bench-selftest loc chaos federation-chaos overload-soak flight-smoke bench experiments analyses ablations clean
+.PHONY: all build fmt-check vet test race bench-selftest bench-ab loc chaos federation-chaos overload-soak flight-smoke bench experiments analyses ablations clean
 
 all: build fmt-check vet test
 
@@ -26,6 +26,15 @@ race:
 # self-test catches an internal API change that would break the benchmark.
 bench-selftest:
 	$(GO) -C bench test ./...
+
+# A/B of this checkout against PARENT on workload W: N alternating pairs
+# of `bench/run.sh --seed 1 --seconds 12`, medians, quartiles, k/N ahead
+# and the verdict against BENCHMARK.json's bounds (scripts/bench-ab.sh).
+PARENT ?= HEAD
+W ?= paperfigs
+N ?= 10
+bench-ab:
+	bash scripts/bench-ab.sh $(PARENT) $(W) $(N)
 
 # Churn + fault-injection soak of the live controller (smoke check).
 CHAOS_DUR ?= 5s
@@ -54,10 +63,11 @@ flight-smoke:
 	$(GO) run ./cmd/s3diag -dir $(FLIGHT_DIR) -check
 	$(GO) run ./cmd/s3diag -dir $(FLIGHT_DIR) -format summary -match protocol.
 
-# Non-test Go lines per top-level package and in total, bench/ excluded:
-# the size ROADMAP tracks.
+# Non-test Go lines per top-level package and in total, bench/ excluded
+# (and .bench_build/, where bench-ab checks out the parent): the size
+# ROADMAP tracks.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | \
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | \
 		awk -F/ '{ pkg = ($$2 == "internal" || $$2 == "cmd" || $$2 == "examples") ? $$2 "/" $$3 : "." ; \
 			while ((getline line < $$0) > 0) n[pkg]++; close($$0) } \
 		END { for (p in n) { printf "%6d  %s\n", n[p], p; total += n[p] } printf "%6d  total\n", total }' | sort -k2

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"cmp"
-	"slices"
 	"strings"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
@@ -135,54 +133,4 @@ func (c *Classifier) Classify(f trace.Flow) Realm {
 		return RealmP2P
 	}
 	return RealmUnknown
-}
-
-// VolumeByRealm aggregates the flows' volumes into a 6-dimensional vector
-// in canonical realm order. Unknown-realm volume is returned separately.
-func (c *Classifier) VolumeByRealm(flows []trace.Flow) (vec [NumRealms]float64, unknown float64) {
-	for _, f := range flows {
-		r := c.Classify(f)
-		if idx := r.Index(); idx >= 0 {
-			vec[idx] += float64(f.Bytes)
-		} else {
-			unknown += float64(f.Bytes)
-		}
-	}
-	return vec, unknown
-}
-
-// RealmShare is one realm's slice of the total classified volume.
-type RealmShare struct {
-	Realm Realm
-	Bytes float64
-	// Share is the fraction of the classified (non-unknown) volume.
-	Share float64
-}
-
-// RealmReport ranks the realms by total volume — the trace-level view
-// behind the paper's "top applications constitute the vast majority of
-// all data traffic" observation. UnknownShare is the fraction of ALL
-// volume the heuristics could not attribute.
-func (c *Classifier) RealmReport(flows []trace.Flow) (shares []RealmShare, unknownShare float64) {
-	vec, unknown := c.VolumeByRealm(flows)
-	var classified float64
-	for _, v := range vec {
-		classified += v
-	}
-	shares = make([]RealmShare, 0, NumRealms)
-	for i, v := range vec {
-		realm, _ := RealmFromIndex(i)
-		share := 0.0
-		if classified > 0 {
-			share = v / classified
-		}
-		shares = append(shares, RealmShare{Realm: realm, Bytes: v, Share: share})
-	}
-	slices.SortFunc(shares, func(a, b RealmShare) int {
-		return cmp.Or(cmp.Compare(b.Bytes, a.Bytes), cmp.Compare(a.Realm, b.Realm))
-	})
-	if total := classified + unknown; total > 0 {
-		unknownShare = unknown / total
-	}
-	return shares, unknownShare
 }

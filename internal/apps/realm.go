@@ -65,11 +65,3 @@ func (r Realm) Index() int {
 	}
 	return -1
 }
-
-// RealmFromIndex is the inverse of Index.
-func RealmFromIndex(i int) (Realm, error) {
-	if i < 0 || i >= NumRealms {
-		return RealmUnknown, fmt.Errorf("apps: realm index %d out of range", i)
-	}
-	return Realm(i + 1), nil
-}

@@ -97,15 +97,8 @@ func GapStatistic(points [][]float64, rng *rand.Rand, cfg GapConfig) (*GapResult
 		})
 	}
 
-	res.OptimalK = res.Points[len(res.Points)-1].K
-	for i := 0; i+1 < len(res.Points); i++ {
-		cur, next := res.Points[i], res.Points[i+1]
-		if cur.Gap >= next.Gap-next.SK {
-			res.OptimalK = cur.K
-			break
-		}
-	}
-	return res, nil
+	res.OptimalK, err = SelectK(res.Points)
+	return res, err
 }
 
 func boundingBox(points [][]float64) (lo, hi []float64, err error) {
@@ -170,8 +163,10 @@ func stddev(xs []float64, m float64) float64 {
 // ErrNoGapCurve is returned by SelectK when the curve is empty.
 var ErrNoGapCurve = errors.New("cluster: empty gap curve")
 
-// SelectK re-applies the Tibshirani rule to an existing curve. Exposed so
-// analysis code can render the curve and the decision separately.
+// SelectK applies the Tibshirani rule to a gap curve: the smallest k with
+// Gap(k) ≥ Gap(k+1) − s_{k+1}, else the last k. GapStatistic decides with
+// it; exposed so analysis code can render the curve and the decision
+// separately.
 func SelectK(points []GapPoint) (int, error) {
 	if len(points) == 0 {
 		return 0, ErrNoGapCurve

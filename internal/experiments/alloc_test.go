@@ -51,11 +51,13 @@ func TestSimulateAllocBudget(t *testing.T) {
 
 // TestPrepareAllocBudget pins what preparing the small campus (2 858
 // sessions, 40 800 flows; train on 9 of 12 days) allocates: generation,
-// the split, the training profiles and the demand estimator. It measures
-// (go1.24) 8 568 400 B in 4 137 objects (± 50 B, ± 1); the ceilings are ≈ 15 % over
-// that. While Generate regrew its flow list, seeded a generator per
-// (user, day) and SplitAt copied the trace, the same Prepare allocated
-// 45 000 000 B in 8 685.
+// the split, the training profiles, the demand estimator and the Trainer
+// every training of the dataset goes through. It measures (go1.24)
+// 8 687 656 B in 4 151 objects (± 50 B, ± 1), of which the Trainer
+// ≈ 119 000 B in 14; the ceilings are ≈ 15 % over the 8 568 400 B in
+// 4 137 it read without one. While Generate regrew its flow list, seeded
+// a generator per (user, day) and SplitAt copied the trace, the same
+// Prepare allocated 45 000 000 B in 8 685.
 func TestPrepareAllocBudget(t *testing.T) {
 	campus := synth.DefaultConfig()
 	campus.Users, campus.Buildings, campus.Days = 150, 3, 12

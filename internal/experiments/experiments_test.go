@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -213,6 +215,48 @@ func TestFig12(t *testing.T) {
 	}
 	t.Logf("gain %.1f%%, leave-peak gain %.1f%%, error-bar reduction %.1f%%",
 		res.GainPercent, res.LeavePeakGainPercent, res.ErrorBarReductionPercent)
+}
+
+// TestTrainOutsidePrepare: a Data built by hand has no Trainer and trains
+// what society.Train trains; a copy with Train or Profiles replaced trains
+// on the replacement, not on what PrepareTrace interned.
+func TestTrainOutsidePrepare(t *testing.T) {
+	d := prepareSmall(t)
+	cfg := society.DefaultConfig()
+	write := func(m *society.Model, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := society.WriteModel(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	want := write(society.Train(d.Train, d.Profiles, cfg))
+	if write(d.trainModel(cfg)) != want {
+		t.Error("PrepareTrace's Data trains a model unlike society.Train's")
+	}
+	byHand := &Data{Campus: d.Campus, Full: d.Full, Train: d.Train, Test: d.Test,
+		Profiles: d.Profiles, Demands: d.Demands, TrainDays: d.TrainDays}
+	if write(byHand.trainModel(cfg)) != want {
+		t.Error("a Data built by hand trains a model unlike society.Train's")
+	}
+	if _, err := byHand.RunS3(cfg, core.DefaultSelectorConfig()); err != nil {
+		t.Errorf("RunS3 on a Data built by hand: %v", err)
+	}
+
+	half := *d
+	half.Train = &trace.Trace{Sessions: d.Train.Sessions[len(d.Train.Sessions)/2:]}
+	if got := write(half.trainModel(cfg)); got == want || got != write(society.Train(half.Train, d.Profiles, cfg)) {
+		t.Error("a copy with half the training sessions does not train on them alone")
+	}
+	noProfiles := *d
+	noProfiles.Profiles = nil
+	if _, err := noProfiles.trainModel(cfg); !errors.Is(err, society.ErrNoProfiles) {
+		t.Errorf("a copy without profiles trains: err = %v, want %v", err, society.ErrNoProfiles)
+	}
 }
 
 // TestSweepTrainsOncePerTallies: α weighs the type prior when θ is read

@@ -24,7 +24,8 @@ import (
 
 // Data is a prepared experiment dataset: the generated campus trace split
 // into training and test ranges, with profiles and demand estimates built
-// from the training split only.
+// from the training split only. Its trainings share PrepareTrace's one
+// interning of Train and Profiles (a Data built otherwise interns anew).
 type Data struct {
 	Campus    synth.Config
 	Full      *trace.Trace
@@ -47,6 +48,8 @@ type Data struct {
 	// Progress, when non-nil, receives one line per completed cell
 	// (typically os.Stderr behind the CLIs' -progress flag).
 	Progress io.Writer
+
+	trainer *society.Trainer // shared by copies of the Data
 }
 
 // Prepare generates the campus and builds the training artifacts. The
@@ -99,6 +102,7 @@ func PrepareTrace(full *trace.Trace, campus synth.Config, trainDays int) (*Data,
 		TrainDays:             trainDays,
 		ReportIntervalSeconds: 300,
 		BatchWindowSeconds:    60,
+		trainer:               society.NewTrainer(train, profiles),
 	}, nil
 }
 
@@ -132,10 +136,15 @@ func (d *Data) RunS3(societyCfg society.Config, selCfg core.SelectorConfig) (*wl
 // trainModel is RunS3's training half. α weighs the type prior when θ is
 // read (θ = P(L|E) + α·T) and plays no part in what Train counts, so a
 // sweep trains once per distinct set of the other parameters and hands
-// every α cell a Model.WithAlpha copy. The models are locals of the
-// figure that trained them: nothing is kept on d.
+// every α cell a Model.WithAlpha copy; all of them train through d's one
+// Trainer, which clusters once per clustering parameters. The models are
+// locals of the figure that trained them: nothing is kept on d.
 func (d *Data) trainModel(cfg society.Config) (*society.Model, error) {
-	model, err := society.Train(d.Train, d.Profiles, cfg)
+	trainer := d.trainer
+	if !trainer.Of(d.Train, d.Profiles) { // a Data built by hand, or Train or Profiles replaced
+		trainer = society.NewTrainer(d.Train, d.Profiles)
+	}
+	model, err := trainer.Train(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: train sociality: %w", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -27,7 +26,7 @@ type Config struct {
 	// Label prefixes progress lines and names the work in reports.
 	Label string
 	// Seed is the base seed tasks derive their private RNG seeds from
-	// (see Ctx.RNG). Zero is a valid base.
+	// (see Ctx.Seed). Zero is a valid base.
 	Seed int64
 }
 
@@ -45,18 +44,6 @@ type Ctx struct {
 	// Seed is the task's private seed, derived from the pool seed and
 	// Index (or taken from Task.Seed when set).
 	Seed int64
-
-	rng *rand.Rand
-}
-
-// RNG returns the task's private deterministic generator, created
-// lazily from Seed. Two runs with the same seeds produce the same
-// stream regardless of worker count or scheduling.
-func (c *Ctx) RNG() *rand.Rand {
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(c.Seed))
-	}
-	return c.rng
 }
 
 // Task is one unit of work.

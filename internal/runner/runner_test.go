@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -20,10 +21,11 @@ func TestMapDeterministic(t *testing.T) {
 	run := func(workers int) []float64 {
 		out, _, err := Map(Config{Workers: workers, Seed: 42, Label: "det"},
 			items, func(c *Ctx, item int) (float64, error) {
-				// Consume the task RNG heavily: order-sensitive if shared.
-				v := 0.0
+				// Consume a generator seeded from the task's seed heavily:
+				// order-sensitive if seeds followed scheduling.
+				rng, v := rand.New(rand.NewSource(c.Seed)), 0.0
 				for k := 0; k < 100; k++ {
-					v += c.RNG().Float64()
+					v += rng.Float64()
 				}
 				return v + float64(item), nil
 			})

@@ -68,6 +68,54 @@ func BenchmarkTrain(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainSweep is the sixteen trainings of a default campus's sweep
+// — Fig 10's five intervals over the full window, Fig 11's nine history
+// lengths, Fig 12's and the baseline panel's paper configuration — on one
+// Trainer built per sweep (as experiments.PrepareTrace builds one per
+// campus), against sixteen one-shot Trains.
+func BenchmarkTrainSweep(b *testing.B) {
+	campus := synth.DefaultConfig()
+	full, _, err := synth.Generate(campus)
+	if err != nil {
+		b.Fatal(err)
+	}
+	train, _ := full.SplitAt(campus.Epoch + 28*86400)
+	profiles := apps.BuildProfiles(train.Flows, campus.Epoch, apps.NewClassifier())
+	var sweep []Config
+	for _, iv := range []int64{60, 300, 600, 900, 1200} {
+		cfg := DefaultConfig()
+		cfg.CoLeaveWindowSeconds, cfg.HistoryDays = iv, 0
+		sweep = append(sweep, cfg)
+	}
+	for _, hd := range []int{1, 3, 5, 7, 10, 13, 15, 18, 20} {
+		cfg := DefaultConfig()
+		cfg.HistoryDays = hd
+		sweep = append(sweep, cfg)
+	}
+	sweep = append(sweep, DefaultConfig(), DefaultConfig())
+	b.Run("trainer", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			trainer := NewTrainer(train, profiles)
+			for _, cfg := range sweep {
+				if _, err := trainer.Train(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("one-shot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, cfg := range sweep {
+				if _, err := Train(train, profiles, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
 // BenchmarkModelIndex is one θ look-up on the default campus's full-window
 // model — two rank look-ups and a binary search in one row — for a
 // supported pair, a pair of known users with no entry, and a user the

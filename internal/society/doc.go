@@ -6,9 +6,10 @@
 // AP selection.
 //
 // Train consumes a recorded trace (the paper's back-end login logs) and
-// produces an immutable Model in one pass; Model is also the serialized
-// form (SaveModel, LoadModel), and NewModel builds one from statistics
-// learned elsewhere. Use it for offline evaluation and for the periodic
+// produces an immutable Model in one pass; a Trainer interns a trace once
+// for a sweep's many trainings of it. Model is also the serialized form
+// (SaveModel, LoadModel), and NewModel builds one from statistics learned
+// elsewhere. Use it for offline evaluation and for the periodic
 // re-clustering that assigns user types. It counts an encounter per
 // overlapping session pair (ExtractEncounters) and a co-leaving per pair
 // of session ends inside the window (ExtractCoLeavings), and every
@@ -22,8 +23,8 @@
 // for one α and threshold (core.NewSelector asks once per selector).
 //
 // Learning from a live controller's Connect/Disconnect events is the
-// subpackage society/incremental's job, and nothing here has an event
-// method or a lock. Its engine counts co-leavings the same way but an
+// subpackage society/incremental's job; nothing here has an event method.
+// Its engine counts co-leavings the same way but an
 // encounter per presence — a user's stacked overlapping sessions on one
 // AP are one continuous presence — so the two agree exactly on a trace
 // without stacked sessions and the engine counts no more than Train on

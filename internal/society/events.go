@@ -23,19 +23,6 @@ func MakePair(u, v trace.UserID) Pair {
 // compare orders pairs by (A, B).
 func (p Pair) compare(q Pair) int { return cmp.Or(cmp.Compare(p.A, q.A), cmp.Compare(p.B, q.B)) }
 
-// Other returns the pair member that is not u (or "" if u is not in the
-// pair).
-func (p Pair) Other(u trace.UserID) trace.UserID {
-	switch u {
-	case p.A:
-		return p.B
-	case p.B:
-		return p.A
-	default:
-		return ""
-	}
-}
-
 // CoLeaveEvent is a pair of users leaving the same AP within the
 // extraction window.
 type CoLeaveEvent struct {
@@ -50,11 +37,11 @@ type CoLeaveEvent struct {
 // a user leaving the same AP twice inside the window (reconnect churn)
 // pairs independently per leaving. Self-pairs are excluded.
 func ExtractCoLeavings(sessions []trace.Session, windowSeconds int64) []CoLeaveEvent {
-	d, _ := newDense(sessions, math.MinInt64, nil)
-	defer d.release()
+	d := densePool.Get().(*dense).intern(sessions, math.MinInt64, nil)
+	defer densePool.Put(d)
 	var out []CoLeaveEvent
-	d.eachCoLeave(windowSeconds, func(ap, first, second int) {
-		g := d.byAP[ap]
+	d.eachCoLeave(math.MinInt64, windowSeconds, func(ap, first, second int) {
+		g := d.byLeave[ap]
 		out = append(out, CoLeaveEvent{
 			Pair: MakePair(d.users[g[first].rank], d.users[g[second].rank]),
 			AP:   d.aps[ap],
@@ -69,10 +56,11 @@ func ExtractCoLeavings(sessions []trace.Session, windowSeconds int64) []CoLeaveE
 // encountering event ("keep the connections with the same AP for a
 // certain period of time").
 func ExtractEncounters(sessions []trace.Session, minOverlapSeconds int64) map[Pair]int {
-	d, _ := newDense(sessions, math.MinInt64, nil)
-	defer d.release()
-	events := d.encounters(minOverlapSeconds)
-	d.sortEvents(events)
+	d := densePool.Get().(*dense).intern(sessions, math.MinInt64, nil)
+	defer densePool.Put(d)
+	d.eventBuf = d.encounters(d.eventBuf[:0], math.MinInt64, minOverlapSeconds)
+	events := d.eventBuf
+	d.sortEvents(events, len(d.users))
 	out := make(map[Pair]int)
 	eachPair(events, func(a, b uint32, encounters, _ int) {
 		out[Pair{d.users[a], d.users[b]}] = encounters
@@ -84,17 +72,17 @@ func ExtractEncounters(sessions []trace.Session, minOverlapSeconds int64) map[Pa
 // leaving events that participate in at least one co-leaving — the
 // statistic behind the paper's Fig. 5. Users with no leavings are absent.
 func CoLeaveFractionPerUser(sessions []trace.Session, windowSeconds int64) map[trace.UserID]float64 {
-	d, _ := newDense(sessions, math.MinInt64, nil)
-	defer d.release()
-	co := make([][]bool, len(d.byAP)) // per AP, per leaving: part of a co-leaving
-	for ap, g := range d.byAP {
+	d := densePool.Get().(*dense).intern(sessions, math.MinInt64, nil)
+	defer densePool.Put(d)
+	co := make([][]bool, len(d.byLeave)) // per AP, per leaving: part of a co-leaving
+	for ap, g := range d.byLeave {
 		co[ap] = make([]bool, len(g))
 	}
-	d.eachCoLeave(windowSeconds, func(ap, first, second int) {
+	d.eachCoLeave(math.MinInt64, windowSeconds, func(ap, first, second int) {
 		co[ap][first], co[ap][second] = true, true
 	})
 	totals, coCount := make([]int, len(d.users)), make([]int, len(d.users))
-	for ap, g := range d.byAP {
+	for ap, g := range d.byLeave {
 		for i, v := range g {
 			totals[v.rank]++
 			if co[ap][i] {

@@ -18,13 +18,12 @@ func TestMakePair(t *testing.T) {
 	}
 }
 
+// TestPairOther: a pair's members come back in canonical order whichever
+// one is named first, and pairs order by (A, B) (Pair.Other had no caller).
 func TestPairOther(t *testing.T) {
-	p := MakePair("a", "b")
-	if p.Other("a") != "b" || p.Other("b") != "a" {
-		t.Error("Other wrong")
-	}
-	if p.Other("c") != "" {
-		t.Error("Other for non-member should be empty")
+	p := MakePair("b", "a")
+	if p != (Pair{"a", "b"}) || p.compare(MakePair("a", "c")) >= 0 || p.compare(MakePair("a", "b")) != 0 {
+		t.Errorf("MakePair(b, a) = %+v: not canonical, or misordered against (a, c)", p)
 	}
 }
 

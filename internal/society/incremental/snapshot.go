@@ -168,17 +168,6 @@ func (s *Snapshot) components() [][]trace.UserID {
 // users count as singletons). Derived on demand; diagnostic use.
 func (s *Snapshot) NumComponents() int { return len(s.components()) }
 
-// ComponentOf returns the sorted member list of the component containing
-// u, or nil if u is unknown. Derived on demand; diagnostic use.
-func (s *Snapshot) ComponentOf(u trace.UserID) []trace.UserID {
-	for _, c := range s.components() {
-		if _, ok := slices.BinarySearch(c, u); ok {
-			return c
-		}
-	}
-	return nil
-}
-
 // Graph materializes the full θ-graph, edge weights read from Index
 // (O(V+E) — a debugging and equivalence-testing path, not a hot one).
 // The result is a fresh copy.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/apps"
@@ -68,7 +69,9 @@ func DefaultConfig() Config {
 // probabilities, per-user types, and the type-pair co-leave matrix. Read
 // a pair with Index (θ), Prob or Counts, all of them with NumPairs and
 // EachPair. Train and NewModel build one, immutable from then on; the
-// zero Model knows no pair and no user.
+// zero Model knows no pair and no user. Models trained by one Trainer
+// with one clustering share their Types and Centroids, as WithAlpha
+// copies share everything but Alpha: read them, never edit them.
 type Model struct {
 	// Types maps each known user to a cluster label in [0, K).
 	Types map[trace.UserID]int
@@ -146,6 +149,8 @@ var (
 // Train learns a sociality model from a training trace. profiles provides
 // the per-user application profiles (built from the same training period's
 // flows). The training window is truncated to cfg.HistoryDays when set.
+// It is NewTrainer(tr, profiles).Train(cfg) on pooled buffers; a caller
+// training one trace more than once keeps a Trainer instead.
 //
 // Train keeps its own counting rather than replaying the trace through
 // society/incremental's engine: the extractors count an encounter per
@@ -155,36 +160,102 @@ var (
 // TestLiveTalliesAgainstBatch) — moving every figure in EXPERIMENTS.md.
 // A replay is also three times slower than the two extractors.
 func Train(tr *trace.Trace, profiles *apps.ProfileStore, cfg Config) (*Model, error) {
-	if len(tr.Sessions) == 0 {
+	start := time.Now()
+	// A Trainer for one training interns its window only.
+	t := newTrainer(densePool.Get().(*dense), tr, profiles, cfg.HistoryDays)
+	defer densePool.Put(t.all)
+	return t.train(cfg, start)
+}
+
+// Trainer is a training trace interned once for many trainings: its
+// users (session users and profiled ones) ranked in id order, its APs,
+// every session as a visit grouped per AP by connect time and by leaving
+// time. Train(cfg) keeps the visits of cfg's window, ranks the window's
+// users anew and counts; the clustering, which reads the profiles and
+// cfg's NumTypes, TemporalWeight and Seed only, runs once per distinct
+// three of them. A Trainer is safe for concurrent use.
+type Trainer struct {
+	all      *dense
+	end      int64 // the trace's last disconnect
+	tr       *trace.Trace
+	profiles *apps.ProfileStore
+
+	mu          sync.Mutex
+	clusterings map[Config]*clustering // by the three fields clusterUsers reads
+}
+
+// clustering is clusterUsers' result.
+type clustering struct {
+	once      sync.Once
+	types     map[trace.UserID]int
+	centroids [][]float64
+	err       error
+}
+
+// NewTrainer interns tr's sessions and profiles' users for Train.
+func NewTrainer(tr *trace.Trace, profiles *apps.ProfileStore) *Trainer {
+	return newTrainer(new(dense), tr, profiles, 0)
+}
+
+// newTrainer interns into d the sessions of tr's last historyDays (0:
+// all) and profiles' users.
+func newTrainer(d *dense, tr *trace.Trace, profiles *apps.ProfileStore, historyDays int) *Trainer {
+	var also []trace.UserID
+	if profiles != nil {
+		also = profiles.Users()
+	}
+	t := &Trainer{tr: tr, profiles: profiles, clusterings: make(map[Config]*clustering)}
+	_, t.end = tr.TimeRange()
+	t.all = d.intern(tr.Sessions, t.from(historyDays), also)
+	return t
+}
+
+// Of reports whether t was built from tr and profiles; a nil t was not.
+func (t *Trainer) Of(tr *trace.Trace, profiles *apps.ProfileStore) bool {
+	return t != nil && t.tr == tr && t.profiles == profiles
+}
+
+// from is the earliest connect time a training of historyDays keeps.
+func (t *Trainer) from(historyDays int) int64 {
+	if historyDays > 0 {
+		return t.end - int64(historyDays)*86400
+	}
+	return math.MinInt64
+}
+
+// Train learns the model of cfg from the Trainer's trace and profiles,
+// exactly as the package-level Train would.
+func (t *Trainer) Train(cfg Config) (*Model, error) { return t.train(cfg, time.Now()) }
+
+func (t *Trainer) train(cfg Config, start time.Time) (*Model, error) {
+	if len(t.tr.Sessions) == 0 {
 		return nil, ErrNoSessions
 	}
-	start := time.Now()
 	defer func() { obsTrain.Observe(time.Since(start)) }()
-	from := int64(math.MinInt64)
-	if cfg.HistoryDays > 0 {
-		_, end := tr.TimeRange()
-		from = end - int64(cfg.HistoryDays)*86400
-	}
-	if !slices.ContainsFunc(tr.Sessions, func(s trace.Session) bool { return s.ConnectAt >= from }) {
+	from := t.from(cfg.HistoryDays)
+	if !slices.ContainsFunc(t.all.byConnect, func(g []visit) bool { return g[len(g)-1].connect >= from }) {
 		return nil, fmt.Errorf("%w after truncating to %d history days",
 			ErrNoSessions, cfg.HistoryDays)
 	}
-	types, centroids, err := clusterUsers(profiles, cfg)
-	if err != nil {
-		return nil, err
+	c := t.clustering(cfg)
+	if c.err != nil {
+		return nil, c.err
 	}
-	d, rank := newDense(tr.Sessions, from, types)
-	defer d.release()
-	events := d.events(cfg.MinEncounterSeconds, cfg.CoLeaveWindowSeconds)
+	s := densePool.Get().(*dense)
+	defer densePool.Put(s)
+	users, rank := t.all.window(s, from, c.types)
+	events := t.all.events(s, from, cfg.MinEncounterSeconds, cfg.CoLeaveWindowSeconds)
 
 	pairs := 0
 	eachPair(events, func(_, _ uint32, _, _ int) { pairs++ })
-	m := &Model{Types: types, Centroids: centroids, Alpha: cfg.Alpha,
-		pairs: newPairTable(d.users, rank, types, pairs)}
-	// eachPair visits pairs in (A, B) order: the entries reach the table
-	// sorted, the type sums in the order BuildTypeMatrix adds them.
-	sums := newTypeSums(len(centroids))
+	m := &Model{Types: c.types, Centroids: c.centroids, Alpha: cfg.Alpha,
+		pairs: newPairTable(users, rank, c.types, pairs)}
+	// eachPair visits pairs in (A, B) order, and the window's ranks keep
+	// it: the entries reach the table sorted, the type sums in the order
+	// BuildTypeMatrix adds them.
+	sums := newTypeSums(len(c.centroids))
 	eachPair(events, func(a, b uint32, encounters, coLeaves int) {
+		a, b = s.remap[a], s.remap[b]
 		e := pairEntry{b: b, encounters: uint32(encounters), coLeaves: uint32(coLeaves)}
 		// Below MinEncounters a pair's estimate is noise ("fake social
 		// relationships"): it gets no probability.
@@ -197,6 +268,21 @@ func Train(tr *trace.Trace, profiles *apps.ProfileStore, cfg Config) (*Model, er
 	m.pairs.seal()
 	m.TypeMatrix = sums.matrix()
 	return m, nil
+}
+
+// clustering returns cfg's clustering, computed by the first caller that
+// asks for its key; the others wait for it.
+func (t *Trainer) clustering(cfg Config) *clustering {
+	t.mu.Lock()
+	key := Config{NumTypes: cfg.NumTypes, TemporalWeight: cfg.TemporalWeight, Seed: cfg.Seed}
+	c := t.clusterings[key]
+	if c == nil {
+		c = new(clustering)
+		t.clusterings[key] = c
+	}
+	t.mu.Unlock()
+	c.once.Do(func() { c.types, c.centroids, c.err = clusterUsers(t.profiles, cfg) })
+	return c
 }
 
 // WithAlpha returns a copy of the model that mixes the type prior into θ

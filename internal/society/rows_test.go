@@ -160,17 +160,17 @@ func TestCountingSortMatchesSlicesSort(t *testing.T) {
 		t.Helper()
 		want := slices.Clone(events)
 		slices.Sort(want)
-		d.sortEvents(events)
+		d.sortEvents(events, len(d.users))
 		if !slices.Equal(events, want) {
 			t.Errorf("%s: %d events not in slices.Sort order", name, len(events))
 		}
 	}
 
 	tr, _ := smallCampus(t)
-	d, _ := newDense(tr.Sessions, math.MinInt64, nil)
-	events := d.encounters(600)
-	d.eachCoLeave(300, func(ap, first, second int) {
-		g := d.byAP[ap]
+	d := new(dense).intern(tr.Sessions, math.MinInt64, nil)
+	events := d.encounters(nil, math.MinInt64, 600)
+	d.eachCoLeave(math.MinInt64, 300, func(ap, first, second int) {
+		g := d.byLeave[ap]
 		events = append(events, pairEvent(g[first].rank, g[second].rank, eventCoLeave))
 	})
 	if len(events) < 10000 || slices.IsSorted(events) {

@@ -14,13 +14,6 @@ type CDF struct {
 	isDirty bool
 }
 
-// NewCDF builds a CDF from the given samples. The input is copied.
-func NewCDF(samples []float64) *CDF {
-	c := &CDF{}
-	c.AddAll(samples)
-	return c
-}
-
 // Add inserts one sample.
 func (c *CDF) Add(x float64) {
 	c.dirty = append(c.dirty, x)
@@ -138,14 +131,6 @@ func (w *Welford) Variance() float64 {
 		return 0
 	}
 	return w.m2 / float64(w.n)
-}
-
-// SampleVariance returns the running unbiased sample variance.
-func (w *Welford) SampleVariance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
 }
 
 // Merge folds another accumulator into this one (parallel Welford).

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCDFAt(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
+	c := newCDF([]float64{1, 2, 3, 4})
 	tests := []struct {
 		x, want float64
 	}{
@@ -50,7 +50,7 @@ func TestCDFIncrementalAdd(t *testing.T) {
 }
 
 func TestCDFPointsReachOne(t *testing.T) {
-	c := NewCDF([]float64{5, 3, 8, 1, 9, 2})
+	c := newCDF([]float64{5, 3, 8, 1, 9, 2})
 	pts := c.Points(4)
 	if len(pts) != 4 {
 		t.Fatalf("got %d points, want 4", len(pts))
@@ -77,7 +77,7 @@ func TestCDFMonotoneProperty(t *testing.T) {
 				xs = append(xs, x)
 			}
 		}
-		c := NewCDF(xs)
+		c := newCDF(xs)
 		lo, hi := a, b
 		if lo > hi {
 			lo, hi = hi, lo
@@ -102,9 +102,10 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	if !almostEqual(w.Variance(), Variance(xs), 1e-9) {
 		t.Errorf("Welford var = %v, batch = %v", w.Variance(), Variance(xs))
 	}
-	if !almostEqual(w.SampleVariance(), SampleVariance(xs), 1e-9) {
-		t.Errorf("Welford sample var = %v, batch = %v",
-			w.SampleVariance(), SampleVariance(xs))
+	// The unbiased estimate is the population one rescaled by n/(n−1).
+	n := float64(len(xs))
+	if got := w.Variance() * n / (n - 1); !almostEqual(got, SampleVariance(xs), 1e-9) {
+		t.Errorf("Welford sample var = %v, batch = %v", got, SampleVariance(xs))
 	}
 	if w.N() != len(xs) {
 		t.Errorf("N = %d, want %d", w.N(), len(xs))
@@ -185,8 +186,16 @@ func TestHistogramPanicsOnBadParams(t *testing.T) {
 }
 
 func TestCDFString(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3})
+	c := newCDF([]float64{1, 2, 3})
 	if s := c.String(); s == "" {
 		t.Error("String should be non-empty")
 	}
+}
+
+// newCDF is a CDF of the samples, built the way callers build one: the
+// zero CDF plus AddAll (there is no constructor).
+func newCDF(samples []float64) *CDF {
+	c := &CDF{}
+	c.AddAll(samples)
+	return c
 }

@@ -161,22 +161,3 @@ func vectorsEqual(a, b []float64) bool {
 	}
 	return true
 }
-
-// AddVectors returns the elementwise sum of vectors. All vectors must have
-// the same length; an empty input returns nil.
-func AddVectors(vectors ...[]float64) ([]float64, error) {
-	if len(vectors) == 0 {
-		return nil, nil
-	}
-	k := len(vectors[0])
-	out := make([]float64, k)
-	for _, v := range vectors {
-		if len(v) != k {
-			return nil, ErrDimensionMismatch
-		}
-		for i, x := range v {
-			out[i] += x
-		}
-	}
-	return out, nil
-}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -164,23 +165,26 @@ func TestNMIConvergesWithSimilarity(t *testing.T) {
 	}
 }
 
+// TestAddVectors: summing JointMaxDiagonal's rows elementwise gives back
+// the column marginal q, and vectors of two lengths are a dimension
+// mismatch (AddVectors itself had no caller).
 func TestAddVectors(t *testing.T) {
-	got, err := AddVectors([]float64{1, 2}, []float64{3, 4}, []float64{5, 6})
+	p, q := []float64{0.5, 0.3, 0.2}, []float64{0.2, 0.2, 0.6}
+	joint, err := JointMaxDiagonal(p, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{9, 12}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AddVectors = %v, want %v", got, want)
+	sum := make([]float64, len(q))
+	for _, row := range joint {
+		for j, x := range row {
+			sum[j] += x
 		}
 	}
-	if _, err := AddVectors([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("expected dimension mismatch")
+	if !vectorsEqual(sum, q) {
+		t.Errorf("rows sum to %v, want the column marginal %v", sum, q)
 	}
-	got, err = AddVectors()
-	if err != nil || got != nil {
-		t.Errorf("AddVectors() = %v, %v; want nil, nil", got, err)
+	if _, err := JointMaxDiagonal([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrDimensionMismatch) {
+		t.Errorf("err = %v, want ErrDimensionMismatch", err)
 	}
 }
 

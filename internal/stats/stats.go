@@ -54,9 +54,6 @@ func SampleVariance(xs []float64) float64 {
 	return Variance(xs) * float64(len(xs)) / float64(len(xs)-1)
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // SampleStdDev returns the sample standard deviation of xs.
 func SampleStdDev(xs []float64) float64 { return math.Sqrt(SampleVariance(xs)) }
 
@@ -117,9 +114,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	frac := h - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Median returns the median of xs.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
 
 // MeanCI returns the mean of xs together with the half-width of its
 // confidence interval at the given confidence level (e.g. 0.95), using the
@@ -203,15 +197,6 @@ func PearsonCorrelation(xs, ys []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// SpearmanCorrelation returns the Spearman rank correlation between xs and
-// ys (Pearson correlation of the rank transforms, with mid-ranks for ties).
-func SpearmanCorrelation(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	return PearsonCorrelation(Ranks(xs), Ranks(ys))
 }
 
 // Ranks returns the mid-rank transform of xs: equal values receive the mean

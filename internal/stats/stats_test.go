@@ -122,12 +122,14 @@ func TestQuantileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// TestMedian: the median is Quantile at 0.5 (the Median wrapper had no
+// caller).
 func TestMedian(t *testing.T) {
-	got, err := Median([]float64{9, 1, 5})
+	got, err := Quantile([]float64{9, 1, 5}, 0.5)
 	if err != nil || got != 5 {
 		t.Errorf("Median = %v, %v; want 5", got, err)
 	}
-	got, err = Median([]float64{1, 2, 3, 4})
+	got, err = Quantile([]float64{1, 2, 3, 4}, 0.5)
 	if err != nil || !almostEqual(got, 2.5, 1e-12) {
 		t.Errorf("Median = %v, %v; want 2.5", got, err)
 	}
@@ -190,13 +192,18 @@ func TestPearsonCorrelation(t *testing.T) {
 	}
 }
 
+// TestSpearmanCorrelation: Spearman's ρ is Pearson's r of the mid-rank
+// transforms (the wrapper had no caller).
 func TestSpearmanCorrelation(t *testing.T) {
 	// Monotonic but nonlinear relation: Spearman = 1, Pearson < 1.
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{1, 8, 27, 64, 125}
-	rho, err := SpearmanCorrelation(xs, ys)
+	rho, err := PearsonCorrelation(Ranks(xs), Ranks(ys))
 	if err != nil || !almostEqual(rho, 1, 1e-12) {
 		t.Errorf("Spearman = %v, err = %v; want 1", rho, err)
+	}
+	if r, _ := PearsonCorrelation(xs, ys); r >= 1-1e-6 {
+		t.Errorf("Pearson = %v: the relation is linear, Spearman shows nothing", r)
 	}
 }
 
@@ -255,9 +262,11 @@ func TestVariancePropertyNonNegative(t *testing.T) {
 	}
 }
 
+// TestStdDev: the population standard deviation is √Variance, the
+// sample one above it (the StdDev wrapper had no caller).
 func TestStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
+	if got := math.Sqrt(Variance(xs)); !almostEqual(got, 2, 1e-12) {
 		t.Errorf("StdDev = %v, want 2", got)
 	}
 	if got := SampleStdDev(xs); got <= 2 {

@@ -75,9 +75,10 @@ func addSessionToBins(loads [][]float64, apCol int, s *Session, start, end, binS
 		return
 	}
 	rate := float64(s.Bytes) / float64(dur)
-	for t := from; t < to; {
-		bin := int((t - start) / binSeconds)
-		binEnd := start + int64(bin+1)*binSeconds
+	bin := int((from - start) / binSeconds)
+	binEnd := start + int64(bin+1)*binSeconds
+	// After the first segment t sits on binEnd: the next bin begins there.
+	for t := from; t < to; bin, binEnd = bin+1, binEnd+binSeconds {
 		seg := min(binEnd, to) - t
 		loads[bin][apCol] += rate * float64(seg)
 		t += seg
