@@ -36,10 +36,11 @@ N ?= 10
 bench-ab:
 	bash scripts/bench-ab.sh $(PARENT) $(W) $(N)
 
-# Churn + fault-injection soak of the live controller (smoke check).
-CHAOS_DUR ?= 5s
+# Churn + fault-injection soak of the live controller under the race
+# detector: a faulty listener, self-closing reconnecting agents and
+# churning stations.
 chaos:
-	$(GO) run ./cmd/s3proto -chaos -chaos-dur $(CHAOS_DUR) -policy llf
+	$(GO) test -race -count=1 -run TestChaosSoakRace ./internal/protocol
 
 # Cluster partition/kill/rejoin chaos: the 3-node kill -9 + oracle-replay
 # suite under the race detector. The torn-tail takeover runs ten times:
@@ -53,15 +54,21 @@ federation-chaos:
 # scripted-fault soak with its SLOs.
 overload-soak:
 	$(GO) test -race -count=1 -v -run 'TestAdmission|TestShed|TestHelloTimeout|TestPanicContainment|TestOverloadSoak|TestBreaker|TestReportQueue' ./internal/protocol ./internal/federation
-	$(GO) test -race -count=1 -v ./internal/faults ./internal/protocol/faultconn ./internal/journal/faultfile
+	$(GO) test -race -count=1 -v ./internal/faults
 
-# Record a chaos soak into a flight ring, then decode and health-check it.
+# Record a flight ring from a controller while `s3proto -drive` loads it, stop
+# the controller with SIGTERM, then decode and health-check the ring.
 FLIGHT_DIR ?= /tmp/s3flight
+FLIGHT_ADDR ?= 127.0.0.1:4790
 flight-smoke:
-	rm -rf $(FLIGHT_DIR)
-	$(GO) run ./cmd/s3proto -chaos -chaos-dur $(CHAOS_DUR) -flight-dir $(FLIGHT_DIR) -flight-every 100ms
-	$(GO) run ./cmd/s3diag -dir $(FLIGHT_DIR) -check
-	$(GO) run ./cmd/s3diag -dir $(FLIGHT_DIR) -format summary -match protocol.
+	rm -rf $(FLIGHT_DIR) $(FLIGHT_DIR)-bin
+	$(GO) build -o $(FLIGHT_DIR)-bin/ ./cmd/s3proto ./cmd/s3diag
+	$(FLIGHT_DIR)-bin/s3proto -listen $(FLIGHT_ADDR) -flight-dir $(FLIGHT_DIR) -flight-every 100ms > $(FLIGHT_DIR)-bin/ctl.log & CTL=$$!; \
+		until grep -q listening $(FLIGHT_DIR)-bin/ctl.log; do kill -0 $$CTL || exit 1; sleep 0.1; done; \
+		$(FLIGHT_DIR)-bin/s3proto -drive $(FLIGHT_ADDR) -drive-hold 3s; \
+		kill -TERM $$CTL; wait $$CTL
+	$(FLIGHT_DIR)-bin/s3diag -dir $(FLIGHT_DIR) -check
+	$(FLIGHT_DIR)-bin/s3diag -dir $(FLIGHT_DIR) -format summary -match protocol.
 
 # Non-test Go lines per top-level package and in total, bench/ excluded
 # (and .bench_build/, where bench-ab checks out the parent): the size

@@ -1,15 +1,14 @@
 // Command s3proto runs the S³ prototype: a WLAN controller speaking the
 // framed binary protocol over TCP, either as a standalone server, a
-// self-contained demo that also spins up AP agents and stations, or a
-// chaos soak that subjects the controller to connection faults and
-// churn.
+// self-contained demo that also spins up AP agents and stations, a
+// client that loads a running controller (-drive), or one replica of a
+// federated cluster.
 //
 // Usage:
 //
 //	s3proto -listen 127.0.0.1:7788 -policy s3     # standalone controller
 //	s3proto -policy s3-live -refresh-every 5s     # learn sociality live
 //	s3proto -demo                                  # end-to-end demo
-//	s3proto -chaos -chaos-dur 5s                   # churn + fault soak
 //	s3proto -journal /var/lib/s3/journal           # crash-safe state
 //	s3proto -drive 127.0.0.1:7788 -drive-hold 30s  # load a running controller
 //	s3proto -journal dir -recover-check 8          # assert recovery (CI)
@@ -59,14 +58,10 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
-	"net"
 	"os"
 	"os/signal"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -78,7 +73,6 @@ import (
 	"github.com/s3wlan/s3wlan/internal/obs"
 	"github.com/s3wlan/s3wlan/internal/obs/flight"
 	"github.com/s3wlan/s3wlan/internal/protocol"
-	"github.com/s3wlan/s3wlan/internal/protocol/faultconn"
 	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/society/incremental"
 	"github.com/s3wlan/s3wlan/internal/synth"
@@ -101,11 +95,6 @@ func run(args []string, out io.Writer) (err error) {
 		refEvery = fs.Duration("refresh-every", 5*time.Second, "s3-live: periodic snapshot refresh interval")
 		refEvts  = fs.Int("refresh-events", 256, "s3-live: also refresh after this many association events (0 = periodic only)")
 		demo     = fs.Bool("demo", false, "run the self-contained demo (controller + APs + stations)")
-		chaos    = fs.Bool("chaos", false, "run the churn soak: faulty connections, agent kills, station churn")
-		chaosDur = fs.Duration("chaos-dur", 5*time.Second, "chaos soak duration")
-		chaosAPs = fs.Int("chaos-aps", 4, "chaos soak AP agent count")
-		chaosStn = fs.Int("chaos-stations", 16, "chaos soak station count")
-		seed     = fs.Int64("seed", 1, "chaos fault-schedule seed")
 		verbose  = fs.Bool("v", false, "log controller decisions")
 
 		maxConns   = fs.Int("max-conns", 0, "admission: cap on concurrent peer connections; excess get MsgBusy (0 = unlimited)")
@@ -142,7 +131,7 @@ func run(args []string, out io.Writer) (err error) {
 		return err
 	}
 
-	// Observability first, so every mode — server, chaos, demo, drive —
+	// Observability first, so every mode — server, demo, drive, cluster —
 	// carries the pprof+/metrics surface and the flight recorder.
 	stopProfiling, err := obs.StartProfiling(obs.ProfileConfig{HTTPAddr: *pprofAddr})
 	if err != nil {
@@ -252,16 +241,6 @@ func run(args []string, out io.Writer) (err error) {
 		}
 		fmt.Fprintf(out, "recover-check ok: %d assignments\n", rec.Assignments)
 		return nil
-	}
-
-	if *chaos {
-		return runChaos(selector, opts, chaosConfig{
-			listen:   *listen,
-			duration: *chaosDur,
-			aps:      *chaosAPs,
-			stations: *chaosStn,
-			seed:     *seed,
-		}, out)
 	}
 
 	ctl, err := protocol.NewController(selector, opts...)
@@ -598,148 +577,6 @@ func runDemo(ctl *protocol.Controller, addr string, out io.Writer) error {
 		fmt.Fprintf(out, "  %s: %d users, %d bytes served\n",
 			id, len(st.Users), st.ServedBytes)
 	}
-	return nil
-}
-
-// chaosConfig parameterizes the churn soak.
-type chaosConfig struct {
-	listen   string
-	duration time.Duration
-	aps      int
-	stations int
-	seed     int64
-}
-
-// runChaos soaks the live controller under churn: the listener injects
-// drops, delays, torn frames and mid-stream closes into every accepted
-// connection; AP agents dial through a self-destructing transport so
-// they periodically lose their connection and exercise
-// reconnect-with-backoff against the controller's lease machinery; and
-// stations churn through associate/traffic/disassociate cycles,
-// redialing whenever a fault kills their connection. At the end it
-// prints the lifecycle health counters the controller exposes through
-// internal/obs.
-func runChaos(selector wlan.Selector, opts []protocol.ControllerOption, cfg chaosConfig, out io.Writer) error {
-	const timeout = 2 * time.Second
-	opts = append(opts, protocol.WithTimeout(timeout), protocol.WithLease(2))
-	ctl, err := protocol.NewController(selector, opts...)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", cfg.listen)
-	if err != nil {
-		return err
-	}
-	addr := ctl.Serve(&faultconn.Listener{
-		Listener: ln,
-		Config: faultconn.Config{
-			Seed:             cfg.seed,
-			DropWriteProb:    0.01,
-			PartialWriteProb: 0.01,
-			ReadErrProb:      0.01,
-			DelayProb:        0.05,
-			MaxDelay:         2 * time.Millisecond,
-			CloseAfterReads:  50,
-		},
-	})
-	defer ctl.Close()
-	fmt.Fprintf(out, "chaos soak: %s policy, %d APs, %d stations, %v, seed %d\n",
-		selector.Name(), cfg.aps, cfg.stations, cfg.duration, cfg.seed)
-
-	deadline := time.Now().Add(cfg.duration)
-	var wg sync.WaitGroup
-	var assocOK, assocFail, agentKills atomic.Int64
-
-	// AP agents: reconnecting clients whose own transport tears itself
-	// down every ~15 writes, forcing periodic redials (counted as kills).
-	for i := 0; i < cfg.aps; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			id := trace.APID(fmt.Sprintf("ap-%d", i))
-			rc := protocol.DefaultReconnectConfig()
-			rc.MaxAttempts = 50
-			rc.BaseDelay = 10 * time.Millisecond
-			rc.MaxDelay = 200 * time.Millisecond
-			rc.Seed = faultconn.DeriveSeed(cfg.seed, int64(1000+i))
-			var dials atomic.Int64
-			rc.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-				raw, err := net.DialTimeout("tcp", addr, timeout)
-				if err != nil {
-					return nil, err
-				}
-				n := dials.Add(1)
-				return faultconn.Wrap(raw, faultconn.Config{
-					Seed:             faultconn.DeriveSeed(rc.Seed, n),
-					CloseAfterWrites: 15,
-				}), nil
-			}
-			agent, err := protocol.DialAPReconnecting(addr, id, 10e6, timeout, rc)
-			if err != nil {
-				return
-			}
-			defer agent.Close()
-			rng := rand.New(rand.NewSource(rc.Seed))
-			for time.Now().Before(deadline) {
-				if err := agent.Report(rng.Float64() * 5e6); err != nil {
-					agentKills.Add(1)
-				}
-				time.Sleep(50 * time.Millisecond)
-			}
-			agentKills.Add(agent.Reconnects())
-		}(i)
-	}
-
-	// Stations: churn through short association lifecycles, tolerating
-	// and redialing around injected faults.
-	for i := 0; i < cfg.stations; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			user := trace.UserID(fmt.Sprintf("user-%04d", i))
-			rng := rand.New(rand.NewSource(faultconn.DeriveSeed(cfg.seed, int64(2000+i))))
-			for time.Now().Before(deadline) {
-				st, err := protocol.DialStation(addr, user, timeout)
-				if err != nil {
-					time.Sleep(20 * time.Millisecond)
-					continue
-				}
-				for time.Now().Before(deadline) {
-					if _, err := st.Associate(10e3 + rng.Float64()*90e3); err != nil {
-						assocFail.Add(1)
-						break
-					}
-					assocOK.Add(1)
-					if err := st.SendTraffic(int64(rng.Intn(1 << 16))); err != nil {
-						break
-					}
-					time.Sleep(time.Duration(10+rng.Intn(40)) * time.Millisecond)
-					if rng.Float64() < 0.3 {
-						if err := st.Disassociate(); err != nil {
-							break
-						}
-					}
-				}
-				st.Close()
-			}
-		}(i)
-	}
-
-	wg.Wait()
-	if err := ctl.Close(); err != nil {
-		fmt.Fprintf(out, "controller close: %v\n", err)
-	}
-
-	snap := ctl.Snapshot()
-	users := 0
-	for _, st := range snap {
-		users += len(st.Users)
-	}
-	fmt.Fprintln(out, "\nchaos summary:")
-	fmt.Fprintf(out, "  associations ok/failed: %d/%d, agent connection losses: %d\n",
-		assocOK.Load(), assocFail.Load(), agentKills.Load())
-	fmt.Fprintf(out, "  final state: %d APs, %d associated users\n", len(snap), users)
-	writeHealth(out)
 	return nil
 }
 

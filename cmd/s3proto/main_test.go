@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/s3wlan/s3wlan/internal/obs/flight"
 )
 
 func TestRunDemoLLF(t *testing.T) {
@@ -33,21 +35,53 @@ func TestRunDemoS3(t *testing.T) {
 	}
 }
 
+// TestRunChaosSoak is the flight-ring smoke: the s3-live demo records a
+// ring that decodes, and every protocol.* counter in it is present and
+// never decreases from one sample to the next.
 func TestRunChaosSoak(t *testing.T) {
+	dir := t.TempDir()
 	var buf bytes.Buffer
-	err := run([]string{
-		"-chaos", "-chaos-dur", "300ms", "-policy", "llf",
-		"-chaos-aps", "2", "-chaos-stations", "4", "-seed", "7",
-	}, &buf)
+	if err := run([]string{
+		"-demo", "-policy", "s3-live", "-flight-dir", dir, "-flight-every", "10ms",
+	}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	ring, err := flight.Decode(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "chaos soak") || !strings.Contains(out, "chaos summary") {
-		t.Errorf("missing chaos output: %s", out)
+	if n := len(ring.Samples); n < 2 {
+		t.Fatalf("ring holds %d samples, want the initial snapshot and at least one more", n)
 	}
-	if !strings.Contains(out, "protocol.ap.registered") {
-		t.Errorf("missing health counters: %s", out)
+	var counters []string
+	for _, name := range ring.Columns() {
+		if strings.HasPrefix(name, "protocol.") && ring.Kinds[name] == "c" {
+			counters = append(counters, name)
+		}
+	}
+	if len(counters) == 0 {
+		t.Fatalf("no protocol.* counters in the ring; columns: %v", ring.Columns())
+	}
+	for _, name := range counters {
+		for i := 1; i < len(ring.Samples); i++ {
+			if prev, cur := ring.Samples[i-1].V[name], ring.Samples[i].V[name]; cur < prev {
+				t.Fatalf("%s fell from %d to %d at sample %d", name, prev, cur, i)
+			}
+		}
+	}
+	first, last := ring.Samples[0].V, ring.Samples[len(ring.Samples)-1].V
+	if got := last["protocol.ap.registered"] - first["protocol.ap.registered"]; got < 3 {
+		t.Errorf("protocol.ap.registered rose by %d over the demo, want >= 3", got)
+	}
+}
+
+// TestRunRejectsChaosFlag: the chaos soak is a test (TestChaosSoakRace
+// in internal/protocol), not an s3proto mode.
+func TestRunRejectsChaosFlag(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-chaos"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-chaos = %v, want an unknown-flag error", err)
 	}
 }
 

@@ -1,32 +1,18 @@
-// Package faultconn wraps net.Conn and net.Listener with seeded,
-// schedulable fault injection: dropped and partial writes, injected
-// read/write errors, delays, mid-stream closes, and transient accept
-// failures. The protocol lifecycle tests and the s3proto chaos demo use
-// it to subject the live controller to exactly the churn the paper
-// studies — peers that vanish, reconnect, and misbehave — while staying
-// reproducible: every probabilistic decision comes from a seeded
-// generator, and listener-wrapped connections derive per-connection
-// seeds with a splitmix64 finalizer (same discipline as
-// internal/runner's DeriveSeed).
-package faultconn
+package faults
 
 import (
-	"errors"
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"github.com/s3wlan/s3wlan/internal/runner"
 )
 
-// ErrInjected marks a failure manufactured by the wrapper (as opposed to
-// one surfaced by the real transport).
-var ErrInjected = errors.New("faultconn: injected error")
-
-// Config is a fault schedule. Probabilities are per operation in [0,1];
-// zero values inject nothing, so Config{} is a transparent wrapper.
-type Config struct {
-	// Seed seeds the decision stream.
-	Seed int64
+// ConnConfig is a connection fault schedule. Probabilities are per
+// operation in [0,1]; the zero value injects nothing.
+type ConnConfig struct {
 	// DropWriteProb silently discards a write (reported as fully
 	// written) — the classic lost report.
 	DropWriteProb float64
@@ -61,18 +47,11 @@ type Config struct {
 	StallDur time.Duration
 }
 
-// Source supplies a live fault schedule, consulted once per operation.
-// A dynamic wrapper built with WrapDynamic reads its Config through a
-// Source, so a scenario engine (internal/faults) can move every open
-// connection between fault phases without re-wrapping.
-type Source func() Config
-
-// Conn wraps a net.Conn with the fault schedule in Config. Safe for one
-// concurrent reader plus one concurrent writer (the net.Conn contract).
+// Conn wraps a net.Conn with a fault schedule. Safe for one concurrent
+// reader plus one concurrent writer (the net.Conn contract).
 type Conn struct {
 	net.Conn
-	cfg Config
-	src Source // when set, overrides cfg per operation
+	src func() ConnConfig
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -80,24 +59,11 @@ type Conn struct {
 	writes int
 }
 
-// Wrap decorates conn with the fault schedule cfg.
-func Wrap(conn net.Conn, cfg Config) *Conn {
-	return &Conn{
-		Conn: conn,
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-	}
-}
-
-// WrapDynamic decorates conn with a schedule read from src before every
-// operation; src's Seed field is ignored (the decision stream is seeded
-// once, by seed, so runs stay reproducible across phase flips).
-func WrapDynamic(conn net.Conn, seed int64, src Source) *Conn {
-	return &Conn{
-		Conn: conn,
-		src:  src,
-		rng:  rand.New(rand.NewSource(seed)),
-	}
+// WrapConn decorates conn with the schedule src yields before every
+// operation. seed seeds the decision stream once, so a run replays
+// exactly whatever schedule src follows.
+func WrapConn(conn net.Conn, seed int64, src func() ConnConfig) *Conn {
+	return &Conn{Conn: conn, src: src, rng: rand.New(rand.NewSource(seed))}
 }
 
 // decision is one sampled fault outcome.
@@ -113,10 +79,7 @@ type decision struct {
 func (c *Conn) decide(write bool) decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cfg := c.cfg
-	if c.src != nil {
-		cfg = c.src()
-	}
+	cfg := c.src()
 	var d decision
 	if cfg.DelayProb > 0 && c.rng.Float64() < cfg.DelayProb {
 		max := cfg.MaxDelay
@@ -164,12 +127,7 @@ func (c *Conn) decide(write bool) decision {
 // eventually fails a stalled connection.
 func (c *Conn) Read(p []byte) (int, error) {
 	d := c.decide(false)
-	if d.delay > 0 {
-		time.Sleep(d.delay)
-	}
-	if d.stall > 0 {
-		time.Sleep(d.stall)
-	}
+	time.Sleep(d.delay + d.stall)
 	if d.closed || d.err {
 		c.Conn.Close()
 		return 0, ErrInjected
@@ -181,11 +139,9 @@ func (c *Conn) Read(p []byte) (int, error) {
 // transport.
 func (c *Conn) Write(p []byte) (int, error) {
 	d := c.decide(true)
-	if d.delay > 0 {
-		time.Sleep(d.delay)
-	}
+	time.Sleep(d.delay)
 	switch {
-	case d.closed:
+	case d.closed, d.err:
 		c.Conn.Close()
 		return 0, ErrInjected
 	case d.drop:
@@ -194,22 +150,19 @@ func (c *Conn) Write(p []byte) (int, error) {
 		n, _ := c.Conn.Write(p[:len(p)/2])
 		c.Conn.Close()
 		return n, ErrInjected
-	case d.err:
-		c.Conn.Close()
-		return 0, ErrInjected
 	}
 	return c.Conn.Write(p)
 }
 
-// Listener wraps every accepted connection with Config, deriving a
-// distinct per-connection seed from Config.Seed so runs stay
-// reproducible without every connection sharing one fault stream.
+// Listener wraps the n-th accepted connection (n = 1, 2, …) in a Conn
+// that reads Source, seeded with runner.DeriveSeed(Seed, n-1), so every
+// connection draws its own reproducible fault stream.
 type Listener struct {
 	net.Listener
-	Config Config
+	Seed   int64
+	Source func() ConnConfig
 
-	mu sync.Mutex
-	n  int64
+	n atomic.Int64
 }
 
 // Accept accepts from the underlying listener and wraps the connection.
@@ -218,13 +171,8 @@ func (l *Listener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.mu.Lock()
-	l.n++
-	n := l.n
-	l.mu.Unlock()
-	cfg := l.Config
-	cfg.Seed = DeriveSeed(l.Config.Seed, n)
-	return Wrap(conn, cfg), nil
+	n := l.n.Add(1)
+	return WrapConn(conn, runner.DeriveSeed(l.Seed, int(n-1)), l.Source), nil
 }
 
 // FlakyListener injects transient accept errors: the first FailFirst
@@ -238,18 +186,14 @@ type FlakyListener struct {
 	FailFirst int
 	FailEvery int
 
-	mu    sync.Mutex
-	calls int
+	calls atomic.Int64
 }
 
 // Accept fails per the schedule, otherwise accepts from the underlying
 // listener.
 func (l *FlakyListener) Accept() (net.Conn, error) {
-	l.mu.Lock()
-	l.calls++
-	n := l.calls
-	l.mu.Unlock()
-	if n <= l.FailFirst || (l.FailEvery > 0 && n > l.FailFirst && (n-l.FailFirst)%l.FailEvery == 0) {
+	n := int(l.calls.Add(1))
+	if n <= l.FailFirst || (l.FailEvery > 0 && (n-l.FailFirst)%l.FailEvery == 0) {
 		return nil, tempError{}
 	}
 	return l.Listener.Accept()
@@ -258,15 +202,6 @@ func (l *FlakyListener) Accept() (net.Conn, error) {
 // tempError is a transient net.Error.
 type tempError struct{}
 
-func (tempError) Error() string   { return "faultconn: transient accept error" }
+func (tempError) Error() string   { return "faults: transient accept error" }
 func (tempError) Timeout() bool   { return false }
 func (tempError) Temporary() bool { return true }
-
-// DeriveSeed maps (base, i) to an independent stream seed via the
-// splitmix64 finalizer.
-func DeriveSeed(base, i int64) int64 {
-	z := uint64(base) + uint64(i)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}

@@ -1,4 +1,4 @@
-package faultconn
+package faults
 
 import (
 	"bytes"
@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/s3wlan/s3wlan/internal/runner"
 )
 
 // fakeConn is an in-memory net.Conn half for write-side tests.
@@ -53,9 +55,13 @@ func (f *fakeConn) SetDeadline(t time.Time) error      { return nil }
 func (f *fakeConn) SetReadDeadline(t time.Time) error  { return nil }
 func (f *fakeConn) SetWriteDeadline(t time.Time) error { return nil }
 
+func wrapStatic(c net.Conn, seed int64, cfg ConnConfig) *Conn {
+	return WrapConn(c, seed, Const(cfg))
+}
+
 func TestTransparentWithZeroConfig(t *testing.T) {
 	fc := &fakeConn{}
-	c := Wrap(fc, Config{})
+	c := wrapStatic(fc, 0, ConnConfig{})
 	for i := 0; i < 100; i++ {
 		if n, err := c.Write([]byte("hello")); n != 5 || err != nil {
 			t.Fatalf("write %d = %d, %v", i, n, err)
@@ -68,7 +74,7 @@ func TestTransparentWithZeroConfig(t *testing.T) {
 
 func TestDropWrite(t *testing.T) {
 	fc := &fakeConn{}
-	c := Wrap(fc, Config{Seed: 1, DropWriteProb: 1})
+	c := wrapStatic(fc, 1, ConnConfig{DropWriteProb: 1})
 	n, err := c.Write([]byte("lost report"))
 	if n != 11 || err != nil {
 		t.Fatalf("dropped write = %d, %v; want full length, nil", n, err)
@@ -80,7 +86,7 @@ func TestDropWrite(t *testing.T) {
 
 func TestPartialWriteTearsFrame(t *testing.T) {
 	fc := &fakeConn{}
-	c := Wrap(fc, Config{Seed: 1, PartialWriteProb: 1})
+	c := wrapStatic(fc, 1, ConnConfig{PartialWriteProb: 1})
 	n, err := c.Write([]byte("0123456789"))
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
@@ -95,7 +101,7 @@ func TestPartialWriteTearsFrame(t *testing.T) {
 
 func TestCloseAfterWrites(t *testing.T) {
 	fc := &fakeConn{}
-	c := Wrap(fc, Config{Seed: 1, CloseAfterWrites: 2})
+	c := wrapStatic(fc, 1, ConnConfig{CloseAfterWrites: 2})
 	for i := 0; i < 2; i++ {
 		if _, err := c.Write([]byte("ok")); err != nil {
 			t.Fatalf("write %d: %v", i, err)
@@ -111,7 +117,7 @@ func TestCloseAfterWrites(t *testing.T) {
 
 func TestReadErr(t *testing.T) {
 	fc := &fakeConn{}
-	c := Wrap(fc, Config{Seed: 1, ReadErrProb: 1})
+	c := wrapStatic(fc, 1, ConnConfig{ReadErrProb: 1})
 	if _, err := c.Read(make([]byte, 8)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("read err = %v, want ErrInjected", err)
 	}
@@ -120,20 +126,26 @@ func TestReadErr(t *testing.T) {
 	}
 }
 
+// dropPattern writes n one-byte frames through c, whose transport is
+// fc, and reports which of them were dropped.
+func dropPattern(t *testing.T, c *Conn, fc *fakeConn, n int) []bool {
+	t.Helper()
+	dropped := make([]bool, 0, n)
+	for i := 0; i < n; i++ {
+		before := fc.written()
+		if _, err := c.Write([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		dropped = append(dropped, fc.written() == before)
+	}
+	return dropped
+}
+
 // TestSeededDeterminism: the same seed yields the same fault schedule.
 func TestSeededDeterminism(t *testing.T) {
 	run := func() []bool {
 		fc := &fakeConn{}
-		c := Wrap(fc, Config{Seed: 42, DropWriteProb: 0.3})
-		var dropped []bool
-		for i := 0; i < 200; i++ {
-			before := fc.written()
-			if _, err := c.Write([]byte("x")); err != nil {
-				t.Fatal(err)
-			}
-			dropped = append(dropped, fc.written() == before)
-		}
-		return dropped
+		return dropPattern(t, wrapStatic(fc, 42, ConnConfig{DropWriteProb: 0.3}), fc, 200)
 	}
 	a, b := run(), run()
 	anyDrop, anyPass := false, false
@@ -184,13 +196,75 @@ func TestFlakyListenerSchedule(t *testing.T) {
 	}
 }
 
+// TestDeriveSeedSpreads: the listener's per-connection seeds come from
+// runner.DeriveSeed(base, n-1), which must equal the splitmix64
+// finalizer at (base, n) that the harness's seeded fault streams are
+// defined by, and must give distinct seeds to neighbouring connections.
 func TestDeriveSeedSpreads(t *testing.T) {
+	finalizer := func(base, i int64) int64 {
+		z := uint64(base) + uint64(i)*0x9E3779B97F4A7C15
+		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+		return int64(z ^ (z >> 31))
+	}
+	for _, c := range []struct{ base, i int64 }{
+		{1, 1}, {7, 2}, {42, 1}, {42, 9}, {1000, 3}, {-3, 1_000_001},
+	} {
+		if got, want := runner.DeriveSeed(c.base, int(c.i)-1), finalizer(c.base, c.i); got != want {
+			t.Errorf("DeriveSeed(%d, %d) = %d, want the finalizer's %d", c.base, c.i-1, got, want)
+		}
+	}
 	seen := make(map[int64]bool)
-	for i := int64(0); i < 100; i++ {
-		seen[DeriveSeed(1, i)] = true
+	for i := 0; i < 100; i++ {
+		seen[runner.DeriveSeed(1, i)] = true
 	}
 	if len(seen) != 100 {
 		t.Errorf("derived seeds collide: %d unique of 100", len(seen))
+	}
+}
+
+// TestListenerDerivesSeeds: the n-th accepted connection draws exactly
+// the stream of a wrapper seeded runner.DeriveSeed(Seed, n-1), and two
+// connections draw different streams.
+func TestListenerDerivesSeeds(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ConnConfig{DropWriteProb: 0.5}
+	wrapped := &Listener{Listener: ln, Seed: 42, Source: Const(cfg)}
+	defer wrapped.Close()
+	var patterns [][]bool
+	for n := 1; n <= 2; n++ {
+		cl, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		sv, err := wrapped.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sv.(*Conn)
+		defer got.Conn.Close()
+		fc := &fakeConn{}
+		got.Conn = fc // observe the accepted wrapper's decisions in memory
+		pattern := dropPattern(t, got, fc, 64)
+		ref := &fakeConn{}
+		want := dropPattern(t, wrapStatic(ref, runner.DeriveSeed(42, n-1), cfg), ref, 64)
+		for i := range want {
+			if pattern[i] != want[i] {
+				t.Fatalf("connection %d diverges from DeriveSeed(42, %d) at write %d", n, n-1, i)
+			}
+		}
+		patterns = append(patterns, pattern)
+	}
+	same := true
+	for i := range patterns[0] {
+		same = same && patterns[0][i] == patterns[1][i]
+	}
+	if same {
+		t.Error("two accepted connections drew the same fault stream")
 	}
 }
 
@@ -201,7 +275,7 @@ func TestDeriveSeedSpreads(t *testing.T) {
 func TestReadStallHangsWithoutClose(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
-	c := Wrap(client, Config{Seed: 7, ReadStallProb: 1, StallDur: 50 * time.Millisecond})
+	c := wrapStatic(client, 7, ConnConfig{ReadStallProb: 1, StallDur: 50 * time.Millisecond})
 	defer c.Close()
 	go server.Write([]byte("hi"))
 	buf := make([]byte, 2)
@@ -215,19 +289,19 @@ func TestReadStallHangsWithoutClose(t *testing.T) {
 	}
 }
 
-// TestWrapDynamicFollowsSource: a dynamic wrapper consults its Source
-// per operation, so flipping the schedule changes behavior mid-stream
+// TestWrapDynamicFollowsSource: a wrapper consults its source per
+// operation, so flipping the schedule changes behavior mid-stream
 // without re-wrapping the connection.
 func TestWrapDynamicFollowsSource(t *testing.T) {
 	fc := &fakeConn{}
 	var mu sync.Mutex
-	cfg := Config{}
-	src := func() Config {
+	cfg := ConnConfig{}
+	src := func() ConnConfig {
 		mu.Lock()
 		defer mu.Unlock()
 		return cfg
 	}
-	c := WrapDynamic(fc, 42, src)
+	c := WrapConn(fc, 42, src)
 	if _, err := c.Write([]byte("ok")); err != nil {
 		t.Fatalf("clean write: %v", err)
 	}

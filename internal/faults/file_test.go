@@ -1,4 +1,4 @@
-package faultfile
+package faults
 
 import (
 	"bytes"
@@ -19,7 +19,7 @@ func (m *memSink) Close() error                { m.closed = true; return nil }
 
 func TestTransparentWhenZero(t *testing.T) {
 	sink := &memSink{}
-	f := Wrap(sink, Config{})
+	f := WrapFile(sink, 0, Const(FileConfig{}))
 	n, err := f.Write([]byte("hello"))
 	if n != 5 || err != nil {
 		t.Fatalf("Write = %d, %v", n, err)
@@ -37,7 +37,7 @@ func TestTransparentWhenZero(t *testing.T) {
 
 func TestTornAtByteClipsSilently(t *testing.T) {
 	sink := &memSink{}
-	f := Wrap(sink, Config{TornAtByte: 7})
+	f := WrapFile(sink, 0, Const(FileConfig{TornAtByte: 7}))
 	for _, chunk := range []string{"abcde", "fghij", "klmno"} {
 		n, err := f.Write([]byte(chunk))
 		if n != len(chunk) || err != nil {
@@ -54,7 +54,7 @@ func TestTornAtByteClipsSilently(t *testing.T) {
 
 func TestShortWriteReturnsPrefixAndError(t *testing.T) {
 	sink := &memSink{}
-	f := Wrap(sink, Config{Seed: 3, ShortWriteProb: 1})
+	f := WrapFile(sink, 3, Const(FileConfig{ShortWriteProb: 1}))
 	p := []byte("0123456789")
 	n, err := f.Write(p)
 	if !errors.Is(err, ErrInjected) {
@@ -70,7 +70,7 @@ func TestShortWriteReturnsPrefixAndError(t *testing.T) {
 
 func TestBitFlipDamagesExactlyOneBit(t *testing.T) {
 	sink := &memSink{}
-	f := Wrap(sink, Config{Seed: 5, BitFlipProb: 1})
+	f := WrapFile(sink, 5, Const(FileConfig{BitFlipProb: 1}))
 	p := bytes.Repeat([]byte{0x00}, 32)
 	if _, err := f.Write(p); err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestBitFlipDamagesExactlyOneBit(t *testing.T) {
 
 func TestFailSyncAfter(t *testing.T) {
 	sink := &memSink{}
-	f := Wrap(sink, Config{FailSyncAfter: 2})
+	f := WrapFile(sink, 0, Const(FileConfig{FailSyncAfter: 2}))
 	for i := 0; i < 2; i++ {
 		if err := f.Sync(); err != nil {
 			t.Fatalf("sync %d: %v", i, err)
@@ -108,7 +108,7 @@ func TestFailSyncAfter(t *testing.T) {
 func TestSeededReplay(t *testing.T) {
 	run := func() string {
 		sink := &memSink{}
-		f := Wrap(sink, Config{Seed: 11, ShortWriteProb: 0.3, BitFlipProb: 0.3})
+		f := WrapFile(sink, 11, Const(FileConfig{ShortWriteProb: 0.3, BitFlipProb: 0.3}))
 		for i := 0; i < 20; i++ {
 			f.Write(bytes.Repeat([]byte{byte(i)}, 16))
 		}
@@ -116,5 +116,29 @@ func TestSeededReplay(t *testing.T) {
 	}
 	if run() != run() {
 		t.Fatal("same seed produced different byte streams")
+	}
+}
+
+// TestFileFollowsSource: a file wrapper consults its source per
+// operation, so a device can fail its fsyncs for a while and recover
+// without the file being re-wrapped.
+func TestFileFollowsSource(t *testing.T) {
+	sink := &memSink{}
+	failing := true
+	f := WrapFile(sink, 0, func() FileConfig {
+		if failing {
+			return FileConfig{SyncErrProb: 1}
+		}
+		return FileConfig{}
+	})
+	if err := f.Sync(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("failing-phase sync = %v, want ErrInjected", err)
+	}
+	failing = false
+	if err := f.Sync(); err != nil {
+		t.Fatalf("recovered sync: %v", err)
+	}
+	if sink.syncs != 1 {
+		t.Fatalf("sink saw %d syncs, want 1 (the failed one never reaches it)", sink.syncs)
 	}
 }

@@ -16,9 +16,9 @@ import (
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/baseline"
+	"github.com/s3wlan/s3wlan/internal/faults"
 	"github.com/s3wlan/s3wlan/internal/journal"
 	"github.com/s3wlan/s3wlan/internal/protocol"
-	"github.com/s3wlan/s3wlan/internal/protocol/faultconn"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
 )
@@ -125,13 +125,13 @@ func (l *stallListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := func() faultconn.Config {
+	src := func() faults.ConnConfig {
 		if l.stalled.Load() {
-			return faultconn.Config{ReadStallProb: 1, StallDur: 2 * time.Second}
+			return faults.ConnConfig{ReadStallProb: 1, StallDur: 2 * time.Second}
 		}
-		return faultconn.Config{}
+		return faults.ConnConfig{}
 	}
-	return faultconn.WrapDynamic(c, int64(l.seq.Add(1)), src), nil
+	return faults.WrapConn(c, int64(l.seq.Add(1)), src), nil
 }
 
 // TestBreakerTripsOnStalledOwnerAndRecovers is the end-to-end story:

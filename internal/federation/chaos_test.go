@@ -11,10 +11,9 @@ import (
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/baseline"
+	"github.com/s3wlan/s3wlan/internal/faults"
 	"github.com/s3wlan/s3wlan/internal/journal"
-	"github.com/s3wlan/s3wlan/internal/journal/faultfile"
 	"github.com/s3wlan/s3wlan/internal/protocol"
-	"github.com/s3wlan/s3wlan/internal/protocol/faultconn"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
 )
@@ -168,9 +167,10 @@ func TestFederationChaosKillRejoinOracle(t *testing.T) {
 			Journal:     journal.Options{Fsync: journal.FsyncAlways},
 			Timeout:     timeout,
 			WrapListener: func(ln net.Listener) net.Listener {
-				return &faultconn.Listener{
-					Listener: &faultconn.FlakyListener{Listener: ln, FailFirst: 1, FailEvery: 11},
-					Config:   faultconn.Config{Seed: seed, DelayProb: 0.15, MaxDelay: 2 * time.Millisecond},
+				return &faults.Listener{
+					Listener: &faults.FlakyListener{Listener: ln, FailFirst: 1, FailEvery: 11},
+					Seed:     seed,
+					Source:   faults.Const(faults.ConnConfig{DelayProb: 0.15, MaxDelay: 2 * time.Millisecond}),
 				}
 			},
 		})
@@ -378,7 +378,7 @@ func TestFederationTornTailTakeover(t *testing.T) {
 	const tornAt = 600
 	var (
 		tornMu sync.Mutex
-		torn   *faultfile.File
+		torn   *faults.File
 	)
 	victim := build("node-0", journal.Options{
 		Fsync: journal.FsyncOff,
@@ -387,7 +387,7 @@ func TestFederationTornTailTakeover(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			ff := faultfile.Wrap(f, faultfile.Config{TornAtByte: tornAt})
+			ff := faults.WrapFile(f, 0, faults.Const(faults.FileConfig{TornAtByte: tornAt}))
 			if filepath.Base(filepath.Dir(path)) == "group-0" {
 				tornMu.Lock()
 				torn = ff

@@ -66,7 +66,7 @@ type Config struct {
 	BreakerCooldown time.Duration
 	// WrapListener, when set, decorates the router's listener before the
 	// accept loop starts — the chaos suite's injection point for
-	// faultconn-wrapped transports. Production leaves it nil.
+	// internal/faults transports. Production leaves it nil.
 	WrapListener func(net.Listener) net.Listener
 	// Logger receives lifecycle diagnostics (default: discard).
 	Logger *log.Logger

@@ -83,7 +83,7 @@ func (p FsyncPolicy) String() string {
 
 // File is the subset of *os.File the journal writes segments through.
 // Options.OpenFile may substitute a fault-injecting implementation
-// (see journal/faultfile).
+// (tests use internal/faults).
 type File interface {
 	io.Writer
 	Sync() error

@@ -3,15 +3,17 @@ package journal
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/s3wlan/s3wlan/internal/journal/faultfile"
+	"github.com/s3wlan/s3wlan/internal/faults"
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
@@ -446,7 +448,7 @@ func TestFsyncIntervalFlushes(t *testing.T) {
 }
 
 // TestFaultfileTornTail injects a torn tail at an awkward byte offset
-// through the faultfile wrapper: recovery returns exactly the records
+// through the file fault wrapper: recovery returns exactly the records
 // whose frames landed in full, and reports the tear.
 func TestFaultfileTornTail(t *testing.T) {
 	// First pass: measure clean frame sizes.
@@ -474,7 +476,7 @@ func TestFaultfileTornTail(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return faultfile.Wrap(f, faultfile.Config{TornAtByte: tearAt}), nil
+			return faults.WrapFile(f, 0, faults.Const(faults.FileConfig{TornAtByte: tearAt})), nil
 		},
 	})
 	if err != nil {
@@ -515,7 +517,7 @@ func TestFaultfileBitFlips(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				return faultfile.Wrap(f, faultfile.Config{Seed: seed, BitFlipProb: 0.08}), nil
+				return faults.WrapFile(f, seed, faults.Const(faults.FileConfig{BitFlipProb: 0.08})), nil
 			},
 		})
 		if err != nil {
@@ -562,7 +564,7 @@ func TestFaultfileShortWrite(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return faultfile.Wrap(f, faultfile.Config{Seed: 7, ShortWriteProb: 0.2}), nil
+			return faults.WrapFile(f, 7, faults.Const(faults.FileConfig{ShortWriteProb: 0.2})), nil
 		},
 	})
 	if err != nil {
@@ -586,6 +588,72 @@ func TestFaultfileShortWrite(t *testing.T) {
 	for i, r := range rec.Records {
 		if r.Seq != uint64(i+1) {
 			t.Fatalf("recovered seq %d at position %d", r.Seq, i)
+		}
+	}
+}
+
+// TestFailedFsyncAppend: under FsyncAlways, an append whose fsync fails
+// returns an error wrapping the injected one and counts
+// journal.append_errors, but does not poison the journal. The record was
+// written before the fsync failed, later appends go on once the device
+// recovers, and reopening recovers every record, the failed one's
+// included.
+func TestFailedFsyncAppend(t *testing.T) {
+	dir := t.TempDir()
+	var degraded atomic.Bool
+	degraded.Store(true)
+	j, _, err := Open(dir, Options{
+		Fsync: FsyncAlways,
+		OpenFile: func(path string) (File, error) {
+			f, err := os.Create(path)
+			if err != nil {
+				return nil, err
+			}
+			return faults.WrapFile(f, 0, func() faults.FileConfig {
+				if degraded.Load() {
+					return faults.FileConfig{FailSyncAfter: 3}
+				}
+				return faults.FileConfig{}
+			}), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := j.Append(testRecord(i)); err != nil {
+			t.Fatalf("append %d before the fsync failure: %v", i, err)
+		}
+	}
+	before := obsAppendErrs.Value()
+	if err := j.Append(testRecord(3)); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("append over a failing fsync = %v, want it to wrap the injected error", err)
+	}
+	if got := obsAppendErrs.Value() - before; got != 1 {
+		t.Fatalf("journal.append_errors rose by %d, want 1", got)
+	}
+	degraded.Store(false)
+	for i := 4; i < 6; i++ {
+		if err := j.Append(testRecord(i)); err != nil {
+			t.Fatalf("append %d after the device recovered: %v", i, err)
+		}
+	}
+	if j.Seq() != 6 {
+		t.Fatalf("Seq = %d, want 6 (the failed append keeps its sequence number)", j.Seq())
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Records) != 6 {
+		t.Fatalf("recovered %d records, want all 6", len(rec.Records))
+	}
+	for i, r := range rec.Records {
+		if r.Seq != uint64(i+1) || r.Op != testRecord(i).Op {
+			t.Fatalf("record %d = seq %d op %s, want seq %d op %s", i, r.Seq, r.Op, i+1, testRecord(i).Op)
 		}
 	}
 }

@@ -17,7 +17,7 @@ var obsAgentReconnects = obs.GetCounter("protocol.agent.reconnects",
 	"Successful AP-agent reconnections after a lost connection")
 
 // Dialer opens the transport connection for a client. Overriding it lets
-// tests and the chaos demo inject faulty transports (e.g. faultconn).
+// tests inject faulty transports (internal/faults).
 type Dialer func(addr string, timeout time.Duration) (net.Conn, error)
 
 func defaultDial(addr string, timeout time.Duration) (net.Conn, error) {

@@ -18,10 +18,11 @@ import (
 	"github.com/s3wlan/s3wlan/internal/wlan"
 )
 
-// Controller health counters, exported through the obs registry so the
-// chaos demo and operators can watch lifecycle churn: registrations and
-// renewals, lease expiries, accept-loop retries, selection retries after
-// a stale snapshot, and rejected traffic reports.
+// Controller health counters, exported through the obs registry so
+// tests, the flight recorder and operators can watch lifecycle churn:
+// registrations and renewals, lease expiries, accept-loop retries,
+// selection retries after a stale snapshot, and rejected traffic
+// reports.
 var (
 	obsAPRegistered    = obs.GetCounter("protocol.ap.registered", "First-time AP registrations (hello from an unknown AP)")
 	obsAPRenewed       = obs.GetCounter("protocol.ap.renewed", "AP re-hellos renewing a lease or superseding a half-open agent connection")
@@ -319,8 +320,8 @@ func (c *Controller) Listen(addr string) (string, error) {
 }
 
 // Serve starts accepting peers on an externally created listener and
-// returns its address. It allows wrapping the listener (e.g. with
-// faultconn fault injection) before handing it to the controller. A
+// returns its address. It allows wrapping the listener (e.g. with the
+// internal/faults test harness) before handing it to the controller. A
 // controller may serve several listeners at once; Close stops them all.
 func (c *Controller) Serve(ln net.Listener) string {
 	c.mu.Lock()

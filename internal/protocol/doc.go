@@ -33,12 +33,12 @@
 // reconnects, rejected traffic) are exported through internal/obs under
 // the protocol.* prefix.
 //
-// The faultconn subpackage wraps connections and listeners with seeded
-// fault injection (drops, torn frames, delays, mid-stream closes,
-// transient accept errors) for the lifecycle tests and the s3proto
-// chaos soak.
+// The lifecycle and overload tests inject seeded faults (drops, torn
+// frames, delays, stalls, mid-stream closes, transient accept errors)
+// through the internal/faults test harness; TestChaosSoakRace is the
+// churn soak.
 //
-// Command s3proto wraps this package into a runnable demo (controller,
-// N agents and a scripted station workload in one process) and a chaos
-// soak (-chaos).
+// Command s3proto wraps this package into a runnable controller, a demo
+// (controller, agents and a scripted station workload in one process)
+// and a client that loads a running controller (-drive).
 package protocol

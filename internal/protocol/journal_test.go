@@ -16,6 +16,7 @@ import (
 
 	"github.com/s3wlan/s3wlan/internal/baseline"
 	"github.com/s3wlan/s3wlan/internal/core"
+	"github.com/s3wlan/s3wlan/internal/faults"
 	"github.com/s3wlan/s3wlan/internal/journal"
 	"github.com/s3wlan/s3wlan/internal/obs"
 	"github.com/s3wlan/s3wlan/internal/socialgraph"
@@ -633,5 +634,50 @@ func TestJournalReplayErrorTolerance(t *testing.T) {
 	}
 	if _, err := c.Associate("u-3", 10); err != nil {
 		t.Fatalf("controller not functional after tolerant recovery: %v", err)
+	}
+}
+
+// TestJournalFsyncFailureStillAcks: a journaled controller whose segment
+// fsync fails still acknowledges the association (availability over
+// durability, as journalAppendLocked documents) and counts the failed
+// append in journal.append_errors.
+func TestJournalFsyncFailureStillAcks(t *testing.T) {
+	var degraded atomic.Bool
+	c, err := NewController(baseline.LLF{},
+		WithJournal(t.TempDir(), journal.Options{
+			Fsync: journal.FsyncAlways,
+			OpenFile: func(path string) (journal.File, error) {
+				f, err := os.Create(path)
+				if err != nil {
+					return nil, err
+				}
+				return faults.WrapFile(f, 0, func() faults.FileConfig {
+					if degraded.Load() {
+						return faults.FileConfig{SyncErrProb: 1}
+					}
+					return faults.FileConfig{}
+				}), nil
+			},
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.RegisterAP("ap-1", 1e6); err != nil {
+		t.Fatal(err)
+	}
+	appendErrs := obs.GetCounter("journal.append_errors")
+	before := appendErrs.Value()
+	degraded.Store(true)
+	ap, err := c.Associate("u-1", 100)
+	degraded.Store(false)
+	if err != nil || ap != "ap-1" {
+		t.Fatalf("associate over a failing fsync = %q, %v; want an ack for ap-1", ap, err)
+	}
+	if got := appendErrs.Value() - before; got != 1 {
+		t.Fatalf("journal.append_errors rose by %d, want 1", got)
+	}
+	if users := c.Snapshot()["ap-1"].Users; len(users) != 1 {
+		t.Fatalf("ap-1 holds %d users after the ack, want 1", len(users))
 	}
 }

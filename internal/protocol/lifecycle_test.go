@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/baseline"
+	"github.com/s3wlan/s3wlan/internal/faults"
 	"github.com/s3wlan/s3wlan/internal/journal"
-	"github.com/s3wlan/s3wlan/internal/protocol/faultconn"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
 )
@@ -431,7 +431,7 @@ func TestAcceptLoopSurvivesTransientErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := obsAcceptRetries.Value()
-	addr := c.Serve(&faultconn.FlakyListener{Listener: ln, FailFirst: 3})
+	addr := c.Serve(&faults.FlakyListener{Listener: ln, FailFirst: 3})
 	t.Cleanup(func() { c.Close() })
 	if err := c.RegisterAP("ap1", 0); err != nil {
 		t.Fatal(err)
@@ -527,8 +527,9 @@ func TestConcurrentSelectionOverlaps(t *testing.T) {
 
 // TestChaosSoakRace drives concurrent agents and stations through a
 // fault-injecting listener for a while — reconnects, torn frames,
-// dropped reports, churned associations — and verifies the controller
-// neither races (run with -race) nor wedges.
+// dropped reports, churned associations, agents whose own transports
+// keep closing — and verifies the controller neither races (run with
+// -race) nor wedges. `make chaos` runs it under -race.
 func TestChaosSoakRace(t *testing.T) {
 	dur := 1500 * time.Millisecond
 	if testing.Short() {
@@ -543,17 +544,17 @@ func TestChaosSoakRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := c.Serve(&faultconn.Listener{
+	addr := c.Serve(&faults.Listener{
 		Listener: ln,
-		Config: faultconn.Config{
-			Seed:             42,
+		Seed:     42,
+		Source: faults.Const(faults.ConnConfig{
 			DropWriteProb:    0.02,
 			PartialWriteProb: 0.02,
 			ReadErrProb:      0.02,
 			DelayProb:        0.05,
 			MaxDelay:         time.Millisecond,
 			CloseAfterReads:  40,
-		},
+		}),
 	})
 	t.Cleanup(func() { c.Close() })
 	// One static AP guarantees associations have a target even while
@@ -564,6 +565,7 @@ func TestChaosSoakRace(t *testing.T) {
 
 	deadline := time.Now().Add(dur)
 	var wg sync.WaitGroup
+	var redials atomic.Int64
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -573,6 +575,15 @@ func TestChaosSoakRace(t *testing.T) {
 			rc.BaseDelay = 2 * time.Millisecond
 			rc.MaxDelay = 20 * time.Millisecond
 			rc.Seed = int64(i)
+			// The agent's own transport tears itself down every 15 writes,
+			// so agents keep losing their connection and redialing.
+			rc.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+				raw, err := net.DialTimeout("tcp", addr, timeout)
+				if err != nil {
+					return nil, err
+				}
+				return faults.WrapConn(raw, int64(i), faults.Const(faults.ConnConfig{CloseAfterWrites: 15})), nil
+			}
 			agent, err := DialAPReconnecting(addr, trace.APID(fmt.Sprintf("ap-%d", i)), 1e6, timeout, rc)
 			if err != nil {
 				return
@@ -582,6 +593,7 @@ func TestChaosSoakRace(t *testing.T) {
 				_ = agent.Report(float64(i) * 1e5)
 				time.Sleep(10 * time.Millisecond)
 			}
+			redials.Add(agent.Reconnects())
 		}(i)
 	}
 	for i := 0; i < 8; i++ {
@@ -614,6 +626,9 @@ func TestChaosSoakRace(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	if redials.Load() == 0 {
+		t.Error("no agent redialed: the self-closing transport never fired")
+	}
 
 	// The controller must still be responsive after the soak.
 	if err := c.RegisterAP("ap-post", 0); err != nil {

@@ -519,9 +519,14 @@ type soakResult struct {
 // through a scripted fault plan and asserts the ISSUE 10 SLOs.
 func runOverloadSoak(t *testing.T) soakResult {
 	t.Helper()
-	plan := faults.MustParse(
-		"clean 300ms -> storm 500ms drop=0.02 delayp=0.1 delay=1ms -> stall 400ms stall=0.3 stalldur=100ms -> clean 0")
-	plan.Seed = 42
+	// Clean, a drop-and-delay storm, a read-stall phase, then clean for
+	// good; connections draw their fault streams from seed 42.
+	plan := []faults.Phase{
+		{Dur: 300 * time.Millisecond},
+		{Dur: 500 * time.Millisecond, Conn: faults.ConnConfig{DropWriteProb: 0.02, DelayProb: 0.1, MaxDelay: time.Millisecond}},
+		{Dur: 400 * time.Millisecond, Conn: faults.ConnConfig{ReadStallProb: 0.3, StallDur: 100 * time.Millisecond}},
+		{},
+	}
 	eng := faults.NewEngine(plan)
 	c, err := NewController(baseline.LLF{},
 		WithTimeout(time.Second),
@@ -534,7 +539,7 @@ func runOverloadSoak(t *testing.T) soakResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := c.Serve(eng.Listener(ln))
+	addr := c.Serve(&faults.Listener{Listener: ln, Seed: 42, Source: eng.Config})
 	t.Cleanup(func() { c.Close() })
 	for i := 0; i < 4; i++ {
 		if err := c.RegisterAP(trace.APID(fmt.Sprintf("ap-%d", i)), 1e6); err != nil {
@@ -611,7 +616,11 @@ func runOverloadSoak(t *testing.T) soakResult {
 
 	// Ride the plan out to its terminal clean phase, then stop the crowd
 	// and measure recovery.
-	eng.AwaitPhase(3)
+	var faulty time.Duration
+	for _, ph := range plan[:3] {
+		faulty += ph.Dur
+	}
+	time.Sleep(faulty - eng.Elapsed())
 	faultCleared := time.Now()
 	close(stop)
 	wg.Wait()
