@@ -461,8 +461,9 @@ func runDrive(addr string, aps, stations int, hold time.Duration, out io.Writer)
 	deadline := time.Now().Add(hold)
 	for time.Now().Before(deadline) {
 		time.Sleep(250 * time.Millisecond)
-		// Heartbeat reports keep AP leases fresh; a failed report means
-		// the controller is gone, which ends the hold.
+		// Heartbeat reports keep the believed loads current (s3proto
+		// enables no AP leases, so nothing expires); a failed report
+		// means the controller is gone, which ends the hold.
 		for _, agent := range agents {
 			if err := agent.Report(1e6); err != nil {
 				fmt.Fprintln(out, "drive: controller gone, exiting")

@@ -68,26 +68,25 @@ func TestClassifyWellKnownPorts(t *testing.T) {
 	}
 }
 
+// TestClassifierOptions checks the built-in ephemeral-P2P rule, the one
+// rule beyond the port table (the classifier takes no options): a flow
+// is P2P when both its ports are at or above the ephemeral floor, on
+// TCP or UDP, and only then.
 func TestClassifierOptions(t *testing.T) {
-	c := NewClassifier(
-		WithRule("tcp", 9999, RealmVideo),
-		WithRule("udp", 9999, RealmMusic),
-		WithoutEphemeralP2PHeuristic(),
-	)
-	if got := c.Classify(trace.Flow{Proto: "tcp", DstPort: 9999}); got != RealmVideo {
-		t.Errorf("custom tcp rule = %v, want video", got)
-	}
-	if got := c.Classify(trace.Flow{Proto: "udp", DstPort: 9999}); got != RealmMusic {
-		t.Errorf("custom udp rule = %v, want music", got)
-	}
-	f := trace.Flow{Proto: "tcp", SrcPort: 50000, DstPort: 51000}
-	if got := c.Classify(f); got != RealmUnknown {
-		t.Errorf("ephemeral heuristic should be disabled, got %v", got)
-	}
-	// Unknown proto in WithRule is silently ignored.
-	c2 := NewClassifier(WithRule("bogus", 1, RealmIM))
-	if got := c2.Classify(trace.Flow{Proto: "tcp", DstPort: 1}); got != RealmUnknown {
-		t.Errorf("bogus-proto rule should not apply, got %v", got)
+	c := NewClassifier()
+	for _, tt := range []struct {
+		f    trace.Flow
+		want Realm
+	}{
+		{trace.Flow{Proto: "tcp", SrcPort: ephemeralPortFloor, DstPort: ephemeralPortFloor}, RealmP2P},
+		{trace.Flow{Proto: "udp", SrcPort: 60000, DstPort: 50000}, RealmP2P},
+		{trace.Flow{Proto: "tcp", SrcPort: ephemeralPortFloor - 1, DstPort: 50000}, RealmUnknown},
+		{trace.Flow{Proto: "udp", SrcPort: 50000, DstPort: ephemeralPortFloor - 1}, RealmUnknown},
+		{trace.Flow{Proto: "icmp", SrcPort: 50000, DstPort: 51000}, RealmUnknown},
+	} {
+		if got := c.Classify(tt.f); got != tt.want {
+			t.Errorf("Classify(%+v) = %v, want %v", tt.f, got, tt.want)
+		}
 	}
 }
 

@@ -10,51 +10,20 @@ import (
 // heuristics, the approach the paper cites for identifying concrete
 // applications from transport- and application-layer ports.
 //
-// The zero value is not usable; construct with NewClassifier. Custom rules
-// can be layered on top of the built-in well-known-port table.
+// The zero value is not usable; construct with NewClassifier.
 type Classifier struct {
 	tcp map[int]Realm
 	udp map[int]Realm
-	// ephemeralP2P marks the high-port heuristic: flows where both
-	// endpoints use ephemeral ports are attributed to P2P, a standard
-	// port-based heuristic for swarm protocols.
-	ephemeralP2P bool
-}
-
-// ClassifierOption customizes a Classifier.
-type ClassifierOption func(*Classifier)
-
-// WithRule adds or overrides the mapping of one (proto, port) to a realm.
-// proto is "tcp" or "udp" (case-insensitive).
-func WithRule(proto string, port int, realm Realm) ClassifierOption {
-	return func(c *Classifier) {
-		switch strings.ToLower(proto) {
-		case "tcp":
-			c.tcp[port] = realm
-		case "udp":
-			c.udp[port] = realm
-		}
-	}
-}
-
-// WithoutEphemeralP2PHeuristic disables the both-ports-ephemeral ⇒ P2P
-// rule.
-func WithoutEphemeralP2PHeuristic() ClassifierOption {
-	return func(c *Classifier) { c.ephemeralP2P = false }
 }
 
 // NewClassifier builds a classifier with the built-in well-known-port
 // table.
-func NewClassifier(opts ...ClassifierOption) *Classifier {
+func NewClassifier() *Classifier {
 	c := &Classifier{
-		tcp:          make(map[int]Realm, 64),
-		udp:          make(map[int]Realm, 32),
-		ephemeralP2P: true,
+		tcp: make(map[int]Realm, 64),
+		udp: make(map[int]Realm, 32),
 	}
 	c.installDefaults()
-	for _, opt := range opts {
-		opt(c)
-	}
 	return c
 }
 
@@ -110,8 +79,9 @@ const ephemeralPortFloor = 49152
 
 // Classify returns the realm of one flow. Either endpoint port may match;
 // the server side of a flow can be the source or destination depending on
-// direction. Unmatched flows fall to the ephemeral-P2P heuristic, then to
-// RealmUnknown.
+// direction. Unmatched flows fall to the ephemeral-P2P heuristic — both
+// endpoints on ephemeral ports is P2P, a standard port-based heuristic
+// for swarm protocols — then to RealmUnknown.
 func (c *Classifier) Classify(f trace.Flow) Realm {
 	var table map[int]Realm
 	switch strings.ToLower(f.Proto) {
@@ -128,8 +98,7 @@ func (c *Classifier) Classify(f trace.Flow) Realm {
 	if r, ok := table[f.SrcPort]; ok {
 		return r
 	}
-	if c.ephemeralP2P &&
-		f.SrcPort >= ephemeralPortFloor && f.DstPort >= ephemeralPortFloor {
+	if f.SrcPort >= ephemeralPortFloor && f.DstPort >= ephemeralPortFloor {
 		return RealmP2P
 	}
 	return RealmUnknown

@@ -2,13 +2,16 @@ package federation
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/baseline"
 	"github.com/s3wlan/s3wlan/internal/domain"
+	"github.com/s3wlan/s3wlan/internal/faults"
 	"github.com/s3wlan/s3wlan/internal/journal"
+	"github.com/s3wlan/s3wlan/internal/obs"
 	"github.com/s3wlan/s3wlan/internal/protocol"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
@@ -282,6 +285,56 @@ func TestClusterSettlesRoutesAndFailsOver(t *testing.T) {
 	}
 	if len(rh.Owned) != 0 {
 		t.Fatalf("rejoined node owns %v without any lease expiring", rh.Owned)
+	}
+}
+
+// TestRouterAcceptSurvivesTransientErrors serves the router through a
+// listener that fails its first accepts: the router rides them out on
+// the controller's accept loop, backing off and counting each retry,
+// and a station still associates through it.
+func TestRouterAcceptSurvivesTransientErrors(t *testing.T) {
+	own, err := DefaultOwnership([]string{"node-0"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNode(Config{
+		NodeID:       "node-0",
+		Root:         t.TempDir(),
+		Ownership:    own,
+		LeaseTTL:     time.Minute, // no expiry during the test
+		NewSelector:  func() wlan.Selector { return baseline.LLF{} },
+		Journal:      journal.Options{Fsync: journal.FsyncOff},
+		Timeout:      5 * time.Second,
+		WrapListener: func(ln net.Listener) net.Listener { return &faults.FlakyListener{Listener: ln, FailFirst: 3} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	retries := obs.GetCounter("protocol.accept.retries")
+	before := retries.Value()
+	addr, err := n.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Tick() // node-0 claims its one group
+	ctrl, owned := n.Controller(0)
+	if !owned {
+		t.Fatal("node-0 does not own group 0 after its first tick")
+	}
+	if err := ctrl.RegisterAP("ap-0", 1e6); err != nil {
+		t.Fatal(err)
+	}
+	st, err := protocol.DialStation(addr, "u-0", 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial through transient accept errors: %v", err)
+	}
+	defer st.Close()
+	if ap, err := st.Associate(100); err != nil || ap != "ap-0" {
+		t.Fatalf("associate through the router = %q, %v", ap, err)
+	}
+	if got := retries.Value(); got < before+3 {
+		t.Errorf("protocol.accept.retries rose by %d, want >= 3", got-before)
 	}
 }
 

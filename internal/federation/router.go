@@ -24,7 +24,8 @@ import (
 // Clients retry through their normal reconnect path and land on the
 // new owner once the lease settles.
 
-// listenRouter starts the accept loop.
+// listenRouter starts the router's accept loop: protocol.AcceptLoop,
+// the one a controller serves on.
 func (n *Node) listenRouter(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -38,56 +39,41 @@ func (n *Node) listenRouter(addr string) (string, error) {
 	n.ln = ln
 	n.mu.Unlock()
 	n.wg.Add(1)
-	go n.acceptLoop(ln)
+	go func() {
+		defer n.wg.Done()
+		protocol.AcceptLoop(ln, n.stop, n.cfg.Logger, n.serve)
+	}()
 	return bound, nil
 }
 
-func (n *Node) acceptLoop(ln net.Listener) {
-	defer n.wg.Done()
-	for {
-		raw, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-n.stop:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		if !n.trackConn(raw) {
-			raw.Close()
-			return
-		}
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			defer n.untrackConn(raw)
-			conn := protocol.NewConn(raw, n.cfg.Timeout)
-			defer protocol.ContainPanic(n.cfg.Logger, conn)
-			n.route(conn)
-		}()
+// serve routes one accepted connection on a goroutine of its own; a node
+// that is shutting down closes it instead.
+func (n *Node) serve(raw net.Conn) {
+	if !n.trackConn(raw) {
+		raw.Close()
+		return
 	}
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		defer n.untrackConn(raw)
+		conn := protocol.NewConn(raw, n.cfg.Timeout)
+		defer protocol.ContainPanic(n.cfg.Logger, conn)
+		n.route(conn)
+	}()
 }
 
 // route reads the hello, resolves the owning group and either serves
-// locally or relays to the lease holder. The hello runs under the same
-// short deadline the controller's own accept path applies, so a peer
-// that connects and says nothing cannot pin a router goroutine for the
-// full relay timeout.
+// locally or relays to the lease holder. The hello is read by
+// protocol.ReadHello under protocol.DefaultHelloTimeout, as on the
+// controller's own accept path, so a peer that connects and says nothing
+// cannot pin a router goroutine for the full relay timeout.
 func (n *Node) route(conn *protocol.Conn) {
 	defer conn.Close()
-	full := conn.Timeout()
-	if ht := protocol.DefaultHelloTimeout; full <= 0 || ht < full {
-		conn.SetTimeout(ht)
-	}
-	hello, err := conn.Receive()
+	hello, err := protocol.ReadHello(conn, protocol.DefaultHelloTimeout)
 	if err != nil {
 		return
 	}
-	conn.SetTimeout(full)
 	if hello.Type != protocol.MsgHello {
 		conn.Send(protocol.Message{Type: protocol.MsgError,
 			Error: fmt.Sprintf("expected hello, got %s", hello.Type)})

@@ -5,13 +5,12 @@ package protocol
 // The controller degrades gracefully instead of melting: a connection
 // cap and an association-rate token bucket shed excess demand with an
 // explicit MsgBusy (retry-after) rather than silent drops or unbounded
-// queueing; the hello phase runs under a short dedicated deadline so a
-// half-open peer cannot pin an accept goroutine for the full session
-// timeout; agent report floods drain through a bounded per-connection
-// queue that drops oldest first; and a panic in one peer's handler
-// closes that peer's connection instead of killing the process. Every
-// shed decision is counted, so "the controller refused work" is always
-// visible in /metrics.
+// queueing; the hello phase runs under a short dedicated deadline
+// (ReadHello) so a half-open peer cannot pin an accept goroutine for the
+// full session timeout; and a panic in one peer's handler closes that
+// peer's connection instead of killing the process. Every shed decision
+// is counted, so "the controller refused work" is always visible in
+// /metrics.
 
 import (
 	"fmt"
@@ -27,12 +26,10 @@ import (
 // Degradation counters: every refused or contained unit of work is
 // counted — shedding is never silent.
 var (
-	obsShedConns    = obs.GetCounter("protocol.shed.conns", "Connections refused with MsgBusy at accept (connection cap reached)")
-	obsShedAssoc    = obs.GetCounter("protocol.shed.assoc", "Association requests refused with MsgBusy (token-bucket rate limit)")
-	obsShedReports  = obs.GetCounter("protocol.shed.reports", "Agent load reports dropped oldest-first from a full report queue")
-	obsHelloTimeout = obs.GetCounter("protocol.hello.timeout", "Peer connections closed for not completing a hello within the hello deadline")
-	obsPanics       = obs.GetCounter("protocol.panics", "Panics recovered in per-connection handlers (connection closed, process survived)")
-	obsConnsActive  = obs.GetGauge("protocol.conns.active", "Peer connections currently admitted and being served")
+	obsShedConns   = obs.GetCounter("protocol.shed.conns", "Connections refused with MsgBusy at accept (connection cap reached)")
+	obsShedAssoc   = obs.GetCounter("protocol.shed.assoc", "Association requests refused with MsgBusy (token-bucket rate limit)")
+	obsPanics      = obs.GetCounter("protocol.panics", "Panics recovered in per-connection handlers (connection closed, process survived)")
+	obsConnsActive = obs.GetGauge("protocol.conns.active", "Peer connections currently admitted and being served")
 )
 
 // DefaultHelloTimeout bounds the hello phase of an accepted connection:
@@ -50,8 +47,7 @@ const defaultRetryAfter = 1000 * time.Millisecond
 const shedTimeout = time.Second
 
 // Admission configures the controller's overload shedding. The zero
-// value admits everything (no cap, no rate limit, synchronous reports),
-// matching the pre-admission behavior.
+// value admits everything (no cap, no rate limit).
 type Admission struct {
 	// MaxConns caps concurrently served peer connections; excess
 	// connections receive MsgBusy and are closed (0 = unlimited).
@@ -67,11 +63,6 @@ type Admission struct {
 	// RetryAfterMs is the retry advice carried in every MsgBusy
 	// (default 1000).
 	RetryAfterMs int64
-	// ReportQueue bounds the per-agent-connection load-report queue:
-	// reports apply asynchronously and a full queue drops oldest first,
-	// so a report flood costs stale load estimates, never unbounded
-	// memory or a wedged agent read loop (0 = apply synchronously).
-	ReportQueue int
 }
 
 // retryAfter resolves the MsgBusy retry advice.
@@ -187,44 +178,3 @@ func (b *tokenBucket) allow() bool {
 	}
 	return false
 }
-
-// reportItem is one queued agent load report, carrying the registration
-// generation the producing connection held so a stale owner's reports
-// are detected at apply time, same as the synchronous path.
-type reportItem struct {
-	ap   string
-	gen  uint64
-	load float64
-}
-
-// reportQueue is a bounded channel with oldest-drop backpressure: a
-// full queue evicts its oldest pending report to make room for the
-// newest, because for load estimates the most recent sample is the one
-// worth keeping.
-type reportQueue struct {
-	ch chan reportItem
-}
-
-func newReportQueue(depth int) *reportQueue {
-	return &reportQueue{ch: make(chan reportItem, depth)}
-}
-
-// push enqueues, evicting oldest on a full queue. Reports dropped by
-// eviction are counted in protocol.shed.reports.
-func (q *reportQueue) push(it reportItem) {
-	for {
-		select {
-		case q.ch <- it:
-			return
-		default:
-		}
-		select {
-		case <-q.ch:
-			obsShedReports.Inc()
-		default:
-		}
-	}
-}
-
-// close ends the queue; the consumer's range loop then drains and exits.
-func (q *reportQueue) close() { close(q.ch) }

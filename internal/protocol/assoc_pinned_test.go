@@ -50,6 +50,106 @@ func (s dropFromBatch) SelectBatch(reqs []wlan.Request, aps []wlan.APView) (map[
 	return m, err
 }
 
+// routeTable is a policy that places each user where the table says, so
+// a script decides every move, refresh and joint placement itself.
+type routeTable map[trace.UserID]trace.APID
+
+func (routeTable) Name() string { return "table" }
+
+func (r routeTable) Select(req wlan.Request, _ []wlan.APView) (trace.APID, error) {
+	return r[req.User], nil
+}
+
+func (r routeTable) SelectBatch(reqs []wlan.Request, _ []wlan.APView) (map[trace.UserID]trace.APID, error) {
+	out := make(map[trace.UserID]trace.APID, len(reqs))
+	for _, q := range reqs {
+		out[q.User] = r[q.User]
+	}
+	return out, nil
+}
+
+// TestObserverOrderJournalIndependent runs one scripted lifecycle —
+// associate, move, same-AP refresh, a joint AssociateBatch, disassociate
+// and a lease expiry on a fake clock — through an unjournaled and a
+// journaled controller: the observer hears the same events in the same
+// order from both, because observers hear every event in commit order
+// whether or not a journal is attached.
+func TestObserverOrderJournalIndependent(t *testing.T) {
+	run := func(opts ...ControllerOption) []string {
+		t.Helper()
+		var (
+			clock  atomic.Int64
+			events eventLog
+		)
+		route := routeTable{}
+		clock.Store(100)
+		c, err := NewController(route, append(opts,
+			WithClock(clock.Load), WithObserver(&events), WithLease(10))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for _, ap := range []trace.APID{"ap-a", "ap-b"} {
+			if err := c.RegisterAP(ap, 1e6); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// ap-x is agent-registered at 100 and never reports again: its
+		// lease lapses after 110.
+		if _, _, err := c.registerAgent(nil, "ap-x", 1e6); err != nil {
+			t.Fatal(err)
+		}
+		step := func(ts int64, f func() error) {
+			t.Helper()
+			clock.Store(ts)
+			if err := f(); err != nil {
+				t.Fatalf("@%d: %v", ts, err)
+			}
+		}
+		assoc := func(u trace.UserID, ap trace.APID, demand float64) func() error {
+			return func() error {
+				route[u] = ap
+				_, err := c.Associate(u, demand)
+				return err
+			}
+		}
+		step(100, assoc("u1", "ap-a", 100))
+		step(101, assoc("u1", "ap-b", 100)) // move
+		step(102, assoc("u1", "ap-b", 200)) // same-AP refresh: no events
+		step(103, func() error {
+			route["u2"], route["u3"], route["u1"] = "ap-x", "ap-a", "ap-a"
+			_, err := c.AssociateBatch([]wlan.Request{
+				{User: "u2", DemandBps: 100}, {User: "u3", DemandBps: 100}, {User: "u1", DemandBps: 100},
+			})
+			return err
+		})
+		step(104, func() error { c.disassociate("u3"); return nil })
+		step(200, assoc("u4", "ap-b", 100)) // sweeps ap-x's lapsed lease first
+		return events.events
+	}
+
+	want := []string{
+		"connect u1 ap-a @100",
+		"disconnect u1 ap-a @101",
+		"connect u1 ap-b @101",
+		"disconnect u1 ap-b @103",
+		"connect u2 ap-x @103",
+		"connect u3 ap-a @103",
+		"connect u1 ap-a @103",
+		"disconnect u3 ap-a @104",
+		"disconnect u2 ap-x @200",
+		"connect u4 ap-b @200",
+	}
+	plain := run()
+	journaled := run(WithJournal(t.TempDir(), journal.Options{Fsync: journal.FsyncOff}))
+	if !reflect.DeepEqual(plain, want) {
+		t.Errorf("unjournaled observer heard:\n%s\nwant:\n%s", strings.Join(plain, "\n"), strings.Join(want, "\n"))
+	}
+	if !reflect.DeepEqual(journaled, plain) {
+		t.Errorf("journaled observer heard:\n%s\nunjournaled:\n%s", strings.Join(journaled, "\n"), strings.Join(plain, "\n"))
+	}
+}
+
 // TestAssociateBatchLifecyclePinned pins everything one AssociateBatch
 // call does beyond returning APs: a batch holding a fresh user, a user
 // the decision moves, a user it leaves where they are (a demand
@@ -120,9 +220,9 @@ func TestAssociateBatchLifecyclePinned(t *testing.T) {
 	if !reflect.DeepEqual(got, wantAPs) {
 		t.Errorf("AssociateBatch = %v, want %v", got, wantAPs)
 	}
-	// Journaled, so events are delivered in mutation order: the joint
-	// commit's disconnects, then its connects (none for the refresh),
-	// then the two single placements in request order.
+	// Events are delivered in mutation order: the joint commit's
+	// disconnects, then its connects (none for the refresh), then the two
+	// single placements in request order.
 	wantEvents := []string{
 		"connect u-move ap-a @100",
 		"connect u-stay ap-b @100",

@@ -3,7 +3,6 @@ package protocol
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"time"
 
@@ -70,7 +69,7 @@ type APAgent struct {
 	capacityBps float64
 	timeout     time.Duration
 	rc          ReconnectConfig
-	rng         *rand.Rand
+	bo          backoff
 	reconnects  int64
 }
 
@@ -136,13 +135,20 @@ func DialAP(addr string, id trace.APID, capacityBps float64, timeout time.Durati
 // renewal of the same registration. The initial dial is retried the same
 // way.
 func DialAPReconnecting(addr string, id trace.APID, capacityBps float64, timeout time.Duration, rc ReconnectConfig) (*APAgent, error) {
+	base, maxDelay := rc.BaseDelay, rc.MaxDelay
+	if base <= 0 {
+		base = 25 * time.Millisecond
+	}
+	if maxDelay <= 0 {
+		maxDelay = 2 * time.Second
+	}
 	a := &APAgent{
 		id:          id,
 		addr:        addr,
 		capacityBps: capacityBps,
 		timeout:     timeout,
 		rc:          rc,
-		rng:         rand.New(rand.NewSource(rc.Seed)),
+		bo:          newBackoff(base, maxDelay, rc.Jitter, rc.Seed),
 	}
 	conn, err := dialAP(a.dialer(), addr, id, capacityBps, timeout)
 	if err != nil {
@@ -163,19 +169,14 @@ func (a *APAgent) dialer() Dialer {
 }
 
 // redial re-establishes the agent connection with backoff and jitter.
+// Every redial starts from BaseDelay; the jitter sequence runs on across
+// redials.
 func (a *APAgent) redial() error {
 	if a.conn != nil {
 		a.conn.Close()
 		a.conn = nil
 	}
-	delay := a.rc.BaseDelay
-	if delay <= 0 {
-		delay = 25 * time.Millisecond
-	}
-	maxDelay := a.rc.MaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 2 * time.Second
-	}
+	a.bo.reset()
 	var lastErr error
 	for attempt := 0; attempt < a.rc.MaxAttempts; attempt++ {
 		conn, err := dialAP(a.dialer(), a.addr, a.id, a.capacityBps, a.timeout)
@@ -186,15 +187,7 @@ func (a *APAgent) redial() error {
 			return nil
 		}
 		lastErr = err
-		d := delay
-		if a.rc.Jitter > 0 && a.rng != nil {
-			d = time.Duration(float64(d) * (1 + a.rc.Jitter*(2*a.rng.Float64()-1)))
-		}
-		time.Sleep(d)
-		delay *= 2
-		if delay > maxDelay {
-			delay = maxDelay
-		}
+		time.Sleep(a.bo.next())
 	}
 	if lastErr == nil {
 		lastErr = errors.New("protocol: reconnect disabled")

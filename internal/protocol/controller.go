@@ -20,14 +20,12 @@ import (
 
 // Controller health counters, exported through the obs registry so
 // tests, the flight recorder and operators can watch lifecycle churn:
-// registrations and renewals, lease expiries, accept-loop retries,
-// selection retries after a stale snapshot, and rejected traffic
-// reports.
+// registrations and renewals, lease expiries, selection retries after a
+// stale snapshot, and rejected traffic reports.
 var (
 	obsAPRegistered    = obs.GetCounter("protocol.ap.registered", "First-time AP registrations (hello from an unknown AP)")
 	obsAPRenewed       = obs.GetCounter("protocol.ap.renewed", "AP re-hellos renewing a lease or superseding a half-open agent connection")
 	obsLeaseExpired    = obs.GetCounter("protocol.ap.lease_expired", "AP leases expired after silence; believed users re-homed")
-	obsAcceptRetries   = obs.GetCounter("protocol.accept.retries", "Accept-loop retries after transient listener errors")
 	obsSelectRetries   = obs.GetCounter("protocol.select.retries", "Association decisions recomputed after a stale snapshot at commit")
 	obsAssocMoves      = obs.GetCounter("protocol.assoc.moves", "Re-associations that moved a user between APs")
 	obsTrafficRejected = obs.GetCounter("protocol.traffic.rejected", "Traffic reports rejected (unassociated user or mismatched AP claim)")
@@ -58,7 +56,9 @@ type apMeta struct {
 
 // AssociationObserver receives association lifecycle events — e.g. the
 // incremental.Engine learning sociality continuously from the live
-// controller, the paper's future-work deployment mode.
+// controller, the paper's future-work deployment mode. Events are
+// delivered under the controller's lock, in mutation order, so an
+// observer must not call back into the controller.
 type AssociationObserver interface {
 	// Connect fires after a user is associated with an AP.
 	Connect(u trace.UserID, ap trace.APID, ts int64)
@@ -66,14 +66,6 @@ type AssociationObserver interface {
 	// tolerate out-of-order or unknown users (the controller retries
 	// nothing).
 	Disconnect(u trace.UserID, ap trace.APID, ts int64) error
-}
-
-// lifecycleEvent is a deferred observer notification gathered under the
-// lock and emitted after it is released.
-type lifecycleEvent struct {
-	user trace.UserID
-	ap   trace.APID
-	ts   int64
 }
 
 // Controller is the prototype WLAN controller: a TCP server that
@@ -340,7 +332,10 @@ func (c *Controller) Serve(ln net.Listener) string {
 	c.listeners = append(c.listeners, ln)
 	c.mu.Unlock()
 	c.wg.Add(1)
-	go c.acceptLoop(ln, stop)
+	go func() {
+		defer c.wg.Done()
+		AcceptLoop(ln, stop, c.logger, c.admit)
+	}()
 	return ln.Addr().String()
 }
 
@@ -359,74 +354,39 @@ func (c *Controller) refreshLoop(stop chan struct{}) {
 	}
 }
 
-// acceptLoop accepts peers until the listener is closed. Transient
-// accept errors (ECONNABORTED, EMFILE, injected chaos, …) are retried
-// with capped exponential backoff instead of killing the listener: the
-// loop exits only when the controller is closed or the listener reports
-// it is no longer usable.
-func (c *Controller) acceptLoop(ln net.Listener, stop chan struct{}) {
-	defer c.wg.Done()
-	const (
-		baseBackoff = 5 * time.Millisecond
-		maxBackoff  = time.Second
-	)
-	backoff := baseBackoff
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			c.mu.Lock()
-			closed := c.closed
-			c.mu.Unlock()
-			if closed || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			obsAcceptRetries.Inc()
-			c.logger.Printf("accept (retry in %v): %v", backoff, err)
-			select {
-			case <-stop:
-				return
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-			if backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-			continue
-		}
-		backoff = baseBackoff
-		// Admission: over the connection cap the peer is shed with an
-		// explicit MsgBusy in its own goroutine — the accept loop never
-		// blocks on a refused peer's socket, and the shed is never a
-		// silent close.
-		if max := c.admission.MaxConns; max > 0 && c.active.Load() >= int64(max) {
-			obsShedConns.Inc()
-			c.wg.Add(1)
-			go func() {
-				defer c.wg.Done()
-				sc := NewConn(conn, shedTimeout)
-				defer ContainPanic(c.logger, sc)
-				c.shed(sc, "connection limit reached")
-			}()
-			continue
-		}
-		// The gauge moves by atomic deltas, never Set-after-Add: two
-		// goroutines interleaving an Add with a Set could publish the
-		// older (higher) value and leave the gauge wrong until the next
-		// connection event.
-		c.active.Add(1)
-		obsConnsActive.Add(1)
+// admit starts one accepted peer's session on a goroutine of its own.
+// Over the connection cap the peer is shed with an explicit MsgBusy
+// instead, also on its own goroutine — the accept loop never blocks on
+// a refused peer's socket, and the shed is never a silent close.
+func (c *Controller) admit(conn net.Conn) {
+	if max := c.admission.MaxConns; max > 0 && c.active.Load() >= int64(max) {
+		obsShedConns.Inc()
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
-			defer func() {
-				c.active.Add(-1)
-				obsConnsActive.Add(-1)
-			}()
-			sc := NewConn(conn, c.timeout)
+			sc := NewConn(conn, shedTimeout)
 			defer ContainPanic(c.logger, sc)
-			c.handle(sc)
+			c.shed(sc, "connection limit reached")
 		}()
+		return
 	}
+	// The gauge moves by atomic deltas, never Set-after-Add: two
+	// goroutines interleaving an Add with a Set could publish the older
+	// (higher) value and leave the gauge wrong until the next connection
+	// event.
+	c.active.Add(1)
+	obsConnsActive.Add(1)
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		defer func() {
+			c.active.Add(-1)
+			obsConnsActive.Add(-1)
+		}()
+		sc := NewConn(conn, c.timeout)
+		defer ContainPanic(c.logger, sc)
+		c.handle(sc)
+	}()
 }
 
 // shed refuses one connection with MsgBusy and closes it. The write
@@ -470,29 +430,16 @@ func (c *Controller) Close() error {
 	return err
 }
 
-// handle runs one peer session: read the hello, then dispatch through
-// the same entry point the federation router uses (federation.go). The
-// hello itself runs under the short hello deadline — a peer that
-// connects and says nothing is cut loose in seconds, not the full
-// steady-state conn timeout (slowloris guard).
+// handle runs one peer session: read the hello under the hello deadline
+// (ReadHello), then dispatch through the same entry point the federation
+// router uses (federation.go).
 func (c *Controller) handle(conn *Conn) {
 	defer conn.Close()
-	full := conn.Timeout()
-	if ht := c.helloTimeout; ht > 0 && (full <= 0 || ht < full) {
-		conn.SetTimeout(ht)
-	}
-	hello, err := conn.Receive()
+	hello, err := ReadHello(conn, c.helloTimeout)
 	if err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			obsHelloTimeout.Inc()
-			c.logger.Printf("peer hello timeout after %v", c.helloTimeout)
-			return
-		}
 		c.logger.Printf("peer hello: %v", err)
 		return
 	}
-	conn.SetTimeout(full)
 	c.HandleSession(conn, hello)
 }
 
@@ -502,14 +449,15 @@ func (c *Controller) replyError(conn *Conn, msg string) {
 	}
 }
 
-// handleAP registers an AP agent and consumes its load reports, each of
-// which renews the owning AP's lease. A group agent may register further
-// APs with in-loop hellos on the same connection and address its reports
-// with the AP field. The loop exits when the connection drops (the
-// registrations then ride out their leases awaiting a reconnect) or
-// when a newer agent connection takes over the primary AP; every exit
-// path detaches all owned registrations from this connection, so a
-// later supersede never "closes" a connection that is already gone.
+// handleAP registers an AP agent and applies its load reports in the
+// read loop, each renewing the owning AP's lease. A group agent may
+// register further APs with in-loop hellos on the same connection and
+// address its reports with the AP field. The loop exits when the
+// connection drops (the registrations then ride out their leases
+// awaiting a reconnect) or when a newer agent connection takes over the
+// primary AP; every exit path detaches all owned registrations from
+// this connection, so a later supersede never "closes" a connection
+// that is already gone.
 func (c *Controller) handleAP(conn *Conn, hello Message) {
 	id := trace.APID(hello.ID)
 	gen, old, err := c.registerAgent(conn, id, hello.CapacityBps)
@@ -534,47 +482,6 @@ func (c *Controller) handleAP(conn *Conn, hello Message) {
 		return
 	}
 	c.logger.Printf("ap %s registered (capacity %.0f B/s, gen %d)", id, hello.CapacityBps, gen)
-	// With admission's bounded report queue, reports apply on a consumer
-	// goroutine and a flood sheds oldest-first — the agent's read loop
-	// never wedges behind a contended domain lock. The consumer closes
-	// the connection when the primary registration is lost, ending the
-	// session the same way the synchronous path's return does.
-	// lost carries apply failures from the queue consumer back to the
-	// read loop, keyed by the generation that failed: a superseded or
-	// expired non-primary AP must be pruned from owned (the synchronous
-	// path deletes it inline), or its reports would keep passing the
-	// ownership check and be queued and rejected forever. The generation
-	// makes the signal precise — a marker left by a stale queued report
-	// never prunes a registration the agent has since renewed with a
-	// group re-hello. A failed *primary* apply instead closes the
-	// connection, ending the session like the synchronous path's return.
-	var (
-		lostMu sync.Mutex
-		lost   map[trace.APID]uint64
-	)
-	var rq *reportQueue
-	if depth := c.admission.ReportQueue; depth > 0 {
-		rq = newReportQueue(depth)
-		lost = make(map[trace.APID]uint64)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			defer ContainPanic(c.logger, conn)
-			for it := range rq.ch {
-				if c.applyReport(trace.APID(it.ap), it.gen, it.load) {
-					continue
-				}
-				if trace.APID(it.ap) == id {
-					conn.Close()
-					continue
-				}
-				lostMu.Lock()
-				lost[trace.APID(it.ap)] = it.gen
-				lostMu.Unlock()
-			}
-		}()
-		defer func() { rq.close(); <-done }()
-	}
 	for {
 		m, err := conn.Receive()
 		if err != nil {
@@ -620,23 +527,6 @@ func (c *Controller) handleAP(conn *Conn, hello Message) {
 			rgen, ok := owned[rid]
 			if !ok {
 				c.replyError(conn, fmt.Sprintf("report for AP %q not owned by this agent", rid))
-				continue
-			}
-			if rq != nil {
-				lostMu.Lock()
-				lgen, gone := lost[rid]
-				if gone {
-					delete(lost, rid)
-				}
-				lostMu.Unlock()
-				if gone && lgen == rgen {
-					// The consumer saw this registration fail to apply:
-					// prune it exactly as the synchronous path would.
-					delete(owned, rid)
-					c.replyError(conn, fmt.Sprintf("report for AP %q not owned by this agent", rid))
-					continue
-				}
-				rq.push(reportItem{ap: string(rid), gen: rgen, load: m.LoadBps})
 				continue
 			}
 			if !c.applyReport(rid, rgen, m.LoadBps) {
@@ -872,9 +762,9 @@ func (c *Controller) place(scr *assocScratch, reqs []wlan.Request, bs wlan.Batch
 	for attempt := 0; ; attempt++ {
 		c.mu.Lock()
 		ts := c.now()
-		evs, conns := c.expireLocked(ts)
+		conns := c.expireLocked(ts)
 		c.mu.Unlock()
-		c.emitLifecycle(evs, conns)
+		closeAll(conns)
 
 		c.dom.ViewsInto(reqs[0].User, &scr.views)
 		views, ver := scr.views.Views(), scr.views.Version()
@@ -947,26 +837,18 @@ func (c *Controller) place(scr *assocScratch, reqs []wlan.Request, bs wlan.Batch
 				c.logger.Printf("assoc %s -> %s (demand %.0f B/s)", p.User, p.AP, p.DemandBps)
 			}
 		}
-		// Journaled: deliver in mutation order before the append, so a
+		// Observer events go out in mutation order, before the append, so a
 		// checkpoint triggered by this record captures the observer at
 		// exactly this sequence number.
-		inline := c.jn != nil
-		if inline {
-			c.notifyPlaced(ps, ts)
-			if len(ps) > 0 {
-				scr.jps = scr.jps[:0]
-				for _, p := range ps {
-					scr.jps = append(scr.jps, journal.Placement{User: p.User, AP: p.AP, Prev: p.Prev, DemandBps: p.DemandBps})
-				}
-				c.journalAppendLocked(journal.Record{Op: journal.OpAssoc, TS: ts, Placements: scr.jps})
+		c.notifyPlaced(ps, ts)
+		if c.jn != nil && len(ps) > 0 {
+			scr.jps = scr.jps[:0]
+			for _, p := range ps {
+				scr.jps = append(scr.jps, journal.Placement{User: p.User, AP: p.AP, Prev: p.Prev, DemandBps: p.DemandBps})
 			}
+			c.journalAppendLocked(journal.Record{Op: journal.OpAssoc, TS: ts, Placements: scr.jps})
 		}
 		c.mu.Unlock()
-
-		// Unjournaled: notify outside the lock — observers may be slow.
-		if !inline {
-			c.notifyPlaced(ps, ts)
-		}
 		return ps, nil
 	}
 }
@@ -982,12 +864,7 @@ func (c *Controller) disassociate(user trace.UserID) {
 	delete(c.assignments, user)
 	c.dom.LeaveAll(user, ap)
 	c.sessionRecordLocked(user, ap, ts)
-	obsv := c.observer
-	if obsv != nil && c.jn != nil {
-		// Journaled: deliver before the append (see Associate).
-		c.notifyDisconnect(obsv, user, ap, ts)
-		obsv = nil
-	}
+	c.notifyDisconnect(user, ap, ts) // before the append (see place)
 	// All three bookkeeping maps must be consistent before the append: a
 	// rotation-triggered checkpoint snapshots state synchronously from
 	// inside journalAppendLocked, and a checkpoint keyed to this record
@@ -1000,10 +877,6 @@ func (c *Controller) disassociate(user trace.UserID) {
 		c.logger.Printf("disassoc %s from %s", user, ap)
 	}
 	c.mu.Unlock()
-
-	if obsv != nil {
-		c.notifyDisconnect(obsv, user, ap, ts)
-	}
 }
 
 // sessionRecordLocked emits one completed-association record to the
@@ -1023,12 +896,12 @@ func (c *Controller) sessionRecordLocked(user trace.UserID, ap trace.APID, ts in
 
 // expireLocked removes agent-registered APs whose lease has lapsed and
 // re-homes their believed users: assignments are dropped, sessions
-// logged, and observer disconnects gathered for emission outside the
-// lock (alongside any lingering agent connections to close). Must run
+// logged and observer disconnects delivered. It returns the lingering
+// agent connections, for the caller to close outside the lock. Must run
 // with c.mu held. Expiry order is sorted by AP ID for determinism.
-func (c *Controller) expireLocked(ts int64) ([]lifecycleEvent, []*Conn) {
+func (c *Controller) expireLocked(ts int64) []*Conn {
 	if c.leaseSeconds <= 0 {
-		return nil, nil
+		return nil
 	}
 	var expired []trace.APID
 	for id, m := range c.meta {
@@ -1037,9 +910,7 @@ func (c *Controller) expireLocked(ts int64) ([]lifecycleEvent, []*Conn) {
 		}
 	}
 	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-	var evs []lifecycleEvent
 	var conns []*Conn
-	inline := c.jn != nil && c.observer != nil
 	for _, id := range expired {
 		m := c.meta[id]
 		evicted, _ := c.dom.RemoveAP(id)
@@ -1048,12 +919,7 @@ func (c *Controller) expireLocked(ts int64) ([]lifecycleEvent, []*Conn) {
 			c.sessionRecordLocked(ev.User, id, ts)
 			delete(c.assignedAt, ev.User)
 			delete(c.servedByUsr, ev.User)
-			if inline {
-				// Journaled: deliver before the append (see Associate).
-				c.notifyDisconnect(c.observer, ev.User, id, ts)
-			} else {
-				evs = append(evs, lifecycleEvent{user: ev.User, ap: id, ts: ts})
-			}
+			c.notifyDisconnect(ev.User, id, ts) // before the append (see place)
 		}
 		c.journalAppendLocked(journal.Record{Op: journal.OpExpire, TS: ts, AP: id})
 		if m.agentConn != nil {
@@ -1064,19 +930,20 @@ func (c *Controller) expireLocked(ts int64) ([]lifecycleEvent, []*Conn) {
 		delete(c.meta, id)
 		obsLeaseExpired.Inc()
 	}
-	return evs, conns
+	return conns
 }
 
 // notifyPlaced delivers a commit's observer events: every move's
 // disconnect, then every placement's connect. A same-AP refresh
-// (Prev == AP) emits nothing — the user never left.
+// (Prev == AP) emits nothing — the user never left. Runs with c.mu
+// held, like every observer delivery.
 func (c *Controller) notifyPlaced(ps []domain.Placement, ts int64) {
 	if c.observer == nil {
 		return
 	}
 	for _, p := range ps {
 		if p.Prev != "" && p.Prev != p.AP {
-			c.notifyDisconnect(c.observer, p.User, p.Prev, ts)
+			c.notifyDisconnect(p.User, p.Prev, ts)
 		}
 	}
 	for _, p := range ps {
@@ -1086,26 +953,21 @@ func (c *Controller) notifyPlaced(ps []domain.Placement, ts int64) {
 	}
 }
 
-func (c *Controller) notifyDisconnect(obsv AssociationObserver,
-	user trace.UserID, ap trace.APID, ts int64) {
-	if err := obsv.Disconnect(user, ap, ts); err != nil {
+// notifyDisconnect delivers one observer disconnect. Runs with c.mu held.
+func (c *Controller) notifyDisconnect(user trace.UserID, ap trace.APID, ts int64) {
+	if c.observer == nil {
+		return
+	}
+	if err := c.observer.Disconnect(user, ap, ts); err != nil {
 		c.logger.Printf("observer disconnect %s: %v", user, err)
 	}
 }
 
-// emitLifecycle closes superseded connections and delivers deferred
-// observer disconnects. Must run without c.mu held.
-func (c *Controller) emitLifecycle(evs []lifecycleEvent, conns []*Conn) {
+// closeAll closes the agent connections an expiry sweep superseded. Must
+// run without c.mu held.
+func closeAll(conns []*Conn) {
 	for _, conn := range conns {
 		conn.Close()
-	}
-	if c.observer == nil {
-		return
-	}
-	for _, e := range evs {
-		if err := c.observer.Disconnect(e.user, e.ap, e.ts); err != nil {
-			c.logger.Printf("observer disconnect %s: %v", e.user, err)
-		}
 	}
 }
 
@@ -1114,7 +976,7 @@ func (c *Controller) emitLifecycle(evs []lifecycleEvent, conns []*Conn) {
 // expired leases, so it reflects only live APs.
 func (c *Controller) Snapshot() map[trace.APID]APStatus {
 	c.mu.Lock()
-	evs, conns := c.expireLocked(c.now())
+	conns := c.expireLocked(c.now())
 	ids := c.dom.APs()
 	out := make(map[trace.APID]APStatus, len(ids))
 	for _, id := range ids {
@@ -1130,7 +992,7 @@ func (c *Controller) Snapshot() map[trace.APID]APStatus {
 		}
 	}
 	c.mu.Unlock()
-	c.emitLifecycle(evs, conns)
+	closeAll(conns)
 	return out
 }
 

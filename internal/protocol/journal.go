@@ -29,12 +29,11 @@ import (
 // only as fresh as the last checkpoint: traffic volume is not a domain
 // mutation and is deliberately not journaled per report.
 //
-// With a journal, observer events are delivered synchronously inside
-// the mutation's locked section, before the record is appended — a
+// Observer events are delivered inside the mutation's locked section, in
+// mutation order and before the record is appended, journal or not — a
 // checkpoint triggered by record N then captures the observer at
 // exactly sequence N, and replaying records > N through the observer
-// reconstructs it losslessly. Without a journal, delivery stays outside
-// the lock (observers may be slow; nothing needs the ordering).
+// reconstructs it losslessly.
 
 var obsReplayErrs = obs.GetCounter("journal.recovery.replay_errors",
 	"Recovered WAL records whose replay failed (skipped, recovery continues)")

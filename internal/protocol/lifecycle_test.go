@@ -6,6 +6,7 @@ package protocol
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -104,6 +105,39 @@ func TestAPAgentReconnectRenewsRegistration(t *testing.T) {
 	}
 	if n := len(c.Snapshot()); n != 1 {
 		t.Errorf("APs registered = %d, want 1 (renewal, not duplicate)", n)
+	}
+}
+
+// TestBackoffJitterSequence pins the one retry delay the accept loop and
+// an agent's redial share: capped doubling from base, the jitter factor
+// drawn as 1 + j·(2·Float64() − 1) from a source seeded once, so a seed
+// draws the same delays it always has — across a reset too. Without
+// jitter nothing is drawn.
+func TestBackoffJitterSequence(t *testing.T) {
+	const base, max, jitter, seed = 25 * time.Millisecond, 200 * time.Millisecond, 0.2, 7
+	rng := rand.New(rand.NewSource(seed))
+	b := newBackoff(base, max, jitter, seed)
+	for round := 0; round < 2; round++ {
+		b.reset()
+		delay := base
+		for i := 0; i < 6; i++ {
+			want := time.Duration(float64(delay) * (1 + jitter*(2*rng.Float64()-1)))
+			if got := b.next(); got != want {
+				t.Fatalf("round %d delay %d = %v, want %v", round, i, got, want)
+			}
+			delay = min(2*delay, max)
+		}
+	}
+	plain := newBackoff(5*time.Millisecond, time.Second, 0, 0)
+	var got []time.Duration
+	for i := 0; i < 10; i++ {
+		got = append(got, plain.next())
+	}
+	want := []time.Duration{5, 10, 20, 40, 80, 160, 320, 640, 1000, 1000}
+	for i := range want {
+		if got[i] != want[i]*time.Millisecond {
+			t.Fatalf("unjittered delays = %v, want %v ms", got, want)
+		}
 	}
 }
 

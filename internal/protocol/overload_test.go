@@ -236,16 +236,13 @@ func TestAdmissionAssocRate(t *testing.T) {
 	assertConservation(t, c)
 }
 
-// TestReportQueuePrunesLostOwnership: with the bounded report queue,
-// apply failures surface on the consumer goroutine, not in the read
-// loop — the read loop must still learn that a non-primary AP's
-// registration moved on and prune it from the connection's owned set,
-// exactly as the synchronous path does inline. Pre-fix, a superseded
-// AP's reports kept passing the ownership check and were queued and
-// rejected silently for the life of the connection.
+// TestReportQueuePrunesLostOwnership: reports apply in the agent's read
+// loop, so the loop learns at once that a non-primary AP's registration
+// moved on and prunes it from the connection's owned set; the next
+// report for it is refused, and the rest of the group keeps reporting.
+// (The name predates the read loop's being the only report path.)
 func TestReportQueuePrunesLostOwnership(t *testing.T) {
-	c, err := NewController(baseline.LLF{}, WithTimeout(testTimeout),
-		WithAdmission(Admission{ReportQueue: 8}))
+	c, err := NewController(baseline.LLF{}, WithTimeout(testTimeout))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,16 +262,14 @@ func TestReportQueuePrunesLostOwnership(t *testing.T) {
 
 	// rq-b's registration moves on (a superseding agent whose close has
 	// not reached this connection yet): the generation this connection
-	// holds is now stale, so its rq-b reports fail to apply — on the
-	// consumer goroutine, out of the read loop's sight.
+	// holds is now stale, so its rq-b reports fail to apply.
 	c.mu.Lock()
 	c.meta["rq-b"].gen++
 	c.mu.Unlock()
 
-	// Keep reporting for rq-b: the consumer flags the lost registration
-	// and the read loop prunes it, answering with an explicit not-owned
-	// error. Reports are otherwise unacknowledged, so any reply is that
-	// refusal.
+	// Keep reporting for rq-b: the first failed apply prunes it, and the
+	// next report is answered with an explicit not-owned error. Reports
+	// are otherwise unacknowledged, so any reply is that refusal.
 	g.conn.SetTimeout(100 * time.Millisecond)
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -12,14 +12,13 @@ import (
 	"github.com/s3wlan/s3wlan/internal/atomicfile"
 )
 
-// This file provides two interchangeable codecs for traces:
+// This file provides the trace's two encodings:
 //
 //   - JSON-lines: one JSON document per line, self-describing, used for
-//     whole-trace persistence (topology + sessions + flows).
-//   - CSV: separate session and flow tables, convenient for external
-//     analysis tooling.
-//
-// Both round-trip exactly (modulo record ordering, which is preserved).
+//     whole-trace persistence (topology + sessions + flows). It
+//     round-trips exactly, record order included.
+//   - CSV: separate session and flow tables, written for external
+//     analysis tooling (s3trace's exports). Nothing here reads them back.
 
 // jsonLine is the tagged union written to JSON-lines files.
 type jsonLine struct {
@@ -142,65 +141,6 @@ func WriteSessionsCSV(w io.Writer, sessions []Session) error {
 	return cw.Error()
 }
 
-// ReadSessionsCSV parses a session table (with header) from r.
-func ReadSessionsCSV(r io.Reader) ([]Session, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(sessionCSVHeader)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("trace: read CSV header: %w", err)
-	}
-	for i, want := range sessionCSVHeader {
-		if header[i] != want {
-			return nil, fmt.Errorf("trace: CSV header column %d is %q, want %q",
-				i, header[i], want)
-		}
-	}
-	var sessions []Session
-	for row := 2; ; row++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: CSV row %d: %w", row, err)
-		}
-		s, err := parseSessionRecord(rec)
-		if err != nil {
-			return nil, fmt.Errorf("trace: CSV row %d: %w", row, err)
-		}
-		sessions = append(sessions, s)
-	}
-	return sessions, nil
-}
-
-func parseSessionRecord(rec []string) (Session, error) {
-	connect, err := strconv.ParseInt(rec[3], 10, 64)
-	if err != nil {
-		return Session{}, fmt.Errorf("connect_at: %w", err)
-	}
-	disconnect, err := strconv.ParseInt(rec[4], 10, 64)
-	if err != nil {
-		return Session{}, fmt.Errorf("disconnect_at: %w", err)
-	}
-	bytes, err := strconv.ParseInt(rec[5], 10, 64)
-	if err != nil {
-		return Session{}, fmt.Errorf("bytes: %w", err)
-	}
-	s := Session{
-		User:         UserID(rec[0]),
-		AP:           APID(rec[1]),
-		Controller:   ControllerID(rec[2]),
-		ConnectAt:    connect,
-		DisconnectAt: disconnect,
-		Bytes:        bytes,
-	}
-	if err := s.Validate(); err != nil {
-		return Session{}, err
-	}
-	return s, nil
-}
-
 var flowCSVHeader = []string{
 	"user", "start", "end", "proto", "src_port", "dst_port", "bytes",
 }
@@ -227,72 +167,4 @@ func WriteFlowsCSV(w io.Writer, flows []Flow) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadFlowsCSV parses a flow table (with header) from r.
-func ReadFlowsCSV(r io.Reader) ([]Flow, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(flowCSVHeader)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("trace: read CSV header: %w", err)
-	}
-	for i, want := range flowCSVHeader {
-		if header[i] != want {
-			return nil, fmt.Errorf("trace: CSV header column %d is %q, want %q",
-				i, header[i], want)
-		}
-	}
-	var flows []Flow
-	for row := 2; ; row++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: CSV row %d: %w", row, err)
-		}
-		f, err := parseFlowRecord(rec)
-		if err != nil {
-			return nil, fmt.Errorf("trace: CSV row %d: %w", row, err)
-		}
-		flows = append(flows, f)
-	}
-	return flows, nil
-}
-
-func parseFlowRecord(rec []string) (Flow, error) {
-	start, err := strconv.ParseInt(rec[1], 10, 64)
-	if err != nil {
-		return Flow{}, fmt.Errorf("start: %w", err)
-	}
-	end, err := strconv.ParseInt(rec[2], 10, 64)
-	if err != nil {
-		return Flow{}, fmt.Errorf("end: %w", err)
-	}
-	srcPort, err := strconv.Atoi(rec[4])
-	if err != nil {
-		return Flow{}, fmt.Errorf("src_port: %w", err)
-	}
-	dstPort, err := strconv.Atoi(rec[5])
-	if err != nil {
-		return Flow{}, fmt.Errorf("dst_port: %w", err)
-	}
-	bytes, err := strconv.ParseInt(rec[6], 10, 64)
-	if err != nil {
-		return Flow{}, fmt.Errorf("bytes: %w", err)
-	}
-	f := Flow{
-		User:    UserID(rec[0]),
-		Start:   start,
-		End:     end,
-		Proto:   rec[3],
-		SrcPort: srcPort,
-		DstPort: dstPort,
-		Bytes:   bytes,
-	}
-	if err := f.Validate(); err != nil {
-		return Flow{}, err
-	}
-	return f, nil
 }

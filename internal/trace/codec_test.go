@@ -109,78 +109,36 @@ func TestLoadFileTruncated(t *testing.T) {
 	}
 }
 
+// TestSessionsCSVRoundTrip pins the session table's bytes: the header,
+// then one row per session in trace order, in the column order the
+// header names. (CSV is written for external tools; nothing here reads
+// it back.)
 func TestSessionsCSVRoundTrip(t *testing.T) {
-	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := WriteSessionsCSV(&buf, tr.Sessions); err != nil {
+	if err := WriteSessionsCSV(&buf, sampleTrace().Sessions); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSessionsCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tr.Sessions, got) {
-		t.Errorf("CSV round trip mismatch:\nwant %+v\ngot  %+v", tr.Sessions, got)
+	want := `user,ap,controller,connect_at,disconnect_at,bytes
+u1,ap-1,ctl-A,100,200,5000
+u2,ap-2,ctl-A,150,400,123
+`
+	if buf.String() != want {
+		t.Errorf("sessions CSV:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
 
+// TestFlowsCSVRoundTrip pins the flow table's bytes the same way.
 func TestFlowsCSVRoundTrip(t *testing.T) {
-	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := WriteFlowsCSV(&buf, tr.Flows); err != nil {
+	if err := WriteFlowsCSV(&buf, sampleTrace().Flows); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFlowsCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tr.Flows, got) {
-		t.Errorf("CSV round trip mismatch:\nwant %+v\ngot  %+v", tr.Flows, got)
-	}
-}
-
-func TestReadSessionsCSVErrors(t *testing.T) {
-	tests := []struct {
-		name string
-		in   string
-	}{
-		{"empty", ""},
-		{"bad header", "a,b,c,d,e,f\n"},
-		{"bad int", "user,ap,controller,connect_at,disconnect_at,bytes\nu,a,c,xyz,2,3\n"},
-		{"bad disconnect", "user,ap,controller,connect_at,disconnect_at,bytes\nu,a,c,1,x,3\n"},
-		{"bad bytes", "user,ap,controller,connect_at,disconnect_at,bytes\nu,a,c,1,2,x\n"},
-		{"invalid session", "user,ap,controller,connect_at,disconnect_at,bytes\nu,a,c,5,2,3\n"},
-		{"wrong field count", "user,ap,controller,connect_at,disconnect_at,bytes\nu,a\n"},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ReadSessionsCSV(strings.NewReader(tt.in)); err == nil {
-				t.Error("expected error")
-			}
-		})
-	}
-}
-
-func TestReadFlowsCSVErrors(t *testing.T) {
-	tests := []struct {
-		name string
-		in   string
-	}{
-		{"empty", ""},
-		{"bad header", "x,y,z,p,q,r,s\n"},
-		{"bad start", "user,start,end,proto,src_port,dst_port,bytes\nu,x,2,tcp,1,2,3\n"},
-		{"bad end", "user,start,end,proto,src_port,dst_port,bytes\nu,1,x,tcp,1,2,3\n"},
-		{"bad src port", "user,start,end,proto,src_port,dst_port,bytes\nu,1,2,tcp,x,2,3\n"},
-		{"bad dst port", "user,start,end,proto,src_port,dst_port,bytes\nu,1,2,tcp,1,x,3\n"},
-		{"bad bytes", "user,start,end,proto,src_port,dst_port,bytes\nu,1,2,tcp,1,2,x\n"},
-		{"invalid flow", "user,start,end,proto,src_port,dst_port,bytes\nu,9,2,tcp,1,2,3\n"},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ReadFlowsCSV(strings.NewReader(tt.in)); err == nil {
-				t.Error("expected error")
-			}
-		})
+	want := `user,start,end,proto,src_port,dst_port,bytes
+u1,100,110,tcp,50000,443,900
+u2,200,210,udp,50001,53,80
+`
+	if buf.String() != want {
+		t.Errorf("flows CSV:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
 

@@ -32,25 +32,3 @@ func FuzzReadJSONLines(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadSessionsCSV hardens the CSV session parser.
-func FuzzReadSessionsCSV(f *testing.F) {
-	var seed bytes.Buffer
-	if err := WriteSessionsCSV(&seed, sampleTrace().Sessions); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.String())
-	f.Add("user,ap,controller,connect_at,disconnect_at,bytes\n")
-	f.Add("garbage")
-	f.Fuzz(func(t *testing.T, input string) {
-		sessions, err := ReadSessionsCSV(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		for i, s := range sessions {
-			if err := s.Validate(); err != nil {
-				t.Fatalf("accepted invalid session %d: %v", i, err)
-			}
-		}
-	})
-}
