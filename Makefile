@@ -37,7 +37,7 @@ bench-ab:
 	bash scripts/bench-ab.sh $(PARENT) $(W) $(N)
 
 # Churn + fault-injection soak of the live controller under the race
-# detector: a faulty listener, self-closing reconnecting agents and
+# detector: a faulty listener, self-closing re-dialing agents and
 # churning stations.
 chaos:
 	$(GO) test -race -count=1 -run TestChaosSoakRace ./internal/protocol

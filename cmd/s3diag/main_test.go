@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -192,6 +193,31 @@ func TestPositionalDir(t *testing.T) {
 	}
 }
 
+// jsonJournal writes a journal directory in the layout of the releases
+// that stored records as JSON: a checkpoint at seq 8, one record in the
+// segment before it and two after it, each record one JSON object in a
+// frame.
+func jsonJournal(t *testing.T) string {
+	dir := t.TempDir()
+	record := func(seq int) []byte {
+		return []byte(`{"seq":` + strconv.Itoa(seq) + `,"op":"disassoc","ts":` + strconv.Itoa(100+seq) + `,"user":"u-1","ap":"ap-0"}`)
+	}
+	for name, frames := range map[string][][]byte{
+		"ckpt-00000000000000000008.snap": {[]byte(`{"version":1}`)},
+		"seg-00000000000000000005.wal":   {record(8)},
+		"seg-00000000000000000009.wal":   {record(9), record(10)},
+	} {
+		var data []byte
+		for _, p := range frames {
+			data = journal.AppendFrame(data, p)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
 // TestJournalDump: -journal prints the checkpoint recovery would use and
 // one JSON line per record, whichever layout stored it, and marks what
 // it could not read where it found it.
@@ -241,9 +267,9 @@ func TestJournalDump(t *testing.T) {
 		{"written", written, 5, []string{"# checkpoint seq 3 ", "# seg-00000000000000000001.wal",
 			`{"seq":1,"op":"assoc","ts":100,"placements":[{"user":"u-1","ap":"ap-0","demand_bps":5}]}`,
 			"# seg-00000000000000000004.wal", `{"seq":5,`}},
-		// JSON records, read for one release after the layout changed and
-		// now named as what they are to this one.
-		{"previous release", func(*testing.T) string { return "../../internal/protocol/testdata/journal_v2" }, 0,
+		// JSON records, as the releases before the binary layout framed
+		// them: named as what they are to this one.
+		{"previous release", jsonJournal, 0,
 			[]string{"# checkpoint seq 8 ", "# undecodable: frame at byte 0: journal: decode record: unknown version 123",
 				"# seg-00000000000000000009.wal", "# undecodable: frame at byte 71: "}},
 		{"flipped payload byte", damaged(func(seg []byte) []byte { seg[journal.FrameHeaderLen+4] ^= 1; return seg }), 4,

@@ -3,7 +3,6 @@ package protocol
 import (
 	"errors"
 	"log"
-	"math/rand"
 	"net"
 	"time"
 
@@ -11,8 +10,7 @@ import (
 )
 
 // Connection plumbing shared by the controller and the federation
-// router: one accept loop, one hello read, and the one retry delay the
-// accept loop and an AP agent's redial both back off with.
+// router: one accept loop, its retry delay, and one hello read.
 
 var (
 	obsAcceptRetries = obs.GetCounter("protocol.accept.retries", "Accept-loop retries after transient listener errors")
@@ -20,29 +18,18 @@ var (
 )
 
 // backoff is a capped exponential delay: next returns base, 2·base, …
-// up to max, each scaled by a factor drawn uniformly from
-// [1-jitter, 1+jitter] when jitter > 0. The jitter source is seeded once
-// and survives reset, so a seed draws one sequence across retry rounds.
+// up to max.
 type backoff struct {
 	base, max, cur time.Duration
-	jitter         float64
-	rng            *rand.Rand
 }
 
-func newBackoff(base, max time.Duration, jitter float64, seed int64) backoff {
-	b := backoff{base: base, max: max, cur: base, jitter: jitter}
-	if jitter > 0 {
-		b.rng = rand.New(rand.NewSource(seed))
-	}
-	return b
+func newBackoff(base, max time.Duration) backoff {
+	return backoff{base: base, max: max, cur: base}
 }
 
 // next returns the current delay and doubles it, capped at max.
 func (b *backoff) next() time.Duration {
 	d := b.cur
-	if b.rng != nil {
-		d = time.Duration(float64(d) * (1 + b.jitter*(2*b.rng.Float64()-1)))
-	}
 	b.cur = min(2*b.cur, b.max)
 	return d
 }
@@ -58,7 +45,7 @@ func (b *backoff) reset() { b.cur = b.base }
 // connection. serve runs on the accepting goroutine, so it must hand the
 // session to a goroutine of its own.
 func AcceptLoop(ln net.Listener, stop <-chan struct{}, logger *log.Logger, serve func(net.Conn)) {
-	bo := newBackoff(5*time.Millisecond, time.Second, 0, 0)
+	bo := newBackoff(5*time.Millisecond, time.Second)
 	for {
 		conn, err := ln.Accept()
 		if err == nil {

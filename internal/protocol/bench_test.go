@@ -18,7 +18,7 @@ const assocBenchAPs = 64
 
 // newBenchController builds a listening controller with assocBenchAPs
 // registered APs and `users` resident associations. Residents are
-// installed through direct domain commits and assignment-table writes:
+// installed through direct domain commits and session-table writes:
 // the benchmark measures an association against a populated domain, not
 // populating one over the wire.
 func newBenchController(tb testing.TB, users int) (*Controller, string) {
@@ -49,8 +49,7 @@ func newBenchController(tb testing.TB, users int) (*Controller, string) {
 		}
 		c.mu.Lock()
 		for _, p := range ps {
-			c.assignments[p.User] = p.AP
-			c.assignedAt[p.User] = 1
+			c.sessions[p.User] = session{ap: p.AP, at: 1}
 		}
 		c.mu.Unlock()
 		ps = ps[:0]

@@ -16,16 +16,13 @@ import (
 
 // stateOf is everything a checkpoint must carry, in comparable form.
 type stateOf struct {
-	Domain      *domain.State
-	Assignments map[trace.UserID]trace.APID
-	AssignedAt  map[trace.UserID]int64
-	ServedByUsr map[trace.UserID]int64
-	Served      map[trace.APID]int64
-	Meta        map[trace.APID]apMeta
+	Domain   *domain.State
+	Sessions map[trace.UserID]session
+	Meta     map[trace.APID]apMeta
 }
 
 func controllerState(c *Controller) stateOf {
-	s := stateOf{c.dom.ExportState(), c.assignments, c.assignedAt, c.servedByUsr, c.served, map[trace.APID]apMeta{}}
+	s := stateOf{c.dom.ExportState(), c.sessions, map[trace.APID]apMeta{}}
 	for id, m := range c.meta {
 		s.Meta[id] = *m
 	}
@@ -42,39 +39,93 @@ func bareController(t testing.TB) *Controller {
 }
 
 // awkwardController holds the state a checkpoint codec is most likely to
-// get wrong: a failed AP, reported loads, a user with two sessions on one
-// AP, an AP with nobody on it, per-user and per-AP rows present in only
-// some of the tables, zero and negative counters.
+// get wrong, among the states a controller reaches: reported loads, a
+// static AP beside agent-backed ones, an AP with nobody on it, a session
+// with no connect time, a negative timestamp, zero and 2⁴⁰ counters.
 func awkwardController(t testing.TB) *Controller {
 	t.Helper()
 	c := bareController(t)
-	for i, id := range []trace.APID{"ap-b", "ap-a", "ap-dead", "ap-idle"} {
+	for i, id := range []trace.APID{"ap-b", "ap-a", "ap-idle"} {
 		if err := c.dom.AddAP(id, float64(i+1)*1e6); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := c.dom.Commit([]domain.Placement{
-		{User: "zoe", AP: "ap-a", DemandBps: 100},
-		{User: "zoe", AP: "ap-a", DemandBps: 250.5},
+		{User: "zoe", AP: "ap-a", DemandBps: 350.5},
 		{User: "amy", AP: "ap-a"},
 		{User: "bob", AP: "ap-b", DemandBps: 1},
-		{User: "eve", AP: "ap-dead", DemandBps: 7},
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	c.dom.SetReported("ap-a", 123456.5)
-	c.dom.SetReported("ap-dead", 9)
-	c.dom.SetFailed("ap-dead", true)
-	c.assignments = map[trace.UserID]trace.APID{"zoe": "ap-a", "amy": "ap-a", "bob": "ap-b"}
-	c.assignedAt = map[trace.UserID]int64{"zoe": 1_700_000_000, "bob": -5, "ghost": 3}
-	c.servedByUsr = map[trace.UserID]int64{"zoe": 0, "stray": 1 << 40}
-	c.served = map[trace.APID]int64{"ap-a": 4096, "ap-gone": 1}
+	c.dom.SetReported("ap-idle", 9)
+	c.sessions = map[trace.UserID]session{
+		"zoe": {ap: "ap-a", at: 1_700_000_000},
+		"amy": {ap: "ap-a"},
+		"bob": {ap: "ap-b", at: -5, served: 1 << 40},
+	}
 	c.meta = map[trace.APID]*apMeta{
-		"ap-a":    {static: true},
-		"ap-b":    {lastSeen: 1_700_000_123, gen: 7},
-		"ap-dead": {},
+		"ap-a":    {static: true, served: 4096},
+		"ap-b":    {lastSeen: 1_700_000_123, gen: 7, served: 1<<40 + 1},
+		"ap-idle": {lastSeen: 1_700_000_100, gen: 1},
 	}
 	return c
+}
+
+// ckptRow is one row of a checkpoint document's user or AP table: its
+// key and flags byte.
+type ckptRow struct {
+	key   string
+	flags byte
+}
+
+// checkpointRows walks a checkpoint document (with nothing after it) and
+// returns where its domain section and its user table end, and its two
+// row tables.
+func checkpointRows(t *testing.T, payload []byte) (ends [2]int, users, aps []ckptRow) {
+	t.Helper()
+	in := journal.NewReader(payload)
+	in.Byte()
+	in.Uvarint()
+	for n := in.Uvarint(); n > 0; n-- {
+		in.Str()
+		in.Float()
+		in.Float()
+		in.Byte()
+		for k := in.Uvarint(); k > 0; k-- {
+			in.Str()
+			in.Float()
+		}
+	}
+	ends[0] = len(payload) - len(in.Rest())
+	for n := in.Uvarint(); n > 0 && in.Err() == nil; n-- {
+		r := ckptRow{in.Str(), in.Byte()}
+		if r.flags&ckptAssigned != 0 {
+			in.Str()
+		}
+		for _, f := range []byte{ckptAssignedAt, ckptServedByUsr} {
+			if r.flags&f != 0 {
+				in.Varint()
+			}
+		}
+		users = append(users, r)
+	}
+	ends[1] = len(payload) - len(in.Rest())
+	for n := in.Uvarint(); n > 0 && in.Err() == nil; n-- {
+		r := ckptRow{in.Str(), in.Byte()}
+		if r.flags&ckptServed != 0 {
+			in.Varint()
+		}
+		if r.flags&ckptMeta != 0 {
+			in.Varint()
+			in.Uvarint()
+		}
+		aps = append(aps, r)
+	}
+	if in.Err() != nil || len(in.Rest()) != 0 {
+		t.Fatalf("walking the document: %v, %d bytes left", in.Err(), len(in.Rest()))
+	}
+	return ends, users, aps
 }
 
 // TestCheckpointDocumentRoundTrip: export → encode → decode → import
@@ -141,6 +192,93 @@ func TestCheckpointDocumentRejects(t *testing.T) {
 		})
 		if allocs > 16 {
 			t.Errorf("%s: %v allocations to refuse a %d-byte document", name, allocs, len(payload))
+		}
+	}
+}
+
+// TestCheckpointParentPartialRows: the release before wrote one user row
+// for every user any of three per-user tables knew, and one AP row for
+// every AP with served bytes or lease metadata, so a row could hold part
+// of a user or an AP. Restoring such a document drops those parts —
+// ghost (a connect time, no AP), stray (served bytes only) and ap-gone
+// (served bytes of an expired AP) leave no session and no AP behind —
+// and checkpointing again writes full rows only.
+func TestCheckpointParentPartialRows(t *testing.T) {
+	awkward := awkwardController(t)
+	good := awkward.appendCheckpointLocked(nil)
+	ends, _, _ := checkpointRows(t, good)
+
+	doc := append([]byte(nil), good[:ends[0]]...)
+	row := func(key string, flags byte) { doc = append(journal.AppendString(doc, key), flags) }
+	doc = binary.AppendUvarint(doc, 5)
+	row("amy", ckptAssigned)
+	doc = journal.AppendString(doc, "ap-a")
+	row("bob", ckptSession)
+	doc = binary.AppendVarint(binary.AppendVarint(journal.AppendString(doc, "ap-b"), -5), 1<<40)
+	row("ghost", ckptAssignedAt)
+	doc = binary.AppendVarint(doc, 3)
+	row("stray", ckptServedByUsr)
+	doc = binary.AppendVarint(doc, 1<<40)
+	row("zoe", ckptSession)
+	doc = binary.AppendVarint(binary.AppendVarint(journal.AppendString(doc, "ap-a"), 1_700_000_000), 0)
+	doc = binary.AppendUvarint(doc, 4)
+	row("ap-a", ckptServed|ckptMeta|ckptStatic)
+	doc = binary.AppendUvarint(binary.AppendVarint(binary.AppendVarint(doc, 4096), 0), 0)
+	row("ap-b", ckptServed|ckptMeta)
+	doc = binary.AppendUvarint(binary.AppendVarint(binary.AppendVarint(doc, 1<<40+1), 1_700_000_123), 7)
+	row("ap-gone", ckptServed)
+	doc = binary.AppendVarint(doc, 1)
+	row("ap-idle", ckptMeta)
+	doc = binary.AppendUvarint(binary.AppendVarint(doc, 1_700_000_100), 1)
+
+	back := bareController(t)
+	if err := back.restoreCheckpoint(doc); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := controllerState(back), controllerState(awkward); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored state\n got %+v\nwant %+v", got, want)
+	}
+	again := back.appendCheckpointLocked(nil)
+	_, users, aps := checkpointRows(t, again)
+	for _, r := range users {
+		if r.flags != ckptSession {
+			t.Errorf("user row %q has flags %#x, want %#x", r.key, r.flags, ckptSession)
+		}
+	}
+	for _, r := range aps {
+		if r.flags&^ckptStatic != ckptServed|ckptMeta {
+			t.Errorf("AP row %q has flags %#x, want served and lease metadata", r.key, r.flags)
+		}
+	}
+	if len(users) != 3 || len(aps) != 3 || !bytes.Equal(again, good) {
+		t.Fatalf("re-encoded %d user and %d AP rows, want 3 and 3, as the controller that never left writes", len(users), len(aps))
+	}
+}
+
+// TestCheckpointDocumentAPsMatchMeta: the domain's APs are the lease
+// table's keys in every state a controller reaches, so a document in
+// which they differ — an AP without lease metadata, or lease metadata
+// for an AP the domain lacks — is refused, not restored.
+func TestCheckpointDocumentAPsMatchMeta(t *testing.T) {
+	good := awkwardController(t).appendCheckpointLocked(nil)
+	ends, _, _ := checkpointRows(t, good)
+	withAPRows := func(ids ...string) []byte {
+		doc := binary.AppendUvarint(append([]byte(nil), good[:ends[1]]...), uint64(len(ids)))
+		for _, id := range ids {
+			doc = append(journal.AppendString(doc, id), ckptServed|ckptMeta)
+			doc = binary.AppendUvarint(binary.AppendVarint(binary.AppendVarint(doc, 0), 0), 1)
+		}
+		return doc
+	}
+	if _, _, err := decodeCheckpoint(withAPRows("ap-a", "ap-b", "ap-idle")); err != nil {
+		t.Fatalf("control: %v", err)
+	}
+	for name, doc := range map[string][]byte{
+		"AP without metadata": withAPRows("ap-a", "ap-b"),
+		"metadata without AP": withAPRows("ap-a", "ap-b", "ap-extra", "ap-idle"),
+	} {
+		if _, _, err := decodeCheckpoint(doc); err == nil || !strings.Contains(err.Error(), "lease metadata") {
+			t.Errorf("%s: decode = %v, want a refusal naming the lease metadata", name, err)
 		}
 	}
 }

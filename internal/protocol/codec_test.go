@@ -190,44 +190,6 @@ func TestCodecSniffing(t *testing.T) {
 	}
 }
 
-// TestAPGroupBatchedReports: one connection registers several APs and a
-// single ReportAll lands one load on each.
-func TestAPGroupBatchedReports(t *testing.T) {
-	c, addr := startController(t, baseline.LLF{})
-	g, err := DialAPGroup(addr, []APSpec{
-		{ID: "g-ap1", CapacityBps: 1e6},
-		{ID: "g-ap2", CapacityBps: 2e6},
-		{ID: "g-ap3", CapacityBps: 3e6},
-	}, testTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	if err := g.ReportAll([]float64{111, 222, 333}); err != nil {
-		t.Fatal(err)
-	}
-	want := map[trace.APID]float64{"g-ap1": 111, "g-ap2": 222, "g-ap3": 333}
-	deadline := time.Now().Add(testTimeout)
-	for {
-		snap := c.Snapshot()
-		ok := len(snap) == 3
-		for id, load := range want {
-			st, present := snap[id]
-			ok = ok && present && st.ReportedBps == load
-		}
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("group reports not applied: %+v", snap)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := g.ReportAll([]float64{1}); err == nil {
-		t.Error("mismatched ReportAll length should error")
-	}
-}
-
 // TestHostileNumericsRejected drives NaN/Inf/negative rates and negative
 // byte counts at the controller and requires an explicit rejection
 // (MsgError + protocol.msg.rejected) instead of the value reaching load

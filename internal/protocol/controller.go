@@ -38,8 +38,9 @@ var (
 const maxSelectRetries = 3
 
 // apMeta is the controller's protocol-level metadata for one registered
-// AP: the lease/agent-connection lifecycle. All load and membership
-// accounting lives in the shared association-domain core (c.dom).
+// AP: the lease/agent-connection lifecycle and the bytes its stations
+// reported. All load and membership accounting lives in the shared
+// association-domain core (c.dom), whose APs are exactly meta's keys.
 type apMeta struct {
 	// static entries come from RegisterAP (no agent connection) and are
 	// exempt from lease expiry.
@@ -49,9 +50,21 @@ type apMeta struct {
 	// gen is the registration generation, bumped on every re-hello so a
 	// superseded agent connection can detect it lost ownership.
 	gen uint64
+	// served is the traffic volume stations reported on this AP.
+	served int64
 	// agentConn is the live agent connection, if any; a takeover or
 	// lease expiry closes it.
 	agentConn *Conn
+}
+
+// session is one associated user's bookkeeping: the AP the controller
+// assigned, when the association began, and the bytes the station has
+// reported since. A same-AP refresh keeps at and served; a move starts
+// a new session.
+type session struct {
+	ap     trace.APID
+	at     int64
+	served int64
 }
 
 // AssociationObserver receives association lifecycle events — e.g. the
@@ -117,16 +130,12 @@ type Controller struct {
 	jn          *journal.Journal
 	recovered   *RecoverySummary
 
-	mu          sync.Mutex
-	meta        map[trace.APID]*apMeta
-	assignments map[trace.UserID]trace.APID
-	assignedAt  map[trace.UserID]int64
-	servedByUsr map[trace.UserID]int64
-	served      map[trace.APID]int64 // bytes reported by stations
-	// Key-sorting scratch of appendCheckpointLocked, reused across
-	// checkpoints.
+	mu       sync.Mutex
+	meta     map[trace.APID]*apMeta
+	sessions map[trace.UserID]session
+	// ckptUsers is appendCheckpointLocked's key-sorting scratch, reused
+	// across checkpoints.
 	ckptUsers []trace.UserID
-	ckptAPs   []trace.APID
 
 	listeners []net.Listener
 	stop      chan struct{}
@@ -205,15 +214,12 @@ func NewController(selector wlan.Selector, opts ...ControllerOption) (*Controlle
 		return nil, errors.New("protocol: nil selector")
 	}
 	c := &Controller{
-		selector:    selector,
-		logger:      log.New(io.Discard, "", 0),
-		timeout:     30 * time.Second,
-		now:         func() int64 { return time.Now().Unix() },
-		meta:        make(map[trace.APID]*apMeta),
-		assignments: make(map[trace.UserID]trace.APID),
-		assignedAt:  make(map[trace.UserID]int64),
-		servedByUsr: make(map[trace.UserID]int64),
-		served:      make(map[trace.APID]int64),
+		selector: selector,
+		logger:   log.New(io.Discard, "", 0),
+		timeout:  30 * time.Second,
+		now:      func() int64 { return time.Now().Unix() },
+		meta:     make(map[trace.APID]*apMeta),
+		sessions: make(map[trace.UserID]session),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -449,15 +455,13 @@ func (c *Controller) replyError(conn *Conn, msg string) {
 	}
 }
 
-// handleAP registers an AP agent and applies its load reports in the
-// read loop, each renewing the owning AP's lease. A group agent may
-// register further APs with in-loop hellos on the same connection and
-// address its reports with the AP field. The loop exits when the
-// connection drops (the registrations then ride out their leases
-// awaiting a reconnect) or when a newer agent connection takes over the
-// primary AP; every exit path detaches all owned registrations from
-// this connection, so a later supersede never "closes" a connection
-// that is already gone.
+// handleAP registers an AP agent — one AP per agent connection — and
+// applies its load reports in the read loop, each renewing the AP's
+// lease. The loop exits when the connection drops (the registration then
+// rides out its lease awaiting a reconnect) or when a newer agent
+// connection takes the AP over; every exit path detaches the
+// registration from this connection, so a later supersede never
+// "closes" a connection that is already gone.
 func (c *Controller) handleAP(conn *Conn, hello Message) {
 	id := trace.APID(hello.ID)
 	gen, old, err := c.registerAgent(conn, id, hello.CapacityBps)
@@ -469,14 +473,7 @@ func (c *Controller) handleAP(conn *Conn, hello Message) {
 		old.Close()
 		c.logger.Printf("ap %s re-hello: superseding previous agent connection", id)
 	}
-	// owned maps every AP registered over this connection to the
-	// generation it was granted; the deferred detach covers every exit.
-	owned := map[trace.APID]uint64{id: gen}
-	defer func() {
-		for oid, ogen := range owned {
-			c.agentGone(oid, ogen)
-		}
-	}()
+	defer c.agentGone(id, gen)
 	if err := conn.Send(Message{Type: MsgHelloOK, ID: hello.ID}); err != nil {
 		c.logger.Printf("ap %s: %v", id, err)
 		return
@@ -497,45 +494,15 @@ func (c *Controller) handleAP(conn *Conn, hello Message) {
 		}
 		switch m.Type {
 		case MsgHello:
-			// A group agent registers another AP on this connection.
-			if m.Role != RoleAP {
-				c.replyError(conn, fmt.Sprintf("unexpected role %q in group hello", m.Role))
-				return
-			}
-			nid := trace.APID(m.ID)
-			ngen, nold, err := c.registerAgent(conn, nid, m.CapacityBps)
-			if err != nil {
-				c.replyError(conn, err.Error())
-				continue
-			}
-			if nold != nil && nold != conn {
-				nold.Close()
-				c.logger.Printf("ap %s group hello: superseding previous agent connection", nid)
-			}
-			owned[nid] = ngen
-			if err := conn.Send(Message{Type: MsgHelloOK, ID: m.ID}); err != nil {
-				c.logger.Printf("ap %s: %v", nid, err)
-				return
-			}
+			c.replyError(conn, fmt.Sprintf("agent connection already registered AP %q", id))
 		case MsgReport:
-			// The AP field selects the report's target for group agents;
-			// empty means the primary (hello) AP.
-			rid := id
-			if m.AP != "" {
-				rid = trace.APID(m.AP)
-			}
-			rgen, ok := owned[rid]
-			if !ok {
-				c.replyError(conn, fmt.Sprintf("report for AP %q not owned by this agent", rid))
+			// An empty AP field means the connection's own AP.
+			if m.AP != "" && trace.APID(m.AP) != id {
+				c.replyError(conn, fmt.Sprintf("report for AP %q not owned by this agent", m.AP))
 				continue
 			}
-			if !c.applyReport(rid, rgen, m.LoadBps) {
-				// Expired or superseded: this connection lost that AP.
-				delete(owned, rid)
-				if rid == id {
-					return
-				}
-				continue
+			if !c.applyReport(id, gen, m.LoadBps) {
+				return // expired or superseded: this connection lost its AP
 			}
 		default:
 			c.replyError(conn, fmt.Sprintf("unexpected %s from AP", m.Type))
@@ -638,10 +605,13 @@ func (c *Controller) handleStation(conn *Conn, hello Message) {
 			// shift served volume between APs. Traffic from a user with
 			// no assignment is rejected (dropped).
 			c.mu.Lock()
-			ap, ok := c.assignments[user]
+			s, ok := c.sessions[user]
 			if ok {
-				c.served[ap] += m.Bytes
-				c.servedByUsr[user] += m.Bytes
+				s.served += m.Bytes
+				c.sessions[user] = s
+				if meta := c.meta[s.ap]; meta != nil {
+					meta.served += m.Bytes
+				}
 			}
 			c.mu.Unlock()
 			if !ok {
@@ -802,7 +772,7 @@ func (c *Controller) place(scr *assocScratch, reqs []wlan.Request, bs wlan.Batch
 			// atomic domain commit; for a same-AP refresh, the commit
 			// atomically replaces (rather than adds to) the believed
 			// demand.
-			ps = append(ps, domain.Placement{User: r.User, AP: ap, DemandBps: r.DemandBps, Prev: c.assignments[r.User]})
+			ps = append(ps, domain.Placement{User: r.User, AP: ap, DemandBps: r.DemandBps, Prev: c.sessions[r.User].ap})
 		}
 		scr.ps = ps
 		verArg := ver
@@ -822,16 +792,13 @@ func (c *Controller) place(scr *assocScratch, reqs []wlan.Request, bs wlan.Batch
 			return nil, fmt.Errorf("protocol: commit: %w", err)
 		}
 		for _, p := range ps {
-			if p.Prev != "" && p.Prev != p.AP {
-				c.sessionRecordLocked(p.User, p.Prev, ts)
-				obsAssocMoves.Inc()
-			}
-			c.assignments[p.User] = p.AP
+			// A same-AP refresh (Prev == AP) keeps the session as it is.
 			if p.Prev != p.AP {
-				// A same-AP refresh (Prev == AP) keeps the session's
-				// timestamp and served-byte tally continuous.
-				c.assignedAt[p.User] = ts
-				c.servedByUsr[p.User] = 0
+				if p.Prev != "" {
+					c.sessionRecordLocked(p.User, ts)
+					obsAssocMoves.Inc()
+				}
+				c.sessions[p.User] = session{ap: p.AP, at: ts}
 			}
 			if c.logEnabled {
 				c.logger.Printf("assoc %s -> %s (demand %.0f B/s)", p.User, p.AP, p.DemandBps)
@@ -856,22 +823,16 @@ func (c *Controller) place(scr *assocScratch, reqs []wlan.Request, bs wlan.Batch
 func (c *Controller) disassociate(user trace.UserID) {
 	c.mu.Lock()
 	ts := c.now()
-	ap, ok := c.assignments[user]
+	s, ok := c.sessions[user]
 	if !ok {
 		c.mu.Unlock()
 		return
 	}
-	delete(c.assignments, user)
+	ap := s.ap
 	c.dom.LeaveAll(user, ap)
-	c.sessionRecordLocked(user, ap, ts)
+	c.sessionRecordLocked(user, ts)
+	delete(c.sessions, user)
 	c.notifyDisconnect(user, ap, ts) // before the append (see place)
-	// All three bookkeeping maps must be consistent before the append: a
-	// rotation-triggered checkpoint snapshots state synchronously from
-	// inside journalAppendLocked, and a checkpoint keyed to this record
-	// must not carry a half-deleted user (gone from assignments, still
-	// in assignedAt/servedByUsr).
-	delete(c.assignedAt, user)
-	delete(c.servedByUsr, user)
 	c.journalAppendLocked(journal.Record{Op: journal.OpDisassoc, TS: ts, User: user, AP: ap})
 	if c.logEnabled {
 		c.logger.Printf("disassoc %s from %s", user, ap)
@@ -879,16 +840,17 @@ func (c *Controller) disassociate(user trace.UserID) {
 	c.mu.Unlock()
 }
 
-// sessionRecordLocked emits one completed-association record to the
+// sessionRecordLocked emits the user's session, ending at ts, to the
 // session log via the domain (if configured). Must run with c.mu held,
-// before the user's assignedAt/servedByUsr bookkeeping is reset.
-func (c *Controller) sessionRecordLocked(user trace.UserID, ap trace.APID, ts int64) {
+// before the session is replaced or deleted.
+func (c *Controller) sessionRecordLocked(user trace.UserID, ts int64) {
+	s := c.sessions[user]
 	if err := c.dom.LogSession(trace.Session{
 		User:         user,
-		AP:           ap,
-		ConnectAt:    c.assignedAt[user],
+		AP:           s.ap,
+		ConnectAt:    s.at,
 		DisconnectAt: ts,
-		Bytes:        c.servedByUsr[user],
+		Bytes:        s.served,
 	}); err != nil {
 		c.logger.Printf("session log: %v", err)
 	}
@@ -915,10 +877,8 @@ func (c *Controller) expireLocked(ts int64) []*Conn {
 		m := c.meta[id]
 		evicted, _ := c.dom.RemoveAP(id)
 		for _, ev := range evicted {
-			delete(c.assignments, ev.User)
-			c.sessionRecordLocked(ev.User, id, ts)
-			delete(c.assignedAt, ev.User)
-			delete(c.servedByUsr, ev.User)
+			c.sessionRecordLocked(ev.User, ts)
+			delete(c.sessions, ev.User)
 			c.notifyDisconnect(ev.User, id, ts) // before the append (see place)
 		}
 		c.journalAppendLocked(journal.Record{Op: journal.OpExpire, TS: ts, AP: id})
@@ -988,7 +948,7 @@ func (c *Controller) Snapshot() map[trace.APID]APStatus {
 			CapacityBps: info.CapacityBps,
 			ReportedBps: info.ReportedBps,
 			Users:       info.Users,
-			ServedBytes: c.served[id],
+			ServedBytes: c.meta[id].served,
 		}
 	}
 	c.mu.Unlock()

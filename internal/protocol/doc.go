@@ -18,20 +18,19 @@
 // versionless: a peer that opens with anything but a frame is refused
 // by the magic check.
 //
-// Lifecycle and failure model: AP registrations made by agents are
-// leases — every hello and load report renews them, a re-hello from a
+// Lifecycle and failure model: an agent connection registers one AP as
+// a lease — every hello and load report renews it, a re-hello from a
 // reconnecting (or restarted) agent supersedes the previous connection,
-// and an AP whose agent stays silent past the lease is expired, its
-// believed users re-homed through the association observer and the
-// session log. Agents built with DialAPReconnecting redial with
-// exponential backoff and jitter when their connection drops. The
-// controller's association path snapshots AP state under a short
-// critical section and runs the policy lock-free, re-running stale
-// decisions via a versioned check-and-retry, so concurrent stations do
-// not serialize behind one beam search. Health counters (registrations,
-// renewals, lease expiries, accept retries, selection retries, agent
-// reconnects, rejected traffic) are exported through internal/obs under
-// the protocol.* prefix.
+// and, with WithLease, an AP whose agent stays silent past the lease is
+// expired, its believed users re-homed through the association observer
+// and the session log. APs added with RegisterAP are static. The
+// controller's association path snapshots AP state
+// under a short critical section and runs the policy lock-free,
+// re-running stale decisions via a versioned check-and-retry, so
+// concurrent stations do not serialize behind one beam search. Health
+// counters (registrations, renewals, lease expiries, accept retries,
+// selection retries, rejected traffic) are exported through
+// internal/obs under the protocol.* prefix.
 //
 // The lifecycle and overload tests inject seeded faults (drops, torn
 // frames, delays, stalls, mid-stream closes, transient accept errors)

@@ -59,8 +59,8 @@ func TestStandbyMirrorsOwnerAndPromotes(t *testing.T) {
 	if !reflect.DeepEqual(standby.dom.ExportState(), owner.dom.ExportState()) {
 		t.Fatal("standby domain state diverges from owner")
 	}
-	if !reflect.DeepEqual(standby.assignments, owner.assignments) {
-		t.Fatalf("standby assignments %v != owner %v", standby.assignments, owner.assignments)
+	if got, want := assignmentsOf(standby), assignmentsOf(owner); !reflect.DeepEqual(got, want) {
+		t.Fatalf("standby assignments %v != owner %v", got, want)
 	}
 
 	// Owner dies (no Close — crash). The standby takes over at epoch 2.
@@ -110,7 +110,7 @@ func TestStandbyMirrorsOwnerAndPromotes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer oracle.Close()
-	if oracle.assignments["u-9"] == "" {
+	if oracle.sessions["u-9"].ap == "" {
 		t.Fatal("oracle replay lost the promoted controller's assignment")
 	}
 }

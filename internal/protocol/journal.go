@@ -78,45 +78,34 @@ type RecoverySummary struct {
 // the controller runs without a journal.
 func (c *Controller) Recovery() *RecoverySummary { return c.recovered }
 
-// checkpointMeta is one AP's serialized lease metadata. Agent
-// connections are inherently not recoverable; an agent-backed AP
-// restarts with its lease clock where the checkpoint left it and either
-// re-hellos or expires through the normal observer path.
-type checkpointMeta struct {
-	Static   bool
-	LastSeen int64
-	Gen      uint64
-}
-
 // checkpointDoc is the controller's own part of a checkpoint payload, as
 // decoded. Whatever follows it in the payload is the observer's state,
 // in the observer's format and opaque to the controller — written
-// straight through by ObserverState.WriteState, never re-encoded.
+// straight through by ObserverState.WriteState, never re-encoded. Agent
+// connections are inherently not recoverable: an agent-backed AP
+// restarts with its lease clock where the checkpoint left it and either
+// re-hellos or expires through the normal observer path.
 //
 // The stored form is built from the journal's field primitives, every
 // table in sorted key order so the bytes are a pure function of the
 // state (docs/ARCHITECTURE.md, "State format", has the layout as a table).
 type checkpointDoc struct {
-	Domain      *domain.State
-	Assignments map[trace.UserID]trace.APID
-	AssignedAt  map[trace.UserID]int64
-	ServedByUsr map[trace.UserID]int64
-	Served      map[trace.APID]int64
-	Meta        map[trace.APID]checkpointMeta
+	Domain   *domain.State
+	Sessions map[trace.UserID]session
+	Meta     map[trace.APID]*apMeta
 }
 
-// checkpointVersion is the first byte of every checkpoint document; a
-// document of the JSON releases begins with '{' and is refused as an
-// unknown version.
+// checkpointVersion is the first byte of every checkpoint document.
 const checkpointVersion = 1
 
-const ( // user-row flags
+const ( // user-row flags; every row this release writes has all three
 	ckptAssigned = 1 << iota
 	ckptAssignedAt
 	ckptServedByUsr
+	ckptSession = ckptAssigned | ckptAssignedAt | ckptServedByUsr
 )
 
-const ( // AP-row flags
+const ( // AP-row flags; every row this release writes has the first two
 	ckptServed = 1 << iota
 	ckptMeta
 	ckptStatic
@@ -133,7 +122,8 @@ const (
 )
 
 // appendCheckpointLocked appends the controller's checkpoint document to
-// dst. Runs with c.mu held.
+// dst: the domain, one full row per session and one per AP. Runs with
+// c.mu held.
 func (c *Controller) appendCheckpointLocked(dst []byte) []byte {
 	st := c.dom.ExportState() // APs sorted by ID, sessions by user
 	dst = append(dst, checkpointVersion)
@@ -152,66 +142,28 @@ func (c *Controller) appendCheckpointLocked(dst []byte) []byte {
 		}
 	}
 
-	// One row per user any of the three per-user maps knows.
 	users := c.ckptUsers[:0]
-	for u := range c.assignments {
+	for u := range c.sessions {
 		users = append(users, u)
-	}
-	for u := range c.assignedAt {
-		if _, ok := c.assignments[u]; !ok {
-			users = append(users, u)
-		}
-	}
-	for u := range c.servedByUsr {
-		_, a := c.assignments[u]
-		if _, b := c.assignedAt[u]; !a && !b {
-			users = append(users, u)
-		}
 	}
 	slices.Sort(users)
 	c.ckptUsers = users
 	dst = binary.AppendUvarint(dst, uint64(len(users)))
 	for _, u := range users {
-		ap, assigned := c.assignments[u]
-		at, hasAt := c.assignedAt[u]
-		served, hasServed := c.servedByUsr[u]
-		flags := journal.FlagIf(assigned, ckptAssigned) | journal.FlagIf(hasAt, ckptAssignedAt) | journal.FlagIf(hasServed, ckptServedByUsr)
-		dst = append(journal.AppendString(dst, string(u)), flags)
-		if assigned {
-			dst = journal.AppendString(dst, string(ap))
-		}
-		if hasAt {
-			dst = binary.AppendVarint(dst, at)
-		}
-		if hasServed {
-			dst = binary.AppendVarint(dst, served)
-		}
+		s := c.sessions[u]
+		dst = append(journal.AppendString(dst, string(u)), ckptSession)
+		dst = journal.AppendString(dst, string(s.ap))
+		dst = binary.AppendVarint(binary.AppendVarint(dst, s.at), s.served)
 	}
 
-	// And one per AP with served bytes or lease metadata.
-	aps := c.ckptAPs[:0]
-	for id := range c.meta {
-		aps = append(aps, id)
-	}
-	for id := range c.served {
-		if _, ok := c.meta[id]; !ok {
-			aps = append(aps, id)
-		}
-	}
-	slices.Sort(aps)
-	c.ckptAPs = aps
-	dst = binary.AppendUvarint(dst, uint64(len(aps)))
-	for _, id := range aps {
-		served, hasServed := c.served[id]
+	// The domain's APs are meta's keys, already sorted.
+	dst = binary.AppendUvarint(dst, uint64(len(st.APs)))
+	for i := range st.APs {
+		id := st.APs[i].ID
 		m := c.meta[id]
-		flags := journal.FlagIf(hasServed, ckptServed) | journal.FlagIf(m != nil, ckptMeta) | journal.FlagIf(m != nil && m.static, ckptStatic)
-		dst = append(journal.AppendString(dst, string(id)), flags)
-		if hasServed {
-			dst = binary.AppendVarint(dst, served)
-		}
-		if m != nil {
-			dst = binary.AppendUvarint(binary.AppendVarint(dst, m.lastSeen), m.gen)
-		}
+		dst = append(journal.AppendString(dst, string(id)), ckptServed|ckptMeta|journal.FlagIf(m.static, ckptStatic))
+		dst = binary.AppendVarint(dst, m.served)
+		dst = binary.AppendUvarint(binary.AppendVarint(dst, m.lastSeen), m.gen)
 	}
 	return dst
 }
@@ -219,12 +171,13 @@ func (c *Controller) appendCheckpointLocked(dst []byte) []byte {
 // decodeCheckpoint splits a checkpoint payload into the controller's
 // document and the observer's state that follows it. The payload is
 // CRC-valid but otherwise untrusted: every count is bounded by the bytes
-// left before anything is allocated for it.
+// left before anything is allocated for it. A row missing the part that
+// makes it state — a user row without an AP, an AP row without lease
+// metadata, as the release before wrote them — is read and dropped.
 func decodeCheckpoint(payload []byte) (doc checkpointDoc, observerState []byte, err error) {
 	in := journal.NewReader(payload)
 	if v := in.Byte(); in.Err() != nil || v != checkpointVersion {
-		return doc, nil, fmt.Errorf("protocol: decode checkpoint: document version %d, this release reads %d "+
-			"(a JSON document begins with '{', 123, and is no longer read)", v, checkpointVersion)
+		return doc, nil, fmt.Errorf("protocol: decode checkpoint: document version %d, this release reads %d", v, checkpointVersion)
 	}
 	doc.Domain = &domain.State{Version: int(in.Uvarint())}
 	doc.Domain.APs = make([]domain.APState, in.Count(minAPBytes))
@@ -241,42 +194,53 @@ func decodeCheckpoint(payload []byte) (doc checkpointDoc, observerState []byte, 
 	}
 
 	n := in.Count(minRowBytes)
-	doc.Assignments = make(map[trace.UserID]trace.APID, min(n, maxPresize))
-	doc.AssignedAt = make(map[trace.UserID]int64, min(n, maxPresize))
-	doc.ServedByUsr = make(map[trace.UserID]int64, min(n, maxPresize))
+	doc.Sessions = make(map[trace.UserID]session, min(n, maxPresize))
 	for ; n > 0 && in.Err() == nil; n-- {
 		u, flags := trace.UserID(in.Str()), in.Byte()
-		if flags&^(ckptAssigned|ckptAssignedAt|ckptServedByUsr) != 0 {
+		if flags&^ckptSession != 0 {
 			return doc, nil, fmt.Errorf("protocol: decode checkpoint: user %q: unknown flags %#x", u, flags)
 		}
+		var s session
 		if flags&ckptAssigned != 0 {
-			doc.Assignments[u] = trace.APID(in.Str())
+			s.ap = trace.APID(in.Str())
 		}
 		if flags&ckptAssignedAt != 0 {
-			doc.AssignedAt[u] = in.Varint()
+			s.at = in.Varint()
 		}
 		if flags&ckptServedByUsr != 0 {
-			doc.ServedByUsr[u] = in.Varint()
+			s.served = in.Varint()
+		}
+		if s.ap != "" {
+			doc.Sessions[u] = s
 		}
 	}
 
 	n = in.Count(minRowBytes)
-	doc.Served = make(map[trace.APID]int64, min(n, maxPresize))
-	doc.Meta = make(map[trace.APID]checkpointMeta, min(n, maxPresize))
+	doc.Meta = make(map[trace.APID]*apMeta, min(n, maxPresize))
 	for ; n > 0 && in.Err() == nil; n-- {
 		id, flags := trace.APID(in.Str()), in.Byte()
 		if flags&^(ckptServed|ckptMeta|ckptStatic) != 0 {
 			return doc, nil, fmt.Errorf("protocol: decode checkpoint: AP %q: unknown flags %#x", id, flags)
 		}
+		m := &apMeta{static: flags&ckptStatic != 0}
 		if flags&ckptServed != 0 {
-			doc.Served[id] = in.Varint()
+			m.served = in.Varint()
 		}
 		if flags&ckptMeta != 0 {
-			doc.Meta[id] = checkpointMeta{Static: flags&ckptStatic != 0, LastSeen: in.Varint(), Gen: in.Uvarint()}
+			m.lastSeen, m.gen = in.Varint(), in.Uvarint()
+			doc.Meta[id] = m
 		}
 	}
 	if err := in.Err(); err != nil {
 		return doc, nil, fmt.Errorf("protocol: decode checkpoint: %w", err)
+	}
+	for _, ap := range doc.Domain.APs {
+		if doc.Meta[ap.ID] == nil {
+			return doc, nil, fmt.Errorf("protocol: decode checkpoint: AP %q has no lease metadata", ap.ID)
+		}
+	}
+	if len(doc.Meta) != len(doc.Domain.APs) {
+		return doc, nil, fmt.Errorf("protocol: decode checkpoint: %d APs carry lease metadata, the domain has %d", len(doc.Meta), len(doc.Domain.APs))
 	}
 	return doc, in.Rest(), nil
 }
@@ -334,7 +298,7 @@ func (c *Controller) attachJournalLocked(dir string, opts journal.Options, after
 	}
 	sum.Stats = rec.Stats
 	sum.APs = c.dom.Size()
-	sum.Assignments = len(c.assignments)
+	sum.Assignments = len(c.sessions)
 	c.recovered = sum
 	// Arm appends only now: replaying must never re-journal.
 	c.jn = j
@@ -354,13 +318,8 @@ func (c *Controller) restoreCheckpoint(payload []byte) error {
 			return err
 		}
 	}
-	maps.Copy(c.assignments, doc.Assignments)
-	maps.Copy(c.assignedAt, doc.AssignedAt)
-	maps.Copy(c.servedByUsr, doc.ServedByUsr)
-	maps.Copy(c.served, doc.Served)
-	for id, m := range doc.Meta {
-		c.meta[id] = &apMeta{static: m.Static, lastSeen: m.LastSeen, gen: m.Gen}
-	}
+	maps.Copy(c.sessions, doc.Sessions)
+	maps.Copy(c.meta, doc.Meta)
 	if len(observerState) > 0 {
 		if st, ok := c.observer.(ObserverState); ok {
 			if err := st.ReadState(bytes.NewReader(observerState)); err != nil {
@@ -408,21 +367,16 @@ func (c *Controller) applyRecord(r journal.Record) error {
 			return err
 		}
 		for _, p := range r.Placements {
-			prev, hadPrev := c.assignments[p.User]
-			refresh := hadPrev && prev == p.AP
-			c.assignments[p.User] = p.AP
-			if !refresh {
-				// Mirror the live path: a same-AP refresh keeps the
-				// session timestamp and served-byte tally continuous and
-				// emits no lifecycle events.
-				c.assignedAt[p.User] = r.TS
-				c.servedByUsr[p.User] = 0
+			// Mirror the live path: a same-AP refresh keeps the session
+			// as it is and emits no lifecycle events.
+			prev, hadPrev := c.sessions[p.User]
+			if hadPrev && prev.ap == p.AP {
+				continue
 			}
-			if c.observer != nil && !refresh {
+			c.sessions[p.User] = session{ap: p.AP, at: r.TS}
+			if c.observer != nil {
 				if hadPrev {
-					if err := c.observer.Disconnect(p.User, prev, r.TS); err != nil {
-						c.logger.Printf("journal: replay observer disconnect %s: %v", p.User, err)
-					}
+					c.notifyDisconnect(p.User, prev.ap, r.TS)
 				}
 				c.observer.Connect(p.User, p.AP, r.TS)
 			}
@@ -430,19 +384,13 @@ func (c *Controller) applyRecord(r journal.Record) error {
 		return nil
 
 	case journal.OpDisassoc:
-		ap, ok := c.assignments[r.User]
+		s, ok := c.sessions[r.User]
 		if !ok {
 			return fmt.Errorf("protocol: disassoc replay for unassigned user %q", r.User)
 		}
-		delete(c.assignments, r.User)
-		delete(c.assignedAt, r.User)
-		delete(c.servedByUsr, r.User)
-		c.dom.LeaveAll(r.User, ap)
-		if c.observer != nil {
-			if err := c.observer.Disconnect(r.User, ap, r.TS); err != nil {
-				c.logger.Printf("journal: replay observer disconnect %s: %v", r.User, err)
-			}
-		}
+		delete(c.sessions, r.User)
+		c.dom.LeaveAll(r.User, s.ap)
+		c.notifyDisconnect(r.User, s.ap, r.TS)
 		return nil
 
 	case journal.OpLeave:
@@ -459,14 +407,8 @@ func (c *Controller) applyRecord(r journal.Record) error {
 		delete(c.meta, r.AP)
 		sort.Slice(evicted, func(i, j int) bool { return evicted[i].User < evicted[j].User })
 		for _, ev := range evicted {
-			delete(c.assignments, ev.User)
-			delete(c.assignedAt, ev.User)
-			delete(c.servedByUsr, ev.User)
-			if c.observer != nil {
-				if err := c.observer.Disconnect(ev.User, r.AP, r.TS); err != nil {
-					c.logger.Printf("journal: replay observer disconnect %s: %v", ev.User, err)
-				}
-			}
+			delete(c.sessions, ev.User)
+			c.notifyDisconnect(ev.User, r.AP, r.TS)
 		}
 		return nil
 	}

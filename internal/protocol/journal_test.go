@@ -6,6 +6,7 @@ package protocol
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -254,36 +255,42 @@ func copyJournal(t *testing.T, name string) string {
 	return dir
 }
 
-// TestJournalRejectsVersion1Checkpoint: testdata/journal_v1 is a journal
-// directory of two releases ago — the scenario of
-// TestJournalCheckpointRestoresObserverState, with the observer's state
-// as a JSON document inside the checkpoint document. That format is no
-// longer read, and the one thing worse than refusing it would be to
-// recover the domain and quietly start learning from nothing.
+// TestJournalRejectsVersion1Checkpoint: a checkpoint document of a
+// version this release does not read — here the JSON document the first
+// releases wrote, whose '{' reads as version 123 — fails recovery with
+// its number, instead of the controller recovering the domain and
+// quietly starting to learn from nothing.
 func TestJournalRejectsVersion1Checkpoint(t *testing.T) {
-	_, err := NewController(baseline.LLF{}, WithObserver(incremental.New(observerEngineConfig())),
-		WithJournal(copyJournal(t, "journal_v1"), journal.Options{Fsync: journal.FsyncAlways, CheckpointEvery: 4}))
-	if err == nil || !strings.Contains(err.Error(), "JSON document") {
-		t.Fatalf("recovery of a version-1 checkpoint = %v, want an error naming the format", err)
+	dir := t.TempDir()
+	j, _, err := journal.Open(dir, journal.Options{Fsync: journal.FsyncAlways, State: func(w io.Writer) error {
+		_, err := io.WriteString(w, `{"version":1,"domain":{"version":1,"aps":[{"id":"ap-1","capacity_bps":1000000}]}}`+"\n")
+		return err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(journal.Record{Op: journal.OpRegister, AP: "ap-1", CapacityBps: 1e6, Static: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewController(baseline.LLF{}, WithObserver(incremental.New(observerEngineConfig())),
+		WithJournal(dir, journal.Options{Fsync: journal.FsyncAlways}))
+	if want := fmt.Sprintf("document version %d, this release reads %d", '{', checkpointVersion); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("recovery of a version-1 checkpoint = %v, want an error containing %q", err, want)
 	}
 }
 
 // TestJournalRecoversParentCheckpoint: testdata/journal_v3 is the
 // journal directory the scenario of
 // TestJournalCheckpointRestoresObserverState leaves behind in the
-// current layout (binary records and document): the fixture the next
-// format change is held to. testdata/journal_v2 is the same scenario as
-// the release before wrote it — JSON records, a JSON document line — whose
-// decoders were kept for one release and are gone: it must be refused by
-// name, not recovered as an empty controller.
+// current layout (binary records and document), as the release before
+// wrote it: the fixture the next format change is held to.
 func TestJournalRecoversParentCheckpoint(t *testing.T) {
-	t.Run("journal_v2", func(t *testing.T) {
-		_, err := NewController(baseline.LLF{}, WithObserver(incremental.New(observerEngineConfig())),
-			WithJournal(copyJournal(t, "journal_v2"), journal.Options{Fsync: journal.FsyncAlways, CheckpointEvery: 4}))
-		if err == nil || !strings.Contains(err.Error(), "JSON document") {
-			t.Fatalf("recovery of a JSON-layout journal = %v, want an error naming the format", err)
-		}
-	})
 	t.Run("journal_v3", func(t *testing.T) { recoversFixture(t, "journal_v3") })
 }
 

@@ -1,12 +1,11 @@
 package protocol
 
-// Controller lifecycle tests: AP leases and reconnection, session-log
+// Controller lifecycle tests: AP leases and re-registration, session-log
 // completeness across re-association, traffic crediting, accept-loop
 // recovery, lock-free selection overlap, and a fault-injected race soak.
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -53,44 +52,32 @@ func (r *recordingObserver) disconnectedFrom(u trace.UserID) (trace.APID, bool) 
 }
 
 // TestAPAgentReconnectRenewsRegistration kills the agent's transport and
-// verifies the next Report transparently redials, re-hellos, and lands as
-// a renewed registration instead of "already registered".
+// dials the same AP again: the second hello lands as a renewed
+// registration instead of "already registered", its reports apply, and
+// the controller still knows one AP.
 func TestAPAgentReconnectRenewsRegistration(t *testing.T) {
 	c, addr := startController(t, baseline.LLF{})
-
-	var mu sync.Mutex
-	var raws []net.Conn
-	rc := DefaultReconnectConfig()
-	rc.BaseDelay = 5 * time.Millisecond
-	rc.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-		raw, err := net.DialTimeout("tcp", addr, timeout)
-		if err == nil {
-			mu.Lock()
-			raws = append(raws, raw)
-			mu.Unlock()
-		}
-		return raw, err
-	}
-	agent, err := DialAPReconnecting(addr, "ap1", 1e6, testTimeout, rc)
+	agent, err := DialAP(addr, "ap1", 1e6, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer agent.Close()
 	if err := agent.Report(100); err != nil {
 		t.Fatal(err)
 	}
 
-	// Kill the transport out from under the agent.
-	mu.Lock()
-	raws[0].Close()
-	mu.Unlock()
-
-	// The next report must ride a fresh, renewed registration.
-	if err := agent.Report(4321); err != nil {
-		t.Fatalf("report after kill should reconnect, got %v", err)
+	// Kill the transport out from under the agent, then dial again.
+	agent.conn.Close()
+	renewed := obsAPRenewed.Value()
+	again, err := DialAP(addr, "ap1", 1e6, testTimeout)
+	if err != nil {
+		t.Fatalf("re-dial after kill: %v", err)
 	}
-	if agent.Reconnects() != 1 {
-		t.Errorf("reconnects = %d, want 1", agent.Reconnects())
+	defer again.Close()
+	if err := again.Report(4321); err != nil {
+		t.Fatal(err)
+	}
+	if got := obsAPRenewed.Value() - renewed; got != 1 {
+		t.Errorf("renewals = %d, want 1", got)
 	}
 	deadline := time.Now().Add(testTimeout)
 	for {
@@ -108,35 +95,53 @@ func TestAPAgentReconnectRenewsRegistration(t *testing.T) {
 	}
 }
 
-// TestBackoffJitterSequence pins the one retry delay the accept loop and
-// an agent's redial share: capped doubling from base, the jitter factor
-// drawn as 1 + j·(2·Float64() − 1) from a source seeded once, so a seed
-// draws the same delays it always has — across a reset too. Without
-// jitter nothing is drawn.
+// TestAgentSecondHelloRefused: an agent connection serves one AP. A
+// second hello on it is refused with an explicit MsgError, registers
+// nothing, and leaves the first AP's reports applying on the same
+// connection.
+func TestAgentSecondHelloRefused(t *testing.T) {
+	c, addr := startController(t, baseline.LLF{})
+	agent, err := DialAP(addr, "ap1", 1e6, testTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	if err := agent.conn.Send(Message{Type: MsgHello, Role: RoleAP, ID: "ap2", CapacityBps: 1e6}); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := agent.conn.Receive(); err != nil || reply.Type != MsgError {
+		t.Fatalf("second hello reply = %+v, %v; want %s", reply, err, MsgError)
+	}
+	if err := agent.Report(777); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(testTimeout)
+	for c.Snapshot()["ap1"].ReportedBps != 777 {
+		if time.Now().After(deadline) {
+			t.Fatalf("ap1 report not applied after the refused hello: %+v", c.Snapshot())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if snap := c.Snapshot(); len(snap) != 1 {
+		t.Errorf("registered APs = %v, want ap1 alone", snap)
+	}
+}
+
+// TestBackoffJitterSequence pins the accept loop's retry delay: capped
+// doubling from 5 ms to 1 s, back to 5 ms after a reset.
 func TestBackoffJitterSequence(t *testing.T) {
-	const base, max, jitter, seed = 25 * time.Millisecond, 200 * time.Millisecond, 0.2, 7
-	rng := rand.New(rand.NewSource(seed))
-	b := newBackoff(base, max, jitter, seed)
+	b := newBackoff(5*time.Millisecond, time.Second)
+	want := []time.Duration{5, 10, 20, 40, 80, 160, 320, 640, 1000, 1000}
 	for round := 0; round < 2; round++ {
 		b.reset()
-		delay := base
-		for i := 0; i < 6; i++ {
-			want := time.Duration(float64(delay) * (1 + jitter*(2*rng.Float64()-1)))
-			if got := b.next(); got != want {
-				t.Fatalf("round %d delay %d = %v, want %v", round, i, got, want)
-			}
-			delay = min(2*delay, max)
+		var got []time.Duration
+		for range want {
+			got = append(got, b.next())
 		}
-	}
-	plain := newBackoff(5*time.Millisecond, time.Second, 0, 0)
-	var got []time.Duration
-	for i := 0; i < 10; i++ {
-		got = append(got, plain.next())
-	}
-	want := []time.Duration{5, 10, 20, 40, 80, 160, 320, 640, 1000, 1000}
-	for i := range want {
-		if got[i] != want[i]*time.Millisecond {
-			t.Fatalf("unjittered delays = %v, want %v ms", got, want)
+		for i := range want {
+			if got[i] != want[i]*time.Millisecond {
+				t.Fatalf("round %d delays = %v, want %v ms", round, got, want)
+			}
 		}
 	}
 }
@@ -604,30 +609,33 @@ func TestChaosSoakRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rc := DefaultReconnectConfig()
-			rc.MaxAttempts = 100
-			rc.BaseDelay = 2 * time.Millisecond
-			rc.MaxDelay = 20 * time.Millisecond
-			rc.Seed = int64(i)
-			// The agent's own transport tears itself down every 15 writes,
-			// so agents keep losing their connection and redialing.
-			rc.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-				raw, err := net.DialTimeout("tcp", addr, timeout)
+			id := trace.APID(fmt.Sprintf("ap-%d", i))
+			// dial registers the AP and hands the agent a transport that
+			// tears itself down every 15 writes, so agents keep losing
+			// their connection and dialing again.
+			dial := func() *APAgent {
+				agent, err := DialAP(addr, id, 1e6, timeout)
 				if err != nil {
-					return nil, err
+					return nil
 				}
-				return faults.WrapConn(raw, int64(i), faults.Const(faults.ConnConfig{CloseAfterWrites: 15})), nil
+				agent.conn.raw = faults.WrapConn(agent.conn.raw, int64(i), faults.Const(faults.ConnConfig{CloseAfterWrites: 15}))
+				return agent
 			}
-			agent, err := DialAPReconnecting(addr, trace.APID(fmt.Sprintf("ap-%d", i)), 1e6, timeout, rc)
-			if err != nil {
-				return
-			}
-			defer agent.Close()
+			var agent *APAgent
 			for time.Now().Before(deadline) {
-				_ = agent.Report(float64(i) * 1e5)
+				switch {
+				case agent == nil:
+					agent = dial()
+				case agent.Report(float64(i)*1e5) != nil:
+					agent.Close()
+					agent = dial()
+					redials.Add(1)
+				}
 				time.Sleep(10 * time.Millisecond)
 			}
-			redials.Add(agent.Reconnects())
+			if agent != nil {
+				agent.Close()
+			}
 		}(i)
 	}
 	for i := 0; i < 8; i++ {

@@ -51,9 +51,9 @@ func waitQuiet(t *testing.T, c *Controller) {
 func assertConservation(t *testing.T, c *Controller) {
 	t.Helper()
 	c.mu.Lock()
-	assigned := make(map[trace.UserID]trace.APID, len(c.assignments))
-	for u, ap := range c.assignments {
-		assigned[u] = ap
+	assigned := make(map[trace.UserID]trace.APID, len(c.sessions))
+	for u, s := range c.sessions {
+		assigned[u] = s.ap
 	}
 	c.mu.Unlock()
 	users := 0
@@ -237,10 +237,10 @@ func TestAdmissionAssocRate(t *testing.T) {
 }
 
 // TestReportQueuePrunesLostOwnership: reports apply in the agent's read
-// loop, so the loop learns at once that a non-primary AP's registration
-// moved on and prunes it from the connection's owned set; the next
-// report for it is refused, and the rest of the group keeps reporting.
-// (The name predates the read loop's being the only report path.)
+// loop, so the loop learns at once that its AP's registration moved on:
+// the stale report does not apply, and the controller closes the
+// connection that lost the AP. (The name predates the read loop's being
+// the only report path.)
 func TestReportQueuePrunesLostOwnership(t *testing.T) {
 	c, err := NewController(baseline.LLF{}, WithTimeout(testTimeout))
 	if err != nil {
@@ -251,54 +251,40 @@ func TestReportQueuePrunesLostOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	g, err := DialAPGroup(addr, []APSpec{
-		{ID: "rq-a", CapacityBps: 1e6},
-		{ID: "rq-b", CapacityBps: 1e6},
-	}, testTimeout)
+	agent, err := DialAP(addr, "rq-a", 1e6, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
-
-	// rq-b's registration moves on (a superseding agent whose close has
-	// not reached this connection yet): the generation this connection
-	// holds is now stale, so its rq-b reports fail to apply.
-	c.mu.Lock()
-	c.meta["rq-b"].gen++
-	c.mu.Unlock()
-
-	// Keep reporting for rq-b: the first failed apply prunes it, and the
-	// next report is answered with an explicit not-owned error. Reports
-	// are otherwise unacknowledged, so any reply is that refusal.
-	g.conn.SetTimeout(100 * time.Millisecond)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if err := g.conn.Send(Message{Type: MsgReport, AP: "rq-b", LoadBps: 5}); err != nil {
-			t.Fatalf("report send: %v", err)
-		}
-		m, rerr := g.conn.Receive()
-		if rerr == nil {
-			if m.Type != MsgError {
-				t.Fatalf("reply = %s, want %s", m.Type, MsgError)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("stale rq-b reports were never refused: the read loop did not learn the lost registration")
-		}
-	}
-
-	// The primary registration is untouched: rq-a reports still apply on
-	// this same connection.
-	if err := g.conn.Send(Message{Type: MsgReport, AP: "rq-a", LoadBps: 4242}); err != nil {
+	defer agent.Close()
+	if err := agent.Report(4242); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for c.Snapshot()["rq-a"].ReportedBps != 4242 {
 		if time.Now().After(deadline) {
-			t.Fatal("rq-a report never applied after pruning rq-b")
+			t.Fatal("report never applied")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+
+	// rq-a's registration moves on (a superseding agent whose close has
+	// not reached this connection yet): the generation this connection
+	// holds is now stale.
+	c.mu.Lock()
+	c.meta["rq-a"].gen++
+	c.mu.Unlock()
+
+	// The next report finds that out: it does not apply, and the
+	// controller closes the connection. Reports are unacknowledged, so
+	// the close is the only answer.
+	if err := agent.Report(5); err != nil {
+		t.Fatalf("report send: %v", err)
+	}
+	if m, err := agent.conn.Receive(); !errors.Is(err, io.EOF) {
+		t.Fatalf("after a stale report: %+v, %v; want the connection closed", m, err)
+	}
+	if got := c.Snapshot()["rq-a"].ReportedBps; got != 4242 {
+		t.Errorf("reported load = %v after a stale report, want 4242", got)
 	}
 }
 

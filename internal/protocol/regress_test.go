@@ -69,7 +69,7 @@ func TestSameAPReassociationKeepsSession(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	c.mu.Lock()
-	firstAt := c.assignedAt["stayer"]
+	firstAt := c.sessions["stayer"].at
 	c.mu.Unlock()
 
 	// Same-AP re-association with a new demand.
@@ -87,8 +87,8 @@ func TestSameAPReassociationKeepsSession(t *testing.T) {
 	}
 
 	c.mu.Lock()
-	refreshAt := c.assignedAt["stayer"]
-	served := c.servedByUsr["stayer"]
+	refreshAt := c.sessions["stayer"].at
+	served := c.sessions["stayer"].served
 	c.mu.Unlock()
 	if refreshAt != firstAt {
 		t.Errorf("refresh reset assignedAt: %d -> %d", firstAt, refreshAt)
@@ -150,7 +150,7 @@ func TestSameAPRefreshJournalReplayParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.mu.Lock()
-	wantAt := a.assignedAt["u"]
+	wantAt := a.sessions["u"].at
 	a.mu.Unlock()
 	wantState := a.dom.ExportState()
 	wantSnap := a.Snapshot()
@@ -165,7 +165,7 @@ func TestSameAPRefreshJournalReplayParity(t *testing.T) {
 		t.Fatalf("recovery = %+v", rec)
 	}
 	b.mu.Lock()
-	gotAt := b.assignedAt["u"]
+	gotAt := b.sessions["u"].at
 	b.mu.Unlock()
 	if gotAt != wantAt {
 		t.Errorf("replayed assignedAt = %d, want %d (refresh must not split the session)", gotAt, wantAt)
@@ -317,7 +317,7 @@ func binaryPortCrashRecovery(t *testing.T, live bool) {
 		t.Fatal(err)
 	}
 	a.mu.Lock()
-	wantAssign, _ := json.Marshal(a.assignments)
+	wantAssign, _ := json.Marshal(assignmentsOf(a))
 	a.mu.Unlock()
 	// Crash: no Close — journal file handle abandoned, listeners leak
 	// until the test process exits.
@@ -347,7 +347,7 @@ func binaryPortCrashRecovery(t *testing.T, live bool) {
 		t.Fatalf("recovered domain state not byte-identical:\nwant %s\ngot  %s", wantState, gotState)
 	}
 	b.mu.Lock()
-	gotAssign, _ := json.Marshal(b.assignments)
+	gotAssign, _ := json.Marshal(assignmentsOf(b))
 	b.mu.Unlock()
 	if string(gotAssign) != string(wantAssign) {
 		t.Fatalf("recovered assignments not byte-identical:\nwant %s\ngot  %s", wantAssign, gotAssign)
@@ -356,8 +356,7 @@ func binaryPortCrashRecovery(t *testing.T, live bool) {
 
 // TestDisassocCheckpointConsistency: a checkpoint triggered by the
 // disassociation record itself (checkpoint-every-1 forces rotation on
-// each append) must capture the user fully removed — assignments,
-// assignedAt and servedByUsr together — never a half-deleted ghost.
+// each append) must capture the user's session removed, never a ghost.
 func TestDisassocCheckpointConsistency(t *testing.T) {
 	dir := t.TempDir()
 	a, err := NewController(baseline.LLF{},
@@ -381,14 +380,21 @@ func TestDisassocCheckpointConsistency(t *testing.T) {
 	}
 	defer b.Close()
 	b.mu.Lock()
-	_, inAssign := b.assignments["ghost"]
-	_, inAt := b.assignedAt["ghost"]
-	_, inServed := b.servedByUsr["ghost"]
+	s, ghost := b.sessions["ghost"]
 	b.mu.Unlock()
-	if inAssign || inAt || inServed {
-		t.Errorf("recovered ghost user: assignments=%v assignedAt=%v servedByUsr=%v",
-			inAssign, inAt, inServed)
+	if ghost {
+		t.Errorf("recovered ghost user: %+v", s)
 	}
+}
+
+// assignmentsOf copies c's user → AP assignments out of its session
+// table.
+func assignmentsOf(c *Controller) map[trace.UserID]trace.APID {
+	out := make(map[trace.UserID]trace.APID, len(c.sessions))
+	for u, s := range c.sessions {
+		out[u] = s.ap
+	}
+	return out
 }
 
 // TestAssociateSteadyStateAllocs gates the association fast path: a

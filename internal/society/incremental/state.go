@@ -30,8 +30,8 @@ import (
 // dominates it, the tally rows: uvarints against a user table, and since
 // the engine counts by user id a row is its table entry as it stands —
 // one walk, no interning. It is version 2 as the releases before the id
-// table wrote and read it; version 1, a JSON document, starts with '{'
-// and is refused by name.
+// table wrote and read it; a stream that opens with any other version
+// byte is refused by its number.
 
 const (
 	// stateVersion is the format's number: the byte that opens the stream
@@ -257,16 +257,13 @@ func decodeState(br *bufio.Reader, cfg society.Config, h *stateHeader) (*tallies
 }
 
 // readMarker consumes the stateVersion byte that opens each half of the
-// stream, naming the retired JSON format if that is what it finds.
+// stream.
 func readMarker(br *bufio.Reader) error {
-	switch first, err := br.ReadByte(); {
+	switch v, err := br.ReadByte(); {
 	case err != nil:
 		return noEOF(err)
-	case first == '{':
-		return errors.New("this is the version-1 JSON format, which is no longer read " +
-			"(run the previous release on it once: it checkpoints in the binary format)")
-	case first != stateVersion:
-		return fmt.Errorf("unrecognized format (first byte %#x)", first)
+	case v != stateVersion:
+		return fmt.Errorf("state version %d, this release reads %d", v, stateVersion)
 	}
 	return nil
 }

@@ -168,19 +168,20 @@ func TestEngineStateRoundtripWithTypes(t *testing.T) {
 	snapshotsEquivalent(t, "typed restore future", orig.Snapshot(), restored.Snapshot())
 }
 
-// TestEngineReadStateVersion1: testdata/engine_state_v1.json is
-// typedEngine's state as the JSON WriteState of two releases ago wrote
-// it. The decoder for it is gone; what must remain is that restoring it
-// fails by name instead of quietly starting from nothing.
+// TestEngineReadStateVersion1: a state of a version this release does
+// not read — here version 1's marker ahead of an otherwise well-formed
+// current stream — is refused by its number, and leaves the engine as
+// it was instead of quietly starting from nothing.
 func TestEngineReadStateVersion1(t *testing.T) {
-	v1, err := os.ReadFile("testdata/engine_state_v1.json")
-	if err != nil {
+	var cur bytes.Buffer
+	if err := typedEngine(testStateConfig()).WriteState(&cur); err != nil {
 		t.Fatal(err)
 	}
+	v1 := append([]byte{1}, cur.Bytes()[1:]...)
 	e := New(testStateConfig())
-	err = e.ReadState(bytes.NewReader(v1))
-	if err == nil || !strings.Contains(err.Error(), "version-1 JSON format") {
-		t.Fatalf("ReadState(version 1) = %v, want an error naming the version-1 JSON format", err)
+	err := e.ReadState(bytes.NewReader(v1))
+	if want := fmt.Sprintf("state version 1, this release reads %d", stateVersion); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ReadState(version 1) = %v, want an error containing %q", err, want)
 	}
 	if e.Snapshot().Seq != 0 {
 		t.Fatal("a rejected state must leave the engine untouched")
@@ -283,24 +284,20 @@ func TestEngineReadStateForgedCounts(t *testing.T) {
 }
 
 // FuzzEngineReadState: ReadState takes bytes from disk. Whatever they
-// are — the retired JSON format, truncated, with forged counts or user
-// indices — it must return an error or a consistent, working engine,
-// never panic.
+// are — another version's, a JSON document, truncated, with forged
+// counts or user indices — it must return an error or a consistent,
+// working engine, never panic.
 func FuzzEngineReadState(f *testing.F) {
 	cfg := testStateConfig()
 	var v2 bytes.Buffer
 	if err := typedEngine(cfg).WriteState(&v2); err != nil {
 		f.Fatal(err)
 	}
-	v1, err := os.ReadFile("testdata/engine_state_v1.json")
-	if err != nil {
-		f.Fatal(err)
-	}
 	fixture, err := os.ReadFile("testdata/engine_state_v2.bin")
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v1)
+	f.Add(append([]byte{1}, v2.Bytes()[1:]...))
 	f.Add(fixture)
 	f.Add(v2.Bytes())
 	f.Add(v2.Bytes()[:v2.Len()/2])
