@@ -20,12 +20,6 @@ func (c *CDF) Add(x float64) {
 	c.isDirty = true
 }
 
-// AddAll inserts many samples.
-func (c *CDF) AddAll(xs []float64) {
-	c.dirty = append(c.dirty, xs...)
-	c.isDirty = true
-}
-
 // Len reports the number of samples.
 func (c *CDF) Len() int { return len(c.sorted) + len(c.dirty) }
 
@@ -131,69 +125,4 @@ func (w *Welford) Variance() float64 {
 		return 0
 	}
 	return w.m2 / float64(w.n)
-}
-
-// Merge folds another accumulator into this one (parallel Welford).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	mean := w.mean + delta*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.n, w.mean, w.m2 = n, mean, m2
-}
-
-// Histogram counts samples into equal-width bins over [lo, hi). Samples
-// outside the range are clamped into the first/last bin so totals are
-// preserved.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with the given number of bins over
-// [lo, hi). It panics if bins <= 0 or hi <= lo, which indicates programmer
-// error rather than data error.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add inserts a sample.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(bins))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of samples added.
-func (h *Histogram) Total() int { return h.total }
-
-// Fractions returns each bin's share of the total (empty histogram yields
-// all zeros).
-func (h *Histogram) Fractions() []float64 {
-	fr := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return fr
-	}
-	for i, c := range h.Counts {
-		fr[i] = float64(c) / float64(h.total)
-	}
-	return fr
 }

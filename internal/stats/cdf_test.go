@@ -112,79 +112,6 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestWelfordMerge(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	var a, b, whole Welford
-	for i, x := range xs {
-		whole.Add(x)
-		if i < 3 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if !almostEqual(a.Mean(), whole.Mean(), 1e-9) ||
-		!almostEqual(a.Variance(), whole.Variance(), 1e-9) {
-		t.Errorf("merged (%v, %v) != whole (%v, %v)",
-			a.Mean(), a.Variance(), whole.Mean(), whole.Variance())
-	}
-	// Merging into an empty accumulator copies.
-	var empty Welford
-	empty.Merge(whole)
-	if empty.N() != whole.N() || !almostEqual(empty.Mean(), whole.Mean(), 1e-12) {
-		t.Error("merge into empty should copy")
-	}
-	// Merging an empty accumulator is a no-op.
-	n := whole.N()
-	whole.Merge(Welford{})
-	if whole.N() != n {
-		t.Error("merging empty should be a no-op")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5, 9.99, -3, 42} {
-		h.Add(x)
-	}
-	want := []int{3, 1, 1, 0, 2} // -3 clamps into bin 0, 42 into bin 4
-	for i, c := range want {
-		if h.Counts[i] != c {
-			t.Fatalf("Counts = %v, want %v", h.Counts, want)
-		}
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
-	}
-	fr := h.Fractions()
-	var sum float64
-	for _, f := range fr {
-		sum += f
-	}
-	if !almostEqual(sum, 1, 1e-12) {
-		t.Errorf("fractions sum to %v, want 1", sum)
-	}
-}
-
-func TestHistogramEmptyFractions(t *testing.T) {
-	h := NewHistogram(0, 1, 3)
-	for _, f := range h.Fractions() {
-		if f != 0 {
-			t.Errorf("empty fractions = %v", h.Fractions())
-		}
-	}
-}
-
-func TestHistogramPanicsOnBadParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for invalid params")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 func TestCDFString(t *testing.T) {
 	c := newCDF([]float64{1, 2, 3})
 	if s := c.String(); s == "" {
@@ -193,9 +120,11 @@ func TestCDFString(t *testing.T) {
 }
 
 // newCDF is a CDF of the samples, built the way callers build one: the
-// zero CDF plus AddAll (there is no constructor).
+// zero CDF plus Add (there is no constructor).
 func newCDF(samples []float64) *CDF {
 	c := &CDF{}
-	c.AddAll(samples)
+	for _, x := range samples {
+		c.Add(x)
+	}
 	return c
 }

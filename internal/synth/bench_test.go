@@ -1,6 +1,12 @@
 package synth
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"github.com/s3wlan/s3wlan/internal/trace"
+)
 
 // BenchmarkGenerate is one default campus (27 000 sessions, 388 000 flows)
 // from configuration to sorted trace, the seed rotating over three values
@@ -13,5 +19,20 @@ func BenchmarkGenerate(b *testing.B) {
 		if _, _, err := Generate(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDayMood is one per-(user, day) mood, a reseed and about six
+// normal draws, walking a default campus's 600 users day by day.
+func BenchmarkDayMood(b *testing.B) {
+	users := make([]trace.UserID, DefaultConfig().Users)
+	for i := range users {
+		users[i] = trace.UserID(fmt.Sprintf("user-%04d", i))
+	}
+	rng := rand.New(new(moodSource))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dayMood(rng, 1, users[i%len(users)], i/len(users))
 	}
 }

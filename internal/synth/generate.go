@@ -254,11 +254,8 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 	// gap statistic (Fig. 7) needs to stop at the true k.
 	rate := make([]float64, len(allUsers)) // mean demand, bytes/second
 	userMix := make([][apps.NumRealms]float64, len(allUsers))
-	moods := make([][apps.NumRealms]float64, len(allUsers)) // dayMood of moodDay
-	moodDay := make([]int, len(allUsers))
 	var soloUsers, residentUsers []int
 	for i, u := range allUsers {
-		moodDay[i] = math.MinInt // no day yet
 		arch := truth.UserArchetype[u]
 		rate[i] = archetypeRates[arch] * (0.6 + rng.Float64()*0.8) // × 0.6..1.4
 		personal := &userMix[i]
@@ -310,7 +307,7 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 	var dayFlows []trace.Flow
 	flowsOfDay := make([][]trace.Flow, 0, cfg.Days)
 
-	moodRng := rand.New(rand.NewSource(0)) // reseeded by every dayMood
+	moodRng := rand.New(new(moodSource)) // reseeded by every dayMood
 
 	emit := func(i int, ctl trace.ControllerID, start, end int64) {
 		if end <= start {
@@ -336,12 +333,10 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 			DisconnectAt: end,
 			Bytes:        bytes,
 		})
-		if day := trace.DayIndex(cfg.Epoch, start); day != moodDay[i] { // else: same day, same mood
-			moods[i], moodDay[i] = dayMood(moodRng, cfg.Seed, u, day), day
-		}
+		mood := dayMood(moodRng, cfg.Seed, u, trace.DayIndex(cfg.Epoch, start))
 		mix := userMix[i]
 		for r := range mix {
-			mix[r] *= moods[i][r]
+			mix[r] *= mood[r]
 		}
 		dayFlows = emitFlows(dayFlows, rng, u, mix, start, end, bytes)
 	}
@@ -427,9 +422,9 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 // lognormal per-realm factor that makes any single day a noisy estimate of
 // the user's long-term profile. This drives the paper's Fig. 6 behaviour —
 // the NMI between today's profile and aggregated history keeps improving
-// for a week or two before it plateaus. Derived from a hash so it is
-// deterministic regardless of generation order, and reseeds rng rather than
-// allocate a 5 KB generator for each of a campus's 14 600 moods.
+// for a week or two before it plateaus. rng is reseeded from a hash of
+// (seed, user, day), so a mood is the same whenever it is drawn; rng's
+// moodSource makes that reseeding as cheap as the six draws that follow.
 func dayMood(rng *rand.Rand, seed int64, u trace.UserID, day int) [apps.NumRealms]float64 {
 	h := fnv.New64a()
 	var buf [16]byte
