@@ -29,7 +29,9 @@ bench-selftest:
 
 # A/B of this checkout against PARENT on workload W: N alternating pairs
 # of `bench/run.sh --seed 1 --seconds 12`, medians, quartiles, k/N ahead
-# and the verdict against BENCHMARK.json's bounds (scripts/bench-ab.sh).
+# with its exact sign-test p and the verdict against BENCHMARK.json's
+# bounds, then one traced run per side; it fails if the two sides'
+# driver.assign_hash differ (scripts/bench-ab.sh).
 PARENT ?= HEAD
 W ?= paperfigs
 N ?= 10

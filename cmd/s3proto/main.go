@@ -31,11 +31,11 @@
 // -fsync and -checkpoint-every flags govern the per-group journals;
 // -ownership overrides the round-robin home map derived from -peers.
 //
-// With -journal the controller appends every domain mutation to a
-// write-ahead journal (internal/journal) and checkpoints its full state
-// every -checkpoint-every records; restarted with the same directory it
-// resumes with believed loads, assignments and the θ-graph intact. The
-// -fsync flag picks the durability/throughput trade-off.
+// With -journal the controller journals every domain mutation and
+// checkpoints its state every -checkpoint-every records, and not before
+// the log since the last checkpoint outweighs it; restarted on the same
+// directory it resumes with believed loads, assignments and the θ-graph
+// intact (internal/journal). -fsync picks the durability trade-off.
 //
 // With -pprof the debug HTTP server also serves /metrics in Prometheus
 // text format (every internal/obs counter, gauge and histogram). With
@@ -110,7 +110,7 @@ func run(args []string, out io.Writer) (err error) {
 
 		journalDir = fs.String("journal", "", "write-ahead journal directory (empty = no durability)")
 		fsyncMode  = fs.String("fsync", "always", "journal fsync policy: always, interval or off")
-		ckptEvery  = fs.Int("checkpoint-every", 1024, "journal: checkpoint and rotate after this many records (0 = never)")
+		ckptEvery  = fs.Int("checkpoint-every", 1024, "journal: checkpoint and rotate after this many records, and not before the log since the last checkpoint outweighs it (0 = never)")
 		recovChk   = fs.Int("recover-check", -1, "recover from -journal, assert this many recovered assignments, then exit (CI)")
 
 		driveAddr = fs.String("drive", "", "drive a running controller at this address: register APs, associate stations, hold")

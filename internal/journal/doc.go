@@ -47,14 +47,20 @@
 //
 // # Checkpoints and rotation
 //
-// Every CheckpointEvery appended records the journal asks its owner for
-// a full state snapshot (Options.State, written in place into the same
-// reused frame buffer), writes it atomically (temp + fsync + rename) as
+// Every CheckpointEvery records, and not before the log since the last
+// checkpoint outweighs it, the journal asks its owner for a full state
+// snapshot (Options.State, written in place into the reused frame
+// buffer), writes it atomically (temp + fsync + rename) as
 // ckpt-<seq>.snap, rotates to a fresh segment seg-<seq+1>.wal, and
-// deletes segments and checkpoints made redundant by the two most recent
+// deletes segments and checkpoints made redundant by the two newest
 // checkpoints. Recovery loads the newest checkpoint that validates
 // (falling back to its predecessor if the newest is damaged) and replays
 // every surviving record with a sequence number beyond it.
+//
+// "Outweighs" compares framed bytes with the last checkpoint's frame (at
+// first the one Open recovered). This is log compaction by size: past
+// the record floor at most one checkpoint byte is written per WAL byte,
+// and a restart replays at most about one checkpoint's worth.
 //
 // Appends are serialized by the caller's commit path; the journal adds
 // only its own file-level locking, so Append is safe for concurrent use

@@ -27,7 +27,7 @@ var (
 	obsAppendErrs  = obs.GetCounter("journal.append_errors", "Failed appends: encode, write or fsync errors")
 	obsFsyncs      = obs.GetCounter("journal.fsyncs", "Segment fsyncs (per append under FsyncAlways, per tick under FsyncInterval)")
 	obsFsync       = obs.GetHistogram("journal.fsync", "Latency of one segment flush+fsync")
-	obsCheckpoints = obs.GetCounter("journal.checkpoints", "Checkpoints written (every CheckpointEvery records, plus forced ones)")
+	obsCheckpoints = obs.GetCounter("journal.checkpoints", "Checkpoints written (every CheckpointEvery records, and not before the log since the last checkpoint outweighs it; plus forced ones)")
 	obsCkptErrs    = obs.GetCounter("journal.checkpoint_errors", "Failed checkpoints (compaction degrades, correctness unaffected)")
 	obsCkptHist    = obs.GetHistogram("journal.checkpoint", "Latency of one checkpoint write + segment rotation")
 	obsCkptBytes   = obs.GetCounter("journal.checkpoint_bytes", "Checkpoint payload bytes written (owner state, before framing)")
@@ -98,8 +98,8 @@ type Options struct {
 	// FsyncInterval is the background flush period under FsyncInterval
 	// (default 100ms).
 	FsyncInterval time.Duration
-	// CheckpointEvery rotates the journal through a checkpoint after
-	// this many appended records; 0 disables checkpointing.
+	// CheckpointEvery checkpoints + rotates every this many records, and
+	// not before the log since the last checkpoint outweighs it; 0: never.
 	CheckpointEvery int
 	// State, when non-nil, writes the owner's full state snapshot for a
 	// checkpoint. It is invoked synchronously from Append, so it observes
@@ -136,14 +136,14 @@ type Journal struct {
 	dir  string
 	opts Options
 
-	mu        sync.Mutex
-	f         File
-	bw        *bufio.Writer
-	frame     bytes.Buffer // the record or checkpoint frame being built, reused
-	seq       uint64       // last assigned sequence number
-	epoch     uint64       // stamped into every appended record
-	sinceCkpt int
-	closed    bool
+	mu                  sync.Mutex
+	f                   File
+	bw                  *bufio.Writer
+	frame               bytes.Buffer // the record or checkpoint frame being built, reused
+	seq                 uint64       // last assigned sequence number
+	sinceCkpt, walSince int          // records, and their framed bytes, since the last checkpoint
+	ckptBytes           int          // the newest checkpoint's framed bytes (a bare header before the first)
+	closed              bool
 
 	stopFlush chan struct{}
 	flushDone chan struct{}
@@ -203,7 +203,7 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	j := &Journal{dir: dir, opts: opts, epoch: opts.Epoch, seq: rec.Stats.LastSeq}
+	j := &Journal{dir: dir, opts: opts, seq: rec.Stats.LastSeq, ckptBytes: FrameHeaderLen + len(rec.Checkpoint)}
 	if err := j.openSegmentLocked(j.seq + 1); err != nil {
 		return nil, nil, err
 	}
@@ -228,19 +228,9 @@ func (j *Journal) Seq() uint64 {
 	return j.seq
 }
 
-// Epoch returns the writer's current ownership generation.
-func (j *Journal) Epoch() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.epoch
-}
-
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // Append assigns the next sequence number to rec, frames and writes it,
-// applies the fsync policy, and checkpoints + rotates when due. The
-// caller's record is not retained.
+// applies the fsync policy, and checkpoints + rotates when due (see
+// Options.CheckpointEvery). The caller's record is not retained.
 func (j *Journal) Append(rec Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -248,7 +238,7 @@ func (j *Journal) Append(rec Record) error {
 		return fmt.Errorf("journal: append after close")
 	}
 	rec.Seq = j.seq + 1
-	rec.Epoch = j.epoch
+	rec.Epoch = j.opts.Epoch
 	j.frame.Reset()
 	frame, err := AppendRecord(beginFrame(j.frame.AvailableBuffer()), &rec)
 	if err != nil {
@@ -278,8 +268,9 @@ func (j *Journal) Append(rec Record) error {
 	obsSeq.Set(int64(j.seq))
 
 	j.sinceCkpt++
-	if j.opts.CheckpointEvery > 0 && j.opts.State != nil && j.sinceCkpt >= j.opts.CheckpointEvery {
-		j.sinceCkpt = 0
+	j.walSince += len(frame)
+	if j.opts.CheckpointEvery > 0 && j.opts.State != nil &&
+		j.sinceCkpt >= j.opts.CheckpointEvery && j.walSince >= j.ckptBytes {
 		if err := j.checkpointLocked(); err != nil {
 			// A failed checkpoint degrades compaction, not correctness:
 			// the tail simply stays longer. Count and carry on.
@@ -301,7 +292,6 @@ func (j *Journal) Checkpoint() error {
 	if j.opts.State == nil {
 		return nil
 	}
-	j.sinceCkpt = 0
 	return j.checkpointLocked()
 }
 
@@ -393,6 +383,7 @@ func (j *Journal) openSegmentLocked(firstSeq uint64) error {
 func (j *Journal) checkpointLocked() error {
 	start := time.Now()
 	seq := j.seq
+	j.sinceCkpt, j.walSince = 0, 0 // forced, automatic, failed or not
 	err := atomicfile.WriteFile(checkpointPath(j.dir, seq), func(w io.Writer) error {
 		j.frame.Reset()
 		j.frame.Write(beginFrame(j.frame.AvailableBuffer()))
@@ -420,6 +411,7 @@ func (j *Journal) checkpointLocked() error {
 	if err := j.openSegmentLocked(seq + 1); err != nil {
 		return err
 	}
+	j.ckptBytes = j.frame.Len() // only a checkpoint that succeeds moves the size to outweigh
 	obsRotations.Inc()
 	obsCheckpoints.Inc()
 	obsCkptHist.Observe(time.Since(start))

@@ -602,6 +602,76 @@ func crashPointSweep(t *testing.T, live bool) {
 	}
 }
 
+// TestControllerCheckpointAmortised bulk-associates 20 000 residents at
+// the shipped CheckpointEvery and holds the checkpoints to the WAL: their
+// bytes stay within the WAL bytes appended plus the newest checkpoint
+// (a checkpoint every 1 024 records rewrote the growing resident table
+// for ≈ 6× the WAL). A crash then recovers the identical state, and the
+// replayed tail is one the cadence would not yet have checkpointed:
+// fewer records than the floor, or fewer bytes than the checkpoint.
+func TestControllerCheckpointAmortised(t *testing.T) {
+	const every, residents = 1024, 20000
+	dir := t.TempDir()
+	opts := journal.Options{Fsync: journal.FsyncOff, FlushEachAppend: true, CheckpointEvery: every}
+	var clk atomic.Int64
+	now := func() int64 { return clk.Add(1) }
+	a, err := NewController(baseline.LLF{}, WithClock(now), WithJournal(dir, opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckptBytes, appendBytes := obs.GetCounter("journal.checkpoint_bytes"), obs.GetCounter("journal.append_bytes")
+	checkpoints := obs.GetCounter("journal.checkpoints")
+	ckpt0, append0, n0 := ckptBytes.Value(), appendBytes.Value(), checkpoints.Value()
+	for i := 0; i < 16; i++ {
+		if err := a.RegisterAP(trace.APID(fmt.Sprintf("ap-%02d", i)), 1e12); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < residents; i++ {
+		if _, err := a.Associate(trace.UserID(fmt.Sprintf("u-%05d", i)), 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wrote, appended, taken := ckptBytes.Value()-ckpt0, appendBytes.Value()-append0, checkpoints.Value()-n0
+	if taken < 2 {
+		t.Fatalf("%d checkpoints over %d residents; the bound needs at least 2", taken, residents)
+	}
+	want, wantSnap := a.dom.ExportState(), a.Snapshot()
+	// Crash: a is abandoned without Close; every record is flushed.
+
+	b, err := NewController(baseline.LLF{}, WithClock(now), WithJournal(dir, opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	rec := b.Recovery()
+	if rec.ReplayErrors != 0 || rec.Assignments != residents {
+		t.Fatalf("recovery = %+v, want %d assignments and no errors", rec, residents)
+	}
+	if !reflect.DeepEqual(b.dom.ExportState(), want) || !reflect.DeepEqual(b.Snapshot(), wantSnap) {
+		t.Fatal("recovered state diverged from the pre-crash one")
+	}
+	// The recovered checkpoint is the newest; the tail is the one segment
+	// after it.
+	seq := rec.Stats.CheckpointSeq
+	newest, err := os.Stat(filepath.Join(dir, fmt.Sprintf("ckpt-%020d.snap", seq)))
+	if err != nil {
+		t.Fatalf("recovered checkpoint %d: %v", seq, err)
+	}
+	tail, err := os.Stat(filepath.Join(dir, fmt.Sprintf("seg-%020d.wal", seq+1)))
+	if err != nil {
+		t.Fatalf("segment after checkpoint %d: %v", seq, err)
+	}
+	t.Logf("%d checkpoints, %d checkpoint bytes, %d WAL bytes (ratio %.2f); recovery: checkpoint %d of %d bytes, %d records of %d bytes replayed",
+		taken, wrote, appended, float64(wrote)/float64(appended), seq, newest.Size(), rec.Stats.RecordsReplayed, tail.Size())
+	if wrote > appended+newest.Size() {
+		t.Fatalf("checkpoints wrote %d bytes > %d WAL bytes + %d newest", wrote, appended, newest.Size())
+	}
+	if rec.Stats.RecordsReplayed >= every && tail.Size() >= newest.Size() {
+		t.Fatalf("replayed %d records of %d bytes past a %d-byte checkpoint: one was due", rec.Stats.RecordsReplayed, tail.Size(), newest.Size())
+	}
+}
+
 // TestJournalReplayErrorTolerance hand-crafts a journal whose tail
 // references state that never existed (as if the establishing records
 // were lost to corruption) and verifies recovery skips and counts those

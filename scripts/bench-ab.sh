@@ -10,8 +10,16 @@
 # (parent change, change parent, …) so drift in the host lands on both,
 # and prints, per end-to-end metric of BENCHMARK.json: both medians with
 # quartiles, change/parent, how many of the N pairs the change was ahead
-# in, and the verdict against the metric's bound. The result lines are
-# kept in .bench_build/ab-<workload>/. Needs git, jq and awk.
+# in with the exact two-sided sign-test p-value of that count, and the
+# verdict against the metric's bound. Then it runs each side once more,
+# traced (`--trace 1`), prints both sides' driver.assign_hash and exits
+# non-zero if they differ: a change that moves an assignment fails. The
+# result lines are kept in .bench_build/ab-<workload>/. Needs git, jq and
+# awk.
+#
+# The sign test: under "no difference" each pair is a fair coin, so k of
+# N ahead has p = min(1, 2·P[X ≥ max(k, N−k)]) with X ~ Binomial(N, ½).
+# At N = 10, 9/10 reads 0.021 and 10/10 reads 0.002.
 #
 # Verdicts, as the acceptance driver reads a pair of run sets:
 #   WORSE       the change's median is worse than the parent's by more
@@ -39,11 +47,15 @@ trap 'git -C "$root" worktree remove --force "$wt" >/dev/null 2>&1 || true' EXIT
 rm -rf "$out"
 mkdir -p "$out"
 
+bench() { # bench <side> <output file> [flag...]: one run in that side's checkout
+	local dir=$root side=$1 dst=$2
+	shift 2
+	[ "$side" = parent ] && dir=$wt
+	(cd "$dir" && bash bench/run.sh --workload "$workload" --seed 1 --seconds 12 "$@") >"$dst"
+}
 run() { # run <side> <pair>
-	local dir=$root
-	[ "$1" = parent ] && dir=$wt
 	echo "bench-ab: $workload pair $2/$n: $1" >&2
-	(cd "$dir" && bash bench/run.sh --workload "$workload" --seed 1 --seconds 12) >"$out/$1-$2.txt"
+	bench "$1" "$out/$1-$2.txt"
 	tail -n 1 "$out/$1-$2.txt" | jq -r --arg side "$1" --arg pair "$2" '
 		(.metrics | to_entries[] | [$side, $pair, .key, .value.value]),
 		[$side, $pair, "attempted", .attempted], [$side, $pair, "failed", .failed]
@@ -68,6 +80,14 @@ awk -F'\t' -v n="$n" '
 		if (lo >= m) return s[m]
 		return s[lo] + (pos - lo) * (s[lo + 1] - s[lo])
 	}
+	# sign(k, n): exact two-sided sign-test p-value of k of n pairs ahead.
+	function sign(k, n,   m, i, c, tail) {
+		m = k > n - k ? k : n - k
+		c = 1; tail = 0
+		for (i = 0; i <= n; i++) { if (i >= m) tail += c; c = c * (n - i) / (i + 1) }
+		tail /= 2 ^ n
+		return 2 * tail < 1 ? 2 * tail : 1
+	}
 	function sorted(side, name, s,   i, j, m, t) {
 		m = 0
 		for (i = 1; i <= n; i++) if ((side, i, name) in v) s[++m] = v[side, i, name]
@@ -83,13 +103,13 @@ awk -F'\t' -v n="$n" '
 			printf "%s: %d of %d operations failed\n", sd, f, a
 		}
 		print ""
-		print "| metric | unit | parent median [q1, q3] | change median [q1, q3] | change/parent | change ahead | bound | verdict |"
-		print "|---|---|---|---|---|---|---|---|"
+		print "| metric | unit | parent median [q1, q3] | change median [q1, q3] | change/parent | change ahead | sign p | bound | verdict |"
+		print "|---|---|---|---|---|---|---|---|---|"
 		for (k = 1; k <= nm; k++) {
 			name = names[k]
 			delete p; delete c
 			mp = sorted("parent", name, p); mc = sorted("change", name, c)
-			if (mp == 0 || mc == 0) { printf "| %s | %s | — | — | | | | missing |\n", name, unit[name]; continue }
+			if (mp == 0 || mc == 0) { printf "| %s | %s | — | — | | | | | missing |\n", name, unit[name]; continue }
 			p1 = q(p, 1, mp); p2 = q(p, 2, mp); p3 = q(p, 3, mp)
 			c1 = q(c, 1, mc); c2 = q(c, 2, mc); c3 = q(c, 3, mc)
 			up = better[name] == "higher"
@@ -103,7 +123,21 @@ awk -F'\t' -v n="$n" '
 			if (worse > bound[name]) verdict = "WORSE"
 			else if (name != "setup_s" && ((p3 - p1) / p2 > bound[name] || (c3 - c1) / c2 > bound[name])) verdict = "unresolved"
 			else if (ahead >= 0.9 * n && gainBy > p3 - p1) verdict = "gain"
-			printf "| %s | %s | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] | %.3f | %d/%d | %.0f%% | %s |\n", \
-				name, unit[name], p2, p1, p3, c2, c1, c3, p2 == 0 ? 0 : c2 / p2, ahead, n, 100 * bound[name], verdict
+			printf "| %s | %s | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] | %.3f | %d/%d | %.3g | %.0f%% | %s |\n", \
+				name, unit[name], p2, p1, p3, c2, c1, c3, p2 == 0 ? 0 : c2 / p2, ahead, n, sign(ahead, n), 100 * bound[name], verdict
 		}
 	}' "$out/metrics.tsv" "$out/values.tsv" | tee "$out/summary.md"
+
+# One traced run per side: the assignments must be the same.
+declare -A hash
+for side in parent change; do
+	echo "bench-ab: $workload traced: $side" >&2
+	bench "$side" "$out/$side-traced.txt" --trace 1
+	hash[$side]=$(tail -n 1 "$out/$side-traced.txt" | jq -r '.metrics["driver.assign_hash"].value // "missing"')
+done
+echo
+echo "driver.assign_hash: parent ${hash[parent]}, change ${hash[change]}" | tee -a "$out/summary.md"
+if [ "${hash[parent]}" = missing ] || [ "${hash[parent]}" != "${hash[change]}" ]; then
+	echo "bench-ab: the change moved the assignments" | tee -a "$out/summary.md" >&2
+	exit 1
+fi
