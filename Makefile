@@ -58,26 +58,26 @@ overload-soak:
 	$(GO) test -race -count=1 -v -run 'TestAdmission|TestShed|TestHelloTimeout|TestPanicContainment|TestOverloadSoak|TestBreaker|TestReportQueue' ./internal/protocol ./internal/federation
 	$(GO) test -race -count=1 -v ./internal/faults
 
-# Record a flight ring from a controller while `s3proto -drive` loads it, stop
+# Record a flight ring from a controller while `s3 proto -drive` loads it, stop
 # the controller with SIGTERM, then decode and health-check the ring.
 FLIGHT_DIR ?= /tmp/s3flight
 FLIGHT_ADDR ?= 127.0.0.1:4790
 flight-smoke:
 	rm -rf $(FLIGHT_DIR) $(FLIGHT_DIR)-bin
-	$(GO) build -o $(FLIGHT_DIR)-bin/ ./cmd/s3proto ./cmd/s3diag
-	$(FLIGHT_DIR)-bin/s3proto -listen $(FLIGHT_ADDR) -flight-dir $(FLIGHT_DIR) -flight-every 100ms > $(FLIGHT_DIR)-bin/ctl.log & CTL=$$!; \
+	$(GO) build -o $(FLIGHT_DIR)-bin/ ./cmd/s3
+	$(FLIGHT_DIR)-bin/s3 proto -listen $(FLIGHT_ADDR) -flight-dir $(FLIGHT_DIR) -flight-every 100ms > $(FLIGHT_DIR)-bin/ctl.log & CTL=$$!; \
 		until grep -q listening $(FLIGHT_DIR)-bin/ctl.log; do kill -0 $$CTL || exit 1; sleep 0.1; done; \
-		$(FLIGHT_DIR)-bin/s3proto -drive $(FLIGHT_ADDR) -drive-hold 3s; \
+		$(FLIGHT_DIR)-bin/s3 proto -drive $(FLIGHT_ADDR) -drive-hold 3s; \
 		kill -TERM $$CTL; wait $$CTL
-	$(FLIGHT_DIR)-bin/s3diag -dir $(FLIGHT_DIR) -check
-	$(FLIGHT_DIR)-bin/s3diag -dir $(FLIGHT_DIR) -format summary -match protocol.
+	$(FLIGHT_DIR)-bin/s3 diag -dir $(FLIGHT_DIR) -check
+	$(FLIGHT_DIR)-bin/s3 diag -dir $(FLIGHT_DIR) -format summary -match protocol.
 
 # Non-test Go lines per top-level package and in total, bench/ excluded
 # (and .bench_build/, where bench-ab checks out the parent): the size
 # ROADMAP tracks.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | \
-		awk -F/ '{ pkg = ($$2 == "internal" || $$2 == "cmd" || $$2 == "examples") ? $$2 "/" $$3 : "." ; \
+		awk -F/ '{ pkg = ($$2 == "internal" || $$2 == "cmd") ? $$2 "/" $$3 : "." ; \
 			while ((getline line < $$0) > 0) n[pkg]++; close($$0) } \
 		END { for (p in n) { printf "%6d  %s\n", n[p], p; total += n[p] } printf "%6d  total\n", total }' | sort -k2
 
@@ -87,14 +87,14 @@ bench:
 
 # Regenerate the paper's evaluation figures on the default campus.
 experiments:
-	$(GO) run ./cmd/s3sim -generate -all
+	$(GO) run ./cmd/s3 sim -generate -all
 
 # Regenerate the measurement study (Figs 2-8, Table I).
 analyses:
-	$(GO) run ./cmd/s3analyze -generate -all
+	$(GO) run ./cmd/s3 analyze -generate -all
 
 ablations:
-	$(GO) run ./cmd/s3sim -generate -ablation all
+	$(GO) run ./cmd/s3 sim -generate -ablation all
 
 clean:
 	$(GO) clean ./...

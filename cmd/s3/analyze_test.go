@@ -1,0 +1,46 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+func TestRunAllAnalyses(t *testing.T) {
+	path := writeSmallTrace(t)
+	var buf bytes.Buffer
+	if err := runAnalyze([]string{"-trace", path, "-all"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"Fig 2", "Fig 3", "Fig 4", "Fig 5",
+		"Fig 6", "Fig 7", "Fig 8", "Table I"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q", want)
+		}
+	}
+}
+
+func TestRunSingleFigure(t *testing.T) {
+	path := writeSmallTrace(t)
+	var buf bytes.Buffer
+	if err := runAnalyze([]string{"-trace", path, "-fig", "5"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "Fig 5") {
+		t.Error("missing Fig 5")
+	}
+	if strings.Contains(buf.String(), "Fig 2") {
+		t.Error("unexpected Fig 2")
+	}
+}
+
+func TestRunMissingTrace(t *testing.T) {
+	var buf bytes.Buffer
+	if err := runAnalyze([]string{"-fig", "2"}, &buf); err == nil {
+		t.Error("missing trace should error")
+	}
+	if err := runAnalyze([]string{"-trace", "/nonexistent.jsonl", "-fig", "2"}, &buf); err == nil {
+		t.Error("unreadable trace should error")
+	}
+}

@@ -1,0 +1,110 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"github.com/s3wlan/s3wlan/internal/synth"
+	"github.com/s3wlan/s3wlan/internal/trace"
+)
+
+// writeSmallTrace writes a 120-user campus (3 buildings × 3 APs, 8 days)
+// as a trace file.
+func writeSmallTrace(t *testing.T) string {
+	t.Helper()
+	cfg := synth.DefaultConfig()
+	cfg.Users = 120
+	cfg.Buildings = 3
+	cfg.APsPerBuilding = 3
+	cfg.Days = 8
+	tr, _, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	if err := trace.SaveFile(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestDispatch: without a known subcommand the error names all seven;
+// with one, the rest of the arguments go to it.
+func TestDispatch(t *testing.T) {
+	for _, args := range [][]string{nil, {"bogus"}, {"-generate", "-all"}} {
+		err := run(args, io.Discard)
+		if err == nil {
+			t.Errorf("run(%q) succeeded", args)
+			continue
+		}
+		for _, sub := range []string{"gen", "trace", "analyze", "model", "sim", "proto", "diag"} {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("run(%q) = %q, which does not name %s", args, err, sub)
+			}
+		}
+	}
+	if err := run([]string{"trace"}, io.Discard); err == nil || !strings.Contains(err.Error(), "-in") {
+		t.Errorf("run(trace) = %v, want s3 trace's missing -in error", err)
+	}
+}
+
+// TestRunNothingToDo: a subcommand given no action says so.
+func TestRunNothingToDo(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func([]string, io.Writer) error
+		args []string
+	}{
+		{"sim", runSim, []string{"-generate"}},
+		{"analyze", runAnalyze, nil},
+		{"model", runModel, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(tc.args, io.Discard); err == nil || !strings.Contains(err.Error(), "nothing to do") {
+				t.Errorf("no action: err = %v, want a nothing-to-do error", err)
+			}
+		})
+	}
+}
+
+// TestRuntimeFlags: every subcommand with the runtime flag set writes the
+// -obs JSON file and a -flight-dir ring that s3 diag -check accepts.
+func TestRuntimeFlags(t *testing.T) {
+	path := writeSmallTrace(t)
+	for _, tc := range []struct {
+		name string
+		run  func([]string, io.Writer) error
+		args []string
+	}{
+		{"analyze", runAnalyze, []string{"-trace", path, "-fig", "5"}},
+		{"model", runModel, []string{"-train", "-trace", path, "-out", filepath.Join(t.TempDir(), "m.json")}},
+		{"sim", runSim, simArgs("-fig", "12")},
+		{"proto", runProto, []string{"-demo", "-policy", "llf"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			obsPath := filepath.Join(t.TempDir(), "obs.json")
+			ring := filepath.Join(t.TempDir(), "flight")
+			args := append(tc.args, "-obs", obsPath, "-flight-dir", ring, "-flight-every", "10ms")
+			if err := tc.run(args, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(obsPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc map[string]json.RawMessage
+			if err := json.Unmarshal(data, &doc); err != nil || len(doc) == 0 {
+				t.Errorf("-obs file is not a JSON object (%v):\n%.200s", err, data)
+			}
+			var buf bytes.Buffer
+			if err := run([]string{"diag", "-dir", ring, "-check"}, &buf); err != nil {
+				t.Errorf("s3 diag -check: %v\n%s", err, buf.String())
+			}
+		})
+	}
+}

@@ -118,7 +118,7 @@ func (s *leaseStore) Renew(group int, owner string, epoch uint64, addr string, t
 }
 
 // ReadLeases scans a cluster root's lease directory and returns every
-// group lease present, sorted by group — the status surface s3proto's
+// group lease present, sorted by group — the status surface s3 proto's
 // -fed-status mode prints so scripts and the chaos CI smoke can assert
 // cluster state without scraping logs. A root with no leases directory
 // yields an empty slice (a cluster that has not settled yet).

@@ -84,7 +84,7 @@ const (
 )
 
 // GroupHealth is one group's state as seen from this node — the
-// health surface s3proto serves and the chaos suite asserts on.
+// health surface s3 proto serves and the chaos suite asserts on.
 type GroupHealth struct {
 	Group int    `json:"group"`
 	Role  Role   `json:"role"`
@@ -99,7 +99,7 @@ type GroupHealth struct {
 	FollowSeq uint64 `json:"follow_seq"`
 }
 
-// Health is the node identity block in s3proto's health output.
+// Health is the node identity block in s3 proto's health output.
 type Health struct {
 	NodeID string        `json:"node_id"`
 	Addr   string        `json:"addr,omitempty"`

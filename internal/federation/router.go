@@ -225,7 +225,7 @@ func pump(src, dst *protocol.Conn) error {
 
 // WaitOwner blocks until some node owns group g's lease (fresh and
 // addressed) or the deadline passes — a convenience for tests and the
-// s3proto cluster bring-up to await settling.
+// s3 proto cluster bring-up to await settling.
 func (n *Node) WaitOwner(g int, timeout time.Duration) (*Lease, error) {
 	deadline := time.Now().Add(timeout)
 	for {

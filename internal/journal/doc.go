@@ -83,6 +83,6 @@
 //
 // The package registers journal.* metrics with internal/obs (appends,
 // append latency, fsyncs, checkpoints, rotations, recovery and follower
-// tallies); docs/OBSERVABILITY.md catalogs each one. `s3diag -journal
+// tallies); docs/OBSERVABILITY.md catalogs each one. `s3 diag -journal
 // DIR` prints a journal directory as JSON lines.
 package journal

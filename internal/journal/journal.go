@@ -20,7 +20,7 @@ import (
 )
 
 // Journal health, exported through the obs registry (surfaced by the
-// s3proto health output alongside the protocol.* and domain.* families).
+// s3 proto health output alongside the protocol.* and domain.* families).
 var (
 	obsAppends     = obs.GetCounter("journal.appends", "WAL records appended (one per journaled domain mutation)")
 	obsAppendBytes = obs.GetCounter("journal.append_bytes", "Framed bytes appended to WAL segments")
@@ -612,7 +612,7 @@ func recoverDir(dir string, logger *log.Logger, restore func([]byte, uint64) err
 			rec.Stats.TornTails++
 		}
 		if undecodable > 0 {
-			logger.Printf("journal: segment %s: %d undecodable records (s3diag -journal names each)", seg.name, undecodable)
+			logger.Printf("journal: segment %s: %d undecodable records (s3 diag -journal names each)", seg.name, undecodable)
 		}
 	}
 	rec.Stats.LastSeq = last

@@ -42,7 +42,7 @@ type Placement struct {
 // follower tailing the stream can fence out records a superseded owner
 // wrote after losing its lease. Single-owner journals leave it zero.
 //
-// The json tags serve inspection tooling (s3diag -journal); what the
+// The json tags serve inspection tooling (s3 diag -journal); what the
 // journal stores is the layout AppendRecord writes.
 type Record struct {
 	Seq         uint64       `json:"seq"`

@@ -2,7 +2,7 @@
 // sampler that delta-encodes periodic snapshots of the whole obs
 // registry into a bounded on-disk ring, so the counter trajectories
 // leading up to any incident — a crash in a chaos soak, a stall in a
-// long -drive run — can be reconstructed after the fact (cmd/s3diag
+// long -drive run — can be reconstructed after the fact (s3 diag
 // decodes rings into per-metric time series).
 //
 // # On-disk format

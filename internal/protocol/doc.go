@@ -37,7 +37,7 @@
 // through the internal/faults test harness; TestChaosSoakRace is the
 // churn soak.
 //
-// Command s3proto wraps this package into a runnable controller, a demo
+// The s3 proto subcommand wraps this package into a runnable controller, a demo
 // (controller, agents and a scripted station workload in one process)
 // and a client that loads a running controller (-drive).
 package protocol

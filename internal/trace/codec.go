@@ -18,7 +18,7 @@ import (
 //     whole-trace persistence (topology + sessions + flows). It
 //     round-trips exactly, record order included.
 //   - CSV: separate session and flow tables, written for external
-//     analysis tooling (s3trace's exports). Nothing here reads them back.
+//     analysis tooling (s3 trace's exports). Nothing here reads them back.
 
 // jsonLine is the tagged union written to JSON-lines files.
 type jsonLine struct {
