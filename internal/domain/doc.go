@@ -1,7 +1,7 @@
 // Package domain is the shared association-domain core: the one place
 // in the repository that holds AP registry state, per-AP load and user
 // accounting, capacity admission, view snapshotting for association
-// policies, versioned check-and-retry commits, and session-log emission.
+// policies, atomic commits, and session-log emission.
 //
 // Both execution paths are thin drivers over it — the batch simulator
 // (internal/wlan) replays a trace through a Domain per controller, and
@@ -32,14 +32,11 @@
 // on every structural or membership change (AP set, capacity, failure
 // state, a commit, a leave; not a load report) — because an S³ decision
 // reads the requester's friends on every candidate AP, so the whole
-// domain is what it must be consistent against. The snapshot is one
-// consistent cut; the selector deliberates holding no lock, and its
-// membership reads see the domain's current state. Commit takes the
-// lock and compares the snapshot's version with the counter: any change
-// in between fails it with ErrStale, nothing applied, and the caller
-// re-selects. Commit with a nil Version skips the check (the forced
-// commit a caller uses after exhausting retries, and the batch
-// simulator's default: single-threaded replay can never be stale).
-// Mutation is serialized by the lock either way, so staleness can cost
-// decision optimality but never state consistency.
+// domain is what it must be consistent against. Both drivers serialize
+// their decisions themselves: the simulator's event loop is one thread,
+// and the live controller snapshots, selects and commits under one hold
+// of its own mutex. Nothing mutates the domain between a snapshot and
+// its commit, so every commit passes a nil Version and no decision is
+// ever stale. Commit still checks a non-nil Version against the counter
+// and fails with ErrStale, nothing applied, when they differ.
 package domain

@@ -19,8 +19,6 @@ import (
 // (Config.ObsName) so parallel experiment cells do not fight over them.
 var (
 	obsCommits      = obs.GetCounter("domain.commits", "Placement commits applied")
-	obsCommitStale  = obs.GetCounter("domain.commit.stale", "Commits rejected because the domain version moved (caller retries)")
-	obsCommitForced = obs.GetCounter("domain.commit.forced", "Commits applied after exhausting stale retries")
 	obsOverloads    = obs.GetCounter("domain.overloads", "Placements admitted beyond AP capacity (admission override)")
 	obsEvictions    = obs.GetCounter("domain.evictions", "APs removed (failures, lease expiries)")
 	obsViews        = obs.GetCounter("domain.views", "APView snapshots taken")
@@ -35,8 +33,8 @@ var (
 	// ErrFailedAP reports a placement onto an AP that is marked failed.
 	ErrFailedAP = errors.New("AP is failed")
 	// ErrStale reports that the domain changed after the view snapshot
-	// was taken; the caller should re-snapshot and re-select, or force
-	// the commit with a nil Version.
+	// whose Version a commit passed was taken. Every commit in the
+	// repository passes nil and serializes decisions itself.
 	ErrStale = errors.New("stale view version")
 )
 
@@ -441,9 +439,7 @@ func (d *Domain) SetCapacity(id trace.APID, capacityBps float64) bool {
 //
 // Unlike SetCapacity this deliberately does not bump the version:
 // load reports are advisory inputs to LoadReported/LoadMax scoring, not
-// structural changes, so an in-flight decision computed from an older
-// report commits without ErrStale revalidation (matching the
-// pre-extraction controller, where reports never invalidated views).
+// structural changes.
 func (d *Domain) SetReported(id trace.APID, loadBps float64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -544,8 +540,8 @@ func (b *ViewBuf) Version() Version { return &b.ver }
 //
 // The snapshot holds each AP's aggregates as of the call; membership
 // reads through the views (Intersect, Members) see the domain's state
-// at the time of the read. A membership change in between bumps the
-// version, so Commit's check (ErrStale, re-select) covers the gap.
+// at the time of the read. Both drivers decide and commit with no
+// mutation in between, so the two agree.
 func (d *Domain) ViewsInto(u trace.UserID, buf *ViewBuf) {
 	obsViews.Inc()
 	buf.views = buf.views[:0]
@@ -593,10 +589,7 @@ func (d *Domain) Commit(ps []Placement, ver Version) (CommitResult, error) {
 	defer d.mu.Unlock()
 
 	// Validate the version, then targets — all before any mutation.
-	if ver == nil {
-		obsCommitForced.Inc()
-	} else if *ver != d.version {
-		obsCommitStale.Inc()
+	if ver != nil && *ver != d.version {
 		return res, ErrStale
 	}
 	for _, p := range ps {

@@ -31,10 +31,10 @@
 // # Record layout
 //
 //	byte    version (1; never '{')
-//	byte    op      (1 register, 2 assoc, 3 disassoc, 4 leave, 5 expire)
-//	byte    flags   (bit0 CapacityBps, bit1 DemandBps, bit2 Static)
+//	byte    op      (1 register, 2 assoc, 3 disassoc, 5 expire; 4 unassigned)
+//	byte    flags   (bit0 CapacityBps, bit2 Static; bit1 unassigned)
 //	uvarint Seq, uvarint Epoch, varint TS, string AP, string User
-//	float64 CapacityBps, float64 DemandBps       (each only if flagged)
+//	float64 CapacityBps                          (only if flagged)
 //	uvarint placement count, then per placement:
 //	  string User, string AP, string Prev, float64 DemandBps
 //

@@ -208,7 +208,7 @@ var roundTripRecords = []Record{
 	{Seq: 3, Epoch: 7, Op: OpAssoc, TS: 1, Placements: []Placement{{User: "u-1", AP: "ap-0", DemandBps: 50e3}}},
 	{Seq: 4, Op: OpAssoc, Placements: []Placement{{User: "u-1", AP: "ap-1", Prev: "ap-0"}, {}, {User: "", AP: "ap-2", DemandBps: math.SmallestNonzeroFloat64}}},
 	{Seq: 5, Op: OpDisassoc, TS: -1, User: "u-1", AP: "ap-1"},
-	{Seq: 6, Op: OpLeave, TS: math.MinInt64, User: "u-2", AP: "ap-0", DemandBps: 12.5},
+	{Seq: 6, Op: OpDisassoc, TS: math.MinInt64, User: "u-2", AP: "ap-0"},
 	{Seq: math.MaxUint64, Epoch: math.MaxUint64, Op: OpExpire, TS: math.MaxInt64, AP: "ap-0"},
 	{Op: OpExpire},
 }
@@ -216,7 +216,7 @@ var roundTripRecords = []Record{
 // TestRecordRoundTrip: DecodeRecord(AppendRecord(r)) == r, into a clean
 // Record and into one still holding another record's fields.
 func TestRecordRoundTrip(t *testing.T) {
-	dirty := Record{Seq: 99, Epoch: 9, Op: OpLeave, TS: 9, AP: "x", User: "y", CapacityBps: 9, Static: true, DemandBps: 9,
+	dirty := Record{Seq: 99, Epoch: 9, Op: OpDisassoc, TS: 9, AP: "x", User: "y", CapacityBps: 9, Static: true,
 		Placements: []Placement{{User: "a", AP: "b", Prev: "c", DemandBps: 9}, {User: "d"}}}
 	for _, want := range roundTripRecords {
 		payload, err := AppendRecord(nil, &want)
@@ -239,8 +239,10 @@ func TestRecordRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := AppendRecord(nil, &Record{Op: "reboot"}); err == nil {
-		t.Fatal("an op outside the Op* constants was encoded")
+	for _, op := range []Op{"reboot", "leave", ""} {
+		if _, err := AppendRecord(nil, &Record{Op: op}); err == nil {
+			t.Fatalf("op %q, outside the Op* constants, was encoded", op)
+		}
 	}
 }
 
@@ -261,10 +263,12 @@ func TestDecodeRecordRejects(t *testing.T) {
 		"header only":      good[:2],
 		"newer version":    edit(0, recordVersion+1),
 		"op zero":          edit(1, 0),
+		"op four":          edit(1, 4),
 		"op beyond":        edit(1, byte(len(wireOps))),
 		"truncated":        good[:len(good)-1],
 		"trailing byte":    append(append([]byte(nil), good...), 0),
 		"unknown flag":     edit(2, 0x80),
+		"flag bit 1":       edit(2, 0x02),
 		"forged count":     edit(8, 0x7F),
 		"not JSON after {": []byte("{nope"),
 	} {

@@ -19,9 +19,6 @@ const (
 	OpAssoc Op = "assoc"
 	// OpDisassoc records a full disassociation (domain LeaveAll).
 	OpDisassoc Op = "disassoc"
-	// OpLeave records a partial leave releasing DemandBps of one of the
-	// user's sessions (domain Leave multiplicity semantics).
-	OpLeave Op = "leave"
 	// OpExpire records a lease expiry removing an AP and re-homing its
 	// believed users.
 	OpExpire Op = "expire"
@@ -53,7 +50,6 @@ type Record struct {
 	User        trace.UserID `json:"user,omitempty"`
 	CapacityBps float64      `json:"capacity_bps,omitempty"`
 	Static      bool         `json:"static,omitempty"`
-	DemandBps   float64      `json:"demand_bps,omitempty"`
 	Placements  []Placement  `json:"placements,omitempty"`
 }
 
@@ -61,15 +57,16 @@ type Record struct {
 // writes; never '{', which marks a JSON record of the previous one.
 const recordVersion = 1
 
-// wireOps is the stored spelling of Op; a zeroed payload is no record.
-var wireOps = [...]Op{1: OpRegister, 2: OpAssoc, 3: OpDisassoc, 4: OpLeave, 5: OpExpire}
+// wireOps is the stored spelling of Op; a zeroed payload is no record,
+// and neither is the unassigned op 4.
+var wireOps = [...]Op{1: OpRegister, 2: OpAssoc, 3: OpDisassoc, 5: OpExpire}
 
-// Flags: an absent float costs one bit, Static is its own flag. Absent
-// strings and integers cost one byte each, as in the wire codec.
+// Flags: an absent float costs one bit, Static is its own flag (bit 1
+// is unassigned). Absent strings and integers cost one byte each, as in
+// the wire codec.
 const (
-	recCapacity = 1 << iota
-	recDemand
-	recStatic
+	recCapacity = 1 << 0
+	recStatic   = 1 << 2
 	// minPlacementBytes — three empty strings and a float — bounds a
 	// placement count before anything is allocated for it.
 	minPlacementBytes = 3 + 8
@@ -81,7 +78,7 @@ const (
 // constants.
 func AppendRecord(dst []byte, r *Record) ([]byte, error) {
 	op := 0
-	for i := 1; i < len(wireOps); i++ {
+	for i := 1; i < len(wireOps) && r.Op != ""; i++ {
 		if wireOps[i] == r.Op {
 			op = i
 		}
@@ -89,7 +86,7 @@ func AppendRecord(dst []byte, r *Record) ([]byte, error) {
 	if op == 0 {
 		return dst, fmt.Errorf("journal: encode: unknown op %q", r.Op)
 	}
-	flags := FlagIf(r.CapacityBps != 0, recCapacity) | FlagIf(r.DemandBps != 0, recDemand) | FlagIf(r.Static, recStatic)
+	flags := FlagIf(r.CapacityBps != 0, recCapacity) | FlagIf(r.Static, recStatic)
 	dst = append(dst, recordVersion, byte(op), flags)
 	dst = binary.AppendUvarint(dst, r.Seq)
 	dst = binary.AppendUvarint(dst, r.Epoch)
@@ -98,9 +95,6 @@ func AppendRecord(dst []byte, r *Record) ([]byte, error) {
 	dst = AppendString(dst, string(r.User))
 	if flags&recCapacity != 0 {
 		dst = AppendFloat(dst, r.CapacityBps)
-	}
-	if flags&recDemand != 0 {
-		dst = AppendFloat(dst, r.DemandBps)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(r.Placements)))
 	for i := range r.Placements {
@@ -129,9 +123,9 @@ func DecodeRecord(payload []byte, r *Record) error {
 		return fmt.Errorf("journal: decode record: %w", in.Err())
 	case version != recordVersion:
 		return fmt.Errorf("journal: decode record: unknown version %d", version)
-	case op == 0 || int(op) >= len(wireOps):
+	case int(op) >= len(wireOps) || wireOps[op] == "":
 		return fmt.Errorf("journal: decode record: unknown op %d", op)
-	case flags&^(recCapacity|recDemand|recStatic) != 0:
+	case flags&^(recCapacity|recStatic) != 0:
 		return fmt.Errorf("journal: decode record: unknown flags %#x", flags)
 	}
 	*r = Record{Op: wireOps[op], Seq: in.Uvarint(), Epoch: in.Uvarint(), TS: in.Varint(),
@@ -139,9 +133,6 @@ func DecodeRecord(payload []byte, r *Record) error {
 		Static: flags&recStatic != 0, Placements: r.Placements[:0]}
 	if flags&recCapacity != 0 {
 		r.CapacityBps = in.Float()
-	}
-	if flags&recDemand != 0 {
-		r.DemandBps = in.Float()
 	}
 	for n := in.Count(minPlacementBytes); n > 0 && in.Err() == nil; n-- {
 		r.Placements = append(r.Placements, Placement{User: trace.UserID(in.Str()),

@@ -101,9 +101,7 @@ func BenchmarkAssociateE2E(b *testing.B) {
 // BenchmarkAssociateParallel is the concurrent decision path's number,
 // which bench/ (one client per workload) does not have: eight goroutines
 // on two cores each Associate and disassociate their own user against
-// assocBenchAPs static APs under LLF, so selections overlap off-lock and
-// every commit meets c.mu and the domain lock. retries/op is the share
-// of decisions re-made after domain.ErrStale.
+// assocBenchAPs static APs under LLF, every decision contending for c.mu.
 func BenchmarkAssociateParallel(b *testing.B) {
 	for _, journaled := range []bool{false, true} {
 		name := "unjournaled"
@@ -126,7 +124,6 @@ func BenchmarkAssociateParallel(b *testing.B) {
 				}
 			}
 			var workers atomic.Int64
-			retries := obsSelectRetries.Value()
 			b.ReportAllocs()
 			b.SetParallelism(4)
 			b.ResetTimer()
@@ -140,8 +137,6 @@ func BenchmarkAssociateParallel(b *testing.B) {
 					c.disassociate(u)
 				}
 			})
-			b.StopTimer()
-			b.ReportMetric(float64(obsSelectRetries.Value()-retries)/float64(b.N), "retries/op")
 		})
 	}
 }

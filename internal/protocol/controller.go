@@ -20,22 +20,15 @@ import (
 
 // Controller health counters, exported through the obs registry so
 // tests, the flight recorder and operators can watch lifecycle churn:
-// registrations and renewals, lease expiries, selection retries after a
-// stale snapshot, and rejected traffic reports.
+// registrations and renewals, lease expiries, moves and rejected traffic
+// reports.
 var (
 	obsAPRegistered    = obs.GetCounter("protocol.ap.registered", "First-time AP registrations (hello from an unknown AP)")
 	obsAPRenewed       = obs.GetCounter("protocol.ap.renewed", "AP re-hellos renewing a lease or superseding a half-open agent connection")
 	obsLeaseExpired    = obs.GetCounter("protocol.ap.lease_expired", "AP leases expired after silence; believed users re-homed")
-	obsSelectRetries   = obs.GetCounter("protocol.select.retries", "Association decisions recomputed after a stale snapshot at commit")
 	obsAssocMoves      = obs.GetCounter("protocol.assoc.moves", "Re-associations that moved a user between APs")
 	obsTrafficRejected = obs.GetCounter("protocol.traffic.rejected", "Traffic reports rejected (unassociated user or mismatched AP claim)")
 )
-
-// maxSelectRetries bounds the lock-free selection retry loop: after this
-// many stale snapshots the decision is committed against the current
-// state anyway (membership mutations are always serialized by the domain
-// lock, so a stale commit is at worst suboptimal, never corrupting).
-const maxSelectRetries = 3
 
 // apMeta is the controller's protocol-level metadata for one registered
 // AP: the lease/agent-connection lifecycle and the bytes its stations
@@ -86,13 +79,13 @@ type AssociationObserver interface {
 // association requests by running the configured policy.
 //
 // All association state — AP registry, per-AP load/user accounting,
-// capacity admission, view snapshots, versioned commits, session-log
-// emission — lives in the shared association-domain core
-// (internal/domain), the same state machine the batch simulator replays
-// traces through; the controller layers the protocol lifecycle (leases,
-// agent connections, station sessions, served-byte accounting) on top.
-// Lock order is always c.mu before the domain's lock, never the
-// reverse.
+// capacity admission, view snapshots, commits, session-log emission —
+// lives in the shared association-domain core (internal/domain), the
+// same state machine the batch simulator replays traces through; the
+// controller layers the protocol lifecycle (leases, agent connections,
+// station sessions, served-byte accounting) on top. Every mutation is a
+// journal.Record handed to apply (journal.go), live or replayed. Lock
+// order is always c.mu before the domain's lock, never the reverse.
 type Controller struct {
 	selector wlan.Selector
 	logger   *log.Logger
@@ -133,6 +126,8 @@ type Controller struct {
 	mu       sync.Mutex
 	meta     map[trace.APID]*apMeta
 	sessions map[trace.UserID]session
+	// scr is the association path's scratch, used under c.mu.
+	scr assocScratch
 	// ckptUsers is appendCheckpointLocked's key-sorting scratch, reused
 	// across checkpoints.
 	ckptUsers []trace.UserID
@@ -258,15 +253,10 @@ func (c *Controller) RegisterAP(id trace.APID, capacityBps float64) error {
 	if _, dup := c.meta[id]; dup {
 		return fmt.Errorf("protocol: AP %q already registered", id)
 	}
-	if err := c.dom.AddAP(id, capacityBps); err != nil {
-		return fmt.Errorf("protocol: %v", err)
-	}
-	c.meta[id] = &apMeta{static: true}
-	c.journalAppendLocked(journal.Record{
+	return c.mutateLocked(journal.Record{
 		Op: journal.OpRegister, TS: c.now(), AP: id,
 		CapacityBps: capacityBps, Static: true,
 	})
-	return nil
 }
 
 // registerAgent registers (or, on a re-hello, renews) an agent-backed AP.
@@ -280,31 +270,24 @@ func (c *Controller) registerAgent(conn *Conn, id trace.APID, capacityBps float6
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ts := c.now()
+	var old *Conn
 	if m, ok := c.meta[id]; ok {
 		if m.static {
 			return 0, nil, fmt.Errorf("protocol: AP %q statically registered", id)
 		}
-		old := m.agentConn
-		c.dom.SetCapacity(id, capacityBps)
-		m.lastSeen = ts
-		m.gen++
-		m.agentConn = conn
+		old = m.agentConn
 		obsAPRenewed.Inc()
-		c.journalAppendLocked(journal.Record{
-			Op: journal.OpRegister, TS: ts, AP: id, CapacityBps: capacityBps,
-		})
-		return m.gen, old, nil
+	} else {
+		obsAPRegistered.Inc()
 	}
-	if err := c.dom.AddAP(id, capacityBps); err != nil {
-		return 0, nil, fmt.Errorf("protocol: %v", err)
+	if err := c.mutateLocked(journal.Record{
+		Op: journal.OpRegister, TS: c.now(), AP: id, CapacityBps: capacityBps,
+	}); err != nil {
+		return 0, nil, err
 	}
-	c.meta[id] = &apMeta{lastSeen: ts, gen: 1, agentConn: conn}
-	obsAPRegistered.Inc()
-	c.journalAppendLocked(journal.Record{
-		Op: journal.OpRegister, TS: ts, AP: id, CapacityBps: capacityBps,
-	})
-	return 1, nil, nil
+	m := c.meta[id]
+	m.agentConn = conn
+	return m.gen, old, nil
 }
 
 // Listen starts serving on addr (e.g. "127.0.0.1:0") and returns the bound
@@ -626,44 +609,40 @@ func (c *Controller) handleStation(conn *Conn, hello Message) {
 	}
 }
 
-// assocScratch holds the per-call buffers of the association path: the
-// reusable view snapshot, Associate's one-element request, the commit's
-// placements and their journaled form. Pooled so a steady-state
-// association performs no heap allocation once the slices have grown.
+// assocScratch holds the buffers of the association path: the reusable
+// view snapshot, Associate's one-element request, the decision's
+// placements and their domain form. The controller owns one and uses it
+// under c.mu, so a steady-state association performs no heap allocation
+// once the slices have grown.
 type assocScratch struct {
 	views domain.ViewBuf
 	req   [1]wlan.Request
-	ps    []domain.Placement
 	jps   []journal.Placement
+	ps    []domain.Placement
 }
-
-var assocPool = sync.Pool{New: func() interface{} { return new(assocScratch) }}
 
 // Associate runs the policy for one user and records the assignment.
 //
-// The policy runs off every lock: the domain snapshots the AP views
-// with its version — one consistent cut — selector.Select runs
-// lock-free (concurrent requests overlap), and the commit, under c.mu
-// like every other mutation, re-validates the version. A stale
-// snapshot — an AP registered/expired or any membership changed
-// mid-selection — re-runs the selection, up to maxSelectRetries times;
-// after that the decision is committed against current state anyway
-// (state mutation stays fully serialized, so staleness can cost
-// optimality but never consistency).
+// The whole decision runs under one hold of c.mu: lease expiry, the view
+// snapshot, selector.Select, the commit and its bookkeeping, and the
+// journal append. The snapshot is therefore current by construction, and
+// concurrent associations serialize.
 //
 // A re-association that lands on the user's current AP is a demand
 // refresh, not a move: the believed demand is replaced atomically, but
 // the session, its served-byte tally and the association timestamp stay
 // continuous, and no lifecycle events fire — the user never left.
 func (c *Controller) Associate(user trace.UserID, demandBps float64) (trace.APID, error) {
-	scr := assocPool.Get().(*assocScratch)
-	defer assocPool.Put(scr)
-	scr.req[0] = wlan.Request{User: user, DemandBps: demandBps}
-	ps, err := c.place(scr, scr.req[:], nil)
-	if err != nil {
-		return "", err
+	c.mu.Lock()
+	c.scr.req[0] = wlan.Request{User: user, DemandBps: demandBps}
+	ps, conns, err := c.placeLocked(c.scr.req[:], nil)
+	var ap trace.APID
+	if err == nil {
+		ap = ps[0].AP
 	}
-	return ps[0].AP, nil
+	c.mu.Unlock()
+	closeAll(conns)
+	return ap, err
 }
 
 // AssociateBatch runs the policy once for a group of co-arriving users
@@ -695,13 +674,14 @@ func (c *Controller) AssociateBatch(reqs []wlan.Request) (map[trace.UserID]trace
 			}
 		}
 		clear(joint)
-		scr := assocPool.Get().(*assocScratch)
-		ps, err := c.place(scr, distinct, bs)
+		c.mu.Lock()
+		ps, conns, err := c.placeLocked(distinct, bs)
 		for _, p := range ps {
 			out[p.User] = p.AP
 			joint[p.User] = true
 		}
-		assocPool.Put(scr)
+		c.mu.Unlock()
+		closeAll(conns)
 		if err != nil {
 			return out, err
 		}
@@ -720,124 +700,73 @@ func (c *Controller) AssociateBatch(reqs []wlan.Request) (map[trace.UserID]trace
 	return out, nil
 }
 
-// place is the one association path: it decides reqs (distinct users)
-// against one view snapshot — selector.Select for Associate's single
-// request, bs.SelectBatch when AssociateBatch passes the policy's batch
-// face — and records the outcome: one atomic domain commit, session
-// records for the users it moved, the bookkeeping maps, observer events
-// and one OpAssoc journal record. It returns the committed placements in
-// request order (scr's, valid until scr is reused); a user a joint
-// decision leaves out has none.
-func (c *Controller) place(scr *assocScratch, reqs []wlan.Request, bs wlan.BatchSelector) ([]domain.Placement, error) {
-	for attempt := 0; ; attempt++ {
-		c.mu.Lock()
-		ts := c.now()
-		conns := c.expireLocked(ts)
-		c.mu.Unlock()
-		closeAll(conns)
+// placeLocked is the one association path. It decides reqs (distinct
+// users) against a view snapshot — selector.Select for Associate's
+// single request, bs.SelectBatch when AssociateBatch passes the policy's
+// batch face — and applies the outcome as one OpAssoc record. It returns
+// the placements in request order (c.scr's, valid until c.mu is
+// released; a user a joint decision leaves out has none) and the agent
+// connections lease expiry superseded, for the caller to close once it
+// has released c.mu.
+func (c *Controller) placeLocked(reqs []wlan.Request, bs wlan.BatchSelector) ([]journal.Placement, []*Conn, error) {
+	ts := c.now()
+	conns := c.expireLocked(ts)
+	c.dom.ViewsInto(reqs[0].User, &c.scr.views)
+	views := c.scr.views.Views()
+	if len(views) == 0 {
+		return nil, conns, errors.New("protocol: no APs registered")
+	}
 
-		c.dom.ViewsInto(reqs[0].User, &scr.views)
-		views, ver := scr.views.Views(), scr.views.Version()
-		if len(views) == 0 {
-			return nil, errors.New("protocol: no APs registered")
-		}
+	var (
+		one   trace.APID
+		joint map[trace.UserID]trace.APID
+		err   error
+	)
+	if bs == nil {
+		reqs[0].At = ts
+		one, err = c.selector.Select(reqs[0], views)
+	} else {
+		joint, err = bs.SelectBatch(reqs, views)
+	}
+	if err != nil {
+		return nil, conns, fmt.Errorf("protocol: policy: %w", err)
+	}
 
-		var (
-			one   trace.APID
-			joint map[trace.UserID]trace.APID
-			err   error
-		)
-		if bs == nil {
-			reqs[0].At = ts
-			one, err = c.selector.Select(reqs[0], views)
-		} else {
-			joint, err = bs.SelectBatch(reqs, views)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("protocol: policy: %w", err)
-		}
-
-		c.mu.Lock()
-		ps := scr.ps[:0]
-		for _, r := range reqs {
-			ap := one
-			if bs != nil {
-				var placed bool
-				if ap, placed = joint[r.User]; !placed {
-					continue
-				}
-			}
-			// Re-associating routes the previous assignment through Prev:
-			// for a move, the removal and the new placement land in one
-			// atomic domain commit; for a same-AP refresh, the commit
-			// atomically replaces (rather than adds to) the believed
-			// demand.
-			ps = append(ps, domain.Placement{User: r.User, AP: ap, DemandBps: r.DemandBps, Prev: c.sessions[r.User].ap})
-		}
-		scr.ps = ps
-		verArg := ver
-		if attempt >= maxSelectRetries {
-			verArg = nil // force: retries exhausted
-		}
-		if _, err := c.dom.Commit(ps, verArg); err != nil {
-			c.mu.Unlock()
-			if attempt < maxSelectRetries &&
-				(errors.Is(err, domain.ErrStale) || errors.Is(err, domain.ErrUnknownAP)) {
-				obsSelectRetries.Inc()
+	ps := c.scr.jps[:0]
+	for _, r := range reqs {
+		ap := one
+		if bs != nil {
+			var placed bool
+			if ap, placed = joint[r.User]; !placed {
 				continue
 			}
-			if errors.Is(err, domain.ErrUnknownAP) {
-				return nil, fmt.Errorf("protocol: policy chose unknown AP (%v)", err)
-			}
-			return nil, fmt.Errorf("protocol: commit: %w", err)
 		}
-		for _, p := range ps {
-			// A same-AP refresh (Prev == AP) keeps the session as it is.
-			if p.Prev != p.AP {
-				if p.Prev != "" {
-					c.sessionRecordLocked(p.User, ts)
-					obsAssocMoves.Inc()
-				}
-				c.sessions[p.User] = session{ap: p.AP, at: ts}
-			}
-			if c.logEnabled {
-				c.logger.Printf("assoc %s -> %s (demand %.0f B/s)", p.User, p.AP, p.DemandBps)
-			}
-		}
-		// Observer events go out in mutation order, before the append, so a
-		// checkpoint triggered by this record captures the observer at
-		// exactly this sequence number.
-		c.notifyPlaced(ps, ts)
-		if c.jn != nil && len(ps) > 0 {
-			scr.jps = scr.jps[:0]
-			for _, p := range ps {
-				scr.jps = append(scr.jps, journal.Placement{User: p.User, AP: p.AP, Prev: p.Prev, DemandBps: p.DemandBps})
-			}
-			c.journalAppendLocked(journal.Record{Op: journal.OpAssoc, TS: ts, Placements: scr.jps})
-		}
-		c.mu.Unlock()
-		return ps, nil
+		// Re-associating routes the previous assignment through Prev: for
+		// a move, the removal and the new placement land in one atomic
+		// domain commit; for a same-AP refresh, the commit atomically
+		// replaces (rather than adds to) the believed demand.
+		ps = append(ps, journal.Placement{User: r.User, AP: ap, Prev: c.sessions[r.User].ap, DemandBps: r.DemandBps})
 	}
+	c.scr.jps = ps
+	if len(ps) == 0 {
+		return nil, conns, nil
+	}
+	if err := c.mutateLocked(journal.Record{Op: journal.OpAssoc, TS: ts, Placements: ps}); err != nil {
+		if errors.Is(err, domain.ErrUnknownAP) {
+			return nil, conns, fmt.Errorf("protocol: policy chose unknown AP (%v)", err)
+		}
+		return nil, conns, fmt.Errorf("protocol: commit: %w", err)
+	}
+	return ps, conns, nil
 }
 
 func (c *Controller) disassociate(user trace.UserID) {
 	c.mu.Lock()
-	ts := c.now()
-	s, ok := c.sessions[user]
-	if !ok {
-		c.mu.Unlock()
-		return
+	defer c.mu.Unlock()
+	if s, ok := c.sessions[user]; ok {
+		// Fails only for a user without a session.
+		_ = c.mutateLocked(journal.Record{Op: journal.OpDisassoc, TS: c.now(), User: user, AP: s.ap})
 	}
-	ap := s.ap
-	c.dom.LeaveAll(user, ap)
-	c.sessionRecordLocked(user, ts)
-	delete(c.sessions, user)
-	c.notifyDisconnect(user, ap, ts) // before the append (see place)
-	c.journalAppendLocked(journal.Record{Op: journal.OpDisassoc, TS: ts, User: user, AP: ap})
-	if c.logEnabled {
-		c.logger.Printf("disassoc %s from %s", user, ap)
-	}
-	c.mu.Unlock()
 }
 
 // sessionRecordLocked emits the user's session, ending at ts, to the
@@ -874,43 +803,12 @@ func (c *Controller) expireLocked(ts int64) []*Conn {
 	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
 	var conns []*Conn
 	for _, id := range expired {
-		m := c.meta[id]
-		evicted, _ := c.dom.RemoveAP(id)
-		for _, ev := range evicted {
-			c.sessionRecordLocked(ev.User, ts)
-			delete(c.sessions, ev.User)
-			c.notifyDisconnect(ev.User, id, ts) // before the append (see place)
+		if conn := c.meta[id].agentConn; conn != nil {
+			conns = append(conns, conn)
 		}
-		c.journalAppendLocked(journal.Record{Op: journal.OpExpire, TS: ts, AP: id})
-		if m.agentConn != nil {
-			conns = append(conns, m.agentConn)
-		}
-		c.logger.Printf("ap %s lease expired (silent %ds, %d users re-homed)",
-			id, ts-m.lastSeen, len(evicted))
-		delete(c.meta, id)
-		obsLeaseExpired.Inc()
+		_ = c.mutateLocked(journal.Record{Op: journal.OpExpire, TS: ts, AP: id}) // fails only for an unknown AP
 	}
 	return conns
-}
-
-// notifyPlaced delivers a commit's observer events: every move's
-// disconnect, then every placement's connect. A same-AP refresh
-// (Prev == AP) emits nothing — the user never left. Runs with c.mu
-// held, like every observer delivery.
-func (c *Controller) notifyPlaced(ps []domain.Placement, ts int64) {
-	if c.observer == nil {
-		return
-	}
-	for _, p := range ps {
-		if p.Prev != "" && p.Prev != p.AP {
-			c.notifyDisconnect(p.User, p.Prev, ts)
-		}
-	}
-	for _, p := range ps {
-		if p.Prev != p.AP {
-			c.observer.Connect(p.User, p.AP, ts)
-		}
-	}
 }
 
 // notifyDisconnect delivers one observer disconnect. Runs with c.mu held.

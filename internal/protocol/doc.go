@@ -23,14 +23,15 @@
 // reconnecting (or restarted) agent supersedes the previous connection,
 // and, with WithLease, an AP whose agent stays silent past the lease is
 // expired, its believed users re-homed through the association observer
-// and the session log. APs added with RegisterAP are static. The
-// controller's association path snapshots AP state
-// under a short critical section and runs the policy lock-free,
-// re-running stale decisions via a versioned check-and-retry, so
-// concurrent stations do not serialize behind one beam search. Health
+// and the session log. APs added with RegisterAP are static. An
+// association decides under one hold of the controller's mutex —
+// expiry, view snapshot, policy, commit, bookkeeping, journal append —
+// so its snapshot is current by construction. Every mutation is a
+// journal record applied by one function, whether it is made live,
+// recovered from the journal or replicated to a follower. Health
 // counters (registrations, renewals, lease expiries, accept retries,
-// selection retries, rejected traffic) are exported through
-// internal/obs under the protocol.* prefix.
+// moves, rejected traffic) are exported through internal/obs under the
+// protocol.* prefix.
 //
 // The lifecycle and overload tests inject seeded faults (drops, torn
 // frames, delays, stalls, mid-stream closes, transient accept errors)

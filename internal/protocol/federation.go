@@ -66,18 +66,19 @@ func (c *Controller) RestoreCheckpoint(payload []byte) error {
 }
 
 // ApplyRecord applies one replicated journal record to the
-// controller's state through the recovery replay path: domain commit,
-// assignment bookkeeping and observer events, with no session-log or
-// journal emission. This is how a standby follower mirrors a shard
-// owner record by record. Not valid on a journal-armed controller —
-// an owner must never re-apply its own appends.
+// controller's state through apply, the path every mutation takes, as a
+// replay: domain commit, assignment bookkeeping and observer events,
+// with no session-log or journal emission. This is how a standby
+// follower mirrors a shard owner record by record. Not valid on a
+// journal-armed controller — an owner must never re-apply its own
+// appends.
 func (c *Controller) ApplyRecord(r journal.Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.jn != nil {
 		return errors.New("protocol: ApplyRecord on a journal-armed controller")
 	}
-	return c.applyRecord(r)
+	return c.apply(&r, true)
 }
 
 // AttachJournal promotes a standby controller to shard owner: it opens

@@ -7,7 +7,6 @@ import (
 	"io"
 	"maps"
 	"slices"
-	"sort"
 
 	"github.com/s3wlan/s3wlan/internal/domain"
 	"github.com/s3wlan/s3wlan/internal/journal"
@@ -15,10 +14,11 @@ import (
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
-// Controller durability: with WithJournal, every domain mutation the
-// controller commits — registrations, association commits (single and
-// batch), disassociations and lease expiries — is appended to a
-// write-ahead journal after it applies, and checkpoints capture the full
+// Controller durability: every mutation the controller makes —
+// registrations, association commits (single and batch),
+// disassociations and lease expiries — is a journal.Record that apply
+// performs. With WithJournal the record is appended to a write-ahead
+// journal after it applies, and checkpoints capture the full
 // controller state (domain associations, assignment bookkeeping, AP
 // lease metadata, and the social observer's learned state when it can
 // persist itself). A restarted controller pointed at the same directory
@@ -282,7 +282,7 @@ func (c *Controller) attachJournalLocked(dir string, opts journal.Options, after
 		if r.Seq <= afterSeq {
 			return nil
 		}
-		if err := c.applyRecord(r); err != nil {
+		if err := c.apply(&r, true); err != nil {
 			sum.ReplayErrors++
 			obsReplayErrs.Inc()
 			c.logger.Printf("journal: %s record %d (%s): %v", what, r.Seq, r.Op, err)
@@ -330,13 +330,17 @@ func (c *Controller) restoreCheckpoint(payload []byte) error {
 	return nil
 }
 
-// applyRecord re-applies one journaled mutation during recovery,
-// mirroring the live mutation paths: domain commits, assignment
-// bookkeeping, and observer Connect/Disconnect events (so a social
-// engine restored from the checkpoint relearns exactly the tail).
-// Session-log emission is suppressed — the pre-crash process already
-// logged those sessions.
-func (c *Controller) applyRecord(r journal.Record) error {
+// apply performs one mutation — the record is the mutation — for every
+// path that changes controller state: the live ones (through
+// mutateLocked), recovery and takeover replay, and a follower's
+// ApplyRecord. It runs with c.mu held (or before the controller serves).
+// It updates the domain, the session table and the lease metadata, and
+// delivers the observer's events in mutation order: for an assoc, every
+// move's disconnect, then every placement's connect; a same-AP refresh
+// emits nothing, since the user never left. A replay skips the session
+// log, the live-only counters and the log lines: the process that wrote
+// the record already emitted them.
+func (c *Controller) apply(r *journal.Record, replay bool) error {
 	switch r.Op {
 	case journal.OpRegister:
 		if m, ok := c.meta[r.AP]; ok {
@@ -359,26 +363,32 @@ func (c *Controller) applyRecord(r journal.Record) error {
 		return nil
 
 	case journal.OpAssoc:
-		ps := make([]domain.Placement, len(r.Placements))
-		for i, p := range r.Placements {
-			ps[i] = domain.Placement{User: p.User, AP: p.AP, Prev: p.Prev, DemandBps: p.DemandBps}
+		ps := c.scr.ps[:0]
+		for _, p := range r.Placements {
+			ps = append(ps, domain.Placement{User: p.User, AP: p.AP, Prev: p.Prev, DemandBps: p.DemandBps})
 		}
+		c.scr.ps = ps
 		if _, err := c.dom.Commit(ps, nil); err != nil {
 			return err
 		}
 		for _, p := range r.Placements {
-			// Mirror the live path: a same-AP refresh keeps the session
-			// as it is and emits no lifecycle events.
-			prev, hadPrev := c.sessions[p.User]
-			if hadPrev && prev.ap == p.AP {
-				continue
-			}
-			c.sessions[p.User] = session{ap: p.AP, at: r.TS}
-			if c.observer != nil {
-				if hadPrev {
-					c.notifyDisconnect(p.User, prev.ap, r.TS)
+			if s, ok := c.sessions[p.User]; ok && s.ap != p.AP {
+				if !replay {
+					c.sessionRecordLocked(p.User, r.TS)
+					obsAssocMoves.Inc()
 				}
-				c.observer.Connect(p.User, p.AP, r.TS)
+				c.notifyDisconnect(p.User, s.ap, r.TS)
+			}
+		}
+		for _, p := range r.Placements {
+			if c.sessions[p.User].ap != p.AP {
+				c.sessions[p.User] = session{ap: p.AP, at: r.TS}
+				if c.observer != nil {
+					c.observer.Connect(p.User, p.AP, r.TS)
+				}
+			}
+			if !replay && c.logEnabled {
+				c.logger.Printf("assoc %s -> %s (demand %.0f B/s)", p.User, p.AP, p.DemandBps)
 			}
 		}
 		return nil
@@ -386,48 +396,62 @@ func (c *Controller) applyRecord(r journal.Record) error {
 	case journal.OpDisassoc:
 		s, ok := c.sessions[r.User]
 		if !ok {
-			return fmt.Errorf("protocol: disassoc replay for unassigned user %q", r.User)
+			return fmt.Errorf("protocol: disassoc for unassigned user %q", r.User)
+		}
+		c.dom.LeaveAll(r.User, s.ap)
+		if !replay {
+			c.sessionRecordLocked(r.User, r.TS)
 		}
 		delete(c.sessions, r.User)
-		c.dom.LeaveAll(r.User, s.ap)
 		c.notifyDisconnect(r.User, s.ap, r.TS)
-		return nil
-
-	case journal.OpLeave:
-		if !c.dom.Leave(r.User, r.AP, r.DemandBps) {
-			return fmt.Errorf("protocol: leave replay for %q on %q failed", r.User, r.AP)
+		if !replay && c.logEnabled {
+			c.logger.Printf("disassoc %s from %s", r.User, s.ap)
 		}
 		return nil
 
 	case journal.OpExpire:
-		if _, ok := c.meta[r.AP]; !ok {
-			return fmt.Errorf("protocol: expire replay for unknown AP %q", r.AP)
+		m, ok := c.meta[r.AP]
+		if !ok {
+			return fmt.Errorf("protocol: expire for unknown AP %q", r.AP)
 		}
-		evicted, _ := c.dom.RemoveAP(r.AP)
-		delete(c.meta, r.AP)
-		sort.Slice(evicted, func(i, j int) bool { return evicted[i].User < evicted[j].User })
+		evicted, _ := c.dom.RemoveAP(r.AP) // sorted by user
 		for _, ev := range evicted {
+			if !replay {
+				c.sessionRecordLocked(ev.User, r.TS)
+			}
 			delete(c.sessions, ev.User)
 			c.notifyDisconnect(ev.User, r.AP, r.TS)
+		}
+		delete(c.meta, r.AP)
+		if !replay {
+			c.logger.Printf("ap %s lease expired (silent %ds, %d users re-homed)",
+				r.AP, r.TS-m.lastSeen, len(evicted))
+			obsLeaseExpired.Inc()
 		}
 		return nil
 	}
 	return fmt.Errorf("protocol: unknown journal op %q", r.Op)
 }
 
-// journalAppendLocked appends one record if journaling is enabled. Runs
-// with c.mu held, after the mutation it describes has applied. An append
-// failure is logged and counted (journal.append_errors) but does not
-// fail the client operation: this prototype prefers availability, and a
-// recovered state that is missing tail records is exactly what recovery
-// is specified to tolerate.
-func (c *Controller) journalAppendLocked(rec journal.Record) {
+// mutateLocked applies one live mutation and then, if journaling is
+// enabled, appends its record. Runs with c.mu held. Observer events go
+// out inside apply, before the append, so a checkpoint triggered by this
+// record captures the observer at exactly this sequence number. An
+// append failure is logged and counted (journal.append_errors) but does
+// not fail the client operation: this prototype prefers availability,
+// and a recovered state that is missing tail records is exactly what
+// recovery is specified to tolerate.
+func (c *Controller) mutateLocked(rec journal.Record) error {
+	if err := c.apply(&rec, false); err != nil {
+		return err
+	}
 	if c.jn == nil {
-		return
+		return nil
 	}
 	if err := c.jn.Append(rec); err != nil {
 		c.logger.Printf("journal: %v", err)
 	}
+	return nil
 }
 
 // closeJournal checkpoints (graceful shutdown makes restart instant) and

@@ -716,7 +716,7 @@ func TestJournalReplayErrorTolerance(t *testing.T) {
 
 // TestJournalFsyncFailureStillAcks: a journaled controller whose segment
 // fsync fails still acknowledges the association (availability over
-// durability, as journalAppendLocked documents) and counts the failed
+// durability, as mutateLocked documents) and counts the failed
 // append in journal.append_errors.
 func TestJournalFsyncFailureStillAcks(t *testing.T) {
 	var degraded atomic.Bool

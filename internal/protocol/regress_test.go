@@ -400,14 +400,10 @@ func assignmentsOf(c *Controller) map[trace.UserID]trace.APID {
 // TestAssociateSteadyStateAllocs gates the association fast path: a
 // steady-state re-association (same user, new demand) through a
 // log-quiet controller must not allocate — the AP view aggregates, the
-// request, the placement and the commit all run from pooled scratch.
-// Journaled (FsyncOff), a same-AP refresh appends its OpAssoc record
-// from the same scratch; at the parent commit Associate allocated once
-// there (measured 1.0 objects/op: the record's one-placement slice).
+// request, the record and its domain placements all live in the
+// controller's scratch. Journaled (FsyncOff), a same-AP refresh appends
+// its OpAssoc record from the same scratch.
 func TestAssociateSteadyStateAllocs(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool drops a share of its items under the race detector, so the pooled scratch is reallocated")
-	}
 	for _, tc := range []struct {
 		name string
 		opts func(t *testing.T) []ControllerOption

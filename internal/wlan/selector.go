@@ -27,6 +27,8 @@ type APView = domain.APView
 // Selector is an association policy: given a request and the live state of
 // the candidate APs in the controller domain, pick one AP. Implementations
 // must be deterministic for reproducible experiments. aps is never empty.
+// The live controller (internal/protocol) calls Select and SelectBatch
+// under its lock, so a policy must not call back into the controller.
 type Selector interface {
 	// Name identifies the policy in experiment output.
 	Name() string
