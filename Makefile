@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race bench-selftest bench-ab loc chaos federation-chaos overload-soak flight-smoke bench experiments analyses ablations clean
+.PHONY: all build fmt-check vet test race bench-selftest bench-ab bench-record loc chaos federation-chaos overload-soak flight-smoke bench experiments analyses ablations clean
 
 all: build fmt-check vet test
 
@@ -37,6 +37,15 @@ W ?= paperfigs
 N ?= 10
 bench-ab:
 	bash scripts/bench-ab.sh $(PARENT) $(W) $(N)
+
+# One point of the perf trajectory, written to BENCH_OUT: every workload
+# run once untraced and once traced (`bench/run.sh --workload all`, seed
+# 1, 12 s), host facts, the four driver.assign_hash, `make loc`'s rows
+# and the pairs any bench-ab run left in .bench_build/ab-<W>/
+# (scripts/bench-record.sh).
+BENCH_OUT ?= BENCH.json
+bench-record:
+	bash scripts/bench-record.sh $(BENCH_OUT)
 
 # Churn + fault-injection soak of the live controller under the race
 # detector: a faulty listener, self-closing re-dialing agents and

@@ -212,10 +212,17 @@ func Hash(s string) uint32 {
 // identical to the historical hash/fnv implementation, without its
 // per-call allocation.
 func SyntheticRSSI(u trace.UserID, ap trace.APID) float64 {
-	h := fnv32aString(uint32(fnvOffset32), string(u))
-	h = (h ^ 0) * fnvPrime32
-	h = fnv32aString(h, string(ap))
-	return -90 + float64(h%61)
+	return rssiAfter(userHash(u), ap)
+}
+
+// userHash is the FNV-1a state after user|0x00: ViewsInto hashes it
+// once a call and finishes it with each AP id (rssiAfter).
+func userHash(u trace.UserID) uint32 {
+	return (fnv32aString(uint32(fnvOffset32), string(u)) ^ 0) * fnvPrime32
+}
+
+func rssiAfter(hu uint32, ap trace.APID) float64 {
+	return -90 + float64(fnv32aString(hu, string(ap))%61)
 }
 
 // Version is the domain version a ViewsInto snapshot was taken at, as a
@@ -547,6 +554,7 @@ func (d *Domain) ViewsInto(u trace.UserID, buf *ViewBuf) {
 	buf.views = buf.views[:0]
 	d.mu.RLock()
 	buf.ver = d.version
+	hu := userHash(u)
 	for _, id := range d.ids {
 		st := d.aps[id]
 		if st.failed {
@@ -568,7 +576,7 @@ func (d *Domain) ViewsInto(u trace.UserID, buf *ViewBuf) {
 			ID:          id,
 			CapacityBps: st.capacityBps,
 			LoadBps:     load,
-			RSSI:        SyntheticRSSI(u, id),
+			RSSI:        rssiAfter(hu, id),
 			NumUsers:    len(st.users),
 			st:          st,
 		})

@@ -14,8 +14,8 @@ import (
 // Routing front-end: every replica accepts any peer. The hello names
 // the peer (AP agent by AP ID, station by user ID), which hashes to a
 // federation group; a locally owned group is served by the local
-// controller via HandleSession, anything else is relayed message-wise
-// over the binary codec to whichever node the group's lease names.
+// controller via HandleSession, anything else is relayed frame by frame
+// to whichever node the group's lease names.
 //
 // The lease file is the routing truth: a relay target is only ever the
 // current lease holder, and a node never serves a group it does not
@@ -130,7 +130,7 @@ func (n *Node) route(conn *protocol.Conn) {
 	// breaker — pumps failing because the owner died later is the next
 	// establishment attempt's news, and a long session ending cleanly
 	// must not reset a breaker that tripped in the meantime.
-	n.relay(conn, hello, l.Addr, br.Success, br.Failure)
+	n.relay(conn, l.Addr, br.Success, br.Failure)
 }
 
 // breakerCooldown resolves the configured breaker cooldown (the
@@ -142,16 +142,16 @@ func (n *Node) breakerCooldown() time.Duration {
 	return time.Second
 }
 
-// relay pumps one peer connection to the group owner at addr over the
-// binary codec: the hello first, then each direction batch-for-batch
-// (ReceiveBatch/SendBatch preserve the peer's frame boundaries, so a
-// group agent's coalesced report batch stays one frame on the owner
-// side). The relay is transparent: decisions, errors and acks all come
-// from the owner.
+// relay pumps one peer connection to the group owner at addr: the
+// hello's frame first, with any messages that shared it, then each
+// direction frame for frame. Frames are checked (magic, length, CRC) at
+// this hop and forwarded as they arrived, never decoded or re-encoded,
+// so the owner sees the peer's frames byte for byte. The relay is
+// transparent: decisions, errors and acks all come from the owner.
 //
 // The group's circuit breaker feeds off the *establishment* outcome:
 // established() fires as soon as the owner produces its first reply
-// batch (the hello ack or a policy error — either proves a live
+// frame (the hello ack or a policy error — either proves a live
 // owner), and failed() marks a relay that never got there — the owner
 // could not be dialed, refused the hello, or sat silent past the relay
 // deadline — before the peer is told: a peer that retries the instant it
@@ -163,7 +163,7 @@ func (n *Node) breakerCooldown() time.Duration {
 // returns only at session end, far too late for a half-open probe's
 // verdict, and a session outliving its owner must not reset a breaker
 // that correctly tripped while the session ran.
-func (n *Node) relay(client *protocol.Conn, hello protocol.Message, addr string, established, failed func()) {
+func (n *Node) relay(client *protocol.Conn, addr string, established, failed func()) {
 	obsRelays.Inc()
 	unreached := func(what string, err error) {
 		obsRelayErrors.Inc()
@@ -177,17 +177,17 @@ func (n *Node) relay(client *protocol.Conn, hello protocol.Message, addr string,
 	}
 	owner := protocol.NewConn(raw, n.cfg.Timeout)
 	defer owner.Close()
-	if err := owner.Send(hello); err != nil {
+	if err := owner.SendFrame(client.Frame()); err != nil {
 		unreached("relay hello", err)
 		return
 	}
-	first, err := owner.ReceiveBatch(nil)
+	first, err := owner.ReceiveFrame()
 	if err != nil {
 		unreached("relay: owner unresponsive", err)
 		return
 	}
 	established()
-	if err := client.SendBatch(first); err != nil {
+	if err := client.SendFrame(first); err != nil {
 		obsRelayErrors.Inc()
 		return // the owner is fine; the client side failed
 	}
@@ -208,16 +208,14 @@ func (n *Node) relay(client *protocol.Conn, hello protocol.Message, addr string,
 	<-done
 }
 
-// pump copies message batches from src to dst until either side fails.
+// pump forwards frames from src to dst until either side fails.
 func pump(src, dst *protocol.Conn) error {
-	var buf []protocol.Message
 	for {
-		var err error
-		buf, err = src.ReceiveBatch(buf)
+		frame, err := src.ReceiveFrame()
 		if err != nil {
 			return err
 		}
-		if err := dst.SendBatch(buf); err != nil {
+		if err := dst.SendFrame(frame); err != nil {
 			return err
 		}
 	}

@@ -2,11 +2,16 @@ package journal
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
+
+	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
 // jsonFrame frames r as the JSON object an earlier release stored:
@@ -243,6 +248,73 @@ func TestRecordRoundTrip(t *testing.T) {
 		if _, err := AppendRecord(nil, &Record{Op: op}); err == nil {
 			t.Fatalf("op %q, outside the Op* constants, was encoded", op)
 		}
+	}
+}
+
+// TestDecodeRecordReusesRepeatedStrings is the reuse rule's property
+// test for records: a seeded stream whose users and APs now repeat and
+// now change, decoded into one reused Record (as recovery and followers
+// decode), equals each record decoded into a fresh one, and a field that
+// repeats the reused Record's — the record-level AP and User (or, where
+// those were empty, the first placement's), and each placement's against
+// the same slot — is that string itself.
+func TestDecodeRecordReusesRepeatedStrings(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pick := func(vals ...string) string { return vals[rng.Intn(len(vals))] }
+	var reused Record
+	shared := 0
+	for i := 0; i < 2000; i++ {
+		want := Record{Seq: uint64(i + 1), Op: wireOps[pick("1", "2", "2", "3", "5")[0]-'0'],
+			AP: trace.APID(pick("", "ap-1", "ap-2")), User: trace.UserID(pick("", "u-1", "u-1", "u-2"))}
+		for n := rng.Intn(4); n > 0; n-- {
+			want.Placements = append(want.Placements, Placement{User: trace.UserID(pick("u-1", "u-2", "u-3")),
+				AP: trace.APID(pick("ap-1", "ap-2")), Prev: trace.APID(pick("", "ap-1", "ap-2")), DemandBps: 1})
+		}
+		payload, err := AppendRecord(nil, &want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := reused
+		before.Placements = append([]Placement(nil), reused.Placements[:cap(reused.Placements)]...)
+		var fresh Record
+		if err := DecodeRecord(payload, &fresh); err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeRecord(payload, &reused); err != nil {
+			t.Fatal(err)
+		}
+		got := reused
+		if len(got.Placements) == 0 {
+			got.Placements = nil // an emptied reused slice, where a fresh Record has none
+		}
+		if !reflect.DeepEqual(fresh, got) || fresh.Seq != want.Seq || len(fresh.Placements) != len(want.Placements) {
+			t.Fatalf("record %d: reused decode %+v, fresh %+v", i, reused, fresh)
+		}
+		same := func(got, was string) {
+			if got == was && got != "" {
+				if unsafe.StringData(got) != unsafe.StringData(was) {
+					t.Fatalf("record %d: repeated %q decoded as a copy", i, got)
+				}
+				shared++
+			}
+		}
+		var first Placement // where the reused Record has no AP or User, its first slot's stand in
+		if len(before.Placements) > 0 {
+			first = before.Placements[0]
+		}
+		same(string(reused.AP), string(cmp.Or(before.AP, first.AP)))
+		same(string(reused.User), string(cmp.Or(before.User, first.User)))
+		for k, p := range reused.Placements {
+			if k < len(before.Placements) {
+				was := before.Placements[k]
+				same(string(p.User), string(was.User))
+				same(string(p.AP), string(was.AP))
+				same(string(p.Prev), string(was.Prev))
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("the stream never repeated a field")
 	}
 }
 

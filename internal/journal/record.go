@@ -1,8 +1,10 @@
 package journal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
@@ -109,7 +111,9 @@ func AppendRecord(dst []byte, r *Record) ([]byte, error) {
 
 // DecodeRecord decodes one record payload into r, replacing every field;
 // r.Placements' backing array is reused, so a caller that keeps a
-// decoded record across calls must take the slice away from r first. It
+// decoded record across calls must take the slice away from r first. A
+// string equal to what its field or placement slot of r held (r's empty
+// AP or User: its first placement's) is kept, not copied. It
 // is the one decoder recovery, followers and tooling share, and it
 // treats the payload as hostile: an unknown version, op or flag bit, a
 // placement count the remaining bytes could not hold, a truncated field
@@ -128,15 +132,21 @@ func DecodeRecord(payload []byte, r *Record) error {
 	case flags&^(recCapacity|recStatic) != 0:
 		return fmt.Errorf("journal: decode record: unknown flags %#x", flags)
 	}
+	var first Placement // a departure names the AP and user its association placed
+	if cap(r.Placements) > 0 {
+		first = r.Placements[:1][0]
+	}
 	*r = Record{Op: wireOps[op], Seq: in.Uvarint(), Epoch: in.Uvarint(), TS: in.Varint(),
-		AP: trace.APID(in.Str()), User: trace.UserID(in.Str()),
+		AP: trace.APID(in.StrAs(string(cmp.Or(r.AP, first.AP)))), User: trace.UserID(in.StrAs(string(cmp.Or(r.User, first.User)))),
 		Static: flags&recStatic != 0, Placements: r.Placements[:0]}
 	if flags&recCapacity != 0 {
 		r.CapacityBps = in.Float()
 	}
 	for n := in.Count(minPlacementBytes); n > 0 && in.Err() == nil; n-- {
-		r.Placements = append(r.Placements, Placement{User: trace.UserID(in.Str()),
-			AP: trace.APID(in.Str()), Prev: trace.APID(in.Str()), DemandBps: in.Float()})
+		r.Placements = slices.Grow(r.Placements, 1)[:len(r.Placements)+1]
+		p := &r.Placements[len(r.Placements)-1] // as this slot was last decoded, or zero
+		p.User, p.AP, p.Prev = trace.UserID(in.StrAs(string(p.User))), trace.APID(in.StrAs(string(p.AP))), trace.APID(in.StrAs(string(p.Prev)))
+		p.DemandBps = in.Float()
 	}
 	if in.Err() != nil {
 		return fmt.Errorf("journal: decode record %d: %w", r.Seq, in.Err())

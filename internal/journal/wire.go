@@ -228,14 +228,16 @@ func (r *Reader) Float() float64 {
 
 // Str reads a uvarint-length-prefixed string. (Not named String: a
 // Reader must not satisfy fmt.Stringer with a method that consumes it.)
-func (r *Reader) Str() string {
-	if len(r.b) > 0 && int(r.b[0]) < min(0x80, len(r.b)) { // one length byte, all there
-		n := 1 + int(r.b[0])
-		s := string(r.b[1:n])
-		r.b = r.b[n:]
-		return s
+func (r *Reader) Str() string { return r.StrAs("") }
+
+// StrAs reads a string as Str does, but returns prev itself when the
+// bytes equal it: a decoder that passes what the same field held in its
+// previous message or record copies only a string that changed.
+func (r *Reader) StrAs(prev string) string {
+	if b := r.take(r.Uvarint()); string(b) != prev {
+		return string(b)
 	}
-	return string(r.take(r.Uvarint()))
+	return prev
 }
 
 // Count reads an element count and fails the reader when the remaining

@@ -85,9 +85,11 @@ func ReadHello(conn *Conn, helloTimeout time.Duration) (Message, error) {
 	}
 	hello, err := conn.Receive()
 	conn.SetTimeout(full)
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		obsHelloTimeout.Inc()
+	if err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			obsHelloTimeout.Inc()
+		}
 	}
 	return hello, err
 }

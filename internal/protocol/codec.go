@@ -2,11 +2,11 @@ package protocol
 
 // Binary wire codec. The controller's data plane reuses the journal's
 // magic|length|CRC-32C framing and its field primitives (strings,
-// floats, varints: internal/journal/wire.go): one frame carries a
-// batch of compactly encoded Messages, so a client can coalesce several
-// messages (e.g. an AP group's load reports) into a single write and a
-// single checksum. It is the only encoding either end speaks: a peer
-// that opens with anything but a frame fails the magic check.
+// floats, varints: internal/journal/wire.go): one frame carries a count
+// and that many Messages. Send writes one a frame; a federation relay
+// forwards frames whole (ReceiveFrame/SendFrame). It is the only
+// encoding either end speaks: a peer that opens with anything but a
+// frame fails the magic check.
 //
 // Message layout inside a frame payload:
 //
@@ -125,21 +125,10 @@ func appendMessage(dst []byte, m *Message) ([]byte, error) {
 	return dst, nil
 }
 
-// encodePayload appends the frame payload (count + messages) for ms.
-func encodePayload(dst []byte, ms []Message) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(len(ms)))
-	var err error
-	for i := range ms {
-		if dst, err = appendMessage(dst, &ms[i]); err != nil {
-			return dst, err
-		}
-	}
-	return dst, nil
-}
-
 // decodeMessage decodes one message from in (the shared field reader,
-// internal/journal); truncation surfaces through in.Err.
-func decodeMessage(in *journal.Reader) (Message, error) {
+// internal/journal); truncation surfaces through in.Err. A string field
+// whose bytes equal the same field of prev is prev's string, not a copy.
+func decodeMessage(in *journal.Reader, prev *Message) (Message, error) {
 	var m Message
 	wt, flags := in.Byte(), in.Byte()
 	if in.Err() != nil {
@@ -149,11 +138,11 @@ func decodeMessage(in *journal.Reader) (Message, error) {
 		return m, fmt.Errorf("protocol: decode: unknown message type %d", wt)
 	}
 	m.Type = wireTypes[wt]
-	m.Role = Role(in.Str())
-	m.ID = in.Str()
-	m.User = in.Str()
-	m.AP = in.Str()
-	m.Error = in.Str()
+	m.Role = Role(in.StrAs(string(prev.Role)))
+	m.ID = in.StrAs(prev.ID)
+	m.User = in.StrAs(prev.User)
+	m.AP = in.StrAs(prev.AP)
+	m.Error = in.StrAs(prev.Error)
 	if flags&flagCapacity != 0 {
 		m.CapacityBps = in.Float()
 	}
@@ -176,9 +165,11 @@ func decodeMessage(in *journal.Reader) (Message, error) {
 }
 
 // decodePayload decodes a frame payload into queue (appended) and
-// returns the extended queue. Trailing garbage after the declared
-// message count is an error — a CRC-valid frame is all or nothing.
-func decodePayload(payload []byte, queue []Message) ([]Message, error) {
+// returns the extended queue. Each message is decoded against the one
+// before it, the first against prev, so strings that repeat are shared.
+// Trailing garbage after the declared message count is an error — a
+// CRC-valid frame is all or nothing.
+func decodePayload(payload []byte, queue []Message, prev Message) ([]Message, error) {
 	in := journal.NewReader(payload)
 	// Each message costs ≥ 7 bytes; a count beyond that is hostile.
 	count := in.Count(7)
@@ -186,11 +177,11 @@ func decodePayload(payload []byte, queue []Message) ([]Message, error) {
 		return queue, fmt.Errorf("protocol: decode: truncated or implausible message count")
 	}
 	for i := 0; i < count; i++ {
-		m, err := decodeMessage(&in)
+		m, err := decodeMessage(&in, &prev)
 		if err != nil {
 			return queue, err
 		}
-		queue = append(queue, m)
+		queue, prev = append(queue, m), m
 	}
 	if rest := len(in.Rest()); rest != 0 {
 		return queue, fmt.Errorf("protocol: decode: %d trailing bytes after %d messages", rest, count)

@@ -2,15 +2,18 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"net"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/s3wlan/s3wlan/internal/baseline"
 	"github.com/s3wlan/s3wlan/internal/journal"
@@ -34,13 +37,27 @@ var codecMessages = []Message{
 	{Type: MsgAssign, User: strings.Repeat("u", 300), AP: "ap"},
 }
 
+// encodePayload appends the frame payload (count + messages) for ms:
+// how a peer writes several messages in one frame, which no sender in
+// this package does.
+func encodePayload(dst []byte, ms []Message) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(ms)))
+	var err error
+	for i := range ms {
+		if dst, err = appendMessage(dst, &ms[i]); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
 func TestBinaryCodecRoundTrip(t *testing.T) {
 	for _, want := range codecMessages {
 		payload, err := encodePayload(nil, []Message{want})
 		if err != nil {
 			t.Fatalf("encode %+v: %v", want, err)
 		}
-		queue, err := decodePayload(payload, nil)
+		queue, err := decodePayload(payload, nil, Message{})
 		if err != nil {
 			t.Fatalf("decode %+v: %v", want, err)
 		}
@@ -53,7 +70,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queue, err := decodePayload(payload, nil)
+	queue, err := decodePayload(payload, nil, Message{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +113,9 @@ func TestBinaryConnRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSendBatchCoalesces: a batch travels as ONE framed write and is
-// received message by message in order.
+// TestSendBatchCoalesces: a frame of several messages, as a peer may
+// write one, travels through SendFrame as ONE write and is received
+// message by message in order.
 func TestSendBatchCoalesces(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
@@ -116,8 +134,12 @@ func TestSendBatchCoalesces(t *testing.T) {
 		}
 		recvd <- got
 	}()
+	payload, err := encodePayload(nil, codecMessages)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := NewConn(writes, 0)
-	if err := c.SendBatch(codecMessages); err != nil {
+	if err := c.SendFrame(journal.AppendFrame(nil, payload)); err != nil {
 		t.Fatal(err)
 	}
 	got := <-recvd
@@ -127,9 +149,81 @@ func TestSendBatchCoalesces(t *testing.T) {
 		}
 	}
 	if n := writes.writes.Load(); n != 1 {
-		t.Errorf("batch of %d messages took %d writes, want 1", len(codecMessages), n)
+		t.Errorf("frame of %d messages took %d writes, want 1", len(codecMessages), n)
 	}
 }
+
+// TestReceiveReusesRepeatedStrings is the reuse rule's property test: a
+// seeded stream whose string fields now repeat the previous message's
+// and now change decodes through one Conn — frame after frame, and
+// message after message inside a frame — to exactly what a fresh Conn
+// decodes from each frame alone, and every repeated field is the
+// previous message's string itself, not a copy.
+func TestReceiveReusesRepeatedStrings(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pick := func(vals ...string) string { return vals[rng.Intn(len(vals))] }
+	var frames [][]byte
+	var want []Message
+	for i := 0; i < 400; i++ {
+		batch := make([]Message, 1+rng.Intn(3))
+		for k := range batch {
+			batch[k] = Message{Type: wireTypes[1+rng.Intn(len(wireTypes)-1)],
+				Role: Role(pick("", "ap", "station")), ID: pick("", "ap-1", "u-1"),
+				User: pick("u-1", "u-1", "u-2", strings.Repeat("u", 200)), AP: pick("ap-1", "ap-1", "ap-2", ""),
+				Error: pick("", "", "boom"), DemandBps: float64(rng.Intn(3)), Bytes: int64(rng.Intn(2))}
+		}
+		payload, err := encodePayload(nil, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, journal.AppendFrame(nil, payload))
+		want = append(want, batch...)
+	}
+	stream := NewConn(&readConn{r: bytes.NewReader(bytes.Join(frames, nil))}, 0)
+	var prev Message
+	shared := 0
+	for fi, frame := range frames {
+		fresh := NewConn(&readConn{r: bytes.NewReader(frame)}, 0)
+		for {
+			alone, err := fresh.Receive()
+			if err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatalf("frame %d alone: %v", fi, err)
+			}
+			got, err := stream.Receive()
+			if err != nil {
+				t.Fatalf("frame %d on the stream: %v", fi, err)
+			}
+			if got != alone || got != want[0] {
+				t.Fatalf("frame %d: stream decoded %+v, alone %+v, sent %+v", fi, got, alone, want[0])
+			}
+			want = want[1:]
+			for _, f := range [][2]string{{string(got.Role), string(prev.Role)}, {got.ID, prev.ID},
+				{got.User, prev.User}, {got.AP, prev.AP}, {got.Error, prev.Error}} {
+				if f[0] == f[1] && f[0] != "" {
+					if unsafe.StringData(f[0]) != unsafe.StringData(f[1]) {
+						t.Fatalf("frame %d: repeated %q decoded as a copy", fi, f[0])
+					}
+					shared++
+				}
+			}
+			prev = got
+		}
+	}
+	if shared == 0 {
+		t.Fatal("the stream never repeated a field")
+	}
+}
+
+// readConn is a net.Conn that reads from r and accepts every write.
+type readConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c *readConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
+func (c *readConn) Write(p []byte) (int, error) { return len(p), nil }
 
 // sendJSONLines plays a peer of the retired JSON-lines encoding: it
 // writes lines on a fresh connection and returns what the controller
@@ -356,7 +450,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(all[:len(all)/2])                                                   // truncated mid-stream
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		queue, err := decodePayload(data, nil)
+		queue, err := decodePayload(data, nil, Message{})
 		if err != nil {
 			return // rejected is fine; panics and hangs are the bug class
 		}
@@ -367,7 +461,7 @@ func FuzzWireDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded messages failed to re-encode: %v (%+v)", err, queue)
 		}
-		back, err := decodePayload(re, nil)
+		back, err := decodePayload(re, nil, Message{})
 		if err != nil {
 			t.Fatalf("re-encoded payload failed to decode: %v", err)
 		}

@@ -525,7 +525,7 @@ func (c *Controller) agentGone(id trace.APID, gen uint64) {
 // testStationHook, when set by an in-package test, observes every
 // validated station message before dispatch — the injection point the
 // panic-containment tests use to detonate inside a handler goroutine.
-var testStationHook func(user trace.UserID, m *Message)
+var testStationHook func(user trace.UserID, m Message)
 
 // handleStation serves one station's association lifecycle.
 func (c *Controller) handleStation(conn *Conn, hello Message) {
@@ -552,7 +552,7 @@ func (c *Controller) handleStation(conn *Conn, hello Message) {
 			continue
 		}
 		if h := testStationHook; h != nil {
-			h(user, &m)
+			h(user, m)
 		}
 		switch m.Type {
 		case MsgAssoc:

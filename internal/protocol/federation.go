@@ -20,7 +20,8 @@ import (
 //     the same append hooks a journal-born controller has.
 //   - The routing front-end hands connections whose hello belongs to a
 //     locally owned shard to HandleSession; remote shards are relayed
-//     over the binary codec (Conn.ReceiveBatch / Conn.SendBatch).
+//     frame by frame, CRC-checked but not decoded (Conn.Frame for the
+//     hello's frame, then Conn.ReceiveFrame / Conn.SendFrame).
 //
 // None of this is reachable in single-node mode: a controller built by
 // NewController with WithJournal behaves exactly as before.
@@ -134,23 +135,4 @@ func (c *Controller) JournalSeq() uint64 {
 		return 0
 	}
 	return c.jn.Seq()
-}
-
-// ReceiveBatch reads one frame — the unit SendBatch writes — and
-// returns every message it carried. Messages are appended to buf
-// (reused across calls; pass nil to allocate). The relay
-// front-end uses Receive/ReceiveBatch + SendBatch to forward a peer's
-// traffic to a remote shard owner without re-framing message by
-// message.
-func (c *Conn) ReceiveBatch(buf []Message) ([]Message, error) {
-	m, err := c.Receive()
-	if err != nil {
-		return buf, err
-	}
-	buf = append(buf[:0], m)
-	for c.qpos < len(c.queue) {
-		buf = append(buf, c.queue[c.qpos])
-		c.qpos++
-	}
-	return buf, nil
 }

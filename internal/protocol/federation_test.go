@@ -2,10 +2,12 @@ package protocol
 
 // Federation-surface tests: a standby controller mirroring a live
 // owner through the exported replication entry points, promotion via
-// AttachJournal, and the ReceiveBatch relay primitive.
+// AttachJournal, and the frame primitives a relay forwards with.
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"testing"
@@ -136,44 +138,81 @@ func TestApplyRecordRefusedWhenArmed(t *testing.T) {
 	}
 }
 
-// TestReceiveBatchRoundtrip pins the relay primitive: SendBatch's
-// single binary frame arrives as one ReceiveBatch unit, and the buffer
-// is reused across calls.
+// TestReceiveBatchRoundtrip pins the relay primitives on a hop built as
+// the federation relay builds one: the hello's frame, with the reports
+// that shared it, goes on whole through Frame, a later multi-message
+// frame crosses through ReceiveFrame/SendFrame byte for byte, and the
+// hop's own Receive never delivers the forwarded companions again.
 func TestReceiveBatchRoundtrip(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	src := NewConn(a, time.Second)
-	dst := NewConn(b, time.Second)
+	peer, hopSide := net.Pipe()
+	ownerSide, owner := net.Pipe()
+	defer peer.Close()
+	defer hopSide.Close()
+	defer ownerSide.Close()
+	defer owner.Close()
+	in, out := NewConn(hopSide, time.Second), NewConn(ownerSide, time.Second)
 
-	batch := []Message{
-		{Type: MsgHello, Role: RoleAP, ID: "ap-1", CapacityBps: 1e6},
-		{Type: MsgReport, AP: "ap-1", LoadBps: 5e5},
-		{Type: MsgReport, AP: "ap-1", LoadBps: 6e5},
+	frameOf := func(ms ...Message) []byte {
+		payload, err := encodePayload(nil, ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return journal.AppendFrame(nil, payload)
 	}
+	helloFrame := frameOf(Message{Type: MsgHello, Role: RoleAP, ID: "ap-1", CapacityBps: 1e6},
+		Message{Type: MsgReport, AP: "ap-1", LoadBps: 5e5},
+		Message{Type: MsgReport, AP: "ap-1", LoadBps: 6e5})
+	laterFrame := frameOf(Message{Type: MsgReport, AP: "ap-1", LoadBps: 7e5},
+		Message{Type: MsgDisassoc, User: "u-1"})
+	lastFrame := frameOf(Message{Type: MsgTraffic, Bytes: 9})
 	errc := make(chan error, 1)
-	go func() { errc <- src.SendBatch(batch) }()
-	got, err := dst.ReceiveBatch(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sendErr := <-errc; sendErr != nil {
-		t.Fatal(sendErr)
-	}
-	if !reflect.DeepEqual(got, batch) {
-		t.Fatalf("batch round-trip: got %+v", got)
+	go func() {
+		for _, f := range [][]byte{helloFrame, laterFrame, lastFrame} {
+			if _, err := peer.Write(f); err != nil {
+				errc <- err
+				return
+			}
+		}
+		errc <- nil
+	}()
+	// forward hands frame to the owner side and checks what arrives there.
+	forward := func(frame []byte, want []byte) {
+		t.Helper()
+		go func() { errc <- out.SendFrame(frame) }()
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(owner, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("the owner side got\n%x\nwant\n%x", got, want)
+		}
 	}
 
-	// Reuse: a second single-message frame lands in the same buffer.
-	go func() { errc <- src.Send(Message{Type: MsgDisassoc, User: "u-1"}) }()
-	again, err := dst.ReceiveBatch(got)
+	hello, err := ReadHello(in, 0)
+	if err != nil || hello.Type != MsgHello || hello.ID != "ap-1" {
+		t.Fatalf("hello = %+v, %v", hello, err)
+	}
+	forward(in.Frame(), helloFrame)
+	later, err := in.ReceiveFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sendErr := <-errc; sendErr != nil {
-		t.Fatal(sendErr)
+	forward(later, laterFrame)
+	if m, err := in.Receive(); err != nil || m != (Message{Type: MsgTraffic, Bytes: 9}) {
+		t.Fatalf("after the forwarded frames Receive = %+v, %v; want the traffic message", m, err)
 	}
-	if len(again) != 1 || again[0].Type != MsgDisassoc {
-		t.Fatalf("second batch: %+v", again)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+
+	// What crossed decodes to the messages the peer framed, in order.
+	got := NewConn(&readConn{r: bytes.NewReader(append(helloFrame, laterFrame...))}, 0)
+	for _, want := range []MsgType{MsgHello, MsgReport, MsgReport, MsgReport, MsgDisassoc} {
+		if m, err := got.Receive(); err != nil || m.Type != want {
+			t.Fatalf("forwarded stream: %+v, %v; want %s", m, err, want)
+		}
 	}
 }

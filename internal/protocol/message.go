@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/journal"
@@ -79,12 +80,15 @@ type Message struct {
 // Conn wraps a net.Conn with message framing and I/O deadlines. Both
 // ends speak the framed binary codec (codec.go); a peer that opens with
 // anything else fails the frame-magic check on the first Receive. The
-// read buffer and the encode scratch live on the Conn and are reused
-// across messages, so a steady-state send or receive performs no
-// allocation beyond the decoded strings themselves. A message is
-// assembled whole in that scratch and handed to the socket in one Write,
-// so there is no write buffer, and the read buffer is sized to a
-// station's frames (under 100 bytes): larger payloads bypass it
+// frame buffers and the decoded-message queue live on the Conn and are
+// reused across messages, and each decoded string field is checked
+// against the same field of the previous message on this Conn: equal
+// bytes yield that message's string, so a steady-state send or receive
+// allocates only for a string that changed (a station's user id never
+// does; an assignment's AP id only when the station moves). A message
+// is assembled whole in the output scratch and handed to the socket in
+// one Write, so there is no write buffer, and the read buffer is sized
+// to a station's frames (under 100 bytes): larger payloads bypass it
 // (io.ReadFull). A controller holds one Conn per connected station.
 type Conn struct {
 	raw     net.Conn
@@ -93,6 +97,7 @@ type Conn struct {
 
 	queue   []Message // decoded messages of the current frame
 	qpos    int       // next undelivered index into queue
+	in      []byte    // the current frame, header and payload
 	scratch []byte    // payload scratch
 	out     []byte    // framed output scratch
 	hdr     [journal.FrameHeaderLen]byte
@@ -125,51 +130,26 @@ func (c *Conn) Timeout() time.Duration { return c.timeout }
 
 // Send writes one message.
 func (c *Conn) Send(m Message) error {
-	if err := c.writeDeadline(); err != nil {
-		return err
-	}
 	c.scratch = binary.AppendUvarint(c.scratch[:0], 1)
 	var err error
 	if c.scratch, err = appendMessage(c.scratch, &m); err != nil {
 		return err
 	}
-	return c.writeFrame()
-}
-
-// SendBatch writes a batch of messages as one frame: one length, one
-// CRC, one write. This is the write-coalescing primitive AP group agents
-// use for batched load reports.
-func (c *Conn) SendBatch(ms []Message) error {
-	if len(ms) == 0 {
-		return nil
-	}
-	if err := c.writeDeadline(); err != nil {
-		return err
-	}
-	var err error
-	if c.scratch, err = encodePayload(c.scratch[:0], ms); err != nil {
-		return err
-	}
-	if len(c.scratch) > maxWireBytes {
-		return fmt.Errorf("protocol: send batch: frame of %d bytes exceeds %d", len(c.scratch), maxWireBytes)
-	}
-	return c.writeFrame()
-}
-
-// writeFrame frames c.scratch and hands it to the socket in one Write.
-func (c *Conn) writeFrame() error {
 	c.out = journal.AppendFrame(c.out[:0], c.scratch)
-	if _, err := c.raw.Write(c.out); err != nil {
-		return fmt.Errorf("protocol: send: %w", err)
-	}
-	return nil
+	return c.SendFrame(c.out)
 }
 
-func (c *Conn) writeDeadline() error {
+// SendFrame hands one whole frame to the socket in one Write: Send's,
+// or one ReceiveFrame or Frame returned, which a relay forwards as it
+// arrived, without decoding it.
+func (c *Conn) SendFrame(frame []byte) error {
 	if c.timeout > 0 {
 		if err := c.raw.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {
 			return fmt.Errorf("protocol: set write deadline: %w", err)
 		}
+	}
+	if _, err := c.raw.Write(frame); err != nil {
+		return fmt.Errorf("protocol: send: %w", err)
 	}
 	return nil
 }
@@ -180,49 +160,76 @@ func (c *Conn) writeDeadline() error {
 // returned verbatim on clean close.
 func (c *Conn) Receive() (Message, error) {
 	if c.qpos < len(c.queue) {
-		m := c.queue[c.qpos]
 		c.qpos++
-		return m, nil
+		return c.queue[c.qpos-1], nil
 	}
+	var prev Message
+	if len(c.queue) > 0 {
+		prev = c.queue[len(c.queue)-1]
+	}
+	if err := c.readFrame(); err != nil {
+		return Message{}, err
+	}
+	queue, err := decodePayload(c.in[journal.FrameHeaderLen:], c.queue[:0], prev)
+	if err != nil {
+		return Message{}, err
+	}
+	if c.queue, c.qpos = queue, 1; len(queue) == 0 {
+		return Message{}, fmt.Errorf("protocol: receive: empty frame")
+	}
+	return queue[0], nil
+}
+
+// ReceiveFrame reads the next frame, checked as Receive checks it, and
+// returns it whole without decoding it, for SendFrame to forward. The
+// slice is valid until the next receive.
+func (c *Conn) ReceiveFrame() ([]byte, error) {
+	if err := c.readFrame(); err != nil {
+		return nil, err
+	}
+	return c.Frame(), nil
+}
+
+// Frame returns the frame the last receive read, whole, and drops the
+// messages in it that Receive has not yet delivered: whoever forwards
+// the frame forwards them. A relay hands on a hello's frame this way.
+func (c *Conn) Frame() []byte {
+	c.qpos = len(c.queue)
+	return c.in
+}
+
+// readFrame reads one frame into c.in and validates its magic, length
+// and CRC.
+func (c *Conn) readFrame() error {
 	if c.timeout > 0 {
 		if err := c.raw.SetReadDeadline(time.Now().Add(c.timeout)); err != nil {
-			return Message{}, fmt.Errorf("protocol: set read deadline: %w", err)
+			return fmt.Errorf("protocol: set read deadline: %w", err)
 		}
 	}
 	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
 		if err == io.EOF {
-			return Message{}, io.EOF
+			return io.EOF
 		}
-		return Message{}, fmt.Errorf("protocol: receive frame header: %w", err)
+		return fmt.Errorf("protocol: receive frame header: %w", err)
 	}
 	if binary.LittleEndian.Uint32(c.hdr[0:4]) != journal.FrameMagic {
-		return Message{}, fmt.Errorf("protocol: receive: bad frame magic")
+		return fmt.Errorf("protocol: receive: bad frame magic")
 	}
 	length := binary.LittleEndian.Uint32(c.hdr[4:8])
 	if length > maxWireBytes {
-		return Message{}, fmt.Errorf("protocol: receive: frame of %d bytes exceeds %d", length, maxWireBytes)
+		return fmt.Errorf("protocol: receive: frame of %d bytes exceeds %d", length, maxWireBytes)
 	}
-	if cap(c.scratch) < int(length) {
-		c.scratch = make([]byte, length)
-	}
-	payload := c.scratch[:length]
+	n := journal.FrameHeaderLen + int(length) // sized once: one allocation for a new Conn's first frame
+	c.in = append(slices.Grow(c.in[:0], n), c.hdr[:]...)[:n]
+	payload := c.in[journal.FrameHeaderLen:]
 	if _, err := io.ReadFull(c.br, payload); err != nil {
-		return Message{}, fmt.Errorf("protocol: receive frame payload: %w", err)
+		return fmt.Errorf("protocol: receive frame payload: %w", err)
 	}
 	if journal.Checksum(payload) != binary.LittleEndian.Uint32(c.hdr[8:12]) {
 		obsCRCErrors.Inc()
-		return Message{}, fmt.Errorf("protocol: receive: frame CRC mismatch")
+		return fmt.Errorf("protocol: receive: frame CRC mismatch")
 	}
-	queue, err := decodePayload(payload, c.queue[:0])
-	if err != nil {
-		return Message{}, err
-	}
-	c.queue, c.qpos = queue, 0
-	if len(c.queue) == 0 {
-		return Message{}, fmt.Errorf("protocol: receive: empty frame")
-	}
-	c.qpos = 1
-	return c.queue[0], nil
+	return nil
 }
 
 // Close closes the underlying connection.

@@ -334,7 +334,7 @@ func TestHelloTimeoutGuard(t *testing.T) {
 }
 
 func TestPanicContainment(t *testing.T) {
-	testStationHook = func(user trace.UserID, m *Message) {
+	testStationHook = func(user trace.UserID, m Message) {
 		if user == "boom" && m.Type == MsgTraffic {
 			panic("injected handler panic")
 		}
@@ -398,7 +398,7 @@ func TestPanicContainment(t *testing.T) {
 // reconstruct the exact same domain state — shedding and panics drop
 // work, never corrupt it.
 func TestShedConservationOracle(t *testing.T) {
-	testStationHook = func(user trace.UserID, m *Message) {
+	testStationHook = func(user trace.UserID, m Message) {
 		if user == "crowd-00" && m.Type == MsgTraffic {
 			panic("injected crowd panic")
 		}

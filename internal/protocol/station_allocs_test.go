@@ -1,0 +1,105 @@
+//go:build !race
+
+package protocol
+
+import (
+	"bytes"
+	"fmt"
+	"net"
+	"testing"
+
+	"github.com/s3wlan/s3wlan/internal/baseline"
+	"github.com/s3wlan/s3wlan/internal/journal"
+	"github.com/s3wlan/s3wlan/internal/trace"
+)
+
+// TestStationRoundTripAllocs gates the wire around a steady-state
+// decision, as TestAssociateSteadyStateAllocs gates the decision: a
+// warmed persistent station over loopback makes at most one allocation
+// per Associate round trip (its copy of an AP id that changed), and the
+// controller side makes none — measured against a peer that sends the
+// same request and reads each reply as an undecoded frame, so every
+// allocation counted is the controller's. The race detector allocates
+// on its own account, so this file is not built under -race.
+func TestStationRoundTripAllocs(t *testing.T) {
+	for _, journaled := range []bool{false, true} {
+		name := "unjournaled"
+		if journaled {
+			name = "journaled"
+		}
+		t.Run(name, func(t *testing.T) {
+			var opts []ControllerOption
+			if journaled {
+				opts = append(opts, WithJournal(t.TempDir(), journal.Options{Fsync: journal.FsyncOff}))
+			}
+			c, err := NewController(baseline.LLF{}, append(opts, WithTimeout(testTimeout))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr, err := c.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			for i := 0; i < 8; i++ {
+				if err := c.RegisterAP(trace.APID(fmt.Sprintf("ap-%d", i)), 1e6); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 32; i++ {
+				if _, err := c.Associate(trace.UserID(fmt.Sprintf("u-%d", i)), 100); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			st, err := DialStation(addr, "station", testTimeout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			station := func() {
+				if _, err := st.Associate(500); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			raw, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peer := NewConn(raw, testTimeout)
+			defer peer.Close()
+			if err := peer.Send(Message{Type: MsgHello, Role: RoleStation, ID: "peer"}); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := peer.Receive(); err != nil || m.Type != MsgHelloOK {
+				t.Fatalf("peer hello: %+v, %v", m, err)
+			}
+			demand := 100.0
+			controller := func() {
+				demand++
+				if err := peer.Send(Message{Type: MsgAssoc, User: "peer", DemandBps: demand}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := peer.ReceiveFrame(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			controller()
+			if m, err := NewConn(&readConn{r: bytes.NewReader(peer.Frame())}, 0).Receive(); err != nil || m.Type != MsgAssign {
+				t.Fatalf("peer's reply: %+v, %v; want an assignment", m, err)
+			}
+
+			for i := 0; i < 100; i++ { // warm both connections and the controller's scratch
+				station()
+				controller()
+			}
+			if allocs := testing.AllocsPerRun(200, station); allocs > 1 {
+				t.Errorf("a station's Associate round trip allocates %.2f objects, want <= 1", allocs)
+			}
+			if allocs := testing.AllocsPerRun(200, controller); allocs > 0 {
+				t.Errorf("the controller allocates %.2f objects per association round trip, want 0", allocs)
+			}
+		})
+	}
+}
