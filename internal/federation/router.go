@@ -121,15 +121,6 @@ func (n *Node) route(conn *protocol.Conn) {
 			RetryAfterMs: int64(n.breakerCooldown() / time.Millisecond)})
 		return
 	}
-	// The breaker learns the establishment outcome, not the session
-	// outcome: relay invokes br.Success the moment the owner's first
-	// reply lands (sessions are long-lived — waiting for session end
-	// would leave a half-open probe pinning the whole group on one
-	// probe's lifetime), and only a relay that never reached that point
-	// counts a Failure. A session's eventual teardown never touches the
-	// breaker — pumps failing because the owner died later is the next
-	// establishment attempt's news, and a long session ending cleanly
-	// must not reset a breaker that tripped in the meantime.
 	n.relay(conn, l.Addr, br.Success, br.Failure)
 }
 

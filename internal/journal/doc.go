@@ -20,13 +20,14 @@
 // itself was hit) and keeps going, counting the damage instead of
 // failing the restart. The CRC is verified before a payload is decoded.
 //
-// The framing (AppendFrame, WalkFrames) and the field primitives the
-// payload layouts are made of (AppendString, AppendFloat, varints, and
-// the Reader that decodes them with one error check at the end) are
-// exported so that there is one set: the flight recorder
-// (internal/obs/flight) frames its snapshots this way, the protocol's
-// binary wire codec and the controller's checkpoint document are built
-// from the same primitives.
+// The framing (AppendFrame; BeginFrame and SealFrame around a payload
+// encoded in place; WalkFrames) and the field primitives the payload
+// layouts are made of (AppendString, AppendFloat, varints, and the
+// Reader that decodes them with one error check at the end) are exported
+// so that there is one set: the flight recorder (internal/obs/flight)
+// frames its snapshots this way, the protocol's binary wire codec and
+// the controller's checkpoint document are built from the same
+// primitives.
 //
 // # Record layout
 //

@@ -29,11 +29,11 @@ func jsonFrame(tb testing.TB, r Record) []byte {
 // recordFrame frames r in the layout this release writes.
 func recordFrame(tb testing.TB, r Record) []byte {
 	tb.Helper()
-	b, err := AppendRecord(beginFrame(nil), &r)
+	b, err := AppendRecord(BeginFrame(nil), &r)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sealFrame(b)
+	SealFrame(b)
 	return b
 }
 
@@ -190,11 +190,11 @@ func FuzzReplicationDecode(f *testing.F) {
 func segmentOf(recs []Record) ([]byte, bool) {
 	var buf []byte
 	for i := range recs {
-		frame, err := AppendRecord(beginFrame(buf), &recs[i])
+		frame, err := AppendRecord(BeginFrame(buf), &recs[i])
 		if err != nil {
 			return nil, false
 		}
-		sealFrame(frame[len(buf):])
+		SealFrame(frame[len(buf):])
 		buf = frame
 	}
 	return buf, true

@@ -240,14 +240,14 @@ func (j *Journal) Append(rec Record) error {
 	rec.Seq = j.seq + 1
 	rec.Epoch = j.opts.Epoch
 	j.frame.Reset()
-	frame, err := AppendRecord(beginFrame(j.frame.AvailableBuffer()), &rec)
+	frame, err := AppendRecord(BeginFrame(j.frame.AvailableBuffer()), &rec)
 	if err != nil {
 		obsAppendErrs.Inc()
 		return err
 	}
 	j.frame.Write(frame) // in place; keeps the grown buffer for the next record
 	j.seq = rec.Seq
-	sealFrame(frame)
+	SealFrame(frame)
 	if _, err := j.bw.Write(frame); err != nil {
 		obsAppendErrs.Inc()
 		return fmt.Errorf("journal: append record %d: %w", rec.Seq, err)
@@ -386,11 +386,11 @@ func (j *Journal) checkpointLocked() error {
 	j.sinceCkpt, j.walSince = 0, 0 // forced, automatic, failed or not
 	err := atomicfile.WriteFile(checkpointPath(j.dir, seq), func(w io.Writer) error {
 		j.frame.Reset()
-		j.frame.Write(beginFrame(j.frame.AvailableBuffer()))
+		j.frame.Write(BeginFrame(j.frame.AvailableBuffer()))
 		if err := j.opts.State(&j.frame); err != nil {
 			return fmt.Errorf("journal: checkpoint state: %w", err)
 		}
-		sealFrame(j.frame.Bytes())
+		SealFrame(j.frame.Bytes())
 		_, err := w.Write(j.frame.Bytes())
 		return err
 	})

@@ -40,21 +40,21 @@ func Checksum(payload []byte) uint32 {
 // to dst and returns the extended slice.
 func AppendFrame(dst, payload []byte) []byte {
 	start := len(dst)
-	dst = append(beginFrame(dst), payload...)
-	sealFrame(dst[start:])
+	dst = append(BeginFrame(dst), payload...)
+	SealFrame(dst[start:])
 	return dst
 }
 
-// beginFrame reserves a frame header at the end of dst. The caller
-// appends the payload and hands the frame to sealFrame, so a payload
+// BeginFrame reserves a frame header at the end of dst. The caller
+// appends the payload and hands the frame to SealFrame, so a payload
 // encoded in place is never copied into its frame.
-func beginFrame(dst []byte) []byte {
+func BeginFrame(dst []byte) []byte {
 	var hdr [FrameHeaderLen]byte
 	return append(dst, hdr[:]...)
 }
 
-// sealFrame fills in the header reserved at the start of frame.
-func sealFrame(frame []byte) {
+// SealFrame fills in the header reserved at the start of frame.
+func SealFrame(frame []byte) {
 	payload := frame[FrameHeaderLen:]
 	binary.LittleEndian.PutUint32(frame[0:4], FrameMagic)
 	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))

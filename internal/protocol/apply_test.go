@@ -316,7 +316,7 @@ func runSchedule(t *testing.T, seed int64, dir, crashDir string) {
 		case op == 8:
 			u := pick()
 			step("disassoc "+string(u), func() error {
-				owner.disassociate(u)
+				owner.disassociate(u, nil)
 				return nil
 			})
 		default:

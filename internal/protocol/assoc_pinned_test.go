@@ -123,7 +123,7 @@ func TestObserverOrderJournalIndependent(t *testing.T) {
 			})
 			return err
 		})
-		step(104, func() error { c.disassociate("u3"); return nil })
+		step(104, func() error { c.disassociate("u3", nil); return nil })
 		step(200, assoc("u4", "ap-b", 100)) // sweeps ap-x's lapsed lease first
 		return events.events
 	}

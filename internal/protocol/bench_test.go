@@ -134,7 +134,7 @@ func BenchmarkAssociateParallel(b *testing.B) {
 						b.Error(err)
 						return
 					}
-					c.disassociate(u)
+					c.disassociate(u, nil)
 				}
 			})
 		})

@@ -3,8 +3,8 @@ package protocol
 // Binary wire codec. The controller's data plane reuses the journal's
 // magic|length|CRC-32C framing and its field primitives (strings,
 // floats, varints: internal/journal/wire.go): one frame carries a count
-// and that many Messages. Send writes one a frame; a federation relay
-// forwards frames whole (ReceiveFrame/SendFrame). It is the only
+// and that many Messages. Send writes one message a frame; a federation
+// relay forwards frames whole (ReceiveFrame/SendFrame). It is the only
 // encoding either end speaks: a peer that opens with anything but a
 // frame fails the magic check.
 //
@@ -20,20 +20,17 @@ package protocol
 //	  varint  Bytes, RetryAfterMs (zigzag, if flagged)
 //
 // Absent numeric fields cost one flag bit; absent strings cost one byte.
-// The encoding is deliberately order-fixed and versionless: the framing
-// (magic + CRC) already rejects foreign bytes, and the hello exchange
-// pins both ends to the same repository version in this prototype.
-// Versionless cuts both ways: a wire type or flag bit an older peer
-// does not know (e.g. MsgBusy / RetryAfterMs, added with overload
-// protection) is a hard decode error there, so in a mixed-version
-// cluster upgrade relays and clients before enabling the features that
-// emit new vocabulary — see the mixed-version rollout note in
-// docs/ARCHITECTURE.md.
+// The encoding is order-fixed and versionless: the framing (magic + CRC)
+// rejects foreign bytes, and a wire type or flag bit an older peer does
+// not know is a hard decode error there (docs/ARCHITECTURE.md,
+// "Mixed-version rollout", says in which order to upgrade).
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/s3wlan/s3wlan/internal/journal"
 	"github.com/s3wlan/s3wlan/internal/obs"
@@ -48,7 +45,8 @@ var (
 // maxWireBytes bounds one frame payload.
 const maxWireBytes = 1 << 20
 
-// wireType is the binary spelling of MsgType.
+// wireTypes is the binary spelling of MsgType: a type's index (0 is no
+// type).
 var wireTypes = [...]MsgType{
 	1: MsgHello,
 	2: MsgHelloOK,
@@ -59,15 +57,6 @@ var wireTypes = [...]MsgType{
 	7: MsgDisassoc,
 	8: MsgError,
 	9: MsgBusy,
-}
-
-func wireTypeOf(t MsgType) (byte, bool) {
-	for i := 1; i < len(wireTypes); i++ {
-		if wireTypes[i] == t {
-			return byte(i), true
-		}
-	}
-	return 0, false
 }
 
 // Field-presence flags.
@@ -81,27 +70,14 @@ const (
 
 // appendMessage appends one encoded message to dst.
 func appendMessage(dst []byte, m *Message) ([]byte, error) {
-	wt, ok := wireTypeOf(m.Type)
-	if !ok {
+	wt := slices.Index(wireTypes[:], m.Type)
+	if wt <= 0 {
 		return dst, fmt.Errorf("protocol: encode: unknown message type %q", m.Type)
 	}
-	var flags byte
-	if m.CapacityBps != 0 {
-		flags |= flagCapacity
-	}
-	if m.LoadBps != 0 {
-		flags |= flagLoad
-	}
-	if m.DemandBps != 0 {
-		flags |= flagDemand
-	}
-	if m.Bytes != 0 {
-		flags |= flagBytes
-	}
-	if m.RetryAfterMs != 0 {
-		flags |= flagRetry
-	}
-	dst = append(dst, wt, flags)
+	flags := journal.FlagIf(m.CapacityBps != 0, flagCapacity) | journal.FlagIf(m.LoadBps != 0, flagLoad) |
+		journal.FlagIf(m.DemandBps != 0, flagDemand) | journal.FlagIf(m.Bytes != 0, flagBytes) |
+		journal.FlagIf(m.RetryAfterMs != 0, flagRetry)
+	dst = append(dst, byte(wt), flags)
 	dst = journal.AppendString(dst, string(m.Role))
 	dst = journal.AppendString(dst, m.ID)
 	dst = journal.AppendString(dst, m.User)
@@ -128,6 +104,9 @@ func appendMessage(dst []byte, m *Message) ([]byte, error) {
 // decodeMessage decodes one message from in (the shared field reader,
 // internal/journal); truncation surfaces through in.Err. A string field
 // whose bytes equal the same field of prev is prev's string, not a copy.
+// Where prev's field is empty, a Role is checked against RoleStation and
+// a User against prev's ID, so neither a station's hello nor its first
+// assoc after it (or hello_ok and the first assign) copies what is known.
 func decodeMessage(in *journal.Reader, prev *Message) (Message, error) {
 	var m Message
 	wt, flags := in.Byte(), in.Byte()
@@ -138,9 +117,9 @@ func decodeMessage(in *journal.Reader, prev *Message) (Message, error) {
 		return m, fmt.Errorf("protocol: decode: unknown message type %d", wt)
 	}
 	m.Type = wireTypes[wt]
-	m.Role = Role(in.StrAs(string(prev.Role)))
+	m.Role = Role(in.StrAs(string(cmp.Or(prev.Role, RoleStation))))
 	m.ID = in.StrAs(prev.ID)
-	m.User = in.StrAs(prev.User)
+	m.User = in.StrAs(cmp.Or(prev.User, prev.ID))
 	m.AP = in.StrAs(prev.AP)
 	m.Error = in.StrAs(prev.Error)
 	if flags&flagCapacity != 0 {
@@ -164,17 +143,17 @@ func decodeMessage(in *journal.Reader, prev *Message) (Message, error) {
 	return m, nil
 }
 
-// decodePayload decodes a frame payload into queue (appended) and
-// returns the extended queue. Each message is decoded against the one
-// before it, the first against prev, so strings that repeat are shared.
-// Trailing garbage after the declared message count is an error — a
-// CRC-valid frame is all or nothing.
+// decodePayload decodes a frame payload of at least one message into
+// queue (appended) and returns the extended queue. Each message is
+// decoded against the one before it, the first against prev, so strings
+// that repeat are shared. Trailing garbage after the declared message
+// count is an error — a CRC-valid frame is all or nothing.
 func decodePayload(payload []byte, queue []Message, prev Message) ([]Message, error) {
 	in := journal.NewReader(payload)
 	// Each message costs ≥ 7 bytes; a count beyond that is hostile.
 	count := in.Count(7)
-	if in.Err() != nil {
-		return queue, fmt.Errorf("protocol: decode: truncated or implausible message count")
+	if in.Err() != nil || count == 0 {
+		return queue, fmt.Errorf("protocol: decode: missing, truncated or implausible message count")
 	}
 	for i := 0; i < count; i++ {
 		m, err := decodeMessage(&in, &prev)
@@ -200,19 +179,16 @@ func validNumber(v float64) bool {
 // counters; a NaN/Inf/negative rate would poison domain load state and
 // every policy comparison downstream.
 func validateMessage(m *Message) error {
-	if !validNumber(m.CapacityBps) {
+	switch {
+	case !validNumber(m.CapacityBps):
 		return fmt.Errorf("invalid capacity_bps %v", m.CapacityBps)
-	}
-	if !validNumber(m.LoadBps) {
+	case !validNumber(m.LoadBps):
 		return fmt.Errorf("invalid load_bps %v", m.LoadBps)
-	}
-	if !validNumber(m.DemandBps) {
+	case !validNumber(m.DemandBps):
 		return fmt.Errorf("invalid demand_bps %v", m.DemandBps)
-	}
-	if m.Bytes < 0 {
+	case m.Bytes < 0:
 		return fmt.Errorf("invalid bytes %d", m.Bytes)
-	}
-	if m.RetryAfterMs < 0 {
+	case m.RetryAfterMs < 0:
 		return fmt.Errorf("invalid retry_after_ms %d", m.RetryAfterMs)
 	}
 	return nil

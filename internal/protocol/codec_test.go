@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 	"unsafe"
 
@@ -215,6 +216,191 @@ func TestReceiveReusesRepeatedStrings(t *testing.T) {
 		t.Fatal("the stream never repeated a field")
 	}
 }
+
+// framesOf frames each message alone, as Send does, back to back.
+func framesOf(t *testing.T, ms ...Message) []byte {
+	t.Helper()
+	var stream []byte
+	for _, m := range ms {
+		payload, err := encodePayload(nil, []Message{m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = journal.AppendFrame(stream, payload)
+	}
+	return stream
+}
+
+// chunkReader hands out its chunks one Read at a time (a chunk larger
+// than the caller's buffer over several) and counts the Reads.
+type chunkReader struct {
+	chunks [][]byte
+	reads  int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.chunks) == 0 {
+		return 0, io.EOF
+	}
+	r.reads++
+	n := copy(p, r.chunks[0])
+	if r.chunks[0] = r.chunks[0][n:]; len(r.chunks[0]) == 0 {
+		r.chunks = r.chunks[1:]
+	}
+	return n, nil
+}
+
+// TestInPlaceReader drives the Conn's read buffer through the ways a
+// socket splits a stream: every codec message — one of them larger
+// than the inline buffer — arrives intact and in order whether the
+// bytes come one at a time, half a buffer at a time, or with EOF on the
+// last data, and then the Conn reads io.EOF itself.
+func TestInPlaceReader(t *testing.T) {
+	stream := framesOf(t, codecMessages...)
+	for _, tc := range []struct {
+		name string
+		r    func(io.Reader) io.Reader
+	}{
+		{"whole", func(r io.Reader) io.Reader { return r }},
+		{"one-byte", iotest.OneByteReader},
+		{"half", iotest.HalfReader},
+		{"data-err", iotest.DataErrReader},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewConn(&readConn{r: tc.r(bytes.NewReader(stream))}, 0)
+			for i, want := range codecMessages {
+				if got, err := c.Receive(); err != nil || got != want {
+					t.Fatalf("message %d = %+v, %v; want %+v", i, got, err, want)
+				}
+			}
+			if _, err := c.Receive(); err != io.EOF {
+				t.Fatalf("after the last frame: %v, want io.EOF verbatim", err)
+			}
+		})
+	}
+}
+
+// TestInPlaceReaderBuffersAhead: one Read that delivers two frames and
+// part of a third serves two receives; the third reads the rest.
+func TestInPlaceReaderBuffersAhead(t *testing.T) {
+	ms := []Message{
+		{Type: MsgAssoc, User: "user-000123", DemandBps: 48_000},
+		{Type: MsgTraffic, AP: "ap-b03-2", Bytes: 1 << 20},
+		{Type: MsgDisassoc, User: "user-000123"},
+	}
+	stream := framesOf(t, ms...)
+	cut := len(stream) - 10
+	if cut > len(Conn{}.rinl) {
+		t.Fatalf("%d bytes do not fit the %d-byte inline buffer", cut, len(Conn{}.rinl))
+	}
+	r := &chunkReader{chunks: [][]byte{stream[:cut], stream[cut:]}}
+	c := NewConn(&readConn{r: r}, 0)
+	for i, want := range ms {
+		got, err := c.Receive()
+		if err != nil || got != want {
+			t.Fatalf("message %d = %+v, %v; want %+v", i, got, err, want)
+		}
+		if wantReads := [...]int{1, 1, 2}[i]; r.reads != wantReads {
+			t.Fatalf("after message %d: %d reads, want %d", i, r.reads, wantReads)
+		}
+	}
+}
+
+// TestInPlaceReaderGrowsOnce: a frame larger than the inline buffer
+// grows it once; the small frames after it reuse that buffer and
+// allocate nothing.
+func TestInPlaceReaderGrowsOnce(t *testing.T) {
+	large := framesOf(t, Message{Type: MsgError, Error: strings.Repeat("e", 300)})
+	small := framesOf(t, Message{Type: MsgReport, AP: "ap-1", LoadBps: 5})
+	src := &chunkReader{chunks: [][]byte{large}}
+	c := NewConn(&readConn{r: src}, 0)
+	if m, err := c.Receive(); err != nil || len(m.Error) != 300 {
+		t.Fatalf("large frame: %+v, %v", m, err)
+	}
+	if len(c.rbuf) < len(large) {
+		t.Fatalf("read buffer holds %d bytes after a %d-byte frame", len(c.rbuf), len(large))
+	}
+	grown := &c.rbuf[0]
+	var script [1][]byte
+	receive := func() {
+		script[0] = small
+		src.chunks = script[:]
+		if m, err := c.Receive(); err != nil || m.AP != "ap-1" {
+			t.Fatalf("small frame: %+v, %v", m, err)
+		}
+	}
+	receive() // the first small frame decodes a new AP string
+	if allocs := testing.AllocsPerRun(100, receive); allocs != 0 {
+		t.Errorf("a small frame after a large one allocates %.0f objects, want 0", allocs)
+	}
+	if &c.rbuf[0] != grown {
+		t.Error("the read buffer was replaced after it had grown")
+	}
+}
+
+// TestInPlaceReaderEOF: EOF between frames is io.EOF itself; EOF inside
+// a header or a payload is a truncation, never io.EOF.
+func TestInPlaceReaderEOF(t *testing.T) {
+	frame := framesOf(t, Message{Type: MsgAssoc, User: "u-1", DemandBps: 10})
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		want   string
+	}{
+		{"between frames", frame, ""},
+		{"inside header", append(frame[:len(frame):len(frame)], frame[:5]...), "header"},
+		{"inside payload", append(frame[:len(frame):len(frame)], frame[:len(frame)-3]...), "payload"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewConn(&readConn{r: bytes.NewReader(tc.stream)}, 0)
+			if _, err := c.Receive(); err != nil {
+				t.Fatal(err)
+			}
+			_, err := c.Receive()
+			if tc.want == "" {
+				if err != io.EOF {
+					t.Fatalf("clean close read %v, want io.EOF verbatim", err)
+				}
+				return
+			}
+			if err == io.EOF || !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("EOF %s read %v, want an unexpected-EOF error naming the %s", tc.name, err, tc.want)
+			}
+		})
+	}
+}
+
+// TestReceiveFrameValidUntilNextReceive: a frame ReceiveFrame returned
+// still holds its bytes while the next frame sits buffered behind it, so
+// a relay can forward it whole; the next Receive then decodes the next
+// frame.
+func TestReceiveFrameValidUntilNextReceive(t *testing.T) {
+	first := framesOf(t, Message{Type: MsgHello, Role: RoleStation, ID: "u-1"})
+	second := Message{Type: MsgAssoc, User: "u-1", DemandBps: 10}
+	src := NewConn(&readConn{r: &chunkReader{chunks: [][]byte{append(first, framesOf(t, second)...)}}}, 0)
+	frame, err := src.ReceiveFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent bytes.Buffer
+	if err := NewConn(&writeConn{w: &sent}, 0).SendFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sent.Bytes(), first) {
+		t.Fatalf("forwarded %x, want the frame %x", sent.Bytes(), first)
+	}
+	if got, err := src.Receive(); err != nil || got != second {
+		t.Fatalf("next receive = %+v, %v; want %+v", got, err, second)
+	}
+}
+
+// writeConn is a net.Conn whose writes go to w.
+type writeConn struct {
+	net.Conn
+	w io.Writer
+}
+
+func (c *writeConn) Write(p []byte) (int, error) { return c.w.Write(p) }
 
 // readConn is a net.Conn that reads from r and accepts every write.
 type readConn struct {

@@ -52,12 +52,14 @@ type apMeta struct {
 
 // session is one associated user's bookkeeping: the AP the controller
 // assigned, when the association began, and the bytes the station has
-// reported since. A same-AP refresh keeps at and served; a move starts
-// a new session.
+// reported since, and (live only, never journaled) the station
+// connection whose MsgAssoc last placed the user, if one did. A same-AP
+// refresh keeps at and served; a move starts a new session.
 type session struct {
 	ap     trace.APID
 	at     int64
 	served int64
+	conn   *Conn
 }
 
 // AssociationObserver receives association lifecycle events — e.g. the
@@ -543,7 +545,7 @@ func (c *Controller) handleStation(conn *Conn, hello Message) {
 			if !errors.Is(err, io.EOF) {
 				c.logger.Printf("station %s: %v", user, err)
 			}
-			c.disassociate(user)
+			c.disassociate(user, conn)
 			return
 		}
 		if verr := validateMessage(&m); verr != nil {
@@ -568,18 +570,18 @@ func (c *Controller) handleStation(conn *Conn, hello Message) {
 					Error:        "association rate limit",
 					RetryAfterMs: c.admission.retryAfter(),
 				}); err != nil {
-					c.disassociate(user)
+					c.disassociate(user, conn)
 					return
 				}
 				continue
 			}
-			ap, err := c.Associate(user, m.DemandBps)
+			ap, err := c.associate(user, m.DemandBps, conn)
 			if err != nil {
 				c.replyError(conn, err.Error())
 				continue
 			}
 			if err := conn.Send(Message{Type: MsgAssign, User: string(user), AP: string(ap)}); err != nil {
-				c.disassociate(user)
+				c.disassociate(user, conn)
 				return
 			}
 		case MsgTraffic:
@@ -602,7 +604,7 @@ func (c *Controller) handleStation(conn *Conn, hello Message) {
 				c.logger.Printf("station %s: rejected %d bytes of traffic without association", user, m.Bytes)
 			}
 		case MsgDisassoc:
-			c.disassociate(user)
+			c.disassociate(user, nil)
 		default:
 			c.replyError(conn, fmt.Sprintf("unexpected %s from station", m.Type))
 		}
@@ -633,12 +635,21 @@ type assocScratch struct {
 // the session, its served-byte tally and the association timestamp stay
 // continuous, and no lifecycle events fire — the user never left.
 func (c *Controller) Associate(user trace.UserID, demandBps float64) (trace.APID, error) {
+	return c.associate(user, demandBps, nil)
+}
+
+// associate is Associate for the station connection by (or none), which
+// the session records in the same lock hold.
+func (c *Controller) associate(user trace.UserID, demandBps float64, by *Conn) (trace.APID, error) {
 	c.mu.Lock()
 	c.scr.req[0] = wlan.Request{User: user, DemandBps: demandBps}
 	ps, conns, err := c.placeLocked(c.scr.req[:], nil)
 	var ap trace.APID
 	if err == nil {
 		ap = ps[0].AP
+		s := c.sessions[user]
+		s.conn = by
+		c.sessions[user] = s
 	}
 	c.mu.Unlock()
 	closeAll(conns)
@@ -760,10 +771,13 @@ func (c *Controller) placeLocked(reqs []wlan.Request, bs wlan.BatchSelector) ([]
 	return ps, conns, nil
 }
 
-func (c *Controller) disassociate(user trace.UserID) {
+// disassociate ends user's session. A dropped station connection (nil
+// for an explicit disassociation) ends it only if it placed the user or
+// none did (a recovered session).
+func (c *Controller) disassociate(user trace.UserID, dropped *Conn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s, ok := c.sessions[user]; ok {
+	if s, ok := c.sessions[user]; ok && (dropped == nil || s.conn == nil || s.conn == dropped) {
 		// Fails only for a user without a session.
 		_ = c.mutateLocked(journal.Record{Op: journal.OpDisassoc, TS: c.now(), User: user, AP: s.ap})
 	}

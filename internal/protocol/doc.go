@@ -11,12 +11,10 @@
 // internal/wlan) and by this networked prototype, so simulated results
 // carry over to the deployable artifact.
 //
-// Wire format: magic|length|CRC-32C frames (the journal's framing), each
-// carrying one or more compactly encoded Messages — a type tag (hello,
-// report, assoc, assign, …), presence flags and the flagged fields;
-// codec.go has the layout. It is the only encoding and it is
-// versionless: a peer that opens with anything but a frame is refused
-// by the magic check.
+// Wire format: the journal's magic|length|CRC-32C frames, each carrying
+// one or more compactly encoded Messages (codec.go has the layout). It is
+// the only encoding: a peer that opens with anything but a frame is
+// refused by the magic check.
 //
 // Lifecycle and failure model: an agent connection registers one AP as
 // a lease — every hello and load report renews it, a re-hello from a
@@ -32,11 +30,6 @@
 // counters (registrations, renewals, lease expiries, accept retries,
 // moves, rejected traffic) are exported through internal/obs under the
 // protocol.* prefix.
-//
-// The lifecycle and overload tests inject seeded faults (drops, torn
-// frames, delays, stalls, mid-stream closes, transient accept errors)
-// through the internal/faults test harness; TestChaosSoakRace is the
-// churn soak.
 //
 // The s3 proto subcommand wraps this package into a runnable controller, a demo
 // (controller, agents and a scripted station workload in one process)

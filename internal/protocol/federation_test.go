@@ -44,7 +44,7 @@ func TestStandbyMirrorsOwnerAndPromotes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	owner.disassociate("u-7")
+	owner.disassociate("u-7", nil)
 
 	standby, err := NewController(baseline.LLF{})
 	if err != nil {

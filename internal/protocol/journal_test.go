@@ -51,8 +51,8 @@ func TestJournalCrashRecoveryRoundtrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a.disassociate("u-4")
-	a.disassociate("u-5")
+	a.disassociate("u-4", nil)
+	a.disassociate("u-5", nil)
 	if _, err := a.Associate("u-0", 300); err != nil { // a move (or a demand change)
 		t.Fatal(err)
 	}
@@ -167,8 +167,8 @@ func crashedObserverScenario(t *testing.T, dir string, now func() int64) *increm
 				t.Fatal(err)
 			}
 		}
-		a.disassociate("amy")
-		a.disassociate("ben")
+		a.disassociate("amy", nil)
+		a.disassociate("ben", nil)
 	}
 	if _, err := a.Associate("amy", 100); err != nil {
 		t.Fatal(err)
@@ -383,11 +383,11 @@ func TestServingPathNeverSolvesCliques(t *testing.T) {
 				}
 			}
 			for _, u := range group[:3+round%2] {
-				c.disassociate(u)
+				c.disassociate(u, nil)
 			}
 		}
 		for _, u := range users {
-			c.disassociate(u) // no-op for those already gone
+			c.disassociate(u, nil) // no-op for those already gone
 		}
 	}
 	if n := eng.Snapshot().Seq - seq0; n < 4 {
@@ -462,12 +462,12 @@ func crashPointSweep(t *testing.T, live bool) {
 			t.Fatal(err)
 		}
 	}
-	a.disassociate("u-1")
+	a.disassociate("u-1", nil)
 	if _, err := a.Associate("u-2", 250); err != nil {
 		t.Fatal(err)
 	}
-	a.disassociate("u-0")
-	a.disassociate("u-2")
+	a.disassociate("u-0", nil)
+	a.disassociate("u-2", nil)
 	// Crash. Read back what the run produced: every segment's records,
 	// and the byte layout of the last one — the segment the cuts fall in.
 	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))

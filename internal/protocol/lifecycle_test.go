@@ -5,8 +5,11 @@ package protocol
 // recovery, serialized selection, and a fault-injected race soak.
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -455,6 +458,78 @@ func TestTrafficCreditedToAssignedAP(t *testing.T) {
 	}
 	if got := c.Snapshot()["ap1"].ServedBytes; got != 500 {
 		t.Errorf("served = %d after rejected traffic, want 500", got)
+	}
+}
+
+// pinSelector places every request on the AP the test last stored.
+type pinSelector struct{ ap atomic.Value }
+
+func (*pinSelector) Name() string { return "pin" }
+
+func (s *pinSelector) Select(wlan.Request, []wlan.APView) (trace.APID, error) {
+	return s.ap.Load().(trace.APID), nil
+}
+
+// TestDroppedConnKeepsNewerAssociation: a user's older station
+// connection hanging up ends only a session it placed. Station A places
+// u on ap1, station B moves u to ap2, then A half-closes and reads the
+// controller's close: u must still be on ap2, B's traffic credited
+// there, and an explicit disassoc from B still ends the session.
+func TestDroppedConnKeepsNewerAssociation(t *testing.T) {
+	sel := &pinSelector{}
+	c, addr := startController(t, sel)
+	for _, ap := range []trace.APID{"ap1", "ap2"} {
+		if err := c.RegisterAP(ap, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dial := func(to trace.APID) *Station {
+		t.Helper()
+		sel.ap.Store(to)
+		st, err := DialStation(addr, "u", testTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		if ap, err := st.Associate(10); err != nil || ap != to {
+			t.Fatalf("associate = %q, %v; want %q", ap, err, to)
+		}
+		return st
+	}
+	a := dial("ap1")
+	b := dial("ap2")
+
+	if err := a.conn.raw.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.conn.Receive(); !errors.Is(err, io.EOF) {
+		t.Fatalf("A after its hang-up read %v, want the controller's close (EOF)", err)
+	}
+	snap := c.Snapshot()
+	if got := snap["ap2"].Users; !reflect.DeepEqual(got, []trace.UserID{"u"}) || len(snap["ap1"].Users) != 0 {
+		t.Fatalf("after A's hang-up ap1 holds %v and ap2 %v; want u on ap2 only", snap["ap1"].Users, got)
+	}
+
+	before := obsTrafficRejected.Value()
+	if err := b.SendTraffic(700); err != nil {
+		t.Fatal(err)
+	}
+	if ap, err := b.Associate(10); err != nil || ap != "ap2" { // a barrier: the refresh follows the traffic
+		t.Fatalf("B's refresh = %q, %v", ap, err)
+	}
+	if got := c.Snapshot()["ap2"].ServedBytes; got != 700 || obsTrafficRejected.Value() != before {
+		t.Errorf("B's 700 bytes: ap2 served %d, %d rejected", got, obsTrafficRejected.Value()-before)
+	}
+
+	if err := b.Disassociate(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(testTimeout)
+	for len(c.Snapshot()["ap2"].Users) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("B's disassoc did not end the session")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -1,12 +1,10 @@
 package protocol
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/journal"
@@ -17,14 +15,13 @@ type MsgType string
 
 // Wire message types.
 const (
-	// MsgHello registers a peer (AP agent or station) after connecting.
-	// An AP agent may send further hellos on the same connection to
-	// register additional APs it fronts (an AP group).
+	// MsgHello registers a peer (AP agent or station) after connecting;
+	// an agent connection serves one AP and refuses a second hello.
 	MsgHello MsgType = "hello"
 	// MsgHelloOK acknowledges registration.
 	MsgHelloOK MsgType = "hello_ok"
-	// MsgReport carries an AP agent's periodic load report. On a group
-	// connection the AP field names which registered AP it concerns.
+	// MsgReport carries an AP agent's periodic load report; an AP field
+	// naming another AP than the connection's is refused.
 	MsgReport MsgType = "report"
 	// MsgAssoc is a station's association request.
 	MsgAssoc MsgType = "assoc"
@@ -79,34 +76,38 @@ type Message struct {
 
 // Conn wraps a net.Conn with message framing and I/O deadlines. Both
 // ends speak the framed binary codec (codec.go); a peer that opens with
-// anything else fails the frame-magic check on the first Receive. The
-// frame buffers and the decoded-message queue live on the Conn and are
-// reused across messages, and each decoded string field is checked
-// against the same field of the previous message on this Conn: equal
-// bytes yield that message's string, so a steady-state send or receive
-// allocates only for a string that changed (a station's user id never
-// does; an assignment's AP id only when the station moves). A message
-// is assembled whole in the output scratch and handed to the socket in
-// one Write, so there is no write buffer, and the read buffer is sized
-// to a station's frames (under 100 bytes): larger payloads bypass it
-// (io.ReadFull). A controller holds one Conn per connected station.
+// anything else fails the frame-magic check on the first Receive.
+//
+// A Conn is one heap object: its read buffer, its output buffer and the
+// first slot of its decode queue are arrays inside it, sized for a
+// station's frames (under 100 bytes); a larger frame, or a frame of
+// several messages, grows one of them once. A frame is checked and
+// decoded where it was read, and bytes read past it wait there for the
+// next receive; Send encodes behind a reserved header and seals the
+// frame in place. A decoded string equal to the same field of the
+// previous message is that message's string, so a steady-state exchange
+// allocates only for a string that changed.
 type Conn struct {
 	raw     net.Conn
-	br      *bufio.Reader
 	timeout time.Duration
 
-	queue   []Message // decoded messages of the current frame
+	queue   []Message // decoded messages of the current frame, never empty
 	qpos    int       // next undelivered index into queue
-	in      []byte    // the current frame, header and payload
-	scratch []byte    // payload scratch
-	out     []byte    // framed output scratch
-	hdr     [journal.FrameHeaderLen]byte
+	rbuf    []byte    // rbuf[f:r] is the last frame read, rbuf[r:w] the bytes after it
+	f, r, w int
+	out     []byte // the frame Send assembles
+
+	first  [1]Message
+	rinl   [128]byte
+	outinl [64]byte
 }
 
 // NewConn wraps raw — dialed or accepted, the two ends are alike.
 // timeout bounds each read/write (0 = no deadline).
 func NewConn(raw net.Conn, timeout time.Duration) *Conn {
-	return &Conn{raw: raw, br: bufio.NewReaderSize(raw, 512), timeout: timeout}
+	c := &Conn{raw: raw, timeout: timeout}
+	c.queue, c.qpos, c.rbuf, c.out = c.first[:], 1, c.rinl[:], c.outinl[:0]
+	return c
 }
 
 // Codec, CodecBinary and NewConnCodec are what is left of the wire
@@ -128,15 +129,16 @@ func (c *Conn) SetTimeout(d time.Duration) { c.timeout = d }
 // Timeout returns the per-operation I/O deadline.
 func (c *Conn) Timeout() time.Duration { return c.timeout }
 
-// Send writes one message.
+// Send writes one message: a frame whose payload is the message count
+// (1, one uvarint byte) and the message.
 func (c *Conn) Send(m Message) error {
-	c.scratch = binary.AppendUvarint(c.scratch[:0], 1)
-	var err error
-	if c.scratch, err = appendMessage(c.scratch, &m); err != nil {
+	frame, err := appendMessage(append(journal.BeginFrame(c.out[:0]), 1), &m)
+	if err != nil {
 		return err
 	}
-	c.out = journal.AppendFrame(c.out[:0], c.scratch)
-	return c.SendFrame(c.out)
+	journal.SealFrame(frame)
+	c.out = frame
+	return c.SendFrame(frame)
 }
 
 // SendFrame hands one whole frame to the socket in one Write: Send's,
@@ -163,20 +165,15 @@ func (c *Conn) Receive() (Message, error) {
 		c.qpos++
 		return c.queue[c.qpos-1], nil
 	}
-	var prev Message
-	if len(c.queue) > 0 {
-		prev = c.queue[len(c.queue)-1]
-	}
+	prev := c.queue[len(c.queue)-1]
 	if err := c.readFrame(); err != nil {
 		return Message{}, err
 	}
-	queue, err := decodePayload(c.in[journal.FrameHeaderLen:], c.queue[:0], prev)
+	queue, err := decodePayload(c.rbuf[c.f+journal.FrameHeaderLen:c.r], c.queue[:0], prev)
 	if err != nil {
 		return Message{}, err
 	}
-	if c.queue, c.qpos = queue, 1; len(queue) == 0 {
-		return Message{}, fmt.Errorf("protocol: receive: empty frame")
-	}
+	c.queue, c.qpos = queue, 1
 	return queue[0], nil
 }
 
@@ -195,39 +192,65 @@ func (c *Conn) ReceiveFrame() ([]byte, error) {
 // the frame forwards them. A relay hands on a hello's frame this way.
 func (c *Conn) Frame() []byte {
 	c.qpos = len(c.queue)
-	return c.in
+	return c.rbuf[c.f:c.r]
 }
 
-// readFrame reads one frame into c.in and validates its magic, length
-// and CRC.
+// readFrame reads the next frame into rbuf and validates its magic,
+// length and CRC. io.EOF is returned verbatim only between frames.
 func (c *Conn) readFrame() error {
+	c.f = c.r // no frame until a whole one is read
 	if c.timeout > 0 {
 		if err := c.raw.SetReadDeadline(time.Now().Add(c.timeout)); err != nil {
 			return fmt.Errorf("protocol: set read deadline: %w", err)
 		}
 	}
-	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
-		if err == io.EOF {
-			return io.EOF
-		}
+	if err := c.fill(journal.FrameHeaderLen); err == io.EOF {
+		return err
+	} else if err != nil {
 		return fmt.Errorf("protocol: receive frame header: %w", err)
 	}
-	if binary.LittleEndian.Uint32(c.hdr[0:4]) != journal.FrameMagic {
+	hdr := c.rbuf[c.r:]
+	if binary.LittleEndian.Uint32(hdr[0:4]) != journal.FrameMagic {
 		return fmt.Errorf("protocol: receive: bad frame magic")
 	}
-	length := binary.LittleEndian.Uint32(c.hdr[4:8])
+	length := binary.LittleEndian.Uint32(hdr[4:8])
 	if length > maxWireBytes {
 		return fmt.Errorf("protocol: receive: frame of %d bytes exceeds %d", length, maxWireBytes)
 	}
-	n := journal.FrameHeaderLen + int(length) // sized once: one allocation for a new Conn's first frame
-	c.in = append(slices.Grow(c.in[:0], n), c.hdr[:]...)[:n]
-	payload := c.in[journal.FrameHeaderLen:]
-	if _, err := io.ReadFull(c.br, payload); err != nil {
+	n := journal.FrameHeaderLen + int(length)
+	if err := c.fill(n); err != nil {
 		return fmt.Errorf("protocol: receive frame payload: %w", err)
 	}
-	if journal.Checksum(payload) != binary.LittleEndian.Uint32(c.hdr[8:12]) {
+	frame := c.rbuf[c.r : c.r+n]
+	if journal.Checksum(frame[journal.FrameHeaderLen:]) != binary.LittleEndian.Uint32(frame[8:12]) {
 		obsCRCErrors.Inc()
 		return fmt.Errorf("protocol: receive: frame CRC mismatch")
+	}
+	c.f, c.r = c.r, c.r+n
+	return nil
+}
+
+// fill reads until rbuf[r:w] holds at least n bytes. The bytes it holds
+// move to the front first when n would not fit after them, into a larger
+// buffer when n exceeds this one. An EOF after some but not all of the n
+// bytes is io.ErrUnexpectedEOF.
+func (c *Conn) fill(n int) error {
+	if c.r == c.w || c.r+n > len(c.rbuf) {
+		buf := c.rbuf
+		if n > len(buf) {
+			buf = make([]byte, max(n, 2*len(buf)))
+		}
+		c.w = copy(buf, c.rbuf[c.r:c.w])
+		c.rbuf, c.f, c.r = buf, 0, 0
+	}
+	for c.w-c.r < n {
+		k, err := c.raw.Read(c.rbuf[c.w:])
+		if c.w += k; err == io.EOF && c.w > c.r {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil && c.w-c.r < n {
+			return err
+		}
 	}
 	return nil
 }

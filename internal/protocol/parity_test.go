@@ -229,7 +229,7 @@ func replayLive(t *testing.T, c *Controller, clock *atomic.Int64, sessions []tra
 		}
 		// Then departures at `now`, in placement order.
 		for di < len(deps) && deps[di].at == now {
-			c.disassociate(sorted[deps[di].idx].User)
+			c.disassociate(sorted[deps[di].idx].User, nil)
 			di++
 		}
 	}

@@ -370,7 +370,7 @@ func TestDisassocCheckpointConsistency(t *testing.T) {
 	if _, err := a.Associate("ghost", 100); err != nil {
 		t.Fatal(err)
 	}
-	a.disassociate("ghost")
+	a.disassociate("ghost", nil)
 	// Crash without Close; recover from the checkpoint keyed to the
 	// disassoc record.
 	b, err := NewController(baseline.LLF{},

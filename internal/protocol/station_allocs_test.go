@@ -103,3 +103,46 @@ func TestStationRoundTripAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestStationSessionAllocs pins what one station session costs the
+// controller's end of the wire: a Conn over a scripted connection receives
+// a station hello, sends hello_ok, receives an assoc and sends an
+// assignment. Four objects: the script's reader (two), the Conn — its
+// buffers and the first slot of its decode queue are inside it — and
+// the user id the hello carries, which the assoc's User then shares.
+// A Conn with a bufio.Reader and growable buffers and queue beside it
+// made sixteen.
+func TestStationSessionAllocs(t *testing.T) {
+	var script []byte
+	for _, m := range []Message{
+		{Type: MsgHello, Role: RoleStation, ID: "user-000123"},
+		{Type: MsgAssoc, User: "user-000123", DemandBps: 48_000},
+	} {
+		payload, err := encodePayload(nil, []Message{m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		script = journal.AppendFrame(script, payload)
+	}
+	session := func() {
+		c := NewConn(&readConn{r: bytes.NewReader(script)}, 0)
+		hello, err := c.Receive()
+		if err == nil {
+			err = c.Send(Message{Type: MsgHelloOK, ID: hello.ID})
+		}
+		var assoc Message
+		if err == nil {
+			assoc, err = c.Receive()
+		}
+		if err == nil {
+			err = c.Send(Message{Type: MsgAssign, User: assoc.User, AP: "ap-b03-2"})
+		}
+		if err != nil || hello.Type != MsgHello || assoc.Type != MsgAssoc {
+			t.Fatalf("session: hello %+v, assoc %+v, %v", hello, assoc, err)
+		}
+	}
+	const want = 4
+	if allocs := testing.AllocsPerRun(100, session); allocs > want {
+		t.Errorf("a station session allocates %.0f objects on the wire, want <= %d", allocs, want)
+	}
+}
