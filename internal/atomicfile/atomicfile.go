@@ -1,7 +1,6 @@
 package atomicfile
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -9,9 +8,10 @@ import (
 )
 
 // WriteFile writes the output of write to path atomically: write
-// receives a buffered writer to a temporary file in path's directory;
-// on success the temp file is flushed, fsynced, closed and renamed onto
-// path. On any failure the temp file is removed and path is untouched.
+// receives the temporary file in path's directory itself, unbuffered (a
+// caller that streams many small writes brings its own bufio.Writer);
+// on success the temp file is fsynced, closed and renamed onto path. On
+// any failure the temp file is removed and path is untouched.
 func WriteFile(path string, write func(io.Writer) error) (err error) {
 	dir, base := filepath.Split(path)
 	if dir == "" {
@@ -27,12 +27,8 @@ func WriteFile(path string, write func(io.Writer) error) (err error) {
 			os.Remove(tmp.Name())
 		}
 	}()
-	bw := bufio.NewWriter(tmp)
-	if err = write(bw); err != nil {
+	if err = write(tmp); err != nil {
 		return err
-	}
-	if err = bw.Flush(); err != nil {
-		return fmt.Errorf("atomicfile: flush %s: %w", path, err)
 	}
 	if err = tmp.Sync(); err != nil {
 		return fmt.Errorf("atomicfile: sync %s: %w", path, err)

@@ -1,6 +1,6 @@
 // Package atomicfile writes files so that a crash mid-save can never
 // leave a truncated or half-written result in place: content is staged
-// to a temporary file in the destination directory, flushed and fsynced,
+// to a temporary file in the destination directory, fsynced,
 // and only then renamed over the destination. Rename within one
 // directory is atomic on POSIX systems, so readers observe either the
 // old file or the complete new one — never a torn state.

@@ -156,7 +156,7 @@ func (v APView) Members() (users []trace.UserID, demands []float64) {
 		obsMaterialized.Inc()
 		st.dom.mu.RLock()
 		defer st.dom.mu.RUnlock()
-		return sortedUsers(st)
+		return sortedUsers(st, nil, nil)
 	}
 	return append([]trace.UserID(nil), v.users...), append([]float64(nil), v.demands...)
 }
@@ -415,7 +415,7 @@ func (d *Domain) drain(st *apState) []Eviction {
 	if len(st.users) == 0 {
 		return nil
 	}
-	users, demands := sortedUsers(st)
+	users, demands := sortedUsers(st, nil, nil)
 	evicted := make([]Eviction, len(users))
 	for i, u := range users {
 		evicted[i] = Eviction{User: u, DemandBps: demands[i]}
@@ -497,7 +497,7 @@ func (d *Domain) Info(id trace.APID) (APInfo, bool) {
 	if !ok {
 		return APInfo{}, false
 	}
-	users, demands := sortedUsers(st)
+	users, demands := sortedUsers(st, nil, nil)
 	return APInfo{
 		CapacityBps: st.capacityBps,
 		ReportedBps: st.reportedBps,
@@ -508,17 +508,19 @@ func (d *Domain) Info(id trace.APID) (APInfo, bool) {
 	}, true
 }
 
-// sortedUsers copies st's membership out in ascending user order with
-// the aligned demands; must run with the domain lock held.
-func sortedUsers(st *apState) ([]trace.UserID, []float64) {
-	users := make([]trace.UserID, 0, len(st.users))
+// sortedUsers writes st's membership into users' and demands' storage
+// (from index 0, grown past its capacity; nil, nil for fresh copies) in
+// ascending user order with the aligned demands; must run with the
+// domain lock held.
+func sortedUsers(st *apState, users []trace.UserID, demands []float64) ([]trace.UserID, []float64) {
+	users = slices.Grow(users[:0], len(st.users))
 	for u := range st.users {
 		users = append(users, u)
 	}
 	slices.Sort(users)
-	demands := make([]float64, len(users))
-	for i, u := range users {
-		demands[i] = st.users[u]
+	demands = slices.Grow(demands[:0], len(users))
+	for _, u := range users {
+		demands = append(demands, st.users[u])
 	}
 	return users, demands
 }

@@ -2,6 +2,7 @@ package domain
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
@@ -27,24 +28,24 @@ type APState struct {
 // stateVersion guards the serialized format.
 const stateVersion = 1
 
-// ExportState snapshots the domain's full association state under one
-// read lock: every AP, in sorted ID order, with its capacity, report,
-// failure flag and believed users/demands.
-func (d *Domain) ExportState() *State {
-	st := &State{Version: stateVersion}
+// ExportState fills st (a fresh State when nil) with the domain's full
+// association state under one read lock: every AP, in sorted ID order,
+// with its capacity, report, failure flag and believed users/demands.
+// st's APs and their Users/Demands slices are reused, so a caller that
+// keeps one State exports without allocating once they have grown.
+func (d *Domain) ExportState(st *State) *State {
+	if st == nil {
+		st = new(State)
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	for _, id := range d.ids {
-		ap := d.aps[id]
-		users, demands := sortedUsers(ap)
-		st.APs = append(st.APs, APState{
-			ID:          id,
-			CapacityBps: ap.capacityBps,
-			ReportedBps: ap.reportedBps,
-			Failed:      ap.failed,
-			Users:       users,
-			Demands:     demands,
-		})
+	st.Version = stateVersion
+	st.APs = slices.Grow(st.APs[:0], len(d.ids))[:len(d.ids)]
+	for i, id := range d.ids {
+		ap, out := d.aps[id], &st.APs[i]
+		users, demands := sortedUsers(ap, out.Users, out.Demands)
+		*out = APState{ID: id, CapacityBps: ap.capacityBps, ReportedBps: ap.reportedBps,
+			Failed: ap.failed, Users: users, Demands: demands}
 	}
 	return st
 }

@@ -41,11 +41,11 @@ func populateState(t *testing.T) *Domain {
 func TestStateRoundtripAcrossShardCounts(t *testing.T) {
 	src := populateState(t)
 	dst := New(Config{})
-	if err := dst.ImportState(src.ExportState()); err != nil {
+	if err := dst.ImportState(src.ExportState(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(src.ExportState(), dst.ExportState()) {
-		t.Fatalf("state diverged\nsrc %+v\ndst %+v", src.ExportState(), dst.ExportState())
+	if !reflect.DeepEqual(src.ExportState(nil), dst.ExportState(nil)) {
+		t.Fatalf("state diverged\nsrc %+v\ndst %+v", src.ExportState(nil), dst.ExportState(nil))
 	}
 	sv, _ := viewsOf(src, "u-1")
 	dv, _ := viewsOf(dst, "u-1")
@@ -59,7 +59,7 @@ func TestStateRoundtripAcrossShardCounts(t *testing.T) {
 
 func TestImportStateRejectsNonEmptyDomain(t *testing.T) {
 	src := populateState(t)
-	st := src.ExportState()
+	st := src.ExportState(nil)
 	dst := New(Config{})
 	if err := dst.AddAP("existing", 1e6); err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestImportStateRejectsDamage(t *testing.T) {
 func TestImportStatePreservesLeaveSemantics(t *testing.T) {
 	src := populateState(t)
 	dst := New(Config{})
-	if err := dst.ImportState(src.ExportState()); err != nil {
+	if err := dst.ImportState(src.ExportState(nil)); err != nil {
 		t.Fatal(err)
 	}
 	sd, sok := src.LeaveAll("u-1", "ap-0")
@@ -97,7 +97,7 @@ func TestImportStatePreservesLeaveSemantics(t *testing.T) {
 	if sok != dok || sd != dd {
 		t.Fatalf("LeaveAll diverged: src (%v,%v) dst (%v,%v)", sd, sok, dd, dok)
 	}
-	if !reflect.DeepEqual(src.ExportState(), dst.ExportState()) {
+	if !reflect.DeepEqual(src.ExportState(nil), dst.ExportState(nil)) {
 		t.Fatal("post-leave state diverged")
 	}
 }

@@ -236,7 +236,7 @@ func TestSortedMirrorConsistency(t *testing.T) {
 			t.Fatalf("%s: AP vanished", stage)
 		}
 		aligned(stage, "Info", info.Users, info.UserDemands)
-		exp := d.ExportState().APs[0]
+		exp := d.ExportState(nil).APs[0]
 		aligned(stage, "ExportState", exp.Users, exp.Demands)
 		views, _ := viewsOf(d, "probe")
 		users, demands := views[0].Members()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -106,6 +107,49 @@ func TestLeaseClaimRenewExpiry(t *testing.T) {
 	// The stale owner's renewal now fails: self-demotion trigger.
 	if _, ok, _ := s.Renew(0, "a", 1, "addr-a", ttl); ok {
 		t.Fatal("superseded owner renewed")
+	}
+}
+
+// TestRenewConcurrentGroups renews four groups from four goroutines at
+// once, as the lease loop and a test's Tick can: every renewal reads and
+// writes through the store's one buffer, so each group must still end
+// holding its own lease, and a refused renewal hands back the usurper's.
+func TestRenewConcurrentGroups(t *testing.T) {
+	s, err := newLeaseStore(t.TempDir(), func() int64 { return 1000 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ttl, groups = time.Second, 4
+	who := func(g int) (owner, addr string) { return fmt.Sprintf("owner-%d", g), fmt.Sprintf("addr-%d", g) }
+	for g := 0; g < groups; g++ {
+		owner, addr := who(g)
+		if _, won, err := s.Claim(g, nil, owner, addr, ttl); err != nil || !won {
+			t.Fatalf("claim %d: won=%v err=%v", g, won, err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < groups; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			owner, addr := who(g)
+			for i := 0; i < 50; i++ {
+				if usurper, ok, err := s.Renew(g, owner, 1, addr, ttl); !ok || err != nil || usurper != nil {
+					t.Errorf("group %d renewal %d: ok=%v err=%v usurper=%+v", g, i, ok, err, usurper)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < groups; g++ {
+		owner, addr := who(g)
+		if l, err := s.Read(g); err != nil || l == nil || l.Group != g || l.Owner != owner || l.Addr != addr || l.Epoch != 1 {
+			t.Errorf("group %d after concurrent renewals: %+v, %v", g, l, err)
+		}
+	}
+	if usurper, ok, err := s.Renew(0, "owner-1", 1, "addr-1", ttl); ok || err != nil || usurper == nil || usurper.Owner != "owner-0" {
+		t.Errorf("a non-owner's renewal: ok=%v err=%v usurper=%+v, want owner-0's lease", ok, err, usurper)
 	}
 }
 

@@ -505,15 +505,13 @@ func (n *Node) shutdown() {
 // successor claims the next epoch.
 func (n *Node) Close() error {
 	n.shutdown()
-	var err error
+	var errs []error
 	for _, gs := range n.groups {
 		gs.mu.Lock()
-		if cerr := gs.ctrl.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+		errs = append(errs, gs.ctrl.Close())
 		gs.mu.Unlock()
 	}
-	return err
+	return errors.Join(errs...)
 }
 
 // kill simulates a crash for chaos tests: loops, listener and live

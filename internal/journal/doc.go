@@ -31,20 +31,12 @@
 //
 // # Record layout
 //
-//	byte    version (1; never '{')
-//	byte    op      (1 register, 2 assoc, 3 disassoc, 5 expire; 4 unassigned)
-//	byte    flags   (bit0 CapacityBps, bit2 Static; bit1 unassigned)
-//	uvarint Seq, uvarint Epoch, varint TS, string AP, string User
-//	float64 CapacityBps                          (only if flagged)
-//	uvarint placement count, then per placement:
-//	  string User, string AP, string Prev, float64 DemandBps
-//
-// Strings are a uvarint length and the bytes, floats 8 bytes
-// little-endian, varints zigzag; Static is its flag. An absent float
-// costs a flag bit, an absent string or integer one byte — the wire
-// codec's rule. Journal.Append encodes into a buffer it reuses, behind
-// header bytes it fills in afterwards: no marshalling, no copy, no
-// allocation per record.
+// A record is a version byte, op, flags, Seq, Epoch, TS, AP, User, the
+// flagged CapacityBps and the placements, in those primitives
+// (docs/ARCHITECTURE.md, "Durability & recovery", has the table).
+// Journal.Append encodes into a buffer it reuses, behind header bytes
+// it fills in afterwards: no marshalling, no copy, no allocation per
+// record.
 //
 // # Checkpoints and rotation
 //
@@ -52,7 +44,9 @@
 // checkpoint outweighs it, the journal asks its owner for a full state
 // snapshot (Options.State, written in place into the reused frame
 // buffer), writes it atomically (temp + fsync + rename) as
-// ckpt-<seq>.snap, rotates to a fresh segment seg-<seq+1>.wal, and
+// ckpt-<seq>.snap, rotates to a fresh segment seg-<seq+1>.wal, fsyncs
+// the directory (which it holds open: the new segment's entry and the
+// checkpoint's rename are durable before the next append is), and
 // deletes segments and checkpoints made redundant by the two newest
 // checkpoints. Recovery loads the newest checkpoint that validates
 // (falling back to its predecessor if the newest is damaged) and replays

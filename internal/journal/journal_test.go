@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -598,6 +599,68 @@ func TestFaultfileShortWrite(t *testing.T) {
 // written before the fsync failed, later appends go on once the device
 // recovers, and reopening recovers every record, the failed one's
 // included.
+// syncedFile logs each fsync of one segment into a shared event list.
+type syncedFile struct {
+	*os.File
+	events *[]string
+}
+
+func (f syncedFile) Sync() error {
+	*f.events = append(*f.events, "sync "+filepath.Base(f.Name()))
+	return f.File.Sync()
+}
+
+// TestDirSyncedBeforeNewSegmentAppend: a segment created at Open or at a
+// checkpoint's rotation is a new directory entry, as is the checkpoint's
+// rename, so under FsyncAlways a record acknowledged from a new segment
+// is durable only once the directory is. The directory sync follows the
+// segment's creation and precedes the first append into it.
+func TestDirSyncedBeforeNewSegmentAppend(t *testing.T) {
+	var events []string
+	defer func(orig func(*os.File) error) { syncDir = orig }(syncDir)
+	syncDir = func(d *os.File) error {
+		events = append(events, "sync dir")
+		return d.Sync()
+	}
+	st := &checkpointState{}
+	j, _, err := Open(t.TempDir(), Options{
+		Fsync:           FsyncAlways,
+		CheckpointEvery: 3,
+		State:           st.write,
+		OpenFile: func(path string) (File, error) {
+			events = append(events, "create "+filepath.Base(path))
+			f, err := os.Create(path)
+			return syncedFile{f, &events}, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		st.n++
+		if err := j.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, fmt.Sprintf("acked %d", i+1))
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg1, seg4 := filepath.Base(segmentPath("", 1)), filepath.Base(segmentPath("", 4))
+	want := []string{
+		"create " + seg1, "sync dir",
+		"sync " + seg1, "acked 1",
+		"sync " + seg1, "acked 2",
+		"sync " + seg1, // record 3, then its checkpoint seals the segment:
+		"sync " + seg1, "create " + seg4, "sync dir", "acked 3",
+		"sync " + seg4, "acked 4",
+		"sync " + seg4, // Close
+	}
+	if !slices.Equal(events, want) {
+		t.Fatalf("events:\n got %q\nwant %q", events, want)
+	}
+}
+
 func TestFailedFsyncAppend(t *testing.T) {
 	dir := t.TempDir()
 	var degraded atomic.Bool

@@ -153,7 +153,7 @@ type applied struct {
 
 func appliedOf(c *Controller, events *stateLog) applied {
 	st := applied{
-		Domain:   *c.dom.ExportState(),
+		Domain:   *c.dom.ExportState(nil),
 		Sessions: make(map[trace.UserID]session, len(c.sessions)),
 		Leases:   make(map[trace.APID]lease, len(c.meta)),
 		Events:   events.events,

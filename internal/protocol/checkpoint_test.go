@@ -22,7 +22,7 @@ type stateOf struct {
 }
 
 func controllerState(c *Controller) stateOf {
-	s := stateOf{c.dom.ExportState(), c.sessions, map[trace.APID]apMeta{}}
+	s := stateOf{c.dom.ExportState(nil), c.sessions, map[trace.APID]apMeta{}}
 	for id, m := range c.meta {
 		s.Meta[id] = *m
 	}

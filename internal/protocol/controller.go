@@ -130,8 +130,9 @@ type Controller struct {
 	sessions map[trace.UserID]session
 	// scr is the association path's scratch, used under c.mu.
 	scr assocScratch
-	// ckptUsers is appendCheckpointLocked's key-sorting scratch, reused
-	// across checkpoints.
+	// ckptState and ckptUsers are appendCheckpointLocked's domain export
+	// and key-sorting scratch, reused across checkpoints.
+	ckptState domain.State
 	ckptUsers []trace.UserID
 
 	listeners []net.Listener
@@ -408,17 +409,12 @@ func (c *Controller) Close() error {
 	if stop != nil {
 		close(stop)
 	}
-	var err error
+	var errs []error
 	for _, ln := range lns {
-		if cerr := ln.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+		errs = append(errs, ln.Close())
 	}
 	c.wg.Wait()
-	if jerr := c.closeJournal(); jerr != nil && err == nil {
-		err = jerr
-	}
-	return err
+	return errors.Join(append(errs, c.closeJournal())...)
 }
 
 // handle runs one peer session: read the hello under the hello deadline

@@ -58,7 +58,7 @@ func TestStandbyMirrorsOwnerAndPromotes(t *testing.T) {
 	if f.LastSeq() != owner.JournalSeq() {
 		t.Fatalf("follower at seq %d, owner head at %d", f.LastSeq(), owner.JournalSeq())
 	}
-	if !reflect.DeepEqual(standby.dom.ExportState(), owner.dom.ExportState()) {
+	if !reflect.DeepEqual(standby.dom.ExportState(nil), owner.dom.ExportState(nil)) {
 		t.Fatal("standby domain state diverges from owner")
 	}
 	if got, want := assignmentsOf(standby), assignmentsOf(owner); !reflect.DeepEqual(got, want) {

@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -14,26 +15,11 @@ import (
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
-// Controller durability: every mutation the controller makes —
-// registrations, association commits (single and batch),
-// disassociations and lease expiries — is a journal.Record that apply
-// performs. With WithJournal the record is appended to a write-ahead
-// journal after it applies, and checkpoints capture the full
-// controller state (domain associations, assignment bookkeeping, AP
-// lease metadata, and the social observer's learned state when it can
-// persist itself). A restarted controller pointed at the same directory
-// recovers the newest valid checkpoint and replays the record tail, so
-// believed loads, assignments and the θ-graph survive a crash.
-//
-// Served-byte counters (station traffic accounting) are advisory and
-// only as fresh as the last checkpoint: traffic volume is not a domain
-// mutation and is deliberately not journaled per report.
-//
-// Observer events are delivered inside the mutation's locked section, in
-// mutation order and before the record is appended, journal or not — a
-// checkpoint triggered by record N then captures the observer at
-// exactly sequence N, and replaying records > N through the observer
-// reconstructs it losslessly.
+// Controller durability (docs/ARCHITECTURE.md, "Durability & recovery"):
+// every mutation is a journal.Record that apply performs and, with
+// WithJournal, appends; checkpoints capture the whole controller state,
+// the observer's included, at exactly the record that trips them.
+// Served-byte counters are only as fresh as the last checkpoint.
 
 var obsReplayErrs = obs.GetCounter("journal.recovery.replay_errors",
 	"Recovered WAL records whose replay failed (skipped, recovery continues)")
@@ -125,7 +111,7 @@ const (
 // dst: the domain, one full row per session and one per AP. Runs with
 // c.mu held.
 func (c *Controller) appendCheckpointLocked(dst []byte) []byte {
-	st := c.dom.ExportState() // APs sorted by ID, sessions by user
+	st := c.dom.ExportState(&c.ckptState) // APs sorted by ID, sessions by user
 	dst = append(dst, checkpointVersion)
 	dst = binary.AppendUvarint(dst, uint64(st.Version))
 	dst = binary.AppendUvarint(dst, uint64(len(st.APs)))
@@ -313,10 +299,8 @@ func (c *Controller) restoreCheckpoint(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if doc.Domain != nil {
-		if err := c.dom.ImportState(doc.Domain); err != nil {
-			return err
-		}
+	if err := c.dom.ImportState(doc.Domain); err != nil {
+		return err
 	}
 	maps.Copy(c.sessions, doc.Sessions)
 	maps.Copy(c.meta, doc.Meta)
@@ -460,15 +444,11 @@ func (c *Controller) closeJournal() error {
 	c.mu.Lock()
 	j := c.jn
 	c.jn = nil
-	var err error
-	if j != nil {
-		err = j.Checkpoint() // State callback runs under c.mu, as always
+	if j == nil {
+		c.mu.Unlock()
+		return nil
 	}
+	err := j.Checkpoint() // State callback runs under c.mu, as always
 	c.mu.Unlock()
-	if j != nil {
-		if cerr := j.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return errors.Join(err, j.Close())
 }

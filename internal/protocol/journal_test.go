@@ -56,7 +56,7 @@ func TestJournalCrashRecoveryRoundtrip(t *testing.T) {
 	if _, err := a.Associate("u-0", 300); err != nil { // a move (or a demand change)
 		t.Fatal(err)
 	}
-	want := a.dom.ExportState()
+	want := a.dom.ExportState(nil)
 	wantSnap := a.Snapshot()
 	// Crash: controller a is abandoned without Close. Its journal file
 	// handle leaks until the test process exits; that is the point.
@@ -76,8 +76,8 @@ func TestJournalCrashRecoveryRoundtrip(t *testing.T) {
 	if rec.ReplayErrors != 0 || rec.APs != 3 || rec.Assignments != 4 {
 		t.Fatalf("recovery summary = %+v, want 3 APs, 4 assignments, no errors", rec)
 	}
-	if !reflect.DeepEqual(b.dom.ExportState(), want) {
-		t.Fatalf("recovered domain diverged\nwant %+v\ngot  %+v", want, b.dom.ExportState())
+	if !reflect.DeepEqual(b.dom.ExportState(nil), want) {
+		t.Fatalf("recovered domain diverged\nwant %+v\ngot  %+v", want, b.dom.ExportState(nil))
 	}
 	if !reflect.DeepEqual(b.Snapshot(), wantSnap) {
 		t.Fatalf("recovered snapshot diverged\nwant %+v\ngot  %+v", wantSnap, b.Snapshot())
@@ -636,7 +636,7 @@ func TestControllerCheckpointAmortised(t *testing.T) {
 	if taken < 2 {
 		t.Fatalf("%d checkpoints over %d residents; the bound needs at least 2", taken, residents)
 	}
-	want, wantSnap := a.dom.ExportState(), a.Snapshot()
+	want, wantSnap := a.dom.ExportState(nil), a.Snapshot()
 	// Crash: a is abandoned without Close; every record is flushed.
 
 	b, err := NewController(baseline.LLF{}, WithClock(now), WithJournal(dir, opts))
@@ -648,7 +648,7 @@ func TestControllerCheckpointAmortised(t *testing.T) {
 	if rec.ReplayErrors != 0 || rec.Assignments != residents {
 		t.Fatalf("recovery = %+v, want %d assignments and no errors", rec, residents)
 	}
-	if !reflect.DeepEqual(b.dom.ExportState(), want) || !reflect.DeepEqual(b.Snapshot(), wantSnap) {
+	if !reflect.DeepEqual(b.dom.ExportState(nil), want) || !reflect.DeepEqual(b.Snapshot(), wantSnap) {
 		t.Fatal("recovered state diverged from the pre-crash one")
 	}
 	// The recovered checkpoint is the newest; the tail is the one segment

@@ -458,7 +458,7 @@ func TestShedConservationOracle(t *testing.T) {
 	if got := obsShedConns.Value() + obsShedAssoc.Value(); got <= shedBefore {
 		t.Errorf("flash crowd shed nothing (%d); cap/rate not exercised", got-shedBefore)
 	}
-	want := c.dom.ExportState()
+	want := c.dom.ExportState(nil)
 
 	// Uncapped oracle: replay the admitted subset from the journal.
 	oracle, err := NewController(baseline.LLF{},
@@ -474,7 +474,7 @@ func TestShedConservationOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotJSON, err := json.Marshal(oracle.dom.ExportState())
+	gotJSON, err := json.Marshal(oracle.dom.ExportState(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func TestSameAPRefreshJournalReplayParity(t *testing.T) {
 	a.mu.Lock()
 	wantAt := a.sessions["u"].at
 	a.mu.Unlock()
-	wantState := a.dom.ExportState()
+	wantState := a.dom.ExportState(nil)
 	wantSnap := a.Snapshot()
 	// Crash (no Close); recover in a fresh controller.
 	b, err := NewController(baseline.LLF{},
@@ -170,7 +170,7 @@ func TestSameAPRefreshJournalReplayParity(t *testing.T) {
 	if gotAt != wantAt {
 		t.Errorf("replayed assignedAt = %d, want %d (refresh must not split the session)", gotAt, wantAt)
 	}
-	if !reflect.DeepEqual(b.dom.ExportState(), wantState) {
+	if !reflect.DeepEqual(b.dom.ExportState(nil), wantState) {
 		t.Errorf("replayed domain state diverged")
 	}
 	if !reflect.DeepEqual(b.Snapshot(), wantSnap) {
@@ -312,7 +312,7 @@ func binaryPortCrashRecovery(t *testing.T, live bool) {
 			t.Fatal(err)
 		}
 	}
-	wantState, err := json.Marshal(a.dom.ExportState())
+	wantState, err := json.Marshal(a.dom.ExportState(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func binaryPortCrashRecovery(t *testing.T, live bool) {
 			t.Fatalf("recovered engine knows %d users, want 6", engB.Snapshot().Users)
 		}
 	}
-	gotState, err := json.Marshal(b.dom.ExportState())
+	gotState, err := json.Marshal(b.dom.ExportState(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/baseline"
@@ -144,5 +145,50 @@ func TestStationSessionAllocs(t *testing.T) {
 	const want = 4
 	if allocs := testing.AllocsPerRun(100, session); allocs > want {
 		t.Errorf("a station session allocates %.0f objects on the wire, want <= %d", allocs, want)
+	}
+}
+
+// TestCheckpointSteadyStateAllocs gates the durability path as the tests
+// above gate the wire: once a first checkpoint has grown the controller's
+// export and frame scratch, a checkpoint of 3 000 residents on 16 APs
+// allocates only the file system's fixed handful — the temp file and the
+// new segment with their names, the directory listing the prune reads;
+// 36 objects, 2 KiB on go1.24 — and nothing per resident. A fresh export
+// (two slices per AP) and a per-write 4 KiB buffer made it 82 and 87 KB.
+func TestCheckpointSteadyStateAllocs(t *testing.T) {
+	c, err := NewController(baseline.LLF{}, WithJournal(t.TempDir(), journal.Options{Fsync: journal.FsyncOff}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 16; i++ {
+		if err := c.RegisterAP(trace.APID(fmt.Sprintf("ap-%02d", i)), 1e9); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		if _, err := c.Associate(trace.UserID(fmt.Sprintf("user-%05d", i)), 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint := func() {
+		c.mu.Lock() // the State callback runs under c.mu, as from Append
+		defer c.mu.Unlock()
+		if err := c.jn.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint()
+	checkpoint() // both retained checkpoints exist: every prune now lists the same files
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(20, checkpoint)
+	runtime.ReadMemStats(&after)
+	bytesPer := (after.TotalAlloc - before.TotalAlloc) / 21 // AllocsPerRun's warm-up call plus 20
+	t.Logf("a steady-state checkpoint: %.0f objects, %d B", allocs, bytesPer)
+	const wantObjects, wantBytes = 44, 4096
+	if allocs > wantObjects || bytesPer > wantBytes {
+		t.Errorf("a steady-state checkpoint allocates %.0f objects, %d B; want <= %d, <= %d B (3 000 residents at 16 B each would be 48 000 B)",
+			allocs, bytesPer, wantObjects, wantBytes)
 	}
 }

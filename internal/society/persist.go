@@ -1,7 +1,6 @@
 package society
 
 import (
-	"bufio"
 	"cmp"
 	"encoding/json"
 	"fmt"
@@ -43,8 +42,8 @@ func parsePairKey(k string) (Pair, error) {
 	return MakePair(trace.UserID(a), trace.UserID(b)), nil
 }
 
-// WriteModel serializes m to w as JSON. A user id containing '|' has no
-// unambiguous pair key and is refused.
+// WriteModel serializes m to w as JSON, in one Write. A user id
+// containing '|' has no unambiguous pair key and is refused.
 func WriteModel(w io.Writer, m *Model) error {
 	if m == nil {
 		return fmt.Errorf("society: nil model")
@@ -76,12 +75,10 @@ func WriteModel(w io.Writer, m *Model) error {
 			doc.CoLeaves[k] = p.CoLeaves
 		}
 	})
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(doc); err != nil {
+	if err := json.NewEncoder(w).Encode(doc); err != nil {
 		return fmt.Errorf("society: encode model: %w", err)
 	}
-	return bw.Flush()
+	return nil
 }
 
 // ReadModel parses a serialized model from r. A document that lists a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -112,6 +113,40 @@ func TestModelFileRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadModel(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file should error")
+	}
+}
+
+// TestSaveModelWritesWriteModelBytes: SaveModel hands atomicfile's
+// unbuffered temp file to WriteModel, and the file holds exactly the
+// bytes WriteModel writes to a buffer — here a model of 3 000 pairs,
+// ≈ 150 KB, many times any write buffer.
+func TestSaveModelWritesWriteModelBytes(t *testing.T) {
+	var pairs []PairStat
+	types := map[trace.UserID]int{}
+	for i := 0; i < 3000; i++ {
+		a, b := trace.UserID(fmt.Sprintf("user-%04d", i)), trace.UserID(fmt.Sprintf("user-%04d", (i*7+1)%3000))
+		types[a] = i % 2
+		pairs = append(pairs, PairStat{Pair{a, b}, 3 + i%9, i % 4, float64(i%100) / 100, i%3 != 0})
+	}
+	m, err := NewModel(pairs, types, [][]float64{{0.5, 0.1}, {0.1, 0.6}},
+		[][]float64{{0.5, 0.5, 0, 0, 0, 0}, {0, 0, 0.5, 0.5, 0, 0}}, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := WriteModel(&want, m); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := SaveModel(path, m); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() < 100_000 || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("SaveModel wrote %d bytes, WriteModel %d; equal: %v", len(got), want.Len(), bytes.Equal(got, want.Bytes()))
 	}
 }
 

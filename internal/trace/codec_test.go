@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -89,6 +90,33 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if _, err := LoadFile(filepath.Join(dir, "missing.jsonl")); err == nil {
 		t.Error("missing file should error")
+	}
+}
+
+// TestSaveFileWritesJSONLinesBytes: SaveFile hands atomicfile's
+// unbuffered temp file to WriteJSONLines, which buffers its own lines;
+// the file holds exactly the bytes WriteJSONLines writes to a buffer,
+// here for 2 000 flows, ≈ 200 KB, many times the write buffer.
+func TestSaveFileWritesJSONLinesBytes(t *testing.T) {
+	tr := sampleTrace()
+	for i := 0; i < 2000; i++ {
+		tr.Flows = append(tr.Flows, Flow{User: UserID(fmt.Sprintf("u%d", i%50)), Start: int64(i), End: int64(i + 10),
+			Proto: "tcp", SrcPort: 40000 + i, DstPort: 443, Bytes: int64(1000 + i)})
+	}
+	var want bytes.Buffer
+	if err := WriteJSONLines(&want, tr); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := SaveFile(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() < 100_000 || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("SaveFile wrote %d bytes, WriteJSONLines %d; equal: %v", len(got), want.Len(), bytes.Equal(got, want.Bytes()))
 	}
 }
 
