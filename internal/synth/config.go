@@ -35,18 +35,10 @@ const NumArchetypes = 4
 
 // String returns the archetype's display name.
 func (a Archetype) String() string {
-	switch a {
-	case ArchetypeMessenger:
-		return "messenger"
-	case ArchetypeDownloader:
-		return "downloader"
-	case ArchetypeStreamer:
-		return "streamer"
-	case ArchetypeWorker:
-		return "worker"
-	default:
+	if a < ArchetypeMessenger || a > ArchetypeWorker {
 		return fmt.Sprintf("Archetype(%d)", int(a))
 	}
+	return [...]string{"messenger", "downloader", "streamer", "worker"}[a-1]
 }
 
 // Config parameterizes the generated campus. DefaultConfig documents the
@@ -143,6 +135,8 @@ func (c Config) Validate() error {
 		return errors.New("synth: APsPerBuilding must be positive")
 	case c.Users <= 0:
 		return errors.New("synth: Users must be positive")
+	case c.Users >= 1<<rankBits: // a flow's sort key holds its user's rank
+		return fmt.Errorf("synth: Users %d is not below 2^%d", c.Users, rankBits)
 	case c.GroupSizeMin <= 1 || c.GroupSizeMax < c.GroupSizeMin:
 		return fmt.Errorf("synth: invalid group size range [%d, %d]",
 			c.GroupSizeMin, c.GroupSizeMax)

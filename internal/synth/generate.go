@@ -137,12 +137,6 @@ func Generate(cfg Config) (*trace.Trace, *GroundTruth, error) {
 	obsFlows.Add(int64(len(flows)))
 	tr := &trace.Trace{Topology: topo, Sessions: assigned, Flows: flows}
 	tr.SortSessions()
-	slices.SortFunc(tr.Flows, func(a, b trace.Flow) int {
-		if c := cmp.Compare(a.Start, b.Start); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.User, b.User)
-	})
 	return tr, truth, nil
 }
 
@@ -233,7 +227,7 @@ func buildPopulation(cfg Config, rng *rand.Rand) *GroundTruth {
 }
 
 // scheduleSessions produces session intents (controller decided, AP left
-// to the LLF replay) and the matching flow records, both in draw order.
+// to the LLF replay) in draw order and their flows by (Start, User).
 func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 	truth *GroundTruth) ([]trace.Session, []trace.Flow) {
 
@@ -300,11 +294,12 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 
 	// Sessions are sized by what the days can schedule (short only if solo
 	// Poisson draws outrun the absences); flows — up to 24 a session, 14 on
-	// average — are collected per day and joined once, not sized 1.7× over.
+	// average — are collected per day and gathered once, sorted, not sized
+	// 1.7× over.
 	perDay := memberships*cfg.ActivitiesPerDay + len(residentUsers) +
 		int(math.Ceil(float64(len(soloUsers))*min(cfg.SoloSessionsPerDay, 101))) // poissonish stops at 101
 	sessions := make([]trace.Session, 0, cfg.Days*perDay)
-	var dayFlows []trace.Flow
+	dayFlows := make([]trace.Flow, 0, 24*perDay) // outgrown only by extra solo draws
 	flowsOfDay := make([][]trace.Flow, 0, cfg.Days)
 
 	moodRng := rand.New(new(moodSource)) // reseeded by every dayMood
@@ -415,7 +410,61 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 		flowsOfDay = append(flowsOfDay, slices.Clone(dayFlows))
 		dayFlows = dayFlows[:0]
 	}
-	return sessions, slices.Concat(flowsOfDay...)
+	return sessions, sortFlows(flowsOfDay, allUsers)
+}
+
+// A flowKey stands for a flow in sortFlows: its Start, then its user's rank
+// above placeBits and its emission place below. 16 bytes, no pointers.
+type flowKey struct {
+	start int64
+	ref   uint64
+}
+
+// Config.Validate holds Users below 1<<rankBits; 2⁴⁰ flows exceed memory.
+const placeBits, rankBits = 40, 24
+
+// compareFlowKeys has the sign of comparing the flows by (Start, User) on
+// every pair, so slices.SortFunc makes the same swaps on keys as on flows
+// and ties keep the order the pinned digests record. Comparing places too,
+// or a stable or radix sort, would reorder ties.
+func compareFlowKeys(a, b flowKey) int {
+	if c := cmp.Compare(a.start, b.start); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ref>>placeBits, b.ref>>placeBits)
+}
+
+// sortFlows returns the flows of days, joined, in the order slices.SortFunc
+// by (Start, User) gives them; users holds their users, sorted. It sorts
+// keys, then copies each flow once into an exactly sized result, allocated
+// first so the collection it may start marks while pointer-free keys move.
+func sortFlows(days [][]trace.Flow, users []trace.UserID) []trace.Flow {
+	n := 0
+	for _, day := range days {
+		n += len(day)
+	}
+	flows := make([]trace.Flow, n)
+	keys := make([]flowKey, 0, n)
+	ends := make([]int, len(days)) // ends[d]: flows of days 0..d
+	var user trace.UserID
+	var rank int
+	for d, day := range days {
+		for i := range day {
+			if day[i].User != user { // about once a session: it shares one string
+				user = day[i].User
+				rank, _ = slices.BinarySearch(users, user)
+			}
+			keys = append(keys, flowKey{day[i].Start, uint64(rank)<<placeBits | uint64(len(keys))})
+		}
+		ends[d] = len(keys)
+	}
+	slices.SortFunc(keys, compareFlowKeys)
+	for k, key := range keys {
+		p := int(key.ref & (1<<placeBits - 1))
+		d, _ := slices.BinarySearch(ends, p+1) // the first day ending after p
+		flows[k] = days[d][p-ends[d]+len(days[d])]
+	}
+	return flows
 }
 
 // dayMood returns the per-(user, day) multiplicative activity emphasis: a

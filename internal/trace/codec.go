@@ -49,45 +49,23 @@ func WriteJSONLines(w io.Writer, tr *Trace) error {
 	return bw.Flush()
 }
 
-// ReadJSONLines parses a JSON-lines trace from r. Unknown kinds are
-// rejected so corruption is caught early.
+// ReadJSONLines parses a JSON-lines trace from r (through Stream, so
+// unknown kinds are rejected and corruption is caught early).
 func ReadJSONLines(r io.Reader) (*Trace, error) {
 	tr := &Trace{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var line jsonLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-		}
-		switch line.Kind {
-		case "topology":
-			if line.Topology == nil {
-				return nil, fmt.Errorf("trace: line %d: topology record without payload", lineNo)
-			}
-			tr.Topology = *line.Topology
-		case "session":
-			if line.Session == nil {
-				return nil, fmt.Errorf("trace: line %d: session record without payload", lineNo)
-			}
-			tr.Sessions = append(tr.Sessions, *line.Session)
-		case "flow":
-			if line.Flow == nil {
-				return nil, fmt.Errorf("trace: line %d: flow record without payload", lineNo)
-			}
-			tr.Flows = append(tr.Flows, *line.Flow)
+	err := Stream(r, func(topo *Topology, s *Session, f *Flow) error {
+		switch {
+		case topo != nil:
+			tr.Topology = *topo
+		case s != nil:
+			tr.Sessions = append(tr.Sessions, *s)
 		default:
-			return nil, fmt.Errorf("trace: line %d: unknown record kind %q", lineNo, line.Kind)
+			tr.Flows = append(tr.Flows, *f)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: scan: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return tr, nil
 }
@@ -114,54 +92,34 @@ func LoadFile(path string) (*Trace, error) {
 	return ReadJSONLines(f)
 }
 
-var sessionCSVHeader = []string{
-	"user", "ap", "controller", "connect_at", "disconnect_at", "bytes",
-}
-
 // WriteSessionsCSV writes the session table (with header) to w.
 func WriteSessionsCSV(w io.Writer, sessions []Session) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(sessionCSVHeader); err != nil {
-		return fmt.Errorf("trace: write CSV header: %w", err)
-	}
-	for i, s := range sessions {
-		rec := []string{
-			string(s.User),
-			string(s.AP),
-			string(s.Controller),
-			strconv.FormatInt(s.ConnectAt, 10),
-			strconv.FormatInt(s.DisconnectAt, 10),
-			strconv.FormatInt(s.Bytes, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("trace: write CSV row %d: %w", i, err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-var flowCSVHeader = []string{
-	"user", "start", "end", "proto", "src_port", "dst_port", "bytes",
+	return writeCSV(w, []string{"user", "ap", "controller", "connect_at", "disconnect_at", "bytes"},
+		len(sessions), func(i int) []string {
+			s := &sessions[i]
+			return []string{string(s.User), string(s.AP), string(s.Controller),
+				strconv.FormatInt(s.ConnectAt, 10), strconv.FormatInt(s.DisconnectAt, 10), strconv.FormatInt(s.Bytes, 10)}
+		})
 }
 
 // WriteFlowsCSV writes the flow table (with header) to w.
 func WriteFlowsCSV(w io.Writer, flows []Flow) error {
+	return writeCSV(w, []string{"user", "start", "end", "proto", "src_port", "dst_port", "bytes"},
+		len(flows), func(i int) []string {
+			f := &flows[i]
+			return []string{string(f.User), strconv.FormatInt(f.Start, 10), strconv.FormatInt(f.End, 10),
+				f.Proto, strconv.Itoa(f.SrcPort), strconv.Itoa(f.DstPort), strconv.FormatInt(f.Bytes, 10)}
+		})
+}
+
+// writeCSV writes header and then row(i) for each of n rows.
+func writeCSV(w io.Writer, header []string, n int, row func(i int) []string) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(flowCSVHeader); err != nil {
+	if err := cw.Write(header); err != nil {
 		return fmt.Errorf("trace: write CSV header: %w", err)
 	}
-	for i, f := range flows {
-		rec := []string{
-			string(f.User),
-			strconv.FormatInt(f.Start, 10),
-			strconv.FormatInt(f.End, 10),
-			f.Proto,
-			strconv.Itoa(f.SrcPort),
-			strconv.Itoa(f.DstPort),
-			strconv.FormatInt(f.Bytes, 10),
-		}
-		if err := cw.Write(rec); err != nil {
+	for i := 0; i < n; i++ {
+		if err := cw.Write(row(i)); err != nil {
 			return fmt.Errorf("trace: write CSV row %d: %w", i, err)
 		}
 	}

@@ -224,11 +224,14 @@ func (tr *Trace) SplitAt(cut int64) (train, test *Trace) {
 // as views of s when s is in time order, as copies when it is not.
 func splitAt[E any](s []E, cut int64, at func(*E) int64) (before, rest []E) {
 	k, ordered := 0, true
+	var prev int64
 	for i := range s {
-		if at(&s[i]) < cut {
+		t := at(&s[i])
+		if t < cut {
 			k++
 		}
-		ordered = ordered && (i == 0 || at(&s[i-1]) <= at(&s[i]))
+		ordered = ordered && (i == 0 || prev <= t)
+		prev = t
 	}
 	if ordered {
 		return s[:k:k], s[k:len(s):len(s)]

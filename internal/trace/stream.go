@@ -39,27 +39,23 @@ func Stream(r io.Reader, handler StreamHandler) error {
 		if err := json.Unmarshal(raw, &line); err != nil {
 			return fmt.Errorf("trace: line %d: %w", lineNo, err)
 		}
-		var err error
+		var topo *Topology // the kind's payload alone; any other is ignored
+		var s *Session
+		var f *Flow
 		switch line.Kind {
 		case "topology":
-			if line.Topology == nil {
-				return fmt.Errorf("trace: line %d: topology without payload", lineNo)
-			}
-			err = handler(line.Topology, nil, nil)
+			topo = line.Topology
 		case "session":
-			if line.Session == nil {
-				return fmt.Errorf("trace: line %d: session without payload", lineNo)
-			}
-			err = handler(nil, line.Session, nil)
+			s = line.Session
 		case "flow":
-			if line.Flow == nil {
-				return fmt.Errorf("trace: line %d: flow without payload", lineNo)
-			}
-			err = handler(nil, nil, line.Flow)
+			f = line.Flow
 		default:
 			return fmt.Errorf("trace: line %d: unknown record kind %q", lineNo, line.Kind)
 		}
-		if err != nil {
+		if topo == nil && s == nil && f == nil {
+			return fmt.Errorf("trace: line %d: %s without payload", lineNo, line.Kind)
+		}
+		if err := handler(topo, s, f); err != nil {
 			if err == ErrStopStream {
 				return nil
 			}
