@@ -182,9 +182,7 @@ func Fig8(ps *apps.ProfileStore, k int, seed int64) (*Fig8Result, error) {
 	if k <= 0 {
 		k = 4
 	}
-	if k > len(points) {
-		k = len(points)
-	}
+	k = min(k, len(points))
 	rng := rand.New(rand.NewSource(seed))
 	res, err := cluster.KMeans(points, k, rng, cluster.Config{Restarts: 8})
 	if err != nil {

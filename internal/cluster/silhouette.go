@@ -83,9 +83,7 @@ func SilhouetteCurve(points [][]float64, maxK int, rng *rand.Rand, cfg Config) (
 	if maxK < 2 {
 		return nil, 0, ErrSilhouetteK
 	}
-	if maxK > len(points) {
-		maxK = len(points)
-	}
+	maxK = min(maxK, len(points))
 	best := math.Inf(-1)
 	for k := 2; k <= maxK; k++ {
 		res, err := KMeans(points, k, rng, cfg)

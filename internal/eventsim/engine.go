@@ -7,6 +7,7 @@ package eventsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/obs"
@@ -97,6 +98,10 @@ func (e *Engine) Now() int64 { return e.now }
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.queue) }
+
+// Grow makes room for n more queued events, so a caller that knows how
+// many it will schedule sizes the queue once instead of by doubling.
+func (e *Engine) Grow(n int) { e.queue = slices.Grow(e.queue, n) }
 
 // ErrPastEvent is returned when scheduling before the current time.
 var ErrPastEvent = errors.New("eventsim: cannot schedule event in the past")

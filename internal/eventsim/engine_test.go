@@ -257,3 +257,30 @@ func TestHeapOrderMatchesSeq(t *testing.T) {
 		}
 	}
 }
+
+// TestGrowSizesQueueOnce: after Grow(n), scheduling n events (some fired
+// on the way, some scheduled from handlers) never moves the queue.
+func TestGrowSizesQueueOnce(t *testing.T) {
+	e := New(0)
+	if err := e.ScheduleAt(5, func(*Engine) {}); err != nil {
+		t.Fatal(err)
+	}
+	e.Grow(100)
+	q, size := &e.queue[:1][0], cap(e.queue)
+	if size < 101 {
+		t.Fatalf("Grow(100) over 1 pending event: cap %d", size)
+	}
+	for i := 0; i < 50; i++ {
+		if err := e.ScheduleAt(int64(i%7), func(en *Engine) {
+			if err := en.ScheduleAfter(1, func(*Engine) {}); err != nil {
+				t.Fatal(err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Run()
+	if &e.queue[:1][0] != q || cap(e.queue) != size {
+		t.Errorf("the queue moved: cap %d → %d", size, cap(e.queue))
+	}
+}

@@ -52,7 +52,6 @@ func AblationBaselines(d *Data) (*AblationBaselinesResult, error) {
 	jobs := make([]sweepJob, len(panel))
 	means := make([]float64, len(panel))
 	for i, p := range panel {
-		i, p := i, p
 		jobs[i] = sweepJob{
 			name: p.name,
 			run: func() (float64, error) {
@@ -129,7 +128,6 @@ func AblationStaleness(d *Data, intervals []int64) (*AblationStalenessResult, er
 	}
 	jobs := make([]sweepJob, 0, 2*len(intervals))
 	for i, iv := range intervals {
-		i, iv := i, iv
 		cell := *d // private copy: only the report interval differs
 		cell.ReportIntervalSeconds = iv
 		jobs = append(jobs, sweepJob{
@@ -198,7 +196,6 @@ func AblationGuard(d *Data, guards []float64) (*AblationGuardResult, error) {
 	}
 	jobs := make([]sweepJob, len(guards))
 	for i, g := range guards {
-		i, g := i, g
 		jobs[i] = sweepJob{
 			name: fmt.Sprintf("guard=%v", g),
 			run: func() (float64, error) {
@@ -254,7 +251,6 @@ func AblationBatchWindow(d *Data, windows []int64) (*AblationBatchWindowResult, 
 	}
 	jobs := make([]sweepJob, len(windows))
 	for i, w := range windows {
-		i, w := i, w
 		cell := *d // private copy: only the batch window differs
 		cell.BatchWindowSeconds = w
 		jobs[i] = sweepJob{
@@ -302,7 +298,6 @@ func AblationTemporal(d *Data, weights []float64) (*AblationTemporalResult, erro
 	res := &AblationTemporalResult{Weights: weights, Means: make([]float64, len(weights))}
 	jobs := make([]sweepJob, len(weights))
 	for i, w := range weights {
-		i, w := i, w
 		jobs[i] = sweepJob{
 			name: fmt.Sprintf("temporal=%v", w),
 			run: func() (float64, error) {

@@ -16,8 +16,8 @@ import (
 // TestSimulateAllocBudget pins what one S³ replay of the small campus's
 // test days (800 sessions) allocates under RunS3Model — the selector's
 // close-friend rows included, training not: the unit a sweep pays once
-// per cell. It measures (go1.24) 320 000 B in 1 315 objects (± 1 KB, ± 2):
-// the rows, the sorted sessions, Assigned, the event queue, a closure per
+// per cell. It measures (go1.24) 257 500 B in 1 305 objects (± 1 KB, ± 2):
+// the rows, the arrival order, Assigned, the event queue, a closure per
 // departure and the result map of each of the 157 batches — Algorithm 1
 // itself works in a pooled placer. The ceilings are ≈ 15 % over that.
 func TestSimulateAllocBudget(t *testing.T) {
@@ -43,7 +43,7 @@ func TestSimulateAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	t.Logf("%d sessions: %d B, %d objects per replay", len(d.Test.Sessions), bytes, objects)
-	const maxBytes, maxObjects = 368_000, 1_510
+	const maxBytes, maxObjects = 296_000, 1_500
 	if bytes > maxBytes || objects > maxObjects {
 		t.Errorf("one replay allocates %d B in %d objects, budget %d B in %d", bytes, objects, maxBytes, maxObjects)
 	}
@@ -53,11 +53,11 @@ func TestSimulateAllocBudget(t *testing.T) {
 // sessions, 40 800 flows; train on 9 of 12 days) allocates: generation,
 // the split, the training profiles, the demand estimator and the Trainer
 // every training of the dataset goes through. It measures (go1.24)
-// 8 687 656 B in 4 151 objects (± 50 B, ± 1), of which the Trainer
-// ≈ 119 000 B in 14; the ceilings are ≈ 15 % over the 8 568 400 B in
-// 4 137 it read without one. While Generate regrew its flow list, seeded
-// a generator per (user, day) and SplitAt copied the trace, the same
-// Prepare allocated 45 000 000 B in 8 685.
+// 6 445 500 B in 4 121 objects (± 100 B, ± 2), of which the Trainer
+// ≈ 119 000 B in 14; the ceilings are ≈ 15 % over that. While Generate
+// regrew its flow list, seeded a generator per (user, day), staged its
+// flows as trace.Flows and SplitAt copied the trace, the same Prepare
+// allocated 45 000 000 B in 8 685.
 func TestPrepareAllocBudget(t *testing.T) {
 	campus := synth.DefaultConfig()
 	campus.Users, campus.Buildings, campus.Days = 150, 3, 12
@@ -75,7 +75,7 @@ func TestPrepareAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	t.Logf("%d sessions, %d flows: %d B, %d objects per Prepare", len(d.Full.Sessions), len(d.Full.Flows), bytes, objects)
-	const maxBytes, maxObjects = 9_850_000, 4_760
+	const maxBytes, maxObjects = 7_415_000, 4_740
 	if bytes > maxBytes || objects > maxObjects {
 		t.Errorf("one Prepare allocates %d B in %d objects, budget %d B in %d", bytes, objects, maxBytes, maxObjects)
 	}

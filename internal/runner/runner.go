@@ -126,10 +126,7 @@ func Run(cfg Config, tasks []Task) (*Report, error) {
 		return report, nil
 	}
 
-	n := report.Workers
-	if n > len(tasks) {
-		n = len(tasks)
-	}
+	n := min(report.Workers, len(tasks))
 	start := time.Now()
 
 	var (

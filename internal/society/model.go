@@ -332,9 +332,7 @@ func clusterUsers(profiles *apps.ProfileStore, cfg Config) (map[trace.UserID]int
 		}
 		k = gap.OptimalK
 	}
-	if k > len(points) {
-		k = len(points)
-	}
+	k = min(k, len(points))
 	res, err := cluster.KMeans(points, k, rng, cluster.Config{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("society: clustering: %w", err)

@@ -66,17 +66,12 @@ func (c *CDF) Points(n int) []Point {
 	if m == 0 || n <= 0 {
 		return nil
 	}
-	if n > m {
-		n = m
-	}
+	n = min(n, m)
 	pts := make([]Point, 0, n)
 	for i := 0; i < n; i++ {
 		// Sample indices spread across the sorted data, always
 		// including the last sample so the curve reaches 1.0.
-		idx := (i + 1) * m / n
-		if idx > m {
-			idx = m
-		}
+		idx := min((i+1)*m/n, m)
 		x := c.sorted[idx-1]
 		pts = append(pts, Point{X: x, Y: float64(idx) / float64(m)})
 	}

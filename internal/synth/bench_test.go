@@ -3,6 +3,7 @@ package synth
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
@@ -10,16 +11,25 @@ import (
 
 // BenchmarkGenerate is one default campus (27 000 sessions, 388 000 flows)
 // from configuration to sorted trace, the seed rotating over three values
-// so no single draw sequence is what gets tuned.
+// so no single draw sequence is what gets tuned. B/flow is what the
+// campuses allocated over the flows they hold: the figure a larger campus
+// is sized by.
 func BenchmarkGenerate(b *testing.B) {
 	cfg := DefaultConfig()
 	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	flows := 0
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(1 + i%3)
-		if _, _, err := Generate(cfg); err != nil {
+		tr, _, err := Generate(cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		flows += len(tr.Flows)
 	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(flows), "B/flow")
 }
 
 // BenchmarkDayMood is one per-(user, day) mood, a reseed and about six

@@ -4,10 +4,12 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
@@ -27,18 +29,26 @@ func byStartUser(a, b trace.Flow) int {
 // would misplace flows that share a Start.
 var flowUsers = []trace.UserID{"user-9", "user-10", "user-2", "user-100", "user-11", "user-1"}
 
-// emittedFlows returns n flows over flowUsers and starts in [0, span), in
-// runs of one to four flows a user as sessions emit them, split into days
-// of random length (some empty). Each flow's SrcPort is its emission
-// place, so two flows that tie on (Start, User) still differ.
-func emittedFlows(rng *rand.Rand, n int, span int64) [][]trace.Flow {
-	var days [][]trace.Flow
-	var day []trace.Flow
+// rankedUsers is flowUsers sorted: the users an emitted flow's rank indexes.
+func rankedUsers() []trace.UserID {
+	users := slices.Clone(flowUsers)
+	slices.Sort(users)
+	return users
+}
+
+// emittedFlows returns n records over ranks of rankedUsers and starts in
+// [0, span), in runs of one to four records a user as sessions emit them,
+// split into days of random length (some empty). Each record's bytes are
+// its emission place (a SrcPort cannot number 100 000 flows), so two flows
+// that tie on (Start, User) still differ.
+func emittedFlows(rng *rand.Rand, n int, span int64) [][]emittedFlow {
+	var days [][]emittedFlow
+	var day []emittedFlow
 	for p := 0; p < n; {
-		u := flowUsers[rng.Intn(len(flowUsers))]
+		rank := int32(rng.Intn(len(flowUsers)))
 		for run := 1 + rng.Intn(4); run > 0 && p < n; run-- {
 			start := rng.Int63n(span)
-			day = append(day, trace.Flow{User: u, Start: start, End: start + 1, Proto: "tcp", SrcPort: p, Bytes: 1})
+			day = append(day, emittedFlow{start: start, end: start + 1, bytes: int64(p), rank: rank, realm: uint8(p % 6)})
 			p++
 		}
 		if rng.Intn(n/8+2) == 0 {
@@ -49,15 +59,25 @@ func emittedFlows(rng *rand.Rand, n int, span int64) [][]trace.Flow {
 	return append(days, day)
 }
 
+// joinedFlows returns the flows of days' records, joined in emission order.
+func joinedFlows(days [][]emittedFlow) []trace.Flow {
+	var flows []trace.Flow
+	users := rankedUsers()
+	for _, day := range days {
+		for i := range day {
+			flows = append(flows, day[i].flow(users))
+		}
+	}
+	return flows
+}
+
 // checkFlowKeySort fails t unless sortFlows orders days' flows exactly as
 // slices.SortFunc with byStartUser orders them joined.
-func checkFlowKeySort(t testing.TB, days [][]trace.Flow) {
+func checkFlowKeySort(t testing.TB, days [][]emittedFlow) {
 	t.Helper()
-	want := slices.Concat(days...)
+	want := joinedFlows(days)
 	slices.SortFunc(want, byStartUser)
-	users := slices.Clone(flowUsers)
-	slices.Sort(users)
-	got := sortFlows(days, users)
+	got := sortFlows(days, rankedUsers())
 	if len(got) != len(want) {
 		t.Fatalf("sortFlows returned %d flows, want %d", len(got), len(want))
 	}
@@ -91,7 +111,7 @@ func TestFlowKeySortMatchesSortFunc(t *testing.T) {
 					}
 					return cmp.Compare(userNumber(t, a.User), userNumber(t, b.User))
 				}
-				want, numeric := slices.Concat(days...), slices.Concat(days...)
+				want, numeric := joinedFlows(days), joinedFlows(days)
 				slices.SortFunc(want, byStartUser)
 				slices.SortFunc(numeric, byNumber)
 				if slices.Equal(want, numeric) {
@@ -125,8 +145,8 @@ func TestValidateRankBound(t *testing.T) {
 }
 
 // FuzzFlowKeySort is TestFlowKeySortMatchesSortFunc's property over fuzzed
-// flows: each two bytes of data are one flow's Start (signed) and user,
-// and cut ends a day after every cut-th flow.
+// flows: each two bytes of data are one flow's Start (signed) and user's
+// rank, and cut ends a day after every cut-th flow.
 func FuzzFlowKeySort(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{3, 0, 3, 1, 3, 0, 0xff, 2, 3, 1}, uint8(2))
@@ -134,16 +154,34 @@ func FuzzFlowKeySort(f *testing.F) {
 	rand.New(rand.NewSource(1)).Read(long)
 	f.Add(long, uint8(37))
 	f.Fuzz(func(t *testing.T, data []byte, cut uint8) {
-		var days [][]trace.Flow
-		var day []trace.Flow
+		var days [][]emittedFlow
+		var day []emittedFlow
 		for p := 0; p+1 < len(data); p += 2 {
 			start := int64(int8(data[p]))
-			u := flowUsers[int(data[p+1])%len(flowUsers)]
-			day = append(day, trace.Flow{User: u, Start: start, End: start + 1, Proto: "tcp", SrcPort: p / 2, Bytes: 1})
+			rank := int32(int(data[p+1]) % len(flowUsers))
+			day = append(day, emittedFlow{start: start, end: start + 1, bytes: int64(p / 2), rank: rank})
 			if cut > 0 && len(day)%int(cut) == 0 {
 				days, day = append(days, day), nil
 			}
 		}
 		checkFlowKeySort(t, append(days, day))
 	})
+}
+
+// TestEmittedFlowLayout: the record a campus's flows are staged in stays
+// 32 bytes of integers. A string field added back would pass every digest
+// and cost each flow its pointers again.
+func TestEmittedFlowLayout(t *testing.T) {
+	typ := reflect.TypeFor[emittedFlow]()
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("emittedFlow.%s is a %s, not an integer", f.Name, f.Type)
+		}
+	}
+	if size := unsafe.Sizeof(emittedFlow{}); size != 32 {
+		t.Errorf("emittedFlow is %d bytes, want 32", size)
+	}
 }

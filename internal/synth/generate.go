@@ -258,10 +258,7 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 			// Additive isotropic perturbation: keeps the within-cluster
 			// scatter round, which the gap statistic's stopping rule
 			// assumes. Clamped away from zero to stay a valid share.
-			v := w + rng.NormFloat64()*0.055
-			if v < 0.005 {
-				v = 0.005
-			}
+			v := max(w+rng.NormFloat64()*0.055, 0.005)
 			personal[r] = v
 			total += v
 		}
@@ -299,8 +296,8 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 	perDay := memberships*cfg.ActivitiesPerDay + len(residentUsers) +
 		int(math.Ceil(float64(len(soloUsers))*min(cfg.SoloSessionsPerDay, 101))) // poissonish stops at 101
 	sessions := make([]trace.Session, 0, cfg.Days*perDay)
-	dayFlows := make([]trace.Flow, 0, 24*perDay) // outgrown only by extra solo draws
-	flowsOfDay := make([][]trace.Flow, 0, cfg.Days)
+	dayFlows := make([]emittedFlow, 0, 24*perDay) // outgrown only by extra solo draws
+	flowsOfDay := make([][]emittedFlow, 0, cfg.Days)
 
 	moodRng := rand.New(new(moodSource)) // reseeded by every dayMood
 
@@ -333,7 +330,7 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 		for r := range mix {
 			mix[r] *= mood[r]
 		}
-		dayFlows = emitFlows(dayFlows, rng, u, mix, start, end, bytes)
+		dayFlows = emitFlows(dayFlows, rng, int32(i), mix, start, end, bytes)
 	}
 
 	for day := 0; day < cfg.Days; day++ {
@@ -413,6 +410,24 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 	return sessions, sortFlows(flowsOfDay, allUsers)
 }
 
+// An emittedFlow is a flow as emitFlows draws it, with its user as a rank in
+// the sorted users and its protocol and server port as a realm: 32 bytes and
+// no pointers, so a campus's flows cost no strings until sortFlows gathers
+// them. SrcPort fits 16 bits: synth draws it from 49152–65151.
+type emittedFlow struct {
+	start, end, bytes int64
+	rank              int32
+	srcPort           uint16
+	realm             uint8
+}
+
+// flow is f as a trace.Flow; users holds the users by rank.
+func (f *emittedFlow) flow(users []trace.UserID) trace.Flow {
+	realm := realmPorts[f.realm]
+	return trace.Flow{User: users[f.rank], Start: f.start, End: f.end, Proto: realm.proto,
+		SrcPort: int(f.srcPort), DstPort: realm.port, Bytes: f.bytes}
+}
+
 // A flowKey stands for a flow in sortFlows: its Start, then its user's rank
 // above placeBits and its emission place below. 16 bytes, no pointers.
 type flowKey struct {
@@ -435,10 +450,11 @@ func compareFlowKeys(a, b flowKey) int {
 }
 
 // sortFlows returns the flows of days, joined, in the order slices.SortFunc
-// by (Start, User) gives them; users holds their users, sorted. It sorts
-// keys, then copies each flow once into an exactly sized result, allocated
-// first so the collection it may start marks while pointer-free keys move.
-func sortFlows(days [][]trace.Flow, users []trace.UserID) []trace.Flow {
+// by (Start, User) gives them; users holds their users, sorted, so a rank
+// orders as its user does. It sorts keys, then builds each flow once into
+// an exactly sized result, allocated first so the collection it may start
+// marks while pointer-free keys move.
+func sortFlows(days [][]emittedFlow, users []trace.UserID) []trace.Flow {
 	n := 0
 	for _, day := range days {
 		n += len(day)
@@ -446,15 +462,9 @@ func sortFlows(days [][]trace.Flow, users []trace.UserID) []trace.Flow {
 	flows := make([]trace.Flow, n)
 	keys := make([]flowKey, 0, n)
 	ends := make([]int, len(days)) // ends[d]: flows of days 0..d
-	var user trace.UserID
-	var rank int
 	for d, day := range days {
 		for i := range day {
-			if day[i].User != user { // about once a session: it shares one string
-				user = day[i].User
-				rank, _ = slices.BinarySearch(users, user)
-			}
-			keys = append(keys, flowKey{day[i].Start, uint64(rank)<<placeBits | uint64(len(keys))})
+			keys = append(keys, flowKey{day[i].start, uint64(day[i].rank)<<placeBits | uint64(len(keys))})
 		}
 		ends[d] = len(keys)
 	}
@@ -462,7 +472,7 @@ func sortFlows(days [][]trace.Flow, users []trace.UserID) []trace.Flow {
 	for k, key := range keys {
 		p := int(key.ref & (1<<placeBits - 1))
 		d, _ := slices.BinarySearch(ends, p+1) // the first day ending after p
-		flows[k] = days[d][p-ends[d]+len(days[d])]
+		flows[k] = days[d][p-ends[d]+len(days[d])].flow(users)
 	}
 	return flows
 }
@@ -490,9 +500,10 @@ func dayMood(rng *rand.Rand, seed int64, u trace.UserID, day int) [apps.NumRealm
 }
 
 // emitFlows splits a session's volume into per-realm flows per the user's
-// day-modulated mixture (with mild session-level noise), appended to out.
-func emitFlows(out []trace.Flow, rng *rand.Rand, u trace.UserID, mix [apps.NumRealms]float64,
-	start, end, bytes int64) []trace.Flow {
+// day-modulated mixture (with mild session-level noise), appended to out as
+// the flows of the user of rank rank.
+func emitFlows(out []emittedFlow, rng *rand.Rand, rank int32, mix [apps.NumRealms]float64,
+	start, end, bytes int64) []emittedFlow {
 	// Perturb and renormalize the mixture.
 	var noisy [apps.NumRealms]float64
 	var total float64
@@ -504,13 +515,7 @@ func emitFlows(out []trace.Flow, rng *rand.Rand, u trace.UserID, mix [apps.NumRe
 	// session, so per-sub-period traffic varies realistically (Fig. 3
 	// measures exactly this application dynamic).
 	duration := end - start
-	chunks := int(duration / 1800)
-	if chunks < 1 {
-		chunks = 1
-	}
-	if chunks > 4 {
-		chunks = 4
-	}
+	chunks := min(max(int(duration/1800), 1), 4)
 	for i := range noisy {
 		share := noisy[i] / total
 		vol := int64(share * float64(bytes))
@@ -532,30 +537,18 @@ func emitFlows(out []trace.Flow, rng *rand.Rand, u trace.UserID, mix [apps.NumRe
 			if c == chunks-1 || fEnd > end {
 				fEnd = end
 			}
-			if fEnd <= fStart {
-				fEnd = fStart + 1
-			}
+			fEnd = max(fEnd, fStart+1)
 			fVol := remaining / int64(chunks-c)
 			// Mildly uneven chunk volumes create the within-hour variance.
 			if chunks-c > 1 && fVol > 1 {
-				fVol = int64(float64(fVol) * (0.75 + rng.Float64()*0.5))
-				if fVol > remaining {
-					fVol = remaining
-				}
+				fVol = min(int64(float64(fVol)*(0.75+rng.Float64()*0.5)), remaining)
 			}
 			if fVol <= 0 {
 				continue
 			}
 			remaining -= fVol
-			out = append(out, trace.Flow{
-				User:    u,
-				Start:   fStart,
-				End:     fEnd,
-				Proto:   realmPorts[i].proto,
-				SrcPort: 49152 + rng.Intn(16000),
-				DstPort: realmPorts[i].port,
-				Bytes:   fVol,
-			})
+			out = append(out, emittedFlow{start: fStart, end: fEnd, bytes: fVol, rank: rank,
+				srcPort: uint16(49152 + rng.Intn(16000)), realm: uint8(i)})
 		}
 	}
 	return out
@@ -610,7 +603,7 @@ func assignWithLLF(topo trace.Topology, intents []trace.Session) ([]trace.Sessio
 	if err != nil {
 		return nil, err
 	}
-	out := make([]trace.Session, 0, len(intents))
+	out := intents[:0] // the assignments hold copies: the intents' storage is free
 	for _, c := range res.Controllers() {
 		for _, a := range res.Domains[c].Assigned {
 			s := a.Session

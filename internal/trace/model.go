@@ -280,9 +280,10 @@ func (tr *Trace) Validate() error {
 }
 
 // DayIndex returns the zero-based day number of ts relative to epoch
-// (both Unix seconds), using whole 86400-second days.
+// (both Unix seconds): the 86400-second day SecondsIntoDay and HourOfDay
+// place ts in, negative before the epoch.
 func DayIndex(epoch, ts int64) int {
-	return int((ts - epoch) / 86400)
+	return int((ts - epoch - SecondsIntoDay(epoch, ts)) / 86400) // exact: a multiple of 86400
 }
 
 // SecondsIntoDay returns how far ts is into its local day, assuming the

@@ -332,6 +332,16 @@ func TestTimeHelpers(t *testing.T) {
 	if d := DayIndex(epoch, epoch+86400*3+5); d != 3 {
 		t.Errorf("DayIndex = %d, want 3", d)
 	}
+	// The second before the epoch is 23:59:59 of day −1, not of day 0.
+	if d, s, h := DayIndex(epoch, epoch-1), SecondsIntoDay(epoch, epoch-1), HourOfDay(epoch, epoch-1); d != -1 || s != 86399 || h != 23 {
+		t.Errorf("epoch−1: DayIndex %d, SecondsIntoDay %d, HourOfDay %d; want −1, 86399, 23", d, s, h)
+	}
+	if d := DayIndex(epoch, epoch-86400); d != -1 {
+		t.Errorf("DayIndex(epoch − 1 day) = %d, want −1", d)
+	}
+	if d := DayIndex(epoch, epoch-86401); d != -2 {
+		t.Errorf("DayIndex(epoch − 1 day − 1 s) = %d, want −2", d)
+	}
 	if s := SecondsIntoDay(epoch, epoch+86400+7200); s != 7200 {
 		t.Errorf("SecondsIntoDay = %d, want 7200", s)
 	}

@@ -217,17 +217,6 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		return nil, errors.New("wlan: topology has no controllers with APs")
 	}
 
-	// Order sessions deterministically and group co-arrivals per
-	// controller within the batch window.
-	sessions := slices.Clone(tr.Sessions)
-	slices.SortFunc(sessions, func(a, b trace.Session) int {
-		if c := cmp.Compare(a.ConnectAt, b.ConnectAt); c != 0 {
-			return c // nearly always: the strings are compared on ties only
-		}
-		return cmp.Or(cmp.Compare(a.Controller, b.Controller),
-			cmp.Compare(a.User, b.User), cmp.Compare(a.DisconnectAt, b.DisconnectAt))
-	})
-
 	engine := eventsim.New(start)
 	if cfg.LoadReportIntervalSeconds > 0 {
 		// One report tick refreshes every AP's load snapshot; the chain
@@ -273,40 +262,46 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Schedule arrivals batch by batch. Neither their times nor their
-	// sequence numbers ever decrease, so they fire in the order they are
-	// scheduled: one handler walks the batches with a cursor, where a
-	// closure per batch would carry its own bounds.
+	// Schedule arrivals batch by batch, a batch being one controller's
+	// co-arrivals within the window. Neither their times nor their sequence
+	// numbers ever decrease, so they fire in the order they are scheduled:
+	// one handler walks the batches with a cursor, where a closure per
+	// batch would carry its own bounds.
+	sessions, order := tr.Sessions, arrivalOrder(tr.Sessions)
 	batchEnd := func(i int) int {
+		first := &sessions[order[i]]
 		j := i + 1
-		for j < len(sessions) && sessions[j].Controller == sessions[i].Controller &&
-			sessions[j].ConnectAt-sessions[i].ConnectAt <= cfg.BatchWindowSeconds {
+		for j < len(order) && sessions[order[j]].Controller == first.Controller &&
+			sessions[order[j]].ConnectAt-first.ConnectAt <= cfg.BatchWindowSeconds {
 			j++
 		}
 		return j
 	}
 	next := 0
 	arrive := func(e *eventsim.Engine) {
-		batch := sessions[next:batchEnd(next)]
+		batch := order[next:batchEnd(next)]
 		next += len(batch)
-		if err := handleBatch(e, domains[batch[0].Controller], batch, cfg); err != nil {
+		if err := handleBatch(e, domains[sessions[batch[0]].Controller], sessions, batch, cfg); err != nil {
 			fail(err)
 		}
 	}
-	for i, j := 0, 0; i < len(sessions); i = j {
+	batches := 0
+	for i, j := 0, 0; i < len(order); i, batches = j, batches+1 {
 		j = batchEnd(i)
-		d, ok := domains[sessions[i].Controller]
+		d, ok := domains[sessions[order[i]].Controller]
 		if !ok {
-			return nil, fmt.Errorf("wlan: session for unknown controller %q",
-				sessions[i].Controller)
+			return nil, fmt.Errorf("wlan: session for unknown controller %q", sessions[order[i]].Controller)
 		}
 		d.arrivals += j - i
-		if err := engine.ScheduleAt(sessions[i].ConnectAt, arrive); err != nil {
-			return nil, err
-		}
 	}
 	for _, d := range domains {
 		d.result.Assigned = make([]Assignment, 0, d.arrivals) // each is placed once
+	}
+	engine.Grow(batches + len(order)) // an arrival per batch, a departure per session
+	for i := 0; i < len(order); i = batchEnd(i) {
+		if err := engine.ScheduleAt(sessions[order[i]].ConnectAt, arrive); err != nil {
+			return nil, err
+		}
 	}
 
 	engine.Run()
@@ -314,6 +309,26 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		return nil, simErr
 	}
 	return res, nil
+}
+
+// arrivalOrder returns the replay order of sessions as indices (2³¹ sessions
+// would take 154 GB): by ConnectAt, Controller, User, then DisconnectAt.
+// slices.SortFunc makes the same swaps on indices as on a sorted copy, so
+// ties keep the order such a copy gives them.
+func arrivalOrder(sessions []trace.Session) []int32 {
+	order := make([]int32, len(sessions))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(i, j int32) int {
+		a, b := &sessions[i], &sessions[j]
+		if c := cmp.Compare(a.ConnectAt, b.ConnectAt); c != 0 {
+			return c // nearly always: the strings are compared on ties only
+		}
+		return cmp.Or(cmp.Compare(a.Controller, b.Controller),
+			cmp.Compare(a.User, b.User), cmp.Compare(a.DisconnectAt, b.DisconnectAt))
+	})
+	return order
 }
 
 // truncateSessions ends the evicted users' open sessions on a failed AP
@@ -342,12 +357,13 @@ func truncateSessions(d *ctrlDomain, ap trace.APID, evicted []domain.Eviction, n
 	}
 }
 
-// handleBatch decides and places one controller's co-arrivals: jointly
+// handleBatch decides and places one controller's co-arrivals, the
+// sessions batch indexes: jointly
 // when a BatchSelector has several, else each on arrival from a snapshot
 // of its own. The first is decided from the one taken on entry (nothing
 // has been committed since), so a lone arrival snapshots once.
-func handleBatch(e *eventsim.Engine, d *ctrlDomain, batch []trace.Session, cfg Config) error {
-	d.dom.ViewsInto(batch[0].User, &d.views)
+func handleBatch(e *eventsim.Engine, d *ctrlDomain, sessions []trace.Session, batch []int32, cfg Config) error {
+	d.dom.ViewsInto(sessions[batch[0]].User, &d.views)
 	views := d.views.Views()
 	if len(views) == 0 {
 		return fmt.Errorf("wlan: controller %q has no available APs at t=%d",
@@ -361,14 +377,15 @@ func handleBatch(e *eventsim.Engine, d *ctrlDomain, batch []trace.Session, cfg C
 		// session's demand. The extra sessions follow the user to the
 		// batch's AP: no Select decides them, no projection saw their demand.
 		d.reqs = d.reqs[:0]
-		for _, s := range batch {
+		for _, k := range batch {
+			s := &sessions[k]
 			if slices.ContainsFunc(d.reqs, func(r Request) bool { return r.User == s.User }) {
 				continue
 			}
 			d.reqs = append(d.reqs, Request{
 				User:      s.User,
 				At:        s.ConnectAt,
-				DemandBps: cfg.DemandFor(s),
+				DemandBps: cfg.DemandFor(*s),
 			})
 		}
 		var err error
@@ -377,7 +394,8 @@ func handleBatch(e *eventsim.Engine, d *ctrlDomain, batch []trace.Session, cfg C
 		}
 	}
 
-	for i, s := range batch {
+	for i, k := range batch {
+		s := sessions[k]
 		apID, ok := placed[s.User]
 		demand := cfg.DemandFor(s)
 		if !ok {
