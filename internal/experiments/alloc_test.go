@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -78,5 +79,51 @@ func TestPrepareAllocBudget(t *testing.T) {
 	const maxBytes, maxObjects = 7_415_000, 4_740
 	if bytes > maxBytes || objects > maxObjects {
 		t.Errorf("one Prepare allocates %d B in %d objects, budget %d B in %d", bytes, objects, maxBytes, maxObjects)
+	}
+}
+
+// TestMeanBalanceAllocBudget pins what scoring one S³ replay of the small
+// campus's test days allocates under MeanBalance: one bins × APs buffer
+// sized to the largest domain, which every domain
+// refills, each domain's AP-to-column map, the sorted controller list,
+// the Welford and the mean. It measures (go1.24) 25 432 B in 10 objects;
+// the ceilings are ≈ 15 % over that. While every domain built a bins × APs
+// matrix with a row header per bin, a Series and a copy of its active
+// values, the same call allocated 169 200 B in 25.
+func TestMeanBalanceAllocBudget(t *testing.T) {
+	campus := synth.DefaultConfig()
+	campus.Users, campus.Buildings, campus.Days = 150, 3, 12
+	d, err := Prepare(campus, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := society.Train(d.Train, d.Profiles, society.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.RunS3Model(model, core.DefaultSelectorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	score := func() {
+		if _, err := MeanBalance(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	score()
+	// The least of five passes: a background allocation elsewhere in the
+	// test binary must not count against a budget this small.
+	bytes, objects := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		score()
+		runtime.ReadMemStats(&after)
+		bytes, objects = min(bytes, after.TotalAlloc-before.TotalAlloc), min(objects, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("%d domains: %d B, %d objects per MeanBalance", len(res.Domains), bytes, objects)
+	const maxBytes, maxObjects = 29_300, 12
+	if bytes > maxBytes || objects > maxObjects {
+		t.Errorf("one MeanBalance allocates %d B in %d objects, budget %d B in %d", bytes, objects, maxBytes, maxObjects)
 	}
 }

@@ -106,14 +106,15 @@ func TestExtractAndCompareSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ExtractSeries(s3Res)
+	sa, err := scoreReplay(s3Res, d.Campus.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ExtractSeries(llfRes)
+	sb, err := scoreReplay(llfRes, d.Campus.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, b := sa.series, sb.series
 	if a.Policy != "S3" || b.Policy != "LLF" {
 		t.Errorf("policies = %q, %q", a.Policy, b.Policy)
 	}

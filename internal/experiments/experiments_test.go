@@ -3,13 +3,17 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/baseline"
 	"github.com/s3wlan/s3wlan/internal/core"
 	"github.com/s3wlan/s3wlan/internal/obs"
 	"github.com/s3wlan/s3wlan/internal/society"
+	"github.com/s3wlan/s3wlan/internal/stats"
 	"github.com/s3wlan/s3wlan/internal/synth"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
@@ -93,6 +97,50 @@ func TestS3BeatsLLF(t *testing.T) {
 	}
 }
 
+// TestMeanBalanceConcurrent: MeanBalance is the mean of every domain's
+// LoadSeries ActiveValues, bit for bit, and eight goroutines scoring one
+// Result at once each get that value (run it under -race: each call bins
+// through its own buffer).
+func TestMeanBalanceConcurrent(t *testing.T) {
+	d := prepareSmall(t)
+	res, err := d.RunLLF()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w stats.Welford
+	for _, c := range res.Controllers() {
+		series, err := res.LoadSeries(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range series.ActiveValues() {
+			w.Add(v)
+		}
+	}
+	serial, err := MeanBalance(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(serial) != math.Float64bits(w.Mean()) {
+		t.Fatalf("MeanBalance = %v, the series' active values average %v", serial, w.Mean())
+	}
+	got := make([]float64, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], _ = MeanBalance(res)
+		}()
+	}
+	wg.Wait()
+	for g, v := range got {
+		if math.Float64bits(v) != math.Float64bits(serial) {
+			t.Errorf("goroutine %d: MeanBalance = %v, serial %v", g, v, serial)
+		}
+	}
+}
+
 func TestRunSelector(t *testing.T) {
 	d := prepareSmall(t)
 	res, err := d.RunSelector(func(trace.ControllerID, []trace.AP) wlan.Selector {
@@ -109,21 +157,31 @@ func TestRunSelector(t *testing.T) {
 	}
 }
 
+// TestDomainBalances: scoreReplay's per-domain active values are
+// LoadSeries' ActiveValues, bit for bit, and its series every bin's value.
 func TestDomainBalances(t *testing.T) {
 	d := prepareSmall(t)
 	res, err := d.RunLLF()
 	if err != nil {
 		t.Fatal(err)
 	}
-	byDomain, err := DomainBalances(res)
+	sc, err := scoreReplay(res, d.Campus.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(byDomain) != 4 {
-		t.Errorf("domains = %d, want 4", len(byDomain))
+	if len(sc.active) != 4 || len(sc.series.ByDomain) != 4 {
+		t.Errorf("domains = %d active, %d in the series, want 4", len(sc.active), len(sc.series.ByDomain))
 	}
-	for c, vals := range byDomain {
-		for _, v := range vals {
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, c := range res.Controllers() {
+		want, err := res.LoadSeries(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(sc.active[c], want.ActiveValues(), bits) || !slices.EqualFunc(sc.series.ByDomain[c], want.Values, bits) {
+			t.Errorf("domain %s: scored values differ from LoadSeries", c)
+		}
+		for _, v := range sc.active[c] {
 			if v < 0 || v > 1 {
 				t.Errorf("domain %s balance %v out of [0,1]", c, v)
 			}
@@ -131,22 +189,41 @@ func TestDomainBalances(t *testing.T) {
 	}
 }
 
+// TestBalancesByHourFilter: scoreReplay's leave-peak values are, in
+// order, the active bins of every domain that start in a LeavePeakHours
+// hour — some of the active bins, not all.
 func TestBalancesByHourFilter(t *testing.T) {
 	d := prepareSmall(t)
 	res, err := d.RunLLF()
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := BalancesByHourFilter(res, d.Campus.Epoch, func(int) bool { return true })
+	sc, err := scoreReplay(res, d.Campus.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	none, err := BalancesByHourFilter(res, d.Campus.Epoch, func(int) bool { return false })
-	if err != nil {
-		t.Fatal(err)
+	var want []float64
+	active := 0
+	for _, c := range res.Controllers() {
+		series, err := res.LoadSeries(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range series.Values {
+			if series.Idle[i] {
+				continue
+			}
+			active++
+			if LeavePeakHours[trace.HourOfDay(d.Campus.Epoch, series.BinTime(i))] {
+				want = append(want, v)
+			}
+		}
 	}
-	if len(all) == 0 || len(none) != 0 {
-		t.Errorf("filter results: all=%d none=%d", len(all), len(none))
+	if !slices.Equal(sc.peak, want) {
+		t.Errorf("leave-peak values: %d, want %d", len(sc.peak), len(want))
+	}
+	if len(want) == 0 || len(want) == active {
+		t.Errorf("%d of %d active bins in leave-peak hours: the filter is not exercised", len(want), active)
 	}
 }
 

@@ -246,29 +246,20 @@ func Fig12(d *Data) (*Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s3Series, err := ExtractSeries(s3Res)
+	s3, err := scoreReplay(s3Res, d.Campus.Epoch)
 	if err != nil {
 		return nil, err
 	}
-	llfSeries, err := ExtractSeries(llfRes)
-	if err != nil {
-		return nil, err
-	}
-
-	s3ByDomain, err := DomainBalances(s3Res)
-	if err != nil {
-		return nil, err
-	}
-	llfByDomain, err := DomainBalances(llfRes)
+	llf, err := scoreReplay(llfRes, d.Campus.Epoch)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &Fig12Result{S3Series: s3Series, LLFSeries: llfSeries}
+	res := &Fig12Result{S3Series: s3.series, LLFSeries: llf.series}
 	var allS3, allLLF []float64
 	var domainMeansS3, domainMeansLLF []float64
 	for _, c := range s3Res.Controllers() {
-		s3Vals, llfVals := s3ByDomain[c], llfByDomain[c]
+		s3Vals, llfVals := s3.active[c], llf.active[c]
 		if len(s3Vals) == 0 || len(llfVals) == 0 {
 			continue
 		}
@@ -299,18 +290,9 @@ func Fig12(d *Data) (*Fig12Result, error) {
 	}
 
 	// Departure-peak gain.
-	epoch := d.Campus.Epoch
-	peakS3, err := BalancesByHourFilter(s3Res, epoch, func(h int) bool { return LeavePeakHours[h] })
-	if err != nil {
-		return nil, err
-	}
-	peakLLF, err := BalancesByHourFilter(llfRes, epoch, func(h int) bool { return LeavePeakHours[h] })
-	if err != nil {
-		return nil, err
-	}
-	if len(peakS3) > 0 && len(peakLLF) > 0 {
-		mS3 := stats.Mean(peakS3)
-		mLLF := stats.Mean(peakLLF)
+	if len(s3.peak) > 0 && len(llf.peak) > 0 {
+		mS3 := stats.Mean(s3.peak)
+		mLLF := stats.Mean(llf.peak)
 		if mLLF > 0 {
 			res.LeavePeakGainPercent = (mS3 - mLLF) / mLLF * 100
 		}

@@ -7,9 +7,6 @@ import (
 	"github.com/s3wlan/s3wlan/internal/core"
 	"github.com/s3wlan/s3wlan/internal/metrics"
 	"github.com/s3wlan/s3wlan/internal/society"
-	"github.com/s3wlan/s3wlan/internal/stats"
-	"github.com/s3wlan/s3wlan/internal/trace"
-	"github.com/s3wlan/s3wlan/internal/wlan"
 )
 
 // MetricPanelResult cross-checks the headline comparison under the
@@ -34,58 +31,19 @@ func MetricPanel(d *Data) (*MetricPanelResult, error) {
 	res := &MetricPanelResult{
 		Metrics: []string{"chiu-jain", "max-min", "proportional", "gini"},
 	}
-	evaluators := []func([]float64) (float64, error){
+	evals := []func([]float64) (float64, error){
 		metrics.NormalizedBalanceIndex,
 		metrics.MaxMinRatio,
 		metrics.ProportionalFairness,
 		metrics.Gini,
 	}
-	for _, eval := range evaluators {
-		s3Mean, err := meanMetric(s3Res, eval)
-		if err != nil {
-			return nil, err
-		}
-		llfMean, err := meanMetric(llfRes, eval)
-		if err != nil {
-			return nil, err
-		}
-		res.S3 = append(res.S3, s3Mean)
-		res.LLF = append(res.LLF, llfMean)
+	if res.S3, err = meanMetrics(s3Res, evals...); err != nil {
+		return nil, err
+	}
+	if res.LLF, err = meanMetrics(llfRes, evals...); err != nil {
+		return nil, err
 	}
 	return res, nil
-}
-
-// meanMetric evaluates a per-bin load metric over all active bins of all
-// domains.
-func meanMetric(res *wlan.Result, eval func([]float64) (float64, error)) (float64, error) {
-	var w stats.Welford
-	for _, c := range res.Controllers() {
-		dom := res.Domains[c]
-		loads, err := trace.BinLoadsOf(len(dom.Assigned), func(i int) (*trace.Session, trace.APID) {
-			return &dom.Assigned[i].Session, dom.Assigned[i].AP
-		}, dom.APs, res.Start, res.End, res.BinSeconds)
-		if err != nil {
-			return 0, err
-		}
-		for _, row := range loads {
-			var total float64
-			for _, v := range row {
-				total += v
-			}
-			if total == 0 {
-				continue
-			}
-			v, err := eval(row)
-			if err != nil {
-				return 0, err
-			}
-			w.Add(v)
-		}
-	}
-	if w.N() == 0 {
-		return 0, fmt.Errorf("experiments: no active bins")
-	}
-	return w.Mean(), nil
 }
 
 // Render formats the panel as text.

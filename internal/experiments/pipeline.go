@@ -14,6 +14,7 @@ import (
 	"github.com/s3wlan/s3wlan/internal/apps"
 	"github.com/s3wlan/s3wlan/internal/baseline"
 	"github.com/s3wlan/s3wlan/internal/core"
+	"github.com/s3wlan/s3wlan/internal/metrics"
 	"github.com/s3wlan/s3wlan/internal/runner"
 	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/stats"
@@ -193,61 +194,47 @@ func (d *Data) RunSelector(factory func(trace.ControllerID, []trace.AP) wlan.Sel
 // MeanBalance returns the mean normalized balance index over all active
 // bins of all controller domains of a simulation result.
 func MeanBalance(res *wlan.Result) (float64, error) {
-	var w stats.Welford
-	for _, c := range res.Controllers() {
-		series, err := res.LoadSeries(c)
-		if err != nil {
-			return 0, err
-		}
-		for _, v := range series.ActiveValues() {
-			w.Add(v)
-		}
+	means, err := meanMetrics(res, metrics.NormalizedBalanceIndex)
+	if err != nil {
+		return 0, err
 	}
-	if w.N() == 0 {
-		return 0, errors.New("experiments: no active bins")
-	}
-	return w.Mean(), nil
+	return means[0], nil
 }
 
-// DomainBalances returns, per controller, the active-bin normalized
-// balance values of a simulation result.
-func DomainBalances(res *wlan.Result) (map[trace.ControllerID][]float64, error) {
-	out := make(map[trace.ControllerID][]float64, len(res.Domains))
-	for _, c := range res.Controllers() {
-		series, err := res.LoadSeries(c)
-		if err != nil {
-			return nil, err
+// meanMetrics evaluates per-bin load metrics over all active bins of all
+// domains, in one pass over the result's bins, and returns each one's mean.
+func meanMetrics(res *wlan.Result, evals ...func([]float64) (float64, error)) ([]float64, error) {
+	ws := make([]stats.Welford, len(evals))
+	err := res.EachBin(func(_ trace.ControllerID, _ int, loads []float64) error {
+		if !metrics.Active(loads) {
+			return nil
 		}
-		out[c] = series.ActiveValues()
+		for i, eval := range evals {
+			v, err := eval(loads)
+			if err != nil {
+				return err
+			}
+			ws[i].Add(v)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	means := make([]float64, len(ws))
+	for i := range ws {
+		if ws[i].N() == 0 {
+			return nil, errors.New("experiments: no active bins")
+		}
+		means[i] = ws[i].Mean()
+	}
+	return means, nil
 }
 
 // LeavePeakHours are the paper's departure-peak hours (12:00–13:00,
 // 16:00–17:50, 21:00–22:00), when S³'s resilience to co-leaving shows
 // most.
 var LeavePeakHours = map[int]bool{12: true, 16: true, 17: true, 21: true}
-
-// BalancesByHourFilter returns all active-bin balance values whose bin
-// start falls in hours accepted by the filter.
-func BalancesByHourFilter(res *wlan.Result, epoch int64, accept func(hour int) bool) ([]float64, error) {
-	var out []float64
-	for _, c := range res.Controllers() {
-		series, err := res.LoadSeries(c)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range series.Values {
-			if series.Idle[i] {
-				continue
-			}
-			if accept(trace.HourOfDay(epoch, series.BinTime(i))) {
-				out = append(out, v)
-			}
-		}
-	}
-	return out, nil
-}
 
 // runnerConfig builds the pool configuration for one named sweep or
 // ablation over this dataset.

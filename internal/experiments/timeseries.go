@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 
+	"github.com/s3wlan/s3wlan/internal/metrics"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
 )
@@ -22,28 +23,58 @@ type PolicySeries struct {
 	ByDomain map[trace.ControllerID][]float64
 }
 
-// ExtractSeries pulls the per-domain time series out of a simulation
-// result.
-func ExtractSeries(res *wlan.Result) (*PolicySeries, error) {
-	out := &PolicySeries{
-		Policy:     res.Policy,
-		BinSeconds: res.BinSeconds,
-		ByDomain:   make(map[trace.ControllerID][]float64, len(res.Domains)),
+// replayScores is one replay's Fig 12 scoring, from one pass over its
+// bins.
+type replayScores struct {
+	// series holds every bin's value, idle bins included.
+	series *PolicySeries
+	// active holds each domain's active-bin values in bin order.
+	active map[trace.ControllerID][]float64
+	// peak holds the active-bin values, domain by domain in Controllers()
+	// order, of the bins that start in one of the LeavePeakHours.
+	peak []float64
+}
+
+// scoreReplay scores a replay for Fig 12; epoch dates its bins' hours.
+func scoreReplay(res *wlan.Result, epoch int64) (*replayScores, error) {
+	nBins, err := trace.NumBins(res.Start, res.End, res.BinSeconds)
+	if err != nil {
+		return nil, err
 	}
-	for _, c := range res.Controllers() {
-		series, err := res.LoadSeries(c)
+	sc := &replayScores{
+		series: &PolicySeries{
+			Policy:     res.Policy,
+			BinSeconds: res.BinSeconds,
+			Times:      make([]int64, nBins),
+			ByDomain:   make(map[trace.ControllerID][]float64, len(res.Domains)),
+		},
+		active: make(map[trace.ControllerID][]float64, len(res.Domains)),
+	}
+	for i := range sc.series.Times {
+		sc.series.Times[i] = res.Start + int64(i)*res.BinSeconds
+	}
+	err = res.EachBin(func(c trace.ControllerID, bin int, loads []float64) error {
+		v, err := metrics.NormalizedBalanceIndex(loads)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if out.Times == nil {
-			out.Times = make([]int64, len(series.Values))
-			for i := range series.Values {
-				out.Times[i] = series.BinTime(i)
+		if bin == 0 {
+			sc.series.ByDomain[c] = make([]float64, 0, nBins)
+			sc.active[c] = make([]float64, 0, nBins)
+		}
+		sc.series.ByDomain[c] = append(sc.series.ByDomain[c], v)
+		if metrics.Active(loads) {
+			sc.active[c] = append(sc.active[c], v)
+			if LeavePeakHours[trace.HourOfDay(epoch, sc.series.Times[bin])] {
+				sc.peak = append(sc.peak, v)
 			}
 		}
-		out.ByDomain[c] = series.Values
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return sc, nil
 }
 
 // WriteComparisonSeriesCSV writes two policies' series side by side:

@@ -94,32 +94,26 @@ func (s *Series) ActiveValues() []float64 {
 	return out
 }
 
-// NewSeries builds a Series from per-bin per-AP load matrices.
-// loads[i][j] is AP j's served volume in bin i. All rows must have the same
-// number of APs.
-func NewSeries(start, binSeconds int64, loads [][]float64) (*Series, error) {
-	if binSeconds <= 0 {
-		return nil, errors.New("metrics: non-positive bin width")
+// Add appends the bin whose per-AP loads are given; a Series is built
+// bin by bin.
+func (s *Series) Add(loads []float64) error {
+	v, err := NormalizedBalanceIndex(loads)
+	if err != nil {
+		return err
 	}
-	s := &Series{
-		BinSeconds: binSeconds,
-		Start:      start,
-		Values:     make([]float64, 0, len(loads)),
-		Idle:       make([]bool, 0, len(loads)),
+	s.Values = append(s.Values, v)
+	s.Idle = append(s.Idle, !Active(loads))
+	return nil
+}
+
+// Active reports whether a bin's per-AP loads sum to anything but zero;
+// the bins a Series marks Idle are the others.
+func Active(loads []float64) bool {
+	var total float64
+	for _, t := range loads {
+		total += t
 	}
-	for _, row := range loads {
-		v, err := NormalizedBalanceIndex(row)
-		if err != nil {
-			return nil, err
-		}
-		var total float64
-		for _, t := range row {
-			total += t
-		}
-		s.Values = append(s.Values, v)
-		s.Idle = append(s.Idle, total == 0)
-	}
-	return s, nil
+	return total != 0
 }
 
 // RelativeChanges returns the paper's S_i = (β_i − β_{i−1}) / β_{i−1}

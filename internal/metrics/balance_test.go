@@ -112,15 +112,18 @@ func TestBalanceIndexProperties(t *testing.T) {
 	}
 }
 
+// TestNewSeries builds a series bin by bin with Add.
 func TestNewSeries(t *testing.T) {
 	loads := [][]float64{
 		{5, 5},
 		{0, 0},
 		{10, 0},
 	}
-	s, err := NewSeries(1000, 60, loads)
-	if err != nil {
-		t.Fatal(err)
+	s := &Series{Start: 1000, BinSeconds: 60}
+	for _, row := range loads {
+		if err := s.Add(row); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(s.Values) != 3 {
 		t.Fatalf("len(Values) = %d, want 3", len(s.Values))
@@ -143,12 +146,18 @@ func TestNewSeries(t *testing.T) {
 	}
 }
 
+// TestNewSeriesErrors: Add refuses a bin it cannot score and leaves the
+// series as it was.
 func TestNewSeriesErrors(t *testing.T) {
-	if _, err := NewSeries(0, 0, nil); err == nil {
-		t.Error("zero bin width should error")
-	}
-	if _, err := NewSeries(0, 60, [][]float64{{-1}}); err == nil {
+	s := &Series{Start: 0, BinSeconds: 60}
+	if err := s.Add([]float64{-1}); err == nil {
 		t.Error("negative load should error")
+	}
+	if err := s.Add(nil); err == nil {
+		t.Error("a bin without APs should error")
+	}
+	if len(s.Values) != 0 || len(s.Idle) != 0 {
+		t.Errorf("refused bins were added: %v %v", s.Values, s.Idle)
 	}
 }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -147,6 +148,32 @@ func TestConcurrentUsers(t *testing.T) {
 	// Bin 3 [150,200): empty.
 	if counts[3][0] != 0 || counts[3][1] != 0 {
 		t.Errorf("bin 3 = %v", counts[3])
+	}
+
+	// Window edges, by BinLoads' rule: a session that ends exactly at the
+	// window's start and a zero-length one exactly at its end (250 is not
+	// on a bin boundary) carry no volume and count nowhere; a zero-length
+	// session inside counts in its connect bin.
+	edge := []Session{
+		{User: "u4", AP: "a", ConnectAt: 40, DisconnectAt: 100, Bytes: 60},
+		{User: "u5", AP: "a", ConnectAt: 250, DisconnectAt: 250, Bytes: 60},
+		{User: "u6", AP: "a", ConnectAt: 170, DisconnectAt: 170, Bytes: 60},
+	}
+	counts, err = ConcurrentUsers(edge, []APID{"a"}, 100, 250, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads, err := BinLoads(edge, []APID{"a"}, 100, 250, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]float64{{0}, {1}, {0}}; !reflect.DeepEqual(counts, want) {
+		t.Errorf("window-edge counts = %v, want %v", counts, want)
+	}
+	for i := range loads {
+		if (counts[i][0] > 0) != (loads[i][0] > 0) {
+			t.Errorf("bin %d: %v users against %v bytes", i, counts[i][0], loads[i][0])
+		}
 	}
 }
 

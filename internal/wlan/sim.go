@@ -112,13 +112,41 @@ func (r *Result) LoadSeries(c trace.ControllerID) (*metrics.Series, error) {
 	if !ok {
 		return nil, fmt.Errorf("wlan: unknown controller %q", c)
 	}
-	loads, err := trace.BinLoadsOf(len(d.Assigned), func(i int) (*trace.Session, trace.APID) {
-		return &d.Assigned[i].Session, d.Assigned[i].AP
-	}, d.APs, r.Start, r.End, r.BinSeconds)
-	if err != nil {
+	one := Result{Start: r.Start, End: r.End, BinSeconds: r.BinSeconds, Domains: map[trace.ControllerID]*DomainResult{c: d}}
+	s := &metrics.Series{Start: r.Start, BinSeconds: r.BinSeconds}
+	if err := one.EachBin(func(_ trace.ControllerID, _ int, loads []float64) error { return s.Add(loads) }); err != nil {
 		return nil, err
 	}
-	return metrics.NewSeries(r.Start, r.BinSeconds, loads)
+	return s, nil
+}
+
+// EachBin calls fn with the per-AP loads of every bin of every domain
+// (columns in the domain's APs order), domain by domain in Controllers()
+// order and bin by bin in time order, and returns fn's first error. The
+// loads are a view of one buffer, allocated once per call and sized to
+// the largest domain, which every domain refills: fn must not keep them.
+func (r *Result) EachBin(fn func(c trace.ControllerID, bin int, loads []float64) error) error {
+	nBins, err := trace.NumBins(r.Start, r.End, r.BinSeconds)
+	if err != nil {
+		return err
+	}
+	width := 0
+	for _, d := range r.Domains {
+		width = max(width, len(d.APs))
+	}
+	buf := make([]float64, nBins*width)
+	for _, c := range r.Controllers() {
+		d := r.Domains[c]
+		loads, _ := trace.BinLoadsOf(buf, len(d.Assigned), func(i int) (*trace.Session, trace.APID) {
+			return &d.Assigned[i].Session, d.Assigned[i].AP
+		}, d.APs, r.Start, r.End, r.BinSeconds) // the window is checked above
+		for bin, w := 0, len(d.APs); bin < nBins; bin++ {
+			if err := fn(c, bin, loads[bin*w:(bin+1)*w]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Controllers lists the simulated controller domains in sorted order.

@@ -453,22 +453,14 @@ func TestSimulateSnapshotsOncePerDecision(t *testing.T) {
 // a replay's assignments — sessions truncated by an AP failure and
 // sessions of zero length among them — equals, bit for bit, the one
 // trace.BinLoads gives over those sessions copied out with the assigned
-// AP written into them.
+// AP written into them; and so does every row EachBin yields, domain by
+// domain in Controllers() order and bin by bin, through a buffer every
+// domain refills: the domains have 2, 4, 3 and 1 APs.
 func TestLoadSeriesBinsAssignments(t *testing.T) {
-	tr := benchTrace(3000)
-	for i := range tr.Sessions {
-		if i%17 == 0 {
-			tr.Sessions[i].DisconnectAt = tr.Sessions[i].ConnectAt
-		}
-	}
-	res, err := Simulate(tr, Config{
-		SelectorFor: func(trace.ControllerID, []trace.AP) Selector { return llf{} },
-		Failures:    []Failure{{AP: "ap-0-1", From: 20000, To: 30000}, {AP: "ap-2-0", From: 50000, To: 50500}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := unevenReplay(t)
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	truncated, points := 0, 0
+	rows := make(map[trace.ControllerID][][]float64)
 	for _, c := range res.Controllers() {
 		d := res.Domains[c]
 		var sessions []trace.Session
@@ -486,21 +478,72 @@ func TestLoadSeriesBinsAssignments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := metrics.NewSeries(res.Start, res.BinSeconds, loads)
-		if err != nil {
-			t.Fatal(err)
+		rows[c] = loads
+		want := &metrics.Series{Start: res.Start, BinSeconds: res.BinSeconds}
+		for _, row := range loads {
+			if err := want.Add(row); err != nil {
+				t.Fatal(err)
+			}
 		}
 		got, err := res.LoadSeries(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got.Idle, want.Idle) || !slices.EqualFunc(got.Values, want.Values, func(a, b float64) bool {
-			return math.Float64bits(a) == math.Float64bits(b)
-		}) {
+		if !slices.Equal(got.Idle, want.Idle) || !slices.EqualFunc(got.Values, want.Values, bits) {
 			t.Errorf("%s: LoadSeries differs from BinLoads over the copied sessions", c)
 		}
 	}
 	if truncated == 0 || points == 0 {
 		t.Errorf("%d truncated and %d zero-length sessions: the replay does not cover them", truncated, points)
 	}
+	var order []trace.ControllerID
+	visited := make(map[trace.ControllerID]int)
+	err := res.EachBin(func(c trace.ControllerID, bin int, loads []float64) error {
+		if bin == 0 {
+			order = append(order, c)
+		}
+		if want := rows[c]; bin != visited[c] || bin >= len(want) || !slices.EqualFunc(loads, want[bin], bits) {
+			t.Errorf("%s: EachBin's bin %d (visit %d) differs from BinLoads", c, bin, visited[c])
+		}
+		visited[c]++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(order, res.Controllers()) {
+		t.Errorf("EachBin visited %v, want %v", order, res.Controllers())
+	}
+	for c, want := range rows {
+		if visited[c] != len(want) {
+			t.Errorf("%s: EachBin yielded %d bins, want %d", c, visited[c], len(want))
+		}
+	}
+}
+
+// unevenReplay is an LLF replay of the bench trace over domains of 2, 4,
+// 3 and 1 APs, with sessions of zero length and sessions truncated by
+// two AP failures.
+func unevenReplay(t *testing.T) *Result {
+	t.Helper()
+	tr := benchTrace(3000)
+	tr.Topology.APs = slices.DeleteFunc(tr.Topology.APs, func(ap trace.AP) bool {
+		return slices.Contains([]trace.APID{"ap-0-2", "ap-0-3", "ap-2-3", "ap-3-1", "ap-3-2", "ap-3-3"}, ap.ID)
+	})
+	for i := range tr.Sessions {
+		if i%17 == 0 {
+			tr.Sessions[i].DisconnectAt = tr.Sessions[i].ConnectAt
+		}
+	}
+	res, err := Simulate(tr, Config{
+		SelectorFor: func(trace.ControllerID, []trace.AP) Selector { return llf{} },
+		Failures:    []Failure{{AP: "ap-0-1", From: 20000, To: 30000}, {AP: "ap-2-0", From: 50000, To: 50500}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if widths := []int{len(res.Domains["c0"].APs), len(res.Domains["c1"].APs), len(res.Domains["c2"].APs), len(res.Domains["c3"].APs)}; !slices.Equal(widths, []int{2, 4, 3, 1}) {
+		t.Fatalf("domain widths %v, want [2 4 3 1]", widths)
+	}
+	return res
 }
