@@ -28,11 +28,11 @@ import (
 //	s3 diag -journal /var/lib/s3/journal            # dump a write-ahead journal
 //
 // Columns are the registry's flattened series: counters and gauges by
-// name; a timer or histogram x contributes x#count, x#ns, x#max and
-// x#b<i> bucket columns (decade buckets from 10µs up; see
-// docs/OBSERVABILITY.md). -check fails if the ring fails to decode,
-// holds fewer than two samples, or any cumulative column decreases
-// outside a full-snapshot boundary (a process restart).
+// name; a histogram x contributes x#count, x#ns, x#max and x#b<i>
+// bucket columns (decade buckets from 10µs up; see docs/OBSERVABILITY.md).
+// -check fails if the ring fails to decode, holds fewer than two
+// samples, or any cumulative column decreases outside a full-snapshot
+// boundary (a process restart).
 //
 // -journal reads a controller's journal directory (internal/journal)
 // instead: the newest valid checkpoint's sequence number, then every

@@ -86,7 +86,7 @@ func newRuntimeFlags(fs *flag.FlagSet) *runtimeFlags {
 	fs.StringVar(&r.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&r.memprofile, "memprofile", "", "write a heap profile to this file at exit")
 	fs.StringVar(&r.pprof, "pprof", "", "serve net/http/pprof and Prometheus /metrics on this address (e.g. localhost:6060)")
-	fs.StringVar(&r.obs, "obs", "", `write observability counters/timers as JSON to this file at exit ("-" = stdout)`)
+	fs.StringVar(&r.obs, "obs", "", `write observability metrics as JSON to this file at exit ("-" = stdout)`)
 	fs.StringVar(&r.flightDir, "flight-dir", "", "flight-recorder ring directory (empty = off); decode with s3 diag")
 	fs.DurationVar(&r.flightEvery, "flight-every", time.Second, "flight recorder sampling period")
 	fs.Int64Var(&r.flightMax, "flight-max-bytes", flight.DefaultMaxBytes, "flight ring disk budget in bytes")

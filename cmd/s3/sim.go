@@ -27,7 +27,7 @@ func runSim(args []string, out io.Writer) (err error) {
 		trainDays = fs.Int("train", 28, "training days (rest is the test range)")
 		fig       = fs.Int("fig", 0, "figure to reproduce (10, 11 or 12)")
 		all       = fs.Bool("all", false, "run every evaluation figure")
-		ablation  = fs.String("ablation", "", "ablation to run: baselines, staleness, guard, batch, metrics, temporal or all")
+		ablation  = fs.String("ablation", "", "ablation to run: baselines, staleness, guard, batch, metrics or all")
 		csvDir    = fs.String("csvdir", "", "also write each result as CSV into this directory")
 		replicate = fs.Int("replicate", 0, "replicate Fig 12 over N seeds (robustness)")
 		fan       = newFanoutFlags(fs)
@@ -114,7 +114,6 @@ func runAblations(data *experiments.Data, which string, out io.Writer) error {
 		{"staleness", func() (rendered, error) { return experiments.AblationStaleness(data, nil) }},
 		{"guard", func() (rendered, error) { return experiments.AblationGuard(data, nil) }},
 		{"metrics", func() (rendered, error) { return experiments.MetricPanel(data) }},
-		{"temporal", func() (rendered, error) { return experiments.AblationTemporal(data, nil) }},
 		{"batch", func() (rendered, error) { return experiments.AblationBatchWindow(data, nil) }},
 	} {
 		if which != a.name && which != "all" {
@@ -128,7 +127,7 @@ func runAblations(data *experiments.Data, which string, out io.Writer) error {
 		ran = true
 	}
 	if !ran {
-		return fmt.Errorf("unknown ablation %q (want baselines, staleness, guard, batch, metrics, temporal or all)", which)
+		return fmt.Errorf("unknown ablation %q (want baselines, staleness, guard, batch, metrics or all)", which)
 	}
 	return nil
 }

@@ -34,10 +34,16 @@ func TestRunAblationGuard(t *testing.T) {
 	}
 }
 
+// TestRunUnknownAblation: a name that is not an ablation — a typo or the
+// removed "temporal" — errors and lists the ones there are.
 func TestRunUnknownAblation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := runSim(simArgs("-ablation", "bogus"), &buf); err == nil {
-		t.Error("unknown ablation should error")
+	const want = "(want baselines, staleness, guard, batch, metrics or all)"
+	for _, name := range []string{"bogus", "temporal"} {
+		var buf bytes.Buffer
+		err := runSim(simArgs("-ablation", name), &buf)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-ablation %s: err = %v, want one listing %s", name, err, want)
+		}
 	}
 }
 

@@ -258,57 +258,3 @@ func TestRealmReport(t *testing.T) {
 		t.Errorf("empty: %d users, unknown %v", len(empty.Users()), empty.UnknownVolume())
 	}
 }
-
-func TestTemporalSignature(t *testing.T) {
-	flows := []trace.Flow{
-		// Morning (slot 2: 08:00–12:00) web, evening (slot 5: 20:00–24:00) video.
-		{User: "u1", Start: 9 * 3600, End: 9*3600 + 10, Proto: "tcp", DstPort: 443, Bytes: 300},
-		{User: "u1", Start: 21 * 3600, End: 21*3600 + 10, Proto: "tcp", DstPort: 1935, Bytes: 100},
-	}
-	ps := BuildProfiles(flows, 0, NewClassifier())
-	if _, ok := ps.TemporalSignature("u1"); ok {
-		t.Error("signature should be absent before attaching")
-	}
-	ps.AttachTemporalSignatures(flows)
-	sig, ok := ps.TemporalSignature("u1")
-	if !ok {
-		t.Fatal("signature missing after attaching")
-	}
-	if len(sig) != TemporalSlots {
-		t.Fatalf("slots = %d, want %d", len(sig), TemporalSlots)
-	}
-	if math.Abs(sig[2]-0.75) > 1e-9 || math.Abs(sig[5]-0.25) > 1e-9 {
-		t.Errorf("signature = %v, want 0.75 in slot 2 and 0.25 in slot 5", sig)
-	}
-	if _, ok := ps.TemporalSignature("ghost"); ok {
-		t.Error("unknown user should report false")
-	}
-}
-
-func TestExtendedFeature(t *testing.T) {
-	flows := []trace.Flow{
-		{User: "u1", Start: 9 * 3600, End: 9*3600 + 10, Proto: "tcp", DstPort: 443, Bytes: 400},
-	}
-	ps := BuildProfiles(flows, 0, NewClassifier())
-	base, ok := ps.ExtendedFeature("u1", 0)
-	if !ok || len(base) != NumRealms {
-		t.Fatalf("base feature = %v, %v", base, ok)
-	}
-	// Weight without attached signatures degrades to the base feature.
-	same, _ := ps.ExtendedFeature("u1", 1)
-	if len(same) != NumRealms {
-		t.Errorf("without signatures feature dim = %d", len(same))
-	}
-	ps.AttachTemporalSignatures(flows)
-	ext, ok := ps.ExtendedFeature("u1", 0.5)
-	if !ok || len(ext) != NumRealms+TemporalSlots {
-		t.Fatalf("extended dim = %d, want %d", len(ext), NumRealms+TemporalSlots)
-	}
-	// Temporal components carry the weight.
-	if math.Abs(ext[NumRealms+2]-0.5) > 1e-9 {
-		t.Errorf("weighted slot = %v, want 0.5", ext[NumRealms+2])
-	}
-	if _, ok := ps.ExtendedFeature("ghost", 0.5); ok {
-		t.Error("unknown user should report false")
-	}
-}

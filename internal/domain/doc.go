@@ -1,7 +1,7 @@
 // Package domain is the shared association-domain core: the one place
 // in the repository that holds AP registry state, per-AP load and user
 // accounting, capacity admission, view snapshotting for association
-// policies, atomic commits, and session-log emission.
+// policies, and atomic commits.
 //
 // Both execution paths are thin drivers over it — the batch simulator
 // (internal/wlan) replays a trace through a Domain per controller, and

@@ -1,10 +1,8 @@
 package domain
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"sync"
@@ -274,10 +272,6 @@ type APInfo struct {
 type Config struct {
 	// Mode selects the load figure views expose (default LoadBelieved).
 	Mode LoadMode
-	// SessionLog, when non-nil, receives one JSON record per completed
-	// association through LogSession — the "back-end data center" login
-	// log the paper's measurement study is built from.
-	SessionLog io.Writer
 	// ObsName, when non-empty, registers two gauges (domain.<name>.aps
 	// and .users) kept current on every structural change. Leave empty
 	// for throwaway domains (experiment cells) that would otherwise
@@ -322,17 +316,11 @@ type Domain struct {
 
 	gaugeAPs   *obs.Gauge // nil unless ObsName set
 	gaugeUsers *obs.Gauge
-
-	logMu      sync.Mutex
-	sessionLog *json.Encoder
 }
 
 // New builds a Domain.
 func New(cfg Config) *Domain {
 	d := &Domain{mode: cfg.Mode, aps: make(map[trace.APID]*apState)}
-	if cfg.SessionLog != nil {
-		d.sessionLog = json.NewEncoder(cfg.SessionLog)
-	}
 	if cfg.ObsName != "" {
 		d.gaugeAPs = obs.GetGauge("domain."+cfg.ObsName+".aps", "Registered APs of one named domain")
 		d.gaugeUsers = obs.GetGauge("domain."+cfg.ObsName+".users", "Associated users of one named domain")
@@ -707,20 +695,4 @@ func (d *Domain) LeaveAll(u trace.UserID, ap trace.APID) (demandBps float64, ok 
 	d.version++
 	d.syncGauges()
 	return removed, true
-}
-
-// LogSession emits one completed-association record to the configured
-// session log as {"kind":"session","session":…} — parsable by
-// trace.ReadJSONLines. No-op without a configured log.
-func (d *Domain) LogSession(s trace.Session) error {
-	if d.sessionLog == nil {
-		return nil
-	}
-	d.logMu.Lock()
-	defer d.logMu.Unlock()
-	rec := struct {
-		Kind    string        `json:"kind"`
-		Session trace.Session `json:"session"`
-	}{Kind: "session", Session: s}
-	return d.sessionLog.Encode(rec)
 }

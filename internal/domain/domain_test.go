@@ -1,7 +1,6 @@
 package domain
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -386,27 +385,6 @@ func TestViewsSortedAcrossShards(t *testing.T) {
 		if views[i-1].ID >= views[i].ID {
 			t.Fatalf("views not ID-sorted at %d: %v >= %v", i, views[i-1].ID, views[i].ID)
 		}
-	}
-}
-
-func TestSessionLog(t *testing.T) {
-	var buf bytes.Buffer
-	d := New(Config{SessionLog: &buf})
-	if err := d.LogSession(trace.Session{
-		User: "u", AP: "ap", ConnectAt: 100, DisconnectAt: 200, Bytes: 42,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.ReadJSONLines(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Sessions) != 1 || tr.Sessions[0].User != "u" || tr.Sessions[0].Bytes != 42 {
-		t.Fatalf("round-trip: %+v", tr.Sessions)
-	}
-	// No log configured: no-op, no error.
-	if err := New(Config{}).LogSession(trace.Session{User: "u"}); err != nil {
-		t.Fatal(err)
 	}
 }
 

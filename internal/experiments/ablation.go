@@ -281,50 +281,3 @@ func (r *AblationBatchWindowResult) Render() string {
 	}
 	return sb.String()
 }
-
-// AblationTemporalResult sweeps the temporal-feature weight — the paper's
-// future-work profile extension.
-type AblationTemporalResult struct {
-	Weights []float64
-	Means   []float64
-}
-
-// AblationTemporal sweeps society.Config.TemporalWeight (0 reproduces the
-// paper's pure 6-realm profiles).
-func AblationTemporal(d *Data, weights []float64) (*AblationTemporalResult, error) {
-	if len(weights) == 0 {
-		weights = []float64{0, 0.25, 0.5, 1}
-	}
-	res := &AblationTemporalResult{Weights: weights, Means: make([]float64, len(weights))}
-	jobs := make([]sweepJob, len(weights))
-	for i, w := range weights {
-		jobs[i] = sweepJob{
-			name: fmt.Sprintf("temporal=%v", w),
-			run: func() (float64, error) {
-				cfg := society.DefaultConfig()
-				cfg.TemporalWeight = w
-				sim, err := d.RunS3(cfg, core.DefaultSelectorConfig())
-				if err != nil {
-					return 0, fmt.Errorf("ablation temporal %v: %w", w, err)
-				}
-				return MeanBalance(sim)
-			},
-			store: func(v float64) { res.Means[i] = v },
-		}
-	}
-	if err := d.runSweep("ablation-temporal", jobs); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// Render formats the ablation as text.
-func (r *AblationTemporalResult) Render() string {
-	var sb strings.Builder
-	sb.WriteString("Ablation: temporal profile features (future-work extension)\n")
-	fmt.Fprintf(&sb, "  %-10s %-10s\n", "weight", "balance")
-	for i, w := range r.Weights {
-		fmt.Fprintf(&sb, "  %-10.2f %-10.4f\n", w, r.Means[i])
-	}
-	return sb.String()
-}

@@ -141,22 +141,3 @@ func TestReplicateFig12(t *testing.T) {
 		t.Error("no seeds should error")
 	}
 }
-
-func TestAblationTemporal(t *testing.T) {
-	d := prepareSmall(t)
-	res, err := AblationTemporal(d, []float64{0, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Means) != 2 {
-		t.Fatalf("means = %v", res.Means)
-	}
-	for _, m := range res.Means {
-		if m <= 0 || m > 1 {
-			t.Errorf("mean %v out of range", m)
-		}
-	}
-	if !strings.Contains(res.Render(), "temporal") {
-		t.Error("Render missing title")
-	}
-}

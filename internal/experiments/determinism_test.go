@@ -68,13 +68,6 @@ func TestParallelDeterminism(t *testing.T) {
 			}
 			return r.Render(), nil
 		}},
-		{"temporal", func(d *Data) (string, error) {
-			r, err := AblationTemporal(d, []float64{0, 0.5})
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
 		{"metric-panel", func(d *Data) (string, error) {
 			r, err := MetricPanel(d)
 			if err != nil {

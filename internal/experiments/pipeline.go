@@ -88,7 +88,6 @@ func PrepareTrace(full *trace.Trace, campus synth.Config, trainDays int) (*Data,
 		return nil, errors.New("experiments: empty test split")
 	}
 	profiles := apps.BuildProfiles(train.Flows, campus.Epoch, apps.NewClassifier())
-	profiles.AttachTemporalSignatures(train.Flows)
 	demands, err := core.NewDemandEstimator(train.Sessions)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: demand estimator: %w", err)

@@ -1,5 +1,5 @@
 // Package obs is the repository's lightweight observability layer:
-// process-wide counters, gauges, timers and duration histograms with
+// process-wide counters, gauges and duration histograms with
 // atomic updates, a named registry, a deterministic JSON export, a
 // Prometheus text-format exposition (served as /metrics next to the
 // pprof handlers), and the flattened column view the flight recorder

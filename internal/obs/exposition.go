@@ -17,7 +17,6 @@ import (
 //
 //	Counter   -> counter      name value
 //	Gauge     -> gauge        name value
-//	Timer     -> summary      name_sum (seconds) + name_count
 //	Histogram -> histogram    name_bucket{le="..."} cumulative,
 //	                          name_sum (seconds) + name_count
 //
@@ -108,10 +107,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for n, g := range r.gauges {
 		gauges[n] = g
 	}
-	timers := make(map[string]*Timer, len(r.timers))
-	for n, t := range r.timers {
-		timers[n] = t
-	}
 	histograms := make(map[string]*Histogram, len(r.histograms))
 	for n, h := range r.histograms {
 		histograms[n] = h
@@ -134,19 +129,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			return err
 		}
 		if _, err := fmt.Fprintf(bw, "%s %d\n", s, gauges[name].Value()); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(timers) {
-		s := SanitizeMetricName(name)
-		t := timers[name]
-		if err := r.writeHeader(bw, name, s, "summary"); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(bw, "%s_sum %s\n", s, formatSeconds(t.nanos.Load())); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(bw, "%s_count %d\n", s, t.Count()); err != nil {
 			return err
 		}
 	}

@@ -117,7 +117,7 @@ func TestPrometheusParseBack(t *testing.T) {
 	r := &Registry{}
 	r.GetCounter("demo.requests", "Requests served.").Add(42)
 	r.GetGauge("demo.queue.depth", "Current queue depth.").Set(-3)
-	r.GetTimer("demo.phase", "Phase wall time.").Observe(1500 * time.Millisecond)
+	r.GetHistogram("demo.phase", "Phase wall time.").Observe(1500 * time.Millisecond)
 	h := r.GetHistogram("demo.latency", "End-to-end latency.")
 	h.Observe(5 * time.Microsecond)  // bucket <10µs
 	h.Observe(50 * time.Millisecond) // bucket <100ms
@@ -145,14 +145,14 @@ func TestPrometheusParseBack(t *testing.T) {
 	}
 
 	ph := fams["demo_phase"]
-	if ph == nil || ph.typ != "summary" {
+	if ph == nil || ph.typ != "histogram" {
 		t.Fatalf("demo_phase family = %+v", ph)
 	}
 	if got := ph.samples["demo_phase_sum"]; got != 1.5 {
-		t.Errorf("summary sum = %v, want 1.5 (seconds)", got)
+		t.Errorf("histogram sum = %v, want 1.5 (seconds)", got)
 	}
 	if got := ph.samples["demo_phase_count"]; got != 1 {
-		t.Errorf("summary count = %v", got)
+		t.Errorf("histogram count = %v", got)
 	}
 
 	lat := fams["demo_latency"]
@@ -230,14 +230,11 @@ func TestColumns(t *testing.T) {
 	r := &Registry{}
 	r.GetCounter("c.a").Add(7)
 	r.GetGauge("g.a").Set(-2)
-	r.GetTimer("t.a").Observe(3 * time.Millisecond)
 	r.GetHistogram("h.a").Observe(5 * time.Millisecond) // bucket index 3 (<10ms)
 	cols := r.Columns()
 	want := map[string]Column{
 		"c.a":       {Value: 7, Cumulative: true},
 		"g.a":       {Value: -2},
-		"t.a#count": {Value: 1, Cumulative: true},
-		"t.a#ns":    {Value: int64(3 * time.Millisecond), Cumulative: true},
 		"h.a#count": {Value: 1, Cumulative: true},
 		"h.a#ns":    {Value: int64(5 * time.Millisecond), Cumulative: true},
 		"h.a#max":   {Value: int64(5 * time.Millisecond)},
@@ -257,10 +254,9 @@ func TestKinds(t *testing.T) {
 	r := &Registry{}
 	r.GetCounter("k.c")
 	r.GetGauge("k.g")
-	r.GetTimer("k.t")
 	r.GetHistogram("k.h")
 	kinds := r.Kinds()
-	want := map[string]string{"k.c": "counter", "k.g": "gauge", "k.t": "timer", "k.h": "histogram"}
+	want := map[string]string{"k.c": "counter", "k.g": "gauge", "k.h": "histogram"}
 	for n, k := range want {
 		if kinds[n] != k {
 			t.Errorf("Kinds[%q] = %q, want %q", n, kinds[n], k)

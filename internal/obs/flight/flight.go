@@ -20,8 +20,7 @@
 // gauge-like) — making each segment self-contained. Subsequent records
 // carry only the columns that changed, as signed deltas. Columns are
 // the registry's flattened int64 series (obs.Columns): counters and
-// gauges by name, timers as name#count/name#ns, histograms as
-// name#count/name#ns/name#max/name#b<i>.
+// gauges by name, histograms as name#count/name#ns/name#max/name#b<i>.
 //
 // Segments rotate at MaxBytes/4 and the oldest segments are deleted
 // once the ring exceeds MaxBytes, so disk use is bounded no matter how

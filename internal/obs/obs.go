@@ -44,24 +44,6 @@ func (g *Gauge) Add(delta int64) int64 { return g.v.Add(delta) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Timer accumulates total duration and call count of a code region.
-type Timer struct {
-	count atomic.Int64
-	nanos atomic.Int64
-}
-
-// Observe records one timed region.
-func (t *Timer) Observe(d time.Duration) {
-	t.count.Add(1)
-	t.nanos.Add(int64(d))
-}
-
-// Count returns the number of observations.
-func (t *Timer) Count() int64 { return t.count.Load() }
-
-// Total returns the accumulated duration.
-func (t *Timer) Total() time.Duration { return time.Duration(t.nanos.Load()) }
-
 // histBounds are the upper bounds (exclusive) of the histogram buckets;
 // the final bucket is unbounded. Decade steps from 10µs to 10s cover
 // everything from a single Select call to a full experiment sweep.
@@ -116,12 +98,11 @@ func (h *Histogram) Total() time.Duration { return time.Duration(h.nanos.Load())
 
 // Registry is a named collection of metrics. The zero value is ready to
 // use; most callers use the package-level default registry through
-// GetCounter, GetTimer and GetHistogram.
+// GetCounter, GetGauge and GetHistogram.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	timers     map[string]*Timer
 	histograms map[string]*Histogram
 	help       map[string]string
 }
@@ -186,24 +167,6 @@ func (r *Registry) GetGauge(name string, help ...string) *Gauge {
 	return g
 }
 
-// GetTimer returns the registry's timer with the given name, creating
-// it on first use. The optional help string documents the timed region;
-// it becomes the Prometheus # HELP text.
-func (r *Registry) GetTimer(name string, help ...string) *Timer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.timers == nil {
-		r.timers = make(map[string]*Timer)
-	}
-	r.setHelpLocked(name, help)
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
-}
-
 // GetHistogram returns the registry's histogram with the given name,
 // creating it on first use. The optional help string documents the
 // observed region; it becomes the Prometheus # HELP text.
@@ -233,10 +196,6 @@ func (r *Registry) Reset() {
 	for _, g := range r.gauges {
 		g.v.Store(0)
 	}
-	for _, t := range r.timers {
-		t.count.Store(0)
-		t.nanos.Store(0)
-	}
 	for _, h := range r.histograms {
 		for i := range h.buckets {
 			h.buckets[i].Store(0)
@@ -253,21 +212,11 @@ func GetCounter(name string, help ...string) *Counter { return Default.GetCounte
 // GetGauge returns a gauge from the default registry.
 func GetGauge(name string, help ...string) *Gauge { return Default.GetGauge(name, help...) }
 
-// GetTimer returns a timer from the default registry.
-func GetTimer(name string, help ...string) *Timer { return Default.GetTimer(name, help...) }
-
 // GetHistogram returns a histogram from the default registry.
 func GetHistogram(name string, help ...string) *Histogram { return Default.GetHistogram(name, help...) }
 
 // Reset zeroes the default registry.
 func Reset() { Default.Reset() }
-
-// TimerSnapshot is the exported state of a Timer.
-type TimerSnapshot struct {
-	Count   int64   `json:"count"`
-	TotalMS float64 `json:"total_ms"`
-	MeanMS  float64 `json:"mean_ms"`
-}
 
 // HistogramSnapshot is the exported state of a Histogram.
 type HistogramSnapshot struct {
@@ -284,7 +233,6 @@ type HistogramSnapshot struct {
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
-	Timers     map[string]TimerSnapshot     `json:"timers,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
@@ -305,16 +253,6 @@ func (r *Registry) TakeSnapshot() Snapshot {
 		snap.Gauges = make(map[string]int64, len(r.gauges))
 		for name, g := range r.gauges {
 			snap.Gauges[name] = g.Value()
-		}
-	}
-	if len(r.timers) > 0 {
-		snap.Timers = make(map[string]TimerSnapshot, len(r.timers))
-		for name, t := range r.timers {
-			ts := TimerSnapshot{Count: t.Count(), TotalMS: ms(t.Total())}
-			if ts.Count > 0 {
-				ts.MeanMS = ts.TotalMS / float64(ts.Count)
-			}
-			snap.Timers[name] = ts
 		}
 	}
 	if len(r.histograms) > 0 {
@@ -355,7 +293,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 func WriteJSON(w io.Writer) error { return Default.WriteJSON(w) }
 
 // Names returns the sorted names of all registered metrics of the
-// registry (counters, timers and histograms pooled), mainly for tests.
+// registry (counters, gauges and histograms pooled), mainly for tests.
 func (r *Registry) Names() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -366,9 +304,6 @@ func (r *Registry) Names() []string {
 	for n := range r.gauges {
 		names = append(names, n)
 	}
-	for n := range r.timers {
-		names = append(names, n)
-	}
 	for n := range r.histograms {
 		names = append(names, n)
 	}
@@ -377,20 +312,17 @@ func (r *Registry) Names() []string {
 }
 
 // Kinds returns every registered metric name mapped to its kind:
-// "counter", "gauge", "timer" or "histogram".
+// "counter", "gauge" or "histogram".
 func (r *Registry) Kinds() map[string]string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	kinds := make(map[string]string,
-		len(r.counters)+len(r.gauges)+len(r.timers)+len(r.histograms))
+		len(r.counters)+len(r.gauges)+len(r.histograms))
 	for n := range r.counters {
 		kinds[n] = "counter"
 	}
 	for n := range r.gauges {
 		kinds[n] = "gauge"
-	}
-	for n := range r.timers {
-		kinds[n] = "timer"
 	}
 	for n := range r.histograms {
 		kinds[n] = "histogram"
@@ -400,18 +332,17 @@ func (r *Registry) Kinds() map[string]string {
 
 // Column is one flattened int64 series of the registry: a counter or
 // gauge value, or one component (count, total nanoseconds, max, bucket)
-// of a timer or histogram. The flight recorder samples these.
+// of a histogram. The flight recorder samples these.
 type Column struct {
 	Value int64
 	// Cumulative marks series that only move up over a process's
-	// lifetime (counters, timer/histogram counts, totals and buckets)
+	// lifetime (counters, histogram counts, totals and buckets)
 	// as opposed to point-in-time values (gauges, histogram max).
 	Cumulative bool
 }
 
 // Columns flattens the registry into named int64 series. Counters and
-// gauges keep their name; a timer t contributes "t#count" and "t#ns";
-// a histogram h contributes "h#count", "h#ns", "h#max" and one
+// gauges keep their name; a histogram h contributes "h#count", "h#ns", "h#max" and one
 // "h#b<i>" per bucket (bucket i's upper bound is the i'th entry of the
 // decade bounds, the last bucket unbounded). The "#" separator cannot
 // appear in a metric name, so flattened names never collide with plain
@@ -420,16 +351,12 @@ func (r *Registry) Columns() map[string]Column {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cols := make(map[string]Column,
-		len(r.counters)+len(r.gauges)+2*len(r.timers)+11*len(r.histograms))
+		len(r.counters)+len(r.gauges)+11*len(r.histograms))
 	for n, c := range r.counters {
 		cols[n] = Column{Value: c.Value(), Cumulative: true}
 	}
 	for n, g := range r.gauges {
 		cols[n] = Column{Value: g.Value()}
-	}
-	for n, t := range r.timers {
-		cols[n+"#count"] = Column{Value: t.count.Load(), Cumulative: true}
-		cols[n+"#ns"] = Column{Value: t.nanos.Load(), Cumulative: true}
 	}
 	for n, h := range r.histograms {
 		cols[n+"#count"] = Column{Value: h.count.Load(), Cumulative: true}

@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -154,8 +153,8 @@ func TestObserverOrderJournalIndependent(t *testing.T) {
 // call does beyond returning APs: a batch holding a fresh user, a user
 // the decision moves, a user it leaves where they are (a demand
 // refresh), a duplicate request and a user the joint decision leaves
-// unplaced. Pinned are the observer's event sequence, the session log,
-// the journal's records (Prev included) and recovery from them; and the
+// unplaced. Pinned are the observer's event sequence, the journal's
+// records (Prev included) and recovery from them; and the
 // users the batch places singly fare exactly as under Associate.
 func TestAssociateBatchLifecyclePinned(t *testing.T) {
 	model, err := society.NewModel([]society.PairStat{
@@ -174,7 +173,6 @@ func TestAssociateBatchLifecyclePinned(t *testing.T) {
 		c      *Controller
 		clock  atomic.Int64
 		events eventLog
-		log    bytes.Buffer
 		dir    string
 	}
 	jopts := journal.Options{Fsync: journal.FsyncOff, FlushEachAppend: true}
@@ -183,7 +181,7 @@ func TestAssociateBatchLifecyclePinned(t *testing.T) {
 	build := func() *world {
 		w := &world{dir: t.TempDir()}
 		c, err := NewController(dropFromBatch{s3, "u-left"},
-			WithClock(w.clock.Load), WithObserver(&w.events), WithSessionLog(&w.log),
+			WithClock(w.clock.Load), WithObserver(&w.events),
 			WithJournal(w.dir, jopts))
 		if err != nil {
 			t.Fatal(err)
@@ -238,12 +236,6 @@ func TestAssociateBatchLifecyclePinned(t *testing.T) {
 	if !reflect.DeepEqual(batch.events.events, wantEvents) {
 		t.Errorf("observer events:\n%s\nwant:\n%s",
 			strings.Join(batch.events.events, "\n"), strings.Join(wantEvents, "\n"))
-	}
-	wantLog := `{"kind":"session","session":{"user":"u-move","ap":"ap-a","controller":"","connect_at":100,"disconnect_at":200,"bytes":0}}
-{"kind":"session","session":{"user":"u-fresh","ap":"ap-c","controller":"","connect_at":200,"disconnect_at":200,"bytes":0}}
-`
-	if batch.log.String() != wantLog {
-		t.Errorf("session log:\n%swant:\n%s", batch.log.String(), wantLog)
 	}
 	one := func(u trace.UserID, ap, prev trace.APID, demand float64) []journal.Placement {
 		return []journal.Placement{{User: u, AP: ap, Prev: prev, DemandBps: demand}}
@@ -322,9 +314,6 @@ func TestAssociateBatchLifecyclePinned(t *testing.T) {
 	}
 	if !reflect.DeepEqual(single.events.events, batch.events.events) {
 		t.Errorf("single-call events:\n%s", strings.Join(single.events.events, "\n"))
-	}
-	if single.log.String() != batch.log.String() {
-		t.Errorf("single-call session log:\n%s", single.log.String())
 	}
 	if !reflect.DeepEqual(records(single), recs) {
 		t.Errorf("single-call journal: %+v", records(single))

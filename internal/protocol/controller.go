@@ -81,13 +81,13 @@ type AssociationObserver interface {
 // association requests by running the configured policy.
 //
 // All association state — AP registry, per-AP load/user accounting,
-// capacity admission, view snapshots, commits, session-log emission —
-// lives in the shared association-domain core (internal/domain), the
-// same state machine the batch simulator replays traces through; the
-// controller layers the protocol lifecycle (leases, agent connections,
-// station sessions, served-byte accounting) on top. Every mutation is a
-// journal.Record handed to apply (journal.go), live or replayed. Lock
-// order is always c.mu before the domain's lock, never the reverse.
+// capacity admission, view snapshots, commits — lives in the shared
+// association-domain core (internal/domain), the same state machine the
+// batch simulator replays traces through; the controller layers the
+// protocol lifecycle (leases, agent connections, station sessions,
+// served-byte accounting) on top. Every mutation is a journal.Record
+// handed to apply (journal.go), live or replayed. Lock order is always
+// c.mu before the domain's lock, never the reverse.
 type Controller struct {
 	selector wlan.Selector
 	logger   *log.Logger
@@ -96,8 +96,7 @@ type Controller struct {
 	now      func() int64
 
 	// dom owns all AP association state.
-	dom       *domain.Domain
-	sessionLW io.Writer
+	dom *domain.Domain
 
 	// refreshFn, when set, runs every refreshEvery while serving (see
 	// WithRefresher).
@@ -176,8 +175,8 @@ func WithClock(now func() int64) ControllerOption {
 // WithLease enables lease-based AP registration: an agent-registered AP
 // whose agent has been silent (no hello, no report) for more than
 // seconds is expired — removed from the policy's view, its believed
-// users disassociated through the observer and the session log. APs
-// added with RegisterAP are static and never expire.
+// users disassociated through the observer. APs added with RegisterAP
+// are static and never expire.
 func WithLease(seconds int64) ControllerOption {
 	return func(c *Controller) { c.leaseSeconds = seconds }
 }
@@ -192,18 +191,6 @@ func WithRefresher(fn func(), every time.Duration) ControllerOption {
 		c.refreshFn = fn
 		c.refreshEvery = every
 	}
-}
-
-// WithSessionLog makes the controller record every completed association
-// as a trace.Session JSON document on w — the "back-end data center"
-// login log the paper's measurement study is built from. A completed
-// association is any departure from an AP: an explicit disassociation, a
-// dropped station connection, a re-association that moves the user, or a
-// lease expiry of the serving AP. The emitted lines parse with
-// trace.ReadJSONLines/trace.Stream when wrapped as
-// {"kind":"session","session":…}, which is exactly what is written.
-func WithSessionLog(w io.Writer) ControllerOption {
-	return func(c *Controller) { c.sessionLW = w }
 }
 
 // NewController builds a controller around an association policy.
@@ -231,9 +218,8 @@ func NewController(selector wlan.Selector, opts ...ControllerOption) (*Controlle
 	c.dom = domain.New(domain.Config{
 		// max(reported, believed): a silent agent still yields sane
 		// decisions.
-		Mode:       domain.LoadMax,
-		SessionLog: c.sessionLW,
-		ObsName:    "live",
+		Mode:    domain.LoadMax,
+		ObsName: "live",
 	})
 	if c.journalDir != "" {
 		// Nothing is accepted yet: the locked helpers run without the lock.
@@ -779,27 +765,11 @@ func (c *Controller) disassociate(user trace.UserID, dropped *Conn) {
 	}
 }
 
-// sessionRecordLocked emits the user's session, ending at ts, to the
-// session log via the domain (if configured). Must run with c.mu held,
-// before the session is replaced or deleted.
-func (c *Controller) sessionRecordLocked(user trace.UserID, ts int64) {
-	s := c.sessions[user]
-	if err := c.dom.LogSession(trace.Session{
-		User:         user,
-		AP:           s.ap,
-		ConnectAt:    s.at,
-		DisconnectAt: ts,
-		Bytes:        s.served,
-	}); err != nil {
-		c.logger.Printf("session log: %v", err)
-	}
-}
-
 // expireLocked removes agent-registered APs whose lease has lapsed and
-// re-homes their believed users: assignments are dropped, sessions
-// logged and observer disconnects delivered. It returns the lingering
-// agent connections, for the caller to close outside the lock. Must run
-// with c.mu held. Expiry order is sorted by AP ID for determinism.
+// re-homes their believed users: assignments are dropped and observer
+// disconnects delivered. It returns the lingering agent connections, for
+// the caller to close outside the lock. Must run with c.mu held. Expiry
+// order is sorted by AP ID for determinism.
 func (c *Controller) expireLocked(ts int64) []*Conn {
 	if c.leaseSeconds <= 0 {
 		return nil

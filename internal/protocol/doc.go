@@ -20,8 +20,8 @@
 // a lease — every hello and load report renews it, a re-hello from a
 // reconnecting (or restarted) agent supersedes the previous connection,
 // and, with WithLease, an AP whose agent stays silent past the lease is
-// expired, its believed users re-homed through the association observer
-// and the session log. APs added with RegisterAP are static. An
+// expired, its believed users re-homed through the association
+// observer. APs added with RegisterAP are static. An
 // association decides under one hold of the controller's mutex —
 // expiry, view snapshot, policy, commit, bookkeeping, journal append —
 // so its snapshot is current by construction. Every mutation is a

@@ -69,7 +69,7 @@ func (c *Controller) RestoreCheckpoint(payload []byte) error {
 // ApplyRecord applies one replicated journal record to the
 // controller's state through apply, the path every mutation takes, as a
 // replay: domain commit, assignment bookkeeping and observer events,
-// with no session-log or journal emission. This is how a standby
+// with no journal append. This is how a standby
 // follower mirrors a shard owner record by record. Not valid on a
 // journal-armed controller — an owner must never re-apply its own
 // appends.

@@ -358,7 +358,6 @@ func (c *Controller) apply(r *journal.Record, replay bool) error {
 		for _, p := range r.Placements {
 			if s, ok := c.sessions[p.User]; ok && s.ap != p.AP {
 				if !replay {
-					c.sessionRecordLocked(p.User, r.TS)
 					obsAssocMoves.Inc()
 				}
 				c.notifyDisconnect(p.User, s.ap, r.TS)
@@ -383,9 +382,6 @@ func (c *Controller) apply(r *journal.Record, replay bool) error {
 			return fmt.Errorf("protocol: disassoc for unassigned user %q", r.User)
 		}
 		c.dom.LeaveAll(r.User, s.ap)
-		if !replay {
-			c.sessionRecordLocked(r.User, r.TS)
-		}
 		delete(c.sessions, r.User)
 		c.notifyDisconnect(r.User, s.ap, r.TS)
 		if !replay && c.logEnabled {
@@ -400,9 +396,6 @@ func (c *Controller) apply(r *journal.Record, replay bool) error {
 		}
 		evicted, _ := c.dom.RemoveAP(r.AP) // sorted by user
 		for _, ev := range evicted {
-			if !replay {
-				c.sessionRecordLocked(ev.User, r.TS)
-			}
 			delete(c.sessions, ev.User)
 			c.notifyDisconnect(ev.User, r.AP, r.TS)
 		}

@@ -1,6 +1,6 @@
 package protocol
 
-// Controller lifecycle tests: AP leases and re-registration, session-log
+// Controller lifecycle tests: AP leases and re-registration, session
 // completeness across re-association, traffic crediting, accept-loop
 // recovery, serialized selection, and a fault-injected race soak.
 
@@ -11,7 +11,6 @@ import (
 	"net"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,28 +23,63 @@ import (
 	"github.com/s3wlan/s3wlan/internal/wlan"
 )
 
-// recordingObserver captures lifecycle events for assertions.
+// recordingObserver captures lifecycle events for assertions and pairs
+// each Connect with the Disconnect that ends it into a trace.Session
+// (Bytes left zero: the observer does not see traffic).
 type recordingObserver struct {
 	mu          sync.Mutex
 	connects    []trace.UserID
 	disconnects map[trace.UserID]trace.APID
+	open        map[trace.UserID]trace.Session
+	sessions    []trace.Session
 }
 
 func newRecordingObserver() *recordingObserver {
-	return &recordingObserver{disconnects: make(map[trace.UserID]trace.APID)}
+	return &recordingObserver{
+		disconnects: make(map[trace.UserID]trace.APID),
+		open:        make(map[trace.UserID]trace.Session),
+	}
 }
 
 func (r *recordingObserver) Connect(u trace.UserID, ap trace.APID, ts int64) {
 	r.mu.Lock()
 	r.connects = append(r.connects, u)
+	r.open[u] = trace.Session{User: u, AP: ap, ConnectAt: ts}
 	r.mu.Unlock()
 }
 
 func (r *recordingObserver) Disconnect(u trace.UserID, ap trace.APID, ts int64) error {
 	r.mu.Lock()
 	r.disconnects[u] = ap
+	if s, ok := r.open[u]; ok && s.AP == ap {
+		s.DisconnectAt = ts
+		r.sessions = append(r.sessions, s)
+		delete(r.open, u)
+	}
 	r.mu.Unlock()
 	return nil
+}
+
+// completed returns the sessions closed so far, in disconnect order.
+func (r *recordingObserver) completed() []trace.Session {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]trace.Session(nil), r.sessions...)
+}
+
+// waitSessions polls until at least n sessions have completed.
+func (r *recordingObserver) waitSessions(t *testing.T, n int) []trace.Session {
+	t.Helper()
+	deadline := time.Now().Add(testTimeout)
+	for {
+		if got := r.completed(); len(got) >= n {
+			return got
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("want %d completed sessions, have %+v", n, r.completed())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 func (r *recordingObserver) disconnectedFrom(u trace.UserID) (trace.APID, bool) {
@@ -153,18 +187,16 @@ func TestBackoffJitterSequence(t *testing.T) {
 // TestLeaseExpiryRemovesSilentAP advances a fake clock past the lease of
 // a silent agent-registered AP and verifies the AP leaves the policy's
 // view, its believed user is re-homed through the observer, and the
-// completed session is logged.
+// observer sees the completed session.
 func TestLeaseExpiryRemovesSilentAP(t *testing.T) {
 	var fake atomic.Int64
 	fake.Store(100)
 	obsRec := newRecordingObserver()
-	var logBuf syncBuffer
 	c, err := NewController(baseline.LLF{},
 		WithTimeout(testTimeout),
 		WithLease(10),
 		WithClock(fake.Load),
 		WithObserver(obsRec),
-		WithSessionLog(&logBuf),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -211,15 +243,11 @@ func TestLeaseExpiryRemovesSilentAP(t *testing.T) {
 	if ap, ok := obsRec.disconnectedFrom("mobile-user"); !ok || ap != "ap1" {
 		t.Errorf("observer disconnect = %q, %v; want ap1 re-homing", ap, ok)
 	}
-	tr, err := trace.ReadJSONLines(strings.NewReader(logBuf.String()))
-	if err != nil {
-		t.Fatal(err)
+	sessions := obsRec.completed()
+	if len(sessions) != 1 {
+		t.Fatalf("sessions = %+v, want 1", sessions)
 	}
-	if len(tr.Sessions) != 1 {
-		t.Fatalf("sessions = %d, want 1", len(tr.Sessions))
-	}
-	s := tr.Sessions[0]
-	if s.User != "mobile-user" || s.AP != "ap1" || s.Bytes != 2048 ||
+	if s := sessions[0]; s.User != "mobile-user" || s.AP != "ap1" ||
 		s.ConnectAt != 100 || s.DisconnectAt != 200 {
 		t.Errorf("expiry session = %+v", s)
 	}
@@ -230,8 +258,8 @@ func TestLeaseExpiryRemovesSilentAP(t *testing.T) {
 // the controller is down. The restarted controller restores the AP and
 // its believed user from the journal, then the first sweep notices the
 // stale lease and re-homes the user through the observer — exactly as a
-// live expiry would — and logs the completed session with the connect
-// time restored from the checkpoint.
+// live expiry would — and the observer sees the completed session with
+// the connect time restored from the journal.
 func TestLeaseExpiredWhileDownRehomesOnRestart(t *testing.T) {
 	dir := t.TempDir()
 	var fake atomic.Int64
@@ -269,13 +297,11 @@ func TestLeaseExpiredWhileDownRehomesOnRestart(t *testing.T) {
 	fake.Store(200)
 
 	obsRec := newRecordingObserver()
-	var logBuf syncBuffer
 	b, err := NewController(baseline.LLF{},
 		WithTimeout(testTimeout),
 		WithLease(10),
 		WithClock(fake.Load),
 		WithObserver(obsRec),
-		WithSessionLog(&logBuf),
 		WithJournal(dir, journal.Options{Fsync: journal.FsyncAlways}),
 	)
 	if err != nil {
@@ -294,30 +320,27 @@ func TestLeaseExpiredWhileDownRehomesOnRestart(t *testing.T) {
 	if ap, ok := obsRec.disconnectedFrom("mobile-user"); !ok || ap != "ap1" {
 		t.Errorf("observer disconnect = %q, %v; want ap1 re-homing", ap, ok)
 	}
-	tr, err := trace.ReadJSONLines(strings.NewReader(logBuf.String()))
-	if err != nil {
-		t.Fatal(err)
+	sessions := obsRec.completed()
+	if len(sessions) != 1 {
+		t.Fatalf("sessions = %+v, want 1", sessions)
 	}
-	if len(tr.Sessions) != 1 {
-		t.Fatalf("sessions = %d, want 1", len(tr.Sessions))
-	}
-	if s := tr.Sessions[0]; s.User != "mobile-user" || s.AP != "ap1" ||
+	if s := sessions[0]; s.User != "mobile-user" || s.AP != "ap1" ||
 		s.ConnectAt != 100 || s.DisconnectAt != 200 {
 		t.Errorf("expiry session = %+v, want connect 100 / disconnect 200", s)
 	}
 }
 
 // TestReassociationLogsBothSessions moves a station between APs and
-// verifies the session completed by the move is logged with the same
-// shape as an explicit disassociation — every completed association
-// leaves a record.
+// verifies the observer sees the session completed by the move with the
+// same shape as an explicit disassociation — every completed
+// association leaves a record.
 func TestReassociationLogsBothSessions(t *testing.T) {
 	var fakeMu sync.Mutex
 	var fake int64
-	var logBuf syncBuffer
+	obsRec := newRecordingObserver()
 	c, err := NewController(baseline.LLF{},
 		WithTimeout(testTimeout),
-		WithSessionLog(&logBuf),
+		WithObserver(obsRec),
 		WithClock(func() int64 {
 			fakeMu.Lock()
 			defer fakeMu.Unlock()
@@ -372,25 +395,19 @@ func TestReassociationLogsBothSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for {
-		tr, err := trace.ReadJSONLines(strings.NewReader(logBuf.String()))
-		if err == nil && len(tr.Sessions) == 2 {
-			s0, s1 := tr.Sessions[0], tr.Sessions[1]
-			if s0.User != "mover" || s0.AP != first || s0.Bytes != 100 {
-				t.Errorf("move session = %+v, want AP %s with 100 bytes", s0, first)
-			}
-			if s0.DisconnectAt <= s0.ConnectAt {
-				t.Errorf("move session times = %d..%d", s0.ConnectAt, s0.DisconnectAt)
-			}
-			if s1.User != "mover" || s1.AP != second {
-				t.Errorf("final session = %+v, want AP %s", s1, second)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("want 2 logged sessions, log = %q", logBuf.String())
-		}
-		time.Sleep(5 * time.Millisecond)
+	sessions := obsRec.waitSessions(t, 2)
+	if len(sessions) != 2 {
+		t.Fatalf("want 2 completed sessions, have %+v", sessions)
+	}
+	s0, s1 := sessions[0], sessions[1]
+	if s0.User != "mover" || s0.AP != first {
+		t.Errorf("move session = %+v, want AP %s", s0, first)
+	}
+	if s0.DisconnectAt <= s0.ConnectAt {
+		t.Errorf("move session times = %d..%d", s0.ConnectAt, s0.DisconnectAt)
+	}
+	if s1.User != "mover" || s1.AP != second {
+		t.Errorf("final session = %+v, want AP %s", s1, second)
 	}
 }
 

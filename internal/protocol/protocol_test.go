@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -422,15 +421,16 @@ func TestOnlineLearnerIntegration(t *testing.T) {
 	}
 }
 
-// TestSessionLogProducesParsableTrace verifies the controller's login log
-// round-trips through the trace codec — the prototype collects the same
-// records the paper's data center did.
+// TestSessionLogProducesParsableTrace verifies the sessions an observer
+// assembles from the controller's Connect/Disconnect events round-trip
+// through the trace codec — the prototype yields the same records the
+// paper's data-center login log did.
 func TestSessionLogProducesParsableTrace(t *testing.T) {
-	var logBuf syncBuffer
+	obsRec := newRecordingObserver()
 	var fake int64
 	c, err := NewController(baseline.LLF{},
 		WithTimeout(testTimeout),
-		WithSessionLog(&logBuf),
+		WithObserver(obsRec),
 		WithClock(func() int64 { fake += 50; return fake }),
 	)
 	if err != nil {
@@ -456,18 +456,21 @@ func TestSessionLogProducesParsableTrace(t *testing.T) {
 	if err := st.SendTraffic(4096); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Disassociate(); err != nil {
-		t.Fatal(err)
-	}
-	// The log is written on the station goroutine; wait for it.
 	deadline := time.Now().Add(testTimeout)
-	for logBuf.Len() == 0 {
+	for c.Snapshot()["ap1"].ServedBytes != 4096 {
 		if time.Now().After(deadline) {
-			t.Fatal("no session logged")
+			t.Fatalf("traffic not applied: %+v", c.Snapshot())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	tr, err := trace.ReadJSONLines(strings.NewReader(logBuf.String()))
+	if err := st.Disassociate(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteJSONLines(&buf, &trace.Trace{Sessions: obsRec.waitSessions(t, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.ReadJSONLines(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,34 +478,10 @@ func TestSessionLogProducesParsableTrace(t *testing.T) {
 		t.Fatalf("sessions = %d, want 1", len(tr.Sessions))
 	}
 	s := tr.Sessions[0]
-	if s.User != "logger-user" || s.AP != "ap1" || s.Bytes != 4096 {
-		t.Errorf("logged session = %+v", s)
+	if s.User != "logger-user" || s.AP != "ap1" {
+		t.Errorf("observed session = %+v", s)
 	}
 	if s.DisconnectAt <= s.ConnectAt {
 		t.Errorf("session times = %d..%d", s.ConnectAt, s.DisconnectAt)
 	}
-}
-
-// syncBuffer is a goroutine-safe bytes.Buffer for the session log.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Len()
-}
-
-func (b *syncBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
 }

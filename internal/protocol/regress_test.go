@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,15 +19,15 @@ import (
 
 // TestSameAPReassociationKeepsSession: re-associating onto the current
 // AP is a demand refresh, not a move. The session stays continuous (one
-// trace record at the end, carrying all served bytes), the move counter
-// does not tick, and the association timestamp survives.
+// connect, one disconnect at the end, all served bytes kept), the move
+// counter does not tick, and the association timestamp survives.
 func TestSameAPReassociationKeepsSession(t *testing.T) {
 	var fakeMu sync.Mutex
 	var fake int64
-	var logBuf syncBuffer
+	obsRec := newRecordingObserver()
 	c, err := NewController(baseline.LLF{},
 		WithTimeout(testTimeout),
-		WithSessionLog(&logBuf),
+		WithObserver(obsRec),
 		WithClock(func() int64 {
 			fakeMu.Lock()
 			defer fakeMu.Unlock()
@@ -103,27 +102,20 @@ func TestSameAPReassociationKeepsSession(t *testing.T) {
 	if info, ok := c.dom.Info("ap1"); !ok || info.BelievedBps != 250 {
 		t.Errorf("believed demand = %+v (%v), want 250", info, ok)
 	}
-	if logBuf.String() != "" {
-		t.Errorf("refresh emitted a session record: %q", logBuf.String())
+	obsRec.mu.Lock()
+	connects := len(obsRec.connects)
+	obsRec.mu.Unlock()
+	if got := obsRec.completed(); len(got) != 0 || connects != 1 {
+		t.Errorf("refresh ended a session: %d connects, completed %+v", connects, got)
 	}
 
 	// Disassociating closes ONE session spanning both halves.
 	if err := st.Disassociate(); err != nil {
 		t.Fatal(err)
 	}
-	for {
-		tr, err := trace.ReadJSONLines(strings.NewReader(logBuf.String()))
-		if err == nil && len(tr.Sessions) == 1 {
-			s := tr.Sessions[0]
-			if s.User != "stayer" || s.AP != "ap1" || s.Bytes != 100 || s.ConnectAt != firstAt {
-				t.Errorf("session = %+v, want one continuous ap1 session with 100 bytes from %d", s, firstAt)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("want exactly 1 session, log = %q", logBuf.String())
-		}
-		time.Sleep(5 * time.Millisecond)
+	sessions := obsRec.waitSessions(t, 1)
+	if s := sessions[0]; len(sessions) != 1 || s.User != "stayer" || s.AP != "ap1" || s.ConnectAt != firstAt {
+		t.Errorf("sessions = %+v, want one continuous ap1 session from %d", sessions, firstAt)
 	}
 }
 

