@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race bench-selftest bench-ab bench-record loc chaos federation-chaos overload-soak flight-smoke bench experiments analyses ablations clean
+.PHONY: all build fmt-check vet test race bench-selftest bench-ab bench-record loc paper-scale chaos federation-chaos overload-soak flight-smoke bench experiments analyses ablations clean
 
 all: build fmt-check vet test
 
@@ -89,6 +89,12 @@ loc:
 		awk -F/ '{ pkg = ($$2 == "internal" || $$2 == "cmd") ? $$2 "/" $$3 : "." ; \
 			while ((getline line < $$0) > 0) n[pkg]++; close($$0) } \
 		END { for (p in n) { printf "%6d  %s\n", n[p], p; total += n[p] } printf "%6d  total\n", total }' | sort -k2
+
+# The paper-scale campus (synth's "paper" preset: 12 374 users, 330 APs,
+# 90 days) prepared once, as experiments.Prepare does it: wall time and the
+# peak HeapInuse sampled every 20 ms (BenchmarkPreparePaper).
+paper-scale:
+	$(GO) test -run '^$$' -bench PreparePaper -benchtime 1x ./internal/experiments
 
 # One benchmark per paper table/figure plus module micro-benchmarks.
 bench:

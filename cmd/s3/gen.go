@@ -11,7 +11,7 @@ import (
 // runGen generates a synthetic enterprise-WLAN campus trace with the
 // social structure of the S³ study and writes it as JSON-lines:
 //
-//	s3 gen -out campus.jsonl [-preset campus|office|conference] [-seed 1]
+//	s3 gen -out campus.jsonl [-preset campus|office|conference|paper] [-seed 1]
 //	       [-users N] [-buildings N] [-aps N] [-days N] [-capacity Bps]
 //
 // Size flags set on the command line override the preset.
@@ -21,7 +21,7 @@ func runGen(args []string, out io.Writer) error {
 		outPath  = fs.String("out", "campus.jsonl", "output trace path (JSON-lines)")
 		seed     = fs.Int64("seed", 1, "generator seed")
 		capacity = fs.Float64("capacity", 12e6, "AP capacity, bytes/second")
-		preset   = fs.String("preset", "campus", "scenario preset: campus, office or conference")
+		preset   = fs.String("preset", "campus", "scenario preset: campus, office, conference or paper (the paper's scale)")
 		sizes    = campusFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {

@@ -14,7 +14,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/s3wlan/s3wlan/internal/apps"
 	"github.com/s3wlan/s3wlan/internal/baseline"
 	"github.com/s3wlan/s3wlan/internal/core"
 	"github.com/s3wlan/s3wlan/internal/federation"
@@ -503,18 +502,24 @@ func buildSelector(policy string, refreshEvents int) (wlan.Selector, *incrementa
 	}
 }
 
-// trainDemoModel batch-trains a sociality model on a generated campus.
-func trainDemoModel() (*society.Model, error) {
+// demoCampus is the campus the demo's model is trained on.
+func demoCampus() synth.Config {
 	cfg := synth.DefaultConfig()
 	cfg.Users = 120
 	cfg.Buildings = 2
 	cfg.APsPerBuilding = 3
 	cfg.Days = 10
-	tr, _, err := synth.Generate(cfg)
+	return cfg
+}
+
+// trainDemoModel batch-trains a sociality model on the demo campus, its
+// profiles built from every flow as the campus is drawn.
+func trainDemoModel() (*society.Model, error) {
+	cfg := demoCampus()
+	tr, profiles, _, err := synth.GenerateProfiles(cfg, cfg.Epoch+int64(cfg.Days)*86400)
 	if err != nil {
 		return nil, fmt.Errorf("generate training campus: %w", err)
 	}
-	profiles := apps.BuildProfiles(tr.Flows, cfg.Epoch, apps.NewClassifier())
 	model, err := society.Train(tr, profiles, society.DefaultConfig())
 	if err != nil {
 		return nil, fmt.Errorf("train sociality model: %w", err)

@@ -11,8 +11,36 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/s3wlan/s3wlan/internal/apps"
 	"github.com/s3wlan/s3wlan/internal/obs/flight"
+	"github.com/s3wlan/s3wlan/internal/society"
+	"github.com/s3wlan/s3wlan/internal/synth"
 )
+
+// TestTrainDemoModelKeepsEveryFlow: with its cut at the campus end, the
+// streamed demo campus trains the model its whole flow list trains.
+func TestTrainDemoModelKeepsEveryFlow(t *testing.T) {
+	write := func(m *society.Model, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := society.WriteModel(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	cfg := demoCampus()
+	tr, _, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := write(society.Train(tr, apps.BuildProfiles(tr.Flows, cfg.Epoch, apps.NewClassifier()), society.DefaultConfig()))
+	if write(trainDemoModel()) != want {
+		t.Error("the demo model differs from the one its campus's flow list trains")
+	}
+}
 
 func TestRunDemoLLF(t *testing.T) {
 	var buf bytes.Buffer

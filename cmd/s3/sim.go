@@ -7,6 +7,7 @@ import (
 
 	"github.com/s3wlan/s3wlan/internal/experiments"
 	"github.com/s3wlan/s3wlan/internal/synth"
+	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
 // runSim runs the paper's evaluation (Section V): trace-driven simulation
@@ -48,11 +49,15 @@ func runSim(args []string, out io.Writer) (err error) {
 	cfg := synth.DefaultConfig()
 	sizes(&cfg)
 	cfg.Seed = in.seed
-	tr, err := in.load(cfg)
-	if err != nil {
-		return err
+	var data *experiments.Data
+	if in.generate {
+		data, err = experiments.Prepare(cfg, *trainDays) // holds no flow list
+	} else {
+		var tr *trace.Trace
+		if tr, err = in.load(cfg); err == nil {
+			data, err = experiments.PrepareTrace(tr, cfg, *trainDays)
+		}
 	}
-	data, err := experiments.PrepareTrace(tr, cfg, *trainDays)
 	if err != nil {
 		return err
 	}

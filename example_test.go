@@ -9,6 +9,7 @@ import (
 	s3wlan "github.com/s3wlan/s3wlan"
 	"github.com/s3wlan/s3wlan/internal/experiments"
 	"github.com/s3wlan/s3wlan/internal/protocol"
+	"github.com/s3wlan/s3wlan/internal/society"
 )
 
 // Example demonstrates the full S³ workflow: generate (or load) a trace,
@@ -252,7 +253,9 @@ func Example_failover() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, err := s3wlan.TrainModel(data.Train, cfg.Epoch, s3wlan.DefaultSocietyConfig())
+	// A prepared experiment's traces carry no flows: its training
+	// profiles were built as the campus was drawn.
+	model, err := society.Train(data.Train, data.Profiles, s3wlan.DefaultSocietyConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

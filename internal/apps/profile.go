@@ -16,31 +16,39 @@ type ProfileStore struct {
 	unknown float64 // total volume the classifier could not attribute
 }
 
+// NewProfileStore returns an empty store whose day zero starts at epoch.
+func NewProfileStore(epoch int64) *ProfileStore {
+	return &ProfileStore{epoch: epoch, byUser: make(map[trace.UserID]map[int][NumRealms]float64)}
+}
+
 // BuildProfiles classifies every flow and accumulates per-user daily
 // profiles. Flows are attributed to the day containing their start time.
 func BuildProfiles(flows []trace.Flow, epoch int64, c *Classifier) *ProfileStore {
-	ps := &ProfileStore{
-		epoch:  epoch,
-		byUser: make(map[trace.UserID]map[int][NumRealms]float64),
-	}
+	ps := NewProfileStore(epoch)
 	for _, f := range flows {
-		day := trace.DayIndex(epoch, f.Start)
-		realm := c.Classify(f)
-		idx := realm.Index()
-		if idx < 0 {
-			ps.unknown += float64(f.Bytes)
-			continue
-		}
-		days := ps.byUser[f.User]
-		if days == nil {
-			days = make(map[int][NumRealms]float64)
-			ps.byUser[f.User] = days
-		}
-		vec := days[day]
-		vec[idx] += float64(f.Bytes)
-		days[day] = vec
+		ps.Add(f.User, f.Start, c.Classify(f), f.Bytes)
 	}
 	return ps
+}
+
+// Add adds bytes of realm r to user u's profile of start's day; a realm
+// outside the modeled six counts as unknown volume. Integer volumes sum
+// exactly below 2⁵³, so the store does not depend on the order of adds.
+func (ps *ProfileStore) Add(u trace.UserID, start int64, r Realm, bytes int64) {
+	idx := r.Index()
+	if idx < 0 {
+		ps.unknown += float64(bytes)
+		return
+	}
+	days := ps.byUser[u]
+	if days == nil {
+		days = make(map[int][NumRealms]float64)
+		ps.byUser[u] = days
+	}
+	day := trace.DayIndex(ps.epoch, start)
+	vec := days[day]
+	vec[idx] += float64(bytes)
+	days[day] = vec
 }
 
 // Epoch returns the store's day-zero reference timestamp.

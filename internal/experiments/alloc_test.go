@@ -51,14 +51,16 @@ func TestSimulateAllocBudget(t *testing.T) {
 }
 
 // TestPrepareAllocBudget pins what preparing the small campus (2 858
-// sessions, 40 800 flows; train on 9 of 12 days) allocates: generation,
-// the split, the training profiles, the demand estimator and the Trainer
-// every training of the dataset goes through. It measures (go1.24)
-// 6 445 500 B in 4 121 objects (± 100 B, ± 2), of which the Trainer
-// ≈ 119 000 B in 14; the ceilings are ≈ 15 % over that. While Generate
-// regrew its flow list, seeded a generator per (user, day), staged its
-// flows as trace.Flows and SplitAt copied the trace, the same Prepare
-// allocated 45 000 000 B in 8 685.
+// sessions, 40 800 flows drawn; train on 9 of 12 days) allocates:
+// generation with its training flows folded into the profiles as they are
+// drawn, the split, the demand estimator and the Trainer every training of
+// the dataset goes through. It measures (go1.24) 1 455 400 B in 3 930
+// objects (± 1 200 B, ± 5), of which the Trainer ≈ 119 000 B in 14; the
+// ceilings are ≈ 15 % over that. While Generate sorted a flow list that
+// BuildProfiles then read, the same Prepare allocated 6 445 500 B in 4 121;
+// while Generate also regrew it, seeded a generator per (user, day), staged
+// its flows as trace.Flows and SplitAt copied the trace, 45 000 000 B in
+// 8 685.
 func TestPrepareAllocBudget(t *testing.T) {
 	campus := synth.DefaultConfig()
 	campus.Users, campus.Buildings, campus.Days = 150, 3, 12
@@ -75,8 +77,8 @@ func TestPrepareAllocBudget(t *testing.T) {
 	d := prepare()
 	runtime.ReadMemStats(&after)
 	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
-	t.Logf("%d sessions, %d flows: %d B, %d objects per Prepare", len(d.Full.Sessions), len(d.Full.Flows), bytes, objects)
-	const maxBytes, maxObjects = 7_415_000, 4_740
+	t.Logf("%d sessions: %d B, %d objects per Prepare", len(d.Full.Sessions), bytes, objects)
+	const maxBytes, maxObjects = 1_674_000, 4_520
 	if bytes > maxBytes || objects > maxObjects {
 		t.Errorf("one Prepare allocates %d B in %d objects, budget %d B in %d", bytes, objects, maxBytes, maxObjects)
 	}

@@ -25,7 +25,8 @@ import (
 
 // Data is a prepared experiment dataset: the generated campus trace split
 // into training and test ranges, with profiles and demand estimates built
-// from the training split only. Its trainings share PrepareTrace's one
+// from the training split only. Prepare's traces carry no flows: their
+// training flows went straight into Profiles. Its trainings share one
 // interning of Train and Profiles (a Data built otherwise interns anew).
 type Data struct {
 	Campus    synth.Config
@@ -56,6 +57,8 @@ type Data struct {
 // Prepare generates the campus and builds the training artifacts. The
 // paper trains on four weeks (July 4–24) and tests on the following days
 // (July 25–27); trainDays defaults to 28 with the remaining days as test.
+// The training profiles are folded from the flows as they are drawn
+// (synth.GenerateProfiles), so no flow list is ever held.
 func Prepare(campus synth.Config, trainDays int) (*Data, error) {
 	if trainDays <= 0 {
 		trainDays = 28
@@ -64,11 +67,11 @@ func Prepare(campus synth.Config, trainDays int) (*Data, error) {
 		return nil, fmt.Errorf("experiments: trainDays %d must be < campus days %d",
 			trainDays, campus.Days)
 	}
-	full, _, err := synth.Generate(campus)
+	full, profiles, _, err := synth.GenerateProfiles(campus, campus.Epoch+int64(trainDays)*86400)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generate campus: %w", err)
 	}
-	return PrepareTrace(full, campus, trainDays)
+	return prepare(full, profiles, campus, trainDays)
 }
 
 // PrepareTrace builds the experiment dataset from an existing trace (e.g.
@@ -76,18 +79,25 @@ func Prepare(campus synth.Config, trainDays int) (*Data, error) {
 // and is recorded for reporting; its other fields need not match the
 // trace.
 func PrepareTrace(full *trace.Trace, campus synth.Config, trainDays int) (*Data, error) {
+	return prepare(full, nil, campus, trainDays)
+}
+
+// prepare splits full after trainDays and builds the training artifacts,
+// the profiles from the training flows unless they are given.
+func prepare(full *trace.Trace, profiles *apps.ProfileStore, campus synth.Config, trainDays int) (*Data, error) {
 	if trainDays <= 0 {
 		trainDays = 28
 	}
-	cut := campus.Epoch + int64(trainDays)*86400
-	train, test := full.SplitAt(cut)
+	train, test := full.SplitAt(campus.Epoch + int64(trainDays)*86400)
 	if len(train.Sessions) == 0 {
 		return nil, errors.New("experiments: empty training split")
 	}
 	if len(test.Sessions) == 0 {
 		return nil, errors.New("experiments: empty test split")
 	}
-	profiles := apps.BuildProfiles(train.Flows, campus.Epoch, apps.NewClassifier())
+	if profiles == nil {
+		profiles = apps.BuildProfiles(train.Flows, campus.Epoch, apps.NewClassifier())
+	}
 	demands, err := core.NewDemandEstimator(train.Sessions)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: demand estimator: %w", err)

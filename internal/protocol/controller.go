@@ -495,15 +495,20 @@ func (c *Controller) applyReport(rid trace.APID, gen uint64, load float64) bool 
 }
 
 // agentGone detaches a dropped agent connection from its AP entry. The
-// registration itself survives: the lease keeps the AP (and its believed
-// users) alive for a reconnect window before expiry re-homes them.
+// registration itself survives: with a lease (WithLease) the AP and its
+// believed users stay for a reconnect window before expiry re-homes them;
+// without one the AP stays registered.
 func (c *Controller) agentGone(id trace.APID, gen uint64) {
 	c.mu.Lock()
 	if m, ok := c.meta[id]; ok && m.gen == gen {
 		m.agentConn = nil
 	}
 	c.mu.Unlock()
-	c.logger.Printf("ap %s agent connection lost (lease pending)", id)
+	if c.leaseSeconds > 0 {
+		c.logger.Printf("ap %s agent connection lost (lease of %ds pending)", id, c.leaseSeconds)
+	} else {
+		c.logger.Printf("ap %s agent connection lost (no lease: the AP stays registered)", id)
+	}
 }
 
 // testStationHook, when set by an in-package test, observes every

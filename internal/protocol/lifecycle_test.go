@@ -5,9 +5,11 @@ package protocol
 // recovery, serialized selection, and a fault-injected race soak.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"reflect"
 	"runtime"
@@ -181,6 +183,36 @@ func TestBackoffJitterSequence(t *testing.T) {
 				t.Fatalf("round %d delays = %v, want %v ms", round, got, want)
 			}
 		}
+	}
+}
+
+// TestAgentGoneLogsLeaseOnlyWhenSet: a lost agent connection names the
+// lease only when WithLease set one; otherwise the log says the AP stays
+// registered.
+func TestAgentGoneLogsLeaseOnlyWhenSet(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts []ControllerOption
+		want string
+	}{
+		{"no lease", nil, "ap ap1 agent connection lost (no lease: the AP stays registered)\n"},
+		{"lease", []ControllerOption{WithLease(10)}, "ap ap1 agent connection lost (lease of 10s pending)\n"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			ctl, err := NewController(baseline.LLF{}, append(c.opts, WithLogger(log.New(&buf, "", 0)))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctl.Close()
+			if err := ctl.RegisterAP("ap1", 1e6); err != nil {
+				t.Fatal(err)
+			}
+			ctl.agentGone("ap1", 0)
+			if got := buf.String(); got != c.want {
+				t.Errorf("log = %q, want %q", got, c.want)
+			}
+		})
 	}
 }
 

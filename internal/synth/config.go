@@ -177,6 +177,9 @@ func (c Config) Validate() error {
 //     large resident workforce at desks, small groups.
 //   - "conference": a venue where almost everyone moves in session-sized
 //     blocks — extreme co-leaving, few residents, large groups.
+//   - "paper": the paper's scale — 12 374 users over 90 days on 22
+//     buildings of 15 APs, the default campus otherwise. That is 330 APs,
+//     not the paper's 334, which 22 buildings do not divide.
 func Preset(name string) (Config, error) {
 	cfg := DefaultConfig()
 	switch name {
@@ -204,7 +207,13 @@ func Preset(name string) (Config, error) {
 		cfg.CoLeaveProb = 0.95
 		cfg.HomeBuildingProb = 1
 		return cfg, nil
+	case "paper":
+		cfg.Users = 12374
+		cfg.Buildings = 22
+		cfg.APsPerBuilding = 15
+		cfg.Days = 90
+		return cfg, nil
 	default:
-		return Config{}, fmt.Errorf("synth: unknown preset %q (want campus, office or conference)", name)
+		return Config{}, fmt.Errorf("synth: unknown preset %q (want campus, office, conference or paper)", name)
 	}
 }

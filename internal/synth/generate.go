@@ -21,7 +21,7 @@ import (
 var (
 	obsGenerate = obs.GetHistogram("synth.generate", "Wall time of one synthetic campus generation")
 	obsSessions = obs.GetCounter("synth.sessions", "Synthetic sessions generated")
-	obsFlows    = obs.GetCounter("synth.flows", "Synthetic flows generated")
+	obsFlows    = obs.GetCounter("synth.flows", "Synthetic flows drawn")
 )
 
 // archetypeMixes maps each archetype to its realm mixture (canonical realm
@@ -115,6 +115,21 @@ type GroundTruth struct {
 // the "state-of-the-art strategy adopted in enterprise WLANs" that the
 // paper's measurement section analyzes.
 func Generate(cfg Config) (*trace.Trace, *GroundTruth, error) {
+	return generate(cfg, nil, 0)
+}
+
+// GenerateProfiles draws what Generate(cfg) draws but keeps no flow: it
+// folds each one that starts before cut, as it is drawn, into the returned
+// store (day zero at cfg.Epoch), which equals apps.BuildProfiles over the
+// training flows of Generate(cfg)'s SplitAt(cut). The trace has no flows.
+func GenerateProfiles(cfg Config, cut int64) (*trace.Trace, *apps.ProfileStore, *GroundTruth, error) {
+	profiles := apps.NewProfileStore(cfg.Epoch)
+	tr, truth, err := generate(cfg, profiles, cut)
+	return tr, profiles, truth, err
+}
+
+// generate is Generate with train nil, and GenerateProfiles otherwise.
+func generate(cfg Config, train *apps.ProfileStore, cut int64) (*trace.Trace, *GroundTruth, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -124,7 +139,7 @@ func Generate(cfg Config) (*trace.Trace, *GroundTruth, error) {
 
 	topo := buildTopology(cfg)
 	truth := buildPopulation(cfg, rng)
-	intents, flows := scheduleSessions(cfg, rng, topo, truth)
+	intents, flows := scheduleSessions(cfg, rng, topo, truth, train, cut)
 	if len(intents) == 0 {
 		return nil, nil, fmt.Errorf("synth: configuration produced no sessions")
 	}
@@ -134,7 +149,6 @@ func Generate(cfg Config) (*trace.Trace, *GroundTruth, error) {
 		return nil, nil, fmt.Errorf("synth: LLF assignment: %w", err)
 	}
 	obsSessions.Add(int64(len(assigned)))
-	obsFlows.Add(int64(len(flows)))
 	tr := &trace.Trace{Topology: topo, Sessions: assigned, Flows: flows}
 	tr.SortSessions()
 	return tr, truth, nil
@@ -227,9 +241,11 @@ func buildPopulation(cfg Config, rng *rand.Rand) *GroundTruth {
 }
 
 // scheduleSessions produces session intents (controller decided, AP left
-// to the LLF replay) in draw order and their flows by (Start, User).
+// to the LLF replay) in draw order. With train nil it returns their flows by
+// (Start, User); otherwise it folds each day's flows that start before cut
+// into train, reuses the day's buffer and returns no flows.
 func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
-	truth *GroundTruth) ([]trace.Session, []trace.Flow) {
+	truth *GroundTruth, train *apps.ProfileStore, cut int64) ([]trace.Session, []trace.Flow) {
 
 	controllers := topo.Controllers()
 
@@ -404,8 +420,20 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 				emit(i, ctl, start, start+duration)
 			}
 		}
-		flowsOfDay = append(flowsOfDay, slices.Clone(dayFlows))
+		obsFlows.Add(int64(len(dayFlows)))
+		if train == nil {
+			flowsOfDay = append(flowsOfDay, slices.Clone(dayFlows))
+		} else {
+			for _, f := range dayFlows {
+				if f.start < cut { // SplitAt's predicate
+					train.Add(allUsers[f.rank], f.start, apps.Realms()[f.realm], f.bytes)
+				}
+			}
+		}
 		dayFlows = dayFlows[:0]
+	}
+	if train != nil {
+		return sessions, nil
 	}
 	return sessions, sortFlows(flowsOfDay, allUsers)
 }

@@ -256,7 +256,7 @@ func TestArchetypeMixesNormalized(t *testing.T) {
 }
 
 func TestPresets(t *testing.T) {
-	for _, name := range []string{"", "campus", "office", "conference"} {
+	for _, name := range []string{"", "campus", "office", "conference", "paper"} {
 		cfg, err := Preset(name)
 		if err != nil {
 			t.Fatalf("preset %q: %v", name, err)
@@ -264,6 +264,19 @@ func TestPresets(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("preset %q invalid: %v", name, err)
 		}
+	}
+	// The paper preset is checked, not generated: it draws 22.8 M flows.
+	paper, err := Preset("paper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := DefaultConfig()
+	want.Users, want.Buildings, want.APsPerBuilding, want.Days = 12374, 22, 15, 90
+	if paper != want {
+		t.Errorf("paper preset = %+v, want %+v", paper, want)
+	}
+	if topo := buildTopology(paper); len(topo.APs) != 330 || len(topo.Controllers()) != 22 {
+		t.Errorf("paper topology: %d APs on %d controllers, want 330 on 22", len(topo.APs), len(topo.Controllers()))
 	}
 	if _, err := Preset("mall"); err == nil {
 		t.Error("unknown preset should error")

@@ -170,7 +170,8 @@ func NewController(policy Policy, opts ...protocol.ControllerOption) (*Controlle
 }
 
 // PrepareExperiment generates a campus and splits it into the paper's
-// training/test protocol, ready for the Fig. 10–12 harnesses.
+// training/test protocol, ready for the Fig. 10–12 harnesses. Its traces
+// carry no flows: the training profiles are built as the campus is drawn.
 func PrepareExperiment(campus CampusConfig, trainDays int) (*ExperimentData, error) {
 	return experiments.Prepare(campus, trainDays)
 }
