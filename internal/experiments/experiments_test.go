@@ -296,7 +296,7 @@ func TestFig12(t *testing.T) {
 
 // TestTrainOutsidePrepare: a Data built by hand has no Trainer and trains
 // what society.Train trains; a copy with Train or Profiles replaced trains
-// on the replacement, not on what PrepareTrace interned.
+// on the replacement, not on what Prepare interned.
 func TestTrainOutsidePrepare(t *testing.T) {
 	d := prepareSmall(t)
 	cfg := society.DefaultConfig()
@@ -313,7 +313,7 @@ func TestTrainOutsidePrepare(t *testing.T) {
 	}
 	want := write(society.Train(d.Train, d.Profiles, cfg))
 	if write(d.trainModel(cfg)) != want {
-		t.Error("PrepareTrace's Data trains a model unlike society.Train's")
+		t.Error("Prepare's Data trains a model unlike society.Train's")
 	}
 	byHand := &Data{Campus: d.Campus, Full: d.Full, Train: d.Train, Test: d.Test,
 		Profiles: d.Profiles, Demands: d.Demands, TrainDays: d.TrainDays}

@@ -11,8 +11,9 @@ import (
 
 // TestGenerateProfilesMatchesBuildProfiles holds the streamed sink to the
 // flow list: GenerateProfiles' store must equal apps.BuildProfiles over the
-// training flows of Generate's SplitAt at the same cut, and its trace must
-// carry Generate's topology and sessions and no flows.
+// training flows of Generate's SplitAt at the same cut, its trace must
+// carry Generate's topology and sessions and no flows, and it must still
+// count every flow it draws and observe its generation.
 func TestGenerateProfilesMatchesBuildProfiles(t *testing.T) {
 	small := DefaultConfig()
 	small.Users, small.Buildings, small.Days = 150, 3, 12
@@ -34,9 +35,16 @@ func TestGenerateProfilesMatchesBuildProfiles(t *testing.T) {
 			for _, days := range c.trainDays {
 				t.Run(fmt.Sprintf("%s/seed%d/train%d", c.name, seed, days), func(t *testing.T) {
 					cut := cfg.Epoch + int64(days)*86400
+					flows, generations := obsFlows.Value(), obsGenerate.Count()
 					tr, profiles, _, err := GenerateProfiles(cfg, cut)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if got := obsFlows.Value() - flows; got != int64(len(full.Flows)) {
+						t.Errorf("synth.flows counted %d drawn flows, want %d", got, len(full.Flows))
+					}
+					if got := obsGenerate.Count() - generations; got != 1 {
+						t.Errorf("synth.generate observed %d generations, want 1", got)
 					}
 					train, _ := full.SplitAt(cut)
 					if len(train.Flows) == 0 {
