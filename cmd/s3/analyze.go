@@ -29,7 +29,7 @@ func runAnalyze(args []string, out io.Writer) (err error) {
 		table  = fs.Int("table", 0, "table to reproduce (1)")
 		all    = fs.Bool("all", false, "run every analysis")
 		epoch  = fs.Int64("epoch", 0, "trace epoch (Unix seconds of day 0)")
-		csvDir = fs.String("csvdir", "", "also write each result as CSV into this directory")
+		csvDir = fs.String("csvdir", "", "also write each figure as CSV into this directory")
 		fan    = newFanoutFlags(fs)
 		rt     = newRuntimeFlags(fs)
 	)
@@ -86,8 +86,8 @@ func runAnalyze(args []string, out io.Writer) (err error) {
 		})
 	}
 
-	outputs, _, err := runner.Map(fan.config("analyze", in.seed), jobs,
-		func(_ *runner.Ctx, job func(io.Writer) error) ([]byte, error) {
+	outputs, err := runner.Map(fan.config("analyze"), jobs,
+		func(job func(io.Writer) error) ([]byte, error) {
 			var buf bytes.Buffer
 			err := job(&buf)
 			return buf.Bytes(), err

@@ -145,8 +145,8 @@ func newFanoutFlags(fs *flag.FlagSet) *fanoutFlags {
 	return f
 }
 
-func (f *fanoutFlags) config(label string, seed int64) runner.Config {
-	cfg := runner.Config{Workers: f.workers, Label: label, Seed: seed}
+func (f *fanoutFlags) config(label string) runner.Config {
+	cfg := runner.Config{Workers: f.workers, Label: label}
 	if f.progress {
 		cfg.Progress = os.Stderr
 	}

@@ -29,7 +29,7 @@ func runSim(args []string, out io.Writer) (err error) {
 		fig       = fs.Int("fig", 0, "figure to reproduce (10, 11 or 12)")
 		all       = fs.Bool("all", false, "run every evaluation figure")
 		ablation  = fs.String("ablation", "", "ablation to run: baselines, staleness, guard, batch, metrics or all")
-		csvDir    = fs.String("csvdir", "", "also write each result as CSV into this directory")
+		csvDir    = fs.String("csvdir", "", "also write each figure as CSV into this directory")
 		replicate = fs.Int("replicate", 0, "replicate Fig 12 over N seeds (robustness)")
 		fan       = newFanoutFlags(fs)
 		rt        = newRuntimeFlags(fs)
@@ -61,7 +61,7 @@ func runSim(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	rcfg := fan.config("", in.seed)
+	rcfg := fan.config("")
 	data.Workers, data.Progress = rcfg.Workers, rcfg.Progress
 	fmt.Fprintf(out, "prepared: %d training sessions, %d test sessions\n\n",
 		len(data.Train.Sessions), len(data.Test.Sessions))

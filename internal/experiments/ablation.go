@@ -37,50 +37,29 @@ type AblationBaselinesResult struct {
 // the S³ run are independent simulations, so they all run concurrently
 // on the experiment pool.
 func AblationBaselines(d *Data) (*AblationBaselinesResult, error) {
-	panel := []struct {
-		name    string
-		factory func(trace.ControllerID, []trace.AP) wlan.Selector
-	}{
-		{"LLF", func(trace.ControllerID, []trace.AP) wlan.Selector { return baseline.LLF{} }},
-		{"LeastUsers", func(trace.ControllerID, []trace.AP) wlan.Selector { return baseline.LeastUsers{} }},
-		{"StrongestRSSI", func(trace.ControllerID, []trace.AP) wlan.Selector { return baseline.StrongestRSSI{} }},
-		{"Random", func(trace.ControllerID, []trace.AP) wlan.Selector { return baseline.NewRandom(1) }},
-		{"RoundRobin", func(trace.ControllerID, []trace.AP) wlan.Selector { return &baseline.RoundRobin{} }},
-		{"S3", nil}, // sentinel: runs the S³ policy
-	}
-	res := &AblationBaselinesResult{}
-	jobs := make([]sweepJob, len(panel))
-	means := make([]float64, len(panel))
-	for i, p := range panel {
-		jobs[i] = sweepJob{
-			name: p.name,
-			run: func() (float64, error) {
-				var sim *wlan.Result
-				var err error
-				if p.factory == nil {
-					sim, err = d.RunS3(society.DefaultConfig(), core.DefaultSelectorConfig())
-				} else {
-					sim, err = d.RunSelector(p.factory)
-				}
-				if err != nil {
-					return 0, fmt.Errorf("ablation baseline %s: %w", p.name, err)
-				}
-				return MeanBalance(sim)
-			},
-			store: func(v float64) { means[i] = v },
-		}
-	}
-	if err := d.runSweep("ablation-baselines", jobs); err != nil {
+	model, err := d.trainModel(society.DefaultConfig())
+	if err != nil {
 		return nil, err
 	}
-	for i, p := range panel {
-		if p.factory == nil {
-			res.S3Mean = means[i]
-			continue
-		}
-		res.Policies = append(res.Policies, p.name)
-		res.Means = append(res.Means, means[i])
+	// Factories, not instances: each builds a selector per domain, and
+	// Random and RoundRobin keep per-domain state.
+	res := &AblationBaselinesResult{
+		Policies: []string{"LLF", "LeastUsers", "StrongestRSSI", "Random", "RoundRobin"},
 	}
+	cells := []cell{
+		{d: d, policy: llf},
+		{d: d, policy: func(trace.ControllerID, []trace.AP) wlan.Selector { return baseline.LeastUsers{} }},
+		{d: d, policy: func(trace.ControllerID, []trace.AP) wlan.Selector { return baseline.StrongestRSSI{} }},
+		{d: d, policy: func(trace.ControllerID, []trace.AP) wlan.Selector { return baseline.NewRandom(1) }},
+		{d: d, policy: func(trace.ControllerID, []trace.AP) wlan.Selector { return &baseline.RoundRobin{} }},
+		{d: d, model: model, sel: core.DefaultSelectorConfig()},
+	}
+	means, err := d.meanBalances("ablation-baselines", cells)
+	if err != nil {
+		return nil, err
+	}
+	n := len(res.Policies)
+	res.Means, res.S3Mean = means[:n:n], means[n]
 	return res, nil
 }
 
@@ -126,34 +105,20 @@ func AblationStaleness(d *Data, intervals []int64) (*AblationStalenessResult, er
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]sweepJob, 0, 2*len(intervals))
-	for i, iv := range intervals {
-		cell := *d // private copy: only the report interval differs
-		cell.ReportIntervalSeconds = iv
-		jobs = append(jobs, sweepJob{
-			name: fmt.Sprintf("S3 interval=%ds", iv),
-			run: func() (float64, error) {
-				sim, err := cell.RunS3Model(model, core.DefaultSelectorConfig())
-				if err != nil {
-					return 0, fmt.Errorf("ablation staleness %ds: %w", iv, err)
-				}
-				return MeanBalance(sim)
-			},
-			store: func(v float64) { res.S3Means[i] = v },
-		}, sweepJob{
-			name: fmt.Sprintf("LLF interval=%ds", iv),
-			run: func() (float64, error) {
-				sim, err := cell.RunLLF()
-				if err != nil {
-					return 0, fmt.Errorf("ablation staleness %ds: %w", iv, err)
-				}
-				return MeanBalance(sim)
-			},
-			store: func(v float64) { res.LLFMeans[i] = v },
-		})
+	cells := make([]cell, 0, 2*len(intervals))
+	for _, iv := range intervals {
+		c := *d // private copy: only the report interval differs
+		c.ReportIntervalSeconds = iv
+		cells = append(cells,
+			cell{d: &c, model: model, sel: core.DefaultSelectorConfig()},
+			cell{d: &c, policy: llf})
 	}
-	if err := d.runSweep("ablation-staleness", jobs); err != nil {
+	means, err := d.meanBalances("ablation-staleness", cells)
+	if err != nil {
 		return nil, err
+	}
+	for i := range intervals {
+		res.S3Means[i], res.LLFMeans[i] = means[2*i], means[2*i+1]
 	}
 	return res, nil
 }
@@ -189,31 +154,20 @@ func AblationGuard(d *Data, guards []float64) (*AblationGuardResult, error) {
 	if len(guards) == 0 {
 		guards = []float64{0.1, 0.25, 0.5, 1, 2, 100}
 	}
-	res := &AblationGuardResult{Guards: guards, Means: make([]float64, len(guards))}
 	model, err := d.trainModel(society.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]sweepJob, len(guards))
+	cells := make([]cell, len(guards))
 	for i, g := range guards {
-		jobs[i] = sweepJob{
-			name: fmt.Sprintf("guard=%v", g),
-			run: func() (float64, error) {
-				cfg := core.DefaultSelectorConfig()
-				cfg.BalanceGuard = g
-				sim, err := d.RunS3Model(model, cfg)
-				if err != nil {
-					return 0, fmt.Errorf("ablation guard %v: %w", g, err)
-				}
-				return MeanBalance(sim)
-			},
-			store: func(v float64) { res.Means[i] = v },
-		}
+		cells[i] = cell{d: d, model: model, sel: core.DefaultSelectorConfig()}
+		cells[i].sel.BalanceGuard = g
 	}
-	if err := d.runSweep("ablation-guard", jobs); err != nil {
+	means, err := d.meanBalances("ablation-guard", cells)
+	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &AblationGuardResult{Guards: guards, Means: means}, nil
 }
 
 // Render formats the ablation as text.
@@ -241,34 +195,21 @@ func AblationBatchWindow(d *Data, windows []int64) (*AblationBatchWindowResult, 
 	if len(windows) == 0 {
 		windows = []int64{0, 30, 60, 120, 300}
 	}
-	res := &AblationBatchWindowResult{
-		WindowsSeconds: windows,
-		Means:          make([]float64, len(windows)),
-	}
 	model, err := d.trainModel(society.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]sweepJob, len(windows))
+	cells := make([]cell, len(windows))
 	for i, w := range windows {
-		cell := *d // private copy: only the batch window differs
-		cell.BatchWindowSeconds = w
-		jobs[i] = sweepJob{
-			name: fmt.Sprintf("window=%ds", w),
-			run: func() (float64, error) {
-				sim, err := cell.RunS3Model(model, core.DefaultSelectorConfig())
-				if err != nil {
-					return 0, fmt.Errorf("ablation batch window %ds: %w", w, err)
-				}
-				return MeanBalance(sim)
-			},
-			store: func(v float64) { res.Means[i] = v },
-		}
+		c := *d // private copy: only the batch window differs
+		c.BatchWindowSeconds = w
+		cells[i] = cell{d: &c, model: model, sel: core.DefaultSelectorConfig()}
 	}
-	if err := d.runSweep("ablation-batch", jobs); err != nil {
+	means, err := d.meanBalances("ablation-batch", cells)
+	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &AblationBatchWindowResult{WindowsSeconds: windows, Means: means}, nil
 }
 
 // Render formats the ablation as text.

@@ -62,29 +62,6 @@ func (r *Fig12Result) WriteCSV(out io.Writer) error {
 	return writeAll(w, rows)
 }
 
-// WriteCSV emits columns: policy, balance.
-func (r *AblationBaselinesResult) WriteCSV(out io.Writer) error {
-	w := csv.NewWriter(out)
-	rows := [][]string{{"policy", "balance"}}
-	for i, p := range r.Policies {
-		rows = append(rows, []string{p, f(r.Means[i])})
-	}
-	rows = append(rows, []string{"S3", f(r.S3Mean)})
-	return writeAll(w, rows)
-}
-
-// WriteCSV emits columns: interval_seconds, s3, llf.
-func (r *AblationStalenessResult) WriteCSV(out io.Writer) error {
-	w := csv.NewWriter(out)
-	rows := [][]string{{"interval_seconds", "s3", "llf"}}
-	for i, iv := range r.IntervalsSeconds {
-		rows = append(rows, []string{
-			strconv.FormatInt(iv, 10), f(r.S3Means[i]), f(r.LLFMeans[i]),
-		})
-	}
-	return writeAll(w, rows)
-}
-
 // WriteSeriesCSV writes the Fig. 12 per-bin balance time series of both
 // policies side by side (time, domain, S3, LLF) — the data behind the
 // paper's balance-over-a-day plot.

@@ -3,11 +3,14 @@ package experiments
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"io"
+	"sort"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/core"
 	"github.com/s3wlan/s3wlan/internal/society"
+	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
 func parseCSV(t *testing.T, buf *bytes.Buffer) [][]string {
@@ -74,26 +77,6 @@ func TestExperimentCSVExports(t *testing.T) {
 		}
 	})
 
-	t.Run("ablations", func(t *testing.T) {
-		ab, err := AblationBaselines(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := ab.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		parseCSV(t, &buf)
-		st, err := AblationStaleness(d, []int64{0, 300})
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Reset()
-		if err := st.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		parseCSV(t, &buf)
-	})
 }
 
 func TestExtractAndCompareSeries(t *testing.T) {
@@ -155,5 +138,39 @@ func TestFig12SeriesCSV(t *testing.T) {
 	var empty Fig12Result
 	if err := empty.WriteSeriesCSV(&buf); err == nil {
 		t.Error("missing series should error")
+	}
+}
+
+// TestComparisonSeriesCSVDomainOrder: the series CSV lists its domains in
+// ascending order, so two writes of the same series are byte-equal even
+// though ByDomain is a map.
+func TestComparisonSeriesCSVDomainOrder(t *testing.T) {
+	a := &PolicySeries{Policy: "S3", Times: []int64{0, 300}, ByDomain: map[trace.ControllerID][]float64{}}
+	b := &PolicySeries{Policy: "LLF", Times: a.Times, ByDomain: map[trace.ControllerID][]float64{}}
+	for i := 0; i < 12; i++ {
+		c := trace.ControllerID(fmt.Sprintf("ctl-%d", i))
+		a.ByDomain[c] = []float64{1, float64(i)}
+		b.ByDomain[c] = []float64{float64(i), 1}
+	}
+	var first, second bytes.Buffer
+	if err := WriteComparisonSeriesCSV(&first, a, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteComparisonSeriesCSV(&second, a, b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Error("two writes of one series differ")
+	}
+	rows := parseCSV(t, &first)[1:]
+	if len(rows) != 12*len(a.Times) {
+		t.Fatalf("rows = %d, want %d", len(rows), 12*len(a.Times))
+	}
+	domains := make([]string, len(rows))
+	for i, row := range rows {
+		domains[i] = row[1]
+	}
+	if !sort.StringsAreSorted(domains) {
+		t.Errorf("domain column not ascending: %v", domains)
 	}
 }

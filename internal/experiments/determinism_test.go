@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"github.com/s3wlan/s3wlan/internal/runner"
 )
 
 // TestParallelDeterminism is the contract test for the runner migration:
@@ -97,4 +99,18 @@ func TestParallelDeterminism(t *testing.T) {
 			}
 		})
 	}
+	// The seed replications fan out over the pool themselves, each
+	// preparing its own small campus.
+	t.Run("replicate-fig12", func(t *testing.T) {
+		render := func(workers int) string {
+			r, err := ReplicateFig12(smallCampus(), 9, []int64{1, 2, 3}, runner.Config{Workers: workers})
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			return r.Render()
+		}
+		if serial, parallel := render(1), render(4); serial != parallel {
+			t.Errorf("workers=4 output differs from workers=1\nserial:\n%s\nparallel:\n%s", serial, parallel)
+		}
+	})
 }

@@ -40,55 +40,61 @@ func Fig10(d *Data, intervals []int64, alphas []float64) (*Fig10Result, error) {
 	if len(alphas) == 0 {
 		alphas = DefaultAlphas
 	}
-	res := &Fig10Result{Intervals: intervals, Alphas: alphas}
-	res.Mean = make([][]float64, len(alphas))
-	// One training per interval serves every α (see trainModel).
-	models, _, err := runner.Map(d.runnerConfig("fig10-train"), intervals,
-		func(_ *runner.Ctx, iv int64) (*society.Model, error) {
-			cfg := society.DefaultConfig()
-			cfg.CoLeaveWindowSeconds = iv
-			cfg.HistoryDays = 0 // full history for this sweep
-			return d.trainModel(cfg)
-		})
+	cfgs := make([]society.Config, len(intervals))
+	for i, iv := range intervals {
+		cfgs[i] = society.DefaultConfig()
+		cfgs[i].CoLeaveWindowSeconds = iv
+		cfgs[i].HistoryDays = 0 // full history for this sweep
+	}
+	mean, err := d.alphaGrid("fig10", cfgs, alphas)
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]sweepJob, 0, len(alphas)*len(intervals))
-	for a, alpha := range alphas {
-		res.Mean[a] = make([]float64, len(intervals))
-		for i, iv := range intervals {
-			model := models[i].WithAlpha(alpha)
-			jobs = append(jobs, sweepJob{
-				name: fmt.Sprintf("interval=%ds α=%v", iv, alpha),
-				run: func() (float64, error) {
-					sim, err := d.RunS3Model(model, core.DefaultSelectorConfig())
-					if err != nil {
-						return 0, fmt.Errorf("fig10 interval=%d alpha=%v: %w", iv, alpha, err)
-					}
-					return MeanBalance(sim)
-				},
-				store: func(v float64) { res.Mean[a][i] = v },
-			})
-		}
-	}
-	if err := d.runSweep("fig10", jobs); err != nil {
-		return nil, err
-	}
-	// Best interval at α = 0.3 (or the first swept series).
-	bestRow := res.Mean[0]
-	for a, alpha := range alphas {
-		if alpha == 0.3 {
-			bestRow = res.Mean[a]
-		}
-	}
+	res := &Fig10Result{Intervals: intervals, Alphas: alphas, Mean: mean}
 	bestVal := -1.0
-	for i, v := range bestRow {
+	for i, v := range alpha03(alphas, mean) {
 		if v > bestVal {
 			bestVal = v
 			res.BestInterval = intervals[i]
 		}
 	}
 	return res, nil
+}
+
+// alphaGrid trains one model per society configuration (α plays no part
+// in training, see trainModel), then replays every α × configuration
+// cell; mean[a][i] is the mean balance of alphas[a] on cfgs[i].
+func (d *Data) alphaGrid(label string, cfgs []society.Config, alphas []float64) ([][]float64, error) {
+	models, err := runner.Map(d.runnerConfig(label+"-train"), cfgs, d.trainModel)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]cell, 0, len(alphas)*len(cfgs))
+	for _, alpha := range alphas {
+		for _, m := range models {
+			cells = append(cells, cell{d: d, model: m.WithAlpha(alpha), sel: core.DefaultSelectorConfig()})
+		}
+	}
+	flat, err := d.meanBalances(label, cells)
+	if err != nil {
+		return nil, err
+	}
+	mean := make([][]float64, len(alphas))
+	for a := range mean {
+		mean[a] = flat[a*len(cfgs) : (a+1)*len(cfgs) : (a+1)*len(cfgs)]
+	}
+	return mean, nil
+}
+
+// alpha03 returns the α = 0.3 row of an α grid, or its first row when
+// 0.3 was not swept.
+func alpha03(alphas []float64, mean [][]float64) []float64 {
+	for a, alpha := range alphas {
+		if alpha == 0.3 {
+			return mean[a]
+		}
+	}
+	return mean[0]
 }
 
 // Render formats the figure as text.
@@ -131,45 +137,17 @@ func Fig11(d *Data, historyDays []int, alphas []float64) (*Fig11Result, error) {
 	if len(alphas) == 0 {
 		alphas = DefaultAlphas
 	}
-	res := &Fig11Result{HistoryDays: historyDays, Alphas: alphas}
-	res.Mean = make([][]float64, len(alphas))
-	// One training per history length serves every α (see trainModel).
-	models, _, err := runner.Map(d.runnerConfig("fig11-train"), historyDays,
-		func(_ *runner.Ctx, hd int) (*society.Model, error) {
-			cfg := society.DefaultConfig()
-			cfg.HistoryDays = hd
-			return d.trainModel(cfg)
-		})
+	cfgs := make([]society.Config, len(historyDays))
+	for i, hd := range historyDays {
+		cfgs[i] = society.DefaultConfig()
+		cfgs[i].HistoryDays = hd
+	}
+	mean, err := d.alphaGrid("fig11", cfgs, alphas)
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]sweepJob, 0, len(alphas)*len(historyDays))
-	for a, alpha := range alphas {
-		res.Mean[a] = make([]float64, len(historyDays))
-		for i, hd := range historyDays {
-			model := models[i].WithAlpha(alpha)
-			jobs = append(jobs, sweepJob{
-				name: fmt.Sprintf("history=%dd α=%v", hd, alpha),
-				run: func() (float64, error) {
-					sim, err := d.RunS3Model(model, core.DefaultSelectorConfig())
-					if err != nil {
-						return 0, fmt.Errorf("fig11 history=%d alpha=%v: %w", hd, alpha, err)
-					}
-					return MeanBalance(sim)
-				},
-				store: func(v float64) { res.Mean[a][i] = v },
-			})
-		}
-	}
-	if err := d.runSweep("fig11", jobs); err != nil {
-		return nil, err
-	}
-	curve03 := res.Mean[0]
-	for a, alpha := range alphas {
-		if alpha == 0.3 {
-			curve03 = res.Mean[a]
-		}
-	}
+	res := &Fig11Result{HistoryDays: historyDays, Alphas: alphas, Mean: mean}
+	curve03 := alpha03(alphas, mean)
 	// Plateau: the first history length whose balance reaches 99% of the
 	// curve's maximum — past it, older history "does not help but does
 	// not hurt either".

@@ -175,15 +175,16 @@ func (d *Data) RunS3Model(model *society.Model, selCfg core.SelectorConfig) (*wl
 
 // RunLLF simulates the test trace under the LLF baseline.
 func (d *Data) RunLLF() (*wlan.Result, error) {
-	return wlan.Simulate(d.Test, d.simConfig(
-		func(trace.ControllerID, []trace.AP) wlan.Selector { return baseline.LLF{} }))
+	return d.RunSelector(llf)
 }
+
+func llf(trace.ControllerID, []trace.AP) wlan.Selector { return baseline.LLF{} }
 
 // RunS3AndLLF runs both policies concurrently on the experiment pool and
 // returns their results in fixed (S³, LLF) order.
 func (d *Data) RunS3AndLLF(societyCfg society.Config, selCfg core.SelectorConfig, label string) (*wlan.Result, *wlan.Result, error) {
-	results, _, err := runner.Map(d.runnerConfig(label), []string{"S3", "LLF"},
-		func(_ *runner.Ctx, policy string) (*wlan.Result, error) {
+	results, err := runner.Map(d.runnerConfig(label), []string{"S3", "LLF"},
+		func(policy string) (*wlan.Result, error) {
 			if policy == "S3" {
 				return d.RunS3(societyCfg, selCfg)
 			}
@@ -248,47 +249,34 @@ var LeavePeakHours = map[int]bool{12: true, 16: true, 17: true, 21: true}
 // runnerConfig builds the pool configuration for one named sweep or
 // ablation over this dataset.
 func (d *Data) runnerConfig(label string) runner.Config {
-	return runner.Config{
-		Workers:  d.Workers,
-		Progress: d.Progress,
-		Label:    label,
-		Seed:     d.Campus.Seed,
-	}
+	return runner.Config{Workers: d.Workers, Progress: d.Progress, Label: label}
 }
 
-// sweepJob is one independent parameter-sweep cell: run computes a value,
-// store records it into the cell's slot (called after every cell
-// finished, in submission order).
-type sweepJob struct {
-	name  string
-	run   func() (float64, error)
-	store func(float64)
+// cell is one replay of a sweep or ablation: d's test trace under the
+// policy factory when it is set, else under S³ reading model with sel.
+// A factory runs once per domain, so stateful baselines keep their state
+// per domain and per cell.
+type cell struct {
+	d      *Data
+	model  *society.Model
+	sel    core.SelectorConfig
+	policy func(trace.ControllerID, []trace.AP) wlan.Selector
 }
 
-// runSweep executes the cells on the experiment pool (internal/runner).
-// Each cell replays the test trace; slot-stored results keep the output
-// identical to a serial sweep for any worker count.
-func (d *Data) runSweep(label string, jobs []sweepJob) error {
-	tasks := make([]runner.Task, len(jobs))
-	vals := make([]float64, len(jobs))
-	for i := range jobs {
-		tasks[i] = runner.Task{
-			Name: jobs[i].name,
-			Run: func(*runner.Ctx) error {
-				v, err := jobs[i].run()
-				if err != nil {
-					return err
-				}
-				vals[i] = v
-				return nil
-			},
+// meanBalances replays the cells on d's experiment pool and returns each
+// one's MeanBalance in cell order, identical for any worker count.
+func (d *Data) meanBalances(label string, cells []cell) ([]float64, error) {
+	return runner.Map(d.runnerConfig(label), cells, func(c cell) (float64, error) {
+		var sim *wlan.Result
+		var err error
+		if c.policy != nil {
+			sim, err = c.d.RunSelector(c.policy)
+		} else {
+			sim, err = c.d.RunS3Model(c.model, c.sel)
 		}
-	}
-	if _, err := runner.Run(d.runnerConfig(label), tasks); err != nil {
-		return err
-	}
-	for i, j := range jobs {
-		j.store(vals[i])
-	}
-	return nil
+		if err != nil {
+			return 0, err
+		}
+		return MeanBalance(sim)
+	})
 }

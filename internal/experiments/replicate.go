@@ -40,8 +40,8 @@ func ReplicateFig12(campus synth.Config, trainDays int, seeds []int64, rcfg runn
 	type seedOutcome struct {
 		gain, peakGain float64
 	}
-	outcomes, _, err := runner.Map(rcfg, seeds,
-		func(_ *runner.Ctx, seed int64) (seedOutcome, error) {
+	outcomes, err := runner.Map(rcfg, seeds,
+		func(seed int64) (seedOutcome, error) {
 			cfg := campus
 			cfg.Seed = seed
 			d, err := Prepare(cfg, trainDays)

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"github.com/s3wlan/s3wlan/internal/metrics"
@@ -78,7 +79,7 @@ func scoreReplay(res *wlan.Result, epoch int64) (*replayScores, error) {
 }
 
 // WriteComparisonSeriesCSV writes two policies' series side by side:
-// columns time, domain, <policyA>, <policyB>. Both results must come from
+// columns time, domain, <policyA>, <policyB>, domains in ascending order. Both results must come from
 // the same test trace (same bins).
 func WriteComparisonSeriesCSV(out io.Writer, a, b *PolicySeries) error {
 	if len(a.Times) != len(b.Times) {
@@ -90,7 +91,13 @@ func WriteComparisonSeriesCSV(out io.Writer, a, b *PolicySeries) error {
 	if err := w.Write(header); err != nil {
 		return err
 	}
-	for c, aVals := range a.ByDomain {
+	domains := make([]trace.ControllerID, 0, len(a.ByDomain))
+	for c := range a.ByDomain {
+		domains = append(domains, c)
+	}
+	slices.Sort(domains)
+	for _, c := range domains {
+		aVals := a.ByDomain[c]
 		bVals, ok := b.ByDomain[c]
 		if !ok {
 			return fmt.Errorf("experiments: domain %s missing from %s", c, b.Policy)

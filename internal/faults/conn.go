@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/s3wlan/s3wlan/internal/runner"
 )
 
 // ConnConfig is a connection fault schedule. Probabilities are per
@@ -155,7 +153,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 }
 
 // Listener wraps the n-th accepted connection (n = 1, 2, …) in a Conn
-// that reads Source, seeded with runner.DeriveSeed(Seed, n-1), so every
+// that reads Source, seeded with DeriveSeed(Seed, n-1), so every
 // connection draws its own reproducible fault stream.
 type Listener struct {
 	net.Listener
@@ -172,7 +170,18 @@ func (l *Listener) Accept() (net.Conn, error) {
 		return nil, err
 	}
 	n := l.n.Add(1)
-	return WrapConn(conn, runner.DeriveSeed(l.Seed, int(n-1)), l.Source), nil
+	return WrapConn(conn, DeriveSeed(l.Seed, int(n-1)), l.Source), nil
+}
+
+// DeriveSeed maps (base, index) to a well-mixed seed using the
+// splitmix64 finalizer, so neighbouring indices get uncorrelated
+// streams and the mapping is stable across runs and platforms.
+func DeriveSeed(base int64, index int) int64 {
+	z := uint64(base) + uint64(index+1)*0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	z ^= z >> 31
+	return int64(z)
 }
 
 // FlakyListener injects transient accept errors: the first FailFirst

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/s3wlan/s3wlan/internal/runner"
 )
 
 // fakeConn is an in-memory net.Conn half for write-side tests.
@@ -196,8 +194,25 @@ func TestFlakyListenerSchedule(t *testing.T) {
 	}
 }
 
+func TestDeriveSeedStable(t *testing.T) {
+	if DeriveSeed(1, 0) != DeriveSeed(1, 0) {
+		t.Error("DeriveSeed not stable")
+	}
+	seen := map[int64]bool{}
+	for i := 0; i < 100; i++ {
+		s := DeriveSeed(7, i)
+		if seen[s] {
+			t.Fatalf("seed collision at index %d", i)
+		}
+		seen[s] = true
+	}
+	if DeriveSeed(1, 3) == DeriveSeed(2, 3) {
+		t.Error("different bases should give different seeds")
+	}
+}
+
 // TestDeriveSeedSpreads: the listener's per-connection seeds come from
-// runner.DeriveSeed(base, n-1), which must equal the splitmix64
+// DeriveSeed(base, n-1), which must equal the splitmix64
 // finalizer at (base, n) that the harness's seeded fault streams are
 // defined by, and must give distinct seeds to neighbouring connections.
 func TestDeriveSeedSpreads(t *testing.T) {
@@ -210,13 +225,13 @@ func TestDeriveSeedSpreads(t *testing.T) {
 	for _, c := range []struct{ base, i int64 }{
 		{1, 1}, {7, 2}, {42, 1}, {42, 9}, {1000, 3}, {-3, 1_000_001},
 	} {
-		if got, want := runner.DeriveSeed(c.base, int(c.i)-1), finalizer(c.base, c.i); got != want {
+		if got, want := DeriveSeed(c.base, int(c.i)-1), finalizer(c.base, c.i); got != want {
 			t.Errorf("DeriveSeed(%d, %d) = %d, want the finalizer's %d", c.base, c.i-1, got, want)
 		}
 	}
 	seen := make(map[int64]bool)
 	for i := 0; i < 100; i++ {
-		seen[runner.DeriveSeed(1, i)] = true
+		seen[DeriveSeed(1, i)] = true
 	}
 	if len(seen) != 100 {
 		t.Errorf("derived seeds collide: %d unique of 100", len(seen))
@@ -224,7 +239,7 @@ func TestDeriveSeedSpreads(t *testing.T) {
 }
 
 // TestListenerDerivesSeeds: the n-th accepted connection draws exactly
-// the stream of a wrapper seeded runner.DeriveSeed(Seed, n-1), and two
+// the stream of a wrapper seeded DeriveSeed(Seed, n-1), and two
 // connections draw different streams.
 func TestListenerDerivesSeeds(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -251,7 +266,7 @@ func TestListenerDerivesSeeds(t *testing.T) {
 		got.Conn = fc // observe the accepted wrapper's decisions in memory
 		pattern := dropPattern(t, got, fc, 64)
 		ref := &fakeConn{}
-		want := dropPattern(t, wrapStatic(ref, runner.DeriveSeed(42, n-1), cfg), ref, 64)
+		want := dropPattern(t, wrapStatic(ref, DeriveSeed(42, n-1), cfg), ref, 64)
 		for i := range want {
 			if pattern[i] != want[i] {
 				t.Fatalf("connection %d diverges from DeriveSeed(42, %d) at write %d", n, n-1, i)
