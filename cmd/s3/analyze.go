@@ -36,8 +36,13 @@ func runAnalyze(args []string, out io.Writer) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if !*all && *fig == 0 && *table == 0 {
+	switch {
+	case !*all && *fig == 0 && *table == 0:
 		return errors.New("nothing to do: pass -all, -fig N or -table 1")
+	case *fig != 0 && (*fig < 2 || *fig > 8):
+		return fmt.Errorf("-fig %d: want 2 to 8", *fig)
+	case *table != 0 && *table != 1:
+		return fmt.Errorf("-table %d: want 1", *table)
 	}
 	stop, err := rt.start(out)
 	if err != nil {

@@ -44,3 +44,26 @@ func TestRunMissingTrace(t *testing.T) {
 		t.Error("unreadable trace should error")
 	}
 }
+
+// TestRunAnalyzeRefusesUnservable: a figure or table s3 analyze does not
+// have errors, naming the flag, instead of exiting cleanly with no output.
+func TestRunAnalyzeRefusesUnservable(t *testing.T) {
+	path := writeSmallTrace(t)
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-trace", path, "-fig", "9"}, "-fig 9"},
+		{[]string{"-trace", path, "-fig", "1"}, "-fig 1"},
+		{[]string{"-trace", path, "-table", "2"}, "-table 2"},
+	} {
+		var buf bytes.Buffer
+		err := runAnalyze(tc.args, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("s3 analyze %q: err = %v, want one naming %s", tc.args, err, tc.flag)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("s3 analyze %q printed %q before refusing", tc.args, buf.String())
+		}
+	}
+}

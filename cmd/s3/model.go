@@ -7,7 +7,6 @@ import (
 
 	"github.com/s3wlan/s3wlan/internal/analysis"
 	"github.com/s3wlan/s3wlan/internal/apps"
-	"github.com/s3wlan/s3wlan/internal/socialgraph"
 	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/synth"
 )
@@ -81,13 +80,7 @@ func runModel(args []string, out io.Writer) (err error) {
 	}
 	fmt.Fprintln(out, report.Render())
 	if *dotPath != "" {
-		g := socialgraph.New()
-		model.EachPair(func(p society.PairStat) {
-			if p.Supported && model.Index(p.A, p.B) > *threshold {
-				g.AddEdge(p.A, p.B, model.Index(p.A, p.B))
-			}
-		})
-		if err := writeFile(*dotPath, func(w io.Writer) error { return g.WriteDOT(w, "s3") }); err != nil {
+		if err := writeFile(*dotPath, report.WriteDOT); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "wrote %s\n", *dotPath)

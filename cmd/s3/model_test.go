@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/s3wlan/s3wlan/internal/society"
+	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
 func TestTrainAndInspect(t *testing.T) {
@@ -64,5 +68,47 @@ func TestInspectWithDOT(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "graph \"s3\"") {
 		t.Errorf("DOT content wrong: %.100s", data)
+	}
+}
+
+// TestInspectCountsPriorOnlyEdges: on a model whose α·T alone crosses the
+// threshold (type 0: 0.5 · 0.8 = 0.4 > 0.3), the report and the DOT file
+// show the graph CloseFriendRows lays out — the prior-only edges a–c and
+// b–c next to the supported a–b, and d isolated — not the supported
+// pairs alone.
+func TestInspectCountsPriorOnlyEdges(t *testing.T) {
+	m, err := society.NewModel([]society.PairStat{{Pair: society.MakePair("a", "b"), Encounters: 2, CoLeaves: 1, Prob: 0.5, Supported: true}},
+		map[trace.UserID]int{"a": 0, "b": 0, "c": 0, "d": 1}, [][]float64{{0.8, 0.1}, {0.1, 0.2}}, nil, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	users, start, _, _ := m.CloseFriendRows(0.3)
+	edges := start[len(users)] / 2
+	if edges != 3 {
+		t.Fatalf("CloseFriendRows lays out %d edges, want 3", edges)
+	}
+	dir := t.TempDir()
+	path, dot := filepath.Join(dir, "m.json"), filepath.Join(dir, "g.dot")
+	if err := society.SaveModel(path, m); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := runModel([]string{"-inspect", path, "-dot", dot}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("users: %d   relationships: %d ", len(users), edges); !strings.Contains(buf.String(), want) {
+		t.Errorf("report does not say %q:\n%s", want, buf.String())
+	}
+	data, err := os.ReadFile(dot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), " -- "); n != edges {
+		t.Errorf("DOT file has %d edges, CloseFriendRows %d:\n%s", n, edges, data)
+	}
+	for _, u := range users {
+		if !strings.Contains(string(data), fmt.Sprintf("  %q;\n", string(u))) {
+			t.Errorf("DOT file lacks vertex %s:\n%s", u, data)
+		}
 	}
 }

@@ -156,7 +156,7 @@ func runProto(args []string, out io.Writer) (err error) {
 			engine.Refresh()
 			s := engine.Snapshot()
 			fmt.Fprintf(out, "\nlive social state: snapshot #%d, %d users, %d edges, %d components\n",
-				s.Seq, s.Users, s.Edges, s.NumComponents())
+				s.Seq, s.Users, s.Edges, len(s.Graph().ConnectedComponents()))
 			writeHealth(out)
 		}
 		return nil

@@ -37,8 +37,15 @@ func runSim(args []string, out io.Writer) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if !*all && *fig == 0 && *ablation == "" && *replicate == 0 {
+	switch {
+	case !*all && *fig == 0 && *ablation == "" && *replicate == 0:
 		return errors.New("nothing to do: pass -all, -fig N, -ablation <name> or -replicate N")
+	case *fig != 0 && (*fig < 10 || *fig > 12):
+		return fmt.Errorf("-fig %d: want 10, 11 or 12", *fig)
+	case *replicate < 0:
+		return fmt.Errorf("-replicate %d: want a number of seeds", *replicate)
+	case *replicate > 0 && !in.generate:
+		return errors.New("-replicate generates a campus per seed: pass -generate, not -trace")
 	}
 	stop, err := rt.start(out)
 	if err != nil {

@@ -53,3 +53,28 @@ func TestRunNoInput(t *testing.T) {
 		t.Error("missing input should error")
 	}
 }
+
+// TestRunSimRefusesUnservable: a request s3 sim cannot serve errors,
+// naming the flag, instead of exiting cleanly with no output (or, for
+// -replicate with -trace, replicating generated campuses instead).
+func TestRunSimRefusesUnservable(t *testing.T) {
+	path := writeSmallTrace(t)
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{simArgs("-fig", "13"), "-fig 13"},
+		{simArgs("-fig", "-1"), "-fig -1"},
+		{simArgs("-replicate", "-2"), "-replicate -2"},
+		{[]string{"-trace", path, "-train", "5", "-replicate", "2"}, "-replicate"},
+	} {
+		var buf bytes.Buffer
+		err := runSim(tc.args, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("s3 sim %q: err = %v, want one naming %s", tc.args, err, tc.flag)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("s3 sim %q printed %q before refusing", tc.args, buf.String())
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"strings"
 
@@ -25,6 +26,8 @@ type SocialReport struct {
 	DegreeHistogram map[int]int
 	// TopPairs lists the strongest relationships.
 	TopPairs []PairStrength
+
+	graph *socialgraph.Graph
 }
 
 // PairStrength pairs users with their θ value.
@@ -33,8 +36,9 @@ type PairStrength struct {
 	Theta float64
 }
 
-// BuildSocialReport constructs the θ > threshold graph over every user the
-// model knows and analyzes it.
+// BuildSocialReport analyzes the model's θ > threshold graph as
+// Model.CloseFriendRows lays it out: every user the model knows, and
+// every edge, prior-only ones included.
 func BuildSocialReport(m *society.Model, threshold float64) (*SocialReport, error) {
 	if m == nil {
 		return nil, errors.New("analysis: nil model")
@@ -42,25 +46,18 @@ func BuildSocialReport(m *society.Model, threshold float64) (*SocialReport, erro
 	if threshold <= 0 {
 		threshold = 0.3
 	}
-	// Users: anyone in a supported pair or typed. Edges come from pair
-	// statistics only: iterating all O(n²) pairs is wasteful since
-	// θ > threshold requires pair history for any realistic α·T.
+	users, start, friends, theta := m.CloseFriendRows(threshold)
 	g := socialgraph.New()
-	for u := range m.Types {
-		g.AddVertex(u)
-	}
 	var top []PairStrength
-	m.EachPair(func(p society.PairStat) {
-		if !p.Supported {
-			return
+	for i, u := range users {
+		g.AddVertex(u)
+		for k := start[i]; k < start[i+1]; k++ {
+			if v := friends[k]; u < v {
+				g.AddEdge(u, v, theta[k])
+				top = append(top, PairStrength{A: u, B: v, Theta: theta[k]})
+			}
 		}
-		g.AddVertex(p.A)
-		g.AddVertex(p.B)
-		if theta := m.Index(p.A, p.B); theta > threshold {
-			g.AddEdge(p.A, p.B, theta)
-			top = append(top, PairStrength{A: p.A, B: p.B, Theta: theta})
-		}
-	})
+	}
 	slices.SortFunc(top, func(a, b PairStrength) int {
 		return cmp.Or(cmp.Compare(b.Theta, a.Theta), cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
 	})
@@ -70,8 +67,12 @@ func BuildSocialReport(m *society.Model, threshold float64) (*SocialReport, erro
 		Graph:           g.Analyze(),
 		DegreeHistogram: g.DegreeHistogram(),
 		TopPairs:        top,
+		graph:           g,
 	}, nil
 }
+
+// WriteDOT writes the graph the report analyzed as Graphviz DOT.
+func (r *SocialReport) WriteDOT(w io.Writer) error { return r.graph.WriteDOT(w, "s3") }
 
 // Render formats the report as text.
 func (r *SocialReport) Render() string {

@@ -40,17 +40,15 @@ var (
 type LoadMode int
 
 const (
-	// LoadBelieved exposes the live sum of believed user demands — the
-	// simulator's default (the controller performs associations itself,
-	// so association state is always current).
-	LoadBelieved LoadMode = iota
+	// LoadMax exposes max(reported, believed), believed being the live
+	// sum of user demands — the default, the controller's view (a silent
+	// AP agent still yields sane decisions) and the simulator's live one:
+	// with no report ever set it is the believed sum, bit for bit.
+	LoadMax LoadMode = iota
 	// LoadReported exposes the last published report snapshot
 	// (PublishReports / SetReported) — the simulator's stale-report mode
 	// modelling CAPWAP-style periodic statistics.
 	LoadReported
-	// LoadMax exposes max(reported, believed) — the live controller's
-	// mode, so a silent AP agent still yields sane decisions.
-	LoadMax
 )
 
 // APView is a policy's read-only view of one AP's live state. Both the
@@ -68,7 +66,7 @@ type APView struct {
 	// CapacityBps is the AP's bandwidth W(i) in bytes/second.
 	CapacityBps float64
 	// LoadBps is the AP's traffic load as selected by the domain's
-	// LoadMode (believed demand sum, last report, or their max).
+	// LoadMode (the last report, or its max with the believed demand sum).
 	LoadBps float64
 	// RSSI is the received signal strength the requesting user sees for
 	// this AP, in dBm (higher is stronger). Synthesized by SyntheticRSSI;
@@ -270,7 +268,7 @@ type APInfo struct {
 
 // Config configures a Domain.
 type Config struct {
-	// Mode selects the load figure views expose (default LoadBelieved).
+	// Mode selects the load figure views expose (default LoadMax).
 	Mode LoadMode
 	// ObsName, when non-empty, registers two gauges (domain.<name>.aps
 	// and .users) kept current on every structural change. Leave empty
@@ -550,16 +548,8 @@ func (d *Domain) ViewsInto(u trace.UserID, buf *ViewBuf) {
 		if st.failed {
 			continue
 		}
-		var load float64
-		switch d.mode {
-		case LoadReported:
-			load = st.reportedBps
-		case LoadMax:
-			load = st.believedBps
-			if st.reportedBps > load {
-				load = st.reportedBps
-			}
-		default:
+		load := st.reportedBps
+		if d.mode == LoadMax && st.believedBps >= load {
 			load = st.believedBps
 		}
 		buf.views = append(buf.views, APView{

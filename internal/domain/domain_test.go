@@ -277,7 +277,8 @@ func TestLeaveMultiplicityAndLeaveAll(t *testing.T) {
 }
 
 func TestViewsLoadModes(t *testing.T) {
-	mk := func(mode LoadMode) *Domain {
+	// mk holds 10 believed on one AP and, unless reported is 0, a report.
+	mk := func(mode LoadMode, reported float64) *Domain {
 		d := New(Config{Mode: mode})
 		if err := d.AddAP("ap", 0); err != nil {
 			t.Fatal(err)
@@ -285,17 +286,24 @@ func TestViewsLoadModes(t *testing.T) {
 		if _, err := d.Commit([]Placement{{User: "u", AP: "ap", DemandBps: 10}}, nil); err != nil {
 			t.Fatal(err)
 		}
-		d.SetReported("ap", 25)
+		if reported != 0 {
+			d.SetReported("ap", reported)
+		}
 		return d
 	}
-	if v, _ := viewsOf(mk(LoadBelieved), "u"); v[0].LoadBps != 10 {
-		t.Errorf("LoadBelieved = %v, want 10", v[0].LoadBps)
+	// Never reported, the default LoadMax is the believed sum: the
+	// simulator's live view.
+	if v, _ := viewsOf(mk(Config{}.Mode, 0), "u"); v[0].LoadBps != 10 {
+		t.Errorf("default mode without a report = %v, want 10", v[0].LoadBps)
 	}
-	if v, _ := viewsOf(mk(LoadReported), "u"); v[0].LoadBps != 25 {
+	if v, _ := viewsOf(mk(LoadReported, 25), "u"); v[0].LoadBps != 25 {
 		t.Errorf("LoadReported = %v, want 25", v[0].LoadBps)
 	}
-	if v, _ := viewsOf(mk(LoadMax), "u"); v[0].LoadBps != 25 {
-		t.Errorf("LoadMax = %v, want 25", v[0].LoadBps)
+	if v, _ := viewsOf(mk(LoadMax, 25), "u"); v[0].LoadBps != 25 {
+		t.Errorf("LoadMax over a larger report = %v, want 25", v[0].LoadBps)
+	}
+	if v, _ := viewsOf(mk(LoadMax, 5), "u"); v[0].LoadBps != 10 {
+		t.Errorf("LoadMax over a smaller report = %v, want 10", v[0].LoadBps)
 	}
 
 	// PublishReports snapshots believed into reported.

@@ -28,5 +28,7 @@
 // encounter per presence — a user's stacked overlapping sessions on one
 // AP are one continuous presence — so the two agree exactly on a trace
 // without stacked sessions and the engine counts no more than Train on
-// one with them. That difference is why both exist; see Train.
+// one with them. That difference is why both exist; see Train. Everything
+// derived from the counts is this package's alone: P(L|E) and its support
+// rule (CoLeaveProb) and the rounded type prior (Prior) feed every θ.
 package society

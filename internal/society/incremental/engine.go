@@ -11,6 +11,8 @@
 // one continuous presence, so no co-presence period is tallied twice.
 // Co-leavings are counted alike, and on a trace without stacked
 // sessions the two tally sets are equal (TestLiveTalliesAgainstBatch).
+// From the counts on, θ is society's: society.CoLeaveProb and
+// society.Prior, so a snapshot's θ is a Model's to the bit.
 //
 // Deriving selector-ready state the batch way (FromThreshold and
 // ExtractCliqueCover over a Model) is a rebuild per refresh: O(n²) θ
@@ -32,8 +34,8 @@
 //     events that follow clone only the shards they write — a few dozen
 //     16-byte entries each. Selectors and the controller's Associate path
 //     read θ and friend lists lock-free while the engine keeps learning;
-//   - connected components, the θ-graph and the clique cover are derived
-//     from those two stores on first request and memoized per snapshot.
+//   - nothing else is kept: Snapshot.Graph lays the θ-graph out from the
+//     two stores for a caller that wants its components or clique cover.
 //     The serving path never asks, so it never solves a clique.
 //
 // Equivalence is the correctness bar: after any refresh the snapshot's
@@ -60,7 +62,6 @@ import (
 var (
 	obsEvents    = obs.GetCounter("society.inc.events", "Connect/Disconnect events learned by the incremental engine")
 	obsEdgesChg  = obs.GetCounter("society.inc.edges_changed", "θ-graph edges added or removed across refreshes")
-	obsCliques   = obs.GetCounter("society.inc.cliques_resolved", "Cliques extracted by on-demand Snapshot.Cover calls (0 on the serving path)")
 	obsRefreshes = obs.GetCounter("society.inc.refreshes", "Snapshot refreshes published (periodic, event-count and manual)")
 	obsFull      = obs.GetCounter("society.inc.full_rebuilds", "Full friend-list rebuilds (SetTypes changes the type prior; state restore)")
 	obsRefresh   = obs.GetHistogram("society.inc.refresh", "Latency of one snapshot publication")
@@ -219,8 +220,8 @@ func (e *Engine) setTypesLocked(types map[trace.UserID]int, matrix [][]float64) 
 	e.priorCross, e.anyCross = make([][]bool, len(e.matrix)), false
 	for i, row := range e.matrix {
 		e.priorCross[i] = make([]bool, len(row))
-		for j, t := range row {
-			e.priorCross[i][j] = e.cfg.Society.Alpha*t > e.cfg.EdgeThreshold
+		for j := range row {
+			e.priorCross[i][j] = society.Prior(e.cfg.Society.Alpha, e.matrix, i, j) > e.cfg.EdgeThreshold
 			e.anyCross = e.anyCross || e.priorCross[i][j]
 		}
 	}
@@ -331,7 +332,7 @@ func (e *Engine) updatePairLocked(k pairKey, t tally) {
 // in the working pair index and returns it (0 below the support
 // threshold, where — encounters only ever grow — no entry exists yet).
 func (e *Engine) setProbLocked(k pairKey, t tally) float64 {
-	prob, ok := t.prob(e.cfg.Society.MinEncounters)
+	prob, ok := society.CoLeaveProb(int(t.encounters), int(t.coLeaves), e.cfg.Society.MinEncounters)
 	if !ok {
 		return 0
 	}
@@ -365,14 +366,9 @@ func (e *Engine) patchFriendsLocked(u, friend uint32, add bool) {
 	(*shard)[u/numShards] = list
 }
 
-// priorLocked returns the α·T term for (u,v) under the current types,
-// mirroring society.Model.Index.
+// priorLocked returns the α·T term for (u,v) under the current types.
 func (e *Engine) priorLocked(u, v uint32) float64 {
-	tu, tv := e.typeOf[u], e.typeOf[v]
-	if tu >= 0 && tv >= 0 && tu < len(e.matrix) && tv < len(e.matrix) {
-		return e.cfg.Society.Alpha * e.matrix[tu][tv]
-	}
-	return 0
+	return society.Prior(e.cfg.Society.Alpha, e.matrix, e.typeOf[u], e.typeOf[v])
 }
 
 // refreshLocked publishes the working state as a new immutable

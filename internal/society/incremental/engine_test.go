@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -59,14 +60,15 @@ func TestEngineEmptySnapshot(t *testing.T) {
 	if s == nil {
 		t.Fatal("initial snapshot is nil")
 	}
-	if s.Users != 0 || s.Edges != 0 || s.NumComponents() != 0 {
+	comps, cover := derived(s)
+	if s.Users != 0 || s.Edges != 0 || len(comps) != 0 {
 		t.Errorf("empty snapshot = %d users, %d edges, %d comps",
-			s.Users, s.Edges, s.NumComponents())
+			s.Users, s.Edges, len(comps))
 	}
 	if got := e.Index("u1", "u2"); got != 0 {
 		t.Errorf("Index on empty engine = %v", got)
 	}
-	if cover := s.Cover(); len(cover) != 0 {
+	if len(cover) != 0 {
 		t.Errorf("empty cover = %v", cover)
 	}
 }
@@ -88,11 +90,11 @@ func TestEngineEdgeLifecycle(t *testing.T) {
 		t.Errorf("θ(u1,u2) = %v, want 1.0 (1 co-leave / 1 encounter)", got)
 	}
 	s := e.Snapshot()
-	if s.Users != 2 || s.Edges != 1 || s.NumComponents() != 1 {
+	comps, cover := derived(s)
+	if s.Users != 2 || s.Edges != 1 || len(comps) != 1 {
 		t.Errorf("snapshot = %d users, %d edges, %d comps; want 2/1/1",
-			s.Users, s.Edges, s.NumComponents())
+			s.Users, s.Edges, len(comps))
 	}
-	cover := s.Cover()
 	if len(cover) != 1 || len(cover[0]) != 2 {
 		t.Fatalf("cover = %v, want one pair clique", cover)
 	}
@@ -104,14 +106,14 @@ func TestEngineEdgeLifecycle(t *testing.T) {
 	}
 	e.Refresh()
 	s = e.Snapshot()
-	if s.Edges != 0 || s.NumComponents() != 2 {
+	comps, cover = derived(s)
+	if s.Edges != 0 || len(comps) != 2 {
 		t.Errorf("after dilution: %d edges, %d comps; want 0 edges, 2 singletons",
-			s.Edges, s.NumComponents())
+			s.Edges, len(comps))
 	}
 	if got := e.Index("u1", "u2"); got != 0.25 {
 		t.Errorf("θ after dilution = %v, want 0.25", got)
 	}
-	cover = s.Cover()
 	if len(cover) != 2 || len(cover[0]) != 1 || len(cover[1]) != 1 {
 		t.Errorf("cover after dilution = %v, want two singletons", cover)
 	}
@@ -122,16 +124,16 @@ func TestEngineComponentMergeAndSplit(t *testing.T) {
 	ts := meet(t, e, "a", "b", "ap1", 0)
 	ts = meet(t, e, "c", "d", "ap2", ts)
 	e.Refresh()
-	if n := e.Snapshot().NumComponents(); n != 2 {
-		t.Fatalf("components = %d, want 2", n)
+	if comps, _ := derived(e.Snapshot()); len(comps) != 2 {
+		t.Fatalf("components = %d, want 2", len(comps))
 	}
 
 	// b meets c: the bridge edge merges the two components.
 	ts = meet(t, e, "b", "c", "ap3", ts)
 	stats := e.Refresh()
 	s := e.Snapshot()
-	if n := s.NumComponents(); n != 1 {
-		t.Fatalf("components after bridge = %d, want 1", n)
+	if comps, _ := derived(s); len(comps) != 1 {
+		t.Fatalf("components after bridge = %d, want 1", len(comps))
 	}
 	if comp := componentOf(s, "a"); len(comp) != 4 {
 		t.Errorf("merged component = %v, want 4 members", comp)
@@ -147,8 +149,8 @@ func TestEngineComponentMergeAndSplit(t *testing.T) {
 	}
 	e.Refresh()
 	s = e.Snapshot()
-	if n := s.NumComponents(); n != 2 {
-		t.Fatalf("components after split = %d, want 2", n)
+	if comps, _ := derived(s); len(comps) != 2 {
+		t.Fatalf("components after split = %d, want 2", len(comps))
 	}
 	if comp := componentOf(s, "a"); len(comp) != 2 {
 		t.Errorf("a's component after split = %v, want {a b}", comp)
@@ -158,10 +160,21 @@ func TestEngineComponentMergeAndSplit(t *testing.T) {
 	}
 }
 
+// derived is what a caller derives from a snapshot's θ-graph: its
+// connected components (isolated users are singletons) and its clique
+// cover in canonical order.
+func derived(s *Snapshot) (components, cover [][]trace.UserID) {
+	g := s.Graph()
+	cover = socialgraph.ExtractCliqueCover(g)
+	socialgraph.SortCover(cover)
+	return g.ConnectedComponents(), cover
+}
+
 // componentOf is the sorted member list of the snapshot's component
 // holding u, nil for an unknown user.
 func componentOf(s *Snapshot, u trace.UserID) []trace.UserID {
-	for _, c := range s.components() {
+	comps, _ := derived(s)
+	for _, c := range comps {
 		if _, ok := slices.BinarySearch(c, u); ok {
 			return c
 		}
@@ -202,9 +215,9 @@ func TestEngineUntouchedFriendListsShared(t *testing.T) {
 	if got := before.CloseFriends("b"); !reflect.DeepEqual(got, []trace.UserID{"a"}) {
 		t.Errorf("held snapshot's friend list changed: b = %v, want [a]", got)
 	}
-	if before.NumComponents() != 2 || before.Edges != 2 || before.Index("b", "c") != 0 {
+	if comps, _ := derived(before); len(comps) != 2 || before.Edges != 2 || before.Index("b", "c") != 0 {
 		t.Errorf("held snapshot drifted: %d comps, %d edges, θ(b,c) = %v",
-			before.NumComponents(), before.Edges, before.Index("b", "c"))
+			len(comps), before.Edges, before.Index("b", "c"))
 	}
 }
 
@@ -221,8 +234,8 @@ func TestEngineSetTypesPriorCrossing(t *testing.T) {
 		ts += 10000 // no overlaps: no encounter statistics at all
 	}
 	e.Refresh()
-	if n := e.Snapshot().NumComponents(); n != 3 {
-		t.Fatalf("pre-types components = %d, want 3 singletons", n)
+	if comps, _ := derived(e.Snapshot()); len(comps) != 3 {
+		t.Fatalf("pre-types components = %d, want 3 singletons", len(comps))
 	}
 
 	types := map[trace.UserID]int{"u1": 0, "u2": 0, "u3": 0, "u4": 0}
@@ -232,14 +245,14 @@ func TestEngineSetTypesPriorCrossing(t *testing.T) {
 		t.Error("SetTypes must force a full rebuild")
 	}
 	s := e.Snapshot()
-	if s.NumComponents() != 1 || s.Edges != 3 {
+	comps, cover := derived(s)
+	if len(comps) != 1 || s.Edges != 3 {
 		t.Fatalf("typed graph = %d comps, %d edges; want 1 comp, 3 edges",
-			s.NumComponents(), s.Edges)
+			len(comps), s.Edges)
 	}
 	if got := s.Index("u1", "u3"); got != 0.4 {
 		t.Errorf("prior-only θ = %v, want 0.4", got)
 	}
-	cover := s.Cover()
 	if len(cover) != 1 || len(cover[0]) != 3 {
 		t.Errorf("cover = %v, want one triangle", cover)
 	}
@@ -252,9 +265,9 @@ func TestEngineSetTypesPriorCrossing(t *testing.T) {
 		t.Error("new-user refresh must not be a full rebuild")
 	}
 	s = e.Snapshot()
-	if s.NumComponents() != 1 || s.Users != 4 || s.Edges != 6 {
+	if comps, _ = derived(s); len(comps) != 1 || s.Users != 4 || s.Edges != 6 {
 		t.Fatalf("after u4: %d comps, %d users, %d edges; want 1/4/6",
-			s.NumComponents(), s.Users, s.Edges)
+			len(comps), s.Users, s.Edges)
 	}
 	if got := s.Index("u1", "u4"); got != 0.4 {
 		t.Errorf("θ(u1,u4) = %v, want 0.4", got)
@@ -282,6 +295,48 @@ func TestEngineMatchesBatchAfterSetTypes(t *testing.T) {
 	batch := socialgraph.FromThreshold(users, e.cfg.EdgeThreshold, m.Index)
 	if got := s.Graph(); got.NumEdges() != batch.NumEdges() {
 		t.Errorf("edges = %d, batch = %d", got.NumEdges(), batch.NumEdges())
+	}
+}
+
+// TestThetaUnfused: every θ — a Model's, a snapshot's, and the one that
+// admits a pair to a friend list on an event or on a SetTypes rebuild —
+// adds the rounded α·T, never a fused multiply-add, so all of them agree
+// to the bit on every platform. The inputs are ones where fusing moves
+// the last bit, and the edge threshold sits at the fused θ: only the
+// unfused one crosses it.
+func TestThetaUnfused(t *testing.T) {
+	const alpha, typeT = 0.3, 0.068
+	prob := 1.0 / 3 // one co-leave in three encounters
+	want, fused := prob+float64(alpha*typeT), math.FMA(alpha, typeT, prob)
+	if !(want > fused) {
+		t.Fatalf("inputs do not separate θ: unfused %v, fused %v", want, fused)
+	}
+	cfg := testConfig()
+	cfg.Society.Alpha, cfg.EdgeThreshold = alpha, fused
+	e := New(cfg)
+	encounter := func(u, v trace.UserID, ap trace.APID, ts int64) int64 {
+		ts = meet(t, e, u, v, ap, ts)
+		ts = meetApart(t, e, u, v, ap, ts)
+		return meetApart(t, e, u, v, ap, ts)
+	}
+	ts := encounter("c", "d", "ap1", 0) // untyped: θ = 1/3, no edge
+	types := map[trace.UserID]int{"a": 0, "b": 0, "c": 0, "d": 0}
+	e.SetTypes(types, [][]float64{{typeT}}) // the rebuild admits c–d
+	encounter("a", "b", "ap2", ts)          // the events admit a–b
+	e.Refresh()
+
+	s, m := e.Snapshot(), e.Model()
+	for _, p := range [][2]trace.UserID{{"a", "b"}, {"c", "d"}} {
+		u, v := p[0], p[1]
+		if got := m.Index(u, v); got != want {
+			t.Errorf("Model.Index(%s,%s) = %v, want %v", u, v, got, want)
+		}
+		if got := s.Index(u, v); got != want {
+			t.Errorf("Snapshot.Index(%s,%s) = %v, want %v", u, v, got, want)
+		}
+		if got := s.CloseFriends(u); !slices.Equal(got, []trace.UserID{v}) {
+			t.Errorf("CloseFriends(%s) = %v, want [%s]: θ %v did not cross %v", u, got, v, want, fused)
+		}
 	}
 }
 
@@ -333,8 +388,7 @@ func TestEngineConcurrentReaders(t *testing.T) {
 				}
 				s := e.Snapshot()
 				_ = s.Index("u0", "u1")
-				_ = s.Cover()
-				_ = s.NumComponents()
+				_, _ = derived(s)
 				_ = e.Index("u1", "u2")
 			}
 		}()

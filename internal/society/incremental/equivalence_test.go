@@ -185,7 +185,7 @@ func (s *eqStream) check(tag string) {
 	// Layer 3: the clique cover, canonicalized.
 	bc := socialgraph.ExtractCliqueCover(bg)
 	socialgraph.SortCover(bc)
-	ic := snap.Cover()
+	_, ic := derived(snap)
 	if len(ic) != len(bc) {
 		s.t.Fatalf("%s: cover has %d cliques, batch %d\nincremental: %v\nbatch: %v",
 			tag, len(ic), len(bc), ic, bc)

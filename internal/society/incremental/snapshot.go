@@ -3,7 +3,6 @@ package incremental
 import (
 	"cmp"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/socialgraph"
@@ -73,9 +72,8 @@ func friendsOf(friends *[numShards][][]trace.UserID, id uint32) []trace.UserID {
 // Snapshot is an immutable view of the social state at one refresh. It
 // holds what an association decision reads — per-pair P(L|E) with the
 // type prior (θ) and every user's sorted close-friend list — and nothing
-// else. Connected components, the θ-graph and the clique cover are
-// derived from those on first request and memoized; a snapshot nobody
-// asks never pays for them. All methods are safe for concurrent use.
+// else. Graph lays the θ-graph out from those for a caller that wants
+// its components or clique cover. All methods are safe for concurrent use.
 type Snapshot struct {
 	// Seq increases by one per published refresh.
 	Seq uint64
@@ -95,12 +93,6 @@ type Snapshot struct {
 	types  map[trace.UserID]int
 	matrix [][]float64
 	alpha  float64
-
-	compsOnce sync.Once
-	comps     [][]trace.UserID
-
-	coverOnce sync.Once
-	cover     [][]trace.UserID
 }
 
 // Index returns θ(u,v) = P(L|E) + α·T, exactly as society.Model.Index —
@@ -120,8 +112,8 @@ func (s *Snapshot) Index(u, v trace.UserID) float64 {
 	}
 	tu, okU := s.types[u]
 	tv, okV := s.types[v]
-	if okU && okV && tu < len(s.matrix) && tv < len(s.matrix) {
-		theta += s.alpha * s.matrix[tu][tv]
+	if okU && okV {
+		theta += society.Prior(s.alpha, s.matrix, tu, tv)
 	}
 	return theta
 }
@@ -137,37 +129,6 @@ func (s *Snapshot) CloseFriends(u trace.UserID) []trace.UserID {
 	return nil
 }
 
-// components returns the connected components of the θ-graph, each
-// sorted (isolated users are singletons). O(users + edges) on first
-// call, memoized.
-func (s *Snapshot) components() [][]trace.UserID {
-	s.compsOnce.Do(func() {
-		seen := make(map[trace.UserID]bool, len(s.users))
-		for _, start := range s.users {
-			if seen[start] {
-				continue
-			}
-			seen[start] = true
-			comp := []trace.UserID{start}
-			for i := 0; i < len(comp); i++ {
-				for _, v := range s.CloseFriends(comp[i]) {
-					if !seen[v] {
-						seen[v] = true
-						comp = append(comp, v)
-					}
-				}
-			}
-			slices.Sort(comp)
-			s.comps = append(s.comps, comp)
-		}
-	})
-	return s.comps
-}
-
-// NumComponents returns the number of connected components (isolated
-// users count as singletons). Derived on demand; diagnostic use.
-func (s *Snapshot) NumComponents() int { return len(s.components()) }
-
 // Graph materializes the full θ-graph, edge weights read from Index
 // (O(V+E) — a debugging and equivalence-testing path, not a hot one).
 // The result is a fresh copy.
@@ -182,26 +143,6 @@ func (s *Snapshot) Graph() *socialgraph.Graph {
 		}
 	}
 	return g
-}
-
-// Cover returns the clique cover of the whole θ-graph in canonical
-// order (largest cliques first, ties lexicographic) — the same
-// partition batch ExtractCliqueCover produces on the equivalent graph.
-// Nothing on the serving path reads it, so nothing maintains it: the
-// first call extracts it component by component (about what a
-// from-scratch cover costs) and the snapshot keeps the read-only result.
-func (s *Snapshot) Cover() [][]trace.UserID {
-	s.coverOnce.Do(func() {
-		g := s.Graph()
-		cover := make([][]trace.UserID, 0, len(s.users))
-		for _, comp := range s.components() {
-			cover = append(cover, socialgraph.ExtractCliqueCover(g.InducedSubgraph(comp))...)
-		}
-		socialgraph.SortCover(cover)
-		obsCliques.Add(int64(len(cover)))
-		s.cover = cover
-	})
-	return s.cover
 }
 
 // Model materializes a society.Model equivalent to this snapshot: the

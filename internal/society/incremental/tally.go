@@ -59,15 +59,6 @@ type leave struct {
 // tally is one pair's raw counts.
 type tally struct{ encounters, coLeaves int32 }
 
-// prob is the pair's co-leave probability P(L|E), and whether the pair
-// has the support to have one.
-func (t tally) prob(minEncounters int) (float64, bool) {
-	if int(t.encounters) < minEncounters || t.encounters <= 0 {
-		return 0, false
-	}
-	return min(float64(t.coLeaves)/float64(t.encounters), 1), true
-}
-
 // touchedPair is a pair a disconnect moved, with its counts afterwards.
 type touchedPair struct {
 	key pairKey
@@ -237,7 +228,7 @@ func (t *tallies) compact(now int64) {
 func (t *tallies) model(types map[trace.UserID]int, matrix [][]float64) *society.Model {
 	pairs := make([]society.PairStat, 0, len(t.pairs))
 	for k, c := range t.pairs {
-		prob, ok := c.prob(t.cfg.MinEncounters)
+		prob, ok := society.CoLeaveProb(int(c.encounters), int(c.coLeaves), t.cfg.MinEncounters)
 		pairs = append(pairs, society.PairStat{Pair: k.pair(t.names),
 			Encounters: int(c.encounters), CoLeaves: int(c.coLeaves), Prob: prob, Supported: ok})
 	}

@@ -96,17 +96,31 @@ func (m *Model) Index(u, v trace.UserID) float64 {
 	if !okA || !okB || a == b {
 		return 0
 	}
-	return t.entry(a, b).prob + m.prior(t.typeOf[a], t.typeOf[b])
+	return t.entry(a, b).prob + Prior(m.Alpha, m.TypeMatrix, t.typeOf[a], t.typeOf[b])
 }
 
-// prior is θ's type-matrix term α·T(tu, tv), 0 when the matrix lacks
-// either type. The conversion rounds the product before any sum (no fused
-// multiply-add), on every platform to the same bits.
-func (m *Model) prior(tu, tv int) float64 {
-	if k := len(m.TypeMatrix); tu < 0 || tu >= k || tv < 0 || tv >= min(k, len(m.TypeMatrix[tu])) {
+// Prior is θ's type-matrix term α·T(tu, tv), 0 when the matrix lacks
+// either type (a negative type is none). The conversion rounds the
+// product before any sum (no fused multiply-add), on every platform to
+// the same bits: every θ — a Model's, a live snapshot's, the one that
+// admits a pair to a friend list — adds this value.
+func Prior(alpha float64, matrix [][]float64, tu, tv int) float64 {
+	if k := len(matrix); tu < 0 || tu >= k || tv < 0 || tv >= min(k, len(matrix[tu])) {
 		return 0
 	}
-	return float64(m.Alpha * m.TypeMatrix[tu][tv])
+	return float64(alpha * matrix[tu][tv])
+}
+
+// CoLeaveProb is P(L|E) from a pair's counts, and whether the pair has
+// the support to have one: below minEncounters, or without an encounter,
+// the estimate is noise ("fake social relationships") and θ gets no first
+// term. More co-leavings than qualifying encounters can happen when short
+// overlaps don't clear MinEncounterSeconds; clamp.
+func CoLeaveProb(encounters, coLeaves, minEncounters int) (float64, bool) {
+	if encounters <= 0 || encounters < minEncounters {
+		return 0, false
+	}
+	return min(1, float64(coLeaves)/float64(encounters)), true
 }
 
 // Prob returns the pair's P(L(u,v) | E(u,v)) and whether it has one.
@@ -252,11 +266,7 @@ func (t *Trainer) train(cfg Config, start time.Time) (*Model, error) {
 	eachPair(events, func(a, b uint32, encounters, coLeaves int) {
 		a, b = s.remap[a], s.remap[b]
 		e := pairEntry{b: b, encounters: uint32(encounters), coLeaves: uint32(coLeaves)}
-		// Below MinEncounters a pair's estimate is noise ("fake social
-		// relationships"): it gets no probability.
-		if e.supported = encounters > 0 && encounters >= cfg.MinEncounters; e.supported {
-			e.prob = coLeaveProb(encounters, coLeaves)
-		}
+		e.prob, e.supported = CoLeaveProb(encounters, coLeaves, cfg.MinEncounters)
 		m.pairs.add(a, e)
 		sums.add(m.pairs.typeOf[a], m.pairs.typeOf[b], encounters, coLeaves)
 	})
@@ -288,13 +298,6 @@ func (m *Model) WithAlpha(alpha float64) *Model {
 	c := *m
 	c.Alpha = alpha
 	return &c
-}
-
-// coLeaveProb is P(L|E) from a pair's counts. More co-leavings than
-// qualifying encounters can happen when short overlaps don't clear
-// MinEncounterSeconds; clamp.
-func coLeaveProb(encounters, coLeaves int) float64 {
-	return min(1, float64(coLeaves)/float64(encounters))
 }
 
 // clusterUsers k-means-clusters the users' mean normalized application
@@ -373,10 +376,10 @@ func newTypeSums(k int) *typeSums {
 
 // add records one encountered pair of types ta, tb.
 func (t *typeSums) add(ta, tb, encounters, coLeaves int) {
-	if encounters == 0 || ta < 0 || tb < 0 || ta >= t.k || tb >= t.k {
+	prob, ok := CoLeaveProb(encounters, coLeaves, 0)
+	if !ok || ta < 0 || tb < 0 || ta >= t.k || tb >= t.k {
 		return
 	}
-	prob := coLeaveProb(encounters, coLeaves)
 	t.sums[ta*t.k+tb] += prob
 	t.counts[ta*t.k+tb]++
 	if ta != tb {

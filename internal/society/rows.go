@@ -139,7 +139,7 @@ func (m *Model) CloseFriendRows(threshold float64) (users []trace.UserID, start 
 	crosses := false // some α·T alone exceeds threshold
 	for i := range m.TypeMatrix {
 		for j := range m.TypeMatrix {
-			crosses = crosses || m.prior(i, j) > threshold
+			crosses = crosses || Prior(m.Alpha, m.TypeMatrix, i, j) > threshold
 		}
 	}
 
@@ -150,7 +150,7 @@ func (m *Model) CloseFriendRows(threshold float64) (users []trace.UserID, start 
 	// runs twice, to size the rows and to fill them: one allocation each.
 	each := func(f func(u, v uint32, th float64)) {
 		consider := func(u, v uint32, prob float64) {
-			if th := prob + m.prior(t.typeOf[u], t.typeOf[v]); th > threshold {
+			if th := prob + Prior(m.Alpha, m.TypeMatrix, t.typeOf[u], t.typeOf[v]); th > threshold {
 				f(u, v, th)
 			}
 		}

@@ -138,7 +138,7 @@ func TestModelAccessorsAgainstBruteForce(t *testing.T) {
 		}
 		for p, e := range wantEnc {
 			if e >= cfg.MinEncounters {
-				wantProb[p] = coLeaveProb(e, wantCol[p])
+				wantProb[p], _ = CoLeaveProb(e, wantCol[p], 0)
 			}
 		}
 		prob, enc, col := asMaps(m)

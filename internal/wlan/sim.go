@@ -209,7 +209,7 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		Domains:    make(map[trace.ControllerID]*DomainResult),
 	}
 
-	mode := domain.LoadBelieved
+	mode := domain.LoadMax
 	if cfg.LoadReportIntervalSeconds > 0 {
 		mode = domain.LoadReported
 	}
