@@ -455,8 +455,7 @@ func runDrive(c *protoConfig, out io.Writer) error {
 	deadline := time.Now().Add(c.DriveHold)
 	for time.Now().Before(deadline) {
 		time.Sleep(250 * time.Millisecond)
-		// Heartbeat reports keep the believed loads current (the
-		// prototype enables no AP leases, so nothing expires); a failed
+		// Heartbeat reports keep the believed loads current; a failed
 		// report means the controller is gone, which ends the hold.
 		for _, agent := range f.agents {
 			if err := agent.Report(1e6); err != nil {

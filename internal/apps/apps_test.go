@@ -258,3 +258,6 @@ func TestRealmReport(t *testing.T) {
 		t.Errorf("empty: %d users, unknown %v", len(empty.Users()), empty.UnknownVolume())
 	}
 }
+
+// UnknownVolume returns the total volume left unclassified.
+func (ps *ProfileStore) UnknownVolume() float64 { return ps.unknown }

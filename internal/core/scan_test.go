@@ -296,9 +296,10 @@ func TestSelectBatchOversizedCliqueDeterministic(t *testing.T) {
 }
 
 // TestSelectBatchConcurrent: eight goroutines place the fixture's batches
-// through one Selector at once — as Controller.AssociateBatch may — and
-// each gets, batch for batch, what a lone caller gets: a placer borrowed
-// from the pool is nobody else's. Under -race it also proves that.
+// through one Selector at once — a Selector is safe for concurrent use —
+// and each gets, batch for batch, what a lone caller gets: a placer
+// borrowed from the pool is nobody else's. Under -race it also proves
+// that.
 func TestSelectBatchConcurrent(t *testing.T) {
 	sel, users, views := trainedBatchFixture(t)
 	const batches = 40

@@ -3,6 +3,7 @@ package federation
 import (
 	"fmt"
 	"net"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -419,4 +420,18 @@ func TestRouterRefusesUnownedGroup(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "no live owner") {
 		t.Fatalf("unexpected refusal: %v", err)
 	}
+}
+
+// Nodes returns the distinct node IDs in the map, sorted.
+func (o *Ownership) Nodes() []string {
+	seen := make(map[string]bool, len(o.home))
+	var ns []string
+	for _, n := range o.home {
+		if !seen[n] {
+			seen[n] = true
+			ns = append(ns, n)
+		}
+	}
+	sort.Strings(ns)
+	return ns
 }

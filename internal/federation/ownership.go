@@ -26,7 +26,6 @@ package federation
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -75,20 +74,6 @@ func (o *Ownership) HomeGroups(node string) []int {
 		}
 	}
 	return gs
-}
-
-// Nodes returns the distinct node IDs in the map, sorted.
-func (o *Ownership) Nodes() []string {
-	seen := make(map[string]bool, len(o.home))
-	var ns []string
-	for _, n := range o.home {
-		if !seen[n] {
-			seen[n] = true
-			ns = append(ns, n)
-		}
-	}
-	sort.Strings(ns)
-	return ns
 }
 
 // String renders the map in ParseOwnership's spec format.

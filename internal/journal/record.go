@@ -16,13 +16,14 @@ const (
 	// OpRegister records an AP registration (or a re-hello renewing one:
 	// replay updates capacity and last-seen time for a known AP).
 	OpRegister Op = "register"
-	// OpAssoc records one atomic placement commit — a single association
-	// or an AssociateBatch — including any Prev moves.
+	// OpAssoc records one atomic placement commit, including a Prev
+	// move. The controller writes one placement per record; the layout
+	// keeps a count.
 	OpAssoc Op = "assoc"
 	// OpDisassoc records a full disassociation (domain LeaveAll).
 	OpDisassoc Op = "disassoc"
 	// OpExpire records a lease expiry removing an AP and re-homing its
-	// believed users.
+	// believed users. Only earlier releases wrote it; it still replays.
 	OpExpire Op = "expire"
 )
 

@@ -35,7 +35,7 @@ var (
 // DefaultHelloTimeout bounds the hello phase of an accepted connection:
 // a peer that connects and then says nothing is cut loose after this
 // long (slowloris guard), independent of the much longer steady-state
-// conn timeout. WithHelloTimeout overrides.
+// conn timeout.
 const DefaultHelloTimeout = 3 * time.Second
 
 // defaultRetryAfter is the MsgBusy retry advice when Admission leaves
@@ -78,16 +78,6 @@ func WithAdmission(a Admission) ControllerOption {
 	return func(c *Controller) { c.admission = a }
 }
 
-// WithHelloTimeout overrides the hello-phase deadline (see
-// DefaultHelloTimeout). d <= 0 disables the dedicated hello deadline,
-// leaving the steady-state conn timeout to bound the hello too.
-func WithHelloTimeout(d time.Duration) ControllerOption {
-	return func(c *Controller) {
-		c.helloTimeout = d
-		c.helloTimeoutSet = true
-	}
-}
-
 // ContainPanic recovers a panicking connection handler: the panic is
 // counted, logged with its stack, and the peer's connection closed; the
 // process survives. Use deferred, as the outermost frame of any
@@ -95,9 +85,9 @@ func WithHelloTimeout(d time.Duration) ControllerOption {
 //
 //	defer ContainPanic(logger, conn)
 //
-// A panic mid-handler can strand that one peer's session state until
-// its lease or deadline reaps it — the containment guarantee is process
-// survival and connection closure, not transactional rollback.
+// A panic mid-handler can strand that one peer's session state — the
+// containment guarantee is process survival and connection closure, not
+// transactional rollback.
 func ContainPanic(logger *log.Logger, conn io.Closer) {
 	r := recover()
 	if r == nil {

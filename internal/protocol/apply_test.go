@@ -3,8 +3,8 @@ package protocol
 // One mutation path: a live controller, a follower fed its journal
 // through ApplyRecord and a controller recovered from that journal after
 // a crash change state through the same apply, so all three must agree —
-// on the observer's events, the domain, the session table and the lease
-// clocks — after every step of any schedule.
+// on the observer's events, the domain, the session table and the AP
+// registrations — after every step of any schedule.
 
 import (
 	"fmt"
@@ -24,11 +24,11 @@ import (
 	"github.com/s3wlan/s3wlan/internal/wlan"
 )
 
-// TestRecoveryReplaysBatchMoveOrder: one AssociateBatch moves two users.
-// Live, the observer hears both disconnects, then both connects; a
+// TestRecoveryReplaysBatchMoveOrder: two associations move two users,
+// each journaled as one placement with its previous AP in Prev. Live,
+// the observer hears each move's disconnect, then its connect; a
 // controller recovered from the journal and a follower fed it through
-// ApplyRecord must hear exactly that sequence, not each user's
-// disconnect and connect in turn.
+// ApplyRecord must hear exactly that sequence.
 func TestRecoveryReplaysBatchMoveOrder(t *testing.T) {
 	dir := t.TempDir()
 	route := routeTable{"u1": "ap-a", "u2": "ap-a"}
@@ -54,21 +54,38 @@ func TestRecoveryReplaysBatchMoveOrder(t *testing.T) {
 	}
 	clock.Store(200)
 	route["u1"], route["u2"] = "ap-b", "ap-b"
-	if _, err := owner.AssociateBatch([]wlan.Request{{User: "u1", DemandBps: 100}, {User: "u2", DemandBps: 100}}); err != nil {
-		t.Fatal(err)
+	for _, u := range []trace.UserID{"u1", "u2"} {
+		if _, err := owner.Associate(u, 100); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want := []string{
 		"connect u1 ap-a @100",
 		"connect u2 ap-a @100",
 		"disconnect u1 ap-a @200",
-		"disconnect u2 ap-a @200",
 		"connect u1 ap-b @200",
+		"disconnect u2 ap-a @200",
 		"connect u2 ap-b @200",
 	}
 	if !reflect.DeepEqual(live.events, want) {
 		t.Fatalf("live observer heard:\n%s\nwant:\n%s", strings.Join(live.events, "\n"), strings.Join(want, "\n"))
 	}
 	// Crash: owner is abandoned without Close; every record is flushed.
+	rec, err := journal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var moves [][]journal.Placement
+	for _, r := range rec.Records[4:] {
+		moves = append(moves, r.Placements)
+	}
+	wantMoves := [][]journal.Placement{
+		{{User: "u1", AP: "ap-b", Prev: "ap-a", DemandBps: 100}},
+		{{User: "u2", AP: "ap-b", Prev: "ap-a", DemandBps: 100}},
+	}
+	if !reflect.DeepEqual(moves, wantMoves) {
+		t.Fatalf("journaled moves = %+v, want %+v", moves, wantMoves)
+	}
 
 	var follower eventLog
 	standby, err := NewController(route, WithObserver(&follower))
@@ -92,11 +109,9 @@ func TestRecoveryReplaysBatchMoveOrder(t *testing.T) {
 }
 
 // schedPolicy places each user where route says when that AP is among
-// the views, and on the first view otherwise; its joint decision leaves
-// the users in left unplaced.
+// the views, and on the first view otherwise.
 type schedPolicy struct {
 	route map[trace.UserID]trace.APID
-	left  map[trace.UserID]bool
 }
 
 func (schedPolicy) Name() string { return "sched" }
@@ -108,16 +123,6 @@ func (p schedPolicy) Select(req wlan.Request, aps []wlan.APView) (trace.APID, er
 		}
 	}
 	return aps[0].ID, nil
-}
-
-func (p schedPolicy) SelectBatch(reqs []wlan.Request, aps []wlan.APView) (map[trace.UserID]trace.APID, error) {
-	out := make(map[trace.UserID]trace.APID, len(reqs))
-	for _, r := range reqs {
-		if !p.left[r.User] {
-			out[r.User], _ = p.Select(r, aps)
-		}
-	}
-	return out, nil
 }
 
 // stateLog is an eventLog that checkpoints itself, so a controller
@@ -136,18 +141,18 @@ func (l *stateLog) ReadState(r io.Reader) error {
 	return err
 }
 
-// lease is the part of an AP's metadata its journal records carry.
-type lease struct {
-	static   bool
-	lastSeen int64
-	gen      uint64
+// registration is the part of an AP's metadata its journal records
+// carry.
+type registration struct {
+	static bool
+	gen    uint64
 }
 
 // applied is everything apply changes, as comparable values.
 type applied struct {
 	Domain   domain.State
 	Sessions map[trace.UserID]session
-	Leases   map[trace.APID]lease
+	APs      map[trace.APID]registration
 	Events   []string
 }
 
@@ -155,16 +160,39 @@ func appliedOf(c *Controller, events *stateLog) applied {
 	st := applied{
 		Domain:   *c.dom.ExportState(nil),
 		Sessions: make(map[trace.UserID]session, len(c.sessions)),
-		Leases:   make(map[trace.APID]lease, len(c.meta)),
+		APs:      make(map[trace.APID]registration, len(c.meta)),
 		Events:   events.events,
 	}
 	for u, s := range c.sessions {
 		st.Sessions[u] = s
 	}
 	for id, m := range c.meta {
-		st.Leases[id] = lease{m.static, m.lastSeen, m.gen}
+		st.APs[id] = registration{m.static, m.gen}
 	}
 	return st
+}
+
+// membershipErr checks the session table against the domain: every
+// session's user is a member of exactly its AP, and every AP member has
+// a session.
+func (st *applied) membershipErr() error {
+	memberOf := make(map[trace.UserID][]trace.APID)
+	for _, ap := range st.Domain.APs {
+		for _, u := range ap.Users {
+			memberOf[u] = append(memberOf[u], ap.ID)
+		}
+	}
+	for u, aps := range memberOf {
+		if s, ok := st.Sessions[u]; !ok || len(aps) != 1 || aps[0] != s.ap {
+			return fmt.Errorf("%s is a member of %v, its session is %+v (found %v)", u, aps, s, ok)
+		}
+	}
+	for u, s := range st.Sessions {
+		if len(memberOf[u]) == 0 {
+			return fmt.Errorf("%s has a session on %s and is a member of no AP", u, s.ap)
+		}
+	}
+	return nil
 }
 
 // emptyDir removes the files in dir, which must exist.
@@ -202,13 +230,13 @@ func copyDir(t *testing.T, src, dst string) {
 
 // TestReplayParityGeneratedSchedules runs seeded schedules — static and
 // agent registrations, agent renewals, associations (moves and same-AP
-// refreshes among them), batches with duplicate and unplaced users,
-// disassociations, and clock jumps that expire leases — on a journaled
-// owner. After every step a follower polls the owner's journal into
+// refreshes among them) and disassociations — on a journaled owner.
+// After every step a follower polls the owner's journal into
 // ApplyRecord, a controller is recovered from a copy of it as after a
-// crash, and both must equal the owner. One schedule in eight
-// checkpoints, so recovery also starts from a checkpoint. The schedules
-// run in two halves side by side.
+// crash, and both must equal the owner; on all three, every session's
+// user is a member of exactly its AP and every AP member has a session.
+// One schedule in eight checkpoints, so recovery also starts from a
+// checkpoint. The schedules run in two halves side by side.
 func TestReplayParityGeneratedSchedules(t *testing.T) {
 	schedules := 1000
 	if testing.Short() {
@@ -241,12 +269,11 @@ func runSchedule(t *testing.T, seed int64, dir, crashDir string) {
 	if seed%8 == 0 {
 		jopts.CheckpointEvery = 4
 	}
-	const lease = 10
 	var clock atomic.Int64
 	clock.Store(1000)
-	pol := schedPolicy{route: map[trace.UserID]trace.APID{}, left: map[trace.UserID]bool{}}
+	pol := schedPolicy{route: map[trace.UserID]trace.APID{}}
 	open := func(events *stateLog, opts ...ControllerOption) *Controller {
-		c, err := NewController(pol, append(opts, WithClock(clock.Load), WithLease(lease), WithObserver(events))...)
+		c, err := NewController(pol, append(opts, WithClock(clock.Load), WithObserver(events))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +300,7 @@ func runSchedule(t *testing.T, seed int64, dir, crashDir string) {
 
 	for i, n := 0, 8+rng.Intn(12); i < n; i++ {
 		clock.Add(int64(1 + rng.Intn(3)))
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(7); {
 		case op == 0:
 			step("register ap-s1", func() error {
 				if _, ok := owner.meta["ap-s1"]; ok {
@@ -299,42 +326,28 @@ func runSchedule(t *testing.T, seed int64, dir, crashDir string) {
 				_, err := owner.Associate(u, demand)
 				return err
 			})
-		case op <= 7:
-			reqs := make([]wlan.Request, 2+rng.Intn(4))
-			clear(pol.left)
-			for k := range reqs {
-				reqs[k] = wlan.Request{User: pick(), DemandBps: float64(50 * (1 + rng.Intn(4)))}
-				pol.route[reqs[k].User] = aps[rng.Intn(len(aps))]
-				if rng.Intn(4) == 0 {
-					pol.left[reqs[k].User] = true
-				}
-			}
-			step(fmt.Sprintf("batch %v", reqs), func() error {
-				_, err := owner.AssociateBatch(reqs)
-				return err
-			})
-		case op == 8:
+		default:
 			u := pick()
 			step("disassoc "+string(u), func() error {
 				owner.disassociate(u, nil)
 				return nil
 			})
-		default:
-			jump := int64(rng.Intn(2 * lease))
-			step(fmt.Sprintf("jump %d", jump), func() error {
-				clock.Add(jump)
-				owner.Snapshot() // sweeps lapsed leases
-				return nil
-			})
 		}
 
 		want := appliedOf(owner, &ownerEvents)
+		if err := want.membershipErr(); err != nil {
+			t.Fatalf("seed %d: owner after\n%s\n%v", seed, strings.Join(script, "\n"), err)
+		}
 		if _, err := f.Poll(func([]byte, uint64) error {
 			return fmt.Errorf("follower fell behind a checkpoint")
 		}, follower.ApplyRecord); err != nil {
 			t.Fatalf("seed %d: follow: %v", seed, err)
 		}
-		if got := appliedOf(follower, &followerEvents); !reflect.DeepEqual(got, want) {
+		got := appliedOf(follower, &followerEvents)
+		if err := got.membershipErr(); err != nil {
+			t.Fatalf("seed %d: follower after\n%s\n%v", seed, strings.Join(script, "\n"), err)
+		}
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: follower diverged after\n%s\ngot  %+v\nwant %+v", seed, strings.Join(script, "\n"), got, want)
 		}
 		// A crash now: recover what the journal holds into a fresh
@@ -366,8 +379,79 @@ func runSchedule(t *testing.T, seed int64, dir, crashDir string) {
 				}
 			}
 		}
-		if got := appliedOf(recovered, &recoveredEvents); !reflect.DeepEqual(got, want) {
+		got = appliedOf(recovered, &recoveredEvents)
+		if err := got.membershipErr(); err != nil {
+			t.Fatalf("seed %d: recovered controller after\n%s\n%v", seed, strings.Join(script, "\n"), err)
+		}
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: recovered controller diverged after\n%s\ngot  %+v\nwant %+v", seed, strings.Join(script, "\n"), got, want)
+		}
+	}
+}
+
+// TestReplayParentRecords: records only an earlier release wrote still
+// replay, on recovery and on a follower alike. A lease expiry removes its
+// AP and re-homes the AP's users through the observer; an assoc record
+// of two placements, as a joint batch decision wrote it, is refused
+// naming its count, and recovery counts it as a replay error.
+func TestReplayParentRecords(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := journal.Open(dir, journal.Options{Fsync: journal.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []journal.Record{
+		{Op: journal.OpRegister, TS: 100, AP: "ap-s", CapacityBps: 1e6, Static: true},
+		{Op: journal.OpRegister, TS: 100, AP: "ap-x", CapacityBps: 1e6},
+		{Op: journal.OpAssoc, TS: 101, Placements: []journal.Placement{{User: "u1", AP: "ap-x", DemandBps: 100}}},
+		{Op: journal.OpAssoc, TS: 102, Placements: []journal.Placement{{User: "u2", AP: "ap-s"}, {User: "u3", AP: "ap-s"}}},
+		{Op: journal.OpExpire, TS: 200, AP: "ap-x"},
+	} {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"connect u1 ap-x @101", "disconnect u1 ap-x @200"}
+
+	var followed eventLog
+	follower, err := NewController(routeTable{}, WithObserver(&followed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errs []string
+	if _, err := journal.NewFollower(dir, 0).Poll(nil, func(r journal.Record) error {
+		if err := follower.ApplyRecord(r); err != nil {
+			errs = append(errs, err.Error())
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if wantErrs := []string{"protocol: assoc record with 2 placements, want 1"}; !reflect.DeepEqual(errs, wantErrs) {
+		t.Errorf("follower errors = %q, want %q", errs, wantErrs)
+	}
+
+	var recoveredEvents eventLog
+	recovered, err := NewController(routeTable{}, WithObserver(&recoveredEvents),
+		WithJournal(dir, journal.Options{Fsync: journal.FsyncOff}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if sum := recovered.Recovery(); sum.ReplayErrors != 1 || sum.APs != 1 || sum.Assignments != 0 {
+		t.Errorf("recovery = %+v, want 1 replay error, ap-s alone, no assignment", sum)
+	}
+	for name, c := range map[string]*Controller{"follower": follower, "recovered": recovered} {
+		if snap := c.Snapshot(); len(snap) != 1 || len(snap["ap-s"].Users) != 0 {
+			t.Errorf("%s: snapshot %+v, want an empty ap-s alone", name, snap)
+		}
+	}
+	for name, got := range map[string][]string{"follower": followed.events, "recovered": recoveredEvents.events} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s observer heard %q, want %q", name, got, want)
 		}
 	}
 }

@@ -66,8 +66,8 @@ func awkwardController(t testing.TB) *Controller {
 	}
 	c.meta = map[trace.APID]*apMeta{
 		"ap-a":    {static: true, served: 4096},
-		"ap-b":    {lastSeen: 1_700_000_123, gen: 7, served: 1<<40 + 1},
-		"ap-idle": {lastSeen: 1_700_000_100, gen: 1},
+		"ap-b":    {gen: 7, served: 1<<40 + 1},
+		"ap-idle": {gen: 1},
 	}
 	return c
 }

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,33 +20,29 @@ import (
 
 // Controller health counters, exported through the obs registry so
 // tests, the flight recorder and operators can watch lifecycle churn:
-// registrations and renewals, lease expiries, moves and rejected traffic
-// reports.
+// registrations and renewals, moves and rejected traffic reports.
 var (
 	obsAPRegistered    = obs.GetCounter("protocol.ap.registered", "First-time AP registrations (hello from an unknown AP)")
-	obsAPRenewed       = obs.GetCounter("protocol.ap.renewed", "AP re-hellos renewing a lease or superseding a half-open agent connection")
-	obsLeaseExpired    = obs.GetCounter("protocol.ap.lease_expired", "AP leases expired after silence; believed users re-homed")
+	obsAPRenewed       = obs.GetCounter("protocol.ap.renewed", "AP re-hellos superseding the previous agent connection")
 	obsAssocMoves      = obs.GetCounter("protocol.assoc.moves", "Re-associations that moved a user between APs")
 	obsTrafficRejected = obs.GetCounter("protocol.traffic.rejected", "Traffic reports rejected (unassociated user or mismatched AP claim)")
 )
 
 // apMeta is the controller's protocol-level metadata for one registered
-// AP: the lease/agent-connection lifecycle and the bytes its stations
+// AP: the agent-connection lifecycle and the bytes its stations
 // reported. All load and membership accounting lives in the shared
 // association-domain core (c.dom), whose APs are exactly meta's keys.
 type apMeta struct {
-	// static entries come from RegisterAP (no agent connection) and are
-	// exempt from lease expiry.
+	// static entries come from RegisterAP (no agent connection); no
+	// agent may take them over.
 	static bool
-	// lastSeen is the unix time of the agent's last hello or report.
-	lastSeen int64
 	// gen is the registration generation, bumped on every re-hello so a
 	// superseded agent connection can detect it lost ownership.
 	gen uint64
 	// served is the traffic volume stations reported on this AP.
 	served int64
-	// agentConn is the live agent connection, if any; a takeover or
-	// lease expiry closes it.
+	// agentConn is the live agent connection, if any; a takeover
+	// closes it.
 	agentConn *Conn
 }
 
@@ -84,7 +80,7 @@ type AssociationObserver interface {
 // capacity admission, view snapshots, commits — lives in the shared
 // association-domain core (internal/domain), the same state machine the
 // batch simulator replays traces through; the controller layers the
-// protocol lifecycle (leases, agent connections, station sessions,
+// protocol lifecycle (agent connections, station sessions,
 // served-byte accounting) on top. Every mutation is a journal.Record
 // handed to apply (journal.go), live or replayed. Lock order is always
 // c.mu before the domain's lock, never the reverse.
@@ -103,18 +99,13 @@ type Controller struct {
 	refreshFn    func()
 	refreshEvery time.Duration
 
-	// leaseSeconds is how long an agent-registered AP survives without a
-	// hello or report before it is expired (0 = leases disabled).
-	leaseSeconds int64
-
 	// Overload shedding (admission.go). active counts admitted peer
 	// connections against admission.MaxConns; assocBucket rate-limits
 	// admitted associations when admission.AssocRate > 0.
-	admission       Admission
-	helloTimeout    time.Duration
-	helloTimeoutSet bool
-	assocBucket     *tokenBucket
-	active          atomic.Int64
+	admission    Admission
+	helloTimeout time.Duration
+	assocBucket  *tokenBucket
+	active       atomic.Int64
 
 	// Journal wiring (see journal.go): jn is nil while replaying during
 	// construction and whenever journaling is disabled, so the append
@@ -172,15 +163,6 @@ func WithClock(now func() int64) ControllerOption {
 	return func(c *Controller) { c.now = now }
 }
 
-// WithLease enables lease-based AP registration: an agent-registered AP
-// whose agent has been silent (no hello, no report) for more than
-// seconds is expired — removed from the policy's view, its believed
-// users disassociated through the observer. APs added with RegisterAP
-// are static and never expire.
-func WithLease(seconds int64) ControllerOption {
-	return func(c *Controller) { c.leaseSeconds = seconds }
-}
-
 // WithRefresher runs fn every interval on a background goroutine while
 // the controller is serving — the hook that keeps an incremental
 // social-state engine (society/incremental) publishing fresh snapshots
@@ -199,18 +181,16 @@ func NewController(selector wlan.Selector, opts ...ControllerOption) (*Controlle
 		return nil, errors.New("protocol: nil selector")
 	}
 	c := &Controller{
-		selector: selector,
-		logger:   log.New(io.Discard, "", 0),
-		timeout:  30 * time.Second,
-		now:      func() int64 { return time.Now().Unix() },
-		meta:     make(map[trace.APID]*apMeta),
-		sessions: make(map[trace.UserID]session),
+		selector:     selector,
+		logger:       log.New(io.Discard, "", 0),
+		timeout:      30 * time.Second,
+		helloTimeout: DefaultHelloTimeout,
+		now:          func() int64 { return time.Now().Unix() },
+		meta:         make(map[trace.APID]*apMeta),
+		sessions:     make(map[trace.UserID]session),
 	}
 	for _, opt := range opts {
 		opt(c)
-	}
-	if !c.helloTimeoutSet {
-		c.helloTimeout = DefaultHelloTimeout
 	}
 	if c.admission.AssocRate > 0 {
 		c.assocBucket = newTokenBucket(c.admission.AssocRate, c.admission.AssocBurst)
@@ -232,7 +212,7 @@ func NewController(selector wlan.Selector, opts ...ControllerOption) (*Controlle
 }
 
 // RegisterAP adds a static AP directly (without an agent connection).
-// Static APs never expire. Useful for fixed topologies and tests.
+// Useful for fixed topologies and tests.
 func (c *Controller) RegisterAP(id trace.APID, capacityBps float64) error {
 	if id == "" {
 		return errors.New("protocol: empty AP id")
@@ -423,10 +403,10 @@ func (c *Controller) replyError(conn *Conn, msg string) {
 }
 
 // handleAP registers an AP agent — one AP per agent connection — and
-// applies its load reports in the read loop, each renewing the AP's
-// lease. The loop exits when the connection drops (the registration then
-// rides out its lease awaiting a reconnect) or when a newer agent
-// connection takes the AP over; every exit path detaches the
+// applies its load reports in the read loop. The loop exits when the
+// connection drops (the registration stays, awaiting a reconnect) or
+// when a newer agent connection takes the AP over; every exit path
+// detaches the
 // registration from this connection, so a later supersede never
 // "closes" a connection that is already gone.
 func (c *Controller) handleAP(conn *Conn, hello Message) {
@@ -469,7 +449,7 @@ func (c *Controller) handleAP(conn *Conn, hello Message) {
 				continue
 			}
 			if !c.applyReport(id, gen, m.LoadBps) {
-				return // expired or superseded: this connection lost its AP
+				return // superseded: this connection lost its AP
 			}
 		default:
 			c.replyError(conn, fmt.Sprintf("unexpected %s from AP", m.Type))
@@ -478,9 +458,9 @@ func (c *Controller) handleAP(conn *Conn, hello Message) {
 	}
 }
 
-// applyReport records one agent load report, renewing the AP's lease.
-// It returns false when the registration is gone or was superseded —
-// the reporting connection no longer owns that AP.
+// applyReport records one agent load report. It returns false when the
+// registration was superseded — the reporting connection no longer owns
+// that AP.
 func (c *Controller) applyReport(rid trace.APID, gen uint64, load float64) bool {
 	c.mu.Lock()
 	meta, ok := c.meta[rid]
@@ -488,27 +468,21 @@ func (c *Controller) applyReport(rid trace.APID, gen uint64, load float64) bool 
 		c.mu.Unlock()
 		return false
 	}
-	meta.lastSeen = c.now()
 	c.dom.SetReported(rid, load)
 	c.mu.Unlock()
 	return true
 }
 
 // agentGone detaches a dropped agent connection from its AP entry. The
-// registration itself survives: with a lease (WithLease) the AP and its
-// believed users stay for a reconnect window before expiry re-homes them;
-// without one the AP stays registered.
+// registration itself survives: the AP and its believed users stay in
+// the view until a re-hello renews it or the controller restarts.
 func (c *Controller) agentGone(id trace.APID, gen uint64) {
 	c.mu.Lock()
 	if m, ok := c.meta[id]; ok && m.gen == gen {
 		m.agentConn = nil
 	}
 	c.mu.Unlock()
-	if c.leaseSeconds > 0 {
-		c.logger.Printf("ap %s agent connection lost (lease of %ds pending)", id, c.leaseSeconds)
-	} else {
-		c.logger.Printf("ap %s agent connection lost (no lease: the AP stays registered)", id)
-	}
+	c.logger.Printf("ap %s agent connection lost (no lease: the AP stays registered)", id)
 }
 
 // testStationHook, when set by an in-package test, observes every
@@ -579,10 +553,10 @@ func (c *Controller) handleStation(conn *Conn, hello Message) {
 			c.mu.Lock()
 			s, ok := c.sessions[user]
 			if ok {
-				s.served += m.Bytes
+				s.served = addServed(s.served, m.Bytes)
 				c.sessions[user] = s
 				if meta := c.meta[s.ap]; meta != nil {
-					meta.served += m.Bytes
+					meta.served = addServed(meta.served, m.Bytes)
 				}
 			}
 			c.mu.Unlock()
@@ -598,23 +572,32 @@ func (c *Controller) handleStation(conn *Conn, hello Message) {
 	}
 }
 
+// addServed adds a station's traffic report (validated ≥ 0) to a
+// served-byte counter, saturating at math.MaxInt64: a report is the
+// station's claim, and a wrapped counter would read, and be checkpointed,
+// negative.
+func addServed(served, n int64) int64 {
+	if n > math.MaxInt64-served {
+		return math.MaxInt64
+	}
+	return served + n
+}
+
 // assocScratch holds the buffers of the association path: the reusable
-// view snapshot, Associate's one-element request, the decision's
-// placements and their domain form. The controller owns one and uses it
-// under c.mu, so a steady-state association performs no heap allocation
-// once the slices have grown.
+// view snapshot and the decision's placement in journal and domain form.
+// The controller owns one and uses it under c.mu, so a steady-state
+// association performs no heap allocation once the buffer has grown.
 type assocScratch struct {
 	views domain.ViewBuf
-	req   [1]wlan.Request
-	jps   []journal.Placement
-	ps    []domain.Placement
+	jp    [1]journal.Placement
+	dp    [1]domain.Placement
 }
 
 // Associate runs the policy for one user and records the assignment.
 //
-// The whole decision runs under one hold of c.mu: lease expiry, the view
-// snapshot, selector.Select, the commit and its bookkeeping, and the
-// journal append. The snapshot is therefore current by construction, and
+// The whole decision runs under one hold of c.mu: the view snapshot,
+// selector.Select, the commit and its bookkeeping, and the journal
+// append. The snapshot is therefore current by construction, and
 // concurrent associations serialize.
 //
 // A re-association that lands on the user's current AP is a demand
@@ -629,133 +612,42 @@ func (c *Controller) Associate(user trace.UserID, demandBps float64) (trace.APID
 // the session records in the same lock hold.
 func (c *Controller) associate(user trace.UserID, demandBps float64, by *Conn) (trace.APID, error) {
 	c.mu.Lock()
-	c.scr.req[0] = wlan.Request{User: user, DemandBps: demandBps}
-	ps, conns, err := c.placeLocked(c.scr.req[:], nil)
-	var ap trace.APID
+	defer c.mu.Unlock()
+	ap, err := c.placeLocked(wlan.Request{User: user, DemandBps: demandBps})
 	if err == nil {
-		ap = ps[0].AP
 		s := c.sessions[user]
 		s.conn = by
 		c.sessions[user] = s
 	}
-	c.mu.Unlock()
-	closeAll(conns)
 	return ap, err
 }
 
-// AssociateBatch runs the policy once for a group of co-arriving users
-// and commits every placement in one atomic domain commit — S³'s
-// Algorithm 1 distributing a socially-tight clique across APs in a
-// single decision. The commit is all-or-nothing under the domain lock,
-// so a concurrent association never observes half a clique placed.
-//
-// Requests should carry one entry per user; duplicates beyond the first
-// fall back to individual Associate calls, as do users the batch
-// decision leaves unplaced and all requests when the policy is not a
-// wlan.BatchSelector or the group has fewer than two members. The
-// returned map records every user's final AP, keyed as placed so far
-// even when an error aborts the remainder.
-func (c *Controller) AssociateBatch(reqs []wlan.Request) (map[trace.UserID]trace.APID, error) {
-	out := make(map[trace.UserID]trace.APID, len(reqs))
-	// joint serves twice: first the users already taken into the joint
-	// decision, then those it placed whose request is not met yet. Every
-	// other request is placed singly, in request order.
-	joint := make(map[trace.UserID]bool, len(reqs))
-	if bs, ok := c.selector.(wlan.BatchSelector); ok && len(reqs) >= 2 {
-		// One request per user joins the joint decision (mirroring the
-		// simulator's batch path).
-		distinct := make([]wlan.Request, 0, len(reqs))
-		for _, r := range reqs {
-			if !joint[r.User] {
-				joint[r.User] = true
-				distinct = append(distinct, r)
-			}
-		}
-		clear(joint)
-		c.mu.Lock()
-		ps, conns, err := c.placeLocked(distinct, bs)
-		for _, p := range ps {
-			out[p.User] = p.AP
-			joint[p.User] = true
-		}
-		c.mu.Unlock()
-		closeAll(conns)
-		if err != nil {
-			return out, err
-		}
-	}
-	for _, r := range reqs {
-		if joint[r.User] {
-			delete(joint, r.User)
-			continue
-		}
-		ap, err := c.Associate(r.User, r.DemandBps)
-		if err != nil {
-			return out, err
-		}
-		out[r.User] = ap
-	}
-	return out, nil
-}
-
-// placeLocked is the one association path. It decides reqs (distinct
-// users) against a view snapshot — selector.Select for Associate's
-// single request, bs.SelectBatch when AssociateBatch passes the policy's
-// batch face — and applies the outcome as one OpAssoc record. It returns
-// the placements in request order (c.scr's, valid until c.mu is
-// released; a user a joint decision leaves out has none) and the agent
-// connections lease expiry superseded, for the caller to close once it
-// has released c.mu.
-func (c *Controller) placeLocked(reqs []wlan.Request, bs wlan.BatchSelector) ([]journal.Placement, []*Conn, error) {
-	ts := c.now()
-	conns := c.expireLocked(ts)
-	c.dom.ViewsInto(reqs[0].User, &c.scr.views)
+// placeLocked is the one association path. It decides req with
+// selector.Select against a view snapshot and applies the outcome as an
+// OpAssoc record of one placement. Runs with c.mu held.
+func (c *Controller) placeLocked(req wlan.Request) (trace.APID, error) {
+	req.At = c.now()
+	c.dom.ViewsInto(req.User, &c.scr.views)
 	views := c.scr.views.Views()
 	if len(views) == 0 {
-		return nil, conns, errors.New("protocol: no APs registered")
+		return "", errors.New("protocol: no APs registered")
 	}
-
-	var (
-		one   trace.APID
-		joint map[trace.UserID]trace.APID
-		err   error
-	)
-	if bs == nil {
-		reqs[0].At = ts
-		one, err = c.selector.Select(reqs[0], views)
-	} else {
-		joint, err = bs.SelectBatch(reqs, views)
-	}
+	ap, err := c.selector.Select(req, views)
 	if err != nil {
-		return nil, conns, fmt.Errorf("protocol: policy: %w", err)
+		return "", fmt.Errorf("protocol: policy: %w", err)
 	}
-
-	ps := c.scr.jps[:0]
-	for _, r := range reqs {
-		ap := one
-		if bs != nil {
-			var placed bool
-			if ap, placed = joint[r.User]; !placed {
-				continue
-			}
-		}
-		// Re-associating routes the previous assignment through Prev: for
-		// a move, the removal and the new placement land in one atomic
-		// domain commit; for a same-AP refresh, the commit atomically
-		// replaces (rather than adds to) the believed demand.
-		ps = append(ps, journal.Placement{User: r.User, AP: ap, Prev: c.sessions[r.User].ap, DemandBps: r.DemandBps})
-	}
-	c.scr.jps = ps
-	if len(ps) == 0 {
-		return nil, conns, nil
-	}
-	if err := c.mutateLocked(journal.Record{Op: journal.OpAssoc, TS: ts, Placements: ps}); err != nil {
+	// Re-associating routes the previous assignment through Prev: for a
+	// move, the removal and the new placement land in one atomic domain
+	// commit; for a same-AP refresh, the commit atomically replaces
+	// (rather than adds to) the believed demand.
+	c.scr.jp[0] = journal.Placement{User: req.User, AP: ap, Prev: c.sessions[req.User].ap, DemandBps: req.DemandBps}
+	if err := c.mutateLocked(journal.Record{Op: journal.OpAssoc, TS: req.At, Placements: c.scr.jp[:]}); err != nil {
 		if errors.Is(err, domain.ErrUnknownAP) {
-			return nil, conns, fmt.Errorf("protocol: policy chose unknown AP (%v)", err)
+			return "", fmt.Errorf("protocol: policy chose unknown AP (%v)", err)
 		}
-		return nil, conns, fmt.Errorf("protocol: commit: %w", err)
+		return "", fmt.Errorf("protocol: commit: %w", err)
 	}
-	return ps, conns, nil
+	return ap, nil
 }
 
 // disassociate ends user's session. A dropped station connection (nil
@@ -770,32 +662,6 @@ func (c *Controller) disassociate(user trace.UserID, dropped *Conn) {
 	}
 }
 
-// expireLocked removes agent-registered APs whose lease has lapsed and
-// re-homes their believed users: assignments are dropped and observer
-// disconnects delivered. It returns the lingering agent connections, for
-// the caller to close outside the lock. Must run with c.mu held. Expiry
-// order is sorted by AP ID for determinism.
-func (c *Controller) expireLocked(ts int64) []*Conn {
-	if c.leaseSeconds <= 0 {
-		return nil
-	}
-	var expired []trace.APID
-	for id, m := range c.meta {
-		if !m.static && ts-m.lastSeen > c.leaseSeconds {
-			expired = append(expired, id)
-		}
-	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-	var conns []*Conn
-	for _, id := range expired {
-		if conn := c.meta[id].agentConn; conn != nil {
-			conns = append(conns, conn)
-		}
-		_ = c.mutateLocked(journal.Record{Op: journal.OpExpire, TS: ts, AP: id}) // fails only for an unknown AP
-	}
-	return conns
-}
-
 // notifyDisconnect delivers one observer disconnect. Runs with c.mu held.
 func (c *Controller) notifyDisconnect(user trace.UserID, ap trace.APID, ts int64) {
 	if c.observer == nil {
@@ -806,20 +672,11 @@ func (c *Controller) notifyDisconnect(user trace.UserID, ap trace.APID, ts int64
 	}
 }
 
-// closeAll closes the agent connections an expiry sweep superseded. Must
-// run without c.mu held.
-func closeAll(conns []*Conn) {
-	for _, conn := range conns {
-		conn.Close()
-	}
-}
-
 // Snapshot reports the controller's current state for inspection: per-AP
-// associated users and served volume. Taking a snapshot also sweeps
-// expired leases, so it reflects only live APs.
+// associated users and served volume.
 func (c *Controller) Snapshot() map[trace.APID]APStatus {
 	c.mu.Lock()
-	conns := c.expireLocked(c.now())
+	defer c.mu.Unlock()
 	ids := c.dom.APs()
 	out := make(map[trace.APID]APStatus, len(ids))
 	for _, id := range ids {
@@ -834,8 +691,6 @@ func (c *Controller) Snapshot() map[trace.APID]APStatus {
 			ServedBytes: c.meta[id].served,
 		}
 	}
-	c.mu.Unlock()
-	closeAll(conns)
 	return out
 }
 

@@ -16,20 +16,18 @@
 // the only encoding: a peer that opens with anything but a frame is
 // refused by the magic check.
 //
-// Lifecycle and failure model: an agent connection registers one AP as
-// a lease — every hello and load report renews it, a re-hello from a
-// reconnecting (or restarted) agent supersedes the previous connection,
-// and, with WithLease, an AP whose agent stays silent past the lease is
-// expired, its believed users re-homed through the association
-// observer. APs added with RegisterAP are static. An
-// association decides under one hold of the controller's mutex —
-// expiry, view snapshot, policy, commit, bookkeeping, journal append —
-// so its snapshot is current by construction. Every mutation is a
-// journal record applied by one function, whether it is made live,
-// recovered from the journal or replicated to a follower. Health
-// counters (registrations, renewals, lease expiries, accept retries,
-// moves, rejected traffic) are exported through internal/obs under the
-// protocol.* prefix.
+// Lifecycle and failure model: an agent connection registers one AP,
+// and a re-hello from a reconnecting (or restarted) agent supersedes the
+// previous connection. An AP whose agent goes silent stays registered,
+// with its believed users, until a re-hello or a restart. APs added with
+// RegisterAP are static. An association decides one request under one
+// hold of the controller's mutex — view snapshot, policy, commit,
+// bookkeeping, journal append — so its snapshot is current by
+// construction. Every mutation is a journal record applied by one
+// function, whether it is made live, recovered from the journal or
+// replicated to a follower. Health counters (registrations, renewals,
+// accept retries, moves, rejected traffic) are exported through
+// internal/obs under the protocol.* prefix.
 //
 // The s3 proto subcommand wraps this package into a runnable controller, a demo
 // (controller, agents and a scripted station workload in one process)

@@ -69,8 +69,8 @@ func (c *Controller) Recovery() *RecoverySummary { return c.recovered }
 // in the observer's format and opaque to the controller — written
 // straight through by ObserverState.WriteState, never re-encoded. Agent
 // connections are inherently not recoverable: an agent-backed AP
-// restarts with its lease clock where the checkpoint left it and either
-// re-hellos or expires through the normal observer path.
+// restarts registered, with its believed users, until its agent
+// re-hellos.
 //
 // The stored form is built from the journal's field primitives, every
 // table in sorted key order so the bytes are a pure function of the
@@ -149,7 +149,9 @@ func (c *Controller) appendCheckpointLocked(dst []byte) []byte {
 		m := c.meta[id]
 		dst = append(journal.AppendString(dst, string(id)), ckptServed|ckptMeta|journal.FlagIf(m.static, ckptStatic))
 		dst = binary.AppendVarint(dst, m.served)
-		dst = binary.AppendUvarint(binary.AppendVarint(dst, m.lastSeen), m.gen)
+		// 0 fills the last-seen slot that AP leases used: a parent
+		// release's reader expects it.
+		dst = binary.AppendUvarint(binary.AppendVarint(dst, 0), m.gen)
 	}
 	return dst
 }
@@ -213,7 +215,8 @@ func decodeCheckpoint(payload []byte) (doc checkpointDoc, observerState []byte, 
 			m.served = in.Varint()
 		}
 		if flags&ckptMeta != 0 {
-			m.lastSeen, m.gen = in.Varint(), in.Uvarint()
+			in.Varint() // the last-seen slot: unread, kept for the layout
+			m.gen = in.Uvarint()
 			doc.Meta[id] = m
 		}
 	}
@@ -292,7 +295,7 @@ func (c *Controller) attachJournalLocked(dir string, opts journal.Options, after
 }
 
 // restoreCheckpoint loads a checkpoint payload: domain associations,
-// assignment bookkeeping, AP lease metadata, and the observer's learned
+// assignment bookkeeping, AP metadata, and the observer's learned
 // state when both sides support it.
 func (c *Controller) restoreCheckpoint(payload []byte) error {
 	doc, observerState, err := decodeCheckpoint(payload)
@@ -318,19 +321,18 @@ func (c *Controller) restoreCheckpoint(payload []byte) error {
 // path that changes controller state: the live ones (through
 // mutateLocked), recovery and takeover replay, and a follower's
 // ApplyRecord. It runs with c.mu held (or before the controller serves).
-// It updates the domain, the session table and the lease metadata, and
-// delivers the observer's events in mutation order: for an assoc, every
-// move's disconnect, then every placement's connect; a same-AP refresh
-// emits nothing, since the user never left. A replay skips the session
-// log, the live-only counters and the log lines: the process that wrote
-// the record already emitted them.
+// It updates the domain, the session table and the AP metadata, and
+// delivers the observer's events in mutation order: for an assoc that
+// moves its user, the disconnect, then the connect; a same-AP refresh
+// emits nothing, since the user never left. A replay skips the live-only
+// counters and the log lines: the process that wrote the record already
+// emitted them.
 func (c *Controller) apply(r *journal.Record, replay bool) error {
 	switch r.Op {
 	case journal.OpRegister:
 		if m, ok := c.meta[r.AP]; ok {
 			c.dom.SetCapacity(r.AP, r.CapacityBps)
 			if !m.static {
-				m.lastSeen = r.TS
 				m.gen++
 			}
 			return nil
@@ -340,39 +342,35 @@ func (c *Controller) apply(r *journal.Record, replay bool) error {
 		}
 		m := &apMeta{static: r.Static}
 		if !r.Static {
-			m.lastSeen = r.TS
 			m.gen = 1
 		}
 		c.meta[r.AP] = m
 		return nil
 
 	case journal.OpAssoc:
-		ps := c.scr.ps[:0]
-		for _, p := range r.Placements {
-			ps = append(ps, domain.Placement{User: p.User, AP: p.AP, Prev: p.Prev, DemandBps: p.DemandBps})
+		// Every writer decides one request per record.
+		if len(r.Placements) != 1 {
+			return fmt.Errorf("protocol: assoc record with %d placements, want 1", len(r.Placements))
 		}
-		c.scr.ps = ps
-		if _, err := c.dom.Commit(ps, nil); err != nil {
+		p := &r.Placements[0]
+		c.scr.dp[0] = domain.Placement{User: p.User, AP: p.AP, Prev: p.Prev, DemandBps: p.DemandBps}
+		if _, err := c.dom.Commit(c.scr.dp[:], nil); err != nil {
 			return err
 		}
-		for _, p := range r.Placements {
-			if s, ok := c.sessions[p.User]; ok && s.ap != p.AP {
+		if s, ok := c.sessions[p.User]; !ok || s.ap != p.AP {
+			if ok {
 				if !replay {
 					obsAssocMoves.Inc()
 				}
 				c.notifyDisconnect(p.User, s.ap, r.TS)
 			}
+			c.sessions[p.User] = session{ap: p.AP, at: r.TS}
+			if c.observer != nil {
+				c.observer.Connect(p.User, p.AP, r.TS)
+			}
 		}
-		for _, p := range r.Placements {
-			if c.sessions[p.User].ap != p.AP {
-				c.sessions[p.User] = session{ap: p.AP, at: r.TS}
-				if c.observer != nil {
-					c.observer.Connect(p.User, p.AP, r.TS)
-				}
-			}
-			if !replay && c.logEnabled {
-				c.logger.Printf("assoc %s -> %s (demand %.0f B/s)", p.User, p.AP, p.DemandBps)
-			}
+		if !replay && c.logEnabled {
+			c.logger.Printf("assoc %s -> %s (demand %.0f B/s)", p.User, p.AP, p.DemandBps)
 		}
 		return nil
 
@@ -390,8 +388,10 @@ func (c *Controller) apply(r *journal.Record, replay bool) error {
 		return nil
 
 	case journal.OpExpire:
-		m, ok := c.meta[r.AP]
-		if !ok {
+		// Only a replay reaches it: no live path writes it any more, and a
+		// journal that a release with AP leases wrote replays it as that
+		// release applied it.
+		if _, ok := c.meta[r.AP]; !ok {
 			return fmt.Errorf("protocol: expire for unknown AP %q", r.AP)
 		}
 		evicted, _ := c.dom.RemoveAP(r.AP) // sorted by user
@@ -400,11 +400,6 @@ func (c *Controller) apply(r *journal.Record, replay bool) error {
 			c.notifyDisconnect(ev.User, r.AP, r.TS)
 		}
 		delete(c.meta, r.AP)
-		if !replay {
-			c.logger.Printf("ap %s lease expired (silent %ds, %d users re-homed)",
-				r.AP, r.TS-m.lastSeen, len(evicted))
-			obsLeaseExpired.Inc()
-		}
 		return nil
 	}
 	return fmt.Errorf("protocol: unknown journal op %q", r.Op)

@@ -1,6 +1,6 @@
 package protocol
 
-// Controller lifecycle tests: AP leases and re-registration, session
+// Controller lifecycle tests: AP registration and renewal, session
 // completeness across re-association, traffic crediting, accept-loop
 // recovery, serialized selection, and a fault-injected race soak.
 
@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"reflect"
 	"runtime"
@@ -186,125 +187,59 @@ func TestBackoffJitterSequence(t *testing.T) {
 	}
 }
 
-// TestAgentGoneLogsLeaseOnlyWhenSet: a lost agent connection names the
-// lease only when WithLease set one; otherwise the log says the AP stays
-// registered.
+// TestAgentGoneLogsLeaseOnlyWhenSet: a lost agent connection's log
+// says the AP stays registered; no lease is ever pending.
 func TestAgentGoneLogsLeaseOnlyWhenSet(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		opts []ControllerOption
-		want string
-	}{
-		{"no lease", nil, "ap ap1 agent connection lost (no lease: the AP stays registered)\n"},
-		{"lease", []ControllerOption{WithLease(10)}, "ap ap1 agent connection lost (lease of 10s pending)\n"},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			ctl, err := NewController(baseline.LLF{}, append(c.opts, WithLogger(log.New(&buf, "", 0)))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ctl.Close()
-			if err := ctl.RegisterAP("ap1", 1e6); err != nil {
-				t.Fatal(err)
-			}
-			ctl.agentGone("ap1", 0)
-			if got := buf.String(); got != c.want {
-				t.Errorf("log = %q, want %q", got, c.want)
-			}
-		})
-	}
-}
-
-// TestLeaseExpiryRemovesSilentAP advances a fake clock past the lease of
-// a silent agent-registered AP and verifies the AP leaves the policy's
-// view, its believed user is re-homed through the observer, and the
-// observer sees the completed session.
-func TestLeaseExpiryRemovesSilentAP(t *testing.T) {
-	var fake atomic.Int64
-	fake.Store(100)
-	obsRec := newRecordingObserver()
-	c, err := NewController(baseline.LLF{},
-		WithTimeout(testTimeout),
-		WithLease(10),
-		WithClock(fake.Load),
-		WithObserver(obsRec),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := c.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	agent, err := DialAP(addr, "ap1", 1e6, testTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agent.Close()
-
-	st, err := DialStation(addr, "mobile-user", testTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if ap, err := st.Associate(100); err != nil || ap != "ap1" {
-		t.Fatalf("associate = %q, %v", ap, err)
-	}
-	if err := st.SendTraffic(2048); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(testTimeout)
-	for c.Snapshot()["ap1"].ServedBytes != 2048 {
-		if time.Now().After(deadline) {
-			t.Fatalf("traffic not applied: %+v", c.Snapshot())
+	t.Run("no lease", func(t *testing.T) {
+		var buf bytes.Buffer
+		ctl, err := NewController(baseline.LLF{}, WithLogger(log.New(&buf, "", 0)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// The agent goes silent; time passes beyond the lease.
-	fake.Store(200)
-	if snap := c.Snapshot(); len(snap) != 0 {
-		t.Fatalf("expired AP still visible: %+v", snap)
-	}
-	if _, err := c.Associate("another-user", 10); err == nil {
-		t.Error("associate with only an expired AP should fail")
-	}
-	if ap, ok := obsRec.disconnectedFrom("mobile-user"); !ok || ap != "ap1" {
-		t.Errorf("observer disconnect = %q, %v; want ap1 re-homing", ap, ok)
-	}
-	sessions := obsRec.completed()
-	if len(sessions) != 1 {
-		t.Fatalf("sessions = %+v, want 1", sessions)
-	}
-	if s := sessions[0]; s.User != "mobile-user" || s.AP != "ap1" ||
-		s.ConnectAt != 100 || s.DisconnectAt != 200 {
-		t.Errorf("expiry session = %+v", s)
-	}
+		defer ctl.Close()
+		if err := ctl.RegisterAP("ap1", 1e6); err != nil {
+			t.Fatal(err)
+		}
+		ctl.agentGone("ap1", 0)
+		if got, want := buf.String(), "ap ap1 agent connection lost (no lease: the AP stays registered)\n"; got != want {
+			t.Errorf("log = %q, want %q", got, want)
+		}
+	})
 }
 
-// TestLeaseExpiredWhileDownRehomesOnRestart covers the recovery edge
-// the journal must get right: an agent-backed AP's lease runs out while
-// the controller is down. The restarted controller restores the AP and
-// its believed user from the journal, then the first sweep notices the
-// stale lease and re-homes the user through the observer — exactly as a
-// live expiry would — and the observer sees the completed session with
-// the connect time restored from the journal.
-func TestLeaseExpiredWhileDownRehomesOnRestart(t *testing.T) {
+// TestSilentAgentAPStays: an agent-registered AP whose agent has gone
+// silent keeps its place in the view, and its believed user, however
+// far the clock moves — live and across a journaled restart. After the
+// restart a re-hello renews the AP in place, and a second one supersedes
+// the first agent connection.
+func TestSilentAgentAPStays(t *testing.T) {
 	dir := t.TempDir()
 	var fake atomic.Int64
 	fake.Store(100)
-	a, err := NewController(baseline.LLF{},
-		WithTimeout(testTimeout),
-		WithLease(10),
-		WithClock(fake.Load),
-		WithJournal(dir, journal.Options{Fsync: journal.FsyncAlways}),
-	)
-	if err != nil {
-		t.Fatal(err)
+	open := func(o AssociationObserver) *Controller {
+		c, err := NewController(baseline.LLF{},
+			WithTimeout(testTimeout),
+			WithClock(fake.Load),
+			WithObserver(o),
+			WithJournal(dir, journal.Options{Fsync: journal.FsyncAlways}),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
+	stays := func(c *Controller, o *recordingObserver, users ...trace.UserID) {
+		t.Helper()
+		if snap := c.Snapshot(); len(snap) != 1 || !reflect.DeepEqual(snap["ap1"].Users, users) {
+			t.Fatalf("@%d: snapshot %+v, want ap1 holding %v", fake.Load(), snap, users)
+		}
+		if ap, ok := o.disconnectedFrom("mobile-user"); ok {
+			t.Fatalf("@%d: mobile-user disconnected from %s", fake.Load(), ap)
+		}
+	}
+
+	liveObs := newRecordingObserver()
+	a := open(liveObs)
 	addr, err := a.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -320,46 +255,63 @@ func TestLeaseExpiredWhileDownRehomesOnRestart(t *testing.T) {
 	if ap, err := st.Associate(100); err != nil || ap != "ap1" {
 		t.Fatalf("associate = %q, %v", ap, err)
 	}
-	// Crash: controller a is abandoned with both connections still up —
-	// a graceful close would disassociate the station. With FsyncAlways
-	// the registration (lastSeen=100) and association are already
-	// durable. The agent never comes back; the lease lapses while the
-	// controller is down.
-	_, _ = agent, st
-	fake.Store(200)
+	// The agent's connection drops and it never comes back.
+	agent.Close()
+	for _, ts := range []int64{111, 3600, 86_400 * 30} {
+		fake.Store(ts)
+		stays(a, liveObs, "mobile-user")
+	}
+	if ap, err := a.Associate("another-user", 10); err != nil || ap != "ap1" {
+		t.Fatalf("associate beside the silent agent = %q, %v; want ap1", ap, err)
+	}
+	// Crash: a is abandoned with the station connected — a graceful close
+	// would disassociate it. With FsyncAlways every record is durable.
+	_ = st
 
-	obsRec := newRecordingObserver()
-	b, err := NewController(baseline.LLF{},
-		WithTimeout(testTimeout),
-		WithLease(10),
-		WithClock(fake.Load),
-		WithObserver(obsRec),
-		WithJournal(dir, journal.Options{Fsync: journal.FsyncAlways}),
-	)
+	restartObs := newRecordingObserver()
+	b := open(restartObs)
+	defer b.Close()
+	if rec := b.Recovery(); rec == nil || rec.APs != 1 || rec.Assignments != 2 || rec.ReplayErrors != 0 {
+		t.Fatalf("recovery = %+v, want the AP and both users restored", rec)
+	}
+	fake.Store(86_400 * 60)
+	stays(b, restartObs, "another-user", "mobile-user")
+
+	addr, err = b.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
-	rec := b.Recovery()
-	if rec == nil || rec.APs != 1 || rec.Assignments != 1 || rec.ReplayErrors != 0 {
-		t.Fatalf("recovery = %+v, want the AP and its user restored", rec)
+	renewed := obsAPRenewed.Value()
+	first, err := DialAP(addr, "ap1", 2e6, testTimeout)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// The first sweep must expire the AP and re-home the user.
-	if snap := b.Snapshot(); len(snap) != 0 {
-		t.Fatalf("expired AP survived the restart sweep: %+v", snap)
+	defer first.Close()
+	second, err := DialAP(addr, "ap1", 2e6, testTimeout)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ap, ok := obsRec.disconnectedFrom("mobile-user"); !ok || ap != "ap1" {
-		t.Errorf("observer disconnect = %q, %v; want ap1 re-homing", ap, ok)
+	defer second.Close()
+	if got := obsAPRenewed.Value() - renewed; got != 2 {
+		t.Errorf("renewals = %d, want 2", got)
 	}
-	sessions := obsRec.completed()
-	if len(sessions) != 1 {
-		t.Fatalf("sessions = %+v, want 1", sessions)
+	if m, err := first.conn.Receive(); !errors.Is(err, io.EOF) {
+		t.Fatalf("superseded agent connection: %+v, %v; want it closed", m, err)
 	}
-	if s := sessions[0]; s.User != "mobile-user" || s.AP != "ap1" ||
-		s.ConnectAt != 100 || s.DisconnectAt != 200 {
-		t.Errorf("expiry session = %+v, want connect 100 / disconnect 200", s)
+	if err := second.Report(4321); err != nil {
+		t.Fatal(err)
 	}
+	deadline := time.Now().Add(testTimeout)
+	for b.Snapshot()["ap1"].ReportedBps != 4321 {
+		if time.Now().After(deadline) {
+			t.Fatalf("report on the superseding connection not applied: %+v", b.Snapshot())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := b.Snapshot()["ap1"]; got.CapacityBps != 2e6 || len(got.Users) != 2 {
+		t.Errorf("renewed ap1 = %+v, want capacity 2e6 and both users", got)
+	}
+	stays(b, restartObs, "another-user", "mobile-user")
 }
 
 // TestReassociationLogsBothSessions moves a station between APs and
@@ -508,6 +460,53 @@ func TestTrafficCreditedToAssignedAP(t *testing.T) {
 	if got := c.Snapshot()["ap1"].ServedBytes; got != 500 {
 		t.Errorf("served = %d after rejected traffic, want 500", got)
 	}
+}
+
+// TestTrafficServedSaturates: a station reporting more traffic than a
+// served-byte counter holds leaves both its session's and its AP's
+// counter at math.MaxInt64, not wrapped negative.
+func TestTrafficServedSaturates(t *testing.T) {
+	c, err := NewController(baseline.LLF{}, WithTimeout(testTimeout))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterAP("ap-1", 1e6); err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.handle(NewConn(server, testTimeout))
+	}()
+	st, err := DialStationWith(func(string, time.Duration) (net.Conn, error) { return client, nil }, "pipe", "u", testTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ap, err := st.Associate(100); err != nil || ap != "ap-1" {
+		t.Fatalf("associate = %q, %v", ap, err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := st.SendTraffic(math.MaxInt64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A same-AP refresh keeps the tally, and its reply means the station
+	// handler has applied both reports.
+	if _, err := st.Associate(100); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Snapshot()["ap-1"].ServedBytes; got != math.MaxInt64 {
+		t.Errorf("AP served bytes = %d, want %d", got, int64(math.MaxInt64))
+	}
+	c.mu.Lock()
+	served := c.sessions["u"].served
+	c.mu.Unlock()
+	if served != math.MaxInt64 {
+		t.Errorf("session served bytes = %d, want %d", served, int64(math.MaxInt64))
+	}
+	st.Close()
+	<-done
 }
 
 // pinSelector places every request on the AP the test last stored.
@@ -703,7 +702,7 @@ func TestChaosSoakRace(t *testing.T) {
 		dur = 400 * time.Millisecond
 	}
 	const timeout = 2 * time.Second
-	c, err := NewController(baseline.LLF{}, WithTimeout(timeout), WithLease(30))
+	c, err := NewController(baseline.LLF{}, WithTimeout(timeout))
 	if err != nil {
 		t.Fatal(err)
 	}

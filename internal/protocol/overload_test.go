@@ -289,11 +289,11 @@ func TestReportQueuePrunesLostOwnership(t *testing.T) {
 }
 
 func TestHelloTimeoutGuard(t *testing.T) {
-	c, err := NewController(baseline.LLF{}, WithTimeout(testTimeout),
-		WithHelloTimeout(100*time.Millisecond))
+	c, err := NewController(baseline.LLF{}, WithTimeout(testTimeout))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.helloTimeout = 100 * time.Millisecond
 	addr, err := c.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -511,11 +511,11 @@ func runOverloadSoak(t *testing.T) soakResult {
 	eng := faults.NewEngine(plan)
 	c, err := NewController(baseline.LLF{},
 		WithTimeout(time.Second),
-		WithHelloTimeout(500*time.Millisecond),
 		WithAdmission(Admission{MaxConns: 12, AssocRate: 150, AssocBurst: 8, RetryAfterMs: 20}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.helloTimeout = 500 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

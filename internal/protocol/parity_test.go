@@ -25,12 +25,15 @@ import (
 // (internal/domain), so this is the equivalence check the refactor
 // promises: same views, same admission, same commits, same decisions.
 //
-// The live driver is exercised through the controller's public decision
-// path (Associate / AssociateBatch / disassociate) with a scripted
-// clock, reproducing the simulator's event order: arrivals at time t
-// fire before departures at t (eventsim schedules arrivals up front, so
-// they hold lower sequence numbers), and same-time departures fire in
-// placement order.
+// The live driver is exercised through the controller's decision path
+// (Associate per arrival, disassociate) with a scripted clock,
+// reproducing the simulator's event order: arrivals at time t fire
+// before departures at t (eventsim schedules arrivals up front, so they
+// hold lower sequence numbers), and same-time departures fire in
+// placement order. The controller decides one request at a time, so the
+// simulator gets the policy without its batch face and decides each
+// co-arrival singly too; its batch path is covered by wlan's
+// TestSimulateBatchSelector and the offline golden figures.
 func TestSimLiveParity(t *testing.T) {
 	tr, par, ctrl := parityFixture(t)
 	aps := tr.Topology.APsOf(ctrl)
@@ -78,11 +81,11 @@ func TestSimLiveParity(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			// --- Simulator driver.
+			// --- Simulator driver, deciding singly like the controller.
 			simSel, simEng := tc.build()
 			simCfg := wlan.Config{
 				SelectorFor: func(trace.ControllerID, []trace.AP) wlan.Selector {
-					return simSel
+					return struct{ wlan.Selector }{simSel}
 				},
 			}
 			if simEng != nil {
@@ -204,28 +207,14 @@ func replayLive(t *testing.T, c *Controller, clock *atomic.Int64, sessions []tra
 	for _, now := range times {
 		clock.Store(now)
 		// Arrivals at `now` first (they hold lower event sequence
-		// numbers than any departure), batched per identical timestamp
-		// like the simulator with BatchWindowSeconds = 0.
-		start := ai
-		for ai < len(sorted) && sorted[ai].ConnectAt == now {
-			ai++
-		}
-		if batch := sorted[start:ai]; len(batch) > 0 {
-			reqs := make([]wlan.Request, len(batch))
-			for i, s := range batch {
-				reqs[i] = wlan.Request{User: s.User, At: s.ConnectAt, DemandBps: s.Throughput()}
-			}
-			got, err := c.AssociateBatch(reqs)
+		// numbers than any departure), in the simulator's arrival order.
+		for ; ai < len(sorted) && sorted[ai].ConnectAt == now; ai++ {
+			s := sorted[ai]
+			ap, err := c.Associate(s.User, s.Throughput())
 			if err != nil {
 				t.Fatalf("live associate at t=%d: %v", now, err)
 			}
-			for _, s := range batch {
-				ap, ok := got[s.User]
-				if !ok {
-					t.Fatalf("live driver left %s unplaced at t=%d", s.User, now)
-				}
-				out = append(out, parityRecord{User: s.User, At: s.ConnectAt, AP: ap})
-			}
+			out = append(out, parityRecord{User: s.User, At: s.ConnectAt, AP: ap})
 		}
 		// Then departures at `now`, in placement order.
 		for di < len(deps) && deps[di].at == now {

@@ -122,26 +122,6 @@ func (g *Graph) ConnectedComponents() [][]trace.UserID {
 	return comps
 }
 
-// InducedSubgraph returns a fresh graph over the given vertices with
-// every edge of g whose endpoints both lie in the set. The result shares
-// no storage with g.
-func (g *Graph) InducedSubgraph(verts []trace.UserID) *Graph {
-	in := make(map[trace.UserID]bool, len(verts))
-	for _, u := range verts {
-		in[u] = true
-	}
-	sub := New()
-	for _, u := range verts {
-		sub.AddVertex(u)
-		for v, w := range g.adj[u] {
-			if in[v] {
-				sub.adj[u][v] = w
-			}
-		}
-	}
-	return sub
-}
-
 // String renders a compact summary for debugging.
 func (g *Graph) String() string {
 	return fmt.Sprintf("socialgraph.Graph{vertices: %d, edges: %d}",

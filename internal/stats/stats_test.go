@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -272,4 +273,29 @@ func TestStdDev(t *testing.T) {
 	if got := SampleStdDev(xs); got <= 2 {
 		t.Errorf("SampleStdDev = %v, want > population", got)
 	}
+}
+
+// Ranks returns the mid-rank transform of xs: equal values receive the mean
+// of the ranks they span. Ranks are 1-based.
+func Ranks(xs []float64) []float64 {
+	n := len(xs)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
+	ranks := make([]float64, n)
+	for i := 0; i < n; {
+		j := i
+		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
+			j++
+		}
+		// Mid-rank over the tie run [i, j].
+		mid := (float64(i+1) + float64(j+1)) / 2
+		for k := i; k <= j; k++ {
+			ranks[idx[k]] = mid
+		}
+		i = j + 1
+	}
+	return ranks
 }
