@@ -6,6 +6,7 @@ import (
 
 	"github.com/s3wlan/s3wlan/internal/apps"
 	"github.com/s3wlan/s3wlan/internal/society"
+	"github.com/s3wlan/s3wlan/internal/stats"
 	"github.com/s3wlan/s3wlan/internal/synth"
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
@@ -257,16 +258,16 @@ func TestPlateauAge(t *testing.T) {
 	ages := []int{1, 2, 3, 4}
 	// Improvement stops after age 2.
 	curve := []float64{0.4, 0.5, 0.501, 0.502}
-	if got := plateauAge(ages, curve); got != 2 {
-		t.Errorf("plateauAge = %d, want 2", got)
+	if got := stats.Plateau(ages, curve); got != 2 {
+		t.Errorf("stats.Plateau = %d, want 2", got)
 	}
 	// Monotone improvement: last age.
 	curve = []float64{0.1, 0.2, 0.4, 0.8}
-	if got := plateauAge(ages, curve); got != 4 {
-		t.Errorf("plateauAge = %d, want 4", got)
+	if got := stats.Plateau(ages, curve); got != 4 {
+		t.Errorf("stats.Plateau = %d, want 4", got)
 	}
-	if got := plateauAge(nil, nil); got != 0 {
-		t.Errorf("plateauAge empty = %d, want 0", got)
+	if got := stats.Plateau(nil, nil); got != 0 {
+		t.Errorf("stats.Plateau empty = %d, want 0", got)
 	}
 }
 

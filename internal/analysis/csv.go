@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -13,16 +12,6 @@ import (
 
 // CSV exports: each figure result writes a tidy table suitable for
 // external plotting tools. Columns are stable and documented per method.
-
-func writeAll(w *csv.Writer, rows [][]string) error {
-	for _, row := range rows {
-		if err := w.Write(row); err != nil {
-			return fmt.Errorf("analysis: write CSV: %w", err)
-		}
-	}
-	w.Flush()
-	return w.Error()
-}
 
 func f(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
 
@@ -37,16 +26,14 @@ func cdfRows(series string, c *stats.CDF, n int) [][]string {
 // WriteCSV emits columns: series (peak|average), x (balance index),
 // y (cumulative fraction).
 func (r *Fig2Result) WriteCSV(out io.Writer) error {
-	w := csv.NewWriter(out)
 	rows := [][]string{{"series", "balance_index", "cdf"}}
 	rows = append(rows, cdfRows("peak", r.PeakCDF, 50)...)
 	rows = append(rows, cdfRows("average", r.AverageCDF, 50)...)
-	return writeAll(w, rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
 
 // WriteCSV emits columns: sub_period_seconds, s, cdf.
 func (r *Fig3Result) WriteCSV(out io.Writer) error {
-	w := csv.NewWriter(out)
 	rows := [][]string{{"sub_period_seconds", "s", "cdf"}}
 	for _, sp := range []int64{300, 600, 1200} {
 		c, ok := r.CDFBySubPeriod[sp]
@@ -57,12 +44,11 @@ func (r *Fig3Result) WriteCSV(out io.Writer) error {
 			rows = append(rows, []string{strconv.FormatInt(sp, 10), f(p.X), f(p.Y)})
 		}
 	}
-	return writeAll(w, rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
 
 // WriteCSV emits columns: time, user_balance, load_balance.
 func (r *Fig4Result) WriteCSV(out io.Writer) error {
-	w := csv.NewWriter(out)
 	rows := [][]string{{"time", "user_balance", "load_balance"}}
 	for i := range r.Times {
 		rows = append(rows, []string{
@@ -71,12 +57,11 @@ func (r *Fig4Result) WriteCSV(out io.Writer) error {
 			f(r.LoadBalance[i]),
 		})
 	}
-	return writeAll(w, rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
 
 // WriteCSV emits columns: window_seconds, fraction, cdf.
 func (r *Fig5Result) WriteCSV(out io.Writer) error {
-	w := csv.NewWriter(out)
 	rows := [][]string{{"window_seconds", "fraction", "cdf"}}
 	for _, win := range []int64{600, 1200, 1800} {
 		c, ok := r.CDFByWindow[win]
@@ -87,36 +72,33 @@ func (r *Fig5Result) WriteCSV(out io.Writer) error {
 			rows = append(rows, []string{strconv.FormatInt(win, 10), f(p.X), f(p.Y)})
 		}
 	}
-	return writeAll(w, rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
 
 // WriteCSV emits columns: age_days, point_nmi, cumulative_nmi.
 func (r *Fig6Result) WriteCSV(out io.Writer) error {
-	w := csv.NewWriter(out)
 	rows := [][]string{{"age_days", "point_nmi", "cumulative_nmi"}}
 	for i, n := range r.Ages {
 		rows = append(rows, []string{
 			strconv.Itoa(n), f(r.PointNMI[i]), f(r.CumulativeNMI[i]),
 		})
 	}
-	return writeAll(w, rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
 
 // WriteCSV emits columns: k, gap, sk, log_w.
 func (r *Fig7Result) WriteCSV(out io.Writer) error {
-	w := csv.NewWriter(out)
 	rows := [][]string{{"k", "gap", "sk", "log_w"}}
 	for _, p := range r.Curve {
 		rows = append(rows, []string{
 			strconv.Itoa(p.K), f(p.Gap), f(p.SK), f(p.LogW),
 		})
 	}
-	return writeAll(w, rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
 
 // WriteCSV emits columns: group, size, then one share column per realm.
 func (r *Fig8Result) WriteCSV(out io.Writer) error {
-	w := csv.NewWriter(out)
 	header := []string{"group", "size"}
 	for _, realm := range apps.Realms() {
 		header = append(header, realm.String())
@@ -129,12 +111,11 @@ func (r *Fig8Result) WriteCSV(out io.Writer) error {
 		}
 		rows = append(rows, row)
 	}
-	return writeAll(w, rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
 
 // WriteCSV emits columns: type_i, type_j, probability.
 func (r *Table1Result) WriteCSV(out io.Writer) error {
-	w := csv.NewWriter(out)
 	rows := [][]string{{"type_i", "type_j", "probability"}}
 	for i := 0; i < r.K; i++ {
 		for j := 0; j < r.K; j++ {
@@ -143,5 +124,5 @@ func (r *Table1Result) WriteCSV(out io.Writer) error {
 			})
 		}
 	}
-	return writeAll(w, rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }

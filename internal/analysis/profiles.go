@@ -54,29 +54,8 @@ func Fig6(ps *apps.ProfileStore, maxAge int) (*Fig6Result, error) {
 		res.PointNMI = append(res.PointNMI, point.Mean())
 		res.CumulativeNMI = append(res.CumulativeNMI, cum.Mean())
 	}
-	res.PlateauAge = plateauAge(res.Ages, res.CumulativeNMI)
+	res.PlateauAge = stats.Plateau(res.Ages, res.CumulativeNMI)
 	return res, nil
-}
-
-// plateauAge returns the first age whose cumulative-NMI value reaches 99%
-// of the curve's maximum — the point past which more history "does not
-// help (but does not hurt either)".
-func plateauAge(ages []int, curve []float64) int {
-	if len(ages) == 0 {
-		return 0
-	}
-	max := curve[0]
-	for _, v := range curve {
-		if v > max {
-			max = v
-		}
-	}
-	for i, v := range curve {
-		if v >= 0.99*max {
-			return ages[i]
-		}
-	}
-	return ages[len(ages)-1]
 }
 
 // Render formats the figure as text.

@@ -23,7 +23,7 @@ import (
 var (
 	obsSelects       = obs.GetCounter("core.select.calls", "Single-user Select invocations of the S³ policy")
 	obsGuardFallback = obs.GetCounter("core.select.guard_fallbacks", "Selections where the balance guard overrode the social choice")
-	obsBatches       = obs.GetCounter("core.batch.calls", "Group placements via Algorithm 1 (PlaceBatch invocations)")
+	obsBatches       = obs.GetCounter("core.batch.calls", "Group placements via Algorithm 1 (SelectBatch invocations)")
 	obsBatchUsers    = obs.GetCounter("core.batch.users", "Users placed through batch placements")
 	obsCliques       = obs.GetCounter("core.batch.cliques", "Cliques extracted across batch placements")
 	obsBeamCands     = obs.GetCounter("core.beam.candidates", "Candidate distributions scored by the beam search")

@@ -18,7 +18,7 @@ import (
 var (
 	obsCommits      = obs.GetCounter("domain.commits", "Placement commits applied")
 	obsOverloads    = obs.GetCounter("domain.overloads", "Placements admitted beyond AP capacity (admission override)")
-	obsEvictions    = obs.GetCounter("domain.evictions", "APs removed (failures, lease expiries)")
+	obsEvictions    = obs.GetCounter("domain.evictions", "Users evicted from a failed or removed AP")
 	obsViews        = obs.GetCounter("domain.views", "APView snapshots taken")
 	obsMaterialized = obs.GetCounter("domain.views.materialized", "On-demand copies of one AP's membership taken through APView.Members")
 )

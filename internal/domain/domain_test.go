@@ -112,6 +112,34 @@ func TestSetFailedEvictsAndHides(t *testing.T) {
 	}
 }
 
+// TestEvictionsCountUsers: domain.evictions moves by one per user that
+// SetFailed or RemoveAP drains, not by one per AP.
+func TestEvictionsCountUsers(t *testing.T) {
+	d := New(Config{})
+	for _, ap := range []trace.APID{"a", "b"} {
+		if err := d.AddAP(ap, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.Commit([]Placement{
+		{User: "u1", AP: "a", DemandBps: 1}, {User: "u2", AP: "a", DemandBps: 1},
+		{User: "u3", AP: "a", DemandBps: 1}, {User: "u4", AP: "b", DemandBps: 1},
+		{User: "u5", AP: "b", DemandBps: 1},
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := obsEvictions.Value()
+	d.SetFailed("a", true)
+	if got := obsEvictions.Value() - before; got != 3 {
+		t.Errorf("failing an AP with 3 users: domain.evictions moved by %d, want 3", got)
+	}
+	before = obsEvictions.Value()
+	d.RemoveAP("b")
+	if got := obsEvictions.Value() - before; got != 2 {
+		t.Errorf("removing an AP with 2 users: domain.evictions moved by %d, want 2", got)
+	}
+}
+
 func TestCommitStaleAndForced(t *testing.T) {
 	d := New(Config{})
 	for i := 0; i < 8; i++ {

@@ -9,21 +9,10 @@ import (
 
 // CSV exports for the evaluation figures, mirroring internal/analysis.
 
-func writeAll(w *csv.Writer, rows [][]string) error {
-	for _, row := range rows {
-		if err := w.Write(row); err != nil {
-			return fmt.Errorf("experiments: write CSV: %w", err)
-		}
-	}
-	w.Flush()
-	return w.Error()
-}
-
 func f(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
 
 // WriteCSV emits columns: interval_seconds, alpha, balance.
 func (r *Fig10Result) WriteCSV(out io.Writer) error {
-	w := csv.NewWriter(out)
 	rows := [][]string{{"interval_seconds", "alpha", "balance"}}
 	for a, alpha := range r.Alphas {
 		for i, iv := range r.Intervals {
@@ -32,12 +21,11 @@ func (r *Fig10Result) WriteCSV(out io.Writer) error {
 			})
 		}
 	}
-	return writeAll(w, rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
 
 // WriteCSV emits columns: history_days, alpha, balance.
 func (r *Fig11Result) WriteCSV(out io.Writer) error {
-	w := csv.NewWriter(out)
 	rows := [][]string{{"history_days", "alpha", "balance"}}
 	for a, alpha := range r.Alphas {
 		for i, hd := range r.HistoryDays {
@@ -46,12 +34,11 @@ func (r *Fig11Result) WriteCSV(out io.Writer) error {
 			})
 		}
 	}
-	return writeAll(w, rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
 
 // WriteCSV emits columns: domain, policy, mean, ci95.
 func (r *Fig12Result) WriteCSV(out io.Writer) error {
-	w := csv.NewWriter(out)
 	rows := [][]string{{"domain", "policy", "mean", "ci95"}}
 	for _, d := range r.Domains {
 		rows = append(rows,
@@ -59,7 +46,7 @@ func (r *Fig12Result) WriteCSV(out io.Writer) error {
 			[]string{string(d.Controller), "LLF", f(d.MeanLLF), f(d.CILLF)},
 		)
 	}
-	return writeAll(w, rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
 
 // WriteSeriesCSV writes the Fig. 12 per-bin balance time series of both

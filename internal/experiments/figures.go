@@ -146,25 +146,8 @@ func Fig11(d *Data, historyDays []int, alphas []float64) (*Fig11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig11Result{HistoryDays: historyDays, Alphas: alphas, Mean: mean}
-	curve03 := alpha03(alphas, mean)
-	// Plateau: the first history length whose balance reaches 99% of the
-	// curve's maximum — past it, older history "does not help but does
-	// not hurt either".
-	res.PlateauDays = historyDays[len(historyDays)-1]
-	max := curve03[0]
-	for _, v := range curve03 {
-		if v > max {
-			max = v
-		}
-	}
-	for i, v := range curve03 {
-		if v >= 0.99*max {
-			res.PlateauDays = historyDays[i]
-			break
-		}
-	}
-	return res, nil
+	return &Fig11Result{HistoryDays: historyDays, Alphas: alphas, Mean: mean,
+		PlateauDays: stats.Plateau(historyDays, alpha03(alphas, mean))}, nil
 }
 
 // Render formats the figure as text.

@@ -47,7 +47,7 @@ type Config struct {
 	// controller. Called once per group per controller incarnation.
 	NewSelector func() wlan.Selector
 	// ControllerOpts extends each group controller's construction (e.g.
-	// lease seconds, observers). WithJournal must not be among them —
+	// WithObserver). WithJournal must not be among them —
 	// journals are owned by the federation lifecycle.
 	ControllerOpts func(group int) []protocol.ControllerOption
 	// Journal carries the owner-side journal policy (fsync, checkpoint

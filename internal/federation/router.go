@@ -118,19 +118,10 @@ func (n *Node) route(conn *protocol.Conn) {
 		obsBreakerRefusals.Inc()
 		conn.Send(protocol.Message{Type: protocol.MsgBusy,
 			Error:        fmt.Sprintf("group %d owner circuit open; retry", g),
-			RetryAfterMs: int64(n.breakerCooldown() / time.Millisecond)})
+			RetryAfterMs: int64(br.cooldown / time.Millisecond)})
 		return
 	}
 	n.relay(conn, l.Addr, br.Success, br.Failure)
-}
-
-// breakerCooldown resolves the configured breaker cooldown (the
-// MsgBusy retry advice an open breaker sends).
-func (n *Node) breakerCooldown() time.Duration {
-	if n.cfg.BreakerCooldown > 0 {
-		return n.cfg.BreakerCooldown
-	}
-	return time.Second
 }
 
 // relay pumps one peer connection to the group owner at addr: the

@@ -21,9 +21,9 @@
 // Names are dot-separated lowercase (subsystem.metric); the Prometheus
 // exposition sanitizes dots to underscores. Snapshot, WriteJSON and
 // WritePrometheus read a consistent-enough view for reporting (each
-// metric is read atomically; the set of metrics only grows). Reset
-// zeroes every registered metric, which the CLIs use to scope a report
-// to one invocation and tests use for isolation.
+// metric is read atomically; the set of metrics only grows).
+// Registry.Reset zeroes every registered metric, which tests use for
+// isolation.
 //
 // The full metric surface is cataloged in docs/OBSERVABILITY.md; a
 // doc-drift test at the repository root keeps that catalog exact.

@@ -156,10 +156,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WritePrometheus writes the default registry in the Prometheus text
-// exposition format.
-func WritePrometheus(w io.Writer) error { return Default.WritePrometheus(w) }
-
 // Handler returns an http.Handler serving the registry in the
 // Prometheus text exposition format.
 func (r *Registry) Handler() http.Handler {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -215,9 +214,6 @@ func GetGauge(name string, help ...string) *Gauge { return Default.GetGauge(name
 // GetHistogram returns a histogram from the default registry.
 func GetHistogram(name string, help ...string) *Histogram { return Default.GetHistogram(name, help...) }
 
-// Reset zeroes the default registry.
-func Reset() { Default.Reset() }
-
 // HistogramSnapshot is the exported state of a Histogram.
 type HistogramSnapshot struct {
 	Count   int64            `json:"count"`
@@ -291,25 +287,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // WriteJSON writes the default registry's snapshot.
 func WriteJSON(w io.Writer) error { return Default.WriteJSON(w) }
-
-// Names returns the sorted names of all registered metrics of the
-// registry (counters, gauges and histograms pooled), mainly for tests.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var names []string
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // Kinds returns every registered metric name mapped to its kind:
 // "counter", "gauge" or "histogram".

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
@@ -181,10 +182,10 @@ func TestNames(t *testing.T) {
 	r.GetCounter("z")
 	r.GetGauge("a")
 	r.GetHistogram("m")
-	got := r.Names()
-	want := []string{"a", "m", "z"}
-	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Errorf("Names = %v, want %v", got, want)
+	got := r.Kinds()
+	want := map[string]string{"a": "gauge", "m": "histogram", "z": "counter"}
+	if !maps.Equal(got, want) {
+		t.Errorf("Kinds = %v, want %v", got, want)
 	}
 }
 

@@ -58,19 +58,13 @@ type session struct {
 	conn   *Conn
 }
 
-// AssociationObserver receives association lifecycle events — e.g. the
-// incremental.Engine learning sociality continuously from the live
-// controller, the paper's future-work deployment mode. Events are
+// AssociationObserver is the simulator's observer interface, fed by the
+// live controller — e.g. the incremental.Engine learning sociality
+// continuously, the paper's future-work deployment mode. Events are
 // delivered under the controller's lock, in mutation order, so an
-// observer must not call back into the controller.
-type AssociationObserver interface {
-	// Connect fires after a user is associated with an AP.
-	Connect(u trace.UserID, ap trace.APID, ts int64)
-	// Disconnect fires after a user leaves an AP. Implementations must
-	// tolerate out-of-order or unknown users (the controller retries
-	// nothing).
-	Disconnect(u trace.UserID, ap trace.APID, ts int64) error
-}
+// observer must not call back into the controller, and Disconnect must
+// tolerate out-of-order or unknown users (the controller retries nothing).
+type AssociationObserver = wlan.AssociationObserver
 
 // Controller is the prototype WLAN controller: a TCP server that
 // registers AP agents, receives their load reports, and answers stations'

@@ -95,8 +95,8 @@ func DefaultConfig() Config {
 // mutex; Index, CloseFriends and Snapshot are lock-free reads of the
 // last published snapshot and may run concurrently with everything else.
 //
-// Engine implements protocol.AssociationObserver (learn from a live
-// controller), wlan.AssociationObserver (learn from a simulation) and
+// Engine implements wlan.AssociationObserver (learn from a simulation or,
+// as protocol.AssociationObserver, from a live controller) and
 // core.SocialIndex (drive a selector), so one instance closes the loop:
 // controller events in, association decisions out.
 type Engine struct {

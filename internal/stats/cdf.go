@@ -45,13 +45,15 @@ func (c *CDF) At(x float64) float64 {
 	return float64(n) / float64(len(c.sorted))
 }
 
-// Quantile returns the q-quantile of the samples (linear interpolation).
+// Quantile returns the q-quantile of the samples by linear interpolation
+// between order statistics (type 7, the R/NumPy default). It returns an
+// error for no samples or q outside [0, 1].
 func (c *CDF) Quantile(q float64) (float64, error) {
 	c.settle()
 	if len(c.sorted) == 0 {
 		return 0, ErrEmpty
 	}
-	if q < 0 || q > 1 {
+	if !(q >= 0 && q <= 1) { // NaN too
 		return 0, fmt.Errorf("stats: quantile %v out of range", q)
 	}
 	return quantileSorted(c.sorted, q), nil
@@ -92,20 +94,17 @@ func (c *CDF) String() string {
 	return sb.String()
 }
 
-// Welford is an online mean/variance accumulator (Welford's algorithm).
-// The zero value is ready to use.
+// Welford is an online mean accumulator (Welford's update). The zero value
+// is ready to use.
 type Welford struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
 // Add folds one observation into the accumulator.
 func (w *Welford) Add(x float64) {
 	w.n++
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
 
 // N returns the number of observations.
@@ -113,11 +112,3 @@ func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean (0 before any observation).
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running population variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}

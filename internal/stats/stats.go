@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by functions that require at least one sample.
@@ -57,47 +56,26 @@ func SampleVariance(xs []float64) float64 {
 // SampleStdDev returns the sample standard deviation of xs.
 func SampleStdDev(xs []float64) float64 { return math.Sqrt(SampleVariance(xs)) }
 
-// Min returns the minimum of xs. It returns an error for an empty slice.
-func Min(xs []float64) (float64, error) {
+// Plateau returns the first of xs whose curve value reaches 99% of the
+// curve's maximum — the point past which more history "does not help (but
+// does not hurt either)": Fig 6's NMI age and Fig 11's history length. It
+// returns xs's last element when none does (a NaN maximum) and 0 for no xs.
+func Plateau(xs []int, curve []float64) int {
 	if len(xs) == 0 {
-		return 0, ErrEmpty
+		return 0
 	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
+	max := curve[0]
+	for _, v := range curve {
+		if v > max {
+			max = v
 		}
 	}
-	return m, nil
-}
-
-// Max returns the maximum of xs. It returns an error for an empty slice.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
+	for i, v := range curve {
+		if v >= 0.99*max {
+			return xs[i]
 		}
 	}
-	return m, nil
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics (type-7, the R/NumPy default).
-// It returns an error for an empty slice or q outside [0, 1].
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, errors.New("stats: quantile out of range")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q), nil
+	return xs[len(xs)-1]
 }
 
 func quantileSorted(sorted []float64, q float64) float64 {

@@ -21,14 +21,15 @@ var (
 	obsSimSess  = obs.GetCounter("wlan.sessions", "Sessions replayed by the simulator")
 )
 
-// AssociationObserver receives simulated association lifecycle events —
-// the same shape as protocol.AssociationObserver, so the incremental
-// social-state engine (society/incremental) can learn from a replayed
-// trace exactly as it would from a live controller. Connect fires when
-// a session is placed (at its trace connect time); Disconnect fires at
-// departure or failure truncation. Disconnect errors are ignored: with
-// batched arrivals or injected failures, event times can interleave in
-// ways a strict learner rejects, and the simulation must not care.
+// AssociationObserver receives association lifecycle events from the
+// simulator and, as protocol.AssociationObserver, from the live
+// controller, so the incremental social-state engine (society/incremental)
+// learns from a replayed trace exactly as it would from a live controller.
+// In a replay, Connect fires when a session is placed (at its trace
+// connect time) and Disconnect at departure or failure truncation.
+// Disconnect errors are ignored: with batched arrivals or injected
+// failures, event times can interleave in ways a strict learner rejects,
+// and the simulation must not care.
 type AssociationObserver interface {
 	Connect(u trace.UserID, ap trace.APID, ts int64)
 	Disconnect(u trace.UserID, ap trace.APID, ts int64) error

@@ -1,14 +1,15 @@
 package s3wlan_test
 
 // Doc-drift guard: docs/OBSERVABILITY.md must list every registered
-// metric with its correct kind, and must not list metrics that no
-// longer exist. Blank imports force every registering package's
+// metric with its correct kind and a description that begins with its
+// HELP string, and must not list metrics that no longer exist. Blank imports force every registering package's
 // package-level metric vars to initialize into obs.Default before the
 // comparison runs.
 
 import (
 	"os"
 	"regexp"
+	"strings"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/obs"
@@ -27,8 +28,8 @@ import (
 	_ "github.com/s3wlan/s3wlan/internal/wlan"
 )
 
-// docRow matches one metric table row: | `name` | kind | ... |
-var docRow = regexp.MustCompile("(?m)^\\| `([a-z0-9._]+)` \\| (counter|gauge|timer|histogram) \\|")
+// docRow matches one metric table row: | `name` | kind | description |
+var docRow = regexp.MustCompile("(?m)^\\| `([a-z0-9._]+)` \\| (counter|gauge|timer|histogram) \\| (.*) \\|$")
 
 // dynamicMetric matches the two size gauges a named domain registers at
 // construction; they are documented as a pattern, not as table rows.
@@ -37,50 +38,56 @@ var dynamicMetric = regexp.MustCompile(`^domain\.[^.]+\.(aps|users)$`)
 // promName is the legal Prometheus metric-name charset.
 var promName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
-func loadDocKinds(t *testing.T) map[string]string {
+// docMetric is one metric table row's kind and description.
+type docMetric struct{ kind, desc string }
+
+func loadDoc(t *testing.T) map[string]docMetric {
 	t.Helper()
 	raw, err := os.ReadFile("docs/OBSERVABILITY.md")
 	if err != nil {
 		t.Fatalf("read metric reference: %v", err)
 	}
-	kinds := make(map[string]string)
+	rows := make(map[string]docMetric)
 	for _, m := range docRow.FindAllStringSubmatch(string(raw), -1) {
 		name, kind := m[1], m[2]
-		if prev, dup := kinds[name]; dup {
-			t.Errorf("docs/OBSERVABILITY.md lists %s twice (%s and %s)", name, prev, kind)
+		if prev, dup := rows[name]; dup {
+			t.Errorf("docs/OBSERVABILITY.md lists %s twice (%s and %s)", name, prev.kind, kind)
 		}
-		kinds[name] = kind
+		rows[name] = docMetric{kind: kind, desc: m[3]}
 	}
-	if len(kinds) == 0 {
+	if len(rows) == 0 {
 		t.Fatal("no metric rows parsed from docs/OBSERVABILITY.md; table format changed?")
 	}
-	return kinds
+	return rows
 }
 
 func TestMetricsMatchDocs(t *testing.T) {
-	doc := loadDocKinds(t)
+	doc := loadDoc(t)
 	live := obs.Default.Kinds()
 
 	for name, kind := range live {
 		if dynamicMetric.MatchString(name) {
 			continue
 		}
-		switch docKind := doc[name]; {
-		case docKind == "":
+		row, ok := doc[name]
+		switch help := obs.Default.Help(name); {
+		case !ok:
 			t.Errorf("metric %s (%s) is registered but missing from docs/OBSERVABILITY.md", name, kind)
-		case docKind != kind:
-			t.Errorf("metric %s is a %s but documented as %s", name, kind, docKind)
+		case row.kind != kind:
+			t.Errorf("metric %s is a %s but documented as %s", name, kind, row.kind)
+		case !strings.HasPrefix(row.desc, help):
+			t.Errorf("metric %s: documented as %q, which does not begin with its HELP %q", name, row.desc, help)
 		}
 	}
-	for name, kind := range doc {
+	for name, row := range doc {
 		if live[name] == "" {
-			t.Errorf("docs/OBSERVABILITY.md lists %s (%s) but no such metric is registered", name, kind)
+			t.Errorf("docs/OBSERVABILITY.md lists %s (%s) but no such metric is registered", name, row.kind)
 		}
 	}
 }
 
 func TestMetricsHaveHelp(t *testing.T) {
-	for _, name := range obs.Default.Names() {
+	for name := range obs.Default.Kinds() {
 		if obs.Default.Help(name) == "" {
 			t.Errorf("metric %s registered without a help string", name)
 		}
