@@ -7,7 +7,6 @@ package eventsim
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/obs"
@@ -41,9 +40,8 @@ func (ev *event) before(other *event) bool {
 	return ev.seq < other.seq
 }
 
-// eventHeap is a binary min-heap of event values: a replay queues one
-// event per arrival and per departure, and a slice of values costs no
-// allocation and no interface conversion per event.
+// eventHeap is a binary min-heap of event values: a slice of values costs
+// no allocation and no interface conversion per event.
 type eventHeap []event
 
 func (h *eventHeap) push(ev event) {
@@ -81,10 +79,18 @@ func (h *eventHeap) pop() event {
 
 // Engine is a discrete-event simulator. Create with New; the zero value is
 // not usable.
+//
+// Its queue has two parts, each ordered by (time, sequence): a FIFO run of
+// the events scheduled at or after the run's last time, which cost an
+// append and an index, and a heap of the rest. A replay schedules its
+// arrivals up front in time order, so only departures and report ticks
+// pay for the heap; RunUntil fires the earlier of the two heads.
 type Engine struct {
 	now     int64
 	seq     uint64
-	queue   eventHeap
+	run     []event // run[head:] is pending; empty whenever drained
+	head    int
+	heap    eventHeap
 	stopped bool
 }
 
@@ -97,11 +103,18 @@ func New(startTime int64) *Engine {
 func (e *Engine) Now() int64 { return e.now }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return len(e.run) - e.head + len(e.heap) }
 
-// Grow makes room for n more queued events, so a caller that knows how
-// many it will schedule sizes the queue once instead of by doubling.
-func (e *Engine) Grow(n int) { e.queue = slices.Grow(e.queue, n) }
+// Grow makes room for inOrder more events scheduled in time order (each at
+// or after the one before) and others more scheduled out of it, in one
+// allocation, so a caller that knows how many of each it will queue sizes
+// the queue once instead of by doubling.
+func (e *Engine) Grow(inOrder, others int) {
+	runCap := len(e.run) - e.head + inOrder
+	buf := make([]event, 0, runCap+len(e.heap)+others)
+	e.run, e.head = append(buf[:0:runCap], e.run[e.head:]...), 0
+	e.heap = append(buf[runCap:runCap], e.heap...)
+}
 
 // ErrPastEvent is returned when scheduling before the current time.
 var ErrPastEvent = errors.New("eventsim: cannot schedule event in the past")
@@ -115,7 +128,19 @@ func (e *Engine) ScheduleAt(at int64, handler Handler) error {
 		return errors.New("eventsim: nil handler")
 	}
 	e.seq++
-	e.queue.push(event{at: at, seq: e.seq, handler: handler})
+	ev := event{at: at, seq: e.seq, handler: handler}
+	if n := len(e.run); n > e.head && at < e.run[n-1].at {
+		e.heap.push(ev)
+		return nil
+	}
+	if len(e.run) == cap(e.run) && e.head > 0 && e.head >= len(e.run)/2 {
+		// Full, and at least half of it fired slots: slide the pending
+		// events down rather than regrow (at most once per len/2 appends).
+		n := copy(e.run, e.run[e.head:])
+		clear(e.run[n:])
+		e.run, e.head = e.run[:n], 0
+	}
+	e.run = append(e.run, ev)
 	return nil
 }
 
@@ -169,11 +194,11 @@ func (e *Engine) RunUntil(horizon int64) int64 {
 	e.stopped = false
 	start := time.Now()
 	var fired int64
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].at > horizon {
+	for !e.stopped {
+		next, ok := e.pop(horizon)
+		if !ok {
 			break
 		}
-		next := e.queue.pop()
 		e.now = next.at
 		fired++
 		next.handler(e)
@@ -181,4 +206,24 @@ func (e *Engine) RunUntil(horizon int64) int64 {
 	obsEvents.Add(fired)
 	obsRunTime.Observe(time.Since(start))
 	return e.now
+}
+
+// pop removes and returns the earliest queued event, the run's head or the
+// heap's, if it is due by horizon.
+func (e *Engine) pop(horizon int64) (event, bool) {
+	if e.head < len(e.run) && (len(e.heap) == 0 || e.run[e.head].before(&e.heap[0])) {
+		ev := e.run[e.head]
+		if ev.at > horizon {
+			return event{}, false
+		}
+		e.run[e.head] = event{} // the fired slot lets the handler's closure go
+		if e.head++; e.head == len(e.run) {
+			e.run, e.head = e.run[:0], 0
+		}
+		return ev, true
+	}
+	if len(e.heap) == 0 || e.heap[0].at > horizon {
+		return event{}, false
+	}
+	return e.heap.pop(), true
 }

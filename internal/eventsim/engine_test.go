@@ -182,12 +182,18 @@ func TestScheduleEvery(t *testing.T) {
 // TestHeapOrderMatchesSeq: over 10⁴ random schedules whose handlers
 // schedule follow-ups re-entrantly (many at the current instant), the
 // fired order is what a stable sort by time of the scheduling-order
-// list yields — earliest time first, ties in the order scheduled.
+// list yields — earliest time first, ties in the order scheduled. A third
+// of the trials schedule their roots in time order, as a replay schedules
+// its arrivals, so the queue's in-order run holds them; a third start a
+// ScheduleEvery chain, up front or from a handler, whose ticks re-arm
+// while other work is pending.
 func TestHeapOrderMatchesSeq(t *testing.T) {
 	type spec struct {
 		delay    int64 // after the parent fires (after the start, for a root)
 		children []int
+		every    int64 // > 0: after its children, start a chain of this interval
 	}
+	const tick = -1 // the chain's id in the fired order
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 10000; trial++ {
 		// A forest of events: roots are scheduled up front, children
@@ -203,6 +209,18 @@ func TestHeapOrderMatchesSeq(t *testing.T) {
 				specs[parent].children = append(specs[parent].children, id)
 			}
 		}
+		chainAt, every := -1, int64(0) // the chain starts before roots[chainAt]
+		switch trial % 3 {
+		case 1:
+			slices.SortStableFunc(roots, func(a, b int) int { return int(specs[a].delay - specs[b].delay) })
+		case 2:
+			every = 1 + rng.Int63n(3)
+			if rng.Intn(2) == 0 {
+				chainAt = rng.Intn(len(roots) + 1)
+			} else {
+				specs[rng.Intn(len(specs))].every = every
+			}
+		}
 
 		e := New(0)
 		var fired []int
@@ -215,26 +233,45 @@ func TestHeapOrderMatchesSeq(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				if specs[id].every > 0 {
+					if err := en.ScheduleEvery(specs[id].every, func(*Engine) { fired = append(fired, tick) }); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 		}
-		for _, id := range roots {
-			if err := e.ScheduleAt(specs[id].delay, handler(id)); err != nil {
-				t.Fatal(err)
+		for i := 0; i <= len(roots); i++ {
+			if i == chainAt {
+				if err := e.ScheduleEvery(every, func(*Engine) { fired = append(fired, tick) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if i < len(roots) {
+				if err := e.ScheduleAt(specs[roots[i]].delay, handler(roots[i])); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		e.Run()
 
 		// Reference: the pending list stays in scheduling order; the
-		// next to fire is the first entry holding the smallest time.
+		// next to fire is the first entry holding the smallest time. A
+		// tick re-arms when anything else is still pending.
 		type pending struct {
 			at int64
 			id int
 		}
 		var queue []pending
-		for _, id := range roots {
-			queue = append(queue, pending{specs[id].delay, id})
+		for i := 0; i <= len(roots); i++ {
+			if i == chainAt {
+				queue = append(queue, pending{0, tick})
+			}
+			if i < len(roots) {
+				queue = append(queue, pending{specs[roots[i]].delay, roots[i]})
+			}
 		}
 		var want []int
+		ticks := 0
 		for len(queue) > 0 {
 			first := 0
 			for i, p := range queue {
@@ -245,30 +282,43 @@ func TestHeapOrderMatchesSeq(t *testing.T) {
 			p := queue[first]
 			queue = append(queue[:first], queue[first+1:]...)
 			want = append(want, p.id)
+			if p.id == tick {
+				ticks++
+				if len(queue) > 0 {
+					queue = append(queue, pending{p.at + every, tick})
+				}
+				continue
+			}
 			for _, c := range specs[p.id].children {
 				queue = append(queue, pending{p.at + specs[c].delay, c})
+			}
+			if specs[p.id].every > 0 {
+				queue = append(queue, pending{p.at, tick})
 			}
 		}
 		if !slices.Equal(fired, want) {
 			t.Fatalf("trial %d: fired %v, want %v", trial, fired, want)
 		}
-		if e.Pending() != 0 || len(fired) != len(specs) {
-			t.Fatalf("trial %d: %d pending, %d fired of %d", trial, e.Pending(), len(fired), len(specs))
+		if e.Pending() != 0 || len(fired) != len(specs)+ticks {
+			t.Fatalf("trial %d: %d pending, %d fired of %d", trial, e.Pending(), len(fired), len(specs)+ticks)
 		}
 	}
 }
 
-// TestGrowSizesQueueOnce: after Grow(n), scheduling n events (some fired
-// on the way, some scheduled from handlers) never moves the queue.
+// TestGrowSizesQueueOnce: after Grow, scheduling what it made room for
+// (some fired on the way, some scheduled from handlers) never moves
+// either part of the queue — not even when a replay's late departures
+// land on a run that its arrivals filled.
 func TestGrowSizesQueueOnce(t *testing.T) {
 	e := New(0)
 	if err := e.ScheduleAt(5, func(*Engine) {}); err != nil {
 		t.Fatal(err)
 	}
-	e.Grow(100)
-	q, size := &e.queue[:1][0], cap(e.queue)
-	if size < 101 {
-		t.Fatalf("Grow(100) over 1 pending event: cap %d", size)
+	e.Grow(100, 100)
+	run, heap := &e.run[:1][0], &e.heap[:1][0]
+	runCap, heapCap := cap(e.run), cap(e.heap)
+	if runCap < 101 || heapCap < 100 {
+		t.Fatalf("Grow(100, 100) over 1 pending event: caps %d and %d", runCap, heapCap)
 	}
 	for i := 0; i < 50; i++ {
 		if err := e.ScheduleAt(int64(i%7), func(en *Engine) {
@@ -280,7 +330,20 @@ func TestGrowSizesQueueOnce(t *testing.T) {
 		}
 	}
 	e.Run()
-	if &e.queue[:1][0] != q || cap(e.queue) != size {
-		t.Errorf("the queue moved: cap %d → %d", size, cap(e.queue))
+	// A replay: arrivals in time order, each scheduling its departure 30 s
+	// on; those after the last arrival append to the run until it fills,
+	// and then the fired arrivals' slots make room.
+	for i := range 100 {
+		if err := e.ScheduleAt(int64(10+i), func(en *Engine) {
+			if err := en.ScheduleAfter(30, func(*Engine) {}); err != nil {
+				t.Fatal(err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Run()
+	if &e.run[:1][0] != run || cap(e.run) != runCap || &e.heap[:1][0] != heap || cap(e.heap) != heapCap {
+		t.Errorf("the queue moved: caps %d, %d → %d, %d", runCap, heapCap, cap(e.run), cap(e.heap))
 	}
 }

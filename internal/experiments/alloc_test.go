@@ -17,7 +17,7 @@ import (
 // TestSimulateAllocBudget pins what one S³ replay of the small campus's
 // test days (800 sessions) allocates under RunS3Model — the selector's
 // close-friend rows included, training not: the unit a sweep pays once
-// per cell. It measures (go1.24) 257 500 B in 1 305 objects (± 1 KB, ± 2):
+// per cell. It measures (go1.24) 257 300 B in 1 304 objects (± 1 KB, ± 2):
 // the rows, the arrival order, Assigned, the event queue, a closure per
 // departure and the result map of each of the 157 batches — Algorithm 1
 // itself works in a pooled placer. The ceilings are ≈ 15 % over that.
@@ -54,9 +54,10 @@ func TestSimulateAllocBudget(t *testing.T) {
 // sessions, 40 800 flows drawn; train on 9 of 12 days) allocates:
 // generation with its training flows folded into the profiles as they are
 // drawn, the split, the demand estimator and the Trainer every training of
-// the dataset goes through. It measures (go1.24) 1 455 400 B in 3 930
+// the dataset goes through. It measures (go1.24) 1 417 000 B in 3 679
 // objects (± 1 200 B, ± 5), of which the Trainer ≈ 119 000 B in 14; the
-// ceilings are ≈ 15 % over that. While Generate sorted a flow list that
+// ceilings are ≈ 15 % over the 1 455 400 B in 3 930 it took while each
+// user's days were a map. While Generate sorted a flow list that
 // BuildProfiles then read, the same Prepare allocated 6 445 500 B in 4 121;
 // while Generate also regrew it, seeded a generator per (user, day), staged
 // its flows as trace.Flows and SplitAt copied the trace, 45 000 000 B in

@@ -316,6 +316,9 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 	flowsOfDay := make([][]emittedFlow, 0, cfg.Days)
 
 	moodRng := rand.New(new(moodSource)) // reseeded by every dayMood
+	// The last day a training flow starts on, but for one running past
+	// midnight: what a user's profile is laid out for.
+	lastDay := min(trace.DayIndex(cfg.Epoch, cut-1), cfg.Days-1)
 
 	emit := func(i int, ctl trace.ControllerID, start, end int64) {
 		if end <= start {
@@ -424,10 +427,19 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 		if train == nil {
 			flowsOfDay = append(flowsOfDay, slices.Clone(dayFlows))
 		} else {
-			for _, f := range dayFlows {
-				if f.start < cut { // SplitAt's predicate
-					train.Add(allUsers[f.rank], f.start, apps.Realms()[f.realm], f.bytes)
+			// A session's flows are adjacent and share a rank: look its
+			// user up once.
+			var user apps.UserProfile
+			rank := int32(-1)
+			for i := range dayFlows {
+				f := &dayFlows[i]
+				if f.start >= cut { // SplitAt's predicate
+					continue
 				}
+				if f.rank != rank {
+					user, rank = train.User(allUsers[f.rank], lastDay), f.rank
+				}
+				user.Add(f.start, apps.Realms()[f.realm], f.bytes)
 			}
 		}
 		dayFlows = dayFlows[:0]

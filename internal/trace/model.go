@@ -153,13 +153,47 @@ type Trace struct {
 }
 
 // SortSessions orders sessions by connect time (ties: user, AP) in place.
+// It sorts one pointer-free (ConnectAt, index) key per session, whose
+// comparator reads the sessions' strings only on a tie and so has the sign
+// of comparing the sessions themselves on every pair: slices.SortFunc makes
+// the same swaps, and ties keep the order a sort of the sessions gives
+// them. Then each session moves once, cycle by cycle.
 func (tr *Trace) SortSessions() {
-	slices.SortFunc(tr.Sessions, func(a, b Session) int {
-		if c := cmp.Compare(a.ConnectAt, b.ConnectAt); c != 0 {
-			return c // before the strings are looked at: an eager cmp.Or is 1.3× slower
+	s := tr.Sessions
+	keys := make([]sessionKey, len(s))
+	for i := range s {
+		keys[i] = sessionKey{s[i].ConnectAt, i}
+	}
+	slices.SortFunc(keys, func(a, b sessionKey) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		return cmp.Or(cmp.Compare(a.User, b.User), cmp.Compare(a.AP, b.AP))
+		x, y := &s[a.i], &s[b.i]
+		return cmp.Or(cmp.Compare(x.User, y.User), cmp.Compare(x.AP, y.AP))
 	})
+	// keys[k].i is the session that belongs at k; a slot filled points at
+	// itself.
+	for k := range keys {
+		if keys[k].i == k {
+			continue
+		}
+		held := s[k]
+		for j := k; ; {
+			src := keys[j].i
+			keys[j].i = j
+			if src == k {
+				s[j] = held
+				break
+			}
+			s[j], j = s[src], src
+		}
+	}
+}
+
+// A sessionKey stands for session i in SortSessions.
+type sessionKey struct {
+	at int64 // its ConnectAt
+	i  int
 }
 
 // TimeRange returns the [earliest connect, latest disconnect] of all

@@ -136,6 +136,43 @@ func TestTraceSortAndRange(t *testing.T) {
 	}
 }
 
+// TestSortSessionsMatchesSortFunc holds SortSessions' key sort to what
+// slices.SortFunc does to the sessions themselves with the (ConnectAt,
+// User, AP) comparator, the order among ties included: over lengths that
+// cross pdqsort's insertion-sort cutoff, few distinct times, users and APs,
+// and sessions that tie on all three but differ in their bytes.
+func TestSortSessionsMatchesSortFunc(t *testing.T) {
+	byConnect := func(a, b Session) int {
+		if c := cmp.Compare(a.ConnectAt, b.ConnectAt); c != 0 {
+			return c
+		}
+		return cmp.Or(cmp.Compare(a.User, b.User), cmp.Compare(a.AP, b.AP))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(300)
+		times := 1 + rng.Intn(n+1)
+		sessions := make([]Session, n)
+		for i := range sessions {
+			at := int64(rng.Intn(times))
+			sessions[i] = Session{
+				User:         UserID(fmt.Sprintf("u%d", rng.Intn(4))),
+				AP:           APID(fmt.Sprintf("ap%d", rng.Intn(3))),
+				ConnectAt:    at,
+				DisconnectAt: at + 10,
+				Bytes:        int64(i), // the place it was drawn at
+			}
+		}
+		want := slices.Clone(sessions)
+		slices.SortFunc(want, byConnect)
+		tr := &Trace{Sessions: sessions}
+		tr.SortSessions()
+		if !slices.Equal(tr.Sessions, want) {
+			t.Fatalf("trial %d (%d sessions): SortSessions differs from slices.SortFunc", trial, n)
+		}
+	}
+}
+
 func TestTraceUsersAndGrouping(t *testing.T) {
 	tr := &Trace{Sessions: []Session{
 		{User: "u2", AP: "a", Controller: "c1", ConnectAt: 1, DisconnectAt: 2},

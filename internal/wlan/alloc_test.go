@@ -14,11 +14,13 @@ import (
 
 // TestSimulateAllocBudget pins what one replay of the 10 000-session
 // bench trace under LLF allocates: the sessions' arrival order as indices,
-// each domain's Assigned at its final size, the event queue sized once and
-// one three-word closure per departure; a decision itself — one snapshot
-// into the domain's reused buffer, one Select — allocates nothing. It
-// measures (go1.24) 1 812 110 B in 10 270 objects (± a few); the ceilings
-// are ≈ 15 % over that.
+// each domain's Assigned at its final size, the event queue's run (an
+// arrival a batch) and heap (a departure a session) sized once in one
+// allocation and one three-word closure per departure; a decision itself —
+// one snapshot into the domain's reused buffer, one Select — allocates
+// nothing. It measures (go1.24) 1 811 900 B in 10 268 objects (± a few);
+// the ceilings are ≈ 15 % over that. A heap grown by doubling instead:
+// 2 026 128 B.
 func TestSimulateAllocBudget(t *testing.T) {
 	tr := benchTrace(10000)
 	simulate := func() {

@@ -292,44 +292,50 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	}
 
 	// Schedule arrivals batch by batch, a batch being one controller's
-	// co-arrivals within the window. Neither their times nor their sequence
-	// numbers ever decrease, so they fire in the order they are scheduled:
-	// one handler walks the batches with a cursor, where a closure per
-	// batch would carry its own bounds.
+	// co-arrivals within the window. One pass compares sessions to find
+	// each batch's end and marks the batch's first arrival by complementing
+	// its index; scheduling and each arrival then find batches by sign.
+	// Neither their times nor their sequence numbers ever decrease, so they
+	// fire in the order they are scheduled: one handler walks the batches
+	// with a cursor, where a closure per batch would carry its own bounds.
 	sessions, order := tr.Sessions, arrivalOrder(tr.Sessions)
-	batchEnd := func(i int) int {
+	batches := 0
+	for i, j := 0, 0; i < len(order); i, batches = j, batches+1 {
 		first := &sessions[order[i]]
-		j := i + 1
+		d, ok := domains[first.Controller]
+		if !ok {
+			return nil, fmt.Errorf("wlan: session for unknown controller %q", first.Controller)
+		}
+		j = i + 1
 		for j < len(order) && sessions[order[j]].Controller == first.Controller &&
 			sessions[order[j]].ConnectAt-first.ConnectAt <= cfg.BatchWindowSeconds {
 			j++
 		}
-		return j
-	}
-	next := 0
-	arrive := func(e *eventsim.Engine) {
-		batch := order[next:batchEnd(next)]
-		next += len(batch)
-		if err := handleBatch(e, domains[sessions[batch[0]].Controller], sessions, batch, cfg); err != nil {
-			fail(err)
-		}
-	}
-	batches := 0
-	for i, j := 0, 0; i < len(order); i, batches = j, batches+1 {
-		j = batchEnd(i)
-		d, ok := domains[sessions[order[i]].Controller]
-		if !ok {
-			return nil, fmt.Errorf("wlan: session for unknown controller %q", sessions[order[i]].Controller)
-		}
 		d.arrivals += j - i
+		order[i] = ^order[i]
 	}
 	for _, d := range domains {
 		d.result.Assigned = make([]Assignment, 0, d.arrivals) // each is placed once
 	}
-	engine.Grow(batches + len(order)) // an arrival per batch, a departure per session
-	for i := 0; i < len(order); i = batchEnd(i) {
-		if err := engine.ScheduleAt(sessions[order[i]].ConnectAt, arrive); err != nil {
-			return nil, err
+	engine.Grow(batches, len(order)) // in time order an arrival a batch; out of it a departure a session
+	next := 0
+	arrive := func(e *eventsim.Engine) {
+		order[next] = ^order[next]
+		end := next + 1
+		for end < len(order) && order[end] >= 0 {
+			end++
+		}
+		batch := order[next:end]
+		next = end
+		if err := handleBatch(e, domains[sessions[batch[0]].Controller], sessions, batch, cfg); err != nil {
+			fail(err)
+		}
+	}
+	for _, k := range order {
+		if k < 0 {
+			if err := engine.ScheduleAt(sessions[^k].ConnectAt, arrive); err != nil {
+				return nil, err
+			}
 		}
 	}
 
