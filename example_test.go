@@ -7,9 +7,7 @@ import (
 	"time"
 
 	s3wlan "github.com/s3wlan/s3wlan"
-	"github.com/s3wlan/s3wlan/internal/experiments"
 	"github.com/s3wlan/s3wlan/internal/protocol"
-	"github.com/s3wlan/s3wlan/internal/society"
 )
 
 // Example demonstrates the full S³ workflow: generate (or load) a trace,
@@ -238,70 +236,4 @@ func Example_prototype() {
 	// group dispersal per AP:
 	//   office-ap-1: 2 members
 	//   office-ap-2: 2 members
-}
-
-// Example_failover takes one AP down for the second half of the test
-// window. S³ never migrates users: stations on the failed AP simply
-// leave, and both policies steer new arrivals to the survivors.
-func Example_failover() {
-	cfg := s3wlan.DefaultCampusConfig()
-	cfg.Users = 250
-	cfg.Buildings = 3
-	cfg.APsPerBuilding = 4
-	cfg.Days = 14
-	data, err := s3wlan.PrepareExperiment(cfg, 11)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// A prepared experiment's traces carry no flows: its training
-	// profiles were built as the campus was drawn.
-	model, err := society.Train(data.Train, data.Profiles, s3wlan.DefaultSocietyConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	selector, err := s3wlan.NewSelector(model, s3wlan.DefaultSelectorConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	start, end := data.Test.TimeRange()
-	failed := data.Test.Topology.APs[0]
-	outage := s3wlan.Failure{AP: failed.ID, From: (start + end) / 2, To: end}
-	fmt.Printf("outage: %s down for the second half of the test window\n", failed.ID)
-
-	for _, policy := range []s3wlan.Policy{selector, s3wlan.LLF{}} {
-		res, err := s3wlan.Simulate(data.Test, s3wlan.SimConfig{
-			SelectorFor: func(s3wlan.ControllerID, []s3wlan.AP) s3wlan.Policy {
-				return policy
-			},
-			DemandFor: func(s s3wlan.Session) float64 {
-				return data.Demands.Demand(s.User)
-			},
-			Failures:                  []s3wlan.Failure{outage},
-			LoadReportIntervalSeconds: 300,
-			BatchWindowSeconds:        60,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		mean, err := experiments.MeanBalance(res)
-		if err != nil {
-			log.Fatal(err)
-		}
-		onFailed := 0
-		for _, c := range res.Controllers() {
-			for _, a := range res.Domains[c].Assigned {
-				if a.AP == failed.ID && a.Session.ConnectAt >= outage.From {
-					onFailed++
-				}
-			}
-		}
-		stats := res.Stats()
-		fmt.Printf("%-4s balance %.4f, %d assignments, peak concurrency %d, %d placed on the failed AP during the outage\n",
-			res.Policy, mean, stats.Assignments, stats.PeakConcurrency, onFailed)
-	}
-	// Output:
-	// outage: ap-00-00 down for the second half of the test window
-	// S3   balance 0.5107, 770 assignments, peak concurrency 200, 0 placed on the failed AP during the outage
-	// LLF  balance 0.4366, 770 assignments, peak concurrency 200, 0 placed on the failed AP during the outage
 }

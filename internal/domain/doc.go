@@ -13,8 +13,8 @@
 // # Views
 //
 // Policy selection runs against a snapshot: ViewsInto collects, under
-// one read lock, each non-failed AP's aggregates (capacity, load, RSSI,
-// user count) in AP-ID order plus the domain version. A snapshot never
+// one read lock, each AP's aggregates (capacity, load, RSSI, user
+// count) in AP-ID order plus the domain version. A snapshot never
 // copies membership, so it costs O(APs) however many users are
 // resident. A policy that needs membership asks the view:
 // APView.Intersect (and SumDemands, a sum over it) looks a sorted user
@@ -29,10 +29,10 @@
 // # Staleness model
 //
 // A Domain is one lock domain — one RWMutex, one version counter bumped
-// on every structural or membership change (AP set, capacity, failure
-// state, a commit, a leave; not a load report) — because an S³ decision
-// reads the requester's friends on every candidate AP, so the whole
-// domain is what it must be consistent against. Both drivers serialize
+// on every structural or membership change (AP set, capacity, a commit,
+// a leave; not a load report) — because an S³ decision reads the
+// requester's friends on every candidate AP, so the whole domain is
+// what it must be consistent against. Both drivers serialize
 // their decisions themselves: the simulator's event loop is one thread,
 // and the live controller snapshots, selects and commits under one hold
 // of its own mutex. Nothing mutates the domain between a snapshot and

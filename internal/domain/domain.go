@@ -18,7 +18,7 @@ import (
 var (
 	obsCommits      = obs.GetCounter("domain.commits", "Placement commits applied")
 	obsOverloads    = obs.GetCounter("domain.overloads", "Placements admitted beyond AP capacity (admission override)")
-	obsEvictions    = obs.GetCounter("domain.evictions", "Users evicted from a failed or removed AP")
+	obsEvictions    = obs.GetCounter("domain.evictions", "Users evicted from a removed AP")
 	obsViews        = obs.GetCounter("domain.views", "APView snapshots taken")
 	obsMaterialized = obs.GetCounter("domain.views.materialized", "On-demand copies of one AP's membership taken through APView.Members")
 )
@@ -28,8 +28,6 @@ var (
 	// ErrUnknownAP reports a placement onto an AP the domain does not
 	// know (removed, expired, or a policy bug).
 	ErrUnknownAP = errors.New("unknown AP")
-	// ErrFailedAP reports a placement onto an AP that is marked failed.
-	ErrFailedAP = errors.New("AP is failed")
 	// ErrStale reports that the domain changed after the view snapshot
 	// whose Version a commit passed was taken. Every commit in the
 	// repository passes nil and serializes decisions itself.
@@ -249,8 +247,8 @@ type CommitResult struct {
 	Overloads int
 }
 
-// Eviction is one user removed from an AP by a structural event (AP
-// failure or removal), with the believed demand they held.
+// Eviction is one user removed from an AP by its removal, with the
+// believed demand they held.
 type Eviction struct {
 	User      trace.UserID
 	DemandBps float64
@@ -261,7 +259,6 @@ type APInfo struct {
 	CapacityBps float64
 	ReportedBps float64
 	BelievedBps float64
-	Failed      bool
 	Users       []trace.UserID // sorted
 	UserDemands []float64      // aligned with Users
 }
@@ -289,7 +286,6 @@ type apState struct {
 	reportedBps float64
 	believedBps float64
 	users       map[trace.UserID]float64 // user -> believed demand
-	failed      bool
 }
 
 // bumpUser adds delta to u's believed demand, inserting u when new.
@@ -377,25 +373,6 @@ func (d *Domain) RemoveAP(id trace.APID) (evicted []Eviction, ok bool) {
 	return evicted, true
 }
 
-// SetFailed flips an AP's failure state. Failing an AP evicts and
-// returns its users (sorted); recovery returns nil. Unknown APs no-op.
-func (d *Domain) SetFailed(id trace.APID, failed bool) []Eviction {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st, ok := d.aps[id]
-	if !ok {
-		return nil
-	}
-	st.failed = failed
-	var evicted []Eviction
-	if failed {
-		evicted = d.drain(st)
-	}
-	d.version++
-	d.syncGauges()
-	return evicted
-}
-
 // drain evicts every user from st; must run with d.mu held.
 func (d *Domain) drain(st *apState) []Eviction {
 	if len(st.users) == 0 {
@@ -461,7 +438,7 @@ func (d *Domain) PublishReports() {
 	d.published = d.version + 1
 }
 
-// Size returns the registered AP count (failed APs included).
+// Size returns the registered AP count.
 func (d *Domain) Size() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -488,7 +465,6 @@ func (d *Domain) Info(id trace.APID) (APInfo, bool) {
 		CapacityBps: st.capacityBps,
 		ReportedBps: st.reportedBps,
 		BelievedBps: st.believedBps,
-		Failed:      st.failed,
 		Users:       users,
 		UserDemands: demands,
 	}, true
@@ -527,8 +503,8 @@ func (b *ViewBuf) Views() []APView { return b.views }
 // Version returns the domain version of the last ViewsInto call.
 func (b *ViewBuf) Version() Version { return &b.ver }
 
-// ViewsInto snapshots the non-failed APs for a policy decision by user u
-// into a caller-owned reusable buffer, with the domain version the commit
+// ViewsInto snapshots the APs for a policy decision by user u into a
+// caller-owned reusable buffer, with the domain version the commit
 // validates against. It is one consistent cut, taken under one read
 // lock, in sorted AP-ID order. It touches O(APs) aggregates and never the
 // membership, so its cost does not depend on how many users are resident.
@@ -545,9 +521,6 @@ func (d *Domain) ViewsInto(u trace.UserID, buf *ViewBuf) {
 	hu := userHash(u)
 	for _, id := range d.ids {
 		st := d.aps[id]
-		if st.failed {
-			continue
-		}
 		load := st.reportedBps
 		if d.mode == LoadMax && st.believedBps >= load {
 			load = st.believedBps
@@ -566,8 +539,8 @@ func (d *Domain) ViewsInto(u trace.UserID, buf *ViewBuf) {
 
 // Commit applies a placement set atomically under the domain lock: the
 // version is validated (ver == nil forces the commit without validation),
-// then every target, then all placements are applied. On ErrStale,
-// ErrUnknownAP or ErrFailedAP nothing was applied.
+// then every target, then all placements are applied. On ErrStale or
+// ErrUnknownAP nothing was applied.
 func (d *Domain) Commit(ps []Placement, ver Version) (CommitResult, error) {
 	var res CommitResult
 	if len(ps) == 0 {
@@ -581,12 +554,8 @@ func (d *Domain) Commit(ps []Placement, ver Version) (CommitResult, error) {
 		return res, ErrStale
 	}
 	for _, p := range ps {
-		st, ok := d.aps[p.AP]
-		if !ok {
+		if _, ok := d.aps[p.AP]; !ok {
 			return res, fmt.Errorf("domain: %w: %q", ErrUnknownAP, p.AP)
-		}
-		if st.failed {
-			return res, fmt.Errorf("domain: %w: %q", ErrFailedAP, p.AP)
 		}
 	}
 

@@ -78,42 +78,8 @@ func TestAddRemoveAP(t *testing.T) {
 	}
 }
 
-func TestSetFailedEvictsAndHides(t *testing.T) {
-	d := New(Config{})
-	for _, ap := range []trace.APID{"a", "b"} {
-		if err := d.AddAP(ap, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := d.Commit([]Placement{{User: "u", AP: "a", DemandBps: 7}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	evicted := d.SetFailed("a", true)
-	if !reflect.DeepEqual(evicted, []Eviction{{User: "u", DemandBps: 7}}) {
-		t.Fatalf("evicted = %v", evicted)
-	}
-	views, _ := viewsOf(d, "u")
-	if len(views) != 1 || views[0].ID != "b" {
-		t.Fatalf("failed AP must be hidden from views: %v", views)
-	}
-	if _, err := d.Commit([]Placement{{User: "u", AP: "a", DemandBps: 1}}, nil); !errors.Is(err, ErrFailedAP) {
-		t.Fatalf("commit onto failed AP: err = %v, want ErrFailedAP", err)
-	}
-	if ev := d.SetFailed("a", false); ev != nil {
-		t.Fatalf("recovery must not evict, got %v", ev)
-	}
-	views, _ = viewsOf(d, "u")
-	if len(views) != 2 {
-		t.Fatalf("recovered AP must reappear: %v", views)
-	}
-	info, ok := d.Info("a")
-	if !ok || info.BelievedBps != 0 || len(info.Users) != 0 {
-		t.Fatalf("failure must drain load: %+v", info)
-	}
-}
-
 // TestEvictionsCountUsers: domain.evictions moves by one per user that
-// SetFailed or RemoveAP drains, not by one per AP.
+// RemoveAP drains, not by one per AP.
 func TestEvictionsCountUsers(t *testing.T) {
 	d := New(Config{})
 	for _, ap := range []trace.APID{"a", "b"} {
@@ -129,9 +95,9 @@ func TestEvictionsCountUsers(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := obsEvictions.Value()
-	d.SetFailed("a", true)
+	d.RemoveAP("a")
 	if got := obsEvictions.Value() - before; got != 3 {
-		t.Errorf("failing an AP with 3 users: domain.evictions moved by %d, want 3", got)
+		t.Errorf("removing an AP with 3 users: domain.evictions moved by %d, want 3", got)
 	}
 	before = obsEvictions.Value()
 	d.RemoveAP("b")
@@ -355,7 +321,7 @@ func TestViewsLoadModes(t *testing.T) {
 // that TestShardCountInvariant's operation sequence leaves behind,
 // computed at the last release that had AP shards, where 1, 4 and 16
 // shards all produced it.
-const shardCountInvariantDigest uint64 = 14377764800673192283
+const shardCountInvariantDigest uint64 = 7349079058474352381
 
 // TestShardCountInvariant was the proof that the shard count never
 // altered a result; with one lock domain left it pins that result
@@ -382,7 +348,6 @@ func TestShardCountInvariant(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		d.Leave(trace.UserID(fmt.Sprintf("u%03d", i%60)), trace.APID(fmt.Sprintf("ap%02d", (i*7)%40)), float64(1+i%13))
 	}
-	d.SetFailed("ap03", true)
 	d.RemoveAP("ap05")
 	d.PublishReports()
 
@@ -451,7 +416,7 @@ func TestConcurrentCommitsConserveLoad(t *testing.T) {
 			for i := 0; i < opsPer; i++ {
 				// Target only the stable APs: Views() transiently
 				// includes churn APs while they are live, and committing
-				// to one races with its removal/failure flip.
+				// to one races with its removal.
 				_, ver := viewsOf(d, u)
 				ap := aps[(w*31+i)%len(aps)]
 				if _, err := d.Commit([]Placement{{User: u, AP: ap, DemandBps: 1}}, ver); err != nil {
@@ -471,15 +436,14 @@ func TestConcurrentCommitsConserveLoad(t *testing.T) {
 			}
 		}(w)
 	}
-	// Structural churn on APs nobody commits to: registrations, removals
-	// and failure flips bump the version and exercise ErrStale.
+	// Structural churn on APs nobody commits to: registrations and
+	// removals bump the version and exercise ErrStale.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			id := trace.APID(fmt.Sprintf("churn%d", i%4))
 			if err := d.AddAP(id, 100); err == nil {
-				d.SetFailed(id, true)
 				d.RemoveAP(id)
 			}
 		}
@@ -583,7 +547,7 @@ func TestShardOfStable(t *testing.T) {
 // the version is the last publish's, so every way a believed or reported
 // load can move must still be followed — a SetReported in between (which
 // leaves the version alone) is overwritten, a Commit, a Leave, a LeaveAll
-// and an AP failure are tracked — and two publishes with nothing between
+// and a move are tracked — and two publishes with nothing between
 // them leave what a publish on a fresh domain in the same state would.
 func TestPublishReportsTracksEveryMove(t *testing.T) {
 	d := New(Config{Mode: LoadReported})
@@ -617,7 +581,6 @@ func TestPublishReportsTracksEveryMove(t *testing.T) {
 		{"SetReported to the believed load", func() { d.SetReported("ap1", 7); d.SetReported("ap1", 8) }, [2]float64{10, 7}},
 		{"Leave", func() { d.Leave("b", "ap1", 4) }, [2]float64{10, 3}},
 		{"LeaveAll", func() { d.LeaveAll("c", "ap1") }, [2]float64{10, 0}},
-		{"SetFailed", func() { d.SetFailed("ap0", true); d.SetFailed("ap0", false) }, [2]float64{0, 0}},
 		{"a move to the other AP", func() {
 			commit("a", "ap0", 5)
 			d.PublishReports()

@@ -20,7 +20,6 @@ type APState struct {
 	ID          trace.APID     `json:"id"`
 	CapacityBps float64        `json:"capacity_bps"`
 	ReportedBps float64        `json:"reported_bps,omitempty"`
-	Failed      bool           `json:"failed,omitempty"`
 	Users       []trace.UserID `json:"users,omitempty"`
 	Demands     []float64      `json:"demands,omitempty"`
 }
@@ -30,7 +29,7 @@ const stateVersion = 1
 
 // ExportState fills st (a fresh State when nil) with the domain's full
 // association state under one read lock: every AP, in sorted ID order,
-// with its capacity, report, failure flag and believed users/demands.
+// with its capacity, report and believed users/demands.
 // st's APs and their Users/Demands slices are reused, so a caller that
 // keeps one State exports without allocating once they have grown.
 func (d *Domain) ExportState(st *State) *State {
@@ -45,7 +44,7 @@ func (d *Domain) ExportState(st *State) *State {
 		ap, out := d.aps[id], &st.APs[i]
 		users, demands := sortedUsers(ap, out.Users, out.Demands)
 		*out = APState{ID: id, CapacityBps: ap.capacityBps, ReportedBps: ap.reportedBps,
-			Failed: ap.failed, Users: users, Demands: demands}
+			Users: users, Demands: demands}
 	}
 	return st
 }
@@ -73,7 +72,6 @@ func (d *Domain) ImportState(st *State) error {
 		d.mu.Lock()
 		apst := d.aps[ap.ID]
 		apst.reportedBps = ap.ReportedBps
-		apst.failed = ap.Failed
 		for i, u := range ap.Users {
 			if u == "" {
 				d.mu.Unlock()

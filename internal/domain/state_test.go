@@ -9,7 +9,7 @@ import (
 )
 
 // populateState builds a domain with a mixed population: capacities,
-// reports, a failed AP, multi-session users and a user on two APs.
+// reports, multi-session users and a user on two APs.
 func populateState(t *testing.T) *Domain {
 	t.Helper()
 	d := New(Config{})
@@ -32,7 +32,6 @@ func populateState(t *testing.T) *Domain {
 		t.Fatal(err)
 	}
 	d.SetReported("ap-1", 5e6)
-	d.SetFailed("ap-4", true)
 	return d
 }
 

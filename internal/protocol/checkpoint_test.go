@@ -202,13 +202,15 @@ func TestCheckpointDocumentRejects(t *testing.T) {
 // of a user or an AP. Restoring such a document drops those parts —
 // ghost (a connect time, no AP), stray (served bytes only) and ap-gone
 // (served bytes of an expired AP) leave no session and no AP behind —
-// and checkpointing again writes full rows only.
+// an AP whose failed byte an older release set comes back live, and
+// checkpointing again writes full rows only.
 func TestCheckpointParentPartialRows(t *testing.T) {
 	awkward := awkwardController(t)
 	good := awkward.appendCheckpointLocked(nil)
 	ends, _, _ := checkpointRows(t, good)
 
 	doc := append([]byte(nil), good[:ends[0]]...)
+	doc[bytes.Index(doc, []byte("ap-a"))+len("ap-a")+16] = 1 // after the ID, capacity and report
 	row := func(key string, flags byte) { doc = append(journal.AppendString(doc, key), flags) }
 	doc = binary.AppendUvarint(doc, 5)
 	row("amy", ckptAssigned)
@@ -237,6 +239,11 @@ func TestCheckpointParentPartialRows(t *testing.T) {
 	}
 	if got, want := controllerState(back), controllerState(awkward); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored state\n got %+v\nwant %+v", got, want)
+	}
+	var views domain.ViewBuf
+	back.dom.ViewsInto("amy", &views)
+	if len(views.Views()) != 3 || views.Views()[0].ID != "ap-a" {
+		t.Fatalf("restored views %+v, want ap-a among all three APs", views.Views())
 	}
 	again := back.appendCheckpointLocked(nil)
 	_, users, aps := checkpointRows(t, again)

@@ -120,7 +120,7 @@ func (c *Controller) appendCheckpointLocked(dst []byte) []byte {
 		dst = journal.AppendString(dst, string(ap.ID))
 		dst = journal.AppendFloat(dst, ap.CapacityBps)
 		dst = journal.AppendFloat(dst, ap.ReportedBps)
-		dst = append(dst, journal.FlagIf(ap.Failed, 1))
+		dst = append(dst, 0) // the failed flag a parent release's reader expects
 		dst = binary.AppendUvarint(dst, uint64(len(ap.Users)))
 		for k, u := range ap.Users {
 			dst = journal.AppendString(dst, string(u))
@@ -172,7 +172,7 @@ func decodeCheckpoint(payload []byte) (doc checkpointDoc, observerState []byte, 
 	for i := range doc.Domain.APs {
 		ap := &doc.Domain.APs[i]
 		ap.ID, ap.CapacityBps, ap.ReportedBps = trace.APID(in.Str()), in.Float(), in.Float()
-		ap.Failed = in.Byte() != 0
+		in.Byte() // a parent release's failed flag: no AP fails
 		if n := in.Count(minSessionBytes); n > 0 {
 			ap.Users, ap.Demands = make([]trace.UserID, n), make([]float64, n)
 		}

@@ -62,25 +62,6 @@ func TestSimulateObserverSeesLifecycle(t *testing.T) {
 	}
 }
 
-func TestSimulateObserverSeesFailureTruncation(t *testing.T) {
-	tr := &trace.Trace{Topology: twoAPTopology()}
-	tr.Sessions = []trace.Session{
-		{User: "u1", AP: "ap1", Controller: "c1", ConnectAt: 0, DisconnectAt: 1000, Bytes: 1000},
-	}
-	obs := &recObs{}
-	if _, err := Simulate(tr, Config{
-		SelectorFor: func(trace.ControllerID, []trace.AP) Selector { return llf{} },
-		Failures:    []Failure{{AP: "ap1", From: 500, To: 900}},
-		Observer:    obs,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The outage disconnects u1 at the failure time — exactly once.
-	if len(obs.disconnects) != 1 || obs.disconnects[0] != (lifecycleRec{"u1", "ap1", 500}) {
-		t.Errorf("disconnects = %+v, want one {u1 ap1 500}", obs.disconnects)
-	}
-}
-
 // TestSimulateFeedsIncrementalEngine replays a co-leaving pair through
 // the simulator into a live engine: the same wiring an experiment uses
 // to learn sociality from the replay it is scoring.

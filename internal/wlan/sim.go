@@ -26,22 +26,12 @@ var (
 // controller, so the incremental social-state engine (society/incremental)
 // learns from a replayed trace exactly as it would from a live controller.
 // In a replay, Connect fires when a session is placed (at its trace
-// connect time) and Disconnect at departure or failure truncation.
-// Disconnect errors are ignored: with batched arrivals or injected
-// failures, event times can interleave in ways a strict learner rejects,
-// and the simulation must not care.
+// connect time) and Disconnect at its departure. Disconnect errors are
+// ignored: with batched arrivals, event times can interleave in ways a
+// strict learner rejects, and the simulation must not care.
 type AssociationObserver interface {
 	Connect(u trace.UserID, ap trace.APID, ts int64)
 	Disconnect(u trace.UserID, ap trace.APID, ts int64) error
-}
-
-// Failure injects an AP outage: the AP accepts no new associations during
-// [From, To) and stations associated at From are disconnected (their
-// sessions end early; S³ never migrates users, so they simply leave).
-type Failure struct {
-	AP   trace.APID
-	From int64
-	To   int64
 }
 
 // Config configures a simulation run.
@@ -57,8 +47,6 @@ type Config struct {
 	// production policies plug the history-based estimator from
 	// internal/core.
 	DemandFor func(s trace.Session) float64
-	// Failures injects AP outages.
-	Failures []Failure
 	// BatchWindowSeconds groups arrivals in the same controller within
 	// this window into one batch decision for BatchSelectors (0 batches
 	// only identical timestamps).
@@ -77,8 +65,7 @@ type Config struct {
 
 // Assignment records where the simulator placed one session.
 type Assignment struct {
-	// Session is the original trace session (times and volume preserved;
-	// DisconnectAt may be truncated by an AP failure).
+	// Session is the original trace session (times and volume preserved).
 	Session trace.Session
 	// AP is the AP chosen by the policy (may differ from Session.AP).
 	AP trace.APID
@@ -184,7 +171,7 @@ type ctrlDomain struct {
 // Simulate replays the trace's sessions through the association policies.
 // Session arrival order and times come from the trace; the policy decides
 // placement. Sessions whose controller has no APs are skipped with an
-// error.
+// error, and a session that ends before it starts fails the run.
 func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	if cfg.SelectorFor == nil {
 		return nil, errors.New("wlan: Config.SelectorFor is required")
@@ -268,33 +255,11 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		engine.Stop()
 	}
 
-	// Schedule AP failures.
-	failures := make(map[trace.APID][]Failure)
-	for _, f := range cfg.Failures {
-		failures[f.AP] = append(failures[f.AP], f)
-	}
-	for _, d := range domains {
-		for _, apID := range d.dom.APs() {
-			for _, f := range failures[apID] {
-				if err := engine.ScheduleAt(f.From, func(e *eventsim.Engine) {
-					evicted := d.dom.SetFailed(apID, true)
-					truncateSessions(d, apID, evicted, e.Now())
-				}); err != nil {
-					return nil, err
-				}
-				if err := engine.ScheduleAt(f.To, func(*eventsim.Engine) {
-					d.dom.SetFailed(apID, false)
-				}); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
 	// Schedule arrivals batch by batch, a batch being one controller's
 	// co-arrivals within the window. One pass compares sessions to find
-	// each batch's end and marks the batch's first arrival by complementing
-	// its index; scheduling and each arrival then find batches by sign.
+	// each batch's end, refuses a session that ends before it starts, and
+	// marks the batch's first arrival by complementing its index;
+	// scheduling and each arrival then find batches by sign.
 	// Neither their times nor their sequence numbers ever decrease, so they
 	// fire in the order they are scheduled: one handler walks the batches
 	// with a cursor, where a closure per batch would carry its own bounds.
@@ -306,10 +271,15 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("wlan: session for unknown controller %q", first.Controller)
 		}
-		j = i + 1
-		for j < len(order) && sessions[order[j]].Controller == first.Controller &&
-			sessions[order[j]].ConnectAt-first.ConnectAt <= cfg.BatchWindowSeconds {
-			j++
+		for j = i; j < len(order); j++ {
+			s := &sessions[order[j]]
+			if j > i && (s.Controller != first.Controller || s.ConnectAt-first.ConnectAt > cfg.BatchWindowSeconds) {
+				break
+			}
+			if s.DisconnectAt < s.ConnectAt {
+				return nil, fmt.Errorf("wlan: session of %s on %s ends (%d) before it starts (%d)",
+					s.User, s.AP, s.DisconnectAt, s.ConnectAt)
+			}
 		}
 		d.arrivals += j - i
 		order[i] = ^order[i]
@@ -366,32 +336,6 @@ func arrivalOrder(sessions []trace.Session) []int32 {
 	return order
 }
 
-// truncateSessions ends the evicted users' open sessions on a failed AP
-// at time now. The domain has already drained the AP's load accounting;
-// this trims the recorded assignments and notifies the observer.
-func truncateSessions(d *ctrlDomain, ap trace.APID, evicted []domain.Eviction, now int64) {
-	live := make(map[trace.UserID]bool, len(evicted))
-	for _, ev := range evicted {
-		live[ev.User] = true
-	}
-	for i := range d.result.Assigned {
-		a := &d.result.Assigned[i]
-		if a.AP != ap || a.Session.DisconnectAt <= now || !live[a.Session.User] {
-			continue
-		}
-		// Scale the served volume down to the truncated duration.
-		full := a.Session.Duration()
-		if full > 0 {
-			served := now - a.Session.ConnectAt
-			a.Session.Bytes = int64(float64(a.Session.Bytes) * float64(served) / float64(full))
-		}
-		a.Session.DisconnectAt = now
-		if d.observer != nil {
-			_ = d.observer.Disconnect(a.Session.User, ap, now)
-		}
-	}
-}
-
 // handleBatch decides and places one controller's co-arrivals, the
 // sessions batch indexes: jointly
 // when a BatchSelector has several, else each on arrival from a snapshot
@@ -400,10 +344,6 @@ func truncateSessions(d *ctrlDomain, ap trace.APID, evicted []domain.Eviction, n
 func handleBatch(e *eventsim.Engine, d *ctrlDomain, sessions []trace.Session, batch []int32, cfg Config) error {
 	d.dom.ViewsInto(sessions[batch[0]].User, &d.views)
 	views := d.views.Views()
-	if len(views) == 0 {
-		return fmt.Errorf("wlan: controller %q has no available APs at t=%d",
-			d.id, e.Now())
-	}
 
 	var placed map[trace.UserID]trace.APID // nil: every session decided on arrival
 	if bs, ok := d.selector.(BatchSelector); ok && len(batch) > 1 {
@@ -460,12 +400,8 @@ func (d *ctrlDomain) place(e *eventsim.Engine, s trace.Session, apID trace.APID,
 		{User: s.User, AP: apID, DemandBps: demand},
 	}, nil)
 	if err != nil {
-		switch {
-		case errors.Is(err, domain.ErrUnknownAP):
+		if errors.Is(err, domain.ErrUnknownAP) {
 			return fmt.Errorf("wlan: selector %q chose unknown AP %q",
-				d.selector.Name(), apID)
-		case errors.Is(err, domain.ErrFailedAP):
-			return fmt.Errorf("wlan: selector %q chose failed AP %q",
 				d.selector.Name(), apID)
 		}
 		return fmt.Errorf("wlan: commit on %q: %w", d.id, err)
@@ -478,13 +414,8 @@ func (d *ctrlDomain) place(e *eventsim.Engine, s trace.Session, apID trace.APID,
 	idx := len(d.result.Assigned) - 1
 	// The departure reads the session back from its assignment: a closure
 	// over (d, idx, demand) is a third the size of one over s and apID.
-	return e.ScheduleAt(max(s.DisconnectAt, e.Now()), func(en *eventsim.Engine) {
-		// The assignment may have been truncated by a failure; only
-		// release if the user is still on this AP.
+	return e.ScheduleAt(s.DisconnectAt, func(en *eventsim.Engine) {
 		a := &d.result.Assigned[idx]
-		if a.Session.DisconnectAt < en.Now() {
-			return // already released (and observed) by failure truncation
-		}
 		if d.observer != nil {
 			_ = d.observer.Disconnect(a.Session.User, a.AP, en.Now())
 		}

@@ -171,6 +171,18 @@ func TestSimulateErrors(t *testing.T) {
 	}); err == nil || !strings.Contains(err.Error(), "unknown AP") {
 		t.Errorf("bogus AP should fail the simulation, got %v", err)
 	}
+	// A session that ends before it starts, second of its batch: placed,
+	// its demand would never be released.
+	backwards := &trace.Trace{Topology: twoAPTopology()}
+	backwards.Sessions = []trace.Session{
+		{User: "u1", AP: "ap1", Controller: "c1", ConnectAt: 100, DisconnectAt: 200},
+		{User: "u2", AP: "ap1", Controller: "c1", ConnectAt: 100, DisconnectAt: 50},
+	}
+	if _, err := Simulate(backwards, Config{
+		SelectorFor: func(trace.ControllerID, []trace.AP) Selector { return llf{} },
+	}); err == nil || !strings.Contains(err.Error(), "session of u2 on ap1 ends (50) before it starts (100)") {
+		t.Errorf("a session ending before it starts should fail the simulation, got %v", err)
+	}
 	// Nil selector.
 	if _, err := Simulate(tr, Config{
 		SelectorFor: func(trace.ControllerID, []trace.AP) Selector { return nil },
@@ -243,46 +255,6 @@ func TestSimulateBatchWindow(t *testing.T) {
 	}
 	if b2.batches != 0 {
 		t.Errorf("batches with 0s window = %d, want 0 (single arrivals)", b2.batches)
-	}
-}
-
-func TestSimulateFailureInjection(t *testing.T) {
-	tr := &trace.Trace{Topology: twoAPTopology()}
-	tr.Sessions = []trace.Session{
-		// u1 lands on ap1 (least loaded tie-break) and would stay until
-		// t=1000, but ap1 fails at t=500.
-		{User: "u1", AP: "ap1", Controller: "c1", ConnectAt: 0, DisconnectAt: 1000, Bytes: 1000},
-		// u2 arrives during the outage and must land on ap2.
-		{User: "u2", AP: "ap1", Controller: "c1", ConnectAt: 600, DisconnectAt: 800, Bytes: 100},
-	}
-	res, err := Simulate(tr, Config{
-		SelectorFor: func(trace.ControllerID, []trace.AP) Selector { return llf{} },
-		Failures:    []Failure{{AP: "ap1", From: 500, To: 900}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := res.Domains["c1"]
-	var u1, u2 Assignment
-	for _, a := range d.Assigned {
-		switch a.Session.User {
-		case "u1":
-			u1 = a
-		case "u2":
-			u2 = a
-		}
-	}
-	if u1.AP != "ap1" {
-		t.Fatalf("u1 on %v, want ap1", u1.AP)
-	}
-	if u1.Session.DisconnectAt != 500 {
-		t.Errorf("u1 truncated at %d, want 500", u1.Session.DisconnectAt)
-	}
-	if u1.Session.Bytes != 500 {
-		t.Errorf("u1 served bytes = %d, want 500 (half)", u1.Session.Bytes)
-	}
-	if u2.AP != "ap2" {
-		t.Errorf("u2 on %v, want ap2 (ap1 failed)", u2.AP)
 	}
 }
 
@@ -450,8 +422,7 @@ func TestSimulateSnapshotsOncePerDecision(t *testing.T) {
 }
 
 // TestLoadSeriesBinsAssignments: the series LoadSeries bins straight from
-// a replay's assignments — sessions truncated by an AP failure and
-// sessions of zero length among them — equals, bit for bit, the one
+// a replay's assignments — sessions of zero length among them — equals, bit for bit, the one
 // trace.BinLoads gives over those sessions copied out with the assigned
 // AP written into them; and so does every row EachBin yields, domain by
 // domain in Controllers() order and bin by bin, through a buffer every
@@ -459,7 +430,7 @@ func TestSimulateSnapshotsOncePerDecision(t *testing.T) {
 func TestLoadSeriesBinsAssignments(t *testing.T) {
 	res := unevenReplay(t)
 	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	truncated, points := 0, 0
+	points := 0
 	rows := make(map[trace.ControllerID][][]float64)
 	for _, c := range res.Controllers() {
 		d := res.Domains[c]
@@ -470,8 +441,6 @@ func TestLoadSeriesBinsAssignments(t *testing.T) {
 			sessions = append(sessions, s)
 			if s.Duration() == 0 {
 				points++
-			} else if s.DisconnectAt == 20000 || s.DisconnectAt == 50000 {
-				truncated++
 			}
 		}
 		loads, err := trace.BinLoads(sessions, d.APs, res.Start, res.End, res.BinSeconds)
@@ -493,8 +462,8 @@ func TestLoadSeriesBinsAssignments(t *testing.T) {
 			t.Errorf("%s: LoadSeries differs from BinLoads over the copied sessions", c)
 		}
 	}
-	if truncated == 0 || points == 0 {
-		t.Errorf("%d truncated and %d zero-length sessions: the replay does not cover them", truncated, points)
+	if points == 0 {
+		t.Error("no zero-length sessions: the replay does not cover them")
 	}
 	var order []trace.ControllerID
 	visited := make(map[trace.ControllerID]int)
@@ -522,8 +491,7 @@ func TestLoadSeriesBinsAssignments(t *testing.T) {
 }
 
 // unevenReplay is an LLF replay of the bench trace over domains of 2, 4,
-// 3 and 1 APs, with sessions of zero length and sessions truncated by
-// two AP failures.
+// 3 and 1 APs, with sessions of zero length.
 func unevenReplay(t *testing.T) *Result {
 	t.Helper()
 	tr := benchTrace(3000)
@@ -537,7 +505,6 @@ func unevenReplay(t *testing.T) *Result {
 	}
 	res, err := Simulate(tr, Config{
 		SelectorFor: func(trace.ControllerID, []trace.AP) Selector { return llf{} },
-		Failures:    []Failure{{AP: "ap-0-1", From: 20000, To: 30000}, {AP: "ap-2-0", From: 50000, To: 50500}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -91,8 +91,6 @@ type (
 	Request = wlan.Request
 	// Policy is the pluggable association-policy interface.
 	Policy = wlan.Selector
-	// Failure injects an AP outage into a simulation.
-	Failure = wlan.Failure
 	// RunStats summarizes a completed simulation.
 	RunStats = wlan.RunStats
 )
