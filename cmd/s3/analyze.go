@@ -28,7 +28,6 @@ func runAnalyze(args []string, out io.Writer) (err error) {
 		fig    = fs.Int("fig", 0, "figure to reproduce (2-8); 0 with -all")
 		table  = fs.Int("table", 0, "table to reproduce (1)")
 		all    = fs.Bool("all", false, "run every analysis")
-		epoch  = fs.Int64("epoch", 0, "trace epoch (Unix seconds of day 0)")
 		csvDir = fs.String("csvdir", "", "also write each figure as CSV into this directory")
 		fan    = newFanoutFlags(fs)
 		rt     = newRuntimeFlags(fs)
@@ -54,7 +53,7 @@ func runAnalyze(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	profiles := apps.BuildProfiles(tr.Flows, *epoch, apps.NewClassifier())
+	profiles := apps.BuildProfiles(tr.Flows, in.epoch, apps.NewClassifier())
 
 	var jobs []func(w io.Writer) error
 	addFig := func(n int, compute func() (result, error)) {
@@ -65,9 +64,9 @@ func runAnalyze(args []string, out io.Writer) (err error) {
 			})
 		}
 	}
-	addFig(2, func() (result, error) { return analysis.Fig2(tr, *epoch) })
+	addFig(2, func() (result, error) { return analysis.Fig2(tr, in.epoch) })
 	addFig(3, func() (result, error) { return analysis.Fig3(tr, nil) })
-	addFig(4, func() (result, error) { return analysis.Fig4(tr, *epoch, 1, 600) })
+	addFig(4, func() (result, error) { return analysis.Fig4(tr, in.epoch, 1, 600) })
 	addFig(5, func() (result, error) { return analysis.Fig5(tr, nil) })
 	addFig(6, func() (result, error) { return analysis.Fig6(profiles, 30) })
 	addFig(7, func() (result, error) { return analysis.Fig7(profiles, 10, in.seed) })

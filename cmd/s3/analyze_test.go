@@ -45,6 +45,20 @@ func TestRunMissingTrace(t *testing.T) {
 	}
 }
 
+// TestRunAnalyzeRefusesInvalidTrace: a trace with a session that ends
+// before it starts is refused at load, naming the session, before any
+// figure prints.
+func TestRunAnalyzeRefusesInvalidTrace(t *testing.T) {
+	path, names := writeBackwardsTrace(t)
+	var buf bytes.Buffer
+	if err := runAnalyze([]string{"-trace", path, "-fig", "5"}, &buf); err == nil || !strings.Contains(err.Error(), names) {
+		t.Errorf("analyze -fig 5: err = %v, want one naming %q", err, names)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("analyze printed %q from an invalid trace", buf.String())
+	}
+}
+
 // TestRunAnalyzeRefusesUnservable: a figure or table s3 analyze does not
 // have errors, naming the flag, instead of exiting cleanly with no output.
 func TestRunAnalyzeRefusesUnservable(t *testing.T) {

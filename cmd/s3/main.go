@@ -16,8 +16,9 @@
 // -memprofile, -pprof (net/http/pprof and Prometheus /metrics), -obs
 // (the metric registry as JSON at exit) and the flight recorder
 // (-flight-dir, -flight-every, -flight-max-bytes; decode with s3 diag).
-// analyze, model and sim read their input from -trace <file> or
-// -generate (+ -seed).
+// analyze, model and sim read their input from -trace <file>, refused
+// unless every record is valid, or -generate (+ -seed); -epoch is its
+// day 0.
 package main
 
 import (
@@ -154,11 +155,12 @@ func (f *fanoutFlags) config(label string) runner.Config {
 }
 
 // input is the trace analyze, model and sim read: -trace <file>, or a
-// campus generated with -generate.
+// campus generated with -generate; -epoch is its day 0 either way.
 type input struct {
 	path     string
 	generate bool
 	seed     int64
+	epoch    int64
 }
 
 func newInput(fs *flag.FlagSet) *input {
@@ -166,15 +168,16 @@ func newInput(fs *flag.FlagSet) *input {
 	fs.StringVar(&in.path, "trace", "", "input trace (JSON-lines); empty with -generate")
 	fs.BoolVar(&in.generate, "generate", false, "generate a synthetic campus instead of reading a trace")
 	fs.Int64Var(&in.seed, "seed", 1, "seed for -generate, clustering and replicates")
+	fs.Int64Var(&in.epoch, "epoch", 0, "trace epoch (Unix seconds of day 0); with -generate, the campus's")
 	return in
 }
 
-// load generates campus, with its Seed set to -seed, under -generate;
-// otherwise it reads -trace.
+// load generates campus, with its Seed and Epoch set to -seed and
+// -epoch, under -generate; otherwise it reads -trace, which validates.
 func (in *input) load(campus synth.Config) (*trace.Trace, error) {
 	switch {
 	case in.generate:
-		campus.Seed = in.seed
+		campus.Seed, campus.Epoch = in.seed, in.epoch
 		tr, _, err := synth.Generate(campus)
 		return tr, err
 	case in.path != "":

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,9 +14,8 @@ import (
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
-// writeSmallTrace writes a 120-user campus (3 buildings × 3 APs, 8 days)
-// as a trace file.
-func writeSmallTrace(t *testing.T) string {
+// smallTrace is a 120-user campus (3 buildings × 3 APs, 8 days).
+func smallTrace(t *testing.T) *trace.Trace {
 	t.Helper()
 	cfg := synth.DefaultConfig()
 	cfg.Users = 120
@@ -26,11 +26,32 @@ func writeSmallTrace(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tr
+}
+
+// saveTrace writes tr as a trace file and returns its path.
+func saveTrace(t *testing.T, tr *trace.Trace) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "t.jsonl")
 	if err := trace.SaveFile(path, tr); err != nil {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// writeSmallTrace writes smallTrace as a trace file.
+func writeSmallTrace(t *testing.T) string { return saveTrace(t, smallTrace(t)) }
+
+// writeBackwardsTrace writes smallTrace with its first session, one of
+// the first training day, ending an hour before it starts. It returns the
+// path and what an error refusing the file must say to name the session.
+func writeBackwardsTrace(t *testing.T) (path, names string) {
+	t.Helper()
+	tr := smallTrace(t)
+	s := &tr.Sessions[0]
+	s.DisconnectAt = s.ConnectAt - 3600
+	return saveTrace(t, tr), fmt.Sprintf("session 0: trace: session for %s ends (%d) before it starts (%d)",
+		s.User, s.DisconnectAt, s.ConnectAt)
 }
 
 // TestDispatch: without a known subcommand the error names all seven;

@@ -24,7 +24,6 @@ func runModel(args []string, out io.Writer) (err error) {
 		inspect   = fs.String("inspect", "", "inspect a saved model")
 		in        = newInput(fs)
 		outPath   = fs.String("out", "model.json", "output model path for -train")
-		epoch     = fs.Int64("epoch", 0, "trace epoch (Unix seconds of day 0)")
 		window    = fs.Int64("window", 300, "co-leave extraction window, seconds")
 		alpha     = fs.Float64("alpha", 0.3, "type-prior coefficient α")
 		history   = fs.Int("history", 15, "training history in days (0 = all)")
@@ -49,7 +48,7 @@ func runModel(args []string, out io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		profiles := apps.BuildProfiles(tr.Flows, *epoch, apps.NewClassifier())
+		profiles := apps.BuildProfiles(tr.Flows, in.epoch, apps.NewClassifier())
 		cfg := society.DefaultConfig()
 		cfg.CoLeaveWindowSeconds = *window
 		cfg.Alpha = *alpha

@@ -43,6 +43,21 @@ func TestTrainNeedsInput(t *testing.T) {
 	}
 }
 
+// TestTrainRefusesInvalidTrace: a trace with a session that ends before
+// it starts is refused at load, naming the session, and no model is
+// written.
+func TestTrainRefusesInvalidTrace(t *testing.T) {
+	path, names := writeBackwardsTrace(t)
+	out := filepath.Join(t.TempDir(), "m.json")
+	var buf bytes.Buffer
+	if err := runModel([]string{"-train", "-trace", path, "-out", out}, &buf); err == nil || !strings.Contains(err.Error(), names) {
+		t.Errorf("model -train: err = %v, want one naming %q", err, names)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("model -train wrote %s from an invalid trace (stat: %v)", out, err)
+	}
+}
+
 func TestInspectMissingFile(t *testing.T) {
 	var buf bytes.Buffer
 	if err := runModel([]string{"-inspect", "/nonexistent.json"}, &buf); err == nil {

@@ -55,14 +55,17 @@ func runSim(args []string, out io.Writer) (err error) {
 
 	cfg := synth.DefaultConfig()
 	sizes(&cfg)
-	cfg.Seed = in.seed
+	cfg.Seed, cfg.Epoch = in.seed, in.epoch
 	var data *experiments.Data
 	if in.generate {
 		data, err = experiments.Prepare(cfg, *trainDays) // holds no flow list
 	} else {
 		var tr *trace.Trace
-		if tr, err = in.load(cfg); err == nil {
-			data, err = experiments.PrepareTrace(tr, cfg, *trainDays)
+		if tr, err = in.load(cfg); err != nil {
+			return err
+		}
+		if data, err = experiments.PrepareTrace(tr, cfg, *trainDays); err != nil {
+			err = fmt.Errorf("split %s at -epoch %d + -train %d days: %w", in.path, in.epoch, *trainDays, err)
 		}
 	}
 	if err != nil {

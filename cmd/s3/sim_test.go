@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -51,6 +52,54 @@ func TestRunNoInput(t *testing.T) {
 	var buf bytes.Buffer
 	if err := runSim([]string{"-fig", "12"}, &buf); err == nil {
 		t.Error("missing input should error")
+	}
+}
+
+// TestRunSimRefusesInvalidTrace: a trace with a session that ends before
+// it starts — in the training days, which no replay reads — is refused at
+// load, naming the session, before anything prints.
+func TestRunSimRefusesInvalidTrace(t *testing.T) {
+	path, names := writeBackwardsTrace(t)
+	var buf bytes.Buffer
+	if err := runSim([]string{"-trace", path, "-train", "5", "-fig", "12"}, &buf); err == nil || !strings.Contains(err.Error(), names) {
+		t.Errorf("sim -fig 12: err = %v, want one naming %q", err, names)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("sim printed %q from an invalid trace", buf.String())
+	}
+}
+
+// TestRunSimEpoch: a trace stamped in real Unix time splits at -epoch
+// plus the training days, so shifting a trace and its -epoch by the same
+// whole days leaves Fig 12 as it was; without -epoch the split is empty,
+// and the error names -epoch.
+func TestRunSimEpoch(t *testing.T) {
+	const shift = 1700006400 // 2023-11-15 00:00 UTC, a whole number of days
+	tr := smallTrace(t)
+	plain := saveTrace(t, tr)
+	for i := range tr.Sessions {
+		tr.Sessions[i].ConnectAt += shift
+		tr.Sessions[i].DisconnectAt += shift
+	}
+	for i := range tr.Flows {
+		tr.Flows[i].Start += shift
+		tr.Flows[i].End += shift
+	}
+	shifted := saveTrace(t, tr)
+	fig12 := func(args ...string) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := runSim(append(args, "-train", "5", "-fig", "12"), &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if want, got := fig12("-trace", plain), fig12("-trace", shifted, "-epoch", fmt.Sprint(shift)); got != want {
+		t.Errorf("shifted trace at -epoch %d:\n%s\nunshifted:\n%s", shift, got, want)
+	}
+	var buf bytes.Buffer
+	if err := runSim([]string{"-trace", shifted, "-train", "5", "-fig", "12"}, &buf); err == nil || !strings.Contains(err.Error(), "-epoch 0") {
+		t.Errorf("shifted trace without -epoch: err = %v, want an empty split naming -epoch", err)
 	}
 }
 

@@ -72,4 +72,8 @@ func TestRunErrors(t *testing.T) {
 	if err := runTrace([]string{"-in", "/nope.jsonl", "-summary"}, &buf); err == nil {
 		t.Error("missing file should error")
 	}
+	bad, names := writeBackwardsTrace(t)
+	if err := runTrace([]string{"-in", bad, "-validate"}, &buf); err == nil || !strings.Contains(err.Error(), names) {
+		t.Errorf("-validate of an invalid trace: err = %v, want one naming %q", err, names)
+	}
 }

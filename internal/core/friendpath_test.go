@@ -51,6 +51,8 @@ func (s scanTabulator) CloseFriendRows(threshold float64) (users []trace.UserID,
 	return s.users, start, friends, theta
 }
 
+func (s scanTabulator) Rank(u trace.UserID) (int, bool) { return slices.BinarySearch(s.users, u) }
+
 // users lists the users the map names, sorted.
 func (m mapIndex) users() []trace.UserID {
 	var users []trace.UserID

@@ -54,36 +54,33 @@ type FriendIndex interface {
 // what a FriendIndex serves: users ascending, and for users[i] the row
 // friends[start[i]:start[i+1]] — ascending, exactly the v with
 // Index(users[i], v) > threshold — with that Index in theta alongside.
-// *society.Model satisfies it.
+// Rank(u) is the i with users[i] == u, at every threshold, and false for
+// a user it does not list. *society.Model satisfies it.
 type FriendTabulator interface {
 	SocialIndex
 	CloseFriendRows(threshold float64) (users []trace.UserID, start []int, friends []trace.UserID, theta []float64)
+	Rank(u trace.UserID) (int, bool)
 }
 
-// friendRows is a FriendTabulator's layout served as a FriendIndex.
+// friendRows is a FriendTabulator's layout served as a FriendIndex; a
+// user's row is found by the tabulator's Rank.
 type friendRows struct {
-	SocialIndex
+	FriendTabulator
 	threshold float64
-	rank      map[trace.UserID]int
 	start     []int
 	friends   []trace.UserID
 	theta     []float64
 }
 
 func newFriendRows(social FriendTabulator, threshold float64) *friendRows {
-	users, start, friends, theta := social.CloseFriendRows(threshold)
-	r := &friendRows{SocialIndex: social, threshold: threshold,
-		rank: make(map[trace.UserID]int, len(users)), start: start, friends: friends, theta: theta}
-	for i, u := range users {
-		r.rank[u] = i
-	}
-	return r
+	_, start, friends, theta := social.CloseFriendRows(threshold)
+	return &friendRows{FriendTabulator: social, threshold: threshold, start: start, friends: friends, theta: theta}
 }
 
 func (r *friendRows) FriendThreshold() float64 { return r.threshold }
 
 func (r *friendRows) CloseFriends(u trace.UserID) []trace.UserID {
-	if i, ok := r.rank[u]; ok {
+	if i, ok := r.Rank(u); ok {
 		return r.friends[r.start[i]:r.start[i+1]]
 	}
 	return nil
@@ -322,7 +319,7 @@ type relation struct {
 // tabulated row, asked of the index when it lists friends without θ.
 func (s *Selector) thetas(u trace.UserID, friends []trace.UserID) []float64 {
 	if r, ok := s.friends.(*friendRows); ok {
-		if i, ok := r.rank[u]; ok {
+		if i, ok := r.Rank(u); ok {
 			return r.theta[r.start[i]:r.start[i+1]]
 		}
 		return nil

@@ -7,6 +7,7 @@ package eventsim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/obs"
@@ -175,9 +176,10 @@ func (e *Engine) ScheduleEvery(interval int64, handler Handler) error {
 	var tick Handler
 	tick = func(en *Engine) {
 		handler(en)
-		if en.Pending() > 0 {
-			// Re-arm only while other work remains; scheduling relative
-			// to the current time can never be in the past.
+		if en.Pending() > 0 && en.now <= math.MaxInt64-interval {
+			// Re-arm only while other work remains and a later tick is
+			// representable; scheduling relative to the current time can
+			// then never be in the past.
 			if err := en.ScheduleAfter(interval, tick); err != nil {
 				panic(err) // unreachable: positive delay from now
 			}

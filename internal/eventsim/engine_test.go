@@ -1,6 +1,7 @@
 package eventsim
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -169,6 +170,19 @@ func TestScheduleEvery(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Errorf("pending = %d, want 0", e.Pending())
+	}
+	// A chain near the end of time stops where the next tick would not
+	// be representable, leaving the work behind it to fire.
+	end := New(math.MaxInt64 - 15)
+	ticks = 0
+	if err := end.ScheduleEvery(10, func(*Engine) { ticks++ }); err != nil {
+		t.Fatal(err)
+	}
+	if err := end.ScheduleAt(math.MaxInt64, func(*Engine) {}); err != nil {
+		t.Fatal(err)
+	}
+	if end.Run(); ticks != 2 || end.Now() != math.MaxInt64 {
+		t.Errorf("near the end of time: %d ticks, clock at %d; want 2, %d", ticks, end.Now(), int64(math.MaxInt64))
 	}
 	// Validation.
 	if err := e.ScheduleEvery(0, func(*Engine) {}); err == nil {

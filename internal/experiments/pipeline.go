@@ -88,12 +88,13 @@ func prepare(full *trace.Trace, profiles *apps.ProfileStore, campus synth.Config
 	if trainDays <= 0 {
 		trainDays = 28
 	}
-	train, test := full.SplitAt(campus.Epoch + int64(trainDays)*86400)
+	cut := campus.Epoch + int64(trainDays)*86400
+	train, test := full.SplitAt(cut)
 	if len(train.Sessions) == 0 {
-		return nil, errors.New("experiments: empty training split")
+		return nil, fmt.Errorf("experiments: empty training split: no session connects before %d", cut)
 	}
 	if len(test.Sessions) == 0 {
-		return nil, errors.New("experiments: empty test split")
+		return nil, fmt.Errorf("experiments: empty test split: no session connects at or after %d", cut)
 	}
 	if profiles == nil {
 		profiles = apps.BuildProfiles(train.Flows, campus.Epoch, apps.NewClassifier())

@@ -123,6 +123,14 @@ func NewModel(pairs []PairStat, types map[trace.UserID]int, matrix, centroids []
 	return m, nil
 }
 
+// Rank returns u's index in the model's users (everyone in a pair or
+// with a type, ascending): its row in CloseFriendRows at any threshold.
+// It is false for a user the model does not know.
+func (m *Model) Rank(u trace.UserID) (int, bool) {
+	r, ok := m.pairs.rank[u]
+	return int(r), ok
+}
+
 // CloseFriendRows lays the θ > threshold graph out as CSR rows over the
 // model's users (everyone in a pair or with a type), users ascending:
 // row i is friends[start[i]:start[i+1]], ascending, and lists exactly

@@ -116,7 +116,11 @@ func TestModelRowsMatchIndex(t *testing.T) {
 				for _, u := range everyone {
 					var gotF []trace.UserID
 					var gotT []float64
-					if r, ok := slices.BinarySearch(users, u); ok {
+					r, ok := m.Rank(u)
+					if wantR, wantOK := slices.BinarySearch(users, u); ok != wantOK || ok && r != wantR {
+						t.Fatalf("%s α=%v thr=%v: Rank(%s) = %d, %v; users has it at %d, %v", name, alpha, threshold, u, r, ok, wantR, wantOK)
+					}
+					if ok {
 						gotF, gotT = friends[start[r]:start[r+1]], theta[start[r]:start[r+1]]
 					}
 					wantF, wantT := scanRow(m, u, everyone, threshold)

@@ -50,7 +50,9 @@ func WriteJSONLines(w io.Writer, tr *Trace) error {
 }
 
 // ReadJSONLines parses a JSON-lines trace from r (through Stream, so
-// unknown kinds are rejected and corruption is caught early).
+// unknown kinds are rejected and corruption is caught early) and returns
+// it only if it passes Validate: every trace a file brings in is checked
+// here, and the error names the first bad record.
 func ReadJSONLines(r io.Reader) (*Trace, error) {
 	tr := &Trace{}
 	err := Stream(r, func(topo *Topology, s *Session, f *Flow) error {
@@ -67,6 +69,9 @@ func ReadJSONLines(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := tr.Validate(); err != nil {
+		return nil, fmt.Errorf("invalid trace: %w", err)
+	}
 	return tr, nil
 }
 
@@ -82,7 +87,7 @@ func SaveFile(path string, tr *Trace) error {
 	return nil
 }
 
-// LoadFile reads a JSON-lines trace from path.
+// LoadFile reads a JSON-lines trace from path through ReadJSONLines.
 func LoadFile(path string) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {

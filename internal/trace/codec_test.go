@@ -49,6 +49,10 @@ func TestReadJSONLinesMalformed(t *testing.T) {
 		{"session without payload", `{"kind":"session"}` + "\n"},
 		{"flow without payload", `{"kind":"flow"}` + "\n"},
 		{"topology without payload", `{"kind":"topology"}` + "\n"},
+		{"session ending before it starts", `{"kind":"session","session":{"user":"u","ap":"a","connect_at":20,"disconnect_at":10}}` + "\n"},
+		{"session on an AP the topology lacks", `{"kind":"topology","topology":{"aps":[{"id":"a"}]}}` + "\n" +
+			`{"kind":"session","session":{"user":"u","ap":"b"}}` + "\n"},
+		{"flow ending before it starts", `{"kind":"flow","flow":{"user":"u","start":20,"end":10}}` + "\n"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

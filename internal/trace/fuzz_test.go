@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzReadJSONLines hardens the trace parser against corrupt input: it
-// must never panic, and everything it accepts must re-serialize.
+// must never panic, and everything it accepts must be valid and
+// re-serialize.
 func FuzzReadJSONLines(f *testing.F) {
 	var seed bytes.Buffer
 	if err := WriteJSONLines(&seed, sampleTrace()); err != nil {
@@ -22,6 +23,9 @@ func FuzzReadJSONLines(f *testing.F) {
 		tr, err := ReadJSONLines(strings.NewReader(input))
 		if err != nil {
 			return // rejected: fine
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("accepted an invalid trace: %v", err)
 		}
 		var buf bytes.Buffer
 		if err := WriteJSONLines(&buf, tr); err != nil {

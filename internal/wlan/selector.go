@@ -27,8 +27,9 @@ type APView = domain.APView
 // Selector is an association policy: given a request and the live state of
 // the candidate APs in the controller domain, pick one AP. Implementations
 // must be deterministic for reproducible experiments. aps is never empty.
-// The live controller (internal/protocol) calls Select and SelectBatch
-// under its lock, so a policy must not call back into the controller.
+// The live controller (internal/protocol) calls Select, never
+// SelectBatch, under its lock, so a policy must not call back into the
+// controller.
 type Selector interface {
 	// Name identifies the policy in experiment output.
 	Name() string
@@ -40,8 +41,8 @@ type Selector interface {
 // BatchSelector is an optional extension for policies that distribute a
 // group of simultaneous arrivals jointly (S³'s Algorithm 1 distributes
 // socially-tight cliques across APs in one decision). The simulator
-// batches arrivals with identical timestamps per controller and offers
-// them to SelectBatch; the result maps every user in reqs to an AP.
+// batches one controller's arrivals within Config.BatchWindowSeconds and
+// offers them to SelectBatch; the result maps every user in reqs to an AP.
 type BatchSelector interface {
 	Selector
 	SelectBatch(reqs []Request, aps []APView) (map[trace.UserID]trace.APID, error)

@@ -1,8 +1,10 @@
 package s3wlan_test
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	s3wlan "github.com/s3wlan/s3wlan"
@@ -84,6 +86,27 @@ func TestTraceRoundTripViaFacade(t *testing.T) {
 	}
 	if len(got.Sessions) != len(tr.Sessions) {
 		t.Errorf("sessions = %d, want %d", len(got.Sessions), len(tr.Sessions))
+	}
+}
+
+// TestLoadTraceRefusesInvalid: LoadTrace returns only a valid trace; a
+// session that ends before it starts is refused, named.
+func TestLoadTraceRefusesInvalid(t *testing.T) {
+	cfg := s3wlan.DefaultCampusConfig()
+	cfg.Users, cfg.Buildings, cfg.APsPerBuilding, cfg.Days = 30, 2, 2, 3
+	tr, _, err := s3wlan.GenerateCampus(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &tr.Sessions[0]
+	s.DisconnectAt = s.ConnectAt - 3600
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	if err := s3wlan.SaveTrace(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	names := fmt.Sprintf("session 0: trace: session for %s ends", s.User)
+	if _, err := s3wlan.LoadTrace(path); err == nil || !strings.Contains(err.Error(), names) {
+		t.Errorf("LoadTrace: err = %v, want one naming %q", err, names)
 	}
 }
 
