@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/s3wlan/s3wlan/internal/synth"
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
@@ -75,5 +76,26 @@ func TestRunErrors(t *testing.T) {
 	bad, names := writeBackwardsTrace(t)
 	if err := runTrace([]string{"-in", bad, "-validate"}, &buf); err == nil || !strings.Contains(err.Error(), names) {
 		t.Errorf("-validate of an invalid trace: err = %v, want one naming %q", err, names)
+	}
+}
+
+// TestValidateRefusesForeignController: a session must be on its AP's
+// controller. The 12-day small campus (s3 gen -users 150 -buildings 3
+// -days 12) with session 0 moved from ctl-01 to ctl-00 is refused, and the
+// error names the session; the simulator would place it among ctl-00's APs.
+func TestValidateRefusesForeignController(t *testing.T) {
+	cfg := synth.DefaultConfig()
+	cfg.Users, cfg.Buildings, cfg.Days = 150, 3, 12
+	tr, _, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := tr.Sessions[0].Controller; c != "ctl-01" {
+		t.Fatalf("session 0 is on %s; the repro relabels one on ctl-01", c)
+	}
+	tr.Sessions[0].Controller = "ctl-00"
+	var buf bytes.Buffer
+	if err := runTrace([]string{"-in", saveTrace(t, tr), "-validate"}, &buf); err == nil || !strings.Contains(err.Error(), "session 0: controller ctl-00") {
+		t.Errorf("-validate of a session on another AP's controller: err = %v, want one naming session 0", err)
 	}
 }

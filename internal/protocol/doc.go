@@ -7,8 +7,8 @@
 // internal/core or a baseline from internal/baseline — and makes live
 // association decisions exactly as the simulator does, but over real
 // sockets. That symmetry is the point: the same policy code path is
-// exercised by the discrete-event simulation (internal/eventsim driving
-// internal/wlan) and by this networked prototype, so simulated results
+// exercised by the trace-driven simulation (internal/wlan) and by this
+// networked prototype, so simulated results
 // carry over to the deployable artifact.
 //
 // Wire format: the journal's magic|length|CRC-32C frames, each carrying

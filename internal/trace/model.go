@@ -282,9 +282,10 @@ func splitAt[E any](s []E, cut int64, at func(*E) int64) (before, rest []E) {
 }
 
 // Validate checks every record and the referential integrity of sessions
-// against the topology. It returns the first problem found.
+// against the topology: a session's AP must be in it, and its controller
+// must be that AP's. It returns the first problem found.
 func (tr *Trace) Validate() error {
-	apSet := make(map[APID]bool, len(tr.Topology.APs))
+	apCtl := make(map[APID]ControllerID, len(tr.Topology.APs))
 	for _, ap := range tr.Topology.APs {
 		if ap.ID == "" {
 			return fmt.Errorf("trace: topology AP with empty ID")
@@ -292,17 +293,23 @@ func (tr *Trace) Validate() error {
 		if ap.CapacityBps < 0 {
 			return fmt.Errorf("trace: AP %s has negative capacity", ap.ID)
 		}
-		if apSet[ap.ID] {
+		if _, dup := apCtl[ap.ID]; dup {
 			return fmt.Errorf("trace: duplicate AP %s", ap.ID)
 		}
-		apSet[ap.ID] = true
+		apCtl[ap.ID] = ap.Controller
 	}
 	for i, s := range tr.Sessions {
 		if err := s.Validate(); err != nil {
 			return fmt.Errorf("session %d: %w", i, err)
 		}
-		if len(apSet) > 0 && !apSet[s.AP] {
+		if len(apCtl) == 0 {
+			continue
+		}
+		switch c, ok := apCtl[s.AP]; {
+		case !ok:
 			return fmt.Errorf("session %d: unknown AP %s", i, s.AP)
+		case s.Controller != c:
+			return fmt.Errorf("session %d: controller %s, but AP %s is on %s", i, s.Controller, s.AP, c)
 		}
 	}
 	for i, f := range tr.Flows {

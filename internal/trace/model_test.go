@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -341,11 +342,18 @@ func TestSplitAtSharesOrderedSlices(t *testing.T) {
 func TestTraceValidate(t *testing.T) {
 	good := &Trace{
 		Topology: sampleTopology(),
-		Sessions: []Session{{User: "u", AP: "ap-1", ConnectAt: 1, DisconnectAt: 2}},
+		Sessions: []Session{{User: "u", AP: "ap-1", Controller: "ctl-A", ConnectAt: 1, DisconnectAt: 2}},
 		Flows:    []Flow{{User: "u", Start: 1, End: 2, Proto: "tcp"}},
 	}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid trace rejected: %v", err)
+	}
+	wrongController := &Trace{
+		Topology: sampleTopology(),
+		Sessions: []Session{{User: "u", AP: "ap-1", Controller: "ctl-B", ConnectAt: 1, DisconnectAt: 2}},
+	}
+	if err := wrongController.Validate(); err == nil || !strings.Contains(err.Error(), "session 0: controller ctl-B, but AP ap-1 is on ctl-A") {
+		t.Errorf("session on another AP's controller: err = %v", err)
 	}
 	unknownAP := &Trace{
 		Topology: sampleTopology(),

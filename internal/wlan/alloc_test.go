@@ -14,13 +14,13 @@ import (
 
 // TestSimulateAllocBudget pins what one replay of the 10 000-session
 // bench trace under LLF allocates: the sessions' arrival order as indices,
-// each domain's Assigned at its final size, the event queue's run (an
-// arrival a batch) and heap (a departure a session) sized once in one
-// allocation and one three-word closure per departure; a decision itself —
-// one snapshot into the domain's reused buffer, one Select — allocates
-// nothing. It measures (go1.24) 1 811 900 B in 10 268 objects (± a few);
-// the ceilings are ≈ 15 % over that. A heap grown by doubling instead:
-// 2 026 128 B.
+// each domain's Assigned at its final size and the heap of pending
+// departures, values grown by doubling to the most sessions open at once.
+// There is no event queue: the replay merges the arrival order, that heap
+// and the next report tick, and keeps no closure per departure. A decision
+// itself — one snapshot into the domain's reused buffer, one Select —
+// allocates nothing. It measures (go1.24) 1 056 232 B in 244 objects
+// (± a few); the ceilings are ≈ 15 % over that.
 func TestSimulateAllocBudget(t *testing.T) {
 	tr := benchTrace(10000)
 	simulate := func() {
@@ -37,7 +37,7 @@ func TestSimulateAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	t.Logf("%d B, %d objects per replay", bytes, objects)
-	const maxBytes, maxObjects = 2_085_000, 11_800
+	const maxBytes, maxObjects = 1_215_000, 280
 	if bytes > maxBytes || objects > maxObjects {
 		t.Errorf("one replay allocates %d B in %d objects, budget %d B in %d", bytes, objects, maxBytes, maxObjects)
 	}

@@ -1,6 +1,7 @@
 // Package wlan is the enterprise-WLAN simulation layer: controllers and
 // APs with capacity, stations with demands, and an association lifecycle
-// driven by the discrete-event engine in internal/eventsim.
+// replayed from a trace as one merge, in time order, of three streams:
+// arrival batches, departures and the controller's load-report ticks.
 //
 // The layer is policy-agnostic. Association decisions go through the
 // Selector interface; baseline policies (LLF, least-users, strongest-RSSI,
@@ -17,6 +18,6 @@
 //
 // The output Result records every assignment per controller domain, from
 // which the metrics layer derives per-bin AP loads and balance indices.
-// Simulation wall time and session counts are exported through
-// internal/obs ("wlan.simulate", "wlan.sessions").
+// Simulation wall time, session and event counts are exported through
+// internal/obs ("wlan.simulate", "wlan.sessions", "eventsim.events").
 package wlan

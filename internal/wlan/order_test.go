@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
@@ -64,5 +65,67 @@ func TestSimulateOrderMatchesSortedCopy(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// tieLog records a replay's events in the order they fire: the observer's
+// connects and departures, and the reported load each decision was shown.
+type tieLog struct{ events []string }
+
+func (l *tieLog) Connect(u trace.UserID, _ trace.APID, ts int64) {
+	l.events = append(l.events, fmt.Sprintf("connect %s @%d", u, ts))
+}
+
+func (l *tieLog) Disconnect(u trace.UserID, _ trace.APID, ts int64) error {
+	l.events = append(l.events, fmt.Sprintf("depart %s @%d", u, ts))
+	return nil
+}
+
+func (l *tieLog) Name() string { return "tie-log" }
+
+func (l *tieLog) Select(req Request, aps []APView) (trace.APID, error) {
+	l.events = append(l.events, fmt.Sprintf("select %s sees %g", req.User, aps[0].LoadBps))
+	return aps[0].ID, nil
+}
+
+// TestSimulateTieOrder pins the order of events that share an instant.
+// At 600 s a batch (u-c), two departures and a report tick coincide, all
+// on one AP, with demands 1, 10, 100 and 1000 B/s that tell the loads
+// apart. The batch fires first; then u-b departs, placed at 0 s, before
+// the 300 s tick fired and so scheduled before the 600 s tick; then the
+// tick; then u-a, placed at 400 s, after it. Departures keep placement
+// order, not user order. The probe at 700 s sees what the 600 s tick
+// reported: u-c and u-a, not u-b.
+func TestSimulateTieOrder(t *testing.T) {
+	demand := map[trace.UserID]float64{"u-b": 1, "u-a": 10, "u-c": 100, "probe": 1000}
+	tr := &trace.Trace{
+		Topology: trace.Topology{APs: []trace.AP{{ID: "ap1", Controller: "c1", CapacityBps: 1e6}}},
+		Sessions: []trace.Session{
+			{User: "u-b", AP: "ap1", Controller: "c1", ConnectAt: 0, DisconnectAt: 600},
+			{User: "u-a", AP: "ap1", Controller: "c1", ConnectAt: 400, DisconnectAt: 600},
+			{User: "u-c", AP: "ap1", Controller: "c1", ConnectAt: 600, DisconnectAt: 800},
+			{User: "probe", AP: "ap1", Controller: "c1", ConnectAt: 700, DisconnectAt: 800},
+		},
+	}
+	log := &tieLog{}
+	if _, err := Simulate(tr, Config{
+		SelectorFor:               func(trace.ControllerID, []trace.AP) Selector { return log },
+		DemandFor:                 func(s trace.Session) float64 { return demand[s.User] },
+		LoadReportIntervalSeconds: 300,
+		Observer:                  log,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"select u-b sees 0", "connect u-b @0",
+		"select u-a sees 1", "connect u-a @400", // the 300 s tick saw u-b
+		"select u-c sees 1", "connect u-c @600", // the batch precedes the 600 s tick
+		"depart u-b @600",
+		"depart u-a @600",
+		"select probe sees 110", "connect probe @700", // the 600 s tick: u-c and u-a
+		"depart u-c @800", "depart probe @800",
+	}
+	if !slices.Equal(log.events, want) {
+		t.Errorf("replay fired\n\t%s\nwant\n\t%s", strings.Join(log.events, "\n\t"), strings.Join(want, "\n\t"))
 	}
 }

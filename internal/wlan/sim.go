@@ -4,11 +4,11 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/domain"
-	"github.com/s3wlan/s3wlan/internal/eventsim"
 	"github.com/s3wlan/s3wlan/internal/metrics"
 	"github.com/s3wlan/s3wlan/internal/obs"
 	"github.com/s3wlan/s3wlan/internal/trace"
@@ -19,6 +19,8 @@ import (
 var (
 	obsSimulate = obs.GetHistogram("wlan.simulate", "Wall time of one trace-driven simulation run")
 	obsSimSess  = obs.GetCounter("wlan.sessions", "Sessions replayed by the simulator")
+	// The retired event engine's name, kept because bench/layers.go reads it.
+	obsEvents = obs.GetCounter("eventsim.events", "Events the simulator fired: arrival batches, departures and report ticks")
 )
 
 // AssociationObserver receives association lifecycle events from the
@@ -233,36 +235,11 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		return nil, errors.New("wlan: topology has no controllers with APs")
 	}
 
-	engine := eventsim.New(start)
-	if cfg.LoadReportIntervalSeconds > 0 {
-		// One report tick refreshes every AP's load snapshot; the chain
-		// self-terminates when the workload drains.
-		err := engine.ScheduleEvery(cfg.LoadReportIntervalSeconds,
-			func(*eventsim.Engine) {
-				for _, d := range domains {
-					d.dom.PublishReports()
-				}
-			})
-		if err != nil {
-			return nil, err
-		}
-	}
-	var simErr error
-	fail := func(err error) {
-		if simErr == nil {
-			simErr = err
-		}
-		engine.Stop()
-	}
-
-	// Schedule arrivals batch by batch, a batch being one controller's
+	// Group arrivals batch by batch, a batch being one controller's
 	// co-arrivals within the window. One pass compares sessions to find
 	// each batch's end, refuses a session that ends before it starts, and
-	// marks the batch's first arrival by complementing its index;
-	// scheduling and each arrival then find batches by sign.
-	// Neither their times nor their sequence numbers ever decrease, so they
-	// fire in the order they are scheduled: one handler walks the batches
-	// with a cursor, where a closure per batch would carry its own bounds.
+	// marks the batch's first arrival by complementing its index; the
+	// replay then walks the batches with a cursor, finding each by sign.
 	sessions, order := tr.Sessions, arrivalOrder(tr.Sessions)
 	batches := 0
 	for i, j := 0, 0; i < len(order); i, batches = j, batches+1 {
@@ -287,33 +264,121 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	for _, d := range domains {
 		d.result.Assigned = make([]Assignment, 0, d.arrivals) // each is placed once
 	}
-	engine.Grow(batches, len(order)) // in time order an arrival a batch; out of it a departure a session
-	next := 0
-	arrive := func(e *eventsim.Engine) {
-		order[next] = ^order[next]
-		end := next + 1
-		for end < len(order) && order[end] >= 0 {
-			end++
+
+	// The replay merges three streams by moment: the arrival batches in
+	// order, the heap of pending departures and the next report tick.
+	// Seq 0 is the opening tick and 1…batches are the batches.
+	p := &pending{seq: uint64(batches)}
+	interval := cfg.LoadReportIntervalSeconds
+	tick, ticking := moment{start, 0}, interval > 0
+	var fired int64
+	defer func() { obsEvents.Add(fired) }()
+	for next, batch := 0, uint64(1); ; fired++ {
+		var arrival moment
+		if next < len(order) {
+			arrival = moment{sessions[^order[next]].ConnectAt, batch}
 		}
-		batch := order[next:end]
-		next = end
-		if err := handleBatch(e, domains[sessions[batch[0]].Controller], sessions, batch, cfg); err != nil {
-			fail(err)
-		}
-	}
-	for _, k := range order {
-		if k < 0 {
-			if err := engine.ScheduleAt(sessions[^k].ConnectAt, arrive); err != nil {
+		switch {
+		case next < len(order) && (len(p.deps) == 0 || arrival.before(p.deps[0].moment)) && (!ticking || arrival.before(tick)):
+			order[next] = ^order[next]
+			end := next + 1
+			for end < len(order) && order[end] >= 0 {
+				end++
+			}
+			if err := handleBatch(p, domains[sessions[order[next]].Controller], sessions, order[next:end], cfg); err != nil {
 				return nil, err
 			}
+			next, batch = end, batch+1
+		case len(p.deps) > 0 && (!ticking || p.deps[0].before(tick)):
+			dep := p.pop()
+			a := &dep.d.result.Assigned[dep.idx]
+			if dep.d.observer != nil {
+				_ = dep.d.observer.Disconnect(a.Session.User, a.AP, dep.at)
+			}
+			dep.d.dom.Leave(a.Session.User, a.AP, dep.demand)
+		case ticking:
+			// One report tick refreshes every AP's load snapshot.
+			for _, d := range domains {
+				d.dom.PublishReports()
+			}
+			if ticking = (next < len(order) || len(p.deps) > 0) && tick.at <= math.MaxInt64-interval; ticking {
+				tick = p.schedule(tick.at + interval)
+			}
+		default:
+			return res, nil
 		}
 	}
+}
 
-	engine.Run()
-	if simErr != nil {
-		return nil, simErr
+// moment orders a replay's events: by time, then by seq, which numbers
+// them in the order they were scheduled — the opening report tick, every
+// arrival batch, then each departure as its session is placed and each
+// later tick as the one before it fires. So at one instant the batches
+// fire first (after the opening tick, at the trace's start), then
+// departures and ticks in the order they were scheduled. A tick re-arms
+// only while other work remains and the next one fits in int64.
+type moment struct {
+	at  int64
+	seq uint64
+}
+
+func (m moment) before(o moment) bool {
+	return m.at < o.at || m.at == o.at && m.seq < o.seq
+}
+
+// departure is a placed session's end: the session is read back from
+// its domain's assignment idx when it fires.
+type departure struct {
+	moment
+	d      *ctrlDomain
+	idx    int
+	demand float64
+}
+
+// pending is a replay's scheduled departures, a binary min-heap of values
+// by moment, and the last seq it handed out.
+type pending struct {
+	seq  uint64
+	deps []departure
+}
+
+// schedule returns the moment of an event scheduled now to fire at at.
+func (p *pending) schedule(at int64) moment {
+	p.seq++
+	return moment{at, p.seq}
+}
+
+func (p *pending) push(dep departure) {
+	q := append(p.deps, dep)
+	p.deps = q
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(q[parent].moment) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
 	}
-	return res, nil
+}
+
+// pop removes and returns the earliest departure; p.deps must not be empty.
+func (p *pending) pop() departure {
+	q := p.deps
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	p.deps = q[:n]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child+1 < n && q[child+1].before(q[child].moment) {
+			child++
+		}
+		if child >= n || !q[child].before(q[i].moment) {
+			return top
+		}
+		q[i], q[child] = q[child], q[i]
+		i = child
+	}
 }
 
 // arrivalOrder returns the replay order of sessions as indices (2³¹ sessions
@@ -341,7 +406,7 @@ func arrivalOrder(sessions []trace.Session) []int32 {
 // when a BatchSelector has several, else each on arrival from a snapshot
 // of its own. The first is decided from the one taken on entry (nothing
 // has been committed since), so a lone arrival snapshots once.
-func handleBatch(e *eventsim.Engine, d *ctrlDomain, sessions []trace.Session, batch []int32, cfg Config) error {
+func handleBatch(p *pending, d *ctrlDomain, sessions []trace.Session, batch []int32, cfg Config) error {
 	d.dom.ViewsInto(sessions[batch[0]].User, &d.views)
 	views := d.views.Views()
 
@@ -385,7 +450,7 @@ func handleBatch(e *eventsim.Engine, d *ctrlDomain, sessions []trace.Session, ba
 				return fmt.Errorf("wlan: select on %q: %w", d.id, err)
 			}
 		}
-		if err := d.place(e, s, apID, demand); err != nil {
+		if err := d.place(p, s, apID, demand); err != nil {
 			return err
 		}
 	}
@@ -395,7 +460,7 @@ func handleBatch(e *eventsim.Engine, d *ctrlDomain, sessions []trace.Session, ba
 // place associates session s with AP apID and schedules its departure.
 // The commit is forced (nil version): the replay is single-threaded, so
 // a snapshot can never be stale.
-func (d *ctrlDomain) place(e *eventsim.Engine, s trace.Session, apID trace.APID, demand float64) error {
+func (d *ctrlDomain) place(p *pending, s trace.Session, apID trace.APID, demand float64) error {
 	cres, err := d.dom.Commit([]domain.Placement{
 		{User: s.User, AP: apID, DemandBps: demand},
 	}, nil)
@@ -411,14 +476,6 @@ func (d *ctrlDomain) place(e *eventsim.Engine, s trace.Session, apID trace.APID,
 	if d.observer != nil {
 		d.observer.Connect(s.User, apID, s.ConnectAt)
 	}
-	idx := len(d.result.Assigned) - 1
-	// The departure reads the session back from its assignment: a closure
-	// over (d, idx, demand) is a third the size of one over s and apID.
-	return e.ScheduleAt(s.DisconnectAt, func(en *eventsim.Engine) {
-		a := &d.result.Assigned[idx]
-		if d.observer != nil {
-			_ = d.observer.Disconnect(a.Session.User, a.AP, en.Now())
-		}
-		d.dom.Leave(a.Session.User, a.AP, demand)
-	})
+	p.push(departure{p.schedule(s.DisconnectAt), d, len(d.result.Assigned) - 1, demand})
+	return nil
 }

@@ -16,7 +16,6 @@ import (
 
 	_ "github.com/s3wlan/s3wlan/internal/core"
 	_ "github.com/s3wlan/s3wlan/internal/domain"
-	_ "github.com/s3wlan/s3wlan/internal/eventsim"
 	_ "github.com/s3wlan/s3wlan/internal/federation"
 	_ "github.com/s3wlan/s3wlan/internal/journal"
 	_ "github.com/s3wlan/s3wlan/internal/obs/flight"

@@ -12,10 +12,12 @@
 # quartiles, change/parent, how many of the N pairs the change was ahead
 # in with the exact two-sided sign-test p-value of that count, and the
 # verdict against the metric's bound. Then it runs each side once more,
-# traced (`--trace 1`), prints both sides' driver.assign_hash and exits
-# non-zero if they differ: a change that moves an assignment fails. The
-# result lines are kept in .bench_build/ab-<workload>/. Needs git, jq and
-# awk.
+# traced (`--trace 1`), and prints both sides' exact counts: the
+# benchmark's exact metrics (driver.assign_hash, core.select_calls, …)
+# and wlan.sessions and eventsim.events. It exits non-zero if
+# driver.assign_hash differs: a change that moves an assignment fails;
+# another count that moves is printed, not judged. The result lines are
+# kept in .bench_build/ab-<workload>/. Needs git, jq and awk.
 #
 # The sign test: under "no difference" each pair is a fair coin, so k of
 # N ahead has p = min(1, 2·P[X ≥ max(k, N−k)]) with X ~ Binomial(N, ½).
@@ -26,8 +28,9 @@
 #               than the bound;
 #   unresolved  either side's spread — interquartile distance over the
 #               median — exceeds the bound (not judged for setup_s);
-#   gain        ahead in at least nine of ten pairs and better in the
-#               median by more than the parent's interquartile distance;
+#   gain        from ten pairs or more, ahead in at least nine tenths
+#               of them and better in the median by more than the
+#               parent's interquartile distance;
 #   ok          otherwise.
 set -euo pipefail
 
@@ -122,22 +125,37 @@ awk -F'\t' -v n="$n" '
 			verdict = "ok"
 			if (worse > bound[name]) verdict = "WORSE"
 			else if (name != "setup_s" && ((p3 - p1) / p2 > bound[name] || (c3 - c1) / c2 > bound[name])) verdict = "unresolved"
-			else if (ahead >= 0.9 * n && gainBy > p3 - p1) verdict = "gain"
+			else if (n >= 10 && ahead >= 0.9 * n && gainBy > p3 - p1) verdict = "gain"
 			printf "| %s | %s | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] | %.3f | %d/%d | %.3g | %.0f%% | %s |\n", \
 				name, unit[name], p2, p1, p3, c2, c1, c3, p2 == 0 ? 0 : c2 / p2, ahead, n, sign(ahead, n), 100 * bound[name], verdict
 		}
 	}' "$out/metrics.tsv" "$out/values.tsv" | tee "$out/summary.md"
 
-# One traced run per side: the assignments must be the same.
-declare -A hash
+# One traced run per side: the assignments must be the same. The exact
+# counts are bench/layers.go's exactMetrics and the replay's two counts.
+exact=(driver.assign_hash core.select_calls journal.append_b_per_rec protocol.select_retries
+	society.refreshes federation.follow_records wlan.sessions eventsim.events)
+declare -A count
 for side in parent change; do
 	echo "bench-ab: $workload traced: $side" >&2
 	bench "$side" "$out/$side-traced.txt" --trace 1
-	hash[$side]=$(tail -n 1 "$out/$side-traced.txt" | jq -r '.metrics["driver.assign_hash"].value // "missing"')
+	for name in "${exact[@]}"; do
+		count[$side,$name]=$(tail -n 1 "$out/$side-traced.txt" | jq -r --arg m "$name" '.metrics[$m].value // "missing"')
+	done
 done
-echo
-echo "driver.assign_hash: parent ${hash[parent]}, change ${hash[change]}" | tee -a "$out/summary.md"
-if [ "${hash[parent]}" = missing ] || [ "${hash[parent]}" != "${hash[change]}" ]; then
+{
+	echo
+	echo "| exact count | parent | change | |"
+	echo "|---|---|---|---|"
+	for name in "${exact[@]}"; do
+		p=${count[parent,$name]} c=${count[change,$name]}
+		printf '| %s | %s | %s | %s |\n' "$name" "$p" "$c" "$([ "$p" = "$c" ] && echo identical || echo DIFFER)"
+	done
+	echo
+	echo "driver.assign_hash: parent ${count[parent,driver.assign_hash]}, change ${count[change,driver.assign_hash]}"
+} | tee -a "$out/summary.md"
+if [ "${count[parent,driver.assign_hash]}" = missing ] ||
+	[ "${count[parent,driver.assign_hash]}" != "${count[change,driver.assign_hash]}" ]; then
 	echo "bench-ab: the change moved the assignments" | tee -a "$out/summary.md" >&2
 	exit 1
 fi
