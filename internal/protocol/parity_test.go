@@ -29,7 +29,7 @@ import (
 // (Associate per arrival, disassociate) with a scripted clock,
 // reproducing the simulator's event order: arrivals at time t fire
 // before departures at t, and same-time departures fire in placement
-// order (wlan's TestSimulateTieOrder pins both). The controller decides one request at a time, so the
+// order (wlan's TestSimulateSimultaneousFIFO pins both). The controller decides one request at a time, so the
 // simulator gets the policy without its batch face and decides each
 // co-arrival singly too; its batch path is covered by wlan's
 // TestSimulateBatchSelector and the offline golden figures.

@@ -88,24 +88,13 @@ func (l *tieLog) Select(req Request, aps []APView) (trace.APID, error) {
 	return aps[0].ID, nil
 }
 
-// TestSimulateTieOrder pins the order of events that share an instant.
-// At 600 s a batch (u-c), two departures and a report tick coincide, all
-// on one AP, with demands 1, 10, 100 and 1000 B/s that tell the loads
-// apart. The batch fires first; then u-b departs, placed at 0 s, before
-// the 300 s tick fired and so scheduled before the 600 s tick; then the
-// tick; then u-a, placed at 400 s, after it. Departures keep placement
-// order, not user order. The probe at 700 s sees what the 600 s tick
-// reported: u-c and u-a, not u-b.
-func TestSimulateTieOrder(t *testing.T) {
-	demand := map[trace.UserID]float64{"u-b": 1, "u-a": 10, "u-c": 100, "probe": 1000}
+// replayTies replays sessions on one AP with a 300 s report tick and
+// returns what the tie log recorded.
+func replayTies(t *testing.T, demand map[trace.UserID]float64, sessions []trace.Session) []string {
+	t.Helper()
 	tr := &trace.Trace{
 		Topology: trace.Topology{APs: []trace.AP{{ID: "ap1", Controller: "c1", CapacityBps: 1e6}}},
-		Sessions: []trace.Session{
-			{User: "u-b", AP: "ap1", Controller: "c1", ConnectAt: 0, DisconnectAt: 600},
-			{User: "u-a", AP: "ap1", Controller: "c1", ConnectAt: 400, DisconnectAt: 600},
-			{User: "u-c", AP: "ap1", Controller: "c1", ConnectAt: 600, DisconnectAt: 800},
-			{User: "probe", AP: "ap1", Controller: "c1", ConnectAt: 700, DisconnectAt: 800},
-		},
+		Sessions: sessions,
 	}
 	log := &tieLog{}
 	if _, err := Simulate(tr, Config{
@@ -116,16 +105,57 @@ func TestSimulateTieOrder(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{
+	return log.events
+}
+
+func checkTies(t *testing.T, got, want []string) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Errorf("replay fired\n\t%s\nwant\n\t%s", strings.Join(got, "\n\t"), strings.Join(want, "\n\t"))
+	}
+}
+
+// TestSimulateSimultaneousFIFO pins batches first and departures in
+// placement order at one instant. At 600 s a batch (u-d) and three
+// departures coincide; u-c, u-a and u-b were placed at 0, 100 and 200 s,
+// all before the 300 s tick fired, so no tick falls between them. The
+// batch fires first, before the 600 s tick too (u-d sees the 300 s
+// tick's 111, not 0); the departures follow in placement order, not user
+// order.
+func TestSimulateSimultaneousFIFO(t *testing.T) {
+	got := replayTies(t, map[trace.UserID]float64{"u-c": 1, "u-a": 10, "u-b": 100, "u-d": 1000}, []trace.Session{
+		{User: "u-c", AP: "ap1", Controller: "c1", ConnectAt: 0, DisconnectAt: 600},
+		{User: "u-a", AP: "ap1", Controller: "c1", ConnectAt: 100, DisconnectAt: 600},
+		{User: "u-b", AP: "ap1", Controller: "c1", ConnectAt: 200, DisconnectAt: 600},
+		{User: "u-d", AP: "ap1", Controller: "c1", ConnectAt: 600, DisconnectAt: 800},
+	})
+	checkTies(t, got, []string{
+		"select u-c sees 0", "connect u-c @0",
+		"select u-a sees 0", "connect u-a @100",
+		"select u-b sees 0", "connect u-b @200",
+		"select u-d sees 111", "connect u-d @600", // the 300 s tick saw all three
+		"depart u-c @600", "depart u-a @600", "depart u-b @600",
+		"depart u-d @800",
+	})
+}
+
+// TestSimulateTieOrder pins where a report tick falls among departures at
+// its instant. At 600 s two departures and a tick coincide, all on one AP,
+// with demands 1, 10 and 1000 B/s that tell the loads apart. u-b departs
+// first, placed at 0 s, before the 300 s tick fired and so scheduled
+// before the 600 s tick; then the tick; then u-a, placed at 400 s, after
+// it. The probe at 700 s sees what the 600 s tick reported: u-a, not u-b.
+func TestSimulateTieOrder(t *testing.T) {
+	got := replayTies(t, map[trace.UserID]float64{"u-b": 1, "u-a": 10, "probe": 1000}, []trace.Session{
+		{User: "u-b", AP: "ap1", Controller: "c1", ConnectAt: 0, DisconnectAt: 600},
+		{User: "u-a", AP: "ap1", Controller: "c1", ConnectAt: 400, DisconnectAt: 600},
+		{User: "probe", AP: "ap1", Controller: "c1", ConnectAt: 700, DisconnectAt: 800},
+	})
+	checkTies(t, got, []string{
 		"select u-b sees 0", "connect u-b @0",
 		"select u-a sees 1", "connect u-a @400", // the 300 s tick saw u-b
-		"select u-c sees 1", "connect u-c @600", // the batch precedes the 600 s tick
-		"depart u-b @600",
-		"depart u-a @600",
-		"select probe sees 110", "connect probe @700", // the 600 s tick: u-c and u-a
-		"depart u-c @800", "depart probe @800",
-	}
-	if !slices.Equal(log.events, want) {
-		t.Errorf("replay fired\n\t%s\nwant\n\t%s", strings.Join(log.events, "\n\t"), strings.Join(want, "\n\t"))
-	}
+		"depart u-b @600", "depart u-a @600",
+		"select probe sees 10", "connect probe @700", // the 600 s tick: u-a alone
+		"depart probe @800",
+	})
 }
