@@ -8,6 +8,7 @@ import (
 	"errors"
 	"math/rand"
 
+	"github.com/s3wlan/s3wlan/internal/domain"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
 )
@@ -18,7 +19,7 @@ var ErrNoAPs = errors.New("baseline: no candidate APs")
 // LLF is the Least Loaded First policy: a new user is assigned to the AP
 // with the least current traffic load, the strategy the paper attributes
 // to enterprise WLAN controllers (Judd & Steenkiste). Ties break on the
-// smaller user count, then AP ID for determinism.
+// smaller user count, then AP ID for determinism (domain.LessLoaded).
 type LLF struct{}
 
 var _ wlan.Selector = LLF{}
@@ -31,23 +32,7 @@ func (LLF) Select(_ wlan.Request, aps []wlan.APView) (trace.APID, error) {
 	if len(aps) == 0 {
 		return "", ErrNoAPs
 	}
-	best := aps[0]
-	for _, ap := range aps[1:] {
-		if less(ap, best) {
-			best = ap
-		}
-	}
-	return best.ID, nil
-}
-
-func less(a, b wlan.APView) bool {
-	if a.LoadBps != b.LoadBps {
-		return a.LoadBps < b.LoadBps
-	}
-	if a.NumUsers != b.NumUsers {
-		return a.NumUsers < b.NumUsers
-	}
-	return a.ID < b.ID
+	return domain.LeastLoaded(aps), nil
 }
 
 // LeastUsers assigns to the AP with the fewest associated users — the
@@ -65,10 +50,10 @@ func (LeastUsers) Select(_ wlan.Request, aps []wlan.APView) (trace.APID, error) 
 	if len(aps) == 0 {
 		return "", ErrNoAPs
 	}
-	best := aps[0]
-	for _, ap := range aps[1:] {
-		if ap.NumUsers < best.NumUsers ||
-			(ap.NumUsers == best.NumUsers && less(ap, best)) {
+	best := &aps[0]
+	for i := 1; i < len(aps); i++ {
+		if ap := &aps[i]; ap.NumUsers < best.NumUsers ||
+			(ap.NumUsers == best.NumUsers && domain.LessLoaded(ap, best)) {
 			best = ap
 		}
 	}
@@ -77,7 +62,8 @@ func (LeastUsers) Select(_ wlan.Request, aps []wlan.APView) (trace.APID, error) 
 
 // StrongestRSSI is the 802.11 client default: associate with the AP whose
 // signal is strongest, ignoring load — the behaviour whose imbalance
-// motivates the paper.
+// motivates the paper. The signal is domain.SyntheticRSSI of the
+// requester and the AP, so simulator and controller decide alike.
 type StrongestRSSI struct{}
 
 var _ wlan.Selector = StrongestRSSI{}
@@ -86,18 +72,20 @@ var _ wlan.Selector = StrongestRSSI{}
 func (StrongestRSSI) Name() string { return "StrongestRSSI" }
 
 // Select implements wlan.Selector.
-func (StrongestRSSI) Select(_ wlan.Request, aps []wlan.APView) (trace.APID, error) {
+func (StrongestRSSI) Select(req wlan.Request, aps []wlan.APView) (trace.APID, error) {
 	if len(aps) == 0 {
 		return "", ErrNoAPs
 	}
-	best := aps[0]
-	for _, ap := range aps[1:] {
-		if ap.RSSI > best.RSSI ||
-			(ap.RSSI == best.RSSI && ap.ID < best.ID) {
-			best = ap
+	best := aps[0].ID
+	bestRSSI := domain.SyntheticRSSI(req.User, best)
+	for i := 1; i < len(aps); i++ {
+		id := aps[i].ID
+		if rssi := domain.SyntheticRSSI(req.User, id); rssi > bestRSSI ||
+			(rssi == bestRSSI && id < best) {
+			best, bestRSSI = id, rssi
 		}
 	}
-	return best.ID, nil
+	return best, nil
 }
 
 // Random assigns uniformly at random (seeded, for reproducibility).

@@ -1,17 +1,20 @@
 package baseline
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"github.com/s3wlan/s3wlan/internal/domain"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
 )
 
 func views() []wlan.APView {
 	return []wlan.APView{
-		wlan.APView{ID: "ap1", LoadBps: 100, RSSI: -60}.WithMembers([]trace.UserID{"a", "b"}, nil),
-		wlan.APView{ID: "ap2", LoadBps: 50, RSSI: -40}.WithMembers([]trace.UserID{"c"}, nil),
-		{ID: "ap3", LoadBps: 200, RSSI: -80},
+		wlan.APView{ID: "ap1", LoadBps: 100}.WithMembers([]trace.UserID{"a", "b"}, nil),
+		wlan.APView{ID: "ap2", LoadBps: 50}.WithMembers([]trace.UserID{"c"}, nil),
+		{ID: "ap3", LoadBps: 200},
 	}
 }
 
@@ -59,20 +62,39 @@ func TestLeastUsers(t *testing.T) {
 }
 
 func TestStrongestRSSI(t *testing.T) {
-	got, err := StrongestRSSI{}.Select(wlan.Request{}, views())
-	if err != nil || got != "ap2" {
-		t.Errorf("StrongestRSSI = %v, %v; want ap2 (-40 dBm)", got, err)
+	req := wlan.Request{User: "u"}
+	signal := func(ap trace.APID) float64 { return domain.SyntheticRSSI(req.User, ap) }
+	var want trace.APID
+	for _, v := range views() {
+		if want == "" || signal(v.ID) > signal(want) {
+			want = v.ID
+		}
 	}
-	// Deterministic tie-break by ID.
-	aps := []wlan.APView{
-		{ID: "z", RSSI: -50},
-		{ID: "a", RSSI: -50},
+	aps := views()
+	got, err := StrongestRSSI{}.Select(req, aps)
+	if err != nil || got != want {
+		t.Errorf("StrongestRSSI = %v, %v; want %v (%v dBm)", got, err, want, signal(want))
 	}
-	got, _ = StrongestRSSI{}.Select(wlan.Request{}, aps)
-	if got != "a" {
-		t.Errorf("RSSI tie-break = %v, want a", got)
+	slices.Reverse(aps)
+	if got, _ = (StrongestRSSI{}).Select(req, aps); got != want {
+		t.Errorf("StrongestRSSI over the reversed views = %v, want %v", got, want)
 	}
-	if _, err := (StrongestRSSI{}).Select(wlan.Request{}, nil); err == nil {
+	// Deterministic tie-break by ID: two APs the user hears equally,
+	// found by search, the larger ID listed first.
+	var lo, hi trace.APID
+	seen := make(map[float64]trace.APID)
+	for i := 0; lo == ""; i++ {
+		id := trace.APID(fmt.Sprintf("ap%03d", i))
+		if prev, ok := seen[signal(id)]; ok {
+			lo, hi = prev, id
+		}
+		seen[signal(id)] = id
+	}
+	got, _ = StrongestRSSI{}.Select(req, []wlan.APView{{ID: hi}, {ID: lo}})
+	if got != lo {
+		t.Errorf("RSSI tie-break between %v and %v (%v dBm) = %v, want %v", hi, lo, signal(lo), got, lo)
+	}
+	if _, err := (StrongestRSSI{}).Select(req, nil); err == nil {
 		t.Error("empty APs should error")
 	}
 }

@@ -27,9 +27,9 @@ func (allFriends) Index(u, v trace.UserID) float64 {
 // missing entries as one requester-demand unit instead of panicking.
 func TestNilUserDemandsViews(t *testing.T) {
 	views := []wlan.APView{
-		wlan.APView{ID: "ap-nil", CapacityBps: 1000, LoadBps: 10, RSSI: -40}.
+		wlan.APView{ID: "ap-nil", CapacityBps: 1000, LoadBps: 10}.
 			WithMembers([]trace.UserID{"a", "b", "c"}, nil), // no per-user demand tracked
-		wlan.APView{ID: "ap-short", CapacityBps: 1000, LoadBps: 5, RSSI: -60}.
+		wlan.APView{ID: "ap-short", CapacityBps: 1000, LoadBps: 5}.
 			WithMembers([]trace.UserID{"d", "e"}, []float64{7}), // shorter than the members
 	}
 	req := wlan.Request{User: "u", At: 100, DemandBps: 3}

@@ -209,9 +209,10 @@ func (s *Selector) Select(req wlan.Request, aps []wlan.APView) (trace.APID, erro
 	// Single pass, no candidate slices: track the best guarded candidate
 	// (friend buckets are computed only for those that could still
 	// outrank it), the least-loaded feasible AP and — implicitly, via
-	// leastLoaded — the least-loaded AP overall for the two fallbacks.
-	// Replacement is strict (cand.less / apLess), so ties resolve to the
-	// earliest AP exactly as the former slice-then-scan ranking did.
+	// domain.LeastLoaded — the least-loaded AP overall for the two
+	// fallbacks. Replacement is strict (cand.less / domain.LessLoaded),
+	// so ties resolve to the earliest AP exactly as the former
+	// slice-then-scan ranking did.
 	bestIdx, feasIdx := -1, -1
 	var bestRank rankedAP
 	closeFriends := s.friends.CloseFriends(req.User) // one list for the whole decision
@@ -220,13 +221,13 @@ func (s *Selector) Select(req wlan.Request, aps []wlan.APView) (trace.APID, erro
 		if !ap.HasCapacityFor(req.DemandBps) {
 			continue
 		}
-		if feasIdx < 0 || apLess(ap, &aps[feasIdx]) {
+		if feasIdx < 0 || domain.LessLoaded(ap, &aps[feasIdx]) {
 			feasIdx = i
 		}
 		if ap.LoadBps > guard {
 			continue
 		}
-		if bestIdx >= 0 && bestRank.friends == 0 && !apLess(ap, bestRank.ap) {
+		if bestIdx >= 0 && bestRank.friends == 0 && !domain.LessLoaded(ap, bestRank.ap) {
 			// Friend buckets are never negative, so nothing outranks a
 			// friend-free candidate that LLF prefers too: skip the lookup.
 			continue
@@ -246,7 +247,7 @@ func (s *Selector) Select(req wlan.Request, aps []wlan.APView) (trace.APID, erro
 	if feasIdx >= 0 {
 		return aps[feasIdx].ID, nil
 	}
-	return leastLoaded(aps), nil
+	return domain.LeastLoaded(aps), nil
 }
 
 // friendLoadBuckets measures how much co-leaving load already sits on the
@@ -277,27 +278,7 @@ func (a rankedAP) less(b rankedAP) bool {
 	if a.friends != b.friends {
 		return a.friends < b.friends
 	}
-	return apLess(a.ap, b.ap)
-}
-
-func apLess(a, b *wlan.APView) bool {
-	if a.LoadBps != b.LoadBps {
-		return a.LoadBps < b.LoadBps
-	}
-	if a.NumUsers != b.NumUsers {
-		return a.NumUsers < b.NumUsers
-	}
-	return a.ID < b.ID
-}
-
-func leastLoaded(aps []wlan.APView) trace.APID {
-	best := &aps[0]
-	for i := range aps[1:] {
-		if ap := &aps[i+1]; apLess(ap, best) {
-			best = ap
-		}
-	}
-	return best.ID
+	return domain.LessLoaded(a.ap, b.ap)
 }
 
 // batchMember is one request of a batch with what placing it reads: its

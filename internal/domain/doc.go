@@ -13,8 +13,8 @@
 // # Views
 //
 // Policy selection runs against a snapshot: ViewsInto collects, under
-// one read lock, each AP's aggregates (capacity, load, RSSI, user
-// count) in AP-ID order plus the domain version. A snapshot never
+// one read lock, each AP's aggregates (capacity, load, user count) in
+// AP-ID order plus the domain version. A snapshot never
 // copies membership, so it costs O(APs) however many users are
 // resident. A policy that needs membership asks the view:
 // APView.Intersect (and SumDemands, a sum over it) looks a sorted user

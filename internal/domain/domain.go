@@ -57,7 +57,8 @@ const (
 // Membership is not copied: Intersect, SumDemands and Members read it on
 // demand, from the domain's current state for a view assembled by a
 // Domain and from the fixed list for a view built with WithMembers. A policy that
-// ranks on aggregates alone (LLF, RSSI, round-robin) never touches it.
+// ranks on aggregates alone (LLF, round-robin) never touches it, and the
+// strongest-signal baseline computes SyntheticRSSI itself.
 type APView struct {
 	// ID identifies the AP.
 	ID trace.APID
@@ -66,10 +67,6 @@ type APView struct {
 	// LoadBps is the AP's traffic load as selected by the domain's
 	// LoadMode (the last report, or its max with the believed demand sum).
 	LoadBps float64
-	// RSSI is the received signal strength the requesting user sees for
-	// this AP, in dBm (higher is stronger). Synthesized by SyntheticRSSI;
-	// used by the strongest-signal baseline.
-	RSSI float64
 	// NumUsers is the number of associated users.
 	NumUsers int
 
@@ -162,6 +159,31 @@ func (v APView) HasCapacityFor(demand float64) bool {
 	return Admits(v.CapacityBps, v.LoadBps, demand)
 }
 
+// LessLoaded is the one least-loaded-first order: a ranks before b when
+// it carries less load, then fewer users, then the smaller ID. LLF,
+// LeastUsers' tie-break and S³'s fallbacks all rank by it.
+func LessLoaded(a, b *APView) bool {
+	if a.LoadBps != b.LoadBps {
+		return a.LoadBps < b.LoadBps
+	}
+	if a.NumUsers != b.NumUsers {
+		return a.NumUsers < b.NumUsers
+	}
+	return a.ID < b.ID
+}
+
+// LeastLoaded returns the ID of the AP that ranks first by LessLoaded;
+// aps must not be empty.
+func LeastLoaded(aps []APView) trace.APID {
+	best := &aps[0]
+	for i := 1; i < len(aps); i++ {
+		if LessLoaded(&aps[i], best) {
+			best = &aps[i]
+		}
+	}
+	return best.ID
+}
+
 // Admits is the single capacity-admission predicate: adding demandBps to
 // loadBps keeps the AP within capacityBps. APs with zero capacity are
 // unconstrained (capacity not modeled). Every admission check in the
@@ -174,7 +196,7 @@ func Admits(capacityBps, loadBps, demandBps float64) bool {
 	return loadBps+demandBps <= capacityBps
 }
 
-// FNV-1a parameters, inlined so per-view RSSI synthesis hashes without
+// FNV-1a parameters, inlined so Hash and SyntheticRSSI hash without
 // instantiating a hash.Hash32 — hash/fnv's New32a escapes to the heap on
 // every call.
 const (
@@ -206,17 +228,8 @@ func Hash(s string) uint32 {
 // identical to the historical hash/fnv implementation, without its
 // per-call allocation.
 func SyntheticRSSI(u trace.UserID, ap trace.APID) float64 {
-	return rssiAfter(userHash(u), ap)
-}
-
-// userHash is the FNV-1a state after user|0x00: ViewsInto hashes it
-// once a call and finishes it with each AP id (rssiAfter).
-func userHash(u trace.UserID) uint32 {
-	return (fnv32aString(uint32(fnvOffset32), string(u)) ^ 0) * fnvPrime32
-}
-
-func rssiAfter(hu uint32, ap trace.APID) float64 {
-	return -90 + float64(fnv32aString(hu, string(ap))%61)
+	h := (fnv32aString(uint32(fnvOffset32), string(u)) ^ 0) * fnvPrime32
+	return -90 + float64(fnv32aString(h, string(ap))%61)
 }
 
 // Version is the domain version a ViewsInto snapshot was taken at, as a
@@ -301,12 +314,11 @@ func (st *apState) bumpUser(u trace.UserID, delta float64) bool {
 type Domain struct {
 	mode LoadMode
 
-	mu        sync.RWMutex
-	version   uint64 // bumped on every structural or membership change
-	published uint64 // version+1 at the last PublishReports; 0 once a SetReported overwrote it
-	aps       map[trace.APID]*apState
-	ids       []trace.APID // sorted
-	entries   int          // total user entries across the APs
+	mu      sync.RWMutex
+	version uint64 // bumped on every structural or membership change
+	aps     map[trace.APID]*apState
+	ids     []trace.APID // sorted
+	entries int          // total user entries across the APs
 
 	gaugeAPs   *obs.Gauge // nil unless ObsName set
 	gaugeUsers *obs.Gauge
@@ -418,24 +430,17 @@ func (d *Domain) SetReported(id trace.APID, loadBps float64) bool {
 		return false
 	}
 	st.reportedBps = loadBps
-	d.published = 0
 	return true
 }
 
 // PublishReports snapshots every AP's believed load into its reported
-// load — the simulator's periodic report tick (LoadReported mode). No
-// believed load moves without the version: a tick that finds the last
-// publish's (an idle night's, mostly) has nothing to copy.
+// load — the simulator's periodic report tick (LoadReported mode).
 func (d *Domain) PublishReports() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.published == d.version+1 {
-		return
-	}
 	for _, st := range d.aps {
 		st.reportedBps = st.believedBps
 	}
-	d.published = d.version + 1
 }
 
 // Size returns the registered AP count.
@@ -503,22 +508,23 @@ func (b *ViewBuf) Views() []APView { return b.views }
 // Version returns the domain version of the last ViewsInto call.
 func (b *ViewBuf) Version() Version { return &b.ver }
 
-// ViewsInto snapshots the APs for a policy decision by user u into a
-// caller-owned reusable buffer, with the domain version the commit
-// validates against. It is one consistent cut, taken under one read
-// lock, in sorted AP-ID order. It touches O(APs) aggregates and never the
-// membership, so its cost does not depend on how many users are resident.
+// ViewsInto snapshots the APs for a policy decision into a caller-owned
+// reusable buffer, with the domain version the commit validates against.
+// It reads nothing of the requester: the user parameter is kept only
+// because frozen bench/probes.go passes one. It is one consistent cut,
+// taken under one read lock, in sorted AP-ID order. It touches O(APs)
+// aggregates and never the membership, so its cost does not depend on
+// how many users are resident.
 //
 // The snapshot holds each AP's aggregates as of the call; membership
 // reads through the views (Intersect, Members) see the domain's state
 // at the time of the read. Both drivers decide and commit with no
 // mutation in between, so the two agree.
-func (d *Domain) ViewsInto(u trace.UserID, buf *ViewBuf) {
+func (d *Domain) ViewsInto(_ trace.UserID, buf *ViewBuf) {
 	obsViews.Inc()
 	buf.views = buf.views[:0]
 	d.mu.RLock()
 	buf.ver = d.version
-	hu := userHash(u)
 	for _, id := range d.ids {
 		st := d.aps[id]
 		load := st.reportedBps
@@ -529,7 +535,6 @@ func (d *Domain) ViewsInto(u trace.UserID, buf *ViewBuf) {
 			ID:          id,
 			CapacityBps: st.capacityBps,
 			LoadBps:     load,
-			RSSI:        rssiAfter(hu, id),
 			NumUsers:    len(st.users),
 			st:          st,
 		})

@@ -325,8 +325,9 @@ const shardCountInvariantDigest uint64 = 7349079058474352381
 
 // TestShardCountInvariant was the proof that the shard count never
 // altered a result; with one lock domain left it pins that result
-// across releases instead: same views (IDs, loads, users, demands,
-// RSSI), same AP list, same exported state.
+// across releases instead: same views (IDs, loads, users, demands, and
+// the observer's SyntheticRSSI, which views used to carry), same AP
+// list, same exported state.
 func TestShardCountInvariant(t *testing.T) {
 	d := New(Config{})
 	for i := 0; i < 40; i++ {
@@ -355,7 +356,7 @@ func TestShardCountInvariant(t *testing.T) {
 	views, _ := viewsOf(d, "observer")
 	for _, v := range views {
 		users, demands := v.Members()
-		fmt.Fprintf(h, "%s|%v|%v|%v|%d|%v|%v\n", v.ID, v.CapacityBps, v.LoadBps, v.RSSI, v.NumUsers, users, demands)
+		fmt.Fprintf(h, "%s|%v|%v|%v|%d|%v|%v\n", v.ID, v.CapacityBps, v.LoadBps, SyntheticRSSI("observer", v.ID), v.NumUsers, users, demands)
 	}
 	fmt.Fprintf(h, "%v\n", d.APs())
 	state, err := json.Marshal(d.ExportState(nil))
@@ -543,9 +544,8 @@ func TestShardOfStable(t *testing.T) {
 	}
 }
 
-// TestPublishReportsTracksEveryMove: PublishReports skips the copy when
-// the version is the last publish's, so every way a believed or reported
-// load can move must still be followed — a SetReported in between (which
+// TestPublishReportsTracksEveryMove: a publish follows every way a
+// believed or reported load can move — a SetReported in between (which
 // leaves the version alone) is overwritten, a Commit, a Leave, a LeaveAll
 // and a move are tracked — and two publishes with nothing between
 // them leave what a publish on a fresh domain in the same state would.

@@ -296,18 +296,40 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 				_ = dep.d.observer.Disconnect(a.Session.User, a.AP, dep.at)
 			}
 			dep.d.dom.Leave(a.Session.User, a.AP, dep.demand)
-		case ticking:
-			// One report tick refreshes every AP's load snapshot.
+		case next == len(order) && len(p.deps) == 0:
+			return res, nil // a tick now would publish what nobody reads
+		default:
+			// One report tick refreshes every AP's load snapshot. No load
+			// moves before the next arrival batch or departure, so the tick
+			// re-arms at the first report boundary at or after it.
 			for _, d := range domains {
 				d.dom.PublishReports()
 			}
-			if ticking = (next < len(order) || len(p.deps) > 0) && tick.at <= math.MaxInt64-interval; ticking {
-				tick = p.schedule(tick.at + interval)
+			due := arrival.at
+			if next == len(order) || len(p.deps) > 0 && p.deps[0].at < due {
+				due = p.deps[0].at
 			}
-		default:
-			return res, nil
+			var at int64
+			if at, ticking = boundary(tick.at, due, interval); ticking {
+				tick = p.schedule(at)
+			}
 		}
 	}
+}
+
+// boundary returns the first report boundary tick + k·interval, k ≥ 1,
+// at or after due (never before tick), and false when none fits in
+// int64. The gaps are unsigned: due − tick may exceed math.MaxInt64.
+func boundary(tick, due, interval int64) (int64, bool) {
+	gap, room, iv := uint64(due)-uint64(tick), uint64(math.MaxInt64)-uint64(tick), uint64(interval)
+	k := gap / iv
+	if k == 0 || gap%iv != 0 {
+		k++
+	}
+	if k > room/iv {
+		return 0, false
+	}
+	return int64(uint64(tick) + k*iv), true
 }
 
 // moment orders a replay's events: by time, then by seq, which numbers
@@ -315,8 +337,9 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 // arrival batch, then each departure as its session is placed and each
 // later tick as the one before it fires. So at one instant the batches
 // fire first (after the opening tick, at the trace's start), then
-// departures and ticks in the order they were scheduled. A tick re-arms
-// only while other work remains and the next one fits in int64.
+// departures and ticks in the order they were scheduled. A tick fires
+// only while other work remains and re-arms at the first report boundary
+// at or after the next of it, if that boundary fits in int64.
 type moment struct {
 	at  int64
 	seq uint64
