@@ -12,8 +12,8 @@ import (
 
 func views() []wlan.APView {
 	return []wlan.APView{
-		wlan.APView{ID: "ap1", LoadBps: 100}.WithMembers([]trace.UserID{"a", "b"}, nil),
-		wlan.APView{ID: "ap2", LoadBps: 50}.WithMembers([]trace.UserID{"c"}, nil),
+		{ID: "ap1", LoadBps: 100, NumUsers: 2},
+		{ID: "ap2", LoadBps: 50, NumUsers: 1},
 		{ID: "ap3", LoadBps: 200},
 	}
 }
@@ -33,8 +33,8 @@ func TestLLF(t *testing.T) {
 
 func TestLLFTieBreak(t *testing.T) {
 	aps := []wlan.APView{
-		wlan.APView{ID: "b", LoadBps: 10}.WithMembers([]trace.UserID{"x"}, nil),
-		wlan.APView{ID: "a", LoadBps: 10}.WithMembers([]trace.UserID{"y"}, nil),
+		{ID: "b", LoadBps: 10, NumUsers: 1},
+		{ID: "a", LoadBps: 10, NumUsers: 1},
 	}
 	got, err := LLF{}.Select(wlan.Request{}, aps)
 	if err != nil || got != "a" {
@@ -42,8 +42,8 @@ func TestLLFTieBreak(t *testing.T) {
 	}
 	// User count breaks the load tie first.
 	aps = []wlan.APView{
-		wlan.APView{ID: "a", LoadBps: 10}.WithMembers([]trace.UserID{"x", "y"}, nil),
-		wlan.APView{ID: "b", LoadBps: 10}.WithMembers([]trace.UserID{"z"}, nil),
+		{ID: "a", LoadBps: 10, NumUsers: 2},
+		{ID: "b", LoadBps: 10, NumUsers: 1},
 	}
 	got, _ = LLF{}.Select(wlan.Request{}, aps)
 	if got != "b" {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
@@ -139,22 +138,22 @@ func TestFriendFastPathParity(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		nAPs := 2 + rng.Intn(5)
 		aps := make([]wlan.APView, nAPs)
+		on := make([][]member, nAPs)
 		perm := rng.Perm(len(users))
 		at := 0
 		for i := range aps {
 			n := rng.Intn(6)
-			var members []trace.UserID
 			for k := 0; k < n && at < len(perm); k++ {
-				members = append(members, users[perm[at]])
+				on[i] = append(on[i], member{users[perm[at]], float64(1 + rng.Intn(100))})
 				at++
 			}
-			sort.Slice(members, func(a, b int) bool { return members[a] < members[b] })
 			aps[i] = wlan.APView{
 				ID:          trace.APID(fmt.Sprintf("ap%d", i)),
 				CapacityBps: 1e6,
 				LoadBps:     float64(rng.Intn(500)),
-			}.WithMembers(members, nil)
+			}
 		}
+		aps = domainViews(t, aps, on...)
 		req := wlan.Request{User: users[rng.Intn(len(users))], DemandBps: float64(1 + rng.Intn(100))}
 		want := referenceSelect(idx, listed.cfg, req, aps)
 		a, errA := listed.Select(req, aps)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -21,6 +22,42 @@ func testUsers(n int) []trace.UserID {
 		users[i] = trace.UserID(fmt.Sprintf("u%03d", i))
 	}
 	return users
+}
+
+// member is one user committed to an AP by domainViews.
+type member struct {
+	user   trace.UserID
+	demand float64
+}
+
+// domainViews builds views the way both drivers do: aps' IDs and
+// capacities are registered in a LoadReported domain, each LoadBps is
+// set as the AP's report, on[i] is committed to aps[i], and the
+// ViewsInto snapshot comes back in aps' order.
+func domainViews(tb testing.TB, aps []wlan.APView, on ...[]member) []wlan.APView {
+	tb.Helper()
+	dom := domain.New(domain.Config{Mode: domain.LoadReported})
+	for i, ap := range aps {
+		if err := dom.AddAP(ap.ID, ap.CapacityBps); err != nil {
+			tb.Fatal(err)
+		}
+		dom.SetReported(ap.ID, ap.LoadBps)
+		if i < len(on) {
+			for _, m := range on[i] {
+				if _, err := dom.Commit([]domain.Placement{{User: m.user, AP: ap.ID, DemandBps: m.demand}}, nil); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}
+	}
+	var buf domain.ViewBuf
+	dom.ViewsInto("", &buf)
+	out := make([]wlan.APView, len(aps))
+	for i, ap := range aps {
+		at := slices.IndexFunc(buf.Views(), func(v wlan.APView) bool { return v.ID == ap.ID })
+		out[i] = buf.Views()[at]
+	}
+	return out
 }
 
 // randomFriendIndex draws θ for about a third of the pairs, some above
@@ -55,11 +92,7 @@ func referenceSelect(idx mapIndex, cfg SelectorConfig, req wlan.Request, aps []w
 		var friendLoad float64
 		for i, w := range users {
 			if idx.Index(req.User, w) > cfg.EdgeThreshold {
-				if i < len(demands) {
-					friendLoad += demands[i]
-				} else {
-					friendLoad += req.DemandBps
-				}
+				friendLoad += demands[i]
 			}
 		}
 		all = append(all, ranked{int(math.Floor(friendLoad / req.DemandBps)), ap.LoadBps, ap.NumUsers, ap.ID,
@@ -104,25 +137,17 @@ func referenceSelect(idx mapIndex, cfg SelectorConfig, req wlan.Request, aps []w
 
 // TestLazyViewsRankLikeMaterialised: over generated domains and friend
 // graphs, Select on a domain's views (membership looked up on demand)
-// and on hand-built views carrying the full membership the test tracked
-// itself both pick the reference ranking's AP — over listed friends and
-// over tabulated rows, with users holding stacked sessions on one AP,
-// and with per-user demands left out of the hand-built views.
+// picks the AP the reference ranking picks over the materialised
+// membership, which must equal the membership the test tracked itself —
+// over listed friends and over tabulated rows, with users holding
+// stacked sessions on one AP.
 func TestLazyViewsRankLikeMaterialised(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	users := testUsers(30)
 	for trial := 0; trial < 200; trial++ {
 		idx := randomFriendIndex(rng, users)
 		listed, tabulated := selectorPair(t, idx)
-		// With one demand for everybody, requester included, a view that
-		// tracks no per-user demand must rank like one that does.
-		uniform := trial%3 == 0
-		demand := func() float64 {
-			if uniform {
-				return 40
-			}
-			return float64(1 + rng.Intn(100))
-		}
+		demand := func() float64 { return float64(1 + rng.Intn(100)) }
 
 		dom := domain.New(domain.Config{})
 		aps := make([]trace.APID, 2+rng.Intn(6))
@@ -142,7 +167,7 @@ func TestLazyViewsRankLikeMaterialised(t *testing.T) {
 			}
 			ap := aps[rng.Intn(len(aps))]
 			sessions := 1
-			if !uniform && rng.Float64() < 0.25 {
+			if rng.Float64() < 0.25 {
 				sessions = 2 // stacked on the same AP: demands add up
 			}
 			for s := 0; s < sessions; s++ {
@@ -154,38 +179,27 @@ func TestLazyViewsRankLikeMaterialised(t *testing.T) {
 			}
 		}
 
-		var lazyBuf domain.ViewBuf
-		dom.ViewsInto(req.User, &lazyBuf)
-		lazy := lazyBuf.Views()
-		static := make([]wlan.APView, len(lazy))
-		for i, v := range lazy {
-			members := make([]trace.UserID, 0, len(on[v.ID]))
-			for u := range on[v.ID] {
-				members = append(members, u)
+		var buf domain.ViewBuf
+		dom.ViewsInto(req.User, &buf)
+		views := buf.Views()
+		for _, v := range views {
+			members, demands := v.Members()
+			if len(members) != len(on[v.ID]) || v.NumUsers != len(members) {
+				t.Fatalf("trial %d: %s materialises %d users and counts %d, test tracked %d",
+					trial, v.ID, len(members), v.NumUsers, len(on[v.ID]))
 			}
-			sort.Slice(members, func(a, b int) bool { return members[a] < members[b] })
-			var demands []float64
-			if !uniform {
-				for _, u := range members {
-					demands = append(demands, on[v.ID][u])
+			for i, u := range members {
+				if d, ok := on[v.ID][u]; !ok || d != demands[i] {
+					t.Fatalf("trial %d: %s materialises %s at %v, test tracked %v (%v)", trial, v.ID, u, demands[i], d, ok)
 				}
-			}
-			static[i] = v.WithMembers(members, demands)
-			if static[i].NumUsers != v.NumUsers {
-				t.Fatalf("trial %d: %s counts %d users, test tracked %d", trial, v.ID, v.NumUsers, len(members))
 			}
 		}
 
-		want := referenceSelect(idx, listed.cfg, req, static)
-		for name, pick := range map[string]func() (trace.APID, error){
-			"listed/lazy":      func() (trace.APID, error) { return listed.Select(req, lazy) },
-			"listed/static":    func() (trace.APID, error) { return listed.Select(req, static) },
-			"tabulated/lazy":   func() (trace.APID, error) { return tabulated.Select(req, lazy) },
-			"tabulated/static": func() (trace.APID, error) { return tabulated.Select(req, static) },
-		} {
-			if got, err := pick(); err != nil || got != want {
-				t.Fatalf("trial %d (uniform=%v): %s picked %q (%v), the reference ranking picks %q\nreq %+v\nmembership %v",
-					trial, uniform, name, got, err, want, req, on)
+		want := referenceSelect(idx, listed.cfg, req, views)
+		for name, sel := range map[string]*Selector{"listed": listed, "tabulated": tabulated} {
+			if got, err := sel.Select(req, views); err != nil || got != want {
+				t.Fatalf("trial %d: %s picked %q (%v), the reference ranking picks %q\nreq %+v\nmembership %v",
+					trial, name, got, err, want, req, on)
 			}
 		}
 	}

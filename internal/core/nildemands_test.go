@@ -21,16 +21,16 @@ func (allFriends) Index(u, v trace.UserID) float64 {
 }
 
 // TestNilUserDemandsViews is the nil-handling regression test for
-// hand-built views: a view may legitimately carry members without
-// demands (callers that do not track per-user demand), or a demand
-// slice shorter than the member list. Every selector must treat the
-// missing entries as one requester-demand unit instead of panicking.
+// views: a view literal built without a domain has no membership source
+// and so no members, and every selector must decide over it, beside
+// domain-backed views, without panicking.
 func TestNilUserDemandsViews(t *testing.T) {
-	views := []wlan.APView{
-		wlan.APView{ID: "ap-nil", CapacityBps: 1000, LoadBps: 10}.
-			WithMembers([]trace.UserID{"a", "b", "c"}, nil), // no per-user demand tracked
-		wlan.APView{ID: "ap-short", CapacityBps: 1000, LoadBps: 5}.
-			WithMembers([]trace.UserID{"d", "e"}, []float64{7}), // shorter than the members
+	views := append(domainViews(t,
+		[]wlan.APView{{ID: "ap-a", CapacityBps: 1000, LoadBps: 10}, {ID: "ap-b", CapacityBps: 1000, LoadBps: 5}},
+		[]member{{"a", 3}, {"b", 4}, {"c", 5}}, []member{{"d", 7}, {"e", 2}}),
+		wlan.APView{ID: "ap-literal", CapacityBps: 1000, LoadBps: 20}) // no domain, no members
+	if users, demands := views[2].Members(); users != nil || demands != nil || views[2].SumDemands([]trace.UserID{"a"}) != 0 {
+		t.Fatalf("literal view has members %v, %v", users, demands)
 	}
 	req := wlan.Request{User: "u", At: 100, DemandBps: 3}
 
@@ -40,7 +40,7 @@ func TestNilUserDemandsViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := sel.Select(req, views); err != nil {
-		t.Fatalf("S3 Select with nil UserDemands: %v", err)
+		t.Fatalf("S3 Select over a literal view: %v", err)
 	}
 	reqs := []wlan.Request{
 		{User: "u", At: 100, DemandBps: 3},
@@ -49,7 +49,7 @@ func TestNilUserDemandsViews(t *testing.T) {
 	}
 	placed, err := sel.SelectBatch(reqs, views)
 	if err != nil {
-		t.Fatalf("S3 SelectBatch with nil UserDemands: %v", err)
+		t.Fatalf("S3 SelectBatch over a literal view: %v", err)
 	}
 	if len(placed) != len(reqs) {
 		t.Fatalf("SelectBatch placed %d of %d users", len(placed), len(reqs))
@@ -64,7 +64,7 @@ func TestNilUserDemandsViews(t *testing.T) {
 	}
 	for _, s := range selectors {
 		if _, err := s.Select(req, views); err != nil {
-			t.Errorf("%s with nil UserDemands: %v", s.Name(), err)
+			t.Errorf("%s over a literal view: %v", s.Name(), err)
 		}
 	}
 }

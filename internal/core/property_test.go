@@ -40,26 +40,25 @@ func TestSelectNeverViolatesCapacityWhenFeasible(t *testing.T) {
 		nAPs := 2 + rng.Intn(5)
 		demand := 1 + rng.Float64()*100
 		aps := make([]wlan.APView, 0, nAPs)
+		on := make([][]member, nAPs)
 		anyFeasible := false
 		for i := 0; i < nAPs; i++ {
 			capacity := rng.Float64() * 300
 			load := rng.Float64() * capacity
-			var users []trace.UserID
-			var demands []float64
 			for j := 0; j < rng.Intn(5); j++ {
-				users = append(users, universe[rng.Intn(len(universe))])
-				demands = append(demands, rng.Float64()*50)
+				on[i] = append(on[i], member{universe[rng.Intn(len(universe))], rng.Float64() * 50})
 			}
 			ap := wlan.APView{
 				ID:          trace.APID(fmt.Sprintf("ap%d", i)),
 				CapacityBps: capacity,
 				LoadBps:     load,
-			}.WithMembers(users, demands)
+			}
 			if ap.HasCapacityFor(demand) {
 				anyFeasible = true
 			}
 			aps = append(aps, ap)
 		}
+		aps = domainViews(t, aps, on...)
 		req := wlan.Request{User: universe[rng.Intn(len(universe))], DemandBps: demand}
 		got, err := s.Select(req, aps)
 		if err != nil {
@@ -138,11 +137,8 @@ func TestSelectDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aps := []wlan.APView{
-		wlan.APView{ID: "x", LoadBps: 5}.WithMembers([]trace.UserID{"b"}, nil),
-		wlan.APView{ID: "y", LoadBps: 7}.WithMembers([]trace.UserID{"c"}, nil),
-		{ID: "z", LoadBps: 9},
-	}
+	aps := domainViews(t, []wlan.APView{{ID: "x", LoadBps: 5}, {ID: "y", LoadBps: 7}, {ID: "z", LoadBps: 9}},
+		[]member{{"b", 3}}, []member{{"c", 3}})
 	req := wlan.Request{User: "a", DemandBps: 3}
 	first, err := s.Select(req, aps)
 	if err != nil {

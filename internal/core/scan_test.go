@@ -260,7 +260,7 @@ func TestSelectBatchOversizedCliqueDeterministic(t *testing.T) {
 	}
 	var aps []wlan.APView
 	for a := 0; a < 4; a++ {
-		aps = append(aps, wlan.APView{ID: trace.APID(fmt.Sprintf("ap%d", a)), CapacityBps: 100, LoadBps: 0.3 * float64(a)}.WithMembers(nil, nil))
+		aps = append(aps, wlan.APView{ID: trace.APID(fmt.Sprintf("ap%d", a)), CapacityBps: 100, LoadBps: 0.3 * float64(a)})
 	}
 	sel, err := NewSelector(idx, SelectorConfig{})
 	if err != nil {

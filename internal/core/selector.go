@@ -256,14 +256,13 @@ func (s *Selector) Select(req wlan.Request, aps []wlan.APView) (trace.APID, erro
 // itself) that the AP holds, quantized in units of the requester's own
 // demand. Quantizing keeps the comparison meaningful — differences
 // smaller than one user's demand are noise and must not override the LLF
-// tie-break. A friend whose demand the view does not track counts as one
-// requester-demand unit, reducing to a friend count.
+// tie-break.
 func friendLoadBuckets(req wlan.Request, closeFriends []trace.UserID, ap *wlan.APView) int {
 	unit := req.DemandBps
 	if unit <= 0 {
 		unit = 1
 	}
-	return int(math.Floor(ap.SumDemands(closeFriends, unit) / unit))
+	return int(math.Floor(ap.SumDemands(closeFriends) / unit))
 }
 
 // rankedAP is an online-selection candidate.
@@ -509,7 +508,7 @@ func (p *placer) placeClique(members []int) beamCandidate {
 		}
 		for a := range p.state {
 			var c float64
-			p.state[a].Intersect(m.friends, 0, func(k int, _ float64) { c += m.theta[k] })
+			p.state[a].Intersect(m.friends, func(k int, _ float64) { c += m.theta[k] })
 			for _, j := range p.placed[a] {
 				c += p.theta[j] // +0 for a stranger leaves c as it is
 			}

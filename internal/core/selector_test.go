@@ -49,10 +49,8 @@ func TestSelectAvoidsSocialFriends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aps := []wlan.APView{
-		wlan.APView{ID: "ap1", LoadBps: 10}.WithMembers([]trace.UserID{"w"}, nil),
-		wlan.APView{ID: "ap2", LoadBps: 20}.WithMembers([]trace.UserID{"x"}, nil),
-	}
+	aps := domainViews(t, []wlan.APView{{ID: "ap1", LoadBps: 10}, {ID: "ap2", LoadBps: 20}},
+		[]member{{"w", 5}}, []member{{"x", 5}})
 	got, err := s.Select(wlan.Request{User: "u", DemandBps: 5}, aps)
 	if err != nil || got != "ap2" {
 		t.Errorf("Select = %v, %v; want ap2", got, err)
@@ -67,10 +65,8 @@ func TestSelectBalanceGuardOverridesSociality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aps := []wlan.APView{
-		wlan.APView{ID: "ap1", LoadBps: 10}.WithMembers([]trace.UserID{"w"}, nil),
-		wlan.APView{ID: "ap2", LoadBps: 500}.WithMembers([]trace.UserID{"x"}, nil),
-	}
+	aps := domainViews(t, []wlan.APView{{ID: "ap1", LoadBps: 10}, {ID: "ap2", LoadBps: 500}},
+		[]member{{"w", 5}}, []member{{"x", 5}})
 	got, err := s.Select(wlan.Request{User: "u", DemandBps: 5}, aps)
 	if err != nil || got != "ap1" {
 		t.Errorf("Select = %v, %v; want ap1 (guard)", got, err)
@@ -82,10 +78,8 @@ func TestSelectFallsBackToLLFOnTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aps := []wlan.APView{
-		wlan.APView{ID: "ap1", LoadBps: 100}.WithMembers([]trace.UserID{"a"}, nil),
-		wlan.APView{ID: "ap2", LoadBps: 10}.WithMembers([]trace.UserID{"b"}, nil),
-	}
+	aps := domainViews(t, []wlan.APView{{ID: "ap1", LoadBps: 100}, {ID: "ap2", LoadBps: 10}},
+		[]member{{"a", 1}}, []member{{"b", 1}})
 	// No social ties anywhere: both costs 0, LLF picks ap2.
 	got, err := s.Select(wlan.Request{User: "u"}, aps)
 	if err != nil || got != "ap2" {
@@ -99,12 +93,10 @@ func TestSelectRespectsCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aps := []wlan.APView{
-		// Socially free but full.
-		wlan.APView{ID: "full", CapacityBps: 100, LoadBps: 99}.WithMembers([]trace.UserID{"x"}, nil),
-		// Has the friend but has room.
-		wlan.APView{ID: "roomy", CapacityBps: 100, LoadBps: 10}.WithMembers([]trace.UserID{"w"}, nil),
-	}
+	aps := domainViews(t, []wlan.APView{
+		{ID: "full", CapacityBps: 100, LoadBps: 99},  // socially free but full
+		{ID: "roomy", CapacityBps: 100, LoadBps: 10}, // has the friend but has room
+	}, []member{{"x", 50}}, []member{{"w", 50}})
 	got, err := s.Select(wlan.Request{User: "u", DemandBps: 50}, aps)
 	if err != nil || got != "roomy" {
 		t.Errorf("Select = %v, %v; want roomy (capacity constraint)", got, err)

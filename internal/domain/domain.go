@@ -1,10 +1,10 @@
 package domain
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"github.com/s3wlan/s3wlan/internal/obs"
@@ -55,10 +55,10 @@ const (
 //
 // The exported fields are aggregates, copied when the snapshot is taken.
 // Membership is not copied: Intersect, SumDemands and Members read it on
-// demand, from the domain's current state for a view assembled by a
-// Domain and from the fixed list for a view built with WithMembers. A policy that
-// ranks on aggregates alone (LLF, round-robin) never touches it, and the
-// strongest-signal baseline computes SyntheticRSSI itself.
+// demand from the domain's current state. A view literal built without a
+// domain has no members. A policy that ranks on aggregates alone (LLF,
+// round-robin) never touches it, and the strongest-signal baseline
+// computes SyntheticRSSI itself.
 type APView struct {
 	// ID identifies the AP.
 	ID trace.APID
@@ -70,54 +70,18 @@ type APView struct {
 	// NumUsers is the number of associated users.
 	NumUsers int
 
-	// Membership source: the domain's AP state, or else the fixed
-	// users/demands of a hand-built view (demands may be nil or shorter
-	// than users: a user without one has no tracked demand).
-	st      *apState
-	users   []trace.UserID
-	demands []float64
-}
-
-// WithMembers returns v over a fixed membership instead of a domain's:
-// users sorted ascending, demands aligned with users or nil when
-// per-user demand is not tracked. It is how tests and callers without
-// a Domain build views by hand; the slices are retained, not copied.
-func (v APView) WithMembers(users []trace.UserID, demands []float64) APView {
-	v.st, v.users, v.demands, v.NumUsers = nil, users, demands, len(users)
-	return v
+	st *apState // membership source; nil for a literal
 }
 
 // Intersect calls visit(i, demand), in list order, for every users[i]
 // (sorted ascending) that is associated with this AP, with the believed
-// demand the member holds there; a member whose demand is not tracked
-// (a hand-built view without demands) is reported with untracked. It is
-// the one way a policy looks named users up on an AP: on a domain's view
-// one read-lock and len(users) map hits, however many users the AP
-// holds. visit runs under that lock and must not call into the domain.
-func (v APView) Intersect(users []trace.UserID, untracked float64, visit func(i int, demand float64)) {
+// demand the member holds there. It is the one way a policy looks named
+// users up on an AP: one read-lock and len(users) map hits, however many
+// users the AP holds. visit runs under that lock and must not call into
+// the domain.
+func (v APView) Intersect(users []trace.UserID, visit func(i int, demand float64)) {
 	st := v.st
-	if st == nil {
-		// Both lists are sorted: their intersection is one merge.
-		i, j := 0, 0
-		for i < len(v.users) && j < len(users) {
-			switch {
-			case v.users[i] < users[j]:
-				i++
-			case v.users[i] > users[j]:
-				j++
-			default:
-				if i < len(v.demands) {
-					visit(j, v.demands[i])
-				} else {
-					visit(j, untracked)
-				}
-				i++
-				j++
-			}
-		}
-		return
-	}
-	if len(users) == 0 {
+	if st == nil || len(users) == 0 {
 		return
 	}
 	st.dom.mu.RLock()
@@ -130,26 +94,25 @@ func (v APView) Intersect(users []trace.UserID, untracked float64, visit func(i 
 }
 
 // SumDemands adds up, in list order, the believed demands of those of
-// users (sorted ascending) that are associated with this AP; a member
-// whose demand is not tracked counts as untracked.
-func (v APView) SumDemands(users []trace.UserID, untracked float64) float64 {
+// users (sorted ascending) that are associated with this AP.
+func (v APView) SumDemands(users []trace.UserID) float64 {
 	var sum float64
-	v.Intersect(users, untracked, func(_ int, demand float64) { sum += demand })
+	v.Intersect(users, func(_ int, demand float64) { sum += demand })
 	return sum
 }
 
 // Members materialises the AP's membership: a caller-owned copy of the
-// associated users, sorted, with their believed demands (nil or short
-// when a hand-built view tracks none). It is O(members); only policies
-// that must iterate everyone on the AP call it.
+// associated users, sorted, with their aligned believed demands. It is
+// O(members); only policies that must iterate everyone on the AP call it.
 func (v APView) Members() (users []trace.UserID, demands []float64) {
-	if st := v.st; st != nil {
-		obsMaterialized.Inc()
-		st.dom.mu.RLock()
-		defer st.dom.mu.RUnlock()
-		return sortedUsers(st, nil, nil)
+	st := v.st
+	if st == nil {
+		return nil, nil
 	}
-	return append([]trace.UserID(nil), v.users...), append([]float64(nil), v.demands...)
+	obsMaterialized.Inc()
+	st.dom.mu.RLock()
+	defer st.dom.mu.RUnlock()
+	return sortedUsers(st, nil, nil)
 }
 
 // HasCapacityFor reports whether adding demand keeps the AP within its
@@ -267,15 +230,6 @@ type Eviction struct {
 	DemandBps float64
 }
 
-// APInfo is one AP's externally visible state (Snapshot/inspection).
-type APInfo struct {
-	CapacityBps float64
-	ReportedBps float64
-	BelievedBps float64
-	Users       []trace.UserID // sorted
-	UserDemands []float64      // aligned with Users
-}
-
 // Config configures a Domain.
 type Config struct {
 	// Mode selects the load figure views expose (default LoadMax).
@@ -289,7 +243,7 @@ type Config struct {
 
 // apState is one AP's accounting. users is the only membership
 // representation: view lookups hit it directly and the rare readers that
-// need order (Info, ExportState, Members, drain) sort its keys at the
+// need order (ExportState, Members, drain) sort its keys at the
 // read, so a mutation costs one map operation however many users the AP
 // holds.
 type apState struct {
@@ -317,8 +271,8 @@ type Domain struct {
 	mu      sync.RWMutex
 	version uint64 // bumped on every structural or membership change
 	aps     map[trace.APID]*apState
-	ids     []trace.APID // sorted
-	entries int          // total user entries across the APs
+	sorted  []*apState // the same APs, in ascending ID order
+	entries int        // total user entries across the APs
 
 	gaugeAPs   *obs.Gauge // nil unless ObsName set
 	gaugeUsers *obs.Gauge
@@ -337,7 +291,7 @@ func New(cfg Config) *Domain {
 // syncGauges publishes the domain's sizes; must run with d.mu held.
 func (d *Domain) syncGauges() {
 	if d.gaugeAPs != nil {
-		d.gaugeAPs.Set(int64(len(d.ids)))
+		d.gaugeAPs.Set(int64(len(d.sorted)))
 		d.gaugeUsers.Set(int64(d.entries))
 	}
 }
@@ -352,16 +306,15 @@ func (d *Domain) AddAP(id trace.APID, capacityBps float64) error {
 	if _, dup := d.aps[id]; dup {
 		return fmt.Errorf("domain: AP %q already registered", id)
 	}
-	d.aps[id] = &apState{
+	st := &apState{
 		dom:         d,
 		id:          id,
 		capacityBps: capacityBps,
 		users:       make(map[trace.UserID]float64),
 	}
-	at := sort.Search(len(d.ids), func(i int) bool { return d.ids[i] >= id })
-	d.ids = append(d.ids, "")
-	copy(d.ids[at+1:], d.ids[at:])
-	d.ids[at] = id
+	d.aps[id] = st
+	at, _ := slices.BinarySearchFunc(d.sorted, id, func(s *apState, id trace.APID) int { return cmp.Compare(s.id, id) })
+	d.sorted = slices.Insert(d.sorted, at, st)
 	d.version++
 	d.syncGauges()
 	return nil
@@ -378,8 +331,7 @@ func (d *Domain) RemoveAP(id trace.APID) (evicted []Eviction, ok bool) {
 	}
 	evicted = d.drain(st)
 	delete(d.aps, id)
-	at := sort.Search(len(d.ids), func(i int) bool { return d.ids[i] >= id })
-	d.ids = append(d.ids[:at], d.ids[at+1:]...)
+	d.sorted = slices.DeleteFunc(d.sorted, func(s *apState) bool { return s == st })
 	d.version++
 	d.syncGauges()
 	return evicted, true
@@ -438,7 +390,7 @@ func (d *Domain) SetReported(id trace.APID, loadBps float64) bool {
 func (d *Domain) PublishReports() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, st := range d.aps {
+	for _, st := range d.sorted {
 		st.reportedBps = st.believedBps
 	}
 }
@@ -447,32 +399,7 @@ func (d *Domain) PublishReports() {
 func (d *Domain) Size() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.ids)
-}
-
-// APs lists the registered AP IDs in sorted order.
-func (d *Domain) APs() []trace.APID {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return slices.Clone(d.ids)
-}
-
-// Info returns one AP's state for inspection.
-func (d *Domain) Info(id trace.APID) (APInfo, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	st, ok := d.aps[id]
-	if !ok {
-		return APInfo{}, false
-	}
-	users, demands := sortedUsers(st, nil, nil)
-	return APInfo{
-		CapacityBps: st.capacityBps,
-		ReportedBps: st.reportedBps,
-		BelievedBps: st.believedBps,
-		Users:       users,
-		UserDemands: demands,
-	}, true
+	return len(d.sorted)
 }
 
 // sortedUsers writes st's membership into users' and demands' storage
@@ -525,14 +452,13 @@ func (d *Domain) ViewsInto(_ trace.UserID, buf *ViewBuf) {
 	buf.views = buf.views[:0]
 	d.mu.RLock()
 	buf.ver = d.version
-	for _, id := range d.ids {
-		st := d.aps[id]
+	for _, st := range d.sorted {
 		load := st.reportedBps
 		if d.mode == LoadMax && st.believedBps >= load {
 			load = st.believedBps
 		}
 		buf.views = append(buf.views, APView{
-			ID:          id,
+			ID:          st.id,
 			CapacityBps: st.capacityBps,
 			LoadBps:     load,
 			NumUsers:    len(st.users),

@@ -52,8 +52,8 @@ func TestAddRemoveAP(t *testing.T) {
 	if d.Size() != 2 {
 		t.Fatalf("Size = %d, want 2", d.Size())
 	}
-	if got := d.APs(); !reflect.DeepEqual(got, []trace.APID{"ap1", "ap2"}) {
-		t.Fatalf("APs = %v", got)
+	if views, _ := viewsOf(d, "u"); len(views) != 2 || views[0].ID != "ap1" || views[1].ID != "ap2" {
+		t.Fatalf("views = %+v, want ap1 then ap2", views)
 	}
 
 	if _, err := d.Commit([]Placement{
@@ -164,9 +164,8 @@ func TestCommitAtomicOnUnknownAP(t *testing.T) {
 	if !errors.Is(err, ErrUnknownAP) {
 		t.Fatalf("err = %v, want ErrUnknownAP", err)
 	}
-	info, _ := d.Info("known")
-	if info.BelievedBps != 0 || len(info.Users) != 0 {
-		t.Fatalf("failed commit must apply nothing: %+v", info)
+	if v, _ := viewOf(d, "known"); v.LoadBps != 0 || v.NumUsers != 0 {
+		t.Fatalf("failed commit must apply nothing: %+v", v)
 	}
 }
 
@@ -204,22 +203,22 @@ func TestCommitMoveSemantics(t *testing.T) {
 	if _, err := d.Commit([]Placement{{User: "u", AP: "b", DemandBps: 9, Prev: "a"}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	ia, _ := d.Info("a")
-	ib, _ := d.Info("b")
-	if len(ia.Users) != 0 || ia.BelievedBps != 0 {
-		t.Fatalf("source AP not drained: %+v", ia)
+	va, _ := viewOf(d, "a")
+	vb, _ := viewOf(d, "b")
+	if va.NumUsers != 0 || va.LoadBps != 0 {
+		t.Fatalf("source AP not drained: %+v", va)
 	}
-	if !reflect.DeepEqual(ib.Users, []trace.UserID{"u"}) || ib.BelievedBps != 9 {
-		t.Fatalf("move target: %+v", ib)
+	if users, _ := vb.Members(); !reflect.DeepEqual(users, []trace.UserID{"u"}) || vb.LoadBps != 9 {
+		t.Fatalf("move target: %+v holds %v", vb, users)
 	}
 	// Self-move (re-association to the same AP) behaves as a demand
 	// update, not a double-count.
 	if _, err := d.Commit([]Placement{{User: "u", AP: "b", DemandBps: 2, Prev: "b"}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	ib, _ = d.Info("b")
-	if ib.BelievedBps != 2 || len(ib.Users) != 1 {
-		t.Fatalf("self-move: %+v", ib)
+	vb, _ = viewOf(d, "b")
+	if vb.LoadBps != 2 || vb.NumUsers != 1 {
+		t.Fatalf("self-move: %+v", vb)
 	}
 }
 
@@ -235,23 +234,20 @@ func TestLeaveMultiplicityAndLeaveAll(t *testing.T) {
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	info, _ := d.Info("ap")
-	if info.BelievedBps != 7 || len(info.Users) != 1 {
-		t.Fatalf("stacked sessions: %+v", info)
+	if v, _ := viewOf(d, "ap"); v.LoadBps != 7 || v.NumUsers != 1 {
+		t.Fatalf("stacked sessions: %+v", v)
 	}
 	if !d.Leave("u", "ap", 3) {
 		t.Fatal("Leave must find the user")
 	}
-	info, _ = d.Info("ap")
-	if info.BelievedBps != 4 || len(info.Users) != 1 {
-		t.Fatalf("after one leave: %+v", info)
+	if v, _ := viewOf(d, "ap"); v.LoadBps != 4 || v.NumUsers != 1 {
+		t.Fatalf("after one leave: %+v", v)
 	}
 	if !d.Leave("u", "ap", 4) {
 		t.Fatal("Leave must find the user")
 	}
-	info, _ = d.Info("ap")
-	if info.BelievedBps != 0 || len(info.Users) != 0 {
-		t.Fatalf("after draining: %+v", info)
+	if v, _ := viewOf(d, "ap"); v.LoadBps != 0 || v.NumUsers != 0 {
+		t.Fatalf("after draining: %+v", v)
 	}
 	if d.Leave("u", "ap", 1) {
 		t.Fatal("Leave of a gone user must report false")
@@ -354,11 +350,13 @@ func TestShardCountInvariant(t *testing.T) {
 
 	h := fnv.New64a()
 	views, _ := viewsOf(d, "observer")
-	for _, v := range views {
+	ids := make([]trace.APID, len(views))
+	for i, v := range views {
 		users, demands := v.Members()
 		fmt.Fprintf(h, "%s|%v|%v|%v|%d|%v|%v\n", v.ID, v.CapacityBps, v.LoadBps, SyntheticRSSI("observer", v.ID), v.NumUsers, users, demands)
+		ids[i] = v.ID
 	}
-	fmt.Fprintf(h, "%v\n", d.APs())
+	fmt.Fprintf(h, "%v\n", ids)
 	state, err := json.Marshal(d.ExportState(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -455,12 +453,12 @@ func TestConcurrentCommitsConserveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range aps {
-		info, ok := d.Info(id)
+		v, ok := viewOf(d, id)
 		if !ok {
 			t.Fatalf("stable AP %s vanished", id)
 		}
-		if info.BelievedBps != 0 || len(info.Users) != 0 {
-			t.Fatalf("load not conserved on %s: %+v", id, info)
+		if v.LoadBps != 0 || v.NumUsers != 0 {
+			t.Fatalf("load not conserved on %s: %+v", id, v)
 		}
 	}
 }
@@ -517,9 +515,8 @@ func TestConcurrentMultiShardCommits(t *testing.T) {
 	}
 	wg.Wait()
 	for _, id := range aps {
-		info, _ := d.Info(id)
-		if info.BelievedBps != 0 || len(info.Users) != 0 {
-			t.Fatalf("load not conserved on %s: %+v", id, info)
+		if v, _ := viewOf(d, id); v.LoadBps != 0 || v.NumUsers != 0 {
+			t.Fatalf("load not conserved on %s: %+v", id, v)
 		}
 	}
 	if d.entries != 0 {

@@ -39,11 +39,11 @@ func (d *Domain) ExportState(st *State) *State {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	st.Version = stateVersion
-	st.APs = slices.Grow(st.APs[:0], len(d.ids))[:len(d.ids)]
-	for i, id := range d.ids {
-		ap, out := d.aps[id], &st.APs[i]
+	st.APs = slices.Grow(st.APs[:0], len(d.sorted))[:len(d.sorted)]
+	for i, ap := range d.sorted {
+		out := &st.APs[i]
 		users, demands := sortedUsers(ap, out.Users, out.Demands)
-		*out = APState{ID: id, CapacityBps: ap.capacityBps, ReportedBps: ap.reportedBps,
+		*out = APState{ID: ap.id, CapacityBps: ap.capacityBps, ReportedBps: ap.reportedBps,
 			Users: users, Demands: demands}
 	}
 	return st

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
@@ -39,6 +41,24 @@ func viewsOf(d *Domain, u trace.UserID) ([]APView, Version) {
 	var buf ViewBuf
 	d.ViewsInto(u, &buf)
 	return buf.Views(), buf.Version()
+}
+
+// viewOf returns the view of AP id in a fresh snapshot of d.
+func viewOf(d *Domain, id trace.APID) (APView, bool) {
+	views, _ := viewsOf(d, "probe")
+	at := slices.IndexFunc(views, func(v APView) bool { return v.ID == id })
+	if at < 0 {
+		return APView{}, false
+	}
+	return views[at], true
+}
+
+// TestAPViewSize: a view is its aggregates plus one pointer to the
+// domain's AP state, so a snapshot copies 48 bytes per AP.
+func TestAPViewSize(t *testing.T) {
+	if got := unsafe.Sizeof(APView{}); got != 48 {
+		t.Errorf("APView is %d bytes, want 48", got)
+	}
 }
 
 // TestViewsIntoMatchesViews: a snapshot into a reused buffer must be
@@ -96,8 +116,8 @@ func TestViewsIntoMatchesViews(t *testing.T) {
 
 // TestViewMembershipOnDemand pins the view contract: aggregates are as
 // of the snapshot, membership reads see the domain's current state, a
-// change in between makes the snapshot's version stale, and a hand-built
-// view answers the same accessors from its fixed lists.
+// change in between makes the snapshot's version stale, and a view
+// literal built without a domain has no members.
 func TestViewMembershipOnDemand(t *testing.T) {
 	d := New(Config{})
 	for _, ap := range []trace.APID{"a", "b"} {
@@ -119,13 +139,13 @@ func TestViewMembershipOnDemand(t *testing.T) {
 		t.Fatalf("view a = %+v, want 2 users at 45 B/s", a)
 	}
 	query := []trace.UserID{"u0", "u1", "u2", "u3"}
-	if got := a.SumDemands(query, 1); got != 45 {
+	if got := a.SumDemands(query); got != 45 {
 		t.Errorf("SumDemands on a = %v, want 45 (u1 + stacked u3)", got)
 	}
-	if got := views[1].SumDemands(query, 1); got != 20 {
+	if got := views[1].SumDemands(query); got != 20 {
 		t.Errorf("SumDemands on b = %v, want 20", got)
 	}
-	if got := a.SumDemands(nil, 1); got != 0 {
+	if got := a.SumDemands(nil); got != 0 {
 		t.Errorf("SumDemands(nil) = %v, want 0", got)
 	}
 
@@ -135,12 +155,16 @@ func TestViewMembershipOnDemand(t *testing.T) {
 	if a.NumUsers != 2 || a.LoadBps != 45 {
 		t.Errorf("aggregates moved with the domain: %+v", a)
 	}
-	if got := a.SumDemands(query, 1); got != 35 {
+	if got := a.SumDemands(query); got != 35 {
 		t.Errorf("SumDemands after leave = %v, want 35 (current state)", got)
 	}
-	if users, demands := a.Members(); !reflect.DeepEqual(users, []trace.UserID{"u3"}) ||
-		!reflect.DeepEqual(demands, []float64{35}) {
+	users, demands := a.Members()
+	if !reflect.DeepEqual(users, []trace.UserID{"u3"}) || !reflect.DeepEqual(demands, []float64{35}) {
 		t.Errorf("Members after leave = %v %v, want [u3] [35]", users, demands)
+	}
+	users[0] = "scribbled"
+	if again, _ := a.Members(); again[0] != "u3" {
+		t.Errorf("Members is not a copy: %v", again)
 	}
 	if _, err := d.Commit([]Placement{{User: "probe", AP: "a", DemandBps: 1}}, ver); !errors.Is(err, ErrStale) {
 		t.Errorf("commit on the pre-leave version = %v, want ErrStale", err)
@@ -150,21 +174,16 @@ func TestViewMembershipOnDemand(t *testing.T) {
 	if _, ok := d.RemoveAP("a"); !ok {
 		t.Fatal("RemoveAP failed")
 	}
-	if got := a.SumDemands(query, 1); got != 0 {
+	if got := a.SumDemands(query); got != 0 {
 		t.Errorf("SumDemands on a removed AP = %v, want 0", got)
 	}
 
-	static := APView{ID: "s"}.WithMembers([]trace.UserID{"u1", "u3", "u5"}, []float64{10})
-	if static.NumUsers != 3 {
-		t.Errorf("static NumUsers = %d, want 3", static.NumUsers)
+	literal := APView{ID: "s", NumUsers: 3}
+	if got := literal.SumDemands(query); got != 0 {
+		t.Errorf("literal SumDemands = %v, want 0", got)
 	}
-	if got := static.SumDemands(query, 7); got != 17 {
-		t.Errorf("static SumDemands = %v, want 17 (10 tracked + 7 untracked)", got)
-	}
-	users, demands := static.Members()
-	users[0] = "scribbled"
-	if again, _ := static.Members(); again[0] != "u1" || len(demands) != 1 {
-		t.Errorf("static Members is not a copy: %v %v", again, demands)
+	if users, demands := literal.Members(); users != nil || demands != nil {
+		t.Errorf("literal Members = %v %v, want none", users, demands)
 	}
 }
 
@@ -205,7 +224,7 @@ func TestViewsIntoCostIsPerAP(t *testing.T) {
 	}
 }
 
-// TestSortedMirrorConsistency: every reader that promises order — Info,
+// TestSortedMirrorConsistency: every reader that promises order —
 // ExportState, Members and RemoveAP's evictions — must return the AP's
 // membership strictly ascending by user and demand-aligned with a model
 // map, after every kind of mutation.
@@ -231,11 +250,6 @@ func TestSortedMirrorConsistency(t *testing.T) {
 	}
 	check := func(stage string) {
 		t.Helper()
-		info, ok := d.Info("ap")
-		if !ok {
-			t.Fatalf("%s: AP vanished", stage)
-		}
-		aligned(stage, "Info", info.Users, info.UserDemands)
 		exp := d.ExportState(nil).APs[0]
 		aligned(stage, "ExportState", exp.Users, exp.Demands)
 		views, _ := viewsOf(d, "probe")

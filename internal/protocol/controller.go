@@ -671,18 +671,14 @@ func (c *Controller) notifyDisconnect(user trace.UserID, ap trace.APID, ts int64
 func (c *Controller) Snapshot() map[trace.APID]APStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := c.dom.APs()
-	out := make(map[trace.APID]APStatus, len(ids))
-	for _, id := range ids {
-		info, ok := c.dom.Info(id)
-		if !ok {
-			continue
-		}
-		out[id] = APStatus{
-			CapacityBps: info.CapacityBps,
-			ReportedBps: info.ReportedBps,
-			Users:       info.Users,
-			ServedBytes: c.meta[id].served,
+	st := c.dom.ExportState(nil)
+	out := make(map[trace.APID]APStatus, len(st.APs))
+	for _, ap := range st.APs {
+		out[ap.ID] = APStatus{
+			CapacityBps: ap.CapacityBps,
+			ReportedBps: ap.ReportedBps,
+			Users:       ap.Users,
+			ServedBytes: c.meta[ap.ID].served,
 		}
 	}
 	return out

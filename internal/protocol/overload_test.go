@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/baseline"
+	"github.com/s3wlan/s3wlan/internal/domain"
 	"github.com/s3wlan/s3wlan/internal/faults"
 	"github.com/s3wlan/s3wlan/internal/journal"
 	"github.com/s3wlan/s3wlan/internal/trace"
@@ -55,26 +56,26 @@ func assertConservation(t *testing.T, c *Controller) {
 	for u, s := range c.sessions {
 		assigned[u] = s.ap
 	}
+	var buf domain.ViewBuf
+	c.dom.ViewsInto("", &buf)
+	st := c.dom.ExportState(nil)
 	c.mu.Unlock()
 	users := 0
-	for _, id := range c.dom.APs() {
-		info, ok := c.dom.Info(id)
-		if !ok {
-			continue
-		}
+	for i, ap := range st.APs {
 		sum := 0.0
-		for _, d := range info.UserDemands {
+		for _, d := range ap.Demands {
 			sum += d
 		}
-		if math.Abs(info.BelievedBps-sum) > 1e-3 {
-			t.Errorf("ap %s: believed %v != demand sum %v", id, info.BelievedBps, sum)
+		// The controller's LoadMax view reads max(report, believed).
+		if load := buf.Views()[i].LoadBps; math.Abs(load-math.Max(ap.ReportedBps, sum)) > 1e-3 {
+			t.Errorf("ap %s: load %v != max(report %v, demand sum %v)", ap.ID, load, ap.ReportedBps, sum)
 		}
-		for _, u := range info.Users {
-			if assigned[u] != id {
-				t.Errorf("domain holds %s on %s, assignments say %q", u, id, assigned[u])
+		for _, u := range ap.Users {
+			if assigned[u] != ap.ID {
+				t.Errorf("domain holds %s on %s, assignments say %q", u, ap.ID, assigned[u])
 			}
 		}
-		users += len(info.Users)
+		users += len(ap.Users)
 	}
 	if users != len(assigned) {
 		t.Errorf("domain holds %d users, assignment map %d", users, len(assigned))

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/baseline"
+	"github.com/s3wlan/s3wlan/internal/domain"
 	"github.com/s3wlan/s3wlan/internal/journal"
 	"github.com/s3wlan/s3wlan/internal/obs"
 	"github.com/s3wlan/s3wlan/internal/society/incremental"
@@ -99,8 +100,10 @@ func TestSameAPReassociationKeepsSession(t *testing.T) {
 		t.Errorf("same-AP refresh counted as a move (%d -> %d)", movesBefore, moves)
 	}
 	// The demand update itself must land in the domain.
-	if info, ok := c.dom.Info("ap1"); !ok || info.BelievedBps != 250 {
-		t.Errorf("believed demand = %+v (%v), want 250", info, ok)
+	var buf domain.ViewBuf
+	c.dom.ViewsInto("", &buf)
+	if v := buf.Views()[0]; v.ID != "ap1" || v.LoadBps != 250 {
+		t.Errorf("believed demand = %+v, want 250 on ap1", v)
 	}
 	obsRec.mu.Lock()
 	connects := len(obsRec.connects)

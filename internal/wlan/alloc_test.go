@@ -73,3 +73,36 @@ func TestEachBinAllocBudget(t *testing.T) {
 		t.Errorf("one EachBin pass allocates %d B in %d objects, budget %d B in %d", bytes, objects, maxBytes, maxObjects)
 	}
 }
+
+// TestEachBinSpanAllocBudget: what EachBin allocates follows the domains'
+// width, not the window's span. One 10⁹ s session on a 4-AP domain spans
+// 3 333 334 bins of 300 s; a buffer over all of them would be 106.7 MB.
+// Filled eachBinChunk bins at a time it measures (go1.24) about 0.34 MB —
+// the chunk buffer and one AP-to-column map per chunk.
+func TestEachBinSpanAllocBudget(t *testing.T) {
+	res := &Result{End: 1e9, BinSeconds: 300, Domains: map[trace.ControllerID]*DomainResult{"c": {
+		APs:      []trace.APID{"a", "b", "c", "d"},
+		Assigned: []Assignment{{Session: trace.Session{User: "u", ConnectAt: 0, DisconnectAt: 1e9, Bytes: 1e9}, AP: "b"}},
+	}}}
+	var bins int
+	var total float64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := res.EachBin(func(_ trace.ControllerID, bin int, loads []float64) error {
+		bins, total = bins+1, total+loads[1]
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bins != 3_333_334 || math.Abs(total-1e9) > 1 {
+		t.Errorf("EachBin yielded %d bins carrying %v B, want 3333334 carrying 1e9", bins, total)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d B per pass", bytes)
+	const maxBytes = 1 << 20
+	if bytes > maxBytes {
+		t.Errorf("one EachBin pass over a 10⁹ s window allocates %d B, budget %d", bytes, maxBytes)
+	}
+}

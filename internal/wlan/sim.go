@@ -110,11 +110,18 @@ func (r *Result) LoadSeries(c trace.ControllerID) (*metrics.Series, error) {
 	return s, nil
 }
 
+// eachBinChunk is how many bins EachBin fills at once, so its buffer
+// follows the domains' width, not the trace's span.
+const eachBinChunk = 4096
+
 // EachBin calls fn with the per-AP loads of every bin of every domain
 // (columns in the domain's APs order), domain by domain in Controllers()
 // order and bin by bin in time order, and returns fn's first error. The
-// loads are a view of one buffer, allocated once per call and sized to
-// the largest domain, which every domain refills: fn must not keep them.
+// loads are a view of one buffer of eachBinChunk bins, allocated once per
+// call and sized to the largest domain, which every chunk of every domain
+// refills: fn must not keep them. A chunk sums the same records in the
+// same order as one pass over the whole window would, so every bin's
+// load is the same to the bit.
 func (r *Result) EachBin(fn func(c trace.ControllerID, bin int, loads []float64) error) error {
 	nBins, err := trace.NumBins(r.Start, r.End, r.BinSeconds)
 	if err != nil {
@@ -124,15 +131,20 @@ func (r *Result) EachBin(fn func(c trace.ControllerID, bin int, loads []float64)
 	for _, d := range r.Domains {
 		width = max(width, len(d.APs))
 	}
-	buf := make([]float64, nBins*width)
+	buf := make([]float64, min(nBins, eachBinChunk)*width)
 	for _, c := range r.Controllers() {
 		d := r.Domains[c]
-		loads, _ := trace.BinLoadsOf(buf, len(d.Assigned), func(i int) (*trace.Session, trace.APID) {
-			return &d.Assigned[i].Session, d.Assigned[i].AP
-		}, d.APs, r.Start, r.End, r.BinSeconds) // the window is checked above
-		for bin, w := 0, len(d.APs); bin < nBins; bin++ {
-			if err := fn(c, bin, loads[bin*w:(bin+1)*w]); err != nil {
-				return err
+		record := func(i int) (*trace.Session, trace.APID) { return &d.Assigned[i].Session, d.Assigned[i].AP }
+		for first := 0; first < nBins; first += eachBinChunk {
+			n, from, to := nBins-first, r.Start+int64(first)*r.BinSeconds, r.End
+			if n > eachBinChunk {
+				n, to = eachBinChunk, from+eachBinChunk*r.BinSeconds // below End: no overflow
+			}
+			loads, _ := trace.BinLoadsOf(buf, len(d.Assigned), record, d.APs, from, to, r.BinSeconds) // the window is checked above
+			for bin, w := 0, len(d.APs); bin < n; bin++ {
+				if err := fn(c, first+bin, loads[bin*w:(bin+1)*w]); err != nil {
+					return err
+				}
 			}
 		}
 	}

@@ -426,9 +426,17 @@ func TestSimulateSnapshotsOncePerDecision(t *testing.T) {
 // trace.BinLoads gives over those sessions copied out with the assigned
 // AP written into them; and so does every row EachBin yields, domain by
 // domain in Controllers() order and bin by bin, through a buffer every
-// domain refills: the domains have 2, 4, 3 and 1 APs.
+// domain refills: the domains have 2, 4, 3 and 1 APs. At 7 s bins the
+// window spans 13 000 bins, so EachBin fills its buffer chunk by chunk.
 func TestLoadSeriesBinsAssignments(t *testing.T) {
 	res := unevenReplay(t)
+	for _, width := range []int64{res.BinSeconds, 7} {
+		res.BinSeconds = width
+		t.Run(fmt.Sprintf("bin=%ds", width), func(t *testing.T) { checkLoadSeriesBins(t, res) })
+	}
+}
+
+func checkLoadSeriesBins(t *testing.T, res *Result) {
 	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	points := 0
 	rows := make(map[trace.ControllerID][][]float64)
