@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race bench-selftest bench-ab bench-record loc paper-scale chaos federation-chaos overload-soak flight-smoke bench experiments analyses ablations clean
+.PHONY: all build fmt-check vet test race fma-check bench-selftest bench-ab bench-record loc paper-scale chaos federation-chaos overload-soak flight-smoke bench experiments analyses ablations clean
 
 all: build fmt-check vet test
 
@@ -15,6 +15,17 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# No fused multiply-add in any non-test package. Go may fuse x*y + z into
+# one instruction on arm64 (never on amd64), which skips the rounding of
+# x*y, and one ULP in the balance index flips Algorithm 1's placements;
+# such a product is written float64(x*y). This fails on any of arm64's
+# four fused mnemonics in the packages' assembly (kept in a .txt: a .s
+# file at the root would be assembled into the root package).
+fma-check:
+	@GOARCH=arm64 $(GO) build -gcflags=-S ./... > fma-arm64.txt 2>&1 || { tail -20 fma-arm64.txt; exit 1; }
+	@grep -q TEXT fma-arm64.txt || { echo "fma-check: no arm64 assembly in fma-arm64.txt"; exit 1; }
+	@if grep -wE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' fma-arm64.txt; then echo "fma-check: fused multiply-add above; round the product as float64(x*y)"; exit 1; fi
 
 test:
 	$(GO) test ./...

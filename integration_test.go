@@ -111,6 +111,23 @@ func TestFullPipelineThroughDisk(t *testing.T) {
 	}
 }
 
+// simulate replays d's test split under one selector with the
+// evaluation's protocol: demands from the training history, AP loads
+// reported every 300 s, co-arrivals batched within 60 s.
+func simulate(t *testing.T, d *experiments.Data, sel wlan.Selector) *wlan.Result {
+	t.Helper()
+	res, err := wlan.Simulate(d.Test, wlan.Config{
+		SelectorFor:               func(trace.ControllerID, []trace.AP) wlan.Selector { return sel },
+		DemandFor:                 func(s trace.Session) float64 { return d.Demands.Demand(s.User) },
+		BatchWindowSeconds:        60,
+		LoadReportIntervalSeconds: 300,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestSimulationDeterminism verifies that the entire pipeline is
 // reproducible: same seed, same assignments.
 func TestSimulationDeterminism(t *testing.T) {
@@ -119,11 +136,15 @@ func TestSimulationDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := d.RunS3(society.DefaultConfig(), core.DefaultSelectorConfig())
+		model, err := society.Train(d.Train, d.Profiles, society.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		sel, err := core.NewSelector(model, core.DefaultSelectorConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return simulate(t, d, sel)
 	}
 	a, b := run(), run()
 	for _, c := range a.Controllers() {
@@ -140,10 +161,7 @@ func TestConservationEveryArrivalAssignedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.RunLLF()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulate(t, d, s3wlan.LLF{})
 	placed := 0
 	for _, c := range res.Controllers() {
 		placed += len(res.Domains[c].Assigned)

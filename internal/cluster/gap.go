@@ -126,7 +126,7 @@ func uniformReference(n, dim int, lo, hi []float64, rng *rand.Rand) [][]float64 
 	for i := range ref {
 		p := make([]float64, dim)
 		for d := 0; d < dim; d++ {
-			p[d] = lo[d] + rng.Float64()*(hi[d]-lo[d])
+			p[d] = lo[d] + float64(rng.Float64()*(hi[d]-lo[d]))
 		}
 		ref[i] = p
 	}
@@ -155,7 +155,7 @@ func stddev(xs []float64, m float64) float64 {
 	var ss float64
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(len(xs)))
 }

@@ -232,7 +232,7 @@ func sqDist(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -266,7 +266,7 @@ func Dispersion(points [][]float64, labels []int, k int) float64 {
 		for d, x := range p {
 			mu := sums[c][d] / float64(counts[c])
 			diff := x - mu
-			w += diff * diff
+			w += float64(diff * diff)
 		}
 	}
 	return w

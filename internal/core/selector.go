@@ -204,7 +204,7 @@ func (s *Selector) Select(req wlan.Request, aps []wlan.APView) (trace.APID, erro
 			minLoad = ap.LoadBps
 		}
 	}
-	guard := minLoad + s.cfg.BalanceGuard*(totalLoad/float64(len(aps))+req.DemandBps)
+	guard := minLoad + float64(s.cfg.BalanceGuard*(totalLoad/float64(len(aps))+req.DemandBps))
 
 	// Single pass, no candidate slices: track the best guarded candidate
 	// (friend buckets are computed only for those that could still

@@ -47,12 +47,12 @@ func AblationBaselines(d *Data) (*AblationBaselinesResult, error) {
 		Policies: []string{"LLF", "LeastUsers", "StrongestRSSI", "Random", "RoundRobin"},
 	}
 	cells := []cell{
-		{d: d, policy: llf},
-		{d: d, policy: func(trace.ControllerID, []trace.AP) wlan.Selector { return baseline.LeastUsers{} }},
-		{d: d, policy: func(trace.ControllerID, []trace.AP) wlan.Selector { return baseline.StrongestRSSI{} }},
-		{d: d, policy: func(trace.ControllerID, []trace.AP) wlan.Selector { return baseline.NewRandom(1) }},
-		{d: d, policy: func(trace.ControllerID, []trace.AP) wlan.Selector { return &baseline.RoundRobin{} }},
-		{d: d, model: model, sel: core.DefaultSelectorConfig()},
+		baselineCell(llf),
+		baselineCell(func(trace.ControllerID, []trace.AP) wlan.Selector { return baseline.LeastUsers{} }),
+		baselineCell(func(trace.ControllerID, []trace.AP) wlan.Selector { return baseline.StrongestRSSI{} }),
+		baselineCell(func(trace.ControllerID, []trace.AP) wlan.Selector { return baseline.NewRandom(1) }),
+		baselineCell(func(trace.ControllerID, []trace.AP) wlan.Selector { return &baseline.RoundRobin{} }),
+		s3Cell(model, core.DefaultSelectorConfig()),
 	}
 	means, err := d.meanBalances("ablation-baselines", cells)
 	if err != nil {
@@ -88,10 +88,8 @@ type AblationStalenessResult struct {
 	LLFMeans         []float64
 }
 
-// AblationStaleness sweeps the report interval for both policies. Each
-// cell runs on a private shallow copy of the dataset (the trace and
-// training artifacts are shared read-only), so all interval × policy
-// combinations execute concurrently and d itself is never mutated.
+// AblationStaleness sweeps the report interval for both policies; all
+// interval × policy cells run concurrently on the experiment pool.
 func AblationStaleness(d *Data, intervals []int64) (*AblationStalenessResult, error) {
 	if len(intervals) == 0 {
 		intervals = []int64{0, 60, 180, 300, 600}
@@ -107,11 +105,9 @@ func AblationStaleness(d *Data, intervals []int64) (*AblationStalenessResult, er
 	}
 	cells := make([]cell, 0, 2*len(intervals))
 	for _, iv := range intervals {
-		c := *d // private copy: only the report interval differs
-		c.ReportIntervalSeconds = iv
-		cells = append(cells,
-			cell{d: &c, model: model, sel: core.DefaultSelectorConfig()},
-			cell{d: &c, policy: llf})
+		s3, base := s3Cell(model, core.DefaultSelectorConfig()), baselineCell(llf)
+		s3.reportEvery, base.reportEvery = iv, iv
+		cells = append(cells, s3, base)
 	}
 	means, err := d.meanBalances("ablation-staleness", cells)
 	if err != nil {
@@ -160,7 +156,7 @@ func AblationGuard(d *Data, guards []float64) (*AblationGuardResult, error) {
 	}
 	cells := make([]cell, len(guards))
 	for i, g := range guards {
-		cells[i] = cell{d: d, model: model, sel: core.DefaultSelectorConfig()}
+		cells[i] = s3Cell(model, core.DefaultSelectorConfig())
 		cells[i].sel.BalanceGuard = g
 	}
 	means, err := d.meanBalances("ablation-guard", cells)
@@ -188,9 +184,7 @@ type AblationBatchWindowResult struct {
 }
 
 // AblationBatchWindow sweeps the Algorithm 1 batching window; 0 disables
-// joint placement (purely online decisions). Each cell runs on a
-// private shallow copy of the dataset, so the sweep parallelizes and d
-// is never mutated.
+// joint placement (purely online decisions).
 func AblationBatchWindow(d *Data, windows []int64) (*AblationBatchWindowResult, error) {
 	if len(windows) == 0 {
 		windows = []int64{0, 30, 60, 120, 300}
@@ -201,9 +195,8 @@ func AblationBatchWindow(d *Data, windows []int64) (*AblationBatchWindowResult, 
 	}
 	cells := make([]cell, len(windows))
 	for i, w := range windows {
-		c := *d // private copy: only the batch window differs
-		c.BatchWindowSeconds = w
-		cells[i] = cell{d: &c, model: model, sel: core.DefaultSelectorConfig()}
+		cells[i] = s3Cell(model, core.DefaultSelectorConfig())
+		cells[i].batchWindow = w
 	}
 	means, err := d.meanBalances("ablation-batch", cells)
 	if err != nil {

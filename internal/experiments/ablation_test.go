@@ -49,10 +49,6 @@ func TestAblationStaleness(t *testing.T) {
 		t.Errorf("stale gain (%v) should exceed live gain (%v)",
 			gainStale, gainLive)
 	}
-	// The sweep restores the data's interval.
-	if d.ReportIntervalSeconds != 300 {
-		t.Errorf("interval not restored: %d", d.ReportIntervalSeconds)
-	}
 	if !strings.Contains(res.Render(), "staleness") {
 		t.Error("Render missing title")
 	}
@@ -85,9 +81,6 @@ func TestAblationBatchWindow(t *testing.T) {
 	}
 	if len(res.Means) != 2 {
 		t.Fatalf("means = %v", res.Means)
-	}
-	if d.BatchWindowSeconds != 60 {
-		t.Errorf("batch window not restored: %d", d.BatchWindowSeconds)
 	}
 	if !strings.Contains(res.Render(), "batch window") {
 		t.Error("Render missing title")

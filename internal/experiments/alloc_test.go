@@ -14,13 +14,14 @@ import (
 	"github.com/s3wlan/s3wlan/internal/synth"
 )
 
-// TestSimulateAllocBudget pins what one S³ replay of the small campus's
-// test days (800 sessions) allocates under RunS3Model — the selector's
-// close-friend rows included, training not: the unit a sweep pays once
-// per cell. It measures (go1.24) 257 300 B in 1 304 objects (± 1 KB, ± 2):
-// the rows, the arrival order, Assigned, the event queue, a closure per
-// departure and the result map of each of the 157 batches — Algorithm 1
-// itself works in a pooled placer. The ceilings are ≈ 15 % over that.
+// TestSimulateAllocBudget pins what one S³ cell replayed over the small
+// campus's test days (800 sessions) allocates — the selector's
+// close-friend rows and the experiment pool's bookkeeping included,
+// training not: the unit a sweep pays once per cell. It measures (go1.24)
+// 204 100 B in 494 objects, the pool ≈ 2 300 B in 16 of them: the rows,
+// the arrival order, Assigned, the event queue and the result map of each
+// of the 157 batches — Algorithm 1 itself works in a pooled placer. The
+// ceilings are ≈ 15 % over the 257 300 B in 1 304 it once took.
 func TestSimulateAllocBudget(t *testing.T) {
 	campus := synth.DefaultConfig()
 	campus.Users, campus.Buildings, campus.Days = 150, 3, 12
@@ -32,11 +33,7 @@ func TestSimulateAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay := func() {
-		if _, err := d.RunS3Model(model, core.DefaultSelectorConfig()); err != nil {
-			t.Fatal(err)
-		}
-	}
+	replay := func() { replayOne(t, d, s3Cell(model, core.DefaultSelectorConfig())) }
 	replay()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -104,10 +101,7 @@ func TestMeanBalanceAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.RunS3Model(model, core.DefaultSelectorConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replayOne(t, d, s3Cell(model, core.DefaultSelectorConfig()))
 	score := func() {
 		if _, err := MeanBalance(res); err != nil {
 			t.Fatal(err)

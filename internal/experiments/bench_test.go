@@ -11,7 +11,7 @@ import (
 )
 
 // BenchmarkSimulateS3 is one S³ replay of the default campus's test
-// days under RunS3Model — selector construction (the close-friend rows)
+// days as one S³ cell replayed — selector construction (the close-friend rows)
 // included, training not: the unit a sweep pays once per cell.
 func BenchmarkSimulateS3(b *testing.B) {
 	d, err := Prepare(synth.DefaultConfig(), 28)
@@ -25,9 +25,7 @@ func BenchmarkSimulateS3(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.RunS3Model(model, core.DefaultSelectorConfig()); err != nil {
-			b.Fatal(err)
-		}
+		replayOne(b, d, s3Cell(model, core.DefaultSelectorConfig()))
 	}
 }
 

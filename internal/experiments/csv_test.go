@@ -8,8 +8,6 @@ import (
 	"sort"
 	"testing"
 
-	"github.com/s3wlan/s3wlan/internal/core"
-	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
@@ -81,19 +79,15 @@ func TestExperimentCSVExports(t *testing.T) {
 
 func TestExtractAndCompareSeries(t *testing.T) {
 	d := prepareSmall(t)
-	s3Res, err := d.RunS3(societyDefault(), coreDefault())
+	results, err := d.replayS3AndLLF("series")
 	if err != nil {
 		t.Fatal(err)
 	}
-	llfRes, err := d.RunLLF()
+	sa, err := scoreReplay(results[0], d.Campus.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := scoreReplay(s3Res, d.Campus.Epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := scoreReplay(llfRes, d.Campus.Epoch)
+	sb, err := scoreReplay(results[1], d.Campus.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +113,6 @@ func TestExtractAndCompareSeries(t *testing.T) {
 		t.Error("length mismatch should error")
 	}
 }
-
-// small helpers keeping the test terse
-func societyDefault() society.Config   { return society.DefaultConfig() }
-func coreDefault() core.SelectorConfig { return core.DefaultSelectorConfig() }
 
 func TestFig12SeriesCSV(t *testing.T) {
 	d := prepareSmall(t)

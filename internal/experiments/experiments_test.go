@@ -39,6 +39,16 @@ func prepareSmall(t *testing.T) *Data {
 	return d
 }
 
+// replayOne replays one cell of d's test trace.
+func replayOne(tb testing.TB, d *Data, c cell) *wlan.Result {
+	tb.Helper()
+	results, err := d.replay("replay", []cell{c})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return results[0]
+}
+
 func TestPrepare(t *testing.T) {
 	d := prepareSmall(t)
 	if len(d.Train.Sessions) == 0 || len(d.Test.Sessions) == 0 {
@@ -74,19 +84,15 @@ func TestPrepareErrors(t *testing.T) {
 
 func TestS3BeatsLLF(t *testing.T) {
 	d := prepareSmall(t)
-	s3Res, err := d.RunS3(society.DefaultConfig(), core.DefaultSelectorConfig())
+	results, err := d.replayS3AndLLF("s3-llf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	llfRes, err := d.RunLLF()
+	mS3, err := MeanBalance(results[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	mS3, err := MeanBalance(s3Res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mLLF, err := MeanBalance(llfRes)
+	mLLF, err := MeanBalance(results[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +109,7 @@ func TestS3BeatsLLF(t *testing.T) {
 // through its own buffer).
 func TestMeanBalanceConcurrent(t *testing.T) {
 	d := prepareSmall(t)
-	res, err := d.RunLLF()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replayOne(t, d, baselineCell(llf))
 	var w stats.Welford
 	for _, c := range res.Controllers() {
 		series, err := res.LoadSeries(c)
@@ -141,14 +144,12 @@ func TestMeanBalanceConcurrent(t *testing.T) {
 	}
 }
 
-func TestRunSelector(t *testing.T) {
+// TestReplayBaselineCell: a baseline cell replays under its own policy.
+func TestReplayBaselineCell(t *testing.T) {
 	d := prepareSmall(t)
-	res, err := d.RunSelector(func(trace.ControllerID, []trace.AP) wlan.Selector {
+	res := replayOne(t, d, baselineCell(func(trace.ControllerID, []trace.AP) wlan.Selector {
 		return baseline.StrongestRSSI{}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}))
 	if res.Policy != "StrongestRSSI" {
 		t.Errorf("policy = %q", res.Policy)
 	}
@@ -161,10 +162,7 @@ func TestRunSelector(t *testing.T) {
 // LoadSeries' ActiveValues, bit for bit, and its series every bin's value.
 func TestDomainBalances(t *testing.T) {
 	d := prepareSmall(t)
-	res, err := d.RunLLF()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replayOne(t, d, baselineCell(llf))
 	sc, err := scoreReplay(res, d.Campus.Epoch)
 	if err != nil {
 		t.Fatal(err)
@@ -190,14 +188,11 @@ func TestDomainBalances(t *testing.T) {
 }
 
 // TestBalancesByHourFilter: scoreReplay's leave-peak values are, in
-// order, the active bins of every domain that start in a LeavePeakHours
+// order, the active bins of every domain that start in a leavePeakHours
 // hour — some of the active bins, not all.
 func TestBalancesByHourFilter(t *testing.T) {
 	d := prepareSmall(t)
-	res, err := d.RunLLF()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replayOne(t, d, baselineCell(llf))
 	sc, err := scoreReplay(res, d.Campus.Epoch)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +209,7 @@ func TestBalancesByHourFilter(t *testing.T) {
 				continue
 			}
 			active++
-			if LeavePeakHours[trace.HourOfDay(d.Campus.Epoch, series.BinTime(i))] {
+			if leavePeakHours[trace.HourOfDay(d.Campus.Epoch, series.BinTime(i))] {
 				want = append(want, v)
 			}
 		}
@@ -295,8 +290,8 @@ func TestFig12(t *testing.T) {
 }
 
 // TestTrainOutsidePrepare: a Data built by hand has no Trainer and trains
-// what society.Train trains; a copy with Train or Profiles replaced trains
-// on the replacement, not on what Prepare interned.
+// what society.Train trains; a Data whose Train or Profiles is replaced
+// trains on the replacement, not on what Prepare interned.
 func TestTrainOutsidePrepare(t *testing.T) {
 	d := prepareSmall(t)
 	cfg := society.DefaultConfig()
@@ -320,19 +315,18 @@ func TestTrainOutsidePrepare(t *testing.T) {
 	if write(byHand.trainModel(cfg)) != want {
 		t.Error("a Data built by hand trains a model unlike society.Train's")
 	}
-	if _, err := byHand.RunS3(cfg, core.DefaultSelectorConfig()); err != nil {
-		t.Errorf("RunS3 on a Data built by hand: %v", err)
+	if _, err := byHand.replayS3AndLLF("by-hand"); err != nil {
+		t.Errorf("replaying S³ on a Data built by hand: %v", err)
 	}
 
-	half := *d
-	half.Train = &trace.Trace{Sessions: d.Train.Sessions[len(d.Train.Sessions)/2:]}
-	if got := write(half.trainModel(cfg)); got == want || got != write(society.Train(half.Train, d.Profiles, cfg)) {
-		t.Error("a copy with half the training sessions does not train on them alone")
+	trainAll := d.Train
+	d.Train = &trace.Trace{Sessions: trainAll.Sessions[len(trainAll.Sessions)/2:]}
+	if got := write(d.trainModel(cfg)); got == want || got != write(society.Train(d.Train, d.Profiles, cfg)) {
+		t.Error("a Data with half the training sessions does not train on them alone")
 	}
-	noProfiles := *d
-	noProfiles.Profiles = nil
-	if _, err := noProfiles.trainModel(cfg); !errors.Is(err, society.ErrNoProfiles) {
-		t.Errorf("a copy without profiles trains: err = %v, want %v", err, society.ErrNoProfiles)
+	d.Train, d.Profiles = trainAll, nil
+	if _, err := d.trainModel(cfg); !errors.Is(err, society.ErrNoProfiles) {
+		t.Errorf("a Data without profiles trains: err = %v, want %v", err, society.ErrNoProfiles)
 	}
 }
 
@@ -364,11 +358,11 @@ func TestSweepTrainsOncePerTallies(t *testing.T) {
 
 	alone := func(cfg society.Config) float64 {
 		t.Helper()
-		sim, err := d.RunS3(cfg, core.DefaultSelectorConfig())
+		model, err := d.trainModel(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mean, err := MeanBalance(sim)
+		mean, err := MeanBalance(replayOne(t, d, s3Cell(model, core.DefaultSelectorConfig())))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,14 +373,14 @@ func TestSweepTrainsOncePerTallies(t *testing.T) {
 			cfg := society.DefaultConfig()
 			cfg.CoLeaveWindowSeconds, cfg.Alpha, cfg.HistoryDays = iv, alpha, 0
 			if want := alone(cfg); f10.Mean[a][i] != want {
-				t.Errorf("Fig 10 α=%v interval=%d: %v, stand-alone RunS3 %v", alpha, iv, f10.Mean[a][i], want)
+				t.Errorf("Fig 10 α=%v interval=%d: %v, stand-alone replay %v", alpha, iv, f10.Mean[a][i], want)
 			}
 		}
 		for i, hd := range history {
 			cfg := society.DefaultConfig()
 			cfg.Alpha, cfg.HistoryDays = alpha, hd
 			if want := alone(cfg); f11.Mean[a][i] != want {
-				t.Errorf("Fig 11 α=%v history=%d: %v, stand-alone RunS3 %v", alpha, hd, f11.Mean[a][i], want)
+				t.Errorf("Fig 11 α=%v history=%d: %v, stand-alone replay %v", alpha, hd, f11.Mean[a][i], want)
 			}
 		}
 	}

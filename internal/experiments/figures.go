@@ -10,14 +10,15 @@ import (
 	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/stats"
 	"github.com/s3wlan/s3wlan/internal/trace"
+	"github.com/s3wlan/s3wlan/internal/wlan"
 )
 
-// DefaultIntervals are the co-leave extraction intervals of Fig. 10 (the
+// defaultIntervals are the co-leave extraction intervals of Fig. 10 (the
 // paper sweeps one to twenty minutes in five-minute steps).
-var DefaultIntervals = []int64{60, 300, 600, 900, 1200}
+var defaultIntervals = []int64{60, 300, 600, 900, 1200}
 
-// DefaultAlphas are the α values swept in Figs. 10 and 11.
-var DefaultAlphas = []float64{0.1, 0.3, 0.5}
+// defaultAlphas are the α values swept in Figs. 10 and 11.
+var defaultAlphas = []float64{0.1, 0.3, 0.5}
 
 // Fig10Result is the balance index as a function of the co-leaving
 // extraction interval, one series per α.
@@ -35,10 +36,10 @@ type Fig10Result struct {
 // Fig10 sweeps the co-leave extraction interval and α.
 func Fig10(d *Data, intervals []int64, alphas []float64) (*Fig10Result, error) {
 	if len(intervals) == 0 {
-		intervals = DefaultIntervals
+		intervals = defaultIntervals
 	}
 	if len(alphas) == 0 {
-		alphas = DefaultAlphas
+		alphas = defaultAlphas
 	}
 	cfgs := make([]society.Config, len(intervals))
 	for i, iv := range intervals {
@@ -72,7 +73,7 @@ func (d *Data) alphaGrid(label string, cfgs []society.Config, alphas []float64) 
 	cells := make([]cell, 0, len(alphas)*len(cfgs))
 	for _, alpha := range alphas {
 		for _, m := range models {
-			cells = append(cells, cell{d: d, model: m.WithAlpha(alpha), sel: core.DefaultSelectorConfig()})
+			cells = append(cells, s3Cell(m.WithAlpha(alpha), core.DefaultSelectorConfig()))
 		}
 	}
 	flat, err := d.meanBalances(label, cells)
@@ -135,7 +136,7 @@ func Fig11(d *Data, historyDays []int, alphas []float64) (*Fig11Result, error) {
 		historyDays = []int{1, 3, 5, 7, 10, 13, 15, 18, 20}
 	}
 	if len(alphas) == 0 {
-		alphas = DefaultAlphas
+		alphas = defaultAlphas
 	}
 	cfgs := make([]society.Config, len(historyDays))
 	for i, hd := range historyDays {
@@ -200,13 +201,14 @@ type Fig12Result struct {
 	ErrorBarReductionPercent float64
 }
 
-// Fig12 runs both policies over the test split (concurrently, on the
+// Fig12 replays both policies over the test split (concurrently, on the
 // experiment pool) and compares them.
 func Fig12(d *Data) (*Fig12Result, error) {
-	s3Res, llfRes, err := d.RunS3AndLLF(society.DefaultConfig(), core.DefaultSelectorConfig(), "fig12")
+	results, err := d.replayS3AndLLF("fig12")
 	if err != nil {
 		return nil, err
 	}
+	s3Res, llfRes := results[0], results[1]
 	s3, err := scoreReplay(s3Res, d.Campus.Epoch)
 	if err != nil {
 		return nil, err
@@ -259,6 +261,16 @@ func Fig12(d *Data) (*Fig12Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// replayS3AndLLF trains S³ at the paper's operating point, then replays
+// an S³ cell and an LLF cell, in that order.
+func (d *Data) replayS3AndLLF(label string) ([]*wlan.Result, error) {
+	model, err := d.trainModel(society.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	return d.replay(label, []cell{s3Cell(model, core.DefaultSelectorConfig()), baselineCell(llf)})
 }
 
 // Render formats the figure as text.

@@ -11,7 +11,7 @@ import (
 // reports: under the stale view (300 s reports) friend dispersal carries
 // S³ — full S³ beats blind S³ (EdgeThreshold 10: nobody has a close
 // friend) and LLF on every seed — while under the live view
-// (ReportIntervalSeconds 0) neither knockout moves the mean balance by
+// (the cells' reportEvery 0) neither knockout moves the mean balance by
 // more than a few percent. The campus is smallCampus at 4 APs a building,
 // 9 training days, seeds 1–5; the means must not depend on the worker
 // count.
@@ -36,12 +36,10 @@ func TestKnockoutFriendDispersal(t *testing.T) {
 		blind.EdgeThreshold = 10
 		var cells []cell
 		for _, interval := range []int64{300, 0} {
-			c := *d
-			c.ReportIntervalSeconds = interval
-			cells = append(cells,
-				cell{d: &c, model: model, sel: core.DefaultSelectorConfig()},
-				cell{d: &c, model: model, sel: blind},
-				cell{d: &c, policy: llf})
+			for _, c := range []cell{s3Cell(model, core.DefaultSelectorConfig()), s3Cell(model, blind), baselineCell(llf)} {
+				c.reportEvery = interval
+				cells = append(cells, c)
+			}
 		}
 		var means [2][]float64
 		for i, workers := range []int{1, 4} {

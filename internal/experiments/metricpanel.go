@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/s3wlan/s3wlan/internal/core"
 	"github.com/s3wlan/s3wlan/internal/metrics"
-	"github.com/s3wlan/s3wlan/internal/society"
 )
 
 // MetricPanelResult cross-checks the headline comparison under the
@@ -21,10 +19,10 @@ type MetricPanelResult struct {
 	S3, LLF []float64
 }
 
-// MetricPanel runs both policies once (concurrently, on the experiment
+// MetricPanel replays both policies once (concurrently, on the experiment
 // pool) and evaluates every fairness metric over the same active bins.
 func MetricPanel(d *Data) (*MetricPanelResult, error) {
-	s3Res, llfRes, err := d.RunS3AndLLF(society.DefaultConfig(), core.DefaultSelectorConfig(), "metric-panel")
+	results, err := d.replayS3AndLLF("metric-panel")
 	if err != nil {
 		return nil, err
 	}
@@ -37,10 +35,10 @@ func MetricPanel(d *Data) (*MetricPanelResult, error) {
 		metrics.ProportionalFairness,
 		metrics.Gini,
 	}
-	if res.S3, err = meanMetrics(s3Res, evals...); err != nil {
+	if res.S3, err = meanMetrics(results[0], evals...); err != nil {
 		return nil, err
 	}
-	if res.LLF, err = meanMetrics(llfRes, evals...); err != nil {
+	if res.LLF, err = meanMetrics(results[1], evals...); err != nil {
 		return nil, err
 	}
 	return res, nil

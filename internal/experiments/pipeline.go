@@ -36,12 +36,6 @@ type Data struct {
 	Profiles  *apps.ProfileStore
 	Demands   *core.DemandEstimator
 	TrainDays int
-	// ReportIntervalSeconds is the controller's AP-load polling period
-	// used in simulations (default 300; 0 = live load). Exposed so the
-	// staleness ablation can vary it.
-	ReportIntervalSeconds int64
-	// BatchWindowSeconds groups co-arrivals for Algorithm 1 (default 60).
-	BatchWindowSeconds int64
 	// Workers bounds the concurrent sweep/ablation cells run on the
 	// experiment pool (internal/runner); <= 0 means GOMAXPROCS. Every
 	// cell owns its state, so parallel results are byte-identical to a
@@ -51,7 +45,7 @@ type Data struct {
 	// (typically os.Stderr behind the CLIs' -progress flag).
 	Progress io.Writer
 
-	trainer *society.Trainer // shared by copies of the Data
+	trainer *society.Trainer
 }
 
 // Prepare generates the campus and builds the training artifacts. The
@@ -104,52 +98,24 @@ func prepare(full *trace.Trace, profiles *apps.ProfileStore, campus synth.Config
 		return nil, fmt.Errorf("experiments: demand estimator: %w", err)
 	}
 	return &Data{
-		Campus:                campus,
-		Full:                  full,
-		Train:                 train,
-		Test:                  test,
-		Profiles:              profiles,
-		Demands:               demands,
-		TrainDays:             trainDays,
-		ReportIntervalSeconds: 300,
-		BatchWindowSeconds:    60,
-		trainer:               society.NewTrainer(train, profiles),
+		Campus:    campus,
+		Full:      full,
+		Train:     train,
+		Test:      test,
+		Profiles:  profiles,
+		Demands:   demands,
+		TrainDays: trainDays,
+		trainer:   society.NewTrainer(train, profiles),
 	}, nil
 }
 
-// simConfig builds the common simulation config: demands come from the
-// history-based estimator (the controller's belief), accounting from the
-// sessions themselves.
-func (d *Data) simConfig(selectorFor func(trace.ControllerID, []trace.AP) wlan.Selector) wlan.Config {
-	return wlan.Config{
-		BinSeconds:         300, // the paper's five-minute sub-periods
-		SelectorFor:        selectorFor,
-		DemandFor:          func(s trace.Session) float64 { return d.Demands.Demand(s.User) },
-		BatchWindowSeconds: d.BatchWindowSeconds, // co-arrivals for Algorithm 1
-		// Controllers learn AP traffic from periodic reports; during an
-		// arrival burst every policy that ranks on measured load sees the
-		// same stale snapshot (the classic herd effect). Association
-		// state stays live.
-		LoadReportIntervalSeconds: d.ReportIntervalSeconds,
-	}
-}
-
-// RunS3 trains a sociality model with the given parameters and simulates
-// the test trace under the S³ policy.
-func (d *Data) RunS3(societyCfg society.Config, selCfg core.SelectorConfig) (*wlan.Result, error) {
-	model, err := d.trainModel(societyCfg)
-	if err != nil {
-		return nil, err
-	}
-	return d.RunS3Model(model, selCfg)
-}
-
-// trainModel is RunS3's training half. α weighs the type prior when θ is
-// read (θ = P(L|E) + α·T) and plays no part in what Train counts, so a
-// sweep trains once per distinct set of the other parameters and hands
-// every α cell a Model.WithAlpha copy; all of them train through d's one
-// Trainer, which clusters once per clustering parameters. The models are
-// locals of the figure that trained them: nothing is kept on d.
+// trainModel trains a sociality model on d's training split. α weighs
+// the type prior when θ is read (θ = P(L|E) + α·T) and plays no part in
+// what Train counts, so a sweep trains once per distinct set of the other
+// parameters and hands every α cell a Model.WithAlpha copy; all of them
+// train through d's one Trainer, which clusters once per clustering
+// parameters. The models are locals of the figure that trained them:
+// nothing is kept on d.
 func (d *Data) trainModel(cfg society.Config) (*society.Model, error) {
 	trainer := d.trainer
 	if !trainer.Of(d.Train, d.Profiles) { // a Data built by hand, or Train or Profiles replaced
@@ -160,46 +126,6 @@ func (d *Data) trainModel(cfg society.Config) (*society.Model, error) {
 		return nil, fmt.Errorf("experiments: train sociality: %w", err)
 	}
 	return model, nil
-}
-
-// RunS3Model simulates the test trace under the S³ policy reading an
-// already trained model. The simulation only reads the model, so cells
-// of one sweep may share it (and its WithAlpha copies) concurrently.
-func (d *Data) RunS3Model(model *society.Model, selCfg core.SelectorConfig) (*wlan.Result, error) {
-	sel, err := core.NewSelector(model, selCfg)
-	if err != nil {
-		return nil, err
-	}
-	return wlan.Simulate(d.Test, d.simConfig(
-		func(trace.ControllerID, []trace.AP) wlan.Selector { return sel }))
-}
-
-// RunLLF simulates the test trace under the LLF baseline.
-func (d *Data) RunLLF() (*wlan.Result, error) {
-	return d.RunSelector(llf)
-}
-
-func llf(trace.ControllerID, []trace.AP) wlan.Selector { return baseline.LLF{} }
-
-// RunS3AndLLF runs both policies concurrently on the experiment pool and
-// returns their results in fixed (S³, LLF) order.
-func (d *Data) RunS3AndLLF(societyCfg society.Config, selCfg core.SelectorConfig, label string) (*wlan.Result, *wlan.Result, error) {
-	results, err := runner.Map(d.runnerConfig(label), []string{"S3", "LLF"},
-		func(policy string) (*wlan.Result, error) {
-			if policy == "S3" {
-				return d.RunS3(societyCfg, selCfg)
-			}
-			return d.RunLLF()
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	return results[0], results[1], nil
-}
-
-// RunSelector simulates the test trace under an arbitrary policy factory.
-func (d *Data) RunSelector(factory func(trace.ControllerID, []trace.AP) wlan.Selector) (*wlan.Result, error) {
-	return wlan.Simulate(d.Test, d.simConfig(factory))
 }
 
 // MeanBalance returns the mean normalized balance index over all active
@@ -242,10 +168,10 @@ func meanMetrics(res *wlan.Result, evals ...func([]float64) (float64, error)) ([
 	return means, nil
 }
 
-// LeavePeakHours are the paper's departure-peak hours (12:00–13:00,
+// leavePeakHours are the paper's departure-peak hours (12:00–13:00,
 // 16:00–17:50, 21:00–22:00), when S³'s resilience to co-leaving shows
 // most.
-var LeavePeakHours = map[int]bool{12: true, 16: true, 17: true, 21: true}
+var leavePeakHours = map[int]bool{12: true, 16: true, 17: true, 21: true}
 
 // runnerConfig builds the pool configuration for one named sweep or
 // ablation over this dataset.
@@ -253,31 +179,77 @@ func (d *Data) runnerConfig(label string) runner.Config {
 	return runner.Config{Workers: d.Workers, Progress: d.Progress, Label: label}
 }
 
-// cell is one replay of a sweep or ablation: d's test trace under the
-// policy factory when it is set, else under S³ reading model with sel.
-// A factory runs once per domain, so stateful baselines keep their state
-// per domain and per cell.
+// cell is one replay of d's test trace: under the policy factory when it
+// is set, else under S³ reading model with sel. A factory runs once per
+// domain, so stateful baselines keep their state per domain and per cell.
+// The controller hears AP load every reportEvery seconds (0 is live load)
+// and Algorithm 1 places the co-arrivals of each batchWindow seconds
+// together; baselineCell sets the paper's protocol.
 type cell struct {
-	d      *Data
-	model  *society.Model
-	sel    core.SelectorConfig
-	policy func(trace.ControllerID, []trace.AP) wlan.Selector
+	model       *society.Model
+	sel         core.SelectorConfig
+	policy      func(trace.ControllerID, []trace.AP) wlan.Selector
+	reportEvery int64
+	batchWindow int64
 }
 
-// meanBalances replays the cells on d's experiment pool and returns each
-// one's MeanBalance in cell order, identical for any worker count.
-func (d *Data) meanBalances(label string, cells []cell) ([]float64, error) {
-	return runner.Map(d.runnerConfig(label), cells, func(c cell) (float64, error) {
-		var sim *wlan.Result
-		var err error
-		if c.policy != nil {
-			sim, err = c.d.RunSelector(c.policy)
-		} else {
-			sim, err = c.d.RunS3Model(c.model, c.sel)
+// baselineCell replays a policy factory under the paper's protocol:
+// controllers learn AP traffic from reports every five minutes, and
+// co-arrivals within a minute are placed jointly.
+func baselineCell(policy func(trace.ControllerID, []trace.AP) wlan.Selector) cell {
+	return cell{policy: policy, reportEvery: 300, batchWindow: 60}
+}
+
+// s3Cell replays S³ reading model with sel under the paper's protocol.
+// The replay only reads the model, so cells may share it (and its
+// WithAlpha copies) concurrently.
+func s3Cell(model *society.Model, sel core.SelectorConfig) cell {
+	c := baselineCell(nil)
+	c.model, c.sel = model, sel
+	return c
+}
+
+func llf(trace.ControllerID, []trace.AP) wlan.Selector { return baseline.LLF{} }
+
+// replay replays the cells on d's experiment pool and returns their
+// results in cell order, identical for any worker count.
+func (d *Data) replay(label string, cells []cell) ([]*wlan.Result, error) {
+	return runner.Map(d.runnerConfig(label), cells, func(c cell) (*wlan.Result, error) {
+		policy := c.policy
+		if policy == nil {
+			sel, err := core.NewSelector(c.model, c.sel)
+			if err != nil {
+				return nil, err
+			}
+			policy = func(trace.ControllerID, []trace.AP) wlan.Selector { return sel }
 		}
-		if err != nil {
-			return 0, err
-		}
-		return MeanBalance(sim)
+		return wlan.Simulate(d.Test, wlan.Config{
+			BinSeconds:  300, // the paper's five-minute sub-periods
+			SelectorFor: policy,
+			// Demands come from the history-based estimator (the
+			// controller's belief), accounting from the sessions.
+			DemandFor:          func(s trace.Session) float64 { return d.Demands.Demand(s.User) },
+			BatchWindowSeconds: c.batchWindow,
+			// During an arrival burst every policy that ranks on reported
+			// load sees the same stale snapshot (the classic herd
+			// effect). Association state stays live.
+			LoadReportIntervalSeconds: c.reportEvery,
+		})
 	})
+}
+
+// meanBalances replays the cells and returns each one's MeanBalance in
+// cell order.
+func (d *Data) meanBalances(label string, cells []cell) ([]float64, error) {
+	results, err := d.replay(label, cells)
+	if err != nil {
+		return nil, err
+	}
+	means := make([]float64, len(results))
+	for i, res := range results {
+		if means[i], err = MeanBalance(res); err != nil {
+			return nil, err
+		}
+	}
+	return means, nil
 }

@@ -32,7 +32,7 @@ type replayScores struct {
 	// active holds each domain's active-bin values in bin order.
 	active map[trace.ControllerID][]float64
 	// peak holds the active-bin values, domain by domain in Controllers()
-	// order, of the bins that start in one of the LeavePeakHours.
+	// order, of the bins that start in one of the leavePeakHours.
 	peak []float64
 }
 
@@ -66,7 +66,7 @@ func scoreReplay(res *wlan.Result, epoch int64) (*replayScores, error) {
 		sc.series.ByDomain[c] = append(sc.series.ByDomain[c], v)
 		if metrics.Active(loads) {
 			sc.active[c] = append(sc.active[c], v)
-			if LeavePeakHours[trace.HourOfDay(epoch, sc.series.Times[bin])] {
+			if leavePeakHours[trace.HourOfDay(epoch, sc.series.Times[bin])] {
 				sc.peak = append(sc.peak, v)
 			}
 		}

@@ -33,7 +33,7 @@ func BalanceIndex(loads []float64) (float64, error) {
 			return 0, fmt.Errorf("%w: %v", ErrNegativeLoad, t)
 		}
 		sum += t
-		sumSq += t * t
+		sumSq += float64(t * t)
 	}
 	if sum == 0 {
 		return 1, nil

@@ -228,3 +228,32 @@ func TestCompareEmpty(t *testing.T) {
 		t.Error("empty baseline should error")
 	}
 }
+
+// TestBalanceIndexRoundsEachSquare: Go may fuse sumSq += t*t into one
+// multiply-add on arm64, ppc64le, s390x and riscv64, which skips the
+// rounding of t*t, and Algorithm 1 ranks its candidates by this index, so
+// one ULP flips placements. On loads where the fused and the rounded sums
+// differ, BalanceIndex must return the rounded one, as amd64 computes it.
+func TestBalanceIndexRoundsEachSquare(t *testing.T) {
+	loads := []float64{1.1, 2.2, 3.3}
+	index := func(square func(x, sumSq float64) float64) float64 {
+		var sum, sumSq float64
+		for _, x := range loads {
+			sum += x
+			sumSq = square(x, sumSq)
+		}
+		return sum * sum / (float64(len(loads)) * sumSq)
+	}
+	rounded := index(func(x, sumSq float64) float64 { return sumSq + float64(x*x) })
+	fused := index(func(x, sumSq float64) float64 { return math.FMA(x, x, sumSq) })
+	if rounded == fused {
+		t.Fatalf("loads %v: the fused and rounded forms agree (%v), so they test nothing", loads, rounded)
+	}
+	got, err := BalanceIndex(loads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != rounded {
+		t.Errorf("BalanceIndex(%v) = %v, want the rounded form %v (fused: %v)", loads, got, rounded, fused)
+	}
+}

@@ -70,7 +70,7 @@ func Gini(loads []float64) (float64, error) {
 	sort.Float64s(sorted)
 	var cum, total float64
 	for i, v := range sorted {
-		cum += float64(i+1) * v
+		cum += float64(float64(i+1) * v)
 		total += v
 	}
 	if total == 0 {

@@ -156,7 +156,7 @@ func (b *tokenBucket) allow() bool {
 	defer b.mu.Unlock()
 	n := b.now()
 	if dt := n.Sub(b.last); dt > 0 {
-		b.tokens += dt.Seconds() * b.rate
+		b.tokens += float64(dt.Seconds() * b.rate)
 		if b.tokens > b.burst {
 			b.tokens = b.burst
 		}

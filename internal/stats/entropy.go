@@ -40,7 +40,7 @@ func Entropy(p []float64) float64 {
 	var h float64
 	for _, pi := range p {
 		if pi > 0 {
-			h -= pi * math.Log2(pi)
+			h -= float64(pi * math.Log2(pi))
 		}
 	}
 	return h
@@ -97,7 +97,7 @@ func JointEntropy(joint [][]float64) float64 {
 	for _, row := range joint {
 		for _, pij := range row {
 			if pij > 0 {
-				h -= pij * math.Log2(pij)
+				h -= float64(pij * math.Log2(pij))
 			}
 		}
 	}

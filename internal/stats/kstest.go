@@ -64,7 +64,7 @@ func kolmogorovQ(lambda float64) float64 {
 	var sum float64
 	sign := 1.0
 	for k := 1; k <= 100; k++ {
-		term := sign * math.Exp(-2*float64(k)*float64(k)*lambda*lambda)
+		term := float64(sign * math.Exp(-2*float64(k)*float64(k)*lambda*lambda))
 		sum += term
 		if math.Abs(term) < 1e-12 {
 			break

@@ -39,7 +39,7 @@ func Variance(xs []float64) float64 {
 	var ss float64
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return ss / float64(len(xs))
 }
@@ -83,14 +83,14 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	if n == 1 {
 		return sorted[0]
 	}
-	h := q * float64(n-1)
+	h := float64(q * float64(n-1))
 	lo := int(math.Floor(h))
 	hi := lo + 1
 	if hi >= n {
 		return sorted[n-1]
 	}
 	frac := h - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // MeanCI returns the mean of xs together with the half-width of its
@@ -101,7 +101,7 @@ func MeanCI(xs []float64, level float64) (mean, halfWidth float64) {
 	if len(xs) < 2 {
 		return mean, 0
 	}
-	z := NormalQuantile(0.5 + level/2)
+	z := NormalQuantile(0.5 + float64(level/2))
 	halfWidth = z * SampleStdDev(xs) / math.Sqrt(float64(len(xs)))
 	return mean, halfWidth
 }
@@ -115,42 +115,50 @@ func NormalQuantile(p float64) float64 {
 	if p >= 1 {
 		return math.Inf(1)
 	}
-	// Coefficients for the Acklam approximation.
+	// Coefficients for the Acklam approximation, highest power first.
 	a := [6]float64{
 		-3.969683028665376e+01, 2.209460984245205e+02,
 		-2.759285104469687e+02, 1.383577518672690e+02,
 		-3.066479806614716e+01, 2.506628277459239e+00,
 	}
-	b := [5]float64{
+	b := [6]float64{
 		-5.447609879822406e+01, 1.615858368580409e+02,
 		-1.556989798598866e+02, 6.680131188771972e+01,
-		-1.328068155288572e+01,
+		-1.328068155288572e+01, 1,
 	}
 	c := [6]float64{
 		-7.784894002430293e-03, -3.223964580411365e-01,
 		-2.400758277161838e+00, -2.549732539343734e+00,
 		4.374664141464968e+00, 2.938163982698783e+00,
 	}
-	d := [4]float64{
+	d := [5]float64{
 		7.784695709041462e-03, 3.224671290700398e-01,
-		2.445134137142996e+00, 3.754408661907416e+00,
+		2.445134137142996e+00, 3.754408661907416e+00, 1,
 	}
 	const pLow, pHigh = 0.02425, 1 - 0.02425
 	switch {
 	case p < pLow:
 		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		return horner(q, c[:]) / horner(q, d[:])
 	case p > pHigh:
 		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		return -horner(q, c[:]) / horner(q, d[:])
 	default:
 		q := p - 0.5
 		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
+		return horner(r, a[:]) * q / horner(r, b[:])
 	}
+}
+
+// horner evaluates the polynomial with coefficients c, highest power
+// first, at x. Each product is rounded before its add, so no architecture
+// fuses the two into one multiply-add.
+func horner(x float64, c []float64) float64 {
+	v := c[0]
+	for _, ci := range c[1:] {
+		v = float64(v*x) + ci
+	}
+	return v
 }
 
 // PearsonCorrelation returns the Pearson correlation coefficient between xs
@@ -167,9 +175,9 @@ func PearsonCorrelation(xs, ys []float64) (float64, error) {
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0, nil

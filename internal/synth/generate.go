@@ -267,14 +267,14 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 	var soloUsers, residentUsers []int
 	for i, u := range allUsers {
 		arch := truth.UserArchetype[u]
-		rate[i] = archetypeRates[arch] * (0.6 + rng.Float64()*0.8) // × 0.6..1.4
+		rate[i] = archetypeRates[arch] * (0.6 + float64(rng.Float64()*0.8)) // × 0.6..1.4
 		personal := &userMix[i]
 		var total float64
 		for r, w := range archetypeMixes[arch] {
 			// Additive isotropic perturbation: keeps the within-cluster
 			// scatter round, which the gap statistic's stopping rule
 			// assumes. Clamped away from zero to stay a valid share.
-			v := max(w+rng.NormFloat64()*0.055, 0.005)
+			v := max(w+float64(rng.NormFloat64()*0.055), 0.005)
 			personal[r] = v
 			total += v
 		}
@@ -332,7 +332,7 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 		// paper's enterprise WLAN operates in. E[lognormal(−σ²/2, σ)] = 1
 		// keeps the personal mean calibrated.
 		const sessionSigma = 0.8
-		noise := math.Exp(rng.NormFloat64()*sessionSigma - sessionSigma*sessionSigma/2)
+		noise := math.Exp(float64(rng.NormFloat64()*sessionSigma) - sessionSigma*sessionSigma/2)
 		bytes := int64(rate[i] * noise * float64(end-start))
 		if bytes <= 0 {
 			bytes = 1
@@ -548,7 +548,7 @@ func emitFlows(out []emittedFlow, rng *rand.Rand, rank int32, mix [apps.NumRealm
 	var noisy [apps.NumRealms]float64
 	var total float64
 	for i, w := range mix {
-		noisy[i] = w * (0.7 + rng.Float64()*0.6)
+		noisy[i] = float64(w * (0.7 + float64(rng.Float64()*0.6)))
 		total += noisy[i]
 	}
 	// Each realm's volume is split into a few flows spread across the
@@ -581,7 +581,7 @@ func emitFlows(out []emittedFlow, rng *rand.Rand, rank int32, mix [apps.NumRealm
 			fVol := remaining / int64(chunks-c)
 			// Mildly uneven chunk volumes create the within-hour variance.
 			if chunks-c > 1 && fVol > 1 {
-				fVol = min(int64(float64(fVol)*(0.75+rng.Float64()*0.5)), remaining)
+				fVol = min(int64(float64(fVol)*(0.75+float64(rng.Float64()*0.5))), remaining)
 			}
 			if fVol <= 0 {
 				continue

@@ -104,7 +104,7 @@ func addSessionToBins(col []float64, width int, s *Session, start, end, binSecon
 	// After the first segment t sits on binEnd: the next bin begins there.
 	for t := from; t < to; bin, binEnd = bin+1, binEnd+binSeconds {
 		seg := min(binEnd, to) - t
-		col[bin*width] += rate * float64(seg)
+		col[bin*width] += float64(rate * float64(seg))
 		t += seg
 	}
 }

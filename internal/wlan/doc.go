@@ -9,7 +9,7 @@
 // internal/core. Simulate replays a trace's test range session by
 // session: each connect event becomes an association request routed to
 // the domain's selector, each disconnect releases the station, and
-// periodic load reports age according to Data.ReportIntervalSeconds —
+// periodic load reports age according to Config.LoadReportIntervalSeconds —
 // the staleness lever the herd-effect ablation sweeps.
 //
 // Co-arrivals within the configured batch window are presented to the
