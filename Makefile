@@ -17,15 +17,20 @@ vet:
 	$(GO) vet ./...
 
 # No fused multiply-add in any non-test package. Go may fuse x*y + z into
-# one instruction on arm64 (never on amd64), which skips the rounding of
-# x*y, and one ULP in the balance index flips Algorithm 1's placements;
-# such a product is written float64(x*y). This fails on any of arm64's
-# four fused mnemonics in the packages' assembly (kept in a .txt: a .s
+# one instruction on arm64, ppc64le, s390x and riscv64 (never on amd64),
+# which skips the rounding of x*y, and one ULP in the balance index flips
+# Algorithm 1's placements; such a product is written float64(x*y). This
+# fails on any fused mnemonic, float64 or float32 form, in the packages'
+# assembly for each GOARCH:mnemonics pair below (kept in a .txt: a .s
 # file at the root would be assembled into the root package).
+FMA_ARCHS = 'arm64:FN?M(ADD|SUB)[DS]' 'ppc64le:FN?M(ADD|SUB)S?' \
+	's390x:FN?M(ADD|SUB)S?' 'riscv64:FN?M(ADD|SUB)[DS]'
 fma-check:
-	@GOARCH=arm64 $(GO) build -gcflags=-S ./... > fma-arm64.txt 2>&1 || { tail -20 fma-arm64.txt; exit 1; }
-	@grep -q TEXT fma-arm64.txt || { echo "fma-check: no arm64 assembly in fma-arm64.txt"; exit 1; }
-	@if grep -wE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' fma-arm64.txt; then echo "fma-check: fused multiply-add above; round the product as float64(x*y)"; exit 1; fi
+	@for spec in $(FMA_ARCHS); do arch=$${spec%%:*} ops=$${spec#*:}; \
+	  GOARCH=$$arch $(GO) build -gcflags=-S ./... > fma-$$arch.txt 2>&1 || { tail -20 fma-$$arch.txt; exit 1; }; \
+	  grep -q TEXT fma-$$arch.txt || { echo "fma-check: no $$arch assembly in fma-$$arch.txt"; exit 1; }; \
+	  if grep -wE "$$ops" fma-$$arch.txt; then echo "fma-check: fused multiply-add on $$arch above; round the product as float64(x*y)"; exit 1; fi; \
+	done
 
 test:
 	$(GO) test ./...

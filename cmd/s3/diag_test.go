@@ -258,6 +258,25 @@ func TestJournalDump(t *testing.T) {
 			return dir
 		}
 	}
+	// An AP lease expiry, which only a release that leased APs wrote:
+	// recovery refuses it, and the dump still prints it.
+	expired := func(t *testing.T) string {
+		dir := t.TempDir()
+		j, _, err := journal.Open(dir, journal.Options{Fsync: journal.FsyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range []journal.Record{{Op: journal.OpRegister, TS: 100, AP: "ap-0", CapacityBps: 1e6},
+			{Op: journal.OpExpire, TS: 200, AP: "ap-0"}} {
+			if err := j.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
 	for _, tc := range []struct {
 		name    string
 		dir     func(*testing.T) string
@@ -278,6 +297,7 @@ func TestJournalDump(t *testing.T) {
 			[]string{`{"seq":4,`, "# torn tail: "}},
 		{"trailing garbage", damaged(func(seg []byte) []byte { return append(seg, "no frame here"...) }), 5,
 			[]string{`{"seq":5,`, "# corrupt: 13 bytes at byte "}},
+		{"AP lease expiry", expired, 2, []string{`{"seq":1,"op":"register",`, `{"seq":2,"op":"expire","ts":200,"ap":"ap-0"}`}},
 		{"newer layout", damaged(func(seg []byte) []byte { return journal.AppendFrame(seg, []byte{0x7f, 1, 0, 6}) }), 5,
 			[]string{`{"seq":5,`, "# undecodable: frame at byte "}},
 	} {

@@ -22,10 +22,10 @@
 // friends — O(friends) map hits under one read lock), and
 // APView.Members materialises a sorted copy for callers that must
 // iterate everyone. An AP's membership is held once, as a map; the
-// readers that need order (Members, ExportState, an eviction) sort its
-// keys when they read. Membership is read only through a domain's
-// views: a view literal has none. ExportState is the one full-state
-// read, under one read lock.
+// readers that need order (Members, ExportState) sort its keys when
+// they read. Membership is read only through a domain's views: a view
+// literal has none. ExportState is the one full-state read, under one
+// read lock.
 //
 // # Staleness model
 //

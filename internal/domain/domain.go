@@ -18,7 +18,6 @@ import (
 var (
 	obsCommits      = obs.GetCounter("domain.commits", "Placement commits applied")
 	obsOverloads    = obs.GetCounter("domain.overloads", "Placements admitted beyond AP capacity (admission override)")
-	obsEvictions    = obs.GetCounter("domain.evictions", "Users evicted from a removed AP")
 	obsViews        = obs.GetCounter("domain.views", "APView snapshots taken")
 	obsMaterialized = obs.GetCounter("domain.views.materialized", "On-demand copies of one AP's membership taken through APView.Members")
 )
@@ -26,7 +25,7 @@ var (
 // Sentinel errors returned by Commit.
 var (
 	// ErrUnknownAP reports a placement onto an AP the domain does not
-	// know (removed, expired, or a policy bug).
+	// know (never registered, or a policy bug).
 	ErrUnknownAP = errors.New("unknown AP")
 	// ErrStale reports that the domain changed after the view snapshot
 	// whose Version a commit passed was taken. Every commit in the
@@ -223,13 +222,6 @@ type CommitResult struct {
 	Overloads int
 }
 
-// Eviction is one user removed from an AP by its removal, with the
-// believed demand they held.
-type Eviction struct {
-	User      trace.UserID
-	DemandBps float64
-}
-
 // Config configures a Domain.
 type Config struct {
 	// Mode selects the load figure views expose (default LoadMax).
@@ -243,9 +235,8 @@ type Config struct {
 
 // apState is one AP's accounting. users is the only membership
 // representation: view lookups hit it directly and the rare readers that
-// need order (ExportState, Members, drain) sort its keys at the
-// read, so a mutation costs one map operation however many users the AP
-// holds.
+// need order (ExportState, Members) sort its keys at the read, so a
+// mutation costs one map operation however many users the AP holds.
 type apState struct {
 	dom         *Domain // owning domain; its lock guards every field below
 	id          trace.APID
@@ -318,40 +309,6 @@ func (d *Domain) AddAP(id trace.APID, capacityBps float64) error {
 	d.version++
 	d.syncGauges()
 	return nil
-}
-
-// RemoveAP deletes an AP and returns its evicted users (sorted) for the
-// caller to re-home. ok is false when the AP is unknown.
-func (d *Domain) RemoveAP(id trace.APID) (evicted []Eviction, ok bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st, ok := d.aps[id]
-	if !ok {
-		return nil, false
-	}
-	evicted = d.drain(st)
-	delete(d.aps, id)
-	d.sorted = slices.DeleteFunc(d.sorted, func(s *apState) bool { return s == st })
-	d.version++
-	d.syncGauges()
-	return evicted, true
-}
-
-// drain evicts every user from st; must run with d.mu held.
-func (d *Domain) drain(st *apState) []Eviction {
-	if len(st.users) == 0 {
-		return nil
-	}
-	users, demands := sortedUsers(st, nil, nil)
-	evicted := make([]Eviction, len(users))
-	for i, u := range users {
-		evicted[i] = Eviction{User: u, DemandBps: demands[i]}
-	}
-	d.entries -= len(st.users)
-	st.users = make(map[trace.UserID]float64)
-	st.believedBps = 0
-	obsEvictions.Add(int64(len(evicted)))
-	return evicted
 }
 
 // SetCapacity updates an AP's capacity (an agent re-hello may revise

@@ -56,53 +56,19 @@ func TestAddRemoveAP(t *testing.T) {
 		t.Fatalf("views = %+v, want ap1 then ap2", views)
 	}
 
-	if _, err := d.Commit([]Placement{
-		{User: "u2", AP: "ap1", DemandBps: 5},
-		{User: "u1", AP: "ap1", DemandBps: 3},
-	}, nil); err != nil {
+	// An AP is never removed: one the domain does not know stays
+	// unknown to commits, and registering it later makes it placeable.
+	if _, err := d.Commit([]Placement{{User: "u1", AP: "ap3", DemandBps: 3}}, nil); !errors.Is(err, ErrUnknownAP) {
+		t.Fatalf("commit onto an unregistered AP = %v, want ErrUnknownAP", err)
+	}
+	if err := d.AddAP("ap3", 300); err != nil {
 		t.Fatal(err)
 	}
-	evicted, ok := d.RemoveAP("ap1")
-	if !ok {
-		t.Fatal("RemoveAP(ap1) = !ok")
-	}
-	want := []Eviction{{User: "u1", DemandBps: 3}, {User: "u2", DemandBps: 5}}
-	if !reflect.DeepEqual(evicted, want) {
-		t.Fatalf("evicted = %v, want %v (sorted)", evicted, want)
-	}
-	if _, ok := d.RemoveAP("ap1"); ok {
-		t.Fatal("removing a removed AP must report !ok")
-	}
-	if d.Size() != 1 {
-		t.Fatalf("Size = %d, want 1", d.Size())
-	}
-}
-
-// TestEvictionsCountUsers: domain.evictions moves by one per user that
-// RemoveAP drains, not by one per AP.
-func TestEvictionsCountUsers(t *testing.T) {
-	d := New(Config{})
-	for _, ap := range []trace.APID{"a", "b"} {
-		if err := d.AddAP(ap, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := d.Commit([]Placement{
-		{User: "u1", AP: "a", DemandBps: 1}, {User: "u2", AP: "a", DemandBps: 1},
-		{User: "u3", AP: "a", DemandBps: 1}, {User: "u4", AP: "b", DemandBps: 1},
-		{User: "u5", AP: "b", DemandBps: 1},
-	}, nil); err != nil {
+	if _, err := d.Commit([]Placement{{User: "u1", AP: "ap3", DemandBps: 3}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	before := obsEvictions.Value()
-	d.RemoveAP("a")
-	if got := obsEvictions.Value() - before; got != 3 {
-		t.Errorf("removing an AP with 3 users: domain.evictions moved by %d, want 3", got)
-	}
-	before = obsEvictions.Value()
-	d.RemoveAP("b")
-	if got := obsEvictions.Value() - before; got != 2 {
-		t.Errorf("removing an AP with 2 users: domain.evictions moved by %d, want 2", got)
+	if v, ok := viewOf(d, "ap3"); !ok || v.NumUsers != 1 || d.Size() != 3 {
+		t.Fatalf("ap3 = %+v (%v), Size = %d; want one user on the third AP", v, ok, d.Size())
 	}
 }
 
@@ -323,16 +289,25 @@ const shardCountInvariantDigest uint64 = 7349079058474352381
 // altered a result; with one lock domain left it pins that result
 // across releases instead: same views (IDs, loads, users, demands, and
 // the observer's SyntheticRSSI, which views used to carry), same AP
-// list, same exported state.
+// list, same exported state. The pinned sequence removed ap05 with its
+// users at the end; a domain removes no AP now, so ap05 is never
+// registered and nothing is placed on it.
 func TestShardCountInvariant(t *testing.T) {
+	const removed = 5
 	d := New(Config{})
 	for i := 0; i < 40; i++ {
+		if i == removed {
+			continue
+		}
 		if err := d.AddAP(trace.APID(fmt.Sprintf("ap%02d", i)), float64(1000+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var ps []Placement
 	for i := 0; i < 200; i++ {
+		if (i*7)%40 == removed {
+			continue
+		}
 		ps = append(ps, Placement{
 			User:      trace.UserID(fmt.Sprintf("u%03d", i%60)),
 			AP:        trace.APID(fmt.Sprintf("ap%02d", (i*7)%40)),
@@ -345,7 +320,6 @@ func TestShardCountInvariant(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		d.Leave(trace.UserID(fmt.Sprintf("u%03d", i%60)), trace.APID(fmt.Sprintf("ap%02d", (i*7)%40)), float64(1+i%13))
 	}
-	d.RemoveAP("ap05")
 	d.PublishReports()
 
 	h := fnv.New64a()
@@ -406,7 +380,7 @@ func TestConcurrentCommitsConserveLoad(t *testing.T) {
 	const workers = 8
 	const opsPer = 300
 	var wg sync.WaitGroup
-	errs := make(chan error, workers)
+	errs := make(chan error, workers+1)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -435,15 +409,15 @@ func TestConcurrentCommitsConserveLoad(t *testing.T) {
 			}
 		}(w)
 	}
-	// Structural churn on APs nobody commits to: registrations and
-	// removals bump the version and exercise ErrStale.
+	// Structural churn on APs nobody commits to: registrations bump the
+	// version and exercise ErrStale.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			id := trace.APID(fmt.Sprintf("churn%d", i%4))
-			if err := d.AddAP(id, 100); err == nil {
-				d.RemoveAP(id)
+			if err := d.AddAP(trace.APID(fmt.Sprintf("churn%03d", i)), 100); err != nil {
+				errs <- err
+				return
 			}
 		}
 	}()

@@ -97,7 +97,7 @@ func TestViewsIntoMatchesViews(t *testing.T) {
 	}
 	check("initial")
 
-	// Mutate: partial leave, full leave, a move, an AP removal.
+	// Mutate: partial leave, full leave, a move, an AP registration.
 	d.Leave("u00", "ap0", 5)
 	check("partial leave")
 	if _, ok := d.LeaveAll("u01", "ap1"); !ok {
@@ -108,10 +108,10 @@ func TestViewsIntoMatchesViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("move")
-	if _, ok := d.RemoveAP("ap8"); !ok {
-		t.Fatal("RemoveAP failed")
+	if err := d.AddAP("ap-new", 100); err != nil {
+		t.Fatal(err)
 	}
-	check("AP removed")
+	check("AP registered")
 }
 
 // TestViewMembershipOnDemand pins the view contract: aggregates are as
@@ -170,14 +170,6 @@ func TestViewMembershipOnDemand(t *testing.T) {
 		t.Errorf("commit on the pre-leave version = %v, want ErrStale", err)
 	}
 
-	// A view of a removed AP still answers, from the drained state.
-	if _, ok := d.RemoveAP("a"); !ok {
-		t.Fatal("RemoveAP failed")
-	}
-	if got := a.SumDemands(query); got != 0 {
-		t.Errorf("SumDemands on a removed AP = %v, want 0", got)
-	}
-
 	literal := APView{ID: "s", NumUsers: 3}
 	if got := literal.SumDemands(query); got != 0 {
 		t.Errorf("literal SumDemands = %v, want 0", got)
@@ -224,10 +216,10 @@ func TestViewsIntoCostIsPerAP(t *testing.T) {
 	}
 }
 
-// TestSortedMirrorConsistency: every reader that promises order —
-// ExportState, Members and RemoveAP's evictions — must return the AP's
-// membership strictly ascending by user and demand-aligned with a model
-// map, after every kind of mutation.
+// TestSortedMirrorConsistency: both readers that promise order —
+// ExportState and Members — must return the AP's membership strictly
+// ascending by user and demand-aligned with a model map, after every
+// kind of mutation.
 func TestSortedMirrorConsistency(t *testing.T) {
 	d := New(Config{})
 	if err := d.AddAP("ap", 1e6); err != nil {
@@ -300,15 +292,4 @@ func TestSortedMirrorConsistency(t *testing.T) {
 		}
 		check(fmt.Sprintf("random step %d", i))
 	}
-
-	evicted, ok := d.RemoveAP("ap")
-	if !ok {
-		t.Fatal("RemoveAP failed")
-	}
-	users := make([]trace.UserID, len(evicted))
-	demands := make([]float64, len(evicted))
-	for i, ev := range evicted {
-		users[i], demands[i] = ev.User, ev.DemandBps
-	}
-	aligned("remove", "RemoveAP evictions", users, demands)
 }

@@ -51,10 +51,10 @@ func TestSimulateAllocBudget(t *testing.T) {
 // sessions, 40 800 flows drawn; train on 9 of 12 days) allocates:
 // generation with its training flows folded into the profiles as they are
 // drawn, the split, the demand estimator and the Trainer every training of
-// the dataset goes through. It measures (go1.24) 1 417 000 B in 3 679
-// objects (± 1 200 B, ± 5), of which the Trainer ≈ 119 000 B in 14; the
-// ceilings are ≈ 15 % over the 1 455 400 B in 3 930 it took while each
-// user's days were a map. While Generate sorted a flow list that
+// the dataset goes through. It measures (go1.24) 1 196 500 B in 800
+// objects (± 4 500 B, ± 8), of which the Trainer 120 272 B in 18; the
+// ceilings are ≈ 15 % over that. While each user's days were a map it
+// took 1 455 400 B in 3 930. While Generate sorted a flow list that
 // BuildProfiles then read, the same Prepare allocated 6 445 500 B in 4 121;
 // while Generate also regrew it, seeded a generator per (user, day), staged
 // its flows as trace.Flows and SplitAt copied the trace, 45 000 000 B in
@@ -76,7 +76,7 @@ func TestPrepareAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	t.Logf("%d sessions: %d B, %d objects per Prepare", len(d.Full.Sessions), bytes, objects)
-	const maxBytes, maxObjects = 1_674_000, 4_520
+	const maxBytes, maxObjects = 1_376_000, 920
 	if bytes > maxBytes || objects > maxObjects {
 		t.Errorf("one Prepare allocates %d B in %d objects, budget %d B in %d", bytes, objects, maxBytes, maxObjects)
 	}

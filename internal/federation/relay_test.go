@@ -25,8 +25,8 @@ type recordConn struct {
 
 func (c *recordConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
 
-// frameOf frames ms together, as a peer that coalesces messages writes
-// them: one count, the messages, one CRC.
+// frameOf frames ms together: one count, the messages, one CRC. One
+// message is the frame Send writes; a frame of several is refused.
 func frameOf(t *testing.T, ms ...protocol.Message) []byte {
 	t.Helper()
 	payload := binary.AppendUvarint(nil, uint64(len(ms)))
@@ -41,11 +41,12 @@ func frameOf(t *testing.T, ms ...protocol.Message) []byte {
 }
 
 // TestRelayForwardsFramesWhole runs the router against a stand-in owner
-// that records the bytes it gets. The hello's frame, with the reports
-// that shared it, arrives byte for byte; so do the owner's reply and a
-// later multi-message frame. A frame with a bad magic, an oversize
-// length or a CRC mismatch stops at the relay, which closes the owner's
-// side; the CRC mismatch is counted in protocol.codec.crc_errors.
+// that records the bytes it gets. The hello's frame arrives byte for
+// byte; so do the owner's reply and a later frame. A frame with a bad
+// magic, an oversize length or a CRC mismatch stops at the relay, which
+// closes the owner's side; the CRC mismatch is counted in
+// protocol.codec.crc_errors. A hello framed with a second message is
+// refused before the owner is dialed.
 func TestRelayForwardsFramesWhole(t *testing.T) {
 	own, err := DefaultOwnership([]string{"node-0", "elsewhere"}, 2)
 	if err != nil {
@@ -83,12 +84,11 @@ func TestRelayForwardsFramesWhole(t *testing.T) {
 		ap = trace.APID(fmt.Sprintf("ap-%d", i))
 	}
 
-	helloFrame := frameOf(t, protocol.Message{Type: protocol.MsgHello, Role: protocol.RoleAP, ID: string(ap), CapacityBps: 1e6},
-		protocol.Message{Type: protocol.MsgReport, AP: string(ap), LoadBps: 5e5},
-		protocol.Message{Type: protocol.MsgReport, AP: string(ap), LoadBps: 6e5})
+	hello := protocol.Message{Type: protocol.MsgHello, Role: protocol.RoleAP, ID: string(ap), CapacityBps: 1e6}
+	report := protocol.Message{Type: protocol.MsgReport, AP: string(ap), LoadBps: 7e5}
+	helloFrame := frameOf(t, hello)
 	replyFrame := frameOf(t, protocol.Message{Type: protocol.MsgHelloOK, ID: string(ap)})
-	laterFrame := frameOf(t, protocol.Message{Type: protocol.MsgReport, AP: string(ap), LoadBps: 7e5},
-		protocol.Message{Type: protocol.MsgReport, AP: string(ap), LoadBps: 8e5})
+	laterFrame := frameOf(t, report)
 	badMagic := append([]byte(nil), laterFrame...)
 	badMagic[0] ^= 0xFF
 	oversize := append([]byte(nil), laterFrame...)
@@ -106,6 +106,34 @@ func TestRelayForwardsFramesWhole(t *testing.T) {
 			t.Fatalf("got\n%x\nwant\n%x", got, want)
 		}
 	}
+	// A hung relay fails the test in seconds, not at go test's timeout.
+	accept := func(t *testing.T, within time.Duration) (net.Conn, error) {
+		t.Helper()
+		ownerLn.(*net.TCPListener).SetDeadline(time.Now().Add(within))
+		return ownerLn.Accept()
+	}
+
+	t.Run("two-message hello", func(t *testing.T) {
+		peer, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer peer.Close()
+		peer.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := peer.Write(frameOf(t, hello, report)); err != nil {
+			t.Fatal(err)
+		}
+		if rest, err := io.ReadAll(peer); err != nil || len(rest) != 0 {
+			t.Fatalf("after a two-message hello the peer read %x, %v; want a clean close", rest, err)
+		}
+		// The relay dials before it answers or closes, so a dial would be
+		// queued on the listener by now.
+		if owner, err := accept(t, 100*time.Millisecond); err == nil {
+			owner.Close()
+			t.Fatal("the relay dialed the owner for a refused hello")
+		}
+	})
+
 	crcErrors := obs.GetCounter("protocol.codec.crc_errors")
 	for _, tc := range []struct {
 		name    string
@@ -122,7 +150,7 @@ func TestRelayForwardsFramesWhole(t *testing.T) {
 			if _, err := peer.Write(helloFrame); err != nil {
 				t.Fatal(err)
 			}
-			owner, err := ownerLn.Accept()
+			owner, err := accept(t, 5*time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}

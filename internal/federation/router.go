@@ -125,11 +125,11 @@ func (n *Node) route(conn *protocol.Conn) {
 }
 
 // relay pumps one peer connection to the group owner at addr: the
-// hello's frame first, with any messages that shared it, then each
-// direction frame for frame. Frames are checked (magic, length, CRC) at
-// this hop and forwarded as they arrived, never decoded or re-encoded,
-// so the owner sees the peer's frames byte for byte. The relay is
-// transparent: decisions, errors and acks all come from the owner.
+// hello's frame first, then each direction frame for frame. Frames are
+// checked (magic, length, CRC) at this hop and forwarded as they
+// arrived, never decoded or re-encoded, so the owner sees the peer's
+// frames byte for byte. The relay is transparent: decisions, errors and
+// acks all come from the owner.
 //
 // The group's circuit breaker feeds off the *establishment* outcome:
 // established() fires as soon as the owner produces its first reply

@@ -334,7 +334,7 @@ func TestFollowUndecodableCounted(t *testing.T) {
 	dir := t.TempDir()
 	seg := recordFrame(t, Record{Seq: 1, Op: OpRegister, AP: "ap-0"})
 	seg = AppendFrame(seg, []byte{recordVersion + 1, 2, 0, 2})
-	seg = append(seg, recordFrame(t, Record{Seq: 3, Op: OpExpire, AP: "ap-0"})...)
+	seg = append(seg, recordFrame(t, Record{Seq: 3, Op: OpRegister, AP: "ap-1"})...)
 	if err := os.WriteFile(segmentPath(dir, 1), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,8 @@ const (
 	// OpDisassoc records a full disassociation (domain LeaveAll).
 	OpDisassoc Op = "disassoc"
 	// OpExpire records a lease expiry removing an AP and re-homing its
-	// believed users. Only earlier releases wrote it; it still replays.
+	// believed users. Only a release that leased APs wrote it; it still
+	// decodes, so s3 diag -journal prints it, but no release replays it.
 	OpExpire Op = "expire"
 )
 
@@ -57,7 +58,8 @@ type Record struct {
 }
 
 // recordVersion is the first payload byte of every record this release
-// writes; never '{', which marks a JSON record of the previous one.
+// writes, and the only one DecodeRecord reads: an earlier release's JSON
+// record, whose first byte is '{', is refused as an unknown version.
 const recordVersion = 1
 
 // wireOps is the stored spelling of Op; a zeroed payload is no record,

@@ -389,24 +389,14 @@ func runSchedule(t *testing.T, seed int64, dir, crashDir string) {
 	}
 }
 
-// TestReplayParentRecords: records only an earlier release wrote still
-// replay, on recovery and on a follower alike. A lease expiry removes its
-// AP and re-homes the AP's users through the observer; an assoc record
-// of two placements, as a joint batch decision wrote it, is refused
-// naming its count, and recovery counts it as a replay error.
-func TestReplayParentRecords(t *testing.T) {
-	dir := t.TempDir()
+// writeJournal appends recs to a fresh journal in dir and closes it.
+func writeJournal(t *testing.T, dir string, recs ...journal.Record) {
+	t.Helper()
 	j, _, err := journal.Open(dir, journal.Options{Fsync: journal.FsyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []journal.Record{
-		{Op: journal.OpRegister, TS: 100, AP: "ap-s", CapacityBps: 1e6, Static: true},
-		{Op: journal.OpRegister, TS: 100, AP: "ap-x", CapacityBps: 1e6},
-		{Op: journal.OpAssoc, TS: 101, Placements: []journal.Placement{{User: "u1", AP: "ap-x", DemandBps: 100}}},
-		{Op: journal.OpAssoc, TS: 102, Placements: []journal.Placement{{User: "u2", AP: "ap-s"}, {User: "u3", AP: "ap-s"}}},
-		{Op: journal.OpExpire, TS: 200, AP: "ap-x"},
-	} {
+	for _, r := range recs {
 		if err := j.Append(r); err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +404,20 @@ func TestReplayParentRecords(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"connect u1 ap-x @101", "disconnect u1 ap-x @200"}
+}
+
+// TestReplayParentRecords: an assoc record of two placements, as an
+// earlier release's joint batch decision wrote it, is refused naming its
+// count, on recovery and on a follower alike; recovery counts it as a
+// replay error and goes on with the records around it.
+func TestReplayParentRecords(t *testing.T) {
+	dir := t.TempDir()
+	writeJournal(t, dir,
+		journal.Record{Op: journal.OpRegister, TS: 100, AP: "ap-s", CapacityBps: 1e6, Static: true},
+		journal.Record{Op: journal.OpRegister, TS: 100, AP: "ap-x", CapacityBps: 1e6},
+		journal.Record{Op: journal.OpAssoc, TS: 101, Placements: []journal.Placement{{User: "u1", AP: "ap-x", DemandBps: 100}}},
+		journal.Record{Op: journal.OpAssoc, TS: 102, Placements: []journal.Placement{{User: "u2", AP: "ap-s"}, {User: "u3", AP: "ap-s"}}})
+	want := []string{"connect u1 ap-x @101"}
 
 	var followed eventLog
 	follower, err := NewController(routeTable{}, WithObserver(&followed))
@@ -441,17 +444,47 @@ func TestReplayParentRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer recovered.Close()
-	if sum := recovered.Recovery(); sum.ReplayErrors != 1 || sum.APs != 1 || sum.Assignments != 0 {
-		t.Errorf("recovery = %+v, want 1 replay error, ap-s alone, no assignment", sum)
+	if sum := recovered.Recovery(); sum.ReplayErrors != 1 || sum.APs != 2 || sum.Assignments != 1 {
+		t.Errorf("recovery = %+v, want 1 replay error, two APs, u1 assigned", sum)
 	}
 	for name, c := range map[string]*Controller{"follower": follower, "recovered": recovered} {
-		if snap := c.Snapshot(); len(snap) != 1 || len(snap["ap-s"].Users) != 0 {
-			t.Errorf("%s: snapshot %+v, want an empty ap-s alone", name, snap)
+		if snap := c.Snapshot(); len(snap) != 2 || len(snap["ap-s"].Users) != 0 || !reflect.DeepEqual(snap["ap-x"].Users, []trace.UserID{"u1"}) {
+			t.Errorf("%s: snapshot %+v, want an empty ap-s and u1 on ap-x", name, snap)
 		}
 	}
 	for name, got := range map[string][]string{"follower": followed.events, "recovered": recoveredEvents.events} {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s observer heard %q, want %q", name, got, want)
 		}
+	}
+}
+
+// TestReplayRefusesExpire: no release since AP leases were removed
+// writes an AP lease expiry, and none replays one. A journal holding one
+// fails recovery with an error naming the op, the record's seq and the
+// releases that wrote it, instead of being counted as a skipped replay
+// error; a follower's ApplyRecord refuses it alike.
+func TestReplayRefusesExpire(t *testing.T) {
+	dir := t.TempDir()
+	writeJournal(t, dir,
+		journal.Record{Op: journal.OpRegister, TS: 100, AP: "ap-x", CapacityBps: 1e6},
+		journal.Record{Op: journal.OpAssoc, TS: 101, Placements: []journal.Placement{{User: "u1", AP: "ap-x", DemandBps: 100}}},
+		journal.Record{Op: journal.OpExpire, TS: 200, AP: "ap-x"})
+	const want = "protocol: journal record 3 (expire): AP lease expiry is not replayed: " +
+		"only a release from before AP leases were removed wrote it"
+	c, err := NewController(routeTable{}, WithJournal(dir, journal.Options{Fsync: journal.FsyncOff}))
+	if err == nil {
+		c.Close()
+		t.Fatalf("recovery over an expire record succeeded: %+v", c.Recovery())
+	}
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("recovery error = %q, want it to contain %q", err, want)
+	}
+	follower, err := NewController(routeTable{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.ApplyRecord(journal.Record{Seq: 3, Op: journal.OpExpire, AP: "ap-x"}); err == nil || err.Error() != want {
+		t.Errorf("follower ApplyRecord = %v, want %q", err, want)
 	}
 }

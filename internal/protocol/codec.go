@@ -2,22 +2,21 @@ package protocol
 
 // Binary wire codec. The controller's data plane reuses the journal's
 // magic|length|CRC-32C framing and its field primitives (strings,
-// floats, varints: internal/journal/wire.go): one frame carries a count
-// and that many Messages. Send writes one message a frame; a federation
-// relay forwards frames whole (ReceiveFrame/SendFrame). It is the only
+// floats, varints: internal/journal/wire.go): one frame carries one
+// Message, behind a count that is always 1. A federation relay forwards
+// frames whole (ReceiveFrame/SendFrame). It is the only
 // encoding either end speaks: a peer that opens with anything but a
 // frame fails the magic check.
 //
 // Message layout inside a frame payload:
 //
-//	uvarint  message count
-//	per message:
-//	  byte    type  (wireType enum)
-//	  byte    flags (bit0 CapacityBps, bit1 LoadBps, bit2 DemandBps,
-//	                 bit3 Bytes, bit4 RetryAfterMs)
-//	  string  Role, ID, User, AP, Error   (uvarint length + raw bytes)
-//	  float64 CapacityBps, LoadBps, DemandBps (8-byte LE bits, if flagged)
-//	  varint  Bytes, RetryAfterMs (zigzag, if flagged)
+//	uvarint  message count, 1 (any other count is refused)
+//	byte     type  (wireType enum)
+//	byte     flags (bit0 CapacityBps, bit1 LoadBps, bit2 DemandBps,
+//	                bit3 Bytes, bit4 RetryAfterMs)
+//	string   Role, ID, User, AP, Error   (uvarint length + raw bytes)
+//	float64  CapacityBps, LoadBps, DemandBps (8-byte LE bits, if flagged)
+//	varint   Bytes, RetryAfterMs (zigzag, if flagged)
 //
 // Absent numeric fields cost one flag bit; absent strings cost one byte.
 // The encoding is order-fixed and versionless: the framing (magic + CRC)
@@ -143,29 +142,25 @@ func decodeMessage(in *journal.Reader, prev *Message) (Message, error) {
 	return m, nil
 }
 
-// decodePayload decodes a frame payload of at least one message into
-// queue (appended) and returns the extended queue. Each message is
-// decoded against the one before it, the first against prev, so strings
-// that repeat are shared. Trailing garbage after the declared message
-// count is an error — a CRC-valid frame is all or nothing.
-func decodePayload(payload []byte, queue []Message, prev Message) ([]Message, error) {
+// decodePayload decodes a frame payload: the message count, which every
+// sender writes as 1, and that message, decoded against prev so that
+// strings that repeat are shared. Any other count, and bytes after the
+// message, are errors — a CRC-valid frame is all or nothing.
+func decodePayload(payload []byte, prev *Message) (Message, error) {
 	in := journal.NewReader(payload)
-	// Each message costs ≥ 7 bytes; a count beyond that is hostile.
-	count := in.Count(7)
-	if in.Err() != nil || count == 0 {
-		return queue, fmt.Errorf("protocol: decode: missing, truncated or implausible message count")
+	if count := in.Uvarint(); in.Err() != nil {
+		return Message{}, fmt.Errorf("protocol: decode: missing or truncated message count")
+	} else if count != 1 {
+		return Message{}, fmt.Errorf("protocol: decode: frame of %d messages, want 1", count)
 	}
-	for i := 0; i < count; i++ {
-		m, err := decodeMessage(&in, &prev)
-		if err != nil {
-			return queue, err
-		}
-		queue, prev = append(queue, m), m
+	m, err := decodeMessage(&in, prev)
+	if err != nil {
+		return Message{}, err
 	}
 	if rest := len(in.Rest()); rest != 0 {
-		return queue, fmt.Errorf("protocol: decode: %d trailing bytes after %d messages", rest, count)
+		return Message{}, fmt.Errorf("protocol: decode: %d trailing bytes after the message", rest)
 	}
-	return queue, nil
+	return m, nil
 }
 
 // validNumber reports whether v is a usable non-negative finite number.

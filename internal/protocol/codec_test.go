@@ -38,9 +38,9 @@ var codecMessages = []Message{
 	{Type: MsgAssign, User: strings.Repeat("u", 300), AP: "ap"},
 }
 
-// encodePayload appends the frame payload (count + messages) for ms:
-// how a peer writes several messages in one frame, which no sender in
-// this package does.
+// encodePayload appends the frame payload (count + messages) for ms.
+// With one message it is what Send frames; with several it is a frame
+// Receive refuses.
 func encodePayload(dst []byte, ms []Message) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(ms)))
 	var err error
@@ -58,29 +58,12 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode %+v: %v", want, err)
 		}
-		queue, err := decodePayload(payload, nil, Message{})
+		got, err := decodePayload(payload, &Message{})
 		if err != nil {
 			t.Fatalf("decode %+v: %v", want, err)
 		}
-		if len(queue) != 1 || queue[0] != want {
-			t.Errorf("round trip = %+v, want %+v", queue, want)
-		}
-	}
-	// All messages in one payload.
-	payload, err := encodePayload(nil, codecMessages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queue, err := decodePayload(payload, nil, Message{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(queue) != len(codecMessages) {
-		t.Fatalf("decoded %d messages, want %d", len(queue), len(codecMessages))
-	}
-	for i := range queue {
-		if queue[i] != codecMessages[i] {
-			t.Errorf("message %d = %+v, want %+v", i, queue[i], codecMessages[i])
+		if got != want {
+			t.Errorf("round trip = %+v, want %+v", got, want)
 		}
 	}
 }
@@ -114,9 +97,8 @@ func TestBinaryConnRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSendBatchCoalesces: a frame of several messages, as a peer may
-// write one, travels through SendFrame as ONE write and is received
-// message by message in order.
+// TestSendBatchCoalesces: each Send is one frame handed to the socket
+// in ONE write, and the messages arrive one per Receive, in order.
 func TestSendBatchCoalesces(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
@@ -129,88 +111,89 @@ func TestSendBatchCoalesces(t *testing.T) {
 		for len(got) < len(codecMessages) {
 			m, err := c.Receive()
 			if err != nil {
-				return
+				break
 			}
 			got = append(got, m)
 		}
 		recvd <- got
 	}()
-	payload, err := encodePayload(nil, codecMessages)
+	c := NewConn(writes, 0)
+	for _, m := range codecMessages {
+		if err := c.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := <-recvd; !reflect.DeepEqual(got, codecMessages) {
+		t.Errorf("received %+v, want %+v", got, codecMessages)
+	}
+	if n := writes.writes.Load(); n != int64(len(codecMessages)) {
+		t.Errorf("%d messages took %d writes, want one each", len(codecMessages), n)
+	}
+}
+
+// TestReceiveRefusesMultiMessageFrame: a frame is one message. A
+// CRC-valid frame declaring another count is refused with an error that
+// names the count, and no message of it is delivered.
+func TestReceiveRefusesMultiMessageFrame(t *testing.T) {
+	two, err := encodePayload(nil, codecMessages[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewConn(writes, 0)
-	if err := c.SendFrame(journal.AppendFrame(nil, payload)); err != nil {
-		t.Fatal(err)
-	}
-	got := <-recvd
-	for i := range got {
-		if got[i] != codecMessages[i] {
-			t.Errorf("message %d = %+v, want %+v", i, got[i], codecMessages[i])
+	for _, tc := range []struct {
+		payload []byte
+		want    string
+	}{
+		{two, "frame of 2 messages, want 1"},
+		{[]byte{0}, "frame of 0 messages, want 1"},
+		{[]byte{}, "missing or truncated message count"},
+	} {
+		c := NewConn(&readConn{r: bytes.NewReader(journal.AppendFrame(nil, tc.payload))}, 0)
+		if m, err := c.Receive(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("payload %x: Receive = %+v, %v; want an error naming %q", tc.payload, m, err, tc.want)
 		}
-	}
-	if n := writes.writes.Load(); n != 1 {
-		t.Errorf("frame of %d messages took %d writes, want 1", len(codecMessages), n)
 	}
 }
 
 // TestReceiveReusesRepeatedStrings is the reuse rule's property test: a
 // seeded stream whose string fields now repeat the previous message's
-// and now change decodes through one Conn — frame after frame, and
-// message after message inside a frame — to exactly what a fresh Conn
-// decodes from each frame alone, and every repeated field is the
-// previous message's string itself, not a copy.
+// and now change decodes through one Conn, frame after frame, to exactly
+// what a fresh Conn decodes from each frame alone, and every repeated
+// field is the previous message's string itself, not a copy.
 func TestReceiveReusesRepeatedStrings(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pick := func(vals ...string) string { return vals[rng.Intn(len(vals))] }
-	var frames [][]byte
-	var want []Message
-	for i := 0; i < 400; i++ {
-		batch := make([]Message, 1+rng.Intn(3))
-		for k := range batch {
-			batch[k] = Message{Type: wireTypes[1+rng.Intn(len(wireTypes)-1)],
-				Role: Role(pick("", "ap", "station")), ID: pick("", "ap-1", "u-1"),
-				User: pick("u-1", "u-1", "u-2", strings.Repeat("u", 200)), AP: pick("ap-1", "ap-1", "ap-2", ""),
-				Error: pick("", "", "boom"), DemandBps: float64(rng.Intn(3)), Bytes: int64(rng.Intn(2))}
-		}
-		payload, err := encodePayload(nil, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, journal.AppendFrame(nil, payload))
-		want = append(want, batch...)
+	want := make([]Message, 400)
+	for i := range want {
+		want[i] = Message{Type: wireTypes[1+rng.Intn(len(wireTypes)-1)],
+			Role: Role(pick("", "ap", "station")), ID: pick("", "ap-1", "u-1"),
+			User: pick("u-1", "u-1", "u-2", strings.Repeat("u", 200)), AP: pick("ap-1", "ap-1", "ap-2", ""),
+			Error: pick("", "", "boom"), DemandBps: float64(rng.Intn(3)), Bytes: int64(rng.Intn(2))}
 	}
-	stream := NewConn(&readConn{r: bytes.NewReader(bytes.Join(frames, nil))}, 0)
+	stream := NewConn(&readConn{r: bytes.NewReader(framesOf(t, want...))}, 0)
 	var prev Message
 	shared := 0
-	for fi, frame := range frames {
-		fresh := NewConn(&readConn{r: bytes.NewReader(frame)}, 0)
-		for {
-			alone, err := fresh.Receive()
-			if err == io.EOF {
-				break
-			} else if err != nil {
-				t.Fatalf("frame %d alone: %v", fi, err)
-			}
-			got, err := stream.Receive()
-			if err != nil {
-				t.Fatalf("frame %d on the stream: %v", fi, err)
-			}
-			if got != alone || got != want[0] {
-				t.Fatalf("frame %d: stream decoded %+v, alone %+v, sent %+v", fi, got, alone, want[0])
-			}
-			want = want[1:]
-			for _, f := range [][2]string{{string(got.Role), string(prev.Role)}, {got.ID, prev.ID},
-				{got.User, prev.User}, {got.AP, prev.AP}, {got.Error, prev.Error}} {
-				if f[0] == f[1] && f[0] != "" {
-					if unsafe.StringData(f[0]) != unsafe.StringData(f[1]) {
-						t.Fatalf("frame %d: repeated %q decoded as a copy", fi, f[0])
-					}
-					shared++
-				}
-			}
-			prev = got
+	for i, sent := range want {
+		alone, err := NewConn(&readConn{r: bytes.NewReader(framesOf(t, sent))}, 0).Receive()
+		if err != nil {
+			t.Fatalf("frame %d alone: %v", i, err)
 		}
+		got, err := stream.Receive()
+		if err != nil {
+			t.Fatalf("frame %d on the stream: %v", i, err)
+		}
+		if got != alone || got != sent {
+			t.Fatalf("frame %d: stream decoded %+v, alone %+v, sent %+v", i, got, alone, sent)
+		}
+		for _, f := range [][2]string{{string(got.Role), string(prev.Role)}, {got.ID, prev.ID},
+			{got.User, prev.User}, {got.AP, prev.AP}, {got.Error, prev.Error}} {
+			if f[0] == f[1] && f[0] != "" {
+				if unsafe.StringData(f[0]) != unsafe.StringData(f[1]) {
+					t.Fatalf("frame %d: repeated %q decoded as a copy", i, f[0])
+				}
+				shared++
+			}
+		}
+		prev = got
 	}
 	if shared == 0 {
 		t.Fatal("the stream never repeated a field")
@@ -629,31 +612,31 @@ func FuzzWireDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(all)
+	f.Add(all) // several messages: refused
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}) // hostile uvarint count
 	f.Add([]byte{0x01, 0x01})                                                 // truncated message
 	f.Add(all[:len(all)/2])                                                   // truncated mid-stream
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		queue, err := decodePayload(data, nil, Message{})
+		m, err := decodePayload(data, &Message{})
 		if err != nil {
 			return // rejected is fine; panics and hangs are the bug class
 		}
 		// Whatever decoded must survive a re-encode/re-decode round trip.
 		// The comparison is over re-encoded bytes, not Message equality:
 		// a fuzzed frame may carry NaN float bits, and NaN != NaN.
-		re, err := encodePayload(nil, queue)
+		re, err := encodePayload(nil, []Message{m})
 		if err != nil {
-			t.Fatalf("decoded messages failed to re-encode: %v (%+v)", err, queue)
+			t.Fatalf("decoded message failed to re-encode: %v (%+v)", err, m)
 		}
-		back, err := decodePayload(re, nil, Message{})
+		back, err := decodePayload(re, &Message{})
 		if err != nil {
 			t.Fatalf("re-encoded payload failed to decode: %v", err)
 		}
-		re2, err := encodePayload(nil, back)
+		re2, err := encodePayload(nil, []Message{back})
 		if err != nil {
-			t.Fatalf("re-decoded messages failed to re-encode: %v", err)
+			t.Fatalf("re-decoded message failed to re-encode: %v", err)
 		}
 		if !bytes.Equal(re, re2) {
 			t.Fatalf("round trip diverged:\n%x\n%x", re, re2)

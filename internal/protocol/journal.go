@@ -24,6 +24,13 @@ import (
 var obsReplayErrs = obs.GetCounter("journal.recovery.replay_errors",
 	"Recovered WAL records whose replay failed (skipped, recovery continues)")
 
+// errExpireRefused is apply's answer to an AP lease expiry. Only a
+// release that still leased APs wrote one, and no AP is removed since:
+// recovery fails on it rather than skip it and serve a state that still
+// holds the expired AP and its users.
+var errExpireRefused = errors.New("AP lease expiry is not replayed: " +
+	"only a release from before AP leases were removed wrote it")
+
 // ObserverState is the optional persistence surface of an association
 // observer. An observer implementing it (e.g. the incremental social
 // engine) is checkpointed with the controller and restored before the
@@ -56,7 +63,8 @@ type RecoverySummary struct {
 	APs, Assignments int
 	// ReplayErrors counts journal records that could not be re-applied
 	// (e.g. an association whose AP registration was lost to a corrupt
-	// frame). Each is logged and skipped.
+	// frame). Each is logged and skipped; an AP lease expiry instead
+	// fails recovery.
 	ReplayErrors int
 }
 
@@ -271,7 +279,9 @@ func (c *Controller) attachJournalLocked(dir string, opts journal.Options, after
 		if r.Seq <= afterSeq {
 			return nil
 		}
-		if err := c.apply(&r, true); err != nil {
+		if err := c.apply(&r, true); errors.Is(err, errExpireRefused) {
+			return err
+		} else if err != nil {
 			sum.ReplayErrors++
 			obsReplayErrs.Inc()
 			c.logger.Printf("journal: %s record %d (%s): %v", what, r.Seq, r.Op, err)
@@ -388,19 +398,7 @@ func (c *Controller) apply(r *journal.Record, replay bool) error {
 		return nil
 
 	case journal.OpExpire:
-		// Only a replay reaches it: no live path writes it any more, and a
-		// journal that a release with AP leases wrote replays it as that
-		// release applied it.
-		if _, ok := c.meta[r.AP]; !ok {
-			return fmt.Errorf("protocol: expire for unknown AP %q", r.AP)
-		}
-		evicted, _ := c.dom.RemoveAP(r.AP) // sorted by user
-		for _, ev := range evicted {
-			delete(c.sessions, ev.User)
-			c.notifyDisconnect(ev.User, r.AP, r.TS)
-		}
-		delete(c.meta, r.AP)
-		return nil
+		return fmt.Errorf("protocol: journal record %d (%s): %w", r.Seq, r.Op, errExpireRefused)
 	}
 	return fmt.Errorf("protocol: unknown journal op %q", r.Op)
 }

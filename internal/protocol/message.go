@@ -78,26 +78,23 @@ type Message struct {
 // ends speak the framed binary codec (codec.go); a peer that opens with
 // anything else fails the frame-magic check on the first Receive.
 //
-// A Conn is one heap object: its read buffer, its output buffer and the
-// first slot of its decode queue are arrays inside it, sized for a
-// station's frames (under 100 bytes); a larger frame, or a frame of
-// several messages, grows one of them once. A frame is checked and
-// decoded where it was read, and bytes read past it wait there for the
-// next receive; Send encodes behind a reserved header and seals the
-// frame in place. A decoded string equal to the same field of the
-// previous message is that message's string, so a steady-state exchange
-// allocates only for a string that changed.
+// A frame holds exactly one message. A Conn is one heap object: its
+// read and output buffers are arrays inside it, sized for a station's
+// frames (under 100 bytes); a larger frame grows one of them once. A
+// frame is checked and decoded where it was read, and bytes read past it
+// wait there for the next receive; Send encodes behind a reserved header
+// and seals the frame in place. A decoded string equal to the same field
+// of the previous message is that message's string, so a steady-state
+// exchange allocates only for a string that changed.
 type Conn struct {
 	raw     net.Conn
 	timeout time.Duration
 
-	queue   []Message // decoded messages of the current frame, never empty
-	qpos    int       // next undelivered index into queue
-	rbuf    []byte    // rbuf[f:r] is the last frame read, rbuf[r:w] the bytes after it
+	last    Message // the message Receive last returned
+	rbuf    []byte  // rbuf[f:r] is the last frame read, rbuf[r:w] the bytes after it
 	f, r, w int
 	out     []byte // the frame Send assembles
 
-	first  [1]Message
 	rinl   [128]byte
 	outinl [64]byte
 }
@@ -106,7 +103,7 @@ type Conn struct {
 // timeout bounds each read/write (0 = no deadline).
 func NewConn(raw net.Conn, timeout time.Duration) *Conn {
 	c := &Conn{raw: raw, timeout: timeout}
-	c.queue, c.qpos, c.rbuf, c.out = c.first[:], 1, c.rinl[:], c.outinl[:0]
+	c.rbuf, c.out = c.rinl[:], c.outinl[:0]
 	return c
 }
 
@@ -157,24 +154,18 @@ func (c *Conn) SendFrame(frame []byte) error {
 }
 
 // Receive reads one message: a frame is read, its magic, length and CRC
-// validated, its messages decoded into the queue and the first popped;
-// the rest of a multi-message frame is delivered one per call. io.EOF is
-// returned verbatim on clean close.
+// validated, and its one message decoded; a frame declaring any other
+// count is refused. io.EOF is returned verbatim on clean close.
 func (c *Conn) Receive() (Message, error) {
-	if c.qpos < len(c.queue) {
-		c.qpos++
-		return c.queue[c.qpos-1], nil
-	}
-	prev := c.queue[len(c.queue)-1]
 	if err := c.readFrame(); err != nil {
 		return Message{}, err
 	}
-	queue, err := decodePayload(c.rbuf[c.f+journal.FrameHeaderLen:c.r], c.queue[:0], prev)
+	m, err := decodePayload(c.rbuf[c.f+journal.FrameHeaderLen:c.r], &c.last)
 	if err != nil {
 		return Message{}, err
 	}
-	c.queue, c.qpos = queue, 1
-	return queue[0], nil
+	c.last = m
+	return m, nil
 }
 
 // ReceiveFrame reads the next frame, checked as Receive checks it, and
@@ -187,13 +178,9 @@ func (c *Conn) ReceiveFrame() ([]byte, error) {
 	return c.Frame(), nil
 }
 
-// Frame returns the frame the last receive read, whole, and drops the
-// messages in it that Receive has not yet delivered: whoever forwards
-// the frame forwards them. A relay hands on a hello's frame this way.
-func (c *Conn) Frame() []byte {
-	c.qpos = len(c.queue)
-	return c.rbuf[c.f:c.r]
-}
+// Frame returns the frame the last receive read, whole. A relay hands
+// on a hello's frame this way.
+func (c *Conn) Frame() []byte { return c.rbuf[c.f:c.r] }
 
 // readFrame reads the next frame into rbuf and validates its magic,
 // length and CRC. io.EOF is returned verbatim only between frames.

@@ -109,10 +109,9 @@ func TestStationRoundTripAllocs(t *testing.T) {
 // controller's end of the wire: a Conn over a scripted connection receives
 // a station hello, sends hello_ok, receives an assoc and sends an
 // assignment. Four objects: the script's reader (two), the Conn — its
-// buffers and the first slot of its decode queue are inside it — and
-// the user id the hello carries, which the assoc's User then shares.
-// A Conn with a bufio.Reader and growable buffers and queue beside it
-// made sixteen.
+// buffers and the last message it decoded are inside it — and the user
+// id the hello carries, which the assoc's User then shares. A Conn with
+// a bufio.Reader and growable buffers and a queue beside it made sixteen.
 func TestStationSessionAllocs(t *testing.T) {
 	var script []byte
 	for _, m := range []Message{
