@@ -149,17 +149,7 @@ func runProto(args []string, out io.Writer) (err error) {
 	}
 
 	if cfg.Demo {
-		if err := runDemo(ctl, addr, out); err != nil {
-			return err
-		}
-		if engine != nil {
-			engine.Refresh()
-			s := engine.Snapshot()
-			fmt.Fprintf(out, "\nlive social state: snapshot #%d, %d users, %d edges, %d components\n",
-				s.Seq, s.Users, s.Edges, len(s.Graph().ConnectedComponents()))
-			writeHealth(out)
-		}
-		return nil
+		return runDemo(ctl, engine, addr, out)
 	}
 
 	// Standalone: serve until interrupted or terminated. Close (deferred)
@@ -527,8 +517,10 @@ func trainDemoModel() (*society.Model, error) {
 }
 
 // runDemo dials a fleet of three APs and six stations, has two stations
-// leave together (a co-leaving) and prints the controller's state.
-func runDemo(ctl *protocol.Controller, addr string, out io.Writer) error {
+// leave together (a co-leaving) and prints the controller's state once
+// it shows four users and every station's 1 MiB served — and, with a
+// live engine, its social state, while the fleet is still connected.
+func runDemo(ctl *protocol.Controller, engine *incremental.Engine, addr string, out io.Writer) error {
 	var f fleet
 	defer f.close()
 	if err := f.dial(addr, 3, 6, out); err != nil {
@@ -539,14 +531,37 @@ func runDemo(ctl *protocol.Controller, addr string, out io.Writer) error {
 			return err
 		}
 	}
-	time.Sleep(100 * time.Millisecond) // let the controller settle
+
+	// Traffic and departures are one-way messages: poll until the
+	// controller has applied them all.
+	want := fmt.Sprintf("%d users, %d bytes served", len(f.stations)-2, len(f.stations)<<20)
+	tick := time.NewTicker(5 * time.Millisecond)
+	defer tick.Stop()
+	var snap map[trace.APID]protocol.APStatus
+	for start, total := time.Now(), ""; total != want; <-tick.C {
+		if time.Since(start) > 5*time.Second {
+			return fmt.Errorf("demo: after 5s the controller shows %s, want %s", total, want)
+		}
+		snap = ctl.Snapshot()
+		users, served := 0, int64(0)
+		for _, st := range snap {
+			users, served = users+len(st.Users), served+st.ServedBytes
+		}
+		total = fmt.Sprintf("%d users, %d bytes served", users, served)
+	}
 
 	fmt.Fprintln(out, "\ncontroller state after co-leaving:")
-	snap := ctl.Snapshot()
 	for i := range f.agents {
 		id := trace.APID(fmt.Sprintf("ap-%d", i))
-		fmt.Fprintf(out, "  %s: %d users, %d bytes served\n",
-			id, len(snap[id].Users), snap[id].ServedBytes)
+		fmt.Fprintf(out, "  %s: %d users, %d bytes served\n", id, len(snap[id].Users), snap[id].ServedBytes)
+	}
+	fmt.Fprintf(out, "  total: %s\n", want)
+	if engine != nil {
+		engine.Refresh()
+		s := engine.Snapshot()
+		fmt.Fprintf(out, "\nlive social state: snapshot #%d, %d users, %d edges, %d components\n",
+			s.Seq, s.Users, s.Edges, len(s.Graph().ConnectedComponents()))
+		writeHealth(out)
 	}
 	return nil
 }

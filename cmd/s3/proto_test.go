@@ -54,6 +54,9 @@ func TestRunDemoLLF(t *testing.T) {
 	if !strings.Contains(out, "controller state after co-leaving") {
 		t.Errorf("missing final state: %s", out)
 	}
+	if want := "  total: 4 users, 6291456 bytes served\n"; !strings.Contains(out, want) {
+		t.Errorf("missing %q: %s", want, out)
+	}
 }
 
 func TestRunDemoS3(t *testing.T) {

@@ -27,28 +27,14 @@ type Result struct {
 // Config controls the k-means run. The zero value is completed with
 // sensible defaults by KMeans.
 type Config struct {
-	// MaxIterations bounds the Lloyd iterations per restart (default 100).
-	MaxIterations int
 	// Restarts is the number of independent seedings; the best inertia
 	// wins (default 8).
 	Restarts int
-	// Tolerance stops iteration when inertia improves by less than this
-	// fraction (default 1e-6).
-	Tolerance float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxIterations <= 0 {
-		c.MaxIterations = 100
-	}
-	if c.Restarts <= 0 {
-		c.Restarts = 8
-	}
-	if c.Tolerance <= 0 {
-		c.Tolerance = 1e-6
-	}
-	return c
-}
+// A restart's Lloyd iterations stop after maxIterations, or once
+// inertia improves by less than the fraction tolerance.
+const maxIterations, tolerance = 100, 1e-6
 
 // Errors returned by KMeans.
 var (
@@ -75,11 +61,14 @@ func KMeans(points [][]float64, k int, rng *rand.Rand, cfg Config) (*Result, err
 				ErrRaggedData, i, len(p), dim)
 		}
 	}
-	cfg = cfg.withDefaults()
+	restarts := cfg.Restarts
+	if restarts <= 0 {
+		restarts = 8
+	}
 
 	best := &Result{Inertia: math.Inf(1)}
-	for r := 0; r < cfg.Restarts; r++ {
-		res := lloyd(points, k, rng, cfg)
+	for r := 0; r < restarts; r++ {
+		res := lloyd(points, k, rng)
 		if res.Inertia < best.Inertia {
 			best = res
 		}
@@ -87,7 +76,7 @@ func KMeans(points [][]float64, k int, rng *rand.Rand, cfg Config) (*Result, err
 	return best, nil
 }
 
-func lloyd(points [][]float64, k int, rng *rand.Rand, cfg Config) *Result {
+func lloyd(points [][]float64, k int, rng *rand.Rand) *Result {
 	dim := len(points[0])
 	centroids := seedPlusPlus(points, k, rng)
 	labels := make([]int, len(points))
@@ -99,7 +88,7 @@ func lloyd(points [][]float64, k int, rng *rand.Rand, cfg Config) *Result {
 
 	prevInertia := math.Inf(1)
 	var inertia float64
-	for iter := 0; iter < cfg.MaxIterations; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		inertia = 0
 		for c := 0; c < k; c++ {
 			counts[c] = 0
@@ -127,7 +116,7 @@ func lloyd(points [][]float64, k int, rng *rand.Rand, cfg Config) *Result {
 				centroids[c][d] = sums[c][d] / float64(counts[c])
 			}
 		}
-		if prevInertia-inertia <= cfg.Tolerance*math.Max(prevInertia, 1) {
+		if prevInertia-inertia <= tolerance*math.Max(prevInertia, 1) {
 			break
 		}
 		prevInertia = inertia

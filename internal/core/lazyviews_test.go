@@ -283,7 +283,7 @@ func TestSelectConcurrentWithMutation(t *testing.T) {
 						u, ap := mine[i%len(mine)], aps[(i*7+m)%len(aps)]
 						if i%5 == 4 {
 							if prev, ok := at[u]; ok {
-								dom.LeaveAll(u, prev)
+								dom.Leave(u, prev, math.Inf(1))
 								delete(at, u)
 							}
 							continue

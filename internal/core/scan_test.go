@@ -130,7 +130,7 @@ func (b *scanBatch) place(members []trace.UserID) scanCandidate {
 		})
 		beam = next[:min(len(next), beamWidth)]
 	}
-	keep := max(1, int(math.Ceil(float64(len(beam))*b.cfg.TopFraction)))
+	keep := max(1, int(math.Ceil(float64(len(beam))*topFraction)))
 	for keep < len(beam) && beam[keep].cost == beam[keep-1].cost {
 		keep++
 	}

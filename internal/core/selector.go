@@ -91,10 +91,6 @@ type SelectorConfig struct {
 	// EdgeThreshold is the θ value above which two users are considered
 	// to have a close social relationship; the paper uses 0.3.
 	EdgeThreshold float64
-	// TopFraction is the share of best-cost candidate distributions kept
-	// before the balance-index tie-break; the paper's Algorithm 1 keeps
-	// the top 30%.
-	TopFraction float64
 	// BeamWidth bounds the candidate distributions explored per clique.
 	// The paper "searches the solution space"; an exhaustive search is
 	// exponential, so we beam-search the lowest-ΣC prefixes. Default 64.
@@ -108,22 +104,18 @@ type SelectorConfig struct {
 	BalanceGuard float64
 }
 
-// DefaultSelectorConfig returns the paper's operating point.
-func DefaultSelectorConfig() SelectorConfig {
-	return SelectorConfig{
-		EdgeThreshold: 0.3,
-		TopFraction:   0.3,
-		BeamWidth:     64,
-		BalanceGuard:  0.5,
-	}
-}
+// topFraction is the share of best-cost candidate distributions kept
+// before the balance-index tie-break; the paper's Algorithm 1 keeps the
+// top 30%.
+const topFraction = 0.3
+
+// DefaultSelectorConfig returns the paper's operating point: the zero
+// config with its defaults filled in.
+func DefaultSelectorConfig() SelectorConfig { return SelectorConfig{}.withDefaults() }
 
 func (c SelectorConfig) withDefaults() SelectorConfig {
 	if c.EdgeThreshold <= 0 {
 		c.EdgeThreshold = 0.3
-	}
-	if c.TopFraction <= 0 || c.TopFraction > 1 {
-		c.TopFraction = 0.3
 	}
 	if c.BeamWidth <= 0 {
 		c.BeamWidth = 64
@@ -319,7 +311,7 @@ func (s *Selector) thetas(u trace.UserID, friends []trace.UserID) []float64 {
 //  2. Repeatedly extract a maximum clique (ties: largest edge-weight
 //     sum): a socialgraph.Cover over the batch's indices.
 //  3. For each clique, search candidate distributions of its members to
-//     APs, rank by ΣᵢC(APᵢ), keep the top TopFraction, and choose the one
+//     APs, rank by ΣᵢC(APᵢ), keep the top topFraction, and choose the one
 //     whose projected load vector has the best balance index.
 //  4. Update the (projected) AP states and continue until G is empty.
 func (s *Selector) SelectBatch(reqs []wlan.Request, aps []wlan.APView) (map[trace.UserID]trace.APID, error) {
@@ -562,10 +554,10 @@ func (p *placer) placeClique(members []int) beamCandidate {
 	}
 	obsBeamCands.Add(candsGenerated)
 
-	// Keep the top TopFraction by cost — tie-inclusive, so equal-cost
+	// Keep the top topFraction by cost — tie-inclusive, so equal-cost
 	// distributions (the common no-social-ties case) all reach the
 	// balance tie-break — then pick the best projected balance index.
-	keep := max(1, int(math.Ceil(float64(len(beam))*p.cfg.TopFraction)))
+	keep := max(1, int(math.Ceil(float64(len(beam))*topFraction)))
 	for keep < len(beam) && beam[keep].cost == beam[keep-1].cost {
 		keep++
 	}

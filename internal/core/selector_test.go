@@ -35,7 +35,7 @@ func TestNewSelectorValidation(t *testing.T) {
 	if s.Name() != "S3" {
 		t.Errorf("Name = %q", s.Name())
 	}
-	if s.cfg.EdgeThreshold != 0.3 || s.cfg.TopFraction != 0.3 || s.cfg.BeamWidth != 64 {
+	if s.cfg.EdgeThreshold != 0.3 || s.cfg.BeamWidth != 64 {
 		t.Errorf("defaults not applied: %+v", s.cfg)
 	}
 }
@@ -266,7 +266,7 @@ func TestSelectBatchTwoCliques(t *testing.T) {
 
 func TestDefaultSelectorConfig(t *testing.T) {
 	cfg := DefaultSelectorConfig()
-	if cfg.EdgeThreshold != 0.3 || cfg.TopFraction != 0.3 || cfg.BeamWidth != 64 {
+	if cfg.EdgeThreshold != 0.3 || cfg.BeamWidth != 64 {
 		t.Errorf("DefaultSelectorConfig = %+v", cfg)
 	}
 }

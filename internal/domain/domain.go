@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -452,7 +453,7 @@ func (d *Domain) Commit(ps []Placement, ver Version) (CommitResult, error) {
 	for _, p := range ps {
 		if p.Prev != "" {
 			if prev, ok := d.aps[p.Prev]; ok {
-				d.removeUser(prev, p.User)
+				d.leaveLocked(prev, p.User, math.Inf(1))
 			}
 		}
 		st := d.aps[p.AP]
@@ -473,33 +474,27 @@ func (d *Domain) Commit(ps []Placement, ver Version) (CommitResult, error) {
 	return res, nil
 }
 
-// removeUser fully detaches u from st; must run with d.mu held.
-func (d *Domain) removeUser(st *apState, u trace.UserID) (removed float64, ok bool) {
-	cur, ok := st.users[u]
-	if !ok {
-		return 0, false
-	}
-	delete(st.users, u)
-	d.entries--
-	st.believedBps -= cur
-	if st.believedBps < 0 {
-		st.believedBps = 0
-	}
-	return cur, true
-}
-
 // Leave releases demand of one of u's sessions on ap — multiplicity
 // semantics for the simulator, where a user may hold several concurrent
 // sessions on the same AP: the believed demand is decremented and the
-// user entry survives until its demand drains. Reports false when the
-// AP or the user is unknown.
+// user entry survives until its demand drains. A demand of +Inf
+// detaches u, releasing exactly its recorded demand: the controller's
+// disassociation, one assignment per user. Reports false when the AP or
+// the user is unknown.
 func (d *Domain) Leave(u trace.UserID, ap trace.APID, demandBps float64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st, ok := d.aps[ap]
-	if !ok {
+	if st, ok := d.aps[ap]; !ok || !d.leaveLocked(st, u, demandBps) {
 		return false
 	}
+	d.version++
+	d.syncGauges()
+	return true
+}
+
+// leaveLocked is Leave on st, with d.mu held and the version and gauges
+// left to the caller.
+func (d *Domain) leaveLocked(st *apState, u trace.UserID, demandBps float64) bool {
 	cur, ok := st.users[u]
 	if !ok {
 		return false
@@ -520,26 +515,5 @@ func (d *Domain) Leave(u trace.UserID, ap trace.APID, demandBps float64) bool {
 	if st.believedBps < 0 {
 		st.believedBps = 0
 	}
-	d.version++
-	d.syncGauges()
 	return true
-}
-
-// LeaveAll fully detaches u from ap (the live controller's
-// disassociation — one assignment per user) and returns the believed
-// demand released.
-func (d *Domain) LeaveAll(u trace.UserID, ap trace.APID) (demandBps float64, ok bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st, ok := d.aps[ap]
-	if !ok {
-		return 0, false
-	}
-	removed, ok := d.removeUser(st, u)
-	if !ok {
-		return 0, false
-	}
-	d.version++
-	d.syncGauges()
-	return removed, true
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -87,7 +88,7 @@ func TestCommitStaleAndForced(t *testing.T) {
 	}{
 		{"a commit on the target", func() { d.Commit([]Placement{{User: "x", AP: "ap0", DemandBps: 1}}, nil) }},
 		{"a commit elsewhere", func() { d.Commit([]Placement{{User: "y", AP: "ap5", DemandBps: 1}}, nil) }},
-		{"a leave elsewhere", func() { d.LeaveAll("y", "ap5") }},
+		{"a leave elsewhere", func() { d.Leave("y", "ap5", math.Inf(1)) }},
 		{"a capacity change", func() { d.SetCapacity("ap7", 10) }},
 		{"an AP registration", func() { d.AddAP("ap8", 0) }},
 	} {
@@ -219,16 +220,20 @@ func TestLeaveMultiplicityAndLeaveAll(t *testing.T) {
 		t.Fatal("Leave of a gone user must report false")
 	}
 
-	// LeaveAll removes the user wholesale (controller semantics).
-	if _, err := d.Commit([]Placement{{User: "v", AP: "ap", DemandBps: 11}}, nil); err != nil {
+	// Leave(+Inf) removes the user wholesale (controller semantics),
+	// releasing exactly the recorded demand and no other user's.
+	commits := []Placement{{User: "w", AP: "ap", DemandBps: 5}, {User: "v", AP: "ap", DemandBps: 11}}
+	if _, err := d.Commit(commits, nil); err != nil {
 		t.Fatal(err)
 	}
-	rel, ok := d.LeaveAll("v", "ap")
-	if !ok || rel != 11 {
-		t.Fatalf("LeaveAll = (%v, %v), want (11, true)", rel, ok)
+	if !d.Leave("v", "ap", math.Inf(1)) {
+		t.Fatal("Leave(+Inf) must find the user")
 	}
-	if _, ok := d.LeaveAll("v", "ap"); ok {
-		t.Fatal("second LeaveAll must report false")
+	if v, _ := viewOf(d, "ap"); v.LoadBps != 5 || v.NumUsers != 1 {
+		t.Fatalf("after Leave(+Inf) of 11 from 16: %+v, want load 5, one user", v)
+	}
+	if d.Leave("v", "ap", math.Inf(1)) {
+		t.Fatal("second Leave(+Inf) must report false")
 	}
 }
 
@@ -517,8 +522,8 @@ func TestShardOfStable(t *testing.T) {
 
 // TestPublishReportsTracksEveryMove: a publish follows every way a
 // believed or reported load can move — a SetReported in between (which
-// leaves the version alone) is overwritten, a Commit, a Leave, a LeaveAll
-// and a move are tracked — and two publishes with nothing between
+// leaves the version alone) is overwritten, a Commit, a Leave, a full
+// Leave(+Inf) and a move are tracked — and two publishes with nothing between
 // them leave what a publish on a fresh domain in the same state would.
 func TestPublishReportsTracksEveryMove(t *testing.T) {
 	d := New(Config{Mode: LoadReported})
@@ -551,7 +556,7 @@ func TestPublishReportsTracksEveryMove(t *testing.T) {
 		{"SetReported", func() { d.SetReported("ap0", 99) }, [2]float64{10, 7}},
 		{"SetReported to the believed load", func() { d.SetReported("ap1", 7); d.SetReported("ap1", 8) }, [2]float64{10, 7}},
 		{"Leave", func() { d.Leave("b", "ap1", 4) }, [2]float64{10, 3}},
-		{"LeaveAll", func() { d.LeaveAll("c", "ap1") }, [2]float64{10, 0}},
+		{"Leave(+Inf)", func() { d.Leave("c", "ap1", math.Inf(1)) }, [2]float64{10, 0}},
 		{"a move to the other AP", func() {
 			commit("a", "ap0", 5)
 			d.PublishReports()

@@ -2,6 +2,7 @@ package domain
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestImportStateRejectsDamage(t *testing.T) {
 }
 
 // TestImportStatePreservesLeaveSemantics: multiplicity must survive the
-// round trip — u-1 had two sessions on ap-0, so one LeaveAll removes the
+// round trip — u-1 had two sessions on ap-0, so one Leave(+Inf) removes the
 // whole believed demand in both the original and the restored domain.
 func TestImportStatePreservesLeaveSemantics(t *testing.T) {
 	src := populateState(t)
@@ -91,10 +92,10 @@ func TestImportStatePreservesLeaveSemantics(t *testing.T) {
 	if err := dst.ImportState(src.ExportState(nil)); err != nil {
 		t.Fatal(err)
 	}
-	sd, sok := src.LeaveAll("u-1", "ap-0")
-	dd, dok := dst.LeaveAll("u-1", "ap-0")
-	if sok != dok || sd != dd {
-		t.Fatalf("LeaveAll diverged: src (%v,%v) dst (%v,%v)", sd, sok, dd, dok)
+	sok := src.Leave("u-1", "ap-0", math.Inf(1))
+	dok := dst.Leave("u-1", "ap-0", math.Inf(1))
+	if !sok || !dok {
+		t.Fatalf("Leave(+Inf) found the user: src %v, dst %v; want both", sok, dok)
 	}
 	if !reflect.DeepEqual(src.ExportState(nil), dst.ExportState(nil)) {
 		t.Fatal("post-leave state diverged")

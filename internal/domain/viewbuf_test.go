@@ -3,6 +3,7 @@ package domain
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -100,8 +101,8 @@ func TestViewsIntoMatchesViews(t *testing.T) {
 	// Mutate: partial leave, full leave, a move, an AP registration.
 	d.Leave("u00", "ap0", 5)
 	check("partial leave")
-	if _, ok := d.LeaveAll("u01", "ap1"); !ok {
-		t.Fatal("LeaveAll failed")
+	if !d.Leave("u01", "ap1", math.Inf(1)) {
+		t.Fatal("Leave(+Inf) failed")
 	}
 	check("full leave")
 	if _, err := d.Commit([]Placement{{User: "u02", AP: "ap5", Prev: "ap2", DemandBps: 30}}, nil); err != nil {
@@ -149,8 +150,8 @@ func TestViewMembershipOnDemand(t *testing.T) {
 		t.Errorf("SumDemands(nil) = %v, want 0", got)
 	}
 
-	if _, ok := d.LeaveAll("u1", "a"); !ok {
-		t.Fatal("LeaveAll failed")
+	if !d.Leave("u1", "a", math.Inf(1)) {
+		t.Fatal("Leave(+Inf) failed")
 	}
 	if a.NumUsers != 2 || a.LoadBps != 45 {
 		t.Errorf("aggregates moved with the domain: %+v", a)
@@ -278,7 +279,7 @@ func TestSortedMirrorConsistency(t *testing.T) {
 	check("partial leave")
 	leave("z06", 1e9)
 	check("drain to zero")
-	d.LeaveAll("z07", "ap")
+	d.Leave("z07", "ap", math.Inf(1))
 	delete(model, "z07")
 	check("leave all")
 

@@ -54,14 +54,17 @@ const (
 	// FsyncAlways fsyncs after every append: no acknowledged record is
 	// ever lost, at the cost of one disk flush per commit.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval fsyncs on a background tick (Options.FsyncInterval):
-	// a crash loses at most the last interval's records.
+	// FsyncInterval fsyncs on a background tick every fsyncPeriod: a
+	// crash loses at most the last period's records.
 	FsyncInterval
 	// FsyncOff never fsyncs explicitly; the OS flushes at its leisure. A
 	// process crash (without an OS crash) still loses nothing once the
 	// bytes are written, since the page cache survives the process.
 	FsyncOff
 )
+
+// fsyncPeriod is the background flush period under FsyncInterval.
+const fsyncPeriod = 100 * time.Millisecond
 
 // ParseFsyncPolicy maps the CLI spelling (always / interval / off) to a
 // policy.
@@ -102,9 +105,6 @@ type Options struct {
 	// Fsync selects the durability/throughput trade-off (default
 	// FsyncAlways).
 	Fsync FsyncPolicy
-	// FsyncInterval is the background flush period under FsyncInterval
-	// (default 100ms).
-	FsyncInterval time.Duration
 	// CheckpointEvery checkpoints + rotates every this many records, and
 	// not before the log since the last checkpoint outweighs it; 0: never.
 	CheckpointEvery int
@@ -195,9 +195,6 @@ type Recovery struct {
 // fresh segment for appending. Appending always starts in a new segment
 // so a torn tail left by a crash is never extended in place.
 func Open(dir string, opts Options) (*Journal, *Recovery, error) {
-	if opts.FsyncInterval <= 0 {
-		opts.FsyncInterval = 100 * time.Millisecond
-	}
 	if opts.OpenFile == nil {
 		opts.OpenFile = func(path string) (File, error) { return os.Create(path) }
 	}
@@ -351,7 +348,7 @@ func (j *Journal) syncLocked() error {
 // flushLoop is the FsyncInterval background flusher.
 func (j *Journal) flushLoop() {
 	defer close(j.flushDone)
-	tick := time.NewTicker(j.opts.FsyncInterval)
+	tick := time.NewTicker(fsyncPeriod)
 	defer tick.Stop()
 	for {
 		select {

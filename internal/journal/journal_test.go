@@ -421,7 +421,7 @@ func TestParseFsyncPolicy(t *testing.T) {
 
 func TestFsyncIntervalFlushes(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(dir, Options{Fsync: FsyncInterval, FsyncInterval: 5 * time.Millisecond})
+	j, _, err := Open(dir, Options{Fsync: FsyncInterval})
 	if err != nil {
 		t.Fatal(err)
 	}

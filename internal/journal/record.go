@@ -20,7 +20,8 @@ const (
 	// move. The controller writes one placement per record; the layout
 	// keeps a count.
 	OpAssoc Op = "assoc"
-	// OpDisassoc records a full disassociation (domain LeaveAll).
+	// OpDisassoc records a full disassociation: replay detaches the
+	// user with domain Leave at +Inf demand.
 	OpDisassoc Op = "disassoc"
 	// OpExpire records a lease expiry removing an AP and re-homing its
 	// believed users. Only a release that leased APs wrote it; it still

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -162,8 +163,9 @@ func TestCheckpointDocumentRoundTrip(t *testing.T) {
 
 // TestCheckpointDocumentRejects: every strict prefix of a document is an
 // error (no panic, no partial success), as are an unknown version, flag
-// bits nobody defined, and counts forged far beyond what the remaining
-// bytes could hold — refused before anything is allocated for them.
+// bits nobody defined, counts forged far beyond what the remaining
+// bytes could hold — refused before anything is allocated for them — and
+// an AP whose capacity, load or demand the wire's gate would refuse.
 func TestCheckpointDocumentRejects(t *testing.T) {
 	good := awkwardController(t).appendCheckpointLocked(nil)
 	for cut := 0; cut < len(good); cut++ {
@@ -174,8 +176,20 @@ func TestCheckpointDocumentRejects(t *testing.T) {
 	if _, _, err := decodeCheckpoint(append([]byte{checkpointVersion + 1}, good[1:]...)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("unknown version: %v", err)
 	}
+	// apDoc is a document of one AP, "a", holding one user's demand.
+	apDoc := func(capacity, load, demand float64) []byte {
+		doc := journal.AppendFloat(journal.AppendFloat(append([]byte{checkpointVersion, 1, 1}, 1, 'a'), capacity), load)
+		doc = journal.AppendFloat(append(doc, 0, 1, 1, 'u'), demand)
+		return append(doc, 0, 1, 1, 'a', ckptServed|ckptMeta, 0, 0, 1)
+	}
+	if _, _, err := decodeCheckpoint(apDoc(1e6, 5e5, 2e5)); err != nil {
+		t.Fatalf("a sound one-AP document: %v", err)
+	}
 	huge := binary.AppendUvarint(nil, 1<<40)
 	forged := map[string][]byte{
+		"NaN capacity":  apDoc(math.NaN(), 0, 0),
+		"negative load": apDoc(1e6, -5e5, 0),
+		"+Inf demand":   apDoc(1e6, 0, math.Inf(1)),
 		"AP count":      append([]byte{checkpointVersion, 1}, huge...),
 		"session count": append(journal.AppendFloat(journal.AppendFloat(append([]byte{checkpointVersion, 1, 1}, 1, 'a'), 1), 0), append([]byte{0}, huge...)...),
 		"user rows":     append([]byte{checkpointVersion, 1, 0}, huge...),

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"slices"
 
 	"github.com/s3wlan/s3wlan/internal/domain"
@@ -43,8 +44,8 @@ type ObserverState interface {
 // WithJournal enables crash-safe state: the controller recovers from the
 // write-ahead journal in dir at construction and appends every domain
 // mutation to it afterwards. opts.State and opts.OpenFile's default are
-// controller-owned; the remaining options (fsync policy and interval,
-// checkpoint cadence, logger) are the caller's.
+// controller-owned; the remaining options (fsync policy, checkpoint
+// cadence, logger) are the caller's.
 func WithJournal(dir string, opts journal.Options) ControllerOption {
 	return func(c *Controller) {
 		c.journalDir = dir
@@ -235,6 +236,10 @@ func decodeCheckpoint(payload []byte) (doc checkpointDoc, observerState []byte, 
 		if doc.Meta[ap.ID] == nil {
 			return doc, nil, fmt.Errorf("protocol: decode checkpoint: AP %q has no lease metadata", ap.ID)
 		}
+		if !validNumber(ap.CapacityBps) || !validNumber(ap.ReportedBps) ||
+			slices.ContainsFunc(ap.Demands, func(v float64) bool { return !validNumber(v) }) {
+			return doc, nil, fmt.Errorf("protocol: decode checkpoint: AP %q: capacity, load or demand not a finite non-negative number", ap.ID)
+		}
 	}
 	if len(doc.Meta) != len(doc.Domain.APs) {
 		return doc, nil, fmt.Errorf("protocol: decode checkpoint: %d APs carry lease metadata, the domain has %d", len(doc.Meta), len(doc.Domain.APs))
@@ -340,6 +345,9 @@ func (c *Controller) restoreCheckpoint(payload []byte) error {
 func (c *Controller) apply(r *journal.Record, replay bool) error {
 	switch r.Op {
 	case journal.OpRegister:
+		if !validNumber(r.CapacityBps) {
+			return fmt.Errorf("protocol: journal record %d: invalid capacity_bps %v", r.Seq, r.CapacityBps)
+		}
 		if m, ok := c.meta[r.AP]; ok {
 			c.dom.SetCapacity(r.AP, r.CapacityBps)
 			if !m.static {
@@ -363,6 +371,9 @@ func (c *Controller) apply(r *journal.Record, replay bool) error {
 			return fmt.Errorf("protocol: assoc record with %d placements, want 1", len(r.Placements))
 		}
 		p := &r.Placements[0]
+		if !validNumber(p.DemandBps) {
+			return fmt.Errorf("protocol: journal record %d: invalid demand_bps %v", r.Seq, p.DemandBps)
+		}
 		c.scr.dp[0] = domain.Placement{User: p.User, AP: p.AP, Prev: p.Prev, DemandBps: p.DemandBps}
 		if _, err := c.dom.Commit(c.scr.dp[:], nil); err != nil {
 			return err
@@ -389,7 +400,7 @@ func (c *Controller) apply(r *journal.Record, replay bool) error {
 		if !ok {
 			return fmt.Errorf("protocol: disassoc for unassigned user %q", r.User)
 		}
-		c.dom.LeaveAll(r.User, s.ap)
+		c.dom.Leave(r.User, s.ap, math.Inf(1))
 		delete(c.sessions, r.User)
 		c.notifyDisconnect(r.User, s.ap, r.TS)
 		if !replay && c.logEnabled {

@@ -5,8 +5,11 @@ package protocol
 // crash-point sweep at the controller layer, and replay-error tolerance.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -708,6 +711,61 @@ func TestJournalReplayErrorTolerance(t *testing.T) {
 	}
 	if _, err := c.Associate("u-3", 10); err != nil {
 		t.Fatalf("controller not functional after tolerant recovery: %v", err)
+	}
+}
+
+// TestReplayRefusesNonFiniteNumbers: a record whose capacity or demand
+// the wire's gate would refuse — +Inf, NaN, negative — is a replay error
+// naming its seq, skipped by recovery and returned to a follower, so no
+// such number reaches the domain's loads and LLF compares real ones.
+func TestReplayRefusesNonFiniteNumbers(t *testing.T) {
+	bad := []journal.Record{
+		{Op: journal.OpRegister, AP: "ap-inf", CapacityBps: math.Inf(1), Static: true},
+		{Op: journal.OpAssoc, Placements: []journal.Placement{{User: "u-nan", AP: "ap-a", DemandBps: math.NaN()}}},
+		{Op: journal.OpAssoc, Placements: []journal.Placement{{User: "u-neg", AP: "ap-b", DemandBps: -5e5}}},
+	}
+	dir := t.TempDir()
+	j, _, err := journal.Open(dir, journal.Options{Fsync: journal.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range append([]journal.Record{
+		{Op: journal.OpRegister, AP: "ap-a", CapacityBps: 1e6, Static: true},
+		{Op: journal.OpRegister, AP: "ap-b", CapacityBps: 1e6, Static: true},
+		{Op: journal.OpAssoc, Placements: []journal.Placement{{User: "u-ok", AP: "ap-a", DemandBps: 10}}},
+	}, bad...) {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged bytes.Buffer
+	c, err := NewController(baseline.LLF{}, WithLogger(log.New(&logged, "", 0)),
+		WithJournal(dir, journal.Options{Fsync: journal.FsyncAlways}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if rec := c.Recovery(); rec.ReplayErrors != 3 || rec.APs != 2 || rec.Assignments != 1 {
+		t.Fatalf("recovery = %+v, want 3 replay errors, 2 APs, 1 assignment", rec)
+	}
+	for _, want := range []string{"record 4: invalid capacity_bps +Inf", "record 5: invalid demand_bps NaN", "record 6: invalid demand_bps -500000"} {
+		if !strings.Contains(logged.String(), want) {
+			t.Errorf("recovery log lacks %q:\n%s", want, logged.String())
+		}
+	}
+	if ap, err := c.Associate("u-new", 10); err != nil || ap != "ap-b" {
+		t.Fatalf("LLF after recovery placed on %q, %v; want ap-b (load 0 against ap-a's 10)", ap, err)
+	}
+
+	follower := bareController(t)
+	for _, r := range bad {
+		if err := follower.ApplyRecord(r); err == nil || !strings.Contains(err.Error(), "invalid") {
+			t.Errorf("ApplyRecord(%s %v) = %v, want an invalid-number error", r.Op, r.Placements, err)
+		}
 	}
 }
 

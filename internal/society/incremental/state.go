@@ -1,8 +1,8 @@
 package incremental
 
 import (
-	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strconv"
 
+	"github.com/s3wlan/s3wlan/internal/journal"
 	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
@@ -40,7 +41,7 @@ const (
 	stateVersion = 2
 	headerOpen   = `{"version":2`
 	// maxNameBytes bounds one user name and maxHeaderBytes the JSON
-	// header; a longer length prefix is damage, not an allocation request.
+	// header: a longer one is damage, not a user or a header.
 	maxNameBytes   = 1 << 10
 	maxHeaderBytes = 64 << 20
 	// maxPresize caps how far a decoded count may pre-size a table before
@@ -145,8 +146,12 @@ func (e *Engine) WriteState(w io.Writer) error {
 // rebuilt and published as a fresh snapshot. A state that does not
 // decode leaves the engine untouched.
 func (e *Engine) ReadState(r io.Reader) error {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("incremental: read engine state: %w", err)
+	}
 	var h stateHeader
-	live, err := decodeState(bufio.NewReader(r), e.cfg.Society, &h)
+	live, err := decodeState(journal.NewReader(data), e.cfg.Society, &h)
 	if err != nil {
 		return fmt.Errorf("incremental: engine state: %w", err)
 	}
@@ -166,24 +171,27 @@ func (e *Engine) ReadState(r io.Reader) error {
 
 // decodeState reads one state stream into a tally core — user table,
 // counts, presences, leave windows — and h, for its type assignment.
-// Every count and index is checked against what the input really holds
-// before it is trusted.
-func decodeState(br *bufio.Reader, cfg society.Config, h *stateHeader) (*tallies, error) {
-	if err := readMarker(br); err != nil {
-		return nil, err
-	}
+// The Reader bounds every count by the bytes left before anything is
+// allocated for it; what it returns is then checked before it is
+// trusted.
+func decodeState(in journal.Reader, cfg society.Config, h *stateHeader) (*tallies, error) {
 	live := newTallies(cfg)
-	if _, err := readUserTable(br, live); err != nil {
+	if v := in.Byte(); v != stateVersion { // 0, and Err set, for no input
+		return nil, cmp.Or(in.Err(), fmt.Errorf("state version %d, this release reads %d", v, stateVersion))
+	}
+	if _, err := readUserTable(&in, live); err != nil {
 		return nil, fmt.Errorf("seen users: %w", err)
 	}
-	if err := readMarker(br); err != nil {
-		return nil, fmt.Errorf("tallies: %w", err)
+	v, header := in.Byte(), in.Str()
+	switch {
+	case in.Err() != nil:
+		return nil, fmt.Errorf("header: %w", in.Err())
+	case v != stateVersion:
+		return nil, fmt.Errorf("tallies: state version %d, this release reads %d", v, stateVersion)
+	case len(header) > maxHeaderBytes:
+		return nil, fmt.Errorf("header: length %d exceeds limit %d", len(header), maxHeaderBytes)
 	}
-	header, err := readBytes(br, maxHeaderBytes)
-	if err != nil {
-		return nil, fmt.Errorf("header: %w", err)
-	}
-	if err := json.Unmarshal(header, h); err != nil {
+	if err := json.Unmarshal([]byte(header), h); err != nil {
 		return nil, fmt.Errorf("header: %w", err)
 	}
 	if h.Version != stateVersion {
@@ -227,26 +235,23 @@ func decodeState(br *bufio.Reader, cfg society.Config, h *stateHeader) (*tallies
 		live.recent = h.RecentEnds
 	}
 
-	ids, err := readUserTable(br, live)
+	ids, err := readUserTable(&in, live)
 	if err != nil {
 		return nil, fmt.Errorf("tallied users: %w", err)
 	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("rows: %w", noEOF(err))
+	n := in.Count(4) // a, b, encounters, coLeaves
+	if err := in.Err(); err != nil {
+		return nil, fmt.Errorf("rows: %w", err)
 	}
 	live.pairs = make(map[pairKey]tally, min(n, maxPresize))
-	for i := uint64(0); i < n; i++ {
-		var f [4]uint64 // a, b, encounters, coLeaves
-		for k := range f {
-			if f[k], err = binary.ReadUvarint(br); err != nil {
-				return nil, fmt.Errorf("row %d: %w", i, noEOF(err))
-			}
-		}
-		if f[0] >= uint64(len(ids)) || f[1] >= uint64(len(ids)) || ids[f[0]] == ids[f[1]] {
+	for i := range n {
+		f := [4]uint64{in.Uvarint(), in.Uvarint(), in.Uvarint(), in.Uvarint()}
+		switch {
+		case in.Err() != nil:
+			return nil, fmt.Errorf("row %d: %w", i, in.Err())
+		case f[0] >= uint64(len(ids)) || f[1] >= uint64(len(ids)) || ids[f[0]] == ids[f[1]]:
 			return nil, fmt.Errorf("row %d: bad user indices %d, %d (table has %d)", i, f[0], f[1], len(ids))
-		}
-		if f[2] > math.MaxInt32 || f[3] > math.MaxInt32 {
+		case f[2] > math.MaxInt32 || f[3] > math.MaxInt32:
 			return nil, fmt.Errorf("row %d: implausible tallies %d, %d", i, f[2], f[3])
 		}
 		if f[2] > 0 || f[3] > 0 {
@@ -256,60 +261,16 @@ func decodeState(br *bufio.Reader, cfg society.Config, h *stateHeader) (*tallies
 	return live, nil
 }
 
-// readMarker consumes the stateVersion byte that opens each half of the
-// stream.
-func readMarker(br *bufio.Reader) error {
-	switch v, err := br.ReadByte(); {
-	case err != nil:
-		return noEOF(err)
-	case v != stateVersion:
-		return fmt.Errorf("state version %d, this release reads %d", v, stateVersion)
-	}
-	return nil
-}
-
 // readUserTable reads a table written by appendUserTable, interning its
-// names in live, and returns each entry's id. A forged count costs
-// nothing: the table grows only as names are actually read.
-func readUserTable(br *bufio.Reader, live *tallies) ([]uint32, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, noEOF(err)
-	}
-	ids := make([]uint32, 0, min(n, maxPresize))
-	for i := uint64(0); i < n; i++ {
-		name, err := readBytes(br, maxNameBytes)
-		if err != nil {
-			return nil, fmt.Errorf("entry %d: %w", i, err)
+// names in live, and returns each entry's id.
+func readUserTable(in *journal.Reader, live *tallies) ([]uint32, error) {
+	ids := make([]uint32, in.Count(1))
+	for i := range ids {
+		name := in.Str()
+		if len(name) > maxNameBytes {
+			return nil, fmt.Errorf("entry %d: length %d exceeds limit %d", i, len(name), maxNameBytes)
 		}
-		id, _ := live.intern(trace.UserID(name))
-		ids = append(ids, id)
+		ids[i], _ = live.intern(trace.UserID(name))
 	}
-	return ids, nil
-}
-
-// readBytes reads a uvarint length (at most limit) and that many bytes,
-// allocating only as far as the input really goes.
-func readBytes(br *bufio.Reader, limit uint64) ([]byte, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, noEOF(err)
-	}
-	if n > limit {
-		return nil, fmt.Errorf("length %d exceeds limit %d", n, limit)
-	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, br, int64(n)); err != nil {
-		return nil, noEOF(err)
-	}
-	return buf.Bytes(), nil
-}
-
-// noEOF turns an end of input in the middle of a state into the error it
-// is: io.EOF means "nothing to read" to callers, never "truncated".
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
+	return ids, in.Err()
 }
