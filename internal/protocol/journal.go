@@ -324,7 +324,7 @@ func (c *Controller) restoreCheckpoint(payload []byte) error {
 	maps.Copy(c.meta, doc.Meta)
 	if len(observerState) > 0 {
 		if st, ok := c.observer.(ObserverState); ok {
-			if err := st.ReadState(bytes.NewReader(observerState)); err != nil {
+			if err := st.ReadState(bytes.NewBuffer(observerState)); err != nil { // read in place
 				return fmt.Errorf("protocol: restore observer state: %w", err)
 			}
 		}
@@ -346,7 +346,7 @@ func (c *Controller) apply(r *journal.Record, replay bool) error {
 	switch r.Op {
 	case journal.OpRegister:
 		if !validNumber(r.CapacityBps) {
-			return fmt.Errorf("protocol: journal record %d: invalid capacity_bps %v", r.Seq, r.CapacityBps)
+			return fmt.Errorf("protocol: %s: invalid capacity_bps %v", recordName(r, replay, "AP", string(r.AP)), r.CapacityBps)
 		}
 		if m, ok := c.meta[r.AP]; ok {
 			c.dom.SetCapacity(r.AP, r.CapacityBps)
@@ -372,7 +372,7 @@ func (c *Controller) apply(r *journal.Record, replay bool) error {
 		}
 		p := &r.Placements[0]
 		if !validNumber(p.DemandBps) {
-			return fmt.Errorf("protocol: journal record %d: invalid demand_bps %v", r.Seq, p.DemandBps)
+			return fmt.Errorf("protocol: %s: invalid demand_bps %v", recordName(r, replay, "user", string(p.User)), p.DemandBps)
 		}
 		c.scr.dp[0] = domain.Placement{User: p.User, AP: p.AP, Prev: p.Prev, DemandBps: p.DemandBps}
 		if _, err := c.dom.Commit(c.scr.dp[:], nil); err != nil {
@@ -412,6 +412,15 @@ func (c *Controller) apply(r *journal.Record, replay bool) error {
 		return fmt.Errorf("protocol: journal record %d (%s): %w", r.Seq, r.Op, errExpireRefused)
 	}
 	return fmt.Errorf("protocol: unknown journal op %q", r.Op)
+}
+
+// recordName names r in an apply error: a replayed record by its seq, a
+// live one, which Append has not numbered yet, by its op and its AP or user.
+func recordName(r *journal.Record, replay bool, kind, name string) string {
+	if replay {
+		return fmt.Sprintf("journal record %d", r.Seq)
+	}
+	return fmt.Sprintf("%s of %s %q", r.Op, kind, name)
 }
 
 // mutateLocked applies one live mutation and then, if journaling is

@@ -714,6 +714,30 @@ func TestJournalReplayErrorTolerance(t *testing.T) {
 	}
 }
 
+// TestLiveRecordErrorNamesItsSubject: a live mutation is refused before
+// the journal numbers its record, so its error names the op and the AP or
+// user instead of a "journal record 0" no journal holds; journaled or not.
+func TestLiveRecordErrorNamesItsSubject(t *testing.T) {
+	journaled, err := NewController(baseline.LLF{}, WithJournal(t.TempDir(), journal.Options{Fsync: journal.FsyncOff}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journaled.Close()
+	for name, c := range map[string]*Controller{"bare": bareController(t), "journaled": journaled} {
+		err := c.RegisterAP("ap-x", math.NaN())
+		if want := `protocol: register of AP "ap-x": invalid capacity_bps NaN`; err == nil || err.Error() != want {
+			t.Errorf("%s: RegisterAP(NaN) = %v, want %q", name, err, want)
+		}
+		if err := c.RegisterAP("ap-ok", 1e6); err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Associate("u-x", math.Inf(1))
+		if want := `assoc of user "u-x": invalid demand_bps +Inf`; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Associate(+Inf) = %v, want it to contain %q", name, err, want)
+		}
+	}
+}
+
 // TestReplayRefusesNonFiniteNumbers: a record whose capacity or demand
 // the wire's gate would refuse — +Inf, NaN, negative — is a replay error
 // naming its seq, skipped by recovery and returned to a follower, so no

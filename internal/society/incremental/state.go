@@ -144,10 +144,14 @@ func (e *Engine) WriteState(w io.Writer) error {
 // WriteState: the tallies, open presences, user list and type
 // assignment are reinstalled, and the pair index and friend lists fully
 // rebuilt and published as a fresh snapshot. A state that does not
-// decode leaves the engine untouched.
+// decode leaves the engine untouched. A *bytes.Buffer is decoded in place,
+// not copied: the decode keeps none of its bytes.
 func (e *Engine) ReadState(r io.Reader) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
+	var data []byte
+	var err error
+	if b, ok := r.(*bytes.Buffer); ok {
+		data = b.Next(b.Len())
+	} else if data, err = io.ReadAll(r); err != nil {
 		return fmt.Errorf("incremental: read engine state: %w", err)
 	}
 	var h stateHeader

@@ -14,9 +14,9 @@ import (
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
-// byStartUser is the order Generate's flows are in: slices.SortFunc with
-// it over the flows in emission order is what sortFlows must reproduce,
-// the order among equal (Start, User) included.
+// byStartUser is the order Generate's flows are in: slices.SortStableFunc
+// with it over the flows in emission order is what sortFlows must
+// reproduce, the order among equal (Start, User) included.
 func byStartUser(a, b trace.Flow) int {
 	if c := cmp.Compare(a.Start, b.Start); c != 0 {
 		return c
@@ -71,28 +71,35 @@ func joinedFlows(days [][]emittedFlow) []trace.Flow {
 	return flows
 }
 
-// checkFlowKeySort fails t unless sortFlows orders days' flows exactly as
-// slices.SortFunc with byStartUser orders them joined.
+// checkFlowKeySort fails t unless sortFlows (days from epoch 0) orders
+// days' flows exactly as slices.SortStableFunc with byStartUser orders them
+// joined. It sorts a copy: sortFlows reorders the records it is given.
 func checkFlowKeySort(t testing.TB, days [][]emittedFlow) {
 	t.Helper()
 	want := joinedFlows(days)
-	slices.SortFunc(want, byStartUser)
-	got := sortFlows(days, rankedUsers())
+	slices.SortStableFunc(want, byStartUser)
+	own := make([][]emittedFlow, len(days))
+	for d, day := range days {
+		own[d] = slices.Clone(day)
+	}
+	got := sortFlows(own, rankedUsers(), 0)
 	if len(got) != len(want) {
 		t.Fatalf("sortFlows returned %d flows, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("flow %d of %d: key sort gives %+v, slices.SortFunc %+v", i, len(want), got[i], want[i])
+			t.Fatalf("flow %d of %d: sortFlows gives %+v, slices.SortStableFunc %+v", i, len(want), got[i], want[i])
 		}
 	}
 }
 
-// TestFlowKeySortMatchesSortFunc holds the key sort to the flow sort it
-// replaced, element by element, on both sides of pdqsort's thresholds (12
-// for insertion sort, 50 for the pivot choice and pattern breaking), with
-// dense ties (six users, four seconds) and sparse ones. The digests in
-// TestGenerateDigestPinned rest on it.
+// TestFlowKeySortMatchesSortFunc holds sortFlows to the stable flow sort,
+// element by element, with dense ties (six users, four seconds) and sparse
+// ones. In the n/span cases every flow starts on day 0 or 1 whatever day
+// emitted it; in the by_day ones each starts on the day that emitted it, as
+// a generated campus's do; the straddle case has a flow start on the day
+// after its own, past that day's first flow and tied with a flow emitted
+// there. The digests in TestGenerateDigestPinned rest on it.
 func TestFlowKeySortMatchesSortFunc(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, n := range []int{0, 1, 12, 13, 50, 1000, 100_000} {
@@ -112,14 +119,33 @@ func TestFlowKeySortMatchesSortFunc(t *testing.T) {
 					return cmp.Compare(userNumber(t, a.User), userNumber(t, b.User))
 				}
 				want, numeric := joinedFlows(days), joinedFlows(days)
-				slices.SortFunc(want, byStartUser)
-				slices.SortFunc(numeric, byNumber)
+				slices.SortStableFunc(want, byStartUser)
+				slices.SortStableFunc(numeric, byNumber)
 				if slices.Equal(want, numeric) {
 					t.Fatal("numeric and string ranks sort these flows alike; the check cannot tell them apart")
 				}
 			})
 		}
+		t.Run(fmt.Sprintf("n=%d/by_day", n), func(t *testing.T) {
+			days := emittedFlows(rng, n, 4)
+			for d := range days {
+				for i := range days[d] {
+					days[d][i].start += int64(d) * 86400
+				}
+			}
+			checkFlowKeySort(t, days)
+		})
 	}
+	t.Run("straddle", func(t *testing.T) {
+		rec := func(start int64, rank int32, place int64) emittedFlow {
+			return emittedFlow{start: start, end: start + 1, bytes: place, rank: rank}
+		}
+		checkFlowKeySort(t, [][]emittedFlow{
+			{rec(100, 1, 0), rec(86400+900, 2, 1), rec(3600, 0, 2)},           // day 0; one starts in day 1
+			{rec(86400+50, 3, 3), rec(86400+900, 2, 4), rec(86400+900, 1, 5)}, // ties with it
+			{rec(2*86400+10, 0, 6), rec(100, 1, 7)},                           // one starts in day 0
+		})
+	})
 }
 
 func userNumber(t *testing.T, u trace.UserID) int {
@@ -145,8 +171,9 @@ func TestValidateRankBound(t *testing.T) {
 }
 
 // FuzzFlowKeySort is TestFlowKeySortMatchesSortFunc's property over fuzzed
-// flows: each two bytes of data are one flow's Start (signed) and user's
-// rank, and cut ends a day after every cut-th flow.
+// flows: each two bytes of data are one flow, a signed offset of 700 s
+// steps from the start of the day that emits it (two days before it to one
+// after) and its user's rank, and cut ends a day after every cut-th flow.
 func FuzzFlowKeySort(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{3, 0, 3, 1, 3, 0, 0xff, 2, 3, 1}, uint8(2))
@@ -157,7 +184,7 @@ func FuzzFlowKeySort(f *testing.F) {
 		var days [][]emittedFlow
 		var day []emittedFlow
 		for p := 0; p+1 < len(data); p += 2 {
-			start := int64(int8(data[p]))
+			start := int64(len(days))*86400 + int64(int8(data[p]))*700
 			rank := int32(int(data[p+1]) % len(flowUsers))
 			day = append(day, emittedFlow{start: start, end: start + 1, bytes: int64(p / 2), rank: rank})
 			if cut > 0 && len(day)%int(cut) == 0 {

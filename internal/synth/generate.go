@@ -1,7 +1,6 @@
 package synth
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -447,7 +446,7 @@ func scheduleSessions(cfg Config, rng *rand.Rand, topo trace.Topology,
 	if train != nil {
 		return sessions, nil
 	}
-	return sessions, sortFlows(flowsOfDay, allUsers)
+	return sessions, sortFlows(flowsOfDay, allUsers, cfg.Epoch)
 }
 
 // An emittedFlow is a flow as emitFlows draws it, with its user as a rank in
@@ -468,53 +467,90 @@ func (f *emittedFlow) flow(users []trace.UserID) trace.Flow {
 		SrcPort: int(f.srcPort), DstPort: realm.port, Bytes: f.bytes}
 }
 
-// A flowKey stands for a flow in sortFlows: its Start, then its user's rank
-// above placeBits and its emission place below. 16 bytes, no pointers.
-type flowKey struct {
-	start int64
-	ref   uint64
-}
+// Config.Validate holds Users below 1<<rankBits: sortFlows' key holds a
+// rank under a flow's seconds into its day (86 400 < 2¹⁷), 41 bits in all.
+const rankBits = 24
 
-// Config.Validate holds Users below 1<<rankBits; 2⁴⁰ flows exceed memory.
-const placeBits, rankBits = 40, 24
-
-// compareFlowKeys has the sign of comparing the flows by (Start, User) on
-// every pair, so slices.SortFunc makes the same swaps on keys as on flows
-// and ties keep the order the pinned digests record. Comparing places too,
-// or a stable or radix sort, would reorder ties.
-func compareFlowKeys(a, b flowKey) int {
-	if c := cmp.Compare(a.start, b.start); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.ref>>placeBits, b.ref>>placeBits)
-}
-
-// sortFlows returns the flows of days, joined, in the order slices.SortFunc
-// by (Start, User) gives them; users holds their users, sorted, so a rank
-// orders as its user does. It sorts keys, then builds each flow once into
-// an exactly sized result, allocated first so the collection it may start
-// marks while pointer-free keys move.
-func sortFlows(days [][]emittedFlow, users []trace.UserID) []trace.Flow {
-	n := 0
+// sortFlows returns the flows of days (days[d]: what day d from epoch
+// emitted, in order) by (Start, User), ties in emission order; users are
+// sorted, so ranks order as users do. It radix-sorts the records in place
+// a day at a time, by the day they start on, into a result allocated
+// first, so a collection it starts marks while pointer-free records move.
+func sortFlows(days [][]emittedFlow, users []trace.UserID, epoch int64) []trace.Flow {
+	n, size := 0, 0
 	for _, day := range days {
 		n += len(day)
 	}
-	flows := make([]trace.Flow, n)
-	keys := make([]flowKey, 0, n)
-	ends := make([]int, len(days)) // ends[d]: flows of days 0..d
-	for d, day := range days {
-		for i := range day {
-			keys = append(keys, flowKey{day[i].start, uint64(day[i].rank)<<placeBits | uint64(len(keys))})
-		}
-		ends[d] = len(keys)
+	flows := make([]trace.Flow, 0, n)
+	days, epoch = byStartDay(days, epoch)
+	for _, day := range days {
+		size = max(size, len(day))
 	}
-	slices.SortFunc(keys, compareFlowKeys)
-	for k, key := range keys {
-		p := int(key.ref & (1<<placeBits - 1))
-		d, _ := slices.BinarySearch(ends, p+1) // the first day ending after p
-		flows[k] = days[d][p-ends[d]+len(days[d])].flow(users)
+	tmp := make([]emittedFlow, size)
+	for d, day := range days {
+		day = radixSort(day, tmp, epoch+int64(d)*86400)
+		for i := range day {
+			flows = append(flows, day[i].flow(users))
+		}
 	}
 	return flows
+}
+
+// byStartDay returns days' records by the day they start on, each day's in
+// emission order, and the first day's start: days and epoch themselves
+// when every record starts on the day that emitted it, as on every preset.
+func byStartDay(days [][]emittedFlow, epoch int64) ([][]emittedFlow, int64) {
+	first, last, straying := 0, len(days)-1, false
+	for d, day := range days {
+		for i := range day {
+			if at := day[i].start - epoch - int64(d)*86400; at < 0 || at >= 86400 {
+				s := trace.DayIndex(epoch, day[i].start)
+				first, last, straying = min(first, s), max(last, s), true
+			}
+		}
+	}
+	if !straying {
+		return days, epoch
+	}
+	byStart := make([][]emittedFlow, last-first+1)
+	for _, day := range days {
+		for _, f := range day {
+			d := trace.DayIndex(epoch, f.start) - first
+			byStart[d] = append(byStart[d], f)
+		}
+	}
+	return byStart, epoch + int64(first)*86400
+}
+
+// radixSort sorts recs, which start on the day from dayStart, stably by
+// (start, rank), 11-bit digits of the key least significant first, through
+// tmp, which has room for them; it returns whichever holds them sorted.
+func radixSort(recs, tmp []emittedFlow, dayStart int64) []emittedFlow {
+	const width, passes = 11, (17 + rankBits + 10) / 11
+	key := func(f *emittedFlow) uint64 { return uint64(f.start-dayStart)<<rankBits | uint64(f.rank) }
+	var at [passes][1 << width]int // every pass's digit counts, taken in one read
+	for i := range recs {
+		for p, k := 0, key(&recs[i]); p < passes; p, k = p+1, k>>width {
+			at[p][k&(1<<width-1)]++
+		}
+	}
+	tmp = tmp[:len(recs)]
+	for p := range passes {
+		shift, pos := p*width, &at[p]
+		if len(recs) == 0 || pos[key(&recs[0])>>shift&(1<<width-1)] == len(recs) {
+			continue // one digit throughout: the order stands
+		}
+		for i, sum := 0, 0; i < len(pos); i++ { // counts become start positions
+			pos[i], sum = sum, sum+pos[i]
+		}
+		for i := range recs {
+			d := key(&recs[i]) >> shift & (1<<width - 1)
+			tmp[pos[d]] = recs[i]
+			pos[d]++
+		}
+		recs, tmp = tmp, recs
+	}
+	return recs
 }
 
 // dayMood returns the per-(user, day) multiplicative activity emphasis: a
