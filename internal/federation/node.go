@@ -205,9 +205,9 @@ func (n *Node) newController(g int) (*protocol.Controller, error) {
 }
 
 // resetStandby replaces gs's controller with a fresh standby and a
-// follower from sequence zero. The first Poll rebuilds state from the
-// group's newest checkpoint (resync) and record tail. Callers hold
-// gs.mu or have exclusive access.
+// follower at position 0, whose first Poll is a restart's recovery: the
+// group's newest valid checkpoint (a resync), then the records beyond
+// it. Callers hold gs.mu or have exclusive access.
 func (n *Node) resetStandby(gs *group) error {
 	ctrl, err := n.newController(gs.id)
 	if err != nil {

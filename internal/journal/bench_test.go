@@ -90,8 +90,8 @@ func BenchmarkRecover(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rec.Records) != tail {
-			b.Fatalf("recovered %d records, want %d", len(rec.Records), tail)
+		if rec.Stats.RecordsReplayed != tail {
+			b.Fatalf("recovered %d records, want %d", rec.Stats.RecordsReplayed, tail)
 		}
 	}
 }
@@ -111,8 +111,8 @@ func TestRecover100kUnder5s(t *testing.T) {
 		t.Fatal(err)
 	}
 	took := time.Since(start)
-	if len(rec.Records) != tail {
-		t.Fatalf("recovered %d records, want %d", len(rec.Records), tail)
+	if rec.Stats.RecordsReplayed != tail {
+		t.Fatalf("recovered %d records, want %d", rec.Stats.RecordsReplayed, tail)
 	}
 	if took > 5*time.Second {
 		t.Fatalf("recovery of %d records took %v, budget 5s", tail, took)

@@ -50,7 +50,7 @@
 // deletes segments and checkpoints made redundant by the two newest
 // checkpoints. Recovery loads the newest checkpoint that validates
 // (falling back to its predecessor if the newest is damaged) and replays
-// every surviving record with a sequence number beyond it.
+// the records beyond it, skipping the segments it wholly covers.
 //
 // "Outweighs" compares framed bytes with the last checkpoint's frame (at
 // first the one Open recovered). This is log compaction by size: past
@@ -63,16 +63,20 @@
 //
 // # Following
 //
-// A Follower delivers each record of a journal another process is
-// appending to exactly once, in order. Seq ≤ lastSeq is what makes that
-// so. What makes it cheap is a byte cursor per live segment: the offset
+// A Follower is the one reader of a journal directory: recovery (Open,
+// Recover) is the first Poll of a Follower at position 0, which, given a
+// resync callback, starts at the newest valid checkpoint, or at the
+// segments if there is none. It delivers each record of a journal another
+// process is appending to exactly once, in order, and fences records of
+// an ownership epoch older than one it has seen. Seq ≤ lastSeq is what
+// makes exactly-once so. What makes it cheap is a byte cursor per live segment: the offset
 // past the last complete frame walked (valid, or CRC-bad and skipped
 // whole; never a torn tail, garbage with no frame after it, or a record
 // the consumer refused), so a poll costs what is new. The cursor is
 // never trusted over the sequence check: a later segment, a checkpoint
 // resync, and a segment recreated and refilled under the reader —
 // detected by re-reading the frame before the cursor — all start again
-// at offset 0. Recovery and Follower.Poll share one replay loop.
+// at offset 0.
 //
 // # Observability
 //

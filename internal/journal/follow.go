@@ -18,7 +18,7 @@ import (
 // should stay zero outside chaos runs.
 var (
 	obsFollowRecords = obs.GetCounter("journal.follow.records", "Records delivered by follow-mode readers tailing live journals")
-	obsFollowResyncs = obs.GetCounter("journal.follow.resyncs", "Follow-mode checkpoint resyncs after pruning outran the reader's position")
+	obsFollowResyncs = obs.GetCounter("journal.follow.resyncs", "Follow-mode checkpoint resyncs: a fresh reader's start, or pruning outran the reader's position")
 	obsFollowFenced  = obs.GetCounter("journal.follow.fenced", "Follow-mode records dropped for carrying a stale ownership epoch")
 	obsFollowGaps    = obs.GetCounter("journal.follow.seq_gaps", "Sequence discontinuities observed while tailing (lost records skipped past)")
 	obsFollowCorrupt = obs.GetCounter("journal.follow.corrupt_skipped", "CRC-corrupt frames and damaged headers follow-mode readers skipped past")
@@ -29,9 +29,9 @@ var (
 type FollowStats struct {
 	// Records counts records delivered exactly once, in sequence order.
 	Records uint64
-	// Resyncs counts checkpoint resyncs: the reader fell so far behind
-	// that pruning removed segments it still needed, and it restarted
-	// from the newest checkpoint instead.
+	// Resyncs counts checkpoint resyncs: a fresh reader's start at the
+	// newest checkpoint, or a reader so far behind that pruning removed
+	// segments it still needed restarting from it instead.
 	Resyncs uint64
 	// Fenced counts records dropped because their epoch was below the
 	// highest epoch already observed (or below SetMinEpoch) — writes by
@@ -54,14 +54,14 @@ type FollowStats struct {
 	LastSeq uint64
 }
 
-// Follower tails a journal directory that another process is actively
-// appending to — the replication stream of a federated controller. It
-// reads the same segment/checkpoint layout Recover does, but
-// incrementally: each Poll delivers every record that became complete
-// on disk since the previous Poll, exactly once, in sequence order,
-// across segment rotations, checkpoint pruning and torn tails (an
-// incomplete trailing frame is simply not ready yet; the next Poll
-// picks it up once the writer finishes it).
+// Follower is the one reader of a journal directory. It tails a journal
+// that another process is actively appending to — the replication
+// stream of a federated controller — and recovery is its first poll.
+// Each Poll delivers every record that became complete on disk since
+// the previous Poll, exactly once, in sequence order, across segment
+// rotations, checkpoint pruning and torn tails (an incomplete trailing
+// frame is simply not ready yet; the next Poll picks it up once the
+// writer finishes it).
 //
 // Exactly-once holds across every Poll that returns nil. When the
 // apply callback fails, the reader's position stays at the last
@@ -74,6 +74,7 @@ type Follower struct {
 	lastSeq  uint64
 	minEpoch uint64
 	stats    FollowStats
+	walked   RecoveryStats // what the polls read and skipped, as recovery reports it
 
 	cur map[uint64]cursor // by segment first-seq: the segments still being read
 	buf bytes.Buffer      // segment bytes from the cursor on, reused across polls
@@ -97,8 +98,8 @@ type cursor struct {
 }
 
 // NewFollower tails dir, delivering records with Seq > afterSeq. A
-// fresh follower that will first load the owner's checkpoint through a
-// resync passes 0 and a resync callback to Poll.
+// fresh follower that should start from the owner's state, as a restart
+// does, passes 0 and a resync callback to Poll.
 func NewFollower(dir string, afterSeq uint64) *Follower {
 	return &Follower{dir: dir, lastSeq: afterSeq, stats: FollowStats{LastSeq: afterSeq}, cur: make(map[uint64]cursor)}
 }
@@ -129,13 +130,29 @@ func (f *Follower) SetMinEpoch(e uint64) {
 var ErrResyncNeeded = errors.New("journal: follow position pruned and no valid checkpoint to resync from")
 
 // Poll scans the directory once. Records that became complete since
-// the last Poll are handed to apply in sequence order. If pruning
-// removed segments the reader still needed, Poll first hands the
-// newest valid checkpoint to resync — which must replace the
-// consumer's state wholesale — and continues from its sequence number;
-// a nil resync callback makes that situation an error. Poll returns
-// the number of records applied.
+// the last Poll are handed to apply in sequence order. A reader at
+// position 0 with a resync callback first hands it the newest valid
+// checkpoint, as a restart does, and reads the segments alone if there
+// is none. Any other reader resyncs only when pruning removed segments
+// it still needed, and a nil resync callback makes that an error. The
+// resync must replace the consumer's state wholesale; reading continues
+// from the checkpoint's sequence number. Poll returns the number of
+// records applied.
 func (f *Follower) Poll(resync func(checkpoint []byte, seq uint64) error, apply func(Record) error) (int, error) {
+	was := f.stats
+	n, err := f.poll(resync, apply)
+	obsFollowRecords.Add(int64(f.stats.Records - was.Records))
+	obsFollowResyncs.Add(int64(f.stats.Resyncs - was.Resyncs))
+	obsFollowFenced.Add(int64(f.stats.Fenced - was.Fenced))
+	obsFollowGaps.Add(int64(f.stats.SeqGaps - was.SeqGaps))
+	obsFollowCorrupt.Add(int64(f.stats.Corrupt - was.Corrupt))
+	obsFollowUndec.Add(int64(f.stats.Undecodable - was.Undecodable))
+	return n, err
+}
+
+// poll is Poll without publishing to the journal.follow.* counters,
+// which count tailing: recovery polls through it.
+func (f *Follower) poll(resync func([]byte, uint64) error, apply func(Record) error) (int, error) {
 	ckpts, segs, err := listDir(f.dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -144,11 +161,14 @@ func (f *Follower) Poll(resync func(checkpoint []byte, seq uint64) error, apply 
 		return 0, err
 	}
 
-	// Pruned past our position? The oldest surviving segment starting
-	// beyond lastSeq+1 means records we never saw are gone — but the
-	// pruning invariant guarantees a checkpoint covers them.
-	if len(segs) > 0 && segs[0].seq > f.lastSeq+1 {
-		if err := f.resyncFromCheckpoint(ckpts, resync); err != nil {
+	// A fresh reader starts at the newest valid checkpoint, or at the
+	// segments if none is valid. Any other resyncs only when pruned past:
+	// the oldest surviving segment starting beyond lastSeq+1 means records
+	// it never saw are gone, and the pruning invariant guarantees a
+	// checkpoint covers them.
+	fresh := f.lastSeq == 0 && resync != nil
+	if fresh || len(segs) > 0 && segs[0].seq > f.lastSeq+1 {
+		if err := f.resyncFromCheckpoint(ckpts, resync); err != nil && !(fresh && err == ErrResyncNeeded) {
 			return 0, err
 		}
 	}
@@ -168,41 +188,37 @@ func (f *Follower) Poll(resync func(checkpoint []byte, seq uint64) error, apply 
 		}
 		data, base, rerr := f.readSegment(seg)
 		if rerr != nil {
-			// Pruned between listing and reading; records it held are
-			// checkpoint-covered, the next Poll resyncs if needed.
+			// Pruned between listing and reading: the records it held are
+			// checkpoint-covered, and the next Poll resyncs if needed.
+			// Recovery, which races no pruning, reports it as damage.
+			f.walked.CorruptSkipped++
+			f.walked.Warnings++
 			continue
 		}
 		res, undecodable, err := replaySegment(data, &f.lastSeq, &f.rec, func(r *Record) error {
 			if r.Epoch < f.fenceEpoch() {
 				f.stats.Fenced++
-				obsFollowFenced.Inc()
 				return nil
 			}
 			gap := r.Seq > f.lastSeq+1
 			if err := apply(*r); err != nil {
-				return fmt.Errorf("journal: follow apply record %d: %w", r.Seq, err)
+				return fmt.Errorf("journal: apply record %d: %w", r.Seq, err)
 			}
 			if gap {
 				f.stats.SeqGaps++
-				obsFollowGaps.Inc()
 			}
 			f.lastSeq = r.Seq
-			if r.Epoch > f.stats.Epoch {
-				f.stats.Epoch = r.Epoch
-			}
+			f.stats.Epoch = max(f.stats.Epoch, r.Epoch)
 			f.stats.Records++
-			obsFollowRecords.Inc()
 			applied++
 			return nil
 		})
+		f.walked.addSegment(res, undecodable)
 		// Account for, and move the cursor over, exactly the complete
 		// frames the walk got through; damage beyond them is walked (and
 		// counted) again once a complete frame follows it.
-		corrupt := uint64(res.Corrupt - res.Unsettled)
-		f.stats.Corrupt += corrupt
-		obsFollowCorrupt.Add(int64(corrupt))
+		f.stats.Corrupt += uint64(res.Corrupt - res.Unsettled)
 		f.stats.Undecodable += uint64(undecodable)
-		obsFollowUndec.Add(int64(undecodable))
 		if res.Consumed > 0 {
 			f.cur[seg.seq] = cursor{off: base + int64(res.Consumed), prev: base + int64(res.LastFrame),
 				prevSum: Checksum(data[res.LastFrame:res.Consumed])}
@@ -236,9 +252,17 @@ func (f *Follower) readSegment(seg dirEntry) (data []byte, base int64, err error
 	return f.buf.Bytes(), 0, err
 }
 
-// readFrom reads fh from off to its current end into f.buf.
+// readFrom reads fh from off to its current end into f.buf. A whole
+// segment, as recovery reads it, is read into a buffer sized from the
+// file as os.ReadFile sizes its own, not grown by doubling; for what
+// lies past a cursor, the reused buffer has grown with earlier polls.
 func (f *Follower) readFrom(fh *os.File, off int64) error {
 	f.buf.Reset()
+	if off == 0 {
+		if size, err := fh.Seek(0, io.SeekEnd); err == nil { // Stat would allocate
+			f.buf.Grow(int(size) + bytes.MinRead)
+		}
+	}
 	if _, err := fh.Seek(off, io.SeekStart); err != nil {
 		return err
 	}
@@ -257,26 +281,27 @@ func (f *Follower) fenceEpoch() uint64 {
 }
 
 // resyncFromCheckpoint restarts the reader from the newest valid
-// checkpoint, handing its payload to the caller.
+// checkpoint beyond its position, handing its payload to the caller. A
+// damaged one is counted and its predecessor tried.
 func (f *Follower) resyncFromCheckpoint(ckpts []dirEntry, resync func([]byte, uint64) error) error {
 	if resync == nil {
 		return ErrResyncNeeded
 	}
-	for i := len(ckpts) - 1; i >= 0; i-- {
-		if ckpts[i].seq <= f.lastSeq {
-			break // older than our position: useless and a regression
-		}
-		payload, _, err := readCheckpoint(filepath.Join(f.dir, ckpts[i].name))
+	for i := len(ckpts) - 1; i >= 0 && ckpts[i].seq > f.lastSeq; i-- { // an older one would regress
+		payload, st, err := readCheckpoint(filepath.Join(f.dir, ckpts[i].name))
+		f.walked.Resyncs += st.Resyncs
 		if err != nil {
+			f.walked.CorruptSkipped++
+			f.walked.Warnings++
 			continue
 		}
 		if err := resync(payload, ckpts[i].seq); err != nil {
-			return fmt.Errorf("journal: follow resync at %d: %w", ckpts[i].seq, err)
+			return fmt.Errorf("journal: resync at %d: %w", ckpts[i].seq, err)
 		}
 		f.lastSeq = ckpts[i].seq
+		f.walked.CheckpointSeq = f.lastSeq
 		clear(f.cur)
 		f.stats.Resyncs++
-		obsFollowResyncs.Inc()
 		return nil
 	}
 	return ErrResyncNeeded

@@ -12,9 +12,10 @@ import (
 	"testing"
 )
 
-// refFollower is the oracle the cursor follower is checked against: the
-// follower of the previous release, which re-reads every live segment
-// from offset 0 on every poll and relies on Seq ≤ lastSeq alone. Damage
+// refFollower is the oracle the cursor follower is checked against: a
+// follower which re-reads every live segment from offset 0 on every poll
+// and relies on Seq ≤ lastSeq alone. At position 0 with a resync
+// callback it starts at the newest valid checkpoint, as recovery does. Damage
 // is counted once, like the cursor follower counts it, by remembering
 // per segment the bytes already accounted for: while they are still a
 // prefix of the file only the growth in the account is added, and a
@@ -37,7 +38,7 @@ func (f *refFollower) poll(resync func([]byte, uint64) error, apply func(Record)
 	if err != nil {
 		return 0, err
 	}
-	if len(segs) > 0 && segs[0].seq > f.lastSeq+1 {
+	if fresh := f.lastSeq == 0 && resync != nil; fresh || len(segs) > 0 && segs[0].seq > f.lastSeq+1 {
 		resynced := false
 		for i := len(ckpts) - 1; i >= 0 && ckpts[i].seq > f.lastSeq && !resynced; i-- {
 			payload, _, err := readCheckpoint(filepath.Join(f.dir, ckpts[i].name))
@@ -50,7 +51,7 @@ func (f *refFollower) poll(resync func([]byte, uint64) error, apply func(Record)
 			f.lastSeq, resynced = ckpts[i].seq, true
 			f.stats.Resyncs++
 		}
-		if !resynced {
+		if !resynced && !fresh {
 			return 0, ErrResyncNeeded
 		}
 	}
@@ -75,7 +76,7 @@ func (f *refFollower) poll(resync func([]byte, uint64) error, apply func(Record)
 			}
 			gap := r.Seq > f.lastSeq+1
 			if err := apply(r); err != nil {
-				return fmt.Errorf("journal: follow apply record %d: %w", r.Seq, err)
+				return fmt.Errorf("journal: apply record %d: %w", r.Seq, err)
 			}
 			if gap {
 				f.stats.SeqGaps++
@@ -384,9 +385,10 @@ func TestFollowAcrossLayoutChange(t *testing.T) {
 		t.Fatalf("poll over a JSON segment = %d, %v, stats %+v; want nothing delivered, 5 undecodable", n, err, f.Stats())
 	}
 
-	j, rec, err := Open(dir, Options{Fsync: FsyncOff, FlushEachAppend: true, Epoch: 1})
-	if err != nil || len(rec.Records) != 0 || rec.Stats.Warnings != 5 {
-		t.Fatalf("open over the old segment: %v, %d records, stats %+v; want none recovered, 5 warnings", err, len(rec.Records), rec.Stats)
+	recovered := &followCollector{}
+	j, rec, err := Open(dir, Options{Fsync: FsyncOff, FlushEachAppend: true, Epoch: 1, Replay: recovered.apply})
+	if err != nil || len(recovered.recs) != 0 || rec.Stats.Warnings != 5 {
+		t.Fatalf("open over the old segment: %v, %d records, stats %+v; want none recovered, 5 warnings", err, len(recovered.recs), rec.Stats)
 	}
 	for i := 0; i < 4; i++ {
 		if err := j.Append(testRecord(i)); err != nil {

@@ -409,7 +409,7 @@ func TestRecoverWarningAndResyncStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := Recover(dir)
+	rec, recs, err := recoverRecords(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,8 +419,8 @@ func TestRecoverWarningAndResyncStats(t *testing.T) {
 	if rec.Stats.Warnings == 0 {
 		t.Fatalf("no warnings counted (stats %+v)", rec.Stats)
 	}
-	if len(rec.Records) != 5 {
-		t.Fatalf("recovered %d records, want 5 (first frame destroyed)", len(rec.Records))
+	if len(recs) != 5 {
+		t.Fatalf("recovered %d records, want 5 (first frame destroyed)", len(recs))
 	}
 
 	// Open must surface the same stats through the obs counters.
@@ -435,5 +435,43 @@ func TestRecoverWarningAndResyncStats(t *testing.T) {
 	}
 	if got := obsRecResyncs.Value() - resyncsBefore; got != int64(rec2.Stats.Resyncs) || got == 0 {
 		t.Fatalf("journal.recover.resyncs moved by %d, stats say %d", got, rec2.Stats.Resyncs)
+	}
+}
+
+// TestOpenLeavesFollowCountersAlone: recovery is a follower's first poll,
+// but the journal.follow.* counters count tailing: opening a journal
+// over a checkpoint and a tail moves the recovery counters only.
+func TestOpenLeavesFollowCountersAlone(t *testing.T) {
+	dir := t.TempDir()
+	st := &checkpointState{}
+	j, _, err := Open(dir, Options{Fsync: FsyncOff, CheckpointEvery: 5, State: st.write})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		st.n++
+		if err := j.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	records, resyncs, replayed := obsFollowRecords.Value(), obsFollowResyncs.Value(), obsReplayed.Value()
+	col := &followCollector{}
+	j, rec, err := Open(dir, Options{Fsync: FsyncOff, Restore: col.resync, Replay: col.apply})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if rec.Stats.CheckpointSeq != 5 || len(col.ckpts) != 1 {
+		t.Fatalf("recovered from checkpoints %v, stats %+v; want the one at 5", col.ckpts, rec.Stats)
+	}
+	assertExactlyOnce(t, col.recs, 5, 7)
+	if got := obsReplayed.Value() - replayed; got != 2 {
+		t.Fatalf("journal.recovery.records_replayed moved by %d, want 2", got)
+	}
+	if r, s := obsFollowRecords.Value()-records, obsFollowResyncs.Value()-resyncs; r != 0 || s != 0 {
+		t.Fatalf("Open moved journal.follow.records by %d and journal.follow.resyncs by %d, want 0", r, s)
 	}
 }

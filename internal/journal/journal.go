@@ -115,10 +115,11 @@ type Options struct {
 	// that encodes into its AvailableBuffer() and passes the result to
 	// Write has written in place.
 	State func(w io.Writer) error
-	// Restore and Replay, when set, are handed what Open recovers as it
-	// is read, as Follower.Poll's callbacks are: the newest valid
-	// checkpoint, then every record beyond it, each valid only during the
-	// call (Recovery.Records stays empty). An error from either fails Open.
+	// Restore and Replay, when set, are handed what Open recovers: Open
+	// is the first Poll of a Follower at position 0, and these are its
+	// resync and apply callbacks. Restore gets the newest valid
+	// checkpoint, Replay every record beyond it, valid only during the
+	// call. An error from either fails Open.
 	Restore func(checkpoint []byte, seq uint64) error
 	Replay  func(Record) error
 	// OpenFile creates segment files (default os.Create). Tests inject
@@ -170,7 +171,8 @@ type RecoveryStats struct {
 	CorruptSkipped int
 	// TornTails counts incomplete trailing frames (≤1 per segment).
 	TornTails int
-	// Segments counts journal segments scanned.
+	// Segments counts journal segments read (not those a checkpoint
+	// wholly covers).
 	Segments int
 	// Warnings counts the tolerated-corruption warnings recovery logged:
 	// unreadable or damaged checkpoints, unreadable segments, and
@@ -181,13 +183,11 @@ type RecoveryStats struct {
 	Resyncs int
 }
 
-// Recovery is the reconstructed state handed back by Open: the newest
-// valid checkpoint payload (nil when none), and every decodable record
-// with a sequence number beyond it, in order — unless Options.Replay
-// took them as they were read.
+// Recovery is what Open found: the newest valid checkpoint payload (nil
+// when none) and the account of the read. The records beyond the
+// checkpoint went to Options.Replay.
 type Recovery struct {
 	Checkpoint []byte
-	Records    []Record
 	Stats      RecoveryStats
 }
 
@@ -501,9 +501,8 @@ func listDir(dir string) (ckpts, segs []dirEntry, err error) {
 	return ckpts, segs, nil
 }
 
-// Recover reads the journal in dir without opening it for appending:
-// the newest valid checkpoint plus the decodable record tail beyond it.
-// Open wraps this; Recover alone serves inspection tooling and tests.
+// Recover reads the journal in dir as Open does, without opening it for
+// appending, and hands back what it found. It serves inspection tooling.
 func Recover(dir string) (*Recovery, error) {
 	return recoverDir(dir, log.New(io.Discard, "", 0), nil, nil)
 }
@@ -527,8 +526,8 @@ func readCheckpoint(path string) (payload []byte, st FrameStats, err error) {
 	return payload, st, nil
 }
 
-// replaySegment is the one replay loop recovery and followers share. It
-// walks a segment image (or what lies past a follower's cursor), decodes
+// replaySegment is a follower's replay loop. It walks a segment image
+// (or what lies past the follower's cursor), decodes
 // each CRC-valid payload into rec, drops records at or below *last —
 // covered by a checkpoint, or delivered already — and hands the rest to
 // fn, which moves *last past the records it accepts. rec is valid only
@@ -548,85 +547,45 @@ func replaySegment(data []byte, last *uint64, rec *Record, fn func(*Record) erro
 	return st, undecodable, err
 }
 
-// recoverDir hands the newest valid checkpoint to restore and every
-// record beyond it to apply, which by default collects Recovery.Records.
+// addSegment adds one segment walk to recovery's account: undecodable
+// records and a segment with damage or a torn tail are warnings.
+func (s *RecoveryStats) addSegment(res FrameStats, undecodable int) {
+	s.Segments++
+	s.CorruptSkipped += res.Corrupt + undecodable
+	s.Resyncs += res.Resyncs
+	s.Warnings += undecodable
+	if res.Corrupt > 0 || res.Torn {
+		s.Warnings++
+	}
+	if res.Torn {
+		s.TornTails++
+	}
+}
+
+// recoverDir is the first poll of a follower at position 0: the newest
+// valid checkpoint goes to restore, every record beyond it to apply, and
+// what the poll read is the recovery's account.
 func recoverDir(dir string, logger *log.Logger, restore func([]byte, uint64) error, apply func(Record) error) (*Recovery, error) {
 	rec := &Recovery{}
+	f := NewFollower(dir, 0)
 	if apply == nil {
-		apply = func(r Record) error {
-			r.Placements = append([]Placement(nil), r.Placements...) // the decoder reuses r's
-			rec.Records = append(rec.Records, r)
-			return nil
-		}
+		apply = func(Record) error { return nil }
 	}
-	ckpts, segs, err := listDir(dir)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return rec, nil
+	_, err := f.poll(func(payload []byte, seq uint64) error {
+		rec.Checkpoint = payload
+		if restore != nil {
+			return restore(payload, seq)
 		}
+		return nil
+	}, apply)
+	if err != nil {
 		return nil, err
 	}
-
-	// Newest checkpoint that validates wins; a damaged one is counted
-	// and the predecessor tried.
-	for i := len(ckpts) - 1; i >= 0; i-- {
-		payload, st, rerr := readCheckpoint(filepath.Join(dir, ckpts[i].name))
-		rec.Stats.Resyncs += st.Resyncs
-		if rerr != nil {
-			logger.Printf("journal: checkpoint %s: %v, trying older", ckpts[i].name, rerr)
-			rec.Stats.CorruptSkipped++
-			rec.Stats.Warnings++
-			continue
-		}
-		rec.Checkpoint = payload
-		rec.Stats.CheckpointSeq = ckpts[i].seq
-		if restore != nil {
-			if err := restore(payload, ckpts[i].seq); err != nil {
-				return nil, err
-			}
-		}
-		break
-	}
-
-	// Replay every segment in order, keeping records beyond the
-	// checkpoint. Records at or below it (a crash between checkpoint
-	// rename and rotation leaves some) are already part of the snapshot.
-	last := rec.Stats.CheckpointSeq
-	var scratch Record
-	for _, seg := range segs {
-		data, rerr := os.ReadFile(filepath.Join(dir, seg.name))
-		if rerr != nil {
-			logger.Printf("journal: segment %s unreadable: %v", seg.name, rerr)
-			rec.Stats.CorruptSkipped++
-			rec.Stats.Warnings++
-			continue
-		}
-		rec.Stats.Segments++
-		res, undecodable, err := replaySegment(data, &last, &scratch, func(r *Record) error {
-			last = r.Seq
-			rec.Stats.RecordsReplayed++
-			return apply(*r)
-		})
-		if err != nil {
-			return nil, err
-		}
-		rec.Stats.CorruptSkipped += res.Corrupt + undecodable
-		rec.Stats.Resyncs += res.Resyncs
-		rec.Stats.Warnings += undecodable
-		if res.Corrupt > 0 || res.Torn {
-			rec.Stats.Warnings++
-		}
-		if res.Torn {
-			rec.Stats.TornTails++
-		}
-		if undecodable > 0 {
-			logger.Printf("journal: segment %s: %d undecodable records (s3 diag -journal names each)", seg.name, undecodable)
-		}
-	}
-	rec.Stats.LastSeq = last
-	if rec.Stats.CorruptSkipped > 0 || rec.Stats.TornTails > 0 {
-		logger.Printf("journal: recovery skipped %d corrupt frames, %d torn tails",
-			rec.Stats.CorruptSkipped, rec.Stats.TornTails)
+	rec.Stats = f.walked
+	rec.Stats.RecordsReplayed, rec.Stats.LastSeq = int(f.stats.Records), f.lastSeq
+	if rec.Stats.Warnings > 0 {
+		logger.Printf("journal: recovery skipped %d corrupt frames, %d torn tails; %d warnings (s3 diag -journal %s names each)",
+			rec.Stats.CorruptSkipped, rec.Stats.TornTails, rec.Stats.Warnings, dir)
 	}
 	return rec, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"path/filepath"
 	"slices"
@@ -65,6 +66,14 @@ func cleanFrames(t *testing.T, data []byte, n int) []walkedFrame {
 	return frames
 }
 
+// recoverRecords recovers dir as Open does, collecting the records it
+// replays through the Replay callback.
+func recoverRecords(dir string) (*Recovery, []Record, error) {
+	col := &followCollector{}
+	rec, err := recoverDir(dir, log.New(io.Discard, "", 0), nil, col.apply)
+	return rec, col.recs, err
+}
+
 // firstSegment reads the oldest segment of dir.
 func firstSegment(t *testing.T, dir string) []byte {
 	t.Helper()
@@ -81,11 +90,12 @@ func firstSegment(t *testing.T, dir string) []byte {
 
 func TestAppendRecoverRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	j, rec, err := Open(dir, Options{Fsync: FsyncOff})
+	recovered := &followCollector{}
+	j, rec, err := Open(dir, Options{Fsync: FsyncOff, Replay: recovered.apply})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Checkpoint != nil || len(rec.Records) != 0 {
+	if rec.Checkpoint != nil || len(recovered.recs) != 0 {
 		t.Fatalf("fresh dir recovered state: %+v", rec)
 	}
 	const n = 25
@@ -101,14 +111,14 @@ func TestAppendRecoverRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := Recover(dir)
+	got, gotRecs, err := recoverRecords(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Records) != n {
-		t.Fatalf("recovered %d records, want %d", len(got.Records), n)
+	if len(gotRecs) != n {
+		t.Fatalf("recovered %d records, want %d", len(gotRecs), n)
 	}
-	for i, r := range got.Records {
+	for i, r := range gotRecs {
 		want := testRecord(i)
 		want.Seq = uint64(i + 1)
 		wb, _ := json.Marshal(want)
@@ -140,12 +150,13 @@ func TestReopenContinuesSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, rec, err := Open(dir, Options{Fsync: FsyncOff})
+	recovered := &followCollector{}
+	j2, _, err := Open(dir, Options{Fsync: FsyncOff, Replay: recovered.apply})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Records) != 7 {
-		t.Fatalf("recovered %d records, want 7", len(rec.Records))
+	if len(recovered.recs) != 7 {
+		t.Fatalf("recovered %d records, want 7", len(recovered.recs))
 	}
 	if err := j2.Append(testRecord(7)); err != nil {
 		t.Fatal(err)
@@ -163,12 +174,12 @@ func TestReopenContinuesSequence(t *testing.T) {
 	if len(segs) != 2 {
 		t.Fatalf("segments = %d, want 2 (fresh segment per open)", len(segs))
 	}
-	got, err := Recover(dir)
+	_, gotRecs, err := recoverRecords(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Records) != 8 || got.Records[7].Seq != 8 {
-		t.Fatalf("recovered %d records, last seq %d", len(got.Records), got.Records[len(got.Records)-1].Seq)
+	if len(gotRecs) != 8 || gotRecs[7].Seq != 8 {
+		t.Fatalf("recovered %d records, last seq %d", len(gotRecs), gotRecs[len(gotRecs)-1].Seq)
 	}
 }
 
@@ -211,7 +222,7 @@ func TestRecoverSkipsCorruptPayload(t *testing.T) {
 	// Flip a payload byte inside frame 2 (0-based): its CRC fails, the
 	// frame is skipped whole, and frames 3 and 4 still recover.
 	corruptSegment(t, dir, cleanFrames(t, firstSegment(t, dir), 5)[2].off+FrameHeaderLen+3)
-	rec, err := Recover(dir)
+	rec, recs, err := recoverRecords(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +230,7 @@ func TestRecoverSkipsCorruptPayload(t *testing.T) {
 		t.Fatalf("CorruptSkipped = %d, want 1", rec.Stats.CorruptSkipped)
 	}
 	var seqs []uint64
-	for _, r := range rec.Records {
+	for _, r := range recs {
 		seqs = append(seqs, r.Seq)
 	}
 	want := []uint64{1, 2, 4, 5}
@@ -246,7 +257,7 @@ func TestRecoverResyncsAfterDamagedHeader(t *testing.T) {
 	// Smash frame 1's magic marker: recovery loses framing there and must
 	// re-synchronize on frame 2's magic.
 	corruptSegment(t, dir, cleanFrames(t, firstSegment(t, dir), 4)[1].off+1)
-	rec, err := Recover(dir)
+	rec, recs, err := recoverRecords(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +265,7 @@ func TestRecoverResyncsAfterDamagedHeader(t *testing.T) {
 		t.Fatal("expected corruption to be counted")
 	}
 	var seqs []uint64
-	for _, r := range rec.Records {
+	for _, r := range recs {
 		seqs = append(seqs, r.Seq)
 	}
 	if fmt.Sprint(seqs) != fmt.Sprint([]uint64{1, 3, 4}) {
@@ -311,7 +322,7 @@ func TestCheckpointRotationAndPrune(t *testing.T) {
 		}
 	}
 
-	rec, err := Recover(dir)
+	rec, recs, err := recoverRecords(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,11 +332,11 @@ func TestCheckpointRotationAndPrune(t *testing.T) {
 	if string(rec.Checkpoint) != `{"applied":20}` {
 		t.Fatalf("checkpoint payload = %s", rec.Checkpoint)
 	}
-	if len(rec.Records) != 3 {
-		t.Fatalf("tail records = %d, want 3 (21..23)", len(rec.Records))
+	if len(recs) != 3 {
+		t.Fatalf("tail records = %d, want 3 (21..23)", len(recs))
 	}
-	if rec.Records[0].Seq != 21 || rec.Records[2].Seq != 23 {
-		t.Fatalf("tail seqs %d..%d, want 21..23", rec.Records[0].Seq, rec.Records[2].Seq)
+	if recs[0].Seq != 21 || recs[2].Seq != 23 {
+		t.Fatalf("tail seqs %d..%d, want 21..23", recs[0].Seq, recs[2].Seq)
 	}
 }
 
@@ -357,7 +368,7 @@ func TestRecoverFallsBackToOlderCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := Recover(dir)
+	rec, recs, err := recoverRecords(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,8 +378,8 @@ func TestRecoverFallsBackToOlderCheckpoint(t *testing.T) {
 	if string(rec.Checkpoint) != `{"applied":5}` {
 		t.Fatalf("checkpoint payload = %s", rec.Checkpoint)
 	}
-	if len(rec.Records) != 7 || rec.Records[0].Seq != 6 || rec.Records[6].Seq != 12 {
-		t.Fatalf("tail = %d records (%v..), want 6..12", len(rec.Records), rec.Records[0].Seq)
+	if len(recs) != 7 || recs[0].Seq != 6 || recs[6].Seq != 12 {
+		t.Fatalf("tail = %d records (%v..), want 6..12", len(recs), recs[0].Seq)
 	}
 }
 
@@ -391,13 +402,13 @@ func TestForcedCheckpoint(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Recover(dir)
+	rec, recs, err := recoverRecords(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Stats.CheckpointSeq != 4 || len(rec.Records) != 0 {
+	if rec.Stats.CheckpointSeq != 4 || len(recs) != 0 {
 		t.Fatalf("after forced checkpoint: seq %d, %d tail records",
-			rec.Stats.CheckpointSeq, len(rec.Records))
+			rec.Stats.CheckpointSeq, len(recs))
 	}
 }
 
@@ -431,11 +442,11 @@ func TestFsyncIntervalFlushes(t *testing.T) {
 	// The background flusher must land the record without Close's help.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		rec, err := Recover(dir)
+		_, recs, err := recoverRecords(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rec.Records) == 1 {
+		if len(recs) == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -492,12 +503,12 @@ func TestFaultfileTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := Recover(dir)
+	rec, recs, err := recoverRecords(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Records) != 3 {
-		t.Fatalf("recovered %d records past a tear after frame 3, want 3", len(rec.Records))
+	if len(recs) != 3 {
+		t.Fatalf("recovered %d records past a tear after frame 3, want 3", len(recs))
 	}
 	if rec.Stats.TornTails != 1 {
 		t.Fatalf("TornTails = %d, want 1", rec.Stats.TornTails)
@@ -533,23 +544,23 @@ func TestFaultfileBitFlips(t *testing.T) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := Recover(dir)
+		rec, recs, err := recoverRecords(dir)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		var last uint64
-		for _, r := range rec.Records {
+		for _, r := range recs {
 			if r.Seq <= last {
 				t.Fatalf("seed %d: non-increasing seq %d after %d", seed, r.Seq, last)
 			}
 			last = r.Seq
 		}
-		if len(rec.Records) > n {
-			t.Fatalf("seed %d: recovered %d > appended %d", seed, len(rec.Records), n)
+		if len(recs) > n {
+			t.Fatalf("seed %d: recovered %d > appended %d", seed, len(recs), n)
 		}
-		if len(rec.Records) < n && rec.Stats.CorruptSkipped == 0 && rec.Stats.TornTails == 0 {
+		if len(recs) < n && rec.Stats.CorruptSkipped == 0 && rec.Stats.TornTails == 0 {
 			t.Fatalf("seed %d: lost %d records with no damage reported",
-				seed, n-len(rec.Records))
+				seed, n-len(recs))
 		}
 	}
 }
@@ -579,14 +590,14 @@ func TestFaultfileShortWrite(t *testing.T) {
 		acked++
 	}
 	j.Close()
-	rec, err := Recover(dir)
+	_, recs, err := recoverRecords(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Records) < acked {
-		t.Fatalf("recovered %d < %d acked records", len(rec.Records), acked)
+	if len(recs) < acked {
+		t.Fatalf("recovered %d < %d acked records", len(recs), acked)
 	}
-	for i, r := range rec.Records {
+	for i, r := range recs {
 		if r.Seq != uint64(i+1) {
 			t.Fatalf("recovered seq %d at position %d", r.Seq, i)
 		}
@@ -707,14 +718,14 @@ func TestFailedFsyncAppend(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Recover(dir)
+	_, recs, err := recoverRecords(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Records) != 6 {
-		t.Fatalf("recovered %d records, want all 6", len(rec.Records))
+	if len(recs) != 6 {
+		t.Fatalf("recovered %d records, want all 6", len(recs))
 	}
-	for i, r := range rec.Records {
+	for i, r := range recs {
 		if r.Seq != uint64(i+1) || r.Op != testRecord(i).Op {
 			t.Fatalf("record %d = seq %d op %s, want seq %d op %s", i, r.Seq, r.Op, i+1, testRecord(i).Op)
 		}

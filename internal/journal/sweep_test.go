@@ -55,14 +55,14 @@ func TestCrashPointSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		rec, err := Recover(dir)
+		rec, recs, err := recoverRecords(dir)
 		if err != nil {
 			t.Fatalf("cut %d: recover: %v", cut, err)
 		}
-		if len(rec.Records) != wantRecords {
-			t.Fatalf("cut %d: recovered %d records, want %d", cut, len(rec.Records), wantRecords)
+		if len(recs) != wantRecords {
+			t.Fatalf("cut %d: recovered %d records, want %d", cut, len(recs), wantRecords)
 		}
-		for k, r := range rec.Records {
+		for k, r := range recs {
 			if r.Seq != uint64(k+1) {
 				t.Fatalf("cut %d: record %d has seq %d", cut, k, r.Seq)
 			}
@@ -144,17 +144,17 @@ func TestCrashPointSweepWithCheckpoint(t *testing.T) {
 		if err := os.WriteFile(segmentPath(dir, 6), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := Recover(dir)
+		rec, recs, err := recoverRecords(dir)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		if rec.Stats.CheckpointSeq != 5 || string(rec.Checkpoint) != `{"applied":5}` {
 			t.Fatalf("cut %d: checkpoint seq %d payload %s", cut, rec.Stats.CheckpointSeq, rec.Checkpoint)
 		}
-		if len(rec.Records) != wantTail {
-			t.Fatalf("cut %d: %d tail records, want %d", cut, len(rec.Records), wantTail)
+		if len(recs) != wantTail {
+			t.Fatalf("cut %d: %d tail records, want %d", cut, len(recs), wantTail)
 		}
-		for k, r := range rec.Records {
+		for k, r := range recs {
 			if r.Seq != uint64(6+k) {
 				t.Fatalf("cut %d: tail record %d has seq %d", cut, k, r.Seq)
 			}

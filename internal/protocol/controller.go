@@ -206,10 +206,14 @@ func NewController(selector wlan.Selector, opts ...ControllerOption) (*Controlle
 }
 
 // RegisterAP adds a static AP directly (without an agent connection).
-// Useful for fixed topologies and tests.
+// Useful for fixed topologies and tests. A capacity the wire's gate
+// would refuse is refused here before anything runs.
 func (c *Controller) RegisterAP(id trace.APID, capacityBps float64) error {
 	if id == "" {
 		return errors.New("protocol: empty AP id")
+	}
+	if !validNumber(capacityBps) {
+		return fmt.Errorf("protocol: register of AP %q: invalid capacity_bps %v", id, capacityBps)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -598,7 +602,13 @@ type assocScratch struct {
 // refresh, not a move: the believed demand is replaced atomically, but
 // the session, its served-byte tally and the association timestamp stay
 // continuous, and no lifecycle events fire — the user never left.
+//
+// A demand the wire's gate would refuse is refused before the policy
+// runs.
 func (c *Controller) Associate(user trace.UserID, demandBps float64) (trace.APID, error) {
+	if !validNumber(demandBps) {
+		return "", fmt.Errorf("protocol: assoc of user %q: invalid demand_bps %v", user, demandBps)
+	}
 	return c.associate(user, demandBps, nil)
 }
 
@@ -639,7 +649,7 @@ func (c *Controller) placeLocked(req wlan.Request) (trace.APID, error) {
 		if errors.Is(err, domain.ErrUnknownAP) {
 			return "", fmt.Errorf("protocol: policy chose unknown AP (%v)", err)
 		}
-		return "", fmt.Errorf("protocol: commit: %w", err)
+		return "", err
 	}
 	return ap, nil
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -86,10 +87,12 @@ func TestStandbyMirrorsOwnerAndPromotes(t *testing.T) {
 
 	// The shared journal now carries both writers' records, the tail at
 	// epoch 2; a follower past the owner's head sees only the takeover's.
+	// With no resync callback the reader wants records, not state: it
+	// reads the segments rather than start at Close's checkpoint.
 	tail := journal.NewFollower(dir, 0)
 	var last journal.Record
 	n := 0
-	if _, err := tail.Poll(func([]byte, uint64) error { return nil }, func(r journal.Record) error {
+	if _, err := tail.Poll(nil, func(r journal.Record) error {
 		last = r
 		n++
 		return nil
@@ -114,6 +117,76 @@ func TestStandbyMirrorsOwnerAndPromotes(t *testing.T) {
 	defer oracle.Close()
 	if oracle.sessions["u-9"].ap == "" {
 		t.Fatal("oracle replay lost the promoted controller's assignment")
+	}
+}
+
+// TestFreshStandbyStartsAtCheckpoint: an owner serves one station's
+// traffic, which no record carries, and shuts down with a checkpoint at
+// seq 3 while its first segment still holds records 1–3. A standby built
+// from a fresh follower, as a federation node builds one, starts at that
+// checkpoint as a restart does: both read the served bytes, and the
+// standby's state is the restarted controller's.
+func TestFreshStandbyStartsAtCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	jopts := journal.Options{Fsync: journal.FsyncOff}
+	owner, err := NewController(baseline.LLF{}, WithTimeout(testTimeout), WithJournal(dir, jopts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.RegisterAP("ap-1", 1e6); err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		owner.handle(NewConn(server, testTimeout))
+	}()
+	st, err := DialStationWith(func(string, time.Duration) (net.Conn, error) { return client, nil }, "pipe", "u", testTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Associate(100); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SendTraffic(12_345); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Associate(100); err != nil { // its reply: the traffic is credited
+		t.Fatal(err)
+	}
+	if err := owner.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	<-done
+	if ckpts, _ := filepath.Glob(filepath.Join(dir, "ckpt-*")); len(ckpts) != 1 {
+		t.Fatalf("checkpoints %v, want the one Close wrote", ckpts)
+	}
+
+	standby, err := NewController(baseline.LLF{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := journal.NewFollower(dir, 0)
+	if _, err := f.Poll(func(payload []byte, _ uint64) error { return standby.RestoreCheckpoint(payload) },
+		standby.ApplyRecord); err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := NewController(baseline.LLF{}, WithJournal(dir, jopts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	got, want := standby.Snapshot(), restarted.Snapshot()
+	if g, w := got["ap-1"].ServedBytes, want["ap-1"].ServedBytes; g != w || w != 12_345 {
+		t.Fatalf("ap-1 served %d bytes on the standby, %d on the restarted controller; want 12345", g, w)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("standby %+v, restarted controller %+v", got, want)
+	}
+	if s := f.Stats(); s.Resyncs != 1 || s.LastSeq != 3 {
+		t.Fatalf("follower stats %+v, want one resync, at seq 3", s)
 	}
 }
 

@@ -341,12 +341,13 @@ func (c *Controller) restoreCheckpoint(payload []byte) error {
 // moves its user, the disconnect, then the connect; a same-AP refresh
 // emits nothing, since the user never left. A replay skips the live-only
 // counters and the log lines: the process that wrote the record already
-// emitted them.
+// emitted them. Every live entry point checks its numbers at the door,
+// so a number apply refuses is a replayed record's, named by its seq.
 func (c *Controller) apply(r *journal.Record, replay bool) error {
 	switch r.Op {
 	case journal.OpRegister:
 		if !validNumber(r.CapacityBps) {
-			return fmt.Errorf("protocol: %s: invalid capacity_bps %v", recordName(r, replay, "AP", string(r.AP)), r.CapacityBps)
+			return fmt.Errorf("protocol: journal record %d: invalid capacity_bps %v", r.Seq, r.CapacityBps)
 		}
 		if m, ok := c.meta[r.AP]; ok {
 			c.dom.SetCapacity(r.AP, r.CapacityBps)
@@ -372,7 +373,7 @@ func (c *Controller) apply(r *journal.Record, replay bool) error {
 		}
 		p := &r.Placements[0]
 		if !validNumber(p.DemandBps) {
-			return fmt.Errorf("protocol: %s: invalid demand_bps %v", recordName(r, replay, "user", string(p.User)), p.DemandBps)
+			return fmt.Errorf("protocol: journal record %d: invalid demand_bps %v", r.Seq, p.DemandBps)
 		}
 		c.scr.dp[0] = domain.Placement{User: p.User, AP: p.AP, Prev: p.Prev, DemandBps: p.DemandBps}
 		if _, err := c.dom.Commit(c.scr.dp[:], nil); err != nil {
@@ -412,15 +413,6 @@ func (c *Controller) apply(r *journal.Record, replay bool) error {
 		return fmt.Errorf("protocol: journal record %d (%s): %w", r.Seq, r.Op, errExpireRefused)
 	}
 	return fmt.Errorf("protocol: unknown journal op %q", r.Op)
-}
-
-// recordName names r in an apply error: a replayed record by its seq, a
-// live one, which Append has not numbered yet, by its op and its AP or user.
-func recordName(r *journal.Record, replay bool, kind, name string) string {
-	if replay {
-		return fmt.Sprintf("journal record %d", r.Seq)
-	}
-	return fmt.Sprintf("%s of %s %q", r.Op, kind, name)
 }
 
 // mutateLocked applies one live mutation and then, if journaling is

@@ -714,16 +714,33 @@ func TestJournalReplayErrorTolerance(t *testing.T) {
 	}
 }
 
-// TestLiveRecordErrorNamesItsSubject: a live mutation is refused before
-// the journal numbers its record, so its error names the op and the AP or
-// user instead of a "journal record 0" no journal holds; journaled or not.
+// failSelector fails the test it belongs to if any policy decision is
+// asked of it.
+type failSelector struct{ t *testing.T }
+
+func (failSelector) Name() string { return "fail" }
+
+func (s failSelector) Select(wlan.Request, []wlan.APView) (trace.APID, error) {
+	s.t.Error("the policy ran on a demand the door refuses")
+	return "", fmt.Errorf("unreachable")
+}
+
+// TestLiveRecordErrorNamesItsSubject: a live entry point refuses a
+// number the wire's gate would refuse before anything runs, the policy
+// included, so its error names the op and the AP or user instead of a
+// "journal record 0" no journal holds; journaled or not.
 func TestLiveRecordErrorNamesItsSubject(t *testing.T) {
-	journaled, err := NewController(baseline.LLF{}, WithJournal(t.TempDir(), journal.Options{Fsync: journal.FsyncOff}))
+	never := failSelector{t}
+	bare, err := NewController(never)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled, err := NewController(never, WithJournal(t.TempDir(), journal.Options{Fsync: journal.FsyncOff}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer journaled.Close()
-	for name, c := range map[string]*Controller{"bare": bareController(t), "journaled": journaled} {
+	for name, c := range map[string]*Controller{"bare": bare, "journaled": journaled} {
 		err := c.RegisterAP("ap-x", math.NaN())
 		if want := `protocol: register of AP "ap-x": invalid capacity_bps NaN`; err == nil || err.Error() != want {
 			t.Errorf("%s: RegisterAP(NaN) = %v, want %q", name, err, want)
@@ -732,8 +749,8 @@ func TestLiveRecordErrorNamesItsSubject(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = c.Associate("u-x", math.Inf(1))
-		if want := `assoc of user "u-x": invalid demand_bps +Inf`; err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: Associate(+Inf) = %v, want it to contain %q", name, err, want)
+		if want := `protocol: assoc of user "u-x": invalid demand_bps +Inf`; err == nil || err.Error() != want {
+			t.Errorf("%s: Associate(+Inf) = %v, want %q", name, err, want)
 		}
 	}
 }
