@@ -208,6 +208,16 @@ func TestJournalCheckpointRestoresObserverState(t *testing.T) {
 	}
 	engB.Refresh()
 	engineSnapshotsMatch(t, "post-crash", snapA, engB.Snapshot())
+	var stateA, stateB bytes.Buffer
+	if err := engA.WriteState(&stateA); err != nil {
+		t.Fatal(err)
+	}
+	if err := engB.WriteState(&stateB); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stateA.Bytes(), stateB.Bytes()) {
+		t.Fatalf("the restarted engine's state is not the crashed engine's:\ncrashed   %q\nrestarted %q", stateA.Bytes(), stateB.Bytes())
+	}
 
 	// Both engines see the same future → stay identical (the learner's
 	// mid-presence state round-tripped through checkpoint + replay).

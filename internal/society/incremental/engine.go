@@ -24,10 +24,11 @@
 //
 //   - users get dense ids in first-seen order (tally.go); every table is
 //     keyed by id or by a packed id pair, so an event hashes its one name;
-//   - every Disconnect yields exactly the pairs whose counts moved, with
-//     their new counts; the engine recomputes those θ values and, for a
-//     pair that crossed the edge threshold, patches the sorted friend
-//     lists of its two endpoints — nothing else. One mutex, one tally map;
+//   - every Disconnect yields exactly the pairs whose counts moved, each
+//     once, with its new counts; the engine recomputes those θ values and,
+//     for a pair that crossed the edge threshold, patches the sorted
+//     friend lists of its two endpoints — nothing else. One mutex; the
+//     tallies in sorted shards never published, so never cloned;
 //   - the probability and friend stores are sharded and copy-on-write
 //     (snapshot.go): a refresh is two array copies publishing the working
 //     state as an immutable Snapshot behind an atomic.Pointer, and the
@@ -135,8 +136,11 @@ type Engine struct {
 	seq  uint64
 	snap atomic.Pointer[Snapshot]
 
-	// WriteState's JSON header and whole stream, kept across checkpoints.
+	// WriteState's JSON header and whole stream, and the keys it sorts,
+	// kept across checkpoints.
 	header, state []byte
+	aps           []trace.APID
+	users         []trace.UserID
 }
 
 // New builds an engine and publishes an initial empty snapshot, so
@@ -289,7 +293,8 @@ func (e *Engine) bumpLocked() {
 
 // addUserLocked registers a first-seen user as a vertex. If the user's
 // type prior alone connects it to some existing users (rare — requires
-// α·T above the threshold), those edges are added immediately.
+// α·T above the threshold), those edges, with no tallies yet, are added
+// immediately.
 func (e *Engine) addUserLocked(u uint32) {
 	tu := e.typeUserLocked(u)
 	if tu < 0 || !e.anyCross || tu >= len(e.priorCross) {
@@ -301,8 +306,7 @@ func (e *Engine) addUserLocked(u uint32) {
 		}
 		for _, v := range e.byType[tv] {
 			if v != u {
-				k := makePairKey(u, v)
-				e.updatePairLocked(k, e.live.pairs[k])
+				e.updatePairLocked(makePairKey(u, v), tally{})
 			}
 		}
 	}

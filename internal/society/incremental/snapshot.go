@@ -1,7 +1,6 @@
 package incremental
 
 import (
-	"cmp"
 	"slices"
 	"time"
 
@@ -46,18 +45,43 @@ func (c *cowShards[T]) publish(dst *[numShards][]T) {
 }
 
 // probEntry is one supported pair's P(L|E). A probability shard is its
-// entries sorted by key: pointer-free, and cloned by one memmove.
+// entries in pair order (pairKey.order): pointer-free, and cloned by one
+// memmove.
 type probEntry struct {
 	key  pairKey
 	prob float64
 }
 
-// find returns k's place in its shard of probs, and whether it is there
-// (Fibonacci hashing: a key of dense ids has anything but uniform bits).
+// order is k's place in the engine's pair stores: its Fibonacci hash (a
+// key of dense ids has anything but uniform bits). The multiplier is odd,
+// so no two keys share an order. A store's shard is the order's top bits
+// and each shard is sorted by order, so a walk of the shards in turn
+// visits the pairs in one sequence, whatever the shard count.
+func (k pairKey) order() uint64 { return uint64(k) * 0x9E3779B97F4A7C15 }
+
+// shard returns k's shard in a store of 1<<bits.
+func (k pairKey) shard(bits int) int { return int(k.order() >> (64 - bits)) }
+
+// search returns the first of n rows sorted by order whose order is h
+// or more, key(i) being the i-th row's: the one search of both stores.
+func search(h uint64, n int, key func(int) pairKey) int {
+	lo, hi := 0, n
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); key(m).order() < h {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// find returns k's place in its shard of probs, and whether it is there.
 func (k pairKey) find(probs *[numShards][]probEntry) (si, i int, ok bool) {
-	si = int(uint64(k) * 0x9E3779B97F4A7C15 >> (64 - shardBits))
-	i, ok = slices.BinarySearchFunc(probs[si], k, func(e probEntry, k pairKey) int { return cmp.Compare(e.key, k) })
-	return si, i, ok
+	si = k.shard(shardBits)
+	shard := probs[si]
+	i = search(k.order(), len(shard), func(j int) pairKey { return shard[j].key })
+	return si, i, i < len(shard) && shard[i].key == k
 }
 
 // friendsOf returns user id's close friends, sorted by name. Dense ids

@@ -29,10 +29,12 @@ import (
 // A checkpoint runs inside the association that trips it, so the format
 // (docs/ARCHITECTURE.md, "State format", has the layout) is sized by what
 // dominates it, the tally rows: uvarints against a user table, and since
-// the engine counts by user id a row is its table entry as it stands —
-// one walk, no interning. It is version 2 as the releases before the id
-// table wrote and read it; a stream that opens with any other version
-// byte is refused by its number.
+// the engine counts by user id a row is its store entry as it stands —
+// one walk, no interning. The rows come in the store's order and the
+// header's maps in key order, so the bytes are a function of the state.
+// It is version 2 as the releases before the id table wrote and read it;
+// a stream that opens with any other version byte is refused by its
+// number.
 
 const (
 	// stateVersion is the format's number: the byte that opens the stream
@@ -44,9 +46,6 @@ const (
 	// header: a longer one is damage, not a user or a header.
 	maxNameBytes   = 1 << 10
 	maxHeaderBytes = 64 << 20
-	// maxPresize caps how far a decoded count may pre-size a table before
-	// the rows that justify it have been read.
-	maxPresize = 1 << 16
 )
 
 // stateHeader is the JSON part of a state stream: everything but the
@@ -82,16 +81,30 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(append(append(dst, '"'), s...), '"')
 }
 
+// sortedKeys refills keys with m's keys, in order.
+func sortedKeys[K cmp.Ordered, V any](keys []K, m map[K]V) []K {
+	keys = keys[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 // appendHeader appends the JSON stateHeader: the open presences and
-// recent leavings as json.Marshal writes them, minus its reflection and
-// allocations per map, spliced into types — the header setTypesLocked
-// marshalled with the type assignment alone.
-func (t *tallies) appendHeader(dst, types []byte) []byte {
-	comma := []byte{','}
+// recent leavings as json.Marshal writes them, keys in order, minus its
+// reflection and allocations per map, spliced into typesJSON — the header
+// setTypesLocked marshalled with the type assignment alone.
+func (e *Engine) appendHeader(dst []byte) []byte {
+	t, comma := e.live, []byte{','}
 	dst = append(dst, headerOpen+`,"open":{`...)
-	for ap, users := range t.open {
+	e.aps = sortedKeys(e.aps, t.open)
+	for _, ap := range e.aps {
 		dst = append(appendJSONString(dst, string(ap)), ":{"...)
-		for u, p := range users {
+		users := t.open[ap]
+		e.users = sortedKeys(e.users, users)
+		for _, u := range e.users {
+			p := users[u]
 			dst = append(appendJSONString(dst, string(u)), `:{"since":`...)
 			dst = append(strconv.AppendInt(dst, p.Since, 10), `,"starts":[`...)
 			for _, start := range p.Starts {
@@ -102,15 +115,16 @@ func (t *tallies) appendHeader(dst, types []byte) []byte {
 		dst = append(bytes.TrimSuffix(dst, comma), "},"...)
 	}
 	dst = append(bytes.TrimSuffix(dst, comma), `},"recent_ends":{`...)
-	for ap, evs := range t.recent {
+	e.aps = sortedKeys(e.aps, t.recent)
+	for _, ap := range e.aps {
 		dst = append(appendJSONString(dst, string(ap)), ":["...)
-		for _, ev := range evs {
+		for _, ev := range t.recent[ap] {
 			dst = append(appendJSONString(append(dst, `{"user":`...), string(ev.User)), `,"at":`...)
 			dst = append(strconv.AppendInt(dst, ev.At, 10), "},"...)
 		}
 		dst = append(bytes.TrimSuffix(dst, comma), "],"...)
 	}
-	return append(append(bytes.TrimSuffix(dst, comma), '}'), types[len(headerOpen):]...)
+	return append(append(bytes.TrimSuffix(dst, comma), '}'), e.typesJSON[len(headerOpen):]...)
 }
 
 // WriteState serializes the engine's learned state to w, in one Write
@@ -122,16 +136,22 @@ func (e *Engine) WriteState(w io.Writer) error {
 	if e.typesJSON == nil {
 		return errors.New("incremental: encode engine state: type matrix is not a JSON value")
 	}
-	t, users := e.live, e.live.names
-	e.header = t.appendHeader(e.header[:0], e.typesJSON)
-	dst := appendUserTable(append(slices.Grow(e.state[:0], 8*len(t.pairs)), stateVersion), users)
+	// The amortized sweep drops expired leavings on a schedule a restored
+	// engine does not share, so a write sweeps first: the state is what
+	// the next event can still count.
+	t, n := e.live, e.live.numPairs
+	t.compact(t.latest())
+	e.header = e.appendHeader(e.header[:0])
+	dst := appendUserTable(append(slices.Grow(e.state[:0], 8*n), stateVersion), t.names)
 	dst = binary.AppendUvarint(append(dst, stateVersion), uint64(len(e.header)))
-	dst = appendUserTable(append(dst, e.header...), users)
-	dst = binary.AppendUvarint(dst, uint64(len(t.pairs)))
-	for k, c := range t.pairs {
-		a, b := k.ids()
-		dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(a)), uint64(b))
-		dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(c.encounters)), uint64(c.coLeaves))
+	dst = appendUserTable(append(dst, e.header...), t.names)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for _, shard := range t.pairs {
+		for _, r := range shard {
+			a, b := r.key.ids()
+			dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(a)), uint64(b))
+			dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(r.encounters)), uint64(r.coLeaves))
+		}
 	}
 	e.state = dst
 	if _, err := w.Write(dst); err != nil {
@@ -165,8 +185,10 @@ func (e *Engine) ReadState(r io.Reader) error {
 	e.live = live
 	e.setTypesLocked(h.Types, h.TypeMatrix)
 	e.probs = cowShards[probEntry]{}
-	for k, t := range live.pairs {
-		e.setProbLocked(k, t)
+	for _, rows := range live.pairs {
+		for _, r := range rows {
+			e.setProbLocked(r.key, r.tally) // in pair order: each at its shard's end
+		}
 	}
 	e.rebuildFriendsLocked()
 	e.refreshLocked()
@@ -201,7 +223,7 @@ func decodeState(in journal.Reader, cfg society.Config, h *stateHeader) (*tallie
 	if h.Version != stateVersion {
 		return nil, fmt.Errorf("unsupported version %d", h.Version)
 	}
-	if h.Types == nil {
+	if len(h.Types) == 0 {
 		h.TypeMatrix = nil // never consulted without an assignment
 	}
 	// Index trusts the assignment: a row per type, square.
@@ -247,7 +269,7 @@ func decodeState(in journal.Reader, cfg society.Config, h *stateHeader) (*tallie
 	if err := in.Err(); err != nil {
 		return nil, fmt.Errorf("rows: %w", err)
 	}
-	live.pairs = make(map[pairKey]tally, min(n, maxPresize))
+	rows := make([]tallyRow, 0, n)
 	for i := range n {
 		f := [4]uint64{in.Uvarint(), in.Uvarint(), in.Uvarint(), in.Uvarint()}
 		switch {
@@ -259,8 +281,23 @@ func decodeState(in journal.Reader, cfg society.Config, h *stateHeader) (*tallie
 			return nil, fmt.Errorf("row %d: implausible tallies %d, %d", i, f[2], f[3])
 		}
 		if f[2] > 0 || f[3] > 0 {
-			live.pairs[makePairKey(ids[f[0]], ids[f[1]])] = tally{int32(f[2]), int32(f[3])}
+			rows = append(rows, tallyRow{makePairKey(ids[f[0]], ids[f[1]]), tally{int32(f[2]), int32(f[3])}})
 		}
+	}
+	// Rows come in pair order, save from a writer before that order (map
+	// order): sort those. Then they are one shard, split to the load.
+	byOrder := func(r, s tallyRow) int { return cmp.Compare(r.key.order(), s.key.order()) }
+	if !slices.IsSortedFunc(rows, byOrder) {
+		slices.SortFunc(rows, byOrder)
+	}
+	for i := 1; i < len(rows); i++ {
+		if rows[i].key == rows[i-1].key {
+			return nil, fmt.Errorf("rows: pair %v listed twice", rows[i].key.pair(live.names))
+		}
+	}
+	live.pairs[0], live.numPairs = rows, len(rows)
+	for live.numPairs > rowsPerShard<<live.pairBits {
+		live.split()
 	}
 	return live, nil
 }

@@ -217,7 +217,7 @@ func TestEngineReadStateParentFixture(t *testing.T) {
 		if !reflect.DeepEqual(fresh.live.recent, restored.live.recent) {
 			t.Fatalf("%s: recent-leaving windows diverged", tag)
 		}
-		if len(fresh.live.open) == 0 || len(fresh.live.recent) == 0 || len(fresh.live.pairs) == 0 {
+		if len(fresh.live.open) == 0 || len(fresh.live.recent) == 0 || fresh.live.numPairs == 0 {
 			t.Fatal("test vacuous: the stream left no open presence, leave window or tally")
 		}
 		for _, e := range []*Engine{fresh, restored} {
@@ -255,6 +255,7 @@ var forgedStates = map[string]string{
 	"equal indices":      "\x02\x01\x01a\x02\x0d{\"version\":2}\x02\x01a\x01b\x01\x00\x00\x01\x01",
 	"index out of range": "\x02\x01\x01a\x02\x0d{\"version\":2}\x02\x01a\x01b\x01\x00\x07\x01\x01",
 	"one user twice":     "\x02\x01\x01a\x02\x0d{\"version\":2}\x02\x01a\x01a\x01\x00\x01\x01\x01",
+	"pair twice":         "\x02\x01\x01a\x02\x0d{\"version\":2}\x02\x01a\x01b\x02\x00\x01\x01\x01\x01\x00\x02\x01",
 	"2³² encounters":     "\x02\x01\x01a\x02\x0d{\"version\":2}\x02\x01a\x01b\x01\x00\x01\x80\x80\x80\x80\x10\x01",
 	"ragged type matrix": headerOnlyState(`{"version":2,"types":{"a":0},"type_matrix":[[0.1,0.2]]}`),
 	"negative type":      headerOnlyState(`{"version":2,"types":{"a":-1},"type_matrix":[[0.1]]}`),
@@ -287,7 +288,8 @@ func TestEngineReadStateForgedCounts(t *testing.T) {
 // FuzzEngineReadState: ReadState takes bytes from disk. Whatever they
 // are — another version's, a JSON document, truncated, with forged
 // counts or user indices — it must return an error or a consistent,
-// working engine, never panic.
+// working engine, never panic; and what it accepts it writes back as
+// bytes that read and write back unchanged.
 func FuzzEngineReadState(f *testing.F) {
 	cfg := testStateConfig()
 	var v2 bytes.Buffer
@@ -315,6 +317,20 @@ func FuzzEngineReadState(f *testing.F) {
 			t.Fatalf("accepted state is inconsistent: %d users / %d edges, graph has %d / %d",
 				s.Users, s.Edges, g.NumVertices(), g.NumEdges())
 		}
+		var first, second bytes.Buffer
+		if err := e.WriteState(&first); err != nil {
+			t.Fatal(err)
+		}
+		again := New(cfg)
+		if err := again.ReadState(bytes.NewReader(first.Bytes())); err != nil {
+			t.Fatalf("an accepted state, written back, does not read: %v", err)
+		}
+		if err := again.WriteState(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("an accepted state writes back as %d bytes, and those read and write back as %d other bytes", first.Len(), second.Len())
+		}
 		driveEngine(e, 50, 1)
 		e.Refresh()
 		if err := e.WriteState(io.Discard); err != nil {
@@ -326,8 +342,10 @@ func FuzzEngineReadState(f *testing.F) {
 // campusSizedEngine is an engine the size the shipped campus makes it —
 // 600 users, tens of thousands of tallied pairs — with a type
 // assignment, a stacked open presence, names JSON has to escape, and
-// leave windows still open.
-func campusSizedEngine(t *testing.T) *Engine {
+// leave windows still open. With restartAt ≥ 0 the engine that learns
+// the rounds from that one on is a fresh one, restored from the state
+// of the rounds before.
+func campusSizedEngine(t *testing.T, restartAt int) *Engine {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.RefreshEvents = 0
@@ -341,6 +359,15 @@ func campusSizedEngine(t *testing.T) *Engine {
 	e.SetTypes(types, [][]float64{{0.4, 0.1, 0.1, 0.1}, {0.1, 0.4, 0.1, 0.1}, {0.1, 0.1, 0.4, 0.1}, {0.1, 0.1, 0.1, 0.4}})
 	ts := int64(0)
 	for round := 0; round < 1500; round++ {
+		if round == restartAt {
+			var state bytes.Buffer
+			if err := e.WriteState(&state); err != nil {
+				t.Fatal(err)
+			}
+			if e = New(cfg); e.ReadState(&state) != nil {
+				t.Fatal("a state just written does not read back")
+			}
+		}
 		ap := trace.APID(fmt.Sprintf("ap-%02d", round%40))
 		group := rng.Perm(600)[:12]
 		for _, i := range group {
@@ -374,11 +401,12 @@ func (w *plainWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestWriteStateStreams: a checkpoint walks the tally table once into a
+// TestWriteStateStreams: a checkpoint walks the tally store once into a
 // buffer the engine keeps — it does not discover a name table, stage
 // rows or marshal maps, so what it allocates does not grow with the
-// state — and what it writes restores, on a fresh engine, to the
-// writer's tallies, presences and types.
+// state — whatever the writer, the same bytes, and what it writes
+// restores, on a fresh engine, to the writer's tallies, presences and
+// types.
 func TestWriteStateStreams(t *testing.T) {
 	fromFixture := New(testStateConfig())
 	fixture, err := os.ReadFile("testdata/engine_state_v2.bin")
@@ -388,7 +416,7 @@ func TestWriteStateStreams(t *testing.T) {
 	if err := fromFixture.ReadState(bytes.NewReader(fixture)); err != nil {
 		t.Fatal(err)
 	}
-	for name, e := range map[string]*Engine{"campus-sized": campusSizedEngine(t), "restored from engine_state_v2.bin": fromFixture} {
+	for name, e := range map[string]*Engine{"campus-sized": campusSizedEngine(t, -1), "restored from engine_state_v2.bin": fromFixture} {
 		var lending bytes.Buffer // has an AvailableBuffer, as the journal's checkpoint frame
 		var plain plainWriter
 		for w, reset := range map[io.Writer]func(){&lending: lending.Reset, &plain: func() { plain.buf = plain.buf[:0] }} {
@@ -401,8 +429,8 @@ func TestWriteStateStreams(t *testing.T) {
 				t.Errorf("%s: a checkpoint into a %T made %v allocations, want ≤ 100", name, w, allocs)
 			}
 		}
-		if len(plain.buf) == 0 || len(plain.buf) != lending.Len() { // rows are in map order: only the sizes agree
-			t.Errorf("%s: the two writers got %d and %d bytes", name, lending.Len(), len(plain.buf))
+		if len(plain.buf) == 0 || !bytes.Equal(plain.buf, lending.Bytes()) {
+			t.Errorf("%s: the two writers got different bytes (%d and %d of them)", name, lending.Len(), len(plain.buf))
 		}
 		restored := New(e.cfg)
 		if err := restored.ReadState(bytes.NewReader(plain.buf)); err != nil {
@@ -416,6 +444,55 @@ func TestWriteStateStreams(t *testing.T) {
 		}
 		if len(e.live.open) == 0 || len(e.live.recent) == 0 {
 			t.Errorf("%s: test vacuous: no open presence or leave window", name)
+		}
+	}
+}
+
+// TestWriteStateIsAFunctionOfState: an engine's state bytes follow from
+// its state alone. Two writes of one engine are equal, an engine fed the
+// same events writes the same bytes — also when it was restored from its
+// own state mid-way, and so swept its expired leave windows on another
+// schedule — and a state read back writes the bytes it was read from:
+// for an engine the size of a campus, and for
+// testdata/engine_state_v2.bin, which a release before this order wrote
+// in map order and which now writes what typedEngine writes.
+func TestWriteStateIsAFunctionOfState(t *testing.T) {
+	write := func(e *Engine) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := e.WriteState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	read := func(state []byte) *Engine {
+		t.Helper()
+		e := New(testStateConfig())
+		if err := e.ReadState(bytes.NewReader(state)); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	fixture, err := os.ReadFile("testdata/engine_state_v2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	campus := campusSizedEngine(t, -1)
+	for name, c := range map[string]struct{ engine, twin *Engine }{
+		"campus-sized":                      {campus, campusSizedEngine(t, -1)},
+		"campus-sized, restarted at 700":    {campus, campusSizedEngine(t, 700)},
+		"campus-sized, restarted at 1100":   {campus, campusSizedEngine(t, 1100)},
+		"restored from engine_state_v2.bin": {read(fixture), typedEngine(testStateConfig())},
+	} {
+		state := write(c.engine)
+		if again := write(c.engine); !bytes.Equal(again, state) {
+			t.Errorf("%s: two writes of one engine differ", name)
+		}
+		if twin := write(c.twin); !bytes.Equal(twin, state) {
+			t.Errorf("%s: an engine fed the same events wrote other bytes", name)
+		}
+		if back := write(read(state)); !bytes.Equal(back, state) {
+			t.Errorf("%s: the state read back writes other bytes", name)
 		}
 	}
 }

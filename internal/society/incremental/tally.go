@@ -3,6 +3,7 @@ package incremental
 import (
 	"errors"
 	"maps"
+	"math"
 	"slices"
 
 	"github.com/s3wlan/s3wlan/internal/society"
@@ -21,8 +22,14 @@ var (
 // transient APs.
 const compactEvery = 1024
 
+// rowsPerShard is the tally store's load: its shards double when the
+// pairs outnumber them this many times over (4 096 shards for the
+// benchmark campus's 57 000 pairs; 4 to 32 ingest its 28 days within 4 %,
+// the larger allocating less). It is never published, so never cloned.
+const rowsPerShard = 16
+
 // pairKey packs a pair's two user ids, the smaller in the high half: the
-// pointer-free key of the tally table and the pair-probability store.
+// pointer-free key of the tally store and the pair-probability store.
 type pairKey uint64
 
 func makePairKey(a, b uint32) pairKey { return pairKey(min(a, b))<<32 | pairKey(max(a, b)) }
@@ -59,14 +66,16 @@ type leave struct {
 // tally is one pair's raw counts.
 type tally struct{ encounters, coLeaves int32 }
 
-// touchedPair is a pair a disconnect moved, with its counts afterwards.
-type touchedPair struct {
+// tallyRow is one pair's counts under its key: a row of the tally store,
+// and a pair a disconnect moved, with its counts afterwards.
+type tallyRow struct {
 	key pairKey
 	tally
 }
 
 // tallies is the live tally core: per AP the open presences and the
-// recent leavings, per pair the encounter and co-leave counts. Each
+// recent leavings, per pair the encounter and co-leave counts (in
+// shards sorted like the probabilities', pairKey.order). Each
 // presence end is matched against the overlapping open presences to
 // count encounters, and each session end against the recent leavings
 // inside the co-leave window to count co-leavings — the paper's event
@@ -87,10 +96,13 @@ type tallies struct {
 	idsLent     bool
 	open        map[trace.APID]map[trace.UserID]*presence
 	recent      map[trace.APID][]leave
-	pairs       map[pairKey]tally
-	spare       []*presence   // closed presences, for the next arrivals
-	disconnects int           // since the last amortized compaction
-	touched     []touchedPair // disconnect's result, reused across calls
+	pairs       [][]tallyRow // 1<<pairBits shards of numPairs rows
+	pairBits    int
+	numPairs    int
+	touchedAt   []int32     // by user id: the user's entry in touched, plus one
+	spare       []*presence // closed presences, for the next arrivals
+	disconnects int         // since the last amortized compaction
+	touched     []tallyRow  // disconnect's result, reused across calls
 }
 
 func newTallies(cfg society.Config) *tallies {
@@ -98,7 +110,7 @@ func newTallies(cfg society.Config) *tallies {
 		cfg:    cfg,
 		open:   make(map[trace.APID]map[trace.UserID]*presence),
 		recent: make(map[trace.APID][]leave),
-		pairs:  make(map[pairKey]tally),
+		pairs:  make([][]tallyRow, 1),
 		ids:    make(map[trace.UserID]uint32),
 	}
 }
@@ -111,7 +123,7 @@ func (t *tallies) intern(u trace.UserID) (id uint32, fresh bool) {
 			t.ids, t.idsLent = maps.Clone(t.ids), false
 		}
 		id = uint32(len(t.names))
-		t.ids[u], t.names = id, append(t.names, u)
+		t.ids[u], t.names, t.touchedAt = id, append(t.names, u), append(t.touchedAt, 0)
 	}
 	return id, !known
 }
@@ -141,10 +153,9 @@ func (t *tallies) connect(u trace.UserID, ap trace.APID, ts int64) (id uint32, f
 }
 
 // disconnect records a user leaving an AP at time ts and returns the
-// pairs whose counts moved, each with its counts after the event. A
-// pair that gained an encounter and a co-leave appears twice, both
-// times with the final counts. The slice is valid until the next call.
-func (t *tallies) disconnect(u trace.UserID, ap trace.APID, ts int64) ([]touchedPair, error) {
+// pairs whose counts moved, each once, with its counts after the event.
+// The slice is valid until the next call.
+func (t *tallies) disconnect(u trace.UserID, ap trace.APID, ts int64) ([]tallyRow, error) {
 	users := t.open[ap]
 	p := users[u]
 	if p == nil || len(p.Starts) == 0 {
@@ -167,7 +178,7 @@ func (t *tallies) disconnect(u trace.UserID, ap trace.APID, ts int64) ([]touched
 		}
 		for _, wp := range users {
 			if ts-max(p.Since, wp.Since) >= t.cfg.MinEncounterSeconds {
-				touched = t.count(touched, makePairKey(p.id, wp.id), 1, 0)
+				touched = t.touch(touched, p.id, wp.id, tally{1, 0})
 			}
 		}
 		t.spare = append(t.spare, p)
@@ -183,7 +194,7 @@ func (t *tallies) disconnect(u trace.UserID, ap trace.APID, ts int64) ([]touched
 		}
 		kept = append(kept, ev)
 		if ev.id != p.id {
-			touched = t.count(touched, makePairKey(p.id, ev.id), 0, 1)
+			touched = t.touch(touched, p.id, ev.id, tally{0, 1})
 		}
 	}
 	t.recent[ap] = append(kept, leave{User: u, At: ts, id: p.id})
@@ -195,17 +206,78 @@ func (t *tallies) disconnect(u trace.UserID, ap trace.APID, ts int64) ([]touched
 	}
 
 	for i := range touched {
-		touched[i].tally = t.pairs[touched[i].key]
+		a, b := touched[i].key.ids()
+		t.touchedAt[a], t.touchedAt[b] = 0, 0
+		touched[i].tally = t.add(touched[i])
 	}
 	t.touched = touched
 	return touched, nil
 }
 
-// count adds to pair k's tallies and appends the pair to touched.
-func (t *tallies) count(touched []touchedPair, k pairKey, encounters, coLeaves int32) []touchedPair {
-	c := t.pairs[k]
-	t.pairs[k] = tally{c.encounters + encounters, c.coLeaves + coLeaves}
-	return append(touched, touchedPair{key: k})
+// touch adds what one event counted for the pair of u and v to touched:
+// to the pair's entry if the event met the pair before (an encounter and
+// a co-leave, or two co-leaves), else as a new entry.
+func (t *tallies) touch(touched []tallyRow, u, v uint32, counted tally) []tallyRow {
+	if at := t.touchedAt[v]; at > 0 {
+		c := &touched[at-1].tally
+		c.encounters, c.coLeaves = c.encounters+counted.encounters, c.coLeaves+counted.coLeaves
+		return touched
+	}
+	t.touchedAt[v] = int32(len(touched) + 1)
+	return append(touched, tallyRow{makePairKey(u, v), counted})
+}
+
+// add adds r's counts to its pair's and returns the sums.
+func (t *tallies) add(r tallyRow) tally {
+	si, i, ok := t.find(r.key)
+	if !ok {
+		t.pairs[si] = slices.Insert(t.pairs[si], i, tallyRow{key: r.key})
+		t.numPairs++
+	}
+	c := &t.pairs[si][i].tally
+	c.encounters, c.coLeaves = c.encounters+r.encounters, c.coLeaves+r.coLeaves
+	if t.numPairs > rowsPerShard<<t.pairBits {
+		t.split() // moves no row: c stays put
+	}
+	return *c
+}
+
+// split doubles the tally store's shards: each one's rows are in order,
+// so it halves where their order's next bit turns on (the first half
+// capped, so that an append to it reallocates).
+func (t *tallies) split() {
+	pairs := make([][]tallyRow, 2*len(t.pairs))
+	for si, shard := range t.pairs {
+		cut := search(uint64(2*si+1)<<(63-t.pairBits), len(shard), func(j int) pairKey { return shard[j].key })
+		pairs[2*si], pairs[2*si+1] = shard[:cut:cut], shard[cut:]
+	}
+	t.pairs, t.pairBits = pairs, t.pairBits+1
+}
+
+// find returns k's place in its shard of the tally store, and whether it
+// is there.
+func (t *tallies) find(k pairKey) (si, i int, ok bool) {
+	si = k.shard(t.pairBits)
+	shard := t.pairs[si]
+	i = search(k.order(), len(shard), func(j int) pairKey { return shard[j].key })
+	return si, i, i < len(shard) && shard[i].key == k
+}
+
+// latest returns the time of the newest event the tallies hold — an open
+// session's start or a session end in its window — or math.MinInt64.
+func (t *tallies) latest() int64 {
+	now := int64(math.MinInt64)
+	for _, users := range t.open {
+		for _, p := range users {
+			now = max(now, slices.Max(p.Starts))
+		}
+	}
+	for _, evs := range t.recent {
+		for _, ev := range evs {
+			now = max(now, ev.At)
+		}
+	}
+	return now
 }
 
 // compact sweeps every AP's recent-leaving window, dropping events
@@ -226,11 +298,13 @@ func (t *tallies) compact(now int64) {
 // model derives a society.Model from the raw counts alone — nothing the
 // engine patches incrementally — under the given type assignment.
 func (t *tallies) model(types map[trace.UserID]int, matrix [][]float64) *society.Model {
-	pairs := make([]society.PairStat, 0, len(t.pairs))
-	for k, c := range t.pairs {
-		prob, ok := society.CoLeaveProb(int(c.encounters), int(c.coLeaves), t.cfg.MinEncounters)
-		pairs = append(pairs, society.PairStat{Pair: k.pair(t.names),
-			Encounters: int(c.encounters), CoLeaves: int(c.coLeaves), Prob: prob, Supported: ok})
+	pairs := make([]society.PairStat, 0, t.numPairs)
+	for _, shard := range t.pairs {
+		for _, r := range shard {
+			prob, ok := society.CoLeaveProb(int(r.encounters), int(r.coLeaves), t.cfg.MinEncounters)
+			pairs = append(pairs, society.PairStat{Pair: r.key.pair(t.names),
+				Encounters: int(r.encounters), CoLeaves: int(r.coLeaves), Prob: prob, Supported: ok})
+		}
 	}
 	return newModel(pairs, types, matrix, t.cfg.Alpha)
 }

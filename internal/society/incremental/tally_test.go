@@ -34,7 +34,7 @@ func TestTalliesDisconnectTouched(t *testing.T) {
 	l.connect("u1", "ap1", 0)
 	l.connect("u2", "ap1", 0)
 	l.connect("u3", "ap1", 0)
-	// moved is what a disconnect reports, duplicates folded.
+	// moved is what a disconnect reports, each pair once.
 	moved := func(u trace.UserID, ts int64) map[society.Pair]tally {
 		t.Helper()
 		touched, err := l.disconnect(u, "ap1", ts)
@@ -44,8 +44,8 @@ func TestTalliesDisconnectTouched(t *testing.T) {
 		out := make(map[society.Pair]tally)
 		for _, tp := range touched {
 			pair := tp.key.pair(l.names)
-			if prev, dup := out[pair]; dup && prev != tp.tally {
-				t.Errorf("%v reported with two different counts: %v, %v", pair, prev, tp.tally)
+			if prev, dup := out[pair]; dup {
+				t.Errorf("%v reported twice: %v, %v", pair, prev, tp.tally)
 			}
 			out[pair] = tp.tally
 		}
@@ -63,5 +63,25 @@ func TestTalliesDisconnectTouched(t *testing.T) {
 	want = map[society.Pair]tally{{A: "u1", B: "u2"}: {1, 1}, {A: "u2", B: "u3"}: {1, 0}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("touched = %v, want %v", got, want)
+	}
+}
+
+// TestTalliesDisconnectReportsAPairOnce: an event that both encounters
+// and co-leaves a pair — the other user closed one of two stacked
+// sessions just before — reports the pair once, with both counts.
+func TestTalliesDisconnectReportsAPairOnce(t *testing.T) {
+	l := newTallies(testConfig().Society)
+	l.connect("u1", "ap", 0)
+	l.connect("u1", "ap", 100) // stacked: closing the first leaves u1 present
+	l.connect("u2", "ap", 0)
+	if _, err := l.disconnect("u1", "ap", 3600); err != nil {
+		t.Fatal(err)
+	}
+	touched, err := l.disconnect("u2", "ap", 3650)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []tallyRow{{makePairKey(0, 1), tally{1, 1}}}; !reflect.DeepEqual(touched, want) {
+		t.Errorf("touched = %v, want %v", touched, want)
 	}
 }
